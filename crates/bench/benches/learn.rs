@@ -11,7 +11,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use galo_catalog::{col, ColumnStats, ColumnType, DatabaseBuilder, SystemConfig, Table};
-use galo_core::{abstract_plan, KnowledgeBase, Template};
+use galo_core::{abstract_plan, KbBuilder, KnowledgeBase, Template};
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc};
 use galo_rdf::ScratchDir;
@@ -109,7 +109,7 @@ fn bench_publish_sharded(c: &mut Criterion) {
         &tpls,
         |b, tpls| {
             b.iter(|| {
-                let kb = KnowledgeBase::open_sharded(4);
+                let kb = KbBuilder::new().shards(4).build_kb().unwrap();
                 for chunk in tpls.chunks(PUBLISH_BATCH) {
                     kb.insert_batch(chunk);
                 }
@@ -122,7 +122,7 @@ fn bench_publish_sharded(c: &mut Criterion) {
         &tpls,
         |b, tpls| {
             b.iter(|| {
-                let kb = KnowledgeBase::open_sharded(4);
+                let kb = KbBuilder::new().shards(4).build_kb().unwrap();
                 std::thread::scope(|scope| {
                     for slice in tpls.chunks(tpls.len() / 4) {
                         let kb = &kb;
@@ -153,7 +153,7 @@ fn bench_publish_durable(c: &mut Criterion) {
             b.iter(|| {
                 round += 1;
                 let dir = ScratchDir::new(&format!("learn-bench-single-{round}"));
-                let kb = KnowledgeBase::open_durable(dir.path()).unwrap();
+                let kb = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
                 for t in tpls {
                     kb.insert(t);
                 }
@@ -166,7 +166,7 @@ fn bench_publish_durable(c: &mut Criterion) {
         b.iter(|| {
             round += 1;
             let dir = ScratchDir::new(&format!("learn-bench-batch-{round}"));
-            let kb = KnowledgeBase::open_durable(dir.path()).unwrap();
+            let kb = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
             for chunk in tpls.chunks(PUBLISH_BATCH) {
                 kb.insert_batch(chunk);
             }

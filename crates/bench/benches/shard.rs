@@ -13,6 +13,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use galo_core::KbBuilder;
 use galo_rdf::{parse_select, DurableOptions, FusekiLite, Probe, ScratchDir, Term};
 
 const WRITER_THREADS: usize = 4;
@@ -148,7 +149,7 @@ fn bench_shard_write(c: &mut Criterion) {
         BenchmarkId::new(format!("sharded-indexed-{SHARDS}"), &param),
         |b| {
             b.iter(|| {
-                let server = FusekiLite::open_sharded(SHARDS);
+                let server = KbBuilder::new().shards(SHARDS).build_server().unwrap();
                 black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
             })
         },
@@ -156,14 +157,20 @@ fn bench_shard_write(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("single-durable-per-record", &param), |b| {
         b.iter(|| {
             let dir = ScratchDir::new("bench-shard-w1r");
-            let server = FusekiLite::open_durable(dir.path()).expect("opens");
+            let server = KbBuilder::new()
+                .durable_dir(dir.path())
+                .build_server()
+                .expect("opens");
             black_box(parallel_ingest(&server, false, WriterLayout::Stealing))
         })
     });
     group.bench_function(BenchmarkId::new("single-durable", &param), |b| {
         b.iter(|| {
             let dir = ScratchDir::new("bench-shard-w1");
-            let server = FusekiLite::open_durable(dir.path()).expect("opens");
+            let server = KbBuilder::new()
+                .durable_dir(dir.path())
+                .build_server()
+                .expect("opens");
             black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
         })
     });
@@ -172,7 +179,11 @@ fn bench_shard_write(c: &mut Criterion) {
         |b| {
             b.iter(|| {
                 let dir = ScratchDir::new("bench-shard-wN");
-                let server = FusekiLite::open_sharded_durable(dir.path(), SHARDS).expect("opens");
+                let server = KbBuilder::new()
+                    .durable_dir(dir.path())
+                    .shards(SHARDS)
+                    .build_server()
+                    .expect("opens");
                 black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
             })
         },
@@ -235,7 +246,7 @@ fn bench_shard_probe(c: &mut Criterion) {
     group.sample_size(10);
 
     let single = FusekiLite::new();
-    let sharded = FusekiLite::open_sharded(SHARDS);
+    let sharded = KbBuilder::new().shards(SHARDS).build_server().unwrap();
     for t in 0..TEMPLATES {
         single.insert_triples(template_triples(t));
         sharded.insert_triples(template_triples(t));

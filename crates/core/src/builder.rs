@@ -1,12 +1,7 @@
 //! One construction path for the whole stack.
 //!
-//! Before this module, every way of standing up a knowledge base was its
-//! own constructor, triplicated across the layers: `FusekiLite` had
-//! `new` / `with_backend` / `open_durable[_with]` / `open_sharded` /
-//! `open_sharded_durable[_with]`, `KnowledgeBase` mirrored five of them,
-//! and `Galo` mirrored three — and adding one dimension (the feedback
-//! options of this PR) would have doubled the zoo again. [`KbBuilder`]
-//! collapses the matrix into one validated builder: pick a backend *or*
+//! [`KbBuilder`] is the one validated way to stand up a knowledge base
+//! over anything but the default in-memory store: pick a backend *or*
 //! a shard count *or* a durable directory (in any legal combination),
 //! tune durability ([`fsync`](KbBuilder::fsync), auto-compaction),
 //! routing, feedback and matching options, then materialize whichever
@@ -17,9 +12,6 @@
 //!   index rebuilt when the store can hold pre-existing triples),
 //! - [`build_galo`](KbBuilder::build_galo) — the full [`Galo`] facade
 //!   with its match configuration.
-//!
-//! The legacy constructors survive as thin delegating wrappers, so no
-//! call site breaks; new code should come here.
 //!
 //! ```
 //! use galo_core::KbBuilder;

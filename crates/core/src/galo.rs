@@ -79,49 +79,12 @@ impl Default for Galo {
 }
 
 impl Galo {
-    /// An in-memory GALO instance with default configuration. All
-    /// constructors delegate to [`KbBuilder`](crate::KbBuilder), the one
-    /// construction path for every backend shape.
+    /// An in-memory GALO instance with default configuration; every
+    /// other backend shape comes from [`KbBuilder`](crate::KbBuilder).
     pub fn new() -> Self {
         crate::builder::KbBuilder::new()
             .build_galo()
             .expect("in-memory GALO construction is infallible")
-    }
-
-    /// A GALO instance whose knowledge base persists under `path`:
-    /// templates learned in one process survive into the next, the
-    /// accumulation the paper's off-peak learning model assumes. See
-    /// [`KnowledgeBase::open_durable`].
-    pub fn open_durable(path: impl AsRef<std::path::Path>) -> Result<Self, galo_rdf::ServerError> {
-        crate::builder::KbBuilder::new()
-            .durable_dir(path)
-            .build_galo()
-    }
-
-    /// A GALO instance over a durable **sharded** knowledge base: one
-    /// WAL+snapshot directory per shard under `path`, per-shard write
-    /// locks (concurrent off-peak learning runs append in parallel), and
-    /// parallel recovery on open. See
-    /// [`KnowledgeBase::open_sharded_durable`].
-    pub fn open_sharded_durable(
-        path: impl AsRef<std::path::Path>,
-        shards: usize,
-    ) -> Result<Self, galo_rdf::ServerError> {
-        crate::builder::KbBuilder::new()
-            .durable_dir(path)
-            .shards(shards)
-            .build_galo()
-    }
-
-    /// Install a background storage policy on the knowledge base: a
-    /// compactor thread folds WAL pressure off the write path so learning
-    /// bursts and serving reads don't pay for checkpointing inline. See
-    /// [`KnowledgeBase::compaction_policy`].
-    pub fn compaction_policy(
-        &self,
-        policy: galo_rdf::CompactionPolicy,
-    ) -> std::sync::Arc<galo_rdf::CompactorStats> {
-        self.kb.compaction_policy(policy)
     }
 
     /// Offline workflow: learn problem patterns from a workload.
@@ -146,7 +109,7 @@ impl Galo {
     /// Online workflow: re-optimize an entire workload.
     pub fn reoptimize_workload(&self, workload: &Workload) -> WorkloadReoptReport {
         let mut report = WorkloadReoptReport::default();
-        for (qi, query) in workload.queries.iter().enumerate() {
+        for query in &workload.queries {
             let Ok(outcome) = reoptimize_query(&workload.db, &self.kb, query, &self.match_cfg)
             else {
                 continue;
@@ -165,7 +128,6 @@ impl Galo {
                     .collect(),
                 match_ms: outcome.matched.match_ms,
             });
-            let _ = qi;
         }
         report
     }

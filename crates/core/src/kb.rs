@@ -210,16 +210,6 @@ pub struct AdmissionStats {
     pub near_misses: usize,
 }
 
-impl AdmissionStats {
-    /// Fold another accumulation in.
-    pub fn absorb(&mut self, other: AdmissionStats) {
-        self.considered += other.considered;
-        self.rejects_card += other.rejects_card;
-        self.rejects_scan += other.rejects_scan;
-        self.near_misses += other.near_misses;
-    }
-}
-
 /// One segment's admission query against the signature index: the checks
 /// plus the matcher's margin, trim level and dataset scope.
 #[derive(Debug, Clone, Copy)]
@@ -272,7 +262,7 @@ impl IndexedStat {
     }
 
     /// Exact stored bounds when present, else derived from the sketch,
-    /// else unbounded — the reindex reconstruction rule.
+    /// else unbounded.
     fn reconstruct(sketch: Option<StatSketch>, bounds: Option<Range>) -> Self {
         match (sketch, bounds) {
             (Some(sk), Some(exact)) => IndexedStat { exact, sketch: sk },
@@ -330,6 +320,190 @@ struct IndexedTemplate {
 /// so candidate iteration (and therefore match tie-breaking) is
 /// deterministic.
 type SigIndex = HashMap<u64, BTreeMap<String, IndexedTemplate>>;
+
+/// The numeric property families of a template operator, as
+/// `(hasLower*, hasHigher*, *Sketch)` names: cardinality first, then the
+/// three scan statistics in [`IndexedScan`] field order. Serialization,
+/// the signature-index reader and feedback refinement all walk this one
+/// table.
+const STAT_FAMILIES: [(&str, &str, &str); 4] = [
+    (
+        vocab::HAS_LOWER_CARDINALITY,
+        vocab::HAS_HIGHER_CARDINALITY,
+        vocab::HAS_CARDINALITY_SKETCH,
+    ),
+    (
+        vocab::HAS_LOWER_ROW_SIZE,
+        vocab::HAS_HIGHER_ROW_SIZE,
+        vocab::HAS_ROW_SIZE_SKETCH,
+    ),
+    (
+        vocab::HAS_LOWER_FPAGES,
+        vocab::HAS_HIGHER_FPAGES,
+        vocab::HAS_FPAGES_SKETCH,
+    ),
+    (
+        vocab::HAS_LOWER_BASE_CARDINALITY,
+        vocab::HAS_HIGHER_BASE_CARDINALITY,
+        vocab::HAS_BASE_CARDINALITY_SKETCH,
+    ),
+];
+
+/// What the triples say about one operator's stat of one family.
+#[derive(Default)]
+struct StatFacts {
+    lo: Option<f64>,
+    hi: Option<f64>,
+    sketch: Option<StatSketch>,
+}
+
+impl StatFacts {
+    /// A missing bound leaves its side open, a missing (or corrupt)
+    /// sketch falls back to the exact bounds, and a stat with neither is
+    /// unbounded — the pre-check must never reject what the probe would
+    /// accept.
+    fn into_indexed(self) -> IndexedStat {
+        let bounds =
+            (self.lo.is_some() || self.hi.is_some()).then(|| Range::from_bounds(self.lo, self.hi));
+        IndexedStat::reconstruct(self.sketch, bounds)
+    }
+}
+
+/// The template facts the signature index is derived from, keyed by
+/// subject IRI and gathered one default-graph triple at a time — from a
+/// publish batch's quads ([`KnowledgeBase::merge_index_from_quads`]) or
+/// from store scans ([`KnowledgeBase::rebuild_index`]). The one reader of
+/// the template vocabulary on the index side.
+#[derive(Default)]
+struct IndexFacts<'a> {
+    join_counts: HashMap<&'a str, usize>,
+    sources: HashMap<&'a str, &'a str>,
+    pop_template: HashMap<&'a str, &'a str>,
+    pop_types: HashMap<&'a str, &'a str>,
+    /// Per [`STAT_FAMILIES`] slot: operator IRI -> its stored stat.
+    stats: [HashMap<&'a str, StatFacts>; STAT_FAMILIES.len()],
+}
+
+impl<'a> IndexFacts<'a> {
+    /// The predicates (local names under [`vocab::PROP_NS`]) that
+    /// [`add`](Self::add) reads; everything else is ignored.
+    fn predicates() -> impl Iterator<Item = &'static str> {
+        [
+            vocab::HAS_JOIN_COUNT,
+            vocab::HAS_SOURCE_WORKLOAD,
+            vocab::IN_TEMPLATE,
+            vocab::HAS_POP_TYPE,
+        ]
+        .into_iter()
+        .chain(STAT_FAMILIES.iter().flat_map(|&(lo, hi, sk)| [lo, hi, sk]))
+    }
+
+    /// Record one triple; `local` is the predicate's local name.
+    /// Non-numeric bounds and join counts and corrupt sketch literals
+    /// (checksum mismatch) are dropped as if the triple were absent.
+    fn add(&mut self, subj: &'a str, local: &str, obj: &'a Term) {
+        let num = || obj.as_literal().and_then(|l| l.as_number());
+        match local {
+            vocab::HAS_JOIN_COUNT => {
+                if let Some(jc) = num() {
+                    self.join_counts.insert(subj, jc as usize);
+                }
+            }
+            vocab::HAS_SOURCE_WORKLOAD => {
+                self.sources.insert(subj, obj.str_value());
+            }
+            vocab::IN_TEMPLATE => {
+                self.pop_template.insert(subj, obj.str_value());
+            }
+            vocab::HAS_POP_TYPE => {
+                self.pop_types.insert(subj, obj.str_value());
+            }
+            _ => {
+                for (stats, &(lo, hi, sk)) in self.stats.iter_mut().zip(&STAT_FAMILIES) {
+                    if local == lo {
+                        if let Some(v) = num() {
+                            stats.entry(subj).or_default().lo = Some(v);
+                        }
+                    } else if local == hi {
+                        if let Some(v) = num() {
+                            stats.entry(subj).or_default().hi = Some(v);
+                        }
+                    } else if local == sk {
+                        if let Some(sketch) = StatSketch::from_hex(obj.str_value()) {
+                            stats.entry(subj).or_default().sketch = Some(sketch);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// True when every operator mentioned anywhere carries its template
+    /// link and type, and its template's join count, among the gathered
+    /// facts. False means the facts are a partial edit of stored
+    /// templates, and only the store sees the whole picture.
+    fn is_complete(&self) -> bool {
+        self.pop_template
+            .keys()
+            .chain(self.pop_types.keys())
+            .chain(self.stats.iter().flat_map(|stats| stats.keys()))
+            .all(|pop| {
+                self.pop_types.contains_key(pop)
+                    && self
+                        .pop_template
+                        .get(pop)
+                        .is_some_and(|tpl| self.join_counts.contains_key(tpl))
+            })
+    }
+
+    /// Insert (or overwrite) one index entry per template that has a join
+    /// count. Operators are those linked to it by `inTemplate` that also
+    /// carry a type, in ascending IRI order.
+    fn into_entries(self, index: &mut SigIndex) {
+        let IndexFacts {
+            join_counts,
+            sources,
+            pop_template,
+            pop_types,
+            mut stats,
+        } = self;
+        let mut by_tpl: HashMap<&str, Vec<&str>> = HashMap::new();
+        for (pop, tpl) in pop_template {
+            by_tpl.entry(tpl).or_default().push(pop);
+        }
+        for (tpl_iri, jc) in join_counts {
+            let mut pop_iris = by_tpl.remove(tpl_iri).unwrap_or_default();
+            pop_iris.sort_unstable();
+            let pops: Vec<IndexedPop> = pop_iris
+                .into_iter()
+                .filter_map(|pop| {
+                    let pop_type = pop_types.get(pop)?.to_string();
+                    let [card, scan @ ..] = stats.each_mut().map(|stats| stats.remove(pop));
+                    let has_scan = scan.iter().any(Option::is_some);
+                    let [row_size, fpages, base_cardinality] =
+                        scan.map(|stat| stat.unwrap_or_default().into_indexed());
+                    Some(IndexedPop {
+                        pop_type,
+                        cardinality: card.unwrap_or_default().into_indexed(),
+                        scan: has_scan.then_some(IndexedScan {
+                            row_size,
+                            fpages,
+                            base_cardinality,
+                        }),
+                    })
+                })
+                .collect();
+            let sig = shape_signature(jc, pops.iter().map(|p| p.pop_type.as_str()));
+            index.entry(sig).or_default().insert(
+                tpl_iri.to_string(),
+                IndexedTemplate {
+                    workload: sources.get(tpl_iri).copied().unwrap_or("").to_string(),
+                    pops,
+                },
+            );
+        }
+    }
+}
 
 /// Why (or whether) one index entry passed the admission pre-check.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -417,6 +591,15 @@ pub struct DatasetStats {
 /// ranges could possibly admit them. Callers that mutate template triples
 /// through the raw [`server`](Self::server) endpoint must call
 /// [`reindex`](Self::reindex) afterwards.
+///
+/// Index entries come from two places only:
+/// [`insert_batch`](Self::insert_batch) maps the [`Template`]s it was
+/// handed, and everything that starts from triples — whole-template
+/// [`apply_quads`](Self::apply_quads) and
+/// [`apply_records`](Self::apply_records) batches, and the rebuild behind
+/// `reindex`, `import` and reopen — goes through the one `IndexFacts`
+/// gather, so the fallback rules (corrupt sketch → exact bounds →
+/// unbounded) are stated once.
 pub struct KnowledgeBase {
     server: FusekiLite,
     counter: AtomicU64,
@@ -436,10 +619,9 @@ impl Default for KnowledgeBase {
 }
 
 impl KnowledgeBase {
-    /// The shared construction path every public constructor (and
-    /// [`KbBuilder`](crate::KbBuilder)) funnels through: wrap the
-    /// endpoint, start an empty signature index and a feedback collector
-    /// with the given options.
+    /// The construction path [`KbBuilder`](crate::KbBuilder) funnels
+    /// every backend shape through: wrap the endpoint, start an empty
+    /// signature index and a feedback collector with the given options.
     pub(crate) fn from_server(server: FusekiLite, feedback: FeedbackOptions) -> Self {
         KnowledgeBase {
             server,
@@ -455,53 +637,6 @@ impl KnowledgeBase {
         crate::builder::KbBuilder::new()
             .build_kb()
             .expect("in-memory knowledge base construction is infallible")
-    }
-
-    /// A knowledge base over a caller-supplied [`TripleStore`] backend —
-    /// the seam a persistent or sharded store plugs into.
-    pub fn with_backend(backend: Box<dyn TripleStore>) -> Self {
-        crate::builder::KbBuilder::new()
-            .backend(backend)
-            .build_kb()
-            .expect("in-memory knowledge base construction is infallible")
-    }
-
-    /// A knowledge base over a durable on-disk store rooted at `path`
-    /// (paper §3.2: the KB is "a robust, transactional, and persistent
-    /// storage layer" that guidelines accumulate into across workloads).
-    /// Opening recovers the newest valid snapshot plus the committed
-    /// write-ahead-log tail and rebuilds the signature index from the
-    /// recovered triples, so matching works immediately after a restart
-    /// — or a crash.
-    pub fn open_durable(path: impl AsRef<std::path::Path>) -> Result<Self, galo_rdf::ServerError> {
-        crate::builder::KbBuilder::new()
-            .durable_dir(path)
-            .build_kb()
-    }
-
-    /// A knowledge base over an in-memory sharded store: `shards`
-    /// indexed stores behind per-shard locks with template-affine
-    /// routing, so concurrent learning runs appending different
-    /// templates no longer serialize behind one lock.
-    pub fn open_sharded(shards: usize) -> Self {
-        crate::builder::KbBuilder::new()
-            .shards(shards)
-            .build_kb()
-            .expect("in-memory sharded knowledge base construction is infallible")
-    }
-
-    /// A knowledge base over a durable **sharded** store rooted at
-    /// `path`: one WAL+snapshot directory per shard, recovered in
-    /// parallel on open, then the signature index is rebuilt — the
-    /// production-shape backend (concurrent writers *and* persistence).
-    pub fn open_sharded_durable(
-        path: impl AsRef<std::path::Path>,
-        shards: usize,
-    ) -> Result<Self, galo_rdf::ServerError> {
-        crate::builder::KbBuilder::new()
-            .durable_dir(path)
-            .shards(shards)
-            .build_kb()
     }
 
     /// Per-shard triple/graph counts (`None` over a non-sharded
@@ -760,53 +895,23 @@ impl KnowledgeBase {
             // envelopes survive export/import, durable reopen and
             // reindex. Both serializations are deterministic, which keeps
             // republishing a template a set-semantics no-op.
-            let card = p.cardinality.envelope(0.0);
-            triples.push((
-                me.clone(),
-                prop(vocab::HAS_LOWER_CARDINALITY),
-                Term::num(card.lo),
-            ));
-            triples.push((
-                me.clone(),
-                prop(vocab::HAS_HIGHER_CARDINALITY),
-                Term::num(card.hi),
-            ));
-            triples.push((
-                me.clone(),
-                prop(vocab::HAS_CARDINALITY_SKETCH),
-                Term::lit(p.cardinality.to_hex()),
-            ));
+            let push_stat = |triples: &mut Vec<_>, family: usize, sketch: &StatSketch| {
+                let (lo, hi, sk) = STAT_FAMILIES[family];
+                let range = sketch.envelope(0.0);
+                triples.push((me.clone(), prop(lo), Term::num(range.lo)));
+                triples.push((me.clone(), prop(hi), Term::num(range.hi)));
+                triples.push((me.clone(), prop(sk), Term::lit(sketch.to_hex())));
+            };
+            push_stat(triples, 0, &p.cardinality);
             if let Some(scan) = &p.scan {
                 triples.push((
                     me.clone(),
                     prop(vocab::HAS_CANONICAL_TABID),
                     Term::lit(scan.canonical_tabid.clone()),
                 ));
-                for (lo_name, hi_name, sketch_name, sketch) in [
-                    (
-                        vocab::HAS_LOWER_ROW_SIZE,
-                        vocab::HAS_HIGHER_ROW_SIZE,
-                        vocab::HAS_ROW_SIZE_SKETCH,
-                        &scan.row_size,
-                    ),
-                    (
-                        vocab::HAS_LOWER_FPAGES,
-                        vocab::HAS_HIGHER_FPAGES,
-                        vocab::HAS_FPAGES_SKETCH,
-                        &scan.fpages,
-                    ),
-                    (
-                        vocab::HAS_LOWER_BASE_CARDINALITY,
-                        vocab::HAS_HIGHER_BASE_CARDINALITY,
-                        vocab::HAS_BASE_CARDINALITY_SKETCH,
-                        &scan.base_cardinality,
-                    ),
-                ] {
-                    let range = sketch.envelope(0.0);
-                    triples.push((me.clone(), prop(lo_name), Term::num(range.lo)));
-                    triples.push((me.clone(), prop(hi_name), Term::num(range.hi)));
-                    triples.push((me.clone(), prop(sketch_name), Term::lit(sketch.to_hex())));
-                }
+                push_stat(triples, 1, &scan.row_size);
+                push_stat(triples, 2, &scan.fpages);
+                push_stat(triples, 3, &scan.base_cardinality);
             }
             for (i, &child) in p.inputs.iter().enumerate() {
                 let child_iri = vocab::template_pop_iri(&tpl.id, child);
@@ -985,151 +1090,27 @@ impl KnowledgeBase {
         changed
     }
 
-    /// Incrementally fold template quads into the signature index. Works
-    /// only when every operator quad in the batch belongs to a template
-    /// whose structural quads (join count, operator types) are *also* in
-    /// the batch — true for whole-template publishes, the replication
-    /// wire unit. Returns false when the batch is partial (a caller-side
-    /// signal to fall back to [`rebuild_index`](Self::rebuild_index));
-    /// never leaves the index half-updated in that case.
+    /// Incrementally fold template quads into the signature index, from
+    /// the quads alone (no store read). Works only when the batch is
+    /// [complete](IndexFacts::is_complete) — true for whole-template
+    /// publishes, the replication wire unit. Returns false when the batch
+    /// is partial (a caller-side signal to fall back to
+    /// [`rebuild_index`](Self::rebuild_index)), leaving the index
+    /// untouched.
     fn merge_index_from_quads(&self, quads: &[galo_rdf::Quad]) -> bool {
-        // Families of numeric envelopes, in fixed order:
-        // cardinality, row_size, fpages, base_cardinality.
-        const FAMS: usize = 4;
-        let mut join_counts: HashMap<&str, usize> = HashMap::new();
-        let mut sources: HashMap<&str, &str> = HashMap::new();
-        let mut pop_template: HashMap<&str, &str> = HashMap::new();
-        let mut pop_types: HashMap<&str, &str> = HashMap::new();
-        let mut lows: [HashMap<&str, f64>; FAMS] = Default::default();
-        let mut highs: [HashMap<&str, f64>; FAMS] = Default::default();
-        let mut sketches: [HashMap<&str, StatSketch>; FAMS] = Default::default();
+        let mut facts = IndexFacts::default();
         for (s, p, o, graph) in quads {
             if graph.is_some() {
                 continue; // named-graph quads are dataset tags, not index inputs
             }
-            let Some(local) = p.as_iri().and_then(|iri| iri.strip_prefix(vocab::PROP_NS)) else {
-                continue;
-            };
-            let subj = s.str_value();
-            let num = || o.as_literal().and_then(|l| l.as_number());
-            match local {
-                vocab::HAS_JOIN_COUNT => {
-                    let Some(jc) = num() else { return false };
-                    join_counts.insert(subj, jc as usize);
-                }
-                vocab::HAS_SOURCE_WORKLOAD => {
-                    sources.insert(subj, o.str_value());
-                }
-                vocab::IN_TEMPLATE => {
-                    pop_template.insert(subj, o.str_value());
-                }
-                vocab::HAS_POP_TYPE => {
-                    pop_types.insert(subj, o.str_value());
-                }
-                _ => {
-                    let fam_lo = [
-                        vocab::HAS_LOWER_CARDINALITY,
-                        vocab::HAS_LOWER_ROW_SIZE,
-                        vocab::HAS_LOWER_FPAGES,
-                        vocab::HAS_LOWER_BASE_CARDINALITY,
-                    ];
-                    let fam_hi = [
-                        vocab::HAS_HIGHER_CARDINALITY,
-                        vocab::HAS_HIGHER_ROW_SIZE,
-                        vocab::HAS_HIGHER_FPAGES,
-                        vocab::HAS_HIGHER_BASE_CARDINALITY,
-                    ];
-                    let fam_sk = [
-                        vocab::HAS_CARDINALITY_SKETCH,
-                        vocab::HAS_ROW_SIZE_SKETCH,
-                        vocab::HAS_FPAGES_SKETCH,
-                        vocab::HAS_BASE_CARDINALITY_SKETCH,
-                    ];
-                    for f in 0..FAMS {
-                        if local == fam_lo[f] {
-                            if let Some(v) = num() {
-                                lows[f].insert(subj, v);
-                            }
-                        } else if local == fam_hi[f] {
-                            if let Some(v) = num() {
-                                highs[f].insert(subj, v);
-                            }
-                        } else if local == fam_sk[f] {
-                            // Corrupt sketch literals are dropped; the
-                            // entry falls back to the exact bounds, same
-                            // as the rebuild path.
-                            if let Some(sk) = StatSketch::from_hex(o.str_value()) {
-                                sketches[f].insert(subj, sk);
-                            }
-                        }
-                    }
-                }
+            if let Some(local) = p.as_iri().and_then(|iri| iri.strip_prefix(vocab::PROP_NS)) {
+                facts.add(s.str_value(), local, o);
             }
         }
-        // Completeness: every operator mentioned anywhere must carry its
-        // template link + type in this same batch, and its template's
-        // join count too — otherwise the batch is a partial edit of
-        // stored templates and only a rebuild sees the whole picture.
-        let mut pops: HashSet<&str> = pop_template.keys().copied().collect();
-        pops.extend(pop_types.keys().copied());
-        for f in 0..FAMS {
-            pops.extend(lows[f].keys().copied());
-            pops.extend(highs[f].keys().copied());
-            pops.extend(sketches[f].keys().copied());
+        if !facts.is_complete() {
+            return false;
         }
-        for pop in &pops {
-            let Some(tpl) = pop_template.get(pop) else {
-                return false;
-            };
-            if !pop_types.contains_key(pop) || !join_counts.contains_key(tpl) {
-                return false;
-            }
-        }
-        if join_counts.is_empty() {
-            // No template structure in the batch: the index is unaffected.
-            return true;
-        }
-        let mut by_tpl: HashMap<&str, Vec<&str>> = HashMap::new();
-        for (pop, tpl) in &pop_template {
-            by_tpl.entry(tpl).or_default().push(pop);
-        }
-        let stat = |f: usize, pop: &str, sk: &mut [HashMap<&str, StatSketch>; FAMS]| {
-            let (lo, hi) = (lows[f].get(pop).copied(), highs[f].get(pop).copied());
-            let bounds = (lo.is_some() || hi.is_some()).then(|| Range::from_bounds(lo, hi));
-            IndexedStat::reconstruct(sk[f].remove(pop), bounds)
-        };
-        let mut index = self.sig_index.write().expect("signature index lock");
-        for (tpl_iri, jc) in join_counts {
-            let mut pop_iris = by_tpl.remove(tpl_iri).unwrap_or_default();
-            pop_iris.sort_unstable();
-            let pops: Vec<IndexedPop> = pop_iris
-                .into_iter()
-                .map(|pop| {
-                    let has_scan = (1..FAMS).any(|f| {
-                        lows[f].contains_key(pop)
-                            || highs[f].contains_key(pop)
-                            || sketches[f].contains_key(pop)
-                    });
-                    IndexedPop {
-                        pop_type: pop_types[pop].to_string(),
-                        cardinality: stat(0, pop, &mut sketches),
-                        scan: has_scan.then(|| IndexedScan {
-                            row_size: stat(1, pop, &mut sketches),
-                            fpages: stat(2, pop, &mut sketches),
-                            base_cardinality: stat(3, pop, &mut sketches),
-                        }),
-                    }
-                })
-                .collect();
-            let sig = shape_signature(jc, pops.iter().map(|p| p.pop_type.as_str()));
-            index.entry(sig).or_default().insert(
-                tpl_iri.to_string(),
-                IndexedTemplate {
-                    workload: sources.get(tpl_iri).copied().unwrap_or("").to_string(),
-                    pops,
-                },
-            );
-        }
+        facts.into_entries(&mut self.sig_index.write().expect("signature index lock"));
         true
     }
 
@@ -1205,171 +1186,25 @@ impl KnowledgeBase {
     }
 
     /// The index rebuild itself, epoch-free — [`reindex`](Self::reindex)
-    /// wraps it in the mutation scope that makes it observable.
+    /// wraps it in the mutation scope that makes it observable. The same
+    /// gather as [`merge_index_from_quads`](Self::merge_index_from_quads),
+    /// fed by one store scan per index predicate, then a whole-index swap.
     fn rebuild_index(&self) {
-        let jc_query = format!(
-            "PREFIX p: <{}> SELECT ?t ?jc WHERE {{ ?t p:{} ?jc . }}",
-            vocab::PROP_NS,
-            vocab::HAS_JOIN_COUNT
-        );
-        let source_query = format!(
-            "PREFIX p: <{}> SELECT ?t ?w WHERE {{ ?t p:{} ?w . }}",
-            vocab::PROP_NS,
-            vocab::HAS_SOURCE_WORKLOAD
-        );
-        let pops_query = format!(
-            "PREFIX p: <{}> SELECT ?pop ?t ?ty WHERE {{ ?pop p:{} ?t . ?pop p:{} ?ty . }}",
-            vocab::PROP_NS,
-            vocab::IN_TEMPLATE,
-            vocab::HAS_POP_TYPE
-        );
-        let mut join_counts: HashMap<String, usize> = HashMap::new();
-        if let Ok(rs) = self.server.query(&jc_query) {
-            for row in 0..rs.len() {
-                let (Some(t), Some(jc)) = (rs.get(row, "t"), rs.get(row, "jc")) else {
+        let index = self.server.with_store(|st| {
+            let mut facts = IndexFacts::default();
+            for local in IndexFacts::predicates() {
+                let Some(pid) = st.term_id(&prop(local)) else {
                     continue;
                 };
-                let Some(jc) = jc.as_literal().and_then(|l| l.as_number()) else {
-                    continue;
-                };
-                join_counts.insert(t.str_value().to_string(), jc as usize);
+                for (s, _, o) in st.scan(None, Some(pid), None) {
+                    facts.add(st.resolve(s).str_value(), local, st.resolve(o));
+                }
             }
-        }
-        let mut sources: HashMap<String, String> = HashMap::new();
-        if let Ok(rs) = self.server.query(&source_query) {
-            for row in 0..rs.len() {
-                let (Some(t), Some(w)) = (rs.get(row, "t"), rs.get(row, "w")) else {
-                    continue;
-                };
-                sources.insert(t.str_value().to_string(), w.str_value().to_string());
-            }
-        }
-        // Stored bounds and sketch literals, one map per property family.
-        // A pop whose bounds are missing (hand-crafted via the raw
-        // endpoint) defaults to an unbounded envelope, and a corrupt
-        // sketch literal (checksum mismatch) falls back to the exact
-        // bounds — the pre-check must never reject what the probe would
-        // accept.
-        let card_bounds =
-            self.pop_bounds(vocab::HAS_LOWER_CARDINALITY, vocab::HAS_HIGHER_CARDINALITY);
-        let mut card_sketches = self.pop_sketches(vocab::HAS_CARDINALITY_SKETCH);
-        let row_bounds = self.pop_bounds(vocab::HAS_LOWER_ROW_SIZE, vocab::HAS_HIGHER_ROW_SIZE);
-        let mut row_sketches = self.pop_sketches(vocab::HAS_ROW_SIZE_SKETCH);
-        let fp_bounds = self.pop_bounds(vocab::HAS_LOWER_FPAGES, vocab::HAS_HIGHER_FPAGES);
-        let mut fp_sketches = self.pop_sketches(vocab::HAS_FPAGES_SKETCH);
-        let base_bounds = self.pop_bounds(
-            vocab::HAS_LOWER_BASE_CARDINALITY,
-            vocab::HAS_HIGHER_BASE_CARDINALITY,
-        );
-        let mut base_sketches = self.pop_sketches(vocab::HAS_BASE_CARDINALITY_SKETCH);
-        let mut template_pops: HashMap<String, Vec<IndexedPop>> = HashMap::new();
-        if let Ok(rs) = self.server.query(&pops_query) {
-            for row in 0..rs.len() {
-                let (Some(pop), Some(t), Some(ty)) =
-                    (rs.get(row, "pop"), rs.get(row, "t"), rs.get(row, "ty"))
-                else {
-                    continue;
-                };
-                let key = pop.str_value();
-                let has_scan = row_bounds.contains_key(key)
-                    || fp_bounds.contains_key(key)
-                    || base_bounds.contains_key(key)
-                    || row_sketches.contains_key(key)
-                    || fp_sketches.contains_key(key)
-                    || base_sketches.contains_key(key);
-                let cardinality = IndexedStat::reconstruct(
-                    card_sketches.remove(key),
-                    card_bounds.get(key).copied(),
-                );
-                let scan = has_scan.then(|| IndexedScan {
-                    row_size: IndexedStat::reconstruct(
-                        row_sketches.remove(key),
-                        row_bounds.get(key).copied(),
-                    ),
-                    fpages: IndexedStat::reconstruct(
-                        fp_sketches.remove(key),
-                        fp_bounds.get(key).copied(),
-                    ),
-                    base_cardinality: IndexedStat::reconstruct(
-                        base_sketches.remove(key),
-                        base_bounds.get(key).copied(),
-                    ),
-                });
-                template_pops
-                    .entry(t.str_value().to_string())
-                    .or_default()
-                    .push(IndexedPop {
-                        pop_type: ty.str_value().to_string(),
-                        cardinality,
-                        scan,
-                    });
-            }
-        }
-        let mut index: SigIndex = HashMap::new();
-        for (iri, jc) in join_counts {
-            let pops = template_pops.remove(&iri).unwrap_or_default();
-            let sig = shape_signature(jc, pops.iter().map(|p| p.pop_type.as_str()));
-            let workload = sources.remove(&iri).unwrap_or_default();
+            let mut index = SigIndex::new();
+            facts.into_entries(&mut index);
             index
-                .entry(sig)
-                .or_default()
-                .insert(iri, IndexedTemplate { workload, pops });
-        }
+        });
         *self.sig_index.write().expect("signature index lock") = index;
-    }
-
-    /// Parse every pop's stored `[lo, hi]` bounds for one lower/higher
-    /// property pair — the single range-parsing path every reindexed
-    /// property family goes through (the struct and its defaulting rules
-    /// live in `galo_stats`).
-    fn pop_bounds(&self, lower: &str, higher: &str) -> HashMap<String, Range> {
-        let q = format!(
-            "PREFIX p: <{}> SELECT ?pop ?lo ?hi WHERE {{ ?pop p:{} ?lo . ?pop p:{} ?hi . }}",
-            vocab::PROP_NS,
-            lower,
-            higher
-        );
-        let mut out = HashMap::new();
-        if let Ok(rs) = self.server.query(&q) {
-            for row in 0..rs.len() {
-                let (Some(pop), Some(lo), Some(hi)) =
-                    (rs.get(row, "pop"), rs.get(row, "lo"), rs.get(row, "hi"))
-                else {
-                    continue;
-                };
-                let (lo, hi) = (
-                    lo.as_literal().and_then(|l| l.as_number()),
-                    hi.as_literal().and_then(|l| l.as_number()),
-                );
-                if lo.is_none() && hi.is_none() {
-                    continue;
-                }
-                out.insert(pop.str_value().to_string(), Range::from_bounds(lo, hi));
-            }
-        }
-        out
-    }
-
-    /// Parse every pop's sketch literal for one property; corrupt or
-    /// malformed literals are dropped (the caller falls back to bounds).
-    fn pop_sketches(&self, property: &str) -> HashMap<String, StatSketch> {
-        let q = format!(
-            "PREFIX p: <{}> SELECT ?pop ?sk WHERE {{ ?pop p:{} ?sk . }}",
-            vocab::PROP_NS,
-            property
-        );
-        let mut out = HashMap::new();
-        if let Ok(rs) = self.server.query(&q) {
-            for row in 0..rs.len() {
-                let (Some(pop), Some(sk)) = (rs.get(row, "pop"), rs.get(row, "sk")) else {
-                    continue;
-                };
-                if let Some(sketch) = StatSketch::from_hex(sk.str_value()) {
-                    out.insert(pop.str_value().to_string(), sketch);
-                }
-            }
-        }
-        out
     }
 
     /// Number of templates stored.
@@ -1752,38 +1587,16 @@ impl KnowledgeBase {
                 .collect();
             pops.sort_unstable();
             pops.dedup();
+            let (card_props, scan_props) = STAT_FAMILIES.split_first().expect("cardinality family");
             let mut changed = false;
             for pop in pops {
                 let Some(pop_type) = pop_literal(&*st, pop, vocab::HAS_POP_TYPE) else {
                     continue;
                 };
-                let stored_card = pop_stat(
-                    &*st,
-                    pop,
-                    vocab::HAS_LOWER_CARDINALITY,
-                    vocab::HAS_HIGHER_CARDINALITY,
-                    vocab::HAS_CARDINALITY_SKETCH,
-                );
-                let scan_props = [
-                    (
-                        vocab::HAS_LOWER_ROW_SIZE,
-                        vocab::HAS_HIGHER_ROW_SIZE,
-                        vocab::HAS_ROW_SIZE_SKETCH,
-                    ),
-                    (
-                        vocab::HAS_LOWER_FPAGES,
-                        vocab::HAS_HIGHER_FPAGES,
-                        vocab::HAS_FPAGES_SKETCH,
-                    ),
-                    (
-                        vocab::HAS_LOWER_BASE_CARDINALITY,
-                        vocab::HAS_HIGHER_BASE_CARDINALITY,
-                        vocab::HAS_BASE_CARDINALITY_SKETCH,
-                    ),
-                ];
+                let stored_card = pop_stat(&*st, pop, *card_props);
                 let stored_scan: Vec<Option<StatSketch>> = scan_props
                     .iter()
-                    .map(|&(lo, hi, sk)| pop_stat(&*st, pop, lo, hi, sk))
+                    .map(|&family| pop_stat(&*st, pop, family))
                     .collect();
                 let has_scan = stored_scan.iter().any(Option::is_some);
 
@@ -1856,23 +1669,14 @@ impl KnowledgeBase {
 
                 if let (Some(old), Some(new)) = (&stored_card, &new_card) {
                     if new != old {
-                        rewrite_stat_triples(
-                            st,
-                            pop,
-                            vocab::HAS_LOWER_CARDINALITY,
-                            vocab::HAS_HIGHER_CARDINALITY,
-                            vocab::HAS_CARDINALITY_SKETCH,
-                            new,
-                        );
+                        rewrite_stat_triples(st, pop, *card_props, new);
                         changed = true;
                     }
                 }
-                for ((old, new), &(lo, hi, sk)) in
-                    stored_scan.iter().zip(&new_scan).zip(&scan_props)
-                {
+                for ((old, new), &family) in stored_scan.iter().zip(&new_scan).zip(scan_props) {
                     if let (Some(old), Some(new)) = (old, new) {
                         if new != old {
-                            rewrite_stat_triples(st, pop, lo, hi, sk, new);
+                            rewrite_stat_triples(st, pop, family, new);
                             changed = true;
                         }
                     }
@@ -1949,9 +1753,7 @@ fn pop_number(st: &dyn TripleStore, pop: TermId, property: &str) -> Option<f64> 
 fn pop_stat(
     st: &dyn TripleStore,
     pop: TermId,
-    lo_prop: &str,
-    hi_prop: &str,
-    sketch_prop: &str,
+    (lo_prop, hi_prop, sketch_prop): (&str, &str, &str),
 ) -> Option<StatSketch> {
     if let Some(sketch) = pop_literal(st, pop, sketch_prop).and_then(|h| StatSketch::from_hex(&h)) {
         return Some(sketch);
@@ -1968,9 +1770,7 @@ fn pop_stat(
 fn rewrite_stat_triples(
     st: &mut dyn TripleStore,
     pop: TermId,
-    lo_prop: &str,
-    hi_prop: &str,
-    sketch_prop: &str,
+    (lo_prop, hi_prop, sketch_prop): (&str, &str, &str),
     sketch: &StatSketch,
 ) {
     let subject = st.resolve(pop).clone();
@@ -2121,7 +1921,10 @@ mod tests {
     fn alternate_backend_is_a_drop_in() {
         // The scan backend must behave identically through the KB facade.
         let (db, plan) = setup();
-        let kb = KnowledgeBase::with_backend(Box::<galo_rdf::ScanStore>::default());
+        let kb = crate::KbBuilder::new()
+            .backend(Box::<galo_rdf::ScanStore>::default())
+            .build_kb()
+            .unwrap();
         let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
         let mut tpl = abstract_plan(&db, &plan, plan.root(), &g, kb.fresh_id(5));
         tpl.source_workload = "tpcds".into();

@@ -31,10 +31,11 @@
 //! segments are skipped via the claimed-operator set, and the collected
 //! rewrites form one guideline document for re-optimization.
 //!
-//! The legacy text path ([`match_plan_text`]) — render SPARQL text, parse
-//! it back, evaluate one query at a time — is kept as the differential
-//! oracle: property tests assert both pipelines produce identical
-//! rewrites.
+//! [`match_compiled`] is the only production matcher — [`match_plan`]
+//! and every serving-tier miss run it. The text path
+//! ([`match_plan_text`]) — render SPARQL text, parse it back, evaluate
+//! one query at a time — is kept as the differential reference: property
+//! tests assert it and the matcher produce identical rewrites.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -116,7 +117,7 @@ impl MatchConfig {
         MatchConfigBuilder::default()
     }
 
-    pub(crate) fn probe_options(&self) -> ProbeOptions {
+    fn probe_options(&self) -> ProbeOptions {
         ProbeOptions {
             range_margin: self.range_margin,
             include_ranges: true,
@@ -299,12 +300,12 @@ impl MatchReport {
 
 /// The deterministic winning solution of one segment probe: the smallest
 /// `(template IRI, canonical table labels)` pair over all solution rows
-/// whose template passes `allow` (the text pipeline's dataset filter; the
-/// compiled pipeline filters candidates in the signature index instead
-/// and passes a constant `true`). Both pipelines use this rule, which is
-/// what makes them comparable — "first row wins" would depend on
-/// evaluator search order.
-pub(crate) fn winning_solution(
+/// whose template passes `allow` (the text reference's dataset filter; the
+/// matcher filters candidates in the signature index instead and passes
+/// a constant `true`). [`match_compiled`] and the [`match_plan_text`]
+/// reference share this rule, which is what makes them comparable —
+/// "first row wins" would depend on evaluator search order.
+fn winning_solution(
     solutions: &ResultSet,
     scan_vars: &[ScanVar],
     allow: impl Fn(&str) -> bool,
@@ -337,7 +338,7 @@ pub(crate) fn winning_solution(
 /// Instantiate a matched template as rewrites over the query's table
 /// qualifiers. Returns `None` (and claims nothing) when the template's
 /// guideline references canonical labels the match did not bind.
-pub(crate) fn instantiate_match(
+fn instantiate_match(
     fetched: (GuidelineDoc, String),
     template_iri: &str,
     labels: &[String],
@@ -393,19 +394,19 @@ pub(crate) fn instantiate_match(
 #[derive(Debug)]
 pub struct CompiledSegment {
     /// Root operator of the segment in the compiled-against plan.
-    pub(crate) root: PopId,
+    root: PopId,
     /// `op_id` of the root (stamped into rewrites).
-    pub(crate) segment_op_id: u32,
+    segment_op_id: u32,
     /// `op_id`s of every operator in the segment (claimed-overlap check).
-    pub(crate) seg_pops: Vec<u32>,
+    seg_pops: Vec<u32>,
     /// Structural signature — the knowledge base's candidate-index key.
-    pub(crate) signature: u64,
+    signature: u64,
     /// One admission pre-check per operator — type, estimated
     /// cardinality, and (for scans) the belief-table statistics the probe
     /// would test.
-    pub(crate) checks: Vec<PopCheck>,
+    checks: Vec<PopCheck>,
     /// The compiled probe, built on first use under the store session.
-    pub(crate) probe: OnceLock<SegmentProbe>,
+    probe: OnceLock<SegmentProbe>,
 }
 
 impl CompiledSegment {
@@ -413,7 +414,7 @@ impl CompiledSegment {
     /// must be the ones the plan was compiled from (the serving tier's
     /// fingerprint key guarantees that; direct callers pass the same
     /// references they gave [`compile_plan`]).
-    pub(crate) fn probe(&self, db: &Database, qgm: &Qgm, opts: &ProbeOptions) -> &SegmentProbe {
+    fn probe(&self, db: &Database, qgm: &Qgm, opts: &ProbeOptions) -> &SegmentProbe {
         self.probe
             .get_or_init(|| segment_to_probe(db, qgm, self.root, opts))
     }
@@ -443,10 +444,6 @@ impl CompiledPlan {
     /// Number of matchable segments (bottom-up order).
     pub fn segment_count(&self) -> usize {
         self.segments.len()
-    }
-
-    pub(crate) fn segments(&self) -> &[CompiledSegment] {
-        &self.segments
     }
 }
 

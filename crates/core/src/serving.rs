@@ -28,35 +28,24 @@
 //!   fresh match is published to the cache only when the epoch read
 //!   before matching equals the (even) epoch read after — a result that
 //!   provably overlapped no KB mutation.
-//! * [`ServingTier::serve_batch`] coalesces the misses of a whole batch
-//!   into one candidate-discovery session, one
-//!   [`FusekiLite::probe_batch`](galo_rdf::FusekiLite::probe_batch)
-//!   fan-out over the parallel probe workers, and one replay session —
-//!   reproducing `match_plan`'s first-match-wins / claimed-overlap
-//!   semantics and its probe counters exactly (the differential tests
-//!   pin this).
 //! * [`AdmissionQueue`] is the bounded front end: producers block when
 //!   the queue is full (back-pressure), a serving thread drains plans
-//!   in batches sized for `serve_batch`.
+//!   in batches and hands each one to [`ServingTier::serve`] — every
+//!   miss goes through [`match_compiled`], the one production matcher.
 //!
 //! What a hit costs: one fingerprint walk over the QGM, one atomic
 //! epoch load, one stripe lock, one report clone — no store session, no
 //! probe evaluation, no allocation proportional to the knowledge base.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::ops::Range;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use galo_catalog::Database;
 use galo_qgm::{PopKind, Qgm};
-use galo_rdf::{Probe, Term};
 
-use crate::kb::{AdmissionQuery, AdmissionStats, KnowledgeBase};
-use crate::matching::{
-    compile_plan, instantiate_match, match_compiled, winning_solution, CompiledPlan, MatchConfig,
-    MatchReport, MatchedRewrite,
-};
+use crate::kb::KnowledgeBase;
+use crate::matching::{compile_plan, match_compiled, CompiledPlan, MatchConfig, MatchReport};
 
 // ---------------------------------------------------------------------------
 // Plan fingerprints
@@ -477,36 +466,6 @@ pub struct ServingTier<'a> {
     cache: ProbeCache,
 }
 
-/// Phase-A classification of one (miss plan, segment) pair in
-/// [`ServingTier::serve_batch`] — mirrors the branches of
-/// [`match_compiled`] so the replay can reproduce its counters exactly.
-enum SegState {
-    /// Signature index admitted no candidates → `probes_pruned`. `first`
-    /// is the admission accounting of the one (empty) cursor pull.
-    NoCandidates { first: AdmissionStats },
-    /// Candidates exist but a probe constant was never interned →
-    /// `probes_pruned` (after the probe IR was built, so the reuse flag
-    /// still counts). Only the first cursor pull happened on the
-    /// per-plan path before it pruned, so only its accounting counts.
-    ConstantsMissing {
-        preexisting: bool,
-        first: AdmissionStats,
-    },
-    /// Probing: `probes` indexes this segment's candidate evaluations in
-    /// the flat batch — one per *interned* candidate, in order.
-    /// `deltas[k]` is the admission accounting of the cursor pull that
-    /// returned `candidates[k]`; the final element is the empty tail
-    /// pull. The replay adds deltas exactly as far as the per-plan
-    /// cursor would have pulled (stopping at a segment's first match).
-    Probing {
-        preexisting: bool,
-        /// `(template IRI, interned?)` in cursor order.
-        candidates: Vec<(String, bool)>,
-        deltas: Vec<AdmissionStats>,
-        probes: Range<usize>,
-    },
-}
-
 impl<'a> ServingTier<'a> {
     /// A tier with the default cache geometry (8 stripes × 64 entries).
     pub fn new(db: &'a Database, kb: &'a KnowledgeBase, cfg: MatchConfig) -> Self {
@@ -532,14 +491,6 @@ impl<'a> ServingTier<'a> {
     /// tests).
     pub fn cache(&self) -> &ProbeCache {
         &self.cache
-    }
-
-    /// Storage-side health next to the cache counters: per-shard WAL
-    /// pressure of the knowledge base this tier serves from, so one
-    /// monitoring pass sees both "is the cache hitting" and "is the
-    /// write path drowning" (all-zero over in-memory backends).
-    pub fn storage_pressures(&self) -> Vec<galo_rdf::StoragePressure> {
-        self.kb.storage_pressures()
     }
 
     /// Serve one plan.
@@ -590,250 +541,6 @@ impl<'a> ServingTier<'a> {
         }
     }
 
-    /// Serve a batch, coalescing the misses' knowledge-base work.
-    ///
-    /// Hits are answered per plan as in [`serve`](Self::serve). The
-    /// misses then share three phases: candidate discovery and probe
-    /// compilation under one read session; one
-    /// [`probe_batch`](galo_rdf::FusekiLite::probe_batch) over all
-    /// (segment × candidate) probes, keeping a segment's candidates
-    /// contiguous so the endpoint's prepared-plan reuse kicks in; and a
-    /// bottom-up replay reproducing `match_compiled`'s first-match-wins,
-    /// claimed-overlap and counter semantics. If the epoch moved during
-    /// the batch, the misses fall back to per-plan [`serve`](Self::serve)
-    /// (which revalidates or returns unvalidated), so a served result is
-    /// never a cross-epoch mixture.
-    pub fn serve_batch(&self, plans: &[&Qgm]) -> Vec<ServeOutcome> {
-        let e1 = self.kb.epoch();
-        if !e1.is_multiple_of(2) {
-            // A mutation is in flight; batching would only discover that
-            // at the end. Serve per plan — each retries around the write.
-            return plans.iter().map(|q| self.serve(q)).collect();
-        }
-        let fingerprints: Vec<u64> = plans
-            .iter()
-            .map(|q| plan_fingerprint(self.db, q, &self.cfg))
-            .collect();
-        let mut out: Vec<Option<ServeOutcome>> = Vec::with_capacity(plans.len());
-        out.resize_with(plans.len(), || None);
-        let mut misses: Vec<(usize, Arc<CompiledPlan>)> = Vec::new();
-        for (i, qgm) in plans.iter().enumerate() {
-            match self.cache.lookup(fingerprints[i], e1) {
-                CacheLookup::Hit(report) => {
-                    out[i] = Some(ServeOutcome {
-                        fingerprint: fingerprints[i],
-                        epoch: Some(e1),
-                        report,
-                    });
-                }
-                CacheLookup::Compiled(c) => misses.push((i, c)),
-                CacheLookup::Miss => misses.push((
-                    i,
-                    self.cache.insert_compiled(
-                        fingerprints[i],
-                        Arc::new(compile_plan(self.db, qgm, &self.cfg)),
-                    ),
-                )),
-            }
-        }
-        if misses.is_empty() {
-            return out.into_iter().map(|o| o.expect("all served")).collect();
-        }
-
-        // Phase A — one read session: drain each segment's candidate
-        // cursor, build its probe IR (recording whether it pre-existed),
-        // and drop candidates whose IRI was never interned, exactly as
-        // the per-plan matcher skips them.
-        let opts = self.cfg.probe_options();
-        let mut states: Vec<Vec<SegState>> = Vec::with_capacity(misses.len());
-        self.kb.server().with_store(|st| {
-            for (i, compiled) in &misses {
-                let qgm = plans[*i];
-                let mut plan_states = Vec::with_capacity(compiled.segment_count());
-                for seg in compiled.segments() {
-                    let query = AdmissionQuery {
-                        checks: &seg.checks,
-                        margin: self.cfg.range_margin,
-                        trim: self.cfg.sketch_trim,
-                        dataset: self.cfg.dataset.as_deref(),
-                        near_factor: self.cfg.near_miss_factor,
-                    };
-                    // Drain the cursor, keeping each pull's admission
-                    // accounting separate so the replay can stop adding
-                    // deltas exactly where the per-plan cursor would
-                    // have stopped pulling.
-                    let mut candidates: Vec<(String, bool)> = Vec::new();
-                    let mut deltas: Vec<AdmissionStats> = Vec::new();
-                    let mut after: Option<String> = None;
-                    loop {
-                        let mut delta = AdmissionStats::default();
-                        let next = self.kb.next_candidate_admitting(
-                            seg.signature,
-                            &query,
-                            after.as_deref(),
-                            &mut delta,
-                        );
-                        deltas.push(delta);
-                        match next {
-                            Some(iri) => {
-                                let interned = st.term_id(&Term::iri(iri.as_str())).is_some();
-                                candidates.push((iri.clone(), interned));
-                                after = Some(iri);
-                            }
-                            None => break,
-                        }
-                    }
-                    if candidates.is_empty() {
-                        plan_states.push(SegState::NoCandidates { first: deltas[0] });
-                        continue;
-                    }
-                    let preexisting = seg.probe.get().is_some();
-                    let probe = seg.probe(self.db, qgm, &opts);
-                    if !galo_rdf::constants_interned(st, &probe.query) {
-                        plan_states.push(SegState::ConstantsMissing {
-                            preexisting,
-                            first: deltas[0],
-                        });
-                        continue;
-                    }
-                    plan_states.push(SegState::Probing {
-                        preexisting,
-                        candidates,
-                        deltas,
-                        probes: 0..0,
-                    });
-                }
-                states.push(plan_states);
-            }
-        });
-
-        // Phase B — flatten and fan out. Probes of one segment stay
-        // contiguous (same query pointer, same seed var) so consecutive
-        // candidates share a prepared pattern plan inside the endpoint.
-        let mut flat: Vec<Probe<'_>> = Vec::new();
-        for ((_, compiled), plan_states) in misses.iter().zip(states.iter_mut()) {
-            for (seg, state) in compiled.segments().iter().zip(plan_states.iter_mut()) {
-                if let SegState::Probing {
-                    candidates, probes, ..
-                } = state
-                {
-                    let probe = seg.probe.get().expect("built in phase A");
-                    let start = flat.len();
-                    for (iri, interned) in candidates.iter() {
-                        if *interned {
-                            flat.push(Probe {
-                                query: &probe.query,
-                                bind: vec![("tmpl".to_string(), Term::iri(iri.as_str()))],
-                            });
-                        }
-                    }
-                    *probes = start..flat.len();
-                }
-            }
-        }
-        let results = self.kb.server().probe_batch(&flat);
-
-        // Phase C — bottom-up replay with `match_compiled`'s exact
-        // claim/counter rules: claimed segments contribute nothing,
-        // evaluations count only up to a segment's first non-empty
-        // candidate (later probes in the batch were speculative).
-        let mut reports: Vec<MatchReport> = Vec::with_capacity(misses.len());
-        self.kb.server().with_store(|st| {
-            for ((_, compiled), plan_states) in misses.iter().zip(states.iter()) {
-                let mut report = MatchReport::default();
-                let mut admission = AdmissionStats::default();
-                let mut claimed: HashSet<u32> = HashSet::new();
-                for (seg, state) in compiled.segments().iter().zip(plan_states.iter()) {
-                    if seg.seg_pops.iter().any(|id| claimed.contains(id)) {
-                        continue;
-                    }
-                    match state {
-                        SegState::NoCandidates { first } => {
-                            admission.absorb(*first);
-                            report.probes_pruned += 1;
-                        }
-                        SegState::ConstantsMissing { preexisting, first } => {
-                            admission.absorb(*first);
-                            report.probes_reused += *preexisting as usize;
-                            report.probes_pruned += 1;
-                        }
-                        SegState::Probing {
-                            preexisting,
-                            candidates,
-                            deltas,
-                            probes,
-                        } => {
-                            report.probes_reused += *preexisting as usize;
-                            let probe = seg.probe.get().expect("built in phase A");
-                            let mut matched: Option<Vec<MatchedRewrite>> = None;
-                            // The pull that returned candidate 0 always
-                            // happened; each later delta is added only if
-                            // the per-plan cursor would have pulled past
-                            // the candidate before it (i.e. no match yet).
-                            admission.absorb(deltas[0]);
-                            let mut next_probe = probes.start;
-                            for (c, (iri, interned)) in candidates.iter().enumerate() {
-                                if *interned {
-                                    report.probes_executed += 1;
-                                    let solutions = &results[next_probe];
-                                    next_probe += 1;
-                                    if !solutions.is_empty() {
-                                        if let Some((_, labels)) =
-                                            winning_solution(solutions, &probe.scan_vars, |_| true)
-                                        {
-                                            matched =
-                                                crate::kb::guideline_of_in(st, iri).and_then(|g| {
-                                                    instantiate_match(
-                                                        g,
-                                                        iri,
-                                                        &labels,
-                                                        &probe.scan_vars,
-                                                        seg.segment_op_id,
-                                                    )
-                                                });
-                                        }
-                                        break;
-                                    }
-                                }
-                                admission.absorb(deltas[c + 1]);
-                            }
-                            if let Some(rewrites) = matched {
-                                report.rewrites.extend(rewrites);
-                                claimed.extend(seg.seg_pops.iter().copied());
-                            }
-                        }
-                    }
-                }
-                report.candidates_considered = admission.considered;
-                report.admission_rejects_card = admission.rejects_card;
-                report.admission_rejects_scan = admission.rejects_scan;
-                report.near_misses = admission.near_misses;
-                report.refinements_applied = self.kb.refinements_applied();
-                reports.push(report);
-            }
-        });
-
-        let e_final = self.kb.epoch();
-        if e_final == e1 {
-            for ((i, compiled), report) in misses.iter().zip(reports) {
-                self.cache
-                    .store_outcome(fingerprints[*i], compiled, e1, &report);
-                out[*i] = Some(ServeOutcome {
-                    fingerprint: fingerprints[*i],
-                    epoch: Some(e1),
-                    report,
-                });
-            }
-        } else {
-            // The KB moved under the batch. The per-plan path revalidates
-            // each miss individually (or returns it unvalidated).
-            for (i, _) in &misses {
-                out[*i] = Some(self.serve(plans[*i]));
-            }
-        }
-        out.into_iter().map(|o| o.expect("all served")).collect()
-    }
-
     /// Record one served plan's runtime actuals into the knowledge
     /// base's feedback buffers — a buffer push, safe on the serve path
     /// (no store access, no epoch movement, no cache effect). Returns
@@ -876,16 +583,16 @@ struct QueueState<T> {
     closed: bool,
 }
 
-/// A bounded multi-producer admission queue feeding
-/// [`ServingTier::serve_batch`].
+/// A bounded multi-producer admission queue in front of
+/// [`ServingTier::serve`].
 ///
 /// Producers [`push`](Self::push) plans and block when the queue is
 /// full (back-pressure instead of unbounded growth); the serving thread
 /// [`drain_batch`](Self::drain_batch)es up to a batch size, blocking
-/// only when the queue is empty. Sizing: the capacity bounds queueing
-/// delay (a plan waits at most `capacity / drain rate`); the batch size
-/// bounds how many misses coalesce into one probe fan-out — batches
-/// larger than the KB's parallel probe width mostly add latency.
+/// only when the queue is empty, and serves the drained plans one by
+/// one. Sizing: the capacity bounds queueing delay (a plan waits at most
+/// `capacity / drain rate`); the batch size only bounds how often the
+/// consumer takes the queue lock.
 pub struct AdmissionQueue<T> {
     state: Mutex<QueueState<T>>,
     not_empty: Condvar,

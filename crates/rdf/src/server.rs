@@ -89,8 +89,8 @@ impl From<std::io::Error> for ServerError {
 /// a persistent or sharded store drops in through [`FusekiLite::with_backend`]
 /// without touching any caller.
 ///
-/// A [`ShardedStore`] backend gets first-class treatment (the
-/// [`open_sharded*`](Self::open_sharded) constructors): instead of
+/// A [`ShardedStore`] backend gets first-class treatment
+/// ([`from_sharded`](Self::from_sharded)): instead of
 /// serializing every write behind the endpoint's single `RwLock`, write
 /// batches lock only the shards they route to — concurrent writers whose
 /// batches land on different shards proceed in parallel — and
@@ -232,51 +232,24 @@ impl FusekiLite {
         }
     }
 
-    /// Wrap an existing store.
-    pub fn from_store(store: impl TripleStore + 'static) -> Self {
-        Self::with_backend(Box::new(store))
-    }
-
     /// An endpoint over a [`DurableStore`](crate::persist::DurableStore)
     /// rooted at `dir`: the dataset-on-disk constructor. Opening recovers
     /// the newest valid snapshot plus the committed write-ahead-log tail
     /// (a torn trailing record is dropped), so the endpoint resumes where
     /// the last process stopped.
-    pub fn open_durable(dir: impl AsRef<std::path::Path>) -> Result<Self, ServerError> {
-        Ok(Self::from_store(crate::persist::DurableStore::open(dir)?))
-    }
-
-    /// [`open_durable`](Self::open_durable) with explicit
-    /// [`DurableOptions`](crate::persist::DurableOptions).
     pub fn open_durable_with(
         dir: impl AsRef<std::path::Path>,
         options: crate::persist::DurableOptions,
     ) -> Result<Self, ServerError> {
-        Ok(Self::from_store(crate::persist::DurableStore::open_with(
-            dir, options,
-        )?))
-    }
-
-    /// An endpoint over an in-memory [`ShardedStore`]: `shards` indexed
-    /// stores behind per-shard locks, template-affine routing. Write
-    /// batches to different shards no longer serialize against each
-    /// other.
-    pub fn open_sharded(shards: usize) -> Self {
-        Self::from_sharded(ShardedStore::new(shards))
+        let store = crate::persist::DurableStore::open_with(dir, options)?;
+        Ok(Self::with_backend(Box::new(store)))
     }
 
     /// An endpoint over a durable sharded store: one WAL+snapshot
-    /// directory per shard under `dir`, recovered in parallel on open.
-    pub fn open_sharded_durable(
-        dir: impl AsRef<std::path::Path>,
-        shards: usize,
-    ) -> Result<Self, ServerError> {
-        Ok(Self::from_sharded(ShardedStore::open_durable(dir, shards)?))
-    }
-
-    /// [`open_sharded_durable`](Self::open_sharded_durable) with explicit
-    /// per-shard [`DurableOptions`](crate::persist::DurableOptions) and
-    /// routing policy.
+    /// directory per shard under `dir`, recovered in parallel on open,
+    /// with explicit per-shard
+    /// [`DurableOptions`](crate::persist::DurableOptions) and routing
+    /// policy.
     pub fn open_sharded_durable_with(
         dir: impl AsRef<std::path::Path>,
         shards: usize,
@@ -1012,7 +985,10 @@ mod tests {
         // in-flight value and lands on the next even one. At rest the
         // counter is always even.
         const GEN: u64 = 2;
-        for f in [FusekiLite::new(), FusekiLite::open_sharded(4)] {
+        for f in [
+            FusekiLite::new(),
+            FusekiLite::from_sharded(ShardedStore::new(4)),
+        ] {
             let e0 = f.mutation_epoch();
             assert_eq!(e0 % 2, 0, "epoch must be even at rest");
             // A content-changing insert advances exactly one generation.
@@ -1071,7 +1047,7 @@ mod tests {
     }
 
     fn seeded_sharded(shards: usize) -> FusekiLite {
-        let f = FusekiLite::open_sharded(shards);
+        let f = FusekiLite::from_sharded(ShardedStore::new(shards));
         f.insert_triples((0..50u32).map(|i| {
             (
                 Term::iri(format!("http://galo/qep/pop/{i}")),
@@ -1106,7 +1082,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         let dump = sharded.export();
-        let back = FusekiLite::open_sharded(3);
+        let back = FusekiLite::from_sharded(ShardedStore::new(3));
         assert_eq!(back.import(&dump).unwrap(), 51);
         assert_eq!(back.len(), 51);
         // remove_triples routes to the owning shards.
@@ -1147,7 +1123,10 @@ mod tests {
 
     #[test]
     fn insert_quads_lands_default_and_named_graph_triples() {
-        for f in [FusekiLite::new(), FusekiLite::open_sharded(4)] {
+        for f in [
+            FusekiLite::new(),
+            FusekiLite::from_sharded(ShardedStore::new(4)),
+        ] {
             let g = Term::iri("http://galo/kb/graph/workload/w1");
             let n = f.insert_quads((0..10u32).flat_map(|i| {
                 let s = Term::iri(format!("http://galo/kb/template/{i:016x}"));
@@ -1200,7 +1179,7 @@ mod tests {
         // Writers whose batches route to different shards proceed without
         // a global write lock; readers see consistent sessions. The final
         // image must contain every write (no lost updates).
-        let f = Arc::new(FusekiLite::open_sharded(4));
+        let f = Arc::new(FusekiLite::from_sharded(ShardedStore::new(4)));
         let mut handles = Vec::new();
         for w in 0..4u32 {
             let f = Arc::clone(&f);
@@ -1261,7 +1240,7 @@ mod tests {
     fn background_compaction_policy_folds_a_sharded_backing() {
         let dir = crate::persist::ScratchDir::new("server-policy-sharded");
         {
-            let f = FusekiLite::open_sharded_durable(dir.path(), 2).unwrap();
+            let f = FusekiLite::from_sharded(ShardedStore::open_durable(dir.path(), 2).unwrap());
             let stats = f.compaction_policy(test_policy());
             f.insert_triples((0..200u32).map(|i| {
                 (
@@ -1284,14 +1263,14 @@ mod tests {
             assert_eq!(f.len(), 200, "compaction never loses content");
         }
         // Folded image survives reopen.
-        let g = FusekiLite::open_sharded_durable(dir.path(), 2).unwrap();
+        let g = FusekiLite::from_sharded(ShardedStore::open_durable(dir.path(), 2).unwrap());
         assert_eq!(g.len(), 200);
     }
 
     #[test]
     fn background_compaction_policy_treats_single_backing_as_one_shard() {
         let dir = crate::persist::ScratchDir::new("server-policy-single");
-        let f = FusekiLite::open_durable(dir.path()).unwrap();
+        let f = FusekiLite::open_durable_with(dir.path(), Default::default()).unwrap();
         let stats = f.compaction_policy(test_policy());
         f.insert_triples((0..100u32).map(|i| {
             (
@@ -1308,7 +1287,7 @@ mod tests {
         // Dropping the endpoint joins the watcher thread (no panic, no
         // hang); content is intact on reopen.
         drop(f);
-        let g = FusekiLite::open_durable(dir.path()).unwrap();
+        let g = FusekiLite::open_durable_with(dir.path(), Default::default()).unwrap();
         assert_eq!(g.len(), 100);
     }
 

@@ -589,7 +589,7 @@ const META_MAGIC: &str = "galo-sharded v1";
 /// A sharded [`TripleStore`]: N inner stores behind per-shard locks.
 ///
 /// Implements the full `TripleStore` contract (so it drops into
-/// `FusekiLite::with_backend` / `KnowledgeBase::with_backend` like any
+/// `FusekiLite::with_backend` / `KbBuilder::backend` like any
 /// other backend), and additionally exposes the concurrent `&self` API
 /// the sharded `FusekiLite` paths use: [`insert_terms_batch`] /
 /// [`remove_terms_batch`] / [`insert_terms_batch_in`] lock only the

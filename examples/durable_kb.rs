@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo run --release --example durable_kb`
 
-use galo_core::{match_plan, Galo, MatchConfig};
+use galo_core::{match_plan, KbBuilder, MatchConfig};
 use galo_optimizer::Optimizer;
 use galo_rdf::ScratchDir;
 
@@ -59,7 +59,10 @@ fn main() {
 
     // --- first "off-peak run": learn, checkpoint, exit -----------------
     {
-        let galo = Galo::open_durable(dir).expect("durable KB opens");
+        let galo = KbBuilder::new()
+            .durable_dir(dir)
+            .build_galo()
+            .expect("durable KB opens");
         let report = galo.learn(&workload1, &cfg);
         println!(
             "run 1: learned {} template(s) from '{name1}' into the write-ahead log",
@@ -71,7 +74,10 @@ fn main() {
 
     // --- second run: accumulate a second workload, then die mid-write --
     {
-        let galo = Galo::open_durable(dir).expect("reopen after clean shutdown");
+        let galo = KbBuilder::new()
+            .durable_dir(dir)
+            .build_galo()
+            .expect("reopen after clean shutdown");
         let recovered = galo.kb.template_count();
         let report = galo.learn(&workload2, &cfg);
         println!(
@@ -103,7 +109,10 @@ fn main() {
     );
 
     // --- recovery: snapshot + committed log tail -----------------------
-    let galo = Galo::open_durable(dir).expect("crash recovery succeeds");
+    let galo = KbBuilder::new()
+        .durable_dir(dir)
+        .build_galo()
+        .expect("crash recovery succeeds");
     let recovered = galo.kb.template_count();
     println!("\nrecovered templates: {recovered}");
     println!(

@@ -22,7 +22,7 @@
 //! Run with: `cargo run --release --example learner_cluster`
 
 use galo_core::{
-    learn_workload, match_plan, vocab, KnowledgeBase, LearnerNode, MatchConfig, Template,
+    learn_workload, match_plan, vocab, KbBuilder, KnowledgeBase, LearnerNode, MatchConfig, Template,
 };
 use galo_optimizer::Optimizer;
 use galo_rdf::ScratchDir;
@@ -54,7 +54,11 @@ fn main() {
 
     // --- the cluster: mine slices concurrently, publish in batches -----
     let published: Vec<(usize, Vec<Template>)> = {
-        let kb = KnowledgeBase::open_sharded_durable(dir, SHARDS).expect("sharded KB opens");
+        let kb = KbBuilder::new()
+            .durable_dir(dir)
+            .shards(SHARDS)
+            .build_kb()
+            .expect("sharded KB opens");
         let mut published: Vec<(usize, Vec<Template>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..NODES)
                 .map(|id| {
@@ -108,7 +112,11 @@ fn main() {
     };
 
     // --- reopen: every node's templates must have survived -------------
-    let kb = KnowledgeBase::open_sharded_durable(dir, SHARDS).expect("sharded recovery succeeds");
+    let kb = KbBuilder::new()
+        .durable_dir(dir)
+        .shards(SHARDS)
+        .build_kb()
+        .expect("sharded recovery succeeds");
     println!("\nrecovered templates: {}", kb.template_count());
     let mut missing = 0usize;
     for (node, templates) in &published {

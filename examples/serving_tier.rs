@@ -9,8 +9,8 @@
 //!    templates, checking every epoch-validated outcome against a fresh
 //!    uncached `match_plan` pinned to the same epoch (a mismatch is a
 //!    stale hit — the one thing the tier must never produce),
-//! 4. push the stream through the bounded [`AdmissionQueue`] into
-//!    [`ServingTier::serve_batch`], the coalesced miss path.
+//! 4. push the stream through the bounded [`AdmissionQueue`], whose
+//!    consumer drains batches into [`ServingTier::serve`].
 //!
 //! Exits nonzero on any stale hit, on a cache that never hits, or on a
 //! served report that disagrees with uncached matching.
@@ -169,7 +169,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    // --- batched admission ---------------------------------------------
+    // --- bounded admission ---------------------------------------------
     let queue: Arc<AdmissionQueue<usize>> = Arc::new(AdmissionQueue::new(16));
     let served_batches = std::thread::scope(|scope| {
         let consumer = {
@@ -183,9 +183,9 @@ fn main() {
                     if batch.is_empty() {
                         return batches;
                     }
-                    let refs: Vec<&Qgm> = batch.iter().map(|&i| &plans[i]).collect();
-                    let outcomes = tier.serve_batch(&refs);
-                    assert_eq!(outcomes.len(), refs.len());
+                    for &i in &batch {
+                        tier.serve(&plans[i]);
+                    }
                     batches += 1;
                 }
             })

@@ -18,7 +18,7 @@
 //!
 //! Run with: `cargo run --release --example sharded_kb`
 
-use galo_core::{match_plan, Galo, MatchConfig};
+use galo_core::{match_plan, KbBuilder, MatchConfig};
 use galo_optimizer::Optimizer;
 use galo_rdf::ScratchDir;
 
@@ -38,7 +38,11 @@ fn main() {
 
     // --- learn two workloads concurrently into the sharded KB ----------
     let learned_stats = {
-        let galo = Galo::open_sharded_durable(dir, SHARDS).expect("sharded durable KB opens");
+        let galo = KbBuilder::new()
+            .durable_dir(dir)
+            .shards(SHARDS)
+            .build_galo()
+            .expect("sharded durable KB opens");
         let (n1, n2) = std::thread::scope(|scope| {
             let kb = &galo.kb;
             let h1 = {
@@ -69,7 +73,11 @@ fn main() {
     };
 
     // --- reopen: every shard recovers in parallel ----------------------
-    let galo = Galo::open_sharded_durable(dir, SHARDS).expect("sharded recovery succeeds");
+    let galo = KbBuilder::new()
+        .durable_dir(dir)
+        .shards(SHARDS)
+        .build_galo()
+        .expect("sharded recovery succeeds");
     let recovered_stats = galo.kb.shard_stats().expect("sharded backend");
     let recovered = galo.kb.template_count();
     println!("\nrecovered templates: {recovered}");

@@ -1,15 +1,17 @@
-//! The durable knowledge base end to end: templates written through
-//! `KnowledgeBase::open_durable` survive process restarts (here: drop and
-//! reopen), the signature index is rebuilt from the recovered triples, a
+//! The durable knowledge base end to end: templates written through a
+//! `KbBuilder::durable_dir` knowledge base survive process restarts
+//! (here: drop and reopen), the signature index is rebuilt from the recovered triples, a
 //! torn write-ahead-log tail loses at most the uncommitted record, and
 //! `FusekiLite::import`/`export` round-trips — named-graph N-Quads lines
 //! included — through a `DurableStore`-backed dataset.
 
 use galo_catalog::{col, ColumnStats, ColumnType, Database, DatabaseBuilder, SystemConfig, Table};
-use galo_core::{abstract_plan, match_plan, vocab, KnowledgeBase, MatchConfig, Template};
+use galo_core::{
+    abstract_plan, match_plan, vocab, KbBuilder, KnowledgeBase, MatchConfig, Template,
+};
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
-use galo_rdf::{FusekiLite, ScratchDir, Term};
+use galo_rdf::{ScratchDir, Term};
 use galo_sql::parse;
 
 /// A two-table database plus an optimized plan over it — the smallest
@@ -84,7 +86,7 @@ fn templates_survive_reopen_with_signature_index() {
     let (db, plan) = setup();
     let dir = ScratchDir::new("kb-reopen");
     let (iri, sig) = {
-        let kb = KnowledgeBase::open_durable(dir.path()).unwrap();
+        let kb = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
         let tpl = template(&db, &plan, &kb, 1, "tpcds");
         kb.insert(&tpl);
         assert_eq!(kb.template_count(), 1);
@@ -94,7 +96,7 @@ fn templates_survive_reopen_with_signature_index() {
         )
     };
     // A fresh process: recovery replays the log and reindexes.
-    let kb = KnowledgeBase::open_durable(dir.path()).unwrap();
+    let kb = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
     assert_eq!(kb.template_count(), 1);
     assert_eq!(kb.workloads(), vec!["tpcds".to_string()]);
     assert_eq!(kb.candidate_templates(sig), vec![iri.clone()]);
@@ -111,14 +113,14 @@ fn compaction_is_transparent_to_the_kb() {
     let (db, plan) = setup();
     let dir = ScratchDir::new("kb-compact");
     {
-        let kb = KnowledgeBase::open_durable(dir.path()).unwrap();
+        let kb = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
         kb.insert(&template(&db, &plan, &kb, 1, "tpcds"));
         kb.compact().unwrap();
         // Post-compaction inserts land in the rotated log.
         kb.insert(&template(&db, &plan, &kb, 2, "client"));
         assert_eq!(kb.template_count(), 2);
     }
-    let kb = KnowledgeBase::open_durable(dir.path()).unwrap();
+    let kb = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
     assert_eq!(kb.template_count(), 2);
     let mut workloads = kb.workloads();
     workloads.sort();
@@ -136,7 +138,7 @@ fn kill_and_reopen_recovers_every_committed_template() {
     let (db, plan) = setup();
     let dir = ScratchDir::new("kb-kill");
     let (iri_a, sig) = {
-        let kb = KnowledgeBase::open_durable(dir.path()).unwrap();
+        let kb = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
         let a = template(&db, &plan, &kb, 1, "tpcds");
         kb.insert(&a);
         // Checkpoint template A, then start writing template B into the
@@ -157,7 +159,7 @@ fn kill_and_reopen_recovers_every_committed_template() {
     f.set_len(len / 2).unwrap();
     drop(f);
 
-    let kb = KnowledgeBase::open_durable(dir.path()).unwrap();
+    let kb = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
     // Template A was checkpointed before the crash: fully recovered,
     // indexed, and matchable.
     assert!(kb.candidate_templates(sig).contains(&iri_a));
@@ -168,7 +170,7 @@ fn kill_and_reopen_recovers_every_committed_template() {
     // not re-read differently each time).
     let count = kb.server().len();
     drop(kb);
-    let kb2 = KnowledgeBase::open_durable(dir.path()).unwrap();
+    let kb2 = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
     assert_eq!(kb2.server().len(), count);
 }
 
@@ -177,7 +179,10 @@ fn fuseki_import_export_roundtrips_through_durable_dataset() {
     let dir = ScratchDir::new("fuseki-roundtrip");
     let graph = Term::iri("http://galo/kb/graph/workload/tpcds");
     let dump = {
-        let f = FusekiLite::open_durable(dir.path()).unwrap();
+        let f = KbBuilder::new()
+            .durable_dir(dir.path())
+            .build_server()
+            .unwrap();
         f.insert_triples((0..20u32).map(|i| {
             (
                 Term::iri(format!("http://galo/qep/pop/{i}")),
@@ -199,7 +204,10 @@ fn fuseki_import_export_roundtrips_through_durable_dataset() {
     // inserted quad are journaled, so the import survives a reopen.
     let dir2 = ScratchDir::new("fuseki-roundtrip-2");
     {
-        let f2 = FusekiLite::open_durable(dir2.path()).unwrap();
+        let f2 = KbBuilder::new()
+            .durable_dir(dir2.path())
+            .build_server()
+            .unwrap();
         f2.insert_triples([(
             Term::iri("http://stale"),
             Term::iri("http://p"),
@@ -207,7 +215,10 @@ fn fuseki_import_export_roundtrips_through_durable_dataset() {
         )]);
         assert_eq!(f2.import(&dump).unwrap(), 20);
     }
-    let f2 = FusekiLite::open_durable(dir2.path()).unwrap();
+    let f2 = KbBuilder::new()
+        .durable_dir(dir2.path())
+        .build_server()
+        .unwrap();
     assert_eq!(f2.len(), 20);
     assert_eq!(f2.graph_names(), vec![graph.clone()]);
     assert!(
@@ -240,12 +251,12 @@ fn kb_import_reindexes_durable_backend_after_reopen() {
 
     let dir = ScratchDir::new("kb-import");
     {
-        let kb = KnowledgeBase::open_durable(dir.path()).unwrap();
+        let kb = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
         kb.import(&dump).unwrap();
         assert_eq!(kb.candidate_templates(sig), vec![iri.clone()]);
     }
     // The signature index is rebuilt from disk on reopen, not remembered.
-    let kb = KnowledgeBase::open_durable(dir.path()).unwrap();
+    let kb = KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
     assert_eq!(kb.template_count(), 1);
     assert_eq!(kb.candidate_templates(sig), vec![iri]);
     assert_eq!(kb.export(), dump);

@@ -17,7 +17,7 @@ use galo_catalog::{
 };
 use galo_core::{
     abstract_plan, learn_workload, learn_workload_cluster, match_plan, match_plan_text, vocab,
-    ClusterConfig, KnowledgeBase, LearningConfig, MatchConfig,
+    ClusterConfig, KbBuilder, KnowledgeBase, LearningConfig, MatchConfig,
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
@@ -178,7 +178,7 @@ proptest! {
 
         let dir = ScratchDir::new(&format!("learner-cluster-diff-{case}"));
         {
-            let kb = KnowledgeBase::open_sharded_durable(dir.path(), shards).unwrap();
+            let kb = KbBuilder::new().durable_dir(dir.path()).shards(shards).build_kb().unwrap();
             learn_workload_cluster(&w, &kb, &ClusterConfig {
                 nodes,
                 publish_batch: 2,
@@ -188,7 +188,7 @@ proptest! {
         }
         // Reopen from disk: recovery must reproduce the same image and
         // rebuild the signature index.
-        let kb = KnowledgeBase::open_sharded_durable(dir.path(), shards).unwrap();
+        let kb = KbBuilder::new().durable_dir(dir.path()).shards(shards).build_kb().unwrap();
         assert_images_equal(&kb, &oracle, &format!("post-reopen nodes={nodes} shards={shards}"));
     }
 }
@@ -218,7 +218,11 @@ fn stress_concurrent_matching_while_cluster_publishes() {
         .collect();
 
     let dir = ScratchDir::new("learner-cluster-stress");
-    let kb = KnowledgeBase::open_sharded_durable(dir.path(), 4).unwrap();
+    let kb = KbBuilder::new()
+        .durable_dir(dir.path())
+        .shards(4)
+        .build_kb()
+        .unwrap();
     let done = AtomicBool::new(false);
     let match_rounds = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -260,7 +264,11 @@ fn stress_concurrent_matching_while_cluster_publishes() {
     // still serves matching.
     kb.compact().unwrap();
     drop(kb);
-    let kb = KnowledgeBase::open_sharded_durable(dir.path(), 4).unwrap();
+    let kb = KbBuilder::new()
+        .durable_dir(dir.path())
+        .shards(4)
+        .build_kb()
+        .unwrap();
     assert_images_equal(&kb, &oracle, "post-checkpoint reopen");
     let matched = plans
         .iter()
@@ -424,7 +432,7 @@ fn dataset_scope_survives_export_import_and_sharding() {
     }
     // Reindex from triples (import) must reconstruct the per-template
     // dataset, on a sharded backend too.
-    let sharded = KnowledgeBase::open_sharded(3);
+    let sharded = KbBuilder::new().shards(3).build_kb().unwrap();
     sharded.import(&kb.export()).unwrap();
     for wl in ["wa", "wb"] {
         let report = match_plan(&db, &sharded, &plan, &scoped(wl));

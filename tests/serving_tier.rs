@@ -1,5 +1,5 @@
 //! The online serving tier end to end: every result the tier serves —
-//! cold, cached, batched, or raced — must equal a fresh uncached
+//! cold, cached, queued, or raced — must equal a fresh uncached
 //! [`match_plan`] against the same knowledge-base state. The epoch
 //! seqlock is the only validation mechanism, so these tests attack it
 //! from every side: each mutator must invalidate, concurrent learner
@@ -138,7 +138,8 @@ fn assert_reports_equal(served: &MatchReport, fresh: &MatchReport, context: &str
 // ------------------------------------------------------------ differential --
 
 /// Cold serve, cached serve and the uncached matcher agree under every
-/// configuration — and the hit path is actually a hit.
+/// configuration — plan by plan and over whole arrival streams — and the
+/// hit path is actually a hit.
 #[test]
 fn serve_equals_uncached_match_across_configs() {
     let w = quirky_workload("serve_diff");
@@ -165,14 +166,17 @@ fn serve_equals_uncached_match_across_configs() {
             ..MatchConfig::default()
         },
     ] {
+        let fresh: Vec<MatchReport> = plans
+            .iter()
+            .map(|p| match_plan(&w.db, &kb, p, &cfg))
+            .collect();
         let tier = ServingTier::new(&w.db, &kb, cfg.clone());
         // Two pool plans may share a fingerprint (same shape, same
         // estimates, same qualifiers — the match outcome is provably
         // identical, only the predicate constant differs), so "must
         // miss" holds per fingerprint, not per plan.
         let mut seen = std::collections::HashSet::new();
-        for (i, plan) in plans.iter().enumerate() {
-            let fresh = match_plan(&w.db, &kb, plan, &cfg);
+        for (i, (plan, fresh)) in plans.iter().zip(&fresh).enumerate() {
             let cold = tier.serve(plan);
             assert_eq!(
                 cold.report.cache_hit,
@@ -180,72 +184,47 @@ fn serve_equals_uncached_match_across_configs() {
                 "first serve of a new fingerprint must miss (plan {i})"
             );
             assert_eq!(cold.epoch, Some(kb.epoch()), "quiescent KB: validated");
-            assert_reports_equal(&cold.report, &fresh, &format!("cold plan {i}"));
+            assert_reports_equal(&cold.report, fresh, &format!("cold plan {i}"));
 
             let warm = tier.serve(plan);
             assert!(warm.report.cache_hit, "second serve must hit");
             assert_eq!(warm.fingerprint, cold.fingerprint);
-            assert_reports_equal(&warm.report, &fresh, &format!("warm plan {i}"));
+            assert_reports_equal(&warm.report, fresh, &format!("warm plan {i}"));
         }
         let c = tier.cache().counters();
         assert!(c.hits >= plans.len() as u64, "{:?}", cfg.dataset);
         assert_eq!(c.misses, seen.len() as u64);
         assert_eq!(c.stale_drops, 0);
-    }
-}
 
-/// `serve_batch` coalesces misses through one probe fan-out yet returns
-/// byte-for-byte what per-plan matching returns — with repeats inside
-/// the batch, fully cold batches, fully warm batches, and mixtures.
-#[test]
-fn serve_batch_equals_uncached_match() {
-    let w = quirky_workload("serve_batch_diff");
-    let kb = KnowledgeBase::new();
-    learn_workload(&w, &kb, &fast_learning());
-    let plans = plans_of(&w);
-    let cfg = MatchConfig::default();
-    let fresh: Vec<MatchReport> = plans
-        .iter()
-        .map(|p| match_plan(&w.db, &kb, p, &cfg))
-        .collect();
-
-    let tier = ServingTier::new(&w.db, &kb, cfg.clone());
-    // Cold batch with in-batch repeats: [0, 1, 0, 2, 1, 3, 4].
-    let order = [0usize, 1, 0, 2, 1, 3, 4];
-    let batch: Vec<&Qgm> = order.iter().map(|&i| &plans[i]).collect();
-    let served = tier.serve_batch(&batch);
-    assert_eq!(served.len(), order.len());
-    for (slot, &i) in order.iter().enumerate() {
-        assert_reports_equal(
-            &served[slot].report,
-            &fresh[i],
-            &format!("cold batch slot {slot} -> plan {i}"),
-        );
-        assert!(served[slot].epoch.is_some(), "quiescent KB: validated");
+        // A stream with repeats inside it, through a tier of its own:
+        // fully cold (a repeat hits what its first arrival cached), then
+        // the same stream again fully warm.
+        let order = [0usize, 1, 0, 2, 1, 3, 4];
+        let stream_tier = ServingTier::new(&w.db, &kb, cfg.clone());
+        for warm in [false, true] {
+            let mut seen = std::collections::HashSet::new();
+            for (slot, &i) in order.iter().enumerate() {
+                let context = format!("stream slot {slot} -> plan {i}, warm: {warm}");
+                let served = stream_tier.serve(&plans[i]);
+                let repeat = !seen.insert(served.fingerprint);
+                assert_eq!(served.report.cache_hit, warm || repeat, "{context}");
+                assert!(served.epoch.is_some(), "quiescent KB: {context}");
+                assert_reports_equal(&served.report, &fresh[i], &context);
+            }
+        }
+        // A mixed stream: plan 0 warm, plan 4 cold, plan 0 repeated.
+        let mixed_tier = ServingTier::new(&w.db, &kb, cfg.clone());
+        let _ = mixed_tier.serve(&plans[0]);
+        let outcomes: Vec<ServeOutcome> = [0usize, 4, 0]
+            .iter()
+            .map(|&i| mixed_tier.serve(&plans[i]))
+            .collect();
+        assert!(outcomes[0].report.cache_hit);
+        assert_reports_equal(&outcomes[0].report, &fresh[0], "mixed hit");
+        assert_reports_equal(&outcomes[1].report, &fresh[4], "mixed miss");
+        assert_reports_equal(&outcomes[2].report, &fresh[0], "mixed repeat");
+        assert!(mixed_tier.cache().counters().hits >= 2);
     }
-    // Duplicate slots: at most one per fingerprint misses; the cache
-    // answers the rest by the end of the batch or they are coalesced.
-    // Either way the reports agree — already asserted. Now the whole
-    // batch is warm:
-    let warm = tier.serve_batch(&batch);
-    for (slot, &i) in order.iter().enumerate() {
-        assert!(
-            warm[slot].report.cache_hit,
-            "warm batch slot {slot} must hit"
-        );
-        assert_reports_equal(&warm[slot].report, &fresh[i], &format!("warm slot {slot}"));
-    }
-    // A mixed batch (warm plan 0, cold tier for plan 4 via a fresh tier)
-    // still agrees everywhere.
-    let tier2 = ServingTier::new(&w.db, &kb, cfg.clone());
-    let _ = tier2.serve(&plans[0]);
-    let mixed: Vec<&Qgm> = vec![&plans[0], &plans[4], &plans[0]];
-    let outcomes = tier2.serve_batch(&mixed);
-    assert!(outcomes[0].report.cache_hit);
-    assert_reports_equal(&outcomes[0].report, &fresh[0], "mixed hit");
-    assert_reports_equal(&outcomes[1].report, &fresh[4], "mixed miss");
-    assert_reports_equal(&outcomes[2].report, &fresh[0], "mixed repeat");
-    assert!(tier2.cache().counters().hits >= 2);
 }
 
 // ------------------------------------------------------- epoch invalidation --
@@ -445,13 +424,13 @@ fn stress_serving_under_concurrent_publishes_is_never_stale() {
     assert!(matched >= 1, "the learned KB must match something");
 }
 
-// ------------------------------------------------------- batched admission --
+// ------------------------------------------------------- bounded admission --
 
 /// Producers push plan indices through the bounded queue; a consumer
-/// drains batches into `serve_batch`. Every submitted plan is served
-/// exactly once and every report equals the uncached oracle.
+/// drains batches into `serve`. Every submitted plan is served exactly
+/// once and every report equals the uncached oracle.
 #[test]
-fn admission_queue_feeds_serve_batch() {
+fn admission_queue_feeds_serve() {
     let w = quirky_workload("serve_admission");
     let kb = KnowledgeBase::new();
     learn_workload(&w, &kb, &fast_learning());
@@ -479,10 +458,8 @@ fn admission_queue_feeds_serve_batch() {
                         // Closed and drained: the consumer's shutdown.
                         return seen;
                     }
-                    let refs: Vec<&Qgm> = batch.iter().map(|&i| &plans[i]).collect();
-                    let outcomes = tier.serve_batch(&refs);
-                    assert_eq!(outcomes.len(), batch.len());
-                    for (&i, outcome) in batch.iter().zip(&outcomes) {
+                    for &i in &batch {
+                        let outcome = tier.serve(&plans[i]);
                         assert!(outcome.epoch.is_some(), "quiescent KB: validated");
                         seen.push(i);
                     }

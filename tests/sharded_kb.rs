@@ -6,10 +6,13 @@
 //! template's triples on one shard.
 
 use galo_catalog::{col, ColumnStats, ColumnType, Database, DatabaseBuilder, SystemConfig, Table};
-use galo_core::{abstract_plan, match_plan, vocab, KnowledgeBase, MatchConfig, Template};
+use galo_core::{
+    abstract_plan, match_plan, segment_pop_checks, vocab, AdmissionQuery, KbBuilder, KnowledgeBase,
+    MatchConfig, PopCheck, PopObservation, ScanCheck, Template, TemplateRefinement,
+};
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
-use galo_rdf::{ScratchDir, ShardedStore};
+use galo_rdf::{Quad, Record, ScratchDir, ShardedStore, Term};
 use galo_sql::parse;
 
 /// A two-table database plus an optimized plan over it — the smallest
@@ -67,7 +70,7 @@ fn template(db: &Database, plan: &Qgm, kb: &KnowledgeBase, salt: u64, workload: 
 fn sharded_kb_matches_exactly_like_the_single_store_kb() {
     let (db, plan) = setup();
     let single = KnowledgeBase::new();
-    let sharded = KnowledgeBase::open_sharded(4);
+    let sharded = KbBuilder::new().shards(4).build_kb().unwrap();
     // Same templates into both (ids must agree, so reuse the abstraction).
     for salt in 0..3u64 {
         let tpl = template(&db, &plan, &single, salt, "tpcds");
@@ -86,7 +89,10 @@ fn sharded_kb_matches_exactly_like_the_single_store_kb() {
         assert_eq!(x.segment_op_id, y.segment_op_id);
     }
     // Export/import between the backends round-trips.
-    let kb2 = KnowledgeBase::with_backend(Box::new(ShardedStore::new(3)));
+    let kb2 = KbBuilder::new()
+        .backend(Box::new(ShardedStore::new(3)))
+        .build_kb()
+        .unwrap();
     kb2.import(&single.export()).unwrap();
     assert_eq!(kb2.template_count(), single.template_count());
     assert_eq!(
@@ -98,7 +104,7 @@ fn sharded_kb_matches_exactly_like_the_single_store_kb() {
 #[test]
 fn concurrent_learners_append_without_losing_templates() {
     let (db, plan) = setup();
-    let kb = KnowledgeBase::open_sharded(4);
+    let kb = KbBuilder::new().shards(4).build_kb().unwrap();
     let per_thread = 8u64;
     std::thread::scope(|scope| {
         for t in 0..4u64 {
@@ -134,7 +140,11 @@ fn sharded_durable_kb_recovers_all_shards() {
     let (db, plan) = setup();
     let dir = ScratchDir::new("sharded-kb-reopen");
     let (stats_before, iri, sig) = {
-        let kb = KnowledgeBase::open_sharded_durable(dir.path(), 4).unwrap();
+        let kb = KbBuilder::new()
+            .durable_dir(dir.path())
+            .shards(4)
+            .build_kb()
+            .unwrap();
         let tpl = template(&db, &plan, &kb, 1, "tpcds");
         kb.insert(&tpl);
         for salt in 2..10u64 {
@@ -147,7 +157,11 @@ fn sharded_durable_kb_recovers_all_shards() {
             KnowledgeBase::template_signature(&tpl),
         )
     };
-    let kb = KnowledgeBase::open_sharded_durable(dir.path(), 4).unwrap();
+    let kb = KbBuilder::new()
+        .durable_dir(dir.path())
+        .shards(4)
+        .build_kb()
+        .unwrap();
     assert_eq!(kb.template_count(), 9);
     assert_eq!(
         kb.shard_stats().unwrap(),
@@ -163,7 +177,11 @@ fn sharded_durable_kb_recovers_all_shards() {
     let stats_compacted = kb.shard_stats().unwrap();
     assert!(stats_compacted.iter().all(|s| s.wal_records == 0));
     drop(kb);
-    let kb = KnowledgeBase::open_sharded_durable(dir.path(), 4).unwrap();
+    let kb = KbBuilder::new()
+        .durable_dir(dir.path())
+        .shards(4)
+        .build_kb()
+        .unwrap();
     assert_eq!(kb.template_count(), 9);
     assert_eq!(kb.shard_stats().unwrap(), stats_compacted);
 }
@@ -173,7 +191,11 @@ fn torn_wal_on_one_shard_keeps_checkpointed_templates_matchable() {
     let (db, plan) = setup();
     let dir = ScratchDir::new("sharded-kb-torn");
     let (iri_a, sig) = {
-        let kb = KnowledgeBase::open_sharded_durable(dir.path(), 4).unwrap();
+        let kb = KbBuilder::new()
+            .durable_dir(dir.path())
+            .shards(4)
+            .build_kb()
+            .unwrap();
         let a = template(&db, &plan, &kb, 1, "tpcds");
         kb.insert(&a);
         // Checkpoint template A across all shards, then keep writing —
@@ -216,7 +238,11 @@ fn torn_wal_on_one_shard_keeps_checkpointed_templates_matchable() {
         "at least one shard journaled post-checkpoint data"
     );
 
-    let kb = KnowledgeBase::open_sharded_durable(dir.path(), 4).unwrap();
+    let kb = KbBuilder::new()
+        .durable_dir(dir.path())
+        .shards(4)
+        .build_kb()
+        .unwrap();
     // Template A was checkpointed on every shard before the crash: fully
     // recovered, indexed, matchable.
     assert!(kb.candidate_templates(sig).contains(&iri_a));
@@ -226,7 +252,11 @@ fn torn_wal_on_one_shard_keeps_checkpointed_templates_matchable() {
     // Reopening again is stable (the torn tail was truncated once).
     let count = kb.server().len();
     drop(kb);
-    let kb2 = KnowledgeBase::open_sharded_durable(dir.path(), 4).unwrap();
+    let kb2 = KbBuilder::new()
+        .durable_dir(dir.path())
+        .shards(4)
+        .build_kb()
+        .unwrap();
     assert_eq!(kb2.server().len(), count);
 }
 
@@ -307,14 +337,24 @@ fn concurrent_writers_with_background_compactor_match_sequential_oracle() {
         image(&kb)
     };
     // What survives a full restart (compactor long gone).
-    let reopened = image(&KnowledgeBase::open_sharded_durable(dir.path(), 4).unwrap());
+    let reopened = image(
+        &KbBuilder::new()
+            .durable_dir(dir.path())
+            .shards(4)
+            .build_kb()
+            .unwrap(),
+    );
     assert_eq!(reopened, concurrent, "reopen must reproduce the live image");
 
     // Sequential oracle: same ops, one thread, no compactor, explicit
     // checkpoint before reopen.
     let oracle_dir = ScratchDir::new("sharded-kb-concurrent-oracle");
     {
-        let kb = KnowledgeBase::open_sharded_durable(oracle_dir.path(), 4).unwrap();
+        let kb = KbBuilder::new()
+            .durable_dir(oracle_dir.path())
+            .shards(4)
+            .build_kb()
+            .unwrap();
         for slots in &templates {
             for (i, tpl) in slots.iter().enumerate() {
                 kb.insert(tpl);
@@ -325,7 +365,11 @@ fn concurrent_writers_with_background_compactor_match_sequential_oracle() {
         }
         kb.compact().unwrap();
     }
-    let oracle_kb = KnowledgeBase::open_sharded_durable(oracle_dir.path(), 4).unwrap();
+    let oracle_kb = KbBuilder::new()
+        .durable_dir(oracle_dir.path())
+        .shards(4)
+        .build_kb()
+        .unwrap();
     let oracle = image(&oracle_kb);
     assert_eq!(
         reopened, oracle,
@@ -341,7 +385,7 @@ fn concurrent_writers_with_background_compactor_match_sequential_oracle() {
 #[test]
 fn template_affine_routing_keeps_templates_whole() {
     let (db, plan) = setup();
-    let kb = KnowledgeBase::open_sharded(4);
+    let kb = KbBuilder::new().shards(4).build_kb().unwrap();
     for salt in 0..12u64 {
         kb.insert(&template(&db, &plan, &kb, salt, "w"));
     }
@@ -356,4 +400,184 @@ fn template_affine_routing_keeps_templates_whole() {
     let stats = kb.shard_stats().unwrap();
     let total: usize = stats.iter().map(|s| s.triples).sum();
     assert_eq!(total, kb.server().len());
+}
+
+/// Everything a matcher can observe of the signature index: the raw
+/// candidate lists plus the admitted candidates over a grid of admission
+/// queries — displaced cardinalities and scan stats, margins, trims
+/// (`trim > 0` reads the sketch side of every entry) and dataset scopes.
+fn index_view(kb: &KnowledgeBase, signature: u64, checks: &[PopCheck]) -> Vec<Vec<String>> {
+    let mut view = vec![
+        vec![kb.signature_count().to_string()],
+        kb.candidate_templates(signature),
+        kb.candidate_templates(signature ^ 1),
+    ];
+    for card_factor in [1.0, 0.4, 3.0, 150.0, 1e9] {
+        for scan_factor in [1.0, 2.5] {
+            let displaced: Vec<PopCheck> = checks
+                .iter()
+                .map(|c| PopCheck {
+                    est_card: c.est_card * card_factor,
+                    scan: c.scan.map(|s| ScanCheck {
+                        row_size: s.row_size * scan_factor,
+                        fpages: s.fpages * scan_factor,
+                        base_cardinality: s.base_cardinality * scan_factor,
+                    }),
+                    ..*c
+                })
+                .collect();
+            for margin in [1.0, 2.0] {
+                for trim in [0.0, 0.05, 0.3] {
+                    for dataset in [None, Some("w1"), Some("w2")] {
+                        let query = AdmissionQuery {
+                            checks: &displaced,
+                            margin,
+                            trim,
+                            dataset,
+                            near_factor: 1.0,
+                        };
+                        view.push(kb.candidate_templates_admitting(signature, &query));
+                    }
+                }
+            }
+        }
+    }
+    view
+}
+
+/// The signature index is maintained incrementally by every mutator and
+/// rebuilt from the store by `reindex` / `import` / reopen. After each
+/// kind of mutation the incrementally maintained index must answer
+/// exactly like the rebuilt one — including the two fallback rules: a
+/// corrupt sketch literal falls back to the exact bounds, and an operator
+/// stored without bounds is unbounded.
+#[test]
+fn incremental_index_equals_the_index_rebuilt_from_the_store() {
+    let (db, plan) = setup();
+    let dir = ScratchDir::new("sharded-kb-index-diff");
+    let open = || {
+        KbBuilder::new()
+            .durable_dir(dir.path())
+            .shards(4)
+            .build_kb()
+            .unwrap()
+    };
+    let kb = open();
+    let checks = segment_pop_checks(&db, &plan, plan.root());
+    // Sketches with spread and an outlier, so trimmed envelopes differ
+    // from the exact bounds and from each other.
+    let sketched = |salt: u64, workload: &str, spread: &[f64]| {
+        let mut tpl = template(&db, &plan, &kb, salt, workload);
+        for pop in &mut tpl.pops {
+            let point = pop.cardinality.envelope(0.0).lo;
+            for f in spread {
+                pop.cardinality.observe(point * f);
+            }
+        }
+        tpl
+    };
+    let signature = KnowledgeBase::template_signature(&sketched(0, "w1", &[]));
+    let iri_of = |tpl: &Template| vocab::template_iri(&tpl.id).str_value().to_string();
+    let quads_of = |tpl: &Template| KnowledgeBase::templates_to_quads(std::slice::from_ref(tpl));
+    let is_stat = |q: &Quad| {
+        let local = q.1.as_iri().and_then(|p| p.strip_prefix(vocab::PROP_NS));
+        local.is_some_and(|l| {
+            l.starts_with("hasLower") || l.starts_with("hasHigher") || l.ends_with("Sketch")
+        })
+    };
+    let check = |kb: &KnowledgeBase, step: &str| {
+        let live = index_view(kb, signature, &checks);
+        kb.reindex();
+        assert_eq!(live, index_view(kb, signature, &checks), "after {step}");
+        live
+    };
+
+    // insert_batch: the direct Template -> entry mapping.
+    let a = sketched(1, "w1", &[0.5, 2.0, 200.0]);
+    let b = sketched(2, "w2", &[0.9, 1.1, 1.2, 1.3, 40.0]);
+    kb.insert_batch(&[a.clone(), b.clone()]);
+    let first = check(&kb, "insert_batch");
+
+    // Whole-template apply_quads: a plain template, one whose cardinality
+    // sketch literals are corrupt, and one stored with no bounds at all.
+    let c = sketched(3, "w2", &[0.7, 1.6]);
+    let corrupt = sketched(4, "w1", &[0.5, 2.0, 200.0]);
+    let boundless = sketched(5, "w1", &[]);
+    let mut quads = quads_of(&c);
+    quads.extend(quads_of(&corrupt).into_iter().map(|mut q| {
+        if q.1 == vocab::prop(vocab::HAS_CARDINALITY_SKETCH) {
+            q.2 = Term::lit("00not-a-sketch");
+        }
+        q
+    }));
+    quads.extend(quads_of(&boundless).into_iter().filter(|q| !is_stat(q)));
+    assert!(kb.apply_quads(&quads) > 0);
+    let second = check(&kb, "apply_quads");
+    assert_ne!(first, second, "the view must see the new templates");
+    let absurd: Vec<PopCheck> = checks
+        .iter()
+        .map(|c| PopCheck::card(c.pop_type, c.est_card * 1e9))
+        .collect();
+    assert_eq!(
+        kb.candidate_templates_admitting(signature, &AdmissionQuery::exact(&absurd, 1.0)),
+        vec![iri_of(&boundless)],
+        "only the operator-bounds-free template admits an absurd cardinality"
+    );
+
+    // apply_records: a whole-template insert plus the retraction of `a`.
+    let d = sketched(6, "w1", &[1.5]);
+    let mut records: Vec<Record> = quads_of(&d)
+        .into_iter()
+        .map(|(s, p, o, g)| Record::Insert(s, p, o, g))
+        .collect();
+    records.extend(
+        quads_of(&a)
+            .into_iter()
+            .map(|(s, p, o, g)| Record::Remove(s, p, o, g)),
+    );
+    assert!(kb.apply_records(&records) > 0);
+    let view = check(&kb, "apply_records with a removal");
+    assert!(!view[1].contains(&iri_of(&a)) && view[1].contains(&iri_of(&d)));
+
+    // refine_template_stats: the in-place entry refresh, on a healthy
+    // template and on the corrupt-sketch one.
+    for tpl in [&b, &corrupt] {
+        let observations = checks
+            .iter()
+            .map(|c| PopObservation {
+                pop_type: c.pop_type.to_string(),
+                cards: vec![(c.est_card * 3.0, f64::INFINITY)],
+                scan: c.scan,
+                scan_band: f64::INFINITY,
+            })
+            .collect();
+        let refinement = TemplateRefinement {
+            observations,
+            narrows: vec![],
+        };
+        assert!(kb.refine_template_stats(&iri_of(tpl), &refinement).changed);
+        check(&kb, "refine_template_stats");
+    }
+
+    // import replaces the image with an equal one; a sharded durable
+    // reopen recovers it. Neither may change a single answer.
+    let before = check(&kb, "refinements");
+    kb.import(&kb.export()).unwrap();
+    assert_eq!(check(&kb, "import"), before);
+    drop(kb);
+    let kb = open();
+    assert_eq!(check(&kb, "sharded durable reopen"), before);
+
+    // apply_records with a Clear: only what follows it survives.
+    let mut records = vec![Record::Clear];
+    records.extend(
+        quads_of(&a)
+            .into_iter()
+            .map(|(s, p, o, g)| Record::Insert(s, p, o, g)),
+    );
+    assert!(kb.apply_records(&records) > 0);
+    assert_eq!(
+        check(&kb, "apply_records with a Clear")[1],
+        vec![iri_of(&a)]
+    );
 }

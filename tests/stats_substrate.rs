@@ -9,7 +9,7 @@
 use galo_bench::{inflate_kb_polluted, learning_config};
 use galo_core::{
     abstract_plan, learn_workload, match_plan, match_plan_text, segment_pop_checks, vocab,
-    AdmissionQuery, KnowledgeBase, MatchConfig, PopCheck, StatSketch, Template,
+    AdmissionQuery, KbBuilder, KnowledgeBase, MatchConfig, PopCheck, StatSketch, Template,
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, segments, shape_signature, GuidelineDoc};
@@ -249,12 +249,20 @@ fn sketches_survive_import_sharded_reopen_and_reindex() {
 
     let dir = ScratchDir::new("stats-sharded");
     {
-        let kb = KnowledgeBase::open_sharded_durable(dir.path(), 4).unwrap();
+        let kb = KbBuilder::new()
+            .durable_dir(dir.path())
+            .shards(4)
+            .build_kb()
+            .unwrap();
         kb.import(&dump).unwrap();
         assert_sketch_behavior(&kb, sig, &iri, &checks);
     }
     // A fresh process: sharded recovery rebuilds the index from disk.
-    let kb = KnowledgeBase::open_sharded_durable(dir.path(), 4).unwrap();
+    let kb = KbBuilder::new()
+        .durable_dir(dir.path())
+        .shards(4)
+        .build_kb()
+        .unwrap();
     assert_eq!(kb.template_count(), 1);
     assert_sketch_behavior(&kb, sig, &iri, &checks);
     // An explicit reindex keeps the sketch-backed envelopes.
