@@ -5,9 +5,9 @@
 //! This is the throughput that bounds how quickly an off-peak learner
 //! cluster can grow the KB (paper §4).
 //!
-//! Caveat: the CI container is single-CPU, so the concurrent arms mostly
-//! measure per-shard locking overhead there; the wall-clock win from
-//! parallel publishing needs multi-core hardware to show.
+//! Caveat: publishes are serialized at the endpoint (one mutation scope,
+//! one write transaction at a time), so the concurrent arms measure
+//! contention on that, not parallel ingest.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use galo_catalog::{col, ColumnStats, ColumnType, DatabaseBuilder, SystemConfig, Table};

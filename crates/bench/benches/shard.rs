@@ -4,11 +4,13 @@
 //!
 //! Writers go through `FusekiLite::insert_triples` — one batch per
 //! template, exactly what `KnowledgeBase::insert` issues — from 4
-//! concurrent threads. The single-store arms serialize every batch behind
-//! the endpoint's global `RwLock`; the sharded arms lock only the shard a
-//! template routes to. The `durable-per-record` arm reproduces the PR-3
+//! concurrent threads. Every arm serializes its batches: the single-store
+//! arms behind the endpoint's `RwLock`, the sharded arms behind an
+//! all-shard write session, so single-vs-sharded prices what routing,
+//! the second interner and per-shard journals cost (or save) per batch,
+//! not lock parallelism. The `durable-per-record` arm reproduces the PR-3
 //! journaling behavior (one flush per record, no group commit) as the
-//! before/after baseline for the write-path work in this PR.
+//! baseline for group commit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -57,75 +59,31 @@ fn template_triples(t: u32) -> Vec<(Term, Term, Term)> {
     out
 }
 
-/// How the `WRITER_THREADS` writers split the template stream.
-#[derive(Clone, Copy)]
-enum WriterLayout {
-    /// Work-stealing over one shared id counter: threads interleave
-    /// arbitrarily, so concurrent batches regularly route to the same
-    /// shard (the contended worst case).
-    Stealing,
-    /// Each writer owns the templates that route to "its" shard — the
-    /// multi-machine learning layout, where each off-peak worker is
-    /// assigned a template-id partition. Writers never contend.
-    ShardAffine,
-}
-
-/// Ingest `TEMPLATES` templates from `WRITER_THREADS` threads, one
-/// `insert_triples` batch per template; every layout/arm does identical
-/// total work.
-fn parallel_ingest(server: &FusekiLite, batched: bool, layout: WriterLayout) -> usize {
-    let router = galo_rdf::TemplateRouter::default();
-    let partition: Vec<Vec<u32>> = match layout {
-        WriterLayout::Stealing => Vec::new(),
-        WriterLayout::ShardAffine => {
-            // Partition by the template's actual SHARD (not by writer
-            // count), then deal shards round-robin to writers, so the
-            // layout stays genuinely shard-affine even when SHARDS and
-            // WRITER_THREADS diverge.
-            let mut parts = vec![Vec::new(); WRITER_THREADS];
-            let probe = prop("x");
-            for t in 0..TEMPLATES {
-                use galo_rdf::ShardRouter;
-                let k = router.route(SHARDS, &tpl_iri(t), &probe, &probe);
-                parts[k % WRITER_THREADS].push(t);
-            }
-            parts
-        }
-    };
+/// Ingest `TEMPLATES` templates from `WRITER_THREADS` threads stealing
+/// work off one shared id counter, one `insert_triples` batch per
+/// template; every arm does identical total work.
+fn parallel_ingest(server: &FusekiLite, batched: bool) -> usize {
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for w in 0..WRITER_THREADS {
+        for _ in 0..WRITER_THREADS {
             let next = &next;
-            let partition = &partition;
-            scope.spawn(move || {
-                let ingest = |t: u32| {
-                    let triples = template_triples(t);
-                    if batched {
-                        server.insert_triples(triples);
-                    } else {
-                        // The PR-3 write path: one write transaction, but
-                        // no group commit — a durable backend flushes per
-                        // record.
-                        server.with_store_mut(|st| {
-                            for (s, p, o) in triples {
-                                st.insert(s, p, o);
-                            }
-                        });
-                    }
-                };
-                match layout {
-                    WriterLayout::Stealing => loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= TEMPLATES as usize {
-                            break;
+            scope.spawn(move || loop {
+                let t = next.fetch_add(1, Ordering::Relaxed);
+                if t >= TEMPLATES as usize {
+                    break;
+                }
+                let triples = template_triples(t as u32);
+                if batched {
+                    server.insert_triples(triples);
+                } else {
+                    // The PR-3 write path: one write transaction, but
+                    // no group commit — a durable backend flushes per
+                    // record.
+                    server.with_store_mut(|st| {
+                        for (s, p, o) in triples {
+                            st.insert(s, p, o);
                         }
-                        ingest(t as u32);
-                    },
-                    WriterLayout::ShardAffine => {
-                        for &t in &partition[w] {
-                            ingest(t);
-                        }
-                    }
+                    });
                 }
             });
         }
@@ -142,7 +100,7 @@ fn bench_shard_write(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("single-indexed", &param), |b| {
         b.iter(|| {
             let server = FusekiLite::new();
-            black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
+            black_box(parallel_ingest(&server, true))
         })
     });
     group.bench_function(
@@ -150,7 +108,7 @@ fn bench_shard_write(c: &mut Criterion) {
         |b| {
             b.iter(|| {
                 let server = KbBuilder::new().shards(SHARDS).build_server().unwrap();
-                black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
+                black_box(parallel_ingest(&server, true))
             })
         },
     );
@@ -161,7 +119,7 @@ fn bench_shard_write(c: &mut Criterion) {
                 .durable_dir(dir.path())
                 .build_server()
                 .expect("opens");
-            black_box(parallel_ingest(&server, false, WriterLayout::Stealing))
+            black_box(parallel_ingest(&server, false))
         })
     });
     group.bench_function(BenchmarkId::new("single-durable", &param), |b| {
@@ -171,7 +129,7 @@ fn bench_shard_write(c: &mut Criterion) {
                 .durable_dir(dir.path())
                 .build_server()
                 .expect("opens");
-            black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
+            black_box(parallel_ingest(&server, true))
         })
     });
     group.bench_function(
@@ -184,15 +142,13 @@ fn bench_shard_write(c: &mut Criterion) {
                     .shards(SHARDS)
                     .build_server()
                     .expect("opens");
-                black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
+                black_box(parallel_ingest(&server, true))
             })
         },
     );
     // The real-durability configuration: fsync per commit. Group commit
-    // makes that one fsync per template batch; the single store
-    // serializes them behind the global lock, while sharded writers
-    // fsync different shard files concurrently — I/O parallelism that
-    // pays off even on a single-CPU host.
+    // makes that one fsync per template batch, on the one shard file the
+    // template routes to.
     let fsync = DurableOptions {
         fsync_each_record: true,
         ..DurableOptions::default()
@@ -201,7 +157,7 @@ fn bench_shard_write(c: &mut Criterion) {
         b.iter(|| {
             let dir = ScratchDir::new("bench-shard-wf1");
             let server = FusekiLite::open_durable_with(dir.path(), fsync.clone()).expect("opens");
-            black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
+            black_box(parallel_ingest(&server, true))
         })
     });
     group.bench_function(
@@ -216,23 +172,7 @@ fn bench_shard_write(c: &mut Criterion) {
                     Box::<galo_rdf::TemplateRouter>::default(),
                 )
                 .expect("opens");
-                black_box(parallel_ingest(&server, true, WriterLayout::Stealing))
-            })
-        },
-    );
-    group.bench_function(
-        BenchmarkId::new(format!("sharded-durable-{SHARDS}-fsync-affine"), &param),
-        |b| {
-            b.iter(|| {
-                let dir = ScratchDir::new("bench-shard-wfA");
-                let server = FusekiLite::open_sharded_durable_with(
-                    dir.path(),
-                    SHARDS,
-                    fsync.clone(),
-                    Box::<galo_rdf::TemplateRouter>::default(),
-                )
-                .expect("opens");
-                black_box(parallel_ingest(&server, true, WriterLayout::ShardAffine))
+                black_box(parallel_ingest(&server, true))
             })
         },
     );
@@ -266,18 +206,10 @@ fn bench_shard_probe(c: &mut Criterion) {
         .collect();
 
     for (label, server) in [("single", &single), ("sharded-4", &sharded)] {
-        for threads in [1usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("{}probes-{threads}thr", probes.len())),
-                &threads,
-                |b, &threads| {
-                    b.iter(|| {
-                        let out = server.probe_batch_threads(&probes, threads);
-                        black_box(out.len())
-                    })
-                },
-            );
-        }
+        group.bench_function(
+            BenchmarkId::new(label, format!("{}probes", probes.len())),
+            |b| b.iter(|| black_box(server.probe_batch(&probes).len())),
+        );
     }
     group.finish();
 }

@@ -36,7 +36,7 @@ use crate::matching::MatchConfig;
 /// [module docs](self) for the legal combinations.
 #[derive(Default)]
 pub struct KbBuilder {
-    backend: Option<Box<dyn TripleStore>>,
+    backend: Option<Box<dyn TripleStore + Send>>,
     shards: Option<usize>,
     router: Option<Box<dyn ShardRouter>>,
     durable_dir: Option<PathBuf>,
@@ -57,14 +57,15 @@ impl KbBuilder {
     /// with [`shards`](Self::shards) and
     /// [`durable_dir`](Self::durable_dir) — those describe stores the
     /// builder constructs itself.
-    pub fn backend(mut self, backend: Box<dyn TripleStore>) -> Self {
+    pub fn backend(mut self, backend: Box<dyn TripleStore + Send>) -> Self {
         self.backend = Some(backend);
         self
     }
 
-    /// Shard the store `shards` ways (per-shard write locks, parallel
-    /// probes). Combines with [`durable_dir`](Self::durable_dir) for the
-    /// production shape: one WAL+snapshot directory per shard.
+    /// Shard the store `shards` ways (template-affine placement, one
+    /// lock per shard). Combines with [`durable_dir`](Self::durable_dir)
+    /// for the production shape: one WAL+snapshot directory per shard,
+    /// recovered and folded independently.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self

@@ -941,11 +941,10 @@ impl KnowledgeBase {
     /// Publish a batch of templates in **one** endpoint transaction — the
     /// append path a learner machine pushes its mined templates through.
     /// All of the batch's triples (and per-workload dataset tags) go
-    /// through [`FusekiLite::insert_quads`], so a durable backend flushes
-    /// its journal once per batch and a sharded backend locks only the
-    /// shards the templates route to (template-affine: each template's
-    /// triples land write-local on one shard). The signature index is
-    /// updated under a single write lock.
+    /// through [`FusekiLite::insert_quads_raw`], so a durable backend
+    /// flushes its journal once per batch and a sharded backend routes
+    /// each template whole to one shard (template-affine placement). The
+    /// signature index is updated under a single write lock.
     ///
     /// Publication is idempotent and commutative: re-publishing a
     /// template is a set-semantics no-op, so concurrent learners can
@@ -997,7 +996,7 @@ impl KnowledgeBase {
     /// [`templates_to_quads`](Self::templates_to_quads)) — the
     /// **privileged replication apply path**. Unlike
     /// [`insert_batch`](Self::insert_batch) this goes through
-    /// [`FusekiLite::with_store_mut`], so it still works after
+    /// [`FusekiLite::apply_records`], so it still works after
     /// [`FusekiLite::set_read_only`]: a read replica replays its
     /// primary's mutation feed through here while every client-facing
     /// write stays rejected. Idempotent (set semantics), so at-least-once
@@ -1007,18 +1006,13 @@ impl KnowledgeBase {
     /// fallback. Returns how many quads were new.
     pub fn apply_quads(&self, quads: &[galo_rdf::Quad]) -> usize {
         let scope = self.server.mutation_scope();
-        let n = self.server.with_store_mut(|st| {
-            st.begin_batch();
-            let n = quads
+        let applied = self.server.apply_records(
+            quads
                 .iter()
-                .filter(|(s, p, o, graph)| match graph {
-                    Some(g) => st.insert_in(g.clone(), s.clone(), p.clone(), o.clone()),
-                    None => st.insert(s.clone(), p.clone(), o.clone()),
-                })
-                .count();
-            st.end_batch();
-            n
-        });
+                .cloned()
+                .map(|(s, p, o, graph)| galo_rdf::Record::Insert(s, p, o, graph)),
+        );
+        let n = applied.iter().filter(|&&fresh| fresh).count();
         if n > 0 && !self.merge_index_from_quads(quads) {
             self.rebuild_index();
         }
@@ -1037,53 +1031,24 @@ impl KnowledgeBase {
     pub fn apply_records(&self, records: &[galo_rdf::Record]) -> usize {
         use galo_rdf::Record;
         let scope = self.server.mutation_scope();
-        let mut destructive = false;
-        let mut inserted: Vec<galo_rdf::Quad> = Vec::new();
-        let changed = self.server.with_store_mut(|st| {
-            st.begin_batch();
-            let mut n = 0;
-            for rec in records {
-                match rec {
-                    Record::Insert(s, p, o, graph) => {
-                        let fresh = match graph {
-                            Some(g) => st.insert_in(g.clone(), s.clone(), p.clone(), o.clone()),
-                            None => st.insert(s.clone(), p.clone(), o.clone()),
-                        };
-                        if fresh {
-                            n += 1;
-                            inserted.push((s.clone(), p.clone(), o.clone(), graph.clone()));
-                        }
+        let applied = self.server.apply_records(records.iter().cloned());
+        let changed = applied.iter().filter(|&&took_effect| took_effect).count();
+        let destructive = records.iter().any(|r| !matches!(r, Record::Insert(..)));
+        // Only the inserts that took effect feed the incremental merge.
+        let merge_inserted = || {
+            let inserted: Vec<galo_rdf::Quad> = records
+                .iter()
+                .zip(&applied)
+                .filter_map(|(record, &fresh)| match record {
+                    Record::Insert(s, p, o, graph) if fresh => {
+                        Some((s.clone(), p.clone(), o.clone(), graph.clone()))
                     }
-                    Record::Remove(s, p, o, graph) => {
-                        destructive = true;
-                        let gone = match graph {
-                            Some(g) => {
-                                match (st.term_id(g), st.term_id(s), st.term_id(p), st.term_id(o)) {
-                                    (Some(g), Some(s), Some(p), Some(o)) => {
-                                        st.remove_ids_in(g, (s, p, o))
-                                    }
-                                    _ => false,
-                                }
-                            }
-                            None => st.remove(s, p, o),
-                        };
-                        if gone {
-                            n += 1;
-                        }
-                    }
-                    Record::Clear => {
-                        destructive = true;
-                        if !st.is_empty() || !st.graph_ids().is_empty() {
-                            n += 1;
-                        }
-                        st.clear();
-                    }
-                }
-            }
-            st.end_batch();
-            n
-        });
-        if destructive || (changed > 0 && !self.merge_index_from_quads(&inserted)) {
+                    _ => None,
+                })
+                .collect();
+            self.merge_index_from_quads(&inserted)
+        };
+        if destructive || (changed > 0 && !merge_inserted()) {
             self.rebuild_index();
         }
         scope.commit(changed > 0);

@@ -13,7 +13,7 @@
 //!
 //! [`TripleStore`] is the swappable storage abstraction every higher
 //! layer compiles against — the SPARQL evaluator is generic over it and
-//! [`FusekiLite`] holds a `Box<dyn TripleStore>`. A backend provides:
+//! [`FusekiLite`] holds a `Box<dyn TripleStore + Send>`. A backend provides:
 //!
 //! * **term interning** (`intern` / `term_id` / `resolve`) with ids that
 //!   stay stable for the store's lifetime;
@@ -34,8 +34,9 @@
 //! persistent backend: an append-only N-Quads write-ahead log plus
 //! periodic binary snapshots around an inner `IndexedStore`, with
 //! crash recovery in [`DurableStore::open`] — see the [`persist`]
-//! module docs for the on-disk formats). A sharded backend only has to
-//! implement the same contract to drop in.
+//! module docs for the on-disk formats). [`ShardedStore`] partitions any
+//! of them N ways and meets the same contract through its all-shard read
+//! and write sessions (see the [`shard`] module docs).
 
 mod fnv;
 pub mod ntriples;

@@ -493,25 +493,28 @@ fn parse_record(line: &str) -> Option<Record> {
     }
 }
 
-/// Apply one record to the raw inner store (no journaling).
-fn apply_record(inner: &mut IndexedStore, record: Record) {
+/// Apply one record to a store; returns whether it changed anything (set
+/// semantics: a duplicate insert, an absent remove and a clear of an
+/// empty store do not). The one place a [`Record`] becomes a mutation —
+/// log replay runs it over the raw inner store (no journaling), the
+/// endpoint's batch writes and the replication feed over the live backend.
+pub(crate) fn apply_record<S: TripleStore + ?Sized>(store: &mut S, record: Record) -> bool {
     match record {
-        Record::Insert(s, p, o, None) => {
-            inner.insert(s, p, o);
-        }
-        Record::Insert(s, p, o, Some(g)) => {
-            inner.insert_in(g, s, p, o);
-        }
-        Record::Remove(s, p, o, None) => {
-            inner.remove(&s, &p, &o);
-        }
+        Record::Insert(s, p, o, None) => store.insert(s, p, o),
+        Record::Insert(s, p, o, Some(g)) => store.insert_in(g, s, p, o),
+        Record::Remove(s, p, o, None) => store.remove(&s, &p, &o),
         Record::Remove(s, p, o, Some(g)) => {
-            let ids = (inner.term_id(&s), inner.term_id(&p), inner.term_id(&o));
-            if let (Some(g), (Some(s), Some(p), Some(o))) = (inner.term_id(&g), ids) {
-                inner.remove_ids_in(g, (s, p, o));
+            let ids = (store.term_id(&s), store.term_id(&p), store.term_id(&o));
+            match (store.term_id(&g), ids) {
+                (Some(g), (Some(s), Some(p), Some(o))) => store.remove_ids_in(g, (s, p, o)),
+                _ => false,
             }
         }
-        Record::Clear => inner.clear(),
+        Record::Clear => {
+            let held = !store.is_empty() || !store.graph_ids().is_empty();
+            store.clear();
+            held
+        }
     }
 }
 

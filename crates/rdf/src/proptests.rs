@@ -359,21 +359,23 @@ proptest! {
 
     /// Differential test of the sharded backend: for any shard count
     /// (including the degenerate N=1) and any op history over the full
-    /// mutation surface, `ShardedStore` agrees with the in-memory
-    /// reference op by op (set semantics) and state for state.
+    /// mutation surface — one write session per op — `ShardedStore`
+    /// agrees with the in-memory reference op by op (set semantics) and,
+    /// read back through one read session, state for state.
     #[test]
     fn sharded_store_matches_indexed_reference(
         shards in 1usize..=4,
         pool in prop::collection::vec(arb_triple(), 4..12),
         ops in prop::collection::vec((0u8..20, any::<prop::sample::Index>(), 0u8..3), 1..50),
     ) {
-        let mut sharded = ShardedStore::new(shards);
+        let sharded = ShardedStore::new(shards);
         let mut reference = IndexedStore::new();
         for op in &ops {
-            let got = apply_store_op(&mut sharded, &pool, op);
+            let got = apply_store_op(&mut sharded.write_session(), &pool, op);
             let want = apply_store_op(&mut reference, &pool, op);
             prop_assert_eq!(got, want, "set-semantics disagreement on {:?}", op);
         }
+        let sharded = sharded.read_session();
         prop_assert_eq!(sharded.len(), reference.len());
         prop_assert_eq!(store_image(&sharded), store_image(&reference));
         // Pattern-level agreement over a sample of the pool's terms
@@ -406,17 +408,17 @@ proptest! {
         let dir = ScratchDir::new("prop-shard-durable");
         let mut reference = IndexedStore::new();
         {
-            let mut sharded = ShardedStore::open_durable(dir.path(), shards)
+            let sharded = ShardedStore::open_durable(dir.path(), shards)
                 .expect("sharded durable store opens");
             for op in &ops {
-                apply_store_op(&mut sharded, &pool, op);
+                apply_store_op(&mut sharded.write_session(), &pool, op);
                 apply_store_op(&mut reference, &pool, op);
             }
-            prop_assert_eq!(store_image(&sharded), store_image(&reference));
+            prop_assert_eq!(store_image(&sharded.read_session()), store_image(&reference));
         }
         let recovered = ShardedStore::open_durable(dir.path(), shards)
             .expect("sharded recovery succeeds");
-        prop_assert_eq!(store_image(&recovered), store_image(&reference));
+        prop_assert_eq!(store_image(&recovered.read_session()), store_image(&reference));
     }
 
     /// Crash semantics: truncating the log at ANY byte recovers exactly

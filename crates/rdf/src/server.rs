@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use crate::ntriples::{parse_ntriples, to_ntriples, NtParseError};
+use crate::ntriples::{parse_ntriples, to_ntriples, NtParseError, Quad};
+use crate::persist::{apply_record, Record};
 use crate::policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};
 use crate::shard::{ShardRouter, ShardStats, ShardedStore};
 use crate::sparql::eval::{evaluate_prepared, prepare_seeded, PreparedQuery};
@@ -86,16 +87,19 @@ impl From<std::io::Error> for ServerError {
 /// In-process SPARQL endpoint with reader/writer concurrency.
 ///
 /// The endpoint is backend-agnostic: it holds a boxed [`TripleStore`], so
-/// a persistent or sharded store drops in through [`FusekiLite::with_backend`]
+/// a persistent store drops in through [`FusekiLite::with_backend`]
 /// without touching any caller.
 ///
-/// A [`ShardedStore`] backend gets first-class treatment
-/// ([`from_sharded`](Self::from_sharded)): instead of
-/// serializing every write behind the endpoint's single `RwLock`, write
-/// batches lock only the shards they route to — concurrent writers whose
-/// batches land on different shards proceed in parallel — and
-/// [`probe_batch`](Self::probe_batch) fans the batch out over worker
-/// threads that share one consistent all-shard read session.
+/// A [`ShardedStore`] backend ([`from_sharded`](Self::from_sharded)) is
+/// the same endpoint over a different lock: where a single backend sits
+/// behind one `RwLock`, [`with_store`](Self::with_store) opens an
+/// all-shard read session and [`with_store_mut`](Self::with_store_mut)
+/// an all-shard write session, and every read and write endpoint runs
+/// through one of the two. What sharding adds is below the locks —
+/// per-shard WAL directories, per-shard background folds, parallel
+/// recovery — plus the per-shard maintenance calls
+/// ([`shard_stats`](Self::shard_stats),
+/// [`storage_pressures`](Self::storage_pressures)).
 #[derive(Debug)]
 pub struct FusekiLite {
     /// Shared with the background [`Compactor`]'s watcher thread (when a
@@ -110,8 +114,8 @@ pub struct FusekiLite {
     epoch: std::sync::atomic::AtomicU64,
     /// Serializes epoch transitions across writers (a [`MutationScope`]
     /// holds it from begin to commit), so the odd/even protocol stays
-    /// sound even on a sharded backend where the data writes themselves
-    /// only take per-shard locks.
+    /// sound when a logical change spans several write transactions (a
+    /// store write plus derived-index upkeep).
     write_serial: Mutex<()>,
     /// Read-replica mode ([`set_read_only`](Self::set_read_only)): every
     /// client write endpoint rejects with a typed
@@ -174,11 +178,11 @@ impl Drop for MutationScope<'_> {
     }
 }
 
-/// The two lock disciplines behind the endpoint: one global `RwLock`
-/// over an arbitrary backend, or a sharded store with per-shard locks.
+/// The two backings behind the endpoint: one `RwLock` over an arbitrary
+/// backend, or a sharded store whose sessions take every shard's lock.
 #[derive(Debug)]
 enum Backing {
-    Single(RwLock<Box<dyn TripleStore>>),
+    Single(RwLock<Box<dyn TripleStore + Send>>),
     Sharded(ShardedStore),
 }
 
@@ -222,9 +226,13 @@ impl FusekiLite {
     }
 
     /// An endpoint over a caller-supplied backend.
-    pub fn with_backend(backend: Box<dyn TripleStore>) -> Self {
+    pub fn with_backend(backend: Box<dyn TripleStore + Send>) -> Self {
+        Self::over(Backing::Single(RwLock::new(backend)))
+    }
+
+    fn over(backing: Backing) -> Self {
         FusekiLite {
-            store: Arc::new(Backing::Single(RwLock::new(backend))),
+            store: Arc::new(backing),
             epoch: std::sync::atomic::AtomicU64::new(0),
             write_serial: Mutex::new(()),
             read_only: std::sync::atomic::AtomicBool::new(false),
@@ -261,18 +269,11 @@ impl FusekiLite {
         )?))
     }
 
-    /// Wrap an existing sharded store, keeping its concurrent write and
-    /// parallel probe paths (boxing it through
-    /// [`with_backend`](Self::with_backend) would still be correct, but
-    /// every write would serialize behind the endpoint's global lock).
+    /// An endpoint over an existing sharded store (the per-shard
+    /// maintenance calls — [`shard_stats`](Self::shard_stats), the
+    /// background compactor's one-shard folds — need it unboxed).
     pub fn from_sharded(store: ShardedStore) -> Self {
-        FusekiLite {
-            store: Arc::new(Backing::Sharded(store)),
-            epoch: std::sync::atomic::AtomicU64::new(0),
-            write_serial: Mutex::new(()),
-            read_only: std::sync::atomic::AtomicBool::new(false),
-            compactor: Mutex::new(None),
-        }
+        Self::over(Backing::Sharded(store))
     }
 
     /// Put the endpoint in (or out of) read-replica mode. While set,
@@ -284,7 +285,7 @@ impl FusekiLite {
     /// [`insert_quads`](Self::insert_quads), …) raise it as a panic
     /// payload — a write on a replica is a caller bug, never silently
     /// applied or dropped. The replication feed bypasses the gate through
-    /// [`with_store_mut`](Self::with_store_mut) +
+    /// [`apply_records`](Self::apply_records) +
     /// [`mutation_scope`](Self::mutation_scope), which stay privileged.
     pub fn set_read_only(&self, read_only: bool) {
         self.read_only
@@ -377,9 +378,9 @@ impl FusekiLite {
     /// one — fanned out across shard directories on a sharded backend.
     /// Serializes with updates.
     pub fn compact(&self) -> std::io::Result<()> {
-        match &*self.store {
-            Backing::Single(lock) => lock.write().compact(),
-            Backing::Sharded(s) => s.compact_all(),
+        match self.sharded() {
+            Some(s) => s.compact_all(),
+            None => self.with_store_mut(|st| st.compact()),
         }
     }
 
@@ -431,38 +432,14 @@ impl FusekiLite {
     }
 
     /// Evaluate a batch of compiled probes under **one** read session —
-    /// the matching engine submits all of a plan's segment probes in one
-    /// call instead of re-acquiring the lock per segment. Before
-    /// evaluating, each probe's constants (ground pattern terms,
-    /// predicate IRIs, and pre-bindings) are resolved through the store's
-    /// interner; a probe with any unresolved constant is answered with an
-    /// empty result set without touching the indexes.
-    ///
-    /// Large batches are fanned out over `available_parallelism` worker
-    /// threads sharing the session (read locks are shared, so workers
-    /// evaluate concurrently); per-probe results are identical to the
-    /// sequential path and returned in submission order.
+    /// all of a plan's segment probes in one call instead of re-acquiring
+    /// the lock per segment. Before evaluating, each probe's constants
+    /// (ground pattern terms, predicate IRIs, and pre-bindings) are
+    /// resolved through the store's interner; a probe with any unresolved
+    /// constant is answered with an empty result set without touching the
+    /// indexes. Results come back in submission order.
     pub fn probe_batch(&self, probes: &[Probe<'_>]) -> Vec<ResultSet> {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.probe_batch_threads(probes, threads)
-    }
-
-    /// [`probe_batch`](Self::probe_batch) with an explicit worker count
-    /// (the shard bench pins it; `1` forces the sequential path).
-    pub fn probe_batch_threads(&self, probes: &[Probe<'_>], threads: usize) -> Vec<ResultSet> {
-        match &*self.store {
-            Backing::Single(lock) => {
-                let guard = lock.read();
-                run_probes_parallel(guard.as_ref(), probes, threads)
-            }
-            Backing::Sharded(s) => {
-                let session = s.read_session();
-                let view = session.view();
-                run_probes_parallel(&view, probes, threads)
-            }
-        }
+        self.with_store(|st| run_probes(st, probes))
     }
 
     /// Execute a SPARQL update from text; returns affected triple count.
@@ -480,80 +457,79 @@ impl FusekiLite {
         Ok(n)
     }
 
-    /// Insert a batch of triples in one write transaction. On a durable
-    /// backend the whole batch group-commits (one journal flush); on a
-    /// sharded backend only the shards the batch routes to are locked,
-    /// so concurrent batches bound for different shards proceed in
-    /// parallel.
-    pub fn insert_triples(&self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> usize {
-        self.assert_writable("insert_triples");
+    /// Apply a batch of [`Record`]s in **one** write transaction under one
+    /// `begin_batch` / `end_batch` bracket (a durable backend group-commits
+    /// the whole batch; on a sharded one each record routes to its shard
+    /// inside one all-shard write session) — the single loop every batch
+    /// write below, the knowledge base's publish and the replication feed
+    /// run. Returns, per record, whether it changed anything (set
+    /// semantics).
+    ///
+    /// **Privileged**: no read-only gate, so a read replica replays its
+    /// primary's feed through here, and no
+    /// [`mutation_scope`](Self::mutation_scope) — the caller holds one
+    /// across this call and any derived-index upkeep that belongs to the
+    /// same logical change. Calling it outside a scope leaves the epoch
+    /// behind the data; don't.
+    pub fn apply_records(&self, records: impl IntoIterator<Item = Record>) -> Vec<bool> {
+        self.with_store_mut(|st| {
+            st.begin_batch();
+            let applied = records
+                .into_iter()
+                .map(|record| apply_record(st, record))
+                .collect();
+            st.end_batch();
+            applied
+        })
+    }
+
+    /// A client batch write: the read-only gate, one
+    /// [`mutation_scope`](Self::mutation_scope), one
+    /// [`apply_records`](Self::apply_records). Returns how many records
+    /// changed anything.
+    fn write_batch(&self, op: &'static str, records: impl IntoIterator<Item = Record>) -> usize {
+        self.assert_writable(op);
         let scope = self.mutation_scope();
-        let n = match &*self.store {
-            Backing::Single(lock) => {
-                let mut store = lock.write();
-                store.begin_batch();
-                let n = triples
-                    .into_iter()
-                    .filter(|(s, p, o)| store.insert(s.clone(), p.clone(), o.clone()))
-                    .count();
-                store.end_batch();
-                n
-            }
-            Backing::Sharded(s) => s.insert_terms_batch(triples),
-        };
+        let n = count_applied(&self.apply_records(records));
         scope.commit(n > 0);
         n
     }
 
+    /// Insert a batch of triples in one write transaction (one journal
+    /// flush on a durable backend). Returns how many were new.
+    pub fn insert_triples(&self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> usize {
+        self.write_batch(
+            "insert_triples",
+            triples
+                .into_iter()
+                .map(|(s, p, o)| Record::Insert(s, p, o, None)),
+        )
+    }
+
     /// Insert a batch of triples into a named graph in one transaction
-    /// (same batching and shard-routing behavior as
-    /// [`insert_triples`](Self::insert_triples)).
+    /// (batched like [`insert_triples`](Self::insert_triples)).
     pub fn insert_triples_in(
         &self,
         graph: Term,
         triples: impl IntoIterator<Item = (Term, Term, Term)>,
     ) -> usize {
-        self.assert_writable("insert_triples_in");
-        let scope = self.mutation_scope();
-        let n = match &*self.store {
-            Backing::Single(lock) => {
-                let mut store = lock.write();
-                store.begin_batch();
-                let g = store.intern(graph);
-                let n = triples
-                    .into_iter()
-                    .filter(|(s, p, o)| {
-                        let t = (
-                            store.intern(s.clone()),
-                            store.intern(p.clone()),
-                            store.intern(o.clone()),
-                        );
-                        store.insert_ids_in(g, t)
-                    })
-                    .count();
-                store.end_batch();
-                n
-            }
-            Backing::Sharded(s) => s.insert_terms_batch_in(graph, triples),
-        };
-        scope.commit(n > 0);
-        n
+        self.write_batch(
+            "insert_triples_in",
+            triples
+                .into_iter()
+                .map(|(s, p, o)| Record::Insert(s, p, o, Some(graph.clone()))),
+        )
     }
 
     /// Append a mixed batch of default-graph triples (`graph: None`) and
     /// named-graph tags (`graph: Some(g)`) in **one** write transaction —
     /// the batch-publish endpoint distributed learner machines push their
-    /// mined templates through. On a durable backend the whole batch
-    /// group-commits; on a sharded backend each quad routes by subject,
-    /// so a template's triples and its workload-dataset tag land
-    /// write-local on one shard and only the routed shards are locked.
-    /// Returns how many quads were new.
-    pub fn insert_quads(&self, quads: impl IntoIterator<Item = crate::ntriples::Quad>) -> usize {
-        self.assert_writable("insert_quads");
-        let scope = self.mutation_scope();
-        let n = self.insert_quads_raw(quads);
-        scope.commit(n > 0);
-        n
+    /// mined templates through. On a sharded backend each quad routes by
+    /// subject, so a template's triples and its workload-dataset tag land
+    /// on one shard (and in one shard's log). Returns how many quads were
+    /// new.
+    pub fn insert_quads(&self, quads: impl IntoIterator<Item = Quad>) -> usize {
+        self.write_batch("insert_quads", quads.into_iter().map(insert_record))
     }
 
     /// [`insert_quads`](Self::insert_quads) without its own
@@ -562,50 +538,21 @@ impl FusekiLite {
     /// under one scope they opened themselves — the knowledge base's
     /// batch publish does. Calling this outside a scope leaves the epoch
     /// behind the data; don't.
-    pub fn insert_quads_raw(
-        &self,
-        quads: impl IntoIterator<Item = crate::ntriples::Quad>,
-    ) -> usize {
+    pub fn insert_quads_raw(&self, quads: impl IntoIterator<Item = Quad>) -> usize {
         self.assert_writable("insert_quads_raw");
-        match &*self.store {
-            Backing::Single(lock) => {
-                let mut store = lock.write();
-                store.begin_batch();
-                let n = quads
-                    .into_iter()
-                    .filter(|(s, p, o, graph)| match graph {
-                        Some(g) => store.insert_in(g.clone(), s.clone(), p.clone(), o.clone()),
-                        None => store.insert(s.clone(), p.clone(), o.clone()),
-                    })
-                    .count();
-                store.end_batch();
-                n
-            }
-            Backing::Sharded(s) => s.insert_quads_batch(quads),
-        }
+        count_applied(&self.apply_records(quads.into_iter().map(insert_record)))
     }
 
     /// Remove a batch of triples in one write transaction; returns how
     /// many were present. Batched like
     /// [`insert_triples`](Self::insert_triples).
     pub fn remove_triples(&self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> usize {
-        self.assert_writable("remove_triples");
-        let scope = self.mutation_scope();
-        let n = match &*self.store {
-            Backing::Single(lock) => {
-                let mut store = lock.write();
-                store.begin_batch();
-                let n = triples
-                    .into_iter()
-                    .filter(|(s, p, o)| store.remove(s, p, o))
-                    .count();
-                store.end_batch();
-                n
-            }
-            Backing::Sharded(s) => s.remove_terms_batch(triples),
-        };
-        scope.commit(n > 0);
-        n
+        self.write_batch(
+            "remove_triples",
+            triples
+                .into_iter()
+                .map(|(s, p, o)| Record::Remove(s, p, o, None)),
+        )
     }
 
     /// Names of the dataset's non-empty named graphs.
@@ -619,10 +566,7 @@ impl FusekiLite {
     pub fn with_store<T>(&self, f: impl FnOnce(&dyn TripleStore) -> T) -> T {
         match &*self.store {
             Backing::Single(lock) => f(lock.read().as_ref()),
-            Backing::Sharded(s) => {
-                let session = s.read_session();
-                f(&session.view())
-            }
+            Backing::Sharded(s) => f(&s.read_session()),
         }
     }
 
@@ -636,10 +580,7 @@ impl FusekiLite {
     pub fn with_store_mut<T>(&self, f: impl FnOnce(&mut dyn TripleStore) -> T) -> T {
         match &*self.store {
             Backing::Single(lock) => f(lock.write().as_mut()),
-            Backing::Sharded(s) => {
-                let mut session = s.write_session();
-                f(&mut session.view_mut())
-            }
+            Backing::Sharded(s) => f(&mut s.write_session()),
         }
     }
 
@@ -667,8 +608,11 @@ impl FusekiLite {
         let triples = parse_ntriples(text)?;
         let scope = self.mutation_scope();
         let n = self.with_store_mut(|store| {
-            store.clear();
+            // The clear belongs inside the bracket: journaled on its own
+            // it would be durable before the replacement, and a crash
+            // mid-import would reopen an empty dataset.
             store.begin_batch();
+            store.clear();
             let mut n = 0;
             for (s, p, o, graph) in triples {
                 match graph {
@@ -759,33 +703,12 @@ fn run_probes(store: &dyn TripleStore, probes: &[Probe<'_>]) -> Vec<ResultSet> {
         .collect()
 }
 
-/// Minimum batch size worth paying thread spawns for.
-const PARALLEL_PROBE_THRESHOLD: usize = 8;
+fn insert_record((s, p, o, graph): Quad) -> Record {
+    Record::Insert(s, p, o, graph)
+}
 
-/// Fan a probe batch out over scoped worker threads sharing one store
-/// view; falls back to the sequential path for small batches or a single
-/// worker. Chunks are contiguous so the per-chunk prepared-plan cache
-/// keeps its hit rate, and results come back in submission order.
-fn run_probes_parallel(
-    store: &dyn TripleStore,
-    probes: &[Probe<'_>],
-    threads: usize,
-) -> Vec<ResultSet> {
-    let threads = threads.min(probes.len()).max(1);
-    if threads <= 1 || probes.len() < PARALLEL_PROBE_THRESHOLD {
-        return run_probes(store, probes);
-    }
-    let chunk = probes.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = probes
-            .chunks(chunk)
-            .map(|chunk| scope.spawn(move || run_probes(store, chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("probe worker must not panic"))
-            .collect()
-    })
+fn count_applied(applied: &[bool]) -> usize {
+    applied.iter().filter(|&&changed| changed).count()
 }
 
 #[cfg(test)]
@@ -934,19 +857,31 @@ mod tests {
 
     #[test]
     fn probe_bindings_restrict_solutions() {
-        let f = seeded();
-        let q = parse_select(
-            "SELECT ?s ?c WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> ?c . }",
-        )
-        .unwrap();
-        let jobs = vec![Probe {
-            query: &q,
-            bind: vec![("s".to_string(), Term::iri("http://galo/qep/pop/7"))],
-        }];
-        let rs = f.probe_batch(&jobs).remove(0);
-        assert_eq!(rs.len(), 1);
-        assert_eq!(rs.get(0, "s").unwrap().str_value(), "http://galo/qep/pop/7");
-        assert_eq!(rs.get(0, "c").unwrap().str_value(), "700");
+        for f in [seeded(), seeded_sharded(4)] {
+            let q = parse_select(
+                "SELECT ?s ?c WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> ?c . }",
+            )
+            .unwrap();
+            // One probe per pre-bound subject: consecutive probes share a
+            // prepared plan, and results come back in submission order.
+            let jobs: Vec<Probe<'_>> = (0..40u32)
+                .map(|i| Probe {
+                    query: &q,
+                    bind: vec![(
+                        "s".to_string(),
+                        Term::iri(format!("http://galo/qep/pop/{i}")),
+                    )],
+                })
+                .collect();
+            for (i, rs) in f.probe_batch(&jobs).iter().enumerate() {
+                assert_eq!(rs.len(), 1);
+                assert_eq!(
+                    rs.get(0, "s").unwrap().str_value(),
+                    format!("http://galo/qep/pop/{i}")
+                );
+                assert_eq!(rs.get(0, "c").unwrap().str_value(), format!("{}", i * 100));
+            }
+        }
     }
 
     #[test]
@@ -977,6 +912,63 @@ mod tests {
         assert_eq!(out[0].vars, vec!["s"]);
         assert!(out[1].is_empty());
         assert_eq!(out[1].vars, vec!["s", "c"]);
+    }
+
+    /// A router that dies on its `fuse`-th placement: the closest a test
+    /// gets to killing the process in the middle of an `import`.
+    #[derive(Debug)]
+    struct DiesMidWrite {
+        fuse: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ShardRouter for DiesMidWrite {
+        fn name(&self) -> String {
+            "dies-mid-write".to_string()
+        }
+
+        fn route(&self, shards: usize, s: &Term, p: &Term, o: &Term) -> usize {
+            let left = self.fuse.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+            assert!(left > 0, "simulated crash");
+            crate::shard::HashRouter.route(shards, s, p, o)
+        }
+    }
+
+    /// Regression: `import` used to clear *before* opening its group-commit
+    /// bracket, so on a durable backend the `Clear` record was flushed on
+    /// its own — a crash before the replacement committed reopened an
+    /// empty dataset although the import was never acknowledged. (On that
+    /// code the reopened store below holds 0 triples.)
+    #[test]
+    fn import_interrupted_mid_batch_keeps_the_previous_dataset() {
+        let dir = crate::persist::ScratchDir::new("server-import-atomic");
+        let open = |fuse: usize| {
+            let fuse = std::sync::atomic::AtomicUsize::new(fuse);
+            let router = Box::new(DiesMidWrite { fuse });
+            FusekiLite::open_sharded_durable_with(dir.path(), 2, Default::default(), router)
+                .unwrap()
+        };
+        let previous = (
+            Term::iri("http://old/s"),
+            Term::iri("http://old/p"),
+            Term::lit("kept"),
+        );
+        // The previous dataset, then 20 of the import's 50 triples.
+        let f = open(1 + 20);
+        assert_eq!(f.insert_triples([previous.clone()]), 1);
+        let dump = seeded().export();
+        let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.import(&dump)));
+        assert!(crash.is_err(), "the import must have died mid-batch");
+        // Kill, not shutdown: leak the endpoint so the buffered half-batch
+        // is dropped exactly as a crash would drop it.
+        std::mem::forget(f);
+        let reopened = open(usize::MAX);
+        assert_eq!(
+            reopened.len(),
+            1,
+            "an unacknowledged import changes nothing"
+        );
+        let (s, p, o) = &previous;
+        assert!(reopened.with_store(|st| st.contains(s, p, o)));
     }
 
     #[test]
@@ -1085,40 +1077,11 @@ mod tests {
         let back = FusekiLite::from_sharded(ShardedStore::new(3));
         assert_eq!(back.import(&dump).unwrap(), 51);
         assert_eq!(back.len(), 51);
-        // remove_triples routes to the owning shards.
+        // remove_triples reaches the owning shards.
         let removed =
             back.remove_triples([(Term::iri("http://x"), Term::iri("http://p"), Term::lit("1"))]);
         assert_eq!(removed, 1);
         assert_eq!(back.len(), 50);
-    }
-
-    #[test]
-    fn parallel_probe_batch_matches_sequential() {
-        for f in [seeded(), seeded_sharded(4)] {
-            let q = parse_select(
-                "SELECT ?s ?c WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> ?c . }",
-            )
-            .unwrap();
-            let jobs: Vec<Probe<'_>> = (0..40u32)
-                .map(|i| Probe {
-                    query: &q,
-                    bind: vec![(
-                        "s".to_string(),
-                        Term::iri(format!("http://galo/qep/pop/{}", i % 50)),
-                    )],
-                })
-                .collect();
-            let sequential = f.probe_batch_threads(&jobs, 1);
-            let parallel = f.probe_batch_threads(&jobs, 3);
-            assert_eq!(sequential, parallel);
-            for (i, rs) in parallel.iter().enumerate() {
-                assert_eq!(rs.len(), 1);
-                assert_eq!(
-                    rs.get(0, "c").unwrap().str_value(),
-                    format!("{}", (i % 50) * 100)
-                );
-            }
-        }
     }
 
     #[test]
@@ -1176,9 +1139,9 @@ mod tests {
 
     #[test]
     fn sharded_concurrent_writers_with_readers() {
-        // Writers whose batches route to different shards proceed without
-        // a global write lock; readers see consistent sessions. The final
-        // image must contain every write (no lost updates).
+        // Writers take all-shard write sessions one at a time; readers see
+        // consistent sessions. The final image must contain every write
+        // (no lost updates).
         let f = Arc::new(FusekiLite::from_sharded(ShardedStore::new(4)));
         let mut handles = Vec::new();
         for w in 0..4u32 {

@@ -1,14 +1,14 @@
-//! Sharded triple storage: [`ShardedStore`], a [`TripleStore`] over N
-//! inner stores with per-shard locking.
+//! Sharded triple storage: [`ShardedStore`], N inner stores with
+//! per-shard locks, read and written through all-shard sessions.
 //!
 //! The knowledge base is a shared service: every optimized query probes
-//! it online while off-peak learning runs append to it. The single-store
-//! backends serialize all of that behind `FusekiLite`'s one `RwLock`;
+//! it online while off-peak learning runs append to it.
 //! [`ShardedStore`] partitions the default graph across N inner stores —
-//! each behind its own lock — so writes to *different* shards proceed
-//! concurrently, batched probes are served by parallel workers over one
-//! consistent read session, and recovery/compaction of a durable store
-//! fan out across shard directories.
+//! each behind its own lock and, when durable, its own WAL+snapshot
+//! directory — so one template's write journals to one shard's log, a
+//! background fold holds one shard's lock at a time, and
+//! recovery/compaction of a durable store fan out across shard
+//! directories.
 //!
 //! # Architecture
 //!
@@ -31,12 +31,16 @@
 //!   must stay self-contained), and the shard state carries the
 //!   global↔local id translation. On durable reopen the translation is
 //!   rebuilt from the recovered triples, shards in parallel.
-//! * **Sessions.** [`ShardedStore::read_session`] /
-//!   [`write_session`](ShardedStore::write_session) take all per-shard
-//!   locks in index order and expose the store as one `TripleStore`, so
-//!   the SPARQL evaluator and the matching engine run against a stable
-//!   view; the concurrent write path ([`insert_terms_batch`] and
-//!   friends) locks only the shards a batch actually routes to.
+//! * **Sessions are the only way in.** [`ShardedStore::read_session`] /
+//!   [`write_session`](ShardedStore::write_session) take every per-shard
+//!   lock in index order and *are* the [`TripleStore`]: the SPARQL
+//!   evaluator and the matching engine run against a stable view, and a
+//!   write routes each mutation to its shard under the locks the session
+//!   already holds. A write holds all of them, not just the shards it
+//!   routes to: the endpoint serializes writers anyway (its mutation
+//!   epoch), so narrower locking would buy no concurrency. Only
+//!   maintenance ([`ShardedStore::compact_shard`], the stats readers)
+//!   takes a single shard's lock.
 //!
 //! # On-disk layout (durable sharding)
 //!
@@ -49,8 +53,6 @@
 //!   shard-0001/
 //!   …
 //! ```
-//!
-//! [`insert_terms_batch`]: ShardedStore::insert_terms_batch
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -312,7 +314,7 @@ impl ShardRouter for HashRouter {
 /// global id this shard has ever stored is mapped in `to_local`.
 #[derive(Debug)]
 struct ShardState {
-    store: Box<dyn TripleStore>,
+    store: Box<dyn TripleStore + Send>,
     /// Global id → shard-local id.
     to_local: HashMap<TermId, TermId, FnvBuild>,
     /// Shard-local id (dense) → global id; `u32::MAX` marks a local term
@@ -324,7 +326,7 @@ struct ShardState {
 const UNMAPPED: TermId = TermId(u32::MAX);
 
 impl ShardState {
-    fn fresh(store: Box<dyn TripleStore>) -> Self {
+    fn fresh(store: Box<dyn TripleStore + Send>) -> Self {
         ShardState {
             store,
             to_local: HashMap::default(),
@@ -586,21 +588,20 @@ pub struct ShardStats {
 const META_FILE: &str = "sharded.meta";
 const META_MAGIC: &str = "galo-sharded v1";
 
-/// A sharded [`TripleStore`]: N inner stores behind per-shard locks.
+/// A sharded triple store: N inner stores behind per-shard locks.
 ///
-/// Implements the full `TripleStore` contract (so it drops into
-/// `FusekiLite::with_backend` / `KbBuilder::backend` like any
-/// other backend), and additionally exposes the concurrent `&self` API
-/// the sharded `FusekiLite` paths use: [`insert_terms_batch`] /
-/// [`remove_terms_batch`] / [`insert_terms_batch_in`] lock only the
-/// shards a batch routes to, and [`read_session`] / [`write_session`]
-/// provide whole-store transactions.
+/// Not itself a [`TripleStore`]: every read goes through a
+/// [`read_session`] and every write through a [`write_session`], each
+/// holding all shard locks for its lifetime (`FusekiLite::from_sharded`
+/// opens one per `with_store` / `with_store_mut`). What the store offers
+/// directly is maintenance that needs one shard at a time —
+/// [`compact_shard`], [`storage_pressures`], [`shard_stats`].
 ///
-/// [`insert_terms_batch`]: Self::insert_terms_batch
-/// [`remove_terms_batch`]: Self::remove_terms_batch
-/// [`insert_terms_batch_in`]: Self::insert_terms_batch_in
 /// [`read_session`]: Self::read_session
 /// [`write_session`]: Self::write_session
+/// [`compact_shard`]: Self::compact_shard
+/// [`storage_pressures`]: Self::storage_pressures
+/// [`shard_stats`]: Self::shard_stats
 pub struct ShardedStore {
     interner: SharedInterner,
     router: Box<dyn ShardRouter>,
@@ -758,8 +759,9 @@ impl ShardedStore {
 
     /// Compact a single shard, holding only that shard's write lock — the
     /// background [`Compactor`](crate::policy::Compactor) folds shards one
-    /// at a time so writers to other shards never stall behind a rotation
-    /// (unlike [`compact_all`](Self::compact_all)'s whole-store fan-out).
+    /// at a time, so a session (which needs every shard) waits out one
+    /// shard's rotation at most, never a whole-store one (unlike
+    /// [`compact_all`](Self::compact_all)'s fan-out).
     pub fn compact_shard(&self, shard: usize) -> io::Result<()> {
         let lock = self.shards.get(shard).ok_or_else(|| {
             io::Error::new(
@@ -780,171 +782,25 @@ impl ShardedStore {
         )
     }
 
-    /// Take read locks on every shard, in index order, and expose the
-    /// store as one consistent [`TripleStore`] view. Concurrent read
-    /// sessions coexist; writers wait.
+    /// Take read locks on every shard, in index order: one consistent
+    /// [`TripleStore`] view of the whole store. Concurrent read sessions
+    /// coexist; writers wait.
     pub fn read_session(&self) -> ShardedReadSession<'_> {
         ShardedReadSession {
             owner: self,
-            guards: self.shards.iter().map(|s| s.read()).collect(),
+            shards: self.shards.iter().map(|s| s.read()).collect(),
         }
     }
 
-    /// Take write locks on every shard (a whole-store transaction, used
-    /// for `import`/`update`-style exclusive rewrites).
+    /// Take write locks on every shard, in index order: a whole-store
+    /// transaction. Each mutation routes to its shard through the
+    /// [`ShardRouter`]; `begin_batch` / `end_batch` bracket every shard,
+    /// and a durable shard the batch never wrote has nothing to flush.
     pub fn write_session(&self) -> ShardedWriteSession<'_> {
         ShardedWriteSession {
             owner: self,
-            guards: self.shards.iter().map(|s| s.write()).collect(),
+            shards: self.shards.iter().map(|s| s.write()).collect(),
         }
-    }
-
-    /// Insert a batch of term triples, locking **only the shards the
-    /// batch routes to** — concurrent writers whose batches land on
-    /// different shards proceed in parallel. Each touched shard gets one
-    /// group-commit bracket (one journal flush per shard per batch on a
-    /// durable backend). Returns how many triples were new.
-    pub fn insert_terms_batch(
-        &self,
-        triples: impl IntoIterator<Item = (Term, Term, Term)>,
-    ) -> usize {
-        let mut routed: Vec<Vec<Triple>> = vec![Vec::new(); self.shards.len()];
-        for (s, p, o) in triples {
-            let k = self.router.route(self.shards.len(), &s, &p, &o);
-            routed[k].push((
-                self.interner.intern(&s),
-                self.interner.intern(&p),
-                self.interner.intern(&o),
-            ));
-        }
-        let mut added = 0;
-        for (k, batch) in routed.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[k].write();
-            shard.store.begin_batch();
-            for t in batch {
-                if shard.insert_global(t, &self.interner) {
-                    added += 1;
-                }
-            }
-            shard.store.end_batch();
-        }
-        added
-    }
-
-    /// Batched named-graph tagging, routed like
-    /// [`insert_terms_batch`](Self::insert_terms_batch) (by subject, so a
-    /// template's tag lives with its triples).
-    pub fn insert_terms_batch_in(
-        &self,
-        graph: Term,
-        triples: impl IntoIterator<Item = (Term, Term, Term)>,
-    ) -> usize {
-        let g = self.interner.intern(&graph);
-        let mut routed: Vec<Vec<Triple>> = vec![Vec::new(); self.shards.len()];
-        for (s, p, o) in triples {
-            let k = self.router.route(self.shards.len(), &s, &p, &o);
-            routed[k].push((
-                self.interner.intern(&s),
-                self.interner.intern(&p),
-                self.interner.intern(&o),
-            ));
-        }
-        let mut added = 0;
-        for (k, batch) in routed.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[k].write();
-            shard.store.begin_batch();
-            for t in batch {
-                if shard.insert_in_global(g, t, &self.interner) {
-                    added += 1;
-                }
-            }
-            shard.store.end_batch();
-        }
-        added
-    }
-
-    /// Insert a mixed batch of default-graph triples (`graph: None`) and
-    /// named-graph tags (`graph: Some(g)`) in one pass — the publish
-    /// endpoint a learner machine appends its mined templates through.
-    /// Every quad routes by its subject (so a template's triples *and*
-    /// its workload-dataset tag land on the same, write-local shard) and
-    /// only the routed shards are locked, each under one group-commit
-    /// bracket. Returns how many quads were new.
-    pub fn insert_quads_batch(
-        &self,
-        quads: impl IntoIterator<Item = (Term, Term, Term, Option<Term>)>,
-    ) -> usize {
-        let mut routed: Vec<Vec<(Triple, Option<TermId>)>> = vec![Vec::new(); self.shards.len()];
-        for (s, p, o, graph) in quads {
-            let k = self.router.route(self.shards.len(), &s, &p, &o);
-            let t = (
-                self.interner.intern(&s),
-                self.interner.intern(&p),
-                self.interner.intern(&o),
-            );
-            routed[k].push((t, graph.map(|g| self.interner.intern(&g))));
-        }
-        let mut added = 0;
-        for (k, batch) in routed.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[k].write();
-            shard.store.begin_batch();
-            for (t, graph) in batch {
-                let new = match graph {
-                    Some(g) => shard.insert_in_global(g, t, &self.interner),
-                    None => shard.insert_global(t, &self.interner),
-                };
-                if new {
-                    added += 1;
-                }
-            }
-            shard.store.end_batch();
-        }
-        added
-    }
-
-    /// Batched removal, locking only the routed shards. Returns how many
-    /// triples were present.
-    pub fn remove_terms_batch(
-        &self,
-        triples: impl IntoIterator<Item = (Term, Term, Term)>,
-    ) -> usize {
-        let mut routed: Vec<Vec<Triple>> = vec![Vec::new(); self.shards.len()];
-        for (s, p, o) in triples {
-            let ids = (
-                self.interner.get(&s),
-                self.interner.get(&p),
-                self.interner.get(&o),
-            );
-            let (Some(si), Some(pi), Some(oi)) = ids else {
-                continue; // a never-interned term cannot be stored
-            };
-            let k = self.router.route(self.shards.len(), &s, &p, &o);
-            routed[k].push((si, pi, oi));
-        }
-        let mut removed = 0;
-        for (k, batch) in routed.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[k].write();
-            shard.store.begin_batch();
-            for t in batch {
-                if shard.remove_global(t) {
-                    removed += 1;
-                }
-            }
-            shard.store.end_batch();
-        }
-        removed
     }
 
     /// Checkpoint every shard, fanned out across threads (each shard's
@@ -963,11 +819,6 @@ impl ShardedStore {
                 .collect::<io::Result<Vec<()>>>()
         })?;
         Ok(())
-    }
-
-    /// Momentary all-shard read guards for the per-call trait reads.
-    fn guards(&self) -> Vec<RwLockReadGuard<'_, ShardState>> {
-        self.shards.iter().map(|s| s.read()).collect()
     }
 }
 
@@ -1014,152 +865,33 @@ fn validate_meta(
     Ok(())
 }
 
-impl TripleStore for ShardedStore {
-    fn intern(&mut self, term: Term) -> TermId {
-        self.interner.intern(&term)
-    }
-
-    fn term_id(&self, term: &Term) -> Option<TermId> {
-        self.interner.get(term)
-    }
-
-    fn resolve(&self, id: TermId) -> &Term {
-        self.interner.resolve(id)
-    }
-
-    fn insert_ids(&mut self, t: Triple) -> bool {
-        let k = self.route_global(t);
-        self.shards[k].write().insert_global(t, &self.interner)
-    }
-
-    fn remove_ids(&mut self, t: Triple) -> bool {
-        let k = self.route_global(t);
-        self.shards[k].write().remove_global(t)
-    }
-
-    fn clear(&mut self) {
-        for shard in &self.shards {
-            shard.write().store.clear();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().store.len()).sum()
-    }
-
-    fn scan(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        let guards = self.guards();
-        fan_scan(guards.iter().map(|g| &**g), s, p, o)
-    }
-
-    fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        let guards = self.guards();
-        fan_count(guards.iter().map(|g| &**g), s, p, o)
-    }
-
-    fn graph_names(&self) -> Vec<Term> {
-        let guards = self.guards();
-        fan_graphs(guards.iter().map(|g| &**g), &self.interner)
-            .into_iter()
-            .map(|(name, _)| name)
-            .collect()
-    }
-
-    fn graph_ids(&self) -> Vec<TermId> {
-        let guards = self.guards();
-        fan_graphs(guards.iter().map(|g| &**g), &self.interner)
-            .into_iter()
-            .map(|(_, id)| id)
-            .collect()
-    }
-
-    fn insert_ids_in(&mut self, graph: TermId, t: Triple) -> bool {
-        let k = self.route_global(t);
-        self.shards[k]
-            .write()
-            .insert_in_global(graph, t, &self.interner)
-    }
-
-    fn remove_ids_in(&mut self, graph: TermId, t: Triple) -> bool {
-        let k = self.route_global(t);
-        self.shards[k].write().remove_in_global(graph, t)
-    }
-
-    fn scan_in(
-        &self,
-        graph: TermId,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> Vec<Triple> {
-        let guards = self.guards();
-        fan_scan_in(guards.iter().map(|g| &**g), graph, s, p, o)
-    }
-
-    fn compact(&mut self) -> io::Result<()> {
-        self.compact_all()
-    }
-
-    fn begin_batch(&mut self) {
-        for shard in &self.shards {
-            shard.write().store.begin_batch();
-        }
-    }
-
-    fn end_batch(&mut self) {
-        for shard in &self.shards {
-            shard.write().store.end_batch();
-        }
-    }
-}
-
 // -------------------------------------------------------------- sessions --
 
 /// All-shard read transaction: holds every shard's read lock (taken in
-/// index order) so [`view`](Self::view) exposes a stable, consistent
-/// [`TripleStore`] over the whole store — the matching engine evaluates
-/// a whole plan's probes under one. Concurrent read sessions coexist;
-/// writers wait. The lock guards live here and the `TripleStore` lives
-/// in the borrowed [`ShardedView`], which is `Send + Sync` (plain
-/// references), so parallel probe workers can share one session.
+/// index order) and is a stable, consistent [`TripleStore`] over the
+/// whole store for as long as it lives — the matching engine evaluates a
+/// whole plan's probes under one. Mutating methods panic; callers only
+/// ever see a read session behind `&dyn TripleStore`, so they are
+/// unreachable from the public API. Interning is *not* a store mutation
+/// (ids must merely stay stable) and works.
 pub struct ShardedReadSession<'a> {
     owner: &'a ShardedStore,
-    guards: Vec<RwLockReadGuard<'a, ShardState>>,
+    shards: Vec<RwLockReadGuard<'a, ShardState>>,
 }
 
 impl fmt::Debug for ShardedReadSession<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShardedReadSession({} shards)", self.guards.len())
+        write!(f, "ShardedReadSession({} shards)", self.shards.len())
     }
 }
 
 impl ShardedReadSession<'_> {
-    /// The session's `TripleStore` view.
-    pub fn view(&self) -> ShardedView<'_> {
-        ShardedView {
-            owner: self.owner,
-            states: self.guards.iter().map(|g| &**g).collect(),
-        }
+    fn states(&self) -> impl Iterator<Item = &ShardState> {
+        self.shards.iter().map(|g| &**g)
     }
 }
 
-/// Read-only `TripleStore` over a [`ShardedReadSession`]'s locked
-/// shards. Mutating methods panic — callers only ever see it behind
-/// `&dyn TripleStore`, so they are unreachable from the public API.
-/// Interning is *not* a store mutation (ids must merely stay stable) and
-/// works.
-pub struct ShardedView<'a> {
-    owner: &'a ShardedStore,
-    states: Vec<&'a ShardState>,
-}
-
-impl fmt::Debug for ShardedView<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShardedView({} shards)", self.states.len())
-    }
-}
-
-impl TripleStore for ShardedView<'_> {
+impl TripleStore for ShardedReadSession<'_> {
     fn intern(&mut self, term: Term) -> TermId {
         self.owner.interner.intern(&term)
     }
@@ -1173,49 +905,49 @@ impl TripleStore for ShardedView<'_> {
     }
 
     fn insert_ids(&mut self, _t: Triple) -> bool {
-        panic!("ShardedView is read-only");
+        panic!("ShardedReadSession is read-only");
     }
 
     fn remove_ids(&mut self, _t: Triple) -> bool {
-        panic!("ShardedView is read-only");
+        panic!("ShardedReadSession is read-only");
     }
 
     fn clear(&mut self) {
-        panic!("ShardedView is read-only");
+        panic!("ShardedReadSession is read-only");
     }
 
     fn len(&self) -> usize {
-        self.states.iter().map(|s| s.store.len()).sum()
+        self.states().map(|s| s.store.len()).sum()
     }
 
     fn scan(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        fan_scan(self.states.iter().copied(), s, p, o)
+        fan_scan(self.states(), s, p, o)
     }
 
     fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        fan_count(self.states.iter().copied(), s, p, o)
+        fan_count(self.states(), s, p, o)
     }
 
     fn graph_names(&self) -> Vec<Term> {
-        fan_graphs(self.states.iter().copied(), &self.owner.interner)
+        fan_graphs(self.states(), &self.owner.interner)
             .into_iter()
             .map(|(name, _)| name)
             .collect()
     }
 
     fn graph_ids(&self) -> Vec<TermId> {
-        fan_graphs(self.states.iter().copied(), &self.owner.interner)
+        fan_graphs(self.states(), &self.owner.interner)
             .into_iter()
             .map(|(_, id)| id)
             .collect()
     }
 
     fn insert_ids_in(&mut self, _graph: TermId, _t: Triple) -> bool {
-        panic!("ShardedView is read-only");
+        panic!("ShardedReadSession is read-only");
     }
 
     fn remove_ids_in(&mut self, _graph: TermId, _t: Triple) -> bool {
-        panic!("ShardedView is read-only");
+        panic!("ShardedReadSession is read-only");
     }
 
     fn scan_in(
@@ -1225,60 +957,42 @@ impl TripleStore for ShardedView<'_> {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<Triple> {
-        fan_scan_in(self.states.iter().copied(), graph, s, p, o)
+        fan_scan_in(self.states(), graph, s, p, o)
     }
 
     fn compact(&mut self) -> io::Result<()> {
-        panic!("ShardedView is read-only");
+        panic!("ShardedReadSession is read-only");
     }
 }
 
-/// All-shard write transaction: exclusive access for `import`/`update`-
-/// style rewrites that must appear atomic to readers. As with reads, the
-/// guards live in the session and the `TripleStore` in the borrowed
-/// [`ShardedViewMut`].
+/// All-shard write transaction: exclusive access to the whole store, so
+/// a batch (or an `import`/`update`-style rewrite) appears atomic to
+/// readers. Mutations route through the owner's [`ShardRouter`] to the
+/// shard whose lock the session already holds.
 pub struct ShardedWriteSession<'a> {
     owner: &'a ShardedStore,
-    guards: Vec<RwLockWriteGuard<'a, ShardState>>,
+    shards: Vec<RwLockWriteGuard<'a, ShardState>>,
 }
 
 impl fmt::Debug for ShardedWriteSession<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShardedWriteSession({} shards)", self.guards.len())
+        write!(f, "ShardedWriteSession({} shards)", self.shards.len())
     }
 }
 
 impl ShardedWriteSession<'_> {
-    /// The session's exclusive `TripleStore` view.
-    pub fn view_mut(&mut self) -> ShardedViewMut<'_> {
-        ShardedViewMut {
-            owner: self.owner,
-            states: self.guards.iter_mut().map(|g| &mut **g).collect(),
-        }
+    fn states(&self) -> impl Iterator<Item = &ShardState> {
+        self.shards.iter().map(|g| &**g)
+    }
+
+    /// The shard a triple routes to.
+    fn routed(&mut self, t: Triple) -> &mut ShardState {
+        let k = self.owner.route_global(t);
+        &mut self.shards[k]
     }
 }
 
-/// Exclusive `TripleStore` over a [`ShardedWriteSession`]'s locked
-/// shards; mutations route through the owner's [`ShardRouter`] exactly
-/// like the concurrent batch path.
-pub struct ShardedViewMut<'a> {
-    owner: &'a ShardedStore,
-    states: Vec<&'a mut ShardState>,
-}
-
-impl fmt::Debug for ShardedViewMut<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShardedViewMut({} shards)", self.states.len())
-    }
-}
-
-impl ShardedViewMut<'_> {
-    fn route(&self, t: Triple) -> usize {
-        self.owner.route_global(t)
-    }
-}
-
-impl TripleStore for ShardedViewMut<'_> {
+impl TripleStore for ShardedWriteSession<'_> {
     fn intern(&mut self, term: Term) -> TermId {
         self.owner.interner.intern(&term)
     }
@@ -1292,55 +1006,53 @@ impl TripleStore for ShardedViewMut<'_> {
     }
 
     fn insert_ids(&mut self, t: Triple) -> bool {
-        let k = self.route(t);
-        self.states[k].insert_global(t, &self.owner.interner)
+        let interner = &self.owner.interner;
+        self.routed(t).insert_global(t, interner)
     }
 
     fn remove_ids(&mut self, t: Triple) -> bool {
-        let k = self.route(t);
-        self.states[k].remove_global(t)
+        self.routed(t).remove_global(t)
     }
 
     fn clear(&mut self) {
-        for state in &mut self.states {
+        for state in &mut self.shards {
             state.store.clear();
         }
     }
 
     fn len(&self) -> usize {
-        self.states.iter().map(|s| s.store.len()).sum()
+        self.states().map(|s| s.store.len()).sum()
     }
 
     fn scan(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        fan_scan(self.states.iter().map(|s| &**s), s, p, o)
+        fan_scan(self.states(), s, p, o)
     }
 
     fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        fan_count(self.states.iter().map(|s| &**s), s, p, o)
+        fan_count(self.states(), s, p, o)
     }
 
     fn graph_names(&self) -> Vec<Term> {
-        fan_graphs(self.states.iter().map(|s| &**s), &self.owner.interner)
+        fan_graphs(self.states(), &self.owner.interner)
             .into_iter()
             .map(|(name, _)| name)
             .collect()
     }
 
     fn graph_ids(&self) -> Vec<TermId> {
-        fan_graphs(self.states.iter().map(|s| &**s), &self.owner.interner)
+        fan_graphs(self.states(), &self.owner.interner)
             .into_iter()
             .map(|(_, id)| id)
             .collect()
     }
 
     fn insert_ids_in(&mut self, graph: TermId, t: Triple) -> bool {
-        let k = self.route(t);
-        self.states[k].insert_in_global(graph, t, &self.owner.interner)
+        let interner = &self.owner.interner;
+        self.routed(t).insert_in_global(graph, t, interner)
     }
 
     fn remove_ids_in(&mut self, graph: TermId, t: Triple) -> bool {
-        let k = self.route(t);
-        self.states[k].remove_in_global(graph, t)
+        self.routed(t).remove_in_global(graph, t)
     }
 
     fn scan_in(
@@ -1350,24 +1062,24 @@ impl TripleStore for ShardedViewMut<'_> {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<Triple> {
-        fan_scan_in(self.states.iter().map(|s| &**s), graph, s, p, o)
+        fan_scan_in(self.states(), graph, s, p, o)
     }
 
     fn compact(&mut self) -> io::Result<()> {
-        for state in &mut self.states {
+        for state in &mut self.shards {
             state.store.compact()?;
         }
         Ok(())
     }
 
     fn begin_batch(&mut self) {
-        for state in &mut self.states {
+        for state in &mut self.shards {
             state.store.begin_batch();
         }
     }
 
     fn end_batch(&mut self) {
-        for state in &mut self.states {
+        for state in &mut self.shards {
             state.store.end_batch();
         }
     }
@@ -1405,15 +1117,35 @@ mod tests {
         out
     }
 
+    /// One template's batch the way the endpoint writes it: a write
+    /// session, one group-commit bracket, default-graph triples plus —
+    /// with `graph` — the template's workload tag.
+    fn insert_template(store: &ShardedStore, id: u32, graph: Option<&Term>) {
+        let mut session = store.write_session();
+        session.begin_batch();
+        for (s, p, o) in template_triples(id) {
+            session.insert(s, p, o);
+        }
+        if let Some(g) = graph {
+            session.insert_in(
+                g.clone(),
+                tpl_iri(id),
+                prop("hasProblemFingerprint"),
+                Term::lit("fp"),
+            );
+        }
+        session.end_batch();
+    }
+
+    fn workload_graph() -> Term {
+        Term::iri("http://galo/kb/graph/workload/w")
+    }
+
     #[test]
     fn template_router_colocates_whole_templates() {
         let store = ShardedStore::new(4);
         for id in 0..32u32 {
-            store.insert_terms_batch(template_triples(id));
-            store.insert_terms_batch_in(
-                Term::iri("http://galo/kb/graph/workload/w"),
-                [(tpl_iri(id), prop("hasProblemFingerprint"), Term::lit("fp"))],
-            );
+            insert_template(&store, id, Some(&workload_graph()));
         }
         // Every template's triples and its tag live on exactly one shard.
         for id in 0..32u32 {
@@ -1445,7 +1177,8 @@ mod tests {
 
     #[test]
     fn sharded_store_answers_all_patterns_like_scan_reference() {
-        let mut sharded = ShardedStore::new(3);
+        let store = ShardedStore::new(3);
+        let mut sharded = store.write_session();
         let mut reference = ScanStore::new();
         for id in 0..8u32 {
             for (s, p, o) in template_triples(id) {
@@ -1475,16 +1208,20 @@ mod tests {
     #[test]
     fn named_graphs_union_and_dedupe_across_shards() {
         let store = ShardedStore::new(4);
-        let g = Term::iri("http://galo/kb/graph/workload/w");
+        let g = workload_graph();
         // Tags whose subjects route to different shards, same graph.
-        for id in 0..16u32 {
-            store.insert_terms_batch_in(
-                g.clone(),
-                [(tpl_iri(id), prop("hasProblemFingerprint"), Term::lit("fp"))],
-            );
+        {
+            let mut session = store.write_session();
+            for id in 0..16u32 {
+                session.insert_in(
+                    g.clone(),
+                    tpl_iri(id),
+                    prop("hasProblemFingerprint"),
+                    Term::lit("fp"),
+                );
+            }
         }
-        let session = store.read_session();
-        let view = session.view();
+        let view = store.read_session();
         assert_eq!(view.graph_names(), vec![g.clone()]);
         assert_eq!(view.graph_ids().len(), 1);
         let gid = view.term_id(&g).unwrap();
@@ -1494,36 +1231,11 @@ mod tests {
     }
 
     #[test]
-    fn write_session_routes_like_the_concurrent_path() {
-        let store = ShardedStore::new(4);
-        {
-            let mut session = store.write_session();
-            let mut view = session.view_mut();
-            for id in 0..8u32 {
-                for (s, p, o) in template_triples(id) {
-                    view.insert(s, p, o);
-                }
-            }
-        }
-        // Same content via the batched path lands identically.
-        let other = ShardedStore::new(4);
-        for id in 0..8u32 {
-            other.insert_terms_batch(template_triples(id));
-        }
-        assert_eq!(
-            store.shard_stats().iter().map(|s| s.triples).sum::<usize>(),
-            other.shard_stats().iter().map(|s| s.triples).sum::<usize>(),
-        );
-        for (a, b) in store.shard_stats().iter().zip(other.shard_stats().iter()) {
-            assert_eq!(a, b, "placement must be deterministic");
-        }
-    }
-
-    #[test]
     fn concurrent_writers_and_readers_lose_nothing() {
-        // 4 writer threads inserting disjoint template sets through the
-        // concurrent path while 2 readers scan; afterwards the store
-        // must equal a sequentially-built ScanStore oracle.
+        // 4 writer threads inserting disjoint template sets, one write
+        // session per template, while 2 readers open read sessions;
+        // afterwards the store must equal a sequentially-built ScanStore
+        // oracle.
         let store = ShardedStore::new(4);
         let writers = 4u32;
         let per_writer = 25u32;
@@ -1532,8 +1244,7 @@ mod tests {
                 let store = &store;
                 scope.spawn(move || {
                     for i in 0..per_writer {
-                        let id = w * per_writer + i;
-                        store.insert_terms_batch(template_triples(id));
+                        insert_template(store, w * per_writer + i, None);
                     }
                 });
             }
@@ -1542,11 +1253,9 @@ mod tests {
                 scope.spawn(move || {
                     let mut last = 0usize;
                     for _ in 0..50 {
-                        let session = store.read_session();
-                        let now = session.view().len();
+                        let now = store.read_session().len();
                         assert!(now >= last, "triple count must grow monotonically");
                         last = now;
-                        drop(session);
                         std::thread::yield_now();
                     }
                 });
@@ -1558,14 +1267,13 @@ mod tests {
                 oracle.insert(s, p, o);
             }
         }
-        assert_eq!(store.len(), oracle.len(), "no lost updates");
+        let view = store.read_session();
+        assert_eq!(view.len(), oracle.len(), "no lost updates");
         let image = |st: &dyn TripleStore| -> BTreeSet<(Term, Term, Term)> {
             st.iter_terms()
                 .map(|(s, p, o)| (s.clone(), p.clone(), o.clone()))
                 .collect()
         };
-        let session = store.read_session();
-        let view = session.view();
         assert_eq!(image(&view), image(&oracle));
     }
 
@@ -1576,11 +1284,7 @@ mod tests {
         {
             let store = ShardedStore::open_durable(dir.path(), 4).unwrap();
             for id in 0..16u32 {
-                store.insert_terms_batch(template_triples(id));
-                store.insert_terms_batch_in(
-                    Term::iri("http://galo/kb/graph/workload/w"),
-                    [(tpl_iri(id), prop("hasProblemFingerprint"), Term::lit("fp"))],
-                );
+                insert_template(&store, id, Some(&workload_graph()));
             }
             store.compact_all().unwrap();
             // After the fold: stats (content *and* WAL counters — empty
@@ -1589,8 +1293,7 @@ mod tests {
         }
         let store = ShardedStore::open_durable(dir.path(), 4).unwrap();
         assert_eq!(store.shard_stats(), before, "per-shard recovery is exact");
-        let session = store.read_session();
-        let view = session.view();
+        let view = store.read_session();
         let p = view.term_id(&prop("inTemplate")).unwrap();
         assert_eq!(view.scan(None, Some(p), None).len(), 32);
         assert_eq!(view.graph_names().len(), 1);
@@ -1603,7 +1306,7 @@ mod tests {
         {
             let store = ShardedStore::open_durable(dir.path(), 4).unwrap();
             for id in 0..16u32 {
-                store.insert_terms_batch(template_triples(id));
+                insert_template(&store, id, None);
             }
             stats_before = store.shard_stats();
         }
@@ -1644,7 +1347,7 @@ mod tests {
         let dir = ScratchDir::new("shard-meta");
         {
             let store = ShardedStore::open_durable(dir.path(), 4).unwrap();
-            store.insert_terms_batch(template_triples(1));
+            insert_template(&store, 1, None);
         }
         let err = ShardedStore::open_durable(dir.path(), 2).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -1664,7 +1367,8 @@ mod tests {
 
     #[test]
     fn single_shard_behaves_like_a_plain_store() {
-        let mut sharded = ShardedStore::new(1);
+        let store = ShardedStore::new(1);
+        let mut sharded = store.write_session();
         let mut reference = IndexedStore::new();
         for id in 0..6u32 {
             for (s, p, o) in template_triples(id) {
@@ -1685,20 +1389,20 @@ mod tests {
 
     #[test]
     fn clear_empties_every_shard_but_keeps_ids_valid() {
-        let mut store = ShardedStore::new(3);
+        let store = ShardedStore::new(3);
         for id in 0..6u32 {
-            for (s, p, o) in template_triples(id) {
-                store.insert(s, p, o);
-            }
+            insert_template(&store, id, Some(&workload_graph()));
         }
-        let tid = store.term_id(&tpl_iri(1)).unwrap();
-        store.clear();
-        assert_eq!(store.len(), 0);
-        assert!(store.graph_names().is_empty());
-        assert_eq!(store.term_id(&tpl_iri(1)), Some(tid), "ids survive clear");
+        let mut session = store.write_session();
+        let tid = session.term_id(&tpl_iri(1)).unwrap();
+        session.clear();
+        assert_eq!(session.len(), 0);
+        assert!(session.graph_names().is_empty());
+        assert_eq!(session.term_id(&tpl_iri(1)), Some(tid), "ids survive clear");
+        drop(session);
         // The store is reusable after a clear.
-        store.insert_terms_batch(template_triples(1));
-        assert_eq!(store.len(), template_triples(1).len());
+        insert_template(&store, 1, None);
+        assert_eq!(store.read_session().len(), template_triples(1).len());
     }
 
     #[test]
@@ -1732,13 +1436,13 @@ mod tests {
         let dir = ScratchDir::new("shard-pressure");
         let store = ShardedStore::open_durable(dir.path(), 4).unwrap();
         for id in 0..16u32 {
-            store.insert_terms_batch(template_triples(id));
+            insert_template(&store, id, None);
         }
         let before = store.storage_pressures();
         assert_eq!(before.len(), 4);
         assert_eq!(
             before.iter().map(|p| p.wal_records).sum::<u64>(),
-            store.len() as u64,
+            store.read_session().len() as u64,
             "every journaled record shows up in exactly one shard's pressure"
         );
         // shard_stats carries the same counters.

@@ -57,7 +57,13 @@ pub struct StoragePressure {
 ///   graph.
 /// * **Interning** — ids are stable for the lifetime of the store and
 ///   shared between the default and named graphs.
-pub trait TripleStore: fmt::Debug + Send + Sync {
+///
+/// The trait asks for `Sync` but not `Send`: a store may be read from
+/// several threads at once, but the sharded backend's sessions *are* their
+/// lock guards, which must be released on the thread that took them. An
+/// owned backend that moves between threads is a
+/// `Box<dyn TripleStore + Send>`, and that is what the endpoint holds.
+pub trait TripleStore: fmt::Debug + Sync {
     // ---- interning ----
 
     /// Intern a term (public so callers can pre-intern query constants).
@@ -584,17 +590,17 @@ impl std::error::Error for ReadOnlyReplica {}
 /// silently applied (or, worse, silently dropped by a lenient wrapper).
 #[derive(Debug)]
 pub struct ReadOnlyStore {
-    inner: Box<dyn TripleStore>,
+    inner: Box<dyn TripleStore + Send>,
 }
 
 impl ReadOnlyStore {
-    pub fn new(inner: Box<dyn TripleStore>) -> Self {
+    pub fn new(inner: Box<dyn TripleStore + Send>) -> Self {
         ReadOnlyStore { inner }
     }
 
     /// Unwrap — the privileged escape hatch the replication apply path
     /// uses to replay feed frames.
-    pub fn into_inner(self) -> Box<dyn TripleStore> {
+    pub fn into_inner(self) -> Box<dyn TripleStore + Send> {
         self.inner
     }
 

@@ -9,7 +9,7 @@
 //!    coordinator),
 //! 2. each node mines its slice locally and publishes its templates in
 //!    batches into a shared 4-shard durable KB (template-affine routing:
-//!    each template's triples land write-local on one shard),
+//!    each template's triples land whole on one shard),
 //! 3. checkpoint, drop the process state, reopen (shards recover in
 //!    parallel), and
 //! 4. verify **every** node's published templates survived — by id —

@@ -7,8 +7,8 @@
 //!
 //! 1. open a 4-shard durable KB (one WAL+snapshot directory per shard),
 //! 2. learn two workloads **from two threads at once** — template-affine
-//!    routing spreads the templates over the shards, per-shard locks let
-//!    the writers interleave,
+//!    routing spreads the templates over the shards, and the writers'
+//!    publishes interleave one write session at a time,
 //! 3. checkpoint (compaction fans out across the shard directories),
 //! 4. drop the process state, reopen (shards recover in parallel), and
 //! 5. match both workloads against the recovered templates.

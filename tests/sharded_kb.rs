@@ -1,6 +1,7 @@
 //! The sharded knowledge base end to end: a `ShardedStore` backend is a
 //! drop-in for the single-store KB (identical matching), concurrent
-//! learners appending templates through per-shard locks lose nothing, a
+//! learners appending templates lose nothing, every publish path places
+//! and journals a template identically, a
 //! durable sharded KB recovers every shard on reopen — including a torn
 //! write-ahead log on one shard — and template-affine routing keeps each
 //! template's triples on one shard.
@@ -12,7 +13,7 @@ use galo_core::{
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
-use galo_rdf::{Quad, Record, ScratchDir, ShardedStore, Term};
+use galo_rdf::{Quad, Record, ScratchDir, Term};
 use galo_sql::parse;
 
 /// A two-table database plus an optimized plan over it — the smallest
@@ -89,10 +90,7 @@ fn sharded_kb_matches_exactly_like_the_single_store_kb() {
         assert_eq!(x.segment_op_id, y.segment_op_id);
     }
     // Export/import between the backends round-trips.
-    let kb2 = KbBuilder::new()
-        .backend(Box::new(ShardedStore::new(3)))
-        .build_kb()
-        .unwrap();
+    let kb2 = KbBuilder::new().shards(3).build_kb().unwrap();
     kb2.import(&single.export()).unwrap();
     assert_eq!(kb2.template_count(), single.template_count());
     assert_eq!(
@@ -380,6 +378,86 @@ fn concurrent_writers_with_background_compactor_match_sequential_oracle() {
     assert_eq!(oracle.0, 32);
     let report = match_plan(&db, &oracle_kb, &plan, &MatchConfig::default());
     assert!(!report.rewrites.is_empty());
+}
+
+/// The three ways a template reaches the store — a learner's
+/// `insert_batch`, a replication `Publish` frame's `apply_quads`, a
+/// replica's `apply_records` — are one write path: on a 4-shard durable
+/// KB they leave identical exports and identical per-shard stats (down to
+/// each shard's WAL record count), and a publish journals nothing on a
+/// shard it does not route to.
+#[test]
+fn every_publish_path_places_and_journals_identically() {
+    let (db, plan) = setup();
+    let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
+    let templates: Vec<Template> = (0..12)
+        .map(|i| {
+            let mut tpl = abstract_plan(&db, &plan, plan.root(), &g, format!("pp{i:02}"));
+            tpl.improvement = 0.4;
+            tpl.source_workload = "tpcds".to_string();
+            tpl
+        })
+        .collect();
+    let quads_of = |tpl: &Template| KnowledgeBase::templates_to_quads(std::slice::from_ref(tpl));
+    type Publish<'a> = &'a dyn Fn(&KnowledgeBase, &Template) -> usize;
+    let paths: [(&str, Publish<'_>); 3] = [
+        ("insert_batch", &|kb, tpl| {
+            kb.insert_batch(std::slice::from_ref(tpl))
+        }),
+        ("apply_quads", &|kb, tpl| kb.apply_quads(&quads_of(tpl))),
+        ("apply_records", &|kb, tpl| {
+            let records: Vec<Record> = quads_of(tpl)
+                .into_iter()
+                .map(|(s, p, o, g)| Record::Insert(s, p, o, g))
+                .collect();
+            kb.apply_records(&records)
+        }),
+    ];
+    let mut images = Vec::new();
+    for (name, publish) in paths {
+        let dir = ScratchDir::new(&format!("sharded-kb-paths-{name}"));
+        let kb = KbBuilder::new()
+            .durable_dir(dir.path())
+            .shards(4)
+            .build_kb()
+            .unwrap();
+        for tpl in &templates {
+            let before = kb.shard_stats().unwrap();
+            let added = publish(&kb, tpl);
+            assert_eq!(added, quads_of(tpl).len(), "{name}: every quad is new");
+            let after = kb.shard_stats().unwrap();
+            let touched: Vec<usize> = (0..4)
+                .filter(|&k| after[k].wal_records != before[k].wal_records)
+                .collect();
+            assert_eq!(touched.len(), 1, "{name}: one template, one shard's log");
+            let k = touched[0];
+            assert_eq!(
+                after[k].wal_records - before[k].wal_records,
+                added as u64,
+                "{name}: one WAL record per new quad, all on shard {k}"
+            );
+            for other in (0..4).filter(|&o| o != k) {
+                assert_eq!(
+                    after[other], before[other],
+                    "{name}: shard {other} untouched"
+                );
+            }
+        }
+        assert_eq!(kb.template_count(), templates.len(), "{name}");
+        let mut fingerprints = kb.fingerprints();
+        fingerprints.sort();
+        images.push((name, kb.export(), kb.shard_stats().unwrap(), fingerprints));
+    }
+    let (_, export, stats, fingerprints) = &images[0];
+    assert!(
+        stats.iter().filter(|s| s.triples > 0).count() > 1,
+        "12 templates must spread over the shards: {stats:?}"
+    );
+    for (name, other_export, other_stats, other_fingerprints) in &images[1..] {
+        assert_eq!(other_export, export, "{name} export");
+        assert_eq!(other_stats, stats, "{name} shard stats");
+        assert_eq!(other_fingerprints, fingerprints, "{name} signature index");
+    }
 }
 
 #[test]
