@@ -268,17 +268,10 @@ mod tests {
 
     #[test]
     fn low_cluster_ratio_raises_fetch_cost() {
-        let mut database = db();
+        let database = db();
         let m = CostModel::belief(&database);
         let clustered = m.fetch_cost(TableId(0), IndexId(0), 50_000.0);
-        // Degrade the catalog's cluster ratio and re-cost.
-        {
-            let table = TableId(0);
-            let t = &mut database;
-            // Rebuild with low cluster ratio via direct mutation.
-            let _ = table;
-            let _ = t;
-        }
+        // Rebuild the catalog with a low cluster ratio and re-cost.
         let mut b = DatabaseBuilder::new("cost2", SystemConfig::default_1gb());
         let mut sales = Table::new(
             "SALES",

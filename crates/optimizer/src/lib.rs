@@ -12,7 +12,7 @@
 //! gap to ground truth (see `galo-executor`) is what GALO exploits.
 
 pub mod cost;
-pub mod planner;
+mod planner;
 pub mod random;
 pub mod rewrite;
 
@@ -21,13 +21,11 @@ use galo_qgm::{GuidelineDoc, Qgm};
 use galo_sql::Query;
 
 pub use cost::CostModel;
-pub use planner::{
-    prune, to_qgm, AccessPath, Cand, GuidelineOutcome, JoinMethod, PhysPlan, PlannerConfig,
-};
+pub use planner::{GuidelineOutcome, PlannerConfig};
 pub use random::RandomPlanGenerator;
 pub use rewrite::{rewrite, RewriteReport};
 
-use planner::Planner;
+use planner::{to_qgm, Planner};
 
 /// Errors from plan compilation.
 #[derive(Debug, Clone, PartialEq, Eq)]

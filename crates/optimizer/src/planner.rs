@@ -4,7 +4,7 @@
 //! optimizers degrade the same way), access-path selection, and
 //! guideline-constrained planning.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::rc::Rc;
 
 use galo_catalog::{ColumnId, Database, IndexId};
@@ -13,9 +13,19 @@ use galo_sql::{CardEstimator, ColRef, Query};
 
 use crate::cost::CostModel;
 
+/// Exhaustive DP keeps a dense table of `2^units` entries, so the unit
+/// count it accepts is capped here whatever
+/// [`PlannerConfig::dp_unit_limit`] asks for: 16 units is a 65,536-entry
+/// table and already ~21 M splits on a clique; wider queries plan greedily.
+pub(crate) const MAX_DP_UNITS: usize = 16;
+
+/// One join key usable between two table sets, as the estimator reports it:
+/// `(table instance, column)` on the outer side, then on the inner side.
+type KeyPair = ((usize, ColumnId), (usize, ColumnId));
+
 /// How a base table is accessed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AccessPath {
+pub(crate) enum AccessPath {
     TbScan,
     IxScan {
         index: IndexId,
@@ -26,7 +36,7 @@ pub enum AccessPath {
 
 /// Physical join method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinMethod {
+pub(crate) enum JoinMethod {
     Nl,
     Hs { bloom: bool },
     Ms,
@@ -35,7 +45,7 @@ pub enum JoinMethod {
 /// A physical plan node. Cost and cardinality are cumulative and fixed at
 /// construction, so subtrees can be shared (`Rc`) across the DP table.
 #[derive(Debug)]
-pub enum PhysPlan {
+pub(crate) enum PhysPlan {
     Access {
         table_idx: usize,
         path: AccessPath,
@@ -50,8 +60,6 @@ pub enum PhysPlan {
     },
     Join {
         method: JoinMethod,
-        /// Join key pair: (outer-side column, inner-side column).
-        key: (ColRef, ColRef),
         outer: Rc<PhysPlan>,
         inner: Rc<PhysPlan>,
         cost: f64,
@@ -59,27 +67,9 @@ pub enum PhysPlan {
     },
 }
 
-impl PhysPlan {
-    pub fn cost(&self) -> f64 {
-        match self {
-            PhysPlan::Access { cost, .. }
-            | PhysPlan::Sort { cost, .. }
-            | PhysPlan::Join { cost, .. } => *cost,
-        }
-    }
-
-    pub fn card(&self) -> f64 {
-        match self {
-            PhysPlan::Access { card, .. }
-            | PhysPlan::Sort { card, .. }
-            | PhysPlan::Join { card, .. } => *card,
-        }
-    }
-}
-
 /// A DP candidate: a plan covering `set` with a known output order.
 #[derive(Debug, Clone)]
-pub struct Cand {
+pub(crate) struct Cand {
     pub plan: Rc<PhysPlan>,
     pub set: u64,
     pub cost: f64,
@@ -87,11 +77,141 @@ pub struct Cand {
     pub order: Option<ColRef>,
 }
 
+/// The plans kept for one table set — a pruned frontier, or the single plan
+/// a guideline forces — with everything the join formulas need that is a
+/// function of the set alone, computed once. Every candidate covers `set`
+/// and has cardinality `card`.
+#[derive(Debug)]
+pub(crate) struct Unit {
+    pub set: u64,
+    pub card: f64,
+    pub cands: Vec<Cand>,
+    /// Approximate row width of the set's join output.
+    width: f64,
+    /// Total belief pages under the set (buffer-pool reasoning for
+    /// nested-loop rescans).
+    pages: f64,
+    /// Cost of sorting the set's output.
+    sort_cost: f64,
+}
+
+impl Unit {
+    /// Cumulative cost of `c` with its output ordered on `key`: a sort on
+    /// top unless it is ordered that way already.
+    fn sorted_cost(&self, c: &Cand, key: ColRef) -> f64 {
+        if c.order == Some(key) {
+            c.cost
+        } else {
+            c.cost + self.sort_cost
+        }
+    }
+}
+
+/// One join alternative, costed but not built: what [`Planner::for_each_join`]
+/// emits. Plain values and two borrows, so the thousands of alternatives
+/// pruning discards never touch the heap; [`JoinAlt::build`] makes the plan
+/// node for one that survives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JoinAlt<'c> {
+    pub method: JoinMethod,
+    /// Join key pair: (outer-side column, inner-side column).
+    pub key: (ColRef, ColRef),
+    pub outer: &'c Cand,
+    pub inner: &'c Cand,
+    pub cost: f64,
+    pub card: f64,
+    pub order: Option<ColRef>,
+    /// Cumulative (outer, inner) input costs once each is ordered on its
+    /// key column — what a merge join's inputs cost.
+    pub sorted: (f64, f64),
+}
+
+impl JoinAlt<'_> {
+    /// Materialise the plan node, wrapping a merge join's inputs in the
+    /// sorts they need.
+    pub fn build(&self) -> Cand {
+        let input = |c: &Cand, key: ColRef, sorted_cost: f64| {
+            if self.method != JoinMethod::Ms || c.order == Some(key) {
+                Rc::clone(&c.plan)
+            } else {
+                Rc::new(PhysPlan::Sort {
+                    child: Rc::clone(&c.plan),
+                    key,
+                    cost: sorted_cost,
+                    card: c.card,
+                })
+            }
+        };
+        Cand {
+            plan: Rc::new(PhysPlan::Join {
+                method: self.method,
+                outer: input(self.outer, self.key.0, self.sorted.0),
+                inner: input(self.inner, self.key.1, self.sorted.1),
+                cost: self.cost,
+                card: self.card,
+            }),
+            set: self.outer.set | self.inner.set,
+            cost: self.cost,
+            card: self.card,
+            order: self.order,
+        }
+    }
+}
+
+/// [`prune`] as a fold over a stream of join alternatives: holds only what
+/// could still survive, and [`Frontier::finish`] builds exactly the plans
+/// `prune` would keep of the whole stream, in the order it would return
+/// them — per distinct order the cheapest alternative, the first offered
+/// winning ties; the cheapest unordered one only if it ranks first overall;
+/// ranked by (cost, offer order).
+#[derive(Debug, Default)]
+pub(crate) struct Frontier<'c> {
+    /// Alternatives offered so far, i.e. the next one's rank among equals.
+    offered: usize,
+    unordered: Option<(usize, JoinAlt<'c>)>,
+    /// At most one entry per distinct `Some(order)`.
+    ordered: Vec<(usize, JoinAlt<'c>)>,
+}
+
+impl<'c> Frontier<'c> {
+    pub fn offer(&mut self, alt: JoinAlt<'c>) {
+        let entry = (self.offered, alt);
+        self.offered += 1;
+        let incumbent = match alt.order {
+            None => self.unordered.as_mut(),
+            Some(_) => self.ordered.iter_mut().find(|(_, k)| k.order == alt.order),
+        };
+        match incumbent {
+            Some(kept) => {
+                if alt.cost < kept.1.cost {
+                    *kept = entry;
+                }
+            }
+            None if alt.order.is_none() => self.unordered = Some(entry),
+            None => self.ordered.push(entry),
+        }
+    }
+
+    pub fn finish(mut self) -> Vec<Cand> {
+        let rank = |a: &(usize, JoinAlt), b: &(usize, JoinAlt)| {
+            cmp_cost(a.1.cost, b.1.cost).then(a.0.cmp(&b.0))
+        };
+        self.ordered.sort_by(rank);
+        self.unordered
+            .iter()
+            .filter(|u| self.ordered.first().is_none_or(|o| rank(u, o).is_lt()))
+            .chain(&self.ordered)
+            .map(|(_, alt)| alt.build())
+            .collect()
+    }
+}
+
 /// Planner configuration.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Maximum number of units planned with exhaustive DP; larger queries
-    /// fall back to greedy pair merging.
+    /// fall back to greedy pair merging. Values above 16 act as 16: the DP
+    /// table is dense in `2^units`.
     pub dp_unit_limit: usize,
     /// Whether the bloom-filter hash-join variant is considered by the
     /// cost-based search. (It is always available to guidelines.)
@@ -239,305 +359,265 @@ impl<'a> Planner<'a> {
 
     // ---- join construction ----
 
-    /// Approximate row width of the join output over a table set.
-    fn width_of(&self, set: u64) -> f64 {
-        let mut w = 0.0;
-        for t in 0..self.query.tables.len() {
+    /// Wrap the plans kept for one table set. `cands` is non-empty and its
+    /// members agree on set and cardinality (one access path's filtered
+    /// rows, or one set's `join_card`).
+    pub fn unit(&self, cands: Vec<Cand>) -> Unit {
+        let (set, card) = cands
+            .first()
+            .map(|c| (c.set, c.card))
+            .expect("a unit holds at least one plan");
+        debug_assert!(cands
+            .iter()
+            .all(|c| c.set == set && c.card.to_bits() == card.to_bits()));
+        let (mut width, mut pages) = (0.0, 0.0);
+        for (t, tref) in self.query.tables.iter().enumerate() {
             if set & (1 << t) != 0 {
-                w += (self.db.table(self.query.tables[t].table).row_size() as f64).min(64.0);
+                width += (self.db.table(tref.table).row_size() as f64).min(64.0);
+                pages += self.db.belief.table(tref.table).pages as f64;
             }
         }
-        w.max(8.0)
+        let width = width.max(8.0);
+        Unit {
+            set,
+            card,
+            cands,
+            width,
+            pages,
+            sort_cost: self.cm.sort(card, width),
+        }
     }
 
-    /// Total belief pages under a table set (buffer-pool reasoning for
-    /// nested-loop rescans).
-    fn pages_of(&self, set: u64) -> f64 {
-        let mut p = 0.0;
-        for t in 0..self.query.tables.len() {
-            if set & (1 << t) != 0 {
-                p += self.db.belief.table(self.query.tables[t].table).pages as f64;
-            }
-        }
-        p
-    }
-
-    /// All join candidates combining `outer_cands` and `inner_cands`
-    /// (both orientations are produced by calling this twice).
-    pub fn join_candidates(&self, outer_cands: &[Cand], inner_cands: &[Cand]) -> Vec<Cand> {
-        let mut out = Vec::new();
-        let (Some(oc0), Some(ic0)) = (outer_cands.first(), inner_cands.first()) else {
-            return out;
-        };
-        let (os, is) = (oc0.set, ic0.set);
-        if !self.est.connected(os, is) {
-            return out;
-        }
-        let keys = self.est.join_keys_between(os, is);
-        let ((okt, okc), (ikt, ikc)) = keys[0];
-        let okey = ColRef {
-            table_idx: okt,
-            column: okc,
-        };
-        let ikey = ColRef {
-            table_idx: ikt,
-            column: ikc,
-        };
-        let set = os | is;
-        let card = self.est.join_card(set);
-
-        for oc in outer_cands {
-            for ic in inner_cands {
-                let match_frac = (card / oc.card.max(1.0)).min(1.0);
-
-                // Nested loop.
-                let nl_delta = self.nl_delta(oc, ic, card);
-                out.push(self.mk_join(
-                    JoinMethod::Nl,
-                    (okey, ikey),
-                    oc,
-                    ic,
-                    oc.cost + nl_delta,
-                    card,
-                    oc.order,
-                ));
-
-                // Hash join (plain, and bloom when enabled).
-                let hs = oc.cost
-                    + ic.cost
-                    + self
-                        .cm
-                        .hsjoin(oc.card, ic.card, self.width_of(is), false, match_frac);
-                out.push(self.mk_join(
-                    JoinMethod::Hs { bloom: false },
-                    (okey, ikey),
-                    oc,
-                    ic,
-                    hs,
-                    card,
-                    None,
-                ));
-                if self.config.enable_bloom {
-                    let hsb = oc.cost
-                        + ic.cost
-                        + self
-                            .cm
-                            .hsjoin(oc.card, ic.card, self.width_of(is), true, match_frac);
-                    out.push(self.mk_join(
-                        JoinMethod::Hs { bloom: true },
-                        (okey, ikey),
-                        oc,
-                        ic,
-                        hsb,
-                        card,
-                        None,
-                    ));
-                }
-
-                // Merge join: sort sides not already ordered on the key.
-                let (o_plan, o_cost) = self.sorted(oc, okey);
-                let (i_plan, i_cost) = self.sorted(ic, ikey);
-                let ms = o_cost + i_cost + self.cm.msjoin(oc.card, ic.card);
-                let plan = Rc::new(PhysPlan::Join {
-                    method: JoinMethod::Ms,
-                    key: (okey, ikey),
-                    outer: o_plan,
-                    inner: i_plan,
-                    cost: ms,
-                    card,
-                });
-                out.push(Cand {
-                    plan,
-                    set,
-                    cost: ms,
-                    card,
-                    order: Some(okey),
-                });
-            }
-        }
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn mk_join(
+    /// The one statement of the join cost formulas: every alternative that
+    /// joins a plan of `outer` to a plan of `inner` (this orientation only),
+    /// in the fixed order outer × inner × NL → HS → HS-bloom → MS, handed
+    /// to `emit` unbuilt. `card` is `est.join_card` of the combined set.
+    /// Emits nothing when no join predicate connects the two sets.
+    pub fn for_each_join<'c>(
         &self,
-        method: JoinMethod,
-        key: (ColRef, ColRef),
-        oc: &Cand,
-        ic: &Cand,
-        cost: f64,
+        outer: &'c Unit,
+        inner: &'c Unit,
         card: f64,
-        order: Option<ColRef>,
-    ) -> Cand {
-        let plan = Rc::new(PhysPlan::Join {
-            method,
-            key,
-            outer: Rc::clone(&oc.plan),
-            inner: Rc::clone(&ic.plan),
-            cost,
-            card,
-        });
-        Cand {
-            plan,
-            set: oc.set | ic.set,
-            cost,
-            card,
-            order,
+        mut emit: impl FnMut(JoinAlt<'c>),
+    ) {
+        let keys = self.est.join_keys_between(outer.set, inner.set);
+        let Some(&((okt, okc), (ikt, ikc))) = keys.first() else {
+            return;
+        };
+        let key = (
+            ColRef {
+                table_idx: okt,
+                column: okc,
+            },
+            ColRef {
+                table_idx: ikt,
+                column: ikc,
+            },
+        );
+        // All of a unit's plans share its cardinality, so the method deltas
+        // that read only cardinalities are the same for every pair.
+        let match_frac = (card / outer.card.max(1.0)).min(1.0);
+        let hsjoin = |bloom| {
+            self.cm
+                .hsjoin(outer.card, inner.card, inner.width, bloom, match_frac)
+        };
+        let hs = hsjoin(false);
+        let hs_bloom = self.config.enable_bloom.then(|| hsjoin(true));
+        let ms = self.cm.msjoin(outer.card, inner.card);
+
+        for oc in &outer.cands {
+            let o_sorted = outer.sorted_cost(oc, key.0);
+            for ic in &inner.cands {
+                let i_sorted = inner.sorted_cost(ic, key.1);
+                let mut alt = |method, cost, order| {
+                    emit(JoinAlt {
+                        method,
+                        key,
+                        outer: oc,
+                        inner: ic,
+                        cost,
+                        card,
+                        order,
+                        sorted: (o_sorted, i_sorted),
+                    })
+                };
+                let nl = self.nl_delta(outer.card, ic, inner.pages, &keys, card);
+                alt(JoinMethod::Nl, oc.cost + nl, oc.order);
+                alt(
+                    JoinMethod::Hs { bloom: false },
+                    oc.cost + ic.cost + hs,
+                    None,
+                );
+                if let Some(hs_bloom) = hs_bloom {
+                    let cost = oc.cost + ic.cost + hs_bloom;
+                    alt(JoinMethod::Hs { bloom: true }, cost, None);
+                }
+                // Merge join: each side sorted unless already ordered on
+                // the key.
+                alt(JoinMethod::Ms, o_sorted + i_sorted + ms, Some(key.0));
+            }
         }
     }
 
     /// Nested-loop delta cost: index probes when the inner is an index
     /// access on the join key; re-execution with buffer-pool discount
     /// otherwise.
-    fn nl_delta(&self, oc: &Cand, ic: &Cand, join_card: f64) -> f64 {
-        let keys = self.est.join_keys_between(oc.set, ic.set);
+    fn nl_delta(
+        &self,
+        outer_card: f64,
+        ic: &Cand,
+        inner_pages: f64,
+        keys: &[KeyPair],
+        join_card: f64,
+    ) -> f64 {
         if let PhysPlan::Access {
             table_idx,
             path: AccessPath::IxScan { index, fetch, .. },
             ..
         } = &*ic.plan
         {
-            let on_join_key = keys.iter().any(|&(_, (it, icol))| {
-                it == *table_idx
-                    && self
-                        .db
-                        .table(self.query.tables[*table_idx].table)
-                        .index(*index)
-                        .column
-                        == icol
-            });
+            let table_id = self.query.tables[*table_idx].table;
+            let ix_column = self.db.table(table_id).index(*index).column;
+            let on_join_key = keys
+                .iter()
+                .any(|&(_, (it, icol))| it == *table_idx && ix_column == icol);
             if on_join_key {
-                let per_probe = join_card / oc.card.max(1.0);
-                let table_id = self.query.tables[*table_idx].table;
-                return oc.card * self.cm.index_probe(table_id, *index, per_probe, *fetch);
+                let per_probe = join_card / outer_card.max(1.0);
+                return outer_card * self.cm.index_probe(table_id, *index, per_probe, *fetch);
             }
         }
-        self.cm
-            .nljoin_rescan(oc.card, ic.cost, self.pages_of(ic.set))
+        self.cm.nljoin_rescan(outer_card, ic.cost, inner_pages)
     }
 
-    /// Wrap a candidate in a sort when it is not ordered on `key`.
-    fn sorted(&self, c: &Cand, key: ColRef) -> (Rc<PhysPlan>, f64) {
-        if c.order == Some(key) {
-            return (Rc::clone(&c.plan), c.cost);
-        }
-        let sort_cost = self.cm.sort(c.card, self.width_of(c.set));
-        let cost = c.cost + sort_cost;
-        (
-            Rc::new(PhysPlan::Sort {
-                child: Rc::clone(&c.plan),
-                key,
-                cost,
-                card: c.card,
-            }),
-            cost,
-        )
+    /// All join candidates combining a plan of `outer` with a plan of
+    /// `inner`, every one built (both orientations are produced by calling
+    /// this twice). Enumeration prunes through a [`Frontier`] instead;
+    /// this is for callers that pick by something other than cost.
+    pub fn join_candidates(&self, outer: &Unit, inner: &Unit) -> Vec<Cand> {
+        let mut out = Vec::new();
+        let card = self.est.join_card(outer.set | inner.set);
+        self.for_each_join(outer, inner, card, |alt| out.push(alt.build()));
+        out
+    }
+
+    /// The pruned frontier of `outer` ⋈ `inner`, this orientation only.
+    fn join_frontier(&self, outer: &Unit, inner: &Unit) -> Vec<Cand> {
+        let mut frontier = Frontier::default();
+        let card = self.est.join_card(outer.set | inner.set);
+        self.for_each_join(outer, inner, card, |alt| frontier.offer(alt));
+        frontier.finish()
     }
 
     // ---- enumeration ----
 
-    /// Plan over an initial set of units (each unit: table set + candidate
-    /// list). Plain planning passes singletons; guideline planning passes
-    /// pre-built guideline units.
-    pub fn plan_units(&self, units: Vec<(u64, Vec<Cand>)>) -> Option<Cand> {
-        let n = units.len();
-        if n == 0 {
-            return None;
-        }
-        if n == 1 {
-            return units[0].1.iter().min_by(|a, b| cmp_cost(a, b)).cloned();
-        }
-        if n <= self.config.dp_unit_limit {
-            self.dp(units)
+    /// Plan over an initial set of units. Plain planning passes one unit
+    /// per table; guideline planning passes pre-built guideline units.
+    pub fn plan_units(&self, units: Vec<Unit>) -> Option<Cand> {
+        let whole = if units.len() <= self.config.dp_unit_limit.min(MAX_DP_UNITS) {
+            self.dp(units).pop().flatten()
         } else {
             self.greedy(units)
-        }
+        };
+        whole?
+            .cands
+            .into_iter()
+            .min_by(|a, b| cmp_cost(a.cost, b.cost))
     }
 
-    fn dp(&self, units: Vec<(u64, Vec<Cand>)>) -> Option<Cand> {
+    /// Exhaustive DP: the frontier of every connected subset of `units`,
+    /// indexed by unit mask (bit `i` = `units[i]`; entry 0 is unused and a
+    /// disconnected subset stays `None`). The last entry is the whole
+    /// query's.
+    pub fn dp(&self, units: Vec<Unit>) -> Vec<Option<Unit>> {
         let n = units.len();
-        let full: u64 = (1u64 << n) - 1;
-        let mut table: HashMap<u64, Vec<Cand>> = HashMap::new();
-        for (i, (_, cands)) in units.iter().enumerate() {
-            table.insert(1u64 << i, cands.clone());
+        let base: Vec<u64> = units.iter().map(|u| u.set).collect();
+        let mut table: Vec<Option<Unit>> = Vec::new();
+        table.resize_with(1 << n, || None);
+        for (i, unit) in units.into_iter().enumerate() {
+            table[1 << i] = Some(unit);
         }
-        // Subsets in increasing popcount order.
-        let mut masks: Vec<u64> = (1..=full).collect();
-        masks.sort_by_key(|m| m.count_ones());
-        for mask in masks {
-            if mask.count_ones() < 2 {
+        // Ascending numeric order plans every proper submask first.
+        for mask in 3..table.len() {
+            if mask.is_power_of_two() {
                 continue;
             }
-            let mut cands: Vec<Cand> = Vec::new();
-            // Enumerate proper submask splits; `sub` iterates all submasks.
+            let set = (0..n)
+                .filter(|i| mask & (1 << i) != 0)
+                .fold(0, |set, i| set | base[i]);
+            let card = self.est.join_card(set);
+            let mut frontier = Frontier::default();
+            // Proper submask splits, descending, each unordered pair once.
             let mut sub = (mask - 1) & mask;
             while sub > 0 {
                 let other = mask & !sub;
                 if sub < other {
-                    if let (Some(a), Some(b)) = (table.get(&sub), table.get(&other)) {
-                        cands.extend(self.join_candidates(a, b));
-                        cands.extend(self.join_candidates(b, a));
+                    if let (Some(a), Some(b)) = (&table[sub], &table[other]) {
+                        self.for_each_join(a, b, card, |alt| frontier.offer(alt));
+                        self.for_each_join(b, a, card, |alt| frontier.offer(alt));
                     }
                 }
                 sub = (sub - 1) & mask;
             }
+            let cands = frontier.finish();
             if !cands.is_empty() {
-                table.insert(mask, prune(cands));
+                table[mask] = Some(self.unit(cands));
             }
         }
         table
-            .get(&full)
-            .and_then(|cands| cands.iter().min_by(|a, b| cmp_cost(a, b)).cloned())
     }
 
-    fn greedy(&self, mut units: Vec<(u64, Vec<Cand>)>) -> Option<Cand> {
-        while units.len() > 1 {
-            let mut best: Option<(usize, usize, Vec<Cand>, f64)> = None;
-            for i in 0..units.len() {
-                for j in 0..units.len() {
-                    if i == j {
+    /// Greedy pair merging: each round joins the ordered pair of live units
+    /// whose frontier holds the cheapest plan (the first such pair in unit
+    /// order on a tie) and appends the result as a new unit. Returns the
+    /// last unit standing, or `None` for a disconnected query — cross
+    /// products are not in this fragment.
+    pub fn greedy(&self, units: Vec<Unit>) -> Option<Unit> {
+        // Units live in `arena` slots that never move, so a pair's frontier
+        // is computed once: a merge only adds the pairs of the new slot.
+        let mut arena = units;
+        let mut live: Vec<usize> = (0..arena.len()).collect();
+        let slots = (2 * arena.len()).saturating_sub(1);
+        let mut joined: Vec<Option<Vec<Cand>>> = vec![None; slots * slots];
+        while live.len() > 1 {
+            let mut best: Option<(usize, usize, f64)> = None;
+            for (a, &i) in live.iter().enumerate() {
+                for (b, &j) in live.iter().enumerate() {
+                    if a == b {
                         continue;
                     }
-                    let (si, sj) = (units[i].0, units[j].0);
-                    if !self.est.connected(si, sj) {
+                    let cands = joined[i * slots + j]
+                        .get_or_insert_with(|| self.join_frontier(&arena[i], &arena[j]));
+                    // A frontier's first plan is its cheapest.
+                    let Some(cheapest) = cands.first() else {
                         continue;
-                    }
-                    let mut cands = self.join_candidates(&units[i].1, &units[j].1);
-                    if cands.is_empty() {
-                        continue;
-                    }
-                    cands = prune(cands);
-                    let c = cands.iter().map(|c| c.cost).fold(f64::INFINITY, f64::min);
-                    if best.as_ref().is_none_or(|(_, _, _, bc)| c < *bc) {
-                        best = Some((i, j, cands, c));
+                    };
+                    if best.is_none_or(|(_, _, cost)| cheapest.cost < cost) {
+                        best = Some((a, b, cheapest.cost));
                     }
                 }
             }
-            match best {
-                Some((i, j, cands, _)) => {
-                    let set = units[i].0 | units[j].0;
-                    let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-                    units.remove(hi);
-                    units.remove(lo);
-                    units.push((set, cands));
-                }
-                None => {
-                    // Disconnected query: cross-join the two smallest units
-                    // via a hash join on a synthetic TRUE predicate is not
-                    // in this fragment; treat as planning failure.
-                    return None;
-                }
-            }
+            let (a, b, _) = best?;
+            let cands = joined[live[a] * slots + live[b]]
+                .take()
+                .expect("the winning pair's frontier was just read");
+            live.remove(a.max(b));
+            live.remove(a.min(b));
+            live.push(arena.len());
+            arena.push(self.unit(cands));
         }
-        units.pop()?.1.into_iter().min_by(cmp_cost)
+        arena.pop()
+    }
+
+    /// One unit per table instance: its pruned access paths.
+    pub fn table_units(&self) -> Vec<Unit> {
+        (0..self.query.tables.len())
+            .map(|t| self.unit(self.access_candidates(t)))
+            .collect()
     }
 
     /// Plain cost-based plan.
     pub fn plan(&self) -> Option<Cand> {
-        let units: Vec<(u64, Vec<Cand>)> = (0..self.query.tables.len())
-            .map(|t| (1u64 << t, self.access_candidates(t)))
-            .collect();
-        self.plan_units(units)
+        self.plan_units(self.table_units())
     }
 
     // ---- guidelines ----
@@ -599,9 +679,7 @@ impl<'a> Planner<'a> {
                     GuidelineNode::NlJoin(..) => JoinMethod::Nl,
                     _ => unreachable!(),
                 };
-                let cands =
-                    self.join_candidates(std::slice::from_ref(&oc), std::slice::from_ref(&ic));
-                cands
+                self.join_candidates(&self.unit(vec![oc]), &self.unit(vec![ic]))
                     .into_iter()
                     .filter(|c| match (&*c.plan, wanted) {
                         (
@@ -614,7 +692,7 @@ impl<'a> Planner<'a> {
                         (PhysPlan::Join { method, .. }, w) => *method == w,
                         _ => false,
                     })
-                    .min_by(cmp_cost)
+                    .min_by(|a, b| cmp_cost(a.cost, b.cost))
                     .ok_or_else(|| "guideline join method not constructible".into())
             }
         }
@@ -650,8 +728,16 @@ impl<'a> Planner<'a> {
     /// guideline) are dropped, exactly like DB2's behaviour described in
     /// the paper's footnote 2.
     pub fn plan_with_guidelines(&self, doc: &GuidelineDoc) -> (Option<Cand>, GuidelineOutcome) {
+        let (units, outcome) = self.guideline_units(doc);
+        (self.plan_units(units), outcome)
+    }
+
+    /// The units guideline planning starts from: one single-plan unit per
+    /// honored guideline root, then the pruned access paths of every table
+    /// no guideline covers.
+    pub fn guideline_units(&self, doc: &GuidelineDoc) -> (Vec<Unit>, GuidelineOutcome) {
         let mut outcome = GuidelineOutcome::default();
-        let mut units: Vec<(u64, Vec<Cand>)> = Vec::new();
+        let mut units: Vec<Unit> = Vec::new();
         let mut covered: u64 = 0;
 
         for (gi, root) in doc.roots.iter().enumerate() {
@@ -665,7 +751,7 @@ impl<'a> Planner<'a> {
                         continue;
                     }
                     covered |= cand.set;
-                    units.push((cand.set, vec![cand]));
+                    units.push(self.unit(vec![cand]));
                     outcome.honored.push(true);
                 }
                 Err(reason) => {
@@ -677,27 +763,22 @@ impl<'a> Planner<'a> {
 
         for t in 0..self.query.tables.len() {
             if covered & (1 << t) == 0 {
-                units.push((1 << t, self.access_candidates(t)));
+                units.push(self.unit(self.access_candidates(t)));
             }
         }
-        (self.plan_units(units), outcome)
+        (units, outcome)
     }
 }
 
-fn cmp_cost(a: &Cand, b: &Cand) -> std::cmp::Ordering {
-    a.cost
-        .partial_cmp(&b.cost)
-        .unwrap_or(std::cmp::Ordering::Equal)
+/// Costs are never NaN, so this is a total order on them.
+fn cmp_cost(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
 }
 
 /// Pareto pruning: keep the cheapest candidate overall plus the cheapest
 /// per distinct output order (interesting orders).
-pub fn prune(mut cands: Vec<Cand>) -> Vec<Cand> {
-    cands.sort_by(|a, b| {
-        a.cost
-            .partial_cmp(&b.cost)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+pub(crate) fn prune(mut cands: Vec<Cand>) -> Vec<Cand> {
+    cands.sort_by(|a, b| cmp_cost(a.cost, b.cost));
     let mut kept: Vec<Cand> = Vec::new();
     for c in cands {
         let dominated = kept
@@ -711,7 +792,7 @@ pub fn prune(mut cands: Vec<Cand>) -> Vec<Cand> {
 }
 
 /// Convert a physical plan into a QGM.
-pub fn to_qgm(query: &Query, plan: &PhysPlan) -> Qgm {
+pub(crate) fn to_qgm(query: &Query, plan: &PhysPlan) -> Qgm {
     let mut b = Qgm::builder(query.clone());
     let top = emit(&mut b, plan);
     b.finish(top)

@@ -15,7 +15,7 @@ use galo_catalog::Database;
 use galo_qgm::Qgm;
 use galo_sql::Query;
 
-use crate::planner::{prune, to_qgm, Cand, JoinMethod, PhysPlan, Planner, PlannerConfig};
+use crate::planner::{to_qgm, JoinMethod, PhysPlan, Planner, PlannerConfig, Unit};
 
 /// Generates random alternative plans for a query.
 pub struct RandomPlanGenerator<'a> {
@@ -35,14 +35,15 @@ impl<'a> RandomPlanGenerator<'a> {
     /// cannot cover (disconnected join graphs).
     pub fn generate<R: Rng>(&self, rng: &mut R) -> Option<Qgm> {
         let n = self.query.tables.len();
-        let mut components: Vec<Vec<Cand>> = (0..n)
+        // Every component is a unit of exactly one plan.
+        let mut components: Vec<Unit> = (0..n)
             .map(|t| {
                 // Sample from the *unpruned* access space: random plans
                 // exist precisely to explore paths the cost model would
                 // never rank first (its model may be wrong).
                 let mut cands = self.planner.access_candidates_raw(t);
                 let pick = rng.gen_range(0..cands.len());
-                vec![cands.swap_remove(pick)]
+                self.planner.unit(vec![cands.swap_remove(pick)])
             })
             .collect();
 
@@ -55,7 +56,7 @@ impl<'a> RandomPlanGenerator<'a> {
                         && self
                             .planner
                             .est
-                            .connected(components[i][0].set, components[j][0].set)
+                            .connected(components[i].set, components[j].set)
                     {
                         pairs.push((i, j));
                     }
@@ -82,10 +83,10 @@ impl<'a> RandomPlanGenerator<'a> {
             let (hi, lo) = if i > j { (i, j) } else { (j, i) };
             components.remove(hi);
             components.remove(lo);
-            components.push(vec![chosen]);
+            components.push(self.planner.unit(vec![chosen]));
         }
 
-        let cand = components.pop()?.pop()?;
+        let cand = components.pop()?.cands.pop()?;
         Some(to_qgm(self.query, &cand.plan))
     }
 
@@ -106,10 +107,5 @@ impl<'a> RandomPlanGenerator<'a> {
             }
         }
         plans
-    }
-
-    /// Access to pruned deterministic candidates (used in tests).
-    pub fn best_access(&self, t: usize) -> Vec<Cand> {
-        prune(self.planner.access_candidates(t))
     }
 }

@@ -1,13 +1,17 @@
 //! Crate-level optimizer tests over a small star schema.
 
+use std::collections::HashMap;
+
 use galo_catalog::{
     col, ColumnId, ColumnStats, ColumnType, Database, DatabaseBuilder, Index, SystemConfig, Table,
 };
 use galo_qgm::{GuidelineDoc, GuidelineNode, PopKind};
-use galo_sql::parse;
+use galo_sql::{parse, ColRef, Query};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
+use crate::planner::{prune, Cand, Frontier, JoinAlt, JoinMethod, Planner, Unit};
 use crate::{OptimizeError, Optimizer, PlannerConfig};
 
 /// Star schema: SALES fact (2.88M) with DATE_DIM, ITEM, STORE dimensions.
@@ -347,11 +351,10 @@ fn dp_cost_not_worse_than_random_plans() {
     }
 }
 
-#[test]
-fn greedy_handles_wide_chain_queries() {
-    // A 16-way chain query exceeds the DP unit limit and exercises greedy.
+/// An `n`-way chain `t0.b = t1.a AND t1.b = t2.a …` over `n` tables.
+fn chain(n: usize) -> (Database, String) {
     let mut b = DatabaseBuilder::new("chain", SystemConfig::default_1gb());
-    for i in 0..16 {
+    for i in 0..n {
         b.add_table(
             Table::new(
                 format!("T{i}"),
@@ -367,27 +370,43 @@ fn greedy_handles_wide_chain_queries() {
             ],
         );
     }
-    let db = b.build();
-    let mut sql = String::from("SELECT t0_a FROM ");
-    sql.push_str(
-        &(0..16)
-            .map(|i| format!("t{i}"))
-            .collect::<Vec<_>>()
-            .join(", "),
+    let tables: Vec<String> = (0..n).map(|i| format!("t{i}")).collect();
+    let preds: Vec<String> = (1..n).map(|i| format!("t{}_b = t{i}_a", i - 1)).collect();
+    let sql = format!(
+        "SELECT t0_a FROM {} WHERE {}",
+        tables.join(", "),
+        preds.join(" AND ")
     );
-    sql.push_str(" WHERE ");
-    sql.push_str(
-        &(0..15)
-            .map(|i| format!("t{i}_b = t{}_a", i + 1))
-            .collect::<Vec<_>>()
-            .join(" AND "),
-    );
+    (b.build(), sql)
+}
+
+#[test]
+fn greedy_handles_wide_chain_queries() {
+    // A 16-way chain query exceeds the DP unit limit and exercises greedy.
+    let (db, sql) = chain(16);
     let q = parse(&db, "chain16", &sql).unwrap();
     let plan = Optimizer::new(&db).optimize(&q).unwrap();
     let mut tables = plan.tables_under(plan.root());
     tables.sort_unstable();
     assert_eq!(tables, (0..16).collect::<Vec<_>>());
     assert_eq!(plan.join_count(plan.root()), 15);
+}
+
+#[test]
+fn dp_unit_limit_beyond_the_cap_plans_through_greedy() {
+    // Uncapped, 20 units would be a 2^20-entry table (and `dp_unit_limit: 64`
+    // on a 64-table query a shift overflow); capped, this is the greedy plan.
+    let (db, sql) = chain(20);
+    let q = parse(&db, "chain20", &sql).unwrap();
+    let with_limit = |dp_unit_limit| {
+        let config = PlannerConfig {
+            dp_unit_limit,
+            enable_bloom: true,
+        };
+        let plan = Optimizer::with_config(&db, config).optimize(&q).unwrap();
+        format!("{plan:?}")
+    };
+    assert_eq!(with_limit(64), with_limit(1));
 }
 
 #[test]
@@ -417,4 +436,314 @@ fn dp_and_greedy_agree_on_coverage() {
     );
     // Greedy cannot beat DP.
     assert!(greedy_plan.est_cost() >= dp_plan.est_cost() * 0.9999);
+}
+
+// ---- the enumerator against its reference ----
+
+/// `n` four-column tables with random sizes and distinct counts; with
+/// `indexes`, a random subset of columns is indexed.
+fn random_db(rng: &mut StdRng, n: usize, indexes: bool) -> Database {
+    let mut b = DatabaseBuilder::new("random", SystemConfig::default_1gb());
+    for i in 0..n {
+        let cols = ["A", "B", "C", "D"];
+        let mut table = Table::new(
+            format!("T{i}"),
+            cols.iter()
+                .map(|c| col(&format!("T{i}_{c}"), ColumnType::Integer))
+                .collect(),
+        );
+        let rows = 10u64.pow(rng.gen_range(2..7)) * rng.gen_range(1..10u64);
+        for (c, name) in cols.iter().enumerate() {
+            if indexes && rng.gen_bool(0.4) {
+                table.add_index(Index {
+                    name: format!("T{i}_{name}_IX"),
+                    column: ColumnId(c as u32),
+                    unique: false,
+                    cluster_ratio: rng.gen_range(0.0..1.0),
+                });
+            }
+        }
+        let stats = (0..cols.len())
+            .map(|_| {
+                let distinct = rng.gen_range(1..=rows);
+                ColumnStats::uniform(distinct, 0.0, distinct as f64, 4)
+            })
+            .collect();
+        b.add_table(table, rows, stats);
+    }
+    b.build()
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// `q1` joins every other instance, cycling through its four columns,
+    /// so some dimensions land in one equivalence class.
+    Star,
+    Chain,
+    /// Every instance joins on column A: one class, every subset connected.
+    Clique,
+    /// A chain over `n` instances of the same table.
+    SelfJoin,
+}
+
+fn random_query(rng: &mut StdRng, db: &Database, n: usize, shape: Shape, locals: bool) -> Query {
+    let table_of = |i: usize| match shape {
+        Shape::SelfJoin => 0,
+        _ => i,
+    };
+    let column = |i: usize, c: &str| format!("q{}.t{}_{c}", i + 1, table_of(i));
+    let mut preds: Vec<String> = (1..n)
+        .map(|i| match shape {
+            Shape::Star => {
+                let fact_col = ["a", "b", "c", "d"][i % 4];
+                format!("{} = {}", column(0, fact_col), column(i, "a"))
+            }
+            Shape::Chain | Shape::SelfJoin => {
+                format!("{} = {}", column(i - 1, "b"), column(i, "a"))
+            }
+            Shape::Clique => format!("{} = {}", column(i - 1, "a"), column(i, "a")),
+        })
+        .collect();
+    for i in 0..n {
+        if locals && rng.gen_bool(0.5) {
+            let v = rng.gen_range(0..1000);
+            preds.push(match rng.gen_range(0..3) {
+                0 => format!("{} = {v}", column(i, "c")),
+                1 => format!("{} < {v}", column(i, "d")),
+                _ => format!("{} = {v}", column(i, "a")),
+            });
+        }
+    }
+    let from: Vec<String> = (0..n)
+        .map(|i| format!("t{} q{}", table_of(i), i + 1))
+        .collect();
+    let sql = format!(
+        "SELECT {} FROM {} WHERE {}",
+        column(0, "a"),
+        from.join(", "),
+        preds.join(" AND ")
+    );
+    parse(db, "random", &sql).unwrap()
+}
+
+/// The DP as it stood before join alternatives were costed unbuilt: every
+/// alternative of every split built, then `prune` per mask.
+fn reference_dp(p: &Planner, units: Vec<Unit>) -> HashMap<usize, Unit> {
+    let full = (1usize << units.len()) - 1;
+    let mut table: HashMap<usize, Unit> = HashMap::new();
+    for (i, unit) in units.into_iter().enumerate() {
+        table.insert(1 << i, unit);
+    }
+    let mut masks: Vec<usize> = (1..=full).collect();
+    masks.sort_by_key(|m| m.count_ones());
+    for mask in masks {
+        if mask.count_ones() < 2 {
+            continue;
+        }
+        let mut cands: Vec<Cand> = Vec::new();
+        let mut sub = (mask - 1) & mask;
+        while sub > 0 {
+            let other = mask & !sub;
+            if sub < other {
+                if let (Some(a), Some(b)) = (table.get(&sub), table.get(&other)) {
+                    cands.extend(p.join_candidates(a, b));
+                    cands.extend(p.join_candidates(b, a));
+                }
+            }
+            sub = (sub - 1) & mask;
+        }
+        if !cands.is_empty() {
+            table.insert(mask, p.unit(prune(cands)));
+        }
+    }
+    table
+}
+
+/// Greedy as it stood: every ordered pair re-joined, built and pruned in
+/// every round.
+fn reference_greedy(p: &Planner, mut units: Vec<Unit>) -> Option<Unit> {
+    while units.len() > 1 {
+        let mut best: Option<(usize, usize, Vec<Cand>, f64)> = None;
+        for i in 0..units.len() {
+            for j in 0..units.len() {
+                if i == j {
+                    continue;
+                }
+                let cands = prune(p.join_candidates(&units[i], &units[j]));
+                if cands.is_empty() {
+                    continue;
+                }
+                let c = cands.iter().map(|c| c.cost).fold(f64::INFINITY, f64::min);
+                if best.as_ref().is_none_or(|(_, _, _, bc)| c < *bc) {
+                    best = Some((i, j, cands, c));
+                }
+            }
+        }
+        let (i, j, cands, _) = best?;
+        units.remove(i.max(j));
+        units.remove(i.min(j));
+        units.push(p.unit(cands));
+    }
+    units.pop()
+}
+
+/// Frontiers are equal when they hold the same plans in the same order:
+/// the debug text carries every node, cost (floats print round-trip
+/// exact), cardinality and order key.
+fn assert_same_frontier(got: Option<&Unit>, want: Option<&Unit>, what: &str) {
+    let text = |u: Option<&Unit>| u.map(|u| format!("{:?}", u.cands));
+    assert_eq!(text(got), text(want), "{what}");
+}
+
+#[test]
+fn enumerator_matches_the_reference_on_random_queries() {
+    let mut rng = StdRng::seed_from_u64(0x6a10);
+    let shapes = [Shape::Star, Shape::Chain, Shape::Clique, Shape::SelfJoin];
+    for case in 0..48 {
+        let shape = shapes[case % shapes.len()];
+        // Every subset of a clique is connected: keep the reference's
+        // build-everything cost in hand.
+        let n = match shape {
+            Shape::Clique => rng.gen_range(2..=6),
+            _ => rng.gen_range(2..=10),
+        };
+        let (indexes, locals) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
+        let db = random_db(&mut rng, n, indexes);
+        let q = random_query(&mut rng, &db, n, shape, locals);
+        // A one-join guideline unit beside the table units.
+        let j = q.joins[0];
+        let scan = |c: ColRef| {
+            Box::new(GuidelineNode::TbScan {
+                tabid: q.tables[c.table_idx].qualifier.clone(),
+            })
+        };
+        let doc = GuidelineDoc::new(vec![GuidelineNode::HsJoin(scan(j.left), scan(j.right))]);
+
+        for enable_bloom in [true, false] {
+            let config = PlannerConfig {
+                dp_unit_limit: 10,
+                enable_bloom,
+            };
+            let p = Planner::new(&db, &q, &config);
+            for guided in [false, true] {
+                let what =
+                    format!("case {case}: {shape:?} n={n} bloom={enable_bloom} guided={guided}");
+                let units = || {
+                    if guided {
+                        let (units, outcome) = p.guideline_units(&doc);
+                        assert_eq!(outcome.honored, vec![true], "{what}");
+                        units
+                    } else {
+                        p.table_units()
+                    }
+                };
+
+                let want = reference_dp(&p, units());
+                let got = p.dp(units());
+                for (mask, got) in got.iter().enumerate() {
+                    assert_same_frontier(got.as_ref(), want.get(&mask), &what);
+                }
+                assert_same_frontier(
+                    p.greedy(units()).as_ref(),
+                    reference_greedy(&p, units()).as_ref(),
+                    &what,
+                );
+
+                // The winner `plan_units` picks is the reference's.
+                let want = want[&(got.len() - 1)]
+                    .cands
+                    .iter()
+                    .min_by(|a, b| a.cost.partial_cmp(&b.cost).unwrap())
+                    .unwrap();
+                let got = p.plan_units(units()).unwrap();
+                assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}");
+                assert_eq!(
+                    format!("{:?}", got.plan),
+                    format!("{:?}", want.plan),
+                    "{what}"
+                );
+            }
+        }
+    }
+}
+
+// ---- tie-breaking ----
+
+/// Streaming pruning keeps what `prune` keeps, in `prune`'s order, on
+/// streams built to collide: costs drawn from three values, orders from
+/// `None` and three columns.
+#[test]
+fn streaming_prune_equals_prune_on_colliding_streams() {
+    let db = star_db();
+    let q = star_query(&db);
+    let config = PlannerConfig::default();
+    let p = Planner::new(&db, &q, &config);
+    let (outer, inner) = (
+        &p.access_candidates_raw(0)[0],
+        &p.access_candidates_raw(1)[0],
+    );
+    let column = |table_idx, c| ColRef {
+        table_idx,
+        column: ColumnId(c),
+    };
+    let mut rng = StdRng::seed_from_u64(7);
+    for _ in 0..2_000 {
+        let orders = [None, Some(0), Some(1), Some(2)];
+        // An alternative's cardinality is its position in the stream, so
+        // the built plans tell which of two equals survived.
+        let stream: Vec<JoinAlt> = (0..rng.gen_range(0..24))
+            .map(|position| JoinAlt {
+                method: JoinMethod::Hs { bloom: false },
+                key: (column(0, 0), column(1, 0)),
+                outer,
+                inner,
+                cost: [1.0, 2.0, 3.0][rng.gen_range(0..3usize)],
+                card: position as f64,
+                order: orders.choose(&mut rng).unwrap().map(|c| column(0, c)),
+                sorted: (0.0, 0.0),
+            })
+            .collect();
+
+        let mut frontier = Frontier::default();
+        stream.iter().for_each(|&alt| frontier.offer(alt));
+        let got = format!("{:?}", frontier.finish());
+        let want = format!("{:?}", prune(stream.iter().map(JoinAlt::build).collect()));
+        assert_eq!(got, want);
+    }
+}
+
+#[test]
+fn plain_hash_join_wins_an_exact_tie_with_bloom() {
+    // ITEM (18k) probing SALES (2.88M): every outer row finds a partner, so
+    // `match_frac == 1` and the bloom variant saves nothing.
+    let db = star_db();
+    let q = parse(
+        &db,
+        "tie",
+        "SELECT s_price FROM item, sales WHERE i_item_sk = s_item_sk",
+    )
+    .unwrap();
+    let config = PlannerConfig::default();
+    let p = Planner::new(&db, &q, &config);
+    let units = p.table_units();
+    let card = p.est.join_card(0b11);
+    assert!(card >= units[0].card);
+
+    // Both variants are generated at one cost, plain first, and the first
+    // generated is the one pruning keeps.
+    let mut hash_costs: Vec<(bool, u64)> = Vec::new();
+    let mut frontier = Frontier::default();
+    p.for_each_join(&units[0], &units[1], card, |alt| {
+        if let JoinMethod::Hs { bloom } = alt.method {
+            hash_costs.push((bloom, alt.cost.to_bits()));
+        }
+        frontier.offer(alt);
+    });
+    for pair in hash_costs.chunks(2) {
+        assert_eq!((pair[0].0, pair[1].0), (false, true));
+        assert_eq!(pair[0].1, pair[1].1);
+    }
+    let kept = format!("{:?}", frontier.finish());
+    assert!(kept.contains("Hs { bloom: false }"), "{kept}");
+    assert!(!kept.contains("bloom: true"), "{kept}");
 }
