@@ -7,8 +7,15 @@
 //! established by predicate variation, every resource anonymized under a
 //! unique random identifier, and the recommended rewrite attached as an
 //! OPTGUIDELINES document over the canonical labels.
+//!
+//! This file holds the template model, its RDF serialization and the
+//! [`KnowledgeBase`] methods — template CRUD, the epoch protocol, feedback
+//! refinement. The signature index those methods keep in step with the
+//! triples, and the admission pre-check it answers, live in
+//! `crate::sigindex`; its entries come from `insert_batch`'s templates or
+//! from triples through the one `IndexFacts` gather, nowhere else.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -21,7 +28,13 @@ use crate::feedback::{
     FeedbackCollector, FeedbackOptions, FeedbackReport, PopObservation, RefineOutcome,
     TemplateRefinement,
 };
-use crate::vocab::{self, prop};
+use crate::sigindex::{IndexFacts, IndexedStat, PopEntry, SigIndex};
+use crate::vocab::{self, prop, STAT_FAMILIES};
+
+// The admission vocabulary lives with the index that answers it
+// (`crate::sigindex`); re-exported so `galo_core::kb::AdmissionQuery` and
+// friends keep their paths.
+pub use crate::sigindex::{AdmissionQuery, AdmissionStats, PopCheck, ScanCheck};
 
 // `Range` moved to the statistics substrate (one home for the struct and
 // its parsing/defaulting logic); re-exported here so `galo_core::Range`
@@ -160,406 +173,6 @@ pub fn abstract_plan(
     }
 }
 
-/// Scan-property values of one segment operator, as the compiled probe
-/// will test them (the belief stats of the scanned table).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScanCheck {
-    pub row_size: f64,
-    pub fpages: f64,
-    pub base_cardinality: f64,
-}
-
-/// One segment operator's admission check: operator type, estimated
-/// cardinality, and — for scans — the scan-table belief stats. The
-/// signature index tests each check against the stored envelopes before
-/// any probe is compiled or evaluated.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PopCheck {
-    pub pop_type: &'static str,
-    pub est_card: f64,
-    pub scan: Option<ScanCheck>,
-}
-
-impl PopCheck {
-    /// A cardinality-only check (non-scan operators).
-    pub fn card(pop_type: &'static str, est_card: f64) -> Self {
-        PopCheck {
-            pop_type,
-            est_card,
-            scan: None,
-        }
-    }
-}
-
-/// Admission pre-check counters, accumulated per cursor pull and folded
-/// into [`MatchReport`](crate::matching::MatchReport): how many index
-/// entries were examined and why the rejected ones were rejected.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AdmissionStats {
-    /// Index entries examined (admitted, dataset-filtered, or rejected).
-    pub considered: usize,
-    /// Entries rejected because no same-typed operator's cardinality
-    /// envelope admitted a check value.
-    pub rejects_card: usize,
-    /// Entries whose cardinality envelopes admitted every check but whose
-    /// scan-stat envelopes (row size / fpages / base cardinality) did not.
-    pub rejects_scan: usize,
-    /// Rejected entries that would have been admitted under the query's
-    /// widened `margin · near_factor` — the feedback loop's candidates
-    /// for near-miss widening. Always 0 while `near_factor` is 1.
-    pub near_misses: usize,
-}
-
-/// One segment's admission query against the signature index: the checks
-/// plus the matcher's margin, trim level and dataset scope.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionQuery<'a> {
-    pub checks: &'a [PopCheck],
-    /// Multiplicative slack (clamped ≥ 1), mirroring the probe's margin.
-    pub margin: f64,
-    /// Quantile trim of the admission envelopes; `0.0` = exact bounds.
-    pub trim: f64,
-    /// Dataset scope (`None` spans every workload).
-    pub dataset: Option<&'a str>,
-    /// Near-miss detection factor (clamped ≥ 1; `1.0` disables it):
-    /// rejected entries are re-tested at `margin · near_factor` and the
-    /// ones that would pass are counted in
-    /// [`AdmissionStats::near_misses`]. Detection never changes which
-    /// candidates are admitted.
-    pub near_factor: f64,
-}
-
-impl<'a> AdmissionQuery<'a> {
-    /// The exact-bounds query (trim 0, all datasets, no near-miss
-    /// tracking) — today's default admission semantics.
-    pub fn exact(checks: &'a [PopCheck], margin: f64) -> Self {
-        AdmissionQuery {
-            checks,
-            margin,
-            trim: 0.0,
-            dataset: None,
-            near_factor: 1.0,
-        }
-    }
-}
-
-/// One indexed property: the exact stored bounds (what the probe tests)
-/// plus the quantile sketch trimmed envelopes come from.
-#[derive(Debug, Clone)]
-struct IndexedStat {
-    /// `sketch.envelope(0.0)` — precomputed so the default trim-0 path
-    /// pays no sketch walk on the hot admission path.
-    exact: Range,
-    sketch: StatSketch,
-}
-
-impl IndexedStat {
-    fn of(sketch: &StatSketch) -> Self {
-        IndexedStat {
-            exact: sketch.envelope(0.0),
-            sketch: sketch.clone(),
-        }
-    }
-
-    /// Exact stored bounds when present, else derived from the sketch,
-    /// else unbounded.
-    fn reconstruct(sketch: Option<StatSketch>, bounds: Option<Range>) -> Self {
-        match (sketch, bounds) {
-            (Some(sk), Some(exact)) => IndexedStat { exact, sketch: sk },
-            (Some(sk), None) => IndexedStat::of(&sk),
-            (None, Some(exact)) => IndexedStat {
-                exact,
-                sketch: StatSketch::from_range(exact.lo, exact.hi),
-            },
-            (None, None) => IndexedStat {
-                exact: Range::UNBOUNDED,
-                sketch: StatSketch::new(),
-            },
-        }
-    }
-
-    fn admits(&self, v: f64, m: f64, trim: f64) -> bool {
-        let b = if trim <= 0.0 {
-            self.exact
-        } else {
-            self.sketch.envelope(trim)
-        };
-        b.lo <= v * m && b.hi >= v / m
-    }
-}
-
-/// Indexed scan-stat envelopes of one scan operator.
-#[derive(Debug, Clone)]
-struct IndexedScan {
-    row_size: IndexedStat,
-    fpages: IndexedStat,
-    base_cardinality: IndexedStat,
-}
-
-/// Per-operator entry of one template in the signature index: the data a
-/// candidate pre-check needs without touching the triple store.
-#[derive(Debug, Clone)]
-struct IndexedPop {
-    pop_type: String,
-    cardinality: IndexedStat,
-    scan: Option<IndexedScan>,
-}
-
-/// One template's signature-index entry: its per-operator summaries plus
-/// the workload dataset it was learned from, so dataset-scoped matching
-/// filters candidates without touching the triple store.
-#[derive(Debug, Clone)]
-struct IndexedTemplate {
-    /// Source workload (the template's first-class dataset; empty when
-    /// the template was stored without one).
-    workload: String,
-    pops: Vec<IndexedPop>,
-}
-
-/// shape signature -> template IRI -> indexed template summary, ordered
-/// so candidate iteration (and therefore match tie-breaking) is
-/// deterministic.
-type SigIndex = HashMap<u64, BTreeMap<String, IndexedTemplate>>;
-
-/// The numeric property families of a template operator, as
-/// `(hasLower*, hasHigher*, *Sketch)` names: cardinality first, then the
-/// three scan statistics in [`IndexedScan`] field order. Serialization,
-/// the signature-index reader and feedback refinement all walk this one
-/// table.
-const STAT_FAMILIES: [(&str, &str, &str); 4] = [
-    (
-        vocab::HAS_LOWER_CARDINALITY,
-        vocab::HAS_HIGHER_CARDINALITY,
-        vocab::HAS_CARDINALITY_SKETCH,
-    ),
-    (
-        vocab::HAS_LOWER_ROW_SIZE,
-        vocab::HAS_HIGHER_ROW_SIZE,
-        vocab::HAS_ROW_SIZE_SKETCH,
-    ),
-    (
-        vocab::HAS_LOWER_FPAGES,
-        vocab::HAS_HIGHER_FPAGES,
-        vocab::HAS_FPAGES_SKETCH,
-    ),
-    (
-        vocab::HAS_LOWER_BASE_CARDINALITY,
-        vocab::HAS_HIGHER_BASE_CARDINALITY,
-        vocab::HAS_BASE_CARDINALITY_SKETCH,
-    ),
-];
-
-/// What the triples say about one operator's stat of one family.
-#[derive(Default)]
-struct StatFacts {
-    lo: Option<f64>,
-    hi: Option<f64>,
-    sketch: Option<StatSketch>,
-}
-
-impl StatFacts {
-    /// A missing bound leaves its side open, a missing (or corrupt)
-    /// sketch falls back to the exact bounds, and a stat with neither is
-    /// unbounded — the pre-check must never reject what the probe would
-    /// accept.
-    fn into_indexed(self) -> IndexedStat {
-        let bounds =
-            (self.lo.is_some() || self.hi.is_some()).then(|| Range::from_bounds(self.lo, self.hi));
-        IndexedStat::reconstruct(self.sketch, bounds)
-    }
-}
-
-/// The template facts the signature index is derived from, keyed by
-/// subject IRI and gathered one default-graph triple at a time — from a
-/// publish batch's quads ([`KnowledgeBase::merge_index_from_quads`]) or
-/// from store scans ([`KnowledgeBase::rebuild_index`]). The one reader of
-/// the template vocabulary on the index side.
-#[derive(Default)]
-struct IndexFacts<'a> {
-    join_counts: HashMap<&'a str, usize>,
-    sources: HashMap<&'a str, &'a str>,
-    pop_template: HashMap<&'a str, &'a str>,
-    pop_types: HashMap<&'a str, &'a str>,
-    /// Per [`STAT_FAMILIES`] slot: operator IRI -> its stored stat.
-    stats: [HashMap<&'a str, StatFacts>; STAT_FAMILIES.len()],
-}
-
-impl<'a> IndexFacts<'a> {
-    /// The predicates (local names under [`vocab::PROP_NS`]) that
-    /// [`add`](Self::add) reads; everything else is ignored.
-    fn predicates() -> impl Iterator<Item = &'static str> {
-        [
-            vocab::HAS_JOIN_COUNT,
-            vocab::HAS_SOURCE_WORKLOAD,
-            vocab::IN_TEMPLATE,
-            vocab::HAS_POP_TYPE,
-        ]
-        .into_iter()
-        .chain(STAT_FAMILIES.iter().flat_map(|&(lo, hi, sk)| [lo, hi, sk]))
-    }
-
-    /// Record one triple; `local` is the predicate's local name.
-    /// Non-numeric bounds and join counts and corrupt sketch literals
-    /// (checksum mismatch) are dropped as if the triple were absent.
-    fn add(&mut self, subj: &'a str, local: &str, obj: &'a Term) {
-        let num = || obj.as_literal().and_then(|l| l.as_number());
-        match local {
-            vocab::HAS_JOIN_COUNT => {
-                if let Some(jc) = num() {
-                    self.join_counts.insert(subj, jc as usize);
-                }
-            }
-            vocab::HAS_SOURCE_WORKLOAD => {
-                self.sources.insert(subj, obj.str_value());
-            }
-            vocab::IN_TEMPLATE => {
-                self.pop_template.insert(subj, obj.str_value());
-            }
-            vocab::HAS_POP_TYPE => {
-                self.pop_types.insert(subj, obj.str_value());
-            }
-            _ => {
-                for (stats, &(lo, hi, sk)) in self.stats.iter_mut().zip(&STAT_FAMILIES) {
-                    if local == lo {
-                        if let Some(v) = num() {
-                            stats.entry(subj).or_default().lo = Some(v);
-                        }
-                    } else if local == hi {
-                        if let Some(v) = num() {
-                            stats.entry(subj).or_default().hi = Some(v);
-                        }
-                    } else if local == sk {
-                        if let Some(sketch) = StatSketch::from_hex(obj.str_value()) {
-                            stats.entry(subj).or_default().sketch = Some(sketch);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// True when every operator mentioned anywhere carries its template
-    /// link and type, and its template's join count, among the gathered
-    /// facts. False means the facts are a partial edit of stored
-    /// templates, and only the store sees the whole picture.
-    fn is_complete(&self) -> bool {
-        self.pop_template
-            .keys()
-            .chain(self.pop_types.keys())
-            .chain(self.stats.iter().flat_map(|stats| stats.keys()))
-            .all(|pop| {
-                self.pop_types.contains_key(pop)
-                    && self
-                        .pop_template
-                        .get(pop)
-                        .is_some_and(|tpl| self.join_counts.contains_key(tpl))
-            })
-    }
-
-    /// Insert (or overwrite) one index entry per template that has a join
-    /// count. Operators are those linked to it by `inTemplate` that also
-    /// carry a type, in ascending IRI order.
-    fn into_entries(self, index: &mut SigIndex) {
-        let IndexFacts {
-            join_counts,
-            sources,
-            pop_template,
-            pop_types,
-            mut stats,
-        } = self;
-        let mut by_tpl: HashMap<&str, Vec<&str>> = HashMap::new();
-        for (pop, tpl) in pop_template {
-            by_tpl.entry(tpl).or_default().push(pop);
-        }
-        for (tpl_iri, jc) in join_counts {
-            let mut pop_iris = by_tpl.remove(tpl_iri).unwrap_or_default();
-            pop_iris.sort_unstable();
-            let pops: Vec<IndexedPop> = pop_iris
-                .into_iter()
-                .filter_map(|pop| {
-                    let pop_type = pop_types.get(pop)?.to_string();
-                    let [card, scan @ ..] = stats.each_mut().map(|stats| stats.remove(pop));
-                    let has_scan = scan.iter().any(Option::is_some);
-                    let [row_size, fpages, base_cardinality] =
-                        scan.map(|stat| stat.unwrap_or_default().into_indexed());
-                    Some(IndexedPop {
-                        pop_type,
-                        cardinality: card.unwrap_or_default().into_indexed(),
-                        scan: has_scan.then_some(IndexedScan {
-                            row_size,
-                            fpages,
-                            base_cardinality,
-                        }),
-                    })
-                })
-                .collect();
-            let sig = shape_signature(jc, pops.iter().map(|p| p.pop_type.as_str()));
-            index.entry(sig).or_default().insert(
-                tpl_iri.to_string(),
-                IndexedTemplate {
-                    workload: sources.get(tpl_iri).copied().unwrap_or("").to_string(),
-                    pops,
-                },
-            );
-        }
-    }
-}
-
-/// Why (or whether) one index entry passed the admission pre-check.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Admission {
-    Admitted,
-    RejectedDataset,
-    RejectedCard,
-    RejectedScan,
-}
-
-/// The candidate pre-check over one template's index entry: the dataset
-/// filter, then — per check — the requirement that *some* same-typed
-/// template operator admits the cardinality **and** (for scans) all three
-/// scan-stat envelopes simultaneously. The probe binds each segment
-/// operator to exactly one same-typed template operator and tests all of
-/// that operator's stored bounds, so the conjunction is a necessary
-/// condition for any probe match (margin `m` already clamped to ≥ 1).
-fn admits(tpl: &IndexedTemplate, q: &AdmissionQuery<'_>, m: f64) -> Admission {
-    if q.dataset.is_some_and(|d| tpl.workload != d) {
-        return Admission::RejectedDataset;
-    }
-    for check in q.checks {
-        let mut card_ok = false;
-        let mut full_ok = false;
-        for p in &tpl.pops {
-            if p.pop_type != check.pop_type || !p.cardinality.admits(check.est_card, m, q.trim) {
-                continue;
-            }
-            card_ok = true;
-            // A template operator without indexed scan stats is
-            // unbounded on them (raw-endpoint templates): never reject
-            // what the probe might accept.
-            let scan_ok = match (&check.scan, &p.scan) {
-                (Some(sc), Some(ps)) => {
-                    ps.row_size.admits(sc.row_size, m, q.trim)
-                        && ps.fpages.admits(sc.fpages, m, q.trim)
-                        && ps.base_cardinality.admits(sc.base_cardinality, m, q.trim)
-                }
-                _ => true,
-            };
-            if scan_ok {
-                full_ok = true;
-                break;
-            }
-        }
-        if !full_ok {
-            return if card_ok {
-                Admission::RejectedScan
-            } else {
-                Admission::RejectedCard
-            };
-        }
-    }
-    Admission::Admitted
-}
-
 /// Summary of one workload's first-class dataset (see
 /// [`KnowledgeBase::workload_datasets`]): the templates tagged into the
 /// workload's named graph, their distinct structural shapes, and their
@@ -579,14 +192,17 @@ pub struct DatasetStats {
 
 /// The knowledge base: an RDF endpoint plus template bookkeeping.
 ///
-/// Besides the triple store, the KB maintains a **signature index** —
-/// structural [`shape_signature`] → the templates with that shape, each
-/// with a compact per-operator cardinality summary — kept in step by
-/// [`insert`](Self::insert), [`remove_template`](Self::remove_template)
-/// and [`import`](Self::import). The online matcher consults it through
-/// [`candidate_templates`](Self::candidate_templates) /
-/// [`candidate_templates_admitting`](Self::candidate_templates_admitting)
-/// so segments whose shape matches no stored template never touch the
+/// Besides the triple store, the KB maintains a **signature index**
+/// (`crate::sigindex`) — structural [`shape_signature`] → the templates
+/// with that shape, each with its operators' exact bounds and a per-type
+/// cardinality hull — kept in step by [`insert`](Self::insert),
+/// [`remove_template`](Self::remove_template),
+/// [`refine_template_stats`](Self::refine_template_stats),
+/// [`clear`](Self::clear) and [`import`](Self::import), all under one
+/// `RwLock` and inside the mutator's `mutation_scope`. The online matcher
+/// consults it through the
+/// [`next_candidate_admitting`](Self::next_candidate_admitting) cursor so
+/// segments whose shape matches no stored template never touch the
 /// store, and matching segments probe only candidates whose cardinality
 /// ranges could possibly admit them. Callers that mutate template triples
 /// through the raw [`server`](Self::server) endpoint must call
@@ -626,7 +242,7 @@ impl KnowledgeBase {
         KnowledgeBase {
             server,
             counter: AtomicU64::new(0),
-            sig_index: RwLock::new(HashMap::new()),
+            sig_index: RwLock::default(),
             refinements: AtomicU64::new(0),
             feedback: FeedbackCollector::new(feedback),
         }
@@ -687,12 +303,8 @@ impl KnowledgeBase {
     /// tie-break). Empty means no stored template can match a segment of
     /// that shape, so the caller can skip probing entirely.
     pub fn candidate_templates(&self, signature: u64) -> Vec<String> {
-        self.sig_index
-            .read()
-            .expect("signature index lock")
-            .get(&signature)
-            .map(|tpls| tpls.keys().cloned().collect())
-            .unwrap_or_default()
+        let index = self.sig_index.read().expect("signature index lock");
+        index.iris(signature).to_vec()
     }
 
     /// Like [`candidate_templates`](Self::candidate_templates), but also
@@ -709,23 +321,26 @@ impl KnowledgeBase {
     /// pre-check only removes templates the probe would reject anyway —
     /// without touching the triple store. `trim > 0` trims outlier mass
     /// from the envelopes, an explicit precision/recall trade.
+    ///
+    /// Defined as the
+    /// [`next_candidate_admitting`](Self::next_candidate_admitting) cursor
+    /// pulled to exhaustion: there is one reader of a bucket.
     pub fn candidate_templates_admitting(
         &self,
         signature: u64,
         query: &AdmissionQuery<'_>,
     ) -> Vec<String> {
-        let m = query.margin.max(1.0);
-        self.sig_index
-            .read()
-            .expect("signature index lock")
-            .get(&signature)
-            .map(|tpls| {
-                tpls.iter()
-                    .filter(|(_, tpl)| admits(tpl, query, m) == Admission::Admitted)
-                    .map(|(iri, _)| iri.clone())
-                    .collect()
-            })
-            .unwrap_or_default()
+        let mut stats = AdmissionStats::default();
+        let mut admitted: Vec<String> = Vec::new();
+        while let Some(iri) = self.next_candidate_admitting(
+            signature,
+            query,
+            admitted.last().map(String::as_str),
+            &mut stats,
+        ) {
+            admitted.push(iri);
+        }
+        admitted
     }
 
     /// The first admitted candidate strictly after `after` (`None` =
@@ -747,47 +362,10 @@ impl KnowledgeBase {
         after: Option<&str>,
         stats: &mut AdmissionStats,
     ) -> Option<String> {
-        use std::ops::Bound;
-        let m = query.margin.max(1.0);
         let index = self.sig_index.read().expect("signature index lock");
-        let tpls = index.get(&signature)?;
-        let lower = match after {
-            Some(a) => Bound::Excluded(a),
-            None => Bound::Unbounded,
-        };
-        for (iri, tpl) in tpls.range::<str, _>((lower, Bound::Unbounded)) {
-            stats.considered += 1;
-            match admits(tpl, query, m) {
-                Admission::Admitted => return Some(iri.clone()),
-                Admission::RejectedDataset => {}
-                rejected => {
-                    match rejected {
-                        Admission::RejectedCard => stats.rejects_card += 1,
-                        _ => stats.rejects_scan += 1,
-                    }
-                    // Near-miss detection: would the widened margin have
-                    // admitted this entry? Counting only — the candidate
-                    // stays rejected.
-                    if query.near_factor > 1.0
-                        && admits(tpl, query, m * query.near_factor) == Admission::Admitted
-                    {
-                        stats.near_misses += 1;
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// True when at least one stored template shares the signature and
-    /// passes the dataset filter and cardinality pre-check. (The matcher
-    /// itself uses its first
-    /// [`next_candidate_admitting`](Self::next_candidate_admitting)
-    /// pull as the emptiness test; this is the standalone form for
-    /// callers that only need the boolean.)
-    pub fn any_candidate_admitting(&self, signature: u64, query: &AdmissionQuery<'_>) -> bool {
-        self.next_candidate_admitting(signature, query, None, &mut AdmissionStats::default())
-            .is_some()
+        index
+            .next_admitting(signature, query, after, stats)
+            .map(str::to_string)
     }
 
     /// Number of distinct structural signatures in the index.
@@ -960,28 +538,23 @@ impl KnowledgeBase {
         {
             let mut index = self.sig_index.write().expect("signature index lock");
             for tpl in templates {
-                index
-                    .entry(Self::template_signature(tpl))
-                    .or_default()
-                    .insert(
-                        vocab::template_iri(&tpl.id).str_value().to_string(),
-                        IndexedTemplate {
-                            workload: tpl.source_workload.clone(),
-                            pops: tpl
-                                .pops
-                                .iter()
-                                .map(|p| IndexedPop {
-                                    pop_type: p.pop_type.clone(),
-                                    cardinality: IndexedStat::of(&p.cardinality),
-                                    scan: p.scan.as_ref().map(|s| IndexedScan {
-                                        row_size: IndexedStat::of(&s.row_size),
-                                        fpages: IndexedStat::of(&s.fpages),
-                                        base_cardinality: IndexedStat::of(&s.base_cardinality),
-                                    }),
-                                })
-                                .collect(),
-                        },
-                    );
+                let pops = tpl
+                    .pops
+                    .iter()
+                    .map(|p| PopEntry {
+                        pop_type: &p.pop_type,
+                        cardinality: IndexedStat::of(&p.cardinality),
+                        scan: p.scan.as_ref().map(|s| {
+                            [&s.row_size, &s.fpages, &s.base_cardinality].map(IndexedStat::of)
+                        }),
+                    })
+                    .collect();
+                index.upsert(
+                    Self::template_signature(tpl),
+                    vocab::template_iri(&tpl.id).str_value(),
+                    &tpl.source_workload,
+                    pops,
+                );
             }
         }
         let n = self.server.insert_quads_raw(quads);
@@ -1123,13 +696,10 @@ impl KnowledgeBase {
             }
             removed
         });
-        {
-            let mut index = self.sig_index.write().expect("signature index lock");
-            index.retain(|_, tpls| {
-                tpls.remove(template_iri);
-                !tpls.is_empty()
-            });
-        }
+        self.sig_index
+            .write()
+            .expect("signature index lock")
+            .remove(template_iri);
         // Removing an absent template is a no-op: invalidate nothing.
         scope.commit(removed);
         removed
@@ -1165,7 +735,7 @@ impl KnowledgeBase {
                     facts.add(st.resolve(s).str_value(), local, st.resolve(o));
                 }
             }
-            let mut index = SigIndex::new();
+            let mut index = SigIndex::default();
             facts.into_entries(&mut index);
             index
         });
@@ -1271,10 +841,7 @@ impl KnowledgeBase {
         });
         let index = self.sig_index.read().expect("signature index lock");
         for ds in &mut stats {
-            ds.signatures = index
-                .values()
-                .filter(|tpls| tpls.values().any(|t| t.workload == ds.workload))
-                .count();
+            ds.signatures = index.signatures_of(&ds.workload);
         }
         stats.sort_by(|a, b| a.workload.cmp(&b.workload));
         stats
@@ -1537,7 +1104,10 @@ impl KnowledgeBase {
             return outcome;
         }
         let scope = self.server.mutation_scope();
-        let mut refreshed: Vec<IndexedPop> = Vec::new();
+        // The refined operators as the index will hold them: types, and
+        // beside them (cardinality, scan stats).
+        let mut pop_types: Vec<String> = Vec::new();
+        let mut refreshed: Vec<(IndexedStat, Option<[IndexedStat; 3]>)> = Vec::new();
         let changed = self.server.with_store_mut(|st| {
             let Some(tid) = st.term_id(&Term::iri(template_iri)) else {
                 return false;
@@ -1552,17 +1122,14 @@ impl KnowledgeBase {
                 .collect();
             pops.sort_unstable();
             pops.dedup();
-            let (card_props, scan_props) = STAT_FAMILIES.split_first().expect("cardinality family");
+            let [card_props, scan_props @ ..] = STAT_FAMILIES;
             let mut changed = false;
             for pop in pops {
                 let Some(pop_type) = pop_literal(&*st, pop, vocab::HAS_POP_TYPE) else {
                     continue;
                 };
-                let stored_card = pop_stat(&*st, pop, *card_props);
-                let stored_scan: Vec<Option<StatSketch>> = scan_props
-                    .iter()
-                    .map(|&family| pop_stat(&*st, pop, family))
-                    .collect();
+                let stored_card = pop_stat(&*st, pop, card_props);
+                let stored_scan = scan_props.map(|family| pop_stat(&*st, pop, family));
                 let has_scan = stored_scan.iter().any(Option::is_some);
 
                 // Fold the batch against this operator's *pre-fold*
@@ -1634,11 +1201,11 @@ impl KnowledgeBase {
 
                 if let (Some(old), Some(new)) = (&stored_card, &new_card) {
                     if new != old {
-                        rewrite_stat_triples(st, pop, *card_props, new);
+                        rewrite_stat_triples(st, pop, card_props, new);
                         changed = true;
                     }
                 }
-                for ((old, new), &family) in stored_scan.iter().zip(&new_scan).zip(scan_props) {
+                for ((old, new), family) in stored_scan.iter().zip(&new_scan).zip(scan_props) {
                     if let (Some(old), Some(new)) = (old, new) {
                         if new != old {
                             rewrite_stat_triples(st, pop, family, new);
@@ -1646,32 +1213,30 @@ impl KnowledgeBase {
                         }
                     }
                 }
-                refreshed.push(IndexedPop {
-                    pop_type,
-                    cardinality: IndexedStat::reconstruct(new_card, None),
-                    scan: has_scan.then(|| {
-                        let mut it = new_scan.into_iter();
-                        IndexedScan {
-                            row_size: IndexedStat::reconstruct(it.next().flatten(), None),
-                            fpages: IndexedStat::reconstruct(it.next().flatten(), None),
-                            base_cardinality: IndexedStat::reconstruct(it.next().flatten(), None),
-                        }
-                    }),
-                });
+                pop_types.push(pop_type);
+                refreshed.push((
+                    IndexedStat::reconstruct(new_card, None),
+                    has_scan.then(|| new_scan.map(|sketch| IndexedStat::reconstruct(sketch, None))),
+                ));
             }
             changed
         });
         if changed {
-            // Refresh the signature-index entry in place (same scope, so
+            // Refresh the signature-index row in place (same scope, so
             // index and triples move atomically under the epoch).
-            let mut index = self.sig_index.write().expect("signature index lock");
-            let mut refreshed = Some(refreshed);
-            for tpls in index.values_mut() {
-                if let Some(entry) = tpls.get_mut(template_iri) {
-                    entry.pops = refreshed.take().expect("one index entry per template");
-                    break;
-                }
-            }
+            let pops = pop_types
+                .iter()
+                .zip(refreshed)
+                .map(|(pop_type, (cardinality, scan))| PopEntry {
+                    pop_type,
+                    cardinality,
+                    scan,
+                })
+                .collect();
+            self.sig_index
+                .write()
+                .expect("signature index lock")
+                .refresh(template_iri, pops);
             self.refinements.fetch_add(1, Ordering::Relaxed);
         }
         outcome.changed = changed;
@@ -1683,9 +1248,9 @@ impl KnowledgeBase {
 }
 
 /// One `(value, band)` gate against a pre-fold envelope: the same
-/// arithmetic as [`IndexedStat::admits`] at margin `band`, so anything a
-/// margin-`band` admission tested is absorbed. Non-finite values never
-/// fold; band ∞ always folds (finite values).
+/// arithmetic as the signature index's range test at margin `band`, so
+/// anything a margin-`band` admission tested is absorbed. Non-finite
+/// values never fold; band ∞ always folds (finite values).
 fn within_band(env: Range, value: f64, band: f64) -> bool {
     if !value.is_finite() {
         return false;
@@ -1952,12 +1517,14 @@ mod tests {
         assert_eq!(kb.candidate_templates(sig), vec![iri.clone()]);
         assert_eq!(kb.signature_count(), 1);
         assert!(kb.candidate_templates(sig ^ 1).is_empty());
-        // The emptiness pre-check and the candidate cursor agree with
-        // the materialized list.
+        // The candidate cursor agrees with the materialized list.
         let q = AdmissionQuery::exact(&[], 1.0);
         let mut stats = AdmissionStats::default();
-        assert!(kb.any_candidate_admitting(sig, &q));
-        assert!(!kb.any_candidate_admitting(sig ^ 1, &q));
+        assert_eq!(
+            kb.next_candidate_admitting(sig ^ 1, &q, None, &mut stats),
+            None
+        );
+        assert_eq!(stats.considered, 0, "no bucket, nothing examined");
         assert_eq!(
             kb.next_candidate_admitting(sig, &q, None, &mut stats),
             Some(iri.clone())

@@ -62,6 +62,7 @@ pub mod matching;
 pub mod ranking;
 pub mod replication;
 pub mod serving;
+mod sigindex;
 pub mod transform;
 pub mod vocab;
 

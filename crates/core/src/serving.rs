@@ -218,35 +218,36 @@ struct Stripe {
 }
 
 impl Stripe {
-    /// A free slot for one insertion, evicting via the CLOCK sweep when
-    /// full. Returns the slot index and the evicted fingerprint, if any.
-    fn slot_for_insert(&mut self) -> (usize, Option<u64>) {
+    /// A slot for one insertion: a fresh one while the stripe has room,
+    /// else the CLOCK sweep's victim (or a hole it passes).
+    fn slot_for_insert(&mut self) -> usize {
         if self.slots.len() < self.capacity {
             self.slots.push(None);
-            return (self.slots.len() - 1, None);
+            return self.slots.len() - 1;
         }
         loop {
             let i = self.hand;
             self.hand = (self.hand + 1) % self.slots.len();
             match &mut self.slots[i] {
                 Some(e) if e.referenced => e.referenced = false,
-                Some(e) => {
-                    let evicted = e.fingerprint;
-                    return (i, Some(evicted));
-                }
-                None => return (i, None),
+                _ => return i,
             }
         }
     }
 
-    fn insert(&mut self, entry: CacheEntry) -> Option<u64> {
-        let fp = entry.fingerprint;
-        let (slot, evicted) = self.slot_for_insert();
-        if let Some(old) = evicted {
-            self.map.remove(&old);
+    /// Insert an entry, handing back the one it evicted. Freeing that —
+    /// an `Arc<CompiledPlan>` with its probe ASTs plus a `MatchReport` —
+    /// is the caller's job *after* it lets go of the stripe lock, so no
+    /// other serve on the stripe waits for a deallocation.
+    #[must_use = "drop the evicted entry after releasing the stripe lock"]
+    fn insert(&mut self, entry: CacheEntry) -> Option<CacheEntry> {
+        let slot = self.slot_for_insert();
+        let fingerprint = entry.fingerprint;
+        let evicted = self.slots[slot].replace(entry);
+        if let Some(old) = &evicted {
+            self.map.remove(&old.fingerprint);
         }
-        self.slots[slot] = Some(entry);
-        self.map.insert(fp, slot);
+        self.map.insert(fingerprint, slot);
         evicted
     }
 }
@@ -359,7 +360,7 @@ impl ProbeCache {
             outcome: None,
             referenced: false,
         });
-        drop(stripe);
+        drop(stripe); // `evicted` is freed on return, outside the lock
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted.is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -399,7 +400,7 @@ impl ProbeCache {
             outcome: Some((epoch, report.clone())),
             referenced: false,
         });
-        drop(stripe);
+        drop(stripe); // `evicted` is freed on return, outside the lock
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted.is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);

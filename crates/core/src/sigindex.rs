@@ -1,0 +1,1139 @@
+//! The signature index and its admission pre-check.
+//!
+//! Beside the triple store the knowledge base keeps, per structural
+//! [`shape_signature`], the templates of that shape with just enough of
+//! their statistics to decide — without touching the store — whether a
+//! plan segment could possibly match one of them. The matcher steps
+//! through a signature's templates in ascending IRI order with one cursor
+//! ([`SigIndex::next_admitting`]); first-match-wins and the claimed-set
+//! semantics of `match_compiled` rest on that order, and every other
+//! reader of a bucket is defined as pulls of that cursor.
+//!
+//! # Layout
+//!
+//! Every pull examines hundreds of rows to admit a handful (99.98 % are
+//! rejected on `serve_cold`), so what matters is the price of rejecting
+//! one. A [`Bucket`] is columnar: rows sorted by IRI, operator types and
+//! workloads interned to small ids that a query resolves once per pull,
+//! each row's exact operator bounds packed in one slice, the
+//! [`StatSketch`]es — read only by `trim > 0` — in a side column, and one
+//! **cardinality hull** per (operator type, row): `[min lo, max hi]` over
+//! the row's operators of that type, the empty range where the row has
+//! none. On `serve_cold` 99.9 % of the rows a pull examines end on their
+//! first hull test: two loads and two compares.
+//!
+//! # Why the hull is exact
+//!
+//! A check is admitted by a row iff *some* same-typed operator's
+//! cardinality range admits the value (and, for scans, its scan-stat
+//! ranges do too). An operator that admits has `lo ≤ v·m` and `hi ≥ v/m`,
+//! so the hull over the operators of its type does as well: a hull that
+//! fails proves every one of them fails. The walk runs checks in order
+//! and stops at the first failure, so a failed hull on check *k* after
+//! checks 0..*k*−1 passed in full *is* "no same-typed operator's
+//! cardinality envelope admits the value" — the reject the per-operator
+//! loop would have reported, with the same reason. The hull is built from
+//! the very ranges the loop reads at trim 0. At `trim > 0` the loop reads
+//! `sketch.envelope(trim)` instead, which nothing ties to those ranges
+//! (stored bounds may disagree with their sketch), so the pre-test is
+//! skipped there rather than argued.
+//!
+//! # Where entries come from
+//!
+//! Two places only: `KnowledgeBase::insert_batch` maps the
+//! [`Template`](crate::kb::Template)s it was handed, and everything that
+//! starts from triples — whole-template publish batches and the rebuild
+//! behind `reindex`, `import` and reopen — goes through the one
+//! [`IndexFacts`] gather, so the fallback rules (corrupt sketch → exact
+//! bounds → unbounded) are stated once. Feedback refinement rewrites one
+//! row's operators in place ([`SigIndex::refresh`]).
+
+use std::collections::HashMap;
+
+use galo_qgm::shape_signature;
+use galo_rdf::Term;
+use galo_stats::{Range, StatSketch};
+
+use crate::vocab::{self, STAT_FAMILIES};
+
+/// Scan-property values of one segment operator, as the compiled probe
+/// will test them (the belief stats of the scanned table).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScanCheck {
+    pub row_size: f64,
+    pub fpages: f64,
+    pub base_cardinality: f64,
+}
+
+/// One segment operator's admission check: operator type, estimated
+/// cardinality, and — for scans — the scan-table belief stats. The
+/// signature index tests each check against the stored envelopes before
+/// any probe is compiled or evaluated.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PopCheck {
+    pub pop_type: &'static str,
+    pub est_card: f64,
+    pub scan: Option<ScanCheck>,
+}
+
+impl PopCheck {
+    /// A cardinality-only check (non-scan operators).
+    pub fn card(pop_type: &'static str, est_card: f64) -> Self {
+        PopCheck {
+            pop_type,
+            est_card,
+            scan: None,
+        }
+    }
+}
+
+/// Admission pre-check counters, accumulated per cursor pull and folded
+/// into [`MatchReport`](crate::matching::MatchReport): how many index
+/// entries were examined and why the rejected ones were rejected.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct AdmissionStats {
+    /// Index entries examined (admitted, dataset-filtered, or rejected).
+    pub considered: usize,
+    /// Entries rejected because no same-typed operator's cardinality
+    /// envelope admitted a check value.
+    pub rejects_card: usize,
+    /// Entries whose cardinality envelopes admitted every check but whose
+    /// scan-stat envelopes (row size / fpages / base cardinality) did not.
+    pub rejects_scan: usize,
+    /// Rejected entries that would have been admitted under the query's
+    /// widened `margin · near_factor` — the feedback loop's candidates
+    /// for near-miss widening. Always 0 while `near_factor` is 1.
+    pub near_misses: usize,
+}
+
+/// One segment's admission query against the signature index: the checks
+/// plus the matcher's margin, trim level and dataset scope.
+#[derive(Debug, Clone, Copy)]
+pub struct AdmissionQuery<'a> {
+    pub checks: &'a [PopCheck],
+    /// Multiplicative slack (clamped ≥ 1), mirroring the probe's margin.
+    pub margin: f64,
+    /// Quantile trim of the admission envelopes; `0.0` = exact bounds.
+    pub trim: f64,
+    /// Dataset scope (`None` spans every workload).
+    pub dataset: Option<&'a str>,
+    /// Near-miss detection factor (clamped ≥ 1; `1.0` disables it):
+    /// rejected entries are re-tested at `margin · near_factor` and the
+    /// ones that would pass are counted in
+    /// [`AdmissionStats::near_misses`]. Detection never changes which
+    /// candidates are admitted.
+    pub near_factor: f64,
+}
+
+impl<'a> AdmissionQuery<'a> {
+    /// The exact-bounds query (trim 0, all datasets, no near-miss
+    /// tracking) — today's default admission semantics.
+    pub fn exact(checks: &'a [PopCheck], margin: f64) -> Self {
+        AdmissionQuery {
+            checks,
+            margin,
+            trim: 0.0,
+            dataset: None,
+            near_factor: 1.0,
+        }
+    }
+}
+
+/// One property of one operator as a mutator hands it to the index: the
+/// exact stored bounds (what the probe tests) plus the quantile sketch
+/// trimmed envelopes come from. The index keeps the two apart.
+#[derive(Debug, Clone)]
+pub(crate) struct IndexedStat {
+    /// `sketch.envelope(0.0)` unless stored bounds say otherwise —
+    /// precomputed so the trim-0 walk never touches a sketch.
+    exact: Range,
+    sketch: StatSketch,
+}
+
+impl Default for IndexedStat {
+    /// The stat nothing is known about: unbounded.
+    fn default() -> Self {
+        IndexedStat {
+            exact: Range::UNBOUNDED,
+            sketch: StatSketch::new(),
+        }
+    }
+}
+
+impl IndexedStat {
+    pub(crate) fn of(sketch: &StatSketch) -> Self {
+        IndexedStat {
+            exact: sketch.envelope(0.0),
+            sketch: sketch.clone(),
+        }
+    }
+
+    /// Exact stored bounds when present, else derived from the sketch,
+    /// else unbounded.
+    pub(crate) fn reconstruct(sketch: Option<StatSketch>, bounds: Option<Range>) -> Self {
+        match (sketch, bounds) {
+            (Some(sk), Some(exact)) => IndexedStat { exact, sketch: sk },
+            (Some(sk), None) => IndexedStat::of(&sk),
+            (None, Some(exact)) => IndexedStat {
+                exact,
+                sketch: StatSketch::from_range(exact.lo, exact.hi),
+            },
+            (None, None) => IndexedStat::default(),
+        }
+    }
+}
+
+/// One template operator as a mutator hands it to the index.
+pub(crate) struct PopEntry<'a> {
+    pub pop_type: &'a str,
+    pub cardinality: IndexedStat,
+    /// Row size, fpages, base cardinality ([`STAT_FAMILIES`] order);
+    /// `None` for an operator stored without scan stats, which is then
+    /// unbounded on them: never reject what the probe might accept.
+    pub scan: Option<[IndexedStat; 3]>,
+}
+
+/// What the triples say about one operator's stat of one family.
+#[derive(Default)]
+struct StatFacts {
+    lo: Option<f64>,
+    hi: Option<f64>,
+    sketch: Option<StatSketch>,
+}
+
+impl StatFacts {
+    /// A missing bound leaves its side open, a missing (or corrupt)
+    /// sketch falls back to the exact bounds, and a stat with neither is
+    /// unbounded — the pre-check must never reject what the probe would
+    /// accept.
+    fn into_indexed(self) -> IndexedStat {
+        let bounds =
+            (self.lo.is_some() || self.hi.is_some()).then(|| Range::from_bounds(self.lo, self.hi));
+        IndexedStat::reconstruct(self.sketch, bounds)
+    }
+}
+
+/// The template facts the signature index is derived from, keyed by
+/// subject IRI and gathered one default-graph triple at a time — from a
+/// publish batch's quads or from store scans. The one reader of the
+/// template vocabulary on the index side.
+#[derive(Default)]
+pub(crate) struct IndexFacts<'a> {
+    join_counts: HashMap<&'a str, usize>,
+    sources: HashMap<&'a str, &'a str>,
+    pop_template: HashMap<&'a str, &'a str>,
+    pop_types: HashMap<&'a str, &'a str>,
+    /// Per [`STAT_FAMILIES`] slot: operator IRI -> its stored stat.
+    stats: [HashMap<&'a str, StatFacts>; STAT_FAMILIES.len()],
+}
+
+impl<'a> IndexFacts<'a> {
+    /// The predicates (local names under [`vocab::PROP_NS`]) that
+    /// [`add`](Self::add) reads; everything else is ignored.
+    pub(crate) fn predicates() -> impl Iterator<Item = &'static str> {
+        [
+            vocab::HAS_JOIN_COUNT,
+            vocab::HAS_SOURCE_WORKLOAD,
+            vocab::IN_TEMPLATE,
+            vocab::HAS_POP_TYPE,
+        ]
+        .into_iter()
+        .chain(STAT_FAMILIES.iter().flat_map(|&(lo, hi, sk)| [lo, hi, sk]))
+    }
+
+    /// Record one triple; `local` is the predicate's local name.
+    /// Non-numeric bounds and join counts and corrupt sketch literals
+    /// (checksum mismatch) are dropped as if the triple were absent.
+    pub(crate) fn add(&mut self, subj: &'a str, local: &str, obj: &'a Term) {
+        let num = || obj.as_literal().and_then(|l| l.as_number());
+        match local {
+            vocab::HAS_JOIN_COUNT => {
+                if let Some(jc) = num() {
+                    self.join_counts.insert(subj, jc as usize);
+                }
+            }
+            vocab::HAS_SOURCE_WORKLOAD => {
+                self.sources.insert(subj, obj.str_value());
+            }
+            vocab::IN_TEMPLATE => {
+                self.pop_template.insert(subj, obj.str_value());
+            }
+            vocab::HAS_POP_TYPE => {
+                self.pop_types.insert(subj, obj.str_value());
+            }
+            _ => {
+                for (stats, &(lo, hi, sk)) in self.stats.iter_mut().zip(&STAT_FAMILIES) {
+                    if local == lo {
+                        if let Some(v) = num() {
+                            stats.entry(subj).or_default().lo = Some(v);
+                        }
+                    } else if local == hi {
+                        if let Some(v) = num() {
+                            stats.entry(subj).or_default().hi = Some(v);
+                        }
+                    } else if local == sk {
+                        if let Some(sketch) = StatSketch::from_hex(obj.str_value()) {
+                            stats.entry(subj).or_default().sketch = Some(sketch);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// True when every operator mentioned anywhere carries its template
+    /// link and type, and its template's join count, among the gathered
+    /// facts. False means the facts are a partial edit of stored
+    /// templates, and only the store sees the whole picture.
+    pub(crate) fn is_complete(&self) -> bool {
+        self.pop_template
+            .keys()
+            .chain(self.pop_types.keys())
+            .chain(self.stats.iter().flat_map(|stats| stats.keys()))
+            .all(|pop| {
+                self.pop_types.contains_key(pop)
+                    && self
+                        .pop_template
+                        .get(pop)
+                        .is_some_and(|tpl| self.join_counts.contains_key(tpl))
+            })
+    }
+
+    /// Insert (or overwrite) one index row per template that has a join
+    /// count. Operators are those linked to it by `inTemplate` that also
+    /// carry a type, in ascending IRI order.
+    pub(crate) fn into_entries(self, index: &mut SigIndex) {
+        let IndexFacts {
+            join_counts,
+            sources,
+            pop_template,
+            pop_types,
+            mut stats,
+        } = self;
+        let mut by_tpl: HashMap<&str, Vec<&str>> = HashMap::new();
+        for (pop, tpl) in pop_template {
+            by_tpl.entry(tpl).or_default().push(pop);
+        }
+        let mut rows: Vec<(&str, u64, Vec<PopEntry<'_>>)> = join_counts
+            .into_iter()
+            .map(|(tpl_iri, jc)| {
+                let mut pop_iris = by_tpl.remove(tpl_iri).unwrap_or_default();
+                pop_iris.sort_unstable();
+                let pops: Vec<PopEntry<'_>> = pop_iris
+                    .into_iter()
+                    .filter_map(|pop| {
+                        let pop_type = *pop_types.get(pop)?;
+                        let [card, scan @ ..] = stats.each_mut().map(|stats| stats.remove(pop));
+                        let has_scan = scan.iter().any(Option::is_some);
+                        Some(PopEntry {
+                            pop_type,
+                            cardinality: card.unwrap_or_default().into_indexed(),
+                            scan: has_scan
+                                .then(|| scan.map(|stat| stat.unwrap_or_default().into_indexed())),
+                        })
+                    })
+                    .collect();
+                let sig = shape_signature(jc, pops.iter().map(|p| p.pop_type));
+                (tpl_iri, sig, pops)
+            })
+            .collect();
+        // Ascending IRI order: a bucket built from nothing (the rebuild)
+        // takes every row at its end — sorted once, nothing shifted.
+        rows.sort_unstable_by_key(|&(iri, ..)| iri);
+        for (iri, sig, pops) in rows {
+            index.upsert(sig, iri, sources.get(iri).copied().unwrap_or(""), pops);
+        }
+    }
+}
+
+/// The range no value falls in: the hull of a type a row has no
+/// operator of, and the seed every hull grows from.
+const EMPTY: Range = Range {
+    lo: f64::INFINITY,
+    hi: f64::NEG_INFINITY,
+};
+
+/// The id of a name an intern table does not hold: no cell carries it,
+/// so an unseen operator type or dataset matches no row.
+const ABSENT: u32 = u32::MAX;
+
+/// One operator's exact bounds, packed: what the trim-0 walk reads.
+#[derive(Debug, Clone, Copy)]
+struct PopBounds {
+    /// Index into [`Bucket::types`].
+    ty: u32,
+    /// False for an operator indexed without scan stats: a scan check
+    /// then passes whatever its values (NaN included), which unbounded
+    /// ranges alone would not guarantee.
+    scan: bool,
+    /// Cardinality, row size, fpages, base cardinality
+    /// ([`STAT_FAMILIES`] order); the scan slots are unbounded when
+    /// `scan` is false.
+    stats: [Range; 4],
+}
+
+/// One check value under a margin: the two products every range test of
+/// it needs, computed once per pull instead of once per operator.
+#[derive(Debug, Clone, Copy)]
+struct Slack {
+    /// `v · m`
+    up: f64,
+    /// `v / m`
+    down: f64,
+}
+
+impl Slack {
+    fn within(self, b: Range) -> bool {
+        b.lo <= self.up && b.hi >= self.down
+    }
+}
+
+/// A [`PopCheck`] resolved against one bucket under one margin.
+struct Resolved<'a> {
+    ty: u32,
+    /// The hull column of `ty`; no rows when the bucket has never seen
+    /// the type, so no row can admit the check.
+    hulls: &'a [Range],
+    scan: bool,
+    /// Same slots as [`PopBounds::stats`].
+    stats: [Slack; 4],
+}
+
+/// Why (or whether) one row passed the admission pre-check.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Admission {
+    Admitted,
+    RejectedCard,
+    RejectedScan,
+}
+
+/// The templates of one signature, column by column. Row `r` is the
+/// `r`-th smallest template IRI.
+#[derive(Default)]
+struct Bucket {
+    /// Interned operator types; a [`PopBounds::ty`] indexes here.
+    types: Vec<String>,
+    /// Interned source workloads; a `workload` cell indexes here.
+    workloads: Vec<String>,
+    /// Row -> template IRI, ascending.
+    iris: Vec<String>,
+    /// Row -> source workload (the template's dataset; `""` when it was
+    /// stored without one).
+    workload: Vec<u32>,
+    /// Type id -> row -> cardinality hull over the row's operators of
+    /// that type.
+    hulls: Vec<Vec<Range>>,
+    /// Row -> its operators' exact bounds, packed. One exact-size
+    /// allocation per row rather than one vector per bucket: 99.9 % of
+    /// rows are rejected on a hull and never read theirs, while a flat
+    /// vector would make every publish shift half a bucket's operators.
+    ops: Vec<Box<[PopBounds]>>,
+    /// Row -> the sketches behind `ops`, operator by operator. Read only
+    /// by `trim > 0`.
+    sketches: Vec<Box<[[StatSketch; 4]]>>,
+}
+
+/// Id of `name` in an intern table, [`ABSENT`] when it was never interned.
+fn lookup(table: &[String], name: &str) -> u32 {
+    let at = table.iter().position(|n| n == name);
+    at.map_or(ABSENT, |at| at as u32)
+}
+
+/// Id of `name` in an intern table, appended when new.
+fn intern(table: &mut Vec<String>, name: &str) -> u32 {
+    match lookup(table, name) {
+        ABSENT => {
+            table.push(name.to_string());
+            table.len() as u32 - 1
+        }
+        id => id,
+    }
+}
+
+impl Bucket {
+    fn find(&self, iri: &str) -> Result<usize, usize> {
+        self.iris.binary_search_by(|probe| probe.as_str().cmp(iri))
+    }
+
+    /// Insert a row at its sorted position, or overwrite the row already
+    /// holding `iri`.
+    fn upsert(&mut self, iri: &str, workload: &str, pops: Vec<PopEntry<'_>>) {
+        let workload = intern(&mut self.workloads, workload);
+        let row = match self.find(iri) {
+            Ok(row) => {
+                self.workload[row] = workload;
+                row
+            }
+            Err(row) => {
+                self.iris.insert(row, iri.to_string());
+                self.workload.insert(row, workload);
+                self.ops.insert(row, Box::default());
+                self.sketches.insert(row, Box::default());
+                for column in &mut self.hulls {
+                    column.insert(row, EMPTY);
+                }
+                row
+            }
+        };
+        self.set_ops(row, pops);
+    }
+
+    /// Replace a row's operators, and with them its hulls.
+    fn set_ops(&mut self, row: usize, pops: Vec<PopEntry<'_>>) {
+        for column in &mut self.hulls {
+            column[row] = EMPTY;
+        }
+        let mut bounds = Vec::with_capacity(pops.len());
+        let mut sketches = Vec::with_capacity(pops.len());
+        for pop in pops {
+            let ty = intern(&mut self.types, pop.pop_type);
+            if ty as usize == self.hulls.len() {
+                self.hulls.push(vec![EMPTY; self.iris.len()]);
+            }
+            let scan = pop.scan.is_some();
+            let [row_size, fpages, base_cardinality] = pop.scan.unwrap_or_default();
+            let stats = [pop.cardinality, row_size, fpages, base_cardinality];
+            // f64::min / max skip a NaN bound; an operator carrying one
+            // admits nothing, so the hull owes it nothing.
+            let hull = &mut self.hulls[ty as usize][row];
+            hull.lo = hull.lo.min(stats[0].exact.lo);
+            hull.hi = hull.hi.max(stats[0].exact.hi);
+            bounds.push(PopBounds {
+                ty,
+                scan,
+                stats: stats.each_ref().map(|stat| stat.exact),
+            });
+            sketches.push(stats.map(|stat| stat.sketch));
+        }
+        self.ops[row] = bounds.into_boxed_slice();
+        self.sketches[row] = sketches.into_boxed_slice();
+    }
+
+    fn remove(&mut self, iri: &str) {
+        let Ok(row) = self.find(iri) else {
+            return;
+        };
+        self.iris.remove(row);
+        self.workload.remove(row);
+        self.ops.remove(row);
+        self.sketches.remove(row);
+        for column in &mut self.hulls {
+            column.remove(row);
+        }
+    }
+
+    /// Resolve a query's checks against this bucket's type table and
+    /// apply margin `m` (already clamped to ≥ 1) to their values.
+    fn resolve(&self, checks: &[PopCheck], m: f64) -> Vec<Resolved<'_>> {
+        checks
+            .iter()
+            .map(|check| {
+                let [row_size, fpages, base_cardinality] = check.scan.map_or([f64::NAN; 3], |s| {
+                    [s.row_size, s.fpages, s.base_cardinality]
+                });
+                let ty = lookup(&self.types, check.pop_type);
+                Resolved {
+                    ty,
+                    hulls: self.hulls.get(ty as usize).map_or(&[], Vec::as_slice),
+                    scan: check.scan.is_some(),
+                    stats: [check.est_card, row_size, fpages, base_cardinality].map(|v| Slack {
+                        up: v * m,
+                        down: v / m,
+                    }),
+                }
+            })
+            .collect()
+    }
+
+    /// The candidate pre-check over one row: per check, the requirement
+    /// that *some* same-typed operator admits the cardinality **and**
+    /// (for scans) all three scan-stat envelopes simultaneously. The
+    /// probe binds each segment operator to exactly one same-typed
+    /// template operator and tests all of that operator's stored bounds,
+    /// so the conjunction is a necessary condition for any probe match.
+    fn admits(&self, row: usize, checks: &[Resolved<'_>], trim: f64) -> Admission {
+        for check in checks {
+            // The hull pre-test (exact; see the module docs).
+            if trim <= 0.0
+                && !check
+                    .hulls
+                    .get(row)
+                    .is_some_and(|&hull| check.stats[0].within(hull))
+            {
+                return Admission::RejectedCard;
+            }
+            let mut card_ok = false;
+            let mut full_ok = false;
+            for (at, op) in self.ops[row].iter().enumerate() {
+                let stat = |family: usize| {
+                    if trim <= 0.0 {
+                        op.stats[family]
+                    } else {
+                        self.sketches[row][at][family].envelope(trim)
+                    }
+                };
+                if op.ty != check.ty || !check.stats[0].within(stat(0)) {
+                    continue;
+                }
+                card_ok = true;
+                if !(check.scan && op.scan) || (1..4).all(|f| check.stats[f].within(stat(f))) {
+                    full_ok = true;
+                    break;
+                }
+            }
+            if !full_ok {
+                return if card_ok {
+                    Admission::RejectedScan
+                } else {
+                    Admission::RejectedCard
+                };
+            }
+        }
+        Admission::Admitted
+    }
+
+    fn next_admitting(
+        &self,
+        query: &AdmissionQuery<'_>,
+        after: Option<&str>,
+        stats: &mut AdmissionStats,
+    ) -> Option<&str> {
+        let m = query.margin.max(1.0);
+        let first = after.map_or(0, |a| self.iris.partition_point(|iri| iri.as_str() <= a));
+        let checks = self.resolve(query.checks, m);
+        let near =
+            (query.near_factor > 1.0).then(|| self.resolve(query.checks, m * query.near_factor));
+        let dataset = query.dataset.map(|d| lookup(&self.workloads, d));
+        // Counted in a local: the walk is a few instructions a row, and
+        // a counter behind `&mut` would be a store per row.
+        let mut seen = *stats;
+        let admitted = (first..self.iris.len()).find(|&row| {
+            seen.considered += 1;
+            if dataset.is_some_and(|d| self.workload[row] != d) {
+                return false; // out of scope: examined, but not an admission reject
+            }
+            match self.admits(row, &checks, query.trim) {
+                Admission::Admitted => return true,
+                Admission::RejectedCard => seen.rejects_card += 1,
+                Admission::RejectedScan => seen.rejects_scan += 1,
+            }
+            // Near-miss detection: would the widened margin have admitted
+            // this row? Counting only — the candidate stays rejected.
+            if near
+                .as_ref()
+                .is_some_and(|near| self.admits(row, near, query.trim) == Admission::Admitted)
+            {
+                seen.near_misses += 1;
+            }
+            false
+        });
+        *stats = seen;
+        admitted.map(|row| self.iris[row].as_str())
+    }
+}
+
+/// Shape signature -> the columnar [`Bucket`] of the templates with that
+/// shape. Lives behind the knowledge base's `RwLock`; every method here
+/// assumes the caller holds it.
+#[derive(Default)]
+pub(crate) struct SigIndex {
+    buckets: HashMap<u64, Bucket>,
+}
+
+impl SigIndex {
+    /// Insert the template's row into its signature's bucket, or
+    /// overwrite the row it already has there.
+    pub(crate) fn upsert(
+        &mut self,
+        signature: u64,
+        iri: &str,
+        workload: &str,
+        pops: Vec<PopEntry<'_>>,
+    ) {
+        self.buckets
+            .entry(signature)
+            .or_default()
+            .upsert(iri, workload, pops);
+    }
+
+    /// Unlink a template; a bucket left without rows goes with it.
+    pub(crate) fn remove(&mut self, iri: &str) {
+        self.buckets.retain(|_, bucket| {
+            bucket.remove(iri);
+            !bucket.iris.is_empty()
+        });
+    }
+
+    /// Rewrite the operators (and hulls) of the template's row in place;
+    /// a template the index does not hold is left alone.
+    pub(crate) fn refresh(&mut self, iri: &str, pops: Vec<PopEntry<'_>>) {
+        for bucket in self.buckets.values_mut() {
+            if let Ok(row) = bucket.find(iri) {
+                bucket.set_ops(row, pops);
+                return;
+            }
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.buckets.clear();
+    }
+
+    /// Number of distinct signatures.
+    pub(crate) fn len(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// The signature's template IRIs, ascending.
+    pub(crate) fn iris(&self, signature: u64) -> &[String] {
+        self.buckets
+            .get(&signature)
+            .map_or(&[], |bucket| bucket.iris.as_slice())
+    }
+
+    /// Number of signatures holding at least one template learned from
+    /// `workload`.
+    pub(crate) fn signatures_of(&self, workload: &str) -> usize {
+        self.buckets
+            .values()
+            .filter(|bucket| {
+                bucket
+                    .workload
+                    .contains(&lookup(&bucket.workloads, workload))
+            })
+            .count()
+    }
+
+    /// The cursor: the first row of the signature's bucket strictly after
+    /// `after` (`None` = from the start) that belongs to the query's
+    /// dataset and passes its admission pre-check. Every row examined —
+    /// the admitted one included — is accumulated into `stats`.
+    pub(crate) fn next_admitting(
+        &self,
+        signature: u64,
+        query: &AdmissionQuery<'_>,
+        after: Option<&str>,
+        stats: &mut AdmissionStats,
+    ) -> Option<&str> {
+        self.buckets
+            .get(&signature)?
+            .next_admitting(query, after, stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    // ---------------------------------------------------------------
+    // The reference: the per-template B-tree entries and the
+    // per-operator, string-compared walk this module replaced, kept as
+    // they were. Nothing below the dashed line shares code with it.
+    // ---------------------------------------------------------------
+
+    impl IndexedStat {
+        fn admits(&self, v: f64, m: f64, trim: f64) -> bool {
+            let b = if trim <= 0.0 {
+                self.exact
+            } else {
+                self.sketch.envelope(trim)
+            };
+            b.lo <= v * m && b.hi >= v / m
+        }
+    }
+
+    #[derive(Clone)]
+    struct RefPop {
+        pop_type: &'static str,
+        cardinality: IndexedStat,
+        scan: Option<[IndexedStat; 3]>,
+    }
+
+    struct RefTemplate {
+        workload: String,
+        pops: Vec<RefPop>,
+    }
+
+    type RefBucket = BTreeMap<String, RefTemplate>;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum RefAdmission {
+        Admitted,
+        RejectedDataset,
+        RejectedCard,
+        RejectedScan,
+    }
+
+    fn ref_admits(tpl: &RefTemplate, q: &AdmissionQuery<'_>, m: f64) -> RefAdmission {
+        if q.dataset.is_some_and(|d| tpl.workload != d) {
+            return RefAdmission::RejectedDataset;
+        }
+        for check in q.checks {
+            let mut card_ok = false;
+            let mut full_ok = false;
+            for p in &tpl.pops {
+                if p.pop_type != check.pop_type || !p.cardinality.admits(check.est_card, m, q.trim)
+                {
+                    continue;
+                }
+                card_ok = true;
+                let scan_ok = match (&check.scan, &p.scan) {
+                    (Some(sc), Some([row_size, fpages, base_cardinality])) => {
+                        row_size.admits(sc.row_size, m, q.trim)
+                            && fpages.admits(sc.fpages, m, q.trim)
+                            && base_cardinality.admits(sc.base_cardinality, m, q.trim)
+                    }
+                    _ => true,
+                };
+                if scan_ok {
+                    full_ok = true;
+                    break;
+                }
+            }
+            if !full_ok {
+                return if card_ok {
+                    RefAdmission::RejectedScan
+                } else {
+                    RefAdmission::RejectedCard
+                };
+            }
+        }
+        RefAdmission::Admitted
+    }
+
+    fn ref_next_admitting(
+        tpls: &RefBucket,
+        query: &AdmissionQuery<'_>,
+        after: Option<&str>,
+        stats: &mut AdmissionStats,
+    ) -> Option<String> {
+        use std::ops::Bound;
+        let m = query.margin.max(1.0);
+        let lower = match after {
+            Some(a) => Bound::Excluded(a),
+            None => Bound::Unbounded,
+        };
+        for (iri, tpl) in tpls.range::<str, _>((lower, Bound::Unbounded)) {
+            stats.considered += 1;
+            match ref_admits(tpl, query, m) {
+                RefAdmission::Admitted => return Some(iri.clone()),
+                RefAdmission::RejectedDataset => {}
+                rejected => {
+                    match rejected {
+                        RefAdmission::RejectedCard => stats.rejects_card += 1,
+                        _ => stats.rejects_scan += 1,
+                    }
+                    if query.near_factor > 1.0
+                        && ref_admits(tpl, query, m * query.near_factor) == RefAdmission::Admitted
+                    {
+                        stats.near_misses += 1;
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    // ---------------------------------------------------------------
+
+    const SIG: u64 = 7;
+    /// The operators every row of a bucket shares (its signature)…
+    const SHARED: [&str; 3] = ["HSJOIN", "TBSCAN", "IXSCAN"];
+    /// …the transparent ones a row may carry on top…
+    const EXTRA: [&str; 3] = ["SORT", "FILTER", "RETURN"];
+    /// …and one no row ever has.
+    const UNSEEN: &str = "GRPBY";
+
+    fn entries(pops: &[RefPop]) -> Vec<PopEntry<'static>> {
+        pops.iter()
+            .map(|p| PopEntry {
+                pop_type: p.pop_type,
+                cardinality: p.cardinality.clone(),
+                scan: p.scan.clone(),
+            })
+            .collect()
+    }
+
+    /// A stat anchored at `lo`: plain, sketched with an outlier (so a
+    /// trim moves it), one-sided, unbounded, or with exact bounds that
+    /// disagree with the sketch beside them.
+    fn stat(rng: &mut StdRng, lo: f64) -> IndexedStat {
+        let hi = lo * [1.0, 2.0, 8.0].choose(rng).unwrap();
+        match rng.gen_range(0..10) {
+            0 => IndexedStat::reconstruct(None, None),
+            1 => IndexedStat::reconstruct(None, Some(Range::from_bounds(Some(lo), None))),
+            2 => IndexedStat::reconstruct(None, Some(Range::from_bounds(None, Some(hi)))),
+            3 => IndexedStat::reconstruct(
+                Some(StatSketch::from_range(lo, hi)),
+                Some(Range {
+                    lo: lo * 3.0,
+                    hi: hi * 5.0,
+                }),
+            ),
+            4 | 5 => {
+                let mut sketch = StatSketch::new();
+                for _ in 0..30 {
+                    sketch.observe((lo * rng.gen_range(1.0..2.0f64)).round());
+                }
+                sketch.observe(lo * 1e3);
+                IndexedStat::of(&sketch)
+            }
+            _ => IndexedStat::of(&StatSketch::from_range(lo, hi)),
+        }
+    }
+
+    fn pop(rng: &mut StdRng, pop_type: &'static str, lo: f64) -> RefPop {
+        let is_scan = pop_type.ends_with("SCAN");
+        RefPop {
+            pop_type,
+            cardinality: stat(rng, lo),
+            // One scan in five was stored without scan stats.
+            scan: (is_scan && rng.gen_bool(0.8)).then(|| {
+                [(); 3].map(|()| {
+                    let lo = 10f64.powi(rng.gen_range(1..4));
+                    stat(rng, lo)
+                })
+            }),
+        }
+    }
+
+    fn row(rng: &mut StdRng) -> Vec<RefPop> {
+        let mut pops = Vec::new();
+        for ty in SHARED {
+            let lo = 10f64.powi(rng.gen_range(0..6));
+            pops.push(pop(rng, ty, lo));
+            // A second operator of the type, far from the first: the
+            // hull spans a gap neither of them admits.
+            if rng.gen_bool(0.4) {
+                pops.push(pop(rng, ty, lo * 1e4));
+            }
+        }
+        for ty in EXTRA {
+            if rng.gen_bool(0.3) {
+                let lo = 10f64.powi(rng.gen_range(0..6));
+                pops.push(pop(rng, ty, lo));
+            }
+        }
+        pops.shuffle(rng);
+        pops
+    }
+
+    /// A value inside, on the edge of, between or far outside a stat's
+    /// exact range.
+    fn value(rng: &mut StdRng, stat: &IndexedStat) -> f64 {
+        let Range { lo, hi } = stat.exact;
+        match rng.gen_range(0..8) {
+            0 | 1 => lo,
+            2 | 3 => hi,
+            4 => (lo + hi) / 2.0,
+            5 => hi * 60.0, // the gap below a ×1e4 sibling
+            6 => lo / 1e6,
+            _ => hi * 1e9,
+        }
+    }
+
+    fn checks(rng: &mut StdRng, anchor: &[RefPop]) -> Vec<PopCheck> {
+        let mut checks: Vec<PopCheck> = Vec::new();
+        for p in anchor {
+            if rng.gen_bool(0.4) {
+                continue;
+            }
+            let scan = (p.pop_type.ends_with("SCAN") && rng.gen_bool(0.8)).then(|| {
+                let [row_size, fpages, base_cardinality] = match &p.scan {
+                    Some(scan) => scan.each_ref().map(|stat| value(rng, stat)),
+                    None => [f64::NAN, 1e12, -3.0],
+                };
+                ScanCheck {
+                    row_size,
+                    fpages,
+                    base_cardinality,
+                }
+            });
+            checks.push(PopCheck {
+                pop_type: p.pop_type,
+                est_card: value(rng, &p.cardinality),
+                scan,
+            });
+        }
+        if rng.gen_bool(0.15) {
+            let at = rng.gen_range(0..=checks.len());
+            checks.insert(at, PopCheck::card(UNSEEN, 100.0));
+        }
+        if rng.gen_bool(0.05) {
+            checks.push(PopCheck::card(SHARED[0], f64::NAN));
+        }
+        checks
+    }
+
+    /// Pull a cursor until it runs dry.
+    fn drain(
+        after: Option<&str>,
+        mut next: impl FnMut(Option<&str>, &mut AdmissionStats) -> Option<String>,
+    ) -> (Vec<String>, AdmissionStats) {
+        let mut stats = AdmissionStats::default();
+        let mut admitted: Vec<String> = Vec::new();
+        let mut after = after.map(str::to_string);
+        while let Some(iri) = next(after.as_deref(), &mut stats) {
+            after = Some(iri.clone());
+            admitted.push(iri);
+        }
+        (admitted, stats)
+    }
+
+    /// The columnar cursor against the reference, over seeded random
+    /// buckets — built through shuffled inserts, republishes, removals
+    /// and refreshes, so the maintenance of every column is under test
+    /// too — and seeded random queries.
+    #[test]
+    fn cursor_matches_the_reference_walk() {
+        let mut rng = StdRng::seed_from_u64(0x516_1DE5);
+        let mut totals = AdmissionStats::default();
+        let (mut admitted_total, mut hull_only) = (0usize, 0usize);
+        for bucket_no in 0..40 {
+            let rows = if bucket_no < 4 {
+                2 + bucket_no
+            } else {
+                rng.gen_range(2..=200)
+            };
+            let mut index = SigIndex::default();
+            let mut reference = RefBucket::new();
+            let iri_of =
+                |n: usize| format!("http://galo/kb/template/{:05x}", n * 2654435761 % 0xfffff);
+            let mut order: Vec<usize> = (0..rows).collect();
+            order.shuffle(&mut rng);
+            for &n in &order {
+                let (iri, pops) = (iri_of(n), row(&mut rng));
+                let workload = ["w1", "w2", ""].choose(&mut rng).unwrap();
+                index.upsert(SIG, &iri, workload, entries(&pops));
+                // A same-IRI row under another signature must never leak.
+                if n % 7 == 0 {
+                    index.upsert(SIG ^ 1, &iri, "w1", entries(&row(&mut rng)));
+                }
+                reference.insert(
+                    iri,
+                    RefTemplate {
+                        workload: workload.to_string(),
+                        pops,
+                    },
+                );
+            }
+            // Republish (overwrite in place), refresh and remove a few.
+            for &n in order.iter().take(rows / 4) {
+                let (iri, pops) = (iri_of(n), row(&mut rng));
+                match rng.gen_range(0..3) {
+                    0 => {
+                        index.upsert(SIG, &iri, "w2", entries(&pops));
+                        let workload = "w2".to_string();
+                        reference.insert(iri, RefTemplate { workload, pops });
+                    }
+                    1 => {
+                        index.buckets.get_mut(&SIG).unwrap().remove(&iri);
+                        reference.remove(&iri);
+                    }
+                    _ => {
+                        let bucket = index.buckets.get_mut(&SIG).unwrap();
+                        let at = bucket.find(&iri).unwrap();
+                        bucket.set_ops(at, entries(&pops));
+                        reference.get_mut(&iri).unwrap().pops = pops;
+                    }
+                }
+            }
+            assert_eq!(
+                index.iris(SIG),
+                reference.keys().cloned().collect::<Vec<_>>()
+            );
+            if reference.is_empty() {
+                continue;
+            }
+
+            let mut afters: Vec<String> = vec![String::new(), "zzzz".to_string()];
+            for iri in reference.keys() {
+                afters.push(iri.clone());
+                afters.push(format!("{iri}~"));
+                afters.push(iri[..iri.len() - 1].to_string());
+            }
+            for _ in 0..24 {
+                let anchor = reference.values().nth(rng.gen_range(0..reference.len()));
+                let checks = checks(&mut rng, &anchor.unwrap().pops);
+                for margin in [1.0, 1.5, 4.0] {
+                    for trim in [0.0, 0.05, 0.3] {
+                        let query = AdmissionQuery {
+                            checks: &checks,
+                            margin,
+                            trim,
+                            dataset: *[None, None, Some("w1"), Some("w2"), Some("absent")]
+                                .choose(&mut rng)
+                                .unwrap(),
+                            near_factor: *[1.0, 2.0].choose(&mut rng).unwrap(),
+                        };
+                        let columnar = |after: Option<&str>, stats: &mut AdmissionStats| {
+                            index
+                                .next_admitting(SIG, &query, after, stats)
+                                .map(str::to_string)
+                        };
+                        let walked = |after: Option<&str>, stats: &mut AdmissionStats| {
+                            ref_next_admitting(&reference, &query, after, stats)
+                        };
+                        let got = drain(None, columnar);
+                        assert_eq!(got, drain(None, walked), "{query:?}");
+                        totals.considered += got.1.considered;
+                        totals.rejects_card += got.1.rejects_card;
+                        totals.rejects_scan += got.1.rejects_scan;
+                        totals.near_misses += got.1.near_misses;
+                        admitted_total += got.0.len();
+                        // Resuming anywhere — from a row, beside one,
+                        // before the first, past the last — agrees too.
+                        if rng.gen_range(0..20) == 0 {
+                            for after in &afters {
+                                assert_eq!(
+                                    drain(Some(after), columnar),
+                                    drain(Some(after), walked),
+                                    "after {after:?}: {query:?}"
+                                );
+                            }
+                        }
+                        // Rows whose hull admits the first check though
+                        // no single operator does.
+                        let bucket = &index.buckets[&SIG];
+                        if let (0.0, Some(first)) = (trim, bucket.resolve(&checks, margin).first())
+                        {
+                            hull_only += reference
+                                .values()
+                                .enumerate()
+                                .filter(|(at, tpl)| {
+                                    let hull = first.hulls.get(*at);
+                                    hull.is_some_and(|&hull| first.stats[0].within(hull))
+                                        && !tpl.pops.iter().any(|p| {
+                                            p.pop_type == checks[0].pop_type
+                                                && p.cardinality.admits(
+                                                    checks[0].est_card,
+                                                    margin,
+                                                    trim,
+                                                )
+                                        })
+                                })
+                                .count();
+                        }
+                    }
+                }
+            }
+        }
+        // The grid reached every outcome it is there to compare.
+        let rejected = totals.rejects_card + totals.rejects_scan;
+        assert!(admitted_total > 1_000, "admitted {admitted_total}");
+        assert!(totals.rejects_card > 1_000 && totals.rejects_scan > 1_000);
+        assert!(totals.near_misses > 100, "{totals:?}");
+        assert!(
+            totals.considered > rejected + admitted_total,
+            "dataset-filtered rows"
+        );
+        assert!(
+            hull_only > 1_000,
+            "hull-admitted, operator-rejected: {hull_only}"
+        );
+    }
+}

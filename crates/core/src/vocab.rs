@@ -76,6 +76,27 @@ pub const HAS_ROW_SIZE_SKETCH: &str = "hasRowSizeSketch";
 pub const HAS_FPAGES_SKETCH: &str = "hasFPagesSketch";
 pub const HAS_BASE_CARDINALITY_SKETCH: &str = "hasBaseCardinalitySketch";
 
+/// The numeric property families of a template operator, as
+/// `(hasLower*, hasHigher*, *Sketch)` names: cardinality first, then the
+/// three scan statistics (row size, fpages, base cardinality).
+/// Serialization, the signature-index reader and feedback refinement all
+/// walk this one table, and the signature index stores an operator's
+/// bounds in this order.
+pub const STAT_FAMILIES: [(&str, &str, &str); 4] = [
+    (
+        HAS_LOWER_CARDINALITY,
+        HAS_HIGHER_CARDINALITY,
+        HAS_CARDINALITY_SKETCH,
+    ),
+    (HAS_LOWER_ROW_SIZE, HAS_HIGHER_ROW_SIZE, HAS_ROW_SIZE_SKETCH),
+    (HAS_LOWER_FPAGES, HAS_HIGHER_FPAGES, HAS_FPAGES_SKETCH),
+    (
+        HAS_LOWER_BASE_CARDINALITY,
+        HAS_HIGHER_BASE_CARDINALITY,
+        HAS_BASE_CARDINALITY_SKETCH,
+    ),
+];
+
 // Template metadata and linkage.
 pub const IN_TEMPLATE: &str = "inTemplate";
 pub const HAS_CANONICAL_TABID: &str = "hasCanonicalTabid";

@@ -525,10 +525,11 @@ fn index_view(kb: &KnowledgeBase, signature: u64, checks: &[PopCheck]) -> Vec<Ve
 
 /// The signature index is maintained incrementally by every mutator and
 /// rebuilt from the store by `reindex` / `import` / reopen. After each
-/// kind of mutation the incrementally maintained index must answer
-/// exactly like the rebuilt one — including the two fallback rules: a
-/// corrupt sketch literal falls back to the exact bounds, and an operator
-/// stored without bounds is unbounded.
+/// kind of mutation — publish, republish, refinement, removal of a first,
+/// middle, last and only row, clear — the incrementally maintained index
+/// must answer exactly like the rebuilt one, including the two fallback
+/// rules: a corrupt sketch literal falls back to the exact bounds, and an
+/// operator stored without bounds is unbounded.
 #[test]
 fn incremental_index_equals_the_index_rebuilt_from_the_store() {
     let (db, plan) = setup();
@@ -637,6 +638,76 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
         check(&kb, "refine_template_stats");
     }
 
+    // A refinement moves a row's hull: a cardinality no template admitted
+    // is folded into `c`, and exactly `c` must admit it afterwards — in
+    // the row rewritten in place and in the row rebuilt from the store.
+    let displaced: Vec<PopCheck> = checks
+        .iter()
+        .map(|c| PopCheck::card(c.pop_type, c.est_card * 5e4))
+        .collect();
+    let admitting_displaced = |kb: &KnowledgeBase| {
+        kb.candidate_templates_admitting(signature, &AdmissionQuery::exact(&displaced, 1.0))
+    };
+    assert_eq!(admitting_displaced(&kb), vec![iri_of(&boundless)]);
+    let refinement = TemplateRefinement {
+        observations: displaced
+            .iter()
+            .map(|c| PopObservation {
+                pop_type: c.pop_type.to_string(),
+                cards: vec![(c.est_card, f64::INFINITY)],
+                scan: None,
+                scan_band: f64::INFINITY,
+            })
+            .collect(),
+        narrows: vec![],
+    };
+    assert!(kb.refine_template_stats(&iri_of(&c), &refinement).changed);
+    let mut want = vec![iri_of(&boundless), iri_of(&c)];
+    want.sort();
+    assert_eq!(admitting_displaced(&kb), want, "the refined hull admits");
+    check(&kb, "refine_template_stats widening a hull");
+    assert_eq!(
+        admitting_displaced(&kb),
+        want,
+        "and so does the rebuilt one"
+    );
+
+    // An idempotent republish overwrites its row in place: no new quad,
+    // no second row, no answer changed.
+    let before = check(&kb, "before the republish");
+    assert_eq!(kb.insert_batch(std::slice::from_ref(&d)), 0);
+    assert_eq!(check(&kb, "idempotent republish"), before);
+    assert_eq!(
+        before[1].iter().filter(|iri| **iri == iri_of(&d)).count(),
+        1
+    );
+
+    // remove_template: a bucket's only row takes the bucket with it…
+    let mut lone = sketched(7, "w2", &[1.4]);
+    lone.join_count += 1; // a signature of its own
+    let more: Vec<Template> = (8..12)
+        .map(|salt| sketched(salt, "w1", &[0.8, 1.9]))
+        .collect();
+    kb.insert_batch(std::slice::from_ref(&lone));
+    kb.insert_batch(&more);
+    assert_eq!(check(&kb, "a second signature")[0], vec!["2"]);
+    assert!(kb.remove_template(&iri_of(&lone)));
+    assert_eq!(check(&kb, "removing a bucket's only row")[0], vec!["1"]);
+    // …and a first, a middle and a last row leave their neighbours —
+    // operators, hulls, sketches — where the cursor expects them.
+    for position in ["first", "middle", "last"] {
+        let rows = kb.candidate_templates(signature);
+        let victim = match position {
+            "first" => &rows[0],
+            "middle" => &rows[rows.len() / 2],
+            _ => &rows[rows.len() - 1],
+        };
+        assert!(kb.remove_template(victim));
+        let view = check(&kb, &format!("removing the {position} row"));
+        assert_eq!(view[1].len(), rows.len() - 1);
+        assert!(!view[1].contains(victim));
+    }
+
     // import replaces the image with an equal one; a sharded durable
     // reopen recovers it. Neither may change a single answer.
     let before = check(&kb, "refinements");
@@ -658,4 +729,10 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
         check(&kb, "apply_records with a Clear")[1],
         vec![iri_of(&a)]
     );
+
+    // clear: nothing left on either side.
+    kb.clear();
+    let view = check(&kb, "clear");
+    assert_eq!(view[0], vec!["0"]);
+    assert!(view[1..].iter().all(Vec::is_empty));
 }
