@@ -13,10 +13,15 @@ fn prop(name: &str) -> Term {
 
 /// Fill a store with `templates` KB-shaped problem patterns (~19 triples
 /// per template, the shape `KnowledgeBase::insert` emits) plus one
-/// named-graph workload tag per template.
-fn fill_kb_shaped(store: &mut dyn TripleStore, templates: u32) {
+/// named-graph workload tag per template. `batched` brackets each
+/// template the way the endpoint's write transactions do: one commit per
+/// template instead of one per triple.
+fn fill_kb_shaped(store: &mut dyn TripleStore, templates: u32, batched: bool) {
     let graph = Term::iri("http://galo/kb/graph/workload/bench");
     for t in 0..templates {
+        if batched {
+            store.begin_batch();
+        }
         let tnode = Term::iri(format!("http://galo/kb/template/{t:016x}"));
         for op in 0..4u32 {
             let me = Term::iri(format!("http://galo/kb/template/{t:016x}/pop/{op}"));
@@ -44,11 +49,14 @@ fn fill_kb_shaped(store: &mut dyn TripleStore, templates: u32) {
             prop("hasProblemFingerprint"),
             Term::lit(format!("fp{t}")),
         );
+        if batched {
+            store.end_batch();
+        }
     }
 }
 
-/// Journaled vs in-memory template ingestion: what one WAL line per
-/// mutation costs the learning path.
+/// Journaled vs in-memory template ingestion: what a commit per triple
+/// and a commit per template cost the learning path.
 fn bench_durable_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("durable_insert");
     let templates = 100u32;
@@ -57,22 +65,21 @@ fn bench_durable_insert(c: &mut Criterion) {
         |b| {
             b.iter(|| {
                 let mut st = IndexedStore::new();
-                fill_kb_shaped(&mut st, templates);
+                fill_kb_shaped(&mut st, templates, false);
                 black_box(st.len())
             })
         },
     );
-    group.bench_function(
-        BenchmarkId::new("durable", format!("{templates}tpl")),
-        |b| {
+    for (name, batched) in [("durable", false), ("durable-batched", true)] {
+        group.bench_function(BenchmarkId::new(name, format!("{templates}tpl")), |b| {
             b.iter(|| {
                 let dir = ScratchDir::new("bench-insert");
                 let mut st = DurableStore::open(dir.path()).expect("opens");
-                fill_kb_shaped(&mut st, templates);
+                fill_kb_shaped(&mut st, templates, batched);
                 black_box(st.len())
             })
-        },
-    );
+        });
+    }
     group.finish();
 }
 
@@ -85,7 +92,7 @@ fn bench_durable_open(c: &mut Criterion) {
         let log_dir = ScratchDir::new("bench-open-log");
         {
             let mut st = DurableStore::open(log_dir.path()).expect("opens");
-            fill_kb_shaped(&mut st, templates);
+            fill_kb_shaped(&mut st, templates, true);
         }
         group.bench_function(
             BenchmarkId::new("log-replay", format!("{templates}tpl")),
@@ -100,7 +107,7 @@ fn bench_durable_open(c: &mut Criterion) {
         let snap_dir = ScratchDir::new("bench-open-snap");
         {
             let mut st = DurableStore::open(snap_dir.path()).expect("opens");
-            fill_kb_shaped(&mut st, templates);
+            fill_kb_shaped(&mut st, templates, true);
             st.compact().expect("compacts");
         }
         group.bench_function(
@@ -122,7 +129,7 @@ fn bench_durable_compact(c: &mut Criterion) {
     for templates in [100u32, 1000] {
         let dir = ScratchDir::new("bench-compact");
         let mut st = DurableStore::open(dir.path()).expect("opens");
-        fill_kb_shaped(&mut st, templates);
+        fill_kb_shaped(&mut st, templates, true);
         group.bench_function(
             BenchmarkId::from_parameter(format!("{templates}tpl")),
             |b| {

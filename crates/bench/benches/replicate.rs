@@ -24,7 +24,7 @@ use galo_core::{
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{GuidelineDoc, Qgm};
-use galo_rdf::{decode_frame, encode_frame, Frame, FramePayload};
+use galo_rdf::{decode_frame, encode_frame, Frame, FramePayload, Quad, QuadBlock};
 
 /// A distinct single-pop template per `id` — the feed's unit of traffic.
 fn tpl(id: u64) -> Template {
@@ -158,24 +158,34 @@ fn bench_publish_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-/// Raw frame codec cost on a realistic `Publish` payload (~50 quads):
-/// every replicated byte pays this twice.
+/// Codec cost of a realistic `Publish` (~50 quads), end to end on each
+/// side: quads → block → frame bytes for the sender, frame bytes → block
+/// for the receiver. A batch pays the first once and the second once per
+/// hop that applies it.
 fn bench_wire_codec(c: &mut Criterion) {
     let quads = KnowledgeBase::templates_to_quads(&(0..5).map(tpl).collect::<Vec<_>>());
-    let frame = Frame {
-        seq: 42,
-        epoch: 6,
-        payload: FramePayload::Publish(quads),
+    let encode = |quads: &[Quad]| {
+        encode_frame(&Frame {
+            seq: 42,
+            epoch: 6,
+            payload: FramePayload::Publish(QuadBlock::of_inserts(quads).encode()),
+        })
     };
-    let encoded = encode_frame(&frame);
+    let encoded = encode(&quads);
 
     let mut group = c.benchmark_group("replicate_wire");
     group.sample_size(200);
     group.bench_function("encode_publish", |b| {
-        b.iter(|| encode_frame(black_box(&frame)).len())
+        b.iter(|| encode(black_box(&quads)).len())
     });
     group.bench_function("decode_publish", |b| {
-        b.iter(|| decode_frame(black_box(&encoded)).expect("roundtrip").1)
+        b.iter(|| {
+            let (frame, used) = decode_frame(black_box(&encoded)).expect("roundtrip");
+            let FramePayload::Publish(payload) = frame.payload else {
+                unreachable!("encoded as a publish");
+            };
+            QuadBlock::decode(&payload).expect("roundtrip").ops().len() + used
+        })
     });
     group.finish();
 }

@@ -211,8 +211,7 @@ pub struct DatasetStats {
 /// Index entries come from two places only:
 /// [`insert_batch`](Self::insert_batch) maps the [`Template`]s it was
 /// handed, and everything that starts from triples — whole-template
-/// [`apply_quads`](Self::apply_quads) and
-/// [`apply_records`](Self::apply_records) batches, and the rebuild behind
+/// [`apply_block`](Self::apply_block) batches, and the rebuild behind
 /// `reindex`, `import` and reopen — goes through the one `IndexFacts`
 /// gather, so the fallback rules (corrupt sketch → exact bounds →
 /// unbounded) are stated once.
@@ -520,9 +519,10 @@ impl KnowledgeBase {
     /// append path a learner machine pushes its mined templates through.
     /// All of the batch's triples (and per-workload dataset tags) go
     /// through [`FusekiLite::insert_quads_raw`], so a durable backend
-    /// flushes its journal once per batch and a sharded backend routes
-    /// each template whole to one shard (template-affine placement). The
-    /// signature index is updated under a single write lock.
+    /// journals the batch as one log record per shard it touches and a
+    /// sharded backend routes each template whole to one shard
+    /// (template-affine placement). The signature index is updated under
+    /// a single write lock.
     ///
     /// Publication is idempotent and commutative: re-publishing a
     /// template is a set-semantics no-op, so concurrent learners can
@@ -564,85 +564,85 @@ impl KnowledgeBase {
         n
     }
 
-    /// Apply already-serialized template quads (the payload of a
-    /// replication `Publish` frame, see
-    /// [`templates_to_quads`](Self::templates_to_quads)) — the
-    /// **privileged replication apply path**. Unlike
+    /// Apply already-serialized template quads (see
+    /// [`templates_to_quads`](Self::templates_to_quads)):
+    /// [`apply_block`](Self::apply_block) over the quads as one block of
+    /// inserts. Returns how many quads were new.
+    pub fn apply_quads(&self, quads: &[galo_rdf::Quad]) -> usize {
+        self.apply_block(&galo_rdf::QuadBlock::of_inserts(quads))
+    }
+
+    /// Apply owned statement-level operations — inserts, removes, clears:
+    /// [`apply_block`](Self::apply_block) over the records as one block.
+    /// Returns how many records took effect.
+    pub fn apply_records(&self, records: &[galo_rdf::Record]) -> usize {
+        self.apply_block(&galo_rdf::QuadBlock::of_records(records))
+    }
+
+    /// Apply one quad block — the decoded payload of a replication
+    /// `Publish` or `Mutation` frame, or a caller's quads or records
+    /// viewed as one — in one endpoint transaction: the **privileged
+    /// replication apply path**. Unlike
     /// [`insert_batch`](Self::insert_batch) this goes through
-    /// [`FusekiLite::apply_records`], so it still works after
+    /// [`FusekiLite::apply_block`], so it still works after
     /// [`FusekiLite::set_read_only`]: a read replica replays its
     /// primary's mutation feed through here while every client-facing
     /// write stays rejected. Idempotent (set semantics), so at-least-once
-    /// frame delivery yields exactly-once application. The signature
-    /// index is updated incrementally from the quads themselves when the
-    /// batch carries complete templates, with a full rebuild as the
-    /// fallback. Returns how many quads were new.
-    pub fn apply_quads(&self, quads: &[galo_rdf::Quad]) -> usize {
+    /// frame delivery yields exactly-once application.
+    ///
+    /// The signature index is updated incrementally from the inserts that
+    /// took effect when they are whole templates; a block containing
+    /// removals or a clear, or one that edits stored templates in part,
+    /// falls back to a full index rebuild (the only sound way to know what
+    /// the store now backs). Returns how many operations took effect.
+    pub fn apply_block<T: std::borrow::Borrow<Term>>(
+        &self,
+        block: &galo_rdf::QuadBlock<T>,
+    ) -> usize {
+        use galo_rdf::BlockOp;
         let scope = self.server.mutation_scope();
-        let applied = self.server.apply_records(
-            quads
-                .iter()
-                .cloned()
-                .map(|(s, p, o, graph)| galo_rdf::Record::Insert(s, p, o, graph)),
-        );
-        let n = applied.iter().filter(|&&fresh| fresh).count();
-        if n > 0 && !self.merge_index_from_quads(quads) {
-            self.rebuild_index();
-        }
-        scope.commit(n > 0);
-        n
-    }
-
-    /// Replay write-ahead-log records (the payload of a replication
-    /// `Mutation` frame) against this knowledge base — the replica's
-    /// catch-up path. Inserts are applied like
-    /// [`apply_quads`](Self::apply_quads); a batch containing removals or
-    /// a clear falls back to a full index rebuild (the only sound way to
-    /// know what the destroyed triples backed). Uses the privileged
-    /// endpoint path, so it works on a read-only replica. Returns how
-    /// many records took effect.
-    pub fn apply_records(&self, records: &[galo_rdf::Record]) -> usize {
-        use galo_rdf::Record;
-        let scope = self.server.mutation_scope();
-        let applied = self.server.apply_records(records.iter().cloned());
+        let applied = self.server.apply_block(block);
         let changed = applied.iter().filter(|&&took_effect| took_effect).count();
-        let destructive = records.iter().any(|r| !matches!(r, Record::Insert(..)));
-        // Only the inserts that took effect feed the incremental merge.
-        let merge_inserted = || {
-            let inserted: Vec<galo_rdf::Quad> = records
-                .iter()
-                .zip(&applied)
-                .filter_map(|(record, &fresh)| match record {
-                    Record::Insert(s, p, o, graph) if fresh => {
-                        Some((s.clone(), p.clone(), o.clone(), graph.clone()))
-                    }
-                    _ => None,
-                })
-                .collect();
-            self.merge_index_from_quads(&inserted)
-        };
-        if destructive || (changed > 0 && !merge_inserted()) {
+        let destructive = block
+            .ops()
+            .iter()
+            .any(|op| !matches!(op, BlockOp::Insert(_)));
+        if destructive || (changed > 0 && !self.merge_index_from_block(block, &applied)) {
             self.rebuild_index();
         }
         scope.commit(changed > 0);
         changed
     }
 
-    /// Incrementally fold template quads into the signature index, from
-    /// the quads alone (no store read). Works only when the batch is
+    /// Incrementally fold a block's template statements into the
+    /// signature index, from the block alone (no store read, no term
+    /// cloned): the default-graph inserts that `applied` says took effect.
+    /// Works only when they are
     /// [complete](IndexFacts::is_complete) — true for whole-template
-    /// publishes, the replication wire unit. Returns false when the batch
-    /// is partial (a caller-side signal to fall back to
+    /// publishes, the replication wire unit. Returns false when they are
+    /// partial (a caller-side signal to fall back to
     /// [`rebuild_index`](Self::rebuild_index)), leaving the index
     /// untouched.
-    fn merge_index_from_quads(&self, quads: &[galo_rdf::Quad]) -> bool {
+    fn merge_index_from_block<T: std::borrow::Borrow<Term>>(
+        &self,
+        block: &galo_rdf::QuadBlock<T>,
+        applied: &[bool],
+    ) -> bool {
         let mut facts = IndexFacts::default();
-        for (s, p, o, graph) in quads {
-            if graph.is_some() {
-                continue; // named-graph quads are dataset tags, not index inputs
+        for (op, &fresh) in block.ops().iter().zip(applied) {
+            // Named-graph quads are dataset tags, not index inputs.
+            let galo_rdf::BlockOp::Insert((s, p, o, None)) = *op else {
+                continue;
+            };
+            if !fresh {
+                continue;
             }
-            if let Some(local) = p.as_iri().and_then(|iri| iri.strip_prefix(vocab::PROP_NS)) {
-                facts.add(s.str_value(), local, o);
+            let local = block
+                .term(p)
+                .as_iri()
+                .and_then(|iri| iri.strip_prefix(vocab::PROP_NS));
+            if let Some(local) = local {
+                facts.add(block.term(s).str_value(), local, block.term(o));
             }
         }
         if !facts.is_complete() {
@@ -722,7 +722,7 @@ impl KnowledgeBase {
 
     /// The index rebuild itself, epoch-free — [`reindex`](Self::reindex)
     /// wraps it in the mutation scope that makes it observable. The same
-    /// gather as [`merge_index_from_quads`](Self::merge_index_from_quads),
+    /// gather as [`merge_index_from_block`](Self::merge_index_from_block),
     /// fed by one store scan per index predicate, then a whole-index swap.
     fn rebuild_index(&self) {
         let index = self.server.with_store(|st| {

@@ -6,9 +6,13 @@
 //! the online tier reads it at serving rates. This module reproduces the
 //! distribution boundary *with real bytes*: every publish,
 //! acknowledgement, feed entry and snapshot crosses a [`Link`] as an
-//! encoded [`galo_rdf::wire`] frame — length-delimited, FNV-checksummed
-//! N-Quads / WAL-record payloads — and is decoded on the far side before
-//! anything is applied. Three layers:
+//! encoded [`galo_rdf::wire`] frame — length-delimited, FNV-checksummed,
+//! a batch of statements carried as one [`galo_rdf::block`] — and is
+//! decoded on the far side before anything is applied. A batch is encoded
+//! once, by the learner: the primary applies the block it decodes, its
+//! store journals it as one log record in the same encoding, and the
+//! publish payload itself becomes the feed entry replicas pull. Three
+//! layers:
 //!
 //! * **Transport** — [`Link`] is an in-process byte-frame pipe
 //!   ([`loopback`] builds a connected pair). [`FaultyLink`] wraps an end
@@ -18,7 +22,7 @@
 //!   `Publish` frames with a per-sender sequence number and retries under
 //!   a [`RetryPolicy`] until the matching `Ack` arrives. The [`Primary`]
 //!   applies publishes through the idempotent
-//!   [`KnowledgeBase::apply_quads`] and deduplicates retries per peer
+//!   [`KnowledgeBase::apply_block`] and deduplicates retries per peer
 //!   (cached acks), so at-least-once delivery yields **exactly-once
 //!   application** — an acknowledged publish is never lost and never
 //!   doubled, whatever the link does.
@@ -40,7 +44,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use galo_qgm::Qgm;
-use galo_rdf::{decode_frame, encode_frame, snapshot_bytes, Frame, FramePayload, Quad, Record};
+use galo_rdf::{decode_frame, encode_frame, snapshot_bytes, Frame, FramePayload, Quad, QuadBlock};
 
 use crate::cluster::{ClusterConfig, LearnerNode};
 use crate::kb::{KnowledgeBase, Template};
@@ -301,11 +305,13 @@ impl RetryPolicy {
 // Primary
 // ---------------------------------------------------------------------------
 
-/// One ordered replication-log entry: the WAL records of one applied
-/// publish and the primary's mutation epoch after applying it.
+/// One ordered replication-log entry: the payload of one applied publish
+/// — an encoded quad block, validated when the primary decoded it to
+/// apply it, and sent on to replicas byte for byte — and the primary's
+/// mutation epoch after applying it.
 #[derive(Debug, Clone)]
 struct LogEntry {
-    records: Vec<Record>,
+    payload: Vec<u8>,
     epoch: u64,
 }
 
@@ -394,34 +400,31 @@ impl Primary {
     }
 
     /// Handle one raw frame from a peer; returns the reply frames to send
-    /// back, in order. Undecodable bytes (torn or corrupted in flight)
-    /// produce no reply — the sender's retry covers them.
+    /// back, in order. Undecodable bytes (torn or corrupted in flight, or
+    /// a publish whose payload is not a quad block) produce no reply — the
+    /// sender's retry covers them.
     pub fn handle(&self, peer: &mut PeerState, bytes: &[u8]) -> Vec<Vec<u8>> {
         let Ok((frame, _)) = decode_frame(bytes) else {
             return Vec::new();
         };
         match frame.payload {
-            FramePayload::Publish(quads) => {
+            FramePayload::Publish(payload) => {
                 let (added, epoch) = match peer.acked.get(&frame.seq) {
                     // A retried or duplicated delivery: answer from the
                     // dedup table without touching the store.
                     Some(&cached) => cached,
                     None => {
+                        let Ok(block) = QuadBlock::decode(&payload) else {
+                            return Vec::new();
+                        };
                         // Hold the log lock across the apply so the log
                         // order equals the apply order under concurrent
                         // publishers.
                         let mut log = self.log.lock().expect("replication log");
-                        let added = self.kb.apply_quads(&quads) as u64;
+                        let added = self.kb.apply_block(&block) as u64;
                         let epoch = self.kb.epoch();
                         if added > 0 {
-                            log.entries.push(LogEntry {
-                                records: quads
-                                    .iter()
-                                    .cloned()
-                                    .map(|(s, p, o, g)| Record::Insert(s, p, o, g))
-                                    .collect(),
-                                epoch,
-                            });
+                            log.entries.push(LogEntry { payload, epoch });
                         }
                         peer.acked.insert(frame.seq, (added, epoch));
                         (added, epoch)
@@ -446,18 +449,17 @@ impl Primary {
                     from = log.base_seq + 1;
                 }
                 let limit = if max == 0 { usize::MAX } else { max as usize };
-                for (i, entry) in log.entries.iter().enumerate() {
-                    let seq = log.base_seq + 1 + i as u64;
-                    if seq < from {
-                        continue;
-                    }
+                // `from` is past the base here; past the log's end too,
+                // when the replica has everything.
+                let skip = usize::try_from(from - log.base_seq - 1).unwrap_or(usize::MAX);
+                for (i, entry) in log.entries.iter().enumerate().skip(skip) {
                     if replies.len() >= limit {
                         break;
                     }
                     replies.push(encode_frame(&Frame {
-                        seq,
+                        seq: log.base_seq + 1 + i as u64,
                         epoch: entry.epoch,
-                        payload: FramePayload::Mutation(entry.records.clone()),
+                        payload: FramePayload::Mutation(entry.payload.clone()),
                     }));
                 }
                 // Feed watermark: where the log ends right now, at the
@@ -592,7 +594,7 @@ impl Publisher {
         let bytes = encode_frame(&Frame {
             seq,
             epoch: 0,
-            payload: FramePayload::Publish(quads.to_vec()),
+            payload: FramePayload::Publish(QuadBlock::of_inserts(quads).encode()),
         });
         let max_attempts = policy.max_attempts.max(1);
         for attempt in 1..=max_attempts {
@@ -779,39 +781,44 @@ impl Replica {
     /// watermark `Ack`). Idempotent: duplicates are skipped; a gap is
     /// reported, never applied out of order.
     pub fn apply_feed_frame(&mut self, frame: &Frame) -> FeedEvent {
+        // What a frame that cannot be applied now is answered with: the
+        // caller re-pulls from `expected`.
+        let gap = FeedEvent::Gap {
+            expected: self.next_seq,
+            got: frame.seq,
+        };
         match &frame.payload {
             FramePayload::Snapshot(bytes) => {
                 if frame.seq < self.next_seq {
                     self.stats.frames_skipped += 1;
                     return FeedEvent::Duplicate;
                 }
-                let Ok(records) = snapshot_records(bytes) else {
+                let Ok(image) = galo_rdf::store_from_snapshot(bytes) else {
                     // A snapshot that fails to decode despite the frame
                     // checksum: treat as a gap and re-pull.
-                    return FeedEvent::Gap {
-                        expected: self.next_seq,
-                        got: frame.seq,
-                    };
+                    return gap;
                 };
-                self.kb.apply_records(&records);
+                self.kb.apply_block(&QuadBlock::replacing_with(&image));
                 self.next_seq = frame.seq + 1;
                 self.epoch = frame.epoch;
                 self.stats.snapshots_loaded += 1;
                 FeedEvent::Applied
             }
-            FramePayload::Mutation(records) => {
+            FramePayload::Mutation(payload) => {
                 if frame.seq < self.next_seq {
                     self.stats.frames_skipped += 1;
                     return FeedEvent::Duplicate;
                 }
                 if frame.seq > self.next_seq {
                     self.stats.gaps += 1;
-                    return FeedEvent::Gap {
-                        expected: self.next_seq,
-                        got: frame.seq,
-                    };
+                    return gap;
                 }
-                self.kb.apply_records(records);
+                let Ok(block) = QuadBlock::decode(payload) else {
+                    // Not a block, despite the frame checksum: as for a
+                    // snapshot, ask again rather than apply a part.
+                    return gap;
+                };
+                self.kb.apply_block(&block);
                 self.next_seq = frame.seq + 1;
                 self.epoch = frame.epoch;
                 self.stats.frames_applied += 1;
@@ -907,37 +914,6 @@ impl Replica {
             outcome: tier.serve(qgm),
         })
     }
-}
-
-/// Decode a snapshot payload into the record sequence that reproduces it:
-/// a `Clear` followed by one `Insert` per statement (default graph, then
-/// named graphs in deterministic order).
-fn snapshot_records(bytes: &[u8]) -> std::io::Result<Vec<Record>> {
-    let store = galo_rdf::store_from_snapshot(bytes)?;
-    use galo_rdf::TripleStore;
-    let mut records = vec![Record::Clear];
-    for (s, p, o) in store.scan(None, None, None) {
-        records.push(Record::Insert(
-            store.resolve(s).clone(),
-            store.resolve(p).clone(),
-            store.resolve(o).clone(),
-            None,
-        ));
-    }
-    let mut gids = store.graph_ids();
-    gids.sort_unstable_by_key(|g| store.resolve(*g).to_string());
-    for g in gids {
-        let graph = store.resolve(g).clone();
-        for (s, p, o) in store.scan_in(g, None, None, None) {
-            records.push(Record::Insert(
-                store.resolve(s).clone(),
-                store.resolve(p).clone(),
-                store.resolve(o).clone(),
-                Some(graph.clone()),
-            ));
-        }
-    }
-    Ok(records)
 }
 
 // ---------------------------------------------------------------------------
@@ -1424,6 +1400,165 @@ mod tests {
             .expect("retry budget must cover the lossy feed");
         assert_eq!(image(replica.knowledge_base()), image(&kb));
         assert_eq!(replica.replica_epoch(), primary.epoch());
+    }
+
+    /// The crash test of the feed hop: a `Mutation` frame cut at any byte,
+    /// or with a bit flipped in any byte, changes nothing on the replica —
+    /// not its image, not its feed position, not its epoch — and the
+    /// catch-up that met it asks again; the whole frame then applies.
+    #[test]
+    fn a_feed_frame_cut_or_flipped_at_any_byte_is_re_pulled_never_half_applied() {
+        let kb = Arc::new(KnowledgeBase::new());
+        let primary = Primary::new(kb.clone());
+        let policy = RetryPolicy::default();
+        let (mut client, mut server) = loopback();
+        let mut peer = PeerState::default();
+        let mut replica = Replica::new();
+        let mut catch_up = |replica: &mut Replica| {
+            replica.catch_up(
+                &mut client,
+                &mut || {
+                    primary.serve_link(&mut peer, &mut server);
+                },
+                &policy,
+            )
+        };
+        catch_up(&mut replica).expect("cold start");
+        let (mut pc, mut ps) = loopback();
+        let mut ppeer = PeerState::default();
+        Publisher::new()
+            .publish_templates(
+                &[tpl("t0", "w1", 10.0)],
+                &mut pc,
+                &mut || {
+                    primary.serve_link(&mut ppeer, &mut ps);
+                },
+                &policy,
+            )
+            .expect("reliable publish");
+        // What the primary answers a pull with: the entry, the watermark.
+        let pull = encode_frame(&Frame {
+            seq: replica.next_seq(),
+            epoch: 0,
+            payload: FramePayload::Pull { max: 0 },
+        });
+        let replies = primary.handle(&mut PeerState::default(), &pull);
+        let [entry, watermark] = replies.as_slice() else {
+            panic!("one feed entry and the watermark, got {}", replies.len());
+        };
+        assert!(matches!(
+            decode_frame(entry).unwrap().0.payload,
+            FramePayload::Mutation(_)
+        ));
+        let before = (image(replica.knowledge_base()), replica.next_seq());
+        let once = RetryPolicy {
+            max_attempts: 1,
+            ..policy
+        };
+        for at in 0..entry.len() {
+            let mut flipped = entry.clone();
+            flipped[at] ^= 1 << (at % 8);
+            for damaged in [entry[..at].to_vec(), flipped] {
+                // A link that delivers the damaged entry and the watermark
+                // in answer to the pull, whatever the pull says.
+                let (mut near, mut far) = loopback();
+                let err = replica
+                    .catch_up(
+                        &mut near,
+                        &mut || {
+                            while far.recv().is_some() {}
+                            far.send(damaged.clone());
+                            far.send(watermark.clone());
+                        },
+                        &once,
+                    )
+                    .expect_err("a damaged entry cannot complete a catch-up");
+                assert_eq!(
+                    err.next_seq, before.1,
+                    "byte {at}: the entry is still wanted"
+                );
+                assert_eq!(replica.next_seq(), before.1, "byte {at}");
+                assert_eq!(replica.stats.frames_applied, 0, "byte {at}");
+            }
+            if at % 64 == 0 {
+                assert_eq!(image(replica.knowledge_base()), before.0, "byte {at}");
+            }
+        }
+        assert_eq!(image(replica.knowledge_base()), before.0);
+        catch_up(&mut replica).expect("the whole frame applies");
+        assert_eq!(replica.stats.frames_applied, 1);
+        assert_eq!(image(replica.knowledge_base()), image(&kb));
+        assert_eq!(replica.replica_epoch(), primary.epoch());
+    }
+
+    /// A pull is answered from the log position it names: from the base
+    /// snapshot at or below the base, from the named entry above it, with
+    /// the watermark alone past the end — however long the log before it.
+    #[test]
+    fn pull_replies_start_at_the_sequence_asked_for() {
+        let kb = Arc::new(KnowledgeBase::new());
+        let primary = Primary::new(kb.clone());
+        let policy = RetryPolicy::default();
+        let (mut pc, mut ps) = loopback();
+        let mut ppeer = PeerState::default();
+        let mut publisher = Publisher::new();
+        let mut publish = |i: usize| {
+            publisher
+                .publish_templates(
+                    &[tpl(&format!("t{i}"), "w1", 10.0 * (i + 1) as f64)],
+                    &mut pc,
+                    &mut || {
+                        primary.serve_link(&mut ppeer, &mut ps);
+                    },
+                    &policy,
+                )
+                .expect("reliable publish");
+        };
+        (0..2).for_each(&mut publish);
+        primary.compact_log(); // base_seq 2
+        (2..6).for_each(&mut publish); // entries 3..=6
+        let pull = |from: u64, max: u32| -> Vec<(u8, u64)> {
+            let bytes = encode_frame(&Frame {
+                seq: from,
+                epoch: 0,
+                payload: FramePayload::Pull { max },
+            });
+            primary
+                .handle(&mut PeerState::default(), &bytes)
+                .iter()
+                .map(|reply| {
+                    let frame = decode_frame(reply).unwrap().0;
+                    let kind = match frame.payload {
+                        FramePayload::Snapshot(_) => b'S',
+                        FramePayload::Mutation(_) => b'M',
+                        FramePayload::Ack { .. } => b'W',
+                        _ => b'?',
+                    };
+                    (kind, frame.seq)
+                })
+                .collect()
+        };
+        let all = vec![
+            (b'S', 2),
+            (b'M', 3),
+            (b'M', 4),
+            (b'M', 5),
+            (b'M', 6),
+            (b'W', 6),
+        ];
+        assert_eq!(pull(0, 0), all, "below the base");
+        assert_eq!(pull(2, 0), all, "at the base");
+        assert_eq!(pull(3, 0), all[1..], "the first entry");
+        assert_eq!(pull(5, 0), all[3..], "mid-log");
+        assert_eq!(pull(6, 0), all[4..], "the last entry");
+        assert_eq!(pull(7, 0), all[5..], "past the end: the watermark alone");
+        assert_eq!(pull(u64::MAX, 0), all[5..], "far past the end");
+        assert_eq!(pull(4, 2), [(b'M', 4), (b'M', 5), (b'W', 6)], "bounded");
+        assert_eq!(
+            pull(0, 2),
+            [(b'S', 2), (b'M', 3), (b'W', 6)],
+            "bounded, from the base"
+        );
     }
 
     #[test]

@@ -31,13 +31,15 @@
 //! B-tree plus POS and OSP hash-index families make every bound-prefix
 //! lookup keyed), [`ScanStore`] (the naive linear-scan reference the
 //! proptests differential-test against), and [`DurableStore`] (the
-//! persistent backend: an append-only N-Quads write-ahead log plus
+//! persistent backend: an append-only write-ahead log of checksummed
+//! [quad blocks](block), one record per commit, plus
 //! periodic binary snapshots around an inner `IndexedStore`, with
 //! crash recovery in [`DurableStore::open`] — see the [`persist`]
 //! module docs for the on-disk formats). [`ShardedStore`] partitions any
 //! of them N ways and meets the same contract through its all-shard read
 //! and write sessions (see the [`shard`] module docs).
 
+pub mod block;
 mod fnv;
 pub mod ntriples;
 pub mod persist;
@@ -49,6 +51,7 @@ pub mod store;
 pub mod term;
 pub mod wire;
 
+pub use block::{BlockError, BlockOp, QuadBlock, QuadIx};
 pub use ntriples::{from_ntriples, load_ntriples, parse_ntriples, to_ntriples, NtParseError, Quad};
 pub use persist::{
     snapshot_bytes, store_from_snapshot, DurableOptions, DurableStore, Record, ScratchDir,

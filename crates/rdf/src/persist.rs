@@ -5,10 +5,10 @@
 //! guidelines accumulate across workloads and off-peak learning runs.
 //! [`DurableStore`] gives this reproduction the same property without any
 //! external dependency: an in-memory [`IndexedStore`] serves every read,
-//! while each mutation is journaled to an append-only N-Quads
-//! write-ahead log *before* it is applied, and [`compact`] periodically
-//! folds the log into a binary snapshot (interner table + SPO triples +
-//! named-graph tags).
+//! while each mutation is journaled to an append-only write-ahead log
+//! *before* it is acknowledged, and [`compact`] periodically folds the log
+//! into a binary snapshot (interner table + SPO triples + named-graph
+//! tags).
 //!
 //! # On-disk layout
 //!
@@ -17,34 +17,48 @@
 //! ```text
 //! kb.galo/
 //!   snapshot-0000000003.galo   binary image of the store at generation 3
-//!   wal-0000000003.log         mutations journaled since that snapshot
+//!   wal-0000000003.log         commits journaled since that snapshot
 //!   wal-0000000002.log         previous generation (kept for fallback)
 //! ```
 //!
-//! * **Log records** are single lines: `+ <s> <p> <o> .` (default-graph
-//!   insert), `- <s> <p> <o> .` (remove), the same with a fourth graph
-//!   term for named-graph tagging (N-Quads), and `* clear`. A version-2
-//!   log (first line `# galo-wal v2`) additionally suffixes every record
-//!   with ` #<fnv64>` — a per-record checksum over the record body, so
-//!   replay rejects in-place corruption, not just truncation; logs
-//!   without the header replay under the original v1 rules. A record is
-//!   *committed* once its terminating newline reaches the file; replay
-//!   stops at the first torn, unparsable or checksum-failing trailing
-//!   record and [`DurableStore::open`] truncates the log back to the
-//!   committed prefix — a crash mid-write loses at most the
-//!   un-terminated record, never an acknowledged one.
-//! * **Group commit** — each record is normally flushed to the OS as it
-//!   is journaled; inside a [`TripleStore::begin_batch`] /
-//!   [`TripleStore::end_batch`] bracket (one `FusekiLite` write
-//!   transaction) records are buffered and flushed once at batch end, so
-//!   a template insert pays one flush instead of ~19.
+//! * **The log** (version 3) is the line `# galo-wal v3` followed by
+//!   records `len u32 LE | block | fnv64 LE`: `block` is `len` bytes of
+//!   one encoded [`QuadBlock`] — a dictionary of
+//!   the commit's distinct terms and its inserts, removes and clears over
+//!   it — and the checksum covers `len` and `block`.
+//! * **A commit is one record.** A mutation outside a
+//!   [`TripleStore::begin_batch`] / [`TripleStore::end_batch`] bracket is a
+//!   commit of one operation, written before the mutation returns. Inside
+//!   a bracket (one `FusekiLite` write transaction) the state-changing
+//!   operations gather in memory and `end_batch` writes them as one record
+//!   with one `write` — a template is one record, whatever its size.
+//!   Operations that change nothing (a duplicate insert, an absent remove)
+//!   are not journaled, and a bracket that changed nothing writes nothing.
+//! * **A batch is atomic by construction.** Replay takes a record whole —
+//!   all of its bytes present and its checksum right — or stops there, and
+//!   [`DurableStore::open`] truncates the newest log back to the last
+//!   whole record. A process that dies before `end_batch`, or half-way
+//!   through its write, reopens to the image before the batch; one that
+//!   dies after it, to the image with all of it. [`wal_records`], the
+//!   [`StoragePressure`] a policy polls and
+//!   [`DurableOptions::auto_compact_records`] all count commits, and the
+//!   inline fold can only fire between two of them.
+//! * **Older logs still open.** A version-1 log is `+ <s> <p> <o> .` /
+//!   `- …` / `* clear` lines, one statement each, committed by their
+//!   newline; version 2 (first line `# galo-wal v2`) suffixes each line
+//!   with ` #<fnv64>`. Both replay under their own rules, torn tail and
+//!   checksum included. Nothing writes them any more: a store whose newest
+//!   log is of an older version starts the next generation's log before
+//!   its first append, so no file ever mixes versions.
 //! * **Snapshots** are written to a temporary file, fsynced, then
 //!   atomically renamed, and carry an FNV-1a checksum over their whole
 //!   body; a snapshot that fails validation is quarantined (renamed
 //!   `*.corrupt`) and recovery falls back to the previous generation,
 //!   replaying every later log. If the surviving logs cannot cover the
 //!   gap back to a valid snapshot, [`DurableStore::open`] refuses with
-//!   an error rather than silently opening partial history.
+//!   an error rather than silently opening partial history; so it does
+//!   when a log that is not the newest ends in a bad record, which a
+//!   crash cannot explain.
 //! * **Compaction** ([`TripleStore::compact`]) opens the next
 //!   generation's log, writes the next-generation snapshot, rotates,
 //!   and prunes generations below the newest *remaining older*
@@ -58,11 +72,15 @@
 //! so a recovered store re-interns from its triples alone.
 //!
 //! [`compact`]: TripleStore::compact
+//! [`wal_records`]: DurableStore::wal_records
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use crate::block::{
+    put_term, put_u32, put_u64, BlockBuilder, BlockError, BlockOp, ByteReader, QuadBlock,
+};
 use crate::fnv::fnv1a;
 use crate::ntriples::parse_ntriples;
 use crate::store::{IndexedStore, StoragePressure, Triple, TripleStore};
@@ -75,26 +93,25 @@ const SNAPSHOT_SUFFIX: &str = ".galo";
 const WAL_PREFIX: &str = "wal-";
 const WAL_SUFFIX: &str = ".log";
 
-/// First line of a version-2 write-ahead log. A v2 record line carries a
-/// trailing ` #<fnv64 hex>` checksum over the record body, so replay
-/// detects in-place corruption (a flipped byte in a literal still parses
-/// under v1 rules — v2 rejects it). Logs without the header are v1 and
-/// replay with the original newline-plus-parse validation, so stores
-/// written by older builds keep recovering.
-const WAL_V2_HEADER: &str = "# galo-wal v2";
+/// What every log's first line starts with, whatever its version.
+const WAL_HEADER_STEM: &[u8] = b"# galo-wal v";
+/// First line of a version-3 log, the only one written.
+const WAL_V3_HEADER: &[u8] = b"# galo-wal v3\n";
+/// First line of a version-2 log; a log with no header line is version 1.
+const WAL_V2_HEADER: &[u8] = b"# galo-wal v2\n";
 
 /// Tuning knobs for a [`DurableStore`].
 #[derive(Debug, Clone, Default)]
 pub struct DurableOptions {
-    /// `fsync` the log after every commit — every record, or every batch
-    /// under group commit. Off by default: each commit is still flushed
+    /// `fsync` the log after every commit — every mutation, or every batch
+    /// under group commit. Off by default: each commit is still written
     /// to the OS (surviving process death, the failure mode the tests
     /// simulate); fsync additionally survives power loss at a heavy
     /// per-write cost.
     pub fsync_each_record: bool,
     /// Automatically [`compact`](TripleStore::compact) once this many
-    /// records accumulate in the current log. `None` (the default) leaves
-    /// compaction to the caller.
+    /// commits (log records) accumulate in the current log. `None` (the
+    /// default) leaves compaction to the caller.
     pub auto_compact_records: Option<u64>,
 }
 
@@ -102,32 +119,27 @@ pub struct DurableOptions {
 /// [`IndexedStore`].
 ///
 /// Reads delegate to the inner indexed store, so lookup performance is
-/// identical to the default backend; every mutation pays one journaled
-/// log line. I/O failure while journaling is fail-stop (a panic): a store
+/// identical to the default backend; every commit pays one journaled
+/// record. I/O failure while journaling is fail-stop (a panic): a store
 /// that cannot journal must not acknowledge writes it would lose.
 #[derive(Debug)]
 pub struct DurableStore {
     inner: IndexedStore,
     dir: PathBuf,
-    wal: BufWriter<File>,
+    /// The current log, opened for append. Unbuffered: a commit is one
+    /// `write_all` of one whole record.
+    wal: File,
     wal_bytes: u64,
     wal_records: u64,
     generation: u64,
     options: DurableOptions,
-    /// The active log is version 2 (checksummed records). Appending to a
-    /// recovered v1 log keeps writing v1 records — a log file never mixes
-    /// versions; rotation upgrades.
-    wal_crc: bool,
-    /// Inside a [`TripleStore::begin_batch`] group commit: journal writes
-    /// are buffered and flushed once at `end_batch`.
+    /// Inside a [`TripleStore::begin_batch`] bracket: operations gather in
+    /// `pending` until `end_batch` commits them as one record.
     in_batch: bool,
-    /// Records were journaled since the batch began (so `end_batch` knows
-    /// whether a flush is owed).
-    batch_dirty: bool,
-    /// The auto-compaction threshold tripped inside an open batch; the
-    /// compaction is owed at `end_batch` (rotating the log under a
-    /// half-journaled batch would make an uncommitted prefix durable).
-    compact_deferred: bool,
+    /// The state-changing operations of the commit being gathered, over
+    /// the inner store's term ids (they become dictionary indices when the
+    /// record is encoded). Already applied to `inner`, not yet on disk.
+    pending: Vec<BlockOp>,
     /// Failed compaction attempts since open (auto or explicit). The log
     /// still holds every record after a failure, so writes keep flowing —
     /// but callers (and the background [`crate::policy::Compactor`]) can
@@ -138,10 +150,10 @@ pub struct DurableStore {
     last_compaction_error: Option<String>,
 }
 
-/// One replayable log record — also the unit the replication wire
-/// protocol ships ([`crate::wire`]): a mutation frame's payload is a run
-/// of these in the exact v2 log-line format, so a replica replays a frame
-/// the same way crash recovery replays a WAL.
+/// One statement-level operation with its terms owned: what the
+/// version-1 and version-2 log readers yield a line at a time, and the
+/// unit of `KnowledgeBase::apply_records`. A batch of them is applied as
+/// one block ([`QuadBlock::of_records`], [`QuadBlock::from_records`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// Assert one statement (named-graph tag when the fourth term is set).
@@ -208,28 +220,23 @@ impl DurableStore {
             ));
         }
         let mut generation = base_gen;
-        let mut wal_bytes = 0u64;
-        let mut wal_records = 0u64;
-        let mut wal_crc = false;
+        let mut newest = Replayed::default();
         for (gen, path) in &wals {
             if *gen < base_gen {
                 continue;
             }
-            let newest = *gen == wals.last().expect("non-empty").0;
-            let (committed_bytes, records, v2) = replay_wal(&mut inner, path)?;
+            let replayed = replay_wal(&mut inner, path)?;
             let on_disk = fs::metadata(path)?.len();
-            if newest {
+            if *gen == wals.last().expect("non-empty").0 {
                 // Drop the torn tail so the append point is a committed
                 // record boundary.
-                if on_disk > committed_bytes {
+                if on_disk > replayed.bytes {
                     let f = OpenOptions::new().write(true).open(path)?;
-                    f.set_len(committed_bytes)?;
+                    f.set_len(replayed.bytes)?;
                     f.sync_all()?;
                 }
-                wal_bytes = committed_bytes;
-                wal_records = records;
-                wal_crc = v2;
-            } else if on_disk > committed_bytes {
+                newest = replayed;
+            } else if on_disk > replayed.bytes {
                 // Only the *newest* log may legitimately end in a torn
                 // record (a crash mid-append); an older log was rotated
                 // after a flush, so a bad record mid-chain is in-place
@@ -244,49 +251,41 @@ impl DurableStore {
                          acknowledged history",
                         dir.display(),
                         path.display(),
-                        committed_bytes,
+                        replayed.bytes,
                         on_disk,
                     ),
                 ));
             }
             generation = generation.max(*gen);
         }
-        let wal = OpenOptions::new()
+        if newest.legacy && newest.bytes > 0 {
+            // The newest log was written by an older build. It stays as it
+            // is — one more link of the chain — and appends go to the next
+            // generation's log, so no file mixes versions.
+            generation += 1;
+            newest = Replayed::default();
+        }
+        let mut wal = OpenOptions::new()
             .create(true)
             .append(true)
             .open(wal_file(&dir, generation))?;
-        let mut store = DurableStore {
+        if newest.bytes == 0 {
+            wal.write_all(WAL_V3_HEADER)?;
+            newest.bytes = WAL_V3_HEADER.len() as u64;
+        }
+        Ok(DurableStore {
             inner,
             dir,
-            wal: BufWriter::new(wal),
-            wal_bytes,
-            wal_records,
+            wal,
+            wal_bytes: newest.bytes,
+            wal_records: newest.records,
             generation,
             options,
-            wal_crc,
             in_batch: false,
-            batch_dirty: false,
-            compact_deferred: false,
+            pending: Vec::new(),
             compactions_failed: 0,
             last_compaction_error: None,
-        };
-        if store.wal_bytes == 0 {
-            // A fresh (or fully-truncated) log starts at version 2; a
-            // recovered v1 log with committed records keeps appending v1
-            // records so one file never mixes formats.
-            store.init_wal_header()?;
-        }
-        Ok(store)
-    }
-
-    /// Start a fresh log at version 2: write and flush the header line.
-    fn init_wal_header(&mut self) -> std::io::Result<()> {
-        let line = format!("{WAL_V2_HEADER}\n");
-        self.wal.write_all(line.as_bytes())?;
-        self.wal.flush()?;
-        self.wal_bytes = line.len() as u64;
-        self.wal_crc = true;
-        Ok(())
+        })
     }
 
     /// The store's directory on disk.
@@ -304,7 +303,7 @@ impl DurableStore {
         self.wal_bytes
     }
 
-    /// Committed records in the current write-ahead log.
+    /// Commits (records) in the current write-ahead log.
     pub fn wal_records(&self) -> u64 {
         self.wal_records
     }
@@ -327,57 +326,52 @@ impl DurableStore {
         wal_file(&self.dir, self.generation)
     }
 
-    /// Journal one record, honoring the configured sync policy — unless a
-    /// group-commit batch is open, in which case the flush is deferred to
-    /// [`TripleStore::end_batch`]. Fail-stop on I/O error: the mutation
-    /// has not been applied yet, so panicking here never acknowledges a
-    /// write the log lost.
-    fn journal(&mut self, record: &Record) {
-        let line = if self.wal_crc {
-            render_record_v2(record)
-        } else {
-            render_record(record)
-        };
-        let res = self.wal.write_all(line.as_bytes()).and_then(|()| {
-            if self.in_batch {
-                self.batch_dirty = true;
-                Ok(())
+    /// Journal one state-changing operation (over inner-store term ids):
+    /// its own commit outside a bracket, one more operation of the open
+    /// commit inside one. Called before the operation is applied to
+    /// `inner`, so a failed write never acknowledges what the log lost.
+    fn journal(&mut self, op: BlockOp) {
+        self.pending.push(op);
+        if !self.in_batch {
+            self.commit();
+        }
+    }
+
+    /// Write the gathered operations as one record, honoring the
+    /// configured sync policy. Fail-stop on I/O error: inside a bracket
+    /// the operations are already applied in memory, so a store that
+    /// cannot commit them must not keep serving.
+    fn commit(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let record = encode_record(&self.inner, &self.pending);
+        let written = self.wal.write_all(&record).and_then(|()| {
+            if self.options.fsync_each_record {
+                self.wal.sync_data()
             } else {
-                self.flush_wal()
+                Ok(())
             }
         });
-        if let Err(e) = res {
+        if let Err(e) = written {
             panic!(
                 "durable store failed to journal to {:?}: {e}",
                 self.wal_path()
             );
         }
-        self.wal_bytes += line.len() as u64;
+        self.pending.clear();
+        self.wal_bytes += record.len() as u64;
         self.wal_records += 1;
     }
 
-    /// Flush buffered log records to the OS (plus fsync when configured).
-    fn flush_wal(&mut self) -> std::io::Result<()> {
-        self.wal.flush()?;
-        if self.options.fsync_each_record {
-            self.wal.get_ref().sync_data()?;
-        }
-        Ok(())
-    }
-
+    /// The inline fold. Runs after a commit has been applied, never
+    /// inside a bracket: a snapshot taken there would make half a batch
+    /// durable.
     fn maybe_auto_compact(&mut self) {
         let Some(threshold) = self.options.auto_compact_records else {
             return;
         };
-        if self.wal_records < threshold {
-            return;
-        }
-        // Never rotate mid-batch: the snapshot would durably commit the
-        // batch's journaled-so-far prefix while the rest is still buffered,
-        // so a crash before `end_batch` resurrects half a group commit.
-        // The compaction is owed at `end_batch` instead.
-        if self.in_batch {
-            self.compact_deferred = true;
+        if self.in_batch || self.wal_records < threshold {
             return;
         }
         // Best-effort: a failed compaction loses nothing (the log still
@@ -386,10 +380,6 @@ impl DurableStore {
         if let Err(e) = self.compact() {
             eprintln!("durable store auto-compaction failed (will retry): {e}");
         }
-    }
-
-    fn term(&self, id: TermId) -> Term {
-        self.inner.resolve(id).clone()
     }
 }
 
@@ -426,34 +416,33 @@ fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> std::io::Result<Vec
     Ok(out)
 }
 
-/// Serialize a record body (no terminating newline, no checksum).
-fn render_body(record: &Record) -> String {
-    match record {
-        Record::Insert(s, p, o, None) => format!("+ {s} {p} {o} ."),
-        Record::Insert(s, p, o, Some(g)) => format!("+ {s} {p} {o} {g} ."),
-        Record::Remove(s, p, o, None) => format!("- {s} {p} {o} ."),
-        Record::Remove(s, p, o, Some(g)) => format!("- {s} {p} {o} {g} ."),
-        Record::Clear => "* clear".to_string(),
+/// One commit as a version-3 record: `ops` (over `inner`'s term ids)
+/// re-stated over a dictionary of the terms they mention, encoded, framed
+/// by its length and checksummed.
+fn encode_record(inner: &IndexedStore, ops: &[BlockOp]) -> Vec<u8> {
+    let mut b = BlockBuilder::with_capacity(ops.len());
+    for op in ops {
+        let op = match *op {
+            BlockOp::Insert((s, p, o, g)) => BlockOp::Insert(b.quad(s, p, o, g)),
+            BlockOp::Remove((s, p, o, g)) => BlockOp::Remove(b.quad(s, p, o, g)),
+            BlockOp::Clear => BlockOp::Clear,
+        };
+        b.push(op);
     }
-}
-
-/// Serialize a record as one committed v1 log line.
-fn render_record(record: &Record) -> String {
-    format!("{}\n", render_body(record))
-}
-
-/// Serialize a record as one committed v2 log line: body plus a trailing
-/// ` #<fnv64>` checksum over the body bytes.
-pub(crate) fn render_record_v2(record: &Record) -> String {
-    let body = render_body(record);
-    let sum = fnv1a(body.as_bytes());
-    format!("{body} #{sum:016x}\n")
+    let block = b.finish(|id| inner.resolve(TermId(id)));
+    let mut record = vec![0; 4];
+    block.encode_into(&mut record);
+    let len = u32::try_from(record.len() - 4).expect("one commit is under 4 GiB");
+    record[..4].copy_from_slice(&len.to_le_bytes());
+    let sum = fnv1a(&record);
+    put_u64(&mut record, sum);
+    record
 }
 
 /// Parse one committed v2 log line: split off the trailing checksum,
 /// verify it over the body, then parse the body as a v1 record. `None`
 /// marks a torn, malformed, or corrupted record.
-pub(crate) fn parse_record_v2(line: &str) -> Option<Record> {
+fn parse_record_v2(line: &str) -> Option<Record> {
     let (body, sum) = line.rsplit_once(" #")?;
     if sum.len() != 16 {
         return None;
@@ -465,8 +454,8 @@ pub(crate) fn parse_record_v2(line: &str) -> Option<Record> {
     parse_record(body)
 }
 
-/// Parse one committed log line; `None` marks an invalid record (replay
-/// treats it, and everything after it, as the torn tail).
+/// Parse one committed v1 log line; `None` marks an invalid record
+/// (replay treats it, and everything after it, as the torn tail).
 fn parse_record(line: &str) -> Option<Record> {
     if line == "* clear" {
         return Some(Record::Clear);
@@ -493,49 +482,81 @@ fn parse_record(line: &str) -> Option<Record> {
     }
 }
 
-/// Apply one record to a store; returns whether it changed anything (set
-/// semantics: a duplicate insert, an absent remove and a clear of an
-/// empty store do not). The one place a [`Record`] becomes a mutation —
-/// log replay runs it over the raw inner store (no journaling), the
-/// endpoint's batch writes and the replication feed over the live backend.
-pub(crate) fn apply_record<S: TripleStore + ?Sized>(store: &mut S, record: Record) -> bool {
-    match record {
-        Record::Insert(s, p, o, None) => store.insert(s, p, o),
-        Record::Insert(s, p, o, Some(g)) => store.insert_in(g, s, p, o),
-        Record::Remove(s, p, o, None) => store.remove(&s, &p, &o),
-        Record::Remove(s, p, o, Some(g)) => {
-            let ids = (store.term_id(&s), store.term_id(&p), store.term_id(&o));
-            match (store.term_id(&g), ids) {
-                (Some(g), (Some(s), Some(p), Some(o))) => store.remove_ids_in(g, (s, p, o)),
-                _ => false,
-            }
+/// What replaying one log found.
+#[derive(Default)]
+struct Replayed {
+    /// Byte length of the valid prefix: the header line and every whole
+    /// record after it.
+    bytes: u64,
+    /// Records in that prefix.
+    records: u64,
+    /// The log is version 1 or 2: read, never appended to.
+    legacy: bool,
+}
+
+/// Replay a log into `inner`, up to its first record that is torn,
+/// unparsable or fails its checksum.
+fn replay_wal(inner: &mut IndexedStore, path: &Path) -> std::io::Result<Replayed> {
+    let bytes = match fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Replayed::default()),
+        Err(e) => return Err(e),
+    };
+    if bytes.starts_with(WAL_V3_HEADER) {
+        return Ok(replay_v3(inner, &bytes));
+    }
+    let v2 = bytes.starts_with(WAL_V2_HEADER);
+    if !v2 && bytes.starts_with(WAL_HEADER_STEM) && bytes.contains(&b'\n') {
+        // Replaying it as version 1 would find no valid line and truncate
+        // the whole log away.
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "log {} is of a version this build cannot read",
+                path.display()
+            ),
+        ));
+    }
+    Ok(replay_legacy(inner, &bytes, v2))
+}
+
+/// Version 3: a record is committed when all of its bytes are there, its
+/// checksum is right and its block decodes.
+fn replay_v3(inner: &mut IndexedStore, bytes: &[u8]) -> Replayed {
+    let mut at = WAL_V3_HEADER.len();
+    let mut records = 0;
+    loop {
+        let mut r = ByteReader { bytes, pos: at };
+        let Ok(len) = r.u32() else { break };
+        // The length is checked against the bytes left before anything is
+        // read, let alone reserved, on its say-so.
+        let Ok(block) = r.take(len as usize) else {
+            break;
+        };
+        let Ok(stored) = r.u64() else { break };
+        if fnv1a(&bytes[at..at + 4 + block.len()]) != stored {
+            break;
         }
-        Record::Clear => {
-            let held = !store.is_empty() || !store.graph_ids().is_empty();
-            store.clear();
-            held
-        }
+        let Ok(block) = QuadBlock::decode(block) else {
+            break;
+        };
+        block.apply_into(inner);
+        at = r.pos;
+        records += 1;
+    }
+    Replayed {
+        bytes: at as u64,
+        records,
+        legacy: false,
     }
 }
 
-/// Replay a log into `inner`. Returns `(committed_bytes, records, v2)` —
-/// the byte length of the valid record prefix, how many records it holds,
-/// and whether the log carries the version-2 header. A record only counts
-/// as committed when its line is newline-terminated *and* parses (*and*,
-/// in a v2 log, its checksum verifies); the first violation ends the
-/// replay. The v2 header line counts toward the committed bytes but not
-/// toward the record count.
-fn replay_wal(inner: &mut IndexedStore, path: &Path) -> std::io::Result<(u64, u64, bool)> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, 0, false)),
-        Err(e) => return Err(e),
-    };
-    let header = format!("{WAL_V2_HEADER}\n");
-    let v2 = bytes.starts_with(header.as_bytes());
-    let mut start = if v2 { header.len() } else { 0 };
-    let mut committed = start as u64;
-    let mut records = 0u64;
+/// Versions 1 and 2: a record is one line, committed once its newline is
+/// there and it parses (and, in a v2 log, its checksum verifies). The v2
+/// header line counts toward the bytes but not toward the records.
+fn replay_legacy(inner: &mut IndexedStore, bytes: &[u8], v2: bool) -> Replayed {
+    let mut start = if v2 { WAL_V2_HEADER.len() } else { 0 };
+    let mut records = Vec::new();
     while let Some(nl) = bytes[start..].iter().position(|&b| b == b'\n') {
         let end = start + nl;
         let Ok(line) = std::str::from_utf8(&bytes[start..end]) else {
@@ -549,34 +570,19 @@ fn replay_wal(inner: &mut IndexedStore, path: &Path) -> std::io::Result<(u64, u6
         let Some(record) = record else {
             break;
         };
-        apply_record(inner, record);
+        records.push(record);
         start = end + 1;
-        committed = start as u64;
-        records += 1;
     }
-    Ok((committed, records, v2))
+    let replayed = records.len() as u64;
+    QuadBlock::from_records(records).apply_into(inner);
+    Replayed {
+        bytes: start as u64,
+        records: replayed,
+        legacy: true,
+    }
 }
 
 // ------------------------------------------------------------ snapshot --
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_term(buf: &mut Vec<u8>, term: &Term) {
-    let (tag, text): (u8, &str) = match term {
-        Term::Iri(s) => (0, s),
-        Term::Literal(l) => (1, &l.lexical),
-        Term::Blank(b) => (2, b),
-    };
-    buf.push(tag);
-    put_u32(buf, text.len() as u32);
-    buf.extend_from_slice(text.as_bytes());
-}
 
 /// Serialize any store's current image in the [`DurableStore`] snapshot
 /// format (magic, version, interner table, default-graph triples,
@@ -646,48 +652,14 @@ fn encode_snapshot(store: &IndexedStore) -> Vec<u8> {
     buf
 }
 
-/// A bounds-checked reader over a snapshot body.
-struct SnapReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapReader<'a> {
-    fn take(&mut self, n: usize) -> std::io::Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(snapshot_err("truncated snapshot"));
-        };
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> std::io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> std::io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn term(&mut self) -> std::io::Result<Term> {
-        let tag = self.take(1)?[0];
-        let len = self.u32()? as usize;
-        let text = std::str::from_utf8(self.take(len)?)
-            .map_err(|_| snapshot_err("non-UTF-8 term"))?
-            .to_string();
-        match tag {
-            0 => Ok(Term::iri(text)),
-            1 => Ok(Term::lit(text)),
-            2 => Ok(Term::Blank(text)),
-            _ => Err(snapshot_err("unknown term tag")),
-        }
-    }
-}
-
 fn snapshot_err(message: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message)
+}
+
+impl From<BlockError> for std::io::Error {
+    fn from(e: BlockError) -> Self {
+        snapshot_err(e.0)
+    }
 }
 
 /// Load and validate one snapshot file into a fresh indexed store.
@@ -712,7 +684,7 @@ pub fn store_from_snapshot(bytes: &[u8]) -> std::io::Result<IndexedStore> {
     if fnv1a(body) != stored {
         return Err(snapshot_err("checksum mismatch"));
     }
-    let mut r = SnapReader {
+    let mut r = ByteReader {
         bytes: body,
         pos: SNAPSHOT_MAGIC.len(),
     };
@@ -783,8 +755,7 @@ impl TripleStore for DurableStore {
         if self.inner.count(Some(t.0), Some(t.1), Some(t.2)) == 1 {
             return false; // no state change: nothing to journal
         }
-        let record = Record::Insert(self.term(t.0), self.term(t.1), self.term(t.2), None);
-        self.journal(&record);
+        self.journal(BlockOp::Insert((t.0 .0, t.1 .0, t.2 .0, None)));
         let added = self.inner.insert_ids(t);
         self.maybe_auto_compact();
         added
@@ -794,8 +765,7 @@ impl TripleStore for DurableStore {
         if self.inner.count(Some(t.0), Some(t.1), Some(t.2)) == 0 {
             return false;
         }
-        let record = Record::Remove(self.term(t.0), self.term(t.1), self.term(t.2), None);
-        self.journal(&record);
+        self.journal(BlockOp::Remove((t.0 .0, t.1 .0, t.2 .0, None)));
         let removed = self.inner.remove_ids(t);
         self.maybe_auto_compact();
         removed
@@ -805,7 +775,7 @@ impl TripleStore for DurableStore {
         if self.inner.is_empty() && self.inner.graph_names().is_empty() {
             return;
         }
-        self.journal(&Record::Clear);
+        self.journal(BlockOp::Clear);
         self.inner.clear();
         self.maybe_auto_compact();
     }
@@ -834,13 +804,7 @@ impl TripleStore for DurableStore {
         {
             return false;
         }
-        let record = Record::Insert(
-            self.term(t.0),
-            self.term(t.1),
-            self.term(t.2),
-            Some(self.term(graph)),
-        );
-        self.journal(&record);
+        self.journal(BlockOp::Insert((t.0 .0, t.1 .0, t.2 .0, Some(graph.0))));
         let added = self.inner.insert_ids_in(graph, t);
         self.maybe_auto_compact();
         added
@@ -854,13 +818,7 @@ impl TripleStore for DurableStore {
         {
             return false;
         }
-        let record = Record::Remove(
-            self.term(t.0),
-            self.term(t.1),
-            self.term(t.2),
-            Some(self.term(graph)),
-        );
-        self.journal(&record);
+        self.journal(BlockOp::Remove((t.0 .0, t.1 .0, t.2 .0, Some(graph.0))));
         let removed = self.inner.remove_ids_in(graph, t);
         self.maybe_auto_compact();
         removed
@@ -880,35 +838,21 @@ impl TripleStore for DurableStore {
         self.inner.graph_ids()
     }
 
-    /// Open a group-commit batch: subsequent records are buffered and
-    /// flushed once at [`end_batch`](TripleStore::end_batch). Not
-    /// reentrant — one bracket per write transaction.
+    /// Open a group-commit batch: the state-changing operations that
+    /// follow gather in memory and reach the log as one record at
+    /// [`end_batch`](TripleStore::end_batch). Not reentrant — one bracket
+    /// per write transaction.
     fn begin_batch(&mut self) {
         self.in_batch = true;
     }
 
-    /// Close the group-commit batch, flushing every record journaled
-    /// inside it in one go. Fail-stop on flush error: the batch's
-    /// mutations were already applied, so a store that cannot commit
-    /// them must not keep serving.
+    /// Close the batch: commit everything gathered inside it as one
+    /// record (nothing, if nothing changed), then let the inline fold
+    /// run. Fail-stop on write error.
     fn end_batch(&mut self) {
         self.in_batch = false;
-        let deferred = std::mem::take(&mut self.compact_deferred);
-        if self.batch_dirty {
-            self.batch_dirty = false;
-            if let Err(e) = self.flush_wal() {
-                panic!(
-                    "durable store failed to commit batch to {:?}: {e}",
-                    self.wal_path()
-                );
-            }
-        }
-        if deferred {
-            // The threshold tripped mid-batch; now that the batch is
-            // committed the rotation is safe. Re-checks the threshold, so
-            // an explicit compact inside the bracket leaves nothing owed.
-            self.maybe_auto_compact();
-        }
+        self.commit();
+        self.maybe_auto_compact();
     }
 
     fn storage_pressure(&self) -> Option<StoragePressure> {
@@ -951,31 +895,35 @@ impl TripleStore for DurableStore {
 
 impl DurableStore {
     fn compact_inner(&mut self) -> std::io::Result<()> {
-        // A group-commit batch may be open: push its buffered records to
-        // the OS before rotating, or the old log could fall short of the
-        // snapshot the fallback chain pairs it with.
-        self.flush_wal()?;
+        // Called inside an open bracket, the snapshot would hold what the
+        // bracket has done so far while the old log does not: commit that
+        // much first, so the fallback chain's old log is never short of
+        // the snapshot it is paired with.
+        self.commit();
         let next = self.generation + 1;
         let bytes = encode_snapshot(&self.inner);
-        let wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(wal_file(&self.dir, next))?;
-        let mut new_wal = BufWriter::new(wal);
-        let header = format!("{WAL_V2_HEADER}\n");
-        new_wal.write_all(header.as_bytes())?;
-        new_wal.flush()?;
-        let tmp = self.dir.join(format!(".snapshot-{next:010}.tmp"));
-        {
+        let new_wal_path = wal_file(&self.dir, next);
+        let rotate = || -> std::io::Result<File> {
+            // Created, not appended to: an attempt that died further down
+            // may have left this file behind, header and all.
+            let mut new_wal = File::create(&new_wal_path)?;
+            new_wal.write_all(WAL_V3_HEADER)?;
+            let tmp = self.dir.join(format!(".snapshot-{next:010}.tmp"));
             let mut f = File::create(&tmp)?;
             f.write_all(&bytes)?;
             f.sync_all()?;
-        }
-        fs::rename(&tmp, snapshot_file(&self.dir, next))?;
+            fs::rename(&tmp, snapshot_file(&self.dir, next))?;
+            Ok(new_wal)
+        };
+        let new_wal = rotate().inspect_err(|_| {
+            // Writes go on in the old log. Were the new one left behind, the
+            // old would no longer be the newest, and a torn tail on it — an
+            // ordinary crash — would read as corruption mid-chain.
+            let _ = fs::remove_file(&new_wal_path);
+        })?;
         self.wal = new_wal;
-        self.wal_bytes = header.len() as u64;
+        self.wal_bytes = WAL_V3_HEADER.len() as u64;
         self.wal_records = 0;
-        self.wal_crc = true;
         self.generation = next;
         // The fallback floor: the newest snapshot older than `next` that
         // is still on disk (corrupt ones were quarantined at open).
@@ -1048,6 +996,47 @@ mod tests {
 
     fn p(name: &str) -> Term {
         Term::iri(format!("http://galo/qep/property/{name}"))
+    }
+
+    /// Overwrite the first occurrence of `from` in a file with `to` (same
+    /// length): in-place corruption of a committed record.
+    fn corrupt(path: &Path, from: &[u8], to: &[u8]) {
+        assert_eq!(from.len(), to.len());
+        let mut bytes = fs::read(path).unwrap();
+        let at = bytes
+            .windows(from.len())
+            .position(|w| w == from)
+            .expect("test must actually corrupt a record");
+        bytes[at..at + to.len()].copy_from_slice(to);
+        fs::write(path, bytes).unwrap();
+    }
+
+    /// The v3 records of a log file, as `(start, end)` byte ranges, each
+    /// checked the way replay checks it.
+    fn v3_records(bytes: &[u8]) -> Vec<(usize, usize)> {
+        assert!(bytes.starts_with(WAL_V3_HEADER));
+        let mut at = WAL_V3_HEADER.len();
+        let mut out = Vec::new();
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            let end = at + 4 + len + 8;
+            let stored = u64::from_le_bytes(bytes[end - 8..end].try_into().unwrap());
+            assert_eq!(fnv1a(&bytes[at..end - 8]), stored, "record checksum");
+            QuadBlock::decode(&bytes[at + 4..end - 8]).expect("record holds a block");
+            out.push((at, end));
+            at = end;
+        }
+        out
+    }
+
+    /// Sorted N-Quads lines of a store's image.
+    fn image(st: &dyn TripleStore) -> Vec<String> {
+        let mut lines: Vec<String> = crate::ntriples::to_ntriples(st)
+            .lines()
+            .map(str::to_string)
+            .collect();
+        lines.sort();
+        lines
     }
 
     #[test]
@@ -1223,11 +1212,7 @@ mod tests {
         // snapshot-1 and must replay wal-1 then wal-2 …
         fs::write(snapshot_file(dir.path(), 2), b"GALOSNAPgarbage").unwrap();
         // … and flip a digit inside wal-1's committed record.
-        let wal1 = wal_file(dir.path(), 1);
-        let text = fs::read_to_string(&wal1)
-            .unwrap()
-            .replacen("2222", "2922", 1);
-        fs::write(&wal1, text).unwrap();
+        corrupt(&wal_file(dir.path(), 1), b"2222", b"2922");
         let err = DurableStore::open(dir.path()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("non-newest"), "{err}");
@@ -1272,16 +1257,31 @@ mod tests {
             wal_path = st.wal_path();
         }
         let mut bytes = fs::read(&wal_path).unwrap();
-        bytes.extend_from_slice(b"<oops this is not a record\n");
-        bytes.extend_from_slice(
-            render_record(&Record::Insert(iri(3), p("a"), Term::lit("3"), None)).as_bytes(),
+        let mut scratch = IndexedStore::new();
+        let t = (
+            scratch.intern(iri(3)).0,
+            scratch.intern(p("a")).0,
+            scratch.intern(Term::lit("3")).0,
+            None,
         );
+        let valid = encode_record(&scratch, &[BlockOp::Insert(t)]);
+        // A whole record's worth of bytes — length, body, checksum — that
+        // is not one.
+        let garbage = [&16u32.to_le_bytes()[..], b"oops, not a block", &[0; 7]].concat();
+        bytes.extend_from_slice(&garbage);
+        bytes.extend_from_slice(&valid);
         fs::write(&wal_path, &bytes).unwrap();
-        // Replay stops at the garbage record; the (valid-looking) record
-        // after it is part of the dropped tail — a torn write must never
-        // resurrect later bytes.
+        // Replay stops at the garbage record; the valid record after it is
+        // part of the dropped tail — a torn write must never resurrect
+        // later bytes.
         let st = DurableStore::open(dir.path()).unwrap();
         assert_eq!(st.len(), 2);
+        drop(st);
+        // The same record right after the committed prefix does replay.
+        bytes.truncate(bytes.len() - valid.len() - garbage.len());
+        bytes.extend_from_slice(&valid);
+        fs::write(&wal_path, &bytes).unwrap();
+        assert_eq!(DurableStore::open(dir.path()).unwrap().len(), 3);
     }
 
     #[test]
@@ -1344,32 +1344,46 @@ mod tests {
         assert!(st.contains(&iri(1), &p("a"), &nasty));
     }
 
+    /// A fresh log is of the newest version — now 3: the header line,
+    /// then one length-framed, checksummed block per commit, whether the
+    /// commit was one mutation or a bracket of many.
     #[test]
     fn fresh_logs_are_v2_with_per_record_checksums() {
-        let dir = ScratchDir::new("persist-v2");
+        let dir = ScratchDir::new("persist-v3");
         let wal_path;
         {
             let mut st = DurableStore::open(dir.path()).unwrap();
             st.insert(iri(1), p("a"), Term::lit("1"));
             st.insert(iri(2), p("a"), Term::lit("2"));
+            st.begin_batch();
+            for i in 3..40 {
+                st.insert(iri(i), p("a"), Term::num(i as f64));
+            }
+            st.insert(iri(3), p("a"), Term::num(3.0)); // a duplicate: not journaled
+            st.end_batch();
+            st.begin_batch();
+            st.insert(iri(1), p("a"), Term::lit("1")); // a bracket that changed nothing
+            st.end_batch();
+            assert_eq!(st.wal_records(), 3);
             wal_path = st.wal_path();
         }
-        let text = fs::read_to_string(&wal_path).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some(WAL_V2_HEADER));
-        for line in lines {
-            let (_, sum) = line.rsplit_once(" #").expect("checksummed record");
-            assert_eq!(sum.len(), 16, "{line}");
-        }
+        let bytes = fs::read(&wal_path).unwrap();
+        let records = v3_records(&bytes);
+        assert_eq!(records.len(), 3, "one record per commit");
+        let (at, end) = records[2];
+        let batch = QuadBlock::decode(&bytes[at + 4..end - 8]).unwrap();
+        assert_eq!(batch.ops().len(), 37, "the bracket is one record of 37 ops");
+        assert_eq!(batch.terms().len(), 37 + 1 + 37, "each distinct term once");
         let st = DurableStore::open(dir.path()).unwrap();
-        assert_eq!(st.len(), 2);
+        assert_eq!(st.len(), 39);
+        assert_eq!(st.wal_records(), 3, "replay counts what the writer counted");
     }
 
     #[test]
     fn checksum_rejects_in_place_corruption() {
-        // Flip one digit inside a committed record: the line still parses
-        // as a record, so v1 replay would resurrect a WRONG triple; the
-        // v2 checksum rejects it (and everything after it).
+        // Flip one digit inside a committed record: the block still
+        // decodes, so without the checksum replay would resurrect a WRONG
+        // triple; with it the record is rejected (and everything after it).
         let dir = ScratchDir::new("persist-crc");
         let wal_path;
         {
@@ -1378,57 +1392,124 @@ mod tests {
             st.insert(iri(2), p("a"), Term::lit("2222"));
             wal_path = st.wal_path();
         }
-        let text = fs::read_to_string(&wal_path).unwrap();
-        let corrupted = text.replacen("1111", "1911", 1);
-        assert_ne!(text, corrupted, "test must actually corrupt a record");
-        fs::write(&wal_path, corrupted).unwrap();
+        corrupt(&wal_path, b"1111", b"1911");
         let st = DurableStore::open(dir.path()).unwrap();
         assert_eq!(st.len(), 0, "corrupted record and its tail are dropped");
         assert!(!st.contains(&iri(1), &p("a"), &Term::lit("1911")));
     }
 
+    const GOLDEN_V1: &[u8] = include_bytes!("../../../tests/golden/wal_v1.log");
+    const GOLDEN_V1_IMAGE: &str = include_str!("../../../tests/golden/wal_v1.nq");
+    const GOLDEN_V2: &[u8] = include_bytes!("../../../tests/golden/wal_v2.log");
+    const GOLDEN_V2_IMAGE: &str = include_str!("../../../tests/golden/wal_v2.nq");
+
     #[test]
     fn legacy_v1_logs_replay_and_keep_their_format() {
-        // A log without the v2 header (written by an older build) must
-        // replay under v1 rules, and appends must stay v1 so the file
-        // never mixes formats.
+        // A log without a header (written by an older build) must replay
+        // under v1 rules and stay as it was written: appends go to the
+        // next generation's log, so no file ever mixes formats.
         let dir = ScratchDir::new("persist-v1-compat");
-        let wal_path = wal_file(dir.path(), 0);
-        let mut legacy = String::new();
-        legacy.push_str(&render_record(&Record::Insert(
-            iri(1),
-            p("a"),
-            Term::lit("1"),
-            None,
-        )));
-        legacy.push_str(&render_record(&Record::Insert(
-            iri(2),
-            p("a"),
-            Term::lit("2"),
-            Some(Term::iri("http://g/w")),
-        )));
-        fs::write(&wal_path, &legacy).unwrap();
+        let legacy_path = wal_file(dir.path(), 0);
+        fs::write(&legacy_path, GOLDEN_V1).unwrap();
         {
             let mut st = DurableStore::open(dir.path()).unwrap();
             assert_eq!(st.len(), 1);
             assert_eq!(st.graph_names().len(), 1);
+            assert_eq!(st.generation(), 1, "rotated before the first append");
             st.insert(iri(3), p("a"), Term::lit("3"));
         }
-        let text = fs::read_to_string(&wal_path).unwrap();
-        assert!(
-            text.lines().all(|l| l.rsplit_once(" #").is_none()),
-            "v1 log must not grow checksummed records: {text}"
+        assert_eq!(
+            fs::read(&legacy_path).unwrap(),
+            GOLDEN_V1,
+            "the v1 log must not grow records of another version"
+        );
+        assert_eq!(
+            v3_records(&fs::read(wal_file(dir.path(), 1)).unwrap()).len(),
+            1
         );
         let st = DurableStore::open(dir.path()).unwrap();
         assert_eq!(st.len(), 2);
-        // Compaction rotates onto a fresh v2 log.
+        assert_eq!(st.generation(), 1, "a v3 log is appended to, not rotated");
+        // Compaction folds both logs and rotates onto a fresh v3 log.
         let mut st = st;
         st.compact().unwrap();
         st.insert(iri(4), p("a"), Term::lit("4"));
-        let rotated = fs::read_to_string(st.wal_path()).unwrap();
-        assert!(rotated.starts_with(WAL_V2_HEADER));
+        assert!(fs::read(st.wal_path()).unwrap().starts_with(WAL_V3_HEADER));
         drop(st);
         assert_eq!(DurableStore::open(dir.path()).unwrap().len(), 3);
+    }
+
+    /// Logs written by older builds still open. The fixtures were written
+    /// at the last commit that wrote them — `wal_v2.log` by that build's
+    /// own `DurableStore` (a clear and re-insert, a group-committed
+    /// template with its named-graph tag, an escaped literal, an empty
+    /// one, a blank node, a default-graph and a named-graph remove),
+    /// `wal_v1.log` by hand — each beside the sorted image it must reopen
+    /// to.
+    #[test]
+    fn golden_v1_and_v2_logs_reopen_to_their_images() {
+        let want = |image: &str| -> Vec<String> { image.lines().map(str::to_string).collect() };
+        // Each with the subject of its last line's statement, which no
+        // other line of the fixture mentions.
+        for (name, log, expected, last) in [
+            (
+                "v1",
+                GOLDEN_V1,
+                want(GOLDEN_V1_IMAGE),
+                "<http://galo/qep/pop/2>",
+            ),
+            ("v2", GOLDEN_V2, want(GOLDEN_V2_IMAGE), "<urn:last>"),
+        ] {
+            // Whole: the image, however often it is reopened.
+            let dir = ScratchDir::new(&format!("persist-golden-{name}"));
+            let legacy_path = wal_file(dir.path(), 0);
+            fs::write(&legacy_path, log).unwrap();
+            for _ in 0..2 {
+                let st = DurableStore::open(dir.path()).unwrap();
+                assert_eq!(image(&st), expected, "{name}");
+            }
+            // One further insert lands in a v3 log of the next generation;
+            // the old file keeps its bytes and its version.
+            let mut st = DurableStore::open(dir.path()).unwrap();
+            assert!(st.insert(iri(77), p("a"), Term::lit("new")));
+            drop(st);
+            assert_eq!(fs::read(&legacy_path).unwrap(), log, "{name}");
+            let logs = numbered_files(dir.path(), WAL_PREFIX, WAL_SUFFIX).unwrap();
+            assert_eq!(logs.len(), 2, "{name}: {logs:?}");
+            assert_eq!(
+                v3_records(&fs::read(wal_file(dir.path(), 1)).unwrap()).len(),
+                1
+            );
+            let st = DurableStore::open(dir.path()).unwrap();
+            assert!(st.contains(&iri(77), &p("a"), &Term::lit("new")), "{name}");
+            assert_eq!(image(&st).len(), expected.len() + 1, "{name}");
+            drop(st);
+
+            // Torn in its last line: everything before it, and the torn
+            // line is cut off the file.
+            let dir = ScratchDir::new(&format!("persist-golden-{name}-torn"));
+            let legacy_path = wal_file(dir.path(), 0);
+            fs::write(&legacy_path, &log[..log.len() - 9]).unwrap();
+            let st = DurableStore::open(dir.path()).unwrap();
+            let without_last: Vec<String> = expected
+                .iter()
+                .filter(|line| !line.starts_with(last))
+                .cloned()
+                .collect();
+            assert_eq!(without_last.len() + 1, expected.len(), "{name}");
+            assert_eq!(image(&st), without_last, "{name} torn");
+            let kept = fs::read(&legacy_path).unwrap();
+            assert!(kept.ends_with(b"\n") && log.starts_with(&kept), "{name}");
+        }
+
+        // A byte flipped under a v2 checksum: that record and all after it
+        // are refused.
+        let dir = ScratchDir::new("persist-golden-v2-flip");
+        fs::write(wal_file(dir.path(), 0), GOLDEN_V2).unwrap();
+        corrupt(&wal_file(dir.path(), 0), b"\"back\"", b"\"bark\"");
+        let st = DurableStore::open(dir.path()).unwrap();
+        assert_eq!(st.len(), 0, "the three records before it end in a clear");
+        assert!(st.graph_names().is_empty());
     }
 
     #[test]
@@ -1442,11 +1523,10 @@ mod tests {
             for i in 0..10u32 {
                 st.insert(iri(i), p("a"), Term::num(i as f64));
             }
-            // Buffered: nothing past the header is on disk yet (the
-            // records are far below BufWriter's spill threshold).
+            // Gathered in memory: nothing past the header is on disk yet.
             assert_eq!(
                 fs::metadata(&wal_path).unwrap().len(),
-                (WAL_V2_HEADER.len() + 1) as u64
+                WAL_V3_HEADER.len() as u64
             );
             st.end_batch();
             assert_eq!(fs::metadata(&wal_path).unwrap().len(), st.wal_bytes());
@@ -1497,9 +1577,9 @@ mod tests {
             0,
             "the log must not rotate under an open batch"
         );
-        // Kill before end_batch: leak the store so the buffered batch
-        // records are dropped exactly as a crash would drop them (the
-        // pre-batch records were already flushed per record).
+        // Kill before end_batch: leak the store so the gathered batch is
+        // dropped exactly as a crash would drop it (the pre-batch commits
+        // were each written as they were made).
         std::mem::forget(st);
         let st = DurableStore::open(dir.path()).unwrap();
         assert_eq!(
@@ -1512,6 +1592,9 @@ mod tests {
         }
     }
 
+    /// The threshold counts commits, and the inline fold runs between
+    /// them: a bracket is one commit however many operations it holds,
+    /// and the fold it trips waits for `end_batch`.
     #[test]
     fn deferred_auto_compaction_runs_at_end_batch() {
         let dir = ScratchDir::new("persist-deferred");
@@ -1527,13 +1610,163 @@ mod tests {
         for i in 0..8u32 {
             st.insert(iri(i), p("a"), Term::num(i as f64));
         }
-        assert_eq!(st.generation(), 0, "deferred while the batch is open");
         st.end_batch();
-        assert_eq!(st.generation(), 1, "the owed compaction ran at end_batch");
+        assert_eq!(st.wal_records(), 1, "eight operations, one commit");
+        for i in 8..11u32 {
+            st.insert(iri(i), p("a"), Term::num(i as f64));
+        }
+        assert_eq!((st.generation(), st.wal_records()), (0, 4));
+        st.begin_batch();
+        for i in 11..20u32 {
+            st.insert(iri(i), p("a"), Term::num(i as f64));
+        }
+        assert_eq!(st.generation(), 0, "no fold while the batch is open");
+        st.end_batch();
+        assert_eq!(st.generation(), 1, "the fifth commit folded at end_batch");
         assert_eq!(st.wal_records(), 0);
         drop(st);
         let st = DurableStore::open(dir.path()).unwrap();
-        assert_eq!(st.len(), 8, "the whole batch survives the fold");
+        assert_eq!(st.len(), 20, "the whole batch survives the fold");
+    }
+
+    /// A batch far larger than any writer buffer is still all-or-nothing
+    /// across process death: nothing of it is written before `end_batch`.
+    /// (With per-quad records behind an 8 KiB `BufWriter`, 361 of these
+    /// 400 triples had already spilled to the file and were replayed.)
+    #[test]
+    fn open_batch_larger_than_the_writer_buffer_is_all_or_nothing() {
+        let dir = ScratchDir::new("persist-bigbatch");
+        let template_shaped = |i: u32| {
+            (
+                Term::iri(format!(
+                    "http://galo/kb/template/{:016x}/pop/{}",
+                    i / 16,
+                    i % 16
+                )),
+                p(&format!("hasLowerBaseCardinality{}", i % 7)),
+                Term::lit(format!("{:064x}", u64::from(i) * 0x9E37_79B9)),
+            )
+        };
+        let mut st = DurableStore::open(dir.path()).unwrap();
+        st.insert(iri(1), p("pre"), Term::lit("kept"));
+        let before = image(&st);
+        st.begin_batch();
+        for i in 0..400 {
+            let (s, pr, o) = template_shaped(i);
+            assert!(st.insert(s, pr, o));
+        }
+        // Kill, not shutdown.
+        std::mem::forget(st);
+        let mut st = DurableStore::open(dir.path()).unwrap();
+        assert_eq!(image(&st), before, "no prefix of an open batch survives");
+        // Committed, all 400 do — in one record of well over 8 KiB.
+        st.begin_batch();
+        for i in 0..400 {
+            let (s, pr, o) = template_shaped(i);
+            st.insert(s, pr, o);
+        }
+        st.end_batch();
+        assert_eq!(st.wal_records(), 2);
+        assert!(st.wal_bytes() > 32 * 1024);
+        std::mem::forget(st);
+        assert_eq!(DurableStore::open(dir.path()).unwrap().len(), 401);
+    }
+
+    /// The crash test of the log hop: cut the file at every byte of its
+    /// last record — a bracket with inserts, a remove and a named-graph
+    /// tag — and the store reopens to the image before that commit, with
+    /// the torn bytes gone from the file.
+    #[test]
+    fn wal_cut_at_every_byte_of_its_last_record_reopens_to_the_image_before_it() {
+        let dir = ScratchDir::new("persist-cut");
+        let mut st = DurableStore::open(dir.path()).unwrap();
+        st.insert(iri(1), p("a"), Term::lit("1"));
+        st.insert(iri(2), p("a"), Term::lit("2"));
+        let before = image(&st);
+        let committed = st.wal_bytes();
+        st.begin_batch();
+        st.insert(iri(3), p("a"), Term::lit("say \"hi\"\n"));
+        st.remove(&iri(1), &p("a"), &Term::lit("1"));
+        st.insert_in(Term::iri("http://g/w"), iri(3), p("tag"), Term::lit(""));
+        st.end_batch();
+        let after = image(&st);
+        let wal_path = st.wal_path();
+        let whole = fs::read(&wal_path).unwrap();
+        assert_eq!(whole.len() as u64, st.wal_bytes());
+        drop(st);
+        for cut in committed as usize..whole.len() {
+            fs::write(&wal_path, &whole[..cut]).unwrap();
+            let st = DurableStore::open(dir.path()).unwrap();
+            assert_eq!(image(&st), before, "cut at byte {cut}");
+            assert_eq!(st.wal_records(), 2);
+            assert_eq!(fs::metadata(&wal_path).unwrap().len(), committed);
+        }
+        // Every bit of the record is under its checksum, too.
+        for i in committed as usize..whole.len() {
+            for bit in 0..8 {
+                let mut bad = whole.clone();
+                bad[i] ^= 1 << bit;
+                fs::write(&wal_path, &bad).unwrap();
+                let st = DurableStore::open(dir.path()).unwrap();
+                assert_eq!(image(&st), before, "bit {bit} of byte {i}");
+            }
+        }
+        fs::write(&wal_path, &whole).unwrap();
+        assert_eq!(image(&DurableStore::open(dir.path()).unwrap()), after);
+    }
+
+    /// A log whose header names a version this build does not know is
+    /// refused, not "recovered" by truncating it to nothing.
+    #[test]
+    fn a_log_of_an_unknown_version_is_refused_not_truncated() {
+        let dir = ScratchDir::new("persist-v9");
+        let path = wal_file(dir.path(), 0);
+        fs::write(&path, b"# galo-wal v9\nwhatever a later build writes").unwrap();
+        let err = DurableStore::open(dir.path()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(fs::read(&path).unwrap().ends_with(b"writes"));
+    }
+
+    /// A compaction that fails after it has created the next generation's
+    /// log must not leave that file behind, and one that finds such a file
+    /// (left by a fold that was killed) must start it afresh, not append a
+    /// second header that replay would stop at.
+    #[test]
+    fn compaction_retried_after_a_late_failure_starts_a_clean_log() {
+        let dir = ScratchDir::new("persist-compact-retry");
+        let mut st = DurableStore::open(dir.path()).unwrap();
+        st.insert(iri(1), p("a"), Term::lit("1"));
+        // Block the snapshot's temporary file: the failure comes after the
+        // new log exists.
+        let blocker = dir.path().join(".snapshot-0000000001.tmp");
+        fs::create_dir(&blocker).unwrap();
+        assert!(st.compact().is_err());
+        assert!(
+            !wal_file(dir.path(), 1).exists(),
+            "a failed fold leaves no log behind"
+        );
+        // So the log still written to is still the newest, and a crash
+        // mid-append on it is a torn tail, not corruption mid-chain.
+        st.insert(iri(2), p("a"), Term::lit("2"));
+        st.insert(iri(3), p("a"), Term::lit("3"));
+        let wal_path = st.wal_path();
+        std::mem::forget(st);
+        let len = fs::metadata(&wal_path).unwrap().len();
+        let f = OpenOptions::new().write(true).open(&wal_path).unwrap();
+        f.set_len(len - 5).unwrap();
+        drop(f);
+        let mut st = DurableStore::open(dir.path()).unwrap();
+        assert_eq!(st.len(), 2, "the torn commit is dropped, the rest kept");
+        // A fold that dies without cleaning up — a kill — leaves the next
+        // log behind; the fold after it must start that file afresh.
+        fs::write(wal_file(dir.path(), 1), WAL_V3_HEADER).unwrap();
+        fs::remove_dir(&blocker).unwrap();
+        st.compact().unwrap();
+        st.insert(iri(4), p("a"), Term::lit("4"));
+        drop(st);
+        let st = DurableStore::open(dir.path()).unwrap();
+        assert_eq!(st.len(), 3, "the post-fold commit must replay");
+        assert_eq!(st.wal_records(), 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Workload-adaptive storage policy: a background auto-compactor.
 //!
 //! The inline `auto_compact_records` check folds the log *on the mutator
-//! write path* — the writer that happens to journal the threshold-crossing
-//! record pays the whole snapshot-encode + fsync + rotate bill, which is
+//! write path* — the writer whose commit crosses the threshold (a log
+//! record is one commit: a single mutation, or a whole batch) pays the
+//! whole snapshot-encode + fsync + rotate bill, which is
 //! exactly the latency spike a serving tier cannot afford under churn.
 //! The [`Compactor`] moves that work to a background thread: it polls
 //! per-shard [`StoragePressure`] (WAL records/bytes — one read lock and
@@ -73,7 +74,8 @@ pub trait CompactionTarget: Send + Sync {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactionPolicy {
-    /// Compact a shard once its log holds this many records.
+    /// Compact a shard once its log holds this many records — commits,
+    /// whatever their size; [`wal_bytes`](Self::wal_bytes) bounds the size.
     pub wal_records: u64,
     /// Compact a shard once its log holds this many bytes.
     pub wal_bytes: u64,

@@ -70,12 +70,12 @@ fn apply_store_op(
 /// The backend-independent image of a store: default-graph triples plus
 /// per-graph tagged triples, at the term level (interned ids are not
 /// comparable across backends or reopens).
-type StoreImage = (
+pub(crate) type StoreImage = (
     BTreeSet<(Term, Term, Term)>,
     BTreeMap<Term, BTreeSet<(Term, Term, Term)>>,
 );
 
-fn store_image(st: &dyn TripleStore) -> StoreImage {
+pub(crate) fn store_image(st: &dyn TripleStore) -> StoreImage {
     let default_graph = st
         .iter_terms()
         .map(|(s, p, o)| (s.clone(), p.clone(), o.clone()))

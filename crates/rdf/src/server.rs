@@ -8,12 +8,14 @@
 //! operations: concurrent reads, exclusive writes, text-level SPARQL
 //! endpoints, and N-Triples persistence.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
+use crate::block::{BlockOp, QuadBlock};
 use crate::ntriples::{parse_ntriples, to_ntriples, NtParseError, Quad};
-use crate::persist::{apply_record, Record};
+use crate::persist::Record;
 use crate::policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};
 use crate::shard::{ShardRouter, ShardStats, ShardedStore};
 use crate::sparql::eval::{evaluate_prepared, prepare_seeded, PreparedQuery};
@@ -285,7 +287,7 @@ impl FusekiLite {
     /// [`insert_quads`](Self::insert_quads), …) raise it as a panic
     /// payload — a write on a replica is a caller bug, never silently
     /// applied or dropped. The replication feed bypasses the gate through
-    /// [`apply_records`](Self::apply_records) +
+    /// [`apply_block`](Self::apply_block) +
     /// [`mutation_scope`](Self::mutation_scope), which stay privileged.
     pub fn set_read_only(&self, read_only: bool) {
         self.read_only
@@ -457,13 +459,17 @@ impl FusekiLite {
         Ok(n)
     }
 
-    /// Apply a batch of [`Record`]s in **one** write transaction under one
-    /// `begin_batch` / `end_batch` bracket (a durable backend group-commits
-    /// the whole batch; on a sharded one each record routes to its shard
-    /// inside one all-shard write session) — the single loop every batch
-    /// write below, the knowledge base's publish and the replication feed
-    /// run. Returns, per record, whether it changed anything (set
-    /// semantics).
+    /// Apply a [`QuadBlock`] in **one** write transaction under one
+    /// `begin_batch` / `end_batch` bracket (a durable backend journals the
+    /// operations that changed anything as one log record; on a sharded
+    /// one each operation routes to its shard inside one all-shard write
+    /// session, and each shard written journals one record). Every batch
+    /// write of the endpoint is a block applied under that bracket: the
+    /// knowledge base's replicated publishes and the replication feed by
+    /// reference, here; the methods below, `import` and the knowledge
+    /// base's own publish by value, because they own their terms and the
+    /// store can keep them. Returns, per operation, whether it changed
+    /// anything (set semantics).
     ///
     /// **Privileged**: no read-only gate, so a read replica replays its
     /// primary's feed through here, and no
@@ -471,32 +477,36 @@ impl FusekiLite {
     /// across this call and any derived-index upkeep that belongs to the
     /// same logical change. Calling it outside a scope leaves the epoch
     /// behind the data; don't.
-    pub fn apply_records(&self, records: impl IntoIterator<Item = Record>) -> Vec<bool> {
+    pub fn apply_block<T: Borrow<Term>>(&self, block: &QuadBlock<T>) -> Vec<bool> {
+        self.in_bracket(|st| block.apply_to(st))
+    }
+
+    /// One write transaction under one bracket around `apply`.
+    fn in_bracket(&self, apply: impl FnOnce(&mut dyn TripleStore) -> Vec<bool>) -> Vec<bool> {
         self.with_store_mut(|st| {
             st.begin_batch();
-            let applied = records
-                .into_iter()
-                .map(|record| apply_record(st, record))
-                .collect();
+            let applied = apply(st);
             st.end_batch();
             applied
         })
     }
 
     /// A client batch write: the read-only gate, one
-    /// [`mutation_scope`](Self::mutation_scope), one
-    /// [`apply_records`](Self::apply_records). Returns how many records
-    /// changed anything.
+    /// [`mutation_scope`](Self::mutation_scope), the records as one block
+    /// applied like [`apply_block`](Self::apply_block) — but handed over,
+    /// so the store keeps the terms it has not seen before instead of
+    /// copying them. Returns how many records changed anything.
     fn write_batch(&self, op: &'static str, records: impl IntoIterator<Item = Record>) -> usize {
         self.assert_writable(op);
+        let block = QuadBlock::from_records(records);
         let scope = self.mutation_scope();
-        let n = count_applied(&self.apply_records(records));
+        let n = count_applied(&self.in_bracket(|st| block.apply_into(st)));
         scope.commit(n > 0);
         n
     }
 
     /// Insert a batch of triples in one write transaction (one journal
-    /// flush on a durable backend). Returns how many were new.
+    /// record on a durable backend). Returns how many were new.
     pub fn insert_triples(&self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> usize {
         self.write_batch(
             "insert_triples",
@@ -526,8 +536,8 @@ impl FusekiLite {
     /// the batch-publish endpoint distributed learner machines push their
     /// mined templates through. On a sharded backend each quad routes by
     /// subject, so a template's triples and its workload-dataset tag land
-    /// on one shard (and in one shard's log). Returns how many quads were
-    /// new.
+    /// on one shard (and in one record of that shard's log). Returns how
+    /// many quads were new.
     pub fn insert_quads(&self, quads: impl IntoIterator<Item = Quad>) -> usize {
         self.write_batch("insert_quads", quads.into_iter().map(insert_record))
     }
@@ -540,7 +550,8 @@ impl FusekiLite {
     /// behind the data; don't.
     pub fn insert_quads_raw(&self, quads: impl IntoIterator<Item = Quad>) -> usize {
         self.assert_writable("insert_quads_raw");
-        count_applied(&self.apply_records(quads.into_iter().map(insert_record)))
+        let block = QuadBlock::from_records(quads.into_iter().map(insert_record));
+        count_applied(&self.in_bracket(|st| block.apply_into(st)))
     }
 
     /// Remove a batch of triples in one write transaction; returns how
@@ -605,30 +616,26 @@ impl FusekiLite {
     /// default-graph triples imported.
     pub fn import(&self, text: &str) -> Result<usize, ServerError> {
         self.write_guard("import")?;
-        let triples = parse_ntriples(text)?;
+        let quads = parse_ntriples(text)?;
+        // One block, one bracket: journaled on its own the clear would be
+        // durable before the replacement, and a crash mid-import would
+        // reopen an empty dataset. As one commit the import is on disk
+        // whole or not at all.
+        let block = QuadBlock::from_records(
+            std::iter::once(Record::Clear).chain(quads.into_iter().map(insert_record)),
+        );
+        let default_graph: Vec<bool> = block
+            .ops()
+            .iter()
+            .map(|op| matches!(op, BlockOp::Insert((.., None))))
+            .collect();
         let scope = self.mutation_scope();
-        let n = self.with_store_mut(|store| {
-            // The clear belongs inside the bracket: journaled on its own
-            // it would be durable before the replacement, and a crash
-            // mid-import would reopen an empty dataset.
-            store.begin_batch();
-            store.clear();
-            let mut n = 0;
-            for (s, p, o, graph) in triples {
-                match graph {
-                    Some(g) => {
-                        store.insert_in(g, s, p, o);
-                    }
-                    None => {
-                        if store.insert(s, p, o) {
-                            n += 1;
-                        }
-                    }
-                }
-            }
-            store.end_batch();
-            n
-        });
+        let applied = self.in_bracket(|st| block.apply_into(st));
+        let n = default_graph
+            .iter()
+            .zip(&applied)
+            .filter(|&(&counted, &fresh)| counted && fresh)
+            .count();
         // A replace-all is one logical change even when the imported text
         // reproduces the previous contents byte-for-byte: the clear makes
         // the old state unobservable, so conservatively invalidate.
@@ -933,11 +940,16 @@ mod tests {
         }
     }
 
-    /// Regression: `import` used to clear *before* opening its group-commit
-    /// bracket, so on a durable backend the `Clear` record was flushed on
-    /// its own — a crash before the replacement committed reopened an
-    /// empty dataset although the import was never acknowledged. (On that
-    /// code the reopened store below holds 0 triples.)
+    /// Regression, twice over. `import` used to clear *before* opening its
+    /// group-commit bracket, so on a durable backend the `Clear` record
+    /// was flushed on its own — a crash before the replacement committed
+    /// reopened an empty dataset although the import was never
+    /// acknowledged. And while a batch was a run of per-quad records
+    /// behind a buffered writer, whatever part of it outgrew the buffer
+    /// was already in the file when the process died: the dump here is
+    /// well past 64 KiB and the import dies after 600 of its 1,000
+    /// triples, so on that code the reopened store held the clear and
+    /// hundreds of the import's triples.
     #[test]
     fn import_interrupted_mid_batch_keeps_the_previous_dataset() {
         let dir = crate::persist::ScratchDir::new("server-import-atomic");
@@ -952,13 +964,26 @@ mod tests {
             Term::iri("http://old/p"),
             Term::lit("kept"),
         );
-        // The previous dataset, then 20 of the import's 50 triples.
-        let f = open(1 + 20);
+        let big = FusekiLite::new();
+        big.insert_triples((0..1_000u32).map(|i| {
+            (
+                Term::iri(format!(
+                    "http://galo/kb/template/{:016x}/pop/{}",
+                    i / 16,
+                    i % 16
+                )),
+                Term::iri("http://galo/qep/property/hasCardinalitySketch"),
+                Term::lit(format!("{:0100x}", u64::from(i) * 0x9E37_79B9)),
+            )
+        }));
+        let dump = big.export();
+        assert!(dump.len() > 64 * 1024);
+        // The previous dataset, then 600 of the import's 1,000 triples.
+        let f = open(1 + 600);
         assert_eq!(f.insert_triples([previous.clone()]), 1);
-        let dump = seeded().export();
         let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.import(&dump)));
         assert!(crash.is_err(), "the import must have died mid-batch");
-        // Kill, not shutdown: leak the endpoint so the buffered half-batch
+        // Kill, not shutdown: leak the endpoint so the gathered half-batch
         // is dropped exactly as a crash would drop it.
         std::mem::forget(f);
         let reopened = open(usize::MAX);
@@ -969,6 +994,10 @@ mod tests {
         );
         let (s, p, o) = &previous;
         assert!(reopened.with_store(|st| st.contains(s, p, o)));
+        // Uninterrupted, the same import replaces the dataset.
+        assert_eq!(reopened.import(&dump).unwrap(), 1_000);
+        drop(reopened);
+        assert_eq!(open(usize::MAX).len(), 1_000);
     }
 
     #[test]
@@ -1188,10 +1217,11 @@ mod tests {
         cond()
     }
 
-    fn test_policy() -> CompactionPolicy {
+    /// Folds at `wal_records` commits or `wal_bytes` of log.
+    fn test_policy(wal_records: u64, wal_bytes: u64) -> CompactionPolicy {
         CompactionPolicy {
-            wal_records: 32,
-            wal_bytes: u64::MAX,
+            wal_records,
+            wal_bytes,
             idle_divisor: 0,
             min_interval: std::time::Duration::from_millis(1),
             poll_interval: std::time::Duration::from_millis(1),
@@ -1204,7 +1234,9 @@ mod tests {
         let dir = crate::persist::ScratchDir::new("server-policy-sharded");
         {
             let f = FusekiLite::from_sharded(ShardedStore::open_durable(dir.path(), 2).unwrap());
-            let stats = f.compaction_policy(test_policy());
+            // One batch: one commit per shard, of some 5 KiB each — the
+            // byte threshold trips, the commit threshold never could.
+            let stats = f.compaction_policy(test_policy(32, 2048));
             f.insert_triples((0..200u32).map(|i| {
                 (
                     Term::iri(format!("http://galo/kb/template/{i:08x}")),
@@ -1213,11 +1245,13 @@ mod tests {
                 )
             }));
             assert!(
-                eventually(|| stats.compacted() >= 1),
+                eventually(|| stats.compacted() >= 2),
                 "the background thread must fold the hot shards: {stats:?}"
             );
             assert!(eventually(|| {
-                f.storage_pressures().iter().all(|p| p.wal_records < 32)
+                f.storage_pressures()
+                    .iter()
+                    .all(|p| p.wal_records == 0 && p.wal_bytes < 2048)
             }));
             assert_eq!(stats.failed(), 0);
             assert!(f.compactor_stats().is_some());
@@ -1234,14 +1268,16 @@ mod tests {
     fn background_compaction_policy_treats_single_backing_as_one_shard() {
         let dir = crate::persist::ScratchDir::new("server-policy-single");
         let f = FusekiLite::open_durable_with(dir.path(), Default::default()).unwrap();
-        let stats = f.compaction_policy(test_policy());
-        f.insert_triples((0..100u32).map(|i| {
-            (
+        // 100 writes of one triple are 100 commits: here it is the commit
+        // threshold that trips.
+        let stats = f.compaction_policy(test_policy(32, u64::MAX));
+        for i in 0..100u32 {
+            f.insert_triples([(
                 Term::iri(format!("http://s/{i}")),
                 Term::iri("http://p"),
                 Term::lit(format!("{i}")),
-            )
-        }));
+            )]);
+        }
         assert!(eventually(|| stats.compacted() >= 1));
         let pressures = f.storage_pressures();
         assert_eq!(pressures.len(), 1, "single backing is one shard");
@@ -1257,7 +1293,7 @@ mod tests {
     #[test]
     fn in_memory_backing_reports_zero_pressure_and_never_folds() {
         let f = seeded();
-        let stats = f.compaction_policy(test_policy());
+        let stats = f.compaction_policy(test_policy(32, 2048));
         assert_eq!(f.storage_pressures(), vec![StoragePressure::default()]);
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(stats.triggered(), 0);

@@ -5,7 +5,7 @@
 //! it online while off-peak learning runs append to it.
 //! [`ShardedStore`] partitions the default graph across N inner stores —
 //! each behind its own lock and, when durable, its own WAL+snapshot
-//! directory — so one template's write journals to one shard's log, a
+//! directory — so one template's write is one record of one shard's log, a
 //! background fold holds one shard's lock at a time, and
 //! recovery/compaction of a durable store fan out across shard
 //! directories.
@@ -576,8 +576,8 @@ pub struct ShardStats {
     /// with per-workload datasets this is how many dataset memberships
     /// (e.g. learned templates) the shard holds.
     pub graph_triples: usize,
-    /// Records in the shard's current write-ahead log (0 when the shard
-    /// backend is not durable).
+    /// Commits (records) in the shard's current write-ahead log (0 when
+    /// the shard backend is not durable).
     pub wal_records: u64,
     /// Bytes in the shard's current write-ahead log (0 when not durable).
     pub wal_bytes: u64,
@@ -794,8 +794,9 @@ impl ShardedStore {
 
     /// Take write locks on every shard, in index order: a whole-store
     /// transaction. Each mutation routes to its shard through the
-    /// [`ShardRouter`]; `begin_batch` / `end_batch` bracket every shard,
-    /// and a durable shard the batch never wrote has nothing to flush.
+    /// [`ShardRouter`]; `begin_batch` / `end_batch` bracket every shard:
+    /// a durable shard journals what the batch wrote to it as one record,
+    /// and one the batch never wrote journals nothing.
     pub fn write_session(&self) -> ShardedWriteSession<'_> {
         ShardedWriteSession {
             owner: self,
@@ -1442,8 +1443,8 @@ mod tests {
         assert_eq!(before.len(), 4);
         assert_eq!(
             before.iter().map(|p| p.wal_records).sum::<u64>(),
-            store.read_session().len() as u64,
-            "every journaled record shows up in exactly one shard's pressure"
+            16,
+            "a template is one commit, and shows up in exactly one shard's pressure"
         );
         // shard_stats carries the same counters.
         for (stat, pressure) in store.shard_stats().iter().zip(&before) {

@@ -23,7 +23,8 @@ pub type Triple = (TermId, TermId, TermId);
 /// when to trigger [`TripleStore::compact`] off the write path.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoragePressure {
-    /// Records journaled to the current log since the last rotation.
+    /// Commits journaled to the current log since the last rotation: one
+    /// record each, whether a single mutation or a whole batch.
     pub wal_records: u64,
     /// Bytes in the current log (header included).
     pub wal_bytes: u64,
@@ -141,17 +142,16 @@ pub trait TripleStore: fmt::Debug + Sync {
         Ok(())
     }
 
-    /// Hint that a batch of mutations follows. A durable backend may
-    /// defer per-record flushing until [`end_batch`](Self::end_batch)
-    /// (group commit: one flush per batch instead of per record); the
-    /// in-memory backends ignore it. Balanced by `end_batch`; callers
-    /// like `FusekiLite::insert_triples` bracket every write transaction
-    /// with the pair.
+    /// Open a batch of mutations. A durable backend gathers them and
+    /// journals them as **one** commit at [`end_batch`](Self::end_batch)
+    /// — on disk whole or not at all; the in-memory backends ignore it.
+    /// Balanced by `end_batch`; `FusekiLite` brackets every write
+    /// transaction with the pair.
     fn begin_batch(&mut self) {}
 
-    /// End a mutation batch: a durable backend flushes the journal here
-    /// and must fail-stop if the flush fails (writes in the batch were
-    /// already acknowledged to the in-memory image). No-op by default.
+    /// End a mutation batch: a durable backend writes the batch's commit
+    /// here and must fail-stop if the write fails (the batch's mutations
+    /// were already applied to the in-memory image). No-op by default.
     fn end_batch(&mut self) {}
 
     /// Write-ahead-log pressure of a durable backend — what a storage

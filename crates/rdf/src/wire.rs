@@ -7,25 +7,33 @@
 //! is:
 //!
 //! ```text
-//! magic "GWF1" | kind u8 | seq u64 LE | epoch u64 LE |
+//! magic "GWF2" | kind u8 | seq u64 LE | epoch u64 LE |
 //! payload_len u32 LE | payload bytes | fnv64 LE over kind..payload
 //! ```
 //!
-//! Payloads reuse the formats the store already trusts: `Publish` carries
-//! N-Quads text ([`crate::ntriples`]), `Mutation` carries WAL v2 record
-//! lines ([`crate::persist::Record`], each line self-checksummed exactly
-//! as in the on-disk log), and `Snapshot` carries
-//! [`crate::persist::snapshot_bytes`] output verbatim. The outer checksum
+//! Payloads reuse the formats the store already trusts. `Publish` and
+//! `Mutation` carry one encoded quad block ([`crate::block`]): a learner
+//! encodes its batch once, the primary applies the block it decodes from
+//! those bytes, journals it as one log record in the same encoding, and
+//! keeps the bytes as the feed entry, so a `Mutation` frame is the
+//! publish payload under a new header. `Snapshot` carries
+//! [`crate::persist::snapshot_bytes`] output verbatim. The codec moves
+//! all three as opaque bytes; the receiver validates them where it
+//! applies them ([`QuadBlock::decode`](crate::block::QuadBlock::decode),
+//! [`crate::persist::store_from_snapshot`]), and bytes that fail there
+//! are re-requested like a frame that never arrived. The outer checksum
 //! covers everything after the magic, so a frame torn at *any* byte — or
 //! with any byte corrupted in flight — decodes to an error, never to a
-//! different frame ([`decode_frame`] pins this with a proptest).
+//! different frame (the tests below sweep every cut and every bit).
+//!
+//! The magic is `GWF2` since `Publish` and `Mutation` stopped carrying
+//! text: a `GWF1` peer is answered [`FrameError::BadMagic`], not
+//! misparsed.
 
 use crate::fnv::fnv1a;
-use crate::ntriples::{parse_ntriples, Quad};
-use crate::persist::{parse_record_v2, render_record_v2, Record};
 
-/// Frame preamble: "galo wire format v1".
-pub const FRAME_MAGIC: [u8; 4] = *b"GWF1";
+/// Frame preamble: "galo wire format v2".
+pub const FRAME_MAGIC: [u8; 4] = *b"GWF2";
 
 /// Fixed header length: magic + kind + seq + epoch + payload length.
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
@@ -40,13 +48,15 @@ const MAX_PAYLOAD: u32 = 256 * 1024 * 1024;
 /// What a frame carries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FramePayload {
-    /// Learner → primary: publish these statements (N-Quads text).
-    Publish(Vec<Quad>),
+    /// Learner → primary: publish these statements (one encoded
+    /// [`QuadBlock`](crate::block::QuadBlock) of inserts).
+    Publish(Vec<u8>),
     /// Primary → sender: request `seq` applied; `added` is how many
     /// statements were new (0 for an idempotent re-delivery).
     Ack { added: u64 },
-    /// Primary → replica: one ordered feed entry of WAL v2 records.
-    Mutation(Vec<Record>),
+    /// Primary → replica: one ordered feed entry (the encoded
+    /// [`QuadBlock`](crate::block::QuadBlock) of one applied publish).
+    Mutation(Vec<u8>),
     /// Primary → replica: the full image in snapshot format
     /// ([`crate::persist::snapshot_bytes`]).
     Snapshot(Vec<u8>),
@@ -116,59 +126,17 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-fn quad_line(q: &Quad) -> String {
-    let (s, p, o, g) = q;
-    match g {
-        Some(g) => format!("{s} {p} {o} {g} .\n"),
-        None => format!("{s} {p} {o} .\n"),
-    }
-}
-
-fn payload_bytes(payload: &FramePayload) -> Vec<u8> {
-    match payload {
-        FramePayload::Publish(quads) => {
-            let mut text = String::new();
-            for q in quads {
-                text.push_str(&quad_line(q));
-            }
-            text.into_bytes()
-        }
-        FramePayload::Ack { added } => added.to_le_bytes().to_vec(),
-        FramePayload::Mutation(records) => {
-            let mut text = String::new();
-            for r in records {
-                text.push_str(&render_record_v2(r));
-            }
-            text.into_bytes()
-        }
-        FramePayload::Snapshot(bytes) => bytes.clone(),
-        FramePayload::Pull { max } => max.to_le_bytes().to_vec(),
-    }
-}
-
 fn parse_payload(kind: u8, bytes: &[u8]) -> Result<FramePayload, FrameError> {
     let bad = |m: &str| FrameError::Payload(m.to_string());
     match kind {
-        1 => {
-            let text = std::str::from_utf8(bytes).map_err(|_| bad("non-UTF-8 publish"))?;
-            let quads = parse_ntriples(text)
-                .map_err(|e| FrameError::Payload(format!("line {}: {}", e.line, e.message)))?;
-            Ok(FramePayload::Publish(quads))
-        }
+        1 => Ok(FramePayload::Publish(bytes.to_vec())),
         2 => {
             let arr: [u8; 8] = bytes.try_into().map_err(|_| bad("ack length"))?;
             Ok(FramePayload::Ack {
                 added: u64::from_le_bytes(arr),
             })
         }
-        3 => {
-            let text = std::str::from_utf8(bytes).map_err(|_| bad("non-UTF-8 mutation"))?;
-            let mut records = Vec::new();
-            for line in text.lines() {
-                records.push(parse_record_v2(line).ok_or_else(|| bad("bad mutation record"))?);
-            }
-            Ok(FramePayload::Mutation(records))
-        }
+        3 => Ok(FramePayload::Mutation(bytes.to_vec())),
         4 => Ok(FramePayload::Snapshot(bytes.to_vec())),
         5 => {
             let arr: [u8; 4] = bytes.try_into().map_err(|_| bad("pull length"))?;
@@ -184,14 +152,27 @@ fn parse_payload(kind: u8, bytes: &[u8]) -> Result<FramePayload, FrameError> {
 /// whole encoding (and possibly trailing bytes of the next frame) can
 /// [`decode_frame`] it back and learn how many bytes it consumed.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = payload_bytes(&frame.payload);
+    let (ack, pull);
+    let payload: &[u8] = match &frame.payload {
+        FramePayload::Publish(bytes)
+        | FramePayload::Mutation(bytes)
+        | FramePayload::Snapshot(bytes) => bytes,
+        FramePayload::Ack { added } => {
+            ack = added.to_le_bytes();
+            &ack
+        }
+        FramePayload::Pull { max } => {
+            pull = max.to_le_bytes();
+            &pull
+        }
+    };
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + SUM_LEN);
     buf.extend_from_slice(&FRAME_MAGIC);
     buf.push(frame.payload.kind());
     buf.extend_from_slice(&frame.seq.to_le_bytes());
     buf.extend_from_slice(&frame.epoch.to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    buf.extend_from_slice(payload);
     let sum = fnv1a(&buf[FRAME_MAGIC.len()..]);
     buf.extend_from_slice(&sum.to_le_bytes());
     buf
@@ -246,6 +227,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::QuadBlock;
+    use crate::ntriples::Quad;
+    use crate::persist::Record;
     use crate::term::Term;
 
     fn sample_frames() -> Vec<Frame> {
@@ -261,11 +245,16 @@ mod tests {
             Term::Blank("b0".into()),
             None,
         );
+        let records = [
+            Record::Insert(q.0.clone(), q.1.clone(), q.2.clone(), q.3.clone()),
+            Record::Remove(q2.0.clone(), q2.1.clone(), q2.2.clone(), None),
+            Record::Clear,
+        ];
         vec![
             Frame {
                 seq: 7,
                 epoch: 0,
-                payload: FramePayload::Publish(vec![q.clone(), q2.clone()]),
+                payload: FramePayload::Publish(QuadBlock::of_inserts(&[q, q2]).encode()),
             },
             Frame {
                 seq: 7,
@@ -275,11 +264,7 @@ mod tests {
             Frame {
                 seq: 3,
                 epoch: 44,
-                payload: FramePayload::Mutation(vec![
-                    Record::Insert(q.0.clone(), q.1.clone(), q.2.clone(), q.3.clone()),
-                    Record::Remove(q2.0.clone(), q2.1.clone(), q2.2.clone(), None),
-                    Record::Clear,
-                ]),
+                payload: FramePayload::Mutation(QuadBlock::of_records(&records).encode()),
             },
             Frame {
                 seq: 0,
@@ -301,7 +286,24 @@ mod tests {
             let (decoded, used) = decode_frame(&bytes).expect("decodes");
             assert_eq!(decoded, frame);
             assert_eq!(used, bytes.len());
+            // What a block-carrying frame delivers is the block that was
+            // sent, not just its bytes.
+            if let FramePayload::Publish(sent) | FramePayload::Mutation(sent) = &frame.payload {
+                let (FramePayload::Publish(got) | FramePayload::Mutation(got)) = decoded.payload
+                else {
+                    panic!("kind changed in flight");
+                };
+                assert_eq!(QuadBlock::decode(&got), QuadBlock::decode(sent));
+                assert!(QuadBlock::decode(&got).is_ok());
+            }
         }
+    }
+
+    #[test]
+    fn an_old_peer_is_refused_by_its_magic() {
+        let mut bytes = encode_frame(&sample_frames()[0]);
+        bytes[..4].copy_from_slice(b"GWF1");
+        assert_eq!(decode_frame(&bytes), Err(FrameError::BadMagic));
     }
 
     #[test]
@@ -336,15 +338,51 @@ mod tests {
         for frame in sample_frames() {
             let bytes = encode_frame(&frame);
             for i in 0..bytes.len() {
-                let mut bad = bytes.clone();
-                bad[i] ^= 0x01;
-                match decode_frame(&bad) {
-                    // A flipped length byte may make the frame look short.
-                    Err(_) => {}
-                    Ok((decoded, _)) => {
-                        panic!("corruption at byte {i} decoded as {decoded:?}")
+                for bit in 0..8 {
+                    let mut bad = bytes.clone();
+                    bad[i] ^= 1 << bit;
+                    // A flipped length bit may make the frame look short:
+                    // any error will do, a frame will not.
+                    if let Ok((decoded, _)) = decode_frame(&bad) {
+                        panic!("bit {bit} of byte {i} flipped decoded as {decoded:?}")
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_decoder() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let valid = encode_frame(&sample_frames()[0]);
+        for round in 0..2_000 {
+            // Half the inputs are noise behind a real magic, half are a
+            // real frame with a run of bytes overwritten.
+            let mut bytes = if round % 2 == 0 {
+                let len = (next() % 96) as usize;
+                let mut noise: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+                let magic = FRAME_MAGIC.len().min(noise.len());
+                noise[..magic].copy_from_slice(&FRAME_MAGIC[..magic]);
+                noise
+            } else {
+                valid.clone()
+            };
+            if round % 2 == 1 {
+                let at = (next() as usize) % bytes.len();
+                let run = 1 + (next() as usize) % 8;
+                for b in bytes.iter_mut().skip(at).take(run) {
+                    *b = next() as u8;
+                }
+            }
+            if let Ok((frame, used)) = decode_frame(&bytes) {
+                assert!(used <= bytes.len());
+                assert_eq!(encode_frame(&frame), bytes[..used]);
             }
         }
     }

@@ -90,7 +90,8 @@ fn main() {
 
     // The "crash": the process died while appending a record, leaving a
     // torn tail. Truncating mid-record simulates the kill exactly — the
-    // last record loses its terminating newline and must be dropped.
+    // last record (one template's commit) is short of its advertised
+    // length and its checksum, and must be dropped whole.
     let wal = newest_wal(dir);
     let len = std::fs::metadata(&wal).expect("wal stat").len();
     // Cut roughly a third of the log off, landing mid-record.

@@ -7,9 +7,12 @@
 //! template's triples on one shard.
 
 use galo_catalog::{col, ColumnStats, ColumnType, Database, DatabaseBuilder, SystemConfig, Table};
+use std::sync::Arc;
+
 use galo_core::{
-    abstract_plan, match_plan, segment_pop_checks, vocab, AdmissionQuery, KbBuilder, KnowledgeBase,
-    MatchConfig, PopCheck, PopObservation, ScanCheck, Template, TemplateRefinement,
+    abstract_plan, loopback, match_plan, segment_pop_checks, vocab, AdmissionQuery, KbBuilder,
+    KnowledgeBase, MatchConfig, PeerState, PopCheck, PopObservation, Primary, Publisher,
+    RetryPolicy, ScanCheck, Template, TemplateRefinement,
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
@@ -380,12 +383,13 @@ fn concurrent_writers_with_background_compactor_match_sequential_oracle() {
     assert!(!report.rewrites.is_empty());
 }
 
-/// The three ways a template reaches the store — a learner's
-/// `insert_batch`, a replication `Publish` frame's `apply_quads`, a
-/// replica's `apply_records` — are one write path: on a 4-shard durable
-/// KB they leave identical exports and identical per-shard stats (down to
-/// each shard's WAL record count), and a publish journals nothing on a
-/// shard it does not route to.
+/// The ways a template reaches the store — a learner's `insert_batch`,
+/// `apply_quads`, `apply_records`, a `Publish` frame over the wire, the
+/// endpoint's own `insert_quads` — are one write path: on a 4-shard
+/// durable KB each journals a template as exactly **one** record on
+/// exactly one shard and leaves every other shard's stats as they were,
+/// and all of them leave identical exports and per-shard stats (down to
+/// each shard's WAL byte count), before and after a reopen.
 #[test]
 fn every_publish_path_places_and_journals_identically() {
     let (db, plan) = setup();
@@ -399,65 +403,275 @@ fn every_publish_path_places_and_journals_identically() {
         })
         .collect();
     let quads_of = |tpl: &Template| KnowledgeBase::templates_to_quads(std::slice::from_ref(tpl));
-    type Publish<'a> = &'a dyn Fn(&KnowledgeBase, &Template) -> usize;
-    let paths: [(&str, Publish<'_>); 3] = [
-        ("insert_batch", &|kb, tpl| {
-            kb.insert_batch(std::slice::from_ref(tpl))
+    type Publish<'a> = Box<dyn FnMut(&Template) -> usize + 'a>;
+    type Path<'a> = &'a dyn Fn(Arc<KnowledgeBase>) -> Publish<'a>;
+    let paths: [(&str, Path<'_>); 5] = [
+        ("insert_batch", &|kb| {
+            Box::new(move |tpl| kb.insert_batch(std::slice::from_ref(tpl)))
         }),
-        ("apply_quads", &|kb, tpl| kb.apply_quads(&quads_of(tpl))),
-        ("apply_records", &|kb, tpl| {
-            let records: Vec<Record> = quads_of(tpl)
-                .into_iter()
-                .map(|(s, p, o, g)| Record::Insert(s, p, o, g))
-                .collect();
-            kb.apply_records(&records)
+        ("apply_quads", &|kb| {
+            Box::new(move |tpl| kb.apply_quads(&quads_of(tpl)))
+        }),
+        ("apply_records", &|kb| {
+            Box::new(move |tpl| {
+                let records: Vec<Record> = quads_of(tpl)
+                    .into_iter()
+                    .map(|(s, p, o, g)| Record::Insert(s, p, o, g))
+                    .collect();
+                kb.apply_records(&records)
+            })
+        }),
+        ("wire publish", &|kb| {
+            let primary = Primary::new(kb);
+            let (mut client, mut server) = loopback();
+            let mut peer = PeerState::default();
+            let mut publisher = Publisher::new();
+            Box::new(move |tpl| {
+                let receipt = publisher
+                    .publish_templates(
+                        std::slice::from_ref(tpl),
+                        &mut client,
+                        &mut || {
+                            primary.serve_link(&mut peer, &mut server);
+                        },
+                        &RetryPolicy::default(),
+                    )
+                    .expect("a reliable link acknowledges");
+                receipt.added as usize
+            })
+        }),
+        ("insert_quads", &|kb| {
+            Box::new(move |tpl| kb.server().insert_quads(quads_of(tpl)))
         }),
     ];
     let mut images = Vec::new();
-    for (name, publish) in paths {
-        let dir = ScratchDir::new(&format!("sharded-kb-paths-{name}"));
-        let kb = KbBuilder::new()
-            .durable_dir(dir.path())
-            .shards(4)
-            .build_kb()
-            .unwrap();
+    for (name, path) in paths {
+        let dir = ScratchDir::new(&format!("sharded-kb-paths-{}", name.replace(' ', "-")));
+        let open = || {
+            KbBuilder::new()
+                .durable_dir(dir.path())
+                .shards(4)
+                .build_kb()
+                .unwrap()
+        };
+        let kb = Arc::new(open());
+        let mut publish = path(Arc::clone(&kb));
         for tpl in &templates {
             let before = kb.shard_stats().unwrap();
-            let added = publish(&kb, tpl);
+            let added = publish(tpl);
             assert_eq!(added, quads_of(tpl).len(), "{name}: every quad is new");
             let after = kb.shard_stats().unwrap();
-            let touched: Vec<usize> = (0..4)
-                .filter(|&k| after[k].wal_records != before[k].wal_records)
-                .collect();
-            assert_eq!(touched.len(), 1, "{name}: one template, one shard's log");
+            let touched: Vec<usize> = (0..4).filter(|&k| after[k] != before[k]).collect();
+            assert_eq!(touched.len(), 1, "{name}: one template, one shard");
             let k = touched[0];
             assert_eq!(
                 after[k].wal_records - before[k].wal_records,
-                added as u64,
-                "{name}: one WAL record per new quad, all on shard {k}"
+                1,
+                "{name}: one template, one WAL record, on shard {k}"
             );
-            for other in (0..4).filter(|&o| o != k) {
-                assert_eq!(
-                    after[other], before[other],
-                    "{name}: shard {other} untouched"
-                );
-            }
+            assert_eq!(
+                after[k].triples + after[k].graph_triples
+                    - (before[k].triples + before[k].graph_triples),
+                added,
+                "{name}: all of it on shard {k}"
+            );
+            // A republish changes nothing and journals nothing.
+            assert_eq!(publish(tpl), 0, "{name}: idempotent");
+            assert_eq!(kb.shard_stats().unwrap(), after, "{name}: no empty record");
         }
         assert_eq!(kb.template_count(), templates.len(), "{name}");
         let mut fingerprints = kb.fingerprints();
         fingerprints.sort();
-        images.push((name, kb.export(), kb.shard_stats().unwrap(), fingerprints));
+        let live = (kb.export(), kb.shard_stats().unwrap(), fingerprints);
+        drop(publish);
+        drop(Arc::into_inner(kb).expect("the path let go of the knowledge base"));
+        let reopened = open();
+        assert_eq!(reopened.shard_stats().unwrap(), live.1, "{name} reopened");
+        assert_eq!(
+            sorted_lines(&reopened.export()),
+            sorted_lines(&live.0),
+            "{name} reopened"
+        );
+        assert_eq!(
+            reopened.signature_count(),
+            1,
+            "{name}: reopen rebuilt the index"
+        );
+        images.push((name, live));
     }
-    let (_, export, stats, fingerprints) = &images[0];
+    let (_, (export, stats, fingerprints)) = &images[0];
     assert!(
         stats.iter().filter(|s| s.triples > 0).count() > 1,
         "12 templates must spread over the shards: {stats:?}"
     );
-    for (name, other_export, other_stats, other_fingerprints) in &images[1..] {
+    for (name, (other_export, other_stats, other_fingerprints)) in &images[1..] {
         assert_eq!(other_export, export, "{name} export");
         assert_eq!(other_stats, stats, "{name} shard stats");
-        assert_eq!(other_fingerprints, fingerprints, "{name} signature index");
+        assert_eq!(other_fingerprints, fingerprints, "{name} fingerprints");
     }
+}
+
+fn sorted_lines(text: &str) -> Vec<&str> {
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.sort_unstable();
+    lines
+}
+
+/// The differential that makes the one apply loop safe to share: a batch
+/// applied as a block — to a 4-shard durable KB and to a single in-memory
+/// one, from quads and from the block's decoded wire bytes — gives the
+/// same `added`, the same per-operation `fresh` answers, the same image,
+/// the same signature-index answers and the same epoch movement as an
+/// oracle that inserts the quads one at a time and rebuilds its index.
+#[test]
+fn a_block_applies_like_its_quads_inserted_one_at_a_time() {
+    let (db, plan) = setup();
+    let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
+    let checks = segment_pop_checks(&db, &plan, plan.root());
+    let tpl = |i: usize, workload: &str| {
+        let mut tpl = abstract_plan(&db, &plan, plan.root(), &g, format!("df{i:02}"));
+        tpl.improvement = 0.1 * (1 + i % 5) as f64;
+        tpl.source_workload = workload.to_string();
+        for pop in &mut tpl.pops {
+            let point = pop.cardinality.envelope(0.0).lo;
+            pop.cardinality.observe(point * (1.0 + i as f64));
+        }
+        tpl
+    };
+    let signature = KnowledgeBase::template_signature(&tpl(0, "w1"));
+    let quads_of = |tpls: &[Template]| KnowledgeBase::templates_to_quads(tpls);
+    let untagged = |mut quads: Vec<Quad>| {
+        quads.retain(|q| q.3.is_none());
+        quads
+    };
+    // A seeded shuffle: batches need not arrive in template order.
+    let shuffled = |mut quads: Vec<Quad>, seed: u64| {
+        let mut state = seed | 1;
+        for i in (1..quads.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            quads.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        quads
+    };
+    let pool: Vec<Template> = (0..8)
+        .map(|i| tpl(i, if i % 2 == 0 { "w1" } else { "w2" }))
+        .collect();
+    // Two templates that route to different shards of four.
+    let router = galo_rdf::TemplateRouter::default();
+    let shard_of = |t: &Template| {
+        let iri = vocab::template_iri(&t.id);
+        galo_rdf::ShardRouter::route(&router, 4, &iri, &iri, &iri)
+    };
+    let far = pool[1..]
+        .iter()
+        .find(|t| shard_of(t) != shard_of(&pool[0]))
+        .expect("eight templates reach two shards");
+    let half = |t: &Template| {
+        let quads = quads_of(std::slice::from_ref(t));
+        let n = quads.len() / 2;
+        quads.into_iter().take(n).collect::<Vec<_>>()
+    };
+    let batches: Vec<(&str, Vec<Quad>)> = vec![
+        ("all fresh, tagged", quads_of(&pool[0..1])),
+        ("all duplicate", quads_of(&pool[0..1])),
+        ("all fresh, untagged", untagged(quads_of(&pool[1..2]))),
+        ("the tag alone is new", quads_of(&pool[1..2])),
+        (
+            "partly duplicate: a stored and a new template",
+            shuffled(quads_of(&pool[1..3]), 7),
+        ),
+        (
+            "two templates for two shards",
+            shuffled(quads_of(&[pool[3].clone(), far.clone()]), 11),
+        ),
+        ("half a template", half(&pool[5])),
+        ("the whole of it, half duplicate", quads_of(&pool[5..6])),
+        ("empty", Vec::new()),
+        (
+            "everything, mostly duplicate",
+            shuffled(quads_of(&pool), 13),
+        ),
+    ];
+
+    let dir = ScratchDir::new("sharded-kb-block-diff");
+    let sharded = KbBuilder::new()
+        .durable_dir(dir.path())
+        .shards(4)
+        .build_kb()
+        .unwrap();
+    let single = KnowledgeBase::new();
+    let oracle = KnowledgeBase::new();
+    for (what, quads) in &batches {
+        // The oracle: one store insert per quad, then the index rebuilt
+        // from the store. Its endpoint's epoch is not the subject here;
+        // the movement is derived from whether anything was new.
+        let fresh: Vec<bool> = oracle.server().with_store_mut(|st| {
+            quads
+                .iter()
+                .cloned()
+                .map(|(s, p, o, g)| match g {
+                    Some(g) => st.insert_in(g, s, p, o),
+                    None => st.insert(s, p, o),
+                })
+                .collect()
+        });
+        oracle.reindex();
+        let added = fresh.iter().filter(|&&f| f).count();
+        let want_view = index_view(&oracle, signature, &checks);
+        let want_image = oracle.export();
+
+        // Through the endpoint: the per-operation answers themselves.
+        let scratch = galo_rdf::FusekiLite::new();
+        scratch.import(&single.export()).unwrap();
+        let block = galo_rdf::QuadBlock::of_inserts(quads);
+        assert_eq!(scratch.apply_block(&block), fresh, "{what}: fresh vector");
+
+        // Through the knowledge base, as quads and as decoded wire bytes.
+        let wire = galo_rdf::QuadBlock::decode(&block.encode()).unwrap();
+        for (which, kb) in [
+            ("sharded, from quads", &sharded),
+            ("single, from wire bytes", &single),
+        ] {
+            let epoch = kb.epoch();
+            let got = if std::ptr::eq(kb, &sharded) {
+                kb.apply_quads(quads)
+            } else {
+                kb.apply_block(&wire)
+            };
+            assert_eq!(got, added, "{what}, {which}: added");
+            assert_eq!(
+                kb.epoch() - epoch,
+                if added > 0 { 2 } else { 0 },
+                "{what}, {which}: one generation per effective batch"
+            );
+            assert_eq!(
+                sorted_lines(&kb.export()),
+                sorted_lines(&want_image),
+                "{what}, {which}: image"
+            );
+            assert_eq!(
+                index_view(kb, signature, &checks),
+                want_view,
+                "{what}, {which}: signature index"
+            );
+        }
+    }
+    assert_eq!(oracle.template_count(), pool.len());
+    // And what the sharded store journaled replays to the same image.
+    let live = sharded.export();
+    drop(sharded);
+    let reopened = KbBuilder::new()
+        .durable_dir(dir.path())
+        .shards(4)
+        .build_kb()
+        .unwrap();
+    assert_eq!(sorted_lines(&reopened.export()), sorted_lines(&live));
+    assert_eq!(
+        index_view(&reopened, signature, &checks),
+        index_view(&oracle, signature, &checks)
+    );
 }
 
 #[test]
