@@ -33,8 +33,12 @@ use galo_workloads::{tpcds, Scenario, ScenarioOp, ScenarioSpec};
 
 /// Inline auto-compaction threshold and the background policy's
 /// per-shard record threshold — identical so the two modes disagree only
-/// on *where* the fold runs, not *when* it becomes due.
-const WAL_RECORDS: u64 = 512;
+/// on *where* the fold runs, not *when* it becomes due. A record is a
+/// commit, and a publish, a retraction and a refinement are one each: the
+/// churn-heavy replay is some 50 commits a shard in quick mode and 350 in
+/// full, so this folds a shard a few times in the one and about twenty in
+/// the other.
+const WAL_RECORDS: u64 = 16;
 
 struct Fixture {
     w: galo_workloads::Workload,

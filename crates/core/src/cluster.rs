@@ -14,9 +14,10 @@
 //!   alternative plans against the optimizer per sub-query, and abstract
 //!   the winning rewrites into [`Template`]s;
 //! * mined templates are **published in batches** through
-//!   [`KnowledgeBase::insert_batch`] → `FusekiLite::insert_quads_raw`:
-//!   one endpoint transaction per batch. On a sharded backend routing is
-//!   *placement*, not locking — each template lands whole on one shard
+//!   [`KnowledgeBase::insert_batch`] → the knowledge base's one commit →
+//!   `FusekiLite::apply_block_owned`: one block, one endpoint transaction
+//!   per batch. On a sharded backend routing is *placement*, not
+//!   locking — each template lands whole on one shard
 //!   (and in one shard's log), while the batch itself holds an all-shard
 //!   write session like every other write;
 //! * the knowledge-base image is **independent of publish interleaving**:

@@ -26,8 +26,13 @@
 //!   (cached acks), so at-least-once delivery yields **exactly-once
 //!   application** — an acknowledged publish is never lost and never
 //!   doubled, whatever the link does.
-//! * **Read replicas** — the primary appends every applied publish to an
-//!   ordered replication log. A [`Replica`] pulls the feed over a link:
+//! * **Read replicas** — the primary appends every change born on it that
+//!   took effect — an applied publish, a retraction
+//!   ([`Primary::retract`]) — to an ordered replication log, as the quad
+//!   block that was applied: inserts, removes and clears replay alike. (A
+//!   change made to the primary's knowledge base behind the primary's
+//!   back, feedback refinement included, is not logged.) A [`Replica`]
+//!   pulls the feed over a link:
 //!   cold start replays a [`galo_rdf::snapshot_bytes`] image, catch-up
 //!   replays `Mutation` frames in sequence, duplicates are skipped and
 //!   gaps trigger a re-pull. Each applied frame stamps the replica with
@@ -305,10 +310,11 @@ impl RetryPolicy {
 // Primary
 // ---------------------------------------------------------------------------
 
-/// One ordered replication-log entry: the payload of one applied publish
-/// — an encoded quad block, validated when the primary decoded it to
-/// apply it, and sent on to replicas byte for byte — and the primary's
-/// mutation epoch after applying it.
+/// One ordered replication-log entry: one applied change as an encoded
+/// quad block — a publish's payload, validated when the primary decoded it
+/// to apply it, or the encoding of a block built here — sent on to
+/// replicas byte for byte, and the primary's mutation epoch after
+/// applying it.
 #[derive(Debug, Clone)]
 struct LogEntry {
     payload: Vec<u8>,
@@ -399,6 +405,35 @@ impl Primary {
         log.entries.clear();
     }
 
+    /// The one entry for a change born on the primary: apply `block` and,
+    /// when it changed anything, append `payload` — its encoding — to the
+    /// log with the epoch it produced. The caller holds the log lock
+    /// across whatever it read to build the block and this call, so the
+    /// log order equals the apply order under concurrent changes. Returns
+    /// the operations that took effect and the epoch.
+    fn apply_logged<T: std::borrow::Borrow<galo_rdf::Term>>(
+        &self,
+        log: &mut ReplicationLog,
+        block: &QuadBlock<T>,
+        payload: Vec<u8>,
+    ) -> (u64, u64) {
+        let changed = self.kb.apply_block(block) as u64;
+        let epoch = self.kb.epoch();
+        if changed > 0 {
+            log.entries.push(LogEntry { payload, epoch });
+        }
+        (changed, epoch)
+    }
+
+    /// Retract a template on the primary and log the retraction, so
+    /// replicas drop it too. Returns true when anything was removed.
+    pub fn retract(&self, template_iri: &str) -> bool {
+        let mut log = self.log.lock().expect("replication log");
+        let removes = self.kb.retraction_of(template_iri);
+        let block = QuadBlock::of_records(&removes);
+        self.apply_logged(&mut log, &block, block.encode()).0 > 0
+    }
+
     /// Handle one raw frame from a peer; returns the reply frames to send
     /// back, in order. Undecodable bytes (torn or corrupted in flight, or
     /// a publish whose payload is not a quad block) produce no reply — the
@@ -417,17 +452,10 @@ impl Primary {
                         let Ok(block) = QuadBlock::decode(&payload) else {
                             return Vec::new();
                         };
-                        // Hold the log lock across the apply so the log
-                        // order equals the apply order under concurrent
-                        // publishers.
                         let mut log = self.log.lock().expect("replication log");
-                        let added = self.kb.apply_block(&block) as u64;
-                        let epoch = self.kb.epoch();
-                        if added > 0 {
-                            log.entries.push(LogEntry { payload, epoch });
-                        }
-                        peer.acked.insert(frame.seq, (added, epoch));
-                        (added, epoch)
+                        let applied = self.apply_logged(&mut log, &block, payload);
+                        peer.acked.insert(frame.seq, applied);
+                        applied
                     }
                 };
                 vec![encode_frame(&Frame {
@@ -1563,7 +1591,7 @@ mod tests {
 
     #[test]
     fn replica_endpoint_rejects_writes_loudly() {
-        let replica = Replica::new();
+        let mut replica = Replica::new();
         let server = replica.knowledge_base().server();
         let err = server
             .update("INSERT DATA { <urn:a> <urn:b> <urn:c> . }")
@@ -1584,6 +1612,70 @@ mod tests {
             .downcast_ref::<galo_rdf::ReadOnlyReplica>()
             .expect("panics with the typed rejection");
         assert_eq!(reject.op, "insert_triples");
+
+        // The knowledge base's own mutators pass the same gate — all but
+        // the feed's door, which put this template here.
+        let primary = Primary::new(Arc::new(KnowledgeBase::new()));
+        primary.knowledge_base().insert(&tpl("ro", "w", 10.0));
+        let (mut near, mut far) = loopback();
+        let mut peer = PeerState::default();
+        let mut pump = || {
+            primary.serve_link(&mut peer, &mut far);
+        };
+        // A direct insert is not a logged change: the replica sees it in
+        // the snapshot a compacted log serves.
+        primary.compact_log();
+        replica
+            .catch_up(&mut near, &mut pump, &RetryPolicy::default())
+            .unwrap();
+        let kb = replica.knowledge_base();
+        let iri = crate::vocab::template_iri("ro");
+        kb.feedback().push(
+            iri.str_value(),
+            "",
+            crate::PopObservation {
+                pop_type: "HSJOIN".into(),
+                cards: vec![(1e6, f64::INFINITY)],
+                scan: None,
+                scan_band: f64::INFINITY,
+            },
+        );
+        let (before, epoch) = (image(kb), kb.epoch());
+        assert_eq!(kb.template_count(), 1);
+        let refinement = crate::TemplateRefinement {
+            observations: vec![],
+            narrows: vec![("HSJOIN".into(), 0.5)],
+        };
+        let calls: [(&str, &dyn Fn()); 5] = [
+            ("clear", &|| kb.clear()),
+            ("remove_template", &|| {
+                kb.remove_template(iri.str_value());
+            }),
+            ("refine_template_stats", &|| {
+                kb.refine_template_stats(iri.str_value(), &refinement);
+            }),
+            ("apply_feedback", &|| {
+                kb.apply_feedback();
+            }),
+            ("insert_batch", &|| kb.insert(&tpl("ro2", "w", 10.0))),
+        ];
+        for (op, call) in calls {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                .expect_err("a client mutator on a replica must panic");
+            let reject = panic
+                .downcast_ref::<galo_rdf::ReadOnlyReplica>()
+                .expect("panics with the typed rejection");
+            assert_eq!(reject.op, op);
+            assert_eq!((image(kb), kb.epoch()), (before.clone(), epoch), "{op}");
+        }
+        let err = kb.import("").expect_err("replica import must fail");
+        assert!(matches!(err, galo_rdf::ServerError::ReadOnlyReplica(_)));
+        assert_eq!((image(kb), kb.epoch()), (before, epoch), "import");
+        assert_eq!(
+            kb.feedback().pending(),
+            1,
+            "a rejected fold keeps its evidence"
+        );
     }
 
     #[test]

@@ -40,13 +40,13 @@
 //!
 //! # Where entries come from
 //!
-//! Two places only: `KnowledgeBase::insert_batch` maps the
-//! [`Template`](crate::kb::Template)s it was handed, and everything that
-//! starts from triples — whole-template publish batches and the rebuild
-//! behind `reindex`, `import` and reopen — goes through the one
-//! [`IndexFacts`] gather, so the fallback rules (corrupt sketch → exact
-//! bounds → unbounded) are stated once. Feedback refinement rewrites one
-//! row's operators in place ([`SigIndex::refresh`]).
+//! One place: the [`IndexFacts`] gather, fed one default-graph statement
+//! at a time — the statements of a block that just took effect, one
+//! template's re-read from the store, or the whole store's for a rebuild
+//! (the knowledge base's module docs say which, when). It is the only
+//! reader of the template vocabulary on the index side and the only
+//! writer of rows, so the fallback rules (corrupt sketch → exact bounds →
+//! unbounded) are stated once.
 
 use std::collections::HashMap;
 
@@ -139,11 +139,11 @@ impl<'a> AdmissionQuery<'a> {
     }
 }
 
-/// One property of one operator as a mutator hands it to the index: the
-/// exact stored bounds (what the probe tests) plus the quantile sketch
-/// trimmed envelopes come from. The index keeps the two apart.
+/// One property of one operator on its way into a row: the exact stored
+/// bounds (what the probe tests) plus the quantile sketch trimmed
+/// envelopes come from. The index keeps the two apart.
 #[derive(Debug, Clone)]
-pub(crate) struct IndexedStat {
+struct IndexedStat {
     /// `sketch.envelope(0.0)` unless stored bounds say otherwise —
     /// precomputed so the trim-0 walk never touches a sketch.
     exact: Range,
@@ -161,7 +161,7 @@ impl Default for IndexedStat {
 }
 
 impl IndexedStat {
-    pub(crate) fn of(sketch: &StatSketch) -> Self {
+    fn of(sketch: &StatSketch) -> Self {
         IndexedStat {
             exact: sketch.envelope(0.0),
             sketch: sketch.clone(),
@@ -170,7 +170,7 @@ impl IndexedStat {
 
     /// Exact stored bounds when present, else derived from the sketch,
     /// else unbounded.
-    pub(crate) fn reconstruct(sketch: Option<StatSketch>, bounds: Option<Range>) -> Self {
+    fn reconstruct(sketch: Option<StatSketch>, bounds: Option<Range>) -> Self {
         match (sketch, bounds) {
             (Some(sk), Some(exact)) => IndexedStat { exact, sketch: sk },
             (Some(sk), None) => IndexedStat::of(&sk),
@@ -183,14 +183,14 @@ impl IndexedStat {
     }
 }
 
-/// One template operator as a mutator hands it to the index.
-pub(crate) struct PopEntry<'a> {
-    pub pop_type: &'a str,
-    pub cardinality: IndexedStat,
+/// One template operator on its way into a row.
+struct PopEntry<'a> {
+    pop_type: &'a str,
+    cardinality: IndexedStat,
     /// Row size, fpages, base cardinality ([`STAT_FAMILIES`] order);
     /// `None` for an operator stored without scan stats, which is then
     /// unbounded on them: never reject what the probe might accept.
-    pub scan: Option<[IndexedStat; 3]>,
+    scan: Option<[IndexedStat; 3]>,
 }
 
 /// What the triples say about one operator's stat of one family.
@@ -211,12 +211,21 @@ impl StatFacts {
             (self.lo.is_some() || self.hi.is_some()).then(|| Range::from_bounds(self.lo, self.hi));
         IndexedStat::reconstruct(self.sketch, bounds)
     }
+
+    /// The stat as feedback refines it: the sketch literal when valid,
+    /// else the exact bounds when both are stored, else `None` — the
+    /// operator does not carry this stat, an unbounded envelope that
+    /// feedback must never turn into a bounded one.
+    fn refinable(&self) -> Option<StatSketch> {
+        let bounds = || Some(StatSketch::from_range(self.lo?, self.hi?));
+        self.sketch.clone().or_else(bounds)
+    }
 }
 
 /// The template facts the signature index is derived from, keyed by
 /// subject IRI and gathered one default-graph triple at a time — from a
-/// publish batch's quads or from store scans. The one reader of the
-/// template vocabulary on the index side.
+/// block's statements or from store scans. The one reader of the template
+/// vocabulary on the index side, and the one writer of rows.
 #[derive(Default)]
 pub(crate) struct IndexFacts<'a> {
     join_counts: HashMap<&'a str, usize>,
@@ -281,28 +290,53 @@ impl<'a> IndexFacts<'a> {
         }
     }
 
-    /// True when every operator mentioned anywhere carries its template
-    /// link and type, and its template's join count, among the gathered
-    /// facts. False means the facts are a partial edit of stored
-    /// templates, and only the store sees the whole picture.
-    pub(crate) fn is_complete(&self) -> bool {
-        self.pop_template
+    /// The gathered operators that carry a type, ascending by IRI: IRI,
+    /// type, and per [`STAT_FAMILIES`] slot the stored stat
+    /// [as feedback refines it](StatFacts::refinable).
+    pub(crate) fn operators(&self) -> Vec<(&'a str, &'a str, [Option<StatSketch>; 4])> {
+        let stats_of = |pop| {
+            let stat = |stats: &HashMap<&str, StatFacts>| stats.get(pop)?.refinable();
+            self.stats.each_ref().map(stat)
+        };
+        let mut pops: Vec<_> = self
+            .pop_types
+            .iter()
+            .map(|(&pop, &pop_type)| (pop, pop_type, stats_of(pop)))
+            .collect();
+        pops.sort_unstable_by_key(|&(pop, ..)| pop);
+        pops
+    }
+
+    /// The subjects whose gathered facts are an edit of a stored template
+    /// rather than a whole one: an operator mentioned anywhere without
+    /// its template link, its type or its template's join count among the
+    /// facts, or a template's workload without its join count. Only the
+    /// store sees the whole picture of those. (A subject may be named
+    /// more than once.)
+    pub(crate) fn partial(&self) -> impl Iterator<Item = &'a str> + '_ {
+        let pops = self
+            .pop_template
             .keys()
             .chain(self.pop_types.keys())
             .chain(self.stats.iter().flat_map(|stats| stats.keys()))
-            .all(|pop| {
-                self.pop_types.contains_key(pop)
+            .filter(|&pop| {
+                !(self.pop_types.contains_key(pop)
                     && self
                         .pop_template
                         .get(pop)
-                        .is_some_and(|tpl| self.join_counts.contains_key(tpl))
-            })
+                        .is_some_and(|tpl| self.join_counts.contains_key(tpl)))
+            });
+        let templates = self
+            .sources
+            .keys()
+            .filter(|&tpl| !self.join_counts.contains_key(tpl));
+        pops.chain(templates).copied()
     }
 
     /// Insert (or overwrite) one index row per template that has a join
-    /// count. Operators are those linked to it by `inTemplate` that also
-    /// carry a type, in ascending IRI order.
-    pub(crate) fn into_entries(self, index: &mut SigIndex) {
+    /// count and that `wanted` says yes to. Operators are those linked to
+    /// it by `inTemplate` that also carry a type, in ascending IRI order.
+    pub(crate) fn into_entries(self, index: &mut SigIndex, wanted: impl Fn(&str) -> bool) {
         let IndexFacts {
             join_counts,
             sources,
@@ -316,6 +350,7 @@ impl<'a> IndexFacts<'a> {
         }
         let mut rows: Vec<(&str, u64, Vec<PopEntry<'_>>)> = join_counts
             .into_iter()
+            .filter(|&(tpl_iri, _)| wanted(tpl_iri))
             .map(|(tpl_iri, jc)| {
                 let mut pop_iris = by_tpl.remove(tpl_iri).unwrap_or_default();
                 pop_iris.sort_unstable();
@@ -475,11 +510,7 @@ impl Bucket {
                 row
             }
         };
-        self.set_ops(row, pops);
-    }
-
-    /// Replace a row's operators, and with them its hulls.
-    fn set_ops(&mut self, row: usize, pops: Vec<PopEntry<'_>>) {
+        // The row's operators, and with them its hulls.
         for column in &mut self.hulls {
             column[row] = EMPTY;
         }
@@ -643,13 +674,7 @@ pub(crate) struct SigIndex {
 impl SigIndex {
     /// Insert the template's row into its signature's bucket, or
     /// overwrite the row it already has there.
-    pub(crate) fn upsert(
-        &mut self,
-        signature: u64,
-        iri: &str,
-        workload: &str,
-        pops: Vec<PopEntry<'_>>,
-    ) {
+    fn upsert(&mut self, signature: u64, iri: &str, workload: &str, pops: Vec<PopEntry<'_>>) {
         self.buckets
             .entry(signature)
             .or_default()
@@ -662,21 +687,6 @@ impl SigIndex {
             bucket.remove(iri);
             !bucket.iris.is_empty()
         });
-    }
-
-    /// Rewrite the operators (and hulls) of the template's row in place;
-    /// a template the index does not hold is left alone.
-    pub(crate) fn refresh(&mut self, iri: &str, pops: Vec<PopEntry<'_>>) {
-        for bucket in self.buckets.values_mut() {
-            if let Ok(row) = bucket.find(iri) {
-                bucket.set_ops(row, pops);
-                return;
-            }
-        }
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.buckets.clear();
     }
 
     /// Number of distinct signatures.
@@ -986,7 +996,7 @@ mod tests {
 
     /// The columnar cursor against the reference, over seeded random
     /// buckets — built through shuffled inserts, republishes, removals
-    /// and refreshes, so the maintenance of every column is under test
+    /// and re-reads, so the maintenance of every column is under test
     /// too — and seeded random queries.
     #[test]
     fn cursor_matches_the_reference_walk() {
@@ -1021,7 +1031,7 @@ mod tests {
                     },
                 );
             }
-            // Republish (overwrite in place), refresh and remove a few.
+            // Republish (overwrite in place), re-read and remove a few.
             for &n in order.iter().take(rows / 4) {
                 let (iri, pops) = (iri_of(n), row(&mut rng));
                 match rng.gen_range(0..3) {
@@ -1035,10 +1045,11 @@ mod tests {
                         reference.remove(&iri);
                     }
                     _ => {
-                        let bucket = index.buckets.get_mut(&SIG).unwrap();
-                        let at = bucket.find(&iri).unwrap();
-                        bucket.set_ops(at, entries(&pops));
-                        reference.get_mut(&iri).unwrap().pops = pops;
+                        // A refined template re-read: same row, same
+                        // workload, other operators.
+                        let stored = reference.get_mut(&iri).unwrap();
+                        index.upsert(SIG, &iri, &stored.workload, entries(&pops));
+                        stored.pops = pops;
                     }
                 }
             }

@@ -42,6 +42,17 @@ pub fn template_pop_iri(id: &str, op_id: u32) -> Term {
     Term::iri(format!("{TEMPLATE_NS}{id}/pop/{op_id}"))
 }
 
+/// The template a subject IRI belongs to, by the shape of the IRI alone:
+/// `<ns><id>` is the template node itself, `<ns><id>/pop/<k>` one of its
+/// operators (the same reading the store's template router places a
+/// template's statements by). `None` for anything outside the template
+/// namespace.
+pub fn template_of(subject: &str) -> Option<&str> {
+    let id = subject.strip_prefix(TEMPLATE_NS)?;
+    let id_len = id.find('/').unwrap_or(id.len());
+    (id_len > 0).then(|| &subject[..TEMPLATE_NS.len() + id_len])
+}
+
 // Property names (paper §3.1 / §3.2 / Figure 6).
 pub const HAS_POP_TYPE: &str = "hasPopType";
 pub const HAS_ESTIMATE_CARDINALITY: &str = "hasEstimateCardinality";
@@ -121,5 +132,17 @@ mod tests {
             template_pop_iri("abc123", 5).str_value(),
             "http://galo/kb/template/abc123/pop/5"
         );
+    }
+
+    #[test]
+    fn a_subject_names_its_template_by_shape() {
+        let tpl = template_iri("abc123");
+        assert_eq!(template_of(tpl.str_value()), Some(tpl.str_value()));
+        assert_eq!(
+            template_of(template_pop_iri("abc123", 5).str_value()),
+            Some(tpl.str_value())
+        );
+        assert_eq!(template_of(pop_iri(2).str_value()), None);
+        assert_eq!(template_of(TEMPLATE_NS), None);
     }
 }

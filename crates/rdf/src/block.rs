@@ -71,9 +71,10 @@ impl std::error::Error for BlockError {}
 
 /// A batch of statements: a dictionary of terms and the operations over
 /// it, in order. `T` is how the block holds its terms — owned ([`Term`],
-/// what [`decode`](Self::decode) yields) or borrowed from the caller's
-/// quads, records or store (`&Term`). The blocks built to be encoded name
-/// each distinct term once.
+/// what [`decode`](Self::decode) yields), borrowed from the caller's
+/// quads, records or store (`&Term`), or, once a store has
+/// [taken them](QuadBlock::apply_into), as that store's ids. The blocks
+/// built to be encoded name each distinct term once.
 ///
 /// Every index of every operation is inside the dictionary; the
 /// constructors guarantee it.
@@ -193,6 +194,18 @@ impl<'a> QuadBlock<&'a Term> {
 }
 
 impl QuadBlock<Term> {
+    /// The block that turns any image into `quads`: a clear, then one
+    /// insert per quad, their terms handed over as by
+    /// [`from_records`](Self::from_records). As one block — one commit —
+    /// the replacement is on disk whole or not at all; journaled on its
+    /// own the clear would be durable first, and a crash mid-import would
+    /// reopen an empty dataset.
+    pub fn replacing_with_quads(quads: Vec<Quad>) -> Self {
+        Self::from_records(
+            std::iter::once(Record::Clear).chain(quads.into_iter().map(Record::from)),
+        )
+    }
+
     /// `records` as one block that owns their terms — a block to be
     /// [applied](Self::apply_into), not sent: every occurrence of a term
     /// gets a slot of its own. Nothing is hashed or compared here, because
@@ -240,15 +253,28 @@ const KIND_CLEAR: u8 = 2;
 /// Encoded size of the shortest term: a tag and a length.
 const MIN_TERM_LEN: usize = 5;
 
+impl<T> QuadBlock<T> {
+    /// The operations, in order.
+    pub fn ops(&self) -> &[BlockOp] {
+        &self.ops
+    }
+}
+
+impl QuadBlock<Option<TermId>> {
+    /// The term that was at dictionary index `ix`, read back from the
+    /// `store` that took it. Every index of an operation that took effect
+    /// reads back; one no operation needed, or that only removes looked
+    /// up in vain, has no id and panics.
+    pub fn term_in<'s, S: TripleStore + ?Sized>(&self, store: &'s S, ix: u32) -> &'s Term {
+        let id = self.terms[ix as usize];
+        store.resolve(id.expect("an operation that took effect knew its terms"))
+    }
+}
+
 impl<T: Borrow<Term>> QuadBlock<T> {
     /// The dictionary: each distinct term of the batch, once.
     pub fn terms(&self) -> impl ExactSizeIterator<Item = &Term> {
         self.terms.iter().map(Borrow::borrow)
-    }
-
-    /// The operations, in order.
-    pub fn ops(&self) -> &[BlockOp] {
-        &self.ops
     }
 
     /// The term at dictionary index `ix` (every index an operation
@@ -293,16 +319,44 @@ impl<T: Borrow<Term>> QuadBlock<T> {
     /// Apply the block to `store`, one operation after the other, and
     /// say for each whether it changed anything (set semantics: a
     /// duplicate insert, an absent remove and a clear of an empty store do
-    /// not).
+    /// not) — and, beside that, give the block back over the store's ids
+    /// ([`term_in`](QuadBlock::term_in) reads a statement as the store now
+    /// holds it).
     ///
     /// Each dictionary term is looked up in the store's interner once,
     /// the first time an operation needs it, and cloned only if an insert
     /// finds the interner has never seen it; a remove interns nothing.
-    /// The block keeps its terms — the knowledge base reads them again
-    /// for its index. A caller that does not need them afterwards hands
-    /// the block over with [`apply_into`](QuadBlock::apply_into).
-    pub fn apply_to<S: TripleStore + ?Sized>(&self, store: &mut S) -> Vec<bool> {
-        apply(&mut &self.terms[..], &self.ops, store)
+    /// The block keeps its terms: it is the feed's, or about to be logged.
+    /// A caller that does not need them afterwards hands the block over
+    /// with [`apply_into`](QuadBlock::apply_into).
+    pub fn apply_to<S: TripleStore + ?Sized>(&self, store: &mut S) -> Applied {
+        let (changed, ids) = apply(&mut &self.terms[..], &self.ops, store);
+        let ops = self.ops.clone();
+        let block = QuadBlock { terms: ids, ops };
+        Applied { changed, block }
+    }
+}
+
+/// What applying a block comes back with.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Applied {
+    /// Per operation, whether it changed anything.
+    pub changed: Vec<bool>,
+    /// The block over the ids of the store it was applied to.
+    pub block: QuadBlock<Option<TermId>>,
+}
+
+impl Applied {
+    /// How many operations changed anything.
+    pub fn effective(&self) -> usize {
+        self.changed.iter().filter(|&&changed| changed).count()
+    }
+
+    /// How many default-graph inserts were new: what an import reports.
+    pub fn new_triples(&self) -> usize {
+        let ops = self.block.ops().iter().zip(&self.changed);
+        ops.filter(|&(op, &new)| new && matches!(op, BlockOp::Insert((.., None))))
+            .count()
     }
 }
 
@@ -355,14 +409,17 @@ impl Dictionary for Vec<Term> {
 }
 
 /// The one place a batch becomes mutations — the endpoint's writes, the
-/// replication feed and log replay all come through here.
+/// replication feed and log replay all come through here. Returns, per
+/// operation, whether it changed anything, and per dictionary index the
+/// store's id of the term the operations looked up there.
 fn apply<D: Dictionary, S: TripleStore + ?Sized>(
     terms: &mut D,
     ops: &[BlockOp],
     store: &mut S,
-) -> Vec<bool> {
+) -> (Vec<bool>, Vec<Option<TermId>>) {
     let mut ids = vec![None; terms.len()];
-    ops.iter()
+    let applied = ops
+        .iter()
         .map(|op| match *op {
             BlockOp::Insert((s, p, o, None)) => {
                 let t = (
@@ -402,7 +459,8 @@ fn apply<D: Dictionary, S: TripleStore + ?Sized>(
                 held
             }
         })
-        .collect()
+        .collect();
+    (applied, ids)
 }
 
 /// The store's id of dictionary term `ix`, interning it if need be.
@@ -436,8 +494,11 @@ impl QuadBlock<Term> {
     /// cloned. (Cloning and then dropping the original is not only the
     /// slower way: over a knowledge base's worth of inserts it leaves the
     /// heap measurably more fragmented.)
-    pub fn apply_into<S: TripleStore + ?Sized>(mut self, store: &mut S) -> Vec<bool> {
-        apply(&mut self.terms, &self.ops, store)
+    pub fn apply_into<S: TripleStore + ?Sized>(mut self, store: &mut S) -> Applied {
+        let (changed, terms) = apply(&mut self.terms, &self.ops, store);
+        let ops = self.ops;
+        let block = QuadBlock { terms, ops };
+        Applied { changed, block }
     }
 
     /// Decode one block; `bytes` must hold exactly its encoding.
@@ -825,15 +886,33 @@ mod tests {
                 let batch = records(&mut rng, n, 1 + round % 9);
                 let block = QuadBlock::decode(&QuadBlock::of_records(&batch).encode()).unwrap();
                 let want = apply_one_at_a_time(&mut one_by_one, &batch);
-                assert_eq!(block.apply_to(&mut borrowed), want, "round {round}");
+                assert_eq!(block.apply_to(&mut borrowed).changed, want, "round {round}");
                 assert_eq!(
                     as_records(&block),
                     batch,
                     "applied by reference, kept whole"
                 );
-                assert_eq!(block.apply_into(&mut moved), want, "round {round}");
+                assert_eq!(block.apply_into(&mut moved).changed, want, "round {round}");
                 let handed_over = QuadBlock::from_records(batch.iter().cloned());
-                assert_eq!(handed_over.apply_into(&mut owned), want, "round {round}");
+                let Applied {
+                    changed,
+                    block: left,
+                } = handed_over.apply_into(&mut owned);
+                assert_eq!(changed, want, "round {round}");
+                // What comes back reads, through the store's ids, as the
+                // statements that went in.
+                for (op, record) in left.ops().iter().zip(&batch) {
+                    let term = |ix| left.term_in(&owned, ix);
+                    match (op, record) {
+                        (BlockOp::Insert((s, p, o, g)), Record::Insert(rs, rp, ro, rg)) => {
+                            assert_eq!([term(*s), term(*p), term(*o)], [rs, rp, ro]);
+                            assert_eq!(g.map(term), rg.as_ref());
+                        }
+                        (BlockOp::Remove(_), Record::Remove(..))
+                        | (BlockOp::Clear, Record::Clear) => {}
+                        other => panic!("the operations changed kind: {other:?}"),
+                    }
+                }
                 for blockwise in [&borrowed, &moved, &owned] {
                     assert_eq!(
                         crate::ntriples::to_ntriples(blockwise),

@@ -51,7 +51,7 @@ pub mod store;
 pub mod term;
 pub mod wire;
 
-pub use block::{BlockError, BlockOp, QuadBlock, QuadIx};
+pub use block::{Applied, BlockError, BlockOp, QuadBlock, QuadIx};
 pub use ntriples::{from_ntriples, load_ntriples, parse_ntriples, to_ntriples, NtParseError, Quad};
 pub use persist::{
     snapshot_bytes, store_from_snapshot, DurableOptions, DurableStore, Record, ScratchDir,

@@ -82,7 +82,7 @@ use crate::block::{
     put_term, put_u32, put_u64, BlockBuilder, BlockError, BlockOp, ByteReader, QuadBlock,
 };
 use crate::fnv::fnv1a;
-use crate::ntriples::parse_ntriples;
+use crate::ntriples::{parse_ntriples, Quad};
 use crate::store::{IndexedStore, StoragePressure, Triple, TripleStore};
 use crate::term::{Term, TermId};
 
@@ -151,9 +151,10 @@ pub struct DurableStore {
 }
 
 /// One statement-level operation with its terms owned: what the
-/// version-1 and version-2 log readers yield a line at a time, and the
-/// unit of `KnowledgeBase::apply_records`. A batch of them is applied as
-/// one block ([`QuadBlock::of_records`], [`QuadBlock::from_records`]).
+/// version-1 and version-2 log readers yield a line at a time, and what
+/// the knowledge base's mutators build their blocks from. A batch of them
+/// is applied as one block ([`QuadBlock::of_records`],
+/// [`QuadBlock::from_records`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// Assert one statement (named-graph tag when the fourth term is set).
@@ -162,6 +163,12 @@ pub enum Record {
     Remove(Term, Term, Term, Option<Term>),
     /// Drop the whole image.
     Clear,
+}
+
+impl From<Quad> for Record {
+    fn from((s, p, o, graph): Quad) -> Self {
+        Record::Insert(s, p, o, graph)
+    }
 }
 
 impl DurableStore {

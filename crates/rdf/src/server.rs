@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use crate::block::{BlockOp, QuadBlock};
+use crate::block::{Applied, QuadBlock};
 use crate::ntriples::{parse_ntriples, to_ntriples, NtParseError, Quad};
 use crate::persist::Record;
 use crate::policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};
@@ -132,8 +132,9 @@ pub struct FusekiLite {
 /// An open mutation window on a [`FusekiLite`] endpoint: created by
 /// [`FusekiLite::mutation_scope`], which moves the epoch **odd** (write in
 /// flight) and serializes against other writers. Apply the mutation —
-/// through [`with_store_mut`](FusekiLite::with_store_mut), the raw write
-/// helpers, or any derived-index updates — while the scope is alive, then
+/// a block through [`apply_block`](FusekiLite::apply_block) or
+/// [`apply_block_owned`](FusekiLite::apply_block_owned), plus any
+/// derived-index updates — while the scope is alive, then
 /// call [`commit`](Self::commit) with whether anything actually changed:
 /// the epoch returns to **even**, advanced one generation for a real
 /// change and restored unchanged for a no-op. Dropping the scope without
@@ -288,7 +289,9 @@ impl FusekiLite {
     /// payload — a write on a replica is a caller bug, never silently
     /// applied or dropped. The replication feed bypasses the gate through
     /// [`apply_block`](Self::apply_block) +
-    /// [`mutation_scope`](Self::mutation_scope), which stay privileged.
+    /// [`mutation_scope`](Self::mutation_scope), which stay privileged; a
+    /// caller that composes those two for clients of its own asks
+    /// [`check_writable`](Self::check_writable) first.
     pub fn set_read_only(&self, read_only: bool) {
         self.read_only
             .store(read_only, std::sync::atomic::Ordering::SeqCst);
@@ -299,20 +302,21 @@ impl FusekiLite {
         self.read_only.load(std::sync::atomic::Ordering::SeqCst)
     }
 
-    /// Fallible read-only check for endpoints that return `Result`.
-    fn write_guard(&self, op: &'static str) -> Result<(), ServerError> {
+    /// The read-only gate every client write passes first: the typed
+    /// rejection of `op` while the endpoint is a read replica.
+    pub fn check_writable(&self, op: &'static str) -> Result<(), ReadOnlyReplica> {
         if self.is_read_only() {
-            Err(ReadOnlyReplica { op }.into())
+            Err(ReadOnlyReplica { op })
         } else {
             Ok(())
         }
     }
 
-    /// Read-only check for infallible endpoints: panics with a
-    /// [`ReadOnlyReplica`] payload.
+    /// The gate for infallible endpoints: panics with the
+    /// [`ReadOnlyReplica`] as payload.
     fn assert_writable(&self, op: &'static str) {
-        if self.is_read_only() {
-            std::panic::panic_any(ReadOnlyReplica { op });
+        if let Err(rejected) = self.check_writable(op) {
+            std::panic::panic_any(rejected);
         }
     }
 
@@ -338,11 +342,11 @@ impl FusekiLite {
     /// provably overlapped no write, and a cached entry stamped with even
     /// epoch `E` is current exactly while the counter still reads `E` —
     /// there is no instant at which data has changed but the counter has
-    /// not. Raw [`with_store_mut`](Self::with_store_mut) access bypasses
-    /// the counter; callers mutating through it must wrap the mutation
-    /// (including any derived-index updates) in a
-    /// [`mutation_scope`](Self::mutation_scope), as the knowledge base's
-    /// mutators do.
+    /// not. Raw [`with_store_mut`](Self::with_store_mut) access and the
+    /// privileged block doors bypass the counter; callers mutating
+    /// through them must wrap the mutation (including any derived-index
+    /// updates) in a [`mutation_scope`](Self::mutation_scope), as the
+    /// knowledge base's one commit does.
     pub fn mutation_epoch(&self) -> u64 {
         self.epoch.load(std::sync::atomic::Ordering::SeqCst)
     }
@@ -446,15 +450,10 @@ impl FusekiLite {
 
     /// Execute a SPARQL update from text; returns affected triple count.
     pub fn update(&self, text: &str) -> Result<usize, ServerError> {
-        self.write_guard("update")?;
+        self.check_writable("update")?;
         let u = parse_update(text)?;
         let scope = self.mutation_scope();
-        let n = self.with_store_mut(|st| {
-            st.begin_batch();
-            let n = apply_update(st, &u);
-            st.end_batch();
-            n
-        });
+        let n = self.in_bracket(|st| apply_update(st, &u));
         scope.commit(n > 0);
         Ok(n)
     }
@@ -465,11 +464,12 @@ impl FusekiLite {
     /// one each operation routes to its shard inside one all-shard write
     /// session, and each shard written journals one record). Every batch
     /// write of the endpoint is a block applied under that bracket: the
-    /// knowledge base's replicated publishes and the replication feed by
-    /// reference, here; the methods below, `import` and the knowledge
-    /// base's own publish by value, because they own their terms and the
-    /// store can keep them. Returns, per operation, whether it changed
-    /// anything (set semantics).
+    /// replication feed by reference, here; the methods below, `import`
+    /// and the knowledge base's own mutators by value
+    /// ([`apply_block_owned`](Self::apply_block_owned)), because they own
+    /// their terms and the store can keep them. Returns, per operation,
+    /// whether it changed anything (set semantics), and the block over the
+    /// store's ids.
     ///
     /// **Privileged**: no read-only gate, so a read replica replays its
     /// primary's feed through here, and no
@@ -477,12 +477,20 @@ impl FusekiLite {
     /// across this call and any derived-index upkeep that belongs to the
     /// same logical change. Calling it outside a scope leaves the epoch
     /// behind the data; don't.
-    pub fn apply_block<T: Borrow<Term>>(&self, block: &QuadBlock<T>) -> Vec<bool> {
+    pub fn apply_block<T: Borrow<Term>>(&self, block: &QuadBlock<T>) -> Applied {
         self.in_bracket(|st| block.apply_to(st))
     }
 
+    /// [`apply_block`](Self::apply_block) for a block the caller hands
+    /// over ([`QuadBlock::apply_into`]): the store keeps the terms it has
+    /// not seen before instead of copying them. Privileged in the same
+    /// two ways.
+    pub fn apply_block_owned(&self, block: QuadBlock) -> Applied {
+        self.in_bracket(|st| block.apply_into(st))
+    }
+
     /// One write transaction under one bracket around `apply`.
-    fn in_bracket(&self, apply: impl FnOnce(&mut dyn TripleStore) -> Vec<bool>) -> Vec<bool> {
+    fn in_bracket<R>(&self, apply: impl FnOnce(&mut dyn TripleStore) -> R) -> R {
         self.with_store_mut(|st| {
             st.begin_batch();
             let applied = apply(st);
@@ -493,14 +501,13 @@ impl FusekiLite {
 
     /// A client batch write: the read-only gate, one
     /// [`mutation_scope`](Self::mutation_scope), the records as one block
-    /// applied like [`apply_block`](Self::apply_block) — but handed over,
-    /// so the store keeps the terms it has not seen before instead of
-    /// copying them. Returns how many records changed anything.
+    /// handed over ([`apply_block_owned`](Self::apply_block_owned)).
+    /// Returns how many records changed anything.
     fn write_batch(&self, op: &'static str, records: impl IntoIterator<Item = Record>) -> usize {
         self.assert_writable(op);
         let block = QuadBlock::from_records(records);
         let scope = self.mutation_scope();
-        let n = count_applied(&self.in_bracket(|st| block.apply_into(st)));
+        let n = self.apply_block_owned(block).effective();
         scope.commit(n > 0);
         n
     }
@@ -539,19 +546,7 @@ impl FusekiLite {
     /// on one shard (and in one record of that shard's log). Returns how
     /// many quads were new.
     pub fn insert_quads(&self, quads: impl IntoIterator<Item = Quad>) -> usize {
-        self.write_batch("insert_quads", quads.into_iter().map(insert_record))
-    }
-
-    /// [`insert_quads`](Self::insert_quads) without its own
-    /// [`mutation_scope`](Self::mutation_scope): for callers composing a
-    /// larger logical change (store write *plus* derived-index updates)
-    /// under one scope they opened themselves — the knowledge base's
-    /// batch publish does. Calling this outside a scope leaves the epoch
-    /// behind the data; don't.
-    pub fn insert_quads_raw(&self, quads: impl IntoIterator<Item = Quad>) -> usize {
-        self.assert_writable("insert_quads_raw");
-        let block = QuadBlock::from_records(quads.into_iter().map(insert_record));
-        count_applied(&self.in_bracket(|st| block.apply_into(st)))
+        self.write_batch("insert_quads", quads.into_iter().map(Record::from))
     }
 
     /// Remove a batch of triples in one write transaction; returns how
@@ -587,7 +582,9 @@ impl FusekiLite {
     /// callers that mutate through it must hold a
     /// [`mutation_scope`](Self::mutation_scope) spanning their whole
     /// logical change (including any derived index) and commit it once
-    /// fully applied, as the knowledge base's mutators do.
+    /// fully applied. The library's own writes are blocks (or, for
+    /// [`update`](Self::update), one bracket); what comes through here
+    /// from outside is maintenance and tests building an oracle.
     pub fn with_store_mut<T>(&self, f: impl FnOnce(&mut dyn TripleStore) -> T) -> T {
         match &*self.store {
             Backing::Single(lock) => f(lock.write().as_mut()),
@@ -615,27 +612,10 @@ impl FusekiLite {
     /// untouched — and the backend is preserved. Returns the number of
     /// default-graph triples imported.
     pub fn import(&self, text: &str) -> Result<usize, ServerError> {
-        self.write_guard("import")?;
-        let quads = parse_ntriples(text)?;
-        // One block, one bracket: journaled on its own the clear would be
-        // durable before the replacement, and a crash mid-import would
-        // reopen an empty dataset. As one commit the import is on disk
-        // whole or not at all.
-        let block = QuadBlock::from_records(
-            std::iter::once(Record::Clear).chain(quads.into_iter().map(insert_record)),
-        );
-        let default_graph: Vec<bool> = block
-            .ops()
-            .iter()
-            .map(|op| matches!(op, BlockOp::Insert((.., None))))
-            .collect();
+        self.check_writable("import")?;
+        let block = QuadBlock::replacing_with_quads(parse_ntriples(text)?);
         let scope = self.mutation_scope();
-        let applied = self.in_bracket(|st| block.apply_into(st));
-        let n = default_graph
-            .iter()
-            .zip(&applied)
-            .filter(|&(&counted, &fresh)| counted && fresh)
-            .count();
+        let n = self.apply_block_owned(block).new_triples();
         // A replace-all is one logical change even when the imported text
         // reproduces the previous contents byte-for-byte: the clear makes
         // the old state unobservable, so conservatively invalidate.
@@ -644,12 +624,9 @@ impl FusekiLite {
     }
 
     /// Drop every triple and named graph — one write transaction, one
-    /// epoch generation.
+    /// epoch generation (none when there was nothing to drop).
     pub fn clear(&self) {
-        self.assert_writable("clear");
-        let scope = self.mutation_scope();
-        self.with_store_mut(|store| store.clear());
-        scope.commit(true);
+        self.write_batch("clear", [Record::Clear]);
     }
 }
 
@@ -708,14 +685,6 @@ fn run_probes(store: &dyn TripleStore, probes: &[Probe<'_>]) -> Vec<ResultSet> {
             evaluate_prepared(store, prepared, &seed_ids)
         })
         .collect()
-}
-
-fn insert_record((s, p, o, graph): Quad) -> Record {
-    Record::Insert(s, p, o, graph)
-}
-
-fn count_applied(applied: &[bool]) -> usize {
-    applied.iter().filter(|&&changed| changed).count()
 }
 
 #[cfg(test)]
@@ -1050,6 +1019,10 @@ mod tests {
             f.clear();
             assert_eq!(f.mutation_epoch(), e0 + 6 * GEN);
             assert!(f.is_empty());
+            // …of an endpoint that holds something: a second one is a
+            // no-op like any other.
+            f.clear();
+            assert_eq!(f.mutation_epoch(), e0 + 6 * GEN);
             // A scope abandoned without commit (panic path) still lands
             // even and invalidates conservatively.
             drop(f.mutation_scope());

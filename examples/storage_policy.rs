@@ -41,12 +41,15 @@ fn main() {
     );
 
     // --- a KB whose WALs are folded by a background policy -------------
+    // A publish, a retraction, a refinement: each is one WAL record, so
+    // the threshold counts commits — some 100 a shard over this replay.
     let policy = CompactionPolicy {
-        wal_records: 256,
+        wal_records: 32,
         min_interval: Duration::from_millis(5),
         poll_interval: Duration::from_millis(2),
         ..Default::default()
     };
+    let idle_fold_at = policy.wal_records / policy.idle_divisor;
     let kb = KbBuilder::new()
         .durable_dir(scratch.path())
         .shards(2)
@@ -96,7 +99,10 @@ fn main() {
 
     // Let the idle fold drain what the replay left behind.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while kb.storage_pressures().iter().any(|p| p.wal_records >= 64)
+    while kb
+        .storage_pressures()
+        .iter()
+        .any(|p| p.wal_records >= idle_fold_at)
         && std::time::Instant::now() < deadline
     {
         std::thread::sleep(Duration::from_millis(5));

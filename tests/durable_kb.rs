@@ -1,13 +1,15 @@
 //! The durable knowledge base end to end: templates written through a
 //! `KbBuilder::durable_dir` knowledge base survive process restarts
 //! (here: drop and reopen), the signature index is rebuilt from the recovered triples, a
-//! torn write-ahead-log tail loses at most the uncommitted record, and
-//! `FusekiLite::import`/`export` round-trips — named-graph N-Quads lines
-//! included — through a `DurableStore`-backed dataset.
+//! torn write-ahead-log tail loses at most the uncommitted record — and a
+//! retraction or a refinement is one record, so a crash leaves all of it
+//! or none — and `FusekiLite::import`/`export` round-trips — named-graph
+//! N-Quads lines included — through a `DurableStore`-backed dataset.
 
 use galo_catalog::{col, ColumnStats, ColumnType, Database, DatabaseBuilder, SystemConfig, Table};
 use galo_core::{
-    abstract_plan, match_plan, vocab, KbBuilder, KnowledgeBase, MatchConfig, Template,
+    abstract_plan, match_plan, segment_pop_checks, vocab, KbBuilder, KnowledgeBase, MatchConfig,
+    PopObservation, Template, TemplateRefinement,
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
@@ -260,4 +262,76 @@ fn kb_import_reindexes_durable_backend_after_reopen() {
     assert_eq!(kb.template_count(), 1);
     assert_eq!(kb.candidate_templates(sig), vec![iri]);
     assert_eq!(kb.export(), dump);
+}
+
+/// Apply `change` to a durable knowledge base holding two templates, then
+/// cut the log at every byte of what the change journaled and reopen: the
+/// image — sorted export and the first template's candidates — is the one
+/// before the change at every cut, and the one after it only with the
+/// whole record there. Never a template with half its statements, never
+/// a stat without its bounds.
+fn cut_at_every_byte_of(what: &str, change: impl Fn(&KnowledgeBase, &str)) {
+    let (db, plan) = setup();
+    let dir = ScratchDir::new(&format!("kb-cut-{what}"));
+    let open = || KbBuilder::new().durable_dir(dir.path()).build_kb().unwrap();
+    let view = |kb: &KnowledgeBase, sig: u64| {
+        let mut lines: Vec<String> = kb.export().lines().map(str::to_string).collect();
+        lines.sort();
+        (lines, kb.candidate_templates(sig), kb.workloads())
+    };
+    let (sig, before, after, start) = {
+        let kb = open();
+        let a = template(&db, &plan, &kb, 1, "tpcds");
+        kb.insert(&a);
+        kb.insert(&template(&db, &plan, &kb, 2, "client"));
+        let sig = KnowledgeBase::template_signature(&a);
+        let before = view(&kb, sig);
+        let start = std::fs::metadata(newest_wal(dir.path())).unwrap().len() as usize;
+        let pressure = kb.storage_pressures()[0].wal_records;
+        change(&kb, vocab::template_iri(&a.id).str_value());
+        assert_eq!(
+            kb.storage_pressures()[0].wal_records,
+            pressure + 1,
+            "{what}: one record"
+        );
+        (sig, before, view(&kb, sig), start)
+    };
+    assert_ne!(before, after, "{what} must show");
+    let wal = newest_wal(dir.path());
+    let log = std::fs::read(&wal).unwrap();
+    assert!(log.len() > start + 100, "{what} reached the log");
+    for cut in start..=log.len() {
+        std::fs::write(&wal, &log[..cut]).unwrap();
+        let got = view(&open(), sig);
+        let want = if cut == log.len() { &after } else { &before };
+        assert_eq!(&got, want, "{what}: log cut at byte {cut} of {}", log.len());
+    }
+}
+
+#[test]
+fn a_retraction_cut_at_every_byte_reopens_to_the_image_before_it() {
+    cut_at_every_byte_of("retraction", |kb, iri| {
+        assert!(kb.remove_template(iri));
+    });
+}
+
+#[test]
+fn a_refinement_cut_at_every_byte_reopens_to_the_image_before_it() {
+    let (db, plan) = setup();
+    let observations = segment_pop_checks(&db, &plan, plan.root())
+        .iter()
+        .map(|c| PopObservation {
+            pop_type: c.pop_type.to_string(),
+            cards: vec![(c.est_card * 3.0, f64::INFINITY)],
+            scan: c.scan,
+            scan_band: f64::INFINITY,
+        })
+        .collect();
+    let refinement = TemplateRefinement {
+        observations,
+        narrows: vec![],
+    };
+    cut_at_every_byte_of("refinement", |kb, iri| {
+        assert!(kb.refine_template_stats(iri, &refinement).changed);
+    });
 }

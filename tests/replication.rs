@@ -465,18 +465,29 @@ fn bounded_staleness_serving_never_exceeds_the_bound() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any fault schedule crossed with any retry budget: acknowledged
-    /// publishes are applied exactly once (the primary image sits between
-    /// the acked-only oracle and the everything oracle), and a replica
-    /// over its own faulty link converges to the identical image.
+    /// Any fault schedule crossed with any retry budget and any churn —
+    /// retractions on the primary beside the publishes, the log compacted
+    /// at any point: acknowledged publishes are applied exactly once (the
+    /// primary image sits between the acked-only oracle and the
+    /// everything oracle), a replica following over its own faulty link
+    /// holds the primary's image whenever it holds the primary's epoch,
+    /// and so does a laggard that starts after the compaction and is
+    /// caught up by snapshot.
     #[test]
     fn fault_schedules_preserve_exactly_once_and_replica_equality(
         seed in 1u64..u64::MAX,
-        drop in 0.0f64..0.30,
-        duplicate in 0.0f64..0.25,
-        delay in 0.0f64..0.25,
-        truncate in 0.0f64..0.25,
+        (drop, duplicate, delay, truncate) in
+            (0.0f64..0.30, 0.0f64..0.25, 0.0f64..0.25, 0.0f64..0.25),
         budget in 6usize..24,
+        // After batch `b`: retract the `retracts[b]`-th acknowledged
+        // template so far (when in range) and, with `pulls[b]`, let the
+        // follower pull; after batch `compact_after` (0: at the end),
+        // fold the log.
+        (retracts, pulls, compact_after) in (
+            proptest::collection::vec(0usize..12, 4),
+            proptest::collection::vec(any::<bool>(), 4),
+            0usize..5,
+        ),
     ) {
         let plan = FaultPlan { seed, drop, duplicate, delay, truncate };
         let primary = Primary::new(Arc::new(KnowledgeBase::new()));
@@ -486,6 +497,13 @@ proptest! {
         let mut peer = PeerState::default();
         let mut publisher = Publisher::new();
         let policy = RetryPolicy { max_attempts: budget, ..RetryPolicy::default() };
+        let catch = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
+
+        let mut follower = Replica::new();
+        let (rc, rs) = loopback();
+        let mut rclient = FaultyLink::new(rc, FaultPlan { seed: seed ^ 0xFEED, ..plan });
+        let mut rserver = FaultyLink::new(rs, FaultPlan { seed: seed ^ 0xF00D, ..plan });
+        let mut rpeer = PeerState::default();
 
         let batches: Vec<Vec<Template>> = (0..4)
             .map(|b| {
@@ -494,9 +512,14 @@ proptest! {
                     .collect()
             })
             .collect();
+        // The oracles replay the same steps in process: every batch, or
+        // only the acknowledged ones, and every retraction.
+        let oracle_acked = KnowledgeBase::new();
+        let oracle_all = KnowledgeBase::new();
 
-        let mut acked: Vec<&Vec<Template>> = Vec::new();
-        for batch in &batches {
+        let mut acked: Vec<&Template> = Vec::new();
+        let mut retracted = 0usize;
+        for (b, batch) in batches.iter().enumerate() {
             let outcome = publisher.publish_templates(
                 batch,
                 &mut client,
@@ -506,24 +529,53 @@ proptest! {
                 },
                 &policy,
             );
+            oracle_all.insert_batch(batch);
             if outcome.is_ok() {
-                acked.push(batch);
+                oracle_acked.insert_batch(batch);
+                acked.extend(batch);
+            }
+            // Only an acknowledged template is retracted: its publish was
+            // applied before the ack, and a late duplicate of it is
+            // answered from the dedup table, so publish-then-retract is
+            // the order on the primary as in the oracles.
+            if let Some(victim) = acked.get(retracts[b]) {
+                let iri = vocab::template_iri(&victim.id);
+                let gone = primary.retract(iri.str_value());
+                prop_assert_eq!(oracle_acked.remove_template(iri.str_value()), gone);
+                oracle_all.remove_template(iri.str_value());
+                retracted += usize::from(gone);
+            }
+            if b + 1 == compact_after {
+                primary.compact_log();
+            }
+            if pulls[b] {
+                let epoch = follower.catch_up(
+                    &mut rclient,
+                    &mut || {
+                        primary.serve_link(&mut rpeer, &mut rserver);
+                        rserver.flush();
+                    },
+                    &catch,
+                );
+                prop_assert!(epoch.is_ok(), "mid-run catch-up within 64 pulls: {epoch:?}");
+            }
+            if follower.replica_epoch() == primary.epoch() {
+                prop_assert_eq!(
+                    image(follower.knowledge_base()),
+                    image(primary.knowledge_base()),
+                    "equal epochs, equal images (after batch {})", b
+                );
             }
         }
         // Settle any frame still held by the delay fault, then freeze the
         // primary image.
         client.flush();
         primary.serve_link(&mut peer, &mut server);
+        if compact_after == 0 {
+            primary.compact_log();
+        }
         let primary_img = image(primary.knowledge_base());
 
-        let oracle_acked = KnowledgeBase::new();
-        for b in &acked {
-            oracle_acked.insert_batch(b);
-        }
-        let oracle_all = KnowledgeBase::new();
-        for b in &batches {
-            oracle_all.insert_batch(b);
-        }
         let acked_img = image(&oracle_acked);
         let all_img = image(&oracle_all);
         prop_assert!(
@@ -535,28 +587,32 @@ proptest! {
             "nothing but published content may appear on the primary"
         );
         // Exactly-once at the template level: between what was surely
-        // acked and what was ever sent, never more.
+        // acked and what was ever sent, never more — less what was
+        // retracted, exactly.
         let count = primary.knowledge_base().template_count();
-        prop_assert!(count >= acked.len() * 2 && count <= 8, "template count {count}");
-
-        // A replica over its own faulty link converges to the same image.
-        let mut replica = Replica::new();
-        let (rc, rs) = loopback();
-        let mut rclient = FaultyLink::new(rc, FaultPlan { seed: seed ^ 0xFEED, ..plan });
-        let mut rserver = FaultyLink::new(rs, FaultPlan { seed: seed ^ 0xF00D, ..plan });
-        let mut rpeer = PeerState::default();
-        let catch = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
-        let epoch = replica.catch_up(
-            &mut rclient,
-            &mut || {
-                primary.serve_link(&mut rpeer, &mut rserver);
-                rserver.flush();
-            },
-            &catch,
+        prop_assert!(
+            count >= acked.len() - retracted && count <= 8 - retracted,
+            "template count {count}"
         );
-        prop_assert!(epoch.is_ok(), "catch-up within 64 pulls: {epoch:?}");
-        prop_assert_eq!(replica.replica_epoch(), primary.epoch());
-        prop_assert_eq!(image(replica.knowledge_base()), primary_img);
+
+        // The follower over its faulty link, and a laggard that has seen
+        // nothing yet — whatever the log was folded into reaches it as a
+        // snapshot — both converge to the same image at the same epoch.
+        let mut laggard = Replica::new();
+        for replica in [&mut follower, &mut laggard] {
+            let epoch = replica.catch_up(
+                &mut rclient,
+                &mut || {
+                    primary.serve_link(&mut rpeer, &mut rserver);
+                    rserver.flush();
+                },
+                &catch,
+            );
+            prop_assert!(epoch.is_ok(), "catch-up within 64 pulls: {epoch:?}");
+            prop_assert_eq!(replica.replica_epoch(), primary.epoch());
+            prop_assert_eq!(image(replica.knowledge_base()), primary_img.clone());
+        }
+        prop_assert!(laggard.stats.snapshots_loaded >= 1);
     }
 }
 
@@ -682,4 +738,31 @@ fn replica_writes_rejected_at_store_and_endpoint_level() {
         .downcast_ref::<ReadOnlyReplica>()
         .expect("panics with the typed rejection");
     assert_eq!(reject.op, "insert_triples");
+
+    // KnowledgeBase level: the mutators that used to reach the store
+    // behind the gate's back. `clear` on a fresh replica returned normally
+    // and moved its epoch 0 → 2.
+    let kb = replica.knowledge_base();
+    let calls: [(&str, &dyn Fn()); 3] = [
+        ("clear", &|| kb.clear()),
+        ("remove_template", &|| {
+            kb.remove_template(vocab::template_iri("absent").str_value());
+        }),
+        ("apply_feedback", &|| {
+            kb.apply_feedback();
+        }),
+    ];
+    for (op, call) in calls {
+        let panic = catch_unwind(AssertUnwindSafe(call))
+            .expect_err("a client mutator on a replica must panic");
+        let reject = panic
+            .downcast_ref::<ReadOnlyReplica>()
+            .expect("panics with the typed rejection");
+        assert_eq!(reject.op, op);
+        assert_eq!(kb.epoch(), 0, "{op}: a rejected call moves no epoch");
+        assert!(image(kb).is_empty(), "{op}");
+    }
+    let err = kb.import("<urn:a> <urn:b> \"o\" .").expect_err("gated");
+    assert!(matches!(err, ServerError::ReadOnlyReplica(_)), "{err}");
+    assert_eq!(kb.epoch(), 0);
 }

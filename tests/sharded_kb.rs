@@ -16,7 +16,7 @@ use galo_core::{
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
-use galo_rdf::{Quad, Record, ScratchDir, Term};
+use galo_rdf::{Quad, QuadBlock, Record, ScratchDir, Term};
 use galo_sql::parse;
 
 /// A two-table database plus an optimized plan over it — the smallest
@@ -266,13 +266,15 @@ fn concurrent_writers_with_background_compactor_match_sequential_oracle() {
     let (db, plan) = setup();
     // Pre-build every template with explicit ids: both images must
     // publish byte-identical triples, and `fresh_id` is allocation-order
-    // dependent. Thread `t` publishes its 12 templates and retracts
+    // dependent. Thread `t` publishes its 36 templates and retracts
     // every third one — threads touch disjoint templates, so any
-    // interleaving must converge to the same image.
+    // interleaving must converge to the same image. A publish and a
+    // retraction are one WAL record each: 144 + 48 commits over 4 shards
+    // are some 48 a shard, six times the compactor's threshold.
     let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
     let templates: Vec<Vec<Template>> = (0..4)
         .map(|t| {
-            (0..12)
+            (0..36)
                 .map(|i| {
                     let mut tpl =
                         abstract_plan(&db, &plan, plan.root(), &g, format!("cw{t}_{i:02}"));
@@ -304,7 +306,7 @@ fn concurrent_writers_with_background_compactor_match_sequential_oracle() {
             .durable_dir(dir.path())
             .shards(4)
             .compaction_policy(galo_rdf::CompactionPolicy {
-                wal_records: 64,
+                wal_records: 8,
                 min_interval: std::time::Duration::from_millis(1),
                 poll_interval: std::time::Duration::from_millis(1),
                 idle_divisor: 2,
@@ -377,19 +379,21 @@ fn concurrent_writers_with_background_compactor_match_sequential_oracle() {
         "concurrent writers + background compaction must converge to the \
          sequential image"
     );
-    // 4 threads × (12 published − 4 retracted) = 32 live templates.
-    assert_eq!(oracle.0, 32);
+    // 4 threads × (36 published − 12 retracted) = 96 live templates.
+    assert_eq!(oracle.0, 96);
     let report = match_plan(&db, &oracle_kb, &plan, &MatchConfig::default());
     assert!(!report.rewrites.is_empty());
 }
 
 /// The ways a template reaches the store — a learner's `insert_batch`,
-/// `apply_quads`, `apply_records`, a `Publish` frame over the wire, the
-/// endpoint's own `insert_quads` — are one write path: on a 4-shard
-/// durable KB each journals a template as exactly **one** record on
-/// exactly one shard and leaves every other shard's stats as they were,
-/// and all of them leave identical exports and per-shard stats (down to
-/// each shard's WAL byte count), before and after a reopen.
+/// `apply_quads`, `apply_block` over records, a `Publish` frame over the
+/// wire, the endpoint's own `insert_quads` — are one write path: on a
+/// 4-shard durable KB each journals a template as exactly **one** record
+/// on exactly one shard and leaves every other shard's stats as they
+/// were, and all of them leave identical exports and per-shard stats
+/// (down to each shard's WAL byte count), before and after a reopen. So
+/// are the ways one leaves it — `remove_template`, `apply_block` of the
+/// removes, a `Publish` frame of the removes, `Primary::retract`.
 #[test]
 fn every_publish_path_places_and_journals_identically() {
     let (db, plan) = setup();
@@ -412,13 +416,10 @@ fn every_publish_path_places_and_journals_identically() {
         ("apply_quads", &|kb| {
             Box::new(move |tpl| kb.apply_quads(&quads_of(tpl)))
         }),
-        ("apply_records", &|kb| {
+        ("apply_block of records", &|kb| {
             Box::new(move |tpl| {
-                let records: Vec<Record> = quads_of(tpl)
-                    .into_iter()
-                    .map(|(s, p, o, g)| Record::Insert(s, p, o, g))
-                    .collect();
-                kb.apply_records(&records)
+                let records: Vec<Record> = quads_of(tpl).into_iter().map(Record::from).collect();
+                kb.apply_block(&QuadBlock::of_records(&records))
             })
         }),
         ("wire publish", &|kb| {
@@ -508,6 +509,136 @@ fn every_publish_path_places_and_journals_identically() {
         assert_eq!(other_export, export, "{name} export");
         assert_eq!(other_stats, stats, "{name} shard stats");
         assert_eq!(other_fingerprints, fingerprints, "{name} fingerprints");
+    }
+
+    // The retraction doors, each over the same twelve templates: every
+    // second one is retracted, and each retraction is one record on the
+    // template's shard, whatever the door.
+    let removes_of = |kb: &KnowledgeBase, tpl: &Template| {
+        kb.retraction_of(vocab::template_iri(&tpl.id).str_value())
+    };
+    let signature = KnowledgeBase::template_signature(&templates[0]);
+    let shard_of = |tpl: &Template| {
+        let iri = vocab::template_iri(&tpl.id);
+        let router = galo_rdf::TemplateRouter::default();
+        galo_rdf::ShardRouter::route(&router, 4, &iri, &iri, &iri)
+    };
+    type Door<'a> = &'a dyn Fn(Arc<KnowledgeBase>) -> Publish<'a>;
+    let doors: [(&str, Door<'_>); 4] = [
+        ("remove_template", &|kb| {
+            Box::new(move |tpl| {
+                let stored = removes_of(&kb, tpl).len();
+                let iri = vocab::template_iri(&tpl.id);
+                assert_eq!(kb.remove_template(iri.str_value()), stored > 0);
+                stored
+            })
+        }),
+        ("apply_block of the removes", &|kb| {
+            Box::new(move |tpl| {
+                // In the order the template was written, not the order a
+                // scan finds it in.
+                let removes: Vec<Record> = quads_of(tpl)
+                    .into_iter()
+                    .map(|(s, p, o, g)| Record::Remove(s, p, o, g))
+                    .collect();
+                kb.apply_block(&QuadBlock::of_records(&removes))
+            })
+        }),
+        ("wire publish of the removes", &|kb| {
+            let primary = Primary::new(kb);
+            let mut peer = PeerState::default();
+            let mut seq = 0;
+            Box::new(move |tpl| {
+                seq += 1;
+                let removes = removes_of(primary.knowledge_base(), tpl);
+                let frame = galo_rdf::Frame {
+                    seq,
+                    epoch: 0,
+                    payload: galo_rdf::FramePayload::Publish(
+                        QuadBlock::of_records(&removes).encode(),
+                    ),
+                };
+                let replies = primary.handle(&mut peer, &galo_rdf::encode_frame(&frame));
+                let (ack, _) = galo_rdf::decode_frame(&replies[0]).expect("an ack");
+                match ack.payload {
+                    galo_rdf::FramePayload::Ack { added } => added as usize,
+                    other => panic!("not an ack: {other:?}"),
+                }
+            })
+        }),
+        ("Primary::retract", &|kb| {
+            let primary = Primary::new(kb);
+            Box::new(move |tpl| {
+                let stored = removes_of(primary.knowledge_base(), tpl).len();
+                let iri = vocab::template_iri(&tpl.id);
+                let logged = primary.log_len();
+                assert_eq!(primary.retract(iri.str_value()), stored > 0);
+                // An effective retraction is one feed entry; a no-op none.
+                assert_eq!(primary.log_len(), logged + usize::from(stored > 0));
+                stored
+            })
+        }),
+    ];
+    let mut images = Vec::new();
+    for (name, door) in doors {
+        let dir = ScratchDir::new(&format!("sharded-kb-doors-{}", name.replace(' ', "-")));
+        let open = || {
+            KbBuilder::new()
+                .durable_dir(dir.path())
+                .shards(4)
+                .build_kb()
+                .unwrap()
+        };
+        let kb = Arc::new(open());
+        kb.insert_batch(&templates);
+        let mut retract = door(Arc::clone(&kb));
+        for tpl in templates.iter().step_by(2) {
+            let before = kb.shard_stats().unwrap();
+            let removed = retract(tpl);
+            assert_eq!(removed, quads_of(tpl).len(), "{name}: every quad was there");
+            let after = kb.shard_stats().unwrap();
+            let touched: Vec<usize> = (0..4).filter(|&k| after[k] != before[k]).collect();
+            assert_eq!(touched, [shard_of(tpl)], "{name}: one template, its shard");
+            let k = touched[0];
+            assert_eq!(
+                after[k].wal_records - before[k].wal_records,
+                1,
+                "{name}: one retraction, one WAL record, on shard {k}"
+            );
+            assert_eq!(
+                before[k].triples + before[k].graph_triples
+                    - (after[k].triples + after[k].graph_triples),
+                removed,
+                "{name}: all of it from shard {k}"
+            );
+            // A second retraction changes nothing and journals nothing.
+            assert_eq!(retract(tpl), 0, "{name}: idempotent");
+            assert_eq!(kb.shard_stats().unwrap(), after, "{name}: no empty record");
+        }
+        assert_eq!(kb.template_count(), templates.len() / 2, "{name}");
+        let candidates = kb.candidate_templates(signature);
+        assert_eq!(candidates.len(), templates.len() / 2, "{name}: index");
+        let live = (kb.export(), kb.shard_stats().unwrap());
+        drop(retract);
+        drop(Arc::into_inner(kb).expect("the door let go of the knowledge base"));
+        let reopened = open();
+        assert_eq!(reopened.shard_stats().unwrap(), live.1, "{name} reopened");
+        assert_eq!(
+            sorted_lines(&reopened.export()),
+            sorted_lines(&live.0),
+            "{name} reopened"
+        );
+        assert_eq!(
+            reopened.candidate_templates(signature),
+            candidates,
+            "{name}: the index kept in step equals the one rebuilt on reopen"
+        );
+        images.push((name, live));
+    }
+    let (_, (export, stats)) = &images[0];
+    for (name, (other_export, other_stats)) in &images[1..] {
+        assert_eq!(other_export, export, "{name} export");
+        assert_eq!(other_stats, stats, "{name} shard stats");
     }
 }
 
@@ -625,11 +756,15 @@ fn a_block_applies_like_its_quads_inserted_one_at_a_time() {
         // Through the endpoint: the per-operation answers themselves.
         let scratch = galo_rdf::FusekiLite::new();
         scratch.import(&single.export()).unwrap();
-        let block = galo_rdf::QuadBlock::of_inserts(quads);
-        assert_eq!(scratch.apply_block(&block), fresh, "{what}: fresh vector");
+        let block = QuadBlock::of_inserts(quads);
+        assert_eq!(
+            scratch.apply_block(&block).changed,
+            fresh,
+            "{what}: fresh vector"
+        );
 
         // Through the knowledge base, as quads and as decoded wire bytes.
-        let wire = galo_rdf::QuadBlock::decode(&block.encode()).unwrap();
+        let wire = QuadBlock::decode(&block.encode()).unwrap();
         for (which, kb) in [
             ("sharded, from quads", &sharded),
             ("single, from wire bytes", &single),
@@ -737,10 +872,13 @@ fn index_view(kb: &KnowledgeBase, signature: u64, checks: &[PopCheck]) -> Vec<Ve
     view
 }
 
-/// The signature index is maintained incrementally by every mutator and
-/// rebuilt from the store by `reindex` / `import` / reopen. After each
-/// kind of mutation — publish, republish, refinement, removal of a first,
-/// middle, last and only row, clear — the incrementally maintained index
+/// The signature index is kept in step by the one commit every mutator
+/// goes through — rows written from the block for whole fresh templates,
+/// re-read from the store per template otherwise — and rebuilt from the
+/// store by `reindex` / `import` / reopen. After each kind of mutation —
+/// publish, republish, a publish and a retraction in one block, a partial
+/// edit, refinement, removal of a first, middle, last and only row of a
+/// signature several templates share, clear — the index kept in step
 /// must answer exactly like the rebuilt one, including the two fallback
 /// rules: a corrupt sketch literal falls back to the exact bounds, and an
 /// operator stored without bounds is unbounded.
@@ -785,7 +923,7 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
         live
     };
 
-    // insert_batch: the direct Template -> entry mapping.
+    // insert_batch: a block of whole templates, handed to the store.
     let a = sketched(1, "w1", &[0.5, 2.0, 200.0]);
     let b = sketched(2, "w2", &[0.9, 1.1, 1.2, 1.3, 40.0]);
     kb.insert_batch(&[a.clone(), b.clone()]);
@@ -817,23 +955,55 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
         "only the operator-bounds-free template admits an absurd cardinality"
     );
 
-    // apply_records: a whole-template insert plus the retraction of `a`.
+    // One block mixing a publish with a retraction: a whole-template
+    // insert plus the removal of everything `a` was stored as.
     let d = sketched(6, "w1", &[1.5]);
-    let mut records: Vec<Record> = quads_of(&d)
-        .into_iter()
-        .map(|(s, p, o, g)| Record::Insert(s, p, o, g))
-        .collect();
+    let mut records: Vec<Record> = quads_of(&d).into_iter().map(Record::from).collect();
     records.extend(
         quads_of(&a)
             .into_iter()
             .map(|(s, p, o, g)| Record::Remove(s, p, o, g)),
     );
-    assert!(kb.apply_records(&records) > 0);
-    let view = check(&kb, "apply_records with a removal");
+    assert!(kb.apply_block(&QuadBlock::of_records(&records)) > 0);
+    let view = check(&kb, "a publish and a retraction in one block");
     assert!(!view[1].contains(&iri_of(&a)) && view[1].contains(&iri_of(&d)));
 
-    // refine_template_stats: the in-place entry refresh, on a healthy
-    // template and on the corrupt-sketch one.
+    // Partial edits through apply_block: one operator of `c` trades its
+    // lower cardinality bound for a wider one (its sketch literal stays)
+    // and another loses its type, which is a change of shape: the block
+    // states no template whole, so `c`'s row is re-read from the store —
+    // and leaves the bucket. Giving the type back, an insert alone,
+    // brings it home.
+    let mut edit = Vec::new();
+    for (s, p, o, g) in quads_of(&c) {
+        match p.as_iri().and_then(|p| p.strip_prefix(vocab::PROP_NS)) {
+            Some(vocab::HAS_LOWER_CARDINALITY) if edit.is_empty() => {
+                edit.push(Record::Remove(s.clone(), p.clone(), o, g.clone()));
+                edit.push(Record::Insert(s, p, Term::num(1e-3), g));
+            }
+            Some(vocab::HAS_POP_TYPE) if edit.len() == 2 => {
+                edit.push(Record::Remove(s, p, o, g));
+            }
+            _ => {}
+        }
+    }
+    let Some(Record::Remove(s, p, o, g)) = edit.get(2).cloned() else {
+        panic!("the edit ends on the removal of a type: {edit:?}");
+    };
+    let before = check(&kb, "before the partial edits");
+    assert_eq!(kb.apply_block(&QuadBlock::of_records(&edit)), 3);
+    let view = check(&kb, "a partial edit that changes a shape");
+    assert!(
+        !view[1].contains(&iri_of(&c)),
+        "a new shape, another bucket"
+    );
+    assert_eq!(view[0], vec!["2"]);
+    assert_eq!(kb.apply_quads(&[(s, p, o, g)]), 1);
+    let view = check(&kb, "a partial edit by one insert");
+    assert_eq!((&view[0], &view[1]), (&before[0], &before[1]));
+
+    // refine_template_stats: the refined template's row re-read from
+    // the store, on a healthy template and on the corrupt-sketch one.
     for tpl in [&b, &corrupt] {
         let observations = checks
             .iter()
@@ -854,7 +1024,7 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
 
     // A refinement moves a row's hull: a cardinality no template admitted
     // is folded into `c`, and exactly `c` must admit it afterwards — in
-    // the row rewritten in place and in the row rebuilt from the store.
+    // the row the commit re-read and in the row rebuilt from the store.
     let displaced: Vec<PopCheck> = checks
         .iter()
         .map(|c| PopCheck::card(c.pop_type, c.est_card * 5e4))
@@ -886,8 +1056,8 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
         "and so does the rebuilt one"
     );
 
-    // An idempotent republish overwrites its row in place: no new quad,
-    // no second row, no answer changed.
+    // An idempotent republish leaves its row alone: no new quad, no
+    // second row, no answer changed.
     let before = check(&kb, "before the republish");
     assert_eq!(kb.insert_batch(std::slice::from_ref(&d)), 0);
     assert_eq!(check(&kb, "idempotent republish"), before);
@@ -931,18 +1101,11 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
     let kb = open();
     assert_eq!(check(&kb, "sharded durable reopen"), before);
 
-    // apply_records with a Clear: only what follows it survives.
+    // A block with a Clear: only what follows it survives.
     let mut records = vec![Record::Clear];
-    records.extend(
-        quads_of(&a)
-            .into_iter()
-            .map(|(s, p, o, g)| Record::Insert(s, p, o, g)),
-    );
-    assert!(kb.apply_records(&records) > 0);
-    assert_eq!(
-        check(&kb, "apply_records with a Clear")[1],
-        vec![iri_of(&a)]
-    );
+    records.extend(quads_of(&a).into_iter().map(Record::from));
+    assert!(kb.apply_block(&QuadBlock::of_records(&records)) > 0);
+    assert_eq!(check(&kb, "a block with a Clear")[1], vec![iri_of(&a)]);
 
     // clear: nothing left on either side.
     kb.clear();
