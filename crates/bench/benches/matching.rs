@@ -1,11 +1,10 @@
 //! Criterion bench for the online matching engine (Exp-3 / Figure 11):
 //! matching time versus query width, against a realistically-sized KB.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use galo_bench::{inflate_kb, learning_config};
-use galo_core::{match_plan, match_plan_text, KnowledgeBase, MatchConfig};
+use galo_core::{match_plan, KnowledgeBase, MatchConfig};
 use galo_optimizer::Optimizer;
-use galo_rdf::{IndexedStore, ScanStore, Term, TripleStore};
 use galo_workloads::tpcds;
 
 fn bench_match_by_width(c: &mut Criterion) {
@@ -44,143 +43,9 @@ fn bench_match_by_width(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fill a store with `templates` KB-shaped problem patterns (4 operators
-/// per template, 4-5 triples per operator — ~19 triples per template,
-/// roughly the shape `KnowledgeBase::insert` emits).
-fn fill_kb_shaped(store: &mut dyn TripleStore, templates: u32) {
-    for t in 0..templates {
-        let tnode = Term::iri(format!("http://galo/kb/template/{t:016x}"));
-        for op in 0..4u32 {
-            let me = Term::iri(format!("http://galo/kb/template/{t:016x}/pop/{op}"));
-            let ty = ["NLJOIN", "HSJOIN", "IXSCAN", "TBSCAN"][op as usize];
-            store.insert(me.clone(), prop("inTemplate"), tnode.clone());
-            store.insert(me.clone(), prop("hasPopType"), Term::lit(ty));
-            store.insert(
-                me.clone(),
-                prop("hasLowerCardinality"),
-                Term::num((t * op) as f64),
-            );
-            store.insert(
-                me.clone(),
-                prop("hasHigherCardinality"),
-                Term::num((t * op + 1000) as f64),
-            );
-            if op > 0 {
-                let parent = Term::iri(format!("http://galo/kb/template/{t:016x}/pop/{}", op - 1));
-                store.insert(me.clone(), prop("hasOutputStream"), parent);
-            }
-        }
-    }
-}
-
-fn prop(name: &str) -> Term {
-    Term::iri(format!("http://galo/qep/property/{name}"))
-}
-
-/// Linear-scan vs hash-indexed triple-pattern lookup, over KB sizes from
-/// 100 to 1,000 templates (Exp-4's routinization scale). The measured
-/// pattern — all operators of one type, `(?, hasPopType, "NLJOIN")` — is
-/// the entry pattern of every generated segment-match query.
-fn bench_pattern_lookup(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pattern_lookup");
-    for templates in [100u32, 1000] {
-        let mut indexed = IndexedStore::new();
-        fill_kb_shaped(&mut indexed, templates);
-        let mut scan = ScanStore::new();
-        fill_kb_shaped(&mut scan, templates);
-
-        let backends: [(&str, &dyn TripleStore); 2] = [("indexed", &indexed), ("scan", &scan)];
-        for (name, store) in backends {
-            let p = store.term_id(&prop("hasPopType")).expect("interned");
-            let o = store.term_id(&Term::lit("NLJOIN")).expect("interned");
-            group.bench_with_input(
-                BenchmarkId::new(name, format!("{templates}tpl")),
-                &(p, o),
-                |b, &(p, o)| {
-                    b.iter(|| {
-                        // The segment matcher's two hottest shapes: the
-                        // typed-operator entry pattern and its count (the
-                        // evaluator's join-ordering heuristic).
-                        let hits = store.scan(None, Some(p), Some(o)).len();
-                        black_box(hits + store.count(None, Some(p), None))
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-/// Text pipeline vs compiled probe pipeline, per plan, against KBs at the
-/// Exp-3 (100 templates) and Exp-4 (1,000 templates) scales. The text
-/// path renders + re-parses SPARQL per segment and evaluates with no
-/// candidate pruning; the probe path is what `match_plan` runs online —
-/// signature-pruned, compiled, batched under one lock.
-fn bench_match_pipeline(c: &mut Criterion) {
-    let w = tpcds::workload();
-    // Learn a handful of real templates once; per KB size, reimport and
-    // inflate with synthetic out-of-range templates (as Exp-4 does).
-    let base = KnowledgeBase::new();
-    let small = galo_workloads::Workload {
-        name: w.name.clone(),
-        db: w.db.clone(),
-        queries: w.queries[..10].to_vec(),
-    };
-    galo_core::learn_workload(&small, &base, &learning_config(true));
-    let dump = base.export();
-
-    let optimizer = Optimizer::new(&w.db);
-    // A representative mid-size slice of the workload: per iteration the
-    // matcher sees plans that hit candidates and plans that prune.
-    let plans: Vec<_> = w.queries[10..16]
-        .iter()
-        .filter_map(|q| optimizer.optimize(q).ok())
-        .collect();
-
-    let mut group = c.benchmark_group("match_pipeline");
-    for templates in [100usize, 1000] {
-        let kb = KnowledgeBase::new();
-        kb.import(&dump).expect("kb reimport");
-        inflate_kb(&kb, &w.db, &w.queries[..6], templates);
-        group.bench_with_input(
-            BenchmarkId::new("text", format!("{templates}tpl")),
-            &kb,
-            |b, kb| {
-                b.iter(|| {
-                    plans
-                        .iter()
-                        .map(|p| {
-                            match_plan_text(&w.db, kb, p, &MatchConfig::default())
-                                .rewrites
-                                .len()
-                        })
-                        .sum::<usize>()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("probe", format!("{templates}tpl")),
-            &kb,
-            |b, kb| {
-                b.iter(|| {
-                    plans
-                        .iter()
-                        .map(|p| {
-                            match_plan(&w.db, kb, p, &MatchConfig::default())
-                                .rewrites
-                                .len()
-                        })
-                        .sum::<usize>()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_match_by_width, bench_pattern_lookup, bench_match_pipeline
+    targets = bench_match_by_width
 }
 criterion_main!(benches);

@@ -612,8 +612,7 @@ pub fn match_plan(db: &Database, kb: &KnowledgeBase, qgm: &Qgm, cfg: &MatchConfi
 /// The legacy text pipeline: render each segment to SPARQL text, re-parse
 /// it, and evaluate one query at a time with no signature pruning. Kept as
 /// the differential-testing oracle for [`match_plan`] (the property tests
-/// assert identical rewrites) and as a baseline for the `match_pipeline`
-/// benchmark; not used on the production path.
+/// assert identical rewrites); only tests call it.
 pub fn match_plan_text(
     db: &Database,
     kb: &KnowledgeBase,

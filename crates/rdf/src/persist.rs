@@ -112,6 +112,13 @@ pub struct DurableOptions {
     /// Automatically [`compact`](TripleStore::compact) once this many
     /// commits (log records) accumulate in the current log. `None` (the
     /// default) leaves compaction to the caller.
+    ///
+    /// The fold runs after a commit, never inside a bracket. A failed
+    /// attempt backs off by commits, not time: the next one waits until
+    /// the log holds another `auto_compact_records` commits, so a broken
+    /// disk costs one snapshot encode per threshold's worth of commits
+    /// instead of one per commit. A successful fold (inline or explicit)
+    /// ends the back-off.
     pub auto_compact_records: Option<u64>,
 }
 
@@ -148,6 +155,10 @@ pub struct DurableStore {
     /// Error text of the most recent failed compaction; cleared by the
     /// next successful one.
     last_compaction_error: Option<String>,
+    /// Commits in the current log when the inline fold last failed: the
+    /// next attempt waits for `auto_compact_records` commits past it.
+    /// Zero after a successful compaction.
+    auto_compact_floor: u64,
 }
 
 /// One statement-level operation with its terms owned: what the
@@ -292,6 +303,7 @@ impl DurableStore {
             pending: Vec::new(),
             compactions_failed: 0,
             last_compaction_error: None,
+            auto_compact_floor: 0,
         })
     }
 
@@ -378,14 +390,18 @@ impl DurableStore {
         let Some(threshold) = self.options.auto_compact_records else {
             return;
         };
-        if self.in_batch || self.wal_records < threshold {
+        if self.in_batch || self.wal_records < self.auto_compact_floor + threshold {
             return;
         }
         // Best-effort: a failed compaction loses nothing (the log still
         // holds every record), so keep serving writes on the old log. The
-        // failure is counted (`compactions_failed`) inside `compact`.
+        // failure is counted (`compactions_failed`) inside `compact`, and
+        // the next attempt waits for another `threshold` commits.
         if let Err(e) = self.compact() {
-            eprintln!("durable store auto-compaction failed (will retry): {e}");
+            self.auto_compact_floor = self.wal_records;
+            eprintln!(
+                "durable store auto-compaction failed (will retry after {threshold} more commits): {e}"
+            );
         }
     }
 }
@@ -884,11 +900,13 @@ impl TripleStore for DurableStore {
     ///
     /// Failures are counted (`compactions_failed`) and the error text kept
     /// (`last_compaction_error`) so policy threads can observe and back
-    /// off; a success clears the stored error.
+    /// off; a success clears the stored error and the inline fold's
+    /// back-off.
     fn compact(&mut self) -> std::io::Result<()> {
         match self.compact_inner() {
             Ok(()) => {
                 self.last_compaction_error = None;
+                self.auto_compact_floor = 0;
                 Ok(())
             }
             Err(e) => {
@@ -1551,15 +1569,12 @@ mod tests {
         assert_eq!(st.wal_records(), 0);
     }
 
-    /// Regression: the auto-compaction threshold tripping *inside* an open
-    /// group-commit bracket must not rotate the log mid-batch. The old
-    /// inline check compacted immediately, snapshotting the batch's
-    /// journaled-so-far prefix — so a kill before `end_batch` resurrected
-    /// half an uncommitted batch on reopen. (This test fails on that code
-    /// path: the mid-batch generation stays 0, and after the kill only the
-    /// pre-batch records exist.)
+    /// An open bracket that crosses the auto-compaction threshold does not
+    /// rotate the log: a snapshot taken mid-batch would make its prefix
+    /// durable, so a kill before `end_batch` must reopen to the pre-batch
+    /// image with no part of the batch in it.
     #[test]
-    fn mid_batch_auto_compaction_defers_and_keeps_batches_atomic() {
+    fn auto_compaction_never_folds_inside_an_open_batch() {
         let dir = ScratchDir::new("persist-midbatch");
         let mut st = DurableStore::open_with(
             dir.path(),
@@ -1603,8 +1618,8 @@ mod tests {
     /// them: a bracket is one commit however many operations it holds,
     /// and the fold it trips waits for `end_batch`.
     #[test]
-    fn deferred_auto_compaction_runs_at_end_batch() {
-        let dir = ScratchDir::new("persist-deferred");
+    fn auto_compaction_counts_commits_not_operations() {
+        let dir = ScratchDir::new("persist-commit-count");
         let mut st = DurableStore::open_with(
             dir.path(),
             DurableOptions {
@@ -1821,17 +1836,57 @@ mod tests {
         for i in 0..6u32 {
             st.insert(iri(i), p("a"), Term::num(i as f64));
         }
-        assert!(
-            st.compactions_failed() >= 1,
-            "the failed auto-compactions were counted, not just printed"
+        // Attempts at commits 3 and 6 only: a failure backs the next
+        // attempt off by another threshold's worth of commits.
+        assert_eq!(
+            st.compactions_failed(),
+            2,
+            "the failed auto-compactions were counted, and backed off"
         );
         assert_eq!(st.generation(), 0);
         assert_eq!(st.len(), 6, "writes kept flowing past the failures");
         fs::remove_dir(&blocker).unwrap();
+        // Healed disk: nothing is due before commit 9, which folds.
+        for i in 6..8u32 {
+            st.insert(iri(i), p("a"), Term::num(i as f64));
+        }
+        assert_eq!((st.generation(), st.compactions_failed()), (0, 2));
         st.insert(iri(100), p("a"), Term::lit("x"));
-        assert_eq!(st.generation(), 1, "healed disk: the next attempt folds");
+        assert_eq!(st.generation(), 1, "the next due commit folds");
         assert_eq!(st.last_compaction_error(), None);
+        // The back-off ends with the success: the new log folds at 3.
+        for i in 200..203u32 {
+            st.insert(iri(i), p("a"), Term::num(i as f64));
+        }
+        assert_eq!((st.generation(), st.wal_records()), (2, 0));
         drop(st);
-        assert_eq!(DurableStore::open(dir.path()).unwrap().len(), 7);
+        assert_eq!(DurableStore::open(dir.path()).unwrap().len(), 12);
+    }
+
+    /// `fsync_each_record` syncs every commit — a single write and a
+    /// bracket alike — and the log it leaves reopens to the same image.
+    #[test]
+    fn fsync_each_record_commits_reopen_to_the_image() {
+        let dir = ScratchDir::new("persist-fsync");
+        let mut st = DurableStore::open_with(
+            dir.path(),
+            DurableOptions {
+                fsync_each_record: true,
+                ..DurableOptions::default()
+            },
+        )
+        .unwrap();
+        st.insert(iri(1), p("a"), Term::lit("1"));
+        st.begin_batch();
+        st.insert(iri(2), p("a"), Term::lit("2"));
+        st.remove(&iri(1), &p("a"), &Term::lit("1"));
+        st.insert_in(Term::iri("http://g/w"), iri(3), p("tag"), Term::lit("t"));
+        st.end_batch();
+        assert_eq!(st.wal_records(), 2, "one single write, one bracket");
+        let before = image(&st);
+        std::mem::forget(st);
+        let st = DurableStore::open(dir.path()).unwrap();
+        assert_eq!(image(&st), before);
+        assert_eq!(st.wal_records(), 2);
     }
 }

@@ -18,9 +18,10 @@
 //!   `p50_ns`/`p99_ns`/`samples` per entry), the artifact CI uploads to
 //!   track the perf trajectory across PRs. Percentiles use the
 //!   nearest-rank method over the sorted samples, so `p50` equals the
-//!   reported median and `p99` is the tail the serving bench's latency
-//!   targets are written against (with few samples — quick mode — it
-//!   degrades to the max, which is the conservative direction).
+//!   reported median and `p99` is the tail (with few samples — quick
+//!   mode — it degrades to the max, which is the conservative
+//!   direction). Serve and publish latencies are not timed here: the
+//!   `galo-e2e` benchmark (`benchmark/`) carries those.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -37,12 +38,6 @@ pub struct BenchmarkId {
 }
 
 impl BenchmarkId {
-    pub fn new(function_name: impl Into<String>, parameter: impl Display) -> Self {
-        BenchmarkId {
-            text: format!("{}/{}", function_name.into(), parameter),
-        }
-    }
-
     pub fn from_parameter(parameter: impl Display) -> Self {
         BenchmarkId {
             text: parameter.to_string(),
@@ -423,7 +418,6 @@ mod tests {
             BenchmarkId::from_parameter("8tables").to_string(),
             "8tables"
         );
-        assert_eq!(BenchmarkId::new("scan", 4).to_string(), "scan/4");
     }
 
     #[test]
