@@ -4,20 +4,21 @@
 //!
 //! Each scenario ([`ScenarioSpec::read_heavy`], `churn_heavy`,
 //! `mixed_tenant`) is replayed twice against a durable sharded KB built
-//! fresh per mode: once with the durable store's inline
-//! `auto_compact_records` threshold (every over-threshold publish pays
-//! the snapshot inline), once with the same threshold enforced by a
-//! background [`Compactor`](galo_rdf::Compactor) instead. The replay
-//! runs the scenario's two roles concurrently — a serving thread timing
-//! every serve, a learner thread timing every publish — so inline
-//! compaction's write-lock stall is visible to serves the way it is in
-//! production. The exported `serve_p50_ns`/`serve_p99_ns`/`publish_p99_ns`
-//! metrics are true per-op percentiles — the churn-heavy serve-p99 pair
-//! is the PR's acceptance comparison (background must not regress
-//! inline), and the publish percentiles show where moving the fold off
-//! the write path pays. Compaction activity (folds run, WAL records
-//! left, failures) is exported alongside so a latency regression can be
-//! correlated with a policy that stopped compacting.
+//! fresh per mode, under the one compaction decision with the same
+//! record threshold: once by its synchronous driver
+//! (`auto_compact_records`: the publish that crosses the threshold pays
+//! the snapshot inline), once by its threaded driver, a background
+//! [`Compactor`](galo_rdf::Compactor). Both fold at the same points of
+//! the log; they differ only in which thread pays. The replay runs the
+//! scenario's two roles concurrently — a serving thread timing every
+//! serve, a learner thread timing every publish — so inline compaction's
+//! write-lock stall is visible to serves the way it is in production.
+//! The exported `serve_p50_ns`/`serve_p99_ns`/`publish_p99_ns` metrics
+//! are true per-op percentiles, and the publish percentiles show where
+//! moving the fold off the write path pays. Compaction activity is
+//! exported alongside from the store's own counters for both modes
+//! (`folds`, WAL records left, `failures`), so a latency regression can
+//! be correlated with a policy that stopped compacting.
 //!
 //! No timing asserts live here: CI boxes are noisy, so the numbers are
 //! artifacts (`BENCH_policy.json`), not gates.
@@ -31,9 +32,9 @@ use galo_qgm::Qgm;
 use galo_rdf::{CompactionPolicy, DurableOptions, ScratchDir};
 use galo_workloads::{tpcds, Scenario, ScenarioOp, ScenarioSpec};
 
-/// Inline auto-compaction threshold and the background policy's
-/// per-shard record threshold — identical so the two modes disagree only
-/// on *where* the fold runs, not *when* it becomes due. A record is a
+/// The per-shard record threshold of both drivers, so the two modes
+/// disagree only on *where* the fold runs, not *when* it becomes due. A
+/// record is a
 /// commit, and a publish, a retraction and a refinement are one each: the
 /// churn-heavy replay is some 50 commits a shard in quick mode and 350 in
 /// full, so this folds a shard a few times in the one and about twenty in
@@ -95,9 +96,7 @@ struct Replay {
     /// Publish latencies — where inline compaction's stall actually
     /// lands: an over-threshold publish pays the whole snapshot inline.
     publish_ns: Vec<u128>,
-    /// Background folds run (0 in inline mode — inline folds are not
-    /// individually counted by the store, so WAL residue is the shared
-    /// evidence both modes report).
+    /// Successful folds, as the store counts them (either driver).
     folds: u64,
     wal_records_left: u64,
     failures: u64,
@@ -120,17 +119,13 @@ fn replay(f: &Fixture, scenario: &Scenario, mode: Mode) -> Replay {
             });
         }
         Mode::Background => {
-            // Same record threshold as inline, no idle folding, and real
-            // hysteresis: inline must fold at every threshold crossing
-            // (that is its only chance to run), the policy thread batches
-            // crossings into at most one fold per `min_interval`. The
-            // modes differ in which thread pays and how often.
+            // The inline driver's policy: same record threshold, no byte
+            // threshold, no idle folding.
             builder = builder.compaction_policy(CompactionPolicy {
                 wal_records: WAL_RECORDS,
-                min_interval: Duration::from_millis(250),
-                poll_interval: Duration::from_millis(5),
+                wal_bytes: u64::MAX,
                 idle_divisor: 0,
-                ..Default::default()
+                poll_interval: Duration::from_millis(5),
             });
         }
     }
@@ -201,15 +196,11 @@ fn replay(f: &Fixture, scenario: &Scenario, mode: Mode) -> Replay {
         writer.join().expect("writer thread")
     });
     black_box(sink);
-    let folds = kb
-        .compactor_stats()
-        .map(|s| s.compacted() + s.idle_compacted())
-        .unwrap_or(0);
     let pressures = kb.storage_pressures();
     Replay {
         serve_ns,
         publish_ns,
-        folds,
+        folds: pressures.iter().map(|p| p.compactions).sum(),
         wal_records_left: pressures.iter().map(|p| p.wal_records).sum(),
         failures: pressures.iter().map(|p| p.compactions_failed).sum(),
     }

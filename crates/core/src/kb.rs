@@ -295,7 +295,8 @@ impl KnowledgeBase {
     /// Install (or replace) a background compaction policy: a
     /// [`Compactor`](galo_rdf::Compactor) thread watches per-shard WAL
     /// pressure and folds hot or idle shards off the write path. Returns
-    /// the live [`CompactorStats`](galo_rdf::CompactorStats) handle.
+    /// the thread's [`CompactorStats`](galo_rdf::CompactorStats); folds
+    /// are counted in [`storage_pressures`](Self::storage_pressures).
     pub fn compaction_policy(
         &self,
         policy: galo_rdf::CompactionPolicy,
@@ -308,8 +309,8 @@ impl KnowledgeBase {
         self.server.compactor_stats()
     }
 
-    /// Per-shard WAL pressure (cheap counter poll; all-zero defaults
-    /// over in-memory backends).
+    /// Per-shard WAL pressure and fold counts (cheap counter poll;
+    /// all-zero defaults over in-memory backends).
     pub fn storage_pressures(&self) -> Vec<galo_rdf::StoragePressure> {
         self.server.storage_pressures()
     }

@@ -97,8 +97,7 @@ pub use replication::{
     ReplicationConfig, RetryPolicy, StaleReplica,
 };
 pub use serving::{
-    plan_fingerprint, AdmissionQueue, CacheCounters, CacheLookup, ProbeCache, ServeOutcome,
-    ServingTier,
+    plan_fingerprint, CacheCounters, CacheLookup, ProbeCache, ServeOutcome, ServingTier,
 };
 pub use transform::{
     qgm_to_rdf, segment_card_checks, segment_pop_checks, segment_scan_qualifiers, segment_to_probe,

@@ -27,19 +27,16 @@
 //!   still reads `E`. Anything else is dropped, **never served**. A
 //!   fresh match is published to the cache only when the epoch read
 //!   before matching equals the (even) epoch read after — a result that
-//!   provably overlapped no KB mutation.
-//! * [`AdmissionQueue`] is the bounded front end: producers block when
-//!   the queue is full (back-pressure), a serving thread drains plans
-//!   in batches and hands each one to [`ServingTier::serve`] — every
-//!   miss goes through [`match_compiled`], the one production matcher.
+//!   provably overlapped no KB mutation. Every miss goes through
+//!   [`match_compiled`], the one production matcher.
 //!
 //! What a hit costs: one fingerprint walk over the QGM, one atomic
 //! epoch load, one stripe lock, one report clone — no store session, no
 //! probe evaluation, no allocation proportional to the knowledge base.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use galo_catalog::Database;
 use galo_qgm::{PopKind, Qgm};
@@ -575,126 +572,6 @@ impl<'a> ServingTier<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Batched admission
-// ---------------------------------------------------------------------------
-
-struct QueueState<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded multi-producer admission queue in front of
-/// [`ServingTier::serve`].
-///
-/// Producers [`push`](Self::push) plans and block when the queue is
-/// full (back-pressure instead of unbounded growth); the serving thread
-/// [`drain_batch`](Self::drain_batch)es up to a batch size, blocking
-/// only when the queue is empty, and serves the drained plans one by
-/// one. Sizing: the capacity bounds queueing delay (a plan waits at most
-/// `capacity / drain rate`); the batch size only bounds how often the
-/// consumer takes the queue lock.
-pub struct AdmissionQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl<T> AdmissionQueue<T> {
-    /// A queue admitting at most `capacity` queued items (clamped to at
-    /// least 1).
-    pub fn new(capacity: usize) -> Self {
-        AdmissionQueue {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Enqueue, blocking while the queue is full. `Err` returns the item
-    /// when the queue was closed before it could be admitted.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.lock();
-        while state.queue.len() >= self.capacity && !state.closed {
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        if state.closed {
-            return Err(item);
-        }
-        state.queue.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueue without blocking; `Err` returns the item when the queue
-    /// is full or closed.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut state = self.lock();
-        if state.closed || state.queue.len() >= self.capacity {
-            return Err(item);
-        }
-        state.queue.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeue up to `max` items, blocking while the queue is empty and
-    /// open. An empty vector means the queue is closed **and** drained —
-    /// the consumer's shutdown signal.
-    pub fn drain_batch(&self, max: usize) -> Vec<T> {
-        let max = max.max(1);
-        let mut state = self.lock();
-        while state.queue.is_empty() && !state.closed {
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        let n = state.queue.len().min(max);
-        let batch: Vec<T> = state.queue.drain(..n).collect();
-        drop(state);
-        if !batch.is_empty() {
-            self.not_full.notify_all();
-        }
-        batch
-    }
-
-    /// Close the queue: pending pushes fail, queued items remain
-    /// drainable, and once drained `drain_batch` returns empty.
-    pub fn close(&self) {
-        let mut state = self.lock();
-        state.closed = true;
-        drop(state);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.lock().queue.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.lock().queue.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,45 +728,5 @@ mod tests {
             }
             _ => panic!("expected a hit"),
         }
-    }
-
-    #[test]
-    fn admission_queue_blocks_drains_and_closes() {
-        use std::sync::Arc as StdArc;
-        let q: StdArc<AdmissionQueue<u32>> = StdArc::new(AdmissionQueue::new(2));
-        assert!(q.push(1).is_ok());
-        assert!(q.push(2).is_ok());
-        assert!(q.try_push(3).is_err(), "full queue must refuse try_push");
-
-        // A blocked producer is released by a drain.
-        let producer = {
-            let q = StdArc::clone(&q);
-            std::thread::spawn(move || q.push(4).is_ok())
-        };
-        // Drain everything queued so far; the blocked push lands next.
-        let mut got = Vec::new();
-        while got.len() < 3 {
-            got.extend(q.drain_batch(8));
-        }
-        assert!(producer.join().unwrap());
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2, 4]);
-
-        // A blocked consumer is released by close; leftovers drain first.
-        assert!(q.push(5).is_ok());
-        q.close();
-        assert!(q.push(6).is_err(), "closed queue must refuse pushes");
-        assert_eq!(q.drain_batch(8), vec![5]);
-        assert!(q.drain_batch(8).is_empty(), "closed + drained => empty");
-
-        let consumer = {
-            let q: StdArc<AdmissionQueue<u32>> = StdArc::new(AdmissionQueue::new(1));
-            let q2 = StdArc::clone(&q);
-            let h = std::thread::spawn(move || q2.drain_batch(4));
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            q.close();
-            h
-        };
-        assert!(consumer.join().unwrap().is_empty());
     }
 }

@@ -43,6 +43,10 @@
 //!   [`StoragePressure`] a policy polls and
 //!   [`DurableOptions::auto_compact_records`] all count commits, and the
 //!   inline fold can only fire between two of them.
+//! * **The inline fold** is the synchronous driver of the one compaction
+//!   decision in [`crate::policy`]. Every fold attempt — inline,
+//!   background or an explicit [`compact`] — is counted by the store, in
+//!   its [`StoragePressure`].
 //! * **Older logs still open.** A version-1 log is `+ <s> <p> <o> .` /
 //!   `- …` / `* clear` lines, one statement each, committed by their
 //!   newline; version 2 (first line `# galo-wal v2`) suffixes each line
@@ -83,6 +87,7 @@ use crate::block::{
 };
 use crate::fnv::fnv1a;
 use crate::ntriples::{parse_ntriples, Quad};
+use crate::policy::{CompactionPolicy, Pace};
 use crate::store::{IndexedStore, StoragePressure, Triple, TripleStore};
 use crate::term::{Term, TermId};
 
@@ -111,14 +116,15 @@ pub struct DurableOptions {
     pub fsync_each_record: bool,
     /// Automatically [`compact`](TripleStore::compact) once this many
     /// commits (log records) accumulate in the current log. `None` (the
-    /// default) leaves compaction to the caller.
+    /// default) leaves compaction to the caller or a background
+    /// [`Compactor`](crate::policy::Compactor).
     ///
-    /// The fold runs after a commit, never inside a bracket. A failed
-    /// attempt backs off by commits, not time: the next one waits until
-    /// the log holds another `auto_compact_records` commits, so a broken
-    /// disk costs one snapshot encode per threshold's worth of commits
-    /// instead of one per commit. A successful fold (inline or explicit)
-    /// ends the back-off.
+    /// This is the synchronous driver of the one compaction decision
+    /// ([`crate::policy`]), under a policy of `n` records, no byte
+    /// threshold and no idle fold. It runs after a commit, never inside a
+    /// bracket. A failed attempt backs off by commits, not time: the next
+    /// one waits until the log holds another `n` commits. A successful
+    /// fold, whoever ran it, ends the back-off.
     pub auto_compact_records: Option<u64>,
 }
 
@@ -147,18 +153,16 @@ pub struct DurableStore {
     /// the inner store's term ids (they become dictionary indices when the
     /// record is encoded). Already applied to `inner`, not yet on disk.
     pending: Vec<BlockOp>,
-    /// Failed compaction attempts since open (auto or explicit). The log
-    /// still holds every record after a failure, so writes keep flowing —
-    /// but callers (and the background [`crate::policy::Compactor`]) can
-    /// observe the count and back off instead of hot-looping a broken disk.
+    /// Successful compactions since open, whoever asked for them.
+    compactions: u64,
+    /// Failed compaction attempts since open. The log still holds every
+    /// record after a failure, so writes keep flowing.
     compactions_failed: u64,
     /// Error text of the most recent failed compaction; cleared by the
     /// next successful one.
     last_compaction_error: Option<String>,
-    /// Commits in the current log when the inline fold last failed: the
-    /// next attempt waits for `auto_compact_records` commits past it.
-    /// Zero after a successful compaction.
-    auto_compact_floor: u64,
+    /// The inline fold's pacing state (used with `auto_compact_records`).
+    pace: Pace,
 }
 
 /// One statement-level operation with its terms owned: what the
@@ -301,9 +305,10 @@ impl DurableStore {
             options,
             in_batch: false,
             pending: Vec::new(),
+            compactions: 0,
             compactions_failed: 0,
             last_compaction_error: None,
-            auto_compact_floor: 0,
+            pace: Pace::default(),
         })
     }
 
@@ -327,8 +332,8 @@ impl DurableStore {
         self.wal_records
     }
 
-    /// Failed compaction attempts since open (auto-compaction and explicit
-    /// [`TripleStore::compact`] calls both count).
+    /// Failed compaction attempts since open (inline, background and
+    /// explicit [`TripleStore::compact`] calls all count).
     pub fn compactions_failed(&self) -> u64 {
         self.compactions_failed
     }
@@ -383,25 +388,36 @@ impl DurableStore {
         self.wal_records += 1;
     }
 
-    /// The inline fold. Runs after a commit has been applied, never
-    /// inside a bracket: a snapshot taken there would make half a batch
-    /// durable.
+    /// The inline fold: the synchronous driver asks the policy after a
+    /// commit has been applied, never inside a bracket (a snapshot taken
+    /// there would make half a batch durable).
     fn maybe_auto_compact(&mut self) {
         let Some(threshold) = self.options.auto_compact_records else {
             return;
         };
-        if self.in_batch || self.wal_records < self.auto_compact_floor + threshold {
+        if self.in_batch {
+            return;
+        }
+        let policy = CompactionPolicy::records(threshold);
+        if self.pace.due(&policy, &self.pressure()).is_none() {
             return;
         }
         // Best-effort: a failed compaction loses nothing (the log still
-        // holds every record), so keep serving writes on the old log. The
-        // failure is counted (`compactions_failed`) inside `compact`, and
-        // the next attempt waits for another `threshold` commits.
+        // holds every record), so keep serving writes on the old log.
         if let Err(e) = self.compact() {
-            self.auto_compact_floor = self.wal_records;
             eprintln!(
                 "durable store auto-compaction failed (will retry after {threshold} more commits): {e}"
             );
+        }
+    }
+
+    fn pressure(&self) -> StoragePressure {
+        StoragePressure {
+            wal_records: self.wal_records,
+            wal_bytes: self.wal_bytes,
+            compactions: self.compactions,
+            compactions_failed: self.compactions_failed,
+            last_compaction_error: self.last_compaction_error.clone(),
         }
     }
 }
@@ -879,12 +895,7 @@ impl TripleStore for DurableStore {
     }
 
     fn storage_pressure(&self) -> Option<StoragePressure> {
-        Some(StoragePressure {
-            wal_records: self.wal_records,
-            wal_bytes: self.wal_bytes,
-            compactions_failed: self.compactions_failed,
-            last_compaction_error: self.last_compaction_error.clone(),
-        })
+        Some(self.pressure())
     }
 
     /// Fold the log into a snapshot: open a fresh `wal-<g+1>`, write
@@ -898,15 +909,15 @@ impl TripleStore for DurableStore {
     /// generation's log, and no snapshot exists whose generation would
     /// make recovery skip that log.
     ///
-    /// Failures are counted (`compactions_failed`) and the error text kept
-    /// (`last_compaction_error`) so policy threads can observe and back
-    /// off; a success clears the stored error and the inline fold's
-    /// back-off.
+    /// Every attempt is counted in the store's [`StoragePressure`]: a
+    /// success in `compactions` (which ends any driver's failure
+    /// back-off) and clears the stored error; a failure in
+    /// `compactions_failed`, its text kept in `last_compaction_error`.
     fn compact(&mut self) -> std::io::Result<()> {
         match self.compact_inner() {
             Ok(()) => {
+                self.compactions += 1;
                 self.last_compaction_error = None;
-                self.auto_compact_floor = 0;
                 Ok(())
             }
             Err(e) => {

@@ -18,9 +18,9 @@ pub type Triple = (TermId, TermId, TermId);
 
 /// Write-ahead-log pressure a durable backend reports through
 /// [`TripleStore::storage_pressure`]: how much un-folded log the store is
-/// carrying, and whether recent compactions have been failing. The
-/// background [`Compactor`](crate::policy::Compactor) polls this to decide
-/// when to trigger [`TripleStore::compact`] off the write path.
+/// carrying, and how its compactions have gone. The one compaction
+/// decision ([`crate::policy`]) reads it, and every fold attempt —
+/// inline, background or explicit — is counted here.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoragePressure {
     /// Commits journaled to the current log since the last rotation: one
@@ -28,6 +28,8 @@ pub struct StoragePressure {
     pub wal_records: u64,
     /// Bytes in the current log (header included).
     pub wal_bytes: u64,
+    /// Successful compactions since open.
+    pub compactions: u64,
     /// Failed compaction attempts since open.
     pub compactions_failed: u64,
     /// Error text of the most recent failed compaction, cleared by the
@@ -154,10 +156,10 @@ pub trait TripleStore: fmt::Debug + Sync {
     /// were already applied to the in-memory image). No-op by default.
     fn end_batch(&mut self) {}
 
-    /// Write-ahead-log pressure of a durable backend — what a storage
-    /// policy (the background [`Compactor`](crate::policy::Compactor))
-    /// watches to decide when [`compact`](Self::compact) is worth its
-    /// cost. `None` for in-memory backends, which have nothing to fold.
+    /// Write-ahead-log pressure of a durable backend — what the storage
+    /// policy ([`crate::policy`]) watches to decide when
+    /// [`compact`](Self::compact) is worth its cost. `None` for in-memory
+    /// backends, which have nothing to fold.
     fn storage_pressure(&self) -> Option<StoragePressure> {
         None
     }

@@ -9,8 +9,8 @@
 //!    templates, checking every epoch-validated outcome against a fresh
 //!    uncached `match_plan` pinned to the same epoch (a mismatch is a
 //!    stale hit — the one thing the tier must never produce),
-//! 4. push the stream through the bounded [`AdmissionQueue`], whose
-//!    consumer drains batches into [`ServingTier::serve`].
+//! 4. push the stream through a bounded channel, whose consumer drains
+//!    batches into [`ServingTier::serve`].
 //!
 //! Exits nonzero on any stale hit, on a cache that never hits, or on a
 //! served report that disagrees with uncached matching.
@@ -18,9 +18,8 @@
 //! Run with: `cargo run --release --example serving_tier`
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
-use galo_core::{match_plan, AdmissionQueue, KnowledgeBase, MatchConfig, MatchReport, ServingTier};
+use galo_core::{match_plan, KnowledgeBase, MatchConfig, MatchReport, ServingTier};
 use galo_optimizer::Optimizer;
 use galo_qgm::Qgm;
 
@@ -170,30 +169,25 @@ fn main() {
     }
 
     // --- bounded admission ---------------------------------------------
-    let queue: Arc<AdmissionQueue<usize>> = Arc::new(AdmissionQueue::new(16));
+    // A full channel blocks the producer (back-pressure); the consumer
+    // takes one blocking `recv` plus whatever else has arrived, up to 8.
+    let (queue, arrivals) = std::sync::mpsc::sync_channel::<usize>(16);
     let served_batches = std::thread::scope(|scope| {
-        let consumer = {
-            let queue = Arc::clone(&queue);
-            let tier = &tier;
-            let plans = &plans;
-            scope.spawn(move || {
-                let mut batches = 0usize;
-                loop {
-                    let batch = queue.drain_batch(8);
-                    if batch.is_empty() {
-                        return batches;
-                    }
-                    for &i in &batch {
-                        tier.serve(&plans[i]);
-                    }
-                    batches += 1;
+        let (tier, plans) = (&tier, &plans);
+        let consumer = scope.spawn(move || {
+            let mut batches = 0usize;
+            while let Ok(first) = arrivals.recv() {
+                for i in std::iter::once(first).chain(arrivals.try_iter().take(7)) {
+                    tier.serve(&plans[i]);
                 }
-            })
-        };
+                batches += 1;
+            }
+            batches
+        });
         for &i in &stream {
-            queue.push(i).expect("queue open");
+            queue.send(i).expect("consumer running");
         }
-        queue.close();
+        drop(queue);
         consumer.join().expect("consumer")
     });
     println!(

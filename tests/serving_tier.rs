@@ -7,16 +7,14 @@
 //! queue must deliver every plan exactly once.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use galo_catalog::{
     col, ColumnId, ColumnStats, ColumnType, DatabaseBuilder, Index, IndexId, SystemConfig, Table,
     Value,
 };
 use galo_core::{
-    abstract_plan, learn_workload, learn_workload_cluster, match_plan, vocab, AdmissionQueue,
-    ClusterConfig, KnowledgeBase, LearningConfig, MatchConfig, MatchReport, ProbeCache,
-    ServeOutcome, ServingTier,
+    abstract_plan, learn_workload, learn_workload_cluster, match_plan, vocab, ClusterConfig,
+    KnowledgeBase, LearningConfig, MatchConfig, MatchReport, ProbeCache, ServeOutcome, ServingTier,
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
@@ -426,7 +424,7 @@ fn stress_serving_under_concurrent_publishes_is_never_stale() {
 
 // ------------------------------------------------------- bounded admission --
 
-/// Producers push plan indices through the bounded queue; a consumer
+/// Producers send plan indices through a bounded channel; a consumer
 /// drains batches into `serve`. Every submitted plan is served exactly
 /// once and every report equals the uncached oracle.
 #[test]
@@ -442,55 +440,49 @@ fn admission_queue_feeds_serve() {
         .collect();
     let tier = ServingTier::with_cache(&w.db, &kb, cfg.clone(), ProbeCache::new(4, 16));
 
-    let queue: Arc<AdmissionQueue<usize>> = Arc::new(AdmissionQueue::new(4));
+    // A repeat-heavy stream per producer: mostly plans 0/1 with the tail
+    // cycling — what the cache is for.
     const PER_PRODUCER: usize = 40;
-    let mut served: Vec<usize> = Vec::new();
-    std::thread::scope(|scope| {
-        let consumer = {
-            let queue = Arc::clone(&queue);
-            let tier = &tier;
-            let plans = &plans;
-            scope.spawn(move || {
-                let mut seen: Vec<usize> = Vec::new();
-                loop {
-                    let batch = queue.drain_batch(8);
-                    if batch.is_empty() {
-                        // Closed and drained: the consumer's shutdown.
-                        return seen;
-                    }
-                    for &i in &batch {
-                        let outcome = tier.serve(&plans[i]);
-                        assert!(outcome.epoch.is_some(), "quiescent KB: validated");
-                        seen.push(i);
-                    }
+    let n_plans = plans.len();
+    let plan_of = move |p: usize, k: usize| if k % 4 < 2 { k % 2 } else { (p + k) % n_plans };
+    // The tiny capacity (4) forces real back-pressure: `send` blocks.
+    let (queue, arrivals) = std::sync::mpsc::sync_channel::<usize>(4);
+    let mut served = std::thread::scope(|scope| {
+        let (tier, plans) = (&tier, &plans);
+        let consumer = scope.spawn(move || {
+            let mut seen: Vec<usize> = Vec::new();
+            // A batch is one blocking `recv` plus what has already
+            // arrived; `recv` fails once every producer is gone and the
+            // channel is drained — the consumer's shutdown.
+            while let Ok(first) = arrivals.recv() {
+                for i in std::iter::once(first).chain(arrivals.try_iter().take(7)) {
+                    let outcome = tier.serve(&plans[i]);
+                    assert!(outcome.epoch.is_some(), "quiescent KB: validated");
+                    seen.push(i);
                 }
-            })
-        };
-        let producers: Vec<_> = (0..3)
-            .map(|p| {
-                let queue = Arc::clone(&queue);
-                let n_plans = plans.len();
-                scope.spawn(move || {
-                    for k in 0..PER_PRODUCER {
-                        // A repeat-heavy stream: mostly plans 0/1 with
-                        // the tail cycling — what the cache is for. The
-                        // tiny capacity (4) forces real back-pressure.
-                        let idx = if k % 4 < 2 { k % 2 } else { (p + k) % n_plans };
-                        queue.push(idx).expect("queue closed early");
-                    }
-                })
-            })
-            .collect();
-        for handle in producers {
-            handle.join().unwrap();
+            }
+            seen
+        });
+        for p in 0..3 {
+            let queue = queue.clone();
+            scope.spawn(move || {
+                for k in 0..PER_PRODUCER {
+                    queue.send(plan_of(p, k)).expect("consumer hung up early");
+                }
+            });
         }
-        // All pushes have landed (push blocks until admitted); closing
-        // now lets the consumer drain the leftovers and exit.
-        queue.close();
-        served = consumer.join().unwrap();
+        // The producers hold the only senders left: when they finish, the
+        // consumer drains the leftovers and exits.
+        drop(queue);
+        consumer.join().unwrap()
     });
     let total = 3 * PER_PRODUCER;
-    assert_eq!(served.len(), total, "every submitted plan served once");
+    let mut submitted: Vec<usize> = (0..3)
+        .flat_map(|p| (0..PER_PRODUCER).map(move |k| plan_of(p, k)))
+        .collect();
+    submitted.sort_unstable();
+    served.sort_unstable();
+    assert_eq!(served, submitted, "every submitted plan served once");
     // Differential: re-serve each distinct plan and compare to fresh.
     for (i, f) in fresh.iter().enumerate() {
         let outcome = tier.serve(&plans[i]);

@@ -307,14 +307,12 @@ fn concurrent_writers_with_background_compactor_match_sequential_oracle() {
             .shards(4)
             .compaction_policy(galo_rdf::CompactionPolicy {
                 wal_records: 8,
-                min_interval: std::time::Duration::from_millis(1),
                 poll_interval: std::time::Duration::from_millis(1),
                 idle_divisor: 2,
                 ..Default::default()
             })
             .build_kb()
             .unwrap();
-        let stats = kb.compactor_stats().expect("policy installed");
         std::thread::scope(|scope| {
             for slots in &templates {
                 let kb = &kb;
@@ -328,15 +326,15 @@ fn concurrent_writers_with_background_compactor_match_sequential_oracle() {
                 });
             }
         });
+        let pressures = kb.storage_pressures();
         assert!(
-            stats.compacted() + stats.idle_compacted() > 0,
+            pressures.iter().map(|p| p.compactions).sum::<u64>() > 0,
             "the compactor must have folded under the writers"
         );
-        assert_eq!(stats.failed(), 0, "{:?}", stats.last_error());
-        assert!(kb
-            .storage_pressures()
-            .iter()
-            .all(|p| p.compactions_failed == 0));
+        assert!(
+            pressures.iter().all(|p| p.compactions_failed == 0),
+            "{pressures:?}"
+        );
         image(&kb)
     };
     // What survives a full restart (compactor long gone).
