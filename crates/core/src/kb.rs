@@ -28,8 +28,9 @@
 //! [`ReadOnlyReplica`]; `apply_block` / `apply_quads` are the replication
 //! feed's door and stay privileged), one `MutationScope` — opened *before*
 //! the mutator reads what it builds its block from — one `begin_batch` /
-//! `end_batch` bracket around the apply, index upkeep, and the epoch: one
-//! generation when any operation took effect, none otherwise. So every
+//! `end_batch` bracket around the apply, index upkeep, the change
+//! journal's entry, and the epoch: one generation when any operation took
+//! effect, none otherwise. So every
 //! mutation is **one record**: a durable backend journals the bracket as
 //! one checksummed log record on the shard it touched, on disk entire or
 //! not at all, and the same block replays on a replica.
@@ -44,11 +45,17 @@
 //! The whole index is rebuilt only after a clear, by
 //! [`reindex`](KnowledgeBase::reindex) and reopen, and for a statement
 //! that feeds the index but names no template.
+//!
+//! The same commit journals the generation for the serving cache
+//! (`crate::sigindex`'s change journal): the index rows of the templates
+//! it changed, read before and after the upkeep — or, for a clear, an
+//! import, a rebuild, a statement that names no template, or more than a
+//! handful of templates, the fact that it cannot say which.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use galo_catalog::Database;
 use galo_executor::Actuals;
@@ -62,7 +69,9 @@ use crate::feedback::{
     FeedbackCollector, FeedbackOptions, FeedbackReport, PopObservation, RefineOutcome,
     TemplateRefinement,
 };
-use crate::sigindex::{IndexFacts, SigIndex};
+use crate::sigindex::{
+    ChangeJournal, Generation, IndexFacts, JournalRow, SigIndex, JOURNAL_TEMPLATES,
+};
 use crate::vocab::{self, prop, STAT_FAMILIES};
 
 // The admission vocabulary lives with the index that answers it
@@ -243,6 +252,10 @@ pub struct KnowledgeBase {
     server: FusekiLite,
     counter: AtomicU64,
     sig_index: RwLock<SigIndex>,
+    /// What each recent epoch generation changed in the signature index
+    /// (`crate::sigindex`), appended by the one commit; a match report
+    /// carries it to the serving cache as its witness.
+    journal: Arc<ChangeJournal>,
     /// Cumulative count of effective [`refine_template_stats`]
     /// (Self::refine_template_stats) applications — stamped into
     /// [`MatchReport::refinements_applied`](crate::MatchReport).
@@ -266,6 +279,7 @@ impl KnowledgeBase {
             server,
             counter: AtomicU64::new(0),
             sig_index: RwLock::default(),
+            journal: Arc::default(),
             refinements: AtomicU64::new(0),
             feedback: FeedbackCollector::new(feedback),
         }
@@ -616,7 +630,8 @@ impl KnowledgeBase {
     /// scope, let the mutator build its block and pass it through one of
     /// the endpoint's two block doors under it (`apply`; one bracket),
     /// bring the signature index up to the statements that took effect,
-    /// and close the scope on whether any did.
+    /// journal the rows that took them (each changed template's row
+    /// before and after), and close the scope on whether any did.
     fn commit(
         &self,
         client: Option<&'static str>,
@@ -635,10 +650,42 @@ impl KnowledgeBase {
         // removal of an absent template) invalidates nothing.
         let changed = applied.changed.contains(&true);
         if changed {
-            self.server.with_store(|st| self.keep_index(st, &applied));
+            let generation = self.server.with_store(|st| {
+                let Some(templates) = changed_templates(st, &applied) else {
+                    self.keep_index(st, &applied);
+                    return Generation::Opaque;
+                };
+                let mut rows = self.journal_rows(&templates);
+                self.keep_index(st, &applied);
+                rows.extend(self.journal_rows(&templates));
+                Generation::Rows(rows)
+            });
+            self.journal.append(self.next_epoch(), generation);
         }
         scope.commit(changed);
         Ok(applied)
+    }
+
+    /// The even epoch the open mutation scope commits to when it changed
+    /// something: the counter reads odd until then.
+    fn next_epoch(&self) -> u64 {
+        self.epoch() + 1
+    }
+
+    /// The rows the templates hold in the signature index right now.
+    fn journal_rows(&self, templates: &[&str]) -> Vec<JournalRow> {
+        let index = self.sig_index.read().expect("signature index lock");
+        let mut rows = Vec::new();
+        for template in templates {
+            index.journal_rows(template, &mut rows);
+        }
+        rows
+    }
+
+    /// The change journal a match report carries as its witness (see
+    /// `galo_core::serving`).
+    pub(crate) fn journal(&self) -> &Arc<ChangeJournal> {
+        &self.journal
     }
 
     /// Index upkeep: the one function of a block — as the store that took
@@ -698,6 +745,7 @@ impl KnowledgeBase {
         // Always a change: the rebuild may be cleaning up after a
         // raw-endpoint mutation the counter never saw, so anything
         // computed against the old index must be invalidated.
+        self.journal.append(self.next_epoch(), Generation::Opaque);
         scope.commit(true);
     }
 
@@ -896,8 +944,10 @@ impl KnowledgeBase {
     /// result computed between two equal even loads of this counter
     /// provably saw a settled knowledge base, and a cached outcome
     /// stamped with even epoch `E` is exactly as fresh as an uncached
-    /// match while the counter still reads `E`. That one atomic load is
-    /// the serving tier's entire validation (see `galo_core::serving`).
+    /// match while the counter still reads `E`. On the serving tier's hot
+    /// path that one atomic load is the whole validation; an outcome the
+    /// counter has passed is re-validated against the change journal the
+    /// same commit keeps (see `galo_core::serving`).
     pub fn epoch(&self) -> u64 {
         self.server.mutation_epoch()
     }
@@ -1124,6 +1174,32 @@ fn template_subjects(st: &dyn TripleStore, template_iri: &str) -> Vec<TermId> {
         subjects.extend(pops.into_iter().map(|(s, _, _)| s));
     }
     subjects
+}
+
+/// The templates a block's effective operations changed, each named by a
+/// statement's subject or IRI object the way the index upkeep names them
+/// ([`vocab::template_of`]). `None` — journal the generation opaque — for
+/// a clear, a subject that names no template, or more than
+/// [`JOURNAL_TEMPLATES`] templates.
+fn changed_templates<'s>(st: &'s dyn TripleStore, applied: &Applied) -> Option<Vec<&'s str>> {
+    let Applied { changed, block } = applied;
+    let mut templates: Vec<&str> = Vec::new();
+    for (op, _) in block.ops().iter().zip(changed).filter(|&(_, &did)| did) {
+        let &(BlockOp::Insert((s, _, o, _)) | BlockOp::Remove((s, _, o, _))) = op else {
+            return None;
+        };
+        let subject = vocab::template_of(block.term_in(st, s).str_value())?;
+        let object = block.term_in(st, o).as_iri().and_then(vocab::template_of);
+        for template in std::iter::once(subject).chain(object) {
+            if !templates.contains(&template) {
+                if templates.len() == JOURNAL_TEMPLATES {
+                    return None;
+                }
+                templates.push(template);
+            }
+        }
+    }
+    Some(templates)
 }
 
 /// What the store says of one template, as index facts.
@@ -1778,6 +1854,116 @@ mod tests {
         // The whole audit is monotonic by construction: every logical
         // change advanced the counter, nothing ever rewound it below a
         // previously observed rest value.
+    }
+
+    /// Every generation the one commit makes is journaled under the epoch
+    /// it produces: a publish its new row, a retraction the old one, a
+    /// refinement both; a clear, an import, a reindex and a batch over the
+    /// template cap opaque. A raw endpoint write leaves a hole, and the
+    /// journal reaches back [`JOURNAL_DEPTH`](crate::sigindex::JOURNAL_DEPTH)
+    /// generations.
+    #[test]
+    fn the_change_journal_explains_every_generation() {
+        use crate::sigindex::{Journaled, JOURNAL_DEPTH};
+        let (db, plan) = setup();
+        let kb = KnowledgeBase::new();
+        let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
+        let template = |id: String| {
+            let mut tpl = abstract_plan(&db, &plan, plan.root(), &g, id);
+            tpl.source_workload = "w".into();
+            tpl
+        };
+        let tpl = template("journaled".into());
+        let iri = vocab::template_iri(&tpl.id).str_value().to_string();
+        let sig = KnowledgeBase::template_signature(&tpl);
+        let journal = kb.journal();
+        let now = || journal.at(kb.epoch());
+        let rows_now = || match now() {
+            Journaled::Rows(rows) => rows,
+            other => panic!("a generation of rows, not {other:?}"),
+        };
+        let signatures = |rows: &[(u64, Vec<Range>)]| rows.iter().map(|r| r.0).collect::<Vec<_>>();
+
+        kb.insert(&tpl);
+        let published = rows_now();
+        assert_eq!(signatures(&published), [sig], "a publish: the new row");
+        let e = kb.epoch();
+        kb.insert(&tpl);
+        assert_eq!(kb.epoch(), e, "an idempotent republish is no generation");
+
+        let observations = crate::transform::segment_pop_checks(&db, &plan, plan.root())
+            .iter()
+            .map(|c| PopObservation {
+                pop_type: c.pop_type.to_string(),
+                cards: vec![(c.est_card * 3.0, f64::INFINITY)],
+                scan: c.scan,
+                scan_band: f64::INFINITY,
+            })
+            .collect();
+        let refinement = TemplateRefinement {
+            observations,
+            narrows: vec![],
+        };
+        assert!(kb.refine_template_stats(&iri, &refinement).changed);
+        let refined = rows_now();
+        assert_eq!(signatures(&refined), [sig, sig]);
+        assert_eq!(refined[0], published[0], "a refinement: the old row…");
+        assert_ne!(refined[1], refined[0], "…then the new one");
+
+        assert!(kb.remove_template(&iri));
+        assert_eq!(
+            rows_now(),
+            [refined[1].clone()],
+            "a retraction: the old row"
+        );
+
+        let batch: Vec<Template> = (0..=JOURNAL_TEMPLATES)
+            .map(|i| template(format!("batch{i}")))
+            .collect();
+        kb.insert_batch(&batch[..JOURNAL_TEMPLATES]);
+        assert_eq!(rows_now().len(), JOURNAL_TEMPLATES, "a batch at the cap");
+        kb.insert_batch(&[
+            batch[JOURNAL_TEMPLATES].clone(),
+            template("one-more".into()),
+        ]);
+        assert_eq!(rows_now().len(), 2);
+        let over: Vec<Template> = (0..=JOURNAL_TEMPLATES)
+            .map(|i| template(format!("over{i}")))
+            .collect();
+        kb.insert_batch(&over);
+        assert_eq!(now(), Journaled::Opaque, "a batch over the cap");
+
+        kb.reindex();
+        assert_eq!(now(), Journaled::Opaque, "a rebuild");
+        kb.import(&kb.export()).unwrap();
+        assert_eq!(now(), Journaled::Opaque, "an import");
+        kb.clear();
+        assert_eq!(now(), Journaled::Opaque, "a clear");
+
+        kb.insert(&template("before-the-hole".into()));
+        let before = kb.epoch();
+        let raw = (Term::iri("urn:raw"), Term::iri("urn:note"), Term::lit("x"));
+        kb.server().insert_triples([raw]);
+        assert_eq!(now(), Journaled::Missing, "a raw write: nobody's");
+        let hole = kb.epoch();
+        kb.insert(&template("after-the-hole".into()));
+        assert!(
+            !journal.clears(before, hole + 2, |_| false),
+            "across the hole"
+        );
+        assert!(journal.clears(hole, hole + 2, |_| false), "after it");
+
+        let base = kb.epoch();
+        for i in 0..JOURNAL_DEPTH {
+            kb.insert(&template(format!("deep{i:02}")));
+        }
+        let far = base + 2 * JOURNAL_DEPTH as u64;
+        assert_eq!(kb.epoch(), far);
+        assert!(journal.clears(base, far, |_| false), "the whole depth");
+        assert!(!journal.clears(base, far, |row| row.signature() == sig));
+        kb.insert(&template("one-too-many".into()));
+        assert!(!journal.clears(base, far + 2, |_| false), "past the depth");
+        assert!(journal.clears(base + 2, far + 2, |_| false));
     }
 
     thread_local! {

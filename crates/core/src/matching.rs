@@ -38,7 +38,7 @@
 //! tests assert it and the matcher produce identical rewrites.
 
 use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use galo_catalog::Database;
@@ -49,6 +49,7 @@ use galo_rdf::{ResultSet, Term};
 use galo_sql::Query;
 
 use crate::kb::{AdmissionQuery, AdmissionStats, KnowledgeBase, PopCheck};
+use crate::sigindex::{ChangeJournal, JournalRow};
 use crate::transform::{
     segment_pop_checks, segment_scan_qualifiers, segment_to_probe, segment_to_sparql_opt,
     ProbeOptions, ScanVar, SegmentProbe,
@@ -241,6 +242,14 @@ pub struct MatchedRewrite {
 }
 
 /// Outcome of matching one plan against the knowledge base.
+///
+/// The work counters below (`probes_*`, `candidates_considered`, the
+/// admission rejects, `near_misses`, `refinements_applied`) describe the
+/// match that produced the report. A serving-cache hit hands back the
+/// report of the match that filled the entry, which may have run at an
+/// earlier epoch than the one the hit is validated at (see
+/// `galo_core::serving`): its rewrites are current, its counters are that
+/// match's.
 #[derive(Debug, Clone, Default)]
 pub struct MatchReport {
     pub rewrites: Vec<MatchedRewrite>,
@@ -289,6 +298,11 @@ pub struct MatchReport {
     /// counter at match time: how many feedback refinements the stored
     /// templates had absorbed when this report was computed.
     pub refinements_applied: u64,
+    /// The change journal of the knowledge base that produced the report,
+    /// set by [`match_compiled`]: the witness a cached copy is
+    /// re-validated against once the epoch moves past its stamp. The
+    /// cache keeps it beside the report, so a served copy carries none.
+    pub(crate) witness: Option<Arc<ChangeJournal>>,
 }
 
 impl MatchReport {
@@ -418,6 +432,18 @@ impl CompiledSegment {
         self.probe
             .get_or_init(|| segment_to_probe(db, qgm, self.root, opts))
     }
+
+    /// The admission query the segment's candidate cursor runs under
+    /// `cfg` (its plan's configuration).
+    fn query<'a>(&'a self, cfg: &'a MatchConfig) -> AdmissionQuery<'a> {
+        AdmissionQuery {
+            checks: &self.checks,
+            margin: cfg.range_margin,
+            trim: cfg.sketch_trim,
+            dataset: cfg.dataset.as_deref(),
+            near_factor: cfg.near_miss_factor,
+        }
+    }
 }
 
 /// A plan compiled for matching: its bottom-up segment walk with
@@ -444,6 +470,18 @@ impl CompiledPlan {
     /// Number of matchable segments (bottom-up order).
     pub fn segment_count(&self) -> usize {
         self.segments.len()
+    }
+
+    /// True when a segment of the plan would pull the journaled row: one
+    /// of the row's signature whose own admission query admits it (or
+    /// counts it a near miss). A row no segment pulls cannot change what
+    /// [`match_compiled`] produces for the plan.
+    pub(crate) fn pulls(&self, row: &JournalRow) -> bool {
+        let same_shape = self
+            .segments
+            .iter()
+            .filter(|seg| seg.signature == row.signature());
+        row.admitted_by_any(same_shape.map(|seg| seg.query(&self.cfg)))
     }
 }
 
@@ -518,13 +556,7 @@ pub fn match_compiled(
             if seg.seg_pops.iter().any(|id| claimed.contains(id)) {
                 continue;
             }
-            let query = AdmissionQuery {
-                checks: &seg.checks,
-                margin: cfg.range_margin,
-                trim: cfg.sketch_trim,
-                dataset: cfg.dataset.as_deref(),
-                near_factor: cfg.near_miss_factor,
-            };
+            let query = seg.query(cfg);
             // The first cursor pull doubles as the emptiness pre-check:
             // no admitted candidate means the segment is pruned before
             // any probe is compiled.
@@ -589,6 +621,7 @@ pub fn match_compiled(
     report.admission_rejects_scan = admission.rejects_scan;
     report.near_misses = admission.near_misses;
     report.refinements_applied = kb.refinements_applied();
+    report.witness = Some(Arc::clone(kb.journal()));
     report.match_ms = t0.elapsed().as_secs_f64() * 1e3;
     report
 }

@@ -5,8 +5,9 @@
 //! scratch. In a serving deployment the same plans arrive over and over
 //! (parameterized workloads re-submit structurally identical QGMs), so
 //! this module puts a cache in front of the matcher, keyed by a
-//! **plan fingerprint** and invalidated by the knowledge base's
-//! **mutation epoch**:
+//! **plan fingerprint**, stamped with the knowledge base's **mutation
+//! epoch** and re-validated, when the epoch moves, against its **change
+//! journal**:
 //!
 //! * [`plan_fingerprint`] hashes everything the match outcome can depend
 //!   on from the plan side — the full operator tree (kinds with their
@@ -23,16 +24,36 @@
 //! * [`ServingTier::serve`] validates with one atomic load: the KB's
 //!   epoch counter is a seqlock (even at rest, odd while a mutation is
 //!   in flight — see [`KnowledgeBase::epoch`]), so a cached report
-//!   stamped with even epoch `E` is current exactly while the counter
-//!   still reads `E`. Anything else is dropped, **never served**. A
-//!   fresh match is published to the cache only when the epoch read
-//!   before matching equals the (even) epoch read after — a result that
-//!   provably overlapped no KB mutation. Every miss goes through
-//!   [`match_compiled`], the one production matcher.
+//!   stamped with even epoch `E` is current while the counter still
+//!   reads `E`. A fresh match is published to the cache only when the
+//!   epoch read before matching equals the (even) epoch read after — a
+//!   result that provably overlapped no KB mutation. Every miss goes
+//!   through [`match_compiled`], the one production matcher.
+//! * A publish moves the epoch for every entry, but changes the outcome
+//!   of few plans: only a segment whose admission query admits the
+//!   changed template's signature-index row can pull it. So the report
+//!   carries a **witness** — the producing knowledge base's change
+//!   journal, which holds each recent generation's changed rows (a
+//!   retraction's old row, a publish's new one, both for a refinement)
+//!   or marks it opaque (clear, import, reindex, snapshot load). A
+//!   stamp the epoch has passed is re-validated: when every generation
+//!   since is journaled and no row of theirs passes the admission query
+//!   of one of the plan's segments — run through the very cursor code
+//!   the matcher pulls candidates with — the outcome is re-stamped and
+//!   served. Anything else (an admitted row, an opaque generation, one
+//!   nobody journaled because a raw endpoint write made it, a stamp the
+//!   journal no longer reaches) is dropped, **never served**.
+//!
+//! The contract: a served outcome's rewrites are exactly what an uncached
+//! match would produce at the epoch it is served at. Its work counters
+//! are those of the match that produced it, which for a re-validated hit
+//! ran at an earlier epoch.
 //!
 //! What a hit costs: one fingerprint walk over the QGM, one atomic
 //! epoch load, one stripe lock, one report clone — no store session, no
-//! probe evaluation, no allocation proportional to the knowledge base.
+//! probe evaluation, no allocation proportional to the knowledge base. A
+//! re-validation adds one journal read and an admission test of each
+//! journaled row against the plan's same-signature segments.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +64,7 @@ use galo_qgm::{PopKind, Qgm};
 
 use crate::kb::KnowledgeBase;
 use crate::matching::{compile_plan, match_compiled, CompiledPlan, MatchConfig, MatchReport};
+use crate::sigindex::ChangeJournal;
 
 // ---------------------------------------------------------------------------
 // Plan fingerprints
@@ -172,12 +194,14 @@ pub fn plan_fingerprint(db: &Database, qgm: &Qgm, cfg: &MatchConfig) -> u64 {
 /// A point-in-time snapshot of the cache's counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheCounters {
-    /// Lookups answered from a cached, epoch-current outcome.
+    /// Lookups answered from a cached outcome that holds at the lookup's
+    /// epoch (stamped at it, or re-validated to it).
     pub hits: u64,
     /// Lookups that found no servable outcome (cold, compiled-only, or
     /// stale). Hit rate = `hits / (hits + misses)`.
     pub misses: u64,
-    /// Cached outcomes dropped because the KB epoch had moved past them.
+    /// Cached outcomes dropped because the KB epoch had moved past them
+    /// and their witness could not re-validate them.
     pub stale_drops: u64,
     /// Cache entries inserted.
     pub insertions: u64,
@@ -188,7 +212,8 @@ pub struct CacheCounters {
 /// What a cache lookup produced.
 pub enum CacheLookup {
     /// A current outcome: the report (with `cache_hit` set) can be
-    /// served as-is, valid at the epoch the lookup validated against.
+    /// served as-is, valid at the epoch the lookup validated against
+    /// (its counters are those of the match that produced it).
     Hit(MatchReport),
     /// The plan's compiled probe IR is cached but no current outcome is:
     /// skip [`compile_plan`], run [`match_compiled`].
@@ -200,11 +225,37 @@ pub enum CacheLookup {
 struct CacheEntry {
     fingerprint: u64,
     compiled: Arc<CompiledPlan>,
-    /// The full match outcome, stamped with the (even) epoch it was
-    /// computed at. `None` after a stale drop — the compiled IR stays.
-    outcome: Option<(u64, MatchReport)>,
+    /// The full match outcome. `None` after a stale drop — the compiled
+    /// IR stays.
+    outcome: Option<Outcome>,
     /// CLOCK reference bit.
     referenced: bool,
+}
+
+/// A cached match outcome and what vouches for it.
+struct Outcome {
+    /// The (even) epoch the report is known current at: the one it was
+    /// computed at, or a later one it was re-validated at.
+    stamp: u64,
+    /// Served by clone; it carries no witness of its own.
+    report: MatchReport,
+    /// The change journal of the knowledge base that produced the report
+    /// (`None` for a report [`match_compiled`] did not produce, which
+    /// therefore drops as soon as the epoch moves).
+    witness: Option<Arc<ChangeJournal>>,
+}
+
+impl Outcome {
+    /// Whether the outcome is still what a match of `plan` would produce
+    /// at the later `epoch`: every generation since the stamp journaled,
+    /// and no row of theirs one of the plan's segments would pull.
+    fn holds_at(&self, plan: &CompiledPlan, epoch: u64) -> bool {
+        self.stamp < epoch
+            && self
+                .witness
+                .as_ref()
+                .is_some_and(|journal| journal.clears(self.stamp, epoch, |row| plan.pulls(row)))
+    }
 }
 
 struct Stripe {
@@ -305,8 +356,16 @@ impl ProbeCache {
     /// `epoch` (the KB epoch the caller just loaded).
     ///
     /// An outcome is served only when `epoch` is even (no mutation in
-    /// flight) **and** equals the outcome's stamp. An even `epoch` that
-    /// differs proves the KB changed since the outcome was computed: the
+    /// flight) and the outcome holds at it. It does while its stamp equals
+    /// `epoch` — the hot path, one compare. A stamp `epoch` has passed
+    /// asks the outcome's witness, the producing knowledge base's change
+    /// journal: if every generation since the stamp is journaled and none
+    /// changed a row one of the plan's segments admits (under that
+    /// segment's own admission query), no pull the matcher would make has
+    /// changed, so the outcome is re-stamped to `epoch` and served.
+    /// Otherwise — a row a segment admits, an opaque generation (clear,
+    /// import, reindex, snapshot load), one nobody journaled (a raw
+    /// endpoint write), a stamp older than the journal reaches — the
     /// outcome is dropped on the spot. An odd `epoch` serves nothing but
     /// also drops nothing — the in-flight mutation may yet commit as a
     /// no-op and restore the stamped epoch.
@@ -318,21 +377,19 @@ impl ProbeCache {
         };
         let entry = stripe.slots[slot].as_mut().expect("mapped slot occupied");
         entry.referenced = true;
-        if epoch.is_multiple_of(2) {
-            match &entry.outcome {
-                Some((stamp, report)) if *stamp == epoch => {
-                    let mut served = report.clone();
-                    served.cache_hit = true;
-                    served.match_ms = 0.0;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return CacheLookup::Hit(served);
-                }
-                Some(_) => {
-                    entry.outcome = None;
-                    self.stale_drops.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {}
+        if let Some(outcome) = entry.outcome.as_mut().filter(|_| epoch.is_multiple_of(2)) {
+            if outcome.stamp != epoch && outcome.holds_at(&entry.compiled, epoch) {
+                outcome.stamp = epoch;
             }
+            if outcome.stamp == epoch {
+                let mut served = outcome.report.clone();
+                served.cache_hit = true;
+                served.match_ms = 0.0;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return CacheLookup::Hit(served);
+            }
+            entry.outcome = None;
+            self.stale_drops.fetch_add(1, Ordering::Relaxed);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         CacheLookup::Compiled(Arc::clone(&entry.compiled))
@@ -367,7 +424,9 @@ impl ProbeCache {
 
     /// Publish a match outcome computed at (even) `epoch`. Re-inserts
     /// the entry if the CLOCK hand evicted it since the lookup; an
-    /// existing outcome is only replaced by one at least as new.
+    /// existing outcome is only replaced by one at least as new. The
+    /// report's witness moves out of the cached copy into the entry, so a
+    /// hit clones the report alone.
     pub fn store_outcome(
         &self,
         fingerprint: u64,
@@ -379,22 +438,31 @@ impl ProbeCache {
             epoch.is_multiple_of(2),
             "outcomes are stamped at even epochs"
         );
+        let outcome = || {
+            let mut report = report.clone();
+            let witness = report.witness.take();
+            Outcome {
+                stamp: epoch,
+                report,
+                witness,
+            }
+        };
         let mut stripe = self.stripe(fingerprint);
         if let Some(&slot) = stripe.map.get(&fingerprint) {
             let entry = stripe.slots[slot].as_mut().expect("mapped slot occupied");
-            let newer = match &entry.outcome {
-                Some((stamp, _)) => epoch >= *stamp,
-                None => true,
-            };
-            if newer {
-                entry.outcome = Some((epoch, report.clone()));
+            if entry
+                .outcome
+                .as_ref()
+                .is_none_or(|held| epoch >= held.stamp)
+            {
+                entry.outcome = Some(outcome());
             }
             return;
         }
         let evicted = stripe.insert(CacheEntry {
             fingerprint,
             compiled: Arc::clone(compiled),
-            outcome: Some((epoch, report.clone())),
+            outcome: Some(outcome()),
             referenced: false,
         });
         drop(stripe); // `evicted` is freed on return, outside the lock
@@ -443,9 +511,12 @@ impl ProbeCache {
 pub struct ServeOutcome {
     /// The plan's cache key.
     pub fingerprint: u64,
-    /// `Some(e)` — the report is validated at even KB epoch `e`: it is
-    /// exactly what an uncached match would produce against the KB state
-    /// at that epoch, and was (re)published to the cache. `None` — KB
+    /// `Some(e)` — the report is validated at even KB epoch `e`: its
+    /// rewrites are exactly what an uncached match would produce against
+    /// the KB state at that epoch. A miss was matched at `e` and
+    /// (re)published to the cache; a hit was matched at `e` or at an
+    /// earlier epoch that `e` changed nothing for, and its work counters
+    /// are that match's. `None` — KB
     /// mutations overlapped both match attempts; the report is still a
     /// correct single-session match (probes ran under one read lock),
     /// but is not attributable to one epoch and was not cached.
@@ -706,6 +777,76 @@ mod tests {
         assert!(matches!(cache.lookup(7, 12), CacheLookup::Compiled(_)));
         assert_eq!(cache.counters().stale_drops, 1);
         assert!(matches!(cache.lookup(7, 10), CacheLookup::Compiled(_)));
+    }
+
+    /// An outcome the epoch has passed is re-stamped while the journal
+    /// vouches for every generation since — here any journaled one, as the
+    /// plan has no segment to admit a row — and dropped once the stamp
+    /// lies more than the journal's depth back, or behind a generation a
+    /// raw endpoint write made.
+    #[test]
+    fn stale_outcomes_revalidate_within_the_journal() {
+        use crate::sigindex::JOURNAL_DEPTH;
+        let (db, qgm) = tiny_plan();
+        let kb = KnowledgeBase::new();
+        let cfg = MatchConfig::default();
+        let compiled = Arc::new(compile_plan(&db, &qgm, &cfg));
+        assert_eq!(compiled.segment_count(), 0, "a scan: no join, no segment");
+        let mut published = 0;
+        let mut publish = |n: usize| {
+            for _ in 0..n {
+                let id = format!("t{published:03}");
+                let no_rewrite = galo_qgm::GuidelineDoc::new(vec![]);
+                kb.insert(&crate::kb::abstract_plan(
+                    &db,
+                    &qgm,
+                    qgm.root(),
+                    &no_rewrite,
+                    id,
+                ));
+                published += 1;
+            }
+        };
+        let cache = ProbeCache::new(1, 4);
+        let report = match_compiled(&db, &kb, &qgm, &compiled);
+        assert!(report.witness.is_some(), "the matcher attaches its witness");
+        let stamp = kb.epoch();
+        cache.store_outcome(1, &compiled, stamp, &report);
+        cache.store_outcome(2, &compiled, stamp, &report);
+
+        publish(JOURNAL_DEPTH);
+        match cache.lookup(1, kb.epoch()) {
+            CacheLookup::Hit(served) => assert!(served.witness.is_none(), "the entry keeps it"),
+            _ => panic!("{JOURNAL_DEPTH} journaled generations re-validate"),
+        }
+        publish(1);
+        assert!(matches!(
+            cache.lookup(2, kb.epoch()),
+            CacheLookup::Compiled(_)
+        ));
+        assert_eq!(
+            cache.counters().stale_drops,
+            1,
+            "one generation past the depth"
+        );
+        assert!(matches!(cache.lookup(1, kb.epoch()), CacheLookup::Hit(_)));
+
+        let raw = (
+            galo_rdf::Term::iri("urn:raw"),
+            galo_rdf::Term::iri("urn:note"),
+            galo_rdf::Term::lit("x"),
+        );
+        kb.server().insert_triples([raw]);
+        assert!(matches!(
+            cache.lookup(1, kb.epoch()),
+            CacheLookup::Compiled(_)
+        ));
+        assert_eq!(
+            cache.counters().stale_drops,
+            2,
+            "a generation nobody journaled"
+        );
+        assert_eq!(cache.counters().hits, 2);
     }
 
     #[test]

@@ -47,8 +47,21 @@
 //! reader of the template vocabulary on the index side and the only
 //! writer of rows, so the fallback rules (corrupt sketch → exact bounds →
 //! unbounded) are stated once.
+//!
+//! # The change journal
+//!
+//! Beside the index, the knowledge base keeps a [`ChangeJournal`]: per
+//! epoch generation of the last [`JOURNAL_DEPTH`], the rows of the
+//! templates that generation changed — each row's cells, shared with the
+//! index rather than copied — or [`Generation::Opaque`] when it cannot say
+//! which. A cached match outcome whose stamp the epoch has passed asks the
+//! journal whether any of those rows passes the admission query of one of
+//! its plan's segments: the row becomes a [`Bucket`] of one and the same
+//! [`Bucket::next_admitting`] the cursor runs walks it. When none does, no
+//! pull the matcher would make has changed and the outcome still holds.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use galo_qgm::shape_signature;
 use galo_rdf::Term;
@@ -444,12 +457,17 @@ enum Admission {
 
 /// The templates of one signature, column by column. Row `r` is the
 /// `r`-th smallest template IRI.
+///
+/// The intern tables and each row's operator slices are shared (`Arc`),
+/// so the change journal keeps a row ([`JournalRow`]) without copying
+/// it: the journal stays a handful of reference counts a generation, not
+/// a second set of long-lived allocations interleaved with the index's.
 #[derive(Default)]
 struct Bucket {
     /// Interned operator types; a [`PopBounds::ty`] indexes here.
-    types: Vec<String>,
+    types: Arc<Vec<String>>,
     /// Interned source workloads; a `workload` cell indexes here.
-    workloads: Vec<String>,
+    workloads: Arc<Vec<String>>,
     /// Row -> template IRI, ascending.
     iris: Vec<String>,
     /// Row -> source workload (the template's dataset; `""` when it was
@@ -462,10 +480,10 @@ struct Bucket {
     /// allocation per row rather than one vector per bucket: 99.9 % of
     /// rows are rejected on a hull and never read theirs, while a flat
     /// vector would make every publish shift half a bucket's operators.
-    ops: Vec<Box<[PopBounds]>>,
+    ops: Vec<Arc<[PopBounds]>>,
     /// Row -> the sketches behind `ops`, operator by operator. Read only
     /// by `trim > 0`.
-    sketches: Vec<Box<[[StatSketch; 4]]>>,
+    sketches: Vec<Arc<[[StatSketch; 4]]>>,
 }
 
 /// Id of `name` in an intern table, [`ABSENT`] when it was never interned.
@@ -474,11 +492,20 @@ fn lookup(table: &[String], name: &str) -> u32 {
     at.map_or(ABSENT, |at| at as u32)
 }
 
-/// Id of `name` in an intern table, appended when new.
-fn intern(table: &mut Vec<String>, name: &str) -> u32 {
+/// Grow a cardinality hull by one operator's range. `f64::min` / `max`
+/// skip a NaN bound; an operator carrying one admits nothing, so the hull
+/// owes it nothing.
+fn widen_hull(hull: &mut Range, cardinality: Range) {
+    hull.lo = hull.lo.min(cardinality.lo);
+    hull.hi = hull.hi.max(cardinality.hi);
+}
+
+/// Id of `name` in an intern table, appended when new — to a copy of the
+/// table, if a journal row still shares it.
+fn intern(table: &mut Arc<Vec<String>>, name: &str) -> u32 {
     match lookup(table, name) {
         ABSENT => {
-            table.push(name.to_string());
+            Arc::make_mut(table).push(name.to_string());
             table.len() as u32 - 1
         }
         id => id,
@@ -502,8 +529,8 @@ impl Bucket {
             Err(row) => {
                 self.iris.insert(row, iri.to_string());
                 self.workload.insert(row, workload);
-                self.ops.insert(row, Box::default());
-                self.sketches.insert(row, Box::default());
+                self.ops.insert(row, Arc::default());
+                self.sketches.insert(row, Arc::default());
                 for column in &mut self.hulls {
                     column.insert(row, EMPTY);
                 }
@@ -524,11 +551,7 @@ impl Bucket {
             let scan = pop.scan.is_some();
             let [row_size, fpages, base_cardinality] = pop.scan.unwrap_or_default();
             let stats = [pop.cardinality, row_size, fpages, base_cardinality];
-            // f64::min / max skip a NaN bound; an operator carrying one
-            // admits nothing, so the hull owes it nothing.
-            let hull = &mut self.hulls[ty as usize][row];
-            hull.lo = hull.lo.min(stats[0].exact.lo);
-            hull.hi = hull.hi.max(stats[0].exact.hi);
+            widen_hull(&mut self.hulls[ty as usize][row], stats[0].exact);
             bounds.push(PopBounds {
                 ty,
                 scan,
@@ -536,8 +559,20 @@ impl Bucket {
             });
             sketches.push(stats.map(|stat| stat.sketch));
         }
-        self.ops[row] = bounds.into_boxed_slice();
-        self.sketches[row] = sketches.into_boxed_slice();
+        self.ops[row] = bounds.into();
+        self.sketches[row] = sketches.into();
+    }
+
+    /// Row `row` as the journal keeps it: shared cells, no copy.
+    fn journal_row(&self, signature: u64, row: usize) -> JournalRow {
+        JournalRow {
+            signature,
+            types: Arc::clone(&self.types),
+            workloads: Arc::clone(&self.workloads),
+            workload: self.workload[row],
+            ops: Arc::clone(&self.ops[row]),
+            sketches: Arc::clone(&self.sketches[row]),
+        }
     }
 
     fn remove(&mut self, iri: &str) {
@@ -694,6 +729,17 @@ impl SigIndex {
         self.buckets.len()
     }
 
+    /// Every row the template holds (one, unless a republish moved it to
+    /// another signature without a retraction), copied out for the
+    /// journal.
+    pub(crate) fn journal_rows(&self, iri: &str, rows: &mut Vec<JournalRow>) {
+        for (&signature, bucket) in &self.buckets {
+            if let Ok(row) = bucket.find(iri) {
+                rows.push(bucket.journal_row(signature, row));
+            }
+        }
+    }
+
     /// The signature's template IRIs, ascending.
     pub(crate) fn iris(&self, signature: u64) -> &[String] {
         self.buckets
@@ -729,6 +775,159 @@ impl SigIndex {
             .get(&signature)?
             .next_admitting(query, after, stats)
     }
+}
+
+/// Epoch generations the [`ChangeJournal`] reaches back. An outcome
+/// stamped further back is dropped rather than re-validated.
+pub(crate) const JOURNAL_DEPTH: usize = 64;
+
+/// Templates one generation may change and still be journaled row by
+/// row; a commit that changes more is journaled [`Generation::Opaque`].
+pub(crate) const JOURNAL_TEMPLATES: usize = 8;
+
+/// One template's signature-index row as a generation found or left it:
+/// its cells, sharing the bucket's intern tables and the row's operators.
+pub(crate) struct JournalRow {
+    signature: u64,
+    types: Arc<Vec<String>>,
+    workloads: Arc<Vec<String>>,
+    workload: u32,
+    ops: Arc<[PopBounds]>,
+    sketches: Arc<[[StatSketch; 4]]>,
+}
+
+impl JournalRow {
+    /// The signature the row was indexed under: only a segment of that
+    /// shape can pull it.
+    pub(crate) fn signature(&self) -> u64 {
+        self.signature
+    }
+
+    /// True when, under some query of `queries`, the cursor would stop on
+    /// the row — or, when the query tracks near misses, count it as one.
+    /// The walk is the cursor's own, over the row as a bucket of one (its
+    /// hulls grown as [`Bucket::upsert`] grows them), built only when
+    /// there is a query to run.
+    pub(crate) fn admitted_by_any<'q>(
+        &self,
+        queries: impl IntoIterator<Item = AdmissionQuery<'q>>,
+    ) -> bool {
+        let mut queries = queries.into_iter().peekable();
+        if queries.peek().is_none() {
+            return false;
+        }
+        let mut hulls = vec![vec![EMPTY]; self.types.len()];
+        for op in self.ops.iter() {
+            widen_hull(&mut hulls[op.ty as usize][0], op.stats[0]);
+        }
+        let bucket = Bucket {
+            types: Arc::clone(&self.types),
+            workloads: Arc::clone(&self.workloads),
+            iris: vec![String::new()],
+            workload: vec![self.workload],
+            hulls,
+            ops: vec![Arc::clone(&self.ops)],
+            sketches: vec![Arc::clone(&self.sketches)],
+        };
+        queries.any(|query| {
+            let mut stats = AdmissionStats::default();
+            bucket.next_admitting(&query, None, &mut stats).is_some() || stats.near_misses > 0
+        })
+    }
+}
+
+/// What one epoch generation changed, as far as admission can tell.
+pub(crate) enum Generation {
+    /// The rows of the templates the commit changed: the old row of each
+    /// that had one, then the new row of each that has one.
+    Rows(Vec<JournalRow>),
+    /// A clear, an import, a rebuild, a snapshot load, a statement that
+    /// names no template, or more than [`JOURNAL_TEMPLATES`] templates.
+    Opaque,
+}
+
+/// The knowledge base's bounded change journal: the last
+/// [`JOURNAL_DEPTH`] generations, each under the even epoch it produced.
+/// The one commit appends inside its mutation scope, before the epoch
+/// moves, so a generation is journaled whenever its epoch is visible; a
+/// generation nobody journaled (a write through the raw endpoint) leaves a
+/// hole no re-validation crosses.
+#[derive(Default)]
+pub(crate) struct ChangeJournal {
+    ring: RwLock<VecDeque<(u64, Generation)>>,
+}
+
+impl std::fmt::Debug for ChangeJournal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChangeJournal").finish_non_exhaustive()
+    }
+}
+
+impl ChangeJournal {
+    /// Journal the generation that makes the epoch read `epoch`.
+    pub(crate) fn append(&self, epoch: u64, generation: Generation) {
+        let mut ring = self.ring.write().unwrap_or_else(PoisonError::into_inner);
+        let retired = (ring.len() == JOURNAL_DEPTH).then(|| ring.pop_front());
+        ring.push_back((epoch, generation));
+        drop(ring); // `retired` is freed outside the lock
+        drop(retired);
+    }
+
+    /// True when every generation in `(since, until]` is journaled and no
+    /// row of theirs is one `admits` says yes to. `since < until`, both
+    /// even.
+    pub(crate) fn clears(
+        &self,
+        since: u64,
+        until: u64,
+        admits: impl Fn(&JournalRow) -> bool,
+    ) -> bool {
+        debug_assert!(since < until, "re-validation runs forward");
+        let ring = self.ring.read().unwrap_or_else(PoisonError::into_inner);
+        // Newer generations may already be journaled: their epochs are
+        // not the caller's yet.
+        let mut want = until;
+        for (epoch, generation) in ring.iter().rev().skip_while(|(epoch, _)| *epoch > until) {
+            if *epoch != want {
+                return false; // a generation nobody journaled
+            }
+            match generation {
+                Generation::Rows(rows) if !rows.iter().any(&admits) => {}
+                _ => return false,
+            }
+            want -= 2;
+            if want <= since {
+                return true;
+            }
+        }
+        false // the ring no longer reaches `since`
+    }
+
+    /// The generation journaled under `epoch`, as a test reads it.
+    #[cfg(test)]
+    pub(crate) fn at(&self, epoch: u64) -> Journaled {
+        let ring = self.ring.read().unwrap();
+        let bounds = |row: &JournalRow| row.ops.iter().map(|op| op.stats[0]).collect();
+        match ring.iter().find(|(at, _)| *at == epoch) {
+            None => Journaled::Missing,
+            Some((_, Generation::Opaque)) => Journaled::Opaque,
+            Some((_, Generation::Rows(rows))) => Journaled::Rows(
+                rows.iter()
+                    .map(|row| (row.signature, bounds(row)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// A journaled generation as a test reads it: each row as its signature
+/// and its operators' cardinality bounds.
+#[cfg(test)]
+#[derive(Debug, PartialEq)]
+pub(crate) enum Journaled {
+    Missing,
+    Opaque,
+    Rows(Vec<(u64, Vec<Range>)>),
 }
 
 #[cfg(test)]
@@ -1104,6 +1303,26 @@ mod tests {
                                     drain(Some(after), columnar),
                                     drain(Some(after), walked),
                                     "after {after:?}: {query:?}"
+                                );
+                            }
+                            // Each row as the journal keeps it: admitted,
+                            // or a near miss, exactly when the walk says.
+                            let bucket = &index.buckets[&SIG];
+                            for (at, tpl) in reference.values().enumerate() {
+                                let m = margin.max(1.0);
+                                let verdict = ref_admits(tpl, &query, m);
+                                let near = query.near_factor > 1.0
+                                    && matches!(
+                                        verdict,
+                                        RefAdmission::RejectedCard | RefAdmission::RejectedScan
+                                    )
+                                    && ref_admits(tpl, &query, m * query.near_factor)
+                                        == RefAdmission::Admitted;
+                                let row = bucket.journal_row(SIG, at);
+                                assert_eq!(
+                                    row.admitted_by_any([query]),
+                                    verdict == RefAdmission::Admitted || near,
+                                    "row {at}: {query:?}"
                                 );
                             }
                         }

@@ -9,11 +9,14 @@
 //!    bounded-staleness contract, with the plan-fingerprint cache doing
 //!    the repeat work,
 //! 4. a late publish makes the replica stale: bound 0 refuses, bound 1
-//!    serves with `lag = 1`, and an incremental catch-up restores sync.
+//!    serves with `lag = 1`, and an incremental catch-up restores sync —
+//!    and, the late template being one no plan segment can admit, the
+//!    in-sync serve is still a cache hit.
 //!
 //! Exits nonzero on any lost acknowledged publish, an image mismatch at
-//! equal epochs, a serve above its staleness bound, or a cache that
-//! never hits.
+//! equal epochs, a serve above its staleness bound, a cache that never
+//! hits, or a late publish that voids the cached outcome (or one that
+//! differs from an uncached match).
 //!
 //! Run with: `cargo run --release --example replicated_serving`
 
@@ -24,9 +27,9 @@ use galo_catalog::{
     Value,
 };
 use galo_core::{
-    learn_workload_replicated, loopback, ClusterConfig, FaultPlan, FaultyLink, KnowledgeBase,
-    LearningConfig, MatchConfig, PeerState, Primary, Replica, ReplicationConfig, RetryPolicy,
-    ServingTier,
+    learn_workload_replicated, loopback, match_plan, ClusterConfig, FaultPlan, FaultyLink,
+    KnowledgeBase, LearningConfig, MatchConfig, PeerState, Primary, Replica, ReplicationConfig,
+    RetryPolicy, ServingTier,
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::Qgm;
@@ -360,6 +363,23 @@ fn main() {
         eprintln!("FAIL: replica image diverges after incremental catch-up");
         std::process::exit(1);
     }
+    // The late template is a zero-join scan: no segment of any plan shares
+    // its signature, so the replica's cache keeps the outcome across it —
+    // and that outcome is what an uncached match finds now.
+    let uncached = match_plan(&w.db, &rkb, &plans[0], &MatchConfig::default());
+    let same_rewrites = synced.outcome.report.rewrites.len() == uncached.rewrites.len()
+        && synced
+            .outcome
+            .report
+            .rewrites
+            .iter()
+            .zip(&uncached.rewrites)
+            .all(|(a, b)| a.segment_op_id == b.segment_op_id && a.template_iri == b.template_iri);
+    if !synced.outcome.report.cache_hit || !same_rewrites {
+        eprintln!("FAIL: the late publish voided a cached outcome it cannot change");
+        std::process::exit(1);
+    }
+    println!("late publish kept the cached outcome");
     println!(
         "caught up: epoch {} lag {}, {} stale rejection(s) recorded, images identical",
         synced.replica_epoch, synced.lag, replica.stats.stale_rejections,

@@ -1,5 +1,6 @@
 //! The online serving tier end to end: plan-fingerprint caching, epoch
-//! invalidation, and batched admission over a live knowledge base.
+//! validation with change-journal re-validation, and batched admission
+//! over a live knowledge base.
 //!
 //! 1. learn a problem-pattern KB from a workload,
 //! 2. replay a repeat-heavy arrival stream through [`ServingTier::serve`]
@@ -23,10 +24,14 @@ use galo_core::{match_plan, KnowledgeBase, MatchConfig, MatchReport, ServingTier
 use galo_optimizer::Optimizer;
 use galo_qgm::Qgm;
 
+/// A served report against a fresh match at its epoch: the rewrites
+/// always, the probe counters only on a miss — a hit carries the counters
+/// of the match that filled the entry, possibly at an earlier epoch the
+/// publishes since could not change the outcome of.
 fn reports_agree(a: &MatchReport, b: &MatchReport) -> bool {
     a.rewrites.len() == b.rewrites.len()
-        && a.probes_pruned == b.probes_pruned
-        && a.probes_executed == b.probes_executed
+        && (a.cache_hit
+            || a.probes_pruned == b.probes_pruned && a.probes_executed == b.probes_executed)
         && a.rewrites.iter().zip(&b.rewrites).all(|(x, y)| {
             x.segment_op_id == y.segment_op_id
                 && x.template_iri == y.template_iri

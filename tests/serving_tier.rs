@@ -1,25 +1,36 @@
 //! The online serving tier end to end: every result the tier serves —
 //! cold, cached, queued, or raced — must equal a fresh uncached
 //! [`match_plan`] against the same knowledge-base state. The epoch
-//! seqlock is the only validation mechanism, so these tests attack it
-//! from every side: each mutator must invalidate, concurrent learner
-//! publishes must never let a stale outcome through, and the admission
-//! queue must deliver every plan exactly once.
+//! seqlock validates a hit, and the knowledge base's change journal
+//! re-validates an outcome the epoch has passed, so these tests attack
+//! both from every side: each mutator that can change an outcome must
+//! invalidate it, a publish no segment of the plan admits must not, a
+//! generation the journal cannot vouch for must, random interleavings of
+//! every mutator must never let a stale outcome through, concurrent
+//! learner publishes neither, and the admission queue must deliver every
+//! plan exactly once.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use galo_catalog::{
     col, ColumnId, ColumnStats, ColumnType, DatabaseBuilder, Index, IndexId, SystemConfig, Table,
     Value,
 };
 use galo_core::{
-    abstract_plan, learn_workload, learn_workload_cluster, match_plan, vocab, ClusterConfig,
-    KnowledgeBase, LearningConfig, MatchConfig, MatchReport, ProbeCache, ServeOutcome, ServingTier,
+    abstract_plan, learn_workload, learn_workload_cluster, loopback, match_plan, vocab,
+    ClusterConfig, KnowledgeBase, LearningConfig, MatchConfig, MatchReport, PeerState, Primary,
+    ProbeCache, Replica, RetryPolicy, ServeOutcome, ServingTier, StatSketch, Template, TemplatePop,
+    TemplateRefinement,
 };
+use galo_executor::compute_actuals;
 use galo_optimizer::Optimizer;
-use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
+use galo_qgm::{guideline_from_plan, segment_signature, segments, GuidelineDoc, Qgm};
+use galo_rdf::Record;
 use galo_sql::parse;
 use galo_workloads::Workload;
+use proptest::prelude::*;
 
 /// The planted-flooding workload the learning tests use: queries whose
 /// plans a learned template matches, plus shape variety.
@@ -102,10 +113,64 @@ fn plans_of(w: &Workload) -> Vec<Qgm> {
         .collect()
 }
 
-/// Everything a served report must share with an uncached match.
-/// `match_ms` is wall time and `probes_reused` only exists on the
-/// serving path, so neither participates.
-fn assert_reports_equal(served: &MatchReport, fresh: &MatchReport, context: &str) {
+fn iri(id: &str) -> String {
+    vocab::template_iri(id).str_value().to_string()
+}
+
+/// The template abstracted from a plan's root under `id`, tagged into the
+/// workload's dataset, with every statistic scaled by `factor` (1.0 keeps
+/// the plan's own values, so the template admits and matches the plan).
+fn template_of_plan(w: &Workload, plan: &Qgm, id: &str, factor: f64) -> Template {
+    let g = GuidelineDoc::new(vec![guideline_from_plan(plan, plan.root()).unwrap()]);
+    let mut tpl = abstract_plan(&w.db, plan, plan.root(), &g, id.into());
+    tpl.source_workload = w.name.clone();
+    let scale = |sketch: &mut StatSketch| {
+        let range = sketch.envelope(0.0);
+        *sketch = StatSketch::from_range(range.lo * factor, range.hi * factor);
+    };
+    for pop in &mut tpl.pops {
+        scale(&mut pop.cardinality);
+        if let Some(scan) = &mut pop.scan {
+            scale(&mut scan.row_size);
+            scale(&mut scan.fpages);
+            scale(&mut scan.base_cardinality);
+        }
+    }
+    tpl
+}
+
+/// A zero-join template: segments are rooted at joins, so no segment
+/// shares its signature.
+fn scan_template(id: &str) -> Template {
+    Template {
+        id: id.into(),
+        pops: vec![TemplatePop {
+            op_id: 1,
+            pop_type: "TBSCAN".into(),
+            cardinality: StatSketch::from_range(40.0, 80.0),
+            scan: None,
+            inputs: vec![],
+        }],
+        guideline: GuidelineDoc::new(vec![]),
+        improvement: 0.4,
+        source_workload: "scans".into(),
+        fingerprint: format!("fp-{id}"),
+        join_count: 0,
+    }
+}
+
+/// The signatures of a plan's segments: the only index buckets a match of
+/// it reads.
+fn segment_signatures(plan: &Qgm, cfg: &MatchConfig) -> HashSet<u64> {
+    segments(plan, cfg.join_threshold)
+        .iter()
+        .map(|segment| segment_signature(plan, segment.root).hash)
+        .collect()
+}
+
+/// The outcome a served report must share with an uncached match at its
+/// epoch: the rewrites, in order.
+fn assert_rewrites_equal(served: &MatchReport, fresh: &MatchReport, context: &str) {
     assert_eq!(
         served.rewrites.len(),
         fresh.rewrites.len(),
@@ -117,6 +182,25 @@ fn assert_reports_equal(served: &MatchReport, fresh: &MatchReport, context: &str
         assert_eq!(a.source_workload, b.source_workload, "{context}");
         assert_eq!(a.guideline, b.guideline, "{context}");
     }
+}
+
+/// A serve against an uncached match at the served epoch: a miss matched
+/// at that epoch and must agree on everything; a hit may have been
+/// re-validated from an earlier epoch, and its work counters are those of
+/// the match that produced it, so it must agree on the outcome.
+fn assert_serve_equals(served: &MatchReport, fresh: &MatchReport, context: &str) {
+    if served.cache_hit {
+        assert_rewrites_equal(served, fresh, context);
+    } else {
+        assert_reports_equal(served, fresh, context);
+    }
+}
+
+/// Everything a report matched at the same epoch as `fresh` must share
+/// with it. `match_ms` is wall time and `probes_reused` only exists on
+/// the serving path, so neither participates.
+fn assert_reports_equal(served: &MatchReport, fresh: &MatchReport, context: &str) {
+    assert_rewrites_equal(served, fresh, context);
     assert_eq!(served.probes_pruned, fresh.probes_pruned, "{context}");
     assert_eq!(served.probes_executed, fresh.probes_executed, "{context}");
     assert_eq!(
@@ -314,17 +398,367 @@ fn noop_republish_preserves_cache_hits() {
     learn_workload(&w, &kb, &fast_learning());
     let plans = plans_of(&w);
     let cfg = MatchConfig::default();
+    let plan = &plans[0];
+    let g = GuidelineDoc::new(vec![guideline_from_plan(plan, plan.root()).unwrap()]);
+    let mut tpl = abstract_plan(&w.db, plan, plan.root(), &g, "republished".into());
+    tpl.source_workload = "serve_noop".into();
+    assert!(
+        kb.insert_batch(std::slice::from_ref(&tpl)) > 0,
+        "a new template"
+    );
     let tier = ServingTier::new(&w.db, &kb, cfg.clone());
-    let _ = tier.serve(&plans[0]);
+    let _ = tier.serve(plan);
     let e = kb.epoch();
 
-    // Re-import the KB's own image: set semantics make it a no-op.
-    // (kb.import is NOT a no-op — it clears first — so use the
+    // Re-publish the template the KB already holds: set semantics make it
+    // a no-op. (kb.import is NOT a no-op — it clears first — so use the
     // template-level republish path, which is.)
-    let hit = tier.serve(&plans[0]);
-    assert!(hit.report.cache_hit);
+    assert_eq!(
+        kb.insert_batch(std::slice::from_ref(&tpl)),
+        0,
+        "nothing new"
+    );
     assert_eq!(kb.epoch(), e, "no mutation happened");
+    let hit = tier.serve(plan);
+    assert!(hit.report.cache_hit);
     assert_eq!(hit.epoch, Some(e));
+    assert_eq!(tier.cache().counters().stale_drops, 0);
+}
+
+// ---------------------------------------------------- the journal witness --
+
+/// A publish under signature A does not void an entry that read only
+/// signature B. The template is the plan's own root with another join
+/// method: every statistic would admit the plan, the shape does not.
+#[test]
+fn a_publish_under_another_signature_keeps_the_entry() {
+    let w = quirky_workload("serve_witness_sig");
+    let kb = KnowledgeBase::new();
+    learn_workload(&w, &kb, &fast_learning());
+    let plans = plans_of(&w);
+    let cfg = MatchConfig::default();
+    let tier = ServingTier::new(&w.db, &kb, cfg.clone());
+    let plan = &plans[0];
+    let read = segment_signatures(plan, &cfg);
+    assert!(!read.is_empty(), "the plan has a join to match");
+
+    let mut other = template_of_plan(&w, plan, "000_other_shape", 1.0);
+    for pop in &mut other.pops {
+        if pop.pop_type.ends_with("JOIN") {
+            let swapped = if pop.pop_type == "HSJOIN" {
+                "MSJOIN"
+            } else {
+                "HSJOIN"
+            };
+            pop.pop_type = swapped.into();
+        }
+    }
+    assert!(!read.contains(&KnowledgeBase::template_signature(&other)));
+
+    assert!(!tier.serve(plan).report.cache_hit, "cold");
+    let e = kb.epoch();
+    kb.insert(&other);
+    assert!(kb.epoch() > e, "the publish is a generation");
+    let served = tier.serve(plan);
+    assert!(served.report.cache_hit, "a publish the plan cannot read");
+    assert_eq!(served.epoch, Some(kb.epoch()));
+    let fresh = match_plan(&w.db, &kb, plan, &cfg);
+    assert_reports_equal(&served.report, &fresh, "after a publish under A");
+    assert_eq!(tier.cache().counters().stale_drops, 0);
+}
+
+/// A publish under the plan's own signature whose row the segment's
+/// admission query rejects keeps the entry — that query exactly: the same
+/// row within the near-miss margin drops the entry of a tier that tracks
+/// near misses.
+#[test]
+fn a_publish_the_segment_rejects_keeps_the_entry() {
+    let w = quirky_workload("serve_witness_reject");
+    let kb = KnowledgeBase::new();
+    learn_workload(&w, &kb, &fast_learning());
+    let plans = plans_of(&w);
+    let plan = &plans[0];
+    let exact = MatchConfig::default();
+    let near = MatchConfig {
+        near_miss_factor: 4.0,
+        ..MatchConfig::default()
+    };
+    let exact_tier = ServingTier::new(&w.db, &kb, exact.clone());
+    let near_tier = ServingTier::new(&w.db, &kb, near.clone());
+    exact_tier.serve(plan);
+    near_tier.serve(plan);
+
+    // Every statistic 3× the plan's: its shape, outside margin 1, inside
+    // margin 4 — and an IRI the cursor reaches before any learned one.
+    let displaced = template_of_plan(&w, plan, "000_displaced", 3.0);
+    let signature = KnowledgeBase::template_signature(&displaced);
+    assert!(segment_signatures(plan, &exact).contains(&signature));
+    kb.insert(&displaced);
+
+    let kept = exact_tier.serve(plan);
+    assert!(kept.report.cache_hit, "admission rejects the row");
+    assert_eq!(kept.epoch, Some(kb.epoch()));
+    let fresh = match_plan(&w.db, &kb, plan, &exact);
+    assert_rewrites_equal(&kept.report, &fresh, "kept");
+    assert!(
+        fresh.candidates_considered > kept.report.candidates_considered,
+        "a hit's counters are those of the match that produced it"
+    );
+    assert_eq!(exact_tier.cache().counters().stale_drops, 0);
+
+    let dropped = near_tier.serve(plan);
+    assert!(!dropped.report.cache_hit, "a near miss under 4×");
+    let fresh = match_plan(&w.db, &kb, plan, &near);
+    assert_reports_equal(&dropped.report, &fresh, "near-miss tier");
+    assert!(fresh.near_misses > 0);
+    assert_eq!(near_tier.cache().counters().stale_drops, 1);
+}
+
+/// An epoch-counted write through the raw endpoint is a generation nobody
+/// journaled: it drops the entry, even when journaled generations no
+/// segment reads lie on both sides of it. Here it retracts the plan's
+/// winning template behind the journal's back, so serving the entry would
+/// serve a rewrite the knowledge base no longer holds.
+#[test]
+fn a_raw_endpoint_write_drops_the_entry() {
+    let w = quirky_workload("serve_witness_raw");
+    let kb = KnowledgeBase::new();
+    learn_workload(&w, &kb, &fast_learning());
+    let plans = plans_of(&w);
+    let cfg = MatchConfig::default();
+    let tier = ServingTier::new(&w.db, &kb, cfg.clone());
+    let plan = &plans[0];
+    let before = tier.serve(plan);
+    let winner = before.report.rewrites[0].template_iri.clone();
+    kb.insert(&scan_template("zz_before_the_hole"));
+    assert!(tier.serve(plan).report.cache_hit, "a journaled publish");
+
+    let e = kb.epoch();
+    let removes = kb.retraction_of(&winner).into_iter();
+    let triples = removes.filter_map(|record| match record {
+        Record::Remove(s, p, o, None) => Some((s, p, o)),
+        _ => None,
+    });
+    assert!(kb.server().remove_triples(triples) > 0);
+    assert_eq!(kb.epoch(), e + 2, "the raw write is a generation");
+    kb.insert(&scan_template("zz_after_the_hole"));
+
+    let served = tier.serve(plan);
+    assert!(!served.report.cache_hit, "the journal cannot vouch for it");
+    let fresh = match_plan(&w.db, &kb, plan, &cfg);
+    assert!(fresh.rewrites.iter().all(|r| r.template_iri != winner));
+    assert_reports_equal(&served.report, &fresh, "after a raw write");
+    assert_eq!(tier.cache().counters().stale_drops, 1);
+
+    kb.insert(&scan_template("zz_later"));
+    let served = tier.serve(plan);
+    assert!(served.report.cache_hit, "journaled again after the hole");
+    assert_reports_equal(&served.report, &fresh, "after the next publish");
+}
+
+/// A replica's snapshot load replaces the whole image and is journaled
+/// opaque: it drops the entry. The same kind of change replayed as a
+/// frame — a retraction no segment reads — keeps it.
+#[test]
+fn a_replica_snapshot_load_drops_the_entry() {
+    let w = quirky_workload("serve_witness_replica");
+    let kb = KnowledgeBase::new();
+    learn_workload(&w, &kb, &fast_learning());
+    for id in ["zz_scan_1", "zz_scan_2"] {
+        kb.insert(&scan_template(id));
+    }
+    let primary = Primary::new(Arc::new(kb));
+    let mut replica = Replica::new();
+    let (mut client, mut server) = loopback();
+    let mut peer = PeerState::default();
+    let policy = RetryPolicy::default();
+    let mut catch_up = |replica: &mut Replica| {
+        let pump = &mut || {
+            primary.serve_link(&mut peer, &mut server);
+        };
+        replica
+            .catch_up(&mut client, pump, &policy)
+            .expect("catch-up");
+    };
+    catch_up(&mut replica);
+    assert_eq!(replica.stats.snapshots_loaded, 1, "cold start");
+    let rkb = replica.knowledge_base_arc();
+    let cfg = MatchConfig::default();
+    let tier = ServingTier::new(&w.db, &rkb, cfg.clone());
+    let plan = &plans_of(&w)[0];
+    tier.serve(plan);
+
+    assert!(primary.retract(&iri("zz_scan_1")));
+    catch_up(&mut replica);
+    assert_eq!(replica.stats.snapshots_loaded, 1, "a frame, not a snapshot");
+    let kept = tier.serve(plan);
+    assert!(kept.report.cache_hit, "a frame no segment reads");
+    let fresh = match_plan(&w.db, &rkb, plan, &cfg);
+    assert_reports_equal(&kept.report, &fresh, "after the frame");
+
+    assert!(primary.retract(&iri("zz_scan_2")));
+    primary.compact_log();
+    catch_up(&mut replica);
+    assert_eq!(replica.stats.snapshots_loaded, 2, "the log was folded");
+    let reloaded = tier.serve(plan);
+    assert!(!reloaded.report.cache_hit, "a snapshot load is opaque");
+    let fresh = match_plan(&w.db, &rkb, plan, &cfg);
+    assert_reports_equal(&reloaded.report, &fresh, "after the snapshot");
+    assert_eq!(tier.cache().counters().stale_drops, 1);
+}
+
+/// A refinement whose *old* row admitted the segment drops the entry,
+/// although its new row does not: the template admitted the plan only
+/// through its widen factor, and the refinement decays it to 1.
+#[test]
+fn a_refinement_whose_old_row_admitted_drops_the_entry() {
+    let w = quirky_workload("serve_witness_refine");
+    let kb = KnowledgeBase::new();
+    let plans = plans_of(&w);
+    let plan = &plans[0];
+    let cfg = MatchConfig::default();
+    let mut tpl = template_of_plan(&w, plan, "widened", 1.0);
+    for pop in &mut tpl.pops {
+        let estimate = pop.cardinality.envelope(0.0).hi;
+        let mut widened = StatSketch::point(estimate * 4.0);
+        widened.set_widen(8.0);
+        pop.cardinality = widened;
+    }
+    kb.insert(&tpl);
+    let tier = ServingTier::new(&w.db, &kb, cfg.clone());
+    let before = tier.serve(plan);
+    let winner = before
+        .report
+        .rewrites
+        .first()
+        .map(|r| r.template_iri.clone());
+    assert_eq!(winner, Some(iri("widened")), "the widened template matches");
+    assert!(tier.serve(plan).report.cache_hit);
+
+    let narrows = tpl.pops.iter().map(|p| (p.pop_type.clone(), 0.0)).collect();
+    let refinement = TemplateRefinement {
+        observations: Vec::new(),
+        narrows,
+    };
+    assert!(
+        kb.refine_template_stats(&iri("widened"), &refinement)
+            .changed
+    );
+    let fresh = match_plan(&w.db, &kb, plan, &cfg);
+    assert!(
+        fresh.rewrites.is_empty(),
+        "the new row admits the plan no more"
+    );
+    let after = tier.serve(plan);
+    assert!(!after.report.cache_hit, "the old row admitted the segment");
+    assert_reports_equal(&after.report, &fresh, "after the refinement");
+}
+
+/// The learned knowledge base every interleaving starts from.
+fn interleaving_image() -> &'static str {
+    static IMAGE: OnceLock<String> = OnceLock::new();
+    IMAGE.get_or_init(|| {
+        let kb = KnowledgeBase::new();
+        learn_workload(&quirky_workload("serve_interleaved"), &kb, &fast_learning());
+        kb.export()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Random interleavings of every kind of change with serves through
+    /// one tier — publishes of templates abstracted from pool plans (as
+    /// they are, displaced so admission rejects them or counts a near
+    /// miss, under IRIs sorting before or after every learned one) and of
+    /// scan templates no segment reads, retractions (often of a plan's
+    /// winner), feedback refinements, a raw endpoint retraction followed
+    /// by `reindex`, imports and clears. A change is served around: the
+    /// plan it was drawn for just before and just after it. Every serve is
+    /// validated at an epoch, and its rewrites equal an uncached
+    /// `match_plan` at that epoch; a miss equals it on every counter too.
+    #[test]
+    fn every_serve_equals_an_uncached_match_at_its_epoch(
+        near_misses in any::<bool>(),
+        steps in proptest::collection::vec((0u8..10, any::<u64>()), 40..80),
+    ) {
+        let w = quirky_workload("serve_interleaved");
+        let kb = KnowledgeBase::new();
+        kb.import(interleaving_image()).unwrap();
+        let plans = plans_of(&w);
+        let cfg = MatchConfig {
+            near_miss_factor: if near_misses { 4.0 } else { 1.0 },
+            ..MatchConfig::default()
+        };
+        let tier = ServingTier::new(&w.db, &kb, cfg.clone());
+        let mut known = kb.dataset_template_iris(&w.name);
+        let check = |plan: &Qgm, context: &str| {
+            let served = tier.serve(plan);
+            assert_eq!(served.epoch, Some(kb.epoch()), "one thread: {context}");
+            let fresh = match_plan(&w.db, &kb, plan, &cfg);
+            assert_serve_equals(&served.report, &fresh, context);
+            if !served.report.cache_hit {
+                assert_eq!(served.report.near_misses, fresh.near_misses, "{context}");
+            }
+        };
+        for (step, &(kind, arg)) in steps.iter().enumerate() {
+            let plan = &plans[arg as usize % plans.len()];
+            // What a retraction takes: the plan's current winner, or any
+            // template ever published.
+            let victim = || {
+                let winner = match_plan(&w.db, &kb, plan, &cfg).rewrites.first().map(|r| r.template_iri.clone());
+                let any = (!known.is_empty()).then(|| known[(arg >> 8) as usize % known.len()].clone());
+                if arg & 0x80 == 0 { winner.or(any) } else { any }
+            };
+            let context = format!("step {step}: kind {kind}, arg {arg:#x}");
+            if kind < 3 {
+                check(plan, &context);
+                continue;
+            }
+            check(plan, &format!("{context}, before"));
+            match kind {
+                3 | 4 => {
+                    let prefix = if arg & 1 == 0 { "000" } else { "zzz" };
+                    let id = format!("{prefix}_pub_{step}");
+                    let tpl = match (arg >> 1) % 4 {
+                        0 => template_of_plan(&w, plan, &id, 1.0),
+                        1 => template_of_plan(&w, plan, &id, 3.0),
+                        2 => template_of_plan(&w, plan, &id, 1e6),
+                        _ => scan_template(&id),
+                    };
+                    kb.insert(&tpl);
+                    known.push(iri(&id));
+                }
+                5 | 6 => {
+                    if let Some(victim) = victim() {
+                        kb.remove_template(&victim);
+                    }
+                }
+                7 => {
+                    let report = match_plan(&w.db, &kb, plan, &cfg);
+                    tier.record_feedback(plan, &report, &compute_actuals(&w.db, plan));
+                    tier.apply_feedback();
+                }
+                8 => {
+                    if let Some(victim) = victim() {
+                        let removes = kb.retraction_of(&victim).into_iter();
+                        let triples = removes.filter_map(|record| match record {
+                            Record::Remove(s, p, o, None) => Some((s, p, o)),
+                            _ => None,
+                        });
+                        kb.server().remove_triples(triples);
+                        check(plan, &format!("{context}, behind the index's back"));
+                    }
+                    kb.reindex();
+                }
+                _ if arg % 4 == 0 => kb.clear(),
+                _ => {
+                    kb.import(&kb.export()).unwrap();
+                }
+            }
+            check(plan, &format!("{context}, after"));
+        }
+    }
 }
 
 // ----------------------------------------------------------------- stress --
@@ -335,7 +769,10 @@ fn noop_republish_preserves_cache_hits() {
 /// run is bracketed by two reads of epoch `e` must be identical — that
 /// is "no stale result at the served epoch". After the cluster quiesces,
 /// every serve must agree with fresh matching and the second pass must
-/// be all cache hits.
+/// be all cache hits. Both comparisons hold a miss to the full report and
+/// a hit to its rewrites: a hit may carry an outcome re-validated across
+/// publishes it could not see, with the counters of the match that
+/// produced it.
 #[test]
 fn stress_serving_under_concurrent_publishes_is_never_stale() {
     let w = quirky_workload("serve_stress");
@@ -373,7 +810,7 @@ fn stress_serving_under_concurrent_publishes_is_never_stale() {
                     if kb_ref.epoch() != e {
                         continue;
                     }
-                    assert_reports_equal(
+                    assert_serve_equals(
                         &outcome.report,
                         &fresh,
                         &format!("stress plan {i} at epoch {e}"),
@@ -413,10 +850,10 @@ fn stress_serving_under_concurrent_publishes_is_never_stale() {
         let fresh = match_plan(&w.db, &kb, plan, &cfg);
         let outcome = tier.serve(plan);
         assert_eq!(outcome.epoch, Some(kb.epoch()));
-        assert_reports_equal(&outcome.report, &fresh, "quiescent serve");
+        assert_serve_equals(&outcome.report, &fresh, "quiescent serve");
         let hit = tier.serve(plan);
         assert!(hit.report.cache_hit, "quiescent re-serve must hit");
-        assert_reports_equal(&hit.report, &fresh, "quiescent hit");
+        assert_serve_equals(&hit.report, &fresh, "quiescent hit");
         matched += usize::from(!fresh.rewrites.is_empty());
     }
     assert!(matched >= 1, "the learned KB must match something");
