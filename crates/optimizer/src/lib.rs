@@ -88,9 +88,10 @@ impl<'a> Optimizer<'a> {
             return Err(OptimizeError::EmptyQuery);
         }
         let (rewritten, _) = rewrite(query);
-        let planner = Planner::new(self.db, &rewritten, &self.config);
-        let cand = planner.plan().ok_or(OptimizeError::DisconnectedJoinGraph)?;
-        Ok(to_qgm(&rewritten, &cand.plan))
+        let cand = Planner::new(self.db, &rewritten, &self.config)
+            .plan()
+            .ok_or(OptimizeError::DisconnectedJoinGraph)?;
+        Ok(to_qgm(rewritten, &cand.plan))
     }
 
     /// Compile a query under a guideline document ("re-optimization"):
@@ -105,11 +106,11 @@ impl<'a> Optimizer<'a> {
             return Err(OptimizeError::EmptyQuery);
         }
         let (rewritten, _) = rewrite(query);
-        let planner = Planner::new(self.db, &rewritten, &self.config);
-        let (cand, outcome) = planner.plan_with_guidelines(doc);
+        let (cand, outcome) =
+            Planner::new(self.db, &rewritten, &self.config).plan_with_guidelines(doc);
         let cand = cand.ok_or(OptimizeError::DisconnectedJoinGraph)?;
         Ok(ReoptResult {
-            qgm: to_qgm(&rewritten, &cand.plan),
+            qgm: to_qgm(rewritten, &cand.plan),
             outcome,
         })
     }

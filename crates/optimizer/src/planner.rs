@@ -3,6 +3,28 @@
 //! (TPC-DS reaches 31-way joins, where exhaustive DP is infeasible — real
 //! optimizers degrade the same way), access-path selection, and
 //! guideline-constrained planning.
+//!
+//! An order is *interesting* when some later join can use it. Only a merge
+//! join uses an order, and [`Planner::for_each_join`] takes its key on a
+//! side `S` from [`galo_sql::CardEstimator::join_keys_between`]: the first
+//! member inside `S` of an equivalence class that also has a member on the
+//! other side. So an order `Some(c)` on table set `S` is **live** when `c`
+//! is the first member in `S` of its class and that class has a member
+//! outside `S` ([`Planner::live_orders`]); any other order is dead.
+//! Liveness can only be lost as `S` grows: a member that is not first in
+//! `S` is not first in any superset, and a class with no member outside
+//! `S` has none outside any superset. A dead order never saves a sort above
+//! `S`, so a plan carrying one costs every later join exactly what an
+//! unordered plan of the same cost would, and dropping the order cannot
+//! change a winner. [`Planner::dp`] and [`Planner::greedy`] therefore turn
+//! a dead order into `None` before a join alternative reaches its
+//! [`Frontier`]: the cheapest plan that was ordered only on a dead column
+//! competes in the unordered slot instead of multiplying the alternatives
+//! of every set above it. The query has no ORDER BY or GROUP BY, so the
+//! whole query's set has no live order and its frontier holds one plan.
+//! Access paths keep every order ([`prune`]); the tests check each
+//! frontier against a reference that builds every alternative, and each
+//! winner against one that also keeps every order.
 
 use std::cmp::Ordering;
 use std::rc::Rc;
@@ -163,7 +185,9 @@ impl JoinAlt<'_> {
 /// `prune` would keep of the whole stream, in the order it would return
 /// them — per distinct order the cheapest alternative, the first offered
 /// winning ties; the cheapest unordered one only if it ranks first overall;
-/// ranked by (cost, offer order).
+/// ranked by (cost, offer order). Like `prune` it keeps every distinct
+/// order it is offered; the enumerators offer only live ones (see
+/// [`Planner::offer_live`]).
 #[derive(Debug, Default)]
 pub(crate) struct Frontier<'c> {
     /// Alternatives offered so far, i.e. the next one's rank among equals.
@@ -501,11 +525,45 @@ impl<'a> Planner<'a> {
     }
 
     /// The pruned frontier of `outer` ⋈ `inner`, this orientation only.
-    fn join_frontier(&self, outer: &Unit, inner: &Unit) -> Vec<Cand> {
+    fn join_frontier(&self, outer: &Unit, inner: &Unit, live: &mut Vec<ColRef>) -> Vec<Cand> {
         let mut frontier = Frontier::default();
         let card = self.est.join_card(outer.set | inner.set);
-        self.for_each_join(outer, inner, card, |alt| frontier.offer(alt));
+        self.for_each_join(outer, inner, card, |alt| {
+            self.offer_live(&mut frontier, live, alt)
+        });
         frontier.finish()
+    }
+
+    /// The orders a plan of table set `set` can still put to use, into
+    /// `live`: for every equivalence class with members both inside and
+    /// outside `set`, its first member inside (see the module docs).
+    fn live_orders(&self, set: u64, live: &mut Vec<ColRef>) {
+        live.clear();
+        for class in self.est.classes() {
+            let Some((table_idx, column)) = class.members_in(set).next() else {
+                continue;
+            };
+            if class.members.iter().any(|&(t, _)| set & (1 << t) == 0) {
+                live.push(ColRef { table_idx, column });
+            }
+        }
+    }
+
+    /// Offer one join alternative to the frontier of its table set, its
+    /// order turned into `None` unless the set can use it. The set's live
+    /// orders are found at the frontier's first offer, so a set no split
+    /// joins never pays for them, and one buffer serves every set.
+    fn offer_live<'c>(
+        &self,
+        frontier: &mut Frontier<'c>,
+        live: &mut Vec<ColRef>,
+        mut alt: JoinAlt<'c>,
+    ) {
+        if frontier.offered == 0 {
+            self.live_orders(alt.outer.set | alt.inner.set, live);
+        }
+        alt.order = alt.order.filter(|c| live.contains(c));
+        frontier.offer(alt);
     }
 
     // ---- enumeration ----
@@ -536,6 +594,7 @@ impl<'a> Planner<'a> {
         for (i, unit) in units.into_iter().enumerate() {
             table[1 << i] = Some(unit);
         }
+        let mut live = Vec::with_capacity(self.est.classes().len());
         // Ascending numeric order plans every proper submask first.
         for mask in 3..table.len() {
             if mask.is_power_of_two() {
@@ -552,8 +611,9 @@ impl<'a> Planner<'a> {
                 let other = mask & !sub;
                 if sub < other {
                     if let (Some(a), Some(b)) = (&table[sub], &table[other]) {
-                        self.for_each_join(a, b, card, |alt| frontier.offer(alt));
-                        self.for_each_join(b, a, card, |alt| frontier.offer(alt));
+                        let mut offer = |alt| self.offer_live(&mut frontier, &mut live, alt);
+                        self.for_each_join(a, b, card, &mut offer);
+                        self.for_each_join(b, a, card, &mut offer);
                     }
                 }
                 sub = (sub - 1) & mask;
@@ -578,6 +638,7 @@ impl<'a> Planner<'a> {
         let mut live: Vec<usize> = (0..arena.len()).collect();
         let slots = (2 * arena.len()).saturating_sub(1);
         let mut joined: Vec<Option<Vec<Cand>>> = vec![None; slots * slots];
+        let mut orders = Vec::with_capacity(self.est.classes().len());
         while live.len() > 1 {
             let mut best: Option<(usize, usize, f64)> = None;
             for (a, &i) in live.iter().enumerate() {
@@ -585,8 +646,9 @@ impl<'a> Planner<'a> {
                     if a == b {
                         continue;
                     }
-                    let cands = joined[i * slots + j]
-                        .get_or_insert_with(|| self.join_frontier(&arena[i], &arena[j]));
+                    let cands = joined[i * slots + j].get_or_insert_with(|| {
+                        self.join_frontier(&arena[i], &arena[j], &mut orders)
+                    });
                     // A frontier's first plan is its cheapest.
                     let Some(cheapest) = cands.first() else {
                         continue;
@@ -776,7 +838,9 @@ fn cmp_cost(a: f64, b: f64) -> Ordering {
 }
 
 /// Pareto pruning: keep the cheapest candidate overall plus the cheapest
-/// per distinct output order (interesting orders).
+/// per distinct output order, whether or not any later join can use that
+/// order. Access paths are pruned this way; join sets keep only live
+/// orders (see the module docs).
 pub(crate) fn prune(mut cands: Vec<Cand>) -> Vec<Cand> {
     cands.sort_by(|a, b| cmp_cost(a.cost, b.cost));
     let mut kept: Vec<Cand> = Vec::new();
@@ -791,9 +855,9 @@ pub(crate) fn prune(mut cands: Vec<Cand>) -> Vec<Cand> {
     kept
 }
 
-/// Convert a physical plan into a QGM.
-pub(crate) fn to_qgm(query: &Query, plan: &PhysPlan) -> Qgm {
-    let mut b = Qgm::builder(query.clone());
+/// Convert a physical plan into a QGM that owns `query`.
+pub(crate) fn to_qgm(query: Query, plan: &PhysPlan) -> Qgm {
+    let mut b = Qgm::builder(query);
     let top = emit(&mut b, plan);
     b.finish(top)
 }

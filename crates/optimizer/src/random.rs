@@ -87,7 +87,7 @@ impl<'a> RandomPlanGenerator<'a> {
         }
 
         let cand = components.pop()?.cands.pop()?;
-        Some(to_qgm(self.query, &cand.plan))
+        Some(to_qgm(self.query.clone(), &cand.plan))
     }
 
     /// Sample up to `n` random plans with distinct fingerprints.

@@ -1,6 +1,7 @@
 //! Crate-level optimizer tests over a small star schema.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use galo_catalog::{
     col, ColumnId, ColumnStats, ColumnType, Database, DatabaseBuilder, Index, SystemConfig, Table,
@@ -11,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::planner::{prune, Cand, Frontier, JoinAlt, JoinMethod, Planner, Unit};
+use crate::planner::{prune, Cand, Frontier, JoinAlt, JoinMethod, PhysPlan, Planner, Unit};
 use crate::{OptimizeError, Optimizer, PlannerConfig};
 
 /// Star schema: SALES fact (2.88M) with DATE_DIM, ITEM, STORE dimensions.
@@ -526,9 +527,39 @@ fn random_query(rng: &mut StdRng, db: &Database, n: usize, shape: Shape, locals:
     parse(db, "random", &sql).unwrap()
 }
 
+/// Which orders a reference keeps on a join set's frontier.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Orders {
+    /// Every distinct order (`prune` as it is): the winner oracle.
+    Every,
+    /// Only live ones, by the rule stated here independently of the
+    /// planner: the per-set frontier oracle.
+    Live,
+}
+
+/// Whether order `c` on table set `set` is live: `c` is the first member
+/// in `set` of its equivalence class, and that class reaches outside `set`.
+fn is_live(p: &Planner, set: u64, c: ColRef) -> bool {
+    p.est.classes().iter().any(|class| {
+        let first = class.members.iter().find(|(t, _)| set & (1 << t) != 0);
+        first == Some(&(c.table_idx, c.column))
+            && !class.members.iter().all(|(t, _)| set & (1 << t) != 0)
+    })
+}
+
+/// Built join candidates pruned the way `orders` says.
+fn reference_prune(p: &Planner, mut cands: Vec<Cand>, orders: Orders) -> Vec<Cand> {
+    if orders == Orders::Live {
+        for c in &mut cands {
+            c.order = c.order.filter(|&o| is_live(p, c.set, o));
+        }
+    }
+    prune(cands)
+}
+
 /// The DP as it stood before join alternatives were costed unbuilt: every
-/// alternative of every split built, then `prune` per mask.
-fn reference_dp(p: &Planner, units: Vec<Unit>) -> HashMap<usize, Unit> {
+/// alternative of every split built, then pruned per mask.
+fn reference_dp(p: &Planner, units: Vec<Unit>, orders: Orders) -> HashMap<usize, Unit> {
     let full = (1usize << units.len()) - 1;
     let mut table: HashMap<usize, Unit> = HashMap::new();
     for (i, unit) in units.into_iter().enumerate() {
@@ -553,7 +584,7 @@ fn reference_dp(p: &Planner, units: Vec<Unit>) -> HashMap<usize, Unit> {
             sub = (sub - 1) & mask;
         }
         if !cands.is_empty() {
-            table.insert(mask, p.unit(prune(cands)));
+            table.insert(mask, p.unit(reference_prune(p, cands, orders)));
         }
     }
     table
@@ -561,7 +592,7 @@ fn reference_dp(p: &Planner, units: Vec<Unit>) -> HashMap<usize, Unit> {
 
 /// Greedy as it stood: every ordered pair re-joined, built and pruned in
 /// every round.
-fn reference_greedy(p: &Planner, mut units: Vec<Unit>) -> Option<Unit> {
+fn reference_greedy(p: &Planner, mut units: Vec<Unit>, orders: Orders) -> Option<Unit> {
     while units.len() > 1 {
         let mut best: Option<(usize, usize, Vec<Cand>, f64)> = None;
         for i in 0..units.len() {
@@ -569,7 +600,7 @@ fn reference_greedy(p: &Planner, mut units: Vec<Unit>) -> Option<Unit> {
                 if i == j {
                     continue;
                 }
-                let cands = prune(p.join_candidates(&units[i], &units[j]));
+                let cands = reference_prune(p, p.join_candidates(&units[i], &units[j]), orders);
                 if cands.is_empty() {
                     continue;
                 }
@@ -595,6 +626,27 @@ fn assert_same_frontier(got: Option<&Unit>, want: Option<&Unit>, what: &str) {
     assert_eq!(text(got), text(want), "{what}");
 }
 
+/// The plan `plan_units` would pick of a frontier: the first cheapest.
+fn winner(unit: &Unit) -> &Cand {
+    unit.cands
+        .iter()
+        .min_by(|a, b| a.cost.partial_cmp(&b.cost).unwrap())
+        .unwrap()
+}
+
+/// Winners are equal when cost bits and plan debug text are.
+fn assert_same_winner(got: &Cand, want: &Cand, what: &str) {
+    assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}");
+    assert_eq!(
+        format!("{:?}", got.plan),
+        format!("{:?}", want.plan),
+        "{what}"
+    );
+}
+
+/// Every mask's frontier equals the live-order reference's, and the
+/// winners of `dp`, `greedy` and `plan_units` are bit-identical to those
+/// of the reference that keeps every order.
 #[test]
 fn enumerator_matches_the_reference_on_random_queries() {
     let mut rng = StdRng::seed_from_u64(0x6a10);
@@ -638,33 +690,145 @@ fn enumerator_matches_the_reference_on_random_queries() {
                     }
                 };
 
-                let want = reference_dp(&p, units());
                 let got = p.dp(units());
+                let live = reference_dp(&p, units(), Orders::Live);
                 for (mask, got) in got.iter().enumerate() {
-                    assert_same_frontier(got.as_ref(), want.get(&mask), &what);
+                    assert_same_frontier(got.as_ref(), live.get(&mask), &what);
                 }
+                let greedy = p.greedy(units()).unwrap();
                 assert_same_frontier(
-                    p.greedy(units()).as_ref(),
-                    reference_greedy(&p, units()).as_ref(),
+                    Some(&greedy),
+                    reference_greedy(&p, units(), Orders::Live).as_ref(),
                     &what,
                 );
 
-                // The winner `plan_units` picks is the reference's.
-                let want = want[&(got.len() - 1)]
-                    .cands
-                    .iter()
-                    .min_by(|a, b| a.cost.partial_cmp(&b.cost).unwrap())
-                    .unwrap();
-                let got = p.plan_units(units()).unwrap();
-                assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}");
-                assert_eq!(
-                    format!("{:?}", got.plan),
-                    format!("{:?}", want.plan),
-                    "{what}"
-                );
+                // Dropping dead orders changes no winner.
+                let full = got.len() - 1;
+                let oracle = reference_dp(&p, units(), Orders::Every);
+                let want = winner(&oracle[&full]);
+                assert_same_winner(winner(got[full].as_ref().unwrap()), want, &what);
+                assert_same_winner(&p.plan_units(units()).unwrap(), want, &what);
+                let greedy_oracle = reference_greedy(&p, units(), Orders::Every).unwrap();
+                assert_same_winner(winner(&greedy), winner(&greedy_oracle), &what);
             }
         }
     }
+}
+
+// ---- interesting orders ----
+
+/// Adds a table of `rows` rows with 200-byte payload `<name>_PAD` and the
+/// integer columns `<name>_<key>`, each unique per row; the keys named in
+/// `indexed` get a clustered index.
+fn add_keyed(b: &mut DatabaseBuilder, name: &str, rows: u64, keys: &[&str], indexed: &[&str]) {
+    let mut columns: Vec<_> = keys
+        .iter()
+        .map(|k| col(&format!("{name}_{k}"), ColumnType::Integer))
+        .collect();
+    columns.push(col(&format!("{name}_PAD"), ColumnType::Varchar(200)));
+    let mut table = Table::new(name, columns);
+    for (c, k) in keys.iter().enumerate() {
+        if indexed.contains(k) {
+            table.add_index(Index {
+                name: format!("{name}_{k}_IX"),
+                column: ColumnId(c as u32),
+                unique: true,
+                cluster_ratio: 1.0,
+            });
+        }
+    }
+    let mut stats: Vec<_> = keys
+        .iter()
+        .map(|_| ColumnStats::uniform(rows, 0.0, rows as f64, 4))
+        .collect();
+    stats.push(ColumnStats::uniform(rows, 0.0, rows as f64, 200));
+    b.add_table(table, rows, stats);
+}
+
+#[test]
+fn a_merge_order_a_later_join_uses_stays_on_the_frontier() {
+    // One key class over three big tables, each read in key order by an
+    // index-only scan: merge joins need no sort anywhere.
+    let mut b = DatabaseBuilder::new("chain_of_keys", SystemConfig::default_1gb());
+    for name in ["A", "B", "C"] {
+        add_keyed(&mut b, name, 1_000_000, &["X"], &["X"]);
+    }
+    let db = b.build();
+    let q = parse(
+        &db,
+        "abc",
+        "SELECT a_x FROM a, b, c WHERE a_x = b_x AND b_x = c_x",
+    )
+    .unwrap();
+    let config = PlannerConfig::default();
+    let p = Planner::new(&db, &q, &config);
+    let table = p.dp(p.table_units());
+
+    // {a, b}: the class reaches c, so its first member inside keeps the
+    // merge join's order.
+    let ab = table[0b011].as_ref().unwrap();
+    let ordered: Vec<&Cand> = ab.cands.iter().filter(|c| c.order.is_some()).collect();
+    assert_eq!(ordered.len(), 1, "{:?}", ab.cands);
+    let merged = ordered[0];
+    assert!(is_live(&p, 0b011, merged.order.unwrap()));
+    assert!(
+        matches!(
+            &*merged.plan,
+            PhysPlan::Join {
+                method: JoinMethod::Ms,
+                ..
+            }
+        ),
+        "{merged:?}"
+    );
+
+    // {a, b, c}: the winner merges that very plan in, with no sort on it.
+    let abc = table[0b111].as_ref().unwrap();
+    assert_eq!(abc.cands.len(), 1, "no order is live on the whole query");
+    let PhysPlan::Join {
+        method: JoinMethod::Ms,
+        outer,
+        inner,
+        ..
+    } = &*abc.cands[0].plan
+    else {
+        panic!("a merge join wins: {:?}", abc.cands[0]);
+    };
+    assert!(
+        Rc::ptr_eq(outer, &merged.plan) || Rc::ptr_eq(inner, &merged.plan),
+        "{:?}",
+        abc.cands[0]
+    );
+}
+
+#[test]
+fn merge_orders_die_where_their_key_class_is_complete() {
+    // A star: each dimension's key class is complete once it joins the
+    // fact, and the fact has no index that could carry another order.
+    let mut b = DatabaseBuilder::new("star_of_keys", SystemConfig::default_1gb());
+    add_keyed(&mut b, "F", 1_000_000, &["A", "B", "C"], &[]);
+    for name in ["D1", "D2", "D3"] {
+        add_keyed(&mut b, name, 50_000, &["X"], &["X"]);
+    }
+    let db = b.build();
+    let q = parse(
+        &db,
+        "star",
+        "SELECT f_a FROM f, d1, d2, d3 WHERE f_a = d1_x AND f_b = d2_x AND f_c = d3_x",
+    )
+    .unwrap();
+    let config = PlannerConfig::default();
+    let p = Planner::new(&db, &q, &config);
+    let table = p.dp(p.table_units());
+    let every = reference_dp(&p, p.table_units(), Orders::Every);
+
+    for mask in [0b0011, 0b0101, 0b1001] {
+        let pair = table[mask].as_ref().unwrap();
+        assert!(pair.cands.iter().all(|c| c.order.is_none()), "{pair:?}");
+        // Keeping every order, the same set holds dead ones.
+        assert!(every[&mask].cands.iter().any(|c| c.order.is_some()));
+    }
+    assert_eq!(table[0b1111].as_ref().unwrap().cands.len(), 1);
 }
 
 // ---- tie-breaking ----
