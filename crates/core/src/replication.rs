@@ -821,12 +821,14 @@ impl Replica {
                     self.stats.frames_skipped += 1;
                     return FeedEvent::Duplicate;
                 }
-                let Ok(image) = galo_rdf::store_from_snapshot(bytes) else {
+                let Ok(image) = galo_rdf::decode_snapshot(bytes) else {
                     // A snapshot that fails to decode despite the frame
                     // checksum: treat as a gap and re-pull.
                     return gap;
                 };
-                self.kb.apply_block(&QuadBlock::replacing_with(&image));
+                // The snapshot is the block that replaces any image with
+                // the primary's.
+                self.kb.apply_block(&image);
                 self.next_seq = frame.seq + 1;
                 self.epoch = frame.epoch;
                 self.stats.snapshots_loaded += 1;

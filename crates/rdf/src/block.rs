@@ -6,9 +6,10 @@
 //! again. A [`QuadBlock`] names each distinct term once, in a local
 //! dictionary, and states the batch as operations over dictionary
 //! indices; its encoding is the payload of a `Publish` and a `Mutation`
-//! frame ([`crate::wire`]) and the body of a log record
-//! ([`crate::persist`]), so a batch is encoded once where it is born and
-//! those bytes are what every later hop checksums, stores and forwards.
+//! frame ([`crate::wire`]), the body of a log record and the body of a
+//! snapshot ([`crate::persist`]), so a batch is encoded once where it is
+//! born and those bytes are what every later hop checksums, stores and
+//! forwards.
 //!
 //! ```text
 //! block := n_terms u32 | term × n_terms | n_ops u32 | op × n_ops
@@ -16,9 +17,8 @@
 //! op    := kind u8 (0 insert, 1 remove, 2 clear) | s | p | o | g
 //! ```
 //!
-//! All integers are little-endian. A term is encoded exactly as in a
-//! snapshot's interner table. `s p o g` are dictionary indices, each as
-//! wide as the dictionary needs — one byte below 255 terms, two below
+//! All integers are little-endian. `s p o g` are dictionary indices, each
+//! as wide as the dictionary needs — one byte below 255 terms, two below
 //! 65,535, else four — and the all-ones value of that width is the
 //! sentinel: `g` carries it for a default-graph statement, and a clear
 //! carries it in all four places. Nothing in the format is optional or
@@ -27,7 +27,7 @@
 //! against the bytes that are left before it reserves anything, and
 //! rejects an index outside the dictionary, an unknown tag or kind, text
 //! that is not UTF-8 and trailing bytes. The block carries no checksum of
-//! its own; the frame and the log record around it do.
+//! its own; the frame, the log record and the snapshot around it do.
 //!
 //! One loop turns a batch into mutations of a [`TripleStore`]:
 //! [`QuadBlock::apply_to`] runs it over a block the caller keeps,
@@ -38,9 +38,28 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::ntriples::Quad;
-use crate::persist::Record;
 use crate::store::TripleStore;
 use crate::term::{Term, TermId};
+
+/// One statement-level operation with its terms owned: what the knowledge
+/// base's mutators and the endpoint's writes build their blocks from. A
+/// batch of them is one block ([`QuadBlock::of_records`] borrows their
+/// terms, [`QuadBlock::from_records`] takes them).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Record {
+    /// Assert one statement (named-graph tag when the fourth term is set).
+    Insert(Term, Term, Term, Option<Term>),
+    /// Retract one statement.
+    Remove(Term, Term, Term, Option<Term>),
+    /// Drop the whole image.
+    Clear,
+}
+
+impl From<Quad> for Record {
+    fn from((s, p, o, graph): Quad) -> Self {
+        Record::Insert(s, p, o, graph)
+    }
+}
 
 /// Dictionary indices of one statement: subject, predicate, object, and
 /// the named graph (`None` = the default graph).
@@ -172,8 +191,9 @@ impl<'a> QuadBlock<&'a Term> {
 
     /// The block that turns any image into `store`'s: a clear, then one
     /// insert per statement — the default graph in scan order, then the
-    /// named graphs in name order. This is how a replica applies a
-    /// snapshot transfer.
+    /// named graphs in name order. Its encoding is the body of a snapshot
+    /// ([`crate::persist::snapshot_bytes`]), on disk and in a replica's
+    /// cold-start transfer.
     pub fn replacing_with<S: TripleStore + ?Sized>(store: &'a S) -> Self {
         let mut b = BlockBuilder::with_capacity(store.len() + 1);
         b.push(BlockOp::Clear);
@@ -562,9 +582,8 @@ pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// One term as the snapshot's interner table and a block's dictionary
-/// both hold it: tag, byte length, text.
-pub(crate) fn put_term(buf: &mut Vec<u8>, term: &Term) {
+/// One term as a block's dictionary holds it: tag, byte length, text.
+fn put_term(buf: &mut Vec<u8>, term: &Term) {
     let (tag, text): (u8, &str) = match term {
         Term::Iri(s) => (0, s),
         Term::Literal(l) => (1, &l.lexical),
@@ -575,7 +594,7 @@ pub(crate) fn put_term(buf: &mut Vec<u8>, term: &Term) {
     buf.extend_from_slice(text.as_bytes());
 }
 
-/// A bounds-checked reader over snapshot or block bytes.
+/// A bounds-checked reader over block, log-record or snapshot bytes.
 pub(crate) struct ByteReader<'a> {
     pub(crate) bytes: &'a [u8],
     pub(crate) pos: usize,

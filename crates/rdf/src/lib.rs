@@ -32,10 +32,10 @@
 //! lookup keyed), [`ScanStore`] (the naive linear-scan reference the
 //! proptests differential-test against), and [`DurableStore`] (the
 //! persistent backend: an append-only write-ahead log of checksummed
-//! [quad blocks](block), one record per commit, plus
-//! periodic binary snapshots around an inner `IndexedStore`, with
+//! [quad blocks](block), one record per commit, plus periodic snapshots
+//! of the whole image as one block, around an inner `IndexedStore`, with
 //! crash recovery in [`DurableStore::open`] — see the [`persist`]
-//! module docs for the on-disk formats). [`ShardedStore`] partitions any
+//! module docs for the on-disk layout). [`ShardedStore`] partitions any
 //! of them N ways and meets the same contract through its all-shard read
 //! and write sessions (see the [`shard`] module docs).
 
@@ -51,11 +51,9 @@ pub mod store;
 pub mod term;
 pub mod wire;
 
-pub use block::{Applied, BlockError, BlockOp, QuadBlock, QuadIx};
+pub use block::{Applied, BlockError, BlockOp, QuadBlock, QuadIx, Record};
 pub use ntriples::{from_ntriples, load_ntriples, parse_ntriples, to_ntriples, NtParseError, Quad};
-pub use persist::{
-    snapshot_bytes, store_from_snapshot, DurableOptions, DurableStore, Record, ScratchDir,
-};
+pub use persist::{decode_snapshot, snapshot_bytes, DurableOptions, DurableStore, ScratchDir};
 pub use policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};
 pub use server::{FusekiLite, MutationScope, Probe, ServerError};
 pub use shard::{HashRouter, ShardRouter, ShardStats, ShardedStore, TemplateRouter};
@@ -64,9 +62,7 @@ pub use sparql::{
     parse_update, prepare_seeded, projected_vars, CmpOp, Expr, PathPattern, PreparedQuery,
     ResultSet, SelectQuery, SparqlParseError, TermPattern, TriplePattern, Update,
 };
-pub use store::{
-    IndexedStore, ReadOnlyReplica, ReadOnlyStore, ScanStore, StoragePressure, Triple, TripleStore,
-};
+pub use store::{IndexedStore, ReadOnlyReplica, ScanStore, StoragePressure, Triple, TripleStore};
 pub use term::{Interner, Literal, Term, TermId};
 pub use wire::{decode_frame, encode_frame, Frame, FrameError, FramePayload, FRAME_MAGIC};
 

@@ -7,8 +7,8 @@
 //! external dependency: an in-memory [`IndexedStore`] serves every read,
 //! while each mutation is journaled to an append-only write-ahead log
 //! *before* it is acknowledged, and [`compact`] periodically folds the log
-//! into a binary snapshot (interner table + SPO triples + named-graph
-//! tags).
+//! into a snapshot. Both hold [quad blocks](QuadBlock): a log record is one
+//! commit's block, a snapshot is the whole image as one.
 //!
 //! # On-disk layout
 //!
@@ -47,22 +47,26 @@
 //!   decision in [`crate::policy`]. Every fold attempt — inline,
 //!   background or an explicit [`compact`] — is counted by the store, in
 //!   its [`StoragePressure`].
-//! * **Older logs still open.** A version-1 log is `+ <s> <p> <o> .` /
-//!   `- …` / `* clear` lines, one statement each, committed by their
-//!   newline; version 2 (first line `# galo-wal v2`) suffixes each line
-//!   with ` #<fnv64>`. Both replay under their own rules, torn tail and
-//!   checksum included. Nothing writes them any more: a store whose newest
-//!   log is of an older version starts the next generation's log before
-//!   its first append, so no file ever mixes versions.
-//! * **Snapshots** are written to a temporary file, fsynced, then
-//!   atomically renamed, and carry an FNV-1a checksum over their whole
-//!   body; a snapshot that fails validation is quarantined (renamed
-//!   `*.corrupt`) and recovery falls back to the previous generation,
-//!   replaying every later log. If the surviving logs cannot cover the
-//!   gap back to a valid snapshot, [`DurableStore::open`] refuses with
-//!   an error rather than silently opening partial history; so it does
-//!   when a log that is not the newest ends in a bad record, which a
-//!   crash cannot explain.
+//! * **One log version.** A log that does not begin with the version-3
+//!   header is refused with an `InvalidData` error and left as it is —
+//!   the text logs of versions 1 and 2 included. The one exception is a
+//!   strict prefix of the header, an empty file among them: a fresh log
+//!   torn while its header was being written. It holds no commit, so it
+//!   reopens empty and takes appends.
+//! * **Snapshots** are the magic `GALOSNAP`, the version (`u32` 2), one
+//!   encoded block — a clear, then one insert per statement
+//!   ([`QuadBlock::replacing_with`]) — and an FNV-64 checksum over
+//!   everything before it. Loading one applies its block to a fresh
+//!   store. They are written to a temporary file, fsynced, then
+//!   atomically renamed. A snapshot that fails its checksum or does not
+//!   decode is quarantined (renamed `*.corrupt`) and recovery falls back
+//!   to the previous generation, replaying every later log. One that is
+//!   whole but of another version was written by another build:
+//!   [`DurableStore::open`] refuses it and leaves the file where it is.
+//!   If the surviving logs cannot cover the gap back to a valid snapshot,
+//!   `open` refuses with an error rather than silently opening partial
+//!   history; so it does when a log that is not the newest ends in a bad
+//!   record, which a crash cannot explain.
 //! * **Compaction** ([`TripleStore::compact`]) opens the next
 //!   generation's log, writes the next-generation snapshot, rotates,
 //!   and prunes generations below the newest *remaining older*
@@ -72,38 +76,34 @@
 //!
 //! Interned [`TermId`]s are stable for the lifetime of one open store,
 //! as the [`TripleStore`] contract requires, but **not across reopens**:
-//! terms interned without ever appearing in a triple are not journaled,
-//! so a recovered store re-interns from its triples alone.
+//! the log and a snapshot hold terms, not ids, and a snapshot only the
+//! terms of the statements it holds, so a recovered store interns afresh
+//! from what it replays.
 //!
 //! [`compact`]: TripleStore::compact
 //! [`wal_records`]: DurableStore::wal_records
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::block::{
-    put_term, put_u32, put_u64, BlockBuilder, BlockError, BlockOp, ByteReader, QuadBlock,
-};
+use crate::block::{put_u32, put_u64, BlockBuilder, BlockOp, ByteReader, QuadBlock};
 use crate::fnv::fnv1a;
-use crate::ntriples::{parse_ntriples, Quad};
 use crate::policy::{CompactionPolicy, Pace};
 use crate::store::{IndexedStore, StoragePressure, Triple, TripleStore};
 use crate::term::{Term, TermId};
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"GALOSNAP";
-const SNAPSHOT_VERSION: u32 = 1;
+const SNAPSHOT_VERSION: u32 = 2;
+/// Bytes before a snapshot's block: the magic and the version.
+const SNAPSHOT_HEADER: usize = SNAPSHOT_MAGIC.len() + 4;
 const SNAPSHOT_PREFIX: &str = "snapshot-";
 const SNAPSHOT_SUFFIX: &str = ".galo";
 const WAL_PREFIX: &str = "wal-";
 const WAL_SUFFIX: &str = ".log";
 
-/// What every log's first line starts with, whatever its version.
-const WAL_HEADER_STEM: &[u8] = b"# galo-wal v";
-/// First line of a version-3 log, the only one written.
+/// First line of a log: version 3, the only one read or written.
 const WAL_V3_HEADER: &[u8] = b"# galo-wal v3\n";
-/// First line of a version-2 log; a log with no header line is version 1.
-const WAL_V2_HEADER: &[u8] = b"# galo-wal v2\n";
 
 /// Tuning knobs for a [`DurableStore`].
 #[derive(Debug, Clone, Default)]
@@ -165,27 +165,6 @@ pub struct DurableStore {
     pace: Pace,
 }
 
-/// One statement-level operation with its terms owned: what the
-/// version-1 and version-2 log readers yield a line at a time, and what
-/// the knowledge base's mutators build their blocks from. A batch of them
-/// is applied as one block ([`QuadBlock::of_records`],
-/// [`QuadBlock::from_records`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Record {
-    /// Assert one statement (named-graph tag when the fourth term is set).
-    Insert(Term, Term, Term, Option<Term>),
-    /// Retract one statement.
-    Remove(Term, Term, Term, Option<Term>),
-    /// Drop the whole image.
-    Clear,
-}
-
-impl From<Quad> for Record {
-    fn from((s, p, o, graph): Quad) -> Self {
-        Record::Insert(s, p, o, graph)
-    }
-}
-
 impl DurableStore {
     /// Open (or create) a durable store rooted at `dir` with default
     /// options: load the newest valid snapshot, replay every later log in
@@ -203,11 +182,18 @@ impl DurableStore {
         let mut inner = IndexedStore::new();
         let mut base = None;
         for (gen, path) in &snapshots {
-            match load_snapshot(path) {
-                Ok(store) => {
-                    inner = store;
+            let bytes = fs::read(path)?;
+            match decode_snapshot(&bytes) {
+                Ok(block) => {
+                    block.apply_into(&mut inner);
                     base = Some(*gen);
                     break;
+                }
+                Err(e) if sealed_version(&bytes).is_some_and(|v| v != SNAPSHOT_VERSION) => {
+                    // Whole, but written by another build: falling back
+                    // past it would open older history as if it were the
+                    // newest. Refuse, and leave the file as it is.
+                    return Err(invalid_data(format!("{}: {e}", path.display())));
                 }
                 Err(_) => {
                     // Corrupt snapshot: quarantine it (so compaction's
@@ -232,14 +218,11 @@ impl DurableStore {
         let contiguous = run.iter().zip(run.iter().skip(1)).all(|(a, b)| b - a == 1);
         let anchored = run.first().is_none_or(|&first| first == base_gen);
         if !(contiguous && anchored) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "durable store at {} has no recoverable generation chain \
-                     (no valid snapshot covers the surviving logs {run:?})",
-                    dir.display()
-                ),
-            ));
+            return Err(invalid_data(format!(
+                "durable store at {} has no recoverable generation chain \
+                 (no valid snapshot covers the surviving logs {run:?})",
+                dir.display()
+            )));
         }
         let mut generation = base_gen;
         let mut newest = Replayed::default();
@@ -265,27 +248,17 @@ impl DurableStore {
                 // corruption. Stopping there and still replaying later
                 // generations would silently drop a slice of acknowledged
                 // history — refuse instead.
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "durable store at {}: corrupt record in non-newest log {} \
-                         ({} of {} bytes replayable) — recovery would skip \
-                         acknowledged history",
-                        dir.display(),
-                        path.display(),
-                        replayed.bytes,
-                        on_disk,
-                    ),
-                ));
+                return Err(invalid_data(format!(
+                    "durable store at {}: corrupt record in non-newest log {} \
+                     ({} of {} bytes replayable) — recovery would skip \
+                     acknowledged history",
+                    dir.display(),
+                    path.display(),
+                    replayed.bytes,
+                    on_disk,
+                )));
             }
             generation = generation.max(*gen);
-        }
-        if newest.legacy && newest.bytes > 0 {
-            // The newest log was written by an older build. It stays as it
-            // is — one more link of the chain — and appends go to the next
-            // generation's log, so no file mixes versions.
-            generation += 1;
-            newest = Replayed::default();
         }
         let mut wal = OpenOptions::new()
             .create(true)
@@ -422,6 +395,11 @@ impl DurableStore {
     }
 }
 
+/// The error for stored or transferred bytes this build refuses.
+fn invalid_data(message: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, message)
+}
+
 /// `<dir>/wal-<gen>.log`.
 fn wal_file(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("{WAL_PREFIX}{generation:010}{WAL_SUFFIX}"))
@@ -478,49 +456,6 @@ fn encode_record(inner: &IndexedStore, ops: &[BlockOp]) -> Vec<u8> {
     record
 }
 
-/// Parse one committed v2 log line: split off the trailing checksum,
-/// verify it over the body, then parse the body as a v1 record. `None`
-/// marks a torn, malformed, or corrupted record.
-fn parse_record_v2(line: &str) -> Option<Record> {
-    let (body, sum) = line.rsplit_once(" #")?;
-    if sum.len() != 16 {
-        return None;
-    }
-    let stored = u64::from_str_radix(sum, 16).ok()?;
-    if fnv1a(body.as_bytes()) != stored {
-        return None;
-    }
-    parse_record(body)
-}
-
-/// Parse one committed v1 log line; `None` marks an invalid record
-/// (replay treats it, and everything after it, as the torn tail).
-fn parse_record(line: &str) -> Option<Record> {
-    if line == "* clear" {
-        return Some(Record::Clear);
-    }
-    let (op, rest) = line.split_at_checked(2)?;
-    let statements = parse_ntriples(rest).ok()?;
-    let [(s, p, o, graph)] = statements.as_slice() else {
-        return None;
-    };
-    match op {
-        "+ " => Some(Record::Insert(
-            s.clone(),
-            p.clone(),
-            o.clone(),
-            graph.clone(),
-        )),
-        "- " => Some(Record::Remove(
-            s.clone(),
-            p.clone(),
-            o.clone(),
-            graph.clone(),
-        )),
-        _ => None,
-    }
-}
-
 /// What replaying one log found.
 #[derive(Default)]
 struct Replayed {
@@ -529,8 +464,6 @@ struct Replayed {
     bytes: u64,
     /// Records in that prefix.
     records: u64,
-    /// The log is version 1 or 2: read, never appended to.
-    legacy: bool,
 }
 
 /// Replay a log into `inner`, up to its first record that is torn,
@@ -544,23 +477,21 @@ fn replay_wal(inner: &mut IndexedStore, path: &Path) -> std::io::Result<Replayed
     if bytes.starts_with(WAL_V3_HEADER) {
         return Ok(replay_v3(inner, &bytes));
     }
-    let v2 = bytes.starts_with(WAL_V2_HEADER);
-    if !v2 && bytes.starts_with(WAL_HEADER_STEM) && bytes.contains(&b'\n') {
-        // Replaying it as version 1 would find no valid line and truncate
-        // the whole log away.
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!(
-                "log {} is of a version this build cannot read",
-                path.display()
-            ),
-        ));
+    if WAL_V3_HEADER.starts_with(&bytes) {
+        // A fresh log torn while its header was being written: it holds
+        // no commit, and the open truncates it and writes the header anew.
+        return Ok(Replayed::default());
     }
-    Ok(replay_legacy(inner, &bytes, v2))
+    // A text log of version 1 or 2, or a log of a later build: replaying
+    // it as version 3 would find no record and truncate it all away.
+    Err(invalid_data(format!(
+        "log {} is not a version-3 log, the only version this build reads",
+        path.display()
+    )))
 }
 
-/// Version 3: a record is committed when all of its bytes are there, its
-/// checksum is right and its block decodes.
+/// A record is committed when all of its bytes are there, its checksum is
+/// right and its block decodes.
 fn replay_v3(inner: &mut IndexedStore, bytes: &[u8]) -> Replayed {
     let mut at = WAL_V3_HEADER.len();
     let mut records = 0;
@@ -586,193 +517,52 @@ fn replay_v3(inner: &mut IndexedStore, bytes: &[u8]) -> Replayed {
     Replayed {
         bytes: at as u64,
         records,
-        legacy: false,
-    }
-}
-
-/// Versions 1 and 2: a record is one line, committed once its newline is
-/// there and it parses (and, in a v2 log, its checksum verifies). The v2
-/// header line counts toward the bytes but not toward the records.
-fn replay_legacy(inner: &mut IndexedStore, bytes: &[u8], v2: bool) -> Replayed {
-    let mut start = if v2 { WAL_V2_HEADER.len() } else { 0 };
-    let mut records = Vec::new();
-    while let Some(nl) = bytes[start..].iter().position(|&b| b == b'\n') {
-        let end = start + nl;
-        let Ok(line) = std::str::from_utf8(&bytes[start..end]) else {
-            break;
-        };
-        let record = if v2 {
-            parse_record_v2(line)
-        } else {
-            parse_record(line)
-        };
-        let Some(record) = record else {
-            break;
-        };
-        records.push(record);
-        start = end + 1;
-    }
-    let replayed = records.len() as u64;
-    QuadBlock::from_records(records).apply_into(inner);
-    Replayed {
-        bytes: start as u64,
-        records: replayed,
-        legacy: true,
     }
 }
 
 // ------------------------------------------------------------ snapshot --
 
-/// Serialize any store's current image in the [`DurableStore`] snapshot
-/// format (magic, version, interner table, default-graph triples,
-/// named-graph tags, trailing FNV-64 checksum). The image is first copied
-/// into a fresh [`IndexedStore`] so term ids are dense regardless of the
-/// source backend's interner state — the bytes are exactly what
-/// [`TripleStore::compact`] would write for that image, and
-/// [`store_from_snapshot`] round-trips them. This is the replication
-/// subsystem's cold-start transfer payload.
+/// Serialize any store's current image as a snapshot: the magic, the
+/// version, the encoding of [`QuadBlock::replacing_with`] the store (a
+/// clear, then one insert per statement) and an FNV-64 checksum over
+/// everything before it. [`TripleStore::compact`] writes these bytes for
+/// its own image, and [`decode_snapshot`] reads them back. This is the
+/// replication subsystem's cold-start transfer payload.
 pub fn snapshot_bytes(store: &dyn TripleStore) -> Vec<u8> {
-    let mut image = IndexedStore::new();
-    let copy = |image: &mut IndexedStore, s: TermId, p: TermId, o: TermId| {
-        (
-            image.intern(store.resolve(s).clone()),
-            image.intern(store.resolve(p).clone()),
-            image.intern(store.resolve(o).clone()),
-        )
-    };
-    for (s, p, o) in store.scan(None, None, None) {
-        let t = copy(&mut image, s, p, o);
-        image.insert_ids(t);
-    }
-    for graph in store.graph_names() {
-        let gid = image.intern(graph.clone());
-        let g = store.term_id(&graph).expect("graph name is interned");
-        for (s, p, o) in store.scan_in(g, None, None, None) {
-            let t = copy(&mut image, s, p, o);
-            image.insert_ids_in(gid, t);
-        }
-    }
-    encode_snapshot(&image)
-}
-
-/// Serialize the whole store image: interner table, default-graph SPO
-/// triples, named-graph tags, trailing checksum.
-fn encode_snapshot(store: &IndexedStore) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(SNAPSHOT_MAGIC);
+    let mut buf = SNAPSHOT_MAGIC.to_vec();
     put_u32(&mut buf, SNAPSHOT_VERSION);
-    let terms = store.interner_len();
-    put_u64(&mut buf, terms as u64);
-    for i in 0..terms {
-        put_term(&mut buf, store.resolve(TermId(i as u32)));
-    }
-    let triples = store.scan(None, None, None);
-    put_u64(&mut buf, triples.len() as u64);
-    for (s, p, o) in triples {
-        put_u32(&mut buf, s.0);
-        put_u32(&mut buf, p.0);
-        put_u32(&mut buf, o.0);
-    }
-    let graphs = store.graph_names();
-    put_u64(&mut buf, graphs.len() as u64);
-    for graph in graphs {
-        let g = store.term_id(&graph).expect("graph name is interned");
-        let tagged = store.scan_in(g, None, None, None);
-        put_u32(&mut buf, g.0);
-        put_u64(&mut buf, tagged.len() as u64);
-        for (s, p, o) in tagged {
-            put_u32(&mut buf, s.0);
-            put_u32(&mut buf, p.0);
-            put_u32(&mut buf, o.0);
-        }
-    }
-    let checksum = fnv1a(&buf);
-    put_u64(&mut buf, checksum);
+    QuadBlock::replacing_with(store).encode_into(&mut buf);
+    let sum = fnv1a(&buf);
+    put_u64(&mut buf, sum);
     buf
 }
 
-fn snapshot_err(message: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, message)
-}
-
-impl From<BlockError> for std::io::Error {
-    fn from(e: BlockError) -> Self {
-        snapshot_err(e.0)
-    }
-}
-
-/// Load and validate one snapshot file into a fresh indexed store.
-fn load_snapshot(path: &Path) -> std::io::Result<IndexedStore> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    store_from_snapshot(&bytes)
+/// The version a snapshot claims, if its seal holds: the magic, and the
+/// checksum over everything before it.
+fn sealed_version(bytes: &[u8]) -> Option<u32> {
+    let (body, sum) = bytes.split_at(bytes.len().checked_sub(8)?);
+    let version = body.get(SNAPSHOT_MAGIC.len()..SNAPSHOT_HEADER)?;
+    let sealed = body.starts_with(SNAPSHOT_MAGIC)
+        && fnv1a(body) == u64::from_le_bytes(sum.try_into().expect("eight bytes"));
+    sealed.then(|| u32::from_le_bytes(version.try_into().expect("four bytes")))
 }
 
 /// Decode and validate snapshot bytes ([`snapshot_bytes`] or a
-/// `snapshot-*.galo` file's contents) into a fresh indexed store. Any
-/// truncation or corruption — bad magic, failed checksum, dangling term
-/// reference, trailing garbage — is an `InvalidData` error, never a
-/// partial image: a replica that receives a torn snapshot transfer
-/// rejects it wholesale and re-pulls.
-pub fn store_from_snapshot(bytes: &[u8]) -> std::io::Result<IndexedStore> {
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 4 + 8 || !bytes.starts_with(SNAPSHOT_MAGIC) {
-        return Err(snapshot_err("bad magic"));
+/// `snapshot-*.galo` file's contents) into the block that turns any image
+/// into the snapshotted one. Any truncation or corruption — bad magic,
+/// failed checksum, a body that is not one block — and any version but
+/// this build's is an `InvalidData` error, never a partial image: a
+/// replica that receives a torn snapshot transfer rejects it wholesale
+/// and re-pulls.
+pub fn decode_snapshot(bytes: &[u8]) -> std::io::Result<QuadBlock> {
+    match sealed_version(bytes) {
+        Some(SNAPSHOT_VERSION) => QuadBlock::decode(&bytes[SNAPSHOT_HEADER..bytes.len() - 8])
+            .map_err(|e| invalid_data(format!("bad snapshot: {e}"))),
+        Some(version) => Err(invalid_data(format!(
+            "snapshot of version {version}; this build reads version {SNAPSHOT_VERSION} only"
+        ))),
+        None => Err(invalid_data("bad snapshot: magic or checksum".to_string())),
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    if fnv1a(body) != stored {
-        return Err(snapshot_err("checksum mismatch"));
-    }
-    let mut r = ByteReader {
-        bytes: body,
-        pos: SNAPSHOT_MAGIC.len(),
-    };
-    if r.u32()? != SNAPSHOT_VERSION {
-        return Err(snapshot_err("unsupported snapshot version"));
-    }
-    let mut store = IndexedStore::new();
-    let terms = r.u64()?;
-    for i in 0..terms {
-        let term = r.term()?;
-        // Interning in file order reproduces the snapshotted ids.
-        let id = store.intern(term);
-        if id.0 as u64 != i {
-            return Err(snapshot_err("duplicate term in snapshot"));
-        }
-    }
-    let check_id = |id: u32| -> std::io::Result<TermId> {
-        if (id as u64) < terms {
-            Ok(TermId(id))
-        } else {
-            Err(snapshot_err("triple references unknown term"))
-        }
-    };
-    let triples = r.u64()?;
-    for _ in 0..triples {
-        let t = (
-            check_id(r.u32()?)?,
-            check_id(r.u32()?)?,
-            check_id(r.u32()?)?,
-        );
-        store.insert_ids(t);
-    }
-    let graphs = r.u64()?;
-    for _ in 0..graphs {
-        let g = check_id(r.u32()?)?;
-        let tagged = r.u64()?;
-        for _ in 0..tagged {
-            let t = (
-                check_id(r.u32()?)?,
-                check_id(r.u32()?)?,
-                check_id(r.u32()?)?,
-            );
-            store.insert_ids_in(g, t);
-        }
-    }
-    if r.pos != body.len() {
-        return Err(snapshot_err("trailing bytes after snapshot body"));
-    }
-    Ok(store)
 }
 
 impl TripleStore for DurableStore {
@@ -937,7 +727,7 @@ impl DurableStore {
         // the snapshot it is paired with.
         self.commit();
         let next = self.generation + 1;
-        let bytes = encode_snapshot(&self.inner);
+        let bytes = snapshot_bytes(&self.inner);
         let new_wal_path = wal_file(&self.dir, next);
         let rotate = || -> std::io::Result<File> {
             // Created, not appended to: an attempt that died further down
@@ -1326,25 +1116,54 @@ mod tests {
         st.insert(iri(1), p("a"), Term::lit("x"));
         st.insert(iri(2), p("b"), iri(1));
         st.insert_in(Term::iri("http://g/1"), iri(1), p("t"), Term::lit("y"));
-        // Interned-but-unused terms survive snapshots (though not WAL
-        // replay) because the full interner table is serialized.
+        // A snapshot holds statements, not the interner: a term no
+        // statement uses does not come back.
         st.intern(Term::lit("unused"));
-        let bytes = encode_snapshot(&st);
-        let dir = ScratchDir::new("persist-snap");
-        let path = dir.path().join("snap.galo");
-        fs::write(&path, &bytes).unwrap();
-        let back = load_snapshot(&path).unwrap();
-        assert_eq!(back.len(), 2);
-        assert!(back.term_id(&Term::lit("unused")).is_some());
+        let bytes = snapshot_bytes(&st);
+        let mut back = IndexedStore::new();
+        decode_snapshot(&bytes).unwrap().apply_into(&mut back);
+        assert_eq!(image(&back), image(&st));
         assert_eq!(back.graph_names(), vec![Term::iri("http://g/1")]);
-        // Term ids are reproduced exactly.
-        assert_eq!(back.term_id(&iri(1)), st.term_id(&iri(1)));
+        assert_eq!(back.term_id(&Term::lit("unused")), None);
+        // The body is one block: a clear, then one insert per statement.
+        let body = QuadBlock::decode(&bytes[SNAPSHOT_HEADER..bytes.len() - 8]).unwrap();
+        assert_eq!(body.ops().first(), Some(&BlockOp::Clear));
+        assert_eq!(body.ops().len(), 1 + 3);
         // A flipped byte fails validation.
         let mut bad = bytes.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0xff;
-        fs::write(&path, &bad).unwrap();
-        assert!(load_snapshot(&path).is_err());
+        assert!(decode_snapshot(&bad).is_err());
+    }
+
+    /// A snapshot whose magic and checksum hold but whose version is not
+    /// this build's was written by another build: the open refuses it by
+    /// name and leaves it where it is, rather than quarantining it and
+    /// falling back to older history.
+    #[test]
+    fn a_snapshot_of_another_version_is_refused_not_quarantined() {
+        let dir = ScratchDir::new("persist-snap-version");
+        {
+            let mut st = DurableStore::open(dir.path()).unwrap();
+            st.insert(iri(1), p("a"), Term::lit("1"));
+            st.compact().unwrap();
+        }
+        // Reseal generation 1's snapshot as version 1.
+        let path = snapshot_file(dir.path(), 1);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.truncate(bytes.len() - 8);
+        bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_HEADER].copy_from_slice(&1u32.to_le_bytes());
+        let sum = fnv1a(&bytes);
+        put_u64(&mut bytes, sum);
+        fs::write(&path, &bytes).unwrap();
+        let err = DurableStore::open(dir.path()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 1;"), "{err}");
+        assert_eq!(fs::read(&path).unwrap(), bytes, "the file is left as it is");
+        assert!(
+            !path.with_extension("galo.corrupt").exists(),
+            "not quarantined"
+        );
     }
 
     #[test]
@@ -1380,11 +1199,11 @@ mod tests {
         assert!(st.contains(&iri(1), &p("a"), &nasty));
     }
 
-    /// A fresh log is of the newest version — now 3: the header line,
-    /// then one length-framed, checksummed block per commit, whether the
-    /// commit was one mutation or a bracket of many.
+    /// A fresh log is of version 3: the header line, then one
+    /// length-framed, checksummed block per commit, whether the commit was
+    /// one mutation or a bracket of many.
     #[test]
-    fn fresh_logs_are_v2_with_per_record_checksums() {
+    fn fresh_logs_are_v3_with_per_record_checksums() {
         let dir = ScratchDir::new("persist-v3");
         let wal_path;
         {
@@ -1432,120 +1251,6 @@ mod tests {
         let st = DurableStore::open(dir.path()).unwrap();
         assert_eq!(st.len(), 0, "corrupted record and its tail are dropped");
         assert!(!st.contains(&iri(1), &p("a"), &Term::lit("1911")));
-    }
-
-    const GOLDEN_V1: &[u8] = include_bytes!("../../../tests/golden/wal_v1.log");
-    const GOLDEN_V1_IMAGE: &str = include_str!("../../../tests/golden/wal_v1.nq");
-    const GOLDEN_V2: &[u8] = include_bytes!("../../../tests/golden/wal_v2.log");
-    const GOLDEN_V2_IMAGE: &str = include_str!("../../../tests/golden/wal_v2.nq");
-
-    #[test]
-    fn legacy_v1_logs_replay_and_keep_their_format() {
-        // A log without a header (written by an older build) must replay
-        // under v1 rules and stay as it was written: appends go to the
-        // next generation's log, so no file ever mixes formats.
-        let dir = ScratchDir::new("persist-v1-compat");
-        let legacy_path = wal_file(dir.path(), 0);
-        fs::write(&legacy_path, GOLDEN_V1).unwrap();
-        {
-            let mut st = DurableStore::open(dir.path()).unwrap();
-            assert_eq!(st.len(), 1);
-            assert_eq!(st.graph_names().len(), 1);
-            assert_eq!(st.generation(), 1, "rotated before the first append");
-            st.insert(iri(3), p("a"), Term::lit("3"));
-        }
-        assert_eq!(
-            fs::read(&legacy_path).unwrap(),
-            GOLDEN_V1,
-            "the v1 log must not grow records of another version"
-        );
-        assert_eq!(
-            v3_records(&fs::read(wal_file(dir.path(), 1)).unwrap()).len(),
-            1
-        );
-        let st = DurableStore::open(dir.path()).unwrap();
-        assert_eq!(st.len(), 2);
-        assert_eq!(st.generation(), 1, "a v3 log is appended to, not rotated");
-        // Compaction folds both logs and rotates onto a fresh v3 log.
-        let mut st = st;
-        st.compact().unwrap();
-        st.insert(iri(4), p("a"), Term::lit("4"));
-        assert!(fs::read(st.wal_path()).unwrap().starts_with(WAL_V3_HEADER));
-        drop(st);
-        assert_eq!(DurableStore::open(dir.path()).unwrap().len(), 3);
-    }
-
-    /// Logs written by older builds still open. The fixtures were written
-    /// at the last commit that wrote them — `wal_v2.log` by that build's
-    /// own `DurableStore` (a clear and re-insert, a group-committed
-    /// template with its named-graph tag, an escaped literal, an empty
-    /// one, a blank node, a default-graph and a named-graph remove),
-    /// `wal_v1.log` by hand — each beside the sorted image it must reopen
-    /// to.
-    #[test]
-    fn golden_v1_and_v2_logs_reopen_to_their_images() {
-        let want = |image: &str| -> Vec<String> { image.lines().map(str::to_string).collect() };
-        // Each with the subject of its last line's statement, which no
-        // other line of the fixture mentions.
-        for (name, log, expected, last) in [
-            (
-                "v1",
-                GOLDEN_V1,
-                want(GOLDEN_V1_IMAGE),
-                "<http://galo/qep/pop/2>",
-            ),
-            ("v2", GOLDEN_V2, want(GOLDEN_V2_IMAGE), "<urn:last>"),
-        ] {
-            // Whole: the image, however often it is reopened.
-            let dir = ScratchDir::new(&format!("persist-golden-{name}"));
-            let legacy_path = wal_file(dir.path(), 0);
-            fs::write(&legacy_path, log).unwrap();
-            for _ in 0..2 {
-                let st = DurableStore::open(dir.path()).unwrap();
-                assert_eq!(image(&st), expected, "{name}");
-            }
-            // One further insert lands in a v3 log of the next generation;
-            // the old file keeps its bytes and its version.
-            let mut st = DurableStore::open(dir.path()).unwrap();
-            assert!(st.insert(iri(77), p("a"), Term::lit("new")));
-            drop(st);
-            assert_eq!(fs::read(&legacy_path).unwrap(), log, "{name}");
-            let logs = numbered_files(dir.path(), WAL_PREFIX, WAL_SUFFIX).unwrap();
-            assert_eq!(logs.len(), 2, "{name}: {logs:?}");
-            assert_eq!(
-                v3_records(&fs::read(wal_file(dir.path(), 1)).unwrap()).len(),
-                1
-            );
-            let st = DurableStore::open(dir.path()).unwrap();
-            assert!(st.contains(&iri(77), &p("a"), &Term::lit("new")), "{name}");
-            assert_eq!(image(&st).len(), expected.len() + 1, "{name}");
-            drop(st);
-
-            // Torn in its last line: everything before it, and the torn
-            // line is cut off the file.
-            let dir = ScratchDir::new(&format!("persist-golden-{name}-torn"));
-            let legacy_path = wal_file(dir.path(), 0);
-            fs::write(&legacy_path, &log[..log.len() - 9]).unwrap();
-            let st = DurableStore::open(dir.path()).unwrap();
-            let without_last: Vec<String> = expected
-                .iter()
-                .filter(|line| !line.starts_with(last))
-                .cloned()
-                .collect();
-            assert_eq!(without_last.len() + 1, expected.len(), "{name}");
-            assert_eq!(image(&st), without_last, "{name} torn");
-            let kept = fs::read(&legacy_path).unwrap();
-            assert!(kept.ends_with(b"\n") && log.starts_with(&kept), "{name}");
-        }
-
-        // A byte flipped under a v2 checksum: that record and all after it
-        // are refused.
-        let dir = ScratchDir::new("persist-golden-v2-flip");
-        fs::write(wal_file(dir.path(), 0), GOLDEN_V2).unwrap();
-        corrupt(&wal_file(dir.path(), 0), b"\"back\"", b"\"bark\"");
-        let st = DurableStore::open(dir.path()).unwrap();
-        assert_eq!(st.len(), 0, "the three records before it end in a clear");
-        assert!(st.graph_names().is_empty());
     }
 
     #[test]
@@ -1748,16 +1453,56 @@ mod tests {
         assert_eq!(image(&DurableStore::open(dir.path()).unwrap()), after);
     }
 
-    /// A log whose header names a version this build does not know is
-    /// refused, not "recovered" by truncating it to nothing.
+    /// A log of any version but 3 is refused, not "recovered" by
+    /// truncating it to nothing: one a later build wrote, and the text
+    /// logs of versions 1 (no header, a statement a line) and 2 (a header
+    /// and a checksum a line) that earlier builds wrote.
     #[test]
     fn a_log_of_an_unknown_version_is_refused_not_truncated() {
-        let dir = ScratchDir::new("persist-v9");
-        let path = wal_file(dir.path(), 0);
-        fs::write(&path, b"# galo-wal v9\nwhatever a later build writes").unwrap();
-        let err = DurableStore::open(dir.path()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(fs::read(&path).unwrap().ends_with(b"writes"));
+        let v1_line = "+ <http://galo/qep/pop/1> <http://galo/qep/property/a> \"1\" .\n";
+        let v2_log = format!(
+            "# galo-wal v2\n{} #0123456789abcdef\n",
+            &v1_line[..v1_line.len() - 1]
+        );
+        for (name, log) in [
+            ("v9", &b"# galo-wal v9\nwhatever a later build writes"[..]),
+            ("v2", v2_log.as_bytes()),
+            ("v1", v1_line.as_bytes()),
+        ] {
+            let dir = ScratchDir::new(&format!("persist-{name}"));
+            let path = wal_file(dir.path(), 0);
+            fs::write(&path, log).unwrap();
+            let err = DurableStore::open(dir.path()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}");
+            assert_eq!(fs::read(&path).unwrap(), log, "{name}: the bytes stay");
+        }
+    }
+
+    /// A fresh log torn while its header was being written — cut anywhere
+    /// from nothing to one byte short of the header — holds no commit: it
+    /// reopens empty, takes an insert and reopens with it.
+    #[test]
+    fn a_log_torn_in_its_header_reopens_empty_and_appendable() {
+        for cut in 0..WAL_V3_HEADER.len() {
+            let dir = ScratchDir::new("persist-torn-header");
+            let path = wal_file(dir.path(), 0);
+            fs::write(&path, &WAL_V3_HEADER[..cut]).unwrap();
+            let mut st = DurableStore::open(dir.path()).unwrap();
+            assert!(st.is_empty(), "cut at {cut}");
+            assert_eq!((st.generation(), st.wal_records()), (0, 0), "cut at {cut}");
+            st.insert(iri(1), p("a"), Term::lit("1"));
+            drop(st);
+            let st = DurableStore::open(dir.path()).unwrap();
+            assert!(
+                st.contains(&iri(1), &p("a"), &Term::lit("1")),
+                "cut at {cut}"
+            );
+            assert_eq!(
+                v3_records(&fs::read(&path).unwrap()).len(),
+                1,
+                "cut at {cut}"
+            );
+        }
     }
 
     /// A compaction that fails after it has created the next generation's

@@ -13,9 +13,8 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use crate::block::{Applied, QuadBlock};
+use crate::block::{Applied, QuadBlock, Record};
 use crate::ntriples::{parse_ntriples, to_ntriples, NtParseError, Quad};
-use crate::persist::Record;
 use crate::policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};
 use crate::shard::{ShardRouter, ShardStats, ShardedStore};
 use crate::sparql::eval::{evaluate_prepared, prepare_seeded, PreparedQuery};

@@ -318,8 +318,8 @@ struct ShardState {
     /// Global id → shard-local id.
     to_local: HashMap<TermId, TermId, FnvBuild>,
     /// Shard-local id (dense) → global id; `u32::MAX` marks a local term
-    /// that no stored triple references (e.g. snapshot-preserved unused
-    /// interned terms).
+    /// that no stored triple references (e.g. one a replayed log record
+    /// interned for a statement a later record removed).
     to_global: Vec<TermId>,
 }
 

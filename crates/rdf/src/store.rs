@@ -305,9 +305,8 @@ impl IndexedStore {
         Self::default()
     }
 
-    /// Number of terms ever interned (ids are dense in `0..interner_len`).
-    /// The snapshot writer serializes the full table so ids — including
-    /// those of interned-but-unused terms — survive a snapshot round-trip.
+    /// Number of terms ever interned (ids are dense in `0..interner_len`),
+    /// used or not.
     pub fn interner_len(&self) -> usize {
         self.interner.len()
     }
@@ -560,15 +559,16 @@ impl TripleStore for ScanStore {
     }
 }
 
-/// The typed rejection a read replica answers writes with. At the
-/// [`ReadOnlyStore`] level the infallible [`TripleStore`] mutators cannot
-/// return it, so they raise it as a panic payload (`panic_any`) — loud by
-/// construction, and `catch_unwind` callers can downcast to this type.
-/// At the endpoint level [`crate::ServerError::ReadOnlyReplica`] wraps it
-/// as an ordinary error value.
+/// The typed rejection a read replica answers client writes with, from
+/// its one gate, [`FusekiLite::check_writable`](crate::FusekiLite::check_writable).
+/// The fallible endpoints return it wrapped in
+/// [`crate::ServerError::ReadOnlyReplica`]; the infallible ones, and the
+/// knowledge base's mutators above them, raise it as a panic payload
+/// (`panic_any`) — loud by construction, and `catch_unwind` callers can
+/// downcast to this type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadOnlyReplica {
-    /// The rejected operation, e.g. `"insert_ids"` or `"update"`.
+    /// The rejected operation, e.g. `"insert_triples"` or `"update"`.
     pub op: &'static str,
 }
 
@@ -583,113 +583,6 @@ impl fmt::Display for ReadOnlyReplica {
 }
 
 impl std::error::Error for ReadOnlyReplica {}
-
-/// A [`TripleStore`] wrapper that delegates every read and rejects every
-/// mutation with a [`ReadOnlyReplica`] panic. Read replicas hand this out
-/// where a `&mut dyn TripleStore` could otherwise leak write access; it
-/// guarantees a replica image can only diverge from the primary through
-/// the replication feed, never through a stray local write that would be
-/// silently applied (or, worse, silently dropped by a lenient wrapper).
-#[derive(Debug)]
-pub struct ReadOnlyStore {
-    inner: Box<dyn TripleStore + Send>,
-}
-
-impl ReadOnlyStore {
-    pub fn new(inner: Box<dyn TripleStore + Send>) -> Self {
-        ReadOnlyStore { inner }
-    }
-
-    /// Unwrap — the privileged escape hatch the replication apply path
-    /// uses to replay feed frames.
-    pub fn into_inner(self) -> Box<dyn TripleStore + Send> {
-        self.inner
-    }
-
-    fn reject(op: &'static str) -> ! {
-        std::panic::panic_any(ReadOnlyReplica { op })
-    }
-}
-
-impl TripleStore for ReadOnlyStore {
-    fn intern(&mut self, _term: Term) -> TermId {
-        Self::reject("intern")
-    }
-
-    fn term_id(&self, term: &Term) -> Option<TermId> {
-        self.inner.term_id(term)
-    }
-
-    fn resolve(&self, id: TermId) -> &Term {
-        self.inner.resolve(id)
-    }
-
-    fn insert_ids(&mut self, _t: Triple) -> bool {
-        Self::reject("insert_ids")
-    }
-
-    fn remove_ids(&mut self, _t: Triple) -> bool {
-        Self::reject("remove_ids")
-    }
-
-    fn clear(&mut self) {
-        Self::reject("clear")
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn scan(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        self.inner.scan(s, p, o)
-    }
-
-    fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        self.inner.count(s, p, o)
-    }
-
-    fn graph_names(&self) -> Vec<Term> {
-        self.inner.graph_names()
-    }
-
-    fn graph_ids(&self) -> Vec<TermId> {
-        self.inner.graph_ids()
-    }
-
-    fn insert_ids_in(&mut self, _graph: TermId, _t: Triple) -> bool {
-        Self::reject("insert_ids_in")
-    }
-
-    fn remove_ids_in(&mut self, _graph: TermId, _t: Triple) -> bool {
-        Self::reject("remove_ids_in")
-    }
-
-    fn scan_in(
-        &self,
-        graph: TermId,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> Vec<Triple> {
-        self.inner.scan_in(graph, s, p, o)
-    }
-
-    fn compact(&mut self) -> std::io::Result<()> {
-        Self::reject("compact")
-    }
-
-    fn storage_pressure(&self) -> Option<StoragePressure> {
-        self.inner.storage_pressure()
-    }
-
-    fn begin_batch(&mut self) {
-        Self::reject("begin_batch")
-    }
-
-    fn end_batch(&mut self) {
-        Self::reject("end_batch")
-    }
-}
 
 #[cfg(test)]
 mod tests {

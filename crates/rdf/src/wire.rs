@@ -17,10 +17,11 @@
 //! those bytes, journals it as one log record in the same encoding, and
 //! keeps the bytes as the feed entry, so a `Mutation` frame is the
 //! publish payload under a new header. `Snapshot` carries
-//! [`crate::persist::snapshot_bytes`] output verbatim. The codec moves
+//! [`crate::persist::snapshot_bytes`] output verbatim: the whole image as
+//! one block, sealed by magic, version and checksum. The codec moves
 //! all three as opaque bytes; the receiver validates them where it
 //! applies them ([`QuadBlock::decode`](crate::block::QuadBlock::decode),
-//! [`crate::persist::store_from_snapshot`]), and bytes that fail there
+//! [`crate::persist::decode_snapshot`]), and bytes that fail there
 //! are re-requested like a frame that never arrived. The outer checksum
 //! covers everything after the magic, so a frame torn at *any* byte — or
 //! with any byte corrupted in flight — decodes to an error, never to a
@@ -58,7 +59,8 @@ pub enum FramePayload {
     /// [`QuadBlock`](crate::block::QuadBlock) of one applied publish).
     Mutation(Vec<u8>),
     /// Primary → replica: the full image in snapshot format
-    /// ([`crate::persist::snapshot_bytes`]).
+    /// ([`crate::persist::snapshot_bytes`], one block that replaces the
+    /// replica's image).
     Snapshot(Vec<u8>),
     /// Replica → primary: send feed entries starting at this frame's
     /// `seq`; `max` bounds the batch (0 = no bound).
@@ -227,9 +229,8 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::QuadBlock;
+    use crate::block::{QuadBlock, Record};
     use crate::ntriples::Quad;
-    use crate::persist::Record;
     use crate::term::Term;
 
     fn sample_frames() -> Vec<Frame> {

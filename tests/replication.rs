@@ -29,10 +29,7 @@ use galo_core::{
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{GuidelineDoc, Qgm};
-use galo_rdf::{
-    parse_select, IndexedStore, Probe, ReadOnlyReplica, ReadOnlyStore, ServerError, Term,
-    TripleStore,
-};
+use galo_rdf::{parse_select, Probe, ReadOnlyReplica, ServerError, Term};
 use galo_sql::parse;
 use galo_workloads::Workload;
 use proptest::prelude::*;
@@ -690,30 +687,12 @@ fn graph_scoped_dataset_query_agrees_between_text_and_probe() {
 
 // ------------------------------------------------------ read-only levels --
 
-/// Write rejection at both levels: a [`ReadOnlyStore`] panics with the
-/// typed [`ReadOnlyReplica`] payload at the `TripleStore` boundary, and a
-/// replica's endpoint returns / panics the same type at the `FusekiLite`
-/// boundary — while reads keep flowing.
+/// Write rejection at both levels a client reaches: a replica's endpoint
+/// returns / panics the typed [`ReadOnlyReplica`] at the `FusekiLite`
+/// boundary, and so do the knowledge base's mutators above it — while
+/// image and epoch stay put.
 #[test]
 fn replica_writes_rejected_at_store_and_endpoint_level() {
-    // TripleStore level.
-    let mut inner = IndexedStore::new();
-    inner.insert(Term::iri("urn:s"), Term::iri("urn:p"), Term::lit("o"));
-    let mut guarded = ReadOnlyStore::new(Box::new(inner));
-    assert_eq!(
-        guarded.scan(None, None, None).len(),
-        1,
-        "reads pass through"
-    );
-    let panic = catch_unwind(AssertUnwindSafe(|| {
-        guarded.insert(Term::iri("urn:s2"), Term::iri("urn:p"), Term::lit("o2"));
-    }))
-    .expect_err("a store-level write must panic");
-    let reject = panic
-        .downcast_ref::<ReadOnlyReplica>()
-        .expect("panics with the typed rejection");
-    assert!(!reject.op.is_empty());
-
     // FusekiLite level, on a real replica.
     let replica = Replica::new();
     let server = replica.knowledge_base().server();
