@@ -6,7 +6,8 @@
 //! by tracking to known issues and solutions." [`diagnose`] produces that
 //! report for a query: exact template matches, near-misses whose structure
 //! matches but whose property ranges do not (the "similar patterns that
-//! can help with insights" of §1.1), and the operators with the worst
+//! can help with insights" of §1.1), why each template the admission
+//! pre-check let through did not match, and the operators with the worst
 //! estimated-vs-actual discrepancies.
 //!
 //! Goal 3: "GALO can be utilized by the performance optimization team to
@@ -21,11 +22,13 @@ use std::collections::BTreeMap;
 use galo_catalog::Database;
 use galo_executor::compute_actuals;
 use galo_qgm::{segments, GuidelineNode, Qgm};
-use galo_rdf::{Probe, Term};
+use galo_rdf::Term;
 
 use crate::kb::KnowledgeBase;
-use crate::matching::{match_plan, MatchConfig};
-use crate::transform::{segment_to_probe, ProbeOptions};
+use crate::matching::{
+    binds, candidate_verdicts, compile_plan, match_compiled, MatchConfig, MatchMiss,
+};
+use crate::oracle::structural_matches;
 use crate::vocab;
 
 /// One suspicious operator: large estimated-vs-actual discrepancy.
@@ -47,6 +50,17 @@ pub struct NearMiss {
     pub improvement: f64,
 }
 
+/// A template the admission pre-check let through for a segment that
+/// then did not match it, and the first condition of a match it failed
+/// (the signature index's module docs state them).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rejection {
+    /// Root operator id of the segment.
+    pub segment_op_id: u32,
+    pub template_iri: String,
+    pub reason: MatchMiss,
+}
+
 /// Diagnostic report for one plan.
 #[derive(Debug)]
 pub struct Diagnosis {
@@ -54,49 +68,55 @@ pub struct Diagnosis {
     pub known_issues: Vec<crate::matching::MatchedRewrite>,
     /// Structure-only matches outside their validity ranges.
     pub near_misses: Vec<NearMiss>,
+    /// Admitted candidates that did not match, segment by segment in the
+    /// matcher's order, with the reason.
+    pub rejected: Vec<Rejection>,
     /// Operators ranked by estimation error (worst first).
     pub suspects: Vec<Suspect>,
 }
 
 /// Produce a problem-determination report for a compiled plan.
 pub fn diagnose(db: &Database, kb: &KnowledgeBase, qgm: &Qgm, cfg: &MatchConfig) -> Diagnosis {
-    let matched = match_plan(db, kb, qgm, cfg);
+    let compiled = compile_plan(db, qgm, cfg);
+    let matched = match_compiled(db, kb, qgm, &compiled);
+
+    // Why each admitted candidate missed: the matcher's own verdict, or —
+    // for a row that matched — a guideline naming a label it left unbound.
+    let rejected = candidate_verdicts(kb, &compiled)
+        .into_iter()
+        .filter_map(|candidate| {
+            let reason = match &candidate.verdict {
+                Err(miss) => *miss,
+                Ok(labels) => {
+                    let guideline = kb.guideline_of(&candidate.template_iri);
+                    if guideline.is_some_and(|(doc, _)| binds(&doc, labels)) {
+                        return None;
+                    }
+                    MatchMiss::UnboundLabel
+                }
+            };
+            Some(Rejection {
+                segment_op_id: candidate.segment_op_id,
+                template_iri: candidate.template_iri,
+                reason,
+            })
+        })
+        .collect();
 
     // Near misses: probe each segment with the range constraints dropped
-    // (structure + types only), then subtract exact matches. Same compiled
-    // pipeline as matching — the signature index supplies the structural
-    // candidates and the relaxed probes run as one batch per segment.
-    let relaxed_opts = ProbeOptions {
-        range_margin: cfg.range_margin,
-        include_ranges: false,
-    };
+    // (the oracle's structure-only probe over the signature's
+    // candidates), then subtract exact matches.
     let mut near: BTreeMap<String, NearMiss> = BTreeMap::new();
     for segment in segments(qgm, cfg.join_threshold) {
-        let probe = segment_to_probe(db, qgm, segment.root, &relaxed_opts);
-        let candidates = kb.candidate_templates(probe.signature);
-        if candidates.is_empty() {
-            continue;
-        }
-        let jobs: Vec<Probe<'_>> = candidates
-            .iter()
-            .map(|iri| Probe {
-                query: &probe.query,
-                bind: vec![("tmpl".to_string(), Term::iri(iri.clone()))],
-            })
-            .collect();
-        let results = kb.server().probe_batch(&jobs);
-        for (iri, solutions) in candidates.iter().zip(&results) {
-            if solutions.is_empty() {
+        for iri in structural_matches(db, kb, qgm, segment.root, cfg) {
+            if matched.rewrites.iter().any(|r| r.template_iri == iri) {
                 continue;
             }
-            if matched.rewrites.iter().any(|r| &r.template_iri == iri) {
-                continue;
-            }
-            if let Some((improvement, source)) = template_meta(kb, iri) {
+            if let Some((improvement, source)) = template_meta(kb, &iri) {
                 near.insert(
                     iri.clone(),
                     NearMiss {
-                        template_iri: iri.clone(),
+                        template_iri: iri,
                         source_workload: source,
                         improvement,
                     },
@@ -127,6 +147,7 @@ pub fn diagnose(db: &Database, kb: &KnowledgeBase, qgm: &Qgm, cfg: &MatchConfig)
     Diagnosis {
         known_issues: matched.rewrites,
         near_misses: near.into_values().collect(),
+        rejected,
         suspects,
     }
 }
@@ -378,6 +399,54 @@ mod tests {
         assert!(
             !d.near_misses.is_empty(),
             "structure still matches: must appear as near-miss"
+        );
+    }
+
+    /// Templates the admission pre-check lets through but that do not
+    /// match are reported with the first condition they fail; the one
+    /// that matches is a known issue, not a rejection.
+    #[test]
+    fn diagnosis_says_why_an_admitted_template_did_not_match() {
+        use crate::kb::abstract_plan;
+        use galo_qgm::{guideline_from_plan, GuidelineDoc};
+
+        let w = quirky_workload();
+        let kb = KnowledgeBase::new();
+        let plan = Optimizer::new(&w.db).optimize(&w.queries[0]).unwrap();
+        let join = segments(&plan, 4)[0].root;
+        let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, join).unwrap()]);
+        let template = |id: &str| abstract_plan(&w.db, &plan, join, &g, id.into());
+        let good = template("t0good");
+        let mut swapped = template("t2swapped");
+        swapped.pops[0].inputs.reverse();
+        let mut unbound = template("t3unbound");
+        let renamed = unbound.guideline.roots[0].map_tabids(&|t| format!("{t}9"));
+        unbound.guideline = GuidelineDoc::new(vec![renamed]);
+        kb.insert_batch(&[good, swapped, unbound]);
+        let no_label = KnowledgeBase::templates_to_quads(&[template("t1nolabel")]);
+        let label = vocab::prop(vocab::HAS_CANONICAL_TABID);
+        kb.apply_quads(
+            &no_label
+                .into_iter()
+                .filter(|q| q.1 != label)
+                .collect::<Vec<_>>(),
+        );
+
+        let d = diagnose(&w.db, &kb, &plan, &MatchConfig::default());
+        assert_eq!(d.known_issues.len(), 1);
+        assert!(d.known_issues[0].template_iri.ends_with("t0good"));
+        let why: Vec<(&str, MatchMiss)> = d
+            .rejected
+            .iter()
+            .map(|r| (r.template_iri.rsplit('/').next().unwrap(), r.reason))
+            .collect();
+        assert_eq!(
+            why,
+            [
+                ("t1nolabel", MatchMiss::TypeOrRange),
+                ("t2swapped", MatchMiss::EdgeOrRole),
+                ("t3unbound", MatchMiss::UnboundLabel),
+            ]
         );
     }
 

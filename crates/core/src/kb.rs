@@ -70,7 +70,8 @@ use crate::feedback::{
     TemplateRefinement,
 };
 use crate::sigindex::{
-    ChangeJournal, Generation, IndexFacts, JournalRow, SigIndex, JOURNAL_TEMPLATES,
+    ChangeJournal, Generation, IndexFacts, JournalRow, MatchMiss, SegmentShape, SigIndex,
+    JOURNAL_TEMPLATES,
 };
 use crate::vocab::{self, prop, STAT_FAMILIES};
 
@@ -78,6 +79,15 @@ use crate::vocab::{self, prop, STAT_FAMILIES};
 // (`crate::sigindex`); re-exported so `galo_core::kb::AdmissionQuery` and
 // friends keep their paths.
 pub use crate::sigindex::{AdmissionQuery, AdmissionStats, PopCheck, ScanCheck};
+
+/// One admitted candidate, matched against its segment on its index row
+/// (`crate::sigindex`, "What a match is").
+pub(crate) struct Candidate {
+    pub(crate) iri: String,
+    /// The winning canonical labels in scan pre-order, or why the row
+    /// does not match.
+    pub(crate) verdict: Result<Vec<String>, MatchMiss>,
+}
 
 // `Range` moved to the statistics substrate (one home for the struct and
 // its parsing/defaulting logic); re-exported here so `galo_core::Range`
@@ -242,10 +252,10 @@ pub struct DatasetStats {
 /// through (see the [module docs](self#mutations)), under one `RwLock`
 /// and inside the commit's `mutation_scope`. The online matcher consults
 /// it through the
-/// [`next_candidate_admitting`](Self::next_candidate_admitting) cursor so
-/// segments whose shape matches no stored template never touch the
-/// store, and matching segments probe only candidates whose cardinality
-/// ranges could possibly admit them. Callers that mutate template triples
+/// [`next_candidate_admitting`](Self::next_candidate_admitting) cursor,
+/// and matches each candidate it admits on the candidate's row: a
+/// segment reads the store only for the guideline of the template that
+/// wins it. Callers that mutate template triples
 /// through the raw [`server`](Self::server) endpoint must call
 /// [`reindex`](Self::reindex) afterwards.
 pub struct KnowledgeBase {
@@ -384,15 +394,12 @@ impl KnowledgeBase {
     /// The first admitted candidate strictly after `after` (`None` =
     /// from the start), in ascending IRI order. The matcher steps
     /// through a segment's candidates with this cursor: only the
-    /// candidates actually evaluated are cloned (usually one, thanks to
+    /// candidates actually checked are cloned (usually one, thanks to
     /// first-match-wins) instead of the whole admitted list, and the
-    /// signature-index lock is held only for the lookup, so index
-    /// readers never queue behind a probe evaluation. (Template
-    /// *inserts* still wait for the matcher's store read session either
-    /// way — they take the store write lock before touching the index.)
-    /// Every index entry examined by the pull — the admitted one
-    /// included — is accumulated into `stats`, so the caller observes
-    /// exactly how much pruning the pre-check did for this segment.
+    /// signature-index lock is held only for one pull. Every index entry
+    /// examined by the pull — the admitted one included — is accumulated
+    /// into `stats`, so the caller observes exactly how much pruning the
+    /// pre-check did for this segment.
     pub fn next_candidate_admitting(
         &self,
         signature: u64,
@@ -404,6 +411,27 @@ impl KnowledgeBase {
         index
             .next_admitting(signature, query, after, stats)
             .map(str::to_string)
+    }
+
+    /// The [`next_candidate_admitting`](Self::next_candidate_admitting)
+    /// cursor with the admitted candidate matched against the segment on
+    /// its index row, under the same lock — the matcher's one read of the
+    /// index per candidate. `shape` is the segment's beside `query`'s
+    /// checks.
+    pub(crate) fn next_candidate_checked(
+        &self,
+        signature: u64,
+        query: &AdmissionQuery<'_>,
+        shape: &SegmentShape,
+        after: Option<&str>,
+        stats: &mut AdmissionStats,
+    ) -> Option<Candidate> {
+        let index = self.sig_index.read().expect("signature index lock");
+        let (iri, verdict) = index.next_checked(signature, query, shape, after, stats)?;
+        Some(Candidate {
+            iri: iri.to_string(),
+            verdict: verdict.map(|labels| labels.into_iter().map(str::to_string).collect()),
+        })
     }
 
     /// Number of distinct structural signatures in the index.

@@ -9,9 +9,10 @@
 //! a real runtime, and abstracts consistently-winning rewrites into
 //! problem-pattern templates stored in an RDF [`kb`] (knowledge base).
 //! Online, the [`matching`] engine segments an incoming query's plan,
-//! matches the segments against the knowledge base with generated SPARQL
-//! (see [`transform`]), and re-optimizes the query under the matched
-//! OPTGUIDELINES document.
+//! matches the segments against the knowledge base — the paper's
+//! generated SPARQL (see [`transform`]) restated over the knowledge
+//! base's signature index, with the SPARQL itself kept as the [`oracle`]
+//! — and re-optimizes the query under the matched OPTGUIDELINES document.
 //!
 //! Entry point: [`Galo`].
 //!
@@ -59,6 +60,7 @@ pub mod galo;
 pub mod kb;
 pub mod learning;
 pub mod matching;
+pub mod oracle;
 pub mod ranking;
 pub mod replication;
 pub mod serving;
@@ -71,7 +73,8 @@ pub use cluster::{
     learn_workload_cluster, ClusterConfig, ClusterReport, LearnerNode, MinedSlice, NodeReport,
 };
 pub use diagnostics::{
-    diagnose, evolution_report, render_evolution_report, Diagnosis, NearMiss, RewriteClass, Suspect,
+    diagnose, evolution_report, render_evolution_report, Diagnosis, NearMiss, Rejection,
+    RewriteClass, Suspect,
 };
 pub use expert::{expert_diagnose, ExpertConfig, ExpertOutcome};
 pub use feedback::{
@@ -85,9 +88,9 @@ pub use kb::{
 };
 pub use learning::{learn_workload, LearnedTemplate, LearningConfig, LearningReport};
 pub use matching::{
-    compile_plan, match_compiled, match_plan, match_plan_text, reoptimize_query, CompiledPlan,
-    CompiledSegment, MatchConfig, MatchConfigBuilder, MatchConfigError, MatchReport,
-    MatchedRewrite, ReoptOutcome,
+    candidate_verdicts, compile_plan, match_compiled, match_plan, reoptimize_query,
+    CandidateVerdict, CompiledPlan, CompiledSegment, MatchConfig, MatchConfigBuilder,
+    MatchConfigError, MatchMiss, MatchReport, MatchedRewrite, ReoptOutcome,
 };
 pub use ranking::{better, kmeans2, score_runs, PlanScore, TIE_EPSILON};
 pub use replication::{

@@ -1,4 +1,4 @@
-//! The matching engine (paper §3.3) — the compile-once probe pipeline.
+//! The matching engine (paper §3.3).
 //!
 //! Online, per incoming query: compile the query, climb bottom-up over the
 //! plan's sub-QGM segments (capped by the learning join threshold), and
@@ -7,53 +7,51 @@
 //! 1. **Signature pruning** — every segment gets a cheap structural
 //!    signature (join count + join/scan operator multiset,
 //!    [`galo_qgm::shape_signature`]); the knowledge base's signature index
-//!    maps it to the candidate template IRIs that *could* match. Segments
+//!    maps it to the candidate templates that *could* match. Segments
 //!    with no candidates are pruned without touching the store.
-//! 2. **Probe compilation** — surviving segments are compiled straight to
-//!    the Figure-6 `SelectQuery` AST ([`crate::transform::segment_to_probe`]):
-//!    no SPARQL text is rendered or re-parsed on the hot path, and the
-//!    scan-variable table (`?tab_<opid>` → query qualifier) is precomputed.
-//! 3. **Sessioned probing** — the plan's probes are evaluated under one
-//!    read-lock session: constants are pre-resolved through the interner,
-//!    the pattern plan is prepared once per probe
-//!    ([`galo_rdf::prepare_seeded`]), and candidates are evaluated lazily
-//!    in ascending IRI order with `?tmpl` pre-bound, so every
-//!    `inTemplate` pattern is a keyed lookup instead of a KB-wide
-//!    enumeration and no evaluation is spent past a segment's first
-//!    match or on segments an earlier match already claimed. (Callers
-//!    that want plain batch evaluation use
-//!    [`galo_rdf::FusekiLite::probe_batch`], as the diagnostics
-//!    near-miss pass does.)
+//! 2. **Admission** — the candidates are walked in ascending IRI order by
+//!    one cursor, which stops only on a row whose stored bounds could
+//!    admit every segment operator (99.98 % are rejected on
+//!    `serve_cold`, mostly on one per-type cardinality hull test).
+//! 3. **Row-local assignment** — the admitted row is matched against the
+//!    segment on the row alone, under the same index read: a small search
+//!    assigns template operators to segment operators so that types,
+//!    stored ranges, stream wiring, join roles, distinctness and the join
+//!    count all hold, and picks the least canonical-label vector (the
+//!    `crate::sigindex` module docs state the conditions). The first
+//!    admitted candidate that matches decides the segment; only its
+//!    guideline is read from the store. No SPARQL is built, prepared or
+//!    evaluated.
 //!
-//! Matches are then processed bottom-up exactly as before: the first
-//! (smallest-IRI) matching template per segment wins, canonical table
-//! labels are translated back to the query's table references, overlapping
-//! segments are skipped via the claimed-operator set, and the collected
-//! rewrites form one guideline document for re-optimization.
+//! Matches are then processed bottom-up: the first (smallest-IRI)
+//! matching template per segment wins, canonical table labels are
+//! translated back to the query's table references, overlapping segments
+//! are skipped via the claimed-operator set, and the collected rewrites
+//! form one guideline document for re-optimization.
 //!
 //! [`match_compiled`] is the only production matcher — [`match_plan`]
-//! and every serving-tier miss run it. The text path
-//! ([`match_plan_text`]) — render SPARQL text, parse it back, evaluate
-//! one query at a time — is kept as the differential reference: property
-//! tests assert it and the matcher produce identical rewrites.
+//! and every serving-tier miss run it. The paper's Figure-6 probe is the
+//! definition of a match and lives on as the oracle
+//! ([`crate::oracle`]): property tests assert that the matcher, the probe
+//! evaluated candidate by candidate, and the SPARQL text round trip
+//! produce identical rewrites, and that every admitted candidate gets the
+//! probe's verdict and labels.
 
 use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use galo_catalog::Database;
 use galo_executor::Simulator;
 use galo_optimizer::{Optimizer, ReoptResult};
 use galo_qgm::{segments, GuidelineDoc, GuidelineNode, PopId, Qgm};
-use galo_rdf::{ResultSet, Term};
 use galo_sql::Query;
 
 use crate::kb::{AdmissionQuery, AdmissionStats, KnowledgeBase, PopCheck};
-use crate::sigindex::{ChangeJournal, JournalRow};
-use crate::transform::{
-    segment_pop_checks, segment_scan_qualifiers, segment_to_probe, segment_to_sparql_opt,
-    ProbeOptions, ScanVar, SegmentProbe,
-};
+use crate::sigindex::{input_roles, ChangeJournal, JournalRow, SegmentShape, Wire};
+use crate::transform::{pop_check, segment_scan_qualifiers};
+
+pub use crate::sigindex::MatchMiss;
 
 /// Matching-engine configuration.
 #[derive(Debug, Clone)]
@@ -81,9 +79,9 @@ pub struct MatchConfig {
     /// exact `[min, max]`, so a few outlier observations stop inflating a
     /// template's validity region. `0.0` (the default) reproduces the
     /// exact min/max semantics bit for bit. The trim only narrows the
-    /// *pre-check* — the probe itself still evaluates the stored exact
+    /// *pre-check* — the match itself still tests the stored exact
     /// bounds, so a trimmed-out candidate is one that would have cost a
-    /// probe evaluation only to fail it, or an over-widened template the
+    /// match check only to fail it, or an over-widened template the
     /// operator has chosen to treat as noise.
     pub sketch_trim: f64,
     /// Near-miss widening factor for the feedback loop (≥ 1; `1.0` — the
@@ -116,13 +114,6 @@ impl MatchConfig {
     /// alternative to bare struct-literal construction.
     pub fn builder() -> MatchConfigBuilder {
         MatchConfigBuilder::default()
-    }
-
-    fn probe_options(&self) -> ProbeOptions {
-        ProbeOptions {
-            range_margin: self.range_margin,
-            include_ranges: true,
-        }
     }
 }
 
@@ -255,30 +246,30 @@ pub struct MatchReport {
     pub rewrites: Vec<MatchedRewrite>,
     /// Wall time spent matching, milliseconds.
     pub match_ms: f64,
-    /// Segments resolved without issuing any knowledge-base probe: no
-    /// structural candidates in the signature index, none whose
-    /// cardinality ranges could admit the segment, or a probe constant
-    /// absent from the store's interner.
+    /// Segments resolved without checking any candidate: no structural
+    /// candidates in the signature index, or none whose stored ranges
+    /// could admit the segment.
     pub probes_pruned: usize,
-    /// Probe evaluations executed: on the compiled path, one per
-    /// (surviving segment × candidate) actually evaluated — claimed
+    /// Admitted candidates checked: one per (surviving segment ×
+    /// admitted candidate) actually matched against its row — claimed
     /// segments and candidates past a segment's first match are never
-    /// evaluated; on the text path, one per candidate segment.
+    /// checked. On the oracle's paths, one per probe evaluated.
     pub probes_executed: usize,
     /// True when the serving tier answered this plan from its
     /// plan-fingerprint outcome cache without re-matching (see
-    /// `galo_core::serving`); always false on the direct
-    /// [`match_plan`] / [`match_plan_text`] paths.
+    /// `galo_core::serving`); always false on the direct [`match_plan`]
+    /// and oracle paths.
     pub cache_hit: bool,
-    /// Segments whose compiled probe IR was reused from an earlier match
-    /// of the same [`CompiledPlan`] instead of being rebuilt — the
-    /// serving tier's probe-IR cache at work. Always 0 when the plan was
-    /// compiled fresh for this match.
+    /// Always 0 since the matcher stopped building probes: it counted
+    /// segments whose probe IR an earlier match of the same
+    /// [`CompiledPlan`] had built. Kept because the benchmark's composed
+    /// serve compares it; ROADMAP item 5 retires it together with that
+    /// composed serve.
     pub probes_reused: usize,
     /// Signature-index entries examined by the admission pre-check across
     /// all of the plan's segments (admitted candidates included) — the
-    /// denominator for the admission counters below. Always 0 on the text
-    /// path, which has no index.
+    /// denominator for the admission counters below. Always 0 on the
+    /// oracle's text path, which has no index.
     pub candidates_considered: usize,
     /// Candidates rejected by the admission pre-check because no
     /// same-typed template operator could admit a segment operator's
@@ -291,7 +282,7 @@ pub struct MatchReport {
     /// Rejected candidates that *would* have been admitted at
     /// `range_margin · near_miss_factor` — the feedback loop's widening
     /// signal. Always 0 when [`MatchConfig::near_miss_factor`] is 1.0
-    /// (the default) and on the text path.
+    /// (the default) and on the oracle's text path.
     pub near_misses: usize,
     /// The knowledge base's cumulative
     /// [`refinements_applied`](crate::KnowledgeBase::refinements_applied)
@@ -312,71 +303,40 @@ impl MatchReport {
     }
 }
 
-/// The deterministic winning solution of one segment probe: the smallest
-/// `(template IRI, canonical table labels)` pair over all solution rows
-/// whose template passes `allow` (the text reference's dataset filter; the
-/// matcher filters candidates in the signature index instead and passes
-/// a constant `true`). [`match_compiled`] and the [`match_plan_text`]
-/// reference share this rule, which is what makes them comparable —
-/// "first row wins" would depend on evaluator search order.
-fn winning_solution(
-    solutions: &ResultSet,
-    scan_vars: &[ScanVar],
-    allow: impl Fn(&str) -> bool,
-) -> Option<(String, Vec<String>)> {
-    let mut best: Option<(String, Vec<String>)> = None;
-    for row in 0..solutions.len() {
-        let Some(tmpl) = solutions.get(row, "tmpl") else {
-            continue;
-        };
-        if !allow(tmpl.str_value()) {
-            continue;
-        }
-        let labels: Vec<String> = scan_vars
+/// True when every canonical label the guideline references is one the
+/// match bound (an empty label binds nothing). A partial mapping would
+/// produce a dangling guideline.
+pub(crate) fn binds(guideline: &GuidelineDoc, labels: &[String]) -> bool {
+    guideline.roots.iter().all(|r| {
+        r.tabids()
             .iter()
-            .map(|sv| {
-                solutions
-                    .get(row, &sv.var)
-                    .map(|t| t.str_value().to_string())
-                    .unwrap_or_default()
-            })
-            .collect();
-        let key = (tmpl.str_value().to_string(), labels);
-        if best.as_ref().is_none_or(|b| key < *b) {
-            best = Some(key);
-        }
-    }
-    best
+            .all(|t| labels.iter().any(|label| !label.is_empty() && label == t))
+    })
 }
 
 /// Instantiate a matched template as rewrites over the query's table
-/// qualifiers. Returns `None` (and claims nothing) when the template's
-/// guideline references canonical labels the match did not bind.
-fn instantiate_match(
+/// qualifiers: `labels[i]` is the canonical label matched for the `i`-th
+/// scan of the segment, whose qualifier is `qualifiers[i]`. Returns
+/// `None` (and claims nothing) when the template's guideline references
+/// canonical labels the match did not bind.
+pub(crate) fn instantiate_match(
     fetched: (GuidelineDoc, String),
     template_iri: &str,
     labels: &[String],
-    scan_vars: &[ScanVar],
+    qualifiers: &[&str],
     segment_op_id: u32,
 ) -> Option<Vec<MatchedRewrite>> {
     let (guideline, source_workload) = fetched;
+    if !binds(&guideline, labels) {
+        return None;
+    }
     // Canonical label -> query qualifier, via the matched scan pops.
     let mapping: Vec<(&String, &str)> = labels
         .iter()
-        .zip(scan_vars)
+        .zip(qualifiers)
         .filter(|(label, _)| !label.is_empty())
-        .map(|(label, sv)| (label, sv.qualifier.as_str()))
+        .map(|(label, &qualifier)| (label, qualifier))
         .collect();
-    // Every canonical label the guideline references must be bound by
-    // the match; a partial mapping would produce a dangling guideline.
-    let fully_mapped = guideline.roots.iter().all(|r| {
-        r.tabids()
-            .iter()
-            .all(|t| mapping.iter().any(|(c, _)| *c == t))
-    });
-    if !fully_mapped {
-        return None;
-    }
     let map = |canon: &str| -> String {
         mapping
             .iter()
@@ -400,11 +360,8 @@ fn instantiate_match(
 
 /// One segment of a [`CompiledPlan`]: everything the matcher derives from
 /// the plan structure alone — the operator footprint for claimed-overlap
-/// checks, the cardinality pre-checks, the structural signature — plus a
-/// lazily compiled probe IR. The probe AST is built at most once per
-/// compiled plan (on the first match that actually evaluates this
-/// segment) and reused by every later match, which is what the serving
-/// tier's probe-IR cache amortizes.
+/// checks, the per-operator checks, the structural signature, the wiring
+/// the row-local assignment tests.
 #[derive(Debug)]
 pub struct CompiledSegment {
     /// Root operator of the segment in the compiled-against plan.
@@ -415,24 +372,14 @@ pub struct CompiledSegment {
     seg_pops: Vec<u32>,
     /// Structural signature — the knowledge base's candidate-index key.
     signature: u64,
-    /// One admission pre-check per operator — type, estimated
-    /// cardinality, and (for scans) the belief-table statistics the probe
-    /// would test.
+    /// One check per operator, pre-order — type, estimated cardinality,
+    /// and (for scans) the belief-table statistics the match tests.
     checks: Vec<PopCheck>,
-    /// The compiled probe, built on first use under the store session.
-    probe: OnceLock<SegmentProbe>,
+    /// Join count and each operator's edge to its parent.
+    shape: SegmentShape,
 }
 
 impl CompiledSegment {
-    /// The segment's probe IR, compiling it on first use. `db` and `qgm`
-    /// must be the ones the plan was compiled from (the serving tier's
-    /// fingerprint key guarantees that; direct callers pass the same
-    /// references they gave [`compile_plan`]).
-    fn probe(&self, db: &Database, qgm: &Qgm, opts: &ProbeOptions) -> &SegmentProbe {
-        self.probe
-            .get_or_init(|| segment_to_probe(db, qgm, self.root, opts))
-    }
-
     /// The admission query the segment's candidate cursor runs under
     /// `cfg` (its plan's configuration).
     fn query<'a>(&'a self, cfg: &'a MatchConfig) -> AdmissionQuery<'a> {
@@ -444,17 +391,37 @@ impl CompiledSegment {
             near_factor: cfg.near_miss_factor,
         }
     }
+
+    /// The rewrites a matched template's guideline makes of this segment,
+    /// over the table qualifiers of `qgm` (the plan it was compiled from);
+    /// `None` when the guideline names a label the match did not bind.
+    fn instantiate(
+        &self,
+        qgm: &Qgm,
+        guideline: (GuidelineDoc, String),
+        template_iri: &str,
+        labels: &[String],
+    ) -> Option<Vec<MatchedRewrite>> {
+        let scans = segment_scan_qualifiers(qgm, self.root);
+        let qualifiers: Vec<&str> = scans.iter().map(|(_, q)| q.as_str()).collect();
+        instantiate_match(
+            guideline,
+            template_iri,
+            labels,
+            &qualifiers,
+            self.segment_op_id,
+        )
+    }
 }
 
 /// A plan compiled for matching: its bottom-up segment walk with
-/// per-segment signatures, pre-checks and lazily built probe IRs, plus
-/// the [`MatchConfig`] it was compiled under (probe ranges depend on the
-/// margin, segmentation on the join threshold — so the config travels
-/// with the artifact instead of being re-supplied, possibly mismatched,
-/// at match time). Compile once via [`compile_plan`], match any number
-/// of times via [`match_compiled`]: repeat matches skip the segment
-/// walk, the signature derivation and (after the first) probe
-/// compilation entirely.
+/// per-segment signatures, checks and wiring, plus the [`MatchConfig`] it
+/// was compiled under (range tests depend on the margin, segmentation on
+/// the join threshold — so the config travels with the artifact instead
+/// of being re-supplied, possibly mismatched, at match time). Compile
+/// once via [`compile_plan`], match any number of times via
+/// [`match_compiled`]: repeat matches skip the segment walk and the
+/// signature derivation.
 #[derive(Debug)]
 pub struct CompiledPlan {
     cfg: MatchConfig,
@@ -487,32 +454,48 @@ impl CompiledPlan {
 
 /// Compile a plan's segments for matching: the plan-side half of
 /// [`match_plan`], split out so the serving tier can cache it keyed by
-/// plan fingerprint. Cheap — no knowledge-base access, no probe ASTs
-/// (those build lazily on first evaluation). `db` supplies the
-/// belief-table statistics the scan-stat admission checks carry.
+/// plan fingerprint. Cheap — no knowledge-base access, one pre-order walk
+/// per segment. `db` supplies the belief-table statistics the scan checks
+/// carry.
 pub fn compile_plan(db: &Database, qgm: &Qgm, cfg: &MatchConfig) -> CompiledPlan {
     let segments = segments(qgm, cfg.join_threshold)
         .into_iter()
         .map(|segment| {
+            let pops = qgm.subtree(segment.root);
+            let mut checks = Vec::with_capacity(pops.len());
+            let mut wires = Vec::with_capacity(pops.len());
+            for (at, &pid) in pops.iter().enumerate() {
+                let pop = qgm.pop(pid);
+                checks.push(pop_check(db, qgm, pop));
+                // Pre-order: an operator's parent is the nearest earlier
+                // operator that lists it as an input.
+                let parent = (0..at).rev().find_map(|p| {
+                    let parent = qgm.pop(pops[p]);
+                    let input = parent.inputs.iter().position(|&c| c == pid)?;
+                    Some(Wire {
+                        parent: p,
+                        roles: input_roles(parent.kind.is_join(), input),
+                    })
+                });
+                wires.push(parent);
+            }
             // Candidate templates must share the segment's structural
             // signature AND have per-operator statistics envelopes that
             // could admit the segment's values — both necessary
             // conditions, checked entirely in the index. The signature
-            // is derived from the pre-check walk rather than recomputed.
-            let checks = segment_pop_checks(db, qgm, segment.root);
+            // is derived from the check walk rather than recomputed.
             let signature =
                 galo_qgm::shape_signature(segment.join_count, checks.iter().map(|c| c.pop_type));
             CompiledSegment {
                 root: segment.root,
                 segment_op_id: qgm.pop(segment.root).op_id,
-                seg_pops: qgm
-                    .subtree(segment.root)
-                    .iter()
-                    .map(|&p| qgm.pop(p).op_id)
-                    .collect(),
+                seg_pops: pops.iter().map(|&p| qgm.pop(p).op_id).collect(),
                 signature,
                 checks,
-                probe: OnceLock::new(),
+                shape: SegmentShape {
+                    joins: segment.join_count,
+                    wires,
+                },
             }
         })
         .collect();
@@ -522,13 +505,14 @@ pub fn compile_plan(db: &Database, qgm: &Qgm, cfg: &MatchConfig) -> CompiledPlan
     }
 }
 
-/// Match a compiled plan against the knowledge base — the session half
-/// of [`match_plan`]: signature pruning, lazy candidate cursors, and one
-/// read-lock session for all of the plan's probe evaluations and
-/// guideline fetches (see the module docs). `db` and `qgm` must be the
-/// ones `compiled` was built from.
+/// Match a compiled plan against the knowledge base — the index half of
+/// [`match_plan`]: signature pruning, lazy candidate cursors, each
+/// admitted candidate matched on its index row, and the winner's
+/// guideline read from the store (see the module docs). `qgm` must be
+/// the plan `compiled` was built from; `db` is not read, and stays in the
+/// signature for the callers that pass it.
 pub fn match_compiled(
-    db: &Database,
+    _db: &Database,
     kb: &KnowledgeBase,
     qgm: &Qgm,
     compiled: &CompiledPlan,
@@ -536,86 +520,47 @@ pub fn match_compiled(
     let t0 = Instant::now();
     let cfg = &compiled.cfg;
     let mut report = MatchReport::default();
-    let opts = cfg.probe_options();
     let mut claimed: HashSet<u32> = HashSet::new();
-    let seed_vars = ["tmpl".to_string()];
 
-    // Per segment (bottom-up): the claimed-overlap check and the
-    // signature-index pre-checks run before anything is compiled, the
-    // probe AST is built only for segments that will actually be
-    // evaluated (then kept for every later match of this CompiledPlan),
-    // its pattern plan is prepared once, and candidates are evaluated
-    // lazily in ascending IRI order — the first non-empty candidate (the
-    // globally smallest matching template) decides the segment, so no
-    // work is spent past it.
+    // Per segment (bottom-up): the claimed-overlap check, then the
+    // candidates one cursor pull at a time in ascending IRI order, each
+    // matched on its row under the pull's index read. The first candidate
+    // that matches (the globally smallest matching template) decides the
+    // segment — even when its guideline then names a label the match did
+    // not bind — so no work is spent past it.
     let mut admission = AdmissionStats::default();
-    kb.server().with_store(|st| {
-        for seg in &compiled.segments {
-            // Skip segments overlapping an earlier match — their rewrites
-            // would fight over the same table references.
-            if seg.seg_pops.iter().any(|id| claimed.contains(id)) {
-                continue;
-            }
-            let query = seg.query(cfg);
-            // The first cursor pull doubles as the emptiness pre-check:
-            // no admitted candidate means the segment is pruned before
-            // any probe is compiled.
-            let mut cursor =
-                kb.next_candidate_admitting(seg.signature, &query, None, &mut admission);
-            if cursor.is_none() {
-                report.probes_pruned += 1;
-                continue;
-            }
-            let reused = seg.probe.get().is_some();
-            let probe = seg.probe(db, qgm, &opts);
-            if reused {
-                report.probes_reused += 1;
-            }
-            if !galo_rdf::constants_interned(st, &probe.query) {
-                // A probe constant (e.g. an operator-type literal) was
-                // never interned: no template can match, and the store was
-                // never probed.
-                report.probes_pruned += 1;
-                continue;
-            }
-            let prepared = galo_rdf::prepare_seeded(st, &probe.query, &seed_vars);
-            // Candidates are pulled one at a time through the signature
-            // index's cursor (ascending IRI order): no per-segment owned
-            // candidate list, and the index lock is released between
-            // lookups so index readers (diagnostics, candidate queries)
-            // never queue behind a probe evaluation. Evaluation stops at
-            // the first candidate that yields solutions.
-            let mut matched: Option<Vec<MatchedRewrite>> = None;
-            while let Some(iri) = cursor {
-                if let Some(id) = st.term_id(&Term::iri(iri.as_str())) {
-                    report.probes_executed += 1;
-                    let solutions = galo_rdf::evaluate_prepared(st, &prepared, &[id]);
-                    if !solutions.is_empty() {
-                        if let Some((_, labels)) =
-                            winning_solution(&solutions, &probe.scan_vars, |_| true)
-                        {
-                            matched = crate::kb::guideline_of_in(st, &iri).and_then(|g| {
-                                instantiate_match(
-                                    g,
-                                    &iri,
-                                    &labels,
-                                    &probe.scan_vars,
-                                    seg.segment_op_id,
-                                )
-                            });
-                        }
-                        break; // first matching candidate decides the segment
-                    }
-                }
-                cursor =
-                    kb.next_candidate_admitting(seg.signature, &query, Some(&iri), &mut admission);
-            }
-            if let Some(rewrites) = matched {
-                report.rewrites.extend(rewrites);
-                claimed.extend(seg.seg_pops.iter().copied());
-            }
+    for seg in &compiled.segments {
+        // Skip segments overlapping an earlier match — their rewrites
+        // would fight over the same table references.
+        if seg.seg_pops.iter().any(|id| claimed.contains(id)) {
+            continue;
         }
-    });
+        let query = seg.query(cfg);
+        let pull = |after: Option<&str>, admission: &mut AdmissionStats| {
+            kb.next_candidate_checked(seg.signature, &query, &seg.shape, after, admission)
+        };
+        // The first cursor pull doubles as the emptiness pre-check.
+        let mut cursor = pull(None, &mut admission);
+        if cursor.is_none() {
+            report.probes_pruned += 1;
+            continue;
+        }
+        let mut matched: Option<Vec<MatchedRewrite>> = None;
+        while let Some(candidate) = cursor {
+            report.probes_executed += 1;
+            if let Ok(labels) = &candidate.verdict {
+                matched = kb
+                    .guideline_of(&candidate.iri)
+                    .and_then(|g| seg.instantiate(qgm, g, &candidate.iri, labels));
+                break; // first matching candidate decides the segment
+            }
+            cursor = pull(Some(&candidate.iri), &mut admission);
+        }
+        if let Some(rewrites) = matched {
+            report.rewrites.extend(rewrites);
+            claimed.extend(seg.seg_pops.iter().copied());
+        }
+    }
     report.candidates_considered = admission.considered;
     report.admission_rejects_card = admission.rejects_card;
     report.admission_rejects_scan = admission.rejects_scan;
@@ -627,12 +572,10 @@ pub fn match_compiled(
 }
 
 /// Match a plan's segments against the knowledge base — the production
-/// pipeline: signature pruning, compiled probe IR, and one read-lock
-/// session per plan (see the module docs). Equivalent to
-/// [`compile_plan`] followed by [`match_compiled`]; callers that match
-/// the same plan repeatedly keep the [`CompiledPlan`] (or let the
-/// serving tier cache it by fingerprint) to skip the per-call
-/// compilation.
+/// pipeline (see the module docs). Equivalent to [`compile_plan`]
+/// followed by [`match_compiled`]; callers that match the same plan
+/// repeatedly keep the [`CompiledPlan`] (or let the serving tier cache it
+/// by fingerprint) to skip the per-call compilation.
 pub fn match_plan(db: &Database, kb: &KnowledgeBase, qgm: &Qgm, cfg: &MatchConfig) -> MatchReport {
     let t0 = Instant::now();
     let compiled = compile_plan(db, qgm, cfg);
@@ -642,71 +585,47 @@ pub fn match_plan(db: &Database, kb: &KnowledgeBase, qgm: &Qgm, cfg: &MatchConfi
     report
 }
 
-/// The legacy text pipeline: render each segment to SPARQL text, re-parse
-/// it, and evaluate one query at a time with no signature pruning. Kept as
-/// the differential-testing oracle for [`match_plan`] (the property tests
-/// assert identical rewrites); only tests call it.
-pub fn match_plan_text(
-    db: &Database,
-    kb: &KnowledgeBase,
-    qgm: &Qgm,
-    cfg: &MatchConfig,
-) -> MatchReport {
-    let t0 = Instant::now();
-    let mut report = MatchReport::default();
-    let opts = cfg.probe_options();
-    let mut claimed: HashSet<u32> = HashSet::new();
+/// One admitted candidate of one segment, and what matching it on its
+/// index row found.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CandidateVerdict {
+    /// Root operator id of the segment.
+    pub segment_op_id: u32,
+    pub template_iri: String,
+    /// The winning canonical labels, one per scan of the segment in
+    /// pre-order — or the first condition of a match the row failed
+    /// (never [`MatchMiss::UnboundLabel`], which the guideline decides).
+    pub verdict: Result<Vec<String>, MatchMiss>,
+}
 
-    for segment in segments(qgm, cfg.join_threshold) {
-        let seg_pops: Vec<u32> = qgm
-            .subtree(segment.root)
-            .iter()
-            .map(|&p| qgm.pop(p).op_id)
-            .collect();
-        if seg_pops.iter().any(|id| claimed.contains(id)) {
-            continue;
+/// Every admitted candidate of every segment of a compiled plan, with its
+/// verdict, in the order [`match_compiled`] checks them — but past each
+/// segment's first match and through segments an earlier match claimed,
+/// which the matcher skips. The matcher's explain side: `diagnose` reports
+/// why each candidate missed, and the differential tests hold each
+/// verdict against the Figure-6 probe's.
+pub fn candidate_verdicts(kb: &KnowledgeBase, compiled: &CompiledPlan) -> Vec<CandidateVerdict> {
+    let mut verdicts = Vec::new();
+    let mut admission = AdmissionStats::default();
+    for seg in &compiled.segments {
+        let query = seg.query(&compiled.cfg);
+        let mut after: Option<String> = None;
+        while let Some(candidate) = kb.next_candidate_checked(
+            seg.signature,
+            &query,
+            &seg.shape,
+            after.as_deref(),
+            &mut admission,
+        ) {
+            after = Some(candidate.iri.clone());
+            verdicts.push(CandidateVerdict {
+                segment_op_id: seg.segment_op_id,
+                template_iri: candidate.iri,
+                verdict: candidate.verdict,
+            });
         }
-        let sparql = segment_to_sparql_opt(db, qgm, segment.root, &opts);
-        let Ok(parsed) = galo_rdf::parse_select(&sparql) else {
-            continue;
-        };
-        report.probes_executed += 1;
-        let solutions = kb.server().query_parsed(&parsed);
-        let scan_vars: Vec<ScanVar> = segment_scan_qualifiers(qgm, segment.root)
-            .into_iter()
-            .map(|(op_id, qualifier)| ScanVar {
-                op_id,
-                var: format!("tab_{op_id}"),
-                qualifier,
-            })
-            .collect();
-        // The dataset filter resolves each row's template source through
-        // the store — the oracle trades speed for directness, unlike the
-        // production path's index-level filter.
-        let allow = |iri: &str| match cfg.dataset.as_deref() {
-            None => true,
-            Some(d) => kb.guideline_of(iri).is_some_and(|(_, source)| source == d),
-        };
-        let Some((template_iri, labels)) = winning_solution(&solutions, &scan_vars, allow) else {
-            continue;
-        };
-        let Some(rewrites) = kb.guideline_of(&template_iri).and_then(|g| {
-            instantiate_match(
-                g,
-                &template_iri,
-                &labels,
-                &scan_vars,
-                qgm.pop(segment.root).op_id,
-            )
-        }) else {
-            continue;
-        };
-        report.rewrites.extend(rewrites);
-        claimed.extend(seg_pops);
     }
-    report.refinements_applied = kb.refinements_applied();
-    report.match_ms = t0.elapsed().as_secs_f64() * 1e3;
-    report
+    verdicts
 }
 
 /// Full re-optimization outcome for one query.
@@ -782,6 +701,7 @@ mod tests {
     use super::*;
     use crate::kb::abstract_plan;
     use crate::learning::{learn_workload, LearningConfig};
+    use crate::oracle::match_plan_text;
     use galo_catalog::{
         col, ColumnId, ColumnStats, ColumnType, DatabaseBuilder, Index, IndexId, SystemConfig,
         Table, Value,

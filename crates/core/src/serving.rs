@@ -14,11 +14,10 @@
 //!   parameters, estimated cardinalities and costs, input wiring, sort
 //!   orders), per-scan query qualifiers and belief statistics, and the
 //!   [`MatchConfig`] (join threshold, range margin, dataset restriction).
-//!   Two plans with equal fingerprints compile to the same probes and
-//!   admit the same templates.
+//!   Two plans with equal fingerprints compile to the same segment checks
+//!   and match the same templates.
 //! * [`ProbeCache`] is a striped CLOCK cache. Each entry holds the
-//!   plan's compiled probe IR ([`CompiledPlan`], reused even when the
-//!   outcome is stale) and optionally a full [`MatchReport`] stamped
+//!   plan's [`CompiledPlan`] (reused even when the outcome is stale) and optionally a full [`MatchReport`] stamped
 //!   with the epoch it was computed at. Stripes are independent locks,
 //!   so hot hits never contend with misses being inserted elsewhere.
 //! * [`ServingTier::serve`] validates with one atomic load: the KB's
@@ -51,7 +50,7 @@
 //!
 //! What a hit costs: one fingerprint walk over the QGM, one atomic
 //! epoch load, one stripe lock, one report clone — no store session, no
-//! probe evaluation, no allocation proportional to the knowledge base. A
+//! index read, no allocation proportional to the knowledge base. A
 //! re-validation adds one journal read and an admission test of each
 //! journaled row against the plan's same-signature segments.
 
@@ -102,11 +101,11 @@ impl Fnv {
 /// parameters* — which index, fetch flag, bloom flag, sort key —
 /// estimated cardinality and cost, input edges, output order), and per
 /// scan the query qualifier plus the belief statistics
-/// (`row_count`/`pages`/`row_size`) the probe ranges are built from.
+/// (`row_count`/`pages`/`row_size`) the range tests are built from.
 /// Statistics are hashed, not referenced: a belief refresh changes the
 /// fingerprint, so stale entries become unreachable rather than wrong.
 ///
-/// Equal fingerprints ⇒ identical probes and identical admitted
+/// Equal fingerprints ⇒ identical segment checks and identical admitted
 /// templates (up to the 2⁻⁶⁴ collision probability any hashed cache key
 /// carries; a collision serves a wrong-but-well-formed report, the same
 /// exposure as any fingerprint-keyed plan cache).
@@ -215,7 +214,7 @@ pub enum CacheLookup {
     /// served as-is, valid at the epoch the lookup validated against
     /// (its counters are those of the match that produced it).
     Hit(MatchReport),
-    /// The plan's compiled probe IR is cached but no current outcome is:
+    /// The plan's [`CompiledPlan`] is cached but no current outcome is:
     /// skip [`compile_plan`], run [`match_compiled`].
     Compiled(Arc<CompiledPlan>),
     /// Nothing cached for this fingerprint.
@@ -284,7 +283,7 @@ impl Stripe {
     }
 
     /// Insert an entry, handing back the one it evicted. Freeing that —
-    /// an `Arc<CompiledPlan>` with its probe ASTs plus a `MatchReport` —
+    /// an `Arc<CompiledPlan>` plus a `MatchReport` —
     /// is the caller's job *after* it lets go of the stripe lock, so no
     /// other serve on the stripe waits for a deallocation.
     #[must_use = "drop the evicted entry after releasing the stripe lock"]
@@ -300,7 +299,7 @@ impl Stripe {
     }
 }
 
-/// The fingerprint-keyed probe cache: `stripes` independent CLOCK caches
+/// The fingerprint-keyed outcome cache: `stripes` independent CLOCK caches
 /// of `stripe_capacity` entries each, routed by fingerprint. Lookups on
 /// different stripes never contend; within a stripe the critical section
 /// is a hash lookup plus (on hit) one report clone.
@@ -397,7 +396,7 @@ impl ProbeCache {
 
     /// Cache a compiled plan for a fingerprint. If another thread raced
     /// the insert, the incumbent wins and is returned — both sides then
-    /// share one `Arc`, so the probe IR is still built at most once.
+    /// share one `Arc`, and only one of the two compiled plans is kept.
     pub fn insert_compiled(
         &self,
         fingerprint: u64,
@@ -517,9 +516,9 @@ pub struct ServeOutcome {
     /// (re)published to the cache; a hit was matched at `e` or at an
     /// earlier epoch that `e` changed nothing for, and its work counters
     /// are that match's. `None` — KB
-    /// mutations overlapped both match attempts; the report is still a
-    /// correct single-session match (probes ran under one read lock),
-    /// but is not attributable to one epoch and was not cached.
+    /// mutations overlapped both match attempts; every candidate in the
+    /// report was still matched against one state of its index row, but
+    /// the report is not attributable to one epoch and was not cached.
     pub epoch: Option<u64>,
     /// The match outcome (`report.cache_hit` tells hit from miss).
     pub report: MatchReport,

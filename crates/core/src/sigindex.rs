@@ -1,26 +1,71 @@
-//! The signature index and its admission pre-check.
+//! The signature index, its admission pre-check and the match itself.
 //!
 //! Beside the triple store the knowledge base keeps, per structural
-//! [`shape_signature`], the templates of that shape with just enough of
-//! their statistics to decide — without touching the store — whether a
-//! plan segment could possibly match one of them. The matcher steps
-//! through a signature's templates in ascending IRI order with one cursor
+//! [`shape_signature`], the templates of that shape with everything the
+//! paper's Figure-6 probe reads of them: operator types, stored bounds,
+//! stream wiring and canonical table labels. The matcher steps through a
+//! signature's templates in ascending IRI order with one cursor
 //! ([`SigIndex::next_admitting`]); first-match-wins and the claimed-set
 //! semantics of `match_compiled` rest on that order, and every other
-//! reader of a bucket is defined as pulls of that cursor.
+//! reader of a bucket is defined as pulls of that cursor. A row the cursor
+//! admits is then matched against the segment on the row alone
+//! ([`SigIndex::next_checked`]): no SPARQL is built, prepared or evaluated
+//! on the serve path.
 //!
 //! # Layout
 //!
 //! Every pull examines hundreds of rows to admit a handful (99.98 % are
 //! rejected on `serve_cold`), so what matters is the price of rejecting
-//! one. A [`Bucket`] is columnar: rows sorted by IRI, operator types and
-//! workloads interned to small ids that a query resolves once per pull,
-//! each row's exact operator bounds packed in one slice, the
+//! one. A [`Bucket`] is columnar: rows sorted by IRI, operator types,
+//! workloads and canonical table labels interned to small ids that a
+//! query resolves once per pull, each row's operators packed in one slice
+//! (type, exact bounds, which bounds were stored, label), the
 //! [`StatSketch`]es — read only by `trim > 0` — in a side column, and one
 //! **cardinality hull** per (operator type, row): `[min lo, max hi]` over
 //! the row's operators of that type, the empty range where the row has
 //! none. On `serve_cold` 99.9 % of the rows a pull examines end on their
-//! first hull test: two loads and two compares.
+//! first hull test: two loads and two compares. Only an admitted row is
+//! read further: its join count and its stream edges, each an operator
+//! pair in row-local indices with the role bits its statements give it
+//! (`hasOutputStream` child → parent, `hasOuterInputStream` /
+//! `hasInnerInputStream` parent → child).
+//!
+//! # What a match is
+//!
+//! The Figure-6 probe restated over one row. Take the segment's operators
+//! in pre-order and assign each a template operator of the row so that:
+//!
+//! 1. the types are equal;
+//! 2. the operator's stored cardinality bounds admit the estimate — both
+//!    bounds stored, `lo ≤ v·m` and `hi ≥ v/m` — and, for a scan, its
+//!    row-size, fpages and base-cardinality bounds admit the table's
+//!    values the same way and it carries a canonical table label;
+//! 3. every input edge of the segment is a template edge with the same
+//!    role: the child's image states `hasOutputStream` to the parent's
+//!    image, and under a join the parent's image states
+//!    `hasOuterInputStream` (first input) or `hasInnerInputStream` (the
+//!    other) to the child's;
+//! 4. same-typed segment operators go to distinct template operators;
+//! 5. and the row's join count equals the segment's.
+//!
+//! Among all assignments that pass, the winner's labels are the smallest
+//! label vector in scan pre-order — the rule the oracle's
+//! `winning_solution` applies to the probe's solution rows. A row no
+//! assignment passes reports the first condition it fails, in the order
+//! join count, type or range (some segment operator has no template
+//! operator passing 1–2), edge or role (some segment edge has no template
+//! edge of its role between operators passing 1–2), assignment (no one
+//! assignment passes 3–4 at once): [`MatchMiss`].
+//!
+//! The conditions are the probe's, so a template the system's own
+//! mutators wrote matches here exactly when its probe has a solution, with
+//! the same labels (`native_match_equals_the_probe_oracle` pins it). For
+//! facts no mutator writes, the row reads them as follows: of several
+//! lower (higher) bounds the least (greatest) counts — which is the
+//! probe's "some bound admits" — and a non-numeric bound is no bound; of
+//! several labels on one operator the least counts, which the least
+//! label vector picks anyway; of several types the least counts, where
+//! the probe would try each.
 //!
 //! # Why the hull is exact
 //!
@@ -46,7 +91,8 @@
 //! (the knowledge base's module docs say which, when). It is the only
 //! reader of the template vocabulary on the index side and the only
 //! writer of rows, so the fallback rules (corrupt sketch → exact bounds →
-//! unbounded) are stated once.
+//! unbounded for admission; no stored bounds → no match) and the reading
+//! of irregular facts above are stated once.
 //!
 //! # The change journal
 //!
@@ -60,6 +106,7 @@
 //! [`Bucket::next_admitting`] the cursor runs walks it. When none does, no
 //! pull the matcher would make has changed and the outcome still holds.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -152,6 +199,67 @@ impl<'a> AdmissionQuery<'a> {
     }
 }
 
+/// Why an admitted candidate did not match a segment: the first condition
+/// of the row-local assignment it failed (module docs, "What a match
+/// is"), or — found after the assignment, by the matcher — a guideline
+/// that names a label the match did not bind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MatchMiss {
+    /// The template's join count is not the segment's.
+    JoinCount,
+    /// Some segment operator has no template operator of its type whose
+    /// stored bounds admit its values (and, for a scan, that carries a
+    /// canonical table label).
+    TypeOrRange,
+    /// Some segment edge has no template edge of its role between
+    /// operators that pass their types and ranges.
+    EdgeOrRole,
+    /// Every condition holds operator by operator and edge by edge, but no
+    /// one-to-one assignment meets them all at once.
+    Assignment,
+    /// The row matched, but the template's guideline references a
+    /// canonical label the match did not bind (or the store holds no
+    /// guideline for it to instantiate).
+    UnboundLabel,
+}
+
+/// `hasOutputStream`: the child states it, naming its parent.
+pub(crate) const OUTPUT: u8 = 1;
+/// `hasOuterInputStream`: a join states it, naming its first input.
+pub(crate) const OUTER: u8 = 2;
+/// `hasInnerInputStream`: a join states it, naming its other input.
+pub(crate) const INNER: u8 = 4;
+
+/// The stream statements the Figure-6 probe demands between a parent and
+/// its `input`-th child: the output stream, and under a join the role.
+pub(crate) fn input_roles(parent_is_join: bool, input: usize) -> u8 {
+    match (parent_is_join, input) {
+        (false, _) => OUTPUT,
+        (true, 0) => OUTPUT | OUTER,
+        (true, _) => OUTPUT | INNER,
+    }
+}
+
+/// A segment operator's input edge inside its segment: the pre-order
+/// position of its parent (always before it) and the role bits the
+/// template edge between their images must carry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wire {
+    pub(crate) parent: usize,
+    pub(crate) roles: u8,
+}
+
+/// What the row-local assignment reads of a segment beside its admission
+/// checks (which give each operator's type, values and scan-ness, in
+/// pre-order).
+#[derive(Debug)]
+pub(crate) struct SegmentShape {
+    pub(crate) joins: usize,
+    /// Per operator, pre-order: its edge to its parent; `None` for the
+    /// segment's root.
+    pub(crate) wires: Vec<Option<Wire>>,
+}
+
 /// One property of one operator on its way into a row: the exact stored
 /// bounds (what the probe tests) plus the quantile sketch trimmed
 /// envelopes come from. The index keeps the two apart.
@@ -199,11 +307,34 @@ impl IndexedStat {
 /// One template operator on its way into a row.
 struct PopEntry<'a> {
     pop_type: &'a str,
+    /// Its canonical table label, if it states one.
+    label: Option<&'a str>,
+    /// Bit `f` set when family `f` ([`STAT_FAMILIES`] order) has both
+    /// bounds stored: only then can the probe's range test pass.
+    bounded: u8,
     cardinality: IndexedStat,
     /// Row size, fpages, base cardinality ([`STAT_FAMILIES`] order);
     /// `None` for an operator stored without scan stats, which is then
     /// unbounded on them: never reject what the probe might accept.
     scan: Option<[IndexedStat; 3]>,
+}
+
+/// One template on its way into a row: its join count, its operators in
+/// ascending IRI order, and the stream edges between them.
+struct RowEntry<'a> {
+    joins: usize,
+    pops: Vec<PopEntry<'a>>,
+    edges: Vec<Edge>,
+}
+
+/// A stream edge between two operators of a row, in row-local indices,
+/// with the role bits ([`OUTPUT`], [`OUTER`], [`INNER`]) of every
+/// statement linking the pair.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    child: u32,
+    parent: u32,
+    roles: u8,
 }
 
 /// What the triples say about one operator's stat of one family.
@@ -214,7 +345,21 @@ struct StatFacts {
     sketch: Option<StatSketch>,
 }
 
+/// Keep the least of the values stated for a key: the reading of several
+/// statements that should have been one (module docs).
+fn keep_least<'a>(facts: &mut HashMap<&'a str, &'a str>, key: &'a str, value: &'a str) {
+    let kept = facts.entry(key).or_insert(value);
+    if value < *kept {
+        *kept = value;
+    }
+}
+
 impl StatFacts {
+    /// Both bounds stored.
+    fn bounded(&self) -> bool {
+        self.lo.is_some() && self.hi.is_some()
+    }
+
     /// A missing bound leaves its side open, a missing (or corrupt)
     /// sketch falls back to the exact bounds, and a stat with neither is
     /// unbounded — the pre-check must never reject what the probe would
@@ -245,9 +390,21 @@ pub(crate) struct IndexFacts<'a> {
     sources: HashMap<&'a str, &'a str>,
     pop_template: HashMap<&'a str, &'a str>,
     pop_types: HashMap<&'a str, &'a str>,
+    /// Operator IRI -> its canonical table label.
+    labels: HashMap<&'a str, &'a str>,
+    /// Stream statements as `(subject, object, role bit)`: [`OUTPUT`]
+    /// runs child → parent, [`OUTER`] and [`INNER`] parent → child.
+    streams: Vec<(&'a str, &'a str, u8)>,
     /// Per [`STAT_FAMILIES`] slot: operator IRI -> its stored stat.
     stats: [HashMap<&'a str, StatFacts>; STAT_FAMILIES.len()],
 }
+
+/// The stream predicates and the role bit each states.
+const STREAMS: [(&str, u8); 3] = [
+    (vocab::HAS_OUTPUT_STREAM, OUTPUT),
+    (vocab::HAS_OUTER_INPUT_STREAM, OUTER),
+    (vocab::HAS_INNER_INPUT_STREAM, INNER),
+];
 
 impl<'a> IndexFacts<'a> {
     /// The predicates (local names under [`vocab::PROP_NS`]) that
@@ -258,14 +415,19 @@ impl<'a> IndexFacts<'a> {
             vocab::HAS_SOURCE_WORKLOAD,
             vocab::IN_TEMPLATE,
             vocab::HAS_POP_TYPE,
+            vocab::HAS_CANONICAL_TABID,
         ]
         .into_iter()
+        .chain(STREAMS.iter().map(|&(name, _)| name))
         .chain(STAT_FAMILIES.iter().flat_map(|&(lo, hi, sk)| [lo, hi, sk]))
     }
 
     /// Record one triple; `local` is the predicate's local name.
-    /// Non-numeric bounds and join counts and corrupt sketch literals
-    /// (checksum mismatch) are dropped as if the triple were absent.
+    /// Non-numeric bounds and join counts, corrupt sketch literals
+    /// (checksum mismatch) and stream statements naming no IRI are dropped
+    /// as if the triple were absent. Of several types, labels, lower or
+    /// higher bounds the least (the greatest higher bound) is kept, so the
+    /// gather reads the same row whatever order the statements come in.
     pub(crate) fn add(&mut self, subj: &'a str, local: &str, obj: &'a Term) {
         let num = || obj.as_literal().and_then(|l| l.as_number());
         match local {
@@ -280,18 +442,25 @@ impl<'a> IndexFacts<'a> {
             vocab::IN_TEMPLATE => {
                 self.pop_template.insert(subj, obj.str_value());
             }
-            vocab::HAS_POP_TYPE => {
-                self.pop_types.insert(subj, obj.str_value());
-            }
+            vocab::HAS_POP_TYPE => keep_least(&mut self.pop_types, subj, obj.str_value()),
+            vocab::HAS_CANONICAL_TABID => keep_least(&mut self.labels, subj, obj.str_value()),
             _ => {
+                if let Some(&(_, role)) = STREAMS.iter().find(|&&(name, _)| name == local) {
+                    if let Some(object) = obj.as_iri() {
+                        self.streams.push((subj, object, role));
+                    }
+                    return;
+                }
                 for (stats, &(lo, hi, sk)) in self.stats.iter_mut().zip(&STAT_FAMILIES) {
                     if local == lo {
                         if let Some(v) = num() {
-                            stats.entry(subj).or_default().lo = Some(v);
+                            let kept = &mut stats.entry(subj).or_default().lo;
+                            *kept = Some(kept.map_or(v, |k| k.min(v)));
                         }
                     } else if local == hi {
                         if let Some(v) = num() {
-                            stats.entry(subj).or_default().hi = Some(v);
+                            let kept = &mut stats.entry(subj).or_default().hi;
+                            *kept = Some(kept.map_or(v, |k| k.max(v)));
                         }
                     } else if local == sk {
                         if let Some(sketch) = StatSketch::from_hex(obj.str_value()) {
@@ -331,6 +500,8 @@ impl<'a> IndexFacts<'a> {
             .pop_template
             .keys()
             .chain(self.pop_types.keys())
+            .chain(self.labels.keys())
+            .chain(self.streams.iter().map(|(subject, ..)| subject))
             .chain(self.stats.iter().flat_map(|stats| stats.keys()))
             .filter(|&pop| {
                 !(self.pop_types.contains_key(pop)
@@ -348,48 +519,90 @@ impl<'a> IndexFacts<'a> {
 
     /// Insert (or overwrite) one index row per template that has a join
     /// count and that `wanted` says yes to. Operators are those linked to
-    /// it by `inTemplate` that also carry a type, in ascending IRI order.
+    /// it by `inTemplate` that also carry a type, in ascending IRI order;
+    /// its edges are the stream statements between two of them.
     pub(crate) fn into_entries(self, index: &mut SigIndex, wanted: impl Fn(&str) -> bool) {
         let IndexFacts {
             join_counts,
             sources,
             pop_template,
             pop_types,
+            labels,
+            streams,
             mut stats,
         } = self;
+        // A stream statement is its subject's template's to read.
+        let mut streams_of: HashMap<&str, Vec<(&str, &str, u8)>> = HashMap::new();
+        for stream in streams {
+            if let Some(&tpl) = pop_template.get(stream.0) {
+                streams_of.entry(tpl).or_default().push(stream);
+            }
+        }
         let mut by_tpl: HashMap<&str, Vec<&str>> = HashMap::new();
         for (pop, tpl) in pop_template {
             by_tpl.entry(tpl).or_default().push(pop);
         }
-        let mut rows: Vec<(&str, u64, Vec<PopEntry<'_>>)> = join_counts
+        let mut rows: Vec<(&str, u64, RowEntry<'_>)> = join_counts
             .into_iter()
             .filter(|&(tpl_iri, _)| wanted(tpl_iri))
-            .map(|(tpl_iri, jc)| {
+            .map(|(tpl_iri, joins)| {
                 let mut pop_iris = by_tpl.remove(tpl_iri).unwrap_or_default();
+                pop_iris.retain(|pop| pop_types.contains_key(pop));
                 pop_iris.sort_unstable();
                 let pops: Vec<PopEntry<'_>> = pop_iris
-                    .into_iter()
-                    .filter_map(|pop| {
-                        let pop_type = *pop_types.get(pop)?;
-                        let [card, scan @ ..] = stats.each_mut().map(|stats| stats.remove(pop));
+                    .iter()
+                    .map(|&pop| {
+                        let facts = stats.each_mut().map(|stats| stats.remove(pop));
+                        let bounded = (0..facts.len())
+                            .filter(|&f| facts[f].as_ref().is_some_and(StatFacts::bounded))
+                            .fold(0, |bits, f| bits | 1 << f);
+                        let [card, scan @ ..] = facts;
                         let has_scan = scan.iter().any(Option::is_some);
-                        Some(PopEntry {
-                            pop_type,
+                        PopEntry {
+                            pop_type: pop_types[pop],
+                            label: labels.get(pop).copied(),
+                            bounded,
                             cardinality: card.unwrap_or_default().into_indexed(),
                             scan: has_scan
                                 .then(|| scan.map(|stat| stat.unwrap_or_default().into_indexed())),
+                        }
+                    })
+                    .collect();
+                let at = |pop: &str| pop_iris.binary_search(&pop).ok().map(|at| at as u32);
+                let mut edges: Vec<Edge> = streams_of
+                    .remove(tpl_iri)
+                    .unwrap_or_default()
+                    .into_iter()
+                    .filter_map(|(subject, object, roles)| {
+                        let (child, parent) = match roles {
+                            OUTPUT => (subject, object),
+                            _ => (object, subject),
+                        };
+                        let (child, parent) = (at(child)?, at(parent)?);
+                        Some(Edge {
+                            child,
+                            parent,
+                            roles,
                         })
                     })
                     .collect();
-                let sig = shape_signature(jc, pops.iter().map(|p| p.pop_type));
-                (tpl_iri, sig, pops)
+                edges.sort_unstable_by_key(|e| (e.child, e.parent));
+                edges.dedup_by(|next, kept| {
+                    let same = (next.child, next.parent) == (kept.child, kept.parent);
+                    if same {
+                        kept.roles |= next.roles;
+                    }
+                    same
+                });
+                let sig = shape_signature(joins, pops.iter().map(|p| p.pop_type));
+                (tpl_iri, sig, RowEntry { joins, pops, edges })
             })
             .collect();
         // Ascending IRI order: a bucket built from nothing (the rebuild)
         // takes every row at its end — sorted once, nothing shifted.
         rows.sort_unstable_by_key(|&(iri, ..)| iri);
-        for (iri, sig, pops) in rows {
-            index.upsert(sig, iri, sources.get(iri).copied().unwrap_or(""), pops);
+        for (iri, sig, row) in rows {
+            index.upsert(sig, iri, sources.get(iri).copied().unwrap_or(""), row);
         }
     }
 }
@@ -405,19 +618,39 @@ const EMPTY: Range = Range {
 /// so an unseen operator type or dataset matches no row.
 const ABSENT: u32 = u32::MAX;
 
-/// One operator's exact bounds, packed: what the trim-0 walk reads.
+/// One operator's exact bounds, packed: what the trim-0 walk reads, and
+/// what the assignment reads of it besides.
 #[derive(Debug, Clone, Copy)]
 struct PopBounds {
     /// Index into [`Bucket::types`].
     ty: u32,
+    /// Index into [`Bucket::labels`]; [`ABSENT`] when the operator states
+    /// no canonical table label.
+    label: u32,
     /// False for an operator indexed without scan stats: a scan check
     /// then passes whatever its values (NaN included), which unbounded
     /// ranges alone would not guarantee.
     scan: bool,
+    /// Bit `f` set when `stats[f]` is both stored bounds, not a side left
+    /// open: the probe's range test needs both.
+    bounded: u8,
     /// Cardinality, row size, fpages, base cardinality
     /// ([`STAT_FAMILIES`] order); the scan slots are unbounded when
     /// `scan` is false.
     stats: [Range; 4],
+}
+
+impl PopBounds {
+    /// Whether the operator can stand for a segment operator: conditions
+    /// 1 and 2 of a match (module docs), on the exact stored bounds
+    /// whatever the trim — the probe tests those.
+    fn fits(&self, check: &Resolved<'_>) -> bool {
+        let families = if check.scan { 4 } else { 1 };
+        self.ty == check.ty
+            && (!check.scan || self.label != ABSENT)
+            && (0..families)
+                .all(|f| self.bounded & (1 << f) != 0 && check.stats[f].within(self.stats[f]))
+    }
 }
 
 /// One check value under a margin: the two products every range test of
@@ -468,11 +701,16 @@ struct Bucket {
     types: Arc<Vec<String>>,
     /// Interned source workloads; a `workload` cell indexes here.
     workloads: Arc<Vec<String>>,
+    /// Interned canonical table labels; a [`PopBounds::label`] indexes
+    /// here.
+    labels: Arc<Vec<String>>,
     /// Row -> template IRI, ascending.
     iris: Vec<String>,
     /// Row -> source workload (the template's dataset; `""` when it was
     /// stored without one).
     workload: Vec<u32>,
+    /// Row -> join count.
+    joins: Vec<usize>,
     /// Type id -> row -> cardinality hull over the row's operators of
     /// that type.
     hulls: Vec<Vec<Range>>,
@@ -484,6 +722,9 @@ struct Bucket {
     /// Row -> the sketches behind `ops`, operator by operator. Read only
     /// by `trim > 0`.
     sketches: Vec<Arc<[[StatSketch; 4]]>>,
+    /// Row -> its stream edges, ordered by (child, parent), one per
+    /// linked pair. Read only for an admitted row.
+    edges: Vec<Arc<[Edge]>>,
 }
 
 /// Id of `name` in an intern table, [`ABSENT`] when it was never interned.
@@ -519,7 +760,7 @@ impl Bucket {
 
     /// Insert a row at its sorted position, or overwrite the row already
     /// holding `iri`.
-    fn upsert(&mut self, iri: &str, workload: &str, pops: Vec<PopEntry<'_>>) {
+    fn upsert(&mut self, iri: &str, workload: &str, entry: RowEntry<'_>) {
         let workload = intern(&mut self.workloads, workload);
         let row = match self.find(iri) {
             Ok(row) => {
@@ -529,8 +770,10 @@ impl Bucket {
             Err(row) => {
                 self.iris.insert(row, iri.to_string());
                 self.workload.insert(row, workload);
+                self.joins.insert(row, 0);
                 self.ops.insert(row, Arc::default());
                 self.sketches.insert(row, Arc::default());
+                self.edges.insert(row, Arc::default());
                 for column in &mut self.hulls {
                     column.insert(row, EMPTY);
                 }
@@ -541,6 +784,7 @@ impl Bucket {
         for column in &mut self.hulls {
             column[row] = EMPTY;
         }
+        let RowEntry { joins, pops, edges } = entry;
         let mut bounds = Vec::with_capacity(pops.len());
         let mut sketches = Vec::with_capacity(pops.len());
         for pop in pops {
@@ -554,13 +798,19 @@ impl Bucket {
             widen_hull(&mut self.hulls[ty as usize][row], stats[0].exact);
             bounds.push(PopBounds {
                 ty,
+                label: pop
+                    .label
+                    .map_or(ABSENT, |label| intern(&mut self.labels, label)),
                 scan,
+                bounded: pop.bounded,
                 stats: stats.each_ref().map(|stat| stat.exact),
             });
             sketches.push(stats.map(|stat| stat.sketch));
         }
+        self.joins[row] = joins;
         self.ops[row] = bounds.into();
         self.sketches[row] = sketches.into();
+        self.edges[row] = edges.into();
     }
 
     /// Row `row` as the journal keeps it: shared cells, no copy.
@@ -569,9 +819,12 @@ impl Bucket {
             signature,
             types: Arc::clone(&self.types),
             workloads: Arc::clone(&self.workloads),
+            labels: Arc::clone(&self.labels),
             workload: self.workload[row],
+            joins: self.joins[row],
             ops: Arc::clone(&self.ops[row]),
             sketches: Arc::clone(&self.sketches[row]),
+            edges: Arc::clone(&self.edges[row]),
         }
     }
 
@@ -581,8 +834,10 @@ impl Bucket {
         };
         self.iris.remove(row);
         self.workload.remove(row);
+        self.joins.remove(row);
         self.ops.remove(row);
         self.sketches.remove(row);
+        self.edges.remove(row);
         for column in &mut self.hulls {
             column.remove(row);
         }
@@ -664,9 +919,98 @@ impl Bucket {
         after: Option<&str>,
         stats: &mut AdmissionStats,
     ) -> Option<&str> {
+        let checks = self.resolve(query.checks, query.margin.max(1.0));
+        let row = self.walk(&checks, query, after, stats)?;
+        Some(self.iris[row].as_str())
+    }
+
+    /// [`next_admitting`](Self::next_admitting), and the admitted row
+    /// matched against the segment: its labels or why it did not match.
+    fn next_checked(
+        &self,
+        query: &AdmissionQuery<'_>,
+        shape: &SegmentShape,
+        after: Option<&str>,
+        stats: &mut AdmissionStats,
+    ) -> Option<(&str, Result<Vec<&str>, MatchMiss>)> {
+        let checks = self.resolve(query.checks, query.margin.max(1.0));
+        let row = self.walk(&checks, query, after, stats)?;
+        Some((self.iris[row].as_str(), self.assign(row, &checks, shape)))
+    }
+
+    /// The row-local assignment (module docs, "What a match is"): the
+    /// least label vector, in scan pre-order, of an assignment of the
+    /// segment's operators (`checks`, resolved at the query's margin) to
+    /// the row's that meets every condition — or the first condition the
+    /// row fails.
+    fn assign(
+        &self,
+        row: usize,
+        checks: &[Resolved<'_>],
+        shape: &SegmentShape,
+    ) -> Result<Vec<&str>, MatchMiss> {
+        debug_assert_eq!(checks.len(), shape.wires.len(), "one wire per check");
+        if self.joins[row] != shape.joins {
+            return Err(MatchMiss::JoinCount);
+        }
+        let (ops, edges) = (&*self.ops[row], &*self.edges[row]);
+        let fits: Vec<Vec<u32>> = checks
+            .iter()
+            .map(|check| {
+                (0..ops.len() as u32)
+                    .filter(|&t| ops[t as usize].fits(check))
+                    .collect()
+            })
+            .collect();
+        if fits.iter().any(Vec::is_empty) {
+            return Err(MatchMiss::TypeOrRange);
+        }
+        let mut search = Search {
+            labels: &self.labels,
+            ops,
+            edges,
+            wires: &shape.wires,
+            checks,
+            fits: &fits,
+            image: Vec::with_capacity(checks.len()),
+            used: vec![false; ops.len()],
+            chosen: Vec::new(),
+            best: None,
+        };
+        search.extend();
+        if let Some(best) = search.best {
+            return Ok(best
+                .iter()
+                .map(|&l| self.labels[l as usize].as_str())
+                .collect());
+        }
+        let unwired = shape.wires.iter().enumerate().any(|(child, wire)| {
+            wire.is_some_and(|wire| {
+                !fits[wire.parent].iter().any(|&parent| {
+                    fits[child]
+                        .iter()
+                        .any(|&t| t != parent && wired(edges, t, parent, wire.roles))
+                })
+            })
+        });
+        Err(if unwired {
+            MatchMiss::EdgeOrRole
+        } else {
+            MatchMiss::Assignment
+        })
+    }
+
+    /// The admission walk: the first row after `after` that is in the
+    /// query's dataset and passes `checks` (the query's, resolved).
+    fn walk(
+        &self,
+        checks: &[Resolved<'_>],
+        query: &AdmissionQuery<'_>,
+        after: Option<&str>,
+        stats: &mut AdmissionStats,
+    ) -> Option<usize> {
         let m = query.margin.max(1.0);
         let first = after.map_or(0, |a| self.iris.partition_point(|iri| iri.as_str() <= a));
-        let checks = self.resolve(query.checks, m);
         let near =
             (query.near_factor > 1.0).then(|| self.resolve(query.checks, m * query.near_factor));
         let dataset = query.dataset.map(|d| lookup(&self.workloads, d));
@@ -678,7 +1022,7 @@ impl Bucket {
             if dataset.is_some_and(|d| self.workload[row] != d) {
                 return false; // out of scope: examined, but not an admission reject
             }
-            match self.admits(row, &checks, query.trim) {
+            match self.admits(row, checks, query.trim) {
                 Admission::Admitted => return true,
                 Admission::RejectedCard => seen.rejects_card += 1,
                 Admission::RejectedScan => seen.rejects_scan += 1,
@@ -694,7 +1038,89 @@ impl Bucket {
             false
         });
         *stats = seen;
-        admitted.map(|row| self.iris[row].as_str())
+        admitted
+    }
+}
+
+/// True when the row states a stream edge from `child` to `parent` with
+/// every bit of `roles`.
+fn wired(edges: &[Edge], child: u32, parent: u32, roles: u8) -> bool {
+    edges
+        .iter()
+        .any(|e| e.child == child && e.parent == parent && e.roles & roles == roles)
+}
+
+/// One row's assignment search: depth first over the segment's operators
+/// in pre-order, each tried on the template operators that fit it, every
+/// complete assignment compared with the best so far by its label vector.
+struct Search<'r> {
+    labels: &'r [String],
+    ops: &'r [PopBounds],
+    edges: &'r [Edge],
+    wires: &'r [Option<Wire>],
+    checks: &'r [Resolved<'r>],
+    /// Per segment operator: the template operators passing conditions
+    /// 1–2.
+    fits: &'r [Vec<u32>],
+    /// The template operator each segment operator so far stands for.
+    image: Vec<u32>,
+    /// Template operators taken (condition 4).
+    used: Vec<bool>,
+    /// The labels of the scans so far.
+    chosen: Vec<u32>,
+    best: Option<Vec<u32>>,
+}
+
+impl Search<'_> {
+    fn order(&self, a: &[u32], b: &[u32]) -> Ordering {
+        let text = |l: &u32| self.labels[*l as usize].as_str();
+        a.iter().map(text).cmp(b.iter().map(text))
+    }
+
+    /// Extend the partial assignment by the next segment operator.
+    fn extend(&mut self) {
+        let (k, fits) = (self.image.len(), self.fits);
+        let Some(candidates) = fits.get(k) else {
+            if self
+                .best
+                .as_ref()
+                .is_none_or(|best| self.order(&self.chosen, best).is_lt())
+            {
+                self.best = Some(self.chosen.clone());
+            }
+            return;
+        };
+        let scan = self.checks[k].scan;
+        for &t in candidates {
+            if self.used[t as usize] {
+                continue;
+            }
+            // Pre-order: the parent already stands somewhere (condition 3).
+            if let Some(wire) = self.wires[k] {
+                if !wired(self.edges, t, self.image[wire.parent], wire.roles) {
+                    continue;
+                }
+            }
+            if scan {
+                self.chosen.push(self.ops[t as usize].label);
+                // A prefix above the best's cannot end below it.
+                let worse = self.best.as_ref().is_some_and(|best| {
+                    self.order(&self.chosen, &best[..self.chosen.len()]).is_gt()
+                });
+                if worse {
+                    self.chosen.pop();
+                    continue;
+                }
+            }
+            self.used[t as usize] = true;
+            self.image.push(t);
+            self.extend();
+            self.image.pop();
+            self.used[t as usize] = false;
+            if scan {
+                self.chosen.pop();
+            }
+        }
     }
 }
 
@@ -709,11 +1135,11 @@ pub(crate) struct SigIndex {
 impl SigIndex {
     /// Insert the template's row into its signature's bucket, or
     /// overwrite the row it already has there.
-    fn upsert(&mut self, signature: u64, iri: &str, workload: &str, pops: Vec<PopEntry<'_>>) {
+    fn upsert(&mut self, signature: u64, iri: &str, workload: &str, row: RowEntry<'_>) {
         self.buckets
             .entry(signature)
             .or_default()
-            .upsert(iri, workload, pops);
+            .upsert(iri, workload, row);
     }
 
     /// Unlink a template; a bucket left without rows goes with it.
@@ -775,6 +1201,22 @@ impl SigIndex {
             .get(&signature)?
             .next_admitting(query, after, stats)
     }
+
+    /// The same cursor, with the admitted row matched against the
+    /// segment: the template IRI, and the winning labels (scan pre-order)
+    /// or why the row does not match.
+    pub(crate) fn next_checked(
+        &self,
+        signature: u64,
+        query: &AdmissionQuery<'_>,
+        shape: &SegmentShape,
+        after: Option<&str>,
+        stats: &mut AdmissionStats,
+    ) -> Option<(&str, Result<Vec<&str>, MatchMiss>)> {
+        self.buckets
+            .get(&signature)?
+            .next_checked(query, shape, after, stats)
+    }
 }
 
 /// Epoch generations the [`ChangeJournal`] reaches back. An outcome
@@ -786,14 +1228,18 @@ pub(crate) const JOURNAL_DEPTH: usize = 64;
 pub(crate) const JOURNAL_TEMPLATES: usize = 8;
 
 /// One template's signature-index row as a generation found or left it:
-/// its cells, sharing the bucket's intern tables and the row's operators.
+/// its cells, sharing the bucket's intern tables, the row's operators and
+/// its edges.
 pub(crate) struct JournalRow {
     signature: u64,
     types: Arc<Vec<String>>,
     workloads: Arc<Vec<String>>,
+    labels: Arc<Vec<String>>,
     workload: u32,
+    joins: usize,
     ops: Arc<[PopBounds]>,
     sketches: Arc<[[StatSketch; 4]]>,
+    edges: Arc<[Edge]>,
 }
 
 impl JournalRow {
@@ -823,11 +1269,14 @@ impl JournalRow {
         let bucket = Bucket {
             types: Arc::clone(&self.types),
             workloads: Arc::clone(&self.workloads),
+            labels: Arc::clone(&self.labels),
             iris: vec![String::new()],
             workload: vec![self.workload],
+            joins: vec![self.joins],
             hulls,
             ops: vec![Arc::clone(&self.ops)],
             sketches: vec![Arc::clone(&self.sketches)],
+            edges: vec![Arc::clone(&self.edges)],
         };
         queries.any(|query| {
             let mut stats = AdmissionStats::default();
@@ -1057,14 +1506,22 @@ mod tests {
     /// …and one no row ever has.
     const UNSEEN: &str = "GRPBY";
 
-    fn entries(pops: &[RefPop]) -> Vec<PopEntry<'static>> {
-        pops.iter()
+    fn entries(pops: &[RefPop]) -> RowEntry<'static> {
+        let pops = pops
+            .iter()
             .map(|p| PopEntry {
                 pop_type: p.pop_type,
+                label: None,
+                bounded: 0,
                 cardinality: p.cardinality.clone(),
                 scan: p.scan.clone(),
             })
-            .collect()
+            .collect();
+        RowEntry {
+            joins: 0,
+            pops,
+            edges: Vec::new(),
+        }
     }
 
     /// A stat anchored at `lo`: plain, sketched with an outlier (so a

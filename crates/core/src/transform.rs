@@ -7,16 +7,18 @@
 //!    §3.1 examples).
 //! 2. **QGM segment → SPARQL** — the Figure 6 generation: result handlers
 //!    (`?pop_N`), internal handlers (`?ihK`) with range FILTERs, and
-//!    relationship handlers (`hasOutputStream`), used online to match a
-//!    concrete sub-plan against the abstracted templates in the knowledge
-//!    base.
+//!    relationship handlers (`hasOutputStream`): the definition of a
+//!    concrete sub-plan matching an abstracted template. The online
+//!    matcher tests the same conditions on the knowledge base's index
+//!    rows; the [`oracle`](crate::oracle) and the diagnostics evaluate the
+//!    probe itself.
 //! 3. **Template → RDF** — the §3.2 abstraction step lives in
 //!    [`crate::kb`], which shares this module's property emission.
 
 use std::collections::BTreeSet;
 
 use galo_catalog::Database;
-use galo_qgm::{segment_signature, PopId, PopKind, Qgm};
+use galo_qgm::{segment_signature, Pop, PopId, PopKind, Qgm};
 use galo_rdf::{CmpOp, Expr, PathPattern, SelectQuery, Term, TermPattern, TriplePattern};
 
 use crate::kb::{PopCheck, ScanCheck};
@@ -173,8 +175,9 @@ pub struct SegmentProbe {
 /// Compile one plan segment into a knowledge-base probe (paper Figure 6)
 /// as a [`SelectQuery`] AST. Structurally identical to parsing
 /// [`segment_to_sparql_opt`]'s output — the differential tests pin the two
-/// paths to each other — but built directly, so the online matcher never
-/// round-trips through SPARQL text.
+/// paths to each other — but built directly, so the
+/// [`oracle`](crate::oracle) and the diagnostics evaluate it without a
+/// round trip through SPARQL text.
 ///
 /// For every operator of the segment the probe:
 /// * binds a result handler `?pop_<opid>` constrained to the operator's
@@ -391,35 +394,36 @@ pub fn segment_card_checks(qgm: &Qgm, root: PopId) -> Vec<(&'static str, f64)> {
 /// estimated cardinality and — for scans — the belief-table statistics
 /// (row size, FPAGES, base cardinality) the Figure-6 probe would test.
 /// These are exactly the values [`segment_to_probe`]'s range filters bind
-/// against, so the knowledge base can reject a candidate template from its
-/// in-memory index without evaluating the probe.
+/// against, so the knowledge base can decide on a candidate template from
+/// its in-memory index without evaluating the probe.
 pub fn segment_pop_checks(db: &Database, qgm: &Qgm, root: PopId) -> Vec<PopCheck> {
     qgm.subtree(root)
         .into_iter()
-        .map(|pid| {
-            let pop = qgm.pop(pid);
-            let scan = pop.kind.scan_table().map(|t| {
-                let stats = db.belief.table(qgm.query.tables[t].table);
-                ScanCheck {
-                    row_size: stats.row_size as f64,
-                    fpages: stats.pages as f64,
-                    base_cardinality: stats.row_count as f64,
-                }
-            });
-            PopCheck {
-                pop_type: pop.kind.name(),
-                est_card: pop.est_card,
-                scan,
-            }
-        })
+        .map(|pid| pop_check(db, qgm, qgm.pop(pid)))
         .collect()
 }
 
-/// Generate the Figure-6 segment-match query as SPARQL **text**. Since the
-/// probe-IR refactor this path serves explain/debug output (e.g. the
-/// knowledge-base tour example) and acts as the independent oracle the
-/// differential tests compare [`segment_to_probe`] against; the online
-/// matcher no longer parses it.
+/// One operator's admission check (see [`segment_pop_checks`]).
+pub(crate) fn pop_check(db: &Database, qgm: &Qgm, pop: &Pop) -> PopCheck {
+    let scan = pop.kind.scan_table().map(|t| {
+        let stats = db.belief.table(qgm.query.tables[t].table);
+        ScanCheck {
+            row_size: stats.row_size as f64,
+            fpages: stats.pages as f64,
+            base_cardinality: stats.row_count as f64,
+        }
+    });
+    PopCheck {
+        pop_type: pop.kind.name(),
+        est_card: pop.est_card,
+        scan,
+    }
+}
+
+/// Generate the Figure-6 segment-match query as SPARQL **text**. This
+/// path serves explain/debug output (e.g. the knowledge-base tour example)
+/// and the oracle's text pipeline, which the differential tests compare
+/// [`segment_to_probe`] and the matcher against.
 pub fn segment_to_sparql(db: &Database, qgm: &Qgm, root: PopId) -> String {
     segment_to_sparql_opt(db, qgm, root, &ProbeOptions::default())
 }

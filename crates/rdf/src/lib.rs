@@ -58,9 +58,9 @@ pub use policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};
 pub use server::{FusekiLite, MutationScope, Probe, ServerError};
 pub use shard::{HashRouter, ShardRouter, ShardStats, ShardedStore, TemplateRouter};
 pub use sparql::{
-    apply_update, constants_interned, evaluate, evaluate_prepared, evaluate_seeded, parse_select,
-    parse_update, prepare_seeded, projected_vars, CmpOp, Expr, PathPattern, PreparedQuery,
-    ResultSet, SelectQuery, SparqlParseError, TermPattern, TriplePattern, Update,
+    apply_update, evaluate, evaluate_seeded, parse_select, parse_update, projected_vars, CmpOp,
+    Expr, PathPattern, ResultSet, SelectQuery, SparqlParseError, TermPattern, TriplePattern,
+    Update,
 };
 pub use store::{IndexedStore, ReadOnlyReplica, ScanStore, StoragePressure, Triple, TripleStore};
 pub use term::{Interner, Literal, Term, TermId};

@@ -17,10 +17,10 @@ use crate::block::{Applied, QuadBlock, Record};
 use crate::ntriples::{parse_ntriples, to_ntriples, NtParseError, Quad};
 use crate::policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};
 use crate::shard::{ShardRouter, ShardStats, ShardedStore};
-use crate::sparql::eval::{evaluate_prepared, prepare_seeded, PreparedQuery};
+use crate::sparql::eval::{constants_interned, evaluate_prepared, prepare_seeded, PreparedQuery};
 use crate::sparql::{
-    apply_update, constants_interned, evaluate, parse_select, parse_update, projected_vars,
-    ResultSet, SelectQuery, SparqlParseError,
+    apply_update, evaluate, parse_select, parse_update, projected_vars, ResultSet, SelectQuery,
+    SparqlParseError,
 };
 use crate::store::{IndexedStore, ReadOnlyReplica, StoragePressure, TripleStore};
 use crate::term::{Term, TermId};

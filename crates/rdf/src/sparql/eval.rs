@@ -65,7 +65,7 @@ pub fn projected_vars(query: &SelectQuery) -> Vec<String> {
 /// constant was never interned can match nothing, so the whole basic
 /// graph pattern is empty; callers can skip evaluation entirely (the
 /// batched probe path pre-resolves constants this way).
-pub fn constants_interned<S: TripleStore + ?Sized>(store: &S, query: &SelectQuery) -> bool {
+pub(crate) fn constants_interned<S: TripleStore + ?Sized>(store: &S, query: &SelectQuery) -> bool {
     if let Some(g) = &query.graph {
         if store.term_id(g).is_none() {
             return false;
@@ -148,7 +148,7 @@ pub fn evaluate_seeded<S: TripleStore + ?Sized>(
 /// evaluating the same probe for many seed bindings (one knowledge-base
 /// candidate template each) pays only for the actual search.
 #[derive(Debug)]
-pub struct PreparedQuery<'q> {
+pub(crate) struct PreparedQuery<'q> {
     query: &'q SelectQuery,
     projected: Vec<String>,
     order: Vec<usize>,
@@ -163,13 +163,8 @@ pub struct PreparedQuery<'q> {
 }
 
 impl PreparedQuery<'_> {
-    /// Projected variable names (the `vars` of every produced result set).
-    pub fn projected(&self) -> &[String] {
-        &self.projected
-    }
-
     /// An empty result set with this query's projection.
-    pub fn empty_result(&self) -> ResultSet {
+    fn empty_result(&self) -> ResultSet {
         ResultSet {
             vars: self.projected.clone(),
             rows: Vec::new(),
@@ -180,7 +175,7 @@ impl PreparedQuery<'_> {
 /// Prepare a query for evaluation under seeds binding exactly `seed_vars`
 /// (in that order). The preparation is valid as long as the store's
 /// contents don't change — pattern ordering uses the store's counts.
-pub fn prepare_seeded<'q, S: TripleStore + ?Sized>(
+pub(crate) fn prepare_seeded<'q, S: TripleStore + ?Sized>(
     store: &S,
     query: &'q SelectQuery,
     seed_vars: &[String],
@@ -243,7 +238,7 @@ pub fn prepare_seeded<'q, S: TripleStore + ?Sized>(
 
 /// Evaluate a prepared query for one seed (`seed_ids` parallel to the
 /// `seed_vars` the query was prepared with).
-pub fn evaluate_prepared<S: TripleStore + ?Sized>(
+pub(crate) fn evaluate_prepared<S: TripleStore + ?Sized>(
     store: &S,
     prepared: &PreparedQuery<'_>,
     seed_ids: &[TermId],

@@ -5,8 +5,5 @@ pub mod eval;
 pub mod parser;
 
 pub use ast::{CmpOp, Expr, PathPattern, SelectQuery, TermPattern, TriplePattern, Update};
-pub use eval::{
-    apply_update, constants_interned, evaluate, evaluate_prepared, evaluate_seeded, prepare_seeded,
-    projected_vars, PreparedQuery, ResultSet,
-};
+pub use eval::{apply_update, evaluate, evaluate_seeded, projected_vars, ResultSet};
 pub use parser::{parse_select, parse_update, SparqlParseError};

@@ -3,16 +3,21 @@
 //! decomposable and order-independent, abstraction must preserve guideline
 //! structure, and the measurement pipeline must be deterministic.
 
+use std::collections::BTreeSet;
+
 use galo_catalog::Database;
+use galo_core::oracle::{self, match_plan_text};
 use galo_core::{
-    abstract_plan, match_plan, match_plan_text, segment_to_probe, segment_to_sparql_opt,
-    KnowledgeBase, MatchConfig, ProbeOptions,
+    abstract_plan, candidate_verdicts, compile_plan, diagnose, learn_workload, match_plan,
+    segment_to_probe, segment_to_sparql_opt, vocab, KnowledgeBase, LearningConfig, MatchConfig,
+    MatchReport, PopObservation, ProbeOptions, Template, TemplateRefinement,
 };
 use galo_executor::{db2batch, NoiseModel};
 use galo_optimizer::Optimizer;
-use galo_qgm::{guideline_from_plan, segments, GuidelineDoc};
+use galo_qgm::{guideline_from_plan, segments, GuidelineDoc, PopId, Qgm};
+use galo_rdf::Quad;
 use galo_sql::{CardEstimator, JoinPred, Query, TableRef};
-use galo_workloads::tpcds;
+use galo_workloads::{tpcds, Workload};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -239,5 +244,302 @@ proptest! {
             prop_assert_eq!(x.elapsed_ms, y.elapsed_ms);
             prop_assert!(x.elapsed_ms > 0.0);
         }
+    }
+}
+
+/// A template that does not say what its plan says: the ways the native
+/// matcher must agree with the Figure-6 probe on a row that is wrong.
+#[derive(Debug, Clone, Copy)]
+enum Miswiring {
+    /// The first join lists its inputs the other way round: outer and
+    /// inner roles swapped.
+    SwapRoles,
+    /// The first `hasOutputStream` statement is dropped.
+    DropOutputStream,
+    /// The first join's two inputs are one operator (the other is left
+    /// without a parent).
+    OneInputTwice,
+    /// The first join states both roles of both its inputs, so its
+    /// inputs can stand for either of a segment join's: two assignments,
+    /// two label vectors.
+    BothRoles,
+    /// Two same-typed operators trade operator ids, so the row's first
+    /// operator of the type is not the one the segment's first maps to.
+    TradeIds,
+    /// The first scan states no canonical table label.
+    DropLabel,
+    /// The guideline names a label no scan carries.
+    UnboundLabel,
+}
+
+const MISWIRINGS: [Miswiring; 7] = [
+    Miswiring::SwapRoles,
+    Miswiring::DropOutputStream,
+    Miswiring::OneInputTwice,
+    Miswiring::BothRoles,
+    Miswiring::TradeIds,
+    Miswiring::DropLabel,
+    Miswiring::UnboundLabel,
+];
+
+/// The quads of `tpl` mis-wired as `how` says.
+fn miswired(tpl: &Template, how: Miswiring) -> Vec<Quad> {
+    let mut tpl = tpl.clone();
+    let first_join = tpl
+        .pops
+        .iter()
+        .position(|p| p.inputs.len() == 2 && p.inputs[0] != p.inputs[1]);
+    match (how, first_join) {
+        (Miswiring::SwapRoles, Some(j)) => tpl.pops[j].inputs.reverse(),
+        (Miswiring::OneInputTwice, Some(j)) => tpl.pops[j].inputs[1] = tpl.pops[j].inputs[0],
+        (Miswiring::TradeIds, _) => {
+            let same_typed = (0..tpl.pops.len()).find_map(|a| {
+                let b = (a + 1..tpl.pops.len())
+                    .find(|&b| tpl.pops[b].pop_type == tpl.pops[a].pop_type)?;
+                Some((tpl.pops[a].op_id, tpl.pops[b].op_id))
+            });
+            if let Some((a, b)) = same_typed {
+                let trade = |id: &mut u32| {
+                    *id = if *id == a {
+                        b
+                    } else if *id == b {
+                        a
+                    } else {
+                        *id
+                    }
+                };
+                for pop in &mut tpl.pops {
+                    trade(&mut pop.op_id);
+                    pop.inputs.iter_mut().for_each(trade);
+                }
+            }
+        }
+        (Miswiring::UnboundLabel, _) => {
+            let roots = tpl.guideline.roots.iter();
+            let unbound = roots.map(|r| r.map_tabids(&|t| format!("{t}9"))).collect();
+            tpl.guideline = GuidelineDoc::new(unbound);
+        }
+        _ => {}
+    }
+    let mut quads = KnowledgeBase::templates_to_quads(std::slice::from_ref(&tpl));
+    let drop_first = |quads: &mut Vec<Quad>, local: &str| {
+        let at = quads.iter().position(|q| q.1 == vocab::prop(local));
+        at.map(|at| quads.remove(at));
+    };
+    match (how, first_join) {
+        (Miswiring::DropOutputStream, _) => drop_first(&mut quads, vocab::HAS_OUTPUT_STREAM),
+        (Miswiring::DropLabel, _) => drop_first(&mut quads, vocab::HAS_CANONICAL_TABID),
+        (Miswiring::BothRoles, Some(j)) => {
+            let pop = |op_id: u32| vocab::template_pop_iri(&tpl.id, op_id);
+            let (join, outer, inner) = {
+                let join = &tpl.pops[j];
+                (pop(join.op_id), join.inputs[0], join.inputs[1])
+            };
+            for (role, child) in [
+                (vocab::HAS_OUTER_INPUT_STREAM, inner),
+                (vocab::HAS_INNER_INPUT_STREAM, outer),
+            ] {
+                quads.push((join.clone(), vocab::prop(role), pop(child), None));
+            }
+        }
+        _ => {}
+    }
+    quads
+}
+
+/// One case of the native ≡ probe differential: a knowledge base built by
+/// learning, `abstract_plan`, a refinement, a retraction and mis-wired
+/// templates, matched against a random star query's plan. Every admitted
+/// candidate's native verdict and labels must equal the probe's, and the
+/// matcher, the probe pipeline and the text pipeline must produce the
+/// same rewrites. Returns the verdict kinds seen, with `UnboundLabel` for
+/// the matches `diagnose` reports unbound.
+fn native_against_probe(
+    fact: usize,
+    dims: Vec<usize>,
+    seed: u64,
+    margin: f64,
+    widen: f64,
+) -> BTreeSet<String> {
+    let mut seen = BTreeSet::new();
+    let db = tpcds::database();
+    let Some(q) = random_query(&db, fact, dims) else {
+        return seen;
+    };
+    let optimizer = Optimizer::new(&db);
+    let plan = optimizer.optimize(&q).expect("plans");
+    let kb = KnowledgeBase::new();
+
+    let learned = Workload {
+        name: "learned".into(),
+        db: tpcds::database(),
+        queries: vec![q.clone()],
+    };
+    let learning = LearningConfig {
+        threads: 1,
+        random_plans: 4,
+        runs_per_plan: 2,
+        probes_per_pred: 1,
+        seed,
+        ..LearningConfig::default()
+    };
+    learn_workload(&learned, &kb, &learning);
+
+    // Templates of the plan's own segments and of random alternatives,
+    // every range widened by `widen` so that same-typed operators can
+    // fit each other's segment operators.
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sources: Vec<(Qgm, PopId)> = segments(&plan, 4)
+        .into_iter()
+        .map(|s| (plan.clone(), s.root))
+        .collect();
+    for alt in optimizer.random_plans(&q).generate_distinct(2, &mut rng) {
+        let root = alt.root();
+        sources.push((alt, root));
+    }
+    let mut templates = Vec::new();
+    for (i, (src, root)) in sources.iter().enumerate() {
+        let Some(g) = guideline_from_plan(src, *root) else {
+            continue;
+        };
+        let doc = GuidelineDoc::new(vec![g]);
+        let mut tpl = abstract_plan(&db, src, *root, &doc, kb.fresh_id(100 + i as u64));
+        for pop in &mut tpl.pops {
+            pop.cardinality.set_widen(widen);
+            if let Some(scan) = &mut pop.scan {
+                for stat in [
+                    &mut scan.row_size,
+                    &mut scan.fpages,
+                    &mut scan.base_cardinality,
+                ] {
+                    stat.set_widen(widen);
+                }
+            }
+        }
+        tpl.source_workload = "abstracted".into();
+        templates.push(tpl);
+    }
+    kb.insert_batch(&templates);
+    for (i, tpl) in templates.iter().enumerate() {
+        for (k, &how) in MISWIRINGS.iter().enumerate() {
+            let mut wrong = tpl.clone();
+            wrong.id = kb.fresh_id(1_000 + (i * MISWIRINGS.len() + k) as u64);
+            kb.apply_quads(&miswired(&wrong, how));
+        }
+    }
+
+    // A refinement widens the last template toward a displaced estimate;
+    // a retraction takes the first one out again.
+    if let Some(tpl) = templates.last() {
+        let observations = tpl
+            .pops
+            .iter()
+            .map(|p| PopObservation {
+                pop_type: p.pop_type.clone(),
+                cards: vec![(p.cardinality.envelope(0.0).hi * 3.0, f64::INFINITY)],
+                scan: None,
+                scan_band: f64::INFINITY,
+            })
+            .collect();
+        let refinement = TemplateRefinement {
+            observations,
+            narrows: Vec::new(),
+        };
+        let iri = vocab::template_iri(&tpl.id);
+        kb.refine_template_stats(iri.str_value(), &refinement);
+    }
+    if let Some(tpl) = templates.first() {
+        kb.remove_template(vocab::template_iri(&tpl.id).str_value());
+    }
+
+    for margin in [1.0, margin] {
+        let cfg = MatchConfig {
+            range_margin: margin,
+            ..MatchConfig::default()
+        };
+        let compiled = compile_plan(&db, &plan, &cfg);
+        for v in candidate_verdicts(&kb, &compiled) {
+            let root = plan
+                .pops()
+                .find(|(_, p)| p.op_id == v.segment_op_id)
+                .map(|(id, _)| id)
+                .expect("a segment root");
+            let probed = oracle::probe_labels(&db, &kb, &plan, root, &cfg, &v.template_iri);
+            assert_eq!(v.verdict.clone().ok(), probed, "{v:?} at margin {margin}");
+            seen.insert(match &v.verdict {
+                Ok(_) => "Match".to_string(),
+                Err(miss) => format!("{miss:?}"),
+            });
+        }
+        let native = match_plan(&db, &kb, &plan, &cfg);
+        let by_probe = oracle::match_plan_probe(&db, &kb, &plan, &cfg);
+        let by_text = oracle::match_plan_text(&db, &kb, &plan, &cfg);
+        let rewrites = |r: &MatchReport| {
+            r.rewrites
+                .iter()
+                .map(|w| (w.segment_op_id, w.template_iri.clone(), w.guideline.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rewrites(&native), rewrites(&by_probe), "margin {margin}");
+        assert_eq!(rewrites(&native), rewrites(&by_text), "margin {margin}");
+        assert_eq!(native.probes_executed, by_probe.probes_executed);
+        assert_eq!(native.probes_pruned, by_probe.probes_pruned);
+        assert_eq!(native.candidates_considered, by_probe.candidates_considered);
+        for rejection in diagnose(&db, &kb, &plan, &cfg).rejected {
+            seen.insert(format!("{:?}", rejection.reason));
+        }
+    }
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The matcher's row-local assignment is the Figure-6 probe: on every
+    /// admitted candidate of every segment it reaches the probe's verdict
+    /// and the probe's least label vector, over knowledge bases built
+    /// every way the system builds one plus deliberately mis-wired rows.
+    #[test]
+    fn native_match_equals_the_probe_oracle(
+        fact in 0usize..3,
+        dims in prop::collection::vec(0usize..6, 1..4),
+        seed in 0u64..1000,
+        margin_tenths in 10u64..40,
+        wide in prop::bool::ANY,
+    ) {
+        let widen = if wide { 1e4 } else { 1.5 };
+        native_against_probe(fact, dims, seed, margin_tenths as f64 / 10.0, widen);
+    }
+}
+
+/// The differential is not vacuous: over a fixed set of cases it reaches
+/// a match and every reason a row can miss for, but the join count (which
+/// the signature already carries).
+#[test]
+fn the_native_differential_reaches_every_verdict() {
+    let mut seen = BTreeSet::new();
+    for (case, dims) in [vec![0, 1], vec![0, 2, 3], vec![1, 4], vec![2, 3, 5]]
+        .into_iter()
+        .enumerate()
+    {
+        for widen in [1.5, 1e4] {
+            seen.extend(native_against_probe(
+                case % 3,
+                dims.clone(),
+                case as u64,
+                2.0,
+                widen,
+            ));
+        }
+    }
+    let every = [
+        "Match",
+        "TypeOrRange",
+        "EdgeOrRole",
+        "Assignment",
+        "UnboundLabel",
+    ];
+    for kind in every {
+        assert!(seen.contains(kind), "{kind} never reached: {seen:?}");
     }
 }

@@ -15,9 +15,10 @@ use galo_catalog::{
     col, ColumnId, ColumnStats, ColumnType, DatabaseBuilder, Index, IndexId, SystemConfig, Table,
     Value,
 };
+use galo_core::oracle::match_plan_text;
 use galo_core::{
-    abstract_plan, learn_workload, learn_workload_cluster, match_plan, match_plan_text, vocab,
-    ClusterConfig, KbBuilder, KnowledgeBase, LearningConfig, MatchConfig,
+    abstract_plan, learn_workload, learn_workload_cluster, match_plan, vocab, ClusterConfig,
+    KbBuilder, KnowledgeBase, LearningConfig, MatchConfig,
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};

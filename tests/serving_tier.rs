@@ -197,8 +197,8 @@ fn assert_serve_equals(served: &MatchReport, fresh: &MatchReport, context: &str)
 }
 
 /// Everything a report matched at the same epoch as `fresh` must share
-/// with it. `match_ms` is wall time and `probes_reused` only exists on
-/// the serving path, so neither participates.
+/// with it. `match_ms` is wall time and `probes_reused` is always 0 (the
+/// matcher builds no probes to reuse), so neither participates.
 fn assert_reports_equal(served: &MatchReport, fresh: &MatchReport, context: &str) {
     assert_rewrites_equal(served, fresh, context);
     assert_eq!(served.probes_pruned, fresh.probes_pruned, "{context}");

@@ -7,9 +7,10 @@
 //! durable reopen, and an explicit `reindex`.
 
 use galo_bench::{inflate_kb_polluted, learning_config};
+use galo_core::oracle::match_plan_text;
 use galo_core::{
-    abstract_plan, learn_workload, match_plan, match_plan_text, segment_pop_checks, vocab,
-    AdmissionQuery, KbBuilder, KnowledgeBase, MatchConfig, PopCheck, StatSketch, Template,
+    abstract_plan, learn_workload, match_plan, segment_pop_checks, vocab, AdmissionQuery,
+    KbBuilder, KnowledgeBase, MatchConfig, PopCheck, StatSketch, Template,
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, segments, shape_signature, GuidelineDoc};
