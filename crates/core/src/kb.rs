@@ -62,7 +62,7 @@ use galo_executor::Actuals;
 use galo_qgm::{segment_signature, segments, shape_signature, GuidelineDoc, PopId, Qgm};
 use galo_rdf::{
     Applied, BlockOp, FusekiLite, QuadBlock, ReadOnlyReplica, Record, ServerError, Term, TermId,
-    TripleStore,
+    Triple, TripleStore,
 };
 
 use crate::feedback::{
@@ -397,7 +397,7 @@ impl KnowledgeBase {
     /// candidates actually checked are cloned (usually one, thanks to
     /// first-match-wins) instead of the whole admitted list, and the
     /// signature-index lock is held only for one pull. Every index entry
-    /// examined by the pull — the admitted one included — is accumulated
+    /// the pull went past — the admitted one included — is accumulated
     /// into `stats`, so the caller observes exactly how much pruning the
     /// pre-check did for this segment.
     pub fn next_candidate_admitting(
@@ -760,6 +760,7 @@ impl KnowledgeBase {
             index.remove(template);
             template_facts(st, template).into_entries(&mut index, |_| true);
         }
+        index.settle();
     }
 
     /// Rebuild the signature index from the stored triples and advance
@@ -785,26 +786,26 @@ impl KnowledgeBase {
         tests::REBUILDS.with(|n| n.set(n.get() + 1));
         let mut facts = IndexFacts::default();
         for local in IndexFacts::predicates() {
-            let Some(pid) = st.term_id(&prop(local)) else {
-                continue;
-            };
-            for (s, _, o) in st.scan(None, Some(pid), None) {
+            for (s, _, o) in statements_of(st, local) {
                 facts.add(st.resolve(s).str_value(), local, st.resolve(o));
             }
         }
         let mut index = SigIndex::default();
         facts.into_entries(&mut index, |_| true);
+        index.settle();
         *self.sig_index.write().expect("signature index lock") = index;
     }
 
-    /// Number of templates stored.
+    /// Number of templates stored: the subjects stating a guideline.
     pub fn template_count(&self) -> usize {
-        let q = format!(
-            "PREFIX p: <{}> SELECT DISTINCT ?t WHERE {{ ?t p:{} ?x . }}",
-            vocab::PROP_NS,
-            vocab::HAS_GUIDELINE_XML
-        );
-        self.server.query(&q).map(|rs| rs.len()).unwrap_or(0)
+        self.server.with_store(|st| {
+            let mut templates: Vec<TermId> = statements_of(st, vocab::HAS_GUIDELINE_XML)
+                .map(|(s, ..)| s)
+                .collect();
+            templates.sort_unstable();
+            templates.dedup();
+            templates.len()
+        })
     }
 
     /// Fetch a template's guideline document and source workload by
@@ -817,22 +818,12 @@ impl KnowledgeBase {
     /// All stored problem fingerprints with sources (deduplication during
     /// learning).
     pub fn fingerprints(&self) -> Vec<(String, String)> {
-        let q = format!(
-            "PREFIX p: <{}> SELECT ?t ?f WHERE {{ ?t p:{} ?f . }}",
-            vocab::PROP_NS,
-            vocab::HAS_PROBLEM_FINGERPRINT
-        );
-        match self.server.query(&q) {
-            Ok(rs) => (0..rs.len())
-                .filter_map(|i| {
-                    Some((
-                        rs.get(i, "t")?.str_value().to_string(),
-                        rs.get(i, "f")?.str_value().to_string(),
-                    ))
-                })
-                .collect(),
-            Err(_) => Vec::new(),
-        }
+        self.server.with_store(|st| {
+            let text = |id| st.resolve(id).str_value().to_string();
+            statements_of(st, vocab::HAS_PROBLEM_FINGERPRINT)
+                .map(|(s, _, o)| (text(s), text(o)))
+                .collect()
+        })
     }
 
     /// Workloads that contributed templates, from the named-graph index.
@@ -1187,6 +1178,16 @@ fn loudly<T>(gated: Result<T, ReadOnlyReplica>) -> T {
 /// A property IRI's local name under [`vocab::PROP_NS`].
 fn local_name(predicate: &Term) -> Option<&str> {
     predicate.as_iri()?.strip_prefix(vocab::PROP_NS)
+}
+
+/// The default graph's statements of one property (its local name under
+/// [`vocab::PROP_NS`]): one predicate scan, none when the store has
+/// never heard of it.
+fn statements_of(st: &dyn TripleStore, local: &str) -> impl Iterator<Item = Triple> {
+    let scanned = st
+        .term_id(&prop(local))
+        .map(|p| st.scan(None, Some(p), None));
+    scanned.into_iter().flatten()
 }
 
 /// The subjects a template's statements hang off: its node first, then

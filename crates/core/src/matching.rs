@@ -234,13 +234,13 @@ pub struct MatchedRewrite {
 
 /// Outcome of matching one plan against the knowledge base.
 ///
-/// The work counters below (`probes_*`, `candidates_considered`, the
-/// admission rejects, `near_misses`, `refinements_applied`) describe the
-/// match that produced the report. A serving-cache hit hands back the
-/// report of the match that filled the entry, which may have run at an
-/// earlier epoch than the one the hit is validated at (see
-/// `galo_core::serving`): its rewrites are current, its counters are that
-/// match's.
+/// The work counters below (`probes_*`, `candidates_considered` and
+/// `candidates_examined`, the admission rejects, `near_misses`,
+/// `refinements_applied`) describe the match that produced the report. A
+/// serving-cache hit hands back the report of the match that filled the
+/// entry, which may have run at an earlier epoch than the one the hit is
+/// validated at (see `galo_core::serving`): its rewrites are current, its
+/// counters are that match's.
 #[derive(Debug, Clone, Default)]
 pub struct MatchReport {
     pub rewrites: Vec<MatchedRewrite>,
@@ -266,11 +266,16 @@ pub struct MatchReport {
     /// serve compares it; ROADMAP item 5 retires it together with that
     /// composed serve.
     pub probes_reused: usize,
-    /// Signature-index entries examined by the admission pre-check across
-    /// all of the plan's segments (admitted candidates included) — the
+    /// Signature-index entries the admission walk went past across all of
+    /// the plan's segments (admitted candidates included) — the
     /// denominator for the admission counters below. Always 0 on the
     /// oracle's text path, which has no index.
     pub candidates_considered: usize,
+    /// The work behind `candidates_considered`: index rows the admission
+    /// walk tested one by one plus hull-summary cells it tested
+    /// ([`AdmissionStats::examined`]). The rows of a skipped block are
+    /// considered but not examined.
+    pub candidates_examined: usize,
     /// Candidates rejected by the admission pre-check because no
     /// same-typed template operator could admit a segment operator's
     /// estimated cardinality.
@@ -562,6 +567,7 @@ pub fn match_compiled(
         }
     }
     report.candidates_considered = admission.considered;
+    report.candidates_examined = admission.examined;
     report.admission_rejects_card = admission.rejects_card;
     report.admission_rejects_scan = admission.rejects_scan;
     report.near_misses = admission.near_misses;

@@ -224,6 +224,7 @@ pub fn match_plan_probe(
         }
     }
     report.candidates_considered = admission.considered;
+    report.candidates_examined = admission.examined;
     report.admission_rejects_card = admission.rejects_card;
     report.admission_rejects_scan = admission.rejects_scan;
     report.refinements_applied = kb.refinements_applied();

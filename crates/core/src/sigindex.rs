@@ -14,21 +14,27 @@
 //!
 //! # Layout
 //!
-//! Every pull examines hundreds of rows to admit a handful (99.98 % are
+//! Every pull goes past hundreds of rows to admit a handful (99.98 % are
 //! rejected on `serve_cold`), so what matters is the price of rejecting
-//! one. A [`Bucket`] is columnar: rows sorted by IRI, operator types,
+//! them. A [`Bucket`] is columnar: rows sorted by IRI, operator types,
 //! workloads and canonical table labels interned to small ids that a
 //! query resolves once per pull, each row's operators packed in one slice
 //! (type, exact bounds, which bounds were stored, label), the
 //! [`StatSketch`]es — read only by `trim > 0` — in a side column, and one
 //! **cardinality hull** per (operator type, row): `[min lo, max hi]` over
 //! the row's operators of that type, the empty range where the row has
-//! none. On `serve_cold` 99.9 % of the rows a pull examines end on their
-//! first hull test: two loads and two compares. Only an admitted row is
-//! read further: its join count and its stream edges, each an operator
-//! pair in row-local indices with the role bits its statements give it
-//! (`hasOutputStream` child → parent, `hasOuterInputStream` /
-//! `hasInnerInputStream` parent → child).
+//! none. On `serve_cold` 99.9 % of the rows a pull goes past are
+//! rejected on their first hull test, and most of them sit in long runs
+//! of such rows. So per operator type a **hull summary** folds the hull
+//! column over fixed blocks of 16 rows, and again over 256 and 4,096
+//! rows ([`LEVELS`]): each cell is `[min lo, max hi]` of its rows' hulls.
+//! The walk tests a block's cell, coarsest first, before its rows, and
+//! passes every block whose cell fails the first check in one step; it
+//! reads rows only inside leaf blocks whose cells admit. Only an
+//! admitted row is read further: its join count and its stream edges,
+//! each an operator pair in row-local indices with the role bits its
+//! statements give it (`hasOutputStream` child → parent,
+//! `hasOuterInputStream` / `hasInnerInputStream` parent → child).
 //!
 //! # What a match is
 //!
@@ -83,6 +89,25 @@
 //! (stored bounds may disagree with their sketch), so the pre-test is
 //! skipped there rather than argued.
 //!
+//! The summary is the same step one level up. A cell is the hull of its
+//! rows' hulls of check 0's type, so a row hull that admits check 0 makes
+//! the cell admit it: a cell that fails proves every row under it fails
+//! its hull test on check 0, the first test the walk makes of a row. Each
+//! of those rows is the card reject the row walk would count, so a
+//! failed cell adds its row count to `considered` and `rejects_card`, as
+//! many single steps would. With near-miss tracking on, a cell is passed
+//! only when check 0 at the widened margin fails it too; then no row
+//! under it can be a near miss. Rows keep their IRI order, so the first
+//! admitted row, and with it the cursor, the claimed set and the
+//! journal's re-validation, are the row walk's. A check 0 of a type the
+//! bucket has never seen fails every row: the rest of the bucket is
+//! passed in one step, with the same counts.
+//!
+//! Two kinds of walk go row by row instead, because a block count cannot
+//! say what the rows would: `trim > 0`, which reads no hull, and a
+//! dataset-scoped query, which passes an out-of-scope row as considered
+//! but not rejected.
+//!
 //! # Where entries come from
 //!
 //! One place: the [`IndexFacts`] gather, fed one default-graph statement
@@ -93,6 +118,14 @@
 //! writer of rows, so the fallback rules (corrupt sketch → exact bounds →
 //! unbounded for admission; no stored bounds → no match) and the reading
 //! of irregular facts above are stated once.
+//!
+//! Writing and removing rows shifts the rows after them, and with them
+//! every summary block from there on. So a bucket remembers the lowest
+//! position a change touched, and [`SigIndex::settle`] repairs its
+//! summaries from that position, once, at the end of each index change:
+//! the knowledge base's upkeep of one block, its rebuild from the store
+//! (O(rows), like the rebuild itself), and the journal's bucket of one.
+//! The summary vectors are repaired in place, not reallocated.
 //!
 //! # The change journal
 //!
@@ -149,10 +182,13 @@ impl PopCheck {
 
 /// Admission pre-check counters, accumulated per cursor pull and folded
 /// into [`MatchReport`](crate::matching::MatchReport): how many index
-/// entries were examined and why the rejected ones were rejected.
+/// entries the walk went past, why the rejected ones were rejected, and
+/// how much it read to tell.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AdmissionStats {
-    /// Index entries examined (admitted, dataset-filtered, or rejected).
+    /// Index entries the walk went past (admitted, dataset-filtered, or
+    /// rejected), whether it tested them one by one or skipped them with
+    /// a block of the hull summary.
     pub considered: usize,
     /// Entries rejected because no same-typed operator's cardinality
     /// envelope admitted a check value.
@@ -164,6 +200,11 @@ pub struct AdmissionStats {
     /// widened `margin · near_factor` — the feedback loop's candidates
     /// for near-miss widening. Always 0 while `near_factor` is 1.
     pub near_misses: usize,
+    /// The work behind `considered`: rows the walk tested one by one plus
+    /// hull-summary cells it tested. The rows of a skipped block are
+    /// considered but not examined, so on a bucket that mostly rejects
+    /// this stays far below `considered`.
+    pub examined: usize,
 }
 
 /// One segment's admission query against the signature index: the checks
@@ -714,6 +755,13 @@ struct Bucket {
     /// Type id -> row -> cardinality hull over the row's operators of
     /// that type.
     hulls: Vec<Vec<Range>>,
+    /// Type id -> `hulls[ty]` folded over fixed blocks of rows: what lets
+    /// the walk pass a whole block on one test.
+    summaries: Vec<HullSummary>,
+    /// The lowest row position a change since the last
+    /// [`settle`](Self::settle) touched: summary cells from the one
+    /// covering it on may be out of date. `usize::MAX` when none are.
+    stale: usize,
     /// Row -> its operators' exact bounds, packed. One exact-size
     /// allocation per row rather than one vector per bucket: 99.9 % of
     /// rows are rejected on a hull and never read theirs, while a flat
@@ -739,6 +787,97 @@ fn lookup(table: &[String], name: &str) -> u32 {
 fn widen_hull(hull: &mut Range, cardinality: Range) {
     hull.lo = hull.lo.min(cardinality.lo);
     hull.hi = hull.hi.max(cardinality.hi);
+}
+
+/// Rows per cell at each level of a [`HullSummary`], finest first; a cell
+/// is a whole number of cells of the level below.
+const LEVELS: [usize; 3] = [16, 256, 4096];
+
+/// One operator type's cardinality hulls folded over fixed blocks of a
+/// bucket's rows: `cells[l][b]` is the hull of rows `b·w .. (b+1)·w`
+/// where `w = LEVELS[l]` (the last block of a level ends at the bucket's
+/// last row).
+#[derive(Debug, Clone, Default)]
+struct HullSummary {
+    cells: [Vec<Range>; LEVELS.len()],
+}
+
+impl HullSummary {
+    /// Bring the cells up to `hulls` from the ones covering row `from`
+    /// on; the cells before them are current. The vectors keep their
+    /// allocations.
+    fn repair(&mut self, hulls: &[Range], from: usize) {
+        let (mut parts, mut part_rows) = (hulls, 1);
+        for (cells, &rows) in self.cells.iter_mut().zip(&LEVELS) {
+            fold(cells, parts, rows / part_rows, from / rows);
+            parts = cells;
+            part_rows = rows;
+        }
+    }
+
+    /// The summary walk of rows `row..n`: every block from `row` on whose
+    /// cell `fails` is skipped whole, coarsest level first, and the rows of
+    /// a leaf block whose cells admit go through `test` until it admits one.
+    fn walk(
+        &self,
+        mut row: usize,
+        n: usize,
+        fails: impl Fn(Range) -> bool,
+        seen: &mut AdmissionStats,
+        test: impl Fn(usize, &mut AdmissionStats) -> bool,
+    ) -> Option<usize> {
+        // Per level, the end of the cell last found to admit.
+        let mut admits_until = [0; LEVELS.len()];
+        // Above the first level whose one cell spans the bucket, every
+        // level repeats that cell.
+        let levels = 1 + LEVELS[..LEVELS.len() - 1]
+            .iter()
+            .take_while(|&&w| w < n)
+            .count();
+        'walk: while row < n {
+            for (level, &width) in LEVELS[..levels].iter().enumerate().rev() {
+                if row < admits_until[level] {
+                    continue;
+                }
+                let end = ((row / width + 1) * width).min(n);
+                seen.examined += 1;
+                if fails(self.cells[level][row / width]) {
+                    #[cfg(test)]
+                    tests::skipped(level, row, end);
+                    skip(row, end, seen);
+                    row = end;
+                    continue 'walk;
+                }
+                admits_until[level] = end;
+            }
+            let end = admits_until[0];
+            if let Some(hit) = (row..end).find(|&r| test(r, seen)) {
+                return Some(hit);
+            }
+            row = end;
+        }
+        None
+    }
+}
+
+/// Rows `from..to`, each a card reject, passed in one step.
+fn skip(from: usize, to: usize, seen: &mut AdmissionStats) {
+    seen.considered += to - from;
+    seen.rejects_card += to - from;
+}
+
+/// `cells[c]` := the hull of `parts[c·width .. (c+1)·width]`, for every
+/// cell from `from` on (or from the first `cells` lacks).
+fn fold(cells: &mut Vec<Range>, parts: &[Range], width: usize, from: usize) {
+    let from = from.min(cells.len()).min(parts.len() / width);
+    cells.truncate(from);
+    cells.extend(parts[from * width..].chunks(width).map(|chunk| {
+        let mut hull = EMPTY;
+        for &part in chunk {
+            widen_hull(&mut hull, part);
+        }
+        hull
+    }));
 }
 
 /// Id of `name` in an intern table, appended when new — to a copy of the
@@ -811,6 +950,7 @@ impl Bucket {
         self.ops[row] = bounds.into();
         self.sketches[row] = sketches.into();
         self.edges[row] = edges.into();
+        self.stale = self.stale.min(row);
     }
 
     /// Row `row` as the journal keeps it: shared cells, no copy.
@@ -841,6 +981,22 @@ impl Bucket {
         for column in &mut self.hulls {
             column.remove(row);
         }
+        self.stale = self.stale.min(row);
+    }
+
+    /// Repair the hull summaries once after a run of
+    /// [`upsert`](Self::upsert)s and [`remove`](Self::remove)s: every
+    /// cell from the lowest position they changed on.
+    fn settle(&mut self) {
+        if self.stale == usize::MAX {
+            return;
+        }
+        self.summaries
+            .resize_with(self.hulls.len(), HullSummary::default);
+        for (summary, hulls) in self.summaries.iter_mut().zip(&self.hulls) {
+            summary.repair(hulls, self.stale);
+        }
+        self.stale = usize::MAX;
     }
 
     /// Resolve a query's checks against this bucket's type table and
@@ -1001,7 +1157,9 @@ impl Bucket {
     }
 
     /// The admission walk: the first row after `after` that is in the
-    /// query's dataset and passes `checks` (the query's, resolved).
+    /// query's dataset and passes `checks` (the query's, resolved). Where
+    /// the module docs say a block count is exact, it passes over every
+    /// block of rows whose summary hull fails check 0.
     fn walk(
         &self,
         checks: &[Resolved<'_>],
@@ -1009,18 +1167,21 @@ impl Bucket {
         after: Option<&str>,
         stats: &mut AdmissionStats,
     ) -> Option<usize> {
+        debug_assert_eq!(self.stale, usize::MAX, "a walk over unsettled summaries");
         let m = query.margin.max(1.0);
-        let first = after.map_or(0, |a| self.iris.partition_point(|iri| iri.as_str() <= a));
+        let n = self.iris.len();
+        let start = after.map_or(0, |a| self.iris.partition_point(|iri| iri.as_str() <= a));
         let near =
             (query.near_factor > 1.0).then(|| self.resolve(query.checks, m * query.near_factor));
         let dataset = query.dataset.map(|d| lookup(&self.workloads, d));
         // Counted in a local: the walk is a few instructions a row, and
         // a counter behind `&mut` would be a store per row.
         let mut seen = *stats;
-        let admitted = (first..self.iris.len()).find(|&row| {
+        let test = |row: usize, seen: &mut AdmissionStats| {
             seen.considered += 1;
+            seen.examined += 1;
             if dataset.is_some_and(|d| self.workload[row] != d) {
-                return false; // out of scope: examined, but not an admission reject
+                return false; // out of scope: considered, but not an admission reject
             }
             match self.admits(row, checks, query.trim) {
                 Admission::Admitted => return true,
@@ -1036,7 +1197,28 @@ impl Bucket {
                 seen.near_misses += 1;
             }
             false
-        });
+        };
+        let admitted = match checks.first() {
+            Some(first) if query.trim <= 0.0 && dataset.is_none() => {
+                let near = near.as_ref().map(|near| near[0].stats[0]);
+                // A cell fails check 0 when neither margin admits its hull:
+                // then every row under it is a card reject, none a near miss.
+                let fails = |hull: Range| {
+                    !first.stats[0].within(hull) && near.is_none_or(|near| !near.within(hull))
+                };
+                match self.summaries.get(first.ty as usize) {
+                    Some(summary) => summary.walk(start, n, fails, &mut seen, test),
+                    // A type the bucket has never seen: every row fails.
+                    None => {
+                        skip(start, n, &mut seen);
+                        None
+                    }
+                }
+            }
+            // `trim > 0` reads no hull, and a dataset-scoped walk passes
+            // rows that are neither admitted nor rejected: row by row.
+            _ => (start..n).find(|&r| test(r, &mut seen)),
+        };
         *stats = seen;
         admitted
     }
@@ -1150,6 +1332,14 @@ impl SigIndex {
         });
     }
 
+    /// Repair the hull summaries of every bucket changed since the last
+    /// call: the end of every index change, before anyone walks it.
+    pub(crate) fn settle(&mut self) {
+        for bucket in self.buckets.values_mut() {
+            bucket.settle();
+        }
+    }
+
     /// Number of distinct signatures.
     pub(crate) fn len(&self) -> usize {
         self.buckets.len()
@@ -1188,8 +1378,8 @@ impl SigIndex {
 
     /// The cursor: the first row of the signature's bucket strictly after
     /// `after` (`None` = from the start) that belongs to the query's
-    /// dataset and passes its admission pre-check. Every row examined —
-    /// the admitted one included — is accumulated into `stats`.
+    /// dataset and passes its admission pre-check. Every row it went past
+    /// — the admitted one included — is accumulated into `stats`.
     pub(crate) fn next_admitting(
         &self,
         signature: u64,
@@ -1266,7 +1456,7 @@ impl JournalRow {
         for op in self.ops.iter() {
             widen_hull(&mut hulls[op.ty as usize][0], op.stats[0]);
         }
-        let bucket = Bucket {
+        let mut bucket = Bucket {
             types: Arc::clone(&self.types),
             workloads: Arc::clone(&self.workloads),
             labels: Arc::clone(&self.labels),
@@ -1274,10 +1464,13 @@ impl JournalRow {
             workload: vec![self.workload],
             joins: vec![self.joins],
             hulls,
+            summaries: Vec::new(),
+            stale: 0,
             ops: vec![Arc::clone(&self.ops)],
             sketches: vec![Arc::clone(&self.sketches)],
             edges: vec![Arc::clone(&self.edges)],
         };
+        bucket.settle();
         queries.any(|query| {
             let mut stats = AdmissionStats::default();
             bucket.next_admitting(&query, None, &mut stats).is_some() || stats.near_misses > 0
@@ -1635,6 +1828,35 @@ mod tests {
         checks
     }
 
+    /// Summary skips per level, then how many of them began inside
+    /// their cell.
+    type Skips = [usize; LEVELS.len() + 1];
+
+    thread_local! {
+        /// The summary skips the walk made on this thread.
+        static SKIPS: std::cell::Cell<Skips> = const { std::cell::Cell::new([0; LEVELS.len() + 1]) };
+    }
+
+    pub(super) fn skipped(level: usize, from: usize, to: usize) {
+        debug_assert!(from < to, "an empty skip");
+        SKIPS.with(|skips| {
+            let mut n = skips.get();
+            n[level] += 1;
+            n[LEVELS.len()] += usize::from(!from.is_multiple_of(LEVELS[level]));
+            skips.set(n);
+        });
+    }
+
+    /// A drained cursor's verdicts and counts, without the work count
+    /// the reference walk has no notion of.
+    fn counted((admitted, stats): (Vec<String>, AdmissionStats)) -> (Vec<String>, AdmissionStats) {
+        let stats = AdmissionStats {
+            examined: 0,
+            ..stats
+        };
+        (admitted, stats)
+    }
+
     /// Pull a cursor until it runs dry.
     fn drain(
         after: Option<&str>,
@@ -1709,6 +1931,7 @@ mod tests {
                     }
                 }
             }
+            index.settle();
             assert_eq!(
                 index.iris(SIG),
                 reference.keys().cloned().collect::<Vec<_>>()
@@ -1745,7 +1968,7 @@ mod tests {
                         let walked = |after: Option<&str>, stats: &mut AdmissionStats| {
                             ref_next_admitting(&reference, &query, after, stats)
                         };
-                        let got = drain(None, columnar);
+                        let got = counted(drain(None, columnar));
                         assert_eq!(got, drain(None, walked), "{query:?}");
                         totals.considered += got.1.considered;
                         totals.rejects_card += got.1.rejects_card;
@@ -1757,7 +1980,7 @@ mod tests {
                         if rng.gen_range(0..20) == 0 {
                             for after in &afters {
                                 assert_eq!(
-                                    drain(Some(after), columnar),
+                                    counted(drain(Some(after), columnar)),
                                     drain(Some(after), walked),
                                     "after {after:?}: {query:?}"
                                 );
@@ -1822,5 +2045,294 @@ mod tests {
             hull_only > 1_000,
             "hull-admitted, operator-rejected: {hull_only}"
         );
+    }
+
+    /// A row shaped like `inflate_kb`'s: the signature's operators, every
+    /// cardinality displaced to one narrow range far above live values.
+    fn displaced(rng: &mut StdRng, shift: f64) -> Vec<RefPop> {
+        let far = IndexedStat::of(&StatSketch::from_range(shift, shift + 1.0));
+        let mut pops = row(rng);
+        for p in &mut pops {
+            p.cardinality = far.clone();
+        }
+        pops
+    }
+
+    /// A row shaped like `inflate_kb_polluted`'s: per shared type, a
+    /// covering operator whose exact range spans the live values (its
+    /// sketch collapses under a trim) and a crippled one below them, so
+    /// the hulls of neighbouring rows overlap and admit.
+    fn polluted(rng: &mut StdRng) -> Vec<RefPop> {
+        let mut pops = Vec::new();
+        for ty in SHARED {
+            let lo = 10f64.powi(rng.gen_range(0..4));
+            let mut covering = StatSketch::new();
+            for _ in 0..50 {
+                covering.observe(lo);
+            }
+            covering.observe(lo * 1e3);
+            let mut wide = pop(rng, ty, lo);
+            wide.cardinality = IndexedStat::of(&covering);
+            let mut crippled = pop(rng, ty, lo);
+            crippled.cardinality = IndexedStat::of(&StatSketch::from_range(lo / 4.0, lo / 2.0));
+            pops.extend([wide, crippled]);
+        }
+        pops.shuffle(rng);
+        pops
+    }
+
+    /// The summary walk against the reference on clustered buckets of up
+    /// to 9 k rows: long runs of displaced rows (whole blocks of every
+    /// level, and blocks entered mid-way), overlapping polluted hulls and
+    /// a few live rows between them; every query shape (an unseen type or
+    /// NaN first, near misses, the three dataset scopes, trims); cursors
+    /// started from every kind of position; and rows published,
+    /// republished and retracted between pulls, so the repair of the
+    /// summaries is under test as well as the walk.
+    #[test]
+    fn summary_walk_matches_the_reference_at_scale() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_B10C);
+        SKIPS.with(|skips| skips.set(Skips::default()));
+        let (mut pulls, mut near_misses, mut unseen_first) = (0usize, 0usize, 0usize);
+        // Row `n`'s IRI; a row published later takes an odd slot.
+        let iri_of = |n: usize| format!("http://galo/kb/template/{n:07}");
+        for target in [300usize, 1_500, 4_000, 9_000] {
+            let mut index = SigIndex::default();
+            let mut reference = RefBucket::new();
+            let mut shifts: Vec<f64> = Vec::new();
+            let mut shift = 1e9;
+            let put = |index: &mut SigIndex,
+                       reference: &mut RefBucket,
+                       n,
+                       pops: Vec<RefPop>,
+                       rng: &mut StdRng| {
+                let (iri, workload) = (iri_of(n), *["w1", "w2", ""].choose(rng).unwrap());
+                index.upsert(SIG, &iri, workload, entries(&pops));
+                let workload = workload.to_string();
+                reference.insert(iri, RefTemplate { workload, pops });
+            };
+            let mut n = 0;
+            while n < target {
+                let (run, kind) = match rng.gen_range(0..10) {
+                    0..=5 => (rng.gen_range(1..=1_500), 0),
+                    6 | 7 => (rng.gen_range(1..=20), 1),
+                    _ => (rng.gen_range(1..=3), 2),
+                };
+                for _ in 0..run {
+                    let pops = match kind {
+                        0 => {
+                            shift += 10.0;
+                            shifts.push(shift);
+                            displaced(&mut rng, shift)
+                        }
+                        1 => polluted(&mut rng),
+                        _ => row(&mut rng),
+                    };
+                    put(&mut index, &mut reference, 2 * n, pops, &mut rng);
+                    n += 1;
+                }
+            }
+            index.settle();
+
+            for _ in 0..64 {
+                let rows = reference.len();
+                let anchor = reference.values().nth(rng.gen_range(0..rows)).unwrap();
+                let mut checks = checks(&mut rng, &anchor.pops);
+                match rng.gen_range(0..8) {
+                    // Just below a displaced run: a near miss at factor 2.
+                    0 | 1 => {
+                        let shift = shifts[rng.gen_range(0..shifts.len())];
+                        checks.insert(0, PopCheck::card(SHARED[0], shift * 0.6));
+                    }
+                    2 => checks.insert(0, PopCheck::card(UNSEEN, 100.0)),
+                    3 => checks.insert(0, PopCheck::card(SHARED[1], f64::NAN)),
+                    _ => {}
+                }
+                let query = AdmissionQuery {
+                    checks: &checks,
+                    margin: *[1.0, 1.5, 4.0].choose(&mut rng).unwrap(),
+                    trim: *[0.0, 0.0, 0.0, 0.0, 0.05].choose(&mut rng).unwrap(),
+                    dataset: *[
+                        None,
+                        None,
+                        None,
+                        None,
+                        Some("w1"),
+                        Some("w2"),
+                        Some("absent"),
+                    ]
+                    .choose(&mut rng)
+                    .unwrap(),
+                    near_factor: *[1.0, 2.0].choose(&mut rng).unwrap(),
+                };
+                // Start before the first row, past the last, on a row at
+                // or beside a block boundary, beside a row, or anywhere.
+                let on = |at: usize| reference.keys().nth(at.min(rows - 1)).unwrap().clone();
+                let mut after = match rng.gen_range(0..8) {
+                    0 => None,
+                    1 => Some(String::new()),
+                    2 => Some("zzzz".to_string()),
+                    3 => {
+                        let width = *LEVELS.choose(&mut rng).unwrap();
+                        let at = width + rng.gen_range(0..3usize) - 1;
+                        Some(on(at + LEVELS[1] * rng.gen_range(0..=rows / LEVELS[1])))
+                    }
+                    4 => Some(format!("{}~", on(rng.gen_range(0..rows)))),
+                    _ => Some(on(rng.gen_range(0..rows))),
+                };
+                loop {
+                    let (mut got, mut want) =
+                        (AdmissionStats::default(), AdmissionStats::default());
+                    let next = index
+                        .next_admitting(SIG, &query, after.as_deref(), &mut got)
+                        .map(str::to_string);
+                    let expected =
+                        ref_next_admitting(&reference, &query, after.as_deref(), &mut want);
+                    assert_eq!(
+                        (&next, AdmissionStats { examined: 0, ..got }),
+                        (&expected, want),
+                        "after {after:?}: {query:?}"
+                    );
+                    let summarized = query.trim <= 0.0 && query.dataset.is_none();
+                    if summarized && checks.first().is_some_and(|c| c.pop_type == UNSEEN) {
+                        assert_eq!(got.examined, 0, "an unseen first type reads nothing");
+                        unseen_first += 1;
+                    }
+                    pulls += 1;
+                    near_misses += got.near_misses;
+                    let Some(next) = next else { break };
+                    after = Some(next);
+                    // Between pulls: publish a row into a gap, republish
+                    // one in place (its hulls and workload), or retract.
+                    if rng.gen_bool(0.3) {
+                        let at = rng.gen_range(0..reference.len());
+                        let iri = reference.keys().nth(at).unwrap().clone();
+                        let slot: usize = iri.rsplit('/').next().unwrap().parse().unwrap();
+                        let fresh = |rng: &mut StdRng| match rng.gen_range(0..3) {
+                            0 => {
+                                let shift = shifts[rng.gen_range(0..shifts.len())];
+                                displaced(rng, shift)
+                            }
+                            1 => polluted(rng),
+                            _ => row(rng),
+                        };
+                        match rng.gen_range(0..3) {
+                            0 => {
+                                let pops = fresh(&mut rng);
+                                put(&mut index, &mut reference, slot | 1, pops, &mut rng);
+                            }
+                            1 => {
+                                let pops = fresh(&mut rng);
+                                put(&mut index, &mut reference, slot, pops, &mut rng);
+                            }
+                            _ if reference.len() > 1 => {
+                                index.remove(&iri);
+                                reference.remove(&iri);
+                            }
+                            _ => {}
+                        }
+                        index.settle();
+                    }
+                }
+            }
+        }
+        // Every path the walk has was taken.
+        let skips = SKIPS.with(|skips| skips.get());
+        println!("skips per level, then begun mid-cell: {skips:?}");
+        assert!(skips.iter().all(|&n| n > 10), "{skips:?}");
+        assert!(
+            near_misses > 100 && unseen_first > 10,
+            "{near_misses} {unseen_first}"
+        );
+        assert!(pulls > 1_000, "{pulls}");
+    }
+
+    /// One row per entry of `rows` under [`SIG`], in that order, from a
+    /// bucket built through the index and settled.
+    fn bucket_of(rows: impl IntoIterator<Item = Vec<RefPop>>) -> SigIndex {
+        let mut index = SigIndex::default();
+        for (n, pops) in rows.into_iter().enumerate() {
+            let iri = format!("http://galo/kb/template/{n:07}");
+            index.upsert(SIG, &iri, "", entries(&pops));
+        }
+        index.settle();
+        index
+    }
+
+    fn plain(pop_type: &'static str, lo: f64, hi: f64) -> RefPop {
+        RefPop {
+            pop_type,
+            cardinality: IndexedStat::of(&StatSketch::from_range(lo, hi)),
+            scan: None,
+        }
+    }
+
+    /// The work a pull does stays near flat as the bucket grows: the same
+    /// 32 matchable rows among 1 k and among 16 k displaced rows. And
+    /// where no block can be skipped, the summary costs little on top of
+    /// the rows.
+    #[test]
+    fn examined_per_pull_stays_flat_as_the_bucket_grows() {
+        let checks = [
+            PopCheck::card("HSJOIN", 500.0),
+            PopCheck::card("TBSCAN", 50.0),
+        ];
+        let query = AdmissionQuery::exact(&checks, 1.0);
+        let matchable = || vec![plain("HSJOIN", 100.0, 1e3), plain("TBSCAN", 10.0, 100.0)];
+        let per_pull = |displaced: usize| {
+            let rows = displaced + 32;
+            let index = bucket_of((0..rows).map(|n| {
+                if n % (rows / 32) == rows / 64 {
+                    return matchable();
+                }
+                let shift = 1e9 + 10.0 * n as f64;
+                vec![
+                    plain("HSJOIN", shift, shift + 1.0),
+                    plain("TBSCAN", shift, shift + 1.0),
+                ]
+            }));
+            let mut after: Option<String> = None;
+            let (mut stats, mut pulls) = (AdmissionStats::default(), 0);
+            loop {
+                pulls += 1;
+                let Some(iri) = index.next_admitting(SIG, &query, after.as_deref(), &mut stats)
+                else {
+                    break;
+                };
+                after = Some(iri.to_string());
+            }
+            assert_eq!(pulls, 33, "every matchable row admitted");
+            assert_eq!(stats.considered, rows);
+            println!(
+                "{rows} rows: {stats:?}, {:.1} examined a pull",
+                stats.examined as f64 / 33.0
+            );
+            stats.examined as f64 / pulls as f64
+        };
+        let (small, large) = (per_pull(1_000), per_pull(16_000));
+        assert!(
+            large <= 2.0 * small,
+            "{small:.1} → {large:.1} examined a pull"
+        );
+
+        // Every hull admits check 0 (two operators far apart, the value
+        // in the gap), so no block is skipped; a few rows admit.
+        let rows = 4_000;
+        let index = bucket_of((0..rows).map(|n| {
+            let mut pops = vec![plain("HSJOIN", 1.0, 2.0), plain("HSJOIN", 1e6, 2e6)];
+            if n % 500 == 0 {
+                pops.push(plain("HSJOIN", 100.0, 1e3));
+            }
+            pops
+        }));
+        let query = AdmissionQuery::exact(&checks[..1], 1.0);
+        let (admitted, stats) = drain(None, |after, stats| {
+            index
+                .next_admitting(SIG, &query, after, stats)
+                .map(str::to_string)
+        });
+        assert_eq!((admitted.len(), stats.considered), (8, rows));
+        let overhead = stats.examined as f64 / stats.considered as f64;
+        assert!(overhead <= 1.15, "{stats:?}");
     }
 }
