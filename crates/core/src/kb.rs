@@ -422,7 +422,7 @@ impl KnowledgeBase {
         &self,
         signature: u64,
         query: &AdmissionQuery<'_>,
-        shape: &SegmentShape,
+        shape: &SegmentShape<'_>,
         after: Option<&str>,
         stats: &mut AdmissionStats,
     ) -> Option<Candidate> {

@@ -65,6 +65,8 @@ pub mod ranking;
 pub mod replication;
 pub mod serving;
 mod sigindex;
+#[cfg(test)]
+mod test_plans;
 pub mod transform;
 pub mod vocab;
 
@@ -103,6 +105,6 @@ pub use serving::{
     plan_fingerprint, CacheCounters, CacheLookup, ProbeCache, ServeOutcome, ServingTier,
 };
 pub use transform::{
-    qgm_to_rdf, segment_card_checks, segment_pop_checks, segment_scan_qualifiers, segment_to_probe,
-    segment_to_sparql, segment_to_sparql_opt, ProbeOptions, ScanVar, SegmentProbe,
+    qgm_to_rdf, segment_pop_checks, segment_scan_qualifiers, segment_to_probe, segment_to_sparql,
+    segment_to_sparql_opt, ProbeOptions, ScanVar, SegmentProbe,
 };

@@ -37,7 +37,7 @@
 //! produce identical rewrites, and that every admitted candidate gets the
 //! probe's verdict and labels.
 
-use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -363,38 +363,40 @@ pub(crate) fn instantiate_match(
     )
 }
 
-/// One segment of a [`CompiledPlan`]: everything the matcher derives from
-/// the plan structure alone — the operator footprint for claimed-overlap
-/// checks, the per-operator checks, the structural signature, the wiring
-/// the row-local assignment tests.
+/// One segment of a [`CompiledPlan`]: a pre-order range of the plan's
+/// flat layout — its checks and wires — plus what the matcher keys and
+/// stamps it by.
 #[derive(Debug)]
 pub struct CompiledSegment {
     /// Root operator of the segment in the compiled-against plan.
     root: PopId,
-    /// `op_id` of the root (stamped into rewrites).
-    segment_op_id: u32,
-    /// `op_id`s of every operator in the segment (claimed-overlap check).
-    seg_pops: Vec<u32>,
+    /// The root's pre-order position (`op_id − 1`): the segment is
+    /// positions `start..start + len` of the plan, and `op_id`s
+    /// `start + 1..=start + len` (claimed-overlap check).
+    start: usize,
+    len: usize,
+    /// Joins in the segment.
+    joins: usize,
     /// Structural signature — the knowledge base's candidate-index key.
     signature: u64,
-    /// One check per operator, pre-order — type, estimated cardinality,
-    /// and (for scans) the belief-table statistics the match tests.
-    checks: Vec<PopCheck>,
-    /// Join count and each operator's edge to its parent.
-    shape: SegmentShape,
 }
 
 impl CompiledSegment {
-    /// The admission query the segment's candidate cursor runs under
-    /// `cfg` (its plan's configuration).
-    fn query<'a>(&'a self, cfg: &'a MatchConfig) -> AdmissionQuery<'a> {
-        AdmissionQuery {
-            checks: &self.checks,
-            margin: cfg.range_margin,
-            trim: cfg.sketch_trim,
-            dataset: cfg.dataset.as_deref(),
-            near_factor: cfg.near_miss_factor,
-        }
+    /// The segment's pre-order positions.
+    fn extent(&self) -> Range<usize> {
+        self.start..self.start + self.len
+    }
+
+    /// `op_id` of the root (stamped into rewrites).
+    fn segment_op_id(&self) -> u32 {
+        self.start as u32 + 1
+    }
+
+    /// True when the segment shares an operator with `other`. Subtrees
+    /// are nested or disjoint, so comparing extents is enough.
+    fn overlaps(&self, other: &Range<usize>) -> bool {
+        let mine = self.extent();
+        mine.start < other.end && other.start < mine.end
     }
 
     /// The rewrites a matched template's guideline makes of this segment,
@@ -414,22 +416,28 @@ impl CompiledSegment {
             template_iri,
             labels,
             &qualifiers,
-            self.segment_op_id,
+            self.segment_op_id(),
         )
     }
 }
 
-/// A plan compiled for matching: its bottom-up segment walk with
-/// per-segment signatures, checks and wiring, plus the [`MatchConfig`] it
-/// was compiled under (range tests depend on the margin, segmentation on
-/// the join threshold — so the config travels with the artifact instead
-/// of being re-supplied, possibly mismatched, at match time). Compile
-/// once via [`compile_plan`], match any number of times via
-/// [`match_compiled`]: repeat matches skip the segment walk and the
-/// signature derivation.
+/// A plan compiled for matching, in one flat pre-order layout: one
+/// admission check and one wire per operator of the plan, and its
+/// bottom-up segments as ranges into them with their signatures — plus
+/// the [`MatchConfig`] it was compiled under (range tests depend on the
+/// margin, segmentation on the join threshold — so the config travels
+/// with the artifact instead of being re-supplied, possibly mismatched,
+/// at match time). Compile once via [`compile_plan`], match any number of
+/// times via [`match_compiled`]: repeat matches skip the compile pass.
 #[derive(Debug)]
 pub struct CompiledPlan {
     cfg: MatchConfig,
+    /// One check per operator, pre-order — type, estimated cardinality,
+    /// and (for scans) the belief-table statistics the match tests.
+    checks: Vec<PopCheck>,
+    /// One edge to its parent per operator, pre-order. The plan root's is
+    /// a placeholder: no segment reads its root's wire.
+    wires: Vec<Wire>,
     segments: Vec<CompiledSegment>,
 }
 
@@ -444,6 +452,26 @@ impl CompiledPlan {
         self.segments.len()
     }
 
+    /// The admission query a segment's candidate cursor runs under the
+    /// plan's configuration.
+    fn query(&self, seg: &CompiledSegment) -> AdmissionQuery<'_> {
+        AdmissionQuery {
+            checks: &self.checks[seg.extent()],
+            margin: self.cfg.range_margin,
+            trim: self.cfg.sketch_trim,
+            dataset: self.cfg.dataset.as_deref(),
+            near_factor: self.cfg.near_miss_factor,
+        }
+    }
+
+    /// What the row-local assignment reads of a segment beside its checks.
+    fn shape(&self, seg: &CompiledSegment) -> SegmentShape<'_> {
+        SegmentShape {
+            joins: seg.joins,
+            wires: &self.wires[seg.extent()],
+        }
+    }
+
     /// True when a segment of the plan would pull the journaled row: one
     /// of the row's signature whose own admission query admits it (or
     /// counts it a near miss). A row no segment pulls cannot change what
@@ -453,59 +481,55 @@ impl CompiledPlan {
             .segments
             .iter()
             .filter(|seg| seg.signature == row.signature());
-        row.admitted_by_any(same_shape.map(|seg| seg.query(&self.cfg)))
+        row.admitted_by_any(same_shape.map(|seg| self.query(seg)))
     }
 }
 
 /// Compile a plan's segments for matching: the plan-side half of
 /// [`match_plan`], split out so the serving tier can cache it keyed by
-/// plan fingerprint. Cheap — no knowledge-base access, one pre-order walk
-/// per segment. `db` supplies the belief-table statistics the scan checks
-/// carry.
+/// plan fingerprint. Cheap — no knowledge-base access, and one pass over
+/// the plan: each operator's check and wire are computed once, in the
+/// arena's children-first order, and stored at its pre-order position
+/// `op_id − 1`; every segment is then the contiguous range its subtree
+/// covers ([`galo_qgm::Segment::extent`]). `db` supplies the belief-table
+/// statistics the scan checks carry.
 pub fn compile_plan(db: &Database, qgm: &Qgm, cfg: &MatchConfig) -> CompiledPlan {
+    // Every slot is written: the arena holds each operator of the tree
+    // once (`QgmBuilder::finish` refuses anything else).
+    let unset = PopCheck::card("", 0.0);
+    let mut checks = vec![unset; qgm.len()];
+    let mut wires = vec![Wire { back: 0, roles: 0 }; qgm.len()];
+    for (_, pop) in qgm.pops() {
+        checks[pop.op_id as usize - 1] = pop_check(db, qgm, pop);
+        for (input, &child) in pop.inputs.iter().enumerate() {
+            let child = qgm.pop(child).op_id;
+            wires[child as usize - 1] = Wire {
+                back: child - pop.op_id,
+                roles: input_roles(pop.kind.is_join(), input),
+            };
+        }
+    }
     let segments = segments(qgm, cfg.join_threshold)
         .into_iter()
-        .map(|segment| {
-            let pops = qgm.subtree(segment.root);
-            let mut checks = Vec::with_capacity(pops.len());
-            let mut wires = Vec::with_capacity(pops.len());
-            for (at, &pid) in pops.iter().enumerate() {
-                let pop = qgm.pop(pid);
-                checks.push(pop_check(db, qgm, pop));
-                // Pre-order: an operator's parent is the nearest earlier
-                // operator that lists it as an input.
-                let parent = (0..at).rev().find_map(|p| {
-                    let parent = qgm.pop(pops[p]);
-                    let input = parent.inputs.iter().position(|&c| c == pid)?;
-                    Some(Wire {
-                        parent: p,
-                        roles: input_roles(parent.kind.is_join(), input),
-                    })
-                });
-                wires.push(parent);
-            }
+        .map(|segment| CompiledSegment {
+            root: segment.root,
+            start: segment.start,
+            len: segment.len,
+            joins: segment.join_count,
             // Candidate templates must share the segment's structural
             // signature AND have per-operator statistics envelopes that
             // could admit the segment's values — both necessary
-            // conditions, checked entirely in the index. The signature
-            // is derived from the check walk rather than recomputed.
-            let signature =
-                galo_qgm::shape_signature(segment.join_count, checks.iter().map(|c| c.pop_type));
-            CompiledSegment {
-                root: segment.root,
-                segment_op_id: qgm.pop(segment.root).op_id,
-                seg_pops: pops.iter().map(|&p| qgm.pop(p).op_id).collect(),
-                signature,
-                checks,
-                shape: SegmentShape {
-                    joins: segment.join_count,
-                    wires,
-                },
-            }
+            // conditions, checked entirely in the index.
+            signature: galo_qgm::shape_signature(
+                segment.join_count,
+                checks[segment.extent()].iter().map(|c| c.pop_type),
+            ),
         })
         .collect();
     CompiledPlan {
         cfg: cfg.clone(),
+        checks,
+        wires,
         segments,
     }
 }
@@ -523,9 +547,9 @@ pub fn match_compiled(
     compiled: &CompiledPlan,
 ) -> MatchReport {
     let t0 = Instant::now();
-    let cfg = &compiled.cfg;
     let mut report = MatchReport::default();
-    let mut claimed: HashSet<u32> = HashSet::new();
+    // The extents of the matched segments.
+    let mut claimed: Vec<Range<usize>> = Vec::new();
 
     // Per segment (bottom-up): the claimed-overlap check, then the
     // candidates one cursor pull at a time in ascending IRI order, each
@@ -537,12 +561,12 @@ pub fn match_compiled(
     for seg in &compiled.segments {
         // Skip segments overlapping an earlier match — their rewrites
         // would fight over the same table references.
-        if seg.seg_pops.iter().any(|id| claimed.contains(id)) {
+        if claimed.iter().any(|c| seg.overlaps(c)) {
             continue;
         }
-        let query = seg.query(cfg);
+        let (query, shape) = (compiled.query(seg), compiled.shape(seg));
         let pull = |after: Option<&str>, admission: &mut AdmissionStats| {
-            kb.next_candidate_checked(seg.signature, &query, &seg.shape, after, admission)
+            kb.next_candidate_checked(seg.signature, &query, &shape, after, admission)
         };
         // The first cursor pull doubles as the emptiness pre-check.
         let mut cursor = pull(None, &mut admission);
@@ -563,7 +587,7 @@ pub fn match_compiled(
         }
         if let Some(rewrites) = matched {
             report.rewrites.extend(rewrites);
-            claimed.extend(seg.seg_pops.iter().copied());
+            claimed.push(seg.extent());
         }
     }
     report.candidates_considered = admission.considered;
@@ -614,18 +638,18 @@ pub fn candidate_verdicts(kb: &KnowledgeBase, compiled: &CompiledPlan) -> Vec<Ca
     let mut verdicts = Vec::new();
     let mut admission = AdmissionStats::default();
     for seg in &compiled.segments {
-        let query = seg.query(&compiled.cfg);
+        let (query, shape) = (compiled.query(seg), compiled.shape(seg));
         let mut after: Option<String> = None;
         while let Some(candidate) = kb.next_candidate_checked(
             seg.signature,
             &query,
-            &seg.shape,
+            &shape,
             after.as_deref(),
             &mut admission,
         ) {
             after = Some(candidate.iri.clone());
             verdicts.push(CandidateVerdict {
-                segment_op_id: seg.segment_op_id,
+                segment_op_id: seg.segment_op_id(),
                 template_iri: candidate.iri,
                 verdict: candidate.verdict,
             });
@@ -708,6 +732,7 @@ mod tests {
     use crate::kb::abstract_plan;
     use crate::learning::{learn_workload, LearningConfig};
     use crate::oracle::match_plan_text;
+    use crate::sigindex::input_roles;
     use galo_catalog::{
         col, ColumnId, ColumnStats, ColumnType, DatabaseBuilder, Index, IndexId, SystemConfig,
         Table, Value,
@@ -773,6 +798,121 @@ mod tests {
             db,
             queries: vec![q],
         }
+    }
+
+    /// What the compile differential compares of one segment, in plan
+    /// terms.
+    #[derive(Debug, PartialEq)]
+    struct SegmentView {
+        root_op_id: u32,
+        op_ids: Vec<u32>,
+        checks: Vec<PopCheck>,
+        /// Per operator below the root, pre-order: its parent's `op_id`
+        /// and the roles of the edge.
+        parents: Vec<(u32, u8)>,
+        joins: usize,
+        signature: u64,
+    }
+
+    /// The segments of a compiled plan, read off its flat layout.
+    fn views(qgm: &Qgm, plan: &CompiledPlan) -> Vec<SegmentView> {
+        plan.segments
+            .iter()
+            .map(|seg| SegmentView {
+                root_op_id: qgm.pop(seg.root).op_id,
+                op_ids: seg.extent().map(|at| at as u32 + 1).collect(),
+                checks: plan.checks[seg.extent()].to_vec(),
+                parents: seg
+                    .extent()
+                    .skip(1)
+                    .map(|at| {
+                        let wire = plan.wires[at];
+                        (wire.parent(at) as u32 + 1, wire.roles)
+                    })
+                    .collect(),
+                joins: seg.joins,
+                signature: seg.signature,
+            })
+            .collect()
+    }
+
+    /// The compile as it was before the single pass: every join root's
+    /// join count from its own subtree walk, then per segment a pre-order
+    /// walk of its subtree, a check per operator, and each operator's
+    /// parent found by scanning back over the ones before it.
+    fn reference_compile(db: &Database, qgm: &Qgm, cfg: &MatchConfig) -> Vec<SegmentView> {
+        let mut roots: Vec<(PopId, usize)> = qgm
+            .pops()
+            .filter(|(_, p)| p.kind.is_join())
+            .map(|(id, _)| (id, qgm.join_count(id)))
+            .filter(|&(_, joins)| joins <= cfg.join_threshold)
+            .collect();
+        roots.sort_by_key(|&(id, joins)| (joins, qgm.pop(id).op_id));
+        roots
+            .into_iter()
+            .map(|(root, joins)| {
+                let pops = qgm.subtree(root);
+                let mut parents = Vec::new();
+                for (at, &pid) in pops.iter().enumerate() {
+                    let parent = (0..at).rev().find_map(|p| {
+                        let parent = qgm.pop(pops[p]);
+                        let input = parent.inputs.iter().position(|&c| c == pid)?;
+                        Some((parent.op_id, input_roles(parent.kind.is_join(), input)))
+                    });
+                    match parent {
+                        Some(edge) => parents.push(edge),
+                        None => assert_eq!(at, 0, "only the root has no parent inside"),
+                    }
+                }
+                let checks: Vec<PopCheck> = pops
+                    .iter()
+                    .map(|&p| pop_check(db, qgm, qgm.pop(p)))
+                    .collect();
+                SegmentView {
+                    root_op_id: qgm.pop(root).op_id,
+                    op_ids: pops.iter().map(|&p| qgm.pop(p).op_id).collect(),
+                    signature: galo_qgm::shape_signature(joins, checks.iter().map(|c| c.pop_type)),
+                    checks,
+                    parents,
+                    joins,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn single_pass_compile_equals_the_per_segment_reference() {
+        // Segments compiled at join thresholds 1 to 6.
+        let mut segments_seen = [0usize; 6];
+        let mut sorts_inside = 0;
+        for set in crate::test_plans::plan_sets() {
+            for plan in &set.plans {
+                for (seen, threshold) in segments_seen.iter_mut().zip(1..) {
+                    let cfg = MatchConfig {
+                        join_threshold: threshold,
+                        ..MatchConfig::default()
+                    };
+                    let compiled = compile_plan(&set.db, plan, &cfg);
+                    let got = views(plan, &compiled);
+                    assert_eq!(
+                        got,
+                        reference_compile(&set.db, plan, &cfg),
+                        "threshold {threshold}, plan {}",
+                        plan.query.name
+                    );
+                    *seen += got.len();
+                    sorts_inside += got
+                        .iter()
+                        .filter(|v| v.checks.iter().any(|c| c.pop_type == "SORT"))
+                        .count();
+                }
+            }
+        }
+        assert!(
+            segments_seen.iter().all(|&n| n > 0),
+            "every threshold compiles segments: {segments_seen:?}"
+        );
+        assert!(sorts_inside > 0, "some segment holds a SORT");
     }
 
     #[test]

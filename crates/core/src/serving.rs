@@ -60,6 +60,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use galo_catalog::Database;
 use galo_qgm::{PopKind, Qgm};
+use galo_sql::ColRef;
 
 use crate::kb::KnowledgeBase;
 use crate::matching::{compile_plan, match_compiled, CompiledPlan, MatchConfig, MatchReport};
@@ -69,121 +70,146 @@ use crate::sigindex::ChangeJournal;
 // Plan fingerprints
 // ---------------------------------------------------------------------------
 
-/// FNV-1a, inlined rather than shared with `galo_rdf`'s interner hash:
-/// the two keyspaces are unrelated and must be free to evolve apart.
-struct Fnv(u64);
+/// A word-at-a-time hash: each step rotates the state, xors in one `u64`
+/// and multiplies by an odd constant. For a fixed word a step is a
+/// bijection of the state, and for a fixed state an injection of the
+/// word, so two inputs of one length that differ in one word end in
+/// different states. [`finish`](Self::finish) is a bijective avalanche,
+/// so the stripe index (`fingerprint % stripes`) sees every input bit.
+/// Inlined rather than shared with `galo_rdf`'s interner hash: the two
+/// keyspaces are unrelated and must be free to evolve apart.
+struct WordHash(u64);
 
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0100_0000_01b3;
+impl WordHash {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    /// 2⁶⁴ / φ, odd.
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
     fn new() -> Self {
-        Fnv(Self::OFFSET)
+        WordHash(Self::SEED)
     }
 
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(Self::MUL);
+    }
+
+    /// Framed by its length, then eight bytes a word (the last one
+    /// zero-padded).
     fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
+        self.word(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(last));
         }
     }
 
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+    /// An optional column reference: its presence, then its two ids.
+    fn column(&mut self, c: Option<ColRef>) {
+        match c {
+            None => self.word(0),
+            Some(c) => {
+                self.word(1 | u64::from(c.column.0) << 32);
+                self.word(c.table_idx as u64);
+            }
+        }
+    }
+
+    /// The murmur3 finalizer: every output bit depends on every state bit.
+    fn finish(self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 }
 
-/// Fingerprint a plan for cache keying: a 64-bit FNV-1a over every input
-/// the match outcome depends on from the query side.
+/// Fingerprint a plan for cache keying: a 64-bit word-at-a-time hash
+/// ([`WordHash`]) over every input the match outcome depends on from the
+/// query side, one `u64` per step.
 ///
 /// Covered: the match configuration (join threshold, range margin,
-/// sketch trim, dataset restriction — folded into the key so one cache
-/// safely serves mixed configurations), the operator tree (ids, kinds *with their
-/// parameters* — which index, fetch flag, bloom flag, sort key —
-/// estimated cardinality and cost, input edges, output order), and per
-/// scan the query qualifier plus the belief statistics
-/// (`row_count`/`pages`/`row_size`) the range tests are built from.
-/// Statistics are hashed, not referenced: a belief refresh changes the
-/// fingerprint, so stale entries become unreachable rather than wrong.
+/// sketch trim, near-miss factor, dataset restriction — folded into the
+/// key so one cache safely serves mixed configurations), the operator
+/// tree (ids, kinds *with their parameters* — which index, fetch flag,
+/// bloom flag, sort key — estimated cardinality and cost, input edges,
+/// output order), and per scan the query qualifier plus the belief
+/// statistics (`row_count`/`pages`/`row_size`) the range tests are built
+/// from. Strings and input lists are framed by their length, so the words
+/// hashed spell the inputs unambiguously. Statistics are hashed, not
+/// referenced: a belief refresh changes the fingerprint, so stale entries
+/// become unreachable rather than wrong.
 ///
 /// Equal fingerprints ⇒ identical segment checks and identical admitted
-/// templates (up to the 2⁻⁶⁴ collision probability any hashed cache key
-/// carries; a collision serves a wrong-but-well-formed report, the same
-/// exposure as any fingerprint-keyed plan cache).
+/// templates, unless two different inputs collide. Inputs of one length
+/// that differ in a single word never collide; any other pair collides
+/// with the probability of two random 64-bit values (about 2⁻⁶⁴), and a
+/// collision serves a wrong-but-well-formed report, the same exposure as
+/// any fingerprint-keyed plan cache.
 pub fn plan_fingerprint(db: &Database, qgm: &Qgm, cfg: &MatchConfig) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(cfg.join_threshold as u64);
-    h.u64(cfg.range_margin.to_bits());
-    h.u64(cfg.sketch_trim.to_bits());
-    h.u64(cfg.near_miss_factor.to_bits());
+    let mut h = WordHash::new();
+    h.word(cfg.join_threshold as u64);
+    h.word(cfg.range_margin.to_bits());
+    h.word(cfg.sketch_trim.to_bits());
+    h.word(cfg.near_miss_factor.to_bits());
     match &cfg.dataset {
-        None => h.u64(0),
+        None => h.word(0),
         Some(d) => {
-            h.u64(1);
+            h.word(1);
             h.bytes(d.as_bytes());
         }
     }
-    h.u64(qgm.root().0 as u64);
+    h.word(u64::from(qgm.root().0));
     for (id, pop) in qgm.pops() {
-        h.u64(id.0 as u64);
-        h.u64(pop.op_id as u64);
+        h.word(u64::from(id.0) | u64::from(pop.op_id) << 32);
         match &pop.kind {
-            PopKind::Return => h.u64(2),
+            PopKind::Return => h.word(2),
             PopKind::TbScan { table } => {
-                h.u64(3);
-                h.u64(*table as u64);
+                h.word(3);
+                h.word(*table as u64);
             }
             PopKind::IxScan {
                 table,
                 index,
                 fetch,
             } => {
-                h.u64(4);
-                h.u64(*table as u64);
-                h.u64(index.0 as u64);
-                h.u64(*fetch as u64);
+                h.word(4 | u64::from(*fetch) << 8 | u64::from(index.0) << 32);
+                h.word(*table as u64);
             }
-            PopKind::NlJoin => h.u64(5),
-            PopKind::HsJoin { bloom } => {
-                h.u64(6);
-                h.u64(*bloom as u64);
-            }
-            PopKind::MsJoin => h.u64(7),
+            PopKind::NlJoin => h.word(5),
+            PopKind::HsJoin { bloom } => h.word(6 | u64::from(*bloom) << 8),
+            PopKind::MsJoin => h.word(7),
             PopKind::Sort { key } => {
-                h.u64(8);
-                match key {
-                    None => h.u64(0),
-                    Some(c) => {
-                        h.u64(1);
-                        h.u64(c.table_idx as u64);
-                        h.u64(c.column.0 as u64);
-                    }
-                }
+                h.word(8);
+                h.column(*key);
             }
-            PopKind::Filter => h.u64(9),
+            PopKind::Filter => h.word(9),
         }
-        h.u64(pop.est_card.to_bits());
-        h.u64(pop.est_cost.to_bits());
+        h.word(pop.est_card.to_bits());
+        h.word(pop.est_cost.to_bits());
+        h.word(pop.inputs.len() as u64);
         for input in &pop.inputs {
-            h.u64(input.0 as u64);
+            h.word(u64::from(input.0));
         }
-        match &pop.order {
-            None => h.u64(0),
-            Some(c) => {
-                h.u64(1);
-                h.u64(c.table_idx as u64);
-                h.u64(c.column.0 as u64);
-            }
-        }
+        h.column(pop.order);
         if let Some(t) = pop.kind.scan_table() {
             let tref = &qgm.query.tables[t];
             h.bytes(tref.qualifier.as_bytes());
             let stats = db.belief.table(tref.table);
-            h.u64(stats.row_count);
-            h.u64(stats.pages);
-            h.u64(stats.row_size as u64);
+            h.word(stats.row_count);
+            h.word(stats.pages);
+            h.word(u64::from(stats.row_size));
         }
     }
-    h.0
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -647,6 +673,8 @@ mod tests {
     use super::*;
     use galo_catalog::{col, ColumnStats, ColumnType, DatabaseBuilder, SystemConfig, Table};
     use galo_optimizer::Optimizer;
+    use rand::SeedableRng;
+    use std::collections::HashSet;
 
     fn tiny_plan() -> (Database, Qgm) {
         let mut b = DatabaseBuilder::new("serve_unit", SystemConfig::default_1gb());
@@ -719,6 +747,358 @@ mod tests {
         let q2 = galo_sql::parse(&db, "q2", "SELECT a FROM t").unwrap();
         let qgm2 = Optimizer::new(&db).optimize(&q2).unwrap();
         assert_ne!(fp(&db, &qgm, &base), fp(&db, &qgm2, &base));
+    }
+
+    /// FNV-1a a byte at a time, as the fingerprint hashed before it took
+    /// a word a step.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn u64(&mut self, v: u64) {
+            self.bytes(&v.to_le_bytes());
+        }
+    }
+
+    /// The byte-wise fingerprint the word-wise one replaced: the same
+    /// inputs in the same order, unframed.
+    fn fnv_reference(db: &Database, qgm: &Qgm, cfg: &MatchConfig) -> u64 {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.u64(cfg.join_threshold as u64);
+        h.u64(cfg.range_margin.to_bits());
+        h.u64(cfg.sketch_trim.to_bits());
+        h.u64(cfg.near_miss_factor.to_bits());
+        match &cfg.dataset {
+            None => h.u64(0),
+            Some(d) => {
+                h.u64(1);
+                h.bytes(d.as_bytes());
+            }
+        }
+        h.u64(qgm.root().0 as u64);
+        for (id, pop) in qgm.pops() {
+            h.u64(id.0 as u64);
+            h.u64(pop.op_id as u64);
+            match &pop.kind {
+                PopKind::Return => h.u64(2),
+                PopKind::TbScan { table } => {
+                    h.u64(3);
+                    h.u64(*table as u64);
+                }
+                PopKind::IxScan {
+                    table,
+                    index,
+                    fetch,
+                } => {
+                    h.u64(4);
+                    h.u64(*table as u64);
+                    h.u64(index.0 as u64);
+                    h.u64(*fetch as u64);
+                }
+                PopKind::NlJoin => h.u64(5),
+                PopKind::HsJoin { bloom } => {
+                    h.u64(6);
+                    h.u64(*bloom as u64);
+                }
+                PopKind::MsJoin => h.u64(7),
+                PopKind::Sort { key } => {
+                    h.u64(8);
+                    match key {
+                        None => h.u64(0),
+                        Some(c) => {
+                            h.u64(1);
+                            h.u64(c.table_idx as u64);
+                            h.u64(c.column.0 as u64);
+                        }
+                    }
+                }
+                PopKind::Filter => h.u64(9),
+            }
+            h.u64(pop.est_card.to_bits());
+            h.u64(pop.est_cost.to_bits());
+            for input in &pop.inputs {
+                h.u64(input.0 as u64);
+            }
+            match &pop.order {
+                None => h.u64(0),
+                Some(c) => {
+                    h.u64(1);
+                    h.u64(c.table_idx as u64);
+                    h.u64(c.column.0 as u64);
+                }
+            }
+            if let Some(t) = pop.kind.scan_table() {
+                let tref = &qgm.query.tables[t];
+                h.bytes(tref.qualifier.as_bytes());
+                let stats = db.belief.table(tref.table);
+                h.u64(stats.row_count);
+                h.u64(stats.pages);
+                h.u64(stats.row_size as u64);
+            }
+        }
+        h.0
+    }
+
+    /// Configurations the differentials key plans under: the default and
+    /// one change of each kind of field.
+    fn configs() -> Vec<MatchConfig> {
+        vec![
+            MatchConfig::default(),
+            MatchConfig {
+                join_threshold: 2,
+                ..MatchConfig::default()
+            },
+            MatchConfig {
+                range_margin: 4.0,
+                sketch_trim: 0.05,
+                ..MatchConfig::default()
+            },
+            MatchConfig {
+                dataset: Some("tpcds".into()),
+                near_miss_factor: 2.0,
+                ..MatchConfig::default()
+            },
+        ]
+    }
+
+    #[test]
+    fn fingerprint_classes_equal_the_fnv_reference() {
+        // Old key -> new key and back: each must be a function, so two
+        // keyings are equal on exactly the same pairs.
+        let mut forward: HashMap<u64, u64> = HashMap::new();
+        let mut backward: HashMap<u64, u64> = HashMap::new();
+        let mut keyed = 0;
+        for set in crate::test_plans::plan_sets() {
+            for plan in &set.plans {
+                // The same plan under another query name is the same key.
+                let mut renamed = plan.clone();
+                renamed.query.name.push_str("_again");
+                for cfg in configs() {
+                    for qgm in [plan, &renamed] {
+                        let (old, new) =
+                            (fnv_reference(&set.db, qgm, &cfg), fp(&set.db, qgm, &cfg));
+                        assert_eq!(
+                            *forward.entry(old).or_insert(new),
+                            new,
+                            "an old class split"
+                        );
+                        assert_eq!(
+                            *backward.entry(new).or_insert(old),
+                            old,
+                            "two old classes merged"
+                        );
+                        keyed += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(forward.len(), backward.len());
+        assert!(
+            forward.len() * 2 < keyed && forward.len() > 1_000,
+            "{} classes over {keyed} keyings",
+            forward.len()
+        );
+    }
+
+    /// `qgm` rebuilt through the builder, `edit` applied to each operator
+    /// (by arena index) before it is added. The `RETURN` the builder adds
+    /// is not edited.
+    fn rebuilt(qgm: &Qgm, edit: impl Fn(usize, &mut galo_qgm::Pop)) -> Qgm {
+        let mut b = Qgm::builder(qgm.query.clone());
+        let mut top = None;
+        for (id, pop) in qgm.pops().filter(|&(id, _)| id != qgm.root()) {
+            let mut pop = pop.clone();
+            edit(id.0 as usize, &mut pop);
+            let at = b.add(pop.kind, pop.inputs, pop.est_card, pop.est_cost);
+            b.set_order(at, pop.order);
+            top = Some(at);
+        }
+        b.finish(top.expect("an operator under the RETURN"))
+    }
+
+    #[test]
+    fn every_input_field_moves_the_fingerprint() {
+        use galo_catalog::{ColumnId, IndexId};
+        use galo_sql::ColRef;
+        let set = &crate::test_plans::plan_sets()[0];
+        let base = set.plans.last().expect("the bushy plan").clone();
+        let db = &set.db;
+        let cfg = MatchConfig::default();
+        let keys = |db: &Database, qgm: &Qgm, cfg: &MatchConfig| {
+            (fp(db, qgm, cfg), fnv_reference(db, qgm, cfg))
+        };
+        let before = keys(db, &base, &cfg);
+        assert_eq!(
+            before,
+            keys(db, &rebuilt(&base, |_, _| {}), &cfg),
+            "a rebuild is the same plan"
+        );
+        let at = |pred: fn(&PopKind) -> bool| {
+            base.pops()
+                .find(|(_, p)| pred(&p.kind))
+                .map(|(id, _)| id.0 as usize)
+                .unwrap()
+        };
+        let (tb, ix, hs, sort, ms, nl) = (
+            at(|k| matches!(k, PopKind::TbScan { .. })),
+            at(|k| matches!(k, PopKind::IxScan { .. })),
+            at(|k| matches!(k, PopKind::HsJoin { .. })),
+            at(|k| matches!(k, PopKind::Sort { .. })),
+            at(|k| matches!(k, PopKind::MsJoin)),
+            at(|k| matches!(k, PopKind::NlJoin)),
+        );
+        type Edit = Box<dyn Fn(usize, &mut galo_qgm::Pop)>;
+        let on = |target: usize, f: fn(&mut galo_qgm::Pop)| -> Edit {
+            Box::new(move |i, pop| {
+                if i == target {
+                    f(pop)
+                }
+            })
+        };
+        let edits: Vec<(&str, Edit)> = vec![
+            ("kind", on(ms, |p| p.kind = PopKind::NlJoin)),
+            (
+                "TBSCAN table",
+                on(tb, |p| p.kind = PopKind::TbScan { table: 3 }),
+            ),
+            (
+                "IXSCAN table",
+                on(ix, |p| {
+                    if let PopKind::IxScan { table, .. } = &mut p.kind {
+                        *table = 0;
+                    }
+                }),
+            ),
+            (
+                "IXSCAN index",
+                on(ix, |p| {
+                    if let PopKind::IxScan { index, .. } = &mut p.kind {
+                        *index = IndexId(7);
+                    }
+                }),
+            ),
+            (
+                "IXSCAN fetch",
+                on(ix, |p| {
+                    if let PopKind::IxScan { fetch, .. } = &mut p.kind {
+                        *fetch = !*fetch;
+                    }
+                }),
+            ),
+            (
+                "HSJOIN bloom",
+                on(hs, |p| p.kind = PopKind::HsJoin { bloom: true }),
+            ),
+            (
+                "SORT key",
+                on(sort, |p| p.kind = PopKind::Sort { key: None }),
+            ),
+            (
+                "SORT key column",
+                on(sort, |p| {
+                    if let PopKind::Sort { key: Some(k) } = &mut p.kind {
+                        k.column = ColumnId(k.column.0 + 1);
+                    }
+                }),
+            ),
+            (
+                "SORT key table",
+                on(sort, |p| {
+                    if let PopKind::Sort { key: Some(k) } = &mut p.kind {
+                        k.table_idx = 1;
+                    }
+                }),
+            ),
+            ("est_card", on(tb, |p| p.est_card *= 1.5)),
+            ("est_cost", on(nl, |p| p.est_cost += 1.0)),
+            (
+                "order",
+                on(hs, |p| {
+                    p.order = Some(ColRef {
+                        table_idx: 2,
+                        column: ColumnId(1),
+                    })
+                }),
+            ),
+            ("order cleared", on(sort, |p| p.order = None)),
+            ("inputs", on(ms, |p| p.inputs.reverse())),
+        ];
+        for (what, edit) in &edits {
+            let after = keys(db, &rebuilt(&base, edit), &cfg);
+            assert_ne!(after.0, before.0, "{what} must move the fingerprint");
+            assert_ne!(after.1, before.1, "{what} moved the reference too");
+        }
+        let mut requalified = base.clone();
+        requalified.query.tables[0].qualifier.push('X');
+        assert_ne!(fp(db, &requalified, &cfg), before.0, "a qualifier");
+        let table = base.query.tables[0].table;
+        let stats: [fn(&mut galo_catalog::TableStats); 3] =
+            [|s| s.row_count += 1, |s| s.pages += 1, |s| s.row_size += 1];
+        for (i, change) in stats.iter().enumerate() {
+            let mut refreshed = db.clone();
+            change(refreshed.belief.table_mut(table));
+            assert_ne!(
+                fp(&refreshed, &base, &cfg),
+                before.0,
+                "belief statistic {i}"
+            );
+        }
+        type ConfigEdit = fn(&mut MatchConfig);
+        let config_edits: [(&str, ConfigEdit); 5] = [
+            ("join_threshold", |c| c.join_threshold = 3),
+            ("range_margin", |c| c.range_margin = 1.5),
+            ("sketch_trim", |c| c.sketch_trim = 0.1),
+            ("near_miss_factor", |c| c.near_miss_factor = 3.0),
+            ("dataset", |c| c.dataset = Some("a".into())),
+        ];
+        for (what, edit) in config_edits {
+            let mut changed = MatchConfig::default();
+            edit(&mut changed);
+            assert_ne!(fp(db, &base, &changed), before.0, "{what}");
+        }
+        let named = |d: &str| MatchConfig {
+            dataset: Some(d.into()),
+            ..MatchConfig::default()
+        };
+        assert_ne!(fp(db, &base, &named("a")), fp(db, &base, &named("b")));
+    }
+
+    #[test]
+    fn fingerprints_spread_over_the_stripes() {
+        // 1,024 distinct plans: the workload plans, then random plans of
+        // the TPC-DS queries until there are enough.
+        let sets = crate::test_plans::plan_sets();
+        let cfg = MatchConfig::default();
+        let mut keys: HashSet<u64> = sets
+            .iter()
+            .flat_map(|set| set.plans.iter().map(|p| fp(&set.db, p, &cfg)))
+            .collect();
+        let w = galo_workloads::tpcds::workload();
+        let optimizer = Optimizer::new(&w.db);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5791);
+        for q in w.queries.iter().cycle() {
+            if keys.len() >= 1_024 {
+                break;
+            }
+            if let Some(plan) = optimizer.random_plans(q).generate(&mut rng) {
+                keys.insert(fp(&w.db, &plan, &cfg));
+            }
+        }
+        // The default geometry's 8 stripes, routed by `fingerprint % 8`.
+        assert_eq!(keys.len(), 1_024);
+        let mut per_stripe = [0usize; 8];
+        for &k in &keys {
+            per_stripe[(k % 8) as usize] += 1;
+        }
+        assert!(
+            per_stripe.iter().all(|&n| n <= 2 * 1_024 / 8),
+            "stripes {per_stripe:?}"
+        );
     }
 
     #[test]

@@ -281,24 +281,32 @@ pub(crate) fn input_roles(parent_is_join: bool, input: usize) -> u8 {
     }
 }
 
-/// A segment operator's input edge inside its segment: the pre-order
-/// position of its parent (always before it) and the role bits the
-/// template edge between their images must carry.
-#[derive(Debug, Clone, Copy)]
+/// An operator's input edge: how far back in pre-order its parent sits
+/// (the parent always precedes it) and the role bits the template edge
+/// between their images must carry. A distance rather than a position, so
+/// a segment's wires are a slice of its plan's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Wire {
-    pub(crate) parent: usize,
+    pub(crate) back: u32,
     pub(crate) roles: u8,
+}
+
+impl Wire {
+    /// The pre-order position of the parent of the operator at `at`.
+    pub(crate) fn parent(self, at: usize) -> usize {
+        at - self.back as usize
+    }
 }
 
 /// What the row-local assignment reads of a segment beside its admission
 /// checks (which give each operator's type, values and scan-ness, in
 /// pre-order).
-#[derive(Debug)]
-pub(crate) struct SegmentShape {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SegmentShape<'a> {
     pub(crate) joins: usize,
-    /// Per operator, pre-order: its edge to its parent; `None` for the
-    /// segment's root.
-    pub(crate) wires: Vec<Option<Wire>>,
+    /// Per operator, pre-order: its edge to its parent. Entry 0, the
+    /// segment's root, is never read: its parent lies outside the segment.
+    pub(crate) wires: &'a [Wire],
 }
 
 /// One property of one operator on its way into a row: the exact stored
@@ -1085,7 +1093,7 @@ impl Bucket {
     fn next_checked(
         &self,
         query: &AdmissionQuery<'_>,
-        shape: &SegmentShape,
+        shape: &SegmentShape<'_>,
         after: Option<&str>,
         stats: &mut AdmissionStats,
     ) -> Option<(&str, Result<Vec<&str>, MatchMiss>)> {
@@ -1103,7 +1111,7 @@ impl Bucket {
         &self,
         row: usize,
         checks: &[Resolved<'_>],
-        shape: &SegmentShape,
+        shape: &SegmentShape<'_>,
     ) -> Result<Vec<&str>, MatchMiss> {
         debug_assert_eq!(checks.len(), shape.wires.len(), "one wire per check");
         if self.joins[row] != shape.joins {
@@ -1125,7 +1133,7 @@ impl Bucket {
             labels: &self.labels,
             ops,
             edges,
-            wires: &shape.wires,
+            wires: shape.wires,
             checks,
             fits: &fits,
             image: Vec::with_capacity(checks.len()),
@@ -1140,15 +1148,19 @@ impl Bucket {
                 .map(|&l| self.labels[l as usize].as_str())
                 .collect());
         }
-        let unwired = shape.wires.iter().enumerate().any(|(child, wire)| {
-            wire.is_some_and(|wire| {
-                !fits[wire.parent].iter().any(|&parent| {
+        // Every operator but the segment's root has its parent inside.
+        let unwired = shape
+            .wires
+            .iter()
+            .enumerate()
+            .skip(1)
+            .any(|(child, &wire)| {
+                !fits[wire.parent(child)].iter().any(|&parent| {
                     fits[child]
                         .iter()
                         .any(|&t| t != parent && wired(edges, t, parent, wire.roles))
                 })
-            })
-        });
+            });
         Err(if unwired {
             MatchMiss::EdgeOrRole
         } else {
@@ -1239,7 +1251,8 @@ struct Search<'r> {
     labels: &'r [String],
     ops: &'r [PopBounds],
     edges: &'r [Edge],
-    wires: &'r [Option<Wire>],
+    /// Entry 0, the segment's root, is not read.
+    wires: &'r [Wire],
     checks: &'r [Resolved<'r>],
     /// Per segment operator: the template operators passing conditions
     /// 1–2.
@@ -1277,9 +1290,11 @@ impl Search<'_> {
             if self.used[t as usize] {
                 continue;
             }
-            // Pre-order: the parent already stands somewhere (condition 3).
-            if let Some(wire) = self.wires[k] {
-                if !wired(self.edges, t, self.image[wire.parent], wire.roles) {
+            // Pre-order: the parent already stands somewhere (condition 3);
+            // the segment's root has no parent inside it.
+            if k > 0 {
+                let wire = self.wires[k];
+                if !wired(self.edges, t, self.image[wire.parent(k)], wire.roles) {
                     continue;
                 }
             }
@@ -1399,7 +1414,7 @@ impl SigIndex {
         &self,
         signature: u64,
         query: &AdmissionQuery<'_>,
-        shape: &SegmentShape,
+        shape: &SegmentShape<'_>,
         after: Option<&str>,
         stats: &mut AdmissionStats,
     ) -> Option<(&str, Result<Vec<&str>, MatchMiss>)> {

@@ -376,20 +376,6 @@ pub fn segment_to_probe(
     }
 }
 
-/// `(operator type, estimated cardinality)` per operator of the segment —
-/// the values the knowledge base's cardinality pre-check tests candidates
-/// against. Computable without compiling a probe, so the matcher can prune
-/// a segment before building anything.
-pub fn segment_card_checks(qgm: &Qgm, root: PopId) -> Vec<(&'static str, f64)> {
-    qgm.subtree(root)
-        .into_iter()
-        .map(|pid| {
-            let pop = qgm.pop(pid);
-            (pop.kind.name(), pop.est_card)
-        })
-        .collect()
-}
-
 /// One admission pre-check per operator of the segment: operator type,
 /// estimated cardinality and — for scans — the belief-table statistics
 /// (row size, FPAGES, base cardinality) the Figure-6 probe would test.

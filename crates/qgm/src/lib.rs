@@ -13,6 +13,6 @@ pub mod signature;
 
 pub use explain::{explain, ActualCards};
 pub use guideline::{GuidelineDoc, GuidelineNode, GuidelineParseError};
-pub use plan::{Pop, PopId, PopKind, Qgm, QgmBuilder};
+pub use plan::{Extent, Pop, PopId, PopKind, Qgm, QgmBuilder};
 pub use segment::{guideline_from_plan, segments, Segment};
 pub use signature::{is_signature_op, segment_signature, shape_signature, SegmentSignature};

@@ -88,7 +88,10 @@ impl PopKind {
 #[derive(Debug, Clone)]
 pub struct Pop {
     /// Display identifier — the integer in parentheses in the figures.
-    /// Assigned in pre-order (outer before inner) with `RETURN` = 1.
+    /// Assigned in pre-order (outer before inner) with `RETURN` = 1, so
+    /// `op_id − 1` is the operator's pre-order position and the subtree
+    /// it roots is the pre-order range `[op_id − 1, op_id − 1 + size)`
+    /// (size from [`Qgm::extents`]).
     pub op_id: u32,
     pub kind: PopKind,
     /// Optimizer-estimated output cardinality.
@@ -102,8 +105,20 @@ pub struct Pop {
     pub order: Option<ColRef>,
 }
 
+/// What one children-first pass knows of the subtree an operator roots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Extent {
+    /// Operators in the subtree, the root included: the subtree is the
+    /// pre-order range `[op_id − 1, op_id − 1 + size)`.
+    pub size: usize,
+    /// Join operators in the subtree.
+    pub joins: usize,
+}
+
 /// A complete query execution plan: operator arena plus the query it
 /// evaluates (needed to interpret table-instance indexes and predicates).
+/// Immutable once built: the arena is private and nothing hands out a
+/// mutable operator.
 #[derive(Debug, Clone)]
 pub struct Qgm {
     pub query: Query,
@@ -169,6 +184,26 @@ impl Qgm {
             for &child in self.pop(cur).inputs.iter().rev() {
                 stack.push(child);
             }
+        }
+        out
+    }
+
+    /// Every operator's [`Extent`], indexed by [`PopId`], from one pass
+    /// over the arena: [`QgmBuilder::add`] only takes inputs that already
+    /// exist, so the arena lists every child before its parent.
+    pub fn extents(&self) -> Vec<Extent> {
+        let mut out: Vec<Extent> = Vec::with_capacity(self.pops.len());
+        for pop in &self.pops {
+            let mut extent = Extent {
+                size: 1,
+                joins: usize::from(pop.kind.is_join()),
+            };
+            for child in &pop.inputs {
+                let below = out[child.0 as usize];
+                extent.size += below.size;
+                extent.joins += below.joins;
+            }
+            out.push(extent);
         }
         out
     }
@@ -329,7 +364,16 @@ impl QgmBuilder {
     }
 
     /// Seal the plan: wrap `top` in a `RETURN` operator and assign display
-    /// ids in pre-order (outer subtree before inner), `RETURN` = 1.
+    /// ids in pre-order (outer subtree before inner), `RETURN` = 1. So
+    /// `op_id − 1` is an operator's pre-order position, while the arena
+    /// keeps the order of [`add`](Self::add), every child before its
+    /// parent; [`Qgm::extents`] and the matcher's one-pass compile rest on
+    /// both.
+    ///
+    /// # Panics
+    ///
+    /// When the operators added do not form one tree under `top`: an
+    /// operator `top` does not reach, or one that is the input of two.
     pub fn finish(mut self, top: PopId) -> Qgm {
         let card = self.pops[top.0 as usize].est_card;
         let cost = self.pops[top.0 as usize].est_cost;
@@ -353,10 +397,17 @@ impl QgmBuilder {
                 stack.push(child);
             }
         }
-        for id in order {
-            self.pops[id.0 as usize].op_id = counter;
+        for &id in &order {
+            let pop = &mut self.pops[id.0 as usize];
+            assert_eq!(pop.op_id, 0, "an operator is the input of two operators");
+            pop.op_id = counter;
             counter += 1;
         }
+        assert_eq!(
+            order.len(),
+            self.pops.len(),
+            "a plan is one tree: every operator reached from the top"
+        );
 
         Qgm {
             query: self.query,
@@ -435,6 +486,41 @@ mod tests {
         assert_eq!(plan.subtree(plan.root()).len(), 4);
         assert_eq!(plan.join_count(plan.root()), 1);
         assert_eq!(plan.tables_under(plan.root()), vec![0, 1]);
+    }
+
+    #[test]
+    fn extents_are_the_preorder_ranges_of_subtrees() {
+        let plan = sample_plan();
+        let extents = plan.extents();
+        for (id, pop) in plan.pops() {
+            let extent = extents[id.0 as usize];
+            let ids: Vec<u32> = plan
+                .subtree(id)
+                .iter()
+                .map(|&p| plan.pop(p).op_id)
+                .collect();
+            let start = pop.op_id;
+            assert_eq!(ids, (start..start + extent.size as u32).collect::<Vec<_>>());
+            assert_eq!(extent.joins, plan.join_count(id));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "input of two")]
+    fn finish_refuses_an_operator_with_two_parents() {
+        let mut b = Qgm::builder(two_table_query());
+        let scan = b.add(PopKind::TbScan { table: 0 }, vec![], 10.0, 1.0);
+        let join = b.add(PopKind::NlJoin, vec![scan, scan], 10.0, 2.0);
+        b.finish(join);
+    }
+
+    #[test]
+    #[should_panic(expected = "one tree")]
+    fn finish_refuses_an_unreached_operator() {
+        let mut b = Qgm::builder(two_table_query());
+        b.add(PopKind::TbScan { table: 1 }, vec![], 10.0, 1.0);
+        let scan = b.add(PopKind::TbScan { table: 0 }, vec![], 10.0, 1.0);
+        b.finish(scan);
     }
 
     #[test]

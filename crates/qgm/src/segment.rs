@@ -14,22 +14,42 @@ use crate::plan::{PopId, PopKind, Qgm};
 pub struct Segment {
     pub root: PopId,
     pub join_count: usize,
+    /// The segment's pre-order extent: its operators are the pre-order
+    /// positions `start..start + len`, root first (`start` is the root's
+    /// `op_id − 1`).
+    pub start: usize,
+    pub len: usize,
+}
+
+impl Segment {
+    /// The pre-order positions of the segment's operators.
+    pub fn extent(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len
+    }
 }
 
 /// Enumerate all join-rooted sub-QGMs with at most `max_joins` joins,
 /// bottom-up (smaller segments first, so matches on small patterns are
-/// attempted before their enclosing patterns).
+/// attempted before their enclosing patterns; equal join counts in
+/// pre-order). Join counts and extents come from one children-first pass
+/// over the plan ([`Qgm::extents`]).
 pub fn segments(qgm: &Qgm, max_joins: usize) -> Vec<Segment> {
+    let extents = qgm.extents();
     let mut found: Vec<Segment> = qgm
         .pops()
         .filter(|(_, p)| p.kind.is_join())
-        .map(|(id, _)| Segment {
-            root: id,
-            join_count: qgm.join_count(id),
+        .map(|(id, p)| {
+            let extent = extents[id.0 as usize];
+            Segment {
+                root: id,
+                join_count: extent.joins,
+                start: p.op_id as usize - 1,
+                len: extent.size,
+            }
         })
         .filter(|s| s.join_count <= max_joins)
         .collect();
-    found.sort_by_key(|s| (s.join_count, qgm.pop(s.root).op_id));
+    found.sort_by_key(|s| (s.join_count, s.start));
     found
 }
 
@@ -132,6 +152,15 @@ mod tests {
         assert_eq!(segs3.len(), 3);
         // Bottom-up: single-join segments come before the three-join root.
         assert_eq!(segs3.last().unwrap().join_count, 3);
+        for s in &segs3 {
+            assert_eq!(s.join_count, plan.join_count(s.root));
+            let ids: Vec<usize> = plan
+                .subtree(s.root)
+                .iter()
+                .map(|&p| plan.pop(p).op_id as usize - 1)
+                .collect();
+            assert_eq!(ids, s.extent().collect::<Vec<_>>());
+        }
     }
 
     #[test]

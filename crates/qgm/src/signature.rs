@@ -18,28 +18,45 @@
 
 use crate::plan::{PopId, Qgm};
 
-/// Operator types that participate in the structural signature: the joins
-/// and scans that anchor a match. Transparent operators (`SORT`, `FILTER`,
-/// `RETURN`) are excluded — a template keeps them *above* its root join
-/// (e.g. the `RETURN` the abstraction preserves), where a matching segment
-/// never sees them.
+/// The operator types that participate in the structural signature — the
+/// joins and scans that anchor a match — in ascending name order, the
+/// order [`shape_signature`] hashes a multiset in. Transparent operators
+/// (`SORT`, `FILTER`, `RETURN`) are excluded: a template keeps them
+/// *above* its root join (e.g. the `RETURN` the abstraction preserves),
+/// where a matching segment never sees them.
+const SIGNATURE_OPS: [&str; 6] = ["F-IXSCAN", "HSJOIN", "IXSCAN", "MSJOIN", "NLJOIN", "TBSCAN"];
+
+/// Where `name` sits in [`SIGNATURE_OPS`], if it is a signature type.
+fn signature_slot(name: &str) -> Option<usize> {
+    Some(match name {
+        "F-IXSCAN" => 0,
+        "HSJOIN" => 1,
+        "IXSCAN" => 2,
+        "MSJOIN" => 3,
+        "NLJOIN" => 4,
+        "TBSCAN" => 5,
+        _ => return None,
+    })
+}
+
+/// True for the operator types that participate in the structural
+/// signature (see [`SIGNATURE_OPS`]).
 pub fn is_signature_op(name: &str) -> bool {
-    matches!(
-        name,
-        "NLJOIN" | "HSJOIN" | "MSJOIN" | "TBSCAN" | "IXSCAN" | "F-IXSCAN"
-    )
+    signature_slot(name).is_some()
 }
 
 /// Order-insensitive FNV-1a hash of a plan shape: the join count plus the
 /// multiset of signature operator types (non-signature types are filtered
 /// out here, so callers can pass every operator of a subtree or template).
-/// Deterministic across processes — safe to persist or shard on.
+/// The multiset is hashed as its sorted list of names, each followed by a
+/// zero byte; it is counted per type rather than sorted, so nothing is
+/// allocated. Deterministic across processes — safe to persist or shard
+/// on.
 pub fn shape_signature<'a>(join_count: usize, op_types: impl IntoIterator<Item = &'a str>) -> u64 {
-    let mut ops: Vec<&str> = op_types
-        .into_iter()
-        .filter(|n| is_signature_op(n))
-        .collect();
-    ops.sort_unstable();
+    let mut counts = [0usize; SIGNATURE_OPS.len()];
+    for slot in op_types.into_iter().filter_map(signature_slot) {
+        counts[slot] += 1;
+    }
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |byte: u8| {
         hash ^= byte as u64;
@@ -48,11 +65,13 @@ pub fn shape_signature<'a>(join_count: usize, op_types: impl IntoIterator<Item =
     for byte in (join_count as u64).to_le_bytes() {
         eat(byte);
     }
-    for op in ops {
-        for byte in op.bytes() {
-            eat(byte);
+    for (op, &count) in SIGNATURE_OPS.iter().zip(&counts) {
+        for _ in 0..count {
+            for byte in op.bytes() {
+                eat(byte);
+            }
+            eat(0); // separator: ["AB"] must not collide with ["A", "B"]
         }
-        eat(0); // separator: ["AB"] must not collide with ["A", "B"]
     }
     hash
 }
@@ -116,6 +135,68 @@ mod tests {
         let s1 = b.add(PopKind::TbScan { table: 1 }, vec![], 10.0, 1.0);
         let j = b.add(kind, vec![s0, s1], 100.0, 5.0);
         b.finish(j)
+    }
+
+    /// The signature as it was defined before it counted types: the
+    /// signature names sorted, then hashed.
+    fn sorted_reference<'a>(join_count: usize, op_types: impl IntoIterator<Item = &'a str>) -> u64 {
+        let mut ops: Vec<&str> = op_types
+            .into_iter()
+            .filter(|n| is_signature_op(n))
+            .collect();
+        ops.sort_unstable();
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |byte: u8| {
+            hash ^= byte as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        for byte in (join_count as u64).to_le_bytes() {
+            eat(byte);
+        }
+        for op in ops {
+            for byte in op.bytes() {
+                eat(byte);
+            }
+            eat(0);
+        }
+        hash
+    }
+
+    #[test]
+    fn signature_names_are_listed_in_sorted_order() {
+        let mut sorted = SIGNATURE_OPS;
+        sorted.sort_unstable();
+        assert_eq!(sorted, SIGNATURE_OPS);
+        for (slot, op) in SIGNATURE_OPS.iter().enumerate() {
+            assert_eq!(signature_slot(op), Some(slot));
+        }
+    }
+
+    #[test]
+    fn counted_signature_equals_the_sorted_reference() {
+        // Every type a template or plan can carry, signature or not, plus
+        // names that only look like one.
+        const NAMES: [&str; 12] = [
+            "NLJOIN", "HSJOIN", "MSJOIN", "TBSCAN", "IXSCAN", "F-IXSCAN", "SORT", "FILTER",
+            "RETURN", "", "TBSCAN ", "ixscan",
+        ];
+        let mut state: u64 = 0x5EED_0F5E_9A11_C0DE;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for _ in 0..4_000 {
+            let len = next(14);
+            let ops: Vec<&str> = (0..len).map(|_| NAMES[next(NAMES.len())]).collect();
+            let joins = next(7);
+            assert_eq!(
+                shape_signature(joins, ops.iter().copied()),
+                sorted_reference(joins, ops.iter().copied()),
+                "{joins} joins over {ops:?}"
+            );
+        }
     }
 
     #[test]

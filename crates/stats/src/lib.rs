@@ -451,8 +451,8 @@ impl StatSketch {
 
 const SKETCH_MAGIC: u32 = 0x47534B31; // "GSK1"
 
-/// FNV-1a 64-bit hash — the same checksum family the WAL and the serving
-/// tier use, implemented locally so this crate stays dependency-free.
+/// FNV-1a 64-bit hash — the same checksum family the WAL uses,
+/// implemented locally so this crate stays dependency-free.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

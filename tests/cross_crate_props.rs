@@ -94,6 +94,43 @@ proptest! {
         prop_assert_eq!(plan.join_count(plan.root()), q.tables.len() - 1);
     }
 
+    /// The pre-order contract the one-pass compile rests on: over the
+    /// optimizer's plan and random plans of a random query, every
+    /// operator's subtree is the `op_id` range its one-pass extent
+    /// derives, with the join count the pass counted, and every segment
+    /// carries its root's extent.
+    #[test]
+    fn subtrees_are_the_op_id_ranges_the_single_pass_derives(
+        fact in 0usize..3,
+        dims in prop::collection::vec(0usize..6, 1..6),
+        seed in 0u64..1_000,
+    ) {
+        let db = tpcds::database();
+        let Some(q) = random_query(&db, fact, dims) else { return Ok(()) };
+        let optimizer = Optimizer::new(&db);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let random = optimizer.random_plans(&q);
+        let plans = std::iter::once(optimizer.optimize(&q).ok())
+            .chain((0..3).map(|_| random.generate(&mut rng)))
+            .flatten();
+        for plan in plans {
+            let extents = plan.extents();
+            for (id, pop) in plan.pops() {
+                let extent = extents[id.0 as usize];
+                let walked: Vec<u32> = plan.subtree(id).iter().map(|&p| plan.pop(p).op_id).collect();
+                let derived: Vec<u32> = (pop.op_id..pop.op_id + extent.size as u32).collect();
+                prop_assert_eq!(walked, derived);
+                prop_assert_eq!(extent.joins, plan.join_count(id));
+            }
+            for seg in segments(&plan, 6) {
+                let root = plan.pop(seg.root);
+                prop_assert_eq!(seg.start, root.op_id as usize - 1);
+                prop_assert_eq!(seg.len, extents[seg.root.0 as usize].size);
+                prop_assert_eq!(seg.join_count, plan.join_count(seg.root));
+            }
+        }
+    }
+
     /// Cardinality estimation is a pure function of the table set:
     /// breaking a set into any two halves multiplies out consistently.
     #[test]
