@@ -133,7 +133,7 @@ impl WordHash {
 }
 
 /// Fingerprint a plan for cache keying: a 64-bit word-at-a-time hash
-/// ([`WordHash`]) over every input the match outcome depends on from the
+/// (`WordHash`) over every input the match outcome depends on from the
 /// query side, one `u64` per step.
 ///
 /// Covered: the match configuration (join threshold, range margin,

@@ -5,7 +5,7 @@
 //! guideline-constrained planning.
 //!
 //! An order is *interesting* when some later join can use it. Only a merge
-//! join uses an order, and [`Planner::for_each_join`] takes its key on a
+//! join uses an order, and [`PairCosts::for_each_join`] takes its key on a
 //! side `S` from [`galo_sql::CardEstimator::join_keys_between`]: the first
 //! member inside `S` of an equivalence class that also has a member on the
 //! other side. So an order `Some(c)` on table set `S` is **live** when `c`
@@ -25,13 +25,37 @@
 //! Access paths keep every order ([`prune`]); the tests check each
 //! frontier against a reference that builds every alternative, and each
 //! winner against one that also keeps every order.
+//!
+//! **Bounding.** Before an enumerator costs an orientation's
+//! |outer| × |inner| × 4 alternatives, [`Planner::cost_pair`] computes what
+//! they share (the key, the hash- and merge-join deltas, one nested-loop
+//! delta per inner plan) and a bound per method: the same sum, in the same
+//! order, over the least of each term. IEEE round-to-nearest addition is
+//! monotone (`a ≤ a'` and `b ≤ b'` give `a + b ≤ a' + b'` after rounding),
+//! so no alternative's `f64` cost is below its bound, bit for bit and with
+//! no epsilon; each bound is in fact its cheapest alternative's cost.
+//! [`Planner::dp`] skips an orientation when the mask's frontier has been
+//! offered something, the orientation's bound is no less than the cheapest
+//! cost offered, and every live order it could carry is already held at no
+//! more than that order's own bound ([`Frontier::could_change`]). A
+//! [`Frontier`] displaces an entry only on a strictly lower cost and ranks
+//! equals by offer order, so a skipped ordered alternative would have lost
+//! to its order's entry, and a skipped unordered one ranks after the
+//! earlier offer that set the cheapest cost, so whatever it did to the
+//! unordered slot, that slot would not be built. Ties keep their winners
+//! because the splits are visited in the order they always were: a
+//! frontier's tie-breaks depend on it
+//! (`plain_hash_join_wins_an_exact_tie_with_bloom`), and the natural order
+//! already lets about three orientations in four be skipped on the
+//! workloads. [`Planner::greedy`] bounds each ordered pair once and builds
+//! its frontier only when the bound is below the round's best so far.
 
 use std::cmp::Ordering;
 use std::rc::Rc;
 
 use galo_catalog::{ColumnId, Database, IndexId};
 use galo_qgm::{GuidelineDoc, GuidelineNode, PopKind, Qgm};
-use galo_sql::{CardEstimator, ColRef, Query};
+use galo_sql::{CardEstimator, ColRef, KeyPair, Query};
 
 use crate::cost::CostModel;
 
@@ -40,10 +64,6 @@ use crate::cost::CostModel;
 /// [`PlannerConfig::dp_unit_limit`] asks for: 16 units is a 65,536-entry
 /// table and already ~21 M splits on a clique; wider queries plan greedily.
 pub(crate) const MAX_DP_UNITS: usize = 16;
-
-/// One join key usable between two table sets, as the estimator reports it:
-/// `(table instance, column)` on the outer side, then on the inner side.
-type KeyPair = ((usize, ColumnId), (usize, ColumnId));
 
 /// How a base table is accessed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,6 +135,8 @@ pub(crate) struct Unit {
     pages: f64,
     /// Cost of sorting the set's output.
     sort_cost: f64,
+    /// The cheapest candidate's cost.
+    min_cost: f64,
 }
 
 impl Unit {
@@ -127,9 +149,90 @@ impl Unit {
             c.cost + self.sort_cost
         }
     }
+
+    /// The least [`Unit::sorted_cost`] over the unit's plans.
+    fn min_sorted_cost(&self, key: ColRef) -> f64 {
+        self.cands
+            .iter()
+            .map(|c| self.sorted_cost(c, key))
+            .fold(f64::INFINITY, f64::min)
+    }
 }
 
-/// One join alternative, costed but not built: what [`Planner::for_each_join`]
+/// What every join alternative of one orientation (`outer` ⋈ `inner`)
+/// shares, computed once by [`Planner::cost_pair`], and the bounds that
+/// let an enumerator skip the orientation (see "Bounding" in the module
+/// docs). [`PairCosts::for_each_join`] reads these constants.
+#[derive(Debug)]
+pub(crate) struct PairCosts<'n> {
+    /// Join key pair: (outer-side column, inner-side column).
+    key: (ColRef, ColRef),
+    /// `est.join_card` of the combined set.
+    card: f64,
+    /// Hash-join deltas, plain and (when the config enables it) bloom.
+    hs: f64,
+    hs_bloom: Option<f64>,
+    /// Merge-join delta.
+    ms: f64,
+    /// Nested-loop delta per inner plan, in `inner.cands` order: it reads
+    /// the inner plan, never the outer one.
+    nl: &'n [f64],
+    /// The least of `nl`: no NL alternative with outer plan `oc` costs
+    /// less than `oc.cost + min_nl`.
+    pub min_nl: f64,
+    /// No merge-join alternative costs less.
+    pub ms_bound: f64,
+    /// No alternative of the orientation costs less.
+    pub bound: f64,
+}
+
+impl<'n> PairCosts<'n> {
+    /// The one statement of the join cost formulas: every alternative that
+    /// joins a plan of `outer` to a plan of `inner` (this orientation only,
+    /// the one `self` was costed for), in the fixed order outer × inner ×
+    /// NL → HS → HS-bloom → MS, handed to `emit` unbuilt.
+    pub fn for_each_join<'c>(
+        &self,
+        outer: &'c Unit,
+        inner: &'c Unit,
+        mut emit: impl FnMut(JoinAlt<'c>),
+    ) {
+        let (key, card) = (self.key, self.card);
+        for oc in &outer.cands {
+            let o_sorted = outer.sorted_cost(oc, key.0);
+            for (ic, &nl) in inner.cands.iter().zip(self.nl) {
+                let i_sorted = inner.sorted_cost(ic, key.1);
+                let mut alt = |method, cost, order| {
+                    emit(JoinAlt {
+                        method,
+                        key,
+                        outer: oc,
+                        inner: ic,
+                        cost,
+                        card,
+                        order,
+                        sorted: (o_sorted, i_sorted),
+                    })
+                };
+                alt(JoinMethod::Nl, oc.cost + nl, oc.order);
+                alt(
+                    JoinMethod::Hs { bloom: false },
+                    oc.cost + ic.cost + self.hs,
+                    None,
+                );
+                if let Some(hs_bloom) = self.hs_bloom {
+                    let cost = oc.cost + ic.cost + hs_bloom;
+                    alt(JoinMethod::Hs { bloom: true }, cost, None);
+                }
+                // Merge join: each side sorted unless already ordered on
+                // the key.
+                alt(JoinMethod::Ms, o_sorted + i_sorted + self.ms, Some(key.0));
+            }
+        }
+    }
+}
+
+/// One join alternative, costed but not built: what [`PairCosts::for_each_join`]
 /// emits. Plain values and two borrows, so the thousands of alternatives
 /// pruning discards never touch the heap; [`JoinAlt::build`] makes the plan
 /// node for one that survives.
@@ -188,19 +291,33 @@ impl JoinAlt<'_> {
 /// ranked by (cost, offer order). Like `prune` it keeps every distinct
 /// order it is offered; the enumerators offer only live ones (see
 /// [`Planner::offer_live`]).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Frontier<'c> {
     /// Alternatives offered so far, i.e. the next one's rank among equals.
     offered: usize,
+    /// The least cost offered so far.
+    best: f64,
     unordered: Option<(usize, JoinAlt<'c>)>,
     /// At most one entry per distinct `Some(order)`.
     ordered: Vec<(usize, JoinAlt<'c>)>,
+}
+
+impl Default for Frontier<'_> {
+    fn default() -> Self {
+        Frontier {
+            offered: 0,
+            best: f64::INFINITY,
+            unordered: None,
+            ordered: Vec::new(),
+        }
+    }
 }
 
 impl<'c> Frontier<'c> {
     pub fn offer(&mut self, alt: JoinAlt<'c>) {
         let entry = (self.offered, alt);
         self.offered += 1;
+        self.best = self.best.min(alt.cost);
         let incumbent = match alt.order {
             None => self.unordered.as_mut(),
             Some(_) => self.ordered.iter_mut().find(|(_, k)| k.order == alt.order),
@@ -214,6 +331,32 @@ impl<'c> Frontier<'c> {
             None if alt.order.is_none() => self.unordered = Some(entry),
             None => self.ordered.push(entry),
         }
+    }
+
+    /// Whether offering what `pair` emits for `outer` ⋈ `inner` could
+    /// change what [`Frontier::finish`] builds, `live` being the set's live
+    /// orders (found at the first offer). It could not once the pair's
+    /// bound is no less than the cheapest cost offered and every live order
+    /// the pair could carry is held at no more than that order's own bound:
+    /// an equal cost never displaces an earlier offer (see "Bounding" in
+    /// the module docs).
+    fn could_change(&self, outer: &Unit, pair: &PairCosts, live: &[ColRef]) -> bool {
+        if self.offered == 0 || pair.bound < self.best {
+            return true;
+        }
+        let held = |order: ColRef, bound: f64| {
+            !live.contains(&order)
+                || self
+                    .ordered
+                    .iter()
+                    .any(|(_, kept)| kept.order == Some(order) && kept.cost <= bound)
+        };
+        // NL carries the outer plan's order, MS the outer key.
+        let nl_held = outer
+            .cands
+            .iter()
+            .all(|oc| oc.order.is_none_or(|o| held(o, oc.cost + pair.min_nl)));
+        !(nl_held && held(pair.key.0, pair.ms_bound))
     }
 
     pub fn finish(mut self) -> Vec<Cand> {
@@ -266,17 +409,75 @@ pub(crate) struct Planner<'a> {
     pub est: CardEstimator,
     cm: CostModel<'a>,
     config: &'a PlannerConfig,
+    /// Per table instance: its row width as a unit's width counts it, and
+    /// its belief pages.
+    widths: Vec<f64>,
+    pages: Vec<f64>,
+    #[cfg(test)]
+    pub work: std::cell::Cell<Work>,
+}
+
+/// What the enumerators did, counted for the tests.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Work {
+    /// DP orientations whose halves a join key connects.
+    pub considered: usize,
+    /// Of those, the ones whose alternatives were costed and offered.
+    pub costed: usize,
+    /// Greedy ordered pairs a join key connects.
+    pub connected: usize,
+    /// Greedy pair frontiers built.
+    pub built: usize,
+}
+
+/// Buffers the enumerators reuse, so costing an orientation allocates
+/// nothing.
+#[derive(Debug, Default)]
+struct Buffers {
+    keys: Vec<KeyPair>,
+    /// `keys` with each pair swapped: the other orientation's keys.
+    mirrored: Vec<KeyPair>,
+    nl: Vec<f64>,
+}
+
+/// A greedy pair, once looked at.
+enum Pair {
+    Disconnected,
+    /// Its [`PairCosts::bound`]: no plan of its frontier is cheaper.
+    Bounded(f64),
+    /// Its frontier, cheapest plan first.
+    Built(Vec<Cand>),
 }
 
 impl<'a> Planner<'a> {
     pub fn new(db: &'a Database, query: &'a Query, config: &'a PlannerConfig) -> Self {
+        let (widths, pages) = query
+            .tables
+            .iter()
+            .map(|tref| {
+                let width = (db.table(tref.table).row_size() as f64).min(64.0);
+                (width, db.belief.table(tref.table).pages as f64)
+            })
+            .unzip();
         Planner {
             db,
             query,
             est: CardEstimator::belief(db, query),
             cm: CostModel::belief(db),
             config,
+            widths,
+            pages,
+            #[cfg(test)]
+            work: Default::default(),
         }
+    }
+
+    #[cfg(test)]
+    fn tally(&self, count: impl FnOnce(&mut Work)) {
+        let mut work = self.work.get();
+        count(&mut work);
+        self.work.set(work);
     }
 
     // ---- access paths ----
@@ -394,14 +595,18 @@ impl<'a> Planner<'a> {
         debug_assert!(cands
             .iter()
             .all(|c| c.set == set && c.card.to_bits() == card.to_bits()));
+        // In ascending instance order: the sums' bits, and every cost above
+        // them, depend on it.
         let (mut width, mut pages) = (0.0, 0.0);
-        for (t, tref) in self.query.tables.iter().enumerate() {
-            if set & (1 << t) != 0 {
-                width += (self.db.table(tref.table).row_size() as f64).min(64.0);
-                pages += self.db.belief.table(tref.table).pages as f64;
-            }
+        let mut bits = set;
+        while bits != 0 {
+            let t = bits.trailing_zeros() as usize;
+            width += self.widths[t];
+            pages += self.pages[t];
+            bits &= bits - 1;
         }
         let width = width.max(8.0);
+        let min_cost = cands.iter().map(|c| c.cost).fold(f64::INFINITY, f64::min);
         Unit {
             set,
             card,
@@ -409,35 +614,29 @@ impl<'a> Planner<'a> {
             width,
             pages,
             sort_cost: self.cm.sort(card, width),
+            min_cost,
         }
     }
 
-    /// The one statement of the join cost formulas: every alternative that
-    /// joins a plan of `outer` to a plan of `inner` (this orientation only),
-    /// in the fixed order outer × inner × NL → HS → HS-bloom → MS, handed
-    /// to `emit` unbuilt. `card` is `est.join_card` of the combined set.
-    /// Emits nothing when no join predicate connects the two sets.
-    pub fn for_each_join<'c>(
+    /// What every alternative of `outer` ⋈ `inner` (this orientation only)
+    /// shares, and its bounds. `card` is `est.join_card` of the combined
+    /// set, `keys` is `est.join_keys_between(outer.set, inner.set)` and is
+    /// not empty, and `nl` is a buffer the result borrows.
+    ///
+    /// Each bound is the same sum, in the same order, as the costs
+    /// [`PairCosts::for_each_join`] forms, over the least of each term, so
+    /// no alternative is cheaper: NL `min_oc + min_nl`, HS `min_oc + min_ic
+    /// + min(hs, hs_bloom)`, MS `min_sorted_outer + min_sorted_inner + ms`.
+    pub fn cost_pair<'n>(
         &self,
-        outer: &'c Unit,
-        inner: &'c Unit,
+        outer: &Unit,
+        inner: &Unit,
         card: f64,
-        mut emit: impl FnMut(JoinAlt<'c>),
-    ) {
-        let keys = self.est.join_keys_between(outer.set, inner.set);
-        let Some(&((okt, okc), (ikt, ikc))) = keys.first() else {
-            return;
-        };
-        let key = (
-            ColRef {
-                table_idx: okt,
-                column: okc,
-            },
-            ColRef {
-                table_idx: ikt,
-                column: ikc,
-            },
-        );
+        keys: &[KeyPair],
+        nl: &'n mut Vec<f64>,
+    ) -> PairCosts<'n> {
+        let &(outer_key, inner_key) = keys.first().expect("a join key connects the pair");
+        let key = (col_ref(outer_key), col_ref(inner_key));
         // All of a unit's plans share its cardinality, so the method deltas
         // that read only cardinalities are the same for every pair.
         let match_frac = (card / outer.card.max(1.0)).min(1.0);
@@ -448,39 +647,47 @@ impl<'a> Planner<'a> {
         let hs = hsjoin(false);
         let hs_bloom = self.config.enable_bloom.then(|| hsjoin(true));
         let ms = self.cm.msjoin(outer.card, inner.card);
+        nl.clear();
+        nl.extend(
+            inner
+                .cands
+                .iter()
+                .map(|ic| self.nl_delta(outer.card, ic, inner.pages, keys, card)),
+        );
+        let min_nl = nl.iter().copied().fold(f64::INFINITY, f64::min);
 
-        for oc in &outer.cands {
-            let o_sorted = outer.sorted_cost(oc, key.0);
-            for ic in &inner.cands {
-                let i_sorted = inner.sorted_cost(ic, key.1);
-                let mut alt = |method, cost, order| {
-                    emit(JoinAlt {
-                        method,
-                        key,
-                        outer: oc,
-                        inner: ic,
-                        cost,
-                        card,
-                        order,
-                        sorted: (o_sorted, i_sorted),
-                    })
-                };
-                let nl = self.nl_delta(outer.card, ic, inner.pages, &keys, card);
-                alt(JoinMethod::Nl, oc.cost + nl, oc.order);
-                alt(
-                    JoinMethod::Hs { bloom: false },
-                    oc.cost + ic.cost + hs,
-                    None,
-                );
-                if let Some(hs_bloom) = hs_bloom {
-                    let cost = oc.cost + ic.cost + hs_bloom;
-                    alt(JoinMethod::Hs { bloom: true }, cost, None);
-                }
-                // Merge join: each side sorted unless already ordered on
-                // the key.
-                alt(JoinMethod::Ms, o_sorted + i_sorted + ms, Some(key.0));
-            }
+        let ms_bound = outer.min_sorted_cost(key.0) + inner.min_sorted_cost(key.1) + ms;
+        let min_hs = hs_bloom.map_or(hs, |hs_bloom| hs.min(hs_bloom));
+        let hs_bound = outer.min_cost + inner.min_cost + min_hs;
+        let nl_bound = outer.min_cost + min_nl;
+        PairCosts {
+            key,
+            card,
+            hs,
+            hs_bloom,
+            ms,
+            nl,
+            min_nl,
+            ms_bound,
+            bound: nl_bound.min(hs_bound).min(ms_bound),
         }
+    }
+
+    /// [`Planner::cost_pair`] from the two sets alone: `None` when no join
+    /// predicate connects them.
+    fn cost_orientation<'b>(
+        &self,
+        outer: &Unit,
+        inner: &Unit,
+        buffers: &'b mut Buffers,
+    ) -> Option<PairCosts<'b>> {
+        self.est
+            .join_keys_into(outer.set, inner.set, &mut buffers.keys);
+        if buffers.keys.is_empty() {
+            return None;
+        }
+        let card = self.est.join_card(outer.set | inner.set);
+        Some(self.cost_pair(outer, inner, card, &buffers.keys, &mut buffers.nl))
     }
 
     /// Nested-loop delta cost: index probes when the inner is an index
@@ -515,22 +722,31 @@ impl<'a> Planner<'a> {
 
     /// All join candidates combining a plan of `outer` with a plan of
     /// `inner`, every one built (both orientations are produced by calling
-    /// this twice). Enumeration prunes through a [`Frontier`] instead;
-    /// this is for callers that pick by something other than cost.
+    /// this twice); none when no join predicate connects them. Enumeration
+    /// prunes through a [`Frontier`] instead; this is for callers that pick
+    /// by something other than cost.
     pub fn join_candidates(&self, outer: &Unit, inner: &Unit) -> Vec<Cand> {
         let mut out = Vec::new();
-        let card = self.est.join_card(outer.set | inner.set);
-        self.for_each_join(outer, inner, card, |alt| out.push(alt.build()));
+        if let Some(pair) = self.cost_orientation(outer, inner, &mut Buffers::default()) {
+            pair.for_each_join(outer, inner, |alt| out.push(alt.build()));
+        }
         out
     }
 
     /// The pruned frontier of `outer` ⋈ `inner`, this orientation only.
-    fn join_frontier(&self, outer: &Unit, inner: &Unit, live: &mut Vec<ColRef>) -> Vec<Cand> {
+    fn join_frontier(
+        &self,
+        outer: &Unit,
+        inner: &Unit,
+        buffers: &mut Buffers,
+        live: &mut Vec<ColRef>,
+    ) -> Vec<Cand> {
         let mut frontier = Frontier::default();
-        let card = self.est.join_card(outer.set | inner.set);
-        self.for_each_join(outer, inner, card, |alt| {
-            self.offer_live(&mut frontier, live, alt)
-        });
+        if let Some(pair) = self.cost_orientation(outer, inner, buffers) {
+            pair.for_each_join(outer, inner, |alt| {
+                self.offer_live(&mut frontier, live, alt)
+            });
+        }
         frontier.finish()
     }
 
@@ -588,35 +804,29 @@ impl<'a> Planner<'a> {
     /// query's.
     pub fn dp(&self, units: Vec<Unit>) -> Vec<Option<Unit>> {
         let n = units.len();
-        let base: Vec<u64> = units.iter().map(|u| u.set).collect();
         let mut table: Vec<Option<Unit>> = Vec::new();
         table.resize_with(1 << n, || None);
         for (i, unit) in units.into_iter().enumerate() {
             table[1 << i] = Some(unit);
         }
+        let mut buffers = Buffers::default();
         let mut live = Vec::with_capacity(self.est.classes().len());
         // Ascending numeric order plans every proper submask first.
         for mask in 3..table.len() {
             if mask.is_power_of_two() {
                 continue;
             }
-            let set = (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .fold(0, |set, i| set | base[i]);
-            let card = self.est.join_card(set);
+            // Each unordered split once, descending by the half without the
+            // top unit: the submasks of `rest`.
+            let rest = mask & !(1 << mask.ilog2());
+            let mut card = None;
             let mut frontier = Frontier::default();
-            // Proper submask splits, descending, each unordered pair once.
-            let mut sub = (mask - 1) & mask;
+            let mut sub = rest;
             while sub > 0 {
-                let other = mask & !sub;
-                if sub < other {
-                    if let (Some(a), Some(b)) = (&table[sub], &table[other]) {
-                        let mut offer = |alt| self.offer_live(&mut frontier, &mut live, alt);
-                        self.for_each_join(a, b, card, &mut offer);
-                        self.for_each_join(b, a, card, &mut offer);
-                    }
+                if let (Some(a), Some(b)) = (&table[sub], &table[mask & !sub]) {
+                    self.offer_split(a, b, &mut card, &mut frontier, &mut buffers, &mut live);
                 }
-                sub = (sub - 1) & mask;
+                sub = (sub - 1) & rest;
             }
             let cands = frontier.finish();
             if !cands.is_empty() {
@@ -626,18 +836,60 @@ impl<'a> Planner<'a> {
         table
     }
 
+    /// Offer both orientations of the split `a | b` to the frontier of the
+    /// union, `a` ⋈ `b` first, skipping an orientation that cannot change
+    /// it. `card` is the union's `join_card`, found at its first connected
+    /// split.
+    fn offer_split<'c>(
+        &self,
+        a: &'c Unit,
+        b: &'c Unit,
+        card: &mut Option<f64>,
+        frontier: &mut Frontier<'c>,
+        buffers: &mut Buffers,
+        live: &mut Vec<ColRef>,
+    ) {
+        let Buffers { keys, mirrored, nl } = buffers;
+        self.est.join_keys_into(a.set, b.set, keys);
+        if keys.is_empty() {
+            return;
+        }
+        let card = *card.get_or_insert_with(|| self.est.join_card(a.set | b.set));
+        mirrored.clear();
+        mirrored.extend(keys.iter().map(|&(l, r)| (r, l)));
+        for (outer, inner, keys) in [(a, b, &*keys), (b, a, &*mirrored)] {
+            #[cfg(test)]
+            self.tally(|w| w.considered += 1);
+            let pair = self.cost_pair(outer, inner, card, keys, nl);
+            if !frontier.could_change(outer, &pair, live) {
+                continue;
+            }
+            #[cfg(test)]
+            self.tally(|w| w.costed += 1);
+            pair.for_each_join(outer, inner, |alt| self.offer_live(frontier, live, alt));
+        }
+    }
+
     /// Greedy pair merging: each round joins the ordered pair of live units
     /// whose frontier holds the cheapest plan (the first such pair in unit
     /// order on a tie) and appends the result as a new unit. Returns the
     /// last unit standing, or `None` for a disconnected query — cross
     /// products are not in this fragment.
+    ///
+    /// A pair's frontier is built only when its bound is below the round's
+    /// best so far: no plan of it is cheaper than the bound, and only a
+    /// strictly cheaper plan displaces the best, so a pair skipped this way
+    /// could not have won.
     pub fn greedy(&self, units: Vec<Unit>) -> Option<Unit> {
-        // Units live in `arena` slots that never move, so a pair's frontier
-        // is computed once: a merge only adds the pairs of the new slot.
+        // Units live in `arena` slots that never move, so a pair's bound
+        // and frontier are computed once: a merge only adds the pairs of
+        // the new slot.
         let mut arena = units;
         let mut live: Vec<usize> = (0..arena.len()).collect();
         let slots = (2 * arena.len()).saturating_sub(1);
-        let mut joined: Vec<Option<Vec<Cand>>> = vec![None; slots * slots];
+        let mut pairs: Vec<Option<Pair>> = Vec::new();
+        pairs.resize_with(slots * slots, || None);
+        let mut buffers = Buffers::default();
         let mut orders = Vec::with_capacity(self.est.classes().len());
         while live.len() > 1 {
             let mut best: Option<(usize, usize, f64)> = None;
@@ -646,22 +898,40 @@ impl<'a> Planner<'a> {
                     if a == b {
                         continue;
                     }
-                    let cands = joined[i * slots + j].get_or_insert_with(|| {
-                        self.join_frontier(&arena[i], &arena[j], &mut orders)
+                    let (outer, inner) = (&arena[i], &arena[j]);
+                    let pair = pairs[i * slots + j].get_or_insert_with(|| {
+                        match self.cost_orientation(outer, inner, &mut buffers) {
+                            None => Pair::Disconnected,
+                            Some(costs) => {
+                                #[cfg(test)]
+                                self.tally(|w| w.connected += 1);
+                                Pair::Bounded(costs.bound)
+                            }
+                        }
                     });
+                    if let Pair::Bounded(bound) = *pair {
+                        if best.is_some_and(|(_, _, cost)| bound >= cost) {
+                            continue;
+                        }
+                        #[cfg(test)]
+                        self.tally(|w| w.built += 1);
+                        let cands = self.join_frontier(outer, inner, &mut buffers, &mut orders);
+                        *pair = Pair::Built(cands);
+                    }
                     // A frontier's first plan is its cheapest.
-                    let Some(cheapest) = cands.first() else {
+                    let Pair::Built(cands) = pair else {
                         continue;
                     };
-                    if best.is_none_or(|(_, _, cost)| cheapest.cost < cost) {
-                        best = Some((a, b, cheapest.cost));
+                    let cheapest = cands[0].cost;
+                    if best.is_none_or(|(_, _, cost)| cheapest < cost) {
+                        best = Some((a, b, cheapest));
                     }
                 }
             }
             let (a, b, _) = best?;
-            let cands = joined[live[a] * slots + live[b]]
-                .take()
-                .expect("the winning pair's frontier was just read");
+            let Some(Pair::Built(cands)) = pairs[live[a] * slots + live[b]].take() else {
+                unreachable!("the winning pair's frontier was built");
+            };
             live.remove(a.max(b));
             live.remove(a.min(b));
             live.push(arena.len());
@@ -830,6 +1100,10 @@ impl<'a> Planner<'a> {
         }
         (units, outcome)
     }
+}
+
+fn col_ref((table_idx, column): (usize, ColumnId)) -> ColRef {
+    ColRef { table_idx, column }
 }
 
 /// Costs are never NaN, so this is a total order on them.

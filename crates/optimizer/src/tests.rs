@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::planner::{prune, Cand, Frontier, JoinAlt, JoinMethod, PhysPlan, Planner, Unit};
+use crate::planner::{prune, Cand, Frontier, JoinAlt, JoinMethod, PhysPlan, Planner, Unit, Work};
 use crate::{OptimizeError, Optimizer, PlannerConfig};
 
 /// Star schema: SALES fact (2.88M) with DATE_DIM, ITEM, STORE dimensions.
@@ -644,11 +644,10 @@ fn assert_same_winner(got: &Cand, want: &Cand, what: &str) {
     );
 }
 
-/// Every mask's frontier equals the live-order reference's, and the
-/// winners of `dp`, `greedy` and `plan_units` are bit-identical to those
-/// of the reference that keeps every order.
-#[test]
-fn enumerator_matches_the_reference_on_random_queries() {
+/// The random cases: 48 queries over the four shapes, each planned with
+/// bloom on and off, from table units and from units with a one-join
+/// guideline. `check` gets a label, the planner and a maker of fresh units.
+fn for_each_random_case(mut check: impl FnMut(&str, &Planner, &dyn Fn() -> Vec<Unit>)) {
     let mut rng = StdRng::seed_from_u64(0x6a10);
     let shapes = [Shape::Star, Shape::Chain, Shape::Clique, Shape::SelfJoin];
     for case in 0..48 {
@@ -689,30 +688,230 @@ fn enumerator_matches_the_reference_on_random_queries() {
                         p.table_units()
                     }
                 };
-
-                let got = p.dp(units());
-                let live = reference_dp(&p, units(), Orders::Live);
-                for (mask, got) in got.iter().enumerate() {
-                    assert_same_frontier(got.as_ref(), live.get(&mask), &what);
-                }
-                let greedy = p.greedy(units()).unwrap();
-                assert_same_frontier(
-                    Some(&greedy),
-                    reference_greedy(&p, units(), Orders::Live).as_ref(),
-                    &what,
-                );
-
-                // Dropping dead orders changes no winner.
-                let full = got.len() - 1;
-                let oracle = reference_dp(&p, units(), Orders::Every);
-                let want = winner(&oracle[&full]);
-                assert_same_winner(winner(got[full].as_ref().unwrap()), want, &what);
-                assert_same_winner(&p.plan_units(units()).unwrap(), want, &what);
-                let greedy_oracle = reference_greedy(&p, units(), Orders::Every).unwrap();
-                assert_same_winner(winner(&greedy), winner(&greedy_oracle), &what);
+                check(&what, &p, &units);
             }
         }
     }
+}
+
+/// Every mask's frontier equals the live-order reference's, and the
+/// winners of `dp`, `greedy` and `plan_units` are bit-identical to those
+/// of the reference that keeps every order.
+#[test]
+fn enumerator_matches_the_reference_on_random_queries() {
+    for_each_random_case(|what, p, units| {
+        let got = p.dp(units());
+        let live = reference_dp(p, units(), Orders::Live);
+        for (mask, got) in got.iter().enumerate() {
+            assert_same_frontier(got.as_ref(), live.get(&mask), what);
+        }
+        let greedy = p.greedy(units()).unwrap();
+        assert_same_frontier(
+            Some(&greedy),
+            reference_greedy(p, units(), Orders::Live).as_ref(),
+            what,
+        );
+
+        // Dropping dead orders changes no winner.
+        let full = got.len() - 1;
+        let oracle = reference_dp(p, units(), Orders::Every);
+        let want = winner(&oracle[&full]);
+        assert_same_winner(winner(got[full].as_ref().unwrap()), want, what);
+        assert_same_winner(&p.plan_units(units()).unwrap(), want, what);
+        let greedy_oracle = reference_greedy(p, units(), Orders::Every).unwrap();
+        assert_same_winner(winner(&greedy), winner(&greedy_oracle), what);
+    });
+}
+
+// ---- bound before cost ----
+
+/// Over every DP split of the random cases, in both orientations: no
+/// alternative costs less than its pair's bound, compared as plain `f64`;
+/// none of NL with outer plan `oc` less than `oc.cost + min_nl`; none of MS
+/// less than `ms_bound`. Each bound is also attained, bit for bit: the
+/// cheapest alternative of each kind costs exactly it.
+#[test]
+fn no_alternative_costs_less_than_its_pair_bound() {
+    let mut pairs = 0;
+    for_each_random_case(|what, p, units| {
+        let table = p.dp(units());
+        let mut nl = Vec::new();
+        for (mask, set) in table.iter().enumerate() {
+            let Some(set) = set else { continue };
+            let card = p.est.join_card(set.set);
+            for sub in 1..mask {
+                let other = mask & !sub;
+                if sub & mask != sub || sub > other {
+                    continue;
+                }
+                let (Some(a), Some(b)) = (&table[sub], &table[other]) else {
+                    continue;
+                };
+                for (outer, inner) in [(a, b), (b, a)] {
+                    let keys = p.est.join_keys_between(outer.set, inner.set);
+                    if keys.is_empty() {
+                        continue;
+                    }
+                    pairs += 1;
+                    let pair = p.cost_pair(outer, inner, card, &keys, &mut nl);
+                    let (mut cheapest, mut nl_cheapest, mut ms_cheapest) =
+                        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+                    let mut nl_bound = f64::INFINITY;
+                    for oc in &outer.cands {
+                        nl_bound = nl_bound.min(oc.cost + pair.min_nl);
+                    }
+                    pair.for_each_join(outer, inner, |alt| {
+                        assert!(alt.cost >= pair.bound, "{what}: {alt:?} < {}", pair.bound);
+                        cheapest = cheapest.min(alt.cost);
+                        match alt.method {
+                            JoinMethod::Nl => {
+                                let bound = alt.outer.cost + pair.min_nl;
+                                assert!(alt.cost >= bound, "{what}: {alt:?} < NL {bound}");
+                                nl_cheapest = nl_cheapest.min(alt.cost);
+                            }
+                            JoinMethod::Ms => {
+                                let bound = pair.ms_bound;
+                                assert!(alt.cost >= bound, "{what}: {alt:?} < MS {bound}");
+                                ms_cheapest = ms_cheapest.min(alt.cost);
+                            }
+                            JoinMethod::Hs { .. } => {}
+                        }
+                    });
+                    assert_eq!(cheapest.to_bits(), pair.bound.to_bits(), "{what}");
+                    assert_eq!(nl_cheapest.to_bits(), nl_bound.to_bits(), "{what}");
+                    assert_eq!(ms_cheapest.to_bits(), pair.ms_bound.to_bits(), "{what}");
+                }
+            }
+        }
+    });
+    assert!(pairs > 10_000, "{pairs} orientations checked");
+}
+
+/// `n` instances of one table, every pair joined on its indexed key `X`:
+/// every subset is connected, and splits of equal size cost the same.
+fn self_joined_clique(n: usize) -> (Database, Query) {
+    let mut b = DatabaseBuilder::new("clique", SystemConfig::default_1gb());
+    add_keyed(&mut b, "T", 200_000, &["X", "Y"], &["X", "Y"]);
+    let db = b.build();
+    let from: Vec<String> = (1..=n).map(|i| format!("t q{i}")).collect();
+    let preds: Vec<String> = (2..=n)
+        .map(|i| format!("q{}.t_x = q{i}.t_x", i - 1))
+        .collect();
+    let sql = format!(
+        "SELECT q1.t_y FROM {} WHERE {}",
+        from.join(", "),
+        preds.join(" AND ")
+    );
+    let q = parse(&db, "clique", &sql).unwrap();
+    (db, q)
+}
+
+/// On a self-joined clique many splits tie exactly: the DP still keeps, per
+/// mask, the frontier the build-everything reference keeps (so each tie
+/// went to the same earlier offer), while skipping orientations.
+#[test]
+fn dp_skips_keep_every_tie_on_a_self_joined_clique() {
+    let (db, q) = self_joined_clique(6);
+    for enable_bloom in [true, false] {
+        let config = PlannerConfig {
+            dp_unit_limit: 10,
+            enable_bloom,
+        };
+        let p = Planner::new(&db, &q, &config);
+
+        // The ties are real: on the whole set, the cheapest alternative is
+        // offered by more than one split.
+        let table = p.dp(p.table_units());
+        let full = table.len() - 1;
+        let mut costs = Vec::new();
+        for sub in 1..full {
+            let (Some(a), Some(b)) = (&table[sub], &table[full & !sub]) else {
+                continue;
+            };
+            costs.extend(p.join_candidates(a, b).iter().map(|c| c.cost.to_bits()));
+        }
+        let least = costs
+            .iter()
+            .map(|&c| f64::from_bits(c))
+            .fold(f64::INFINITY, f64::min);
+        let tied = costs.iter().filter(|&&c| c == least.to_bits()).count();
+        assert!(tied > 1, "bloom={enable_bloom}: {tied} cheapest");
+
+        let reference = reference_dp(&p, p.table_units(), Orders::Live);
+        for (mask, got) in table.iter().enumerate() {
+            let what = format!("bloom={enable_bloom} mask={mask:#b}");
+            assert_same_frontier(got.as_ref(), reference.get(&mask), &what);
+        }
+        let work = p.work.get();
+        assert!(work.costed < work.considered, "{work:?}");
+    }
+}
+
+/// Greedy on the same clique: the first round's cheapest plan is offered
+/// by several pairs, so the first of them in unit order must still win, as
+/// the reference that builds every pair has it.
+#[test]
+fn greedy_keeps_the_first_of_equal_cost_pairs() {
+    let n = 8;
+    let (db, q) = self_joined_clique(n);
+    for enable_bloom in [true, false] {
+        let config = PlannerConfig {
+            dp_unit_limit: 1,
+            enable_bloom,
+        };
+        let p = Planner::new(&db, &q, &config);
+        let units = p.table_units();
+        let mut cheapest = Vec::new();
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                let cands = p.join_candidates(&units[i], &units[j]);
+                cheapest.push(cands.iter().map(|c| c.cost).fold(f64::INFINITY, f64::min));
+            }
+        }
+        let least = cheapest.iter().copied().fold(f64::INFINITY, f64::min);
+        let tied = cheapest.iter().filter(|&&c| c == least).count();
+        assert!(tied > 1, "bloom={enable_bloom}: {tied} cheapest pairs");
+
+        let got = p.greedy(p.table_units());
+        let want = reference_greedy(&p, p.table_units(), Orders::Live);
+        assert_same_frontier(
+            got.as_ref(),
+            want.as_ref(),
+            &format!("bloom={enable_bloom}"),
+        );
+        let work = p.work.get();
+        assert!(work.built < work.connected, "{work:?}");
+    }
+}
+
+/// The work the bounds save, pinned over the random cases: DP orientations
+/// considered and costed, greedy pairs connected and frontiers built.
+#[test]
+fn bounding_skips_work_on_the_random_cases() {
+    let mut total = Work::default();
+    for_each_random_case(|_, p, units| {
+        let before = p.work.get();
+        p.dp(units());
+        p.greedy(units());
+        let after = p.work.get();
+        total.considered += after.considered - before.considered;
+        total.costed += after.costed - before.costed;
+        total.connected += after.connected - before.connected;
+        total.built += after.built - before.built;
+    });
+    assert!(total.costed < total.considered, "{total:?}");
+    assert!(total.built < total.connected, "{total:?}");
+    // Without the bounds every connected orientation is costed and every
+    // connected pair's frontier built: 52,876 and 3,804.
+    assert_eq!(
+        total,
+        Work {
+            considered: 52_876,
+            costed: 17_205,
+            connected: 3_804,
+            built: 1_506,
+        }
+    );
 }
 
 // ---- interesting orders ----
@@ -897,7 +1096,10 @@ fn plain_hash_join_wins_an_exact_tie_with_bloom() {
     // generated is the one pruning keeps.
     let mut hash_costs: Vec<(bool, u64)> = Vec::new();
     let mut frontier = Frontier::default();
-    p.for_each_join(&units[0], &units[1], card, |alt| {
+    let keys = p.est.join_keys_between(units[0].set, units[1].set);
+    let mut nl = Vec::new();
+    let pair = p.cost_pair(&units[0], &units[1], card, &keys, &mut nl);
+    pair.for_each_join(&units[0], &units[1], |alt| {
         if let JoinMethod::Hs { bloom } = alt.method {
             hash_costs.push((bloom, alt.cost.to_bits()));
         }

@@ -40,7 +40,7 @@ fn signature_slot(name: &str) -> Option<usize> {
 }
 
 /// True for the operator types that participate in the structural
-/// signature (see [`SIGNATURE_OPS`]).
+/// signature (see `SIGNATURE_OPS`).
 pub fn is_signature_op(name: &str) -> bool {
     signature_slot(name).is_some()
 }

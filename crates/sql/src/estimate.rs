@@ -87,6 +87,10 @@ impl EqClass {
     }
 }
 
+/// One join key usable between two table sets: `(table instance, column)`
+/// on the left side, then on the right side.
+pub type KeyPair = ((usize, ColumnId), (usize, ColumnId));
+
 /// Precomputed estimator for one query against one view.
 #[derive(Debug, Clone)]
 pub struct CardEstimator {
@@ -285,19 +289,22 @@ impl CardEstimator {
 
     /// Join key pairs usable between two disjoint sets: for each class
     /// spanning both, one `(left column, right column)` pair.
-    pub fn join_keys_between(
-        &self,
-        left: u64,
-        right: u64,
-    ) -> Vec<((usize, ColumnId), (usize, ColumnId))> {
-        self.classes
-            .iter()
-            .filter_map(|c| {
-                let l = c.members_in(left).next()?;
-                let r = c.members_in(right).next()?;
-                Some((l, r))
-            })
-            .collect()
+    pub fn join_keys_between(&self, left: u64, right: u64) -> Vec<KeyPair> {
+        let mut keys = Vec::new();
+        self.join_keys_into(left, right, &mut keys);
+        keys
+    }
+
+    /// [`Self::join_keys_between`] into a buffer the caller reuses; `keys`
+    /// is cleared first. Swapping `left` and `right` swaps each pair and
+    /// keeps the class order.
+    pub fn join_keys_into(&self, left: u64, right: u64, keys: &mut Vec<KeyPair>) {
+        keys.clear();
+        keys.extend(self.classes.iter().filter_map(|c| {
+            let l = c.members_in(left).next()?;
+            let r = c.members_in(right).next()?;
+            Some((l, r))
+        }));
     }
 }
 

@@ -11,7 +11,7 @@ pub mod parser;
 pub mod subquery;
 
 pub use ast::{CmpOp, ColRef, JoinPred, LocalPred, PredKind, Query, TableRef};
-pub use estimate::{local_selectivity, CardEstimator, View};
+pub use estimate::{local_selectivity, CardEstimator, KeyPair, View};
 pub use parser::{parse, ParseError};
 pub use subquery::{connected_subsets, project, structure_signature, subqueries};
 
