@@ -47,7 +47,7 @@ pub struct KbBuilder {
 }
 
 impl KbBuilder {
-    /// Start from the defaults: an in-memory hash-indexed single store,
+    /// Start from the defaults: an in-memory indexed single store,
     /// default feedback and match options.
     pub fn new() -> Self {
         Self::default()

@@ -27,9 +27,9 @@
 //!   tagging triple sets — e.g. one graph per learned workload — without
 //!   polluting the default graph that pattern matching runs against.
 //!
-//! Three backends ship: [`IndexedStore`] (the default; an SPO master
-//! B-tree plus POS and OSP hash-index families make every bound-prefix
-//! lookup keyed), [`ScanStore`] (the naive linear-scan reference the
+//! Three backends ship: [`IndexedStore`] (the default; three ordered
+//! permutations of the triples, SPO, POS and OSP, answer every pattern
+//! with one range), [`ScanStore`] (the naive linear-scan reference the
 //! proptests differential-test against), and [`DurableStore`] (the
 //! persistent backend: an append-only write-ahead log of checksummed
 //! [quad blocks](block), one record per commit, plus periodic snapshots

@@ -9,8 +9,8 @@ use crate::ntriples::{from_ntriples, to_ntriples};
 use crate::persist::{DurableStore, ScratchDir};
 use crate::shard::ShardedStore;
 use crate::sparql::{evaluate, parse_select};
-use crate::store::{IndexedStore, ScanStore, TripleStore};
-use crate::term::Term;
+use crate::store::{IndexedStore, ScanStore, Triple, TripleStore};
+use crate::term::{Term, TermId};
 
 fn arb_iri() -> impl Strategy<Value = Term> {
     "[a-z]{1,6}(/[a-z0-9]{1,4}){0,2}".prop_map(|p| Term::iri(format!("http://t/{p}")))
@@ -290,6 +290,173 @@ proptest! {
                         "pattern ({s_pat:?}, {p_pat:?}, {o_pat:?})"
                     );
                     prop_assert_eq!(indexed.count(s_pat, p_pat, o_pat), want.len());
+                }
+            }
+        }
+    }
+}
+
+/// The key a pattern's results are ordered by: the permutation whose
+/// bound prefix the pattern is (SPO for the S-prefix patterns and the
+/// full scan, POS for a bound P without S, OSP for a bound O without P).
+fn permutation_key((s, p, o): (bool, bool, bool), (ts, tp, to): Triple) -> Triple {
+    match (s, p, o) {
+        (false, true, _) => (tp, to, ts),
+        (_, false, true) => (to, ts, tp),
+        _ => (ts, tp, to),
+    }
+}
+
+/// Every one of the eight patterns over `probe`'s terms: the indexed
+/// store returns the reference's triples in the order of the
+/// pattern's permutation key, and `count` is their number.
+fn assert_scan_order(indexed: &IndexedStore, reference: &ScanStore, probe: Triple) {
+    for bound_s in [false, true] {
+        for bound_p in [false, true] {
+            for bound_o in [false, true] {
+                let bound = (bound_s, bound_p, bound_o);
+                let (s, p, o) = (
+                    Some(probe.0).filter(|_| bound_s),
+                    Some(probe.1).filter(|_| bound_p),
+                    Some(probe.2).filter(|_| bound_o),
+                );
+                let mut want = reference.scan(s, p, o);
+                want.sort_by_key(|&t| permutation_key(bound, t));
+                let got = indexed.scan(s, p, o);
+                assert_eq!(got, want, "pattern ({s:?}, {p:?}, {o:?})");
+                assert_eq!(
+                    indexed.count(s, p, o),
+                    want.len(),
+                    "count ({s:?}, {p:?}, {o:?})"
+                );
+            }
+        }
+    }
+}
+
+/// The scan-order contract of the indexed store, on a store of several
+/// thousand triples under churn: every pattern returns the reference's
+/// triples in its permutation's order, and counts them.
+#[test]
+fn scans_follow_the_order_of_each_patterns_permutation() {
+    let mut indexed = IndexedStore::new();
+    let mut reference = ScanStore::new();
+    // Terms 0..80 are nodes; the predicates are term 0 (the first
+    // interned id, which pins the ranges' inclusive lower ends) and
+    // terms 80..86.
+    let ids: Vec<TermId> = (0..86u32)
+        .map(|n| {
+            let a = indexed.intern(Term::iri(format!("http://t/n/{n}")));
+            assert_eq!(reference.intern(Term::iri(format!("http://t/n/{n}"))), a);
+            a
+        })
+        .collect();
+    assert_eq!(ids[0], TermId(0));
+    let preds: Vec<TermId> = std::iter::once(ids[0])
+        .chain(ids[80..].iter().copied())
+        .collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut next = |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    // Churn: three inserts to one removal of an earlier draw, over
+    // enough triples that every permutation is a multi-level tree.
+    let mut drawn: Vec<Triple> = Vec::new();
+    for _ in 0..12_000 {
+        if next(4) == 0 && !drawn.is_empty() {
+            let t = drawn[next(drawn.len())];
+            assert_eq!(indexed.remove_ids(t), reference.remove_ids(t));
+        } else {
+            let t = (ids[next(80)], preds[next(preds.len())], ids[next(80)]);
+            assert_eq!(indexed.insert_ids(t), reference.insert_ids(t));
+            drawn.push(t);
+        }
+    }
+    // A triple of id 0 alone, and ids at the top of the id space,
+    // pin both inclusive ends of every range.
+    let top = TermId(u32::MAX);
+    let pins = [
+        (ids[0], ids[0], ids[0]),
+        (ids[0], ids[0], top),
+        (top, ids[0], top),
+    ];
+    for t in pins {
+        assert_eq!(indexed.insert_ids(t), reference.insert_ids(t));
+    }
+    assert!(indexed.len() >= 5_000, "only {} triples", indexed.len());
+    assert_eq!(indexed.len(), reference.len());
+
+    let mut probes: Vec<Triple> = (0..150).map(|_| drawn[next(drawn.len())]).collect();
+    probes.extend(pins);
+    // Probes that mix terms of different triples, so some match nothing.
+    probes.extend((0..50).map(|_| (ids[next(86)], preds[next(preds.len())], ids[next(86)])));
+    for &probe in &probes {
+        assert_scan_order(&indexed, &reference, probe);
+    }
+
+    for t in reference.scan(None, None, None) {
+        assert!(indexed.remove_ids(t));
+        assert!(reference.remove_ids(t));
+    }
+    // Emptied, every pattern of every probe scans and counts nothing.
+    assert_eq!(indexed.len(), 0);
+    for &probe in &probes {
+        assert_scan_order(&indexed, &reference, probe);
+    }
+}
+
+/// A triple over a small vocabulary (five nodes, three predicates), so
+/// subjects, predicate–object pairs and objects repeat and every pattern
+/// has several matches.
+fn small_triple() -> impl Strategy<Value = (Term, Term, Term)> {
+    (0u8..5, 0u8..3, 0u8..5).prop_map(|(s, p, o)| {
+        (
+            Term::iri(format!("http://t/n/{s}")),
+            Term::iri(format!("http://t/p/{p}")),
+            Term::iri(format!("http://t/n/{o}")),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential test of the named graphs: after the same churn, the
+    /// indexed store's `scan_in` answers all eight patterns over every
+    /// graph exactly as the scan reference's linear filter does, in the
+    /// same order.
+    #[test]
+    fn named_graph_scans_match_scan_reference(
+        pool in prop::collection::vec(small_triple(), 4..24),
+        ops in prop::collection::vec((0u8..20, any::<prop::sample::Index>(), 0u8..3), 1..80),
+    ) {
+        let mut indexed = IndexedStore::new();
+        let mut reference = ScanStore::new();
+        for op in &ops {
+            let got = apply_store_op(&mut indexed, &pool, op);
+            let want = apply_store_op(&mut reference, &pool, op);
+            prop_assert_eq!(got, want, "set-semantics disagreement on {:?}", op);
+        }
+        // Same op sequence, same interning order: ids compare directly.
+        let id = |t: &Term| indexed.term_id(t);
+        for g in 0..3u8 {
+            let Some(gid) = id(&graph_term(g)) else { continue };
+            prop_assert_eq!(Some(gid), reference.term_id(&graph_term(g)));
+            for (s, p, o) in &pool {
+                let (Some(si), Some(pi), Some(oi)) = (id(s), id(p), id(o)) else { continue };
+                for s_pat in [None, Some(si)] {
+                    for p_pat in [None, Some(pi)] {
+                        for o_pat in [None, Some(oi)] {
+                            prop_assert_eq!(
+                                indexed.scan_in(gid, s_pat, p_pat, o_pat),
+                                reference.scan_in(gid, s_pat, p_pat, o_pat),
+                                "graph {} pattern ({:?}, {:?}, {:?})", g, s_pat, p_pat, o_pat
+                            );
+                        }
+                    }
                 }
             }
         }

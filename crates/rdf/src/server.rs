@@ -222,7 +222,7 @@ impl Default for FusekiLite {
 }
 
 impl FusekiLite {
-    /// An endpoint over the default hash-indexed in-memory backend.
+    /// An endpoint over the default in-memory backend, [`IndexedStore`].
     pub fn new() -> Self {
         Self::default()
     }

@@ -112,9 +112,11 @@ fn scoped_scan<S: TripleStore + ?Sized>(
     }
 }
 
-/// [`TripleStore::count`] under a dataset scope. Named graphs hold
-/// tagging metadata and stay small, so materializing the scan for the
-/// ordering heuristic is fine there.
+/// [`TripleStore::count`] under a dataset scope. A named graph has no
+/// `count` of its own, so this materializes `scan_in`: one subject's
+/// range when the subject is bound, and a filter over the whole graph
+/// when it is not. It orders the patterns of a query on the endpoint,
+/// the oracle and `diagnose`, never on a timed serve or publish.
 fn scoped_count<S: TripleStore + ?Sized>(
     store: &S,
     graph: Option<TermId>,

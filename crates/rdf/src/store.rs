@@ -2,13 +2,14 @@
 //!
 //! The knowledge base is the hot path of online re-optimization — every
 //! incoming plan segment becomes a SPARQL query against it — so storage
-//! is behind a trait: [`IndexedStore`] (hash-indexed, the default) serves
-//! keyed triple-pattern lookups, while [`ScanStore`] is the naive
+//! is behind a trait: [`IndexedStore`] (the default; three ordered
+//! permutations, SPO, POS and OSP, as in Jena TDB) answers every
+//! triple pattern with one range, while [`ScanStore`] is the naive
 //! linear-scan reference used to cross-check results and benchmark the
 //! indexes. A persistent or sharded backend can be dropped in without
 //! touching the evaluator, the server, or the matching engine.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::term::{Interner, Term, TermId};
@@ -215,9 +216,35 @@ pub trait TripleStore: fmt::Debug + Sync {
     }
 }
 
-/// Shared named-graph storage for the in-memory backends: per-graph
-/// B-tree sets, scanned linearly (named graphs hold tagging metadata and
-/// stay small; the hot path is the default graph).
+/// The least and greatest id: the inclusive ends of a prefix range.
+const MIN: TermId = TermId(0);
+const MAX: TermId = TermId(u32::MAX);
+
+/// The keys of an ordered triple set that start with `a`, and with `b`
+/// too when it is bound.
+fn prefix(keys: &BTreeSet<Triple>, a: TermId, b: Option<TermId>) -> btree_set::Range<'_, Triple> {
+    match b {
+        Some(b) => keys.range((a, b, MIN)..=(a, b, MAX)),
+        None => keys.range((a, MIN, MIN)..=(a, MAX, MAX)),
+    }
+}
+
+/// The triples of `triples` that match a pattern, by a linear filter.
+fn filter<'a>(
+    triples: impl Iterator<Item = &'a Triple> + 'a,
+    s: Option<TermId>,
+    p: Option<TermId>,
+    o: Option<TermId>,
+) -> impl Iterator<Item = Triple> + 'a {
+    triples.copied().filter(move |&(ts, tp, to)| {
+        s.is_none_or(|s| s == ts) && p.is_none_or(|p| p == tp) && o.is_none_or(|o| o == to)
+    })
+}
+
+/// Shared named-graph storage for the in-memory backends: one SPO-ordered
+/// set per graph. Named graphs hold tagging metadata; a lookup with the
+/// subject bound reads that subject's range, and one without it filters
+/// the graph.
 #[derive(Debug, Default, Clone)]
 struct NamedGraphs {
     graphs: BTreeMap<TermId, BTreeSet<Triple>>,
@@ -255,6 +282,12 @@ impl NamedGraphs {
             .collect()
     }
 
+    /// Every triple of `graph`, in SPO order.
+    fn triples(&self, graph: TermId) -> impl Iterator<Item = &Triple> {
+        self.graphs.get(&graph).into_iter().flatten()
+    }
+
+    /// A pattern over `graph`, in SPO order.
     fn scan(
         &self,
         graph: TermId,
@@ -262,41 +295,33 @@ impl NamedGraphs {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<Triple> {
-        self.graphs
-            .get(&graph)
-            .map(|triples| {
-                triples
-                    .iter()
-                    .filter(|&&(ts, tp, to)| {
-                        s.is_none_or(|s| s == ts)
-                            && p.is_none_or(|p| p == tp)
-                            && o.is_none_or(|o| o == to)
-                    })
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default()
+        let Some(triples) = self.graphs.get(&graph) else {
+            return Vec::new();
+        };
+        match (s, p, o) {
+            (Some(s), Some(p), Some(o)) => triples.get(&(s, p, o)).copied().into_iter().collect(),
+            (Some(s), p, o) => filter(prefix(triples, s, p), None, None, o).collect(),
+            (None, p, o) => filter(triples.iter(), None, p, o).collect(),
+        }
     }
 }
 
-/// Hash-indexed in-memory backend: the default [`TripleStore`].
+/// Indexed in-memory backend: the default [`TripleStore`].
 ///
-/// Every bound prefix of the SPO/POS/OSP access patterns is keyed: the
-/// master B-tree set in SPO order serves S-prefix patterns via prefix
-/// ranges (and full scans, `iter_terms`, deterministic N-Triples export),
-/// while four hash indexes cover the POS and OSP families — so no
-/// `scan`/`count` ever passes over the whole store.
+/// The triples are held three times, as the ordered sets of their SPO,
+/// POS and OSP permutations. Every pattern with a bound term is a prefix
+/// of one of them, so `scan` and `count` read one range of one set and
+/// never pass over the whole store. A pattern's results come out in its
+/// permutation's order: `(?, p, ?)` by `(o, s)`, `(s, ?, o)` by `p`.
 #[derive(Debug, Default, Clone)]
 pub struct IndexedStore {
     interner: Interner,
-    /// Master copy in SPO order; prefix ranges serve the S-bound patterns.
+    /// `(s, p, o)`: the master copy; full scans and the S-prefix patterns.
     spo: BTreeSet<Triple>,
-    /// p -> (o, s): the POS index family.
-    by_p: HashMap<TermId, BTreeSet<(TermId, TermId)>>,
-    by_po: HashMap<(TermId, TermId), BTreeSet<TermId>>,
-    /// o -> (s, p): the OSP index family.
-    by_o: HashMap<TermId, BTreeSet<(TermId, TermId)>>,
-    by_os: HashMap<(TermId, TermId), BTreeSet<TermId>>,
+    /// `(p, o, s)`: the patterns with P bound and S free.
+    pos: BTreeSet<Triple>,
+    /// `(o, s, p)`: the patterns with O bound and P free.
+    osp: BTreeSet<Triple>,
     named: NamedGraphs,
 }
 
@@ -310,19 +335,21 @@ impl IndexedStore {
     pub fn interner_len(&self) -> usize {
         self.interner.len()
     }
-}
 
-/// Remove `key -> member` from a one-to-many hash index, dropping the
-/// entry when its set empties.
-fn index_remove<K: std::hash::Hash + Eq, V: Ord>(
-    index: &mut HashMap<K, BTreeSet<V>>,
-    key: K,
-    member: &V,
-) {
-    if let Some(set) = index.get_mut(&key) {
-        set.remove(member);
-        if set.is_empty() {
-            index.remove(&key);
+    /// The one range a pattern reads, and the map from its keys back to
+    /// `(s, p, o)`. A fully bound pattern is a range of one key.
+    fn range(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> (btree_set::Range<'_, Triple>, fn(&Triple) -> Triple) {
+        match (s, p, o) {
+            (Some(s), Some(p), Some(o)) => (self.spo.range((s, p, o)..=(s, p, o)), |&t| t),
+            (Some(s), p, None) => (prefix(&self.spo, s, p), |&t| t),
+            (s, None, Some(o)) => (prefix(&self.osp, o, s), |&(o, s, p)| (s, p, o)),
+            (None, Some(p), o) => (prefix(&self.pos, p, o), |&(p, o, s)| (s, p, o)),
+            (None, None, None) => (self.spo.range(..), |&t| t),
         }
     }
 }
@@ -343,10 +370,8 @@ impl TripleStore for IndexedStore {
     fn insert_ids(&mut self, (s, p, o): Triple) -> bool {
         let added = self.spo.insert((s, p, o));
         if added {
-            self.by_p.entry(p).or_default().insert((o, s));
-            self.by_po.entry((p, o)).or_default().insert(s);
-            self.by_o.entry(o).or_default().insert((s, p));
-            self.by_os.entry((o, s)).or_default().insert(p);
+            self.pos.insert((p, o, s));
+            self.osp.insert((o, s, p));
         }
         added
     }
@@ -354,20 +379,16 @@ impl TripleStore for IndexedStore {
     fn remove_ids(&mut self, (s, p, o): Triple) -> bool {
         let removed = self.spo.remove(&(s, p, o));
         if removed {
-            index_remove(&mut self.by_p, p, &(o, s));
-            index_remove(&mut self.by_po, (p, o), &s);
-            index_remove(&mut self.by_o, o, &(s, p));
-            index_remove(&mut self.by_os, (o, s), &p);
+            self.pos.remove(&(p, o, s));
+            self.osp.remove(&(o, s, p));
         }
         removed
     }
 
     fn clear(&mut self) {
         self.spo.clear();
-        self.by_p.clear();
-        self.by_po.clear();
-        self.by_o.clear();
-        self.by_os.clear();
+        self.pos.clear();
+        self.osp.clear();
         self.named.graphs.clear();
     }
 
@@ -376,64 +397,16 @@ impl TripleStore for IndexedStore {
     }
 
     fn scan(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.spo.contains(&(s, p, o)) {
-                    vec![(s, p, o)]
-                } else {
-                    vec![]
-                }
-            }
-            (Some(s), Some(p), None) => self
-                .spo
-                .range((s, p, TermId(0))..=(s, p, TermId(u32::MAX)))
-                .copied()
-                .collect(),
-            (Some(s), None, None) => self
-                .spo
-                .range((s, TermId(0), TermId(0))..=(s, TermId(u32::MAX), TermId(u32::MAX)))
-                .copied()
-                .collect(),
-            (Some(s), None, Some(o)) => self
-                .by_os
-                .get(&(o, s))
-                .map(|ps| ps.iter().map(|&p| (s, p, o)).collect())
-                .unwrap_or_default(),
-            (None, Some(p), Some(o)) => self
-                .by_po
-                .get(&(p, o))
-                .map(|ss| ss.iter().map(|&s| (s, p, o)).collect())
-                .unwrap_or_default(),
-            (None, Some(p), None) => self
-                .by_p
-                .get(&p)
-                .map(|os| os.iter().map(|&(o, s)| (s, p, o)).collect())
-                .unwrap_or_default(),
-            (None, None, Some(o)) => self
-                .by_o
-                .get(&o)
-                .map(|sp| sp.iter().map(|&(s, p)| (s, p, o)).collect())
-                .unwrap_or_default(),
-            (None, None, None) => self.spo.iter().copied().collect(),
-        }
+        let (keys, to_spo) = self.range(s, p, o);
+        keys.map(to_spo).collect()
     }
 
+    /// Counts the pattern's range, O(matches); the whole store is its length.
     fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
         match (s, p, o) {
             (Some(s), Some(p), Some(o)) => usize::from(self.spo.contains(&(s, p, o))),
-            (Some(s), Some(p), None) => self
-                .spo
-                .range((s, p, TermId(0))..=(s, p, TermId(u32::MAX)))
-                .count(),
-            (Some(s), None, None) => self
-                .spo
-                .range((s, TermId(0), TermId(0))..=(s, TermId(u32::MAX), TermId(u32::MAX)))
-                .count(),
-            (Some(s), None, Some(o)) => self.by_os.get(&(o, s)).map_or(0, BTreeSet::len),
-            (None, Some(p), Some(o)) => self.by_po.get(&(p, o)).map_or(0, BTreeSet::len),
-            (None, Some(p), None) => self.by_p.get(&p).map_or(0, BTreeSet::len),
-            (None, None, Some(o)) => self.by_o.get(&o).map_or(0, BTreeSet::len),
             (None, None, None) => self.spo.len(),
+            _ => self.range(s, p, o).0.count(),
         }
     }
 
@@ -466,10 +439,11 @@ impl TripleStore for IndexedStore {
 
 /// Naive linear-scan backend: the reference implementation.
 ///
-/// Every pattern lookup walks the full triple set. Kept for differential
-/// testing against [`IndexedStore`] (see the proptests) and as the
-/// baseline side of the indexed-vs-scan micro-benchmark; also a model of
-/// the minimal work a new backend has to do.
+/// Every pattern lookup, in the default graph and in a named one, walks
+/// the full triple set. Kept for differential testing against
+/// [`IndexedStore`] (see the proptests) and as the baseline side of the
+/// indexed-vs-scan micro-benchmark; also a model of the minimal work a
+/// new backend has to do.
 #[derive(Debug, Default, Clone)]
 pub struct ScanStore {
     interner: Interner,
@@ -514,22 +488,11 @@ impl TripleStore for ScanStore {
     }
 
     fn scan(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        self.triples
-            .iter()
-            .filter(|&&(ts, tp, to)| {
-                s.is_none_or(|s| s == ts) && p.is_none_or(|p| p == tp) && o.is_none_or(|o| o == to)
-            })
-            .copied()
-            .collect()
+        filter(self.triples.iter(), s, p, o).collect()
     }
 
     fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        self.triples
-            .iter()
-            .filter(|&&(ts, tp, to)| {
-                s.is_none_or(|s| s == ts) && p.is_none_or(|p| p == tp) && o.is_none_or(|o| o == to)
-            })
-            .count()
+        filter(self.triples.iter(), s, p, o).count()
     }
 
     fn graph_names(&self) -> Vec<Term> {
@@ -555,7 +518,7 @@ impl TripleStore for ScanStore {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<Triple> {
-        self.named.scan(graph, s, p, o)
+        filter(self.named.triples(graph), s, p, o).collect()
     }
 }
 
