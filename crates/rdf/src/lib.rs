@@ -63,7 +63,7 @@ pub use sparql::{
     Update,
 };
 pub use store::{IndexedStore, ReadOnlyReplica, ScanStore, StoragePressure, Triple, TripleStore};
-pub use term::{Interner, Literal, Term, TermId};
+pub use term::{Interner, Literal, Term, TermDictionary, TermId};
 pub use wire::{decode_frame, encode_frame, Frame, FrameError, FramePayload, FRAME_MAGIC};
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ use crate::block::{put_u32, put_u64, BlockBuilder, BlockOp, ByteReader, QuadBloc
 use crate::fnv::fnv1a;
 use crate::policy::{CompactionPolicy, Pace};
 use crate::store::{IndexedStore, StoragePressure, Triple, TripleStore};
-use crate::term::{Term, TermId};
+use crate::term::{Interner, Term, TermDictionary, TermId};
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"GALOSNAP";
 const SNAPSHOT_VERSION: u32 = 2;
@@ -135,9 +135,13 @@ pub struct DurableOptions {
 /// identical to the default backend; every commit pays one journaled
 /// record. I/O failure while journaling is fail-stop (a panic): a store
 /// that cannot journal must not acknowledge writes it would lose.
+///
+/// The inner store interns through the dictionary `D`, its own
+/// [`Interner`] by default: the log and the snapshots hold terms, so
+/// nothing on disk depends on which dictionary issued the ids.
 #[derive(Debug)]
-pub struct DurableStore {
-    inner: IndexedStore,
+pub struct DurableStore<D = Interner> {
+    inner: IndexedStore<D>,
     dir: PathBuf,
     /// The current log, opened for append. Unbuffered: a commit is one
     /// `write_all` of one whole record.
@@ -175,11 +179,23 @@ impl DurableStore {
 
     /// [`open`](Self::open) with explicit [`DurableOptions`].
     pub fn open_with(dir: impl AsRef<Path>, options: DurableOptions) -> std::io::Result<Self> {
+        Self::open_in(dir, options, Interner::new())
+    }
+}
+
+impl<D: TermDictionary> DurableStore<D> {
+    /// [`open_with`](DurableStore::open_with), recovering into a store
+    /// that interns through `dictionary`.
+    pub(crate) fn open_in(
+        dir: impl AsRef<Path>,
+        options: DurableOptions,
+        dictionary: D,
+    ) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let mut snapshots = numbered_files(&dir, SNAPSHOT_PREFIX, SNAPSHOT_SUFFIX)?;
         snapshots.sort_by_key(|&(gen, _)| std::cmp::Reverse(gen));
-        let mut inner = IndexedStore::new();
+        let mut inner = IndexedStore::with_dictionary(dictionary);
         let mut base = None;
         for (gen, path) in &snapshots {
             let bytes = fs::read(path)?;
@@ -436,7 +452,7 @@ fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> std::io::Result<Vec
 /// One commit as a version-3 record: `ops` (over `inner`'s term ids)
 /// re-stated over a dictionary of the terms they mention, encoded, framed
 /// by its length and checksummed.
-fn encode_record(inner: &IndexedStore, ops: &[BlockOp]) -> Vec<u8> {
+fn encode_record<D: TermDictionary>(inner: &IndexedStore<D>, ops: &[BlockOp]) -> Vec<u8> {
     let mut b = BlockBuilder::with_capacity(ops.len());
     for op in ops {
         let op = match *op {
@@ -468,7 +484,10 @@ struct Replayed {
 
 /// Replay a log into `inner`, up to its first record that is torn,
 /// unparsable or fails its checksum.
-fn replay_wal(inner: &mut IndexedStore, path: &Path) -> std::io::Result<Replayed> {
+fn replay_wal<D: TermDictionary>(
+    inner: &mut IndexedStore<D>,
+    path: &Path,
+) -> std::io::Result<Replayed> {
     let bytes = match fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Replayed::default()),
@@ -492,7 +511,7 @@ fn replay_wal(inner: &mut IndexedStore, path: &Path) -> std::io::Result<Replayed
 
 /// A record is committed when all of its bytes are there, its checksum is
 /// right and its block decodes.
-fn replay_v3(inner: &mut IndexedStore, bytes: &[u8]) -> Replayed {
+fn replay_v3<D: TermDictionary>(inner: &mut IndexedStore<D>, bytes: &[u8]) -> Replayed {
     let mut at = WAL_V3_HEADER.len();
     let mut records = 0;
     loop {
@@ -565,7 +584,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> std::io::Result<QuadBlock> {
     }
 }
 
-impl TripleStore for DurableStore {
+impl<D: TermDictionary> TripleStore for DurableStore<D> {
     fn intern(&mut self, term: Term) -> TermId {
         // Interning alone is not journaled: ids are stable only for the
         // lifetime of one open store (see the module docs).
@@ -719,7 +738,7 @@ impl TripleStore for DurableStore {
     }
 }
 
-impl DurableStore {
+impl<D: TermDictionary> DurableStore<D> {
     fn compact_inner(&mut self) -> std::io::Result<()> {
         // Called inside an open bracket, the snapshot would hold what the
         // bracket has done so far while the old log does not: commit that

@@ -564,24 +564,43 @@ proptest! {
     }
 
     /// A durable sharded store reopens to exactly the state the ops
-    /// built, for any shard count — per-shard WAL replay plus the
-    /// global-id translation rebuild reproduce the image.
+    /// built, for any shard count: every shard's log replay and snapshot
+    /// load intern into the one shared interner. The history runs in two
+    /// phases with a reopen and a fold of one drawn shard between them, so
+    /// the second phase journals ids issued after a reopen, and the last
+    /// reopen recovers that shard from its snapshot plus a log.
     #[test]
     fn sharded_durable_reopen_reproduces_history(
         shards in 1usize..=3,
         pool in prop::collection::vec(arb_triple(), 4..10),
         ops in prop::collection::vec((0u8..20, any::<prop::sample::Index>(), 0u8..3), 1..40),
+        split in any::<prop::sample::Index>(),
+        fold in any::<prop::sample::Index>(),
     ) {
         let dir = ScratchDir::new("prop-shard-durable");
+        let (first, second) = ops.split_at(split.index(ops.len() + 1));
         let mut reference = IndexedStore::new();
         {
             let sharded = ShardedStore::open_durable(dir.path(), shards)
                 .expect("sharded durable store opens");
-            for op in &ops {
+            for op in first {
                 apply_store_op(&mut sharded.write_session(), &pool, op);
                 apply_store_op(&mut reference, &pool, op);
             }
             prop_assert_eq!(store_image(&sharded.read_session()), store_image(&reference));
+        }
+        {
+            let reopened = ShardedStore::open_durable(dir.path(), shards)
+                .expect("sharded recovery succeeds");
+            prop_assert_eq!(store_image(&reopened.read_session()), store_image(&reference));
+            reopened
+                .compact_shard(fold.index(shards))
+                .expect("one shard folds");
+            for op in second {
+                apply_store_op(&mut reopened.write_session(), &pool, op);
+                apply_store_op(&mut reference, &pool, op);
+            }
+            prop_assert_eq!(store_image(&reopened.read_session()), store_image(&reference));
         }
         let recovered = ShardedStore::open_durable(dir.path(), shards)
             .expect("sharded recovery succeeds");

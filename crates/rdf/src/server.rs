@@ -256,7 +256,7 @@ impl FusekiLite {
     }
 
     /// An endpoint over a durable sharded store: one WAL+snapshot
-    /// directory per shard under `dir`, recovered in parallel on open,
+    /// directory per shard under `dir`, recovered in shard order on open,
     /// with explicit per-shard
     /// [`DurableOptions`](crate::persist::DurableOptions) and routing
     /// policy.

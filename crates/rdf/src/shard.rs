@@ -6,9 +6,8 @@
 //! [`ShardedStore`] partitions the default graph across N inner stores —
 //! each behind its own lock and, when durable, its own WAL+snapshot
 //! directory — so one template's write is one record of one shard's log, a
-//! background fold holds one shard's lock at a time, and
-//! recovery/compaction of a durable store fan out across shard
-//! directories.
+//! background fold holds one shard's lock at a time, and a durable store
+//! recovers and compacts shard directory by shard directory.
 //!
 //! # Architecture
 //!
@@ -21,16 +20,18 @@
 //!   *performance* policy only: reads never trust it.
 //! * **Reads fan out.** `scan`/`count`/`scan_in`/`graph_names` visit
 //!   every shard in index order and merge, so result order is
-//!   deterministic for a given content. A shard that has never interned
-//!   one of a pattern's bound terms is rejected by a single map lookup,
-//!   so fan-out overhead on keyed probes stays near zero.
-//! * **Terms are interned twice.** The sharded store owns a
-//!   stripe-locked, lock-free-read shared interner issuing the global
-//!   [`TermId`]s every caller sees; each shard's inner store keeps its
-//!   own interner (a durable shard journals *terms*, and its snapshots
-//!   must stay self-contained), and the shard state carries the
-//!   global↔local id translation. On durable reopen the translation is
-//!   rebuilt from the recovered triples, shards in parallel.
+//!   deterministic for a given content. A keyed probe costs each shard
+//!   one range lookup in its own indexes, which a shard that holds none
+//!   of the pattern's terms answers empty.
+//! * **Terms are interned once.** The sharded store owns a stripe-locked,
+//!   lock-free-read shared interner issuing the [`TermId`]s every caller
+//!   sees, and every shard's store interns through it: shards index by
+//!   those ids, and nothing translates between id spaces. A durable
+//!   shard still journals and snapshots *terms*, resolved through the
+//!   shared interner. On durable reopen the shards recover one after
+//!   another, in shard order, interning what they replay into a fresh
+//!   shared interner — so a reopened store's ids, and with them its scan
+//!   order and snapshot bytes, do not depend on thread timing.
 //! * **Sessions are the only way in.** [`ShardedStore::read_session`] /
 //!   [`write_session`](ShardedStore::write_session) take every per-shard
 //!   lock in index order and *are* the [`TripleStore`]: the SPARQL
@@ -59,7 +60,8 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -81,10 +83,8 @@ fn term_hash(term: &Term) -> u64 {
     fnv1a_with(fnv1a(&[tag]), text.as_bytes())
 }
 
-/// FNV-1a hasher for the hot-path maps: the id-translation tables are
-/// keyed by already-well-distributed `u32` ids and the interner stripes
-/// by short strings — SipHash's DoS hardening buys nothing here and
-/// costs on every probe scan.
+/// FNV-1a hasher for the interner's stripe maps, keyed by short strings —
+/// SipHash's DoS hardening buys nothing here and costs on every lookup.
 #[derive(Default, Clone)]
 struct FnvState(u64);
 
@@ -112,7 +112,7 @@ const MAX_CHUNKS: usize = 24;
 /// Append-only term table with address-stable slots: resolving never
 /// takes a lock. Slots live in geometrically-growing boxed chunks, so a
 /// written `Term` never moves; `OnceLock` publication makes the read
-/// race-free against the (stripe-lock-serialized) writer.
+/// race-free against the writer, and each slot is written once.
 struct TermChunks {
     chunks: [OnceLock<Box<[OnceLock<Term>]>>; MAX_CHUNKS],
 }
@@ -155,29 +155,30 @@ impl fmt::Debug for TermChunks {
     }
 }
 
-#[derive(Debug)]
-struct Stripe {
-    lookup: RwLock<HashMap<Term, TermId, FnvBuild>>,
-    terms: TermChunks,
-}
-
-/// The sharded store's global interner: striped write locks, lock-free
-/// resolution. Ids interleave stripes (`id = index·STRIPES + stripe`), so
-/// they are dense-ish but **not** contiguous — nothing in the
-/// [`TripleStore`] contract requires contiguity.
+/// The sharded store's interner: striped locks on the term → id maps,
+/// lock-free resolution. Ids are dense and issued in interning order, so
+/// a store interned one term at a time — one shard, or shards recovered
+/// one after another — gets the ids a plain [`Interner`] would give it.
+///
+/// [`Interner`]: crate::term::Interner
 pub(crate) struct SharedInterner {
-    stripes: Vec<Stripe>,
+    stripes: Vec<RwLock<HashMap<Term, TermId, FnvBuild>>>,
+    /// Id → term.
+    terms: TermChunks,
+    /// The next id to issue. `Relaxed` is enough: the counter only makes
+    /// ids unique, and publishes nothing — a slot's term is published by
+    /// its `OnceLock`, a term's id by its stripe's lock.
+    next: AtomicU32,
 }
 
 impl SharedInterner {
     fn new() -> Self {
         SharedInterner {
             stripes: (0..STRIPES)
-                .map(|_| Stripe {
-                    lookup: RwLock::new(HashMap::default()),
-                    terms: TermChunks::new(),
-                })
+                .map(|_| RwLock::new(HashMap::default()))
                 .collect(),
+            terms: TermChunks::new(),
+            next: AtomicU32::new(0),
         }
     }
 
@@ -187,48 +188,56 @@ impl SharedInterner {
 
     pub(crate) fn get(&self, term: &Term) -> Option<TermId> {
         self.stripes[Self::stripe_of(term)]
-            .lookup
             .read()
             .get(term)
             .copied()
     }
 
-    /// Intern by reference: the term is cloned only on first sighting.
-    pub(crate) fn intern(&self, term: &Term) -> TermId {
-        let si = Self::stripe_of(term);
-        let stripe = &self.stripes[si];
-        if let Some(&id) = stripe.lookup.read().get(term) {
+    pub(crate) fn intern(&self, term: Term) -> TermId {
+        let stripe = &self.stripes[Self::stripe_of(&term)];
+        if let Some(&id) = stripe.read().get(&term) {
             return id;
         }
-        let mut lookup = stripe.lookup.write();
-        if let Some(&id) = lookup.get(term) {
+        let mut lookup = stripe.write();
+        if let Some(&id) = lookup.get(&term) {
             return id;
         }
-        let index = lookup.len();
-        let raw = index as u64 * STRIPES as u64 + si as u64;
-        let id = TermId(u32::try_from(raw).expect("interner id space exhausted"));
-        stripe.terms.set(index, term.clone());
-        lookup.insert(term.clone(), id);
-        id
+        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        assert!(id < u32::MAX, "interner id space exhausted");
+        self.terms.set(id as usize, term.clone());
+        lookup.insert(term, TermId(id));
+        TermId(id)
     }
 
     pub(crate) fn resolve(&self, id: TermId) -> &Term {
-        let si = (id.0 % STRIPES) as usize;
-        let index = (id.0 / STRIPES) as usize;
-        self.stripes[si]
-            .terms
-            .get(index)
+        self.terms
+            .get(id.0 as usize)
             .expect("resolve of an id this interner never issued")
     }
 
     fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lookup.read().len()).sum()
+        self.next.load(Ordering::Relaxed) as usize
     }
 }
 
 impl fmt::Debug for SharedInterner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "SharedInterner({} terms)", self.len())
+    }
+}
+
+/// Every shard's store holds a handle on the one shared interner.
+impl crate::term::TermDictionary for Arc<SharedInterner> {
+    fn intern(&mut self, term: Term) -> TermId {
+        SharedInterner::intern(self, term)
+    }
+
+    fn get(&self, term: &Term) -> Option<TermId> {
+        SharedInterner::get(self, term)
+    }
+
+    fn resolve(&self, id: TermId) -> &Term {
+        SharedInterner::resolve(self, id)
     }
 }
 
@@ -258,8 +267,8 @@ pub trait ShardRouter: fmt::Debug + Send + Sync {
 /// `<ns><template-id>` and `<ns><template-id>/pop/<k>` — are keyed by the
 /// template id alone, so every triple of one learned template (operator
 /// properties, stream edges, guideline document, workload tag) lands on
-/// the same shard and a matching probe's keyed lookups miss all other
-/// shards at translation time. Everything else hashes the whole subject.
+/// the same shard and a matching probe's keyed lookups come back empty
+/// from every other shard. Everything else hashes the whole subject.
 #[derive(Debug, Clone)]
 pub struct TemplateRouter {
     /// IRI prefix of template resources (the GALO KB default).
@@ -305,204 +314,13 @@ impl ShardRouter for HashRouter {
     }
 }
 
-// ---------------------------------------------------------- shard state --
-
-/// One shard: its inner store plus the global↔local id translation.
-///
-/// Invariant: every local id that appears in any of the inner store's
-/// triples (default or named graph) is mapped in `to_global`; every
-/// global id this shard has ever stored is mapped in `to_local`.
-#[derive(Debug)]
-struct ShardState {
-    store: Box<dyn TripleStore + Send>,
-    /// Global id → shard-local id.
-    to_local: HashMap<TermId, TermId, FnvBuild>,
-    /// Shard-local id (dense) → global id; `u32::MAX` marks a local term
-    /// that no stored triple references (e.g. one a replayed log record
-    /// interned for a statement a later record removed).
-    to_global: Vec<TermId>,
-}
-
-const UNMAPPED: TermId = TermId(u32::MAX);
-
-impl ShardState {
-    fn fresh(store: Box<dyn TripleStore + Send>) -> Self {
-        ShardState {
-            store,
-            to_local: HashMap::default(),
-            to_global: Vec::new(),
-        }
-    }
-
-    fn map_pair(&mut self, global: TermId, local: TermId) {
-        let idx = local.0 as usize;
-        if idx >= self.to_global.len() {
-            self.to_global.resize(idx + 1, UNMAPPED);
-        }
-        self.to_global[idx] = global;
-        self.to_local.insert(global, local);
-    }
-
-    fn local(&self, global: TermId) -> Option<TermId> {
-        self.to_local.get(&global).copied()
-    }
-
-    fn global(&self, local: TermId) -> TermId {
-        let g = self.to_global[local.0 as usize];
-        debug_assert_ne!(g, UNMAPPED, "scanned local id must be mapped");
-        g
-    }
-
-    /// Local id for a global term, interning it into the shard store on
-    /// first sighting.
-    fn ensure_local(&mut self, global: TermId, interner: &SharedInterner) -> TermId {
-        if let Some(l) = self.local(global) {
-            return l;
-        }
-        let local = self.store.intern(interner.resolve(global).clone());
-        self.map_pair(global, local);
-        local
-    }
-
-    fn globalize(&self, (s, p, o): Triple) -> Triple {
-        (self.global(s), self.global(p), self.global(o))
-    }
-
-    /// Translate a fully-bound global triple; `None` when any term was
-    /// never seen by this shard (so the triple cannot be stored here).
-    fn localize(&self, (s, p, o): Triple) -> Option<Triple> {
-        Some((self.local(s)?, self.local(p)?, self.local(o)?))
-    }
-
-    fn insert_global(&mut self, t: Triple, interner: &SharedInterner) -> bool {
-        let lt = (
-            self.ensure_local(t.0, interner),
-            self.ensure_local(t.1, interner),
-            self.ensure_local(t.2, interner),
-        );
-        self.store.insert_ids(lt)
-    }
-
-    fn remove_global(&mut self, t: Triple) -> bool {
-        match self.localize(t) {
-            Some(lt) => self.store.remove_ids(lt),
-            None => false,
-        }
-    }
-
-    fn insert_in_global(&mut self, graph: TermId, t: Triple, interner: &SharedInterner) -> bool {
-        let g = self.ensure_local(graph, interner);
-        let lt = (
-            self.ensure_local(t.0, interner),
-            self.ensure_local(t.1, interner),
-            self.ensure_local(t.2, interner),
-        );
-        self.store.insert_ids_in(g, lt)
-    }
-
-    fn remove_in_global(&mut self, graph: TermId, t: Triple) -> bool {
-        match (self.local(graph), self.localize(t)) {
-            (Some(g), Some(lt)) => self.store.remove_ids_in(g, lt),
-            _ => false,
-        }
-    }
-
-    /// Translate a pattern's bound positions to local ids; a miss means
-    /// the pattern matches nothing in this shard.
-    fn localize_pattern(
-        &self,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> Option<(Option<TermId>, Option<TermId>, Option<TermId>)> {
-        let lift = |g: Option<TermId>| -> Option<Option<TermId>> {
-            match g {
-                Some(g) => self.local(g).map(Some),
-                None => Some(None),
-            }
-        };
-        Some((lift(s)?, lift(p)?, lift(o)?))
-    }
-
-    fn scan_global(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        match self.localize_pattern(s, p, o) {
-            Some((ls, lp, lo)) => self
-                .store
-                .scan(ls, lp, lo)
-                .into_iter()
-                .map(|t| self.globalize(t))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    fn count_global(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        match self.localize_pattern(s, p, o) {
-            Some((ls, lp, lo)) => self.store.count(ls, lp, lo),
-            None => 0,
-        }
-    }
-
-    fn scan_in_global(
-        &self,
-        graph: TermId,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> Vec<Triple> {
-        let Some(g) = self.local(graph) else {
-            return Vec::new();
-        };
-        match self.localize_pattern(s, p, o) {
-            Some((ls, lp, lo)) => self
-                .store
-                .scan_in(g, ls, lp, lo)
-                .into_iter()
-                .map(|t| self.globalize(t))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    fn graph_ids_global(&self) -> Vec<TermId> {
-        self.store
-            .graph_ids()
-            .into_iter()
-            .map(|g| self.global(g))
-            .collect()
-    }
-
-    /// Rebuild the id translation from the inner store's recovered
-    /// triples (durable reopen: shard-local ids are fresh).
-    fn rebuild_translation(&mut self, interner: &SharedInterner) {
-        let map_local = |state: &mut ShardState, l: TermId| {
-            let idx = l.0 as usize;
-            if idx < state.to_global.len() && state.to_global[idx] != UNMAPPED {
-                return;
-            }
-            let g = interner.intern(state.store.resolve(l));
-            state.map_pair(g, l);
-        };
-        for (s, p, o) in self.store.scan(None, None, None) {
-            for id in [s, p, o] {
-                map_local(self, id);
-            }
-        }
-        for g in self.store.graph_ids() {
-            map_local(self, g);
-            for (s, p, o) in self.store.scan_in(g, None, None, None) {
-                for id in [s, p, o] {
-                    map_local(self, id);
-                }
-            }
-        }
-    }
-}
-
 // --------------------------------------------------------- fan-out reads --
 
+/// One shard: its inner store, interning through the shared interner.
+type Shard = Box<dyn TripleStore + Send>;
+
 fn fan_scan<'g>(
-    states: impl Iterator<Item = &'g ShardState>,
+    shards: impl Iterator<Item = &'g Shard>,
     s: Option<TermId>,
     p: Option<TermId>,
     o: Option<TermId>,
@@ -511,48 +329,45 @@ fn fan_scan<'g>(
     // deterministic, so the merged order is deterministic for a given
     // store content — no re-sort needed on the probe hot path.
     let mut out = Vec::new();
-    for state in states {
-        out.extend(state.scan_global(s, p, o));
+    for shard in shards {
+        out.extend(shard.scan(s, p, o));
     }
     out
 }
 
 fn fan_count<'g>(
-    states: impl Iterator<Item = &'g ShardState>,
+    shards: impl Iterator<Item = &'g Shard>,
     s: Option<TermId>,
     p: Option<TermId>,
     o: Option<TermId>,
 ) -> usize {
-    states.map(|state| state.count_global(s, p, o)).sum()
+    shards.map(|shard| shard.count(s, p, o)).sum()
 }
 
 fn fan_scan_in<'g>(
-    states: impl Iterator<Item = &'g ShardState>,
+    shards: impl Iterator<Item = &'g Shard>,
     graph: TermId,
     s: Option<TermId>,
     p: Option<TermId>,
     o: Option<TermId>,
 ) -> Vec<Triple> {
     let mut out = Vec::new();
-    for state in states {
-        out.extend(state.scan_in_global(graph, s, p, o));
+    for shard in shards {
+        out.extend(shard.scan_in(graph, s, p, o));
     }
     out
 }
 
-/// Non-empty named graphs across shards: `(name, global id)` pairs,
+/// Non-empty named graphs across shards: `(name, id)` pairs,
 /// deduplicated (a graph may have tags on several shards) and sorted by
 /// name for a deterministic enumeration order. Dedup happens at the id
-/// level — global ids are unique per term — so each unique graph is
-/// resolved and cloned once, not once per shard.
+/// level — ids are unique per term — so each unique graph is resolved and
+/// cloned once, not once per shard.
 fn fan_graphs<'g>(
-    states: impl Iterator<Item = &'g ShardState>,
+    shards: impl Iterator<Item = &'g Shard>,
     interner: &SharedInterner,
 ) -> Vec<(Term, TermId)> {
-    let mut ids: BTreeSet<TermId> = BTreeSet::new();
-    for state in states {
-        ids.extend(state.graph_ids_global());
-    }
+    let ids: BTreeSet<TermId> = shards.flat_map(|shard| shard.graph_ids()).collect();
     let mut graphs: Vec<(Term, TermId)> = ids
         .into_iter()
         .map(|g| (interner.resolve(g).clone(), g))
@@ -603,9 +418,9 @@ const META_MAGIC: &str = "galo-sharded v1";
 /// [`storage_pressures`]: Self::storage_pressures
 /// [`shard_stats`]: Self::shard_stats
 pub struct ShardedStore {
-    interner: SharedInterner,
+    interner: Arc<SharedInterner>,
     router: Box<dyn ShardRouter>,
-    shards: Vec<RwLock<ShardState>>,
+    shards: Vec<RwLock<Shard>>,
 }
 
 impl fmt::Debug for ShardedStore {
@@ -628,18 +443,23 @@ impl ShardedStore {
     /// [`new`](Self::new) with an explicit routing policy.
     pub fn with_router(shards: usize, router: Box<dyn ShardRouter>) -> Self {
         assert!(shards >= 1, "a sharded store needs at least one shard");
+        let interner = Arc::new(SharedInterner::new());
+        let shards = (0..shards)
+            .map(|_| {
+                let store = IndexedStore::with_dictionary(Arc::clone(&interner));
+                RwLock::new(Box::new(store) as Shard)
+            })
+            .collect();
         ShardedStore {
-            interner: SharedInterner::new(),
+            interner,
             router,
-            shards: (0..shards)
-                .map(|_| RwLock::new(ShardState::fresh(Box::<IndexedStore>::default())))
-                .collect(),
+            shards,
         }
     }
 
     /// Open (or create) a durable sharded store: one
     /// [`DurableStore`] WAL+snapshot directory per shard under `dir`,
-    /// recovered in parallel, with the default router and options.
+    /// recovered in shard order, with the default router and options.
     pub fn open_durable(dir: impl AsRef<Path>, shards: usize) -> io::Result<Self> {
         Self::open_durable_with(
             dir,
@@ -686,33 +506,22 @@ impl ShardedStore {
             }
             Err(e) => return Err(e),
         }
-        let interner = SharedInterner::new();
-        // Recover every shard in parallel: open (snapshot load + log
-        // replay) and global-id translation rebuild are per-shard work;
-        // the shared interner is internally synchronized.
-        let states = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|k| {
-                    let shard_dir = dir.join(format!("shard-{k:04}"));
-                    let options = options.clone();
-                    let interner = &interner;
-                    scope.spawn(move || -> io::Result<ShardState> {
-                        let store = DurableStore::open_with(shard_dir, options)?;
-                        let mut state = ShardState::fresh(Box::new(store));
-                        state.rebuild_translation(interner);
-                        Ok(state)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard recovery must not panic"))
-                .collect::<io::Result<Vec<_>>>()
-        })?;
+        // Recover the shards one after another, in shard order: each
+        // interns what it replays into the shared interner, so the order
+        // of recovery is the order ids are issued in.
+        let interner = Arc::new(SharedInterner::new());
+        let shards = (0..shards)
+            .map(|k| {
+                let shard_dir = dir.join(format!("shard-{k:04}"));
+                let store =
+                    DurableStore::open_in(shard_dir, options.clone(), Arc::clone(&interner))?;
+                Ok(RwLock::new(Box::new(store) as Shard))
+            })
+            .collect::<io::Result<_>>()?;
         Ok(ShardedStore {
             interner,
             router,
-            shards: states.into_iter().map(RwLock::new).collect(),
+            shards,
         })
     }
 
@@ -727,16 +536,16 @@ impl ShardedStore {
             .iter()
             .enumerate()
             .map(|(shard, lock)| {
-                let state = lock.read();
-                let graph_ids = state.store.graph_ids();
-                let pressure = state.store.storage_pressure().unwrap_or_default();
+                let store = lock.read();
+                let graph_ids = store.graph_ids();
+                let pressure = store.storage_pressure().unwrap_or_default();
                 ShardStats {
                     shard,
-                    triples: state.store.len(),
+                    triples: store.len(),
                     graphs: graph_ids.len(),
                     graph_triples: graph_ids
                         .iter()
-                        .map(|&g| state.store.scan_in(g, None, None, None).len())
+                        .map(|&g| store.scan_in(g, None, None, None).len())
                         .sum(),
                     wal_records: pressure.wal_records,
                     wal_bytes: pressure.wal_bytes,
@@ -753,7 +562,7 @@ impl ShardedStore {
     pub fn storage_pressures(&self) -> Vec<StoragePressure> {
         self.shards
             .iter()
-            .map(|lock| lock.read().store.storage_pressure().unwrap_or_default())
+            .map(|lock| lock.read().storage_pressure().unwrap_or_default())
             .collect()
     }
 
@@ -769,11 +578,11 @@ impl ShardedStore {
                 format!("shard {shard} out of range ({} shards)", self.shards.len()),
             )
         })?;
-        lock.write().store.compact()
+        lock.write().compact()
     }
 
     /// Route an interned triple through the placement policy.
-    fn route_global(&self, t: Triple) -> usize {
+    fn route(&self, t: Triple) -> usize {
         self.router.route(
             self.shards.len(),
             self.interner.resolve(t.0),
@@ -812,7 +621,7 @@ impl ShardedStore {
             let handles: Vec<_> = self
                 .shards
                 .iter()
-                .map(|shard| scope.spawn(move || shard.write().store.compact()))
+                .map(|shard| scope.spawn(move || shard.write().compact()))
                 .collect();
             handles
                 .into_iter()
@@ -877,7 +686,7 @@ fn validate_meta(
 /// (ids must merely stay stable) and works.
 pub struct ShardedReadSession<'a> {
     owner: &'a ShardedStore,
-    shards: Vec<RwLockReadGuard<'a, ShardState>>,
+    shards: Vec<RwLockReadGuard<'a, Shard>>,
 }
 
 impl fmt::Debug for ShardedReadSession<'_> {
@@ -887,14 +696,14 @@ impl fmt::Debug for ShardedReadSession<'_> {
 }
 
 impl ShardedReadSession<'_> {
-    fn states(&self) -> impl Iterator<Item = &ShardState> {
+    fn stores(&self) -> impl Iterator<Item = &Shard> {
         self.shards.iter().map(|g| &**g)
     }
 }
 
 impl TripleStore for ShardedReadSession<'_> {
     fn intern(&mut self, term: Term) -> TermId {
-        self.owner.interner.intern(&term)
+        self.owner.interner.intern(term)
     }
 
     fn term_id(&self, term: &Term) -> Option<TermId> {
@@ -918,26 +727,26 @@ impl TripleStore for ShardedReadSession<'_> {
     }
 
     fn len(&self) -> usize {
-        self.states().map(|s| s.store.len()).sum()
+        self.stores().map(|store| store.len()).sum()
     }
 
     fn scan(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        fan_scan(self.states(), s, p, o)
+        fan_scan(self.stores(), s, p, o)
     }
 
     fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        fan_count(self.states(), s, p, o)
+        fan_count(self.stores(), s, p, o)
     }
 
     fn graph_names(&self) -> Vec<Term> {
-        fan_graphs(self.states(), &self.owner.interner)
+        fan_graphs(self.stores(), &self.owner.interner)
             .into_iter()
             .map(|(name, _)| name)
             .collect()
     }
 
     fn graph_ids(&self) -> Vec<TermId> {
-        fan_graphs(self.states(), &self.owner.interner)
+        fan_graphs(self.stores(), &self.owner.interner)
             .into_iter()
             .map(|(_, id)| id)
             .collect()
@@ -958,7 +767,7 @@ impl TripleStore for ShardedReadSession<'_> {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<Triple> {
-        fan_scan_in(self.states(), graph, s, p, o)
+        fan_scan_in(self.stores(), graph, s, p, o)
     }
 
     fn compact(&mut self) -> io::Result<()> {
@@ -972,7 +781,7 @@ impl TripleStore for ShardedReadSession<'_> {
 /// shard whose lock the session already holds.
 pub struct ShardedWriteSession<'a> {
     owner: &'a ShardedStore,
-    shards: Vec<RwLockWriteGuard<'a, ShardState>>,
+    shards: Vec<RwLockWriteGuard<'a, Shard>>,
 }
 
 impl fmt::Debug for ShardedWriteSession<'_> {
@@ -982,20 +791,20 @@ impl fmt::Debug for ShardedWriteSession<'_> {
 }
 
 impl ShardedWriteSession<'_> {
-    fn states(&self) -> impl Iterator<Item = &ShardState> {
+    fn stores(&self) -> impl Iterator<Item = &Shard> {
         self.shards.iter().map(|g| &**g)
     }
 
     /// The shard a triple routes to.
-    fn routed(&mut self, t: Triple) -> &mut ShardState {
-        let k = self.owner.route_global(t);
+    fn routed(&mut self, t: Triple) -> &mut Shard {
+        let k = self.owner.route(t);
         &mut self.shards[k]
     }
 }
 
 impl TripleStore for ShardedWriteSession<'_> {
     fn intern(&mut self, term: Term) -> TermId {
-        self.owner.interner.intern(&term)
+        self.owner.interner.intern(term)
     }
 
     fn term_id(&self, term: &Term) -> Option<TermId> {
@@ -1007,53 +816,51 @@ impl TripleStore for ShardedWriteSession<'_> {
     }
 
     fn insert_ids(&mut self, t: Triple) -> bool {
-        let interner = &self.owner.interner;
-        self.routed(t).insert_global(t, interner)
+        self.routed(t).insert_ids(t)
     }
 
     fn remove_ids(&mut self, t: Triple) -> bool {
-        self.routed(t).remove_global(t)
+        self.routed(t).remove_ids(t)
     }
 
     fn clear(&mut self) {
-        for state in &mut self.shards {
-            state.store.clear();
+        for store in &mut self.shards {
+            store.clear();
         }
     }
 
     fn len(&self) -> usize {
-        self.states().map(|s| s.store.len()).sum()
+        self.stores().map(|store| store.len()).sum()
     }
 
     fn scan(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        fan_scan(self.states(), s, p, o)
+        fan_scan(self.stores(), s, p, o)
     }
 
     fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        fan_count(self.states(), s, p, o)
+        fan_count(self.stores(), s, p, o)
     }
 
     fn graph_names(&self) -> Vec<Term> {
-        fan_graphs(self.states(), &self.owner.interner)
+        fan_graphs(self.stores(), &self.owner.interner)
             .into_iter()
             .map(|(name, _)| name)
             .collect()
     }
 
     fn graph_ids(&self) -> Vec<TermId> {
-        fan_graphs(self.states(), &self.owner.interner)
+        fan_graphs(self.stores(), &self.owner.interner)
             .into_iter()
             .map(|(_, id)| id)
             .collect()
     }
 
     fn insert_ids_in(&mut self, graph: TermId, t: Triple) -> bool {
-        let interner = &self.owner.interner;
-        self.routed(t).insert_in_global(graph, t, interner)
+        self.routed(t).insert_ids_in(graph, t)
     }
 
     fn remove_ids_in(&mut self, graph: TermId, t: Triple) -> bool {
-        self.routed(t).remove_in_global(graph, t)
+        self.routed(t).remove_ids_in(graph, t)
     }
 
     fn scan_in(
@@ -1063,25 +870,25 @@ impl TripleStore for ShardedWriteSession<'_> {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<Triple> {
-        fan_scan_in(self.states(), graph, s, p, o)
+        fan_scan_in(self.stores(), graph, s, p, o)
     }
 
     fn compact(&mut self) -> io::Result<()> {
-        for state in &mut self.shards {
-            state.store.compact()?;
+        for store in &mut self.shards {
+            store.compact()?;
         }
         Ok(())
     }
 
     fn begin_batch(&mut self) {
-        for state in &mut self.shards {
-            state.store.begin_batch();
+        for store in &mut self.shards {
+            store.begin_batch();
         }
     }
 
     fn end_batch(&mut self) {
-        for state in &mut self.shards {
-            state.store.end_batch();
+        for store in &mut self.shards {
+            store.end_batch();
         }
     }
 }
@@ -1089,7 +896,7 @@ impl TripleStore for ShardedWriteSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::ScratchDir;
+    use crate::persist::{snapshot_bytes, ScratchDir};
     use crate::store::ScanStore;
     use std::collections::BTreeSet;
 
@@ -1157,8 +964,7 @@ mod tests {
             };
             let tid = store.interner.get(&tpl_iri(id)).expect("interned");
             for (k, shard) in store.shards.iter().enumerate() {
-                let state = shard.read();
-                let here = state.count_global(None, None, Some(tid));
+                let here = shard.read().count(None, None, Some(tid));
                 if k == expected {
                     assert!(here > 0, "template {id} missing from its shard");
                 } else {
@@ -1172,8 +978,39 @@ mod tests {
         assert!(stats.iter().all(|s| s.triples > 0), "{stats:?}");
         assert_eq!(
             stats.iter().map(|s| s.triples).sum::<usize>(),
-            store.shards.iter().map(|s| s.read().store.len()).sum()
+            store.shards.iter().map(|s| s.read().len()).sum()
         );
+    }
+
+    #[test]
+    fn every_shard_indexes_by_the_ids_the_store_hands_out() {
+        let store = ShardedStore::new(4);
+        for id in 0..32u32 {
+            insert_template(&store, id, Some(&workload_graph()));
+        }
+        // Every id a shard's store holds, default and named graphs alike,
+        // with the term that store resolves it to.
+        let mut held: Vec<(TermId, Term)> = Vec::new();
+        for shard in &store.shards {
+            let shard = shard.read();
+            let mut ids: Vec<TermId> = Vec::new();
+            for (s, p, o) in shard.scan(None, None, None) {
+                ids.extend([s, p, o]);
+            }
+            for g in shard.graph_ids() {
+                ids.push(g);
+                for (s, p, o) in shard.scan_in(g, None, None, None) {
+                    ids.extend([s, p, o]);
+                }
+            }
+            held.extend(ids.into_iter().map(|id| (id, shard.resolve(id).clone())));
+        }
+        assert!(!held.is_empty());
+        // A read session resolves each to the same term: one dictionary.
+        let view = store.read_session();
+        for (id, term) in &held {
+            assert_eq!(view.resolve(*id), term, "id {id:?}");
+        }
     }
 
     #[test]
@@ -1301,6 +1138,49 @@ mod tests {
     }
 
     #[test]
+    fn a_sharded_reopen_is_byte_reproducible() {
+        let dir = ScratchDir::new("shard-reproducible");
+        // Templates labelled from a pool of literals every shard shares,
+        // so a subject's labels scan in the order the shared interner
+        // issued their ids in.
+        let publish = |store: &ShardedStore, ids: std::ops::Range<u32>| {
+            for id in ids {
+                insert_template(store, id, Some(&workload_graph()));
+                let mut session = store.write_session();
+                for j in 0..4 {
+                    let label = Term::lit(format!("label-{}", (id * 7 + j * 5) % 23));
+                    session.insert(tpl_iri(id), prop("hasLabel"), label);
+                }
+            }
+        };
+        {
+            let store = ShardedStore::open_durable(dir.path(), 4).unwrap();
+            publish(&store, 0..160);
+            // One shard recovers from a snapshot plus a log, the others
+            // from their logs alone.
+            store.compact_shard(1).unwrap();
+            publish(&store, 160..200);
+        }
+        // The replication cold-start payload of a reopened store.
+        let reopened = || {
+            snapshot_bytes(
+                &ShardedStore::open_durable(dir.path(), 4)
+                    .unwrap()
+                    .read_session(),
+            )
+        };
+        let first = reopened();
+        assert!(first.len() > 1024, "{} bytes", first.len());
+        for _ in 0..4 {
+            assert_eq!(
+                first,
+                reopened(),
+                "a reopen's snapshot bytes are reproducible"
+            );
+        }
+    }
+
+    #[test]
     fn torn_wal_on_one_shard_recovers_other_shards_fully() {
         let dir = ScratchDir::new("shard-torn");
         let stats_before;
@@ -1415,7 +1295,7 @@ mod tests {
                     let store = &store;
                     scope.spawn(move || {
                         (0..200u32)
-                            .map(|i| store.interner.intern(&tpl_iri(i % 50)))
+                            .map(|i| store.interner.intern(tpl_iri(i % 50)))
                             .collect::<Vec<_>>()
                     })
                 })

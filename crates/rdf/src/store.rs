@@ -12,7 +12,7 @@
 use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::term::{Interner, Term, TermId};
+use crate::term::{Interner, Term, TermDictionary, TermId};
 
 /// A ground triple of interned terms.
 pub type Triple = (TermId, TermId, TermId);
@@ -40,10 +40,11 @@ pub struct StoragePressure {
 
 /// Storage contract for RDF triples.
 ///
-/// A store owns a term [`Interner`] and a default graph of triples, plus
-/// optional named graphs. The required methods work on interned
-/// [`TermId`]s — the evaluator's hot path; the provided methods lift them
-/// to [`Term`]s for callers that deal in concrete terms.
+/// A store interns its terms through a [`TermDictionary`] and holds a
+/// default graph of triples, plus optional named graphs. The required
+/// methods work on interned [`TermId`]s — the evaluator's hot path; the
+/// provided methods lift them to [`Term`]s for callers that deal in
+/// concrete terms.
 ///
 /// # Contract
 ///
@@ -123,15 +124,8 @@ pub trait TripleStore: fmt::Debug + Sync {
     ) -> Vec<Triple>;
 
     /// Interned ids of all non-empty named graphs, in the same order as
-    /// [`graph_names`](Self::graph_names). The sharded backend uses this
-    /// to enumerate a shard's graphs without resolving through the
-    /// shard-local interner.
-    fn graph_ids(&self) -> Vec<TermId> {
-        self.graph_names()
-            .iter()
-            .filter_map(|g| self.term_id(g))
-            .collect()
-    }
+    /// [`graph_names`](Self::graph_names).
+    fn graph_ids(&self) -> Vec<TermId>;
 
     // ---- maintenance ----
 
@@ -313,9 +307,12 @@ impl NamedGraphs {
 /// of one of them, so `scan` and `count` read one range of one set and
 /// never pass over the whole store. A pattern's results come out in its
 /// permutation's order: `(?, p, ?)` by `(o, s)`, `(s, ?, o)` by `p`.
-#[derive(Debug, Default, Clone)]
-pub struct IndexedStore {
-    interner: Interner,
+///
+/// The store interns through its dictionary `D`: by default an
+/// [`Interner`] of its own; a shard's store shares the sharded store's.
+#[derive(Debug, Clone)]
+pub struct IndexedStore<D = Interner> {
+    interner: D,
     /// `(s, p, o)`: the master copy; full scans and the S-prefix patterns.
     spo: BTreeSet<Triple>,
     /// `(p, o, s)`: the patterns with P bound and S free.
@@ -334,6 +331,25 @@ impl IndexedStore {
     /// used or not.
     pub fn interner_len(&self) -> usize {
         self.interner.len()
+    }
+}
+
+impl Default for IndexedStore {
+    fn default() -> Self {
+        Self::with_dictionary(Interner::new())
+    }
+}
+
+impl<D> IndexedStore<D> {
+    /// An empty store interning through `interner`.
+    pub(crate) fn with_dictionary(interner: D) -> Self {
+        IndexedStore {
+            interner,
+            spo: BTreeSet::new(),
+            pos: BTreeSet::new(),
+            osp: BTreeSet::new(),
+            named: NamedGraphs::default(),
+        }
     }
 
     /// The one range a pattern reads, and the map from its keys back to
@@ -354,7 +370,7 @@ impl IndexedStore {
     }
 }
 
-impl TripleStore for IndexedStore {
+impl<D: TermDictionary> TripleStore for IndexedStore<D> {
     fn intern(&mut self, term: Term) -> TermId {
         self.interner.intern(term)
     }

@@ -127,6 +127,23 @@ impl fmt::Display for Term {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
+/// The two-way map between [`Term`]s and the [`TermId`]s a store indexes
+/// by. A store holds one: [`Interner`], its own, or — for each shard of a
+/// [`ShardedStore`](crate::ShardedStore) — a handle on the sharded
+/// store's one shared dictionary, so that every shard indexes by the same
+/// ids the sharded store hands out.
+pub trait TermDictionary: fmt::Debug + Send + Sync {
+    /// Intern a term, returning its id (stable for the dictionary's
+    /// lifetime).
+    fn intern(&mut self, term: Term) -> TermId;
+
+    /// Look up a term's id without interning.
+    fn get(&self, term: &Term) -> Option<TermId>;
+
+    /// Resolve an id this dictionary issued back to its term.
+    fn resolve(&self, id: TermId) -> &Term;
+}
+
 /// Term interner: bidirectional map between [`Term`]s and [`TermId`]s.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
@@ -167,6 +184,20 @@ impl Interner {
 
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
+    }
+}
+
+impl TermDictionary for Interner {
+    fn intern(&mut self, term: Term) -> TermId {
+        Interner::intern(self, term)
+    }
+
+    fn get(&self, term: &Term) -> Option<TermId> {
+        Interner::get(self, term)
+    }
+
+    fn resolve(&self, id: TermId) -> &Term {
+        Interner::resolve(self, id)
     }
 }
 

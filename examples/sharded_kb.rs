@@ -10,7 +10,7 @@
 //!    routing spreads the templates over the shards, and the writers'
 //!    publishes interleave one write session at a time,
 //! 3. checkpoint (compaction fans out across the shard directories),
-//! 4. drop the process state, reopen (shards recover in parallel), and
+//! 4. drop the process state, reopen (shards recover in shard order), and
 //! 5. match both workloads against the recovered templates.
 //!
 //! Exits nonzero if the recovered per-shard triple counts disagree with
@@ -72,7 +72,7 @@ fn main() {
         stats
     };
 
-    // --- reopen: every shard recovers in parallel ----------------------
+    // --- reopen: every shard recovers, in shard order -----------------
     let galo = KbBuilder::new()
         .durable_dir(dir)
         .shards(SHARDS)
