@@ -4,8 +4,8 @@
 //! over anything but the default in-memory store: pick a backend *or*
 //! a shard count *or* a durable directory (in any legal combination),
 //! tune durability ([`fsync`](KbBuilder::fsync), auto-compaction),
-//! routing, feedback and matching options, then materialize whichever
-//! layer you need:
+//! feedback and matching options, then materialize whichever layer you
+//! need:
 //!
 //! - [`build_server`](KbBuilder::build_server) — the raw SPARQL endpoint,
 //! - [`build_kb`](KbBuilder::build_kb) — a [`KnowledgeBase`] (signature
@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 
 use galo_rdf::{
-    CompactionPolicy, DurableOptions, FusekiLite, ServerError, ShardRouter, ShardedStore,
+    CompactionPolicy, DurableOptions, FusekiLite, ServerError, ShardedStore, TemplateRouter,
     TripleStore,
 };
 
@@ -38,7 +38,6 @@ use crate::matching::MatchConfig;
 pub struct KbBuilder {
     backend: Option<Box<dyn TripleStore + Send>>,
     shards: Option<usize>,
-    router: Option<Box<dyn ShardRouter>>,
     durable_dir: Option<PathBuf>,
     durable: DurableOptions,
     compaction: Option<CompactionPolicy>,
@@ -68,14 +67,6 @@ impl KbBuilder {
     /// recovered and folded independently.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
-        self
-    }
-
-    /// Routing policy for a sharded store (default:
-    /// [`TemplateRouter`](galo_rdf::TemplateRouter), template-affine).
-    /// Only meaningful together with [`shards`](Self::shards).
-    pub fn router(mut self, router: Box<dyn ShardRouter>) -> Self {
-        self.router = Some(router);
         self
     }
 
@@ -142,7 +133,6 @@ impl KbBuilder {
         let KbBuilder {
             backend,
             shards,
-            router,
             durable_dir,
             durable,
             compaction,
@@ -150,28 +140,22 @@ impl KbBuilder {
         } = self;
         let server = (|| {
             if let Some(backend) = backend {
-                if shards.is_some() || durable_dir.is_some() || router.is_some() {
+                if shards.is_some() || durable_dir.is_some() {
                     return Err(Self::invalid(
-                        "an explicit backend cannot be combined with shards, a \
-                         router, or a durable directory",
+                        "an explicit backend cannot be combined with shards or a \
+                         durable directory",
                     ));
                 }
                 return Ok(FusekiLite::with_backend(backend));
-            }
-            if router.is_some() && shards.is_none() {
-                return Err(Self::invalid("a router requires a shard count"));
             }
             match (shards, durable_dir) {
                 (Some(n), Some(dir)) => FusekiLite::open_sharded_durable_with(
                     dir,
                     n,
                     durable,
-                    router.unwrap_or_else(|| Box::new(galo_rdf::TemplateRouter::default())),
+                    Box::<TemplateRouter>::default(),
                 ),
-                (Some(n), None) => Ok(FusekiLite::from_sharded(match router {
-                    Some(r) => ShardedStore::with_router(n, r),
-                    None => ShardedStore::new(n),
-                })),
+                (Some(n), None) => Ok(FusekiLite::from_sharded(ShardedStore::new(n))),
                 (None, Some(dir)) => FusekiLite::open_durable_with(dir, durable),
                 (None, None) => Ok(FusekiLite::new()),
             }
@@ -233,11 +217,6 @@ mod tests {
             .build_server()
             .unwrap_err();
         assert!(err.to_string().contains("invalid KbBuilder configuration"));
-        let err = KbBuilder::new()
-            .router(Box::new(galo_rdf::TemplateRouter::default()))
-            .build_server()
-            .unwrap_err();
-        assert!(err.to_string().contains("router requires a shard count"));
     }
 
     #[test]

@@ -261,10 +261,9 @@ pub struct MatchReport {
     /// and oracle paths.
     pub cache_hit: bool,
     /// Always 0 since the matcher stopped building probes: it counted
-    /// segments whose probe IR an earlier match of the same
-    /// [`CompiledPlan`] had built. Kept because the benchmark's composed
-    /// serve compares it; ROADMAP item 5 retires it together with that
-    /// composed serve.
+    /// segments whose probe an earlier match of the same [`CompiledPlan`]
+    /// had built. Kept because the benchmark's composed serve compares
+    /// it; it retires together with that composed serve.
     pub probes_reused: usize,
     /// Signature-index entries the admission walk went past across all of
     /// the plan's segments (admitted candidates included) — the

@@ -13,11 +13,12 @@
 //! and this module keeps every way of evaluating it, for the differential
 //! tests and for [`diagnose`](crate::diagnostics::diagnose):
 //!
-//! * [`match_plan_text`] renders each segment's probe as SPARQL text,
-//!   parses it back and evaluates it over the whole store, with no index;
+//! * [`match_plan_text`] evaluates each segment's probe
+//!   ([`segment_to_probe`]: the SPARQL text, parsed) over the whole store,
+//!   with no index;
 //! * [`match_plan_probe`] walks the matcher's admission cursor and
-//!   evaluates the probe's AST ([`segment_to_probe`]) for each admitted
-//!   candidate, the first candidate with a solution deciding the segment;
+//!   evaluates the probe with `?tmpl` bound to each admitted candidate,
+//!   the first candidate with a solution deciding the segment;
 //! * [`probe_labels`] is that evaluation for one candidate;
 //! * [`structural_matches`] drops the range constraints: the templates
 //!   whose structure alone matches a segment (`diagnose`'s near misses).
@@ -32,14 +33,11 @@ use std::time::Instant;
 
 use galo_catalog::Database;
 use galo_qgm::{segments, shape_signature, PopId, Qgm};
-use galo_rdf::{Probe, ResultSet, Term};
+use galo_rdf::{evaluate_seeded, ResultSet, Term};
 
 use crate::kb::{AdmissionQuery, AdmissionStats, KnowledgeBase};
 use crate::matching::{instantiate_match, MatchConfig, MatchReport, MatchedRewrite};
-use crate::transform::{
-    segment_pop_checks, segment_scan_qualifiers, segment_to_probe, segment_to_sparql_opt,
-    ProbeOptions, ScanVar, SegmentProbe,
-};
+use crate::transform::{segment_pop_checks, segment_to_probe, ProbeOptions, ScanVar, SegmentProbe};
 
 /// The probe options a match configuration implies.
 fn probe_options(cfg: &MatchConfig, include_ranges: bool) -> ProbeOptions {
@@ -98,20 +96,23 @@ fn instantiate(
 }
 
 /// The probe evaluated with `?tmpl` bound to one template: its winning
-/// labels, or `None` when it has no solution.
+/// labels, or `None` when it has no solution (as for a template IRI the
+/// store never interned).
 fn evaluate(kb: &KnowledgeBase, probe: &SegmentProbe, template_iri: &str) -> Option<Vec<String>> {
-    let bind = vec![("tmpl".to_string(), Term::iri(template_iri))];
-    let job = Probe {
-        query: &probe.query,
-        bind,
-    };
-    let solutions = kb.server().probe_batch(&[job]).pop()?;
+    let solutions = kb.server().with_store(|st| {
+        let tmpl = st.term_id(&Term::iri(template_iri))?;
+        Some(evaluate_seeded(
+            st,
+            &probe.query,
+            &[("tmpl".to_string(), tmpl)],
+        ))
+    })?;
     winning_solution(&solutions, &probe.scan_vars, |_| true).map(|(_, labels)| labels)
 }
 
-/// The text pipeline: render each segment's probe to SPARQL text, parse
-/// it back, and evaluate one query at a time over the whole store, with
-/// no signature index.
+/// The text pipeline: each segment's probe — the SPARQL text, parsed —
+/// evaluated one query at a time over the whole store, with no signature
+/// index.
 pub fn match_plan_text(
     db: &Database,
     kb: &KnowledgeBase,
@@ -132,20 +133,9 @@ pub fn match_plan_text(
         if seg_pops.iter().any(|id| claimed.contains(id)) {
             continue;
         }
-        let sparql = segment_to_sparql_opt(db, qgm, segment.root, &opts);
-        let Ok(parsed) = galo_rdf::parse_select(&sparql) else {
-            continue;
-        };
+        let probe = segment_to_probe(db, qgm, segment.root, &opts);
         report.probes_executed += 1;
-        let solutions = kb.server().query_parsed(&parsed);
-        let scan_vars: Vec<ScanVar> = segment_scan_qualifiers(qgm, segment.root)
-            .into_iter()
-            .map(|(op_id, qualifier)| ScanVar {
-                op_id,
-                var: format!("tab_{op_id}"),
-                qualifier,
-            })
-            .collect();
+        let solutions = kb.server().query_parsed(&probe.query);
         // The dataset filter resolves each row's template source through
         // the store — the oracle trades speed for directness, unlike the
         // matcher's index-level filter.
@@ -153,11 +143,13 @@ pub fn match_plan_text(
             None => true,
             Some(d) => kb.guideline_of(iri).is_some_and(|(_, source)| source == d),
         };
-        let Some((template_iri, labels)) = winning_solution(&solutions, &scan_vars, allow) else {
+        let Some((template_iri, labels)) = winning_solution(&solutions, &probe.scan_vars, allow)
+        else {
             continue;
         };
         let op_id = qgm.pop(segment.root).op_id;
-        let Some(rewrites) = instantiate(kb, &template_iri, &labels, &scan_vars, op_id) else {
+        let Some(rewrites) = instantiate(kb, &template_iri, &labels, &probe.scan_vars, op_id)
+        else {
             continue;
         };
         report.rewrites.extend(rewrites);
@@ -169,7 +161,7 @@ pub fn match_plan_text(
 }
 
 /// The probe pipeline: per segment, the matcher's admission cursor, then
-/// the compiled probe evaluated for each admitted candidate in ascending
+/// the probe evaluated for each admitted candidate in ascending
 /// IRI order; the first candidate with a solution decides the segment,
 /// even when its guideline names a label the solution did not bind.
 pub fn match_plan_probe(
@@ -259,20 +251,9 @@ pub fn structural_matches(
     cfg: &MatchConfig,
 ) -> Vec<String> {
     let probe = segment_to_probe(db, qgm, root, &probe_options(cfg, false));
-    let candidates = kb.candidate_templates(probe.signature);
-    let jobs: Vec<Probe<'_>> = candidates
-        .iter()
-        .map(|iri| Probe {
-            query: &probe.query,
-            bind: vec![("tmpl".to_string(), Term::iri(iri.clone()))],
-        })
-        .collect();
-    let results = kb.server().probe_batch(&jobs);
-    candidates
+    kb.candidate_templates(probe.signature)
         .into_iter()
-        .zip(results)
-        .filter(|(_, solutions)| !solutions.is_empty())
-        .map(|(iri, _)| iri)
+        .filter(|iri| evaluate(kb, &probe, iri).is_some())
         .collect()
 }
 
@@ -373,6 +354,26 @@ mod tests {
                 rewrites(&match_plan_probe(&db, &kb, &plan, &cfg))
             );
         }
+    }
+
+    /// A candidate IRI the store never interned has no id to bind `?tmpl`
+    /// to: the probe has no solution for it, as for any other template
+    /// that does not match.
+    #[test]
+    fn a_template_the_store_never_interned_has_no_solution() {
+        let (db, plan, tpl) = setup();
+        let kb = KnowledgeBase::new();
+        kb.insert(&tpl);
+        let cfg = MatchConfig::default();
+        let root = segments(&plan, 4)[0].root;
+        let known = vocab::template_iri(&tpl.id);
+        assert!(probe_labels(&db, &kb, &plan, root, &cfg, known.str_value()).is_some());
+        let never = "http://galo/kb/template/never-interned";
+        assert_eq!(
+            kb.server().with_store(|st| st.term_id(&Term::iri(never))),
+            None
+        );
+        assert_eq!(probe_labels(&db, &kb, &plan, root, &cfg, never), None);
     }
 
     /// An operator stated with two types is indexed under the lesser:

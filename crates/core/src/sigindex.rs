@@ -149,8 +149,8 @@ use galo_stats::{Range, StatSketch};
 
 use crate::vocab::{self, STAT_FAMILIES};
 
-/// Scan-property values of one segment operator, as the compiled probe
-/// will test them (the belief stats of the scanned table).
+/// Scan-property values of one segment operator, as the Figure-6 probe
+/// tests them (the belief stats of the scanned table).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanCheck {
     pub row_size: f64,

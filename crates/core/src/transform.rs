@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 
 use galo_catalog::Database;
 use galo_qgm::{segment_signature, Pop, PopId, PopKind, Qgm};
-use galo_rdf::{CmpOp, Expr, PathPattern, SelectQuery, Term, TermPattern, TriplePattern};
+use galo_rdf::{parse_select, SelectQuery, Term};
 
 use crate::kb::{PopCheck, ScanCheck};
 use crate::vocab::{self, prop};
@@ -105,8 +105,8 @@ pub fn qgm_to_rdf(db: &Database, qgm: &Qgm) -> Vec<(Term, Term, Term)> {
     triples
 }
 
-/// Options for segment-probe generation, shared by the compiled-IR path
-/// ([`segment_to_probe`]) and the text path ([`segment_to_sparql_opt`]).
+/// Options for segment-probe generation ([`segment_to_sparql_opt`], and
+/// through it [`segment_to_probe`]).
 #[derive(Debug, Clone)]
 pub struct ProbeOptions {
     /// Match-time multiplicative widening of every template range test:
@@ -139,8 +139,8 @@ fn margin_bounds(value: f64, margin: f64) -> (f64, f64) {
     (value * m, value / m)
 }
 
-/// One scan operator's bindings in a segment probe, precomputed so the
-/// matching engine never formats variable names inside its solution loop.
+/// One scan operator's bindings in a segment probe: the variable its
+/// canonical table label binds to and the query qualifier it stands for.
 #[derive(Debug, Clone)]
 pub struct ScanVar {
     /// Operator id of the scan in the plan.
@@ -152,10 +152,9 @@ pub struct ScanVar {
     pub qualifier: String,
 }
 
-/// A compiled knowledge-base probe for one plan segment: the Figure-6
-/// query as a ready-to-evaluate [`SelectQuery`] AST — no string rendering,
-/// no re-parsing — plus the structural signature used to prune candidate
-/// templates and the precomputed scan-variable table.
+/// A knowledge-base probe for one plan segment: the Figure-6 query of
+/// [`segment_to_sparql_opt`], parsed, plus the structural signature used
+/// to prune candidate templates and the scan-variable table.
 #[derive(Debug, Clone)]
 pub struct SegmentProbe {
     /// The probe query; `?tmpl` binds the matched template.
@@ -172,204 +171,35 @@ pub struct SegmentProbe {
     pub table_names: Vec<String>,
 }
 
-/// Compile one plan segment into a knowledge-base probe (paper Figure 6)
-/// as a [`SelectQuery`] AST. Structurally identical to parsing
-/// [`segment_to_sparql_opt`]'s output — the differential tests pin the two
-/// paths to each other — but built directly, so the
-/// [`oracle`](crate::oracle) and the diagnostics evaluate it without a
-/// round trip through SPARQL text.
-///
-/// For every operator of the segment the probe:
-/// * binds a result handler `?pop_<opid>` constrained to the operator's
-///   type and to the template's `[hasLower*, hasHigher*]` ranges around
-///   the concrete value, via internal handlers `?ih<k>`;
-/// * for scans, additionally constrains row size / FPAGES / base
-///   cardinality and retrieves the canonical table label `?tab_<opid>`;
-/// * links operators with `hasOutputStream` relationship handlers and
-///   role-tagged join edges;
-/// * forces all bindings into one template via a shared `?tmpl`, and
-///   pairwise-distinct resources via `FILTER(STR(..) != STR(..))`.
+/// One plan segment as a knowledge-base probe (paper Figure 6): the text
+/// [`segment_to_sparql_opt`] generates, parsed, so there is one builder of
+/// the probe. The [`oracle`](crate::oracle) and the diagnostics evaluate
+/// it; the scan variables, signature and table names come from one
+/// pre-order pass over the segment.
 pub fn segment_to_probe(
     db: &Database,
     qgm: &Qgm,
     root: PopId,
     opts: &ProbeOptions,
 ) -> SegmentProbe {
-    let pops = qgm.subtree(root);
-    let mut vars: Vec<String> = vec!["tmpl".to_string()];
-    let mut patterns: Vec<TriplePattern> = Vec::with_capacity(pops.len() * 8);
-    let mut filters: Vec<Expr> = Vec::with_capacity(pops.len() * 8);
+    let text = segment_to_sparql_opt(db, qgm, root, opts);
+    let query = parse_select(&text).expect("the generated Figure-6 SPARQL parses");
     let mut scan_vars: Vec<ScanVar> = Vec::new();
     let mut table_names: BTreeSet<String> = BTreeSet::new();
-    let mut ih = 0usize;
-
-    let var_pattern = |name: &str| TermPattern::Var(name.to_string());
-    let pred = |name: &str| PathPattern::Direct(prop(name));
-    let num = |v: f64| Term::lit(format!("{v}"));
-
-    // The segment must match a template of exactly the same join count —
-    // otherwise a small segment can subgraph-match part of a larger
-    // template, leaving canonical labels in its guideline unbound.
-    patterns.push(TriplePattern {
-        subject: var_pattern("tmpl"),
-        path: pred(vocab::HAS_JOIN_COUNT),
-        object: var_pattern("jc"),
-    });
-    filters.push(Expr::Cmp(
-        CmpOp::Eq,
-        Box::new(Expr::Var("jc".into())),
-        Box::new(Expr::Const(Term::lit(qgm.join_count(root).to_string()))),
-    ));
-
-    let mut range_filter = |patterns: &mut Vec<TriplePattern>,
-                            filters: &mut Vec<Expr>,
-                            var: &str,
-                            lower: &str,
-                            higher: &str,
-                            value: f64| {
-        let (against_lower, against_upper) = margin_bounds(value, opts.range_margin);
-        for (property, op, bound) in [
-            (lower, CmpOp::Le, against_lower),
-            (higher, CmpOp::Ge, against_upper),
-        ] {
-            ih += 1;
-            let ih_var = format!("ih{ih}");
-            patterns.push(TriplePattern {
-                subject: TermPattern::Var(var.to_string()),
-                path: pred(property),
-                object: TermPattern::Var(ih_var.clone()),
-            });
-            filters.push(Expr::Cmp(
-                op,
-                Box::new(Expr::Var(ih_var)),
-                Box::new(Expr::Const(num(bound))),
-            ));
-        }
-    };
-
-    for &pid in &pops {
+    for pid in qgm.subtree(root) {
         let pop = qgm.pop(pid);
-        let var = format!("pop_{}", pop.op_id);
-        vars.push(var.clone());
-        patterns.push(TriplePattern {
-            subject: var_pattern(&var),
-            path: pred(vocab::IN_TEMPLATE),
-            object: var_pattern("tmpl"),
-        });
-        patterns.push(TriplePattern {
-            subject: var_pattern(&var),
-            path: pred(vocab::HAS_POP_TYPE),
-            object: TermPattern::Ground(Term::lit(pop.kind.name())),
-        });
-        if opts.include_ranges {
-            range_filter(
-                &mut patterns,
-                &mut filters,
-                &var,
-                vocab::HAS_LOWER_CARDINALITY,
-                vocab::HAS_HIGHER_CARDINALITY,
-                pop.est_card,
-            );
-        }
         if let Some(t) = pop.kind.scan_table() {
             let tref = &qgm.query.tables[t];
-            let stats = db.belief.table(tref.table);
             table_names.insert(db.table(tref.table).name.clone());
-            if opts.include_ranges {
-                range_filter(
-                    &mut patterns,
-                    &mut filters,
-                    &var,
-                    vocab::HAS_LOWER_ROW_SIZE,
-                    vocab::HAS_HIGHER_ROW_SIZE,
-                    stats.row_size as f64,
-                );
-                range_filter(
-                    &mut patterns,
-                    &mut filters,
-                    &var,
-                    vocab::HAS_LOWER_FPAGES,
-                    vocab::HAS_HIGHER_FPAGES,
-                    stats.pages as f64,
-                );
-                range_filter(
-                    &mut patterns,
-                    &mut filters,
-                    &var,
-                    vocab::HAS_LOWER_BASE_CARDINALITY,
-                    vocab::HAS_HIGHER_BASE_CARDINALITY,
-                    stats.row_count as f64,
-                );
-            }
-            let tab_var = format!("tab_{}", pop.op_id);
-            vars.push(tab_var.clone());
-            patterns.push(TriplePattern {
-                subject: var_pattern(&var),
-                path: pred(vocab::HAS_CANONICAL_TABID),
-                object: var_pattern(&tab_var),
-            });
             scan_vars.push(ScanVar {
                 op_id: pop.op_id,
-                var: tab_var,
+                var: format!("tab_{}", pop.op_id),
                 qualifier: tref.qualifier.clone(),
             });
         }
     }
-
-    // Relationship handlers.
-    for &pid in &pops {
-        let pop = qgm.pop(pid);
-        let var = format!("pop_{}", pop.op_id);
-        for (i, &child) in pop.inputs.iter().enumerate() {
-            if !pops.contains(&child) {
-                continue;
-            }
-            let child_var = format!("pop_{}", qgm.pop(child).op_id);
-            patterns.push(TriplePattern {
-                subject: var_pattern(&child_var),
-                path: pred(vocab::HAS_OUTPUT_STREAM),
-                object: var_pattern(&var),
-            });
-            if pop.kind.is_join() {
-                let role = if i == 0 {
-                    vocab::HAS_OUTER_INPUT_STREAM
-                } else {
-                    vocab::HAS_INNER_INPUT_STREAM
-                };
-                patterns.push(TriplePattern {
-                    subject: var_pattern(&var),
-                    path: pred(role),
-                    object: var_pattern(&child_var),
-                });
-            }
-        }
-    }
-
-    // Uniqueness filters for same-typed operators (the paper's
-    // `FILTER (STR(?pop_6) > STR(?pop_8))` idiom).
-    for i in 0..pops.len() {
-        for j in (i + 1)..pops.len() {
-            let (a, b) = (qgm.pop(pops[i]), qgm.pop(pops[j]));
-            if a.kind.name() == b.kind.name() {
-                filters.push(Expr::Cmp(
-                    CmpOp::Ne,
-                    Box::new(Expr::Str(Box::new(Expr::Var(format!("pop_{}", a.op_id))))),
-                    Box::new(Expr::Str(Box::new(Expr::Var(format!("pop_{}", b.op_id))))),
-                ));
-            }
-        }
-    }
-
     SegmentProbe {
-        query: SelectQuery {
-            distinct: false,
-            vars,
-            patterns,
-            filters,
-            graph: None,
-            order_by: None,
-            limit: None,
-        },
+        query,
         scan_vars,
         signature: segment_signature(qgm, root).hash,
         table_names: table_names.into_iter().collect(),
@@ -406,22 +236,35 @@ pub(crate) fn pop_check(db: &Database, qgm: &Qgm, pop: &Pop) -> PopCheck {
     }
 }
 
-/// Generate the Figure-6 segment-match query as SPARQL **text**. This
-/// path serves explain/debug output (e.g. the knowledge-base tour example)
-/// and the oracle's text pipeline, which the differential tests compare
-/// [`segment_to_probe`] and the matcher against.
+/// Generate the Figure-6 segment-match query as SPARQL **text** — the one
+/// builder of the probe: explain/debug output (e.g. the knowledge-base
+/// tour example) prints it, and [`segment_to_probe`] parses it for the
+/// oracle and the diagnostics.
 pub fn segment_to_sparql(db: &Database, qgm: &Qgm, root: PopId) -> String {
     segment_to_sparql_opt(db, qgm, root, &ProbeOptions::default())
 }
 
 /// [`segment_to_sparql`] with explicit [`ProbeOptions`].
+///
+/// For every operator of the segment the probe:
+/// * binds a result handler `?pop_<opid>` constrained to the operator's
+///   type and to the template's `[hasLower*, hasHigher*]` ranges around
+///   the concrete value, via internal handlers `?ih<k>`;
+/// * for scans, additionally constrains row size / FPAGES / base
+///   cardinality and retrieves the canonical table label `?tab_<opid>`;
+/// * links operators with `hasOutputStream` relationship handlers and
+///   role-tagged join edges;
+/// * forces all bindings into one template via a shared `?tmpl`, and
+///   pairwise-distinct resources via `FILTER(STR(..) != STR(..))`.
 pub fn segment_to_sparql_opt(db: &Database, qgm: &Qgm, root: PopId, opts: &ProbeOptions) -> String {
     let pops = qgm.subtree(root);
     let mut select: Vec<String> = vec!["?tmpl".to_string()];
     let mut body = String::new();
     let mut ih = 0usize;
 
-    // Same join count as the template; see `segment_to_probe`.
+    // The segment must match a template of exactly the same join count —
+    // otherwise a small segment can subgraph-match part of a larger
+    // template, leaving canonical labels in its guideline unbound.
     body.push_str(&format!(
         " ?tmpl predURI:{} ?jc .\n FILTER ( ?jc = {} ) .\n",
         vocab::HAS_JOIN_COUNT,
@@ -518,7 +361,8 @@ pub fn segment_to_sparql_opt(db: &Database, qgm: &Qgm, root: PopId, opts: &Probe
         }
     }
 
-    // Uniqueness filters for same-typed operators.
+    // Uniqueness filters for same-typed operators (the paper's
+    // `FILTER (STR(?pop_6) > STR(?pop_8))` idiom).
     for i in 0..pops.len() {
         for j in (i + 1)..pops.len() {
             let (a, b) = (qgm.pop(pops[i]), qgm.pop(pops[j]));
@@ -664,11 +508,12 @@ mod tests {
     }
 
     #[test]
-    fn probe_ir_equals_parsed_text_for_all_options() {
-        // The compiled probe must be byte-for-byte the AST the text path
-        // parses to — same patterns, same filters, same projection — for
-        // every option combination, so either path can serve as the
-        // other's oracle.
+    fn scan_vars_are_the_projected_labels_for_all_options() {
+        // The probe's scan table and its query come from two walks of the
+        // segment: the scan variables must be exactly the `?tab_<op_id>`
+        // variables the query projects, in scan pre-order, with the
+        // qualifiers `segment_scan_qualifiers` reports — for every option
+        // combination and every segment root.
         let (db, plan) = setup();
         let roots: Vec<_> = plan
             .pops()
@@ -689,9 +534,22 @@ mod tests {
                 },
             ] {
                 let probe = segment_to_probe(&db, &plan, root, &opts);
-                let text = segment_to_sparql_opt(&db, &plan, root, &opts);
-                let parsed = galo_rdf::parse_select(&text).expect("text path parses");
-                assert_eq!(probe.query, parsed, "opts {opts:?}");
+                let projected: Vec<&str> = probe
+                    .query
+                    .vars
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|v| v.starts_with("tab_"))
+                    .collect();
+                let vars: Vec<&str> = probe.scan_vars.iter().map(|sv| sv.var.as_str()).collect();
+                assert_eq!(vars, projected, "opts {opts:?}");
+                let scans: Vec<(u32, String)> = probe
+                    .scan_vars
+                    .iter()
+                    .inspect(|sv| assert_eq!(sv.var, format!("tab_{}", sv.op_id)))
+                    .map(|sv| (sv.op_id, sv.qualifier.clone()))
+                    .collect();
+                assert_eq!(scans, segment_scan_qualifiers(&plan, root), "opts {opts:?}");
             }
         }
     }

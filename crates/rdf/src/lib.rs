@@ -55,8 +55,8 @@ pub use block::{Applied, BlockError, BlockOp, QuadBlock, QuadIx, Record};
 pub use ntriples::{from_ntriples, load_ntriples, parse_ntriples, to_ntriples, NtParseError, Quad};
 pub use persist::{decode_snapshot, snapshot_bytes, DurableOptions, DurableStore, ScratchDir};
 pub use policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};
-pub use server::{FusekiLite, MutationScope, Probe, ServerError};
-pub use shard::{HashRouter, ShardRouter, ShardStats, ShardedStore, TemplateRouter};
+pub use server::{FusekiLite, MutationScope, ServerError};
+pub use shard::{ShardRouter, ShardStats, ShardedStore, TemplateRouter};
 pub use sparql::{
     apply_update, evaluate, evaluate_seeded, parse_select, parse_update, projected_vars, CmpOp,
     Expr, PathPattern, ResultSet, SelectQuery, SparqlParseError, TermPattern, TriplePattern,

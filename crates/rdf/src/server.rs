@@ -17,24 +17,11 @@ use crate::block::{Applied, QuadBlock, Record};
 use crate::ntriples::{parse_ntriples, to_ntriples, NtParseError, Quad};
 use crate::policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};
 use crate::shard::{ShardRouter, ShardStats, ShardedStore};
-use crate::sparql::eval::{constants_interned, evaluate_prepared, prepare_seeded, PreparedQuery};
 use crate::sparql::{
-    apply_update, evaluate, parse_select, parse_update, projected_vars, ResultSet, SelectQuery,
-    SparqlParseError,
+    apply_update, evaluate, parse_select, parse_update, ResultSet, SelectQuery, SparqlParseError,
 };
 use crate::store::{IndexedStore, ReadOnlyReplica, StoragePressure, TripleStore};
-use crate::term::{Term, TermId};
-
-/// One compiled knowledge-base probe: a pre-parsed `SELECT` plus variable
-/// pre-bindings (the matching engine binds `?tmpl` to one candidate
-/// template per probe). Evaluated in batches via [`FusekiLite::probe_batch`].
-#[derive(Debug, Clone)]
-pub struct Probe<'a> {
-    pub query: &'a SelectQuery,
-    /// Variables to bind before evaluation; a term that was never interned
-    /// makes the probe trivially empty.
-    pub bind: Vec<(String, Term)>,
-}
+use crate::term::Term;
 
 /// Errors surfaced by the endpoint.
 #[derive(Debug)]
@@ -431,21 +418,9 @@ impl FusekiLite {
         Ok(self.query_parsed(&q))
     }
 
-    /// Execute a pre-parsed `SELECT` (the matching engine caches parsed
-    /// queries across the workload).
+    /// Execute a pre-parsed `SELECT`.
     pub fn query_parsed(&self, query: &SelectQuery) -> ResultSet {
         self.with_store(|st| evaluate(st, query))
-    }
-
-    /// Evaluate a batch of compiled probes under **one** read session —
-    /// all of a plan's segment probes in one call instead of re-acquiring
-    /// the lock per segment. Before evaluating, each probe's constants
-    /// (ground pattern terms, predicate IRIs, and pre-bindings) are
-    /// resolved through the store's interner; a probe with any unresolved
-    /// constant is answered with an empty result set without touching the
-    /// indexes. Results come back in submission order.
-    pub fn probe_batch(&self, probes: &[Probe<'_>]) -> Vec<ResultSet> {
-        self.with_store(|st| run_probes(st, probes))
     }
 
     /// Execute a SPARQL update from text; returns affected triple count.
@@ -630,66 +605,10 @@ impl FusekiLite {
     }
 }
 
-/// Sequentially evaluate a probe run against one store view, sharing a
-/// prepared plan across consecutive probes over the same query and seed
-/// variables (the common case: one probe per candidate template of one
-/// segment) — pattern ordering and filter scheduling are paid once per
-/// segment, not per candidate.
-fn run_probes(store: &dyn TripleStore, probes: &[Probe<'_>]) -> Vec<ResultSet> {
-    struct Cached<'q> {
-        query_ptr: *const SelectQuery,
-        seed_vars: Vec<String>,
-        /// `None` when a ground constant of the query was never
-        /// interned: every evaluation is empty, so the query is not
-        /// even prepared — only its projection is kept.
-        prepared: Option<PreparedQuery<'q>>,
-        projected: Vec<String>,
-    }
-    let mut cached: Option<Cached<'_>> = None;
-    probes
-        .iter()
-        .map(|probe| {
-            let reusable = cached.as_ref().is_some_and(|c| {
-                std::ptr::eq(c.query_ptr, probe.query)
-                    && c.seed_vars.len() == probe.bind.len()
-                    && c.seed_vars
-                        .iter()
-                        .zip(&probe.bind)
-                        .all(|(v, (bv, _))| v == bv)
-            });
-            if !reusable {
-                let seed_vars: Vec<String> = probe.bind.iter().map(|(v, _)| v.clone()).collect();
-                cached = Some(Cached {
-                    query_ptr: probe.query,
-                    prepared: constants_interned(store, probe.query)
-                        .then(|| prepare_seeded(store, probe.query, &seed_vars)),
-                    projected: projected_vars(probe.query),
-                    seed_vars,
-                });
-            }
-            let cache = cached.as_ref().expect("prepared above");
-            let empty = || ResultSet {
-                vars: cache.projected.clone(),
-                rows: Vec::new(),
-            };
-            let Some(prepared) = &cache.prepared else {
-                return empty();
-            };
-            let mut seed_ids: Vec<TermId> = Vec::with_capacity(probe.bind.len());
-            for (_, term) in &probe.bind {
-                match store.term_id(term) {
-                    Some(id) => seed_ids.push(id),
-                    None => return empty(),
-                }
-            }
-            evaluate_prepared(store, prepared, &seed_ids)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparql::evaluate_seeded;
     use std::sync::Arc;
 
     fn seeded() -> FusekiLite {
@@ -802,59 +721,22 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_matches_per_query_evaluation() {
-        let f = seeded();
-        let q1 = parse_select(
-            "SELECT ?s ?c WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> ?c . \
-             FILTER(?c >= 4800) }",
-        )
-        .unwrap();
-        let q2 = parse_select(
-            "SELECT ?s WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> \"100\" . }",
-        )
-        .unwrap();
-        let jobs = vec![
-            Probe {
-                query: &q1,
-                bind: vec![],
-            },
-            Probe {
-                query: &q2,
-                bind: vec![],
-            },
-        ];
-        let batched = f.probe_batch(&jobs);
-        assert_eq!(batched.len(), 2);
-        assert_eq!(batched[0], f.query_parsed(&q1));
-        assert_eq!(batched[1], f.query_parsed(&q2));
-        assert_eq!(batched[0].len(), 2);
-        assert_eq!(batched[1].len(), 1);
-    }
-
-    #[test]
-    fn probe_bindings_restrict_solutions() {
+    fn seeded_evaluation_restricts_solutions() {
         for f in [seeded(), seeded_sharded(4)] {
             let q = parse_select(
                 "SELECT ?s ?c WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> ?c . }",
             )
             .unwrap();
-            // One probe per pre-bound subject: consecutive probes share a
-            // prepared plan, and results come back in submission order.
-            let jobs: Vec<Probe<'_>> = (0..40u32)
-                .map(|i| Probe {
-                    query: &q,
-                    bind: vec![(
-                        "s".to_string(),
-                        Term::iri(format!("http://galo/qep/pop/{i}")),
-                    )],
-                })
-                .collect();
-            for (i, rs) in f.probe_batch(&jobs).iter().enumerate() {
+            // One evaluation per pre-bound subject, each under its own
+            // read session (an all-shard one on the sharded backing).
+            for i in 0..40u32 {
+                let subject = Term::iri(format!("http://galo/qep/pop/{i}"));
+                let rs = f.with_store(|st| {
+                    let id = st.term_id(&subject).expect("interned");
+                    evaluate_seeded(st, &q, &[("s".to_string(), id)])
+                });
                 assert_eq!(rs.len(), 1);
-                assert_eq!(
-                    rs.get(0, "s").unwrap().str_value(),
-                    format!("http://galo/qep/pop/{i}")
-                );
+                assert_eq!(rs.get(0, "s"), Some(&subject));
                 assert_eq!(rs.get(0, "c").unwrap().str_value(), format!("{}", i * 100));
             }
         }
@@ -862,32 +744,30 @@ mod tests {
 
     #[test]
     fn probe_with_unresolved_constant_is_empty_without_eval() {
-        let f = seeded();
-        // Ground object never interned -> empty, projection preserved.
-        let q = parse_select(
-            "SELECT ?s WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> \"nope\" . }",
-        )
-        .unwrap();
-        // Pre-binding to a never-interned IRI -> empty as well.
-        let q2 = parse_select(
-            "SELECT ?s ?c WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> ?c . }",
-        )
-        .unwrap();
-        let jobs = vec![
-            Probe {
-                query: &q,
-                bind: vec![],
-            },
-            Probe {
-                query: &q2,
-                bind: vec![("s".to_string(), Term::iri("http://nowhere"))],
-            },
-        ];
-        let out = f.probe_batch(&jobs);
-        assert!(out[0].is_empty());
-        assert_eq!(out[0].vars, vec!["s"]);
-        assert!(out[1].is_empty());
-        assert_eq!(out[1].vars, vec!["s", "c"]);
+        for f in [seeded(), seeded_sharded(4)] {
+            // Ground object never interned -> empty, projection preserved.
+            let q = parse_select(
+                "SELECT ?s WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> \"nope\" . }",
+            )
+            .unwrap();
+            let rs = f.with_store(|st| evaluate_seeded(st, &q, &[]));
+            assert!(rs.is_empty());
+            assert_eq!(rs.vars, vec!["s"]);
+            // A never-interned IRI has no id to pre-bind; one that is
+            // interned but never a subject of the pattern gives an empty
+            // result as well.
+            let q2 = parse_select(
+                "SELECT ?s ?c WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> ?c . }",
+            )
+            .unwrap();
+            let rs = f.with_store(|st| {
+                assert_eq!(st.term_id(&Term::iri("http://nowhere")), None);
+                let literal = st.term_id(&Term::lit("100")).expect("interned");
+                evaluate_seeded(st, &q2, &[("s".to_string(), literal)])
+            });
+            assert!(rs.is_empty());
+            assert_eq!(rs.vars, vec!["s", "c"]);
+        }
     }
 
     /// A router that dies on its `fuse`-th placement: the closest a test
@@ -905,7 +785,7 @@ mod tests {
         fn route(&self, shards: usize, s: &Term, p: &Term, o: &Term) -> usize {
             let left = self.fuse.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
             assert!(left > 0, "simulated crash");
-            crate::shard::HashRouter.route(shards, s, p, o)
+            crate::shard::TemplateRouter::default().route(shards, s, p, o)
         }
     }
 

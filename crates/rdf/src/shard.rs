@@ -300,20 +300,6 @@ impl ShardRouter for TemplateRouter {
     }
 }
 
-/// Plain subject-hash placement (no namespace affinity).
-#[derive(Debug, Clone, Default)]
-pub struct HashRouter;
-
-impl ShardRouter for HashRouter {
-    fn name(&self) -> String {
-        "hash".to_string()
-    }
-
-    fn route(&self, shards: usize, s: &Term, _p: &Term, _o: &Term) -> usize {
-        (term_hash(s) % shards as u64) as usize
-    }
-}
-
 // --------------------------------------------------------- fan-out reads --
 
 /// One shard: its inner store, interning through the shared interner.
@@ -437,11 +423,6 @@ impl ShardedStore {
     /// An in-memory sharded store over `shards` [`IndexedStore`]s with
     /// the default [`TemplateRouter`].
     pub fn new(shards: usize) -> Self {
-        Self::with_router(shards, Box::<TemplateRouter>::default())
-    }
-
-    /// [`new`](Self::new) with an explicit routing policy.
-    pub fn with_router(shards: usize, router: Box<dyn ShardRouter>) -> Self {
         assert!(shards >= 1, "a sharded store needs at least one shard");
         let interner = Arc::new(SharedInterner::new());
         let shards = (0..shards)
@@ -452,7 +433,7 @@ impl ShardedStore {
             .collect();
         ShardedStore {
             interner,
-            router,
+            router: Box::<TemplateRouter>::default(),
             shards,
         }
     }
@@ -1237,7 +1218,9 @@ mod tests {
             dir.path(),
             4,
             DurableOptions::default(),
-            Box::new(HashRouter),
+            Box::new(TemplateRouter {
+                template_ns: "http://elsewhere/template/".to_string(),
+            }),
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

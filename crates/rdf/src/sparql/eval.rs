@@ -59,27 +59,6 @@ pub fn projected_vars(query: &SelectQuery) -> Vec<String> {
     all_vars
 }
 
-/// True when every ground term of the query's patterns — constants in
-/// subject/object position, every predicate IRI, and the `GRAPH` scope
-/// name if the query has one — is interned in the store. A pattern whose
-/// constant was never interned can match nothing, so the whole basic
-/// graph pattern is empty; callers can skip evaluation entirely (the
-/// batched probe path pre-resolves constants this way).
-pub(crate) fn constants_interned<S: TripleStore + ?Sized>(store: &S, query: &SelectQuery) -> bool {
-    if let Some(g) = &query.graph {
-        if store.term_id(g).is_none() {
-            return false;
-        }
-    }
-    query.patterns.iter().all(|p| {
-        let grounded = |tp: &TermPattern| match tp {
-            TermPattern::Ground(t) => store.term_id(t).is_some(),
-            TermPattern::Var(_) => true,
-        };
-        store.term_id(p.path.iri()).is_some() && grounded(&p.subject) && grounded(&p.object)
-    })
-}
-
 /// The query's dataset scope, resolved against the store: `Ok(None)` for
 /// default-graph evaluation, `Ok(Some(g))` for a `GRAPH` scope that is
 /// interned, `Err(())` for a scope naming a graph the store has never
@@ -131,67 +110,36 @@ fn scoped_count<S: TripleStore + ?Sized>(
 }
 
 /// Evaluate a `SELECT` query with variables pre-bound to interned terms —
-/// the per-candidate probe path binds `?tmpl` to one template IRI so every
-/// `inTemplate` pattern becomes a keyed lookup instead of a KB-wide scan.
-/// Solutions are exactly those of [`evaluate`] restricted to the seed.
+/// the oracle binds `?tmpl` to one template IRI so every `inTemplate`
+/// pattern becomes a keyed lookup instead of a KB-wide scan. Solutions are
+/// exactly those of [`evaluate`] restricted to the seed. A ground term,
+/// predicate or `GRAPH` name the store never interned matches nothing: the
+/// result is empty and keeps the query's projection.
 pub fn evaluate_seeded<S: TripleStore + ?Sized>(
     store: &S,
     query: &SelectQuery,
     seed: &[(String, TermId)],
 ) -> ResultSet {
-    let seed_vars: Vec<String> = seed.iter().map(|(v, _)| v.clone()).collect();
-    let seed_ids: Vec<TermId> = seed.iter().map(|(_, id)| *id).collect();
-    let prepared = prepare_seeded(store, query, &seed_vars);
-    evaluate_prepared(store, &prepared, &seed_ids)
+    let vars = projected_vars(query);
+    let rows = solutions(store, query, seed, &vars);
+    ResultSet { vars, rows }
 }
 
-/// A query prepared for repeated evaluation against one store state:
-/// pattern order, filter schedule and projection are computed once, so
-/// evaluating the same probe for many seed bindings (one knowledge-base
-/// candidate template each) pays only for the actual search.
-#[derive(Debug)]
-pub(crate) struct PreparedQuery<'q> {
-    query: &'q SelectQuery,
-    projected: Vec<String>,
-    order: Vec<usize>,
-    filters_at: Vec<Vec<&'q Expr>>,
-    /// A filter references a variable that is neither seeded nor bound by
-    /// any pattern: no evaluation can yield rows.
-    unsatisfiable: bool,
-    seed_vars: Vec<String>,
-    /// Resolved dataset scope (`GRAPH` clause); `None` is the default
-    /// graph. A scope naming an un-interned graph sets `unsatisfiable`.
-    graph: Option<TermId>,
-}
-
-impl PreparedQuery<'_> {
-    /// An empty result set with this query's projection.
-    fn empty_result(&self) -> ResultSet {
-        ResultSet {
-            vars: self.projected.clone(),
-            rows: Vec::new(),
-        }
-    }
-}
-
-/// Prepare a query for evaluation under seeds binding exactly `seed_vars`
-/// (in that order). The preparation is valid as long as the store's
-/// contents don't change — pattern ordering uses the store's counts.
-pub(crate) fn prepare_seeded<'q, S: TripleStore + ?Sized>(
+/// The solution rows of [`evaluate_seeded`], projected onto `projected`.
+fn solutions<S: TripleStore + ?Sized>(
     store: &S,
-    query: &'q SelectQuery,
-    seed_vars: &[String],
-) -> PreparedQuery<'q> {
-    let projected = projected_vars(query);
-    let (graph, graph_missing) = match resolve_graph(store, query) {
-        Ok(g) => (g, false),
-        Err(()) => (None, true),
+    query: &SelectQuery,
+    seed: &[(String, TermId)],
+    projected: &[String],
+) -> Vec<Vec<Option<Term>>> {
+    let Ok(graph) = resolve_graph(store, query) else {
+        return Vec::new();
     };
 
     // Order patterns most-constrained-first (static heuristic: more ground
     // positions first, then fewer matching triples for the ground parts).
     // Seeded variables count as bound from the start.
-    let pre_bound: BTreeSet<&str> = seed_vars.iter().map(String::as_str).collect();
+    let pre_bound: BTreeSet<&str> = seed.iter().map(|(v, _)| v.as_str()).collect();
     let order = order_patterns(store, graph, &query.patterns, &pre_bound);
 
     // Attach each filter to the earliest step after which all its
@@ -211,7 +159,6 @@ pub(crate) fn prepare_seeded<'q, S: TripleStore + ?Sized>(
             avail_at.entry(v).or_insert(step + 1);
         }
     }
-    let mut unsatisfiable = graph_missing;
     let mut filters_at: Vec<Vec<&Expr>> = vec![Vec::new(); order.len() + 1];
     for f in &query.filters {
         let step = f
@@ -221,62 +168,28 @@ pub(crate) fn prepare_seeded<'q, S: TripleStore + ?Sized>(
             .max()
             .unwrap_or(0);
         if step == usize::MAX {
-            unsatisfiable = true;
-            break;
+            return Vec::new();
         }
         filters_at[step.min(order.len())].push(f);
     }
 
-    PreparedQuery {
-        query,
-        projected,
-        order,
-        filters_at,
-        unsatisfiable,
-        seed_vars: seed_vars.to_vec(),
-        graph,
-    }
-}
-
-/// Evaluate a prepared query for one seed (`seed_ids` parallel to the
-/// `seed_vars` the query was prepared with).
-pub(crate) fn evaluate_prepared<S: TripleStore + ?Sized>(
-    store: &S,
-    prepared: &PreparedQuery<'_>,
-    seed_ids: &[TermId],
-) -> ResultSet {
-    assert_eq!(
-        seed_ids.len(),
-        prepared.seed_vars.len(),
-        "seed ids must match the seed variables the query was prepared with"
-    );
-    if prepared.unsatisfiable {
-        return prepared.empty_result();
-    }
-    let query = prepared.query;
-    let projected = &prepared.projected;
-    let mut rows: Vec<Vec<Option<Term>>> = Vec::new();
-    let mut bindings: HashMap<String, TermId> = prepared
-        .seed_vars
-        .iter()
-        .cloned()
-        .zip(seed_ids.iter().copied())
-        .collect();
-
     // Filters over no variables or only seeded variables evaluate
     // immediately.
-    for f in &prepared.filters_at[0] {
-        if !eval_filter(store, f, &bindings) {
-            return prepared.empty_result();
-        }
+    let mut bindings: HashMap<String, TermId> = seed.iter().cloned().collect();
+    if !filters_at[0]
+        .iter()
+        .all(|f| eval_filter(store, f, &bindings))
+    {
+        return Vec::new();
     }
 
+    let mut rows: Vec<Vec<Option<Term>>> = Vec::new();
     search(
         store,
-        prepared.graph,
+        graph,
         query,
-        &prepared.order,
-        &prepared.filters_at,
+        &order,
+        &filters_at,
         0,
         &mut bindings,
         &mut rows,
@@ -302,11 +215,7 @@ pub(crate) fn evaluate_prepared<S: TripleStore + ?Sized>(
     if let Some(limit) = query.limit {
         rows.truncate(limit);
     }
-
-    ResultSet {
-        vars: projected.clone(),
-        rows,
-    }
+    rows
 }
 
 fn row_key(row: &[Option<Term>]) -> String {
@@ -957,6 +866,15 @@ mod tests {
         assert_eq!(rs.get(0, "c").unwrap().str_value(), "19.734");
     }
 
+    /// Asserts that evaluating `text` under `seed` gives no row and keeps
+    /// the projection `vars`.
+    fn assert_empty(st: &IndexedStore, text: &str, seed: &[(String, TermId)], vars: &[&str]) {
+        let q = parse_select(text).unwrap();
+        let rs = evaluate_seeded(st, &q, seed);
+        assert!(rs.is_empty(), "{text}");
+        assert_eq!(rs.vars, vars, "{text}");
+    }
+
     #[test]
     fn constants_interned_detects_unknown_terms() {
         let st = plan_store();
@@ -964,17 +882,46 @@ mod tests {
             "PREFIX p: <http://galo/qep/property/> SELECT ?s WHERE { ?s p:hasPopType NLJOIN . }",
         )
         .unwrap();
-        assert!(constants_interned(&st, &known));
-        let unknown_object = parse_select(
+        assert_eq!(evaluate(&st, &known).len(), 2);
+        // A ground object and a predicate the store never interned.
+        assert_empty(
+            &st,
             "PREFIX p: <http://galo/qep/property/> SELECT ?s WHERE { ?s p:hasPopType MYSTERY . }",
-        )
-        .unwrap();
-        assert!(!constants_interned(&st, &unknown_object));
-        let unknown_pred = parse_select(
-            "PREFIX p: <http://galo/qep/property/> SELECT ?s WHERE { ?s p:neverSeen ?o . }",
-        )
-        .unwrap();
-        assert!(!constants_interned(&st, &unknown_pred));
+            &[],
+            &["s"],
+        );
+        assert_empty(
+            &st,
+            "PREFIX p: <http://galo/qep/property/> SELECT ?s ?o WHERE { ?s p:neverSeen ?o . }",
+            &[],
+            &["s", "o"],
+        );
+    }
+
+    #[test]
+    fn never_interned_terms_give_an_empty_result_with_its_projection() {
+        let st = graph_store();
+        // A `GRAPH` name the store never interned.
+        assert_empty(
+            &st,
+            "PREFIX p: <http://galo/qep/property/> \
+             SELECT ?s WHERE { GRAPH <http://galo/graph/nope> { ?s p:inWorkload ?w . } }",
+            &[],
+            &["s"],
+        );
+        // A seed term the store never interned has no id to bind (the
+        // oracle answers such a candidate with no solution); one that is
+        // interned but stated nowhere in the seeded position matches
+        // nothing.
+        assert_eq!(st.term_id(&pop(99)), None);
+        let literal = st.term_id(&Term::lit("NLJOIN")).unwrap();
+        assert_empty(
+            &st,
+            "PREFIX p: <http://galo/qep/property/> \
+             SELECT ?s ?c WHERE { ?s p:hasEstimateCardinality ?c . }",
+            &[("s".to_string(), literal)],
+            &["s", "c"],
+        );
     }
 
     #[test]
@@ -1066,7 +1013,6 @@ mod tests {
         )
         .unwrap();
         assert!(evaluate(&st, &q).is_empty());
-        assert!(!constants_interned(&st, &q));
     }
 
     #[test]

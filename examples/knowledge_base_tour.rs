@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --release --example knowledge_base_tour`
 
-use galo_core::{match_plan, qgm_to_rdf, segment_to_sparql, Galo, LearningConfig, MatchConfig};
+use galo_core::{
+    diagnose, match_plan, qgm_to_rdf, segment_to_sparql, Galo, LearningConfig, MatchConfig,
+};
 use galo_optimizer::Optimizer;
 use galo_rdf::{IndexedStore, TripleStore};
 
@@ -48,9 +50,9 @@ fn main() {
     let sparql = segment_to_sparql(&workload.db, &plan, segment);
     println!("\ngenerated SPARQL for the first segment (paper Figure 6):\n{sparql}");
 
-    // The online matcher never evaluates that text: it compiles the same
-    // segment straight to a probe AST and prunes through the signature
-    // index first.
+    // The online matcher never evaluates that text: it prunes through the
+    // signature index and matches an admitted template on its index row.
+    // The oracle and `diagnose` evaluate the text, parsed, as the probe.
     let probe = galo_core::segment_to_probe(
         &workload.db,
         &plan,
@@ -73,6 +75,17 @@ fn main() {
         matched.probes_pruned,
         matched.rewrites.len(),
         matched.match_ms
+    );
+
+    // Problem determination (paper Goal 1): `diagnose` reports the exact
+    // matches and, through the probe with its range constraints dropped,
+    // the templates whose structure alone matches.
+    let diagnosis = diagnose(&workload.db, &galo.kb, &plan, &MatchConfig::default());
+    println!(
+        "diagnose: {} known issue(s), {} near miss(es), {} rejected candidate(s)",
+        diagnosis.known_issues.len(),
+        diagnosis.near_misses.len(),
+        diagnosis.rejected.len()
     );
     for r in &matched.rewrites {
         println!(

@@ -9,7 +9,7 @@ use galo_catalog::Database;
 use galo_core::oracle::{self, match_plan_text};
 use galo_core::{
     abstract_plan, candidate_verdicts, compile_plan, diagnose, learn_workload, match_plan,
-    segment_to_probe, segment_to_sparql_opt, vocab, KnowledgeBase, LearningConfig, MatchConfig,
+    segment_scan_qualifiers, segment_to_probe, vocab, KnowledgeBase, LearningConfig, MatchConfig,
     MatchReport, PopObservation, ProbeOptions, Template, TemplateRefinement,
 };
 use galo_executor::{db2batch, NoiseModel};
@@ -184,12 +184,12 @@ proptest! {
         prop_assert_eq!(again, g);
     }
 
-    /// The compiled probe-IR pipeline and the legacy text pipeline are
-    /// interchangeable: for random plans against a KB of templates
-    /// abstracted from random alternative plans (some matching, some
-    /// displaced out of range), both produce exactly the same rewrites,
-    /// and every segment's compiled probe is byte-identical to the parsed
-    /// text query.
+    /// The matcher and the text oracle are interchangeable: for random
+    /// plans against a KB of templates abstracted from random alternative
+    /// plans (some matching, some displaced out of range), both produce
+    /// exactly the same rewrites. And every segment's probe, under every
+    /// option, carries as its scan variables exactly the labels its query
+    /// projects.
     #[test]
     fn probe_pipeline_matches_text_oracle(
         fact in 0usize..3,
@@ -251,16 +251,34 @@ proptest! {
             );
         }
 
-        // The compiled probe is the parse of the text query, per segment.
-        let opts = ProbeOptions {
-            range_margin: cfg.range_margin,
-            include_ranges: true,
-        };
+        // The scan variables are the `?tab_<op_id>` variables the query
+        // projects, in scan pre-order, with the segment's qualifiers.
         for seg in segments(&plan, cfg.join_threshold) {
-            let compiled = segment_to_probe(&db, &plan, seg.root, &opts);
-            let text = segment_to_sparql_opt(&db, &plan, seg.root, &opts);
-            let parsed = galo_rdf::parse_select(&text).expect("generated SPARQL parses");
-            prop_assert_eq!(compiled.query, parsed);
+            for include_ranges in [true, false] {
+                let opts = ProbeOptions {
+                    range_margin: cfg.range_margin,
+                    include_ranges,
+                };
+                let probe = segment_to_probe(&db, &plan, seg.root, &opts);
+                let projected: Vec<&str> = probe
+                    .query
+                    .vars
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|v| v.starts_with("tab_"))
+                    .collect();
+                let vars: Vec<&str> = probe.scan_vars.iter().map(|sv| sv.var.as_str()).collect();
+                prop_assert_eq!(vars, projected);
+                let scans: Vec<(u32, String)> = probe
+                    .scan_vars
+                    .iter()
+                    .map(|sv| (sv.op_id, sv.qualifier.clone()))
+                    .collect();
+                prop_assert_eq!(scans, segment_scan_qualifiers(&plan, seg.root));
+                for sv in &probe.scan_vars {
+                    prop_assert_eq!(&sv.var, &format!("tab_{}", sv.op_id));
+                }
+            }
         }
     }
 

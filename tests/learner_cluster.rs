@@ -397,8 +397,7 @@ fn dataset_scoped_matching_never_crosses_workloads() {
     winners.sort();
     assert_eq!(unrestricted.rewrites[0].template_iri, winners[0]);
 
-    // The text oracle agrees with the compiled pipeline under every
-    // dataset scope (the differential the probe IR is pinned by).
+    // The text oracle agrees with the matcher under every dataset scope.
     for cfg in [
         MatchConfig::default(),
         scoped("wa"),

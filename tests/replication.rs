@@ -29,7 +29,7 @@ use galo_core::{
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{GuidelineDoc, Qgm};
-use galo_rdf::{parse_select, Probe, ReadOnlyReplica, ServerError, Term};
+use galo_rdf::{evaluate, evaluate_seeded, parse_select, ReadOnlyReplica, ServerError, Term};
 use galo_sql::parse;
 use galo_workloads::Workload;
 use proptest::prelude::*;
@@ -615,8 +615,9 @@ proptest! {
 
 // --------------------------------------------------- GRAPH endpoint pin --
 
-/// `GRAPH`-scoped dataset queries agree between the text endpoint and the
-/// pre-parsed probe path, and only see the scoped workload's templates.
+/// `GRAPH`-scoped dataset queries agree between the text endpoint and a
+/// pre-parsed query evaluated in a read session, and only see the scoped
+/// workload's templates.
 #[test]
 fn graph_scoped_dataset_query_agrees_between_text_and_probe() {
     let kb = KnowledgeBase::new();
@@ -634,13 +635,8 @@ fn graph_scoped_dataset_query_agrees_between_text_and_probe() {
         vocab::HAS_PROBLEM_FINGERPRINT,
     );
     let via_text = server.query(&text).expect("text endpoint");
-    let parsed = parse_select(&text).expect("the probe path parses the same text");
-    let via_probe = server
-        .probe_batch(&[Probe {
-            query: &parsed,
-            bind: vec![],
-        }])
-        .remove(0);
+    let parsed = parse_select(&text).expect("the same text parses");
+    let via_probe = server.with_store(|st| evaluate(st, &parsed));
 
     let rows = |rs: &galo_rdf::ResultSet| -> Vec<String> {
         let mut out: Vec<String> = rs
@@ -675,12 +671,10 @@ fn graph_scoped_dataset_query_agrees_between_text_and_probe() {
     }
 
     // A bound probe narrows within the same graph scope.
-    let bound = server
-        .probe_batch(&[Probe {
-            query: &parsed,
-            bind: vec![("t".into(), vocab::template_iri("ga1"))],
-        }])
-        .remove(0);
+    let bound = server.with_store(|st| {
+        let t = st.term_id(&vocab::template_iri("ga1")).expect("interned");
+        evaluate_seeded(st, &parsed, &[("t".into(), t)])
+    });
     assert_eq!(bound.len(), 1);
     assert_eq!(bound.get(0, "fp"), Some(&Term::lit("fp-ga1")));
 }
