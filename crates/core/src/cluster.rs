@@ -10,9 +10,12 @@
 //!   mine → template → guideline pipeline locally: enumerate the
 //!   workload's unique sub-query mining space (deterministic, so every
 //!   node computes the same space without coordination — SPMD style),
-//!   take its [`Partitioner`] slice of that space, benchmark random
-//!   alternative plans against the optimizer per sub-query, and abstract
-//!   the winning rewrites into [`Template`]s;
+//!   then walk its [`Partitioner`] slice of that space with the mining
+//!   loop [`learn_workload`](crate::learning::learn_workload)'s threads
+//!   run, which benchmarks random alternative plans against the optimizer
+//!   per sub-query and abstracts the winning rewrites into [`Template`]s.
+//!   The cluster has `learning.threads` nodes — the same partition-count
+//!   knob that sets `learn_workload`'s threads;
 //! * mined templates are **published in batches** through
 //!   [`KnowledgeBase::insert_batch`] → the knowledge base's one commit →
 //!   `FusekiLite::apply_block_owned`: one block, one endpoint transaction
@@ -34,37 +37,34 @@
 //! scoped to one dataset via
 //! [`MatchConfig::dataset`](crate::matching::MatchConfig::dataset).
 
-use std::time::Instant;
-
 use galo_workloads::{Partitioner, Workload};
 
 use crate::kb::{KnowledgeBase, Template};
-use crate::learning::{analyze_at, enumerate_mining_space, LearningConfig};
+use crate::learning::{enumerate_mining_space, LearningConfig};
 
 /// Learner-cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Simulated learner machines (≥ 1).
-    pub nodes: usize,
     /// Templates per publish batch: a node pushes its mined templates to
     /// the shared knowledge base every `publish_batch` templates (and
     /// flushes the remainder when its slice is exhausted). Smaller
     /// batches publish earlier — matchers see templates sooner — at the
     /// cost of more endpoint transactions.
     pub publish_batch: usize,
-    /// The per-node learning configuration. `threads` is ignored here:
-    /// the cluster's unit of parallelism is the node, and each node
-    /// analyzes its slice sequentially so a node's work is exactly
-    /// reproducible.
+    /// The per-node learning configuration. `threads` is the number of
+    /// simulated learner machines (≥ 1); each node analyzes its slice
+    /// sequentially, so a node's work is exactly reproducible.
     pub learning: LearningConfig,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            nodes: 2,
             publish_batch: 8,
-            learning: LearningConfig::default(),
+            learning: LearningConfig {
+                threads: 2,
+                ..LearningConfig::default()
+            },
         }
     }
 }
@@ -102,15 +102,11 @@ pub struct NodeReport {
     pub subqueries_assigned: usize,
     /// Templates the node mined and published.
     pub templates_published: usize,
-    /// Publish batches the node pushed to the endpoint.
-    pub publish_batches: usize,
     /// Quads (triples + dataset tags) the node's publishes actually added
     /// to the store — re-published duplicates add nothing.
     pub quads_added: usize,
     /// Simulated machine time spent benchmarking plans, milliseconds.
     pub simulated_machine_ms: f64,
-    /// Wall time of the node's mine + publish loop, milliseconds.
-    pub wall_ms: f64,
 }
 
 /// Outcome of one cluster learning run.
@@ -155,33 +151,39 @@ impl LearnerNode {
     }
 
     /// Mine this node's slice of the workload: enumerate the full mining
-    /// space locally (deterministic, so no coordination is needed), keep
-    /// the sub-queries the partitioner assigns to this node, and analyze
-    /// each one exactly as the sequential engine would — same seeds, same
-    /// templates, same anonymized ids.
+    /// space locally (deterministic, so no coordination is needed) and
+    /// walk the sub-queries the partitioner assigns to this node with the
+    /// sequential engine's own loop — same seeds, same templates, same
+    /// anonymized ids.
     pub fn mine(&self, workload: &Workload, cfg: &LearningConfig) -> MinedSlice {
+        self.mine_with(workload, cfg, |_| {})
+    }
+
+    /// [`mine`](Self::mine), handing `mined` the slice's templates so far
+    /// each time the walk mints one.
+    fn mine_with(
+        &self,
+        workload: &Workload,
+        cfg: &LearningConfig,
+        mut mined: impl FnMut(&[Template]),
+    ) -> MinedSlice {
         let space = enumerate_mining_space(workload, cfg);
-        let mut templates = Vec::new();
-        let mut assigned = 0usize;
-        let mut sim_ms = 0.0f64;
-        for (idx, (_, sub)) in space.unique.iter().enumerate() {
-            if !self.partitioner.owns(self.id, idx) {
-                continue;
-            }
-            assigned += 1;
-            let (cand, ms) = analyze_at(&workload.db, idx, sub, cfg);
-            sim_ms += ms;
-            if let Some(cand) = cand {
-                templates.push(cand.template);
-            }
-        }
-        MinedSlice {
-            templates,
+        let mut slice = MinedSlice {
+            templates: Vec::new(),
             subqueries_total: space.subqueries_total,
             subqueries_unique: space.unique.len(),
-            subqueries_assigned: assigned,
-            simulated_machine_ms: sim_ms,
+            subqueries_assigned: 0,
+            simulated_machine_ms: 0.0,
+        };
+        for analysis in space.walk(&workload.db, cfg, self.partitioner, self.id) {
+            slice.subqueries_assigned += 1;
+            slice.simulated_machine_ms += analysis.sim_ms;
+            if let Some(cand) = analysis.candidate {
+                slice.templates.push(cand.template);
+                mined(&slice.templates);
+            }
         }
+        slice
     }
 
     /// Publish mined templates into the shared knowledge base in batches
@@ -202,68 +204,33 @@ impl LearnerNode {
         (batches, added)
     }
 
-    /// Mine and publish in one pass: batches go out as soon as they fill,
-    /// so other machines' matchers see this node's templates while it is
-    /// still analyzing (the interleaving the stress tests exercise).
-    pub fn run(&self, workload: &Workload, kb: &KnowledgeBase, cfg: &ClusterConfig) -> NodeReport {
-        self.run_with_totals(workload, kb, cfg).0
-    }
-
-    /// [`run`](Self::run), also returning the node's view of the mining
-    /// space as `(total, unique)` — identical on every node, so the
-    /// cluster driver reuses one node's totals instead of enumerating a
-    /// coordinator-side copy.
-    fn run_with_totals(
+    /// Mine and publish in one pass: each batch goes out as soon as it
+    /// fills, so other machines' matchers see this node's templates while
+    /// it is still analyzing (the interleaving the stress tests exercise).
+    /// Returns the mined slice and the quads its publishes added.
+    fn mine_and_publish(
         &self,
         workload: &Workload,
         kb: &KnowledgeBase,
         cfg: &ClusterConfig,
-    ) -> (NodeReport, usize, usize) {
-        let t0 = Instant::now();
-        let space = enumerate_mining_space(workload, &cfg.learning);
+    ) -> (MinedSlice, usize) {
         let size = cfg.publish_batch.max(1);
-        let mut pending: Vec<Template> = Vec::with_capacity(size);
-        let mut report = NodeReport {
-            node: self.id,
-            subqueries_assigned: 0,
-            templates_published: 0,
-            publish_batches: 0,
-            quads_added: 0,
-            simulated_machine_ms: 0.0,
-            wall_ms: 0.0,
-        };
-        for (idx, (_, sub)) in space.unique.iter().enumerate() {
-            if !self.partitioner.owns(self.id, idx) {
-                continue;
+        let mut published = 0usize;
+        let mut quads_added = 0usize;
+        let slice = self.mine_with(workload, &cfg.learning, |mined| {
+            if mined.len() - published == size {
+                quads_added += self.publish(kb, &mined[published..], size).1;
+                published = mined.len();
             }
-            report.subqueries_assigned += 1;
-            let (cand, ms) = analyze_at(&workload.db, idx, sub, &cfg.learning);
-            report.simulated_machine_ms += ms;
-            if let Some(cand) = cand {
-                pending.push(cand.template);
-                if pending.len() >= size {
-                    let (batches, added) = self.publish(kb, &pending, size);
-                    report.publish_batches += batches;
-                    report.quads_added += added;
-                    report.templates_published += pending.len();
-                    pending.clear();
-                }
-            }
-        }
-        if !pending.is_empty() {
-            let (batches, added) = self.publish(kb, &pending, size);
-            report.publish_batches += batches;
-            report.quads_added += added;
-            report.templates_published += pending.len();
-        }
-        report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        (report, space.subqueries_total, space.unique.len())
+        });
+        quads_added += self.publish(kb, &slice.templates[published..], size).1;
+        (slice, quads_added)
     }
 }
 
-/// Learn a workload with a simulated cluster of `cfg.nodes` learner
-/// machines, each running on its own thread: every node mines its
-/// [`Partitioner`] slice of the workload's unique sub-query space and
+/// Learn a workload with a simulated cluster of `cfg.learning.threads`
+/// learner machines, each running on its own thread: every node mines
+/// its [`Partitioner`] slice of the workload's unique sub-query space and
 /// publishes batched templates into the shared knowledge base
 /// concurrently.
 ///
@@ -277,12 +244,12 @@ pub fn learn_workload_cluster(
     kb: &KnowledgeBase,
     cfg: &ClusterConfig,
 ) -> ClusterReport {
-    let nodes = cfg.nodes.max(1);
-    let mut results: Vec<(NodeReport, usize, usize)> = std::thread::scope(|scope| {
+    let nodes = Partitioner::new(cfg.learning.threads).nodes();
+    let runs: Vec<(MinedSlice, usize)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..nodes)
             .map(|id| {
                 let node = LearnerNode::new(id, nodes);
-                scope.spawn(move || node.run_with_totals(workload, kb, cfg))
+                scope.spawn(move || node.mine_and_publish(workload, kb, cfg))
             })
             .collect();
         handles
@@ -290,16 +257,21 @@ pub fn learn_workload_cluster(
             .map(|h| h.join().expect("learner node must not panic"))
             .collect()
     });
-    results.sort_by_key(|(r, _, _)| r.node);
     // Enumeration totals are identical on every node; take them once.
-    let (subqueries_total, subqueries_unique) = results
-        .first()
-        .map(|&(_, total, unique)| (total, unique))
-        .unwrap_or_default();
     ClusterReport {
-        subqueries_total,
-        subqueries_unique,
-        nodes: results.into_iter().map(|(r, _, _)| r).collect(),
+        subqueries_total: runs[0].0.subqueries_total,
+        subqueries_unique: runs[0].0.subqueries_unique,
+        nodes: runs
+            .into_iter()
+            .enumerate()
+            .map(|(node, (slice, quads_added))| NodeReport {
+                node,
+                subqueries_assigned: slice.subqueries_assigned,
+                templates_published: slice.templates.len(),
+                quads_added,
+                simulated_machine_ms: slice.simulated_machine_ms,
+            })
+            .collect(),
     }
 }
 
@@ -380,9 +352,9 @@ mod tests {
 
     fn cluster_cfg(nodes: usize) -> ClusterConfig {
         ClusterConfig {
-            nodes,
             publish_batch: 2,
             learning: LearningConfig {
+                threads: nodes,
                 random_plans: 12,
                 ..LearningConfig::default()
             },

@@ -16,12 +16,14 @@
 //!    template with `[lower, upper]` property bounds and store it in the
 //!    knowledge base together with the winning plan's guideline.
 //!
-//! Queries are analyzed in parallel worker threads, mirroring the paper's
-//! multi-machine off-peak parallelism; results are deterministic because
-//! every sub-query gets its own seeded generator.
+//! Every learner — [`learn_workload`]'s threads, a learner-cluster node, a
+//! replicated node — runs the one mining loop, `MiningSpace::walk`, over
+//! its [`Partitioner`] slice of the mining space, mirroring the paper's
+//! multi-machine off-peak parallelism. `threads` is the partition count
+//! for all of them. Results are deterministic because every sub-query
+//! gets its own seeded generator.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use galo_catalog::{equality_probes, Database};
@@ -29,7 +31,7 @@ use galo_executor::{db2batch, NoiseModel};
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
 use galo_sql::{structure_signature, subqueries, PredKind, Query};
-use galo_workloads::Workload;
+use galo_workloads::{Partitioner, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,7 +58,8 @@ pub struct LearningConfig {
     /// Cap on enumerated sub-queries per query (wide TPC-DS queries have
     /// combinatorially many connected subsets).
     pub max_subqueries_per_query: usize,
-    /// Worker threads for the offline analysis.
+    /// Partitions of the mining space (≥ 1): worker threads for
+    /// [`learn_workload`], learner machines for the learner cluster.
     pub threads: usize,
     /// Master seed.
     pub seed: u64,
@@ -173,21 +176,51 @@ pub(crate) fn enumerate_mining_space(workload: &Workload, cfg: &LearningConfig) 
     }
 }
 
+/// One analyzed sub-query of a learner's slice.
+pub(crate) struct Analysis {
+    /// The template the analysis minted, if a rewrite won.
+    pub candidate: Option<CandidateTemplate>,
+    /// Simulated machine time spent benchmarking plans, milliseconds.
+    pub sim_ms: f64,
+    /// Wall time of the analysis, milliseconds.
+    pub wall_ms: f64,
+}
+
+impl MiningSpace {
+    /// The one mining loop: analyze, in mining-space order, every unique
+    /// sub-query `slices` assigns to `slice`.
+    pub(crate) fn walk<'a>(
+        &'a self,
+        db: &'a Database,
+        cfg: &'a LearningConfig,
+        slices: Partitioner,
+        slice: usize,
+    ) -> impl Iterator<Item = Analysis> + 'a {
+        self.unique
+            .iter()
+            .enumerate()
+            .filter(move |&(idx, _)| slices.owns(slice, idx))
+            .map(move |(idx, (_, sub))| analyze_at(db, idx, sub, cfg))
+    }
+}
+
 /// Phase 2 unit: analyze the unique sub-query at mining-space index
 /// `idx`. The RNG is seeded from `(cfg.seed, idx)`, so the analysis — and
 /// the template it may mint, anonymized id included — is a pure function
 /// of the mining-space position. That determinism is what makes the
 /// learner cluster's output provably equal to the sequential engine's:
 /// whichever machine analyzes index `idx` produces byte-identical
-/// triples. Returns the candidate and the simulated machine time (ms).
-pub(crate) fn analyze_at(
-    db: &Database,
-    idx: usize,
-    sub: &Query,
-    cfg: &LearningConfig,
-) -> (Option<CandidateTemplate>, f64) {
+/// triples.
+fn analyze_at(db: &Database, idx: usize, sub: &Query, cfg: &LearningConfig) -> Analysis {
+    let t0 = Instant::now();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9));
-    analyze_subquery(db, sub, cfg, &mut rng)
+    let mut sim_ms = 0.0f64;
+    let candidate = analyze_subquery(db, sub, cfg, &mut rng, &mut sim_ms);
+    Analysis {
+        candidate,
+        sim_ms,
+        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+    }
 }
 
 /// Learn problem patterns from a workload into the knowledge base.
@@ -200,33 +233,22 @@ pub fn learn_workload(
 
     // Phase 1: enumerate and merge sub-queries.
     let space = enumerate_mining_space(workload, cfg);
-    let unique = &space.unique;
 
-    // Phase 2: analyze unique sub-queries in parallel.
-    // (unique index, owning query, wall ms, simulated ms, candidate)
-    type AnalysisRow = (usize, usize, f64, f64, Option<CandidateTemplate>);
-    let results: Mutex<Vec<AnalysisRow>> = Mutex::new(Vec::with_capacity(unique.len()));
-    let n_threads = cfg.threads.max(1);
-    crossbeam::thread::scope(|scope| {
-        for worker in 0..n_threads {
-            let results = &results;
-            scope.spawn(move |_| {
-                for (idx, (qi, sub)) in unique.iter().enumerate() {
-                    if idx % n_threads != worker {
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    let (cand, sim_ms) = analyze_at(db, idx, sub, cfg);
-                    let ms = t0.elapsed().as_secs_f64() * 1e3;
-                    results
-                        .lock()
-                        .expect("no poisoned lock")
-                        .push((idx, *qi, ms, sim_ms, cand));
-                }
-            });
+    // Phase 2: analyze unique sub-queries, one thread per slice. Each
+    // slice's buffer is sized and allocated here, on the calling thread:
+    // buffers grown on the workers cost about 1 % more peak RSS.
+    let slices = Partitioner::new(cfg.threads);
+    let per_slice = space.unique.len().div_ceil(slices.nodes());
+    let mut walks: Vec<Vec<Analysis>> = (0..slices.nodes())
+        .map(|_| Vec::with_capacity(per_slice))
+        .collect();
+    let space_ref = &space;
+    std::thread::scope(|scope| {
+        for (slice, rows) in walks.iter_mut().enumerate() {
+            scope.spawn(move || rows.extend(space_ref.walk(db, cfg, slices, slice)));
         }
-    })
-    .expect("learning workers must not panic");
+    });
+    let mut walks: Vec<_> = walks.into_iter().map(Vec::into_iter).collect();
 
     // Phase 3: publish every mined candidate. Publication is
     // per-candidate and commutative — template ids are pure functions of
@@ -235,21 +257,26 @@ pub fn learn_workload(
     // abstract to identical-content templates under different ids; the
     // matcher's min-IRI tie-break keeps those duplicates harmless). This
     // is the same contract the distributed learner cluster publishes
-    // under, which is what makes the two paths set-equal.
+    // under, which is what makes the two paths set-equal. What does follow
+    // insertion order — term ids, and with them scan order and snapshot
+    // bytes — stays fixed because each template is committed on its own,
+    // in mining-space order, whatever the thread count.
     let mut report = LearningReport {
         subqueries_total: space.subqueries_total,
-        subqueries_unique: unique.len(),
+        subqueries_unique: space.unique.len(),
         ..Default::default()
     };
     let mut per_query: Vec<f64> = space.enum_ms;
-    let mut results = results.into_inner().expect("no poisoned lock");
-    // Deterministic order regardless of worker scheduling.
-    results.sort_by_key(|r| r.0);
-    for (_, qi, ms, sim_ms, cand) in results {
-        per_query[qi] += ms;
-        report.per_subquery_ms.push(ms);
-        report.simulated_machine_ms += sim_ms;
-        let Some(cand) = cand else { continue };
+    for (idx, (qi, _)) in space.unique.iter().enumerate() {
+        // Each slice yields its indexes in order, so reading the slices
+        // back through the partitioner restores mining-space order.
+        let a = walks[slices.node_of(idx)]
+            .next()
+            .expect("a slice yields every index it owns");
+        per_query[*qi] += a.wall_ms;
+        report.per_subquery_ms.push(a.wall_ms);
+        report.simulated_machine_ms += a.sim_ms;
+        let Some(cand) = a.candidate else { continue };
         kb.insert(&cand.template);
         report.learned.push(LearnedTemplate {
             template_id: cand.template.id.clone(),
@@ -280,19 +307,8 @@ pub(crate) struct CandidateTemplate {
 
 /// Analyze one sub-query: benchmark the optimizer's plan against random
 /// alternatives over predicate-probe variants; abstract a template when a
-/// consistent winner exists.
+/// consistent winner exists. Simulated machine time accrues in `sim_ms`.
 fn analyze_subquery(
-    db: &Database,
-    sub: &Query,
-    cfg: &LearningConfig,
-    rng: &mut StdRng,
-) -> (Option<CandidateTemplate>, f64) {
-    let mut sim_ms = 0.0f64;
-    let cand = analyze_subquery_inner(db, sub, cfg, rng, &mut sim_ms);
-    (cand, sim_ms)
-}
-
-fn analyze_subquery_inner(
     db: &Database,
     sub: &Query,
     cfg: &LearningConfig,
@@ -575,19 +591,34 @@ mod tests {
 
     #[test]
     fn learning_is_deterministic() {
-        let w = quirky_workload();
-        let cfg = LearningConfig {
-            threads: 3,
-            ..LearningConfig::default()
+        // A TPC-DS prefix that mines several templates, so their order
+        // (mining-space order, whatever the thread count) is pinned too.
+        let mut w = galo_workloads::tpcds::workload();
+        w.queries.truncate(30);
+        let run = |threads: usize| {
+            let kb = KnowledgeBase::new();
+            let cfg = LearningConfig {
+                threads,
+                probes_per_pred: 2,
+                random_plans: 6,
+                runs_per_plan: 3,
+                max_subqueries_per_query: 20,
+                ..LearningConfig::default()
+            };
+            let ids: Vec<String> = learn_workload(&w, &kb, &cfg)
+                .learned
+                .into_iter()
+                .map(|l| l.template_id)
+                .collect();
+            let mut image: Vec<String> = kb.export().lines().map(str::to_string).collect();
+            image.sort();
+            (ids, image)
         };
-        let kb1 = KnowledgeBase::new();
-        let r1 = learn_workload(&w, &kb1, &cfg);
-        let kb2 = KnowledgeBase::new();
-        let r2 = learn_workload(&w, &kb2, &cfg);
-        assert_eq!(r1.templates_learned, r2.templates_learned);
-        let f1: Vec<_> = r1.learned.iter().map(|l| l.improvement).collect();
-        let f2: Vec<_> = r2.learned.iter().map(|l| l.improvement).collect();
-        assert_eq!(f1, f2);
+        let one_thread = run(1);
+        assert!(one_thread.0.len() >= 2, "{:?}", one_thread.0);
+        for threads in 2..=4 {
+            assert_eq!(run(threads), one_thread, "threads={threads}");
+        }
     }
 
     #[test]

@@ -1035,7 +1035,7 @@ pub fn learn_workload_replicated(
     primary: &Primary,
     cfg: &ReplicationConfig,
 ) -> ReplicatedReport {
-    let nodes = cfg.cluster.nodes.max(1);
+    let nodes = cfg.cluster.learning.threads.max(1);
     let batch = cfg.cluster.publish_batch.max(1);
     struct NodeRun {
         node: usize,

@@ -196,11 +196,6 @@ impl<'a> CostModel<'a> {
         };
         cpu + spill
     }
-
-    /// Per-row cost of returning results through RETURN.
-    pub fn return_rows(&self, rows: f64) -> f64 {
-        rows * self.params.cpu_row_ms * 0.1
-    }
 }
 
 #[cfg(test)]

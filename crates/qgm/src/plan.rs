@@ -353,16 +353,6 @@ impl QgmBuilder {
         self.pops[id.0 as usize].order
     }
 
-    /// Estimated cardinality of an operator added so far.
-    pub fn est_card_of(&self, id: PopId) -> f64 {
-        self.pops[id.0 as usize].est_card
-    }
-
-    /// Estimated cumulative cost of an operator added so far.
-    pub fn est_cost_of(&self, id: PopId) -> f64 {
-        self.pops[id.0 as usize].est_cost
-    }
-
     /// Seal the plan: wrap `top` in a `RETURN` operator and assign display
     /// ids in pre-order (outer subtree before inner), `RETURN` = 1. So
     /// `op_id − 1` is an operator's pre-order position, while the arena

@@ -84,7 +84,7 @@ impl From<std::io::Error> for ServerError {
 /// all-shard read session and [`with_store_mut`](Self::with_store_mut)
 /// an all-shard write session, and every read and write endpoint runs
 /// through one of the two. What sharding adds is below the locks —
-/// per-shard WAL directories, per-shard background folds, parallel
+/// per-shard WAL directories, per-shard background folds, shard-by-shard
 /// recovery — plus the per-shard maintenance calls
 /// ([`shard_stats`](Self::shard_stats),
 /// [`storage_pressures`](Self::storage_pressures)).

@@ -506,11 +506,6 @@ impl ShardedStore {
         })
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Per-shard triple and named-graph counts (placement diagnostics).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards

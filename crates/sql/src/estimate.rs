@@ -96,7 +96,6 @@ pub type KeyPair = ((usize, ColumnId), (usize, ColumnId));
 pub struct CardEstimator {
     table_sel: Vec<f64>,
     filtered: Vec<f64>,
-    base: Vec<f64>,
     classes: Vec<EqClass>,
     /// Per-original-edge quirk factor (correlation distortion × join skew),
     /// with the instance endpoints; 1.0 when no quirk applies.
@@ -233,7 +232,6 @@ impl CardEstimator {
         CardEstimator {
             table_sel,
             filtered,
-            base,
             classes,
             edge_quirks,
         }
@@ -247,11 +245,6 @@ impl CardEstimator {
     /// Filtered cardinality of one table instance.
     pub fn filtered_card(&self, table_idx: usize) -> f64 {
         self.filtered[table_idx]
-    }
-
-    /// Unfiltered cardinality of one table instance.
-    pub fn base_card(&self, table_idx: usize) -> f64 {
-        self.base[table_idx]
     }
 
     /// Column equivalence classes of the query's join graph.

@@ -4,25 +4,28 @@
 //! machines, each mining a partition of the workload (§4). This tour
 //! simulates that cluster end to end:
 //!
-//! 1. three `LearnerNode`s split one TPC-DS problem workload's unique
-//!    sub-query mining space (deterministic SPMD partitioning — no
-//!    coordinator),
+//! 1. `learn_workload_cluster` runs three learner nodes that split one
+//!    TPC-DS problem workload's unique sub-query mining space
+//!    (deterministic SPMD partitioning — no coordinator),
 //! 2. each node mines its slice locally and publishes its templates in
 //!    batches into a shared 4-shard durable KB (template-affine routing:
 //!    each template's triples land whole on one shard),
-//! 3. checkpoint, drop the process state, reopen (shards recover in
-//!    parallel), and
-//! 4. verify **every** node's published templates survived — by id —
-//!    then match with and without a dataset scope.
+//! 3. checkpoint, drop the process state, reopen (each shard replays its
+//!    own log), and
+//! 4. verify **every** node's published templates survived — the
+//!    recovered template count equals the cluster report's, and the image
+//!    equals a sequential single-machine run's — then match with and
+//!    without a dataset scope.
 //!
-//! Exits nonzero if any node's published templates are missing after the
-//! reopen, if the image differs from a sequential single-machine run, or
-//! if dataset-scoped matching leaks.
+//! Exits nonzero if any published template is missing after the reopen,
+//! if the image differs from a sequential single-machine run, or if
+//! dataset-scoped matching leaks.
 //!
 //! Run with: `cargo run --release --example learner_cluster`
 
 use galo_core::{
-    learn_workload, match_plan, vocab, KbBuilder, KnowledgeBase, LearnerNode, MatchConfig, Template,
+    learn_workload, learn_workload_cluster, match_plan, ClusterConfig, KbBuilder, KnowledgeBase,
+    LearningConfig, MatchConfig,
 };
 use galo_optimizer::Optimizer;
 use galo_rdf::ScratchDir;
@@ -44,8 +47,13 @@ fn main() {
     );
 
     let workload = galo_bench::problem_workload();
-    let mut learning = galo_bench::learning_config(true);
-    learning.threads = 1; // the node is the unit of parallelism here
+    let cfg = ClusterConfig {
+        publish_batch: 4,
+        learning: LearningConfig {
+            threads: NODES,
+            ..galo_bench::learning_config(true)
+        },
+    };
     println!(
         "workload '{}': {} queries over the TPC-DS problem patterns",
         workload.name,
@@ -53,39 +61,23 @@ fn main() {
     );
 
     // --- the cluster: mine slices concurrently, publish in batches -----
-    let published: Vec<(usize, Vec<Template>)> = {
+    let published = {
         let kb = KbBuilder::new()
             .durable_dir(dir)
             .shards(SHARDS)
             .build_kb()
             .expect("sharded KB opens");
-        let mut published: Vec<(usize, Vec<Template>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..NODES)
-                .map(|id| {
-                    let node = LearnerNode::new(id, NODES);
-                    let (workload, learning, kb) = (&workload, &learning, &kb);
-                    scope.spawn(move || {
-                        let mined = node.mine(workload, learning);
-                        let (batches, _) = node.publish(kb, &mined.templates, 4);
-                        println!(
-                            "node {id} published {} template(s) from {} of {} sub-queries \
-                             in {batches} batch(es)",
-                            mined.templates.len(),
-                            mined.subqueries_assigned,
-                            mined.subqueries_unique,
-                        );
-                        (id, mined.templates)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("learner node"))
-                .collect()
-        });
-        published.sort_by_key(|(id, _)| *id);
-        let total: usize = published.iter().map(|(_, t)| t.len()).sum();
-        if total == 0 {
+        let report = learn_workload_cluster(&workload, &kb, &cfg);
+        for node in &report.nodes {
+            println!(
+                "node {} published {} template(s) from {} of {} sub-queries",
+                node.node,
+                node.templates_published,
+                node.subqueries_assigned,
+                report.subqueries_unique,
+            );
+        }
+        if report.templates_published() == 0 {
             eprintln!("FAIL: the cluster mined nothing from a scenario that always learns");
             std::process::exit(1);
         }
@@ -108,7 +100,7 @@ fn main() {
             );
         }
         kb.compact().expect("per-shard checkpoint succeeds");
-        published
+        report.templates_published()
     };
 
     // --- reopen: every node's templates must have survived -------------
@@ -118,25 +110,18 @@ fn main() {
         .build_kb()
         .expect("sharded recovery succeeds");
     println!("\nrecovered templates: {}", kb.template_count());
-    let mut missing = 0usize;
-    for (node, templates) in &published {
-        for tpl in templates {
-            let iri = vocab::template_iri(&tpl.id);
-            if kb.guideline_of(iri.str_value()).is_none() {
-                eprintln!("MISSING: node {node} template {}", iri.str_value());
-                missing += 1;
-            }
-        }
-    }
-    if missing > 0 {
-        eprintln!("FAIL: {missing} published template(s) lost across the reopen");
+    if kb.template_count() != published {
+        eprintln!(
+            "FAIL: {published} template(s) published, {} recovered after the reopen",
+            kb.template_count()
+        );
         std::process::exit(1);
     }
     println!("every node's published templates are present after reopen.");
 
     // --- the cluster image equals a single-machine run ------------------
     let oracle = KnowledgeBase::new();
-    learn_workload(&workload, &oracle, &learning);
+    learn_workload(&workload, &oracle, &cfg.learning);
     if sorted_image(&kb) != sorted_image(&oracle) {
         eprintln!("FAIL: cluster-learned image differs from the sequential oracle");
         std::process::exit(1);

@@ -119,9 +119,9 @@ fn main() {
     // --- fault-injected replicated learning ----------------------------
     let cfg = ReplicationConfig {
         cluster: ClusterConfig {
-            nodes: 2,
             publish_batch: 1,
             learning: LearningConfig {
+                threads: 2,
                 random_plans: 12,
                 seed: 0x6A10,
                 ..LearningConfig::default()

@@ -149,9 +149,8 @@ proptest! {
         learn_workload(&w, &oracle, &learning);
         let kb = KnowledgeBase::new();
         let report = learn_workload_cluster(&w, &kb, &ClusterConfig {
-            nodes,
             publish_batch,
-            learning,
+            learning: LearningConfig { threads: nodes, ..learning },
         });
         prop_assert_eq!(report.nodes.len(), nodes);
         assert_images_equal(&kb, &oracle, &format!("nodes={nodes} picks={picks:?}"));
@@ -181,9 +180,8 @@ proptest! {
         {
             let kb = KbBuilder::new().durable_dir(dir.path()).shards(shards).build_kb().unwrap();
             learn_workload_cluster(&w, &kb, &ClusterConfig {
-                nodes,
                 publish_batch: 2,
-                learning: learning.clone(),
+                learning: LearningConfig { threads: nodes, ..learning.clone() },
             });
             assert_images_equal(&kb, &oracle, &format!("pre-reopen nodes={nodes} shards={shards}"));
         }
@@ -203,9 +201,11 @@ fn stress_concurrent_matching_while_cluster_publishes() {
     let w = quirky_workload("stress", &[0, 1, 2, 3]);
     let learning = fast_learning(2);
     let cluster = ClusterConfig {
-        nodes: 4,
         publish_batch: 1, // publish every template immediately: max interleaving
-        learning: learning.clone(),
+        learning: LearningConfig {
+            threads: 4,
+            ..learning.clone()
+        },
     };
     let oracle = KnowledgeBase::new();
     let seq = learn_workload(&w, &oracle, &learning);

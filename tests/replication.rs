@@ -167,9 +167,11 @@ fn replicated_learning_under_faults_matches_sequential_cluster() {
     let primary = Primary::new(Arc::new(KnowledgeBase::new()));
     let cfg = ReplicationConfig {
         cluster: ClusterConfig {
-            nodes: 4,
             publish_batch: 2,
-            learning: fast_learning(),
+            learning: LearningConfig {
+                threads: 4,
+                ..fast_learning()
+            },
         },
         fault: FaultPlan::lossy(0xFA57_F00D),
         retry: RetryPolicy {

@@ -828,9 +828,11 @@ fn stress_serving_under_concurrent_publishes_is_never_stale() {
             &w,
             &kb,
             &ClusterConfig {
-                nodes: 4,
                 publish_batch: 1,
-                learning: fast_learning(),
+                learning: LearningConfig {
+                    threads: 4,
+                    ..fast_learning()
+                },
             },
         );
         done.store(true, Ordering::Release);
