@@ -15,18 +15,33 @@
 //! `crate::sigindex`; its rows are written by the one `IndexFacts` gather,
 //! nowhere else.
 //!
+//! # Serialization
+//!
+//! One serializer turns templates into RDF:
+//! [`templates_block`](KnowledgeBase::templates_block) writes a batch
+//! straight into a [`QuadBlock`], making each term a batch repeats once
+//! and naming each distinct term once, in first-appearance order. A local
+//! `insert_batch` applies that block; a remote learner's
+//! [`Publisher`](crate::Publisher) sends its encoding, and the primary and
+//! every replica apply the block they decode from it.
+//! [`templates_to_quads`](KnowledgeBase::templates_to_quads) is a view of
+//! the same block as quads.
+//!
 //! # Mutations
 //!
 //! There is one way to change a knowledge base: a mutator *builds a
 //! [`QuadBlock`]* and the private `commit` applies it. `insert_batch`
-//! builds inserts, `remove_template` the removes of what
+//! applies the serializer's block, `remove_template` the removes of what
 //! [`retraction_of`](KnowledgeBase::retraction_of) finds stored,
 //! `refine_template_stats` a remove-old / insert-new pair per statistic
 //! that moved, `clear` a clear, `import` a clear plus the text's
-//! statements; `apply_block` / `apply_quads` are handed theirs. The commit
-//! is, in order: the read-only gate (client mutators reject with the typed
-//! [`ReadOnlyReplica`]; `apply_block` / `apply_quads` are the replication
-//! feed's door and stay privileged), one `MutationScope` — opened *before*
+//! statements; `apply_block` / `apply_quads` / `apply_block_owned` are
+//! handed theirs. A block nobody needs afterwards — the serializer's, a
+//! decoded publish or feed entry, a snapshot — is handed over, so the
+//! store keeps the terms it has never seen instead of copying them. The
+//! commit is, in order: the read-only gate (client mutators reject with
+//! the typed [`ReadOnlyReplica`]; the `apply_*` doors are the replication
+//! feed's and stay privileged), one `MutationScope` — opened *before*
 //! the mutator reads what it builds its block from — one `begin_batch` /
 //! `end_batch` bracket around the apply, index upkeep, the change
 //! journal's entry, and the epoch: one generation when any operation took
@@ -61,8 +76,8 @@ use galo_catalog::Database;
 use galo_executor::Actuals;
 use galo_qgm::{segment_signature, segments, shape_signature, GuidelineDoc, PopId, Qgm};
 use galo_rdf::{
-    Applied, BlockOp, FusekiLite, QuadBlock, ReadOnlyReplica, Record, ServerError, Term, TermId,
-    Triple, TripleStore,
+    Applied, BlockOp, BlockWriter, FusekiLite, QuadBlock, ReadOnlyReplica, Record, ServerError,
+    Term, TermId, Triple, TripleStore,
 };
 
 use crate::feedback::{
@@ -70,7 +85,7 @@ use crate::feedback::{
     TemplateRefinement,
 };
 use crate::sigindex::{
-    ChangeJournal, Generation, IndexFacts, JournalRow, MatchMiss, SegmentShape, SigIndex,
+    ChangeJournal, Fact, Generation, IndexFacts, JournalRow, MatchMiss, SegmentShape, SigIndex,
     JOURNAL_TEMPLATES,
 };
 use crate::vocab::{self, prop, STAT_FAMILIES};
@@ -460,94 +475,26 @@ impl KnowledgeBase {
         format!("{z:016x}")
     }
 
-    /// Serialize templates to the quads [`insert_batch`](Self::insert_batch)
-    /// would store — each template's RDF triples in the default graph plus
-    /// its workload tagging quad. This is the wire encoding a remote
-    /// learner ships in a replication `Publish` frame: the primary applies
-    /// the quads with [`apply_quads`](Self::apply_quads) and reaches the
-    /// same image as a local [`insert_batch`](Self::insert_batch).
-    pub fn templates_to_quads(templates: &[Template]) -> Vec<galo_rdf::Quad> {
-        let mut quads = Vec::new();
+    /// Serialize templates into the one block that states them — per
+    /// template its RDF statements in the default graph, then its tag in
+    /// its workload's named graph (its dataset membership) — naming each
+    /// distinct term once, in the order it first appears. This is the one
+    /// serializer: [`insert_batch`](Self::insert_batch) applies the block,
+    /// a remote learner's [`Publisher`](crate::Publisher) sends its
+    /// encoding as a replication `Publish` payload, and the primary that
+    /// decodes it reaches the same image as a local `insert_batch`.
+    pub fn templates_block(templates: &[Template]) -> QuadBlock {
+        let mut writer = TemplateWriter::new(templates);
         for tpl in templates {
-            Self::template_quads(tpl, &mut quads);
+            writer.template(tpl);
         }
-        quads
+        writer.block.finish()
     }
 
-    /// Serialize one template to quads: its RDF triples in the default
-    /// graph, then the tagging quad in its workload's named graph (the
-    /// template's dataset membership).
-    fn template_quads(tpl: &Template, quads: &mut Vec<galo_rdf::Quad>) {
-        let tnode = vocab::template_iri(&tpl.id);
-        let about = |property: &str, value: Term| (tnode.clone(), prop(property), value, None);
-        quads.extend([
-            about(vocab::HAS_GUIDELINE_XML, Term::lit(tpl.guideline.to_xml())),
-            about(vocab::HAS_IMPROVEMENT, Term::num(tpl.improvement)),
-            about(
-                vocab::HAS_SOURCE_WORKLOAD,
-                Term::lit(tpl.source_workload.clone()),
-            ),
-            about(
-                vocab::HAS_PROBLEM_FINGERPRINT,
-                Term::lit(tpl.fingerprint.clone()),
-            ),
-            about(vocab::HAS_JOIN_COUNT, Term::num(tpl.join_count as f64)),
-        ]);
-        for p in &tpl.pops {
-            let me = vocab::template_pop_iri(&tpl.id, p.op_id);
-            quads.push((me.clone(), prop(vocab::IN_TEMPLATE), tnode.clone(), None));
-            quads.push((
-                me.clone(),
-                prop(vocab::HAS_POP_TYPE),
-                Term::lit(p.pop_type.clone()),
-                None,
-            ));
-            let push_stat = |quads: &mut Vec<_>, family: usize, sketch: &StatSketch| {
-                let stated = stat_statements(STAT_FAMILIES[family], sketch);
-                quads.extend(stated.map(|(property, value)| (me.clone(), property, value, None)));
-            };
-            push_stat(quads, 0, &p.cardinality);
-            if let Some(scan) = &p.scan {
-                quads.push((
-                    me.clone(),
-                    prop(vocab::HAS_CANONICAL_TABID),
-                    Term::lit(scan.canonical_tabid.clone()),
-                    None,
-                ));
-                push_stat(quads, 1, &scan.row_size);
-                push_stat(quads, 2, &scan.fpages);
-                push_stat(quads, 3, &scan.base_cardinality);
-            }
-            for (i, &child) in p.inputs.iter().enumerate() {
-                let child_iri = vocab::template_pop_iri(&tpl.id, child);
-                quads.push((
-                    child_iri.clone(),
-                    prop(vocab::HAS_OUTPUT_STREAM),
-                    me.clone(),
-                    None,
-                ));
-                let is_join = matches!(p.pop_type.as_str(), "NLJOIN" | "HSJOIN" | "MSJOIN");
-                if is_join {
-                    let role = if i == 0 {
-                        vocab::HAS_OUTER_INPUT_STREAM
-                    } else {
-                        vocab::HAS_INNER_INPUT_STREAM
-                    };
-                    quads.push((me.clone(), prop(role), child_iri, None));
-                }
-            }
-        }
-        // Tag the template into its workload's named graph so
-        // per-workload datasets stay enumerable without a default-graph
-        // scan (cross-workload accounting, Exp-2).
-        if !tpl.source_workload.is_empty() {
-            quads.push((
-                tnode,
-                prop(vocab::HAS_PROBLEM_FINGERPRINT),
-                Term::lit(tpl.fingerprint.clone()),
-                Some(vocab::workload_graph_iri(&tpl.source_workload)),
-            ));
-        }
+    /// The statements [`templates_block`](Self::templates_block) states,
+    /// as quads.
+    pub fn templates_to_quads(templates: &[Template]) -> Vec<galo_rdf::Quad> {
+        Self::templates_block(templates).inserted_quads()
     }
 
     /// Insert a template, serializing it to RDF.
@@ -567,13 +514,13 @@ impl KnowledgeBase {
     /// publish in any interleaving and reach the same knowledge-base
     /// image. Returns how many quads were new.
     pub fn insert_batch(&self, templates: &[Template]) -> usize {
-        let quads = Self::templates_to_quads(templates);
-        let inserts = || quads.into_iter().map(Record::from);
-        loudly(self.mutate("insert_batch", inserts)).effective()
+        let block = Self::templates_block(templates);
+        let apply = || self.server.apply_block_owned(block);
+        loudly(self.commit(Some("insert_batch"), apply)).effective()
     }
 
-    /// Apply already-serialized template quads (see
-    /// [`templates_to_quads`](Self::templates_to_quads)):
+    /// Apply quads (as [`templates_to_quads`](Self::templates_to_quads)
+    /// gives them, say):
     /// [`apply_block`](Self::apply_block) over the quads as one block of
     /// inserts. Returns how many quads were new.
     pub fn apply_quads(&self, quads: &[galo_rdf::Quad]) -> usize {
@@ -591,6 +538,15 @@ impl KnowledgeBase {
     /// Returns how many operations took effect.
     pub fn apply_block<T: Borrow<Term>>(&self, block: &QuadBlock<T>) -> usize {
         loudly(self.commit(None, || self.server.apply_block(block))).effective()
+    }
+
+    /// [`apply_block`](Self::apply_block) for a block the caller hands
+    /// over — a decoded `Publish` or `Mutation` payload, a snapshot: the
+    /// store keeps the terms it has never seen instead of copying them,
+    /// and the rest are dropped with the block. Privileged in the same
+    /// way.
+    pub fn apply_block_owned(&self, block: QuadBlock) -> usize {
+        loudly(self.commit(None, || self.server.apply_block_owned(block))).effective()
     }
 
     /// What retracting a template takes out of the store, as removes:
@@ -728,6 +684,9 @@ impl KnowledgeBase {
         let mut fresh = IndexFacts::default();
         // Subjects whose template only the store has the whole of.
         let mut edited: Vec<&str> = Vec::new();
+        // Per dictionary index of a predicate, the fact it states: read
+        // once, not once per statement.
+        let mut facts: Vec<Option<Option<Fact>>> = Vec::new();
         let effective = block.ops().iter().zip(changed).filter(|&(_, &did)| did);
         for (op, _) in effective {
             let (quad, removed) = match op {
@@ -739,14 +698,18 @@ impl KnowledgeBase {
             let &(s, p, o, None) = quad else {
                 continue;
             };
-            let Some(local) = local_name(term(p)) else {
+            if facts.len() <= p as usize {
+                facts.resize(p as usize + 1, None);
+            }
+            let fact = facts[p as usize].get_or_insert_with(|| fact_of(term(p)));
+            let Some(fact) = *fact else {
                 continue;
             };
             let subject = term(s).str_value();
-            if !removed {
-                fresh.add(subject, local, term(o));
-            } else if IndexFacts::predicates().any(|read| read == local) {
+            if removed {
                 edited.push(subject);
+            } else {
+                fresh.add(subject, fact, term(o));
             }
         }
         edited.extend(fresh.partial());
@@ -785,9 +748,9 @@ impl KnowledgeBase {
         #[cfg(test)]
         tests::REBUILDS.with(|n| n.set(n.get() + 1));
         let mut facts = IndexFacts::default();
-        for local in IndexFacts::predicates() {
+        for (local, fact) in Fact::all() {
             for (s, _, o) in statements_of(st, local) {
-                facts.add(st.resolve(s).str_value(), local, st.resolve(o));
+                facts.add(st.resolve(s).str_value(), fact, st.resolve(o));
             }
         }
         let mut index = SigIndex::default();
@@ -1168,6 +1131,133 @@ impl KnowledgeBase {
     }
 }
 
+/// The serializer behind [`KnowledgeBase::templates_block`]. Each term a
+/// batch repeats is made once: a property IRI once per block, a
+/// template's node and each operator's IRI once per template, a
+/// template's fingerprint once. Every other term is made where it is
+/// stated and filed by the block writer, which hashes it once and drops
+/// it when the dictionary already has it. Statements are written in a
+/// fixed order, their terms `s p o g`, so the dictionary order — and the
+/// encoding — is a function of the templates alone.
+struct TemplateWriter {
+    block: BlockWriter,
+    /// Property (local name) → index.
+    props: HashMap<&'static str, u32>,
+    /// The current template's operators that are in the block: op id →
+    /// index.
+    pops: Vec<(u32, u32)>,
+}
+
+impl TemplateWriter {
+    fn new(templates: &[Template]) -> Self {
+        // About eight statements per operator and six per template.
+        let statements = templates.iter().map(|t| 6 + 8 * t.pops.len()).sum();
+        TemplateWriter {
+            block: BlockWriter::with_capacity(statements),
+            props: HashMap::new(),
+            pops: Vec::new(),
+        }
+    }
+
+    /// The index of a property, made the first time the block states it.
+    fn prop(&mut self, local: &'static str) -> u32 {
+        let block = &mut self.block;
+        *self
+            .props
+            .entry(local)
+            .or_insert_with(|| block.term(prop(local)))
+    }
+
+    /// The index of template `id`'s operator `op_id`, made the first time
+    /// the template names it.
+    fn pop(&mut self, id: &str, op_id: u32) -> u32 {
+        if let Some(&(_, ix)) = self.pops.iter().find(|&&(op, _)| op == op_id) {
+            return ix;
+        }
+        let ix = self.block.term(vocab::template_pop_iri(id, op_id));
+        self.pops.push((op_id, ix));
+        ix
+    }
+
+    fn insert(&mut self, s: u32, p: u32, o: u32) {
+        self.block.insert((s, p, o, None));
+    }
+
+    /// `subject`'s three statements of one statistic family: the exact
+    /// bounds of the sketch's untrimmed envelope, and the sketch itself.
+    fn stat(&mut self, subject: u32, family: usize, sketch: &StatSketch) {
+        for (local, value) in stat_statements(STAT_FAMILIES[family], sketch) {
+            let p = self.prop(local);
+            let o = self.block.term(value);
+            self.insert(subject, p, o);
+        }
+    }
+
+    /// One template: its node's statements, each operator's, then its
+    /// workload tag.
+    fn template(&mut self, tpl: &Template) {
+        let id = tpl.id.as_str();
+        self.pops.clear();
+        let t = self.block.term(vocab::template_iri(id));
+        let about = |w: &mut Self, local: &'static str, value: Term| {
+            let p = w.prop(local);
+            let o = w.block.term(value);
+            w.insert(t, p, o);
+            o
+        };
+        let xml = Term::lit(tpl.guideline.to_xml());
+        about(self, vocab::HAS_GUIDELINE_XML, xml);
+        about(self, vocab::HAS_IMPROVEMENT, Term::num(tpl.improvement));
+        let source = Term::lit(tpl.source_workload.clone());
+        about(self, vocab::HAS_SOURCE_WORKLOAD, source);
+        let fingerprint = Term::lit(tpl.fingerprint.clone());
+        let fingerprint = about(self, vocab::HAS_PROBLEM_FINGERPRINT, fingerprint);
+        let joins = Term::num(tpl.join_count as f64);
+        about(self, vocab::HAS_JOIN_COUNT, joins);
+        for p in &tpl.pops {
+            let me = self.pop(id, p.op_id);
+            let in_template = self.prop(vocab::IN_TEMPLATE);
+            self.insert(me, in_template, t);
+            let pop_type = self.prop(vocab::HAS_POP_TYPE);
+            let ty = self.block.term(Term::lit(p.pop_type.clone()));
+            self.insert(me, pop_type, ty);
+            self.stat(me, 0, &p.cardinality);
+            if let Some(scan) = &p.scan {
+                let tabid = self.prop(vocab::HAS_CANONICAL_TABID);
+                let label = self.block.term(Term::lit(scan.canonical_tabid.clone()));
+                self.insert(me, tabid, label);
+                self.stat(me, 1, &scan.row_size);
+                self.stat(me, 2, &scan.fpages);
+                self.stat(me, 3, &scan.base_cardinality);
+            }
+            let is_join = matches!(p.pop_type.as_str(), "NLJOIN" | "HSJOIN" | "MSJOIN");
+            for (i, &child) in p.inputs.iter().enumerate() {
+                let child = self.pop(id, child);
+                let output = self.prop(vocab::HAS_OUTPUT_STREAM);
+                self.insert(child, output, me);
+                if is_join {
+                    let role = match i {
+                        0 => vocab::HAS_OUTER_INPUT_STREAM,
+                        _ => vocab::HAS_INNER_INPUT_STREAM,
+                    };
+                    let role = self.prop(role);
+                    self.insert(me, role, child);
+                }
+            }
+        }
+        // Tag the template into its workload's named graph so
+        // per-workload datasets stay enumerable without a default-graph
+        // scan (cross-workload accounting, Exp-2).
+        if !tpl.source_workload.is_empty() {
+            let p = self.prop(vocab::HAS_PROBLEM_FINGERPRINT);
+            let g = self
+                .block
+                .term(vocab::workload_graph_iri(&tpl.source_workload));
+            self.block.insert((t, p, fingerprint, Some(g)));
+        }
+    }
+}
+
 /// An infallible mutator's rejection, raised the way the endpoint's own
 /// infallible writes raise theirs: a panic whose payload is the typed
 /// error.
@@ -1175,9 +1265,10 @@ fn loudly<T>(gated: Result<T, ReadOnlyReplica>) -> T {
     gated.unwrap_or_else(|rejected| std::panic::panic_any(rejected))
 }
 
-/// A property IRI's local name under [`vocab::PROP_NS`].
-fn local_name(predicate: &Term) -> Option<&str> {
-    predicate.as_iri()?.strip_prefix(vocab::PROP_NS)
+/// The fact a predicate states to the index gather, if any: a property
+/// IRI under [`vocab::PROP_NS`] that [`Fact::of`] reads.
+fn fact_of(predicate: &Term) -> Option<Fact> {
+    Fact::of(predicate.as_iri()?.strip_prefix(vocab::PROP_NS)?)
 }
 
 /// The default graph's statements of one property (its local name under
@@ -1236,8 +1327,8 @@ fn template_facts<'a>(st: &'a dyn TripleStore, template_iri: &str) -> IndexFacts
     let mut facts = IndexFacts::default();
     for subject in template_subjects(st, template_iri) {
         for (s, p, o) in st.scan(Some(subject), None, None) {
-            if let Some(local) = local_name(st.resolve(p)) {
-                facts.add(st.resolve(s).str_value(), local, st.resolve(o));
+            if let Some(fact) = fact_of(st.resolve(p)) {
+                facts.add(st.resolve(s).str_value(), fact, st.resolve(o));
             }
         }
     }
@@ -1337,18 +1428,22 @@ fn within_band(env: Range, value: f64, band: f64) -> bool {
     env.lo <= value * band && env.hi >= value / band
 }
 
-/// One stat as the (property, object) of its three statements. Exact
-/// bounds come from the sketch's untrimmed envelope — bit-identical to the
-/// legacy widened min/max — and the full sketch rides along as a
-/// checksummed hex literal so trimmed envelopes survive export/import,
-/// durable reopen and reindex. Both serializations are deterministic,
-/// which keeps republishing a template a set-semantics no-op.
-fn stat_statements((lo, hi, sk): (&str, &str, &str), sketch: &StatSketch) -> [(Term, Term); 3] {
+/// One stat as the (property's local name, object) of its three
+/// statements. Exact bounds come from the sketch's untrimmed envelope —
+/// bit-identical to the legacy widened min/max — and the full sketch
+/// rides along as a checksummed hex literal so trimmed envelopes survive
+/// export/import, durable reopen and reindex. Both serializations are
+/// deterministic, which keeps republishing a template a set-semantics
+/// no-op.
+fn stat_statements(
+    (lo, hi, sk): (&'static str, &'static str, &'static str),
+    sketch: &StatSketch,
+) -> [(&'static str, Term); 3] {
     let range = sketch.envelope(0.0);
     [
-        (prop(lo), Term::num(range.lo)),
-        (prop(hi), Term::num(range.hi)),
-        (prop(sk), Term::lit(sketch.to_hex())),
+        (lo, Term::num(range.lo)),
+        (hi, Term::num(range.hi)),
+        (sk, Term::lit(sketch.to_hex())),
     ]
 }
 
@@ -1358,13 +1453,14 @@ fn stat_statements((lo, hi, sk): (&str, &str, &str), sketch: &StatSketch) -> [(T
 fn restate_stat(
     st: &dyn TripleStore,
     pop: &str,
-    family: (&str, &str, &str),
+    family: (&'static str, &'static str, &'static str),
     sketch: &StatSketch,
     restated: &mut Vec<Record>,
 ) {
     let subject = Term::iri(pop);
     let sid = st.term_id(&subject);
-    for (property, value) in stat_statements(family, sketch) {
+    for (local, value) in stat_statements(family, sketch) {
+        let property = prop(local);
         let stored = match (sid, st.term_id(&property)) {
             (Some(s), Some(p)) => st.scan(Some(s), Some(p), None),
             _ => Vec::new(),
@@ -1879,6 +1975,14 @@ mod tests {
         assert_eq!(kb.signature_count(), 0);
         kb.clear();
         assert_eq!(kb.epoch(), e + GEN, "nothing to clear, no advance");
+
+        // apply_block_owned (a decoded publish handed over): one
+        // generation, and none for the same block again.
+        let block = || KnowledgeBase::templates_block(std::slice::from_ref(&tpl));
+        assert!(kb.apply_block_owned(block()) > 0);
+        assert_eq!(kb.epoch(), e + 2 * GEN, "apply_block_owned advances once");
+        assert_eq!(kb.apply_block_owned(block()), 0);
+        assert_eq!(kb.epoch(), e + 2 * GEN, "a block that changes nothing");
 
         // The whole audit is monotonic by construction: every logical
         // change advanced the counter, nothing ever rewound it below a

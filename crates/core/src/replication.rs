@@ -8,11 +8,12 @@
 //! acknowledgement, feed entry and snapshot crosses a [`Link`] as an
 //! encoded [`galo_rdf::wire`] frame — length-delimited, FNV-checksummed,
 //! a batch of statements carried as one [`galo_rdf::block`] — and is
-//! decoded on the far side before anything is applied. A batch is encoded
-//! once, by the learner: the primary applies the block it decodes, its
-//! store journals it as one log record in the same encoding, and the
-//! publish payload itself becomes the feed entry replicas pull. Three
-//! layers:
+//! decoded on the far side before anything is applied. A batch is
+//! serialized and encoded once, by the learner, straight into one block
+//! ([`KnowledgeBase::templates_block`]): the primary hands the block it
+//! decodes over to its store, which journals it as one log record in the
+//! same encoding, and the publish payload itself becomes the feed entry
+//! replicas pull and hand over in turn. Three layers:
 //!
 //! * **Transport** — [`Link`] is an in-process byte-frame pipe
 //!   ([`loopback`] builds a connected pair). [`FaultyLink`] wraps an end
@@ -22,7 +23,7 @@
 //!   `Publish` frames with a per-sender sequence number and retries under
 //!   a [`RetryPolicy`] until the matching `Ack` arrives. The [`Primary`]
 //!   applies publishes through the idempotent
-//!   [`KnowledgeBase::apply_block`] and deduplicates retries per peer
+//!   [`KnowledgeBase::apply_block_owned`] and deduplicates retries per peer
 //!   (cached acks), so at-least-once delivery yields **exactly-once
 //!   application** — an acknowledged publish is never lost and never
 //!   doubled, whatever the link does.
@@ -49,7 +50,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use galo_qgm::Qgm;
-use galo_rdf::{decode_frame, encode_frame, snapshot_bytes, Frame, FramePayload, Quad, QuadBlock};
+use galo_rdf::{decode_frame, encode_frame, snapshot_bytes, Frame, FramePayload, QuadBlock};
 
 use crate::cluster::{ClusterConfig, LearnerNode};
 use crate::kb::{KnowledgeBase, Template};
@@ -405,19 +406,19 @@ impl Primary {
         log.entries.clear();
     }
 
-    /// The one entry for a change born on the primary: apply `block` and,
-    /// when it changed anything, append `payload` — its encoding — to the
-    /// log with the epoch it produced. The caller holds the log lock
-    /// across whatever it read to build the block and this call, so the
-    /// log order equals the apply order under concurrent changes. Returns
-    /// the operations that took effect and the epoch.
-    fn apply_logged<T: std::borrow::Borrow<galo_rdf::Term>>(
+    /// The one entry for a change born on the primary: `apply` its block
+    /// and, when it changed anything, append `payload` — the block's
+    /// encoding — to the log with the epoch it produced. The caller holds
+    /// the log lock across whatever it read to build the block and this
+    /// call, so the log order equals the apply order under concurrent
+    /// changes. Returns the operations that took effect and the epoch.
+    fn apply_logged(
         &self,
         log: &mut ReplicationLog,
-        block: &QuadBlock<T>,
+        apply: impl FnOnce() -> usize,
         payload: Vec<u8>,
     ) -> (u64, u64) {
-        let changed = self.kb.apply_block(block) as u64;
+        let changed = apply() as u64;
         let epoch = self.kb.epoch();
         if changed > 0 {
             log.entries.push(LogEntry { payload, epoch });
@@ -431,13 +432,18 @@ impl Primary {
         let mut log = self.log.lock().expect("replication log");
         let removes = self.kb.retraction_of(template_iri);
         let block = QuadBlock::of_records(&removes);
-        self.apply_logged(&mut log, &block, block.encode()).0 > 0
+        let payload = block.encode();
+        let apply = || self.kb.apply_block(&block);
+        let (removed, _) = self.apply_logged(&mut log, apply, payload);
+        removed > 0
     }
 
     /// Handle one raw frame from a peer; returns the reply frames to send
     /// back, in order. Undecodable bytes (torn or corrupted in flight, or
     /// a publish whose payload is not a quad block) produce no reply — the
-    /// sender's retry covers them.
+    /// sender's retry covers them. A publish's block is decoded once and
+    /// handed over to the knowledge base, whose store keeps the terms it
+    /// has never seen; the payload bytes are what the log keeps.
     pub fn handle(&self, peer: &mut PeerState, bytes: &[u8]) -> Vec<Vec<u8>> {
         let Ok((frame, _)) = decode_frame(bytes) else {
             return Vec::new();
@@ -453,7 +459,8 @@ impl Primary {
                             return Vec::new();
                         };
                         let mut log = self.log.lock().expect("replication log");
-                        let applied = self.apply_logged(&mut log, &block, payload);
+                        let apply = || self.kb.apply_block_owned(block);
+                        let applied = self.apply_logged(&mut log, apply, payload);
                         peer.acked.insert(frame.seq, applied);
                         applied
                     }
@@ -574,9 +581,10 @@ impl std::fmt::Display for PublishError {
 
 impl std::error::Error for PublishError {}
 
-/// The learner-side publish state machine: assigns per-sender sequence
-/// numbers, encodes `Publish` frames, and retries until the matching
-/// `Ack` arrives or the [`RetryPolicy`] budget runs out.
+/// The learner-side publish state machine: serializes a template batch
+/// into one quad block, assigns per-sender sequence numbers, encodes
+/// `Publish` frames, and retries until the matching `Ack` arrives or the
+/// [`RetryPolicy`] budget runs out.
 #[derive(Debug, Default)]
 pub struct Publisher {
     next_seq: u64,
@@ -589,29 +597,15 @@ impl Publisher {
         Publisher::default()
     }
 
-    /// Publish templates (serialized via
-    /// [`KnowledgeBase::templates_to_quads`]) over `link`. `pump` runs
-    /// the server side one step — in tests a call to
-    /// [`Primary::serve_link`] on the other end of the link.
+    /// Publish templates over `link`, with retry and exactly-once
+    /// effect. The batch is serialized once, by
+    /// [`KnowledgeBase::templates_block`], straight into the block whose
+    /// encoding is the `Publish` payload. `pump` runs the server side one
+    /// step — in tests a call to [`Primary::serve_link`] on the other end
+    /// of the link.
     pub fn publish_templates(
         &mut self,
         templates: &[Template],
-        link: &mut dyn Link,
-        pump: &mut dyn FnMut(),
-        policy: &RetryPolicy,
-    ) -> Result<PublishReceipt, PublishError> {
-        self.publish_quads(
-            &KnowledgeBase::templates_to_quads(templates),
-            link,
-            pump,
-            policy,
-        )
-    }
-
-    /// Publish raw quads over `link` with retry and exactly-once effect.
-    pub fn publish_quads(
-        &mut self,
-        quads: &[Quad],
         link: &mut dyn Link,
         pump: &mut dyn FnMut(),
         policy: &RetryPolicy,
@@ -622,7 +616,7 @@ impl Publisher {
         let bytes = encode_frame(&Frame {
             seq,
             epoch: 0,
-            payload: FramePayload::Publish(QuadBlock::of_inserts(quads).encode()),
+            payload: FramePayload::Publish(KnowledgeBase::templates_block(templates).encode()),
         });
         let max_attempts = policy.max_attempts.max(1);
         for attempt in 1..=max_attempts {
@@ -827,8 +821,8 @@ impl Replica {
                     return gap;
                 };
                 // The snapshot is the block that replaces any image with
-                // the primary's.
-                self.kb.apply_block(&image);
+                // the primary's, handed over like a mutation's.
+                self.kb.apply_block_owned(image);
                 self.next_seq = frame.seq + 1;
                 self.epoch = frame.epoch;
                 self.stats.snapshots_loaded += 1;
@@ -848,7 +842,7 @@ impl Replica {
                     // snapshot, ask again rather than apply a part.
                     return gap;
                 };
-                self.kb.apply_block(&block);
+                self.kb.apply_block_owned(block);
                 self.next_seq = frame.seq + 1;
                 self.epoch = frame.epoch;
                 self.stats.frames_applied += 1;
@@ -1039,23 +1033,18 @@ pub fn learn_workload_replicated(
     let batch = cfg.cluster.publish_batch.max(1);
     struct NodeRun {
         node: usize,
-        chunks: Vec<Vec<Template>>,
-        next_chunk: usize,
+        templates: Vec<Template>,
+        /// Templates already published.
+        sent: usize,
         publisher: Publisher,
         client: FaultyLink<LoopEnd>,
         server: FaultyLink<LoopEnd>,
         peer: PeerState,
-        mined: usize,
         straggler: bool,
     }
     let mut runs: Vec<NodeRun> = (0..nodes)
         .map(|id| {
             let mined = LearnerNode::new(id, nodes).mine(workload, &cfg.cluster.learning);
-            let chunks: Vec<Vec<Template>> = mined
-                .templates
-                .chunks(batch)
-                .map(<[Template]>::to_vec)
-                .collect();
             let (a, b) = loopback();
             let mut request_plan = cfg.fault;
             request_plan.seed = cfg.fault.seed ^ (id as u64).wrapping_mul(0x9E37_79B9);
@@ -1063,9 +1052,8 @@ pub fn learn_workload_replicated(
             reply_plan.seed = request_plan.seed ^ 0x5EED_CAFE;
             NodeRun {
                 node: id,
-                mined: mined.templates.len(),
-                chunks,
-                next_chunk: 0,
+                templates: mined.templates,
+                sent: 0,
                 publisher: Publisher::new(),
                 client: FaultyLink::new(a, request_plan),
                 server: FaultyLink::new(b, reply_plan),
@@ -1076,9 +1064,9 @@ pub fn learn_workload_replicated(
         .collect();
     let stride = cfg.straggler_stride.max(1);
     let mut rounds = 0usize;
-    while runs.iter().any(|r| r.next_chunk < r.chunks.len()) {
+    while runs.iter().any(|r| r.sent < r.templates.len()) {
         for run in &mut runs {
-            if run.next_chunk >= run.chunks.len() {
+            if run.sent >= run.templates.len() {
                 continue;
             }
             // The straggler sits out all but every stride-th round (its
@@ -1087,12 +1075,12 @@ pub fn learn_workload_replicated(
             if run.straggler && rounds % stride != stride - 1 {
                 continue;
             }
-            let chunk = run.chunks[run.next_chunk].clone();
-            run.next_chunk += 1;
+            let chunk = &run.templates[run.sent..(run.sent + batch).min(run.templates.len())];
+            run.sent += chunk.len();
             // A lost publish is already counted in the publisher's
             // stats; the differential tests assert on those.
             let _ = run.publisher.publish_templates(
-                &chunk,
+                chunk,
                 &mut run.client,
                 &mut || {
                     primary.serve_link(&mut run.peer, &mut run.server);
@@ -1108,7 +1096,7 @@ pub fn learn_workload_replicated(
             .into_iter()
             .map(|r| ReplicatedNodeReport {
                 node: r.node,
-                templates_mined: r.mined,
+                templates_mined: r.templates.len(),
                 publish: r.publisher.stats,
                 faults: r.client.counters.merged(&r.server.counters),
                 straggler: r.straggler,
@@ -1219,8 +1207,8 @@ mod tests {
             // no-op (dedup by sequence on a retry, set semantics always).
             for _ in 0..2 {
                 let r = publisher
-                    .publish_quads(
-                        &KnowledgeBase::templates_to_quads(chunk),
+                    .publish_templates(
+                        chunk,
                         &mut client,
                         &mut || {
                             primary.serve_link(&mut peer, &mut server);

@@ -455,67 +455,100 @@ const STREAMS: [(&str, u8); 3] = [
     (vocab::HAS_INNER_INPUT_STREAM, INNER),
 ];
 
-impl<'a> IndexFacts<'a> {
-    /// The predicates (local names under [`vocab::PROP_NS`]) that
-    /// [`add`](Self::add) reads; everything else is ignored.
-    pub(crate) fn predicates() -> impl Iterator<Item = &'static str> {
-        [
-            vocab::HAS_JOIN_COUNT,
-            vocab::HAS_SOURCE_WORKLOAD,
-            vocab::IN_TEMPLATE,
-            vocab::HAS_POP_TYPE,
-            vocab::HAS_CANONICAL_TABID,
-        ]
-        .into_iter()
-        .chain(STREAMS.iter().map(|&(name, _)| name))
-        .chain(STAT_FAMILIES.iter().flat_map(|&(lo, hi, sk)| [lo, hi, sk]))
+/// What a statement states to the gather, by its predicate: the reading
+/// of a property's local name, made once per predicate rather than once
+/// per statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fact {
+    JoinCount,
+    SourceWorkload,
+    InTemplate,
+    PopType,
+    CanonicalTabid,
+    /// A stream statement, with the role bit it states.
+    Stream(u8),
+    /// Of [`STAT_FAMILIES`] slot `family`: the lower bound, the higher
+    /// bound or the sketch (`part` 0, 1, 2).
+    Stat {
+        family: usize,
+        part: usize,
+    },
+}
+
+impl Fact {
+    /// Every predicate the gather reads — its local name under
+    /// [`vocab::PROP_NS`] — with the fact it states.
+    pub(crate) fn all() -> impl Iterator<Item = (&'static str, Fact)> {
+        let named = [
+            (vocab::HAS_JOIN_COUNT, Fact::JoinCount),
+            (vocab::HAS_SOURCE_WORKLOAD, Fact::SourceWorkload),
+            (vocab::IN_TEMPLATE, Fact::InTemplate),
+            (vocab::HAS_POP_TYPE, Fact::PopType),
+            (vocab::HAS_CANONICAL_TABID, Fact::CanonicalTabid),
+        ];
+        let streams = STREAMS
+            .iter()
+            .map(|&(name, role)| (name, Fact::Stream(role)));
+        let stats = STAT_FAMILIES.iter().enumerate();
+        let stats = stats.flat_map(|(family, &(lo, hi, sk))| {
+            let parts = [lo, hi, sk].into_iter().enumerate();
+            parts.map(move |(part, name)| (name, Fact::Stat { family, part }))
+        });
+        named.into_iter().chain(streams).chain(stats)
     }
 
-    /// Record one triple; `local` is the predicate's local name.
-    /// Non-numeric bounds and join counts, corrupt sketch literals
-    /// (checksum mismatch) and stream statements naming no IRI are dropped
-    /// as if the triple were absent. Of several types, labels, lower or
-    /// higher bounds the least (the greatest higher bound) is kept, so the
+    /// The fact a property states, from its local name; `None` for one
+    /// the index does not read.
+    pub(crate) fn of(local: &str) -> Option<Fact> {
+        Self::all()
+            .find(|&(name, _)| name == local)
+            .map(|(_, fact)| fact)
+    }
+}
+
+impl<'a> IndexFacts<'a> {
+    /// Record one triple, its predicate read as `fact`. Non-numeric
+    /// bounds and join counts, corrupt sketch literals (checksum
+    /// mismatch) and stream statements naming no IRI are dropped as if
+    /// the triple were absent. Of several types, labels, lower or higher
+    /// bounds the least (the greatest higher bound) is kept, so the
     /// gather reads the same row whatever order the statements come in.
-    pub(crate) fn add(&mut self, subj: &'a str, local: &str, obj: &'a Term) {
+    pub(crate) fn add(&mut self, subj: &'a str, fact: Fact, obj: &'a Term) {
         let num = || obj.as_literal().and_then(|l| l.as_number());
-        match local {
-            vocab::HAS_JOIN_COUNT => {
+        match fact {
+            Fact::JoinCount => {
                 if let Some(jc) = num() {
                     self.join_counts.insert(subj, jc as usize);
                 }
             }
-            vocab::HAS_SOURCE_WORKLOAD => {
+            Fact::SourceWorkload => {
                 self.sources.insert(subj, obj.str_value());
             }
-            vocab::IN_TEMPLATE => {
+            Fact::InTemplate => {
                 self.pop_template.insert(subj, obj.str_value());
             }
-            vocab::HAS_POP_TYPE => keep_least(&mut self.pop_types, subj, obj.str_value()),
-            vocab::HAS_CANONICAL_TABID => keep_least(&mut self.labels, subj, obj.str_value()),
-            _ => {
-                if let Some(&(_, role)) = STREAMS.iter().find(|&&(name, _)| name == local) {
-                    if let Some(object) = obj.as_iri() {
-                        self.streams.push((subj, object, role));
-                    }
-                    return;
+            Fact::PopType => keep_least(&mut self.pop_types, subj, obj.str_value()),
+            Fact::CanonicalTabid => keep_least(&mut self.labels, subj, obj.str_value()),
+            Fact::Stream(role) => {
+                if let Some(object) = obj.as_iri() {
+                    self.streams.push((subj, object, role));
                 }
-                for (stats, &(lo, hi, sk)) in self.stats.iter_mut().zip(&STAT_FAMILIES) {
-                    if local == lo {
-                        if let Some(v) = num() {
-                            let kept = &mut stats.entry(subj).or_default().lo;
-                            *kept = Some(kept.map_or(v, |k| k.min(v)));
-                        }
-                    } else if local == hi {
-                        if let Some(v) = num() {
-                            let kept = &mut stats.entry(subj).or_default().hi;
-                            *kept = Some(kept.map_or(v, |k| k.max(v)));
-                        }
-                    } else if local == sk {
-                        if let Some(sketch) = StatSketch::from_hex(obj.str_value()) {
-                            stats.entry(subj).or_default().sketch = Some(sketch);
-                        }
-                    }
+            }
+            Fact::Stat { family, part: 0 } => {
+                if let Some(v) = num() {
+                    let kept = &mut self.stats[family].entry(subj).or_default().lo;
+                    *kept = Some(kept.map_or(v, |k| k.min(v)));
+                }
+            }
+            Fact::Stat { family, part: 1 } => {
+                if let Some(v) = num() {
+                    let kept = &mut self.stats[family].entry(subj).or_default().hi;
+                    *kept = Some(kept.map_or(v, |k| k.max(v)));
+                }
+            }
+            Fact::Stat { family, .. } => {
+                if let Some(sketch) = StatSketch::from_hex(obj.str_value()) {
+                    self.stats[family].entry(subj).or_default().sketch = Some(sketch);
                 }
             }
         }

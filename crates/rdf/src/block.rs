@@ -34,12 +34,13 @@
 //! [`QuadBlock::apply_into`] over one it hands over.
 
 use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use crate::ntriples::Quad;
 use crate::store::TripleStore;
-use crate::term::{Term, TermId};
+use crate::term::{Term, TermId, TermIndex};
 
 /// One statement-level operation with its terms owned: what the knowledge
 /// base's mutators and the endpoint's writes build their blocks from. A
@@ -106,21 +107,47 @@ pub struct QuadBlock<T = Term> {
 /// Gathers a block, giving each distinct key one dictionary slot in the
 /// order keys are first seen. The key is whatever already identifies a
 /// term where the batch comes from: a reference to the term itself for
-/// quads and records, its interned id for statements read out of a
-/// store.
-pub(crate) struct BlockBuilder<K> {
-    index: HashMap<K, u32>,
+/// quads and records (hashed with a random key, as terms arrive from
+/// outside the program), its interned id for statements read out of a
+/// store (hashed by [`IdHash`]).
+pub(crate) struct BlockBuilder<K, S> {
+    index: HashMap<K, u32, S>,
     ops: Vec<BlockOp>,
 }
 
-impl<K: Hash + Eq> BlockBuilder<K> {
+/// The hasher of a store's term ids: one multiply. The ids are dense and
+/// issued by the store, never chosen from outside the program, so a
+/// keyed hasher buys them nothing.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`IdHasher`] for a `HashMap`.
+pub(crate) type IdHash = std::hash::BuildHasherDefault<IdHasher>;
+
+impl<K: Hash + Eq, S: BuildHasher + Default> BlockBuilder<K, S> {
     /// A builder for about `ops` operations. A batch of template-shaped
     /// statements names about as many distinct terms as it has
     /// statements, so that is what the dictionary is sized for: growing
     /// it re-hashes every key it holds.
     pub(crate) fn with_capacity(ops: usize) -> Self {
         BlockBuilder {
-            index: HashMap::with_capacity(ops),
+            index: HashMap::with_capacity_and_hasher(ops, S::default()),
             ops: Vec::with_capacity(ops),
         }
     }
@@ -164,10 +191,71 @@ impl<K: Hash + Eq> BlockBuilder<K> {
     }
 }
 
+/// Writes a block of inserts term by term, for a serializer that makes
+/// the terms as it goes: [`term`](Self::term) files each one in the
+/// dictionary, hashing it once and keeping it once, and hands back its
+/// index; a serializer that knows a term repeats keeps that index instead
+/// of making the term again. Handed each statement's terms in `s p o g`
+/// order, the writer builds the dictionary [`QuadBlock::of_inserts`] builds
+/// for the same statements — each distinct term once, in the order terms
+/// first appear — so the two blocks encode to the same bytes.
+#[derive(Debug)]
+pub struct BlockWriter {
+    terms: Vec<Term>,
+    index: TermIndex,
+    hasher: RandomState,
+    ops: Vec<BlockOp>,
+}
+
+impl BlockWriter {
+    /// A writer for about `ops` inserts over as many terms.
+    pub fn with_capacity(ops: usize) -> Self {
+        BlockWriter {
+            terms: Vec::with_capacity(ops),
+            index: TermIndex::default(),
+            hasher: RandomState::new(),
+            ops: Vec::with_capacity(ops),
+        }
+    }
+
+    /// The dictionary index of `term`: the one it already has, or the
+    /// next one when it is new.
+    pub fn term(&mut self, term: Term) -> u32 {
+        let hash = self.hasher.hash_one(&term);
+        let terms = &self.terms;
+        if let Some(ix) = self.index.find(hash, |ix| terms[ix.0 as usize] == term) {
+            return ix.0;
+        }
+        let ix = u32::try_from(terms.len()).expect("a block holds fewer than 2^32 terms");
+        self.terms.push(term);
+        self.index.insert(hash, TermId(ix));
+        ix
+    }
+
+    /// Append an insert over indices [`term`](Self::term) handed out.
+    pub fn insert(&mut self, quad: QuadIx) {
+        let (s, p, o, g) = quad;
+        let known = |ix: u32| (ix as usize) < self.terms.len();
+        assert!(
+            [s, p, o].into_iter().chain(g).all(known),
+            "an insert names a term the writer handed out"
+        );
+        self.ops.push(BlockOp::Insert(quad));
+    }
+
+    /// The block, its terms handed over.
+    pub fn finish(self) -> QuadBlock {
+        QuadBlock {
+            terms: self.terms,
+            ops: self.ops,
+        }
+    }
+}
+
 impl<'a> QuadBlock<&'a Term> {
     /// `quads` as one block of inserts, borrowing their terms.
     pub fn of_inserts(quads: &'a [Quad]) -> Self {
-        let mut b = BlockBuilder::with_capacity(quads.len());
+        let mut b = BlockBuilder::<_, RandomState>::with_capacity(quads.len());
         for (s, p, o, g) in quads {
             let quad = b.quad(s, p, o, g.as_ref());
             b.push(BlockOp::Insert(quad));
@@ -177,7 +265,7 @@ impl<'a> QuadBlock<&'a Term> {
 
     /// `records` as one block, borrowing their terms.
     pub fn of_records(records: &'a [Record]) -> Self {
-        let mut b = BlockBuilder::with_capacity(records.len());
+        let mut b = BlockBuilder::<_, RandomState>::with_capacity(records.len());
         for record in records {
             let op = match record {
                 Record::Insert(s, p, o, g) => BlockOp::Insert(b.quad(s, p, o, g.as_ref())),
@@ -195,7 +283,7 @@ impl<'a> QuadBlock<&'a Term> {
     /// ([`crate::persist::snapshot_bytes`]), on disk and in a replica's
     /// cold-start transfer.
     pub fn replacing_with<S: TripleStore + ?Sized>(store: &'a S) -> Self {
-        let mut b = BlockBuilder::with_capacity(store.len() + 1);
+        let mut b = BlockBuilder::<_, IdHash>::with_capacity(store.len() + 1);
         b.push(BlockOp::Clear);
         for (s, p, o) in store.scan(None, None, None) {
             let quad = b.quad(s, p, o, None);
@@ -327,6 +415,16 @@ impl<T: Borrow<Term>> QuadBlock<T> {
                 BlockOp::Clear => put_op(KIND_CLEAR, [none; 4]),
             }
         }
+    }
+
+    /// The statements the block's inserts state, as quads, in order.
+    pub fn inserted_quads(&self) -> Vec<Quad> {
+        let term = |ix| self.term(ix).clone();
+        let quads = self.ops.iter().filter_map(|op| match *op {
+            BlockOp::Insert((s, p, o, g)) => Some((term(s), term(p), term(o), g.map(term))),
+            BlockOp::Remove(_) | BlockOp::Clear => None,
+        });
+        quads.collect()
     }
 
     /// The block's encoding.

@@ -1,10 +1,10 @@
 //! FNV-1a 64: the crate's one deterministic hash.
 //!
-//! Used for snapshot and WAL-record checksums ([`crate::persist`]) and
-//! for shard routing, interner striping and the hot-path id maps
-//! ([`crate::shard`]) — all places that need a hash that is stable
-//! across process runs (`std`'s default hasher is seeded) and cheap on
-//! short inputs.
+//! Used for snapshot, WAL-record and wire-frame checksums
+//! ([`crate::persist`], [`crate::wire`]) and for shard routing
+//! ([`crate::shard`]) — places where the hash is part of what is stored
+//! or sent, so it must be stable across process runs (`std`'s default
+//! hasher is seeded) and never change.
 
 /// The FNV-1a 64 offset basis.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -51,7 +51,7 @@ pub mod store;
 pub mod term;
 pub mod wire;
 
-pub use block::{Applied, BlockError, BlockOp, QuadBlock, QuadIx, Record};
+pub use block::{Applied, BlockError, BlockOp, BlockWriter, QuadBlock, QuadIx, Record};
 pub use ntriples::{from_ntriples, load_ntriples, parse_ntriples, to_ntriples, NtParseError, Quad};
 pub use persist::{decode_snapshot, snapshot_bytes, DurableOptions, DurableStore, ScratchDir};
 pub use policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};

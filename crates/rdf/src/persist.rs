@@ -87,7 +87,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::block::{put_u32, put_u64, BlockBuilder, BlockOp, ByteReader, QuadBlock};
+use crate::block::{put_u32, put_u64, BlockBuilder, BlockOp, ByteReader, IdHash, QuadBlock};
 use crate::fnv::fnv1a;
 use crate::policy::{CompactionPolicy, Pace};
 use crate::store::{IndexedStore, StoragePressure, Triple, TripleStore};
@@ -340,41 +340,56 @@ impl<D: TermDictionary> DurableStore<D> {
     }
 
     /// Journal one state-changing operation (over inner-store term ids):
-    /// its own commit outside a bracket, one more operation of the open
-    /// commit inside one. Called before the operation is applied to
-    /// `inner`, so a failed write never acknowledges what the log lost.
-    fn journal(&mut self, op: BlockOp) {
+    /// one more operation of the open commit inside a bracket, its own
+    /// commit outside one. An insert or a remove is applied to `inner`
+    /// first — that one descent says whether it changed anything — so an
+    /// unbracketed commit that cannot be written is undone (`undo`)
+    /// before the store fails stop: no statement the log lost is ever
+    /// visible. (Inside a bracket the operations are the open commit's,
+    /// and a failed `end_batch` fails stop.)
+    fn journal(&mut self, op: BlockOp, undo: impl FnOnce(&mut IndexedStore<D>)) {
         self.pending.push(op);
-        if !self.in_batch {
-            self.commit();
+        if self.in_batch {
+            return;
+        }
+        if let Err(e) = self.write_pending() {
+            self.pending.clear();
+            undo(&mut self.inner);
+            self.fail_stop(e);
+        }
+    }
+
+    /// Write the gathered operations as one record; fail-stop on I/O
+    /// error: inside a bracket the operations are already applied in
+    /// memory, so a store that cannot commit them must not keep serving.
+    fn commit(&mut self) {
+        if let Err(e) = self.write_pending() {
+            self.fail_stop(e);
         }
     }
 
     /// Write the gathered operations as one record, honoring the
-    /// configured sync policy. Fail-stop on I/O error: inside a bracket
-    /// the operations are already applied in memory, so a store that
-    /// cannot commit them must not keep serving.
-    fn commit(&mut self) {
+    /// configured sync policy.
+    fn write_pending(&mut self) -> std::io::Result<()> {
         if self.pending.is_empty() {
-            return;
+            return Ok(());
         }
         let record = encode_record(&self.inner, &self.pending);
-        let written = self.wal.write_all(&record).and_then(|()| {
-            if self.options.fsync_each_record {
-                self.wal.sync_data()
-            } else {
-                Ok(())
-            }
-        });
-        if let Err(e) = written {
-            panic!(
-                "durable store failed to journal to {:?}: {e}",
-                self.wal_path()
-            );
+        self.wal.write_all(&record)?;
+        if self.options.fsync_each_record {
+            self.wal.sync_data()?;
         }
         self.pending.clear();
         self.wal_bytes += record.len() as u64;
         self.wal_records += 1;
+        Ok(())
+    }
+
+    fn fail_stop(&self, e: std::io::Error) -> ! {
+        panic!(
+            "durable store failed to journal to {:?}: {e}",
+            self.wal_path()
+        );
     }
 
     /// The inline fold: the synchronous driver asks the policy after a
@@ -453,7 +468,7 @@ fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> std::io::Result<Vec
 /// re-stated over a dictionary of the terms they mention, encoded, framed
 /// by its length and checksummed.
 fn encode_record<D: TermDictionary>(inner: &IndexedStore<D>, ops: &[BlockOp]) -> Vec<u8> {
-    let mut b = BlockBuilder::with_capacity(ops.len());
+    let mut b = BlockBuilder::<_, IdHash>::with_capacity(ops.len());
     for op in ops {
         let op = match *op {
             BlockOp::Insert((s, p, o, g)) => BlockOp::Insert(b.quad(s, p, o, g)),
@@ -600,30 +615,33 @@ impl<D: TermDictionary> TripleStore for DurableStore<D> {
     }
 
     fn insert_ids(&mut self, t: Triple) -> bool {
-        if self.inner.count(Some(t.0), Some(t.1), Some(t.2)) == 1 {
+        if !self.inner.insert_ids(t) {
             return false; // no state change: nothing to journal
         }
-        self.journal(BlockOp::Insert((t.0 .0, t.1 .0, t.2 .0, None)));
-        let added = self.inner.insert_ids(t);
+        self.journal(BlockOp::Insert((t.0 .0, t.1 .0, t.2 .0, None)), |inner| {
+            inner.remove_ids(t);
+        });
         self.maybe_auto_compact();
-        added
+        true
     }
 
     fn remove_ids(&mut self, t: Triple) -> bool {
-        if self.inner.count(Some(t.0), Some(t.1), Some(t.2)) == 0 {
+        if !self.inner.remove_ids(t) {
             return false;
         }
-        self.journal(BlockOp::Remove((t.0 .0, t.1 .0, t.2 .0, None)));
-        let removed = self.inner.remove_ids(t);
+        self.journal(BlockOp::Remove((t.0 .0, t.1 .0, t.2 .0, None)), |inner| {
+            inner.insert_ids(t);
+        });
         self.maybe_auto_compact();
-        removed
+        true
     }
 
     fn clear(&mut self) {
-        if self.inner.is_empty() && self.inner.graph_names().is_empty() {
+        if self.inner.is_empty() && self.inner.graph_ids().is_empty() {
             return;
         }
-        self.journal(BlockOp::Clear);
+        // Journaled before it is applied: there is nothing to undo.
+        self.journal(BlockOp::Clear, |_| {});
         self.inner.clear();
         self.maybe_auto_compact();
     }
@@ -645,31 +663,27 @@ impl<D: TermDictionary> TripleStore for DurableStore<D> {
     }
 
     fn insert_ids_in(&mut self, graph: TermId, t: Triple) -> bool {
-        if !self
-            .inner
-            .scan_in(graph, Some(t.0), Some(t.1), Some(t.2))
-            .is_empty()
-        {
+        if !self.inner.insert_ids_in(graph, t) {
             return false;
         }
-        self.journal(BlockOp::Insert((t.0 .0, t.1 .0, t.2 .0, Some(graph.0))));
-        let added = self.inner.insert_ids_in(graph, t);
+        let op = BlockOp::Insert((t.0 .0, t.1 .0, t.2 .0, Some(graph.0)));
+        self.journal(op, |inner| {
+            inner.remove_ids_in(graph, t);
+        });
         self.maybe_auto_compact();
-        added
+        true
     }
 
     fn remove_ids_in(&mut self, graph: TermId, t: Triple) -> bool {
-        if self
-            .inner
-            .scan_in(graph, Some(t.0), Some(t.1), Some(t.2))
-            .is_empty()
-        {
+        if !self.inner.remove_ids_in(graph, t) {
             return false;
         }
-        self.journal(BlockOp::Remove((t.0 .0, t.1 .0, t.2 .0, Some(graph.0))));
-        let removed = self.inner.remove_ids_in(graph, t);
+        let op = BlockOp::Remove((t.0 .0, t.1 .0, t.2 .0, Some(graph.0)));
+        self.journal(op, |inner| {
+            inner.insert_ids_in(graph, t);
+        });
         self.maybe_auto_compact();
-        removed
+        true
     }
 
     fn scan_in(
@@ -928,13 +942,74 @@ mod tests {
     fn noop_mutations_journal_nothing() {
         let dir = ScratchDir::new("persist-noop");
         let mut st = DurableStore::open(dir.path()).unwrap();
+        let g = Term::iri("http://g/w1");
         assert!(st.insert(iri(1), p("a"), Term::lit("1")));
-        assert!(!st.insert(iri(1), p("a"), Term::lit("1")));
-        assert!(!st.remove(&iri(2), &p("a"), &Term::lit("1")));
+        assert!(st.insert_in(g.clone(), iri(1), p("a"), Term::lit("1")));
+        let journaled = (st.wal_records(), st.wal_bytes());
+        assert_eq!(journaled.0, 2);
+        let dup = |st: &mut DurableStore| st.insert(iri(1), p("a"), Term::lit("1"));
+        let dup_in =
+            |st: &mut DurableStore| st.insert_in(g.clone(), iri(1), p("a"), Term::lit("1"));
+        type Noop<'a> = &'a dyn Fn(&mut DurableStore) -> bool;
+        let noops: [(&str, Noop); 4] = [
+            ("a duplicate insert", &dup),
+            ("a duplicate named-graph insert", &dup_in),
+            ("a remove of an absent statement", &|st| {
+                st.remove(&iri(2), &p("a"), &Term::lit("1"))
+            }),
+            ("duplicates inside a bracket", &|st| {
+                st.begin_batch();
+                let changed = [dup(st), dup_in(st), dup(st)].contains(&true);
+                st.end_batch();
+                changed
+            }),
+        ];
+        for (what, noop) in noops {
+            assert!(!noop(&mut st), "{what} changes nothing");
+            let now = (st.wal_records(), st.wal_bytes());
+            assert_eq!(now, journaled, "{what} journals nothing");
+        }
         st.clear();
         st.clear(); // second clear on empty store: no record
-        assert_eq!(st.wal_records(), 2); // first insert + first clear
-        assert!(st.wal_bytes() > 0);
+        assert_eq!(st.wal_records(), 3); // the two inserts + first clear
+    }
+
+    /// An unbracketed write whose record cannot be written is undone
+    /// before the store fails stop: nothing the log lost is visible.
+    #[test]
+    fn a_write_the_log_refused_is_not_visible() {
+        let dir = ScratchDir::new("persist-refused");
+        let mut st = DurableStore::open(dir.path()).unwrap();
+        let g = Term::iri("http://g/w1");
+        assert!(st.insert(iri(1), p("a"), Term::lit("1")));
+        assert!(st.insert_in(g.clone(), iri(1), p("a"), Term::lit("1")));
+        let before = image(&st);
+        // A handle opened for reading: every write to it fails.
+        st.wal = File::open(st.wal_path()).unwrap();
+        let refused = |st: &mut DurableStore, write: &dyn Fn(&mut DurableStore)| {
+            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| write(st)));
+            assert!(failed.is_err(), "a write the log refused fails stop");
+        };
+        refused(&mut st, &|st| {
+            st.insert(iri(2), p("a"), Term::lit("2"));
+        });
+        refused(&mut st, &|st| {
+            st.insert_in(g.clone(), iri(2), p("a"), Term::lit("2"));
+        });
+        refused(&mut st, &|st| {
+            st.remove(&iri(1), &p("a"), &Term::lit("1"));
+        });
+        let (s, pa, one) = (
+            st.intern(iri(1)),
+            st.intern(p("a")),
+            st.intern(Term::lit("1")),
+        );
+        let gid = st.intern(g.clone());
+        refused(&mut st, &|st| {
+            st.remove_ids_in(gid, (s, pa, one));
+        });
+        assert_eq!(image(&st), before);
+        assert_eq!(st.wal_records(), 2);
     }
 
     #[test]

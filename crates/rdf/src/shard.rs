@@ -55,9 +55,11 @@
 //!   …
 //! ```
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
+use std::hash::BuildHasher;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -65,15 +67,16 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::fnv::{fnv1a, fnv1a_with, FNV_OFFSET};
+use crate::fnv::{fnv1a, fnv1a_with};
 use crate::persist::{DurableOptions, DurableStore};
 use crate::store::{IndexedStore, StoragePressure, Triple, TripleStore};
-use crate::term::{Term, TermId};
+use crate::term::{Term, TermId, TermIndex};
 
 // ------------------------------------------------------ shared interner --
 
-/// FNV-1a 64 over a term's tag and text (deterministic across runs, which
-/// routing and striping both require — `std`'s hasher is seeded).
+/// FNV-1a 64 over a term's tag and text: the router's placement of a
+/// subject outside the template namespace. Placement is persisted with
+/// every durable store, so this hash is fixed for good.
 fn term_hash(term: &Term) -> u64 {
     let (tag, text): (u8, &str) = match term {
         Term::Iri(s) => (0, s),
@@ -83,27 +86,9 @@ fn term_hash(term: &Term) -> u64 {
     fnv1a_with(fnv1a(&[tag]), text.as_bytes())
 }
 
-/// FNV-1a hasher for the interner's stripe maps, keyed by short strings —
-/// SipHash's DoS hardening buys nothing here and costs on every lookup.
-#[derive(Default, Clone)]
-struct FnvState(u64);
-
-impl std::hash::Hasher for FnvState {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let seed = if self.0 == 0 { FNV_OFFSET } else { self.0 };
-        self.0 = fnv1a_with(seed, bytes);
-    }
-}
-
-type FnvBuild = std::hash::BuildHasherDefault<FnvState>;
-
 /// Interner stripes: independent locks, so concurrent writers interning
 /// different terms rarely contend.
-const STRIPES: u32 = 8;
+const STRIPES: usize = 8;
 /// First term-table chunk size; chunk `c` holds `CHUNK0 << c` terms.
 const CHUNK0: usize = 256;
 /// 256 · (2²⁴ − 1) slots ≈ 4.3 B — covers the full `u32` id space.
@@ -155,14 +140,19 @@ impl fmt::Debug for TermChunks {
     }
 }
 
-/// The sharded store's interner: striped locks on the term → id maps,
-/// lock-free resolution. Ids are dense and issued in interning order, so
-/// a store interned one term at a time — one shard, or shards recovered
-/// one after another — gets the ids a plain [`Interner`] would give it.
+/// The sharded store's interner: striped locks on the term → id
+/// indexes, lock-free resolution. Each term is stored once, in the id →
+/// term table, and hashed once per lookup or intern (with a random key,
+/// as terms arrive from outside the program): the hash picks the stripe
+/// and files the id in it. Ids are dense and issued in interning
+/// order, so a store interned one term at a time — one shard, or shards
+/// recovered one after another — gets the ids a plain [`Interner`] would
+/// give it.
 ///
 /// [`Interner`]: crate::term::Interner
 pub(crate) struct SharedInterner {
-    stripes: Vec<RwLock<HashMap<Term, TermId, FnvBuild>>>,
+    stripes: Vec<RwLock<TermIndex>>,
+    hasher: RandomState,
     /// Id → term.
     terms: TermChunks,
     /// The next id to issue. `Relaxed` is enough: the counter only makes
@@ -172,40 +162,44 @@ pub(crate) struct SharedInterner {
 }
 
 impl SharedInterner {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SharedInterner {
-            stripes: (0..STRIPES)
-                .map(|_| RwLock::new(HashMap::default()))
-                .collect(),
+            stripes: (0..STRIPES).map(|_| RwLock::default()).collect(),
+            hasher: RandomState::new(),
             terms: TermChunks::new(),
             next: AtomicU32::new(0),
         }
     }
 
-    fn stripe_of(term: &Term) -> usize {
-        (term_hash(term) % STRIPES as u64) as usize
+    /// The stripe a hash files under: its high bits, which the index
+    /// does not place by.
+    fn stripe(&self, hash: u64) -> &RwLock<TermIndex> {
+        &self.stripes[(hash >> 32) as usize % STRIPES]
+    }
+
+    fn find(&self, index: &TermIndex, hash: u64, term: &Term) -> Option<TermId> {
+        index.find(hash, |id| self.resolve(id) == term)
     }
 
     pub(crate) fn get(&self, term: &Term) -> Option<TermId> {
-        self.stripes[Self::stripe_of(term)]
-            .read()
-            .get(term)
-            .copied()
+        let hash = self.hasher.hash_one(term);
+        self.find(&self.stripe(hash).read(), hash, term)
     }
 
     pub(crate) fn intern(&self, term: Term) -> TermId {
-        let stripe = &self.stripes[Self::stripe_of(&term)];
-        if let Some(&id) = stripe.read().get(&term) {
+        let hash = self.hasher.hash_one(&term);
+        let stripe = self.stripe(hash);
+        if let Some(id) = self.find(&stripe.read(), hash, &term) {
             return id;
         }
-        let mut lookup = stripe.write();
-        if let Some(&id) = lookup.get(&term) {
+        let mut index = stripe.write();
+        if let Some(id) = self.find(&index, hash, &term) {
             return id;
         }
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         assert!(id < u32::MAX, "interner id space exhausted");
-        self.terms.set(id as usize, term.clone());
-        lookup.insert(term, TermId(id));
+        self.terms.set(id as usize, term);
+        index.insert(hash, TermId(id));
         TermId(id)
     }
 
@@ -1154,6 +1148,110 @@ mod tests {
                 "a reopen's snapshot bytes are reproducible"
             );
         }
+    }
+
+    /// xorshift64: the dictionary tests' seeded generator.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Term `k` of a pool: every kind, the same text under different
+    /// kinds, and long literals (a sketch's hex runs to hundreds of
+    /// bytes) that differ only near their end.
+    fn pool_term(k: u64) -> Term {
+        let text = format!("urn:t/{}", k / 4);
+        match k % 4 {
+            0 => Term::iri(text),
+            1 => Term::lit(text),
+            2 => Term::Blank(text),
+            _ => Term::lit(format!("{}{k}", "0123456789abcdef".repeat(40))),
+        }
+    }
+
+    /// Random interleavings of `intern`, `get` and `resolve`, with terms
+    /// repeated, against a reference map: both dictionaries issue its
+    /// ids — dense, in first-intern order — and resolve them back.
+    #[test]
+    fn both_dictionaries_issue_the_reference_ids() {
+        let mut state = 0x1D5_u64;
+        for round in 0..24u64 {
+            let pool = 8 + round * round * 12;
+            let mut plain = crate::term::Interner::new();
+            let shared = SharedInterner::new();
+            let mut reference: std::collections::HashMap<Term, TermId> = Default::default();
+            let mut issued: Vec<Term> = Vec::new();
+            for _ in 0..3_000 {
+                let term = pool_term(next(&mut state) % pool);
+                match next(&mut state) % 3 {
+                    0 => {
+                        let fresh = TermId(issued.len() as u32);
+                        let want = *reference.entry(term.clone()).or_insert(fresh);
+                        if want == fresh {
+                            issued.push(term.clone());
+                        }
+                        assert_eq!(plain.intern(term.clone()), want);
+                        assert_eq!(shared.intern(term), want);
+                    }
+                    1 => {
+                        let want = reference.get(&term).copied();
+                        assert_eq!(plain.get(&term), want);
+                        assert_eq!(shared.get(&term), want);
+                    }
+                    _ if !issued.is_empty() => {
+                        let id = TermId((next(&mut state) % issued.len() as u64) as u32);
+                        assert_eq!(plain.resolve(id), &issued[id.0 as usize]);
+                        assert_eq!(shared.resolve(id), &issued[id.0 as usize]);
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!((plain.len(), shared.len()), (issued.len(), issued.len()));
+        }
+    }
+
+    /// Four threads interning one set of terms, each in its own order,
+    /// into one shared dictionary: every term gets one id whoever asked,
+    /// the ids are unique and dense, and each resolves to its term.
+    #[test]
+    fn four_threads_interning_into_one_dictionary_get_unique_dense_ids() {
+        let terms: Vec<Term> = (0..4_000).map(pool_term).collect();
+        let shared = SharedInterner::new();
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<TermId>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (terms, shared, start) = (&terms, &shared, &start);
+                    scope.spawn(move || {
+                        let mut state = 0xC0FFEE + t;
+                        let mut order: Vec<usize> = (0..terms.len()).collect();
+                        for i in (1..order.len()).rev() {
+                            order.swap(i, (next(&mut state) % (i as u64 + 1)) as usize);
+                        }
+                        let mut ids = vec![TermId(u32::MAX); terms.len()];
+                        start.wait();
+                        for k in order {
+                            ids[k] = shared.intern(terms[k].clone());
+                        }
+                        ids
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for ids in &seen[1..] {
+            assert_eq!(ids, &seen[0], "one id per term, whoever interned it");
+        }
+        let mut dense: Vec<u32> = seen[0].iter().map(|id| id.0).collect();
+        dense.sort_unstable();
+        assert!(dense.iter().copied().eq(0..terms.len() as u32));
+        for (term, &id) in terms.iter().zip(&seen[0]) {
+            assert_eq!(shared.resolve(id), term);
+            assert_eq!(shared.get(term), Some(id));
+        }
+        assert_eq!(shared.len(), terms.len());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! (Exp-4: 1,000 problem patterns), so terms are interned once into
 //! [`TermId`]s and triples are stored as integer tuples.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// An RDF term: IRI, literal, or blank node.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -71,12 +72,21 @@ impl Term {
 
     pub fn num(n: f64) -> Term {
         // Integral values serialize without the trailing `.0`, matching the
-        // paper's examples ("2949250").
-        if n.fract() == 0.0 && n.abs() < 9.0e15 {
-            Term::Literal(Literal::new(format!("{}", n as i64)))
+        // paper's examples ("2949250"). The numeric value is the one the
+        // text parses back to — the integer, or `n` itself, which the
+        // shortest round-trip formatting gives back — so it is not parsed.
+        let (lexical, numeric) = if n.fract() == 0.0 && n.abs() < 9.0e15 {
+            let int = n as i64;
+            (int.to_string(), int as f64)
+        } else if n.is_nan() {
+            return Term::lit(format!("{n}"));
         } else {
-            Term::Literal(Literal::new(format!("{n}")))
-        }
+            (format!("{n}"), n)
+        };
+        Term::Literal(Literal {
+            lexical,
+            numeric: Some(numeric),
+        })
     }
 
     pub fn as_iri(&self) -> Option<&str> {
@@ -144,11 +154,91 @@ pub trait TermDictionary: fmt::Debug + Send + Sync {
     fn resolve(&self, id: TermId) -> &Term;
 }
 
+/// One slot of a [`TermIndex`]: 32 bits of the term's hash and its id
+/// (`u32::MAX` when the slot is free; no dictionary issues that id).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    hash: u32,
+    id: u32,
+}
+
+const FREE: u32 = u32::MAX;
+
+/// The term → id half of a dictionary: an open-addressing table, probed
+/// linearly, of ids filed under their terms' hashes. It holds no term —
+/// the dictionary keeps each term once, in its id-ordered table, and the
+/// index asks it whether the term behind an id is the one sought — and
+/// it keeps the hash bits it places by, so growing never hashes a term
+/// again. The dictionary hashes with a per-dictionary random key
+/// (`RandomState`), as terms arrive from outside the program.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct TermIndex {
+    /// A power of two many, at most three quarters taken.
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl TermIndex {
+    /// The id filed under `hash` whose term `is` accepts.
+    pub(crate) fn find(&self, hash: u64, is: impl Fn(TermId) -> bool) -> Option<TermId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let key = hash as u32;
+        let mut at = key as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot.id == FREE {
+                return None;
+            }
+            if slot.hash == key && is(TermId(slot.id)) {
+                return Some(TermId(slot.id));
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// File `id` under `hash`. The caller has just seen [`find`](Self::find)
+    /// miss for the same term.
+    pub(crate) fn insert(&mut self, hash: u64, id: TermId) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        self.place(Slot {
+            hash: hash as u32,
+            id: id.0,
+        });
+        self.len += 1;
+    }
+
+    fn place(&mut self, slot: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut at = slot.hash as usize & mask;
+        while self.slots[at].id != FREE {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot;
+    }
+
+    fn grow(&mut self) {
+        let capacity = (self.slots.len() * 2).max(16);
+        let free = Slot { hash: 0, id: FREE };
+        let old = std::mem::replace(&mut self.slots, vec![free; capacity]);
+        for slot in old.into_iter().filter(|slot| slot.id != FREE) {
+            self.place(slot);
+        }
+    }
+}
+
 /// Term interner: bidirectional map between [`Term`]s and [`TermId`]s.
+/// Each term is stored once, in id order; the index beside it finds a
+/// term's id with one hash of the term.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
     terms: Vec<Term>,
-    map: HashMap<Term, TermId>,
+    index: TermIndex,
+    hasher: RandomState,
 }
 
 impl Interner {
@@ -159,18 +249,28 @@ impl Interner {
     /// Intern a term, returning its id (stable for the lifetime of the
     /// interner).
     pub fn intern(&mut self, term: Term) -> TermId {
-        if let Some(&id) = self.map.get(&term) {
+        let hash = self.hasher.hash_one(&term);
+        if let Some(id) = self.find(hash, &term) {
             return id;
         }
+        assert!(
+            self.terms.len() < FREE as usize,
+            "interner id space exhausted"
+        );
         let id = TermId(self.terms.len() as u32);
-        self.terms.push(term.clone());
-        self.map.insert(term, id);
+        self.terms.push(term);
+        self.index.insert(hash, id);
         id
     }
 
     /// Look up a term's id without interning.
     pub fn get(&self, term: &Term) -> Option<TermId> {
-        self.map.get(term).copied()
+        self.find(self.hasher.hash_one(term), term)
+    }
+
+    fn find(&self, hash: u64, term: &Term) -> Option<TermId> {
+        self.index
+            .find(hash, |id| self.terms[id.0 as usize] == *term)
     }
 
     /// Resolve an id back to its term.
@@ -221,6 +321,44 @@ mod tests {
         assert_eq!(Literal::new("13.1688").as_number(), Some(13.1688));
         assert_eq!(Literal::new("1.441e+06").as_number(), Some(1_441_000.0));
         assert_eq!(Literal::new("NLJOIN").as_number(), None);
+    }
+
+    #[test]
+    fn num_carries_the_value_its_text_parses_to() {
+        let mut state = 0x9E37_79B9_u64;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.5,
+            -2.25,
+            0.1,
+            1e300,
+            1e-300,
+            5e-324,
+            9.0e15,
+            -9.0e15,
+            8_999_999_999_999_999.0,
+            2f64.powi(53),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for _ in 0..10_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            values.push(f64::from_bits(state));
+            values.push((state % 100_000) as f64 / 8.0);
+        }
+        for n in values {
+            let Term::Literal(made) = Term::num(n) else {
+                panic!("a number is a literal")
+            };
+            let parsed = Literal::new(made.lexical.clone());
+            let bits = |v: Option<f64>| v.map(|v| if v.is_nan() { f64::NAN } else { v }.to_bits());
+            assert_eq!(bits(made.as_number()), bits(parsed.as_number()), "{n:e}");
+        }
     }
 
     #[test]

@@ -424,30 +424,50 @@ impl StatSketch {
     /// an N-Triples string literal.
     pub fn to_hex(&self) -> String {
         let bytes = self.to_bytes();
-        let mut s = String::with_capacity(bytes.len() * 2);
+        let mut hex = Vec::with_capacity(bytes.len() * 2);
         for b in bytes {
-            s.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-            s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
+            hex.extend([
+                HEX_DIGITS[usize::from(b >> 4)],
+                HEX_DIGITS[usize::from(b & 0xf)],
+            ]);
         }
-        s
+        String::from_utf8(hex).expect("hex digits are ASCII")
     }
 
-    /// Parse [`StatSketch::to_hex`]; `None` on malformed hex or any
-    /// binary-level corruption.
+    /// Parse [`StatSketch::to_hex`] — either case of digit; `None` on an
+    /// odd length, any other character, or any binary-level corruption.
     pub fn from_hex(hex: &str) -> Option<StatSketch> {
+        let hex = hex.as_bytes();
         if !hex.len().is_multiple_of(2) {
             return None;
         }
         let mut bytes = Vec::with_capacity(hex.len() / 2);
-        let chars: Vec<u8> = hex.bytes().collect();
-        for pair in chars.chunks(2) {
-            let hi = (pair[0] as char).to_digit(16)?;
-            let lo = (pair[1] as char).to_digit(16)?;
-            bytes.push(((hi << 4) | lo) as u8);
+        for pair in hex.chunks_exact(2) {
+            let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
+            if (hi | lo) > 0xF {
+                return None;
+            }
+            bytes.push(hi << 4 | lo);
         }
         StatSketch::from_bytes(&bytes)
     }
 }
+
+/// The digit of each nibble, as [`StatSketch::to_hex`] writes them.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Each byte's value as a hex digit of either case (what
+/// `char::to_digit(16)` reads), `0xFF` for every other byte.
+const NIBBLES: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut d = 0;
+    while d < 16 {
+        table[HEX_DIGITS[d] as usize] = d as u8;
+        table[HEX_DIGITS[d].to_ascii_uppercase() as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
 
 const SKETCH_MAGIC: u32 = 0x47534B31; // "GSK1"
 

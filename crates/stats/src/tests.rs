@@ -138,6 +138,78 @@ fn serialization_roundtrips_and_rejects_every_single_byte_flip() {
     assert_eq!(StatSketch::from_hex("zz"), None);
 }
 
+/// The hex codec before it was table-driven: `char::from_digit` per
+/// nibble out, `char::to_digit` per character in.
+fn char_to_hex(s: &StatSketch) -> String {
+    let mut out = String::new();
+    for b in s.to_bytes() {
+        out.push(char::from_digit((b >> 4) as u32, 16).unwrap());
+        out.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
+    }
+    out
+}
+
+fn char_from_hex(hex: &str) -> Option<StatSketch> {
+    if !hex.len().is_multiple_of(2) {
+        return None;
+    }
+    let mut bytes = Vec::new();
+    for pair in hex.as_bytes().chunks(2) {
+        let hi = (pair[0] as char).to_digit(16)?;
+        let lo = (pair[1] as char).to_digit(16)?;
+        bytes.push(((hi << 4) | lo) as u8);
+    }
+    StatSketch::from_bytes(&bytes)
+}
+
+#[test]
+fn hex_codec_equals_the_char_formulas() {
+    // xorshift64: a seeded stream of sketches and of edits to their hex.
+    let mut state = 0x4E58_C0DE_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let agree = |text: &str| {
+        assert_eq!(StatSketch::from_hex(text), char_from_hex(text), "{text:?}");
+    };
+    for round in 0..400 {
+        let n = (next() % 60) as usize;
+        let mut s = sketch_of(
+            &(0..n)
+                .map(|_| (next() % 1_000_000) as f64 / 8.0)
+                .collect::<Vec<_>>(),
+        );
+        s.set_widen(1.0 + (round % 7) as f64 / 2.0);
+        let hex = s.to_hex();
+        assert_eq!(hex, char_to_hex(&s), "round {round}");
+        agree(&hex);
+        // Upper-case digits are read as the lower-case ones.
+        let mut mixed: Vec<u8> = hex.clone().into_bytes();
+        for _ in 0..1 + next() % 8 {
+            let at = (next() as usize) % mixed.len();
+            mixed[at] = mixed[at].to_ascii_uppercase();
+        }
+        let mixed = String::from_utf8(mixed).unwrap();
+        assert_eq!(StatSketch::from_hex(&mixed), Some(s.clone()));
+        agree(&mixed);
+        // Odd lengths, a character that is no digit (ASCII or not), a
+        // flipped digit.
+        agree(&hex[..hex.len() - 1]);
+        let at = (next() as usize) % hex.len();
+        for stray in ["g", "G", " ", "\u{e9}", "\u{2713}", "x"] {
+            agree(&format!("{}{stray}{}", &hex[..at], &hex[at + 1..]));
+        }
+        let digit = HEX_DIGITS[(next() % 16) as usize] as char;
+        agree(&format!("{}{digit}{}", &hex[..at], &hex[at + 1..]));
+    }
+    for text in ["", "0", "00", "zz", "abc", "ABCD", "\u{e9}\u{e9}", "0x"] {
+        agree(text);
+    }
+}
+
 #[test]
 fn republished_sketch_serialization_is_byte_stable() {
     let build = || {

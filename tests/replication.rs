@@ -22,14 +22,17 @@ use galo_catalog::{
     Value,
 };
 use galo_core::{
-    learn_workload, learn_workload_cluster, learn_workload_replicated, loopback, match_plan, vocab,
-    ClusterConfig, FaultPlan, FaultyLink, KnowledgeBase, LearningConfig, MatchConfig, PeerState,
-    Primary, Publisher, Replica, ReplicationConfig, RetryPolicy, ServingTier, StatSketch, Template,
-    TemplatePop, TemplateScan,
+    abstract_plan, learn_workload, learn_workload_cluster, learn_workload_replicated, loopback,
+    match_plan, vocab, ClusterConfig, FaultPlan, FaultyLink, KnowledgeBase, LearnerNode,
+    LearningConfig, Link, LoopEnd, MatchConfig, PeerState, Primary, Publisher, Replica,
+    ReplicationConfig, RetryPolicy, ServingTier, StatSketch, Template, TemplatePop, TemplateScan,
 };
 use galo_optimizer::Optimizer;
-use galo_qgm::{GuidelineDoc, Qgm};
-use galo_rdf::{evaluate, evaluate_seeded, parse_select, ReadOnlyReplica, ServerError, Term};
+use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
+use galo_rdf::{
+    decode_frame, evaluate, evaluate_seeded, parse_select, FramePayload, Quad, QuadBlock,
+    ReadOnlyReplica, ServerError, Term,
+};
 use galo_sql::parse;
 use galo_workloads::Workload;
 use proptest::prelude::*;
@@ -154,6 +157,183 @@ fn tpl(id: &str, workload: &str, card: f64) -> Template {
         fingerprint: format!("fp-{id}"),
         join_count: 1,
     }
+}
+
+// ------------------------------------------------------- publisher bytes --
+
+/// The serializer the publisher's block writer replaced, kept as the
+/// reference: every template's statements as quads, each term made anew
+/// at each occurrence — the node's five, then per operator its template
+/// link, type, cardinality stat, scan label and stats, stream edges, and
+/// last the workload tag.
+fn reference_quads(templates: &[Template]) -> Vec<Quad> {
+    fn say(quads: &mut Vec<Quad>, s: &Term, property: &str, o: Term) {
+        quads.push((s.clone(), vocab::prop(property), o, None));
+    }
+    fn stat(quads: &mut Vec<Quad>, me: &Term, family: usize, sketch: &StatSketch) {
+        let (lo, hi, sk) = vocab::STAT_FAMILIES[family];
+        let range = sketch.envelope(0.0);
+        say(quads, me, lo, Term::num(range.lo));
+        say(quads, me, hi, Term::num(range.hi));
+        say(quads, me, sk, Term::lit(sketch.to_hex()));
+    }
+    let mut quads = Vec::new();
+    for tpl in templates {
+        let t = vocab::template_iri(&tpl.id);
+        let q = &mut quads;
+        say(
+            q,
+            &t,
+            vocab::HAS_GUIDELINE_XML,
+            Term::lit(tpl.guideline.to_xml()),
+        );
+        say(q, &t, vocab::HAS_IMPROVEMENT, Term::num(tpl.improvement));
+        say(
+            q,
+            &t,
+            vocab::HAS_SOURCE_WORKLOAD,
+            Term::lit(tpl.source_workload.clone()),
+        );
+        say(
+            q,
+            &t,
+            vocab::HAS_PROBLEM_FINGERPRINT,
+            Term::lit(tpl.fingerprint.clone()),
+        );
+        say(
+            q,
+            &t,
+            vocab::HAS_JOIN_COUNT,
+            Term::num(tpl.join_count as f64),
+        );
+        for p in &tpl.pops {
+            let me = vocab::template_pop_iri(&tpl.id, p.op_id);
+            say(q, &me, vocab::IN_TEMPLATE, t.clone());
+            say(q, &me, vocab::HAS_POP_TYPE, Term::lit(p.pop_type.clone()));
+            stat(q, &me, 0, &p.cardinality);
+            if let Some(scan) = &p.scan {
+                let label = Term::lit(scan.canonical_tabid.clone());
+                say(q, &me, vocab::HAS_CANONICAL_TABID, label);
+                stat(q, &me, 1, &scan.row_size);
+                stat(q, &me, 2, &scan.fpages);
+                stat(q, &me, 3, &scan.base_cardinality);
+            }
+            let is_join = matches!(p.pop_type.as_str(), "NLJOIN" | "HSJOIN" | "MSJOIN");
+            for (i, &child) in p.inputs.iter().enumerate() {
+                let child = vocab::template_pop_iri(&tpl.id, child);
+                say(q, &child, vocab::HAS_OUTPUT_STREAM, me.clone());
+                if is_join {
+                    let role = match i {
+                        0 => vocab::HAS_OUTER_INPUT_STREAM,
+                        _ => vocab::HAS_INNER_INPUT_STREAM,
+                    };
+                    say(q, &me, role, child);
+                }
+            }
+        }
+        if !tpl.source_workload.is_empty() {
+            let fingerprint = Term::lit(tpl.fingerprint.clone());
+            let graph = vocab::workload_graph_iri(&tpl.source_workload);
+            let tag = vocab::prop(vocab::HAS_PROBLEM_FINGERPRINT);
+            quads.push((t, tag, fingerprint, Some(graph)));
+        }
+    }
+    quads
+}
+
+/// The block a publisher builds and sends encodes byte for byte as the
+/// reference serializer's quads gathered into one block: learned
+/// templates, templates abstracted from join and scan plans, hand-built
+/// ones with and without a workload, alone and in batches — and the
+/// primary that applies it reaches a local `insert_batch`'s image.
+#[test]
+fn the_publisher_sends_the_reference_serializers_bytes() {
+    let w = quirky_workload("bytes");
+    let learned = LearnerNode::new(0, 1).mine(&w, &fast_learning()).templates;
+    assert!(!learned.is_empty(), "the workload teaches templates");
+    let kb = KnowledgeBase::new();
+    let mut abstracted = Vec::new();
+    for (i, plan) in plans_of(&w).iter().enumerate() {
+        let Some(g) = guideline_from_plan(plan, plan.root()) else {
+            continue;
+        };
+        let doc = GuidelineDoc::new(vec![g]);
+        let mut tpl = abstract_plan(&w.db, plan, plan.root(), &doc, kb.fresh_id(i as u64));
+        tpl.source_workload = "bytes".into();
+        abstracted.push(tpl);
+    }
+    let kinds = |tpls: &[Template]| {
+        let pops = tpls.iter().flat_map(|t| &t.pops);
+        let scans = pops.clone().filter(|p| p.scan.is_some()).count();
+        (scans, pops.count() - scans)
+    };
+    let (scans, others) = kinds(&abstracted);
+    assert!(scans > 0 && others > 0, "scan and join operators");
+    let unlabelled = tpl("no-workload", "", 42.0);
+    let mut all = learned.clone();
+    all.extend(abstracted.iter().cloned());
+    all.push(unlabelled.clone());
+    let mut batches: Vec<Vec<Template>> = all.iter().map(|t| vec![t.clone()]).collect();
+    batches.extend([learned, abstracted, all.clone(), vec![]]);
+    // The same template twice in one batch, and two sharing a workload.
+    batches.push(vec![unlabelled.clone(), tpl("w", "bytes", 7.0), unlabelled]);
+    /// The primary's end of the link, keeping each `Publish` payload it
+    /// receives.
+    struct Tap {
+        end: LoopEnd,
+        published: Vec<Vec<u8>>,
+    }
+    impl Link for Tap {
+        fn send(&mut self, frame: Vec<u8>) {
+            self.end.send(frame);
+        }
+        fn recv(&mut self) -> Option<Vec<u8>> {
+            let frame = self.end.recv()?;
+            if let Ok((decoded, _)) = decode_frame(&frame) {
+                if let FramePayload::Publish(payload) = decoded.payload {
+                    self.published.push(payload);
+                }
+            }
+            Some(frame)
+        }
+    }
+    let primary = Primary::new(Arc::new(KnowledgeBase::new()));
+    let (mut client, end) = loopback();
+    let mut server = Tap {
+        end,
+        published: Vec::new(),
+    };
+    let mut peer = PeerState::default();
+    let mut publisher = Publisher::new();
+    for batch in &batches {
+        let want = QuadBlock::of_inserts(&reference_quads(batch)).encode();
+        assert_eq!(KnowledgeBase::templates_block(batch).encode(), want);
+        assert_eq!(
+            KnowledgeBase::templates_to_quads(batch),
+            reference_quads(batch)
+        );
+        publisher
+            .publish_templates(
+                batch,
+                &mut client,
+                &mut || {
+                    primary.serve_link(&mut peer, &mut server);
+                },
+                &RetryPolicy::default(),
+            )
+            .expect("a reliable link acks");
+        let sent = server.published.pop();
+        assert_eq!(
+            sent,
+            Some(want),
+            "the Publish payload is the block's encoding"
+        );
+    }
+    let local = KnowledgeBase::new();
+    for batch in &batches {
+        local.insert_batch(batch);
+    }
+    assert_eq!(image(primary.knowledge_base()), image(&local));
 }
 
 // --------------------------------------------------- cluster differential --
