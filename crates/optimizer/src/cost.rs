@@ -7,12 +7,25 @@
 //! configuration; divergence between the two is what produces the paper's
 //! problem patterns (e.g. Figure 7's transfer-rate overestimate).
 
-use galo_catalog::{Database, IndexId, SystemParams, TableId};
+use galo_catalog::{ColumnId, Database, IndexId, SystemParams, TableId};
 
 /// Rows per index leaf page (4 KB pages, short keys).
 pub const INDEX_ENTRIES_PER_PAGE: f64 = 300.0;
 /// B-tree root-to-leaf traversal: pages touched per probe.
 pub const INDEX_TRAVERSAL_PAGES: f64 = 2.0;
+
+/// What [`CostModel::index_probe`] reads of one index: its column, the
+/// traversal term and the fetch terms of its cluster ratio `cr`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProbeTerms {
+    /// The indexed column.
+    pub column: ColumnId,
+    /// Root-to-leaf pages times the random-page cost, after the cache.
+    traversal: f64,
+    /// `(1 - cr)²`: the share of fetched rows that jump far.
+    far: f64,
+    cr: f64,
+}
 
 /// Cost model bound to a database's belief configuration.
 #[derive(Debug, Clone, Copy)]
@@ -109,30 +122,47 @@ impl<'a> CostModel<'a> {
         seq_pages * self.params.seq_page_ms + far_rows * self.params.random_page_ms
     }
 
-    /// Per-probe cost of an index access under a nested-loop join,
-    /// returning `match_rows` rows per probe.
-    pub fn index_probe(&self, table: TableId, index: IndexId, match_rows: f64, fetch: bool) -> f64 {
+    /// The terms of an index probe under a nested-loop join that depend on
+    /// the index alone, computed once per access path.
+    pub fn probe_terms(&self, table: TableId, index: IndexId) -> ProbeTerms {
         let stats = self.db.belief.table(table);
         let miss = 1.0 - self.hit_ratio(stats.pages as f64);
-        let mut cost = INDEX_TRAVERSAL_PAGES * self.params.random_page_ms * miss.max(0.02)
-            + match_rows * self.params.cpu_row_ms;
+        let ix = self.db.table(table).index(index);
+        let cr = ix.cluster_ratio;
+        ProbeTerms {
+            column: ix.column,
+            traversal: INDEX_TRAVERSAL_PAGES * self.params.random_page_ms * miss.max(0.02),
+            far: (1.0 - cr) * (1.0 - cr),
+            cr,
+        }
+    }
+
+    /// Per-probe cost of an index access under a nested-loop join,
+    /// returning `match_rows` rows per probe.
+    pub fn index_probe(&self, terms: &ProbeTerms, match_rows: f64, fetch: bool) -> f64 {
+        let mut cost = terms.traversal + match_rows * self.params.cpu_row_ms;
         if fetch {
-            let cr = self.db.table(table).index(index).cluster_ratio;
             // Probe fetches share the dense-fetch shape: far jumpers are
             // quadratic in (1 - cr); clustered rows ride the page cache.
-            cost += (1.0 - cr) * (1.0 - cr) * match_rows * self.params.random_page_ms
-                + cr * match_rows * self.params.seq_page_ms;
+            cost += terms.far * match_rows * self.params.random_page_ms
+                + terms.cr * match_rows * self.params.seq_page_ms;
         }
         cost
     }
 
+    /// The share of one execution's cost that a repeated execution of a
+    /// plan over `pages` belief pages costs, after the assumed buffer-pool
+    /// caching.
+    pub fn rescan_factor(&self, pages: f64) -> f64 {
+        1.0 - 0.9 * self.hit_ratio(pages)
+    }
+
     /// Delta cost of a nested-loop join that re-executes an arbitrary
-    /// inner plan per outer row, discounted by the assumed buffer-pool
-    /// caching of the inner's pages.
-    pub fn nljoin_rescan(&self, outer_rows: f64, inner_cost: f64, inner_pages: f64) -> f64 {
-        let hit = self.hit_ratio(inner_pages);
+    /// inner plan per outer row, each repeat at `rescan` (the inner's
+    /// [`Self::rescan_factor`]) of its cost.
+    pub fn nljoin_rescan(&self, outer_rows: f64, inner_cost: f64, rescan: f64) -> f64 {
         // First execution at full price, repeats at the cached rate.
-        let repeat = inner_cost * (1.0 - 0.9 * hit);
+        let repeat = inner_cost * rescan;
         inner_cost + (outer_rows - 1.0).max(0.0) * repeat + outer_rows * self.params.cpu_row_ms
     }
 
@@ -201,7 +231,6 @@ impl<'a> CostModel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use galo_catalog::ColumnId;
     use galo_catalog::{col, ColumnStats, ColumnType, DatabaseBuilder, Index, SystemConfig, Table};
 
     fn db() -> Database {
@@ -349,9 +378,9 @@ mod tests {
         let db = db();
         let m = CostModel::belief(&db);
         // Tiny inner (1 page) is nearly free to re-scan.
-        let cached = m.nljoin_rescan(1_000.0, 0.5, 1.0);
+        let cached = m.nljoin_rescan(1_000.0, 0.5, m.rescan_factor(1.0));
         // Huge inner (1M pages) pays nearly full price each probe.
-        let uncached = m.nljoin_rescan(1_000.0, 0.5, 1_000_000.0);
+        let uncached = m.nljoin_rescan(1_000.0, 0.5, m.rescan_factor(1_000_000.0));
         assert!(
             cached < uncached / 5.0,
             "cached {cached} uncached {uncached}"

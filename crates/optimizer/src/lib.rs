@@ -25,7 +25,7 @@ pub use planner::{GuidelineOutcome, PlannerConfig};
 pub use random::RandomPlanGenerator;
 pub use rewrite::{rewrite, RewriteReport};
 
-use planner::{to_qgm, Planner};
+use planner::Planner;
 
 /// Errors from plan compilation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,10 +88,9 @@ impl<'a> Optimizer<'a> {
             return Err(OptimizeError::EmptyQuery);
         }
         let (rewritten, _) = rewrite(query);
-        let cand = Planner::new(self.db, &rewritten, &self.config)
-            .plan()
-            .ok_or(OptimizeError::DisconnectedJoinGraph)?;
-        Ok(to_qgm(rewritten, &cand.plan))
+        let planner = Planner::new(self.db, rewritten, &self.config);
+        let cand = planner.plan().ok_or(OptimizeError::DisconnectedJoinGraph)?;
+        Ok(planner.into_qgm(&cand))
     }
 
     /// Compile a query under a guideline document ("re-optimization"):
@@ -106,11 +105,11 @@ impl<'a> Optimizer<'a> {
             return Err(OptimizeError::EmptyQuery);
         }
         let (rewritten, _) = rewrite(query);
-        let (cand, outcome) =
-            Planner::new(self.db, &rewritten, &self.config).plan_with_guidelines(doc);
+        let planner = Planner::new(self.db, rewritten, &self.config);
+        let (cand, outcome) = planner.plan_with_guidelines(doc);
         let cand = cand.ok_or(OptimizeError::DisconnectedJoinGraph)?;
         Ok(ReoptResult {
-            qgm: to_qgm(rewritten, &cand.plan),
+            qgm: planner.into_qgm(&cand),
             outcome,
         })
     }

@@ -4,6 +4,19 @@
 //! optimizers degrade the same way), access-path selection, and
 //! guideline-constrained planning.
 //!
+//! **Flat state.** One planning's candidate plans live in one arena
+//! ([`Planner::arena`]). An access path is a leaf; a join candidate records
+//! its method and the arena ids of its outer and inner candidates, a
+//! back-pointer each ([`Step::Join`]), so keeping an alternative copies a
+//! few words and shares its inputs without a reference count. A [`Unit`] —
+//! the plans kept for one table set — is a contiguous id range of the arena.
+//! The DP table is a `u32` slot per mask pointing into a vector of the
+//! connected sets' units ([`DpTable`]), and one [`Frontier`] buffer serves
+//! every mask. The plan tree is built once, for the winner, by
+//! [`Planner::qgm`]. A merge join's key and its inputs' sorts are
+//! functions of the two inputs' table sets, so that is where they are
+//! worked out again, by the same formulas the costing used.
+//!
 //! An order is *interesting* when some later join can use it. Only a merge
 //! join uses an order, and [`PairCosts::for_each_join`] takes its key on a
 //! side `S` from [`galo_sql::CardEstimator::join_keys_between`]: the first
@@ -50,18 +63,19 @@
 //! workloads. [`Planner::greedy`] bounds each ordered pair once and builds
 //! its frontier only when the bound is below the round's best so far.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::rc::Rc;
+use std::ops::Range;
 
 use galo_catalog::{ColumnId, Database, IndexId};
 use galo_qgm::{GuidelineDoc, GuidelineNode, PopKind, Qgm};
-use galo_sql::{CardEstimator, ColRef, KeyPair, Query};
+use galo_sql::{CardEstimator, ColRef, KeyPair, Query, TableRef};
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, ProbeTerms};
 
-/// Exhaustive DP keeps a dense table of `2^units` entries, so the unit
+/// Exhaustive DP keeps a dense table of `2^units` slots, so the unit
 /// count it accepts is capped here whatever
-/// [`PlannerConfig::dp_unit_limit`] asks for: 16 units is a 65,536-entry
+/// [`PlannerConfig::dp_unit_limit`] asks for: 16 units is a 65,536-slot
 /// table and already ~21 M splits on a clique; wider queries plan greedily.
 pub(crate) const MAX_DP_UNITS: usize = 16;
 
@@ -69,11 +83,7 @@ pub(crate) const MAX_DP_UNITS: usize = 16;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum AccessPath {
     TbScan,
-    IxScan {
-        index: IndexId,
-        fetch: bool,
-        key_sel: f64,
-    },
+    IxScan { index: IndexId, fetch: bool },
 }
 
 /// Physical join method.
@@ -84,35 +94,31 @@ pub(crate) enum JoinMethod {
     Ms,
 }
 
-/// A physical plan node. Cost and cardinality are cumulative and fixed at
-/// construction, so subtrees can be shared (`Rc`) across the DP table.
-#[derive(Debug)]
-pub(crate) enum PhysPlan {
+/// Index of a candidate in its planning's arena ([`Planner::arena`]).
+pub(crate) type CandId = u32;
+
+/// The last step of a candidate's plan.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Step {
     Access {
         table_idx: usize,
         path: AccessPath,
-        cost: f64,
-        card: f64,
     },
-    Sort {
-        child: Rc<PhysPlan>,
-        key: ColRef,
-        cost: f64,
-        card: f64,
-    },
+    /// `outer` ⋈ `inner`, both arena ids. A merge join sorts each input that
+    /// is not already ordered on its key column.
     Join {
         method: JoinMethod,
-        outer: Rc<PhysPlan>,
-        inner: Rc<PhysPlan>,
-        cost: f64,
-        card: f64,
+        outer: CandId,
+        inner: CandId,
     },
 }
 
-/// A DP candidate: a plan covering `set` with a known output order.
-#[derive(Debug, Clone)]
+/// A candidate plan covering `set` with a known output order. Cost and
+/// cardinality are cumulative and fixed at construction, so a kept
+/// candidate's id can stand for its whole plan.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Cand {
-    pub plan: Rc<PhysPlan>,
+    pub step: Step,
     pub set: u64,
     pub cost: f64,
     pub card: f64,
@@ -127,12 +133,14 @@ pub(crate) struct Cand {
 pub(crate) struct Unit {
     pub set: u64,
     pub card: f64,
-    pub cands: Vec<Cand>,
+    /// The plans' arena ids.
+    pub cands: Range<CandId>,
     /// Approximate row width of the set's join output.
     width: f64,
-    /// Total belief pages under the set (buffer-pool reasoning for
-    /// nested-loop rescans).
-    pages: f64,
+    /// [`CostModel::rescan_factor`] of the set's total belief pages: what
+    /// a nested-loop rescan of one of its plans costs, as a share of the
+    /// plan's cost.
+    rescan: f64,
     /// Cost of sorting the set's output.
     sort_cost: f64,
     /// The cheapest candidate's cost.
@@ -140,6 +148,11 @@ pub(crate) struct Unit {
 }
 
 impl Unit {
+    /// The unit's plans, in `arena`.
+    pub fn plans<'c>(&self, arena: &'c [Cand]) -> &'c [Cand] {
+        &arena[self.cands.start as usize..self.cands.end as usize]
+    }
+
     /// Cumulative cost of `c` with its output ordered on `key`: a sort on
     /// top unless it is ordered that way already.
     fn sorted_cost(&self, c: &Cand, key: ColRef) -> f64 {
@@ -151,8 +164,8 @@ impl Unit {
     }
 
     /// The least [`Unit::sorted_cost`] over the unit's plans.
-    fn min_sorted_cost(&self, key: ColRef) -> f64 {
-        self.cands
+    fn min_sorted_cost(&self, arena: &[Cand], key: ColRef) -> f64 {
+        self.plans(arena)
             .iter()
             .map(|c| self.sorted_cost(c, key))
             .fold(f64::INFINITY, f64::min)
@@ -186,35 +199,47 @@ pub(crate) struct PairCosts<'n> {
     pub bound: f64,
 }
 
-impl<'n> PairCosts<'n> {
+impl PairCosts<'_> {
     /// The one statement of the join cost formulas: every alternative that
     /// joins a plan of `outer` to a plan of `inner` (this orientation only,
     /// the one `self` was costed for), in the fixed order outer × inner ×
-    /// NL → HS → HS-bloom → MS, handed to `emit` unbuilt.
-    pub fn for_each_join<'c>(
+    /// NL → HS → HS-bloom → MS, handed to `emit` unbuilt. With `live`, an
+    /// order not in it is turned into `None` (see the module docs); the
+    /// test runs once per order an alternative can carry — the merge key,
+    /// then each outer plan's.
+    pub fn for_each_join(
         &self,
-        outer: &'c Unit,
-        inner: &'c Unit,
-        mut emit: impl FnMut(JoinAlt<'c>),
+        arena: &[Cand],
+        outer: &Unit,
+        inner: &Unit,
+        live: Option<&[ColRef]>,
+        mut emit: impl FnMut(JoinAlt),
     ) {
         let (key, card) = (self.key, self.card);
-        for oc in &outer.cands {
+        let set = outer.set | inner.set;
+        let keep = |order: Option<ColRef>| match live {
+            Some(live) => order.filter(|c| live.contains(c)),
+            None => order,
+        };
+        let ms_order = keep(Some(key.0));
+        for (oid, oc) in outer.cands.clone().zip(outer.plans(arena)) {
             let o_sorted = outer.sorted_cost(oc, key.0);
-            for (ic, &nl) in inner.cands.iter().zip(self.nl) {
+            let nl_order = keep(oc.order);
+            let inners = inner.cands.clone().zip(inner.plans(arena));
+            for ((iid, ic), &nl) in inners.zip(self.nl) {
                 let i_sorted = inner.sorted_cost(ic, key.1);
                 let mut alt = |method, cost, order| {
                     emit(JoinAlt {
                         method,
-                        key,
-                        outer: oc,
-                        inner: ic,
+                        outer: oid,
+                        inner: iid,
+                        set,
                         cost,
                         card,
                         order,
-                        sorted: (o_sorted, i_sorted),
                     })
                 };
-                alt(JoinMethod::Nl, oc.cost + nl, oc.order);
+                alt(JoinMethod::Nl, oc.cost + nl, nl_order);
                 alt(
                     JoinMethod::Hs { bloom: false },
                     oc.cost + ic.cost + self.hs,
@@ -226,56 +251,38 @@ impl<'n> PairCosts<'n> {
                 }
                 // Merge join: each side sorted unless already ordered on
                 // the key.
-                alt(JoinMethod::Ms, o_sorted + i_sorted + self.ms, Some(key.0));
+                alt(JoinMethod::Ms, o_sorted + i_sorted + self.ms, ms_order);
             }
         }
     }
 }
 
-/// One join alternative, costed but not built: what [`PairCosts::for_each_join`]
-/// emits. Plain values and two borrows, so the thousands of alternatives
-/// pruning discards never touch the heap; [`JoinAlt::build`] makes the plan
-/// node for one that survives.
+/// One join alternative, costed but not built: what
+/// [`PairCosts::for_each_join`] emits. Plain values and two arena ids, so
+/// the thousands of alternatives pruning discards never touch the heap;
+/// [`JoinAlt::build`] makes the candidate for one that survives.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct JoinAlt<'c> {
+pub(crate) struct JoinAlt {
     pub method: JoinMethod,
-    /// Join key pair: (outer-side column, inner-side column).
-    pub key: (ColRef, ColRef),
-    pub outer: &'c Cand,
-    pub inner: &'c Cand,
+    pub outer: CandId,
+    pub inner: CandId,
+    /// The union of the two inputs' sets.
+    pub set: u64,
     pub cost: f64,
     pub card: f64,
     pub order: Option<ColRef>,
-    /// Cumulative (outer, inner) input costs once each is ordered on its
-    /// key column — what a merge join's inputs cost.
-    pub sorted: (f64, f64),
 }
 
-impl JoinAlt<'_> {
-    /// Materialise the plan node, wrapping a merge join's inputs in the
-    /// sorts they need.
+impl JoinAlt {
+    /// The candidate, pointing back at its inputs.
     pub fn build(&self) -> Cand {
-        let input = |c: &Cand, key: ColRef, sorted_cost: f64| {
-            if self.method != JoinMethod::Ms || c.order == Some(key) {
-                Rc::clone(&c.plan)
-            } else {
-                Rc::new(PhysPlan::Sort {
-                    child: Rc::clone(&c.plan),
-                    key,
-                    cost: sorted_cost,
-                    card: c.card,
-                })
-            }
-        };
         Cand {
-            plan: Rc::new(PhysPlan::Join {
+            step: Step::Join {
                 method: self.method,
-                outer: input(self.outer, self.key.0, self.sorted.0),
-                inner: input(self.inner, self.key.1, self.sorted.1),
-                cost: self.cost,
-                card: self.card,
-            }),
-            set: self.outer.set | self.inner.set,
+                outer: self.outer,
+                inner: self.inner,
+            },
+            set: self.set,
             cost: self.cost,
             card: self.card,
             order: self.order,
@@ -289,20 +296,20 @@ impl JoinAlt<'_> {
 /// them — per distinct order the cheapest alternative, the first offered
 /// winning ties; the cheapest unordered one only if it ranks first overall;
 /// ranked by (cost, offer order). Like `prune` it keeps every distinct
-/// order it is offered; the enumerators offer only live ones (see
-/// [`Planner::offer_live`]).
+/// order it is offered; the enumerators offer only live ones. `finish`
+/// empties it, so one frontier serves one table set after another.
 #[derive(Debug)]
-pub(crate) struct Frontier<'c> {
+pub(crate) struct Frontier {
     /// Alternatives offered so far, i.e. the next one's rank among equals.
     offered: usize,
     /// The least cost offered so far.
     best: f64,
-    unordered: Option<(usize, JoinAlt<'c>)>,
+    unordered: Option<(usize, JoinAlt)>,
     /// At most one entry per distinct `Some(order)`.
-    ordered: Vec<(usize, JoinAlt<'c>)>,
+    ordered: Vec<(usize, JoinAlt)>,
 }
 
-impl Default for Frontier<'_> {
+impl Default for Frontier {
     fn default() -> Self {
         Frontier {
             offered: 0,
@@ -313,8 +320,8 @@ impl Default for Frontier<'_> {
     }
 }
 
-impl<'c> Frontier<'c> {
-    pub fn offer(&mut self, alt: JoinAlt<'c>) {
+impl Frontier {
+    pub fn offer(&mut self, alt: JoinAlt) {
         let entry = (self.offered, alt);
         self.offered += 1;
         self.best = self.best.min(alt.cost);
@@ -340,7 +347,13 @@ impl<'c> Frontier<'c> {
     /// the pair could carry is held at no more than that order's own bound:
     /// an equal cost never displaces an earlier offer (see "Bounding" in
     /// the module docs).
-    fn could_change(&self, outer: &Unit, pair: &PairCosts, live: &[ColRef]) -> bool {
+    fn could_change(
+        &self,
+        arena: &[Cand],
+        outer: &Unit,
+        pair: &PairCosts,
+        live: &[ColRef],
+    ) -> bool {
         if self.offered == 0 || pair.bound < self.best {
             return true;
         }
@@ -353,23 +366,29 @@ impl<'c> Frontier<'c> {
         };
         // NL carries the outer plan's order, MS the outer key.
         let nl_held = outer
-            .cands
+            .plans(arena)
             .iter()
             .all(|oc| oc.order.is_none_or(|o| held(o, oc.cost + pair.min_nl)));
         !(nl_held && held(pair.key.0, pair.ms_bound))
     }
 
-    pub fn finish(mut self) -> Vec<Cand> {
+    /// The kept plans, built, cheapest first; the frontier is left empty.
+    pub fn finish(&mut self) -> impl Iterator<Item = Cand> + '_ {
         let rank = |a: &(usize, JoinAlt), b: &(usize, JoinAlt)| {
             cmp_cost(a.1.cost, b.1.cost).then(a.0.cmp(&b.0))
         };
+        self.offered = 0;
+        self.best = f64::INFINITY;
         self.ordered.sort_by(rank);
-        self.unordered
-            .iter()
-            .filter(|u| self.ordered.first().is_none_or(|o| rank(u, o).is_lt()))
-            .chain(&self.ordered)
+        let first = self.ordered.first();
+        let unordered = self
+            .unordered
+            .take()
+            .filter(|u| first.is_none_or(|o| rank(u, o).is_lt()));
+        unordered
+            .into_iter()
+            .chain(self.ordered.drain(..))
             .map(|(_, alt)| alt.build())
-            .collect()
     }
 }
 
@@ -405,16 +424,32 @@ pub struct GuidelineOutcome {
 
 pub(crate) struct Planner<'a> {
     db: &'a Database,
-    query: &'a Query,
+    query: Query,
     pub est: CardEstimator,
     cm: CostModel<'a>,
     config: &'a PlannerConfig,
-    /// Per table instance: its row width as a unit's width counts it, and
-    /// its belief pages.
-    widths: Vec<f64>,
-    pages: Vec<f64>,
+    /// Per table instance, what the join formulas read of it.
+    instances: Vec<Instance>,
+    /// Per index of every table instance, what a nested-loop probe of it
+    /// costs less the rows ([`Instance::first_probe`]).
+    probes: Vec<ProbeTerms>,
+    /// Every candidate kept while planning, addressed by [`CandId`]: an
+    /// entry's inputs are earlier entries. Planning only appends; the
+    /// random plan generator empties it between samples.
+    pub arena: RefCell<Vec<Cand>>,
     #[cfg(test)]
     pub work: std::cell::Cell<Work>,
+}
+
+/// One table instance, as the join formulas read it.
+struct Instance {
+    /// Its row width as a unit's width counts it.
+    width: f64,
+    /// Its belief pages.
+    pages: f64,
+    /// Where its indexes' entries start in [`Planner::probes`], in index
+    /// order.
+    first_probe: usize,
 }
 
 /// What the enumerators did, counted for the tests.
@@ -431,14 +466,51 @@ pub(crate) struct Work {
     pub built: usize,
 }
 
-/// Buffers the enumerators reuse, so costing an orientation allocates
-/// nothing.
+/// Buffers the enumerators reuse, so costing and offering an orientation
+/// allocates nothing.
 #[derive(Debug, Default)]
 struct Buffers {
     keys: Vec<KeyPair>,
     /// `keys` with each pair swapped: the other orientation's keys.
     mirrored: Vec<KeyPair>,
     nl: Vec<f64>,
+    /// The live orders of the table set being planned.
+    live: Vec<ColRef>,
+    frontier: Frontier,
+}
+
+/// A slot of the DP table that holds no unit: its mask is not connected.
+const NO_UNIT: u32 = u32::MAX;
+
+/// What [`Planner::dp`] returns: the frontier of every connected subset of
+/// its units, by unit mask (bit `i` = `units[i]`).
+#[derive(Debug)]
+pub(crate) struct DpTable {
+    /// Per mask, the index of its unit in `units`, or [`NO_UNIT`].
+    slots: Vec<u32>,
+    /// The connected sets' units, the single units first.
+    units: Vec<Unit>,
+}
+
+impl DpTable {
+    /// The unit of table set `mask`, if it is connected.
+    #[cfg(test)]
+    pub fn get(&self, mask: usize) -> Option<&Unit> {
+        let slot = self.slots[mask];
+        (slot != NO_UNIT).then(|| &self.units[slot as usize])
+    }
+
+    /// The number of masks; the last one is the whole query's.
+    #[cfg(test)]
+    pub fn masks(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The whole query's unit.
+    fn into_whole(mut self) -> Option<Unit> {
+        let slot = *self.slots.last()?;
+        (slot != NO_UNIT).then(|| self.units.swap_remove(slot as usize))
+    }
 }
 
 /// A greedy pair, once looked at.
@@ -446,31 +518,49 @@ enum Pair {
     Disconnected,
     /// Its [`PairCosts::bound`]: no plan of its frontier is cheaper.
     Bounded(f64),
-    /// Its frontier, cheapest plan first.
-    Built(Vec<Cand>),
+    /// Its frontier's arena ids, cheapest plan first.
+    Built(Range<CandId>),
 }
 
 impl<'a> Planner<'a> {
-    pub fn new(db: &'a Database, query: &'a Query, config: &'a PlannerConfig) -> Self {
-        let (widths, pages) = query
+    pub fn new(db: &'a Database, query: Query, config: &'a PlannerConfig) -> Self {
+        let cm = CostModel::belief(db);
+        let indexes = |tref: &TableRef| db.table(tref.table).indexes.len();
+        let mut probes = Vec::with_capacity(query.tables.iter().map(indexes).sum());
+        let instances = query
             .tables
             .iter()
             .map(|tref| {
-                let width = (db.table(tref.table).row_size() as f64).min(64.0);
-                (width, db.belief.table(tref.table).pages as f64)
+                let first_probe = probes.len();
+                probes.extend(
+                    (0..indexes(tref) as u32).map(|ix| cm.probe_terms(tref.table, IndexId(ix))),
+                );
+                Instance {
+                    width: (db.table(tref.table).row_size() as f64).min(64.0),
+                    pages: db.belief.table(tref.table).pages as f64,
+                    first_probe,
+                }
             })
-            .unzip();
+            .collect();
         Planner {
             db,
+            est: CardEstimator::belief(db, &query),
             query,
-            est: CardEstimator::belief(db, query),
-            cm: CostModel::belief(db),
+            cm,
             config,
-            widths,
-            pages,
+            instances,
+            probes,
+            arena: RefCell::default(),
             #[cfg(test)]
             work: Default::default(),
         }
+    }
+
+    /// `c`'s plan as [`Planner::qgm`] builds it, as debug text: every
+    /// operator, sort, cost and cardinality.
+    #[cfg(test)]
+    pub fn plan_text(&self, c: &Cand) -> String {
+        format!("{:?}", self.qgm(self.query.clone(), c))
     }
 
     #[cfg(test)]
@@ -525,20 +615,19 @@ impl<'a> Planner<'a> {
         let filtered = self.est.filtered_card(t);
         let n_preds = self.query.locals_of(t).count();
         let used = self.used_columns(t);
-
-        let mut cands = vec![Cand {
-            plan: Rc::new(PhysPlan::Access {
-                table_idx: t,
-                path: AccessPath::TbScan,
-                cost: self.cm.tbscan(table_id, n_preds),
-                card: filtered,
-            }),
+        let access = |path, cost, order| Cand {
+            step: Step::Access { table_idx: t, path },
             set: 1 << t,
-            cost: self.cm.tbscan(table_id, n_preds),
+            cost,
             card: filtered,
-            order: None,
-        }];
+            order,
+        };
 
+        let mut cands = vec![access(
+            AccessPath::TbScan,
+            self.cm.tbscan(table_id, n_preds),
+            None,
+        )];
         for (ix_id, ix) in table.indexes.iter().enumerate() {
             let ix_id = IndexId(ix_id as u32);
             if !used.contains(&ix.column) {
@@ -557,65 +646,70 @@ impl<'a> Planner<'a> {
                 .locals_of(t)
                 .filter(|p| p.col.column != ix.column)
                 .count();
-            let cost = self.cm.ixscan(table_id, ix_id, key_sel, fetch, residual);
             let path = AccessPath::IxScan {
                 index: ix_id,
                 fetch,
-                key_sel,
             };
-            cands.push(Cand {
-                plan: Rc::new(PhysPlan::Access {
-                    table_idx: t,
-                    path,
-                    cost,
-                    card: filtered,
-                }),
-                set: 1 << t,
-                cost,
-                card: filtered,
-                order: Some(ColRef {
-                    table_idx: t,
-                    column: ix.column,
-                }),
-            });
+            let cost = self.cm.ixscan(table_id, ix_id, key_sel, fetch, residual);
+            let order = ColRef {
+                table_idx: t,
+                column: ix.column,
+            };
+            cands.push(access(path, cost, Some(order)));
         }
         cands
     }
 
     // ---- join construction ----
 
-    /// Wrap the plans kept for one table set. `cands` is non-empty and its
+    /// Append `cands` to the arena: their ids, in order.
+    pub fn keep(&self, cands: impl IntoIterator<Item = Cand>) -> Range<CandId> {
+        let mut arena = self.arena.borrow_mut();
+        let start = arena.len() as CandId;
+        arena.extend(cands);
+        start..arena.len() as CandId
+    }
+
+    /// Wrap the plans kept for one table set. `cands` is not empty and its
     /// members agree on set and cardinality (one access path's filtered
     /// rows, or one set's `join_card`).
-    pub fn unit(&self, cands: Vec<Cand>) -> Unit {
-        let (set, card) = cands
+    pub fn unit(&self, cands: Range<CandId>) -> Unit {
+        let arena = self.arena.borrow();
+        let plans = &arena[cands.start as usize..cands.end as usize];
+        let (set, card) = plans
             .first()
             .map(|c| (c.set, c.card))
             .expect("a unit holds at least one plan");
-        debug_assert!(cands
+        debug_assert!(plans
             .iter()
             .all(|c| c.set == set && c.card.to_bits() == card.to_bits()));
+        let (width, pages) = self.width_and_pages(set);
+        let min_cost = plans.iter().map(|c| c.cost).fold(f64::INFINITY, f64::min);
+        Unit {
+            set,
+            card,
+            cands,
+            width,
+            rescan: self.cm.rescan_factor(pages),
+            sort_cost: self.cm.sort(card, width),
+            min_cost,
+        }
+    }
+
+    /// A table set's approximate join-output row width, and its total
+    /// belief pages.
+    fn width_and_pages(&self, set: u64) -> (f64, f64) {
         // In ascending instance order: the sums' bits, and every cost above
         // them, depend on it.
         let (mut width, mut pages) = (0.0, 0.0);
         let mut bits = set;
         while bits != 0 {
             let t = bits.trailing_zeros() as usize;
-            width += self.widths[t];
-            pages += self.pages[t];
+            width += self.instances[t].width;
+            pages += self.instances[t].pages;
             bits &= bits - 1;
         }
-        let width = width.max(8.0);
-        let min_cost = cands.iter().map(|c| c.cost).fold(f64::INFINITY, f64::min);
-        Unit {
-            set,
-            card,
-            cands,
-            width,
-            pages,
-            sort_cost: self.cm.sort(card, width),
-            min_cost,
-        }
+        (f64::max(width, 8.0), pages)
     }
 
     /// What every alternative of `outer` ⋈ `inner` (this orientation only)
@@ -629,6 +723,7 @@ impl<'a> Planner<'a> {
     /// + min(hs, hs_bloom)`, MS `min_sorted_outer + min_sorted_inner + ms`.
     pub fn cost_pair<'n>(
         &self,
+        arena: &[Cand],
         outer: &Unit,
         inner: &Unit,
         card: f64,
@@ -650,13 +745,14 @@ impl<'a> Planner<'a> {
         nl.clear();
         nl.extend(
             inner
-                .cands
+                .plans(arena)
                 .iter()
-                .map(|ic| self.nl_delta(outer.card, ic, inner.pages, keys, card)),
+                .map(|ic| self.nl_delta(outer.card, ic, inner.rescan, keys, card)),
         );
         let min_nl = nl.iter().copied().fold(f64::INFINITY, f64::min);
 
-        let ms_bound = outer.min_sorted_cost(key.0) + inner.min_sorted_cost(key.1) + ms;
+        let ms_bound =
+            outer.min_sorted_cost(arena, key.0) + inner.min_sorted_cost(arena, key.1) + ms;
         let min_hs = hs_bloom.map_or(hs, |hs_bloom| hs.min(hs_bloom));
         let hs_bound = outer.min_cost + inner.min_cost + min_hs;
         let nl_bound = outer.min_cost + min_nl;
@@ -677,109 +773,94 @@ impl<'a> Planner<'a> {
     /// predicate connects them.
     fn cost_orientation<'b>(
         &self,
+        arena: &[Cand],
         outer: &Unit,
         inner: &Unit,
-        buffers: &'b mut Buffers,
+        keys: &mut Vec<KeyPair>,
+        nl: &'b mut Vec<f64>,
     ) -> Option<PairCosts<'b>> {
-        self.est
-            .join_keys_into(outer.set, inner.set, &mut buffers.keys);
-        if buffers.keys.is_empty() {
+        self.est.join_keys_into(outer.set, inner.set, keys);
+        if keys.is_empty() {
             return None;
         }
         let card = self.est.join_card(outer.set | inner.set);
-        Some(self.cost_pair(outer, inner, card, &buffers.keys, &mut buffers.nl))
+        Some(self.cost_pair(arena, outer, inner, card, keys, nl))
     }
 
     /// Nested-loop delta cost: index probes when the inner is an index
     /// access on the join key; re-execution with buffer-pool discount
-    /// otherwise.
+    /// (`inner_rescan`, the inner unit's rescan factor) otherwise.
     fn nl_delta(
         &self,
         outer_card: f64,
         ic: &Cand,
-        inner_pages: f64,
+        inner_rescan: f64,
         keys: &[KeyPair],
         join_card: f64,
     ) -> f64 {
-        if let PhysPlan::Access {
+        if let Step::Access {
             table_idx,
-            path: AccessPath::IxScan { index, fetch, .. },
-            ..
-        } = &*ic.plan
+            path: AccessPath::IxScan { index, fetch },
+        } = ic.step
         {
-            let table_id = self.query.tables[*table_idx].table;
-            let ix_column = self.db.table(table_id).index(*index).column;
+            let probe = &self.probes[self.instances[table_idx].first_probe + index.0 as usize];
             let on_join_key = keys
                 .iter()
-                .any(|&(_, (it, icol))| it == *table_idx && ix_column == icol);
+                .any(|&(_, (it, icol))| it == table_idx && probe.column == icol);
             if on_join_key {
                 let per_probe = join_card / outer_card.max(1.0);
-                return outer_card * self.cm.index_probe(table_id, *index, per_probe, *fetch);
+                return outer_card * self.cm.index_probe(probe, per_probe, fetch);
             }
         }
-        self.cm.nljoin_rescan(outer_card, ic.cost, inner_pages)
+        self.cm.nljoin_rescan(outer_card, ic.cost, inner_rescan)
     }
 
     /// All join candidates combining a plan of `outer` with a plan of
-    /// `inner`, every one built (both orientations are produced by calling
-    /// this twice); none when no join predicate connects them. Enumeration
-    /// prunes through a [`Frontier`] instead; this is for callers that pick
-    /// by something other than cost.
+    /// `inner`, every one built but none kept (both orientations are
+    /// produced by calling this twice); none when no join predicate
+    /// connects them. Enumeration prunes through a [`Frontier`] instead;
+    /// this is for callers that pick by something other than cost.
     pub fn join_candidates(&self, outer: &Unit, inner: &Unit) -> Vec<Cand> {
         let mut out = Vec::new();
-        if let Some(pair) = self.cost_orientation(outer, inner, &mut Buffers::default()) {
-            pair.for_each_join(outer, inner, |alt| out.push(alt.build()));
+        let arena = self.arena.borrow();
+        let (mut keys, mut nl) = (Vec::new(), Vec::new());
+        if let Some(pair) = self.cost_orientation(&arena, outer, inner, &mut keys, &mut nl) {
+            pair.for_each_join(&arena, outer, inner, None, |alt| out.push(alt.build()));
         }
         out
-    }
-
-    /// The pruned frontier of `outer` ⋈ `inner`, this orientation only.
-    fn join_frontier(
-        &self,
-        outer: &Unit,
-        inner: &Unit,
-        buffers: &mut Buffers,
-        live: &mut Vec<ColRef>,
-    ) -> Vec<Cand> {
-        let mut frontier = Frontier::default();
-        if let Some(pair) = self.cost_orientation(outer, inner, buffers) {
-            pair.for_each_join(outer, inner, |alt| {
-                self.offer_live(&mut frontier, live, alt)
-            });
-        }
-        frontier.finish()
     }
 
     /// The orders a plan of table set `set` can still put to use, into
     /// `live`: for every equivalence class with members both inside and
     /// outside `set`, its first member inside (see the module docs).
-    fn live_orders(&self, set: u64, live: &mut Vec<ColRef>) {
+    pub fn live_orders(&self, set: u64, live: &mut Vec<ColRef>) {
         live.clear();
         for class in self.est.classes() {
-            let Some((table_idx, column)) = class.members_in(set).next() else {
+            if class.instances() & !set == 0 {
                 continue;
-            };
-            if class.members.iter().any(|&(t, _)| set & (1 << t) == 0) {
+            }
+            if let Some((table_idx, column)) = class.first_in(set) {
                 live.push(ColRef { table_idx, column });
             }
         }
     }
 
-    /// Offer one join alternative to the frontier of its table set, its
-    /// order turned into `None` unless the set can use it. The set's live
-    /// orders are found at the frontier's first offer, so a set no split
-    /// joins never pays for them, and one buffer serves every set.
-    fn offer_live<'c>(
+    /// Offer the alternatives of `outer` ⋈ `inner` that `pair` costs to the
+    /// frontier of their union. The union's live orders are found at the
+    /// frontier's first offer, so a set no split joins never pays for them,
+    /// and one buffer serves every set.
+    fn offer(
         &self,
-        frontier: &mut Frontier<'c>,
+        arena: &[Cand],
+        (outer, inner): (&Unit, &Unit),
+        pair: &PairCosts,
         live: &mut Vec<ColRef>,
-        mut alt: JoinAlt<'c>,
+        frontier: &mut Frontier,
     ) {
         if frontier.offered == 0 {
-            self.live_orders(alt.outer.set | alt.inner.set, live);
+            self.live_orders(outer.set | inner.set, live);
         }
-        alt.order = alt.order.filter(|c| live.contains(c));
-        frontier.offer(alt);
+        pair.for_each_join(arena, outer, inner, Some(live), |alt| frontier.offer(alt));
     }
 
     // ---- enumeration ----
@@ -788,31 +869,28 @@ impl<'a> Planner<'a> {
     /// per table; guideline planning passes pre-built guideline units.
     pub fn plan_units(&self, units: Vec<Unit>) -> Option<Cand> {
         let whole = if units.len() <= self.config.dp_unit_limit.min(MAX_DP_UNITS) {
-            self.dp(units).pop().flatten()
+            self.dp(units).into_whole()
         } else {
             self.greedy(units)
         };
+        let arena = self.arena.borrow();
         whole?
-            .cands
-            .into_iter()
+            .plans(&arena)
+            .iter()
             .min_by(|a, b| cmp_cost(a.cost, b.cost))
+            .copied()
     }
 
-    /// Exhaustive DP: the frontier of every connected subset of `units`,
-    /// indexed by unit mask (bit `i` = `units[i]`; entry 0 is unused and a
-    /// disconnected subset stays `None`). The last entry is the whole
-    /// query's.
-    pub fn dp(&self, units: Vec<Unit>) -> Vec<Option<Unit>> {
+    /// Exhaustive DP: the frontier of every connected subset of `units`.
+    pub fn dp(&self, mut units: Vec<Unit>) -> DpTable {
         let n = units.len();
-        let mut table: Vec<Option<Unit>> = Vec::new();
-        table.resize_with(1 << n, || None);
-        for (i, unit) in units.into_iter().enumerate() {
-            table[1 << i] = Some(unit);
+        let mut slots = vec![NO_UNIT; 1 << n];
+        for i in 0..n {
+            slots[1 << i] = i as u32;
         }
         let mut buffers = Buffers::default();
-        let mut live = Vec::with_capacity(self.est.classes().len());
         // Ascending numeric order plans every proper submask first.
-        for mask in 3..table.len() {
+        for mask in 3..slots.len() {
             if mask.is_power_of_two() {
                 continue;
             }
@@ -820,36 +898,44 @@ impl<'a> Planner<'a> {
             // top unit: the submasks of `rest`.
             let rest = mask & !(1 << mask.ilog2());
             let mut card = None;
-            let mut frontier = Frontier::default();
+            let arena = self.arena.borrow();
             let mut sub = rest;
             while sub > 0 {
-                if let (Some(a), Some(b)) = (&table[sub], &table[mask & !sub]) {
-                    self.offer_split(a, b, &mut card, &mut frontier, &mut buffers, &mut live);
+                let (a, b) = (slots[sub], slots[mask & !sub]);
+                if a != NO_UNIT && b != NO_UNIT {
+                    let split = (&units[a as usize], &units[b as usize]);
+                    self.offer_split(&arena, split, &mut card, &mut buffers);
                 }
                 sub = (sub - 1) & rest;
             }
-            let cands = frontier.finish();
-            if !cands.is_empty() {
-                table[mask] = Some(self.unit(cands));
+            drop(arena);
+            let kept = self.keep(buffers.frontier.finish());
+            if !kept.is_empty() {
+                slots[mask] = units.len() as u32;
+                units.push(self.unit(kept));
             }
         }
-        table
+        DpTable { slots, units }
     }
 
     /// Offer both orientations of the split `a | b` to the frontier of the
     /// union, `a` ⋈ `b` first, skipping an orientation that cannot change
     /// it. `card` is the union's `join_card`, found at its first connected
     /// split.
-    fn offer_split<'c>(
+    fn offer_split(
         &self,
-        a: &'c Unit,
-        b: &'c Unit,
+        arena: &[Cand],
+        (a, b): (&Unit, &Unit),
         card: &mut Option<f64>,
-        frontier: &mut Frontier<'c>,
         buffers: &mut Buffers,
-        live: &mut Vec<ColRef>,
     ) {
-        let Buffers { keys, mirrored, nl } = buffers;
+        let Buffers {
+            keys,
+            mirrored,
+            nl,
+            live,
+            frontier,
+        } = buffers;
         self.est.join_keys_into(a.set, b.set, keys);
         if keys.is_empty() {
             return;
@@ -860,13 +946,13 @@ impl<'a> Planner<'a> {
         for (outer, inner, keys) in [(a, b, &*keys), (b, a, &*mirrored)] {
             #[cfg(test)]
             self.tally(|w| w.considered += 1);
-            let pair = self.cost_pair(outer, inner, card, keys, nl);
-            if !frontier.could_change(outer, &pair, live) {
+            let pair = self.cost_pair(arena, outer, inner, card, keys, nl);
+            if !frontier.could_change(arena, outer, &pair, live) {
                 continue;
             }
             #[cfg(test)]
             self.tally(|w| w.costed += 1);
-            pair.for_each_join(outer, inner, |alt| self.offer_live(frontier, live, alt));
+            self.offer(arena, (outer, inner), &pair, live, frontier);
         }
     }
 
@@ -880,17 +966,15 @@ impl<'a> Planner<'a> {
     /// best so far: no plan of it is cheaper than the bound, and only a
     /// strictly cheaper plan displaces the best, so a pair skipped this way
     /// could not have won.
-    pub fn greedy(&self, units: Vec<Unit>) -> Option<Unit> {
-        // Units live in `arena` slots that never move, so a pair's bound
-        // and frontier are computed once: a merge only adds the pairs of
-        // the new slot.
-        let mut arena = units;
-        let mut live: Vec<usize> = (0..arena.len()).collect();
-        let slots = (2 * arena.len()).saturating_sub(1);
+    pub fn greedy(&self, mut units: Vec<Unit>) -> Option<Unit> {
+        // Units stay in their slots of `units`, so a pair's bound and
+        // frontier are computed once: a merge only adds the pairs of the
+        // new slot.
+        let mut live: Vec<usize> = (0..units.len()).collect();
+        let slots = (2 * units.len()).saturating_sub(1);
         let mut pairs: Vec<Option<Pair>> = Vec::new();
         pairs.resize_with(slots * slots, || None);
         let mut buffers = Buffers::default();
-        let mut orders = Vec::with_capacity(self.est.classes().len());
         while live.len() > 1 {
             let mut best: Option<(usize, usize, f64)> = None;
             for (a, &i) in live.iter().enumerate() {
@@ -898,9 +982,11 @@ impl<'a> Planner<'a> {
                     if a == b {
                         continue;
                     }
-                    let (outer, inner) = (&arena[i], &arena[j]);
+                    let (outer, inner) = (&units[i], &units[j]);
                     let pair = pairs[i * slots + j].get_or_insert_with(|| {
-                        match self.cost_orientation(outer, inner, &mut buffers) {
+                        let arena = self.arena.borrow();
+                        let Buffers { keys, nl, .. } = &mut buffers;
+                        match self.cost_orientation(&arena, outer, inner, keys, nl) {
                             None => Pair::Disconnected,
                             Some(costs) => {
                                 #[cfg(test)]
@@ -915,14 +1001,13 @@ impl<'a> Planner<'a> {
                         }
                         #[cfg(test)]
                         self.tally(|w| w.built += 1);
-                        let cands = self.join_frontier(outer, inner, &mut buffers, &mut orders);
-                        *pair = Pair::Built(cands);
+                        *pair = Pair::Built(self.join_frontier(outer, inner, &mut buffers));
                     }
-                    // A frontier's first plan is its cheapest.
                     let Pair::Built(cands) = pair else {
                         continue;
                     };
-                    let cheapest = cands[0].cost;
+                    // A frontier's first plan is its cheapest.
+                    let cheapest = self.arena.borrow()[cands.start as usize].cost;
                     if best.is_none_or(|(_, _, cost)| cheapest < cost) {
                         best = Some((a, b, cheapest));
                     }
@@ -934,16 +1019,34 @@ impl<'a> Planner<'a> {
             };
             live.remove(a.max(b));
             live.remove(a.min(b));
-            live.push(arena.len());
-            arena.push(self.unit(cands));
+            live.push(units.len());
+            units.push(self.unit(cands));
         }
-        arena.pop()
+        units.pop()
+    }
+
+    /// The pruned frontier of `outer` ⋈ `inner`, this orientation only,
+    /// kept in the arena.
+    fn join_frontier(&self, outer: &Unit, inner: &Unit, buffers: &mut Buffers) -> Range<CandId> {
+        let Buffers {
+            keys,
+            nl,
+            live,
+            frontier,
+            ..
+        } = buffers;
+        let arena = self.arena.borrow();
+        if let Some(pair) = self.cost_orientation(&arena, outer, inner, keys, nl) {
+            self.offer(&arena, (outer, inner), &pair, live, frontier);
+        }
+        drop(arena);
+        self.keep(frontier.finish())
     }
 
     /// One unit per table instance: its pruned access paths.
     pub fn table_units(&self) -> Vec<Unit> {
         (0..self.query.tables.len())
-            .map(|t| self.unit(self.access_candidates(t)))
+            .map(|t| self.unit(self.keep(self.access_candidates(t))))
             .collect()
     }
 
@@ -954,8 +1057,8 @@ impl<'a> Planner<'a> {
 
     // ---- guidelines ----
 
-    /// Resolve a guideline tree into a candidate, or explain why it cannot
-    /// be honored.
+    /// Resolve a guideline tree into a candidate (its inputs kept in the
+    /// arena, itself not), or explain why it cannot be honored.
     pub fn guideline_cand(&self, node: &GuidelineNode) -> Result<Cand, String> {
         match node {
             GuidelineNode::TbScan { tabid } => {
@@ -964,8 +1067,8 @@ impl<'a> Planner<'a> {
                     .into_iter()
                     .find(|c| {
                         matches!(
-                            &*c.plan,
-                            PhysPlan::Access {
+                            c.step,
+                            Step::Access {
                                 path: AccessPath::TbScan,
                                 ..
                             }
@@ -977,12 +1080,12 @@ impl<'a> Planner<'a> {
                 let t = self.instance_of(tabid)?;
                 let table = self.db.table(self.query.tables[t].table);
                 let cands = self.access_candidates_raw(t);
-                let found = cands.into_iter().find(|c| match &*c.plan {
-                    PhysPlan::Access {
+                let found = cands.into_iter().find(|c| match c.step {
+                    Step::Access {
                         path: AccessPath::IxScan { index: ix, .. },
                         ..
                     } => match index {
-                        Some(name) => table.index(*ix).name.eq_ignore_ascii_case(name),
+                        Some(name) => table.index(ix).name.eq_ignore_ascii_case(name),
                         None => true,
                     },
                     _ => false,
@@ -1011,17 +1114,18 @@ impl<'a> Planner<'a> {
                     GuidelineNode::NlJoin(..) => JoinMethod::Nl,
                     _ => unreachable!(),
                 };
-                self.join_candidates(&self.unit(vec![oc]), &self.unit(vec![ic]))
+                let (outer, inner) = (self.unit(self.keep([oc])), self.unit(self.keep([ic])));
+                self.join_candidates(&outer, &inner)
                     .into_iter()
-                    .filter(|c| match (&*c.plan, wanted) {
+                    .filter(|c| match (c.step, wanted) {
                         (
-                            PhysPlan::Join {
+                            Step::Join {
                                 method: JoinMethod::Hs { .. },
                                 ..
                             },
                             JoinMethod::Hs { .. },
                         ) => true,
-                        (PhysPlan::Join { method, .. }, w) => *method == w,
+                        (Step::Join { method, .. }, w) => method == w,
                         _ => false,
                     })
                     .min_by(|a, b| cmp_cost(a.cost, b.cost))
@@ -1083,7 +1187,7 @@ impl<'a> Planner<'a> {
                         continue;
                     }
                     covered |= cand.set;
-                    units.push(self.unit(vec![cand]));
+                    units.push(self.unit(self.keep([cand])));
                     outcome.honored.push(true);
                 }
                 Err(reason) => {
@@ -1095,10 +1199,83 @@ impl<'a> Planner<'a> {
 
         for t in 0..self.query.tables.len() {
             if covered & (1 << t) == 0 {
-                units.push(self.unit(self.access_candidates(t)));
+                units.push(self.unit(self.keep(self.access_candidates(t))));
             }
         }
         (units, outcome)
+    }
+
+    // ---- the winner's plan tree ----
+
+    /// The QGM of `winner`, a candidate of this planning, owning the
+    /// planned query.
+    pub fn into_qgm(mut self, winner: &Cand) -> Qgm {
+        let query = std::mem::take(&mut self.query);
+        self.qgm(query, winner)
+    }
+
+    /// The QGM of `winner` over `query` (the planned query or a copy): the
+    /// one place a plan tree is built.
+    pub fn qgm(&self, query: Query, winner: &Cand) -> Qgm {
+        let mut b = Qgm::builder(query);
+        let top = self.emit(&mut b, &self.arena.borrow(), winner);
+        b.finish(top)
+    }
+
+    fn emit(&self, b: &mut galo_qgm::QgmBuilder, arena: &[Cand], plan: &Cand) -> galo_qgm::PopId {
+        let (card, cost) = (plan.card, plan.cost);
+        let (method, outer, inner) = match plan.step {
+            Step::Access { table_idx, path } => {
+                let kind = match path {
+                    AccessPath::TbScan => PopKind::TbScan { table: table_idx },
+                    AccessPath::IxScan { index, fetch } => PopKind::IxScan {
+                        table: table_idx,
+                        index,
+                        fetch,
+                    },
+                };
+                return b.add(kind, vec![], card, cost);
+            }
+            Step::Join {
+                method,
+                outer,
+                inner,
+            } => (method, &arena[outer as usize], &arena[inner as usize]),
+        };
+        // A merge join takes the key `cost_pair` took, and each input is
+        // sorted on its side unless it is ordered that way already, at the
+        // cost `Unit::sorted_cost` charged.
+        let key = (method == JoinMethod::Ms).then(|| {
+            // The first of `join_keys_between(outer.set, inner.set)`.
+            let (outer_key, inner_key) = self
+                .est
+                .classes()
+                .iter()
+                .find_map(|c| Some((c.first_in(outer.set)?, c.first_in(inner.set)?)))
+                .expect("a join key connects the inputs");
+            (col_ref(outer_key), col_ref(inner_key))
+        });
+        let input = |b: &mut galo_qgm::QgmBuilder, c: &Cand, key: Option<ColRef>| {
+            let pop = self.emit(b, arena, c);
+            match key {
+                Some(key) if c.order != Some(key) => {
+                    let (width, _) = self.width_and_pages(c.set);
+                    let sorted = c.cost + self.cm.sort(c.card, width);
+                    let sort = b.add(PopKind::Sort { key: Some(key) }, vec![pop], c.card, sorted);
+                    b.set_order(sort, Some(key));
+                    sort
+                }
+                _ => pop,
+            }
+        };
+        let o = input(b, outer, key.map(|k| k.0));
+        let i = input(b, inner, key.map(|k| k.1));
+        let kind = match method {
+            JoinMethod::Nl => PopKind::NlJoin,
+            JoinMethod::Hs { bloom } => PopKind::HsJoin { bloom },
+            JoinMethod::Ms => PopKind::MsJoin,
+        };
+        b.add(kind, vec![o, i], card, cost)
     }
 }
 
@@ -1127,60 +1304,4 @@ pub(crate) fn prune(mut cands: Vec<Cand>) -> Vec<Cand> {
         }
     }
     kept
-}
-
-/// Convert a physical plan into a QGM that owns `query`.
-pub(crate) fn to_qgm(query: Query, plan: &PhysPlan) -> Qgm {
-    let mut b = Qgm::builder(query);
-    let top = emit(&mut b, plan);
-    b.finish(top)
-}
-
-fn emit(b: &mut galo_qgm::QgmBuilder, plan: &PhysPlan) -> galo_qgm::PopId {
-    match plan {
-        PhysPlan::Access {
-            table_idx,
-            path,
-            cost,
-            card,
-        } => {
-            let kind = match path {
-                AccessPath::TbScan => PopKind::TbScan { table: *table_idx },
-                AccessPath::IxScan { index, fetch, .. } => PopKind::IxScan {
-                    table: *table_idx,
-                    index: *index,
-                    fetch: *fetch,
-                },
-            };
-            b.add(kind, vec![], *card, *cost)
-        }
-        PhysPlan::Sort {
-            child,
-            key,
-            cost,
-            card,
-        } => {
-            let c = emit(b, child);
-            let id = b.add(PopKind::Sort { key: Some(*key) }, vec![c], *card, *cost);
-            b.set_order(id, Some(*key));
-            id
-        }
-        PhysPlan::Join {
-            method,
-            outer,
-            inner,
-            cost,
-            card,
-            ..
-        } => {
-            let o = emit(b, outer);
-            let i = emit(b, inner);
-            let kind = match method {
-                JoinMethod::Nl => PopKind::NlJoin,
-                JoinMethod::Hs { bloom } => PopKind::HsJoin { bloom: *bloom },
-                JoinMethod::Ms => PopKind::MsJoin,
-            };
-            b.add(kind, vec![o, i], *card, *cost)
-        }
-    }
 }

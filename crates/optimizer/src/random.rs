@@ -15,7 +15,7 @@ use galo_catalog::Database;
 use galo_qgm::Qgm;
 use galo_sql::Query;
 
-use crate::planner::{to_qgm, JoinMethod, PhysPlan, Planner, PlannerConfig, Unit};
+use crate::planner::{Cand, JoinMethod, Planner, PlannerConfig, Step, Unit};
 
 /// Generates random alternative plans for a query.
 pub struct RandomPlanGenerator<'a> {
@@ -26,7 +26,7 @@ pub struct RandomPlanGenerator<'a> {
 impl<'a> RandomPlanGenerator<'a> {
     pub fn new(db: &'a Database, query: &'a Query, config: &'a PlannerConfig) -> Self {
         RandomPlanGenerator {
-            planner: Planner::new(db, query, config),
+            planner: Planner::new(db, query.clone(), config),
             query,
         }
     }
@@ -35,15 +35,19 @@ impl<'a> RandomPlanGenerator<'a> {
     /// cannot cover (disconnected join graphs).
     pub fn generate<R: Rng>(&self, rng: &mut R) -> Option<Qgm> {
         let n = self.query.tables.len();
+        let planner = &self.planner;
+        // No id outlives a call, so one arena serves every sample.
+        planner.arena.borrow_mut().clear();
+        let unit = |cand| planner.unit(planner.keep([cand]));
         // Every component is a unit of exactly one plan.
         let mut components: Vec<Unit> = (0..n)
             .map(|t| {
                 // Sample from the *unpruned* access space: random plans
                 // exist precisely to explore paths the cost model would
                 // never rank first (its model may be wrong).
-                let mut cands = self.planner.access_candidates_raw(t);
+                let mut cands = planner.access_candidates_raw(t);
                 let pick = rng.gen_range(0..cands.len());
-                self.planner.unit(vec![cands.swap_remove(pick)])
+                unit(cands.swap_remove(pick))
             })
             .collect();
 
@@ -52,42 +56,34 @@ impl<'a> RandomPlanGenerator<'a> {
             let mut pairs: Vec<(usize, usize)> = Vec::new();
             for i in 0..components.len() {
                 for j in 0..components.len() {
-                    if i != j
-                        && self
-                            .planner
-                            .est
-                            .connected(components[i].set, components[j].set)
-                    {
+                    if i != j && planner.est.connected(components[i].set, components[j].set) {
                         pairs.push((i, j));
                     }
                 }
             }
             let &(i, j) = pairs.choose(rng)?;
-            let all = self.planner.join_candidates(&components[i], &components[j]);
+            let all = planner.join_candidates(&components[i], &components[j]);
             if all.is_empty() {
                 return None;
             }
+            let method = |c: &Cand| match c.step {
+                Step::Join { method, .. } => Some(method),
+                Step::Access { .. } => None,
+            };
             // Random method among the constructible ones.
-            let methods: Vec<JoinMethod> = all
-                .iter()
-                .filter_map(|c| match &*c.plan {
-                    PhysPlan::Join { method, .. } => Some(*method),
-                    _ => None,
-                })
-                .collect();
+            let methods: Vec<JoinMethod> = all.iter().filter_map(method).collect();
             let wanted = *methods.choose(rng)?;
-            let chosen = all
-                .into_iter()
-                .find(|c| matches!(&*c.plan, PhysPlan::Join { method, .. } if *method == wanted))?;
+            let chosen = all.into_iter().find(|c| method(c) == Some(wanted))?;
 
             let (hi, lo) = if i > j { (i, j) } else { (j, i) };
             components.remove(hi);
             components.remove(lo);
-            components.push(self.planner.unit(vec![chosen]));
+            components.push(unit(chosen));
         }
 
-        let cand = components.pop()?.cands.pop()?;
-        Some(to_qgm(self.query.clone(), &cand.plan))
+        let whole = components.pop()?;
+        let cand = *whole.plans(&planner.arena.borrow()).last()?;
+        Some(planner.qgm(self.query.clone(), &cand))
     }
 
     /// Sample up to `n` random plans with distinct fingerprints.

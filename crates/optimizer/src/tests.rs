@@ -1,7 +1,6 @@
 //! Crate-level optimizer tests over a small star schema.
 
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use galo_catalog::{
     col, ColumnId, ColumnStats, ColumnType, Database, DatabaseBuilder, Index, SystemConfig, Table,
@@ -12,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::planner::{prune, Cand, Frontier, JoinAlt, JoinMethod, PhysPlan, Planner, Unit, Work};
+use crate::planner::{prune, Cand, Frontier, JoinAlt, JoinMethod, Planner, Step, Unit, Work};
 use crate::{OptimizeError, Optimizer, PlannerConfig};
 
 /// Star schema: SALES fact (2.88M) with DATE_DIM, ITEM, STORE dimensions.
@@ -584,7 +583,7 @@ fn reference_dp(p: &Planner, units: Vec<Unit>, orders: Orders) -> HashMap<usize,
             sub = (sub - 1) & mask;
         }
         if !cands.is_empty() {
-            table.insert(mask, p.unit(reference_prune(p, cands, orders)));
+            table.insert(mask, p.unit(p.keep(reference_prune(p, cands, orders))));
         }
     }
     table
@@ -613,35 +612,53 @@ fn reference_greedy(p: &Planner, mut units: Vec<Unit>, orders: Orders) -> Option
         let (i, j, cands, _) = best?;
         units.remove(i.max(j));
         units.remove(i.min(j));
-        units.push(p.unit(cands));
+        units.push(p.unit(p.keep(cands)));
     }
     units.pop()
 }
 
+/// A unit's plans, copied out of the arena.
+fn plans(p: &Planner, u: &Unit) -> Vec<Cand> {
+    u.plans(&p.arena.borrow()).to_vec()
+}
+
 /// Frontiers are equal when they hold the same plans in the same order:
-/// the debug text carries every node, cost (floats print round-trip
-/// exact), cardinality and order key.
-fn assert_same_frontier(got: Option<&Unit>, want: Option<&Unit>, what: &str) {
-    let text = |u: Option<&Unit>| u.map(|u| format!("{:?}", u.cands));
+/// each candidate's set, cost (floats print round-trip exact), cardinality
+/// and order, and the debug text of its plan, which carries every node,
+/// sort, cost and cardinality.
+fn assert_same_frontier(p: &Planner, got: Option<&Unit>, want: Option<&Unit>, what: &str) {
+    let text = |u: Option<&Unit>| {
+        u.map(|u| {
+            plans(p, u)
+                .iter()
+                .map(|c| {
+                    format!(
+                        "{:?} {:?} {:?} {:?} {}",
+                        c.set,
+                        c.cost,
+                        c.card,
+                        c.order,
+                        p.plan_text(c)
+                    )
+                })
+                .collect::<Vec<_>>()
+        })
+    };
     assert_eq!(text(got), text(want), "{what}");
 }
 
 /// The plan `plan_units` would pick of a frontier: the first cheapest.
-fn winner(unit: &Unit) -> &Cand {
-    unit.cands
-        .iter()
+fn winner(p: &Planner, unit: &Unit) -> Cand {
+    plans(p, unit)
+        .into_iter()
         .min_by(|a, b| a.cost.partial_cmp(&b.cost).unwrap())
         .unwrap()
 }
 
 /// Winners are equal when cost bits and plan debug text are.
-fn assert_same_winner(got: &Cand, want: &Cand, what: &str) {
+fn assert_same_winner(p: &Planner, got: &Cand, want: &Cand, what: &str) {
     assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}");
-    assert_eq!(
-        format!("{:?}", got.plan),
-        format!("{:?}", want.plan),
-        "{what}"
-    );
+    assert_eq!(p.plan_text(got), p.plan_text(want), "{what}");
 }
 
 /// The random cases: 48 queries over the four shapes, each planned with
@@ -675,7 +692,7 @@ fn for_each_random_case(mut check: impl FnMut(&str, &Planner, &dyn Fn() -> Vec<U
                 dp_unit_limit: 10,
                 enable_bloom,
             };
-            let p = Planner::new(&db, &q, &config);
+            let p = Planner::new(&db, q.clone(), &config);
             for guided in [false, true] {
                 let what =
                     format!("case {case}: {shape:?} n={n} bloom={enable_bloom} guided={guided}");
@@ -702,24 +719,25 @@ fn enumerator_matches_the_reference_on_random_queries() {
     for_each_random_case(|what, p, units| {
         let got = p.dp(units());
         let live = reference_dp(p, units(), Orders::Live);
-        for (mask, got) in got.iter().enumerate() {
-            assert_same_frontier(got.as_ref(), live.get(&mask), what);
+        for mask in 0..got.masks() {
+            assert_same_frontier(p, got.get(mask), live.get(&mask), what);
         }
         let greedy = p.greedy(units()).unwrap();
         assert_same_frontier(
+            p,
             Some(&greedy),
             reference_greedy(p, units(), Orders::Live).as_ref(),
             what,
         );
 
         // Dropping dead orders changes no winner.
-        let full = got.len() - 1;
+        let full = got.masks() - 1;
         let oracle = reference_dp(p, units(), Orders::Every);
-        let want = winner(&oracle[&full]);
-        assert_same_winner(winner(got[full].as_ref().unwrap()), want, what);
-        assert_same_winner(&p.plan_units(units()).unwrap(), want, what);
+        let want = winner(p, &oracle[&full]);
+        assert_same_winner(p, &winner(p, got.get(full).unwrap()), &want, what);
+        assert_same_winner(p, &p.plan_units(units()).unwrap(), &want, what);
         let greedy_oracle = reference_greedy(p, units(), Orders::Every).unwrap();
-        assert_same_winner(winner(&greedy), winner(&greedy_oracle), what);
+        assert_same_winner(p, &winner(p, &greedy), &winner(p, &greedy_oracle), what);
     });
 }
 
@@ -735,16 +753,17 @@ fn no_alternative_costs_less_than_its_pair_bound() {
     let mut pairs = 0;
     for_each_random_case(|what, p, units| {
         let table = p.dp(units());
+        let arena = p.arena.borrow();
         let mut nl = Vec::new();
-        for (mask, set) in table.iter().enumerate() {
-            let Some(set) = set else { continue };
+        for mask in 0..table.masks() {
+            let Some(set) = table.get(mask) else { continue };
             let card = p.est.join_card(set.set);
             for sub in 1..mask {
                 let other = mask & !sub;
                 if sub & mask != sub || sub > other {
                     continue;
                 }
-                let (Some(a), Some(b)) = (&table[sub], &table[other]) else {
+                let (Some(a), Some(b)) = (table.get(sub), table.get(other)) else {
                     continue;
                 };
                 for (outer, inner) in [(a, b), (b, a)] {
@@ -753,19 +772,19 @@ fn no_alternative_costs_less_than_its_pair_bound() {
                         continue;
                     }
                     pairs += 1;
-                    let pair = p.cost_pair(outer, inner, card, &keys, &mut nl);
+                    let pair = p.cost_pair(&arena, outer, inner, card, &keys, &mut nl);
                     let (mut cheapest, mut nl_cheapest, mut ms_cheapest) =
                         (f64::INFINITY, f64::INFINITY, f64::INFINITY);
                     let mut nl_bound = f64::INFINITY;
-                    for oc in &outer.cands {
+                    for oc in outer.plans(&arena) {
                         nl_bound = nl_bound.min(oc.cost + pair.min_nl);
                     }
-                    pair.for_each_join(outer, inner, |alt| {
+                    pair.for_each_join(&arena, outer, inner, None, |alt| {
                         assert!(alt.cost >= pair.bound, "{what}: {alt:?} < {}", pair.bound);
                         cheapest = cheapest.min(alt.cost);
                         match alt.method {
                             JoinMethod::Nl => {
-                                let bound = alt.outer.cost + pair.min_nl;
+                                let bound = arena[alt.outer as usize].cost + pair.min_nl;
                                 assert!(alt.cost >= bound, "{what}: {alt:?} < NL {bound}");
                                 nl_cheapest = nl_cheapest.min(alt.cost);
                             }
@@ -817,15 +836,15 @@ fn dp_skips_keep_every_tie_on_a_self_joined_clique() {
             dp_unit_limit: 10,
             enable_bloom,
         };
-        let p = Planner::new(&db, &q, &config);
+        let p = Planner::new(&db, q.clone(), &config);
 
         // The ties are real: on the whole set, the cheapest alternative is
         // offered by more than one split.
         let table = p.dp(p.table_units());
-        let full = table.len() - 1;
+        let full = table.masks() - 1;
         let mut costs = Vec::new();
         for sub in 1..full {
-            let (Some(a), Some(b)) = (&table[sub], &table[full & !sub]) else {
+            let (Some(a), Some(b)) = (table.get(sub), table.get(full & !sub)) else {
                 continue;
             };
             costs.extend(p.join_candidates(a, b).iter().map(|c| c.cost.to_bits()));
@@ -838,9 +857,9 @@ fn dp_skips_keep_every_tie_on_a_self_joined_clique() {
         assert!(tied > 1, "bloom={enable_bloom}: {tied} cheapest");
 
         let reference = reference_dp(&p, p.table_units(), Orders::Live);
-        for (mask, got) in table.iter().enumerate() {
+        for mask in 0..table.masks() {
             let what = format!("bloom={enable_bloom} mask={mask:#b}");
-            assert_same_frontier(got.as_ref(), reference.get(&mask), &what);
+            assert_same_frontier(&p, table.get(mask), reference.get(&mask), &what);
         }
         let work = p.work.get();
         assert!(work.costed < work.considered, "{work:?}");
@@ -859,7 +878,7 @@ fn greedy_keeps_the_first_of_equal_cost_pairs() {
             dp_unit_limit: 1,
             enable_bloom,
         };
-        let p = Planner::new(&db, &q, &config);
+        let p = Planner::new(&db, q.clone(), &config);
         let units = p.table_units();
         let mut cheapest = Vec::new();
         for i in 0..n {
@@ -875,6 +894,7 @@ fn greedy_keeps_the_first_of_equal_cost_pairs() {
         let got = p.greedy(p.table_units());
         let want = reference_greedy(&p, p.table_units(), Orders::Live);
         assert_same_frontier(
+            &p,
             got.as_ref(),
             want.as_ref(),
             &format!("bloom={enable_bloom}"),
@@ -960,20 +980,25 @@ fn a_merge_order_a_later_join_uses_stays_on_the_frontier() {
     )
     .unwrap();
     let config = PlannerConfig::default();
-    let p = Planner::new(&db, &q, &config);
+    let p = Planner::new(&db, q.clone(), &config);
     let table = p.dp(p.table_units());
 
     // {a, b}: the class reaches c, so its first member inside keeps the
     // merge join's order.
-    let ab = table[0b011].as_ref().unwrap();
-    let ordered: Vec<&Cand> = ab.cands.iter().filter(|c| c.order.is_some()).collect();
-    assert_eq!(ordered.len(), 1, "{:?}", ab.cands);
-    let merged = ordered[0];
+    let ab = table.get(0b011).unwrap();
+    let arena = p.arena.borrow();
+    let ordered: Vec<u32> = ab
+        .cands
+        .clone()
+        .filter(|&id| arena[id as usize].order.is_some())
+        .collect();
+    assert_eq!(ordered.len(), 1, "{:?}", ab.plans(&arena));
+    let merged = arena[ordered[0] as usize];
     assert!(is_live(&p, 0b011, merged.order.unwrap()));
     assert!(
         matches!(
-            &*merged.plan,
-            PhysPlan::Join {
+            merged.step,
+            Step::Join {
                 method: JoinMethod::Ms,
                 ..
             }
@@ -982,21 +1007,25 @@ fn a_merge_order_a_later_join_uses_stays_on_the_frontier() {
     );
 
     // {a, b, c}: the winner merges that very plan in, with no sort on it.
-    let abc = table[0b111].as_ref().unwrap();
+    let abc = table.get(0b111).unwrap();
     assert_eq!(abc.cands.len(), 1, "no order is live on the whole query");
-    let PhysPlan::Join {
+    let winner = arena[abc.cands.start as usize];
+    let Step::Join {
         method: JoinMethod::Ms,
         outer,
         inner,
-        ..
-    } = &*abc.cands[0].plan
+    } = winner.step
     else {
-        panic!("a merge join wins: {:?}", abc.cands[0]);
+        panic!("a merge join wins: {winner:?}");
     };
+    let keys = p
+        .est
+        .join_keys_between(arena[outer as usize].set, arena[inner as usize].set);
+    let key = |(table_idx, column)| Some(ColRef { table_idx, column });
     assert!(
-        Rc::ptr_eq(outer, &merged.plan) || Rc::ptr_eq(inner, &merged.plan),
-        "{:?}",
-        abc.cands[0]
+        (outer == ordered[0] && merged.order == key(keys[0].0))
+            || (inner == ordered[0] && merged.order == key(keys[0].1)),
+        "{winner:?}"
     );
 }
 
@@ -1017,17 +1046,117 @@ fn merge_orders_die_where_their_key_class_is_complete() {
     )
     .unwrap();
     let config = PlannerConfig::default();
-    let p = Planner::new(&db, &q, &config);
+    let p = Planner::new(&db, q.clone(), &config);
     let table = p.dp(p.table_units());
     let every = reference_dp(&p, p.table_units(), Orders::Every);
 
     for mask in [0b0011, 0b0101, 0b1001] {
-        let pair = table[mask].as_ref().unwrap();
-        assert!(pair.cands.iter().all(|c| c.order.is_none()), "{pair:?}");
+        let pair = plans(&p, table.get(mask).unwrap());
+        assert!(pair.iter().all(|c| c.order.is_none()), "{pair:?}");
         // Keeping every order, the same set holds dead ones.
-        assert!(every[&mask].cands.iter().any(|c| c.order.is_some()));
+        assert!(plans(&p, &every[&mask]).iter().any(|c| c.order.is_some()));
     }
-    assert_eq!(table[0b1111].as_ref().unwrap().cands.len(), 1);
+    assert_eq!(table.get(0b1111).unwrap().cands.len(), 1);
+}
+
+/// `live_orders` as it stood before classes kept instance masks: each
+/// class's members walked for the first one inside and for one outside.
+fn member_walk_live_orders(p: &Planner, set: u64) -> Vec<ColRef> {
+    let mut live = Vec::new();
+    for class in p.est.classes() {
+        let Some((table_idx, column)) = class.members_in(set).next() else {
+            continue;
+        };
+        if class.members.iter().any(|&(t, _)| set & (1 << t) == 0) {
+            live.push(ColRef { table_idx, column });
+        }
+    }
+    live
+}
+
+/// The live orders read off the classes' instance masks equal the member
+/// walk's on every table set of random queries of up to 8 instances, whose
+/// random equalities put two members of a class on one instance often.
+#[test]
+fn live_orders_match_the_member_walk() {
+    let mut rng = StdRng::seed_from_u64(0x11fe);
+    let config = PlannerConfig::default();
+    let mut live = Vec::new();
+    let mut shared = 0;
+    for _ in 0..200 {
+        let indexes = rng.gen_bool(0.5);
+        let db = random_db(&mut rng, 3, indexes);
+        let n = rng.gen_range(2..=8);
+        let tables: Vec<usize> = (0..n).map(|_| rng.gen_range(0..3)).collect();
+        let column = |rng: &mut StdRng, i: usize| {
+            let c = ["a", "b", "c", "d"][rng.gen_range(0..4usize)];
+            format!("q{}.t{}_{c}", i + 1, tables[i])
+        };
+        let preds: Vec<String> = (0..rng.gen_range(1..=2 * n))
+            .map(|_| {
+                let i = rng.gen_range(0..n);
+                let j = (i + rng.gen_range(1..n)) % n;
+                format!("{} = {}", column(&mut rng, i), column(&mut rng, j))
+            })
+            .collect();
+        let from: Vec<String> = (0..n)
+            .map(|i| format!("t{} q{}", tables[i], i + 1))
+            .collect();
+        let sql = format!(
+            "SELECT {} FROM {} WHERE {}",
+            column(&mut rng, 0),
+            from.join(", "),
+            preds.join(" AND ")
+        );
+        let q = parse(&db, "random", &sql).unwrap();
+        let p = Planner::new(&db, q.clone(), &config);
+        shared += p
+            .est
+            .classes()
+            .iter()
+            .filter(|c| c.instances().count_ones() < c.members.len() as u32)
+            .count();
+        for set in 1..(1u64 << n) {
+            p.live_orders(set, &mut live);
+            assert_eq!(live, member_walk_live_orders(&p, set), "{sql}: {set:#b}");
+        }
+    }
+    assert!(shared > 20, "{shared} classes with a shared instance");
+}
+
+// ---- table references ----
+
+/// `n` references to DATE_DIM, chained on its key.
+fn date_dim_chain(n: usize) -> String {
+    let from: Vec<String> = (1..=n).map(|i| format!("date_dim q{i}")).collect();
+    let preds: Vec<String> = (2..=n)
+        .map(|i| format!("q{}.d_date_sk = q{i}.d_date_sk", i - 1))
+        .collect();
+    format!(
+        "SELECT q1.d_year FROM {} WHERE {}",
+        from.join(", "),
+        preds.join(" AND ")
+    )
+}
+
+/// Table sets are 64-bit masks: SQL text naming a 65th table reference is
+/// refused by the parser with an error that names the limit (it used to
+/// parse, then panic in the estimator), and 64 references still plan.
+#[test]
+fn a_65th_table_reference_is_a_parse_error_and_64_still_plan() {
+    let db = star_db();
+    let err = parse(&db, "wide", &date_dim_chain(65)).unwrap_err();
+    assert!(
+        err.message.contains("more than 64 table references"),
+        "{err}"
+    );
+
+    let q = parse(&db, "wide", &date_dim_chain(64)).unwrap();
+    let plan = Optimizer::new(&db).optimize(&q).unwrap();
+    let mut tables = plan.tables_under(plan.root());
+    tables.sort_unstable();
+    assert_eq!(tables, (0..64).collect::<Vec<_>>());
+    assert_eq!(plan.join_count(plan.root()), 63);
 }
 
 // ---- tie-breaking ----
@@ -1040,11 +1169,9 @@ fn streaming_prune_equals_prune_on_colliding_streams() {
     let db = star_db();
     let q = star_query(&db);
     let config = PlannerConfig::default();
-    let p = Planner::new(&db, &q, &config);
-    let (outer, inner) = (
-        &p.access_candidates_raw(0)[0],
-        &p.access_candidates_raw(1)[0],
-    );
+    let p = Planner::new(&db, q.clone(), &config);
+    let inputs = p.keep([p.access_candidates_raw(0)[0], p.access_candidates_raw(1)[0]]);
+    let (outer, inner) = (inputs.start, inputs.start + 1);
     let column = |table_idx, c| ColRef {
         table_idx,
         column: ColumnId(c),
@@ -1057,19 +1184,18 @@ fn streaming_prune_equals_prune_on_colliding_streams() {
         let stream: Vec<JoinAlt> = (0..rng.gen_range(0..24))
             .map(|position| JoinAlt {
                 method: JoinMethod::Hs { bloom: false },
-                key: (column(0, 0), column(1, 0)),
                 outer,
                 inner,
+                set: 0b11,
                 cost: [1.0, 2.0, 3.0][rng.gen_range(0..3usize)],
                 card: position as f64,
                 order: orders.choose(&mut rng).unwrap().map(|c| column(0, c)),
-                sorted: (0.0, 0.0),
             })
             .collect();
 
         let mut frontier = Frontier::default();
         stream.iter().for_each(|&alt| frontier.offer(alt));
-        let got = format!("{:?}", frontier.finish());
+        let got = format!("{:?}", frontier.finish().collect::<Vec<_>>());
         let want = format!("{:?}", prune(stream.iter().map(JoinAlt::build).collect()));
         assert_eq!(got, want);
     }
@@ -1087,7 +1213,7 @@ fn plain_hash_join_wins_an_exact_tie_with_bloom() {
     )
     .unwrap();
     let config = PlannerConfig::default();
-    let p = Planner::new(&db, &q, &config);
+    let p = Planner::new(&db, q.clone(), &config);
     let units = p.table_units();
     let card = p.est.join_card(0b11);
     assert!(card >= units[0].card);
@@ -1098,8 +1224,9 @@ fn plain_hash_join_wins_an_exact_tie_with_bloom() {
     let mut frontier = Frontier::default();
     let keys = p.est.join_keys_between(units[0].set, units[1].set);
     let mut nl = Vec::new();
-    let pair = p.cost_pair(&units[0], &units[1], card, &keys, &mut nl);
-    pair.for_each_join(&units[0], &units[1], |alt| {
+    let arena = p.arena.borrow();
+    let pair = p.cost_pair(&arena, &units[0], &units[1], card, &keys, &mut nl);
+    pair.for_each_join(&arena, &units[0], &units[1], None, |alt| {
         if let JoinMethod::Hs { bloom } = alt.method {
             hash_costs.push((bloom, alt.cost.to_bits()));
         }
@@ -1109,7 +1236,7 @@ fn plain_hash_join_wins_an_exact_tie_with_bloom() {
         assert_eq!((pair[0].0, pair[1].0), (false, true));
         assert_eq!(pair[0].1, pair[1].1);
     }
-    let kept = format!("{:?}", frontier.finish());
+    let kept = format!("{:?}", frontier.finish().collect::<Vec<_>>());
     assert!(kept.contains("Hs { bloom: false }"), "{kept}");
     assert!(!kept.contains("bloom: true"), "{kept}");
 }

@@ -106,8 +106,12 @@ impl LocalPred {
     }
 }
 
+/// The most table references a query may hold: estimation and planning
+/// address sets of them as 64-bit masks.
+pub const MAX_TABLE_REFS: usize = 64;
+
 /// A conjunctive select-project-join query.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Query {
     /// Identifier for reports, e.g. `"tpcds_q08"`.
     pub name: String,

@@ -28,7 +28,7 @@
 
 use galo_catalog::{ColumnId, Database, StatsView, TableId};
 
-use crate::ast::{CmpOp, LocalPred, PredKind, Query};
+use crate::ast::{CmpOp, LocalPred, PredKind, Query, MAX_TABLE_REFS};
 
 /// Which statistics view (and whether quirks apply).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,15 +59,38 @@ pub fn local_selectivity(view: &StatsView, table: TableId, pred: &LocalPred, col
 pub struct EqClass {
     pub members: Vec<(usize, ColumnId)>,
     distinct: Vec<f64>,
+    /// Bit `t` is set when a member is on table instance `t`.
+    instances: u64,
+    /// Whether two members are on one instance (`a.x = b.y AND a.z =
+    /// b.y`): then a set holds more members than instances.
+    shared: bool,
 }
 
 impl EqClass {
+    /// The table instances the class has a member on, as a bitset.
+    pub fn instances(&self) -> u64 {
+        self.instances
+    }
+
     /// Member columns whose table instance is inside `set`.
     pub fn members_in(&self, set: u64) -> impl Iterator<Item = (usize, ColumnId)> + '_ {
         self.members
             .iter()
             .copied()
             .filter(move |(t, _)| set & (1 << t) != 0)
+    }
+
+    /// The first member whose table instance is inside `set`.
+    pub fn first_in(&self, set: u64) -> Option<(usize, ColumnId)> {
+        if self.instances & set == 0 {
+            return None;
+        }
+        self.members_in(set).next()
+    }
+
+    /// Whether the class has a member on each side.
+    fn spans(&self, left: u64, right: u64) -> bool {
+        self.instances & left != 0 && self.instances & right != 0
     }
 
     fn reduction(&self, set: u64) -> f64 {
@@ -120,7 +143,10 @@ impl CardEstimator {
             View::Truth => &db.truth,
         };
         let n = query.tables.len();
-        assert!(n <= 64, "table sets are u64 bitsets (max 64 instances)");
+        assert!(
+            n <= MAX_TABLE_REFS,
+            "table sets are u64 bitsets (max {MAX_TABLE_REFS} instances)"
+        );
 
         let mut table_sel = vec![1.0f64; n];
         for pred in &query.locals {
@@ -181,6 +207,8 @@ impl CardEstimator {
                     classes.push(EqClass {
                         members: Vec::new(),
                         distinct: Vec::new(),
+                        instances: 0,
+                        shared: false,
                     });
                     class_of_root.push((root, classes.len() - 1));
                     classes.len() - 1
@@ -188,8 +216,11 @@ impl CardEstimator {
             };
             let table = query.tables[t].table;
             let d = view.column(table, c).n_distinct.max(1) as f64;
-            classes[class_idx].members.push((t, c));
-            classes[class_idx].distinct.push(d);
+            let class = &mut classes[class_idx];
+            class.members.push((t, c));
+            class.distinct.push(d);
+            class.shared |= class.instances & (1 << t) != 0;
+            class.instances |= 1 << t;
         }
 
         // Per-edge quirk factors (truth view only).
@@ -256,12 +287,19 @@ impl CardEstimator {
     /// bitset over `query.tables` indexes (bit `i` = instance `i`).
     pub fn join_card(&self, set: u64) -> f64 {
         let mut card = 1.0f64;
-        for (i, f) in self.filtered.iter().enumerate() {
-            if set & (1 << i) != 0 {
-                card *= f;
-            }
+        // In ascending instance order, as the product's bits depend on it.
+        let mut bits = set & instance_mask(self.filtered.len());
+        while bits != 0 {
+            card *= self.filtered[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
         }
         for class in &self.classes {
+            let inside = class.instances & set;
+            // A reduction of exactly 1.0 (no member inside, or one member
+            // and no shared instance) would leave `card` as it is.
+            if inside & inside.wrapping_sub(1) == 0 && !class.shared {
+                continue;
+            }
             card *= class.reduction(set);
         }
         for &(a, b, factor) in &self.edge_quirks {
@@ -275,9 +313,7 @@ impl CardEstimator {
     /// True if the two disjoint sets are connected by some equivalence
     /// class (directly or through transitivity).
     pub fn connected(&self, left: u64, right: u64) -> bool {
-        self.classes
-            .iter()
-            .any(|c| c.members_in(left).next().is_some() && c.members_in(right).next().is_some())
+        self.classes.iter().any(|c| c.spans(left, right))
     }
 
     /// Join key pairs usable between two disjoint sets: for each class
@@ -293,11 +329,21 @@ impl CardEstimator {
     /// keeps the class order.
     pub fn join_keys_into(&self, left: u64, right: u64, keys: &mut Vec<KeyPair>) {
         keys.clear();
-        keys.extend(self.classes.iter().filter_map(|c| {
-            let l = c.members_in(left).next()?;
-            let r = c.members_in(right).next()?;
-            Some((l, r))
-        }));
+        keys.extend(
+            self.classes
+                .iter()
+                .filter(|c| c.spans(left, right))
+                .filter_map(|c| Some((c.first_in(left)?, c.first_in(right)?))),
+        );
+    }
+}
+
+/// The bits of instances `0..n`.
+fn instance_mask(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
     }
 }
 
@@ -306,6 +352,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use galo_catalog::{col, ColumnStats, ColumnType, DatabaseBuilder, SystemConfig, Table, Value};
+    use proptest::test_runner::TestRng;
 
     /// store_sales (2.88M) ⨝ date_dim (73049) with the paper's Figure 8
     /// correlation: the date predicate estimates 50% but actually keeps
@@ -454,6 +501,180 @@ mod tests {
         assert!(est.connected(0b001, 0b010));
         assert!(!est.connected(0b001, 0b100));
         assert!(est.join_keys_between(0b001, 0b100).is_empty());
+    }
+
+    /// The set functions as they stood before classes kept instance masks:
+    /// every member of every class walked for every set.
+    mod member_walk {
+        use super::*;
+
+        pub fn join_card(est: &CardEstimator, set: u64) -> f64 {
+            let mut card = 1.0f64;
+            for (i, f) in est.filtered.iter().enumerate() {
+                if set & (1 << i) != 0 {
+                    card *= f;
+                }
+            }
+            for class in &est.classes {
+                card *= reduction(class, set);
+            }
+            for &(a, b, factor) in &est.edge_quirks {
+                if set & (1 << a) != 0 && set & (1 << b) != 0 {
+                    card *= factor;
+                }
+            }
+            card.max(1e-6)
+        }
+
+        fn reduction(class: &EqClass, set: u64) -> f64 {
+            let mut k = 0usize;
+            let mut max_d = 1.0f64;
+            for (i, &(t, _)) in class.members.iter().enumerate() {
+                if set & (1 << t) != 0 {
+                    k += 1;
+                    max_d = max_d.max(class.distinct[i]);
+                }
+            }
+            if k >= 2 {
+                (1.0 / max_d).powi(k as i32 - 1)
+            } else {
+                1.0
+            }
+        }
+
+        pub fn connected(est: &CardEstimator, left: u64, right: u64) -> bool {
+            est.classes.iter().any(|c| {
+                c.members_in(left).next().is_some() && c.members_in(right).next().is_some()
+            })
+        }
+
+        pub fn join_keys_between(est: &CardEstimator, left: u64, right: u64) -> Vec<KeyPair> {
+            est.classes
+                .iter()
+                .filter_map(|c| {
+                    let l = c.members_in(left).next()?;
+                    let r = c.members_in(right).next()?;
+                    Some((l, r))
+                })
+                .collect()
+        }
+    }
+
+    /// Three four-column tables with random sizes and distinct counts, a
+    /// join skew and a correlation planted, so the truth view has edge
+    /// quirks.
+    fn random_db(rng: &mut TestRng) -> Database {
+        let mut b = DatabaseBuilder::new("random", SystemConfig::default_1gb());
+        let mut ids = Vec::new();
+        for t in 0..3 {
+            let cols = ["A", "B", "C", "D"];
+            let rows = 10u64.pow(2 + rng.below(5) as u32) * (1 + rng.below(9));
+            let table = Table::new(
+                format!("T{t}"),
+                cols.iter()
+                    .map(|c| col(&format!("T{t}_{c}"), ColumnType::Integer))
+                    .collect(),
+            );
+            let stats = cols
+                .iter()
+                .map(|_| {
+                    let distinct = 1 + rng.below(rows);
+                    ColumnStats::uniform(distinct, 0.0, distinct as f64, 4)
+                })
+                .collect();
+            ids.push(b.add_table(table, rows, stats));
+        }
+        b.plant_join_skew((ids[0], ColumnId(0)), (ids[1], ColumnId(1)), 3.0);
+        b.plant_correlation((ids[0], ColumnId(1)), (ids[2], ColumnId(2)), 0.1);
+        b.build()
+    }
+
+    /// Up to 8 instances of the three tables, joined by random equalities
+    /// between random columns of distinct instances (so classes with two
+    /// members on one instance are common), with random local predicates.
+    fn random_sql(rng: &mut TestRng) -> String {
+        let n = 1 + rng.below(8) as usize;
+        let tables: Vec<u64> = (0..n).map(|_| rng.below(3)).collect();
+        let column = |rng: &mut TestRng, i: usize| {
+            let c = ["a", "b", "c", "d"][rng.below(4) as usize];
+            format!("q{}.t{}_{c}", i + 1, tables[i])
+        };
+        let mut preds = Vec::new();
+        if n > 1 {
+            for _ in 0..1 + rng.below(2 * n as u64) {
+                let i = rng.below(n as u64) as usize;
+                let j = (i + 1 + rng.below(n as u64 - 1) as usize) % n;
+                preds.push(format!("{} = {}", column(rng, i), column(rng, j)));
+            }
+        }
+        for i in 0..n {
+            if rng.below(2) == 0 {
+                let op = ["=", "<"][rng.below(2) as usize];
+                preds.push(format!("{} {op} {}", column(rng, i), rng.below(1000)));
+            }
+        }
+        let from: Vec<String> = (0..n)
+            .map(|i| format!("t{} q{}", tables[i], i + 1))
+            .collect();
+        let mut sql = format!("SELECT {} FROM {}", column(rng, 0), from.join(", "));
+        if !preds.is_empty() {
+            sql += &format!(" WHERE {}", preds.join(" AND "));
+        }
+        sql
+    }
+
+    /// The bitset estimator against the member walk, in both views, over
+    /// random queries of up to 8 instances: `join_card` bit for bit on
+    /// every set, `join_keys_between` and `connected` on every pair of
+    /// disjoint non-empty sets.
+    #[test]
+    fn bitset_estimator_matches_the_member_walk() {
+        let mut rng = TestRng::from_seed(0xb175e7);
+        let mut shared = 0;
+        for case in 0..160 {
+            let db = random_db(&mut rng);
+            // The first case is the one where a class holds two members on
+            // one instance, and a single-member skip would be wrong.
+            let sql = if case == 0 {
+                "SELECT q1.t0_a FROM t0 q1, t1 q2, t2 q3 \
+                 WHERE q1.t0_a = q2.t1_b AND q1.t0_c = q2.t1_b AND q2.t1_d = q3.t2_a"
+                    .to_string()
+            } else {
+                random_sql(&mut rng)
+            };
+            let q = parse(&db, "random", &sql).unwrap();
+            let all = (1u64 << q.tables.len()) - 1;
+            for est in [
+                CardEstimator::belief(&db, &q),
+                CardEstimator::truth(&db, &q),
+            ] {
+                shared += est.classes.iter().filter(|c| c.shared).count();
+                for set in 1..=all {
+                    assert_eq!(
+                        est.join_card(set).to_bits(),
+                        member_walk::join_card(&est, set).to_bits(),
+                        "{sql}: set {set:#b}"
+                    );
+                    let rest = all & !set;
+                    let mut other = rest;
+                    while other > 0 {
+                        let what = format!("{sql}: {set:#b} | {other:#b}");
+                        assert_eq!(
+                            est.join_keys_between(set, other),
+                            member_walk::join_keys_between(&est, set, other),
+                            "{what}"
+                        );
+                        assert_eq!(
+                            est.connected(set, other),
+                            member_walk::connected(&est, set, other),
+                            "{what}"
+                        );
+                        other = (other - 1) & rest;
+                    }
+                }
+            }
+        }
+        assert!(shared > 20, "{shared} classes with a shared instance");
     }
 
     #[test]

@@ -17,13 +17,14 @@
 //!
 //! Column references are resolved against a [`Database`] catalog: an
 //! unqualified column name must be unique across the FROM tables, a
-//! qualified one may use either the alias or the base-table name.
+//! qualified one may use either the alias or the base-table name. A FROM
+//! list holds at most [`MAX_TABLE_REFS`] table references.
 
 use std::fmt;
 
 use galo_catalog::{Database, Value};
 
-use crate::ast::{CmpOp, ColRef, JoinPred, LocalPred, PredKind, Query, TableRef};
+use crate::ast::{CmpOp, ColRef, JoinPred, LocalPred, PredKind, Query, TableRef, MAX_TABLE_REFS};
 
 /// Parse error with a human-readable message and token position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -259,6 +260,11 @@ impl<'a> Parser<'a> {
 
         let mut tables: Vec<TableRef> = Vec::new();
         loop {
+            if tables.len() == MAX_TABLE_REFS {
+                return Err(self.err(format!(
+                    "more than {MAX_TABLE_REFS} table references in FROM"
+                )));
+            }
             let tname = self.ident()?;
             let table = self
                 .db
