@@ -158,8 +158,8 @@ pub(crate) fn enumerate_mining_space(workload: &Workload, cfg: &LearningConfig) 
     let mut enum_ms: Vec<f64> = Vec::with_capacity(workload.queries.len());
     for (qi, query) in workload.queries.iter().enumerate() {
         let t0 = Instant::now();
-        let mut subs = subqueries(query, cfg.join_threshold);
-        subs.truncate(cfg.max_subqueries_per_query);
+        // Only the sub-queries kept are projected.
+        let subs = subqueries(query, cfg.join_threshold).take(cfg.max_subqueries_per_query);
         subqueries_total += subs.len();
         for sub in subs {
             let sig = structure_signature(db, &sub);
@@ -325,9 +325,9 @@ fn analyze_subquery(
 
     // The problem pattern must be stable: keep variants where the
     // optimizer still chooses the same plan shape.
-    let mut stable: Vec<(Query, Qgm)> = vec![(sub.clone(), base_plan)];
-    for v in variants {
-        if let Ok(plan) = optimizer.optimize(&v) {
+    let mut stable: Vec<(&Query, Qgm)> = vec![(sub, base_plan)];
+    for v in &variants {
+        if let Ok(plan) = optimizer.optimize(v) {
             if plan.plan_fingerprint() == base_fp {
                 stable.push((v, plan));
             }

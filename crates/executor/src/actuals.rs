@@ -44,11 +44,7 @@ impl Actuals {
 pub fn compute_actuals(db: &Database, qgm: &Qgm) -> Actuals {
     let est = CardEstimator::truth(db, &qgm.query);
     let mut rows = HashMap::with_capacity(qgm.len());
-    for (id, pop) in qgm.pops() {
-        let set: u64 = qgm
-            .tables_under(id)
-            .into_iter()
-            .fold(0u64, |acc, t| acc | (1 << t));
+    for ((id, pop), set) in qgm.pops().zip(qgm.table_sets()) {
         let actual = match &pop.kind {
             PopKind::TbScan { table } | PopKind::IxScan { table, .. } => est.filtered_card(*table),
             _ => est.join_card(set),

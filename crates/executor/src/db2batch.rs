@@ -57,10 +57,23 @@ pub fn db2batch<R: Rng>(
     noise: &NoiseModel,
     rng: &mut R,
 ) -> Vec<RunMeasurement> {
-    let sim = Simulator::new(db);
     let mut out = Vec::with_capacity(runs);
+    if runs == 0 {
+        return out;
+    }
+    // A run is a pure function of the plan and `warm`, and the noise is
+    // drawn after it: simulate cold once and warm once, and draw each
+    // run's noise in run order as if every run had been simulated afresh.
+    let sim = Simulator::new(db);
+    let plan = sim.prepare(qgm);
+    let cold = sim.run_prepared(&plan, false);
+    let warm = if runs > 1 {
+        sim.run_prepared(&plan, true)
+    } else {
+        cold
+    };
     for i in 0..runs {
-        let base: RunStats = sim.run(qgm, i > 0);
+        let base: RunStats = if i > 0 { warm } else { cold };
         // Log-normal multiplicative noise: exp(N(0, sigma)).
         let z: f64 = sample_standard_normal(rng);
         let mut elapsed = base.elapsed_ms * (z * noise.sigma).exp();

@@ -59,6 +59,20 @@ struct NodeRun {
     pages: f64,
 }
 
+/// A plan with what its runs read: the truth estimate of its query and
+/// every operator's table set ([`Qgm::table_sets`]).
+pub(crate) struct Prepared<'q> {
+    qgm: &'q Qgm,
+    est: CardEstimator,
+    sets: Vec<u64>,
+}
+
+impl Prepared<'_> {
+    fn table_set(&self, id: PopId) -> u64 {
+        self.sets[id.0 as usize]
+    }
+}
+
 /// The runtime simulator for one database.
 pub struct Simulator<'a> {
     db: &'a Database,
@@ -76,18 +90,26 @@ impl<'a> Simulator<'a> {
     /// Simulate one execution of a plan. `warm` models a buffer pool
     /// already populated by a previous run of the same plan.
     pub fn run(&self, qgm: &Qgm, warm: bool) -> RunStats {
-        let est = CardEstimator::truth(self.db, &qgm.query);
-        let out = self.eval(qgm, &est, qgm.root(), warm, 1.0);
+        self.run_prepared(&self.prepare(qgm), warm)
+    }
+
+    /// What every run of `qgm` reads besides the plan: a run is a pure
+    /// function of the plan and `warm`, so a batch prepares this once.
+    pub(crate) fn prepare<'q>(&self, qgm: &'q Qgm) -> Prepared<'q> {
+        Prepared {
+            qgm,
+            est: CardEstimator::truth(self.db, &qgm.query),
+            sets: qgm.table_sets(),
+        }
+    }
+
+    /// [`Simulator::run`] of a prepared plan.
+    pub(crate) fn run_prepared(&self, plan: &Prepared, warm: bool) -> RunStats {
+        let out = self.eval(plan, plan.qgm.root(), warm, 1.0);
         RunStats {
             elapsed_ms: out.elapsed,
             metrics: out.metrics,
         }
-    }
-
-    fn table_set(&self, qgm: &Qgm, id: PopId) -> u64 {
-        qgm.tables_under(id)
-            .into_iter()
-            .fold(0u64, |acc, t| acc | (1 << t))
     }
 
     /// Truth selectivity of local predicates on one column of an instance.
@@ -101,38 +123,32 @@ impl<'a> Simulator<'a> {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn eval(
-        &self,
-        qgm: &Qgm,
-        est: &CardEstimator,
-        id: PopId,
-        warm: bool,
-        fraction: f64,
-    ) -> NodeRun {
+    fn eval(&self, plan: &Prepared, id: PopId, warm: bool, fraction: f64) -> NodeRun {
+        let (qgm, est) = (plan.qgm, &plan.est);
         let pop = qgm.pop(id);
         let query = &qgm.query;
         let bp = self.params.buffer_pool_pages as f64;
         match &pop.kind {
             PopKind::Return => {
-                let mut child = self.eval(qgm, est, pop.inputs[0], warm, fraction);
+                let mut child = self.eval(plan, pop.inputs[0], warm, fraction);
                 let cpu = child.rows * self.params.cpu_row_ms * 0.1;
                 child.elapsed += cpu;
                 child.metrics.cpu_ms += cpu;
                 child
             }
             PopKind::Filter => {
-                let mut child = self.eval(qgm, est, pop.inputs[0], warm, fraction);
+                let mut child = self.eval(plan, pop.inputs[0], warm, fraction);
                 let cpu = child.rows * self.params.cpu_pred_ms;
                 child.elapsed += cpu;
                 child.metrics.cpu_ms += cpu;
                 // Filter output follows the operator's table set actuals.
-                child.rows = est.join_card(self.table_set(qgm, id)).min(child.rows);
+                child.rows = est.join_card(plan.table_set(id)).min(child.rows);
                 child
             }
             PopKind::Sort { .. } => {
                 // A sort consumes its input fully regardless of how much
                 // the parent reads.
-                let child = self.eval(qgm, est, pop.inputs[0], warm, 1.0);
+                let child = self.eval(plan, pop.inputs[0], warm, 1.0);
                 let rows = child.rows;
                 let width = 24.0;
                 let bytes = rows * width;
@@ -250,11 +266,11 @@ impl<'a> Simulator<'a> {
                     pages: stats.pages as f64,
                 }
             }
-            PopKind::NlJoin => self.eval_nljoin(qgm, est, id, warm, fraction),
+            PopKind::NlJoin => self.eval_nljoin(plan, id, warm, fraction),
             PopKind::HsJoin { bloom } => {
-                let outer = self.eval(qgm, est, pop.inputs[0], warm, fraction);
-                let inner = self.eval(qgm, est, pop.inputs[1], warm, 1.0);
-                let join_rows = est.join_card(self.table_set(qgm, id)) * fraction;
+                let outer = self.eval(plan, pop.inputs[0], warm, fraction);
+                let inner = self.eval(plan, pop.inputs[1], warm, 1.0);
+                let join_rows = est.join_card(plan.table_set(id)) * fraction;
                 let match_frac = (join_rows / outer.rows.max(1.0)).min(1.0);
 
                 let build_cpu = inner.rows * self.params.cpu_hash_ms;
@@ -299,16 +315,16 @@ impl<'a> Simulator<'a> {
                 }
             }
             PopKind::MsJoin => {
-                let outer_set = self.table_set(qgm, pop.inputs[0]);
-                let inner_set = self.table_set(qgm, pop.inputs[1]);
+                let outer_set = plan.table_set(pop.inputs[0]);
+                let inner_set = plan.table_set(pop.inputs[1]);
                 // Early termination: a correlated, filtered dim on one side
                 // means the sorted fact side runs out of matches early.
                 let scan_frac = self.merge_scan_fraction(query, outer_set, inner_set);
                 let outer_kind = &qgm.pop(pop.inputs[0]).kind;
                 let pipelined = outer_kind.is_scan() || matches!(outer_kind, PopKind::Filter);
                 let outer_fraction = if pipelined { fraction * scan_frac } else { 1.0 };
-                let outer = self.eval(qgm, est, pop.inputs[0], warm, outer_fraction);
-                let inner = self.eval(qgm, est, pop.inputs[1], warm, 1.0);
+                let outer = self.eval(plan, pop.inputs[0], warm, outer_fraction);
+                let inner = self.eval(plan, pop.inputs[1], warm, 1.0);
 
                 let join_rows = est.join_card(outer_set | inner_set) * fraction;
                 let merged = outer
@@ -329,19 +345,13 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    fn eval_nljoin(
-        &self,
-        qgm: &Qgm,
-        est: &CardEstimator,
-        id: PopId,
-        warm: bool,
-        fraction: f64,
-    ) -> NodeRun {
+    fn eval_nljoin(&self, plan: &Prepared, id: PopId, warm: bool, fraction: f64) -> NodeRun {
+        let (qgm, est) = (plan.qgm, &plan.est);
         let pop = qgm.pop(id);
         let query = &qgm.query;
         let bp = self.params.buffer_pool_pages as f64;
-        let outer = self.eval(qgm, est, pop.inputs[0], warm, fraction);
-        let join_rows = est.join_card(self.table_set(qgm, id)) * fraction;
+        let outer = self.eval(plan, pop.inputs[0], warm, fraction);
+        let join_rows = est.join_card(plan.table_set(id)) * fraction;
         let probes = outer.rows.max(1.0);
         let per_probe = join_rows / probes;
 
@@ -405,7 +415,7 @@ impl<'a> Simulator<'a> {
 
         // Generic inner: evaluated once cold, re-executed per probe at the
         // buffer-pool discounted rate.
-        let inner = self.eval(qgm, est, pop.inputs[1], warm, 1.0);
+        let inner = self.eval(plan, pop.inputs[1], warm, 1.0);
         let hit = (bp / inner.pages.max(1.0)).min(1.0);
         let repeat = inner.elapsed * (1.0 - 0.95 * hit);
         let cpu = probes * self.params.cpu_row_ms + join_rows * self.params.cpu_row_ms;

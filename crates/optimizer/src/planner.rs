@@ -572,33 +572,17 @@ impl<'a> Planner<'a> {
 
     // ---- access paths ----
 
-    /// Columns of instance `t` used anywhere in the query.
-    fn used_columns(&self, t: usize) -> Vec<ColumnId> {
-        let mut cols: Vec<ColumnId> = Vec::new();
-        let push = |c: ColumnId, cols: &mut Vec<ColumnId>| {
-            if !cols.contains(&c) {
-                cols.push(c);
-            }
-        };
-        for j in &self.query.joins {
-            if j.left.table_idx == t {
-                push(j.left.column, &mut cols);
-            }
-            if j.right.table_idx == t {
-                push(j.right.column, &mut cols);
-            }
-        }
-        for l in &self.query.locals {
-            if l.col.table_idx == t {
-                push(l.col.column, &mut cols);
-            }
-        }
-        for p in &self.query.projections {
-            if p.table_idx == t {
-                push(p.column, &mut cols);
-            }
-        }
-        cols
+    /// The columns of instance `t` the query names, each once per mention:
+    /// in join predicates, local predicates and projections.
+    fn column_refs(&self, t: usize) -> impl Iterator<Item = ColumnId> + '_ {
+        let q = &self.query;
+        let joins = q.joins.iter().flat_map(|j| [j.left, j.right]);
+        let locals = q.locals.iter().map(|l| l.col);
+        joins
+            .chain(locals)
+            .chain(q.projections.iter().copied())
+            .filter(move |c| c.table_idx == t)
+            .map(|c| c.column)
     }
 
     /// All access-path candidates for one table instance, pruned to the
@@ -610,12 +594,20 @@ impl<'a> Planner<'a> {
     /// All access-path candidates, unpruned (guideline resolution must see
     /// dominated paths too — a guideline may legitimately force one).
     pub fn access_candidates_raw(&self, t: usize) -> Vec<Cand> {
+        let indexes = self.db.table(self.query.tables[t].table).indexes.len();
+        let mut cands = Vec::with_capacity(1 + indexes);
+        cands.extend(self.access_paths(t));
+        cands
+    }
+
+    /// [`Planner::access_candidates_raw`], one at a time: the table scan,
+    /// then an index scan per index on a column the query names.
+    fn access_paths(&self, t: usize) -> impl Iterator<Item = Cand> + '_ {
         let table_id = self.query.tables[t].table;
         let table = self.db.table(table_id);
         let filtered = self.est.filtered_card(t);
         let n_preds = self.query.locals_of(t).count();
-        let used = self.used_columns(t);
-        let access = |path, cost, order| Cand {
+        let access = move |path, cost, order| Cand {
             step: Step::Access { table_idx: t, path },
             set: 1 << t,
             cost,
@@ -623,41 +615,41 @@ impl<'a> Planner<'a> {
             order,
         };
 
-        let mut cands = vec![access(
-            AccessPath::TbScan,
-            self.cm.tbscan(table_id, n_preds),
-            None,
-        )];
-        for (ix_id, ix) in table.indexes.iter().enumerate() {
-            let ix_id = IndexId(ix_id as u32);
-            if !used.contains(&ix.column) {
-                continue;
-            }
-            // Sargable fraction: local predicates on the index key.
-            let key_sel: f64 = self
-                .query
-                .locals_of(t)
-                .filter(|p| p.col.column == ix.column)
-                .map(|p| galo_sql::local_selectivity(&self.db.belief, table_id, p, ix.column))
-                .product();
-            let fetch = used.iter().any(|&c| c != ix.column);
-            let residual = self
-                .query
-                .locals_of(t)
-                .filter(|p| p.col.column != ix.column)
-                .count();
-            let path = AccessPath::IxScan {
-                index: ix_id,
-                fetch,
-            };
-            let cost = self.cm.ixscan(table_id, ix_id, key_sel, fetch, residual);
-            let order = ColRef {
-                table_idx: t,
-                column: ix.column,
-            };
-            cands.push(access(path, cost, Some(order)));
-        }
-        cands
+        let tbscan = access(AccessPath::TbScan, self.cm.tbscan(table_id, n_preds), None);
+        let ixscans = table
+            .indexes
+            .iter()
+            .enumerate()
+            .filter_map(move |(ix_id, ix)| {
+                let ix_id = IndexId(ix_id as u32);
+                if !self.column_refs(t).any(|c| c == ix.column) {
+                    return None;
+                }
+                // Sargable fraction: local predicates on the index key.
+                let key_sel: f64 = self
+                    .query
+                    .locals_of(t)
+                    .filter(|p| p.col.column == ix.column)
+                    .map(|p| galo_sql::local_selectivity(&self.db.belief, table_id, p, ix.column))
+                    .product();
+                let fetch = self.column_refs(t).any(|c| c != ix.column);
+                let residual = self
+                    .query
+                    .locals_of(t)
+                    .filter(|p| p.col.column != ix.column)
+                    .count();
+                let path = AccessPath::IxScan {
+                    index: ix_id,
+                    fetch,
+                };
+                let cost = self.cm.ixscan(table_id, ix_id, key_sel, fetch, residual);
+                let order = ColRef {
+                    table_idx: t,
+                    column: ix.column,
+                };
+                Some(access(path, cost, Some(order)))
+            });
+        std::iter::once(tbscan).chain(ixscans)
     }
 
     // ---- join construction ----
@@ -822,12 +814,25 @@ impl<'a> Planner<'a> {
     /// this is for callers that pick by something other than cost.
     pub fn join_candidates(&self, outer: &Unit, inner: &Unit) -> Vec<Cand> {
         let mut out = Vec::new();
+        self.join_candidates_into(outer, inner, &mut Vec::new(), &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`Planner::join_candidates`] into `out`, with the key and
+    /// nested-loop buffers the caller reuses; all three are cleared first.
+    pub fn join_candidates_into(
+        &self,
+        outer: &Unit,
+        inner: &Unit,
+        keys: &mut Vec<KeyPair>,
+        nl: &mut Vec<f64>,
+        out: &mut Vec<Cand>,
+    ) {
+        out.clear();
         let arena = self.arena.borrow();
-        let (mut keys, mut nl) = (Vec::new(), Vec::new());
-        if let Some(pair) = self.cost_orientation(&arena, outer, inner, &mut keys, &mut nl) {
+        if let Some(pair) = self.cost_orientation(&arena, outer, inner, keys, nl) {
             pair.for_each_join(&arena, outer, inner, None, |alt| out.push(alt.build()));
         }
-        out
     }
 
     /// The orders a plan of table set `set` can still put to use, into
@@ -1063,8 +1068,7 @@ impl<'a> Planner<'a> {
         match node {
             GuidelineNode::TbScan { tabid } => {
                 let t = self.instance_of(tabid)?;
-                self.access_candidates_raw(t)
-                    .into_iter()
+                self.access_paths(t)
                     .find(|c| {
                         matches!(
                             c.step,
@@ -1079,8 +1083,7 @@ impl<'a> Planner<'a> {
             GuidelineNode::IxScan { tabid, index } => {
                 let t = self.instance_of(tabid)?;
                 let table = self.db.table(self.query.tables[t].table);
-                let cands = self.access_candidates_raw(t);
-                let found = cands.into_iter().find(|c| match c.step {
+                let found = self.access_paths(t).find(|c| match c.step {
                     Step::Access {
                         path: AccessPath::IxScan { index: ix, .. },
                         ..
@@ -1217,24 +1220,58 @@ impl<'a> Planner<'a> {
     /// The QGM of `winner` over `query` (the planned query or a copy): the
     /// one place a plan tree is built.
     pub fn qgm(&self, query: Query, winner: &Cand) -> Qgm {
+        let arena = self.arena.borrow();
         let mut b = Qgm::builder(query);
-        let top = self.emit(&mut b, &self.arena.borrow(), winner);
+        // The plan's operators and the `RETURN` over them.
+        b.reserve(self.operators(&arena, winner) + 1);
+        let top = self.emit(&mut b, &arena, winner);
         b.finish(top)
     }
 
     fn emit(&self, b: &mut galo_qgm::QgmBuilder, arena: &[Cand], plan: &Cand) -> galo_qgm::PopId {
         let (card, cost) = (plan.card, plan.cost);
+        let (kind, inputs) = match self.node(arena, plan) {
+            Node::Leaf(kind) => return b.add(kind, vec![], card, cost),
+            Node::Join(kind, inputs) => (kind, inputs),
+        };
+        // A sorted input costs what `Unit::sorted_cost` charged.
+        let [o, i] = inputs.map(|(c, sort)| {
+            let pop = self.emit(b, arena, c);
+            let Some(key) = sort else { return pop };
+            let (width, _) = self.width_and_pages(c.set);
+            let sorted = c.cost + self.cm.sort(c.card, width);
+            let sort = b.add(PopKind::Sort { key: Some(key) }, vec![pop], c.card, sorted);
+            b.set_order(sort, Some(key));
+            sort
+        });
+        b.add(kind, vec![o, i], card, cost)
+    }
+
+    /// The operators [`Planner::emit`] adds for `plan`.
+    fn operators(&self, arena: &[Cand], plan: &Cand) -> usize {
+        match self.node(arena, plan) {
+            Node::Leaf(_) => 1,
+            Node::Join(_, inputs) => inputs.iter().fold(1, |n, &(c, sort)| {
+                n + self.operators(arena, c) + usize::from(sort.is_some())
+            }),
+        }
+    }
+
+    /// `plan`'s operator and, for a join, its outer and inner inputs, each
+    /// with the key it is sorted on first, if any: a merge join takes the
+    /// key `cost_pair` took (the first of `join_keys_between(outer.set,
+    /// inner.set)`) and sorts each input not already ordered on its side.
+    fn node<'c>(&self, arena: &'c [Cand], plan: &Cand) -> Node<'c> {
         let (method, outer, inner) = match plan.step {
             Step::Access { table_idx, path } => {
-                let kind = match path {
+                return Node::Leaf(match path {
                     AccessPath::TbScan => PopKind::TbScan { table: table_idx },
                     AccessPath::IxScan { index, fetch } => PopKind::IxScan {
                         table: table_idx,
                         index,
                         fetch,
                     },
-                };
-                return b.add(kind, vec![], card, cost);
+                })
             }
             Step::Join {
                 method,
@@ -1242,11 +1279,7 @@ impl<'a> Planner<'a> {
                 inner,
             } => (method, &arena[outer as usize], &arena[inner as usize]),
         };
-        // A merge join takes the key `cost_pair` took, and each input is
-        // sorted on its side unless it is ordered that way already, at the
-        // cost `Unit::sorted_cost` charged.
         let key = (method == JoinMethod::Ms).then(|| {
-            // The first of `join_keys_between(outer.set, inner.set)`.
             let (outer_key, inner_key) = self
                 .est
                 .classes()
@@ -1255,28 +1288,28 @@ impl<'a> Planner<'a> {
                 .expect("a join key connects the inputs");
             (col_ref(outer_key), col_ref(inner_key))
         });
-        let input = |b: &mut galo_qgm::QgmBuilder, c: &Cand, key: Option<ColRef>| {
-            let pop = self.emit(b, arena, c);
-            match key {
-                Some(key) if c.order != Some(key) => {
-                    let (width, _) = self.width_and_pages(c.set);
-                    let sorted = c.cost + self.cm.sort(c.card, width);
-                    let sort = b.add(PopKind::Sort { key: Some(key) }, vec![pop], c.card, sorted);
-                    b.set_order(sort, Some(key));
-                    sort
-                }
-                _ => pop,
-            }
-        };
-        let o = input(b, outer, key.map(|k| k.0));
-        let i = input(b, inner, key.map(|k| k.1));
+        let sort = |c: &Cand, key: Option<ColRef>| key.filter(|&key| c.order != Some(key));
         let kind = match method {
             JoinMethod::Nl => PopKind::NlJoin,
             JoinMethod::Hs { bloom } => PopKind::HsJoin { bloom },
             JoinMethod::Ms => PopKind::MsJoin,
         };
-        b.add(kind, vec![o, i], card, cost)
+        Node::Join(
+            kind,
+            [
+                (outer, sort(outer, key.map(|k| k.0))),
+                (inner, sort(inner, key.map(|k| k.1))),
+            ],
+        )
     }
+}
+
+/// A candidate's last step as a plan operator: [`Planner::node`].
+enum Node<'c> {
+    Leaf(PopKind),
+    /// The join operator, and its outer and inner inputs with the key each
+    /// is sorted on first.
+    Join(PopKind, [(&'c Cand, Option<ColRef>); 2]),
 }
 
 fn col_ref((table_idx, column): (usize, ColumnId)) -> ColRef {
@@ -1294,14 +1327,18 @@ fn cmp_cost(a: f64, b: f64) -> Ordering {
 /// orders (see the module docs).
 pub(crate) fn prune(mut cands: Vec<Cand>) -> Vec<Cand> {
     cands.sort_by(|a, b| cmp_cost(a.cost, b.cost));
-    let mut kept: Vec<Cand> = Vec::new();
-    for c in cands {
-        let dominated = kept
+    // The kept candidates are compacted to the front, in order.
+    let mut kept = 0;
+    for i in 0..cands.len() {
+        let c = cands[i];
+        let dominated = cands[..kept]
             .iter()
             .any(|k| k.cost <= c.cost && (k.order == c.order || c.order.is_none()));
         if !dominated {
-            kept.push(c);
+            cands[kept] = c;
+            kept += 1;
         }
     }
-    kept
+    cands.truncate(kept);
+    cands
 }

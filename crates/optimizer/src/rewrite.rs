@@ -12,9 +12,8 @@
 //! * **trivial contradiction flagging** (`x = 1 ∧ x = 2`), which real
 //!   rewrite engines use to short-circuit empty results.
 
-use std::collections::BTreeSet;
-
-use galo_sql::{ColRef, JoinPred, PredKind, Query};
+use galo_catalog::Value;
+use galo_sql::{ColRef, JoinPred, LocalPred, PredKind, Query};
 
 /// Result of the rewrite stage.
 #[derive(Debug, Clone)]
@@ -36,52 +35,61 @@ pub fn rewrite(query: &Query) -> (Query, RewriteReport) {
         contradictions: Vec::new(),
     };
 
-    // Duplicate join predicates (orientation-insensitive).
-    let mut seen: BTreeSet<((usize, u32), (usize, u32))> = BTreeSet::new();
+    // Duplicate join predicates (orientation-insensitive): each kept only
+    // where it first appears.
     let before = q.joins.len();
-    q.joins.retain(|j| {
-        let (a, b) = j.normalized();
-        seen.insert(((a.table_idx, a.column.0), (b.table_idx, b.column.0)))
-    });
-    report.duplicates_removed += before - q.joins.len();
-
-    // Duplicate local predicates.
-    let before = q.locals.len();
-    let mut kept: Vec<galo_sql::LocalPred> = Vec::new();
-    for p in q.locals.drain(..) {
-        if !kept.iter().any(|k| k.col == p.col && k.kind == p.kind) {
-            kept.push(p);
+    let mut kept = 0;
+    for i in 0..q.joins.len() {
+        let key = q.joins[i].normalized();
+        if !q.joins[..kept].iter().any(|j| j.normalized() == key) {
+            q.joins[kept] = q.joins[i];
+            kept += 1;
         }
     }
-    q.locals = kept;
+    q.joins.truncate(kept);
+    report.duplicates_removed += before - q.joins.len();
+
+    // Duplicate local predicates, likewise.
+    let before = q.locals.len();
+    let mut i = 0;
+    while i < q.locals.len() {
+        let p = &q.locals[i];
+        if q.locals[..i]
+            .iter()
+            .any(|k| k.col == p.col && k.kind == p.kind)
+        {
+            q.locals.remove(i);
+        } else {
+            i += 1;
+        }
+    }
     report.duplicates_removed += before - q.locals.len();
 
-    // Transitive closure over join columns (union-find on ColRef nodes).
-    let mut nodes: Vec<ColRef> = Vec::new();
-    let mut parent: Vec<usize> = Vec::new();
-    let node_of = |nodes: &mut Vec<ColRef>, parent: &mut Vec<usize>, c: ColRef| -> usize {
-        match nodes.iter().position(|&n| n == c) {
+    // Transitive closure over join columns (union-find on ColRef nodes,
+    // each with its parent).
+    let mut nodes: Vec<(ColRef, usize)> = Vec::with_capacity(2 * q.joins.len());
+    let node_of = |nodes: &mut Vec<(ColRef, usize)>, c: ColRef| -> usize {
+        match nodes.iter().position(|&(n, _)| n == c) {
             Some(i) => i,
             None => {
-                nodes.push(c);
-                parent.push(parent.len());
-                parent.len() - 1
+                nodes.push((c, nodes.len()));
+                nodes.len() - 1
             }
         }
     };
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
+    fn find(nodes: &mut [(ColRef, usize)], mut x: usize) -> usize {
+        while nodes[x].1 != x {
+            nodes[x].1 = nodes[nodes[x].1].1;
+            x = nodes[x].1;
         }
         x
     }
     for j in &q.joins {
-        let a = node_of(&mut nodes, &mut parent, j.left);
-        let b = node_of(&mut nodes, &mut parent, j.right);
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+        let a = node_of(&mut nodes, j.left);
+        let b = node_of(&mut nodes, j.right);
+        let (ra, rb) = (find(&mut nodes, a), find(&mut nodes, b));
         if ra != rb {
-            parent[ra] = rb;
+            nodes[ra].1 = rb;
         }
     }
     // For every pair of class members on *different* tables without a
@@ -89,10 +97,10 @@ pub fn rewrite(query: &Query) -> (Query, RewriteReport) {
     let n_nodes = nodes.len();
     for i in 0..n_nodes {
         for k in (i + 1)..n_nodes {
-            if find(&mut parent, i) != find(&mut parent, k) {
+            if find(&mut nodes, i) != find(&mut nodes, k) {
                 continue;
             }
-            let (a, b) = (nodes[i], nodes[k]);
+            let (a, b) = (nodes[i].0, nodes[k].0);
             if a.table_idx == b.table_idx {
                 continue;
             }
@@ -108,20 +116,24 @@ pub fn rewrite(query: &Query) -> (Query, RewriteReport) {
         }
     }
 
-    // Contradictory equality constants on one column.
+    // Contradictory equality constants on one column: every pair, in
+    // order, of equalities on one instance's column with different values.
+    fn eq(p: &LocalPred) -> Option<(ColRef, &Value)> {
+        match &p.kind {
+            PredKind::Cmp(galo_sql::CmpOp::Eq, v) => Some((p.col, v)),
+            _ => None,
+        }
+    }
     for t in 0..q.tables.len() {
-        let eqs: Vec<_> = q
-            .locals
-            .iter()
-            .filter(|p| p.col.table_idx == t)
-            .filter_map(|p| match &p.kind {
-                PredKind::Cmp(galo_sql::CmpOp::Eq, v) => Some((p.col.column, v.clone())),
-                _ => None,
-            })
-            .collect();
-        for i in 0..eqs.len() {
-            for k in (i + 1)..eqs.len() {
-                if eqs[i].0 == eqs[k].0 && eqs[i].1 != eqs[k].1 {
+        let eqs = || {
+            q.locals
+                .iter()
+                .filter_map(eq)
+                .filter(|(c, _)| c.table_idx == t)
+        };
+        for (i, (ci, vi)) in eqs().enumerate() {
+            for (ck, vk) in eqs().skip(i + 1) {
+                if ci.column == ck.column && vi != vk {
                     report.contradictions.push(t);
                 }
             }

@@ -208,6 +208,23 @@ impl Qgm {
         out
     }
 
+    /// Every operator's table set, indexed by [`PopId`]: bit `t` is set
+    /// when the subtree it roots scans table instance `t` (the bits of
+    /// [`Self::tables_under`]). One pass over the arena, children first,
+    /// as in [`Self::extents`].
+    pub fn table_sets(&self) -> Vec<u64> {
+        let mut out: Vec<u64> = Vec::with_capacity(self.pops.len());
+        for pop in &self.pops {
+            let own = pop.kind.scan_table().map_or(0, |t| 1u64 << t);
+            let set = pop
+                .inputs
+                .iter()
+                .fold(own, |set, child| set | out[child.0 as usize]);
+            out.push(set);
+        }
+        out
+    }
+
     /// Number of join operators in the subtree rooted at `id`.
     pub fn join_count(&self, id: PopId) -> usize {
         self.subtree(id)
@@ -230,27 +247,45 @@ impl Qgm {
     /// shape and accessed table instances. Used to deduplicate random
     /// plans and to compare plans across re-optimizations.
     pub fn fingerprint(&self, id: PopId) -> String {
+        // About 16 bytes an operator (`IXSCAN[12,3,F]`, a bracket or a
+        // comma): one allocation usually holds the whole plan's text.
+        let mut out = String::with_capacity(16 * self.pops.len());
+        self.write_fingerprint(id, &mut out);
+        out
+    }
+
+    /// [`Self::fingerprint`] of the subtree at `id`, appended to `out`:
+    /// the operator's label, then its children's, comma-separated, in
+    /// parentheses.
+    fn write_fingerprint(&self, id: PopId, out: &mut String) {
         let pop = self.pop(id);
-        let children: Vec<String> = pop.inputs.iter().map(|&c| self.fingerprint(c)).collect();
-        let label = match &pop.kind {
-            PopKind::TbScan { table } => format!("TBSCAN[{table}]"),
+        match &pop.kind {
+            PopKind::TbScan { table } => {
+                out.push_str("TBSCAN[");
+                push_decimal(out, *table as u64);
+                out.push(']');
+            }
             PopKind::IxScan {
                 table,
                 index,
                 fetch,
             } => {
-                format!(
-                    "IXSCAN[{table},{},{}]",
-                    index.0,
-                    if *fetch { "F" } else { "-" }
-                )
+                out.push_str("IXSCAN[");
+                push_decimal(out, *table as u64);
+                out.push(',');
+                push_decimal(out, index.0.into());
+                out.push_str(if *fetch { ",F]" } else { ",-]" });
             }
-            other => other.name().to_string(),
-        };
-        if children.is_empty() {
-            label
-        } else {
-            format!("{label}({})", children.join(","))
+            other => out.push_str(other.name()),
+        }
+        if let Some((first, rest)) = pop.inputs.split_first() {
+            out.push('(');
+            self.write_fingerprint(*first, out);
+            for &child in rest {
+                out.push(',');
+                self.write_fingerprint(child, out);
+            }
+            out.push(')');
         }
     }
 
@@ -316,6 +351,23 @@ impl Qgm {
     }
 }
 
+/// Append `n` in decimal, as `{n}` formats it, without the formatting
+/// machinery: fingerprints are written for every plan the learner
+/// compares.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
 /// Bottom-up plan builder.
 pub struct QgmBuilder {
     query: Query,
@@ -341,6 +393,12 @@ impl QgmBuilder {
             order: None,
         });
         PopId((self.pops.len() - 1) as u32)
+    }
+
+    /// Make room for `additional` more operators, the `RETURN` that
+    /// [`finish`](Self::finish) adds included.
+    pub fn reserve(&mut self, additional: usize) {
+        self.pops.reserve_exact(additional);
     }
 
     /// Set the output order of an operator.
@@ -378,23 +436,20 @@ impl QgmBuilder {
         let root = PopId((self.pops.len() - 1) as u32);
 
         // Pre-order id assignment.
-        let mut counter = 1u32;
-        let mut stack = vec![root];
-        let mut order: Vec<PopId> = Vec::with_capacity(self.pops.len());
-        while let Some(cur) = stack.pop() {
-            order.push(cur);
-            for &child in self.pops[cur.0 as usize].inputs.iter().rev() {
-                stack.push(child);
+        fn number(pops: &mut [Pop], id: PopId, next: &mut u32) {
+            let pop = &mut pops[id.0 as usize];
+            assert_eq!(pop.op_id, 0, "an operator is the input of two operators");
+            pop.op_id = *next;
+            *next += 1;
+            for i in 0..pop.inputs.len() {
+                let child = pops[id.0 as usize].inputs[i];
+                number(pops, child, next);
             }
         }
-        for &id in &order {
-            let pop = &mut self.pops[id.0 as usize];
-            assert_eq!(pop.op_id, 0, "an operator is the input of two operators");
-            pop.op_id = counter;
-            counter += 1;
-        }
+        let mut next = 1u32;
+        number(&mut self.pops, root, &mut next);
         assert_eq!(
-            order.len(),
+            next as usize - 1,
             self.pops.len(),
             "a plan is one tree: every operator reached from the top"
         );
@@ -476,6 +531,12 @@ mod tests {
         assert_eq!(plan.subtree(plan.root()).len(), 4);
         assert_eq!(plan.join_count(plan.root()), 1);
         assert_eq!(plan.tables_under(plan.root()), vec![0, 1]);
+        let sets = plan.table_sets();
+        for (id, _) in plan.pops() {
+            let fold = plan.tables_under(id).iter().fold(0, |s, t| s | 1u64 << t);
+            assert_eq!(sets[id.0 as usize], fold);
+        }
+        assert_eq!(sets[plan.root().0 as usize], 0b11);
     }
 
     #[test]
@@ -571,6 +632,15 @@ mod tests {
         let join = c.add(PopKind::NlJoin, vec![outer, inner], 9.0, 9.0);
         let plan_c = c.finish(join);
         assert_ne!(plan_a.plan_fingerprint(), plan_c.plan_fingerprint());
+    }
+
+    #[test]
+    fn decimals_are_written_as_formatted() {
+        for n in [0, 1, 9, 10, 63, 99, 100, 4_096, u32::MAX as u64, u64::MAX] {
+            let mut out = String::from("x");
+            push_decimal(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 
     #[test]

@@ -58,7 +58,9 @@ pub fn local_selectivity(view: &StatsView, table: TableId, pred: &LocalPred, col
 #[derive(Debug, Clone)]
 pub struct EqClass {
     pub members: Vec<(usize, ColumnId)>,
-    distinct: Vec<f64>,
+    /// Where the members' distinct counts start in
+    /// [`CardEstimator`]'s `distinct`.
+    first_distinct: usize,
     /// Bit `t` is set when a member is on table instance `t`.
     instances: u64,
     /// Whether two members are on one instance (`a.x = b.y AND a.z =
@@ -93,13 +95,16 @@ impl EqClass {
         self.instances & left != 0 && self.instances & right != 0
     }
 
-    fn reduction(&self, set: u64) -> f64 {
+    /// The class's factor in `join_card(set)`; `distinct` is the
+    /// estimator's.
+    fn reduction(&self, set: u64, distinct: &[f64]) -> f64 {
         let mut k = 0usize;
         let mut max_d = 1.0f64;
-        for (i, &(t, _)) in self.members.iter().enumerate() {
+        let distinct = &distinct[self.first_distinct..][..self.members.len()];
+        for (&(t, _), &d) in self.members.iter().zip(distinct) {
             if set & (1 << t) != 0 {
                 k += 1;
-                max_d = max_d.max(self.distinct[i]);
+                max_d = max_d.max(d);
             }
         }
         if k >= 2 {
@@ -109,6 +114,19 @@ impl EqClass {
         }
     }
 }
+
+/// A union-find node of [`CardEstimator::build`]: one `(table_idx,
+/// column)` a join predicate names.
+struct Node {
+    key: (usize, ColumnId),
+    parent: usize,
+    /// For a root: its class's index, once assigned.
+    class: usize,
+    /// For a root: the nodes its class holds.
+    members: usize,
+}
+
+const NO_CLASS: usize = usize::MAX;
 
 /// One join key usable between two table sets: `(table instance, column)`
 /// on the left side, then on the right side.
@@ -120,6 +138,9 @@ pub struct CardEstimator {
     table_sel: Vec<f64>,
     filtered: Vec<f64>,
     classes: Vec<EqClass>,
+    /// Every class member's distinct count, class after class, members in
+    /// order.
+    distinct: Vec<f64>,
     /// Per-original-edge quirk factor (correlation distortion × join skew),
     /// with the instance endpoints; 1.0 when no quirk applies.
     edge_quirks: Vec<(usize, usize, f64)>,
@@ -154,71 +175,78 @@ impl CardEstimator {
             let sel = local_selectivity(view, tref.table, pred, pred.col.column);
             table_sel[pred.col.table_idx] *= sel.clamp(0.0, 1.0);
         }
-
-        let base: Vec<f64> = query
+        let filtered: Vec<f64> = query
             .tables
             .iter()
-            .map(|t| view.table(t.table).row_count as f64)
-            .collect();
-        let filtered: Vec<f64> = base
-            .iter()
             .zip(&table_sel)
-            .map(|(b, s)| (b * s).max(1e-6))
+            .map(|(t, s)| (view.table(t.table).row_count as f64 * s).max(1e-6))
             .collect();
 
-        // Union-find over (table_idx, column) nodes.
-        let mut nodes: Vec<(usize, ColumnId)> = Vec::new();
-        let node_of = |nodes: &mut Vec<(usize, ColumnId)>, key: (usize, ColumnId)| -> usize {
-            match nodes.iter().position(|&n| n == key) {
+        // Union-find over (table_idx, column) nodes, in order of first
+        // appearance; a root also carries its class's index and size.
+        let mut nodes: Vec<Node> = Vec::with_capacity(2 * query.joins.len());
+        let node_of = |nodes: &mut Vec<Node>, key: (usize, ColumnId)| -> usize {
+            match nodes.iter().position(|n| n.key == key) {
                 Some(i) => i,
                 None => {
-                    nodes.push(key);
+                    nodes.push(Node {
+                        key,
+                        parent: nodes.len(),
+                        class: NO_CLASS,
+                        members: 0,
+                    });
                     nodes.len() - 1
                 }
             }
         };
-        let mut parent: Vec<usize> = Vec::new();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
+        fn find(nodes: &mut [Node], mut x: usize) -> usize {
+            while nodes[x].parent != x {
+                nodes[x].parent = nodes[nodes[x].parent].parent;
+                x = nodes[x].parent;
             }
             x
         }
         for join in &query.joins {
             let a = node_of(&mut nodes, (join.left.table_idx, join.left.column));
             let b = node_of(&mut nodes, (join.right.table_idx, join.right.column));
-            while parent.len() < nodes.len() {
-                parent.push(parent.len());
-            }
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+            let (ra, rb) = (find(&mut nodes, a), find(&mut nodes, b));
             if ra != rb {
-                parent[ra] = rb;
+                nodes[ra].parent = rb;
             }
         }
 
-        let mut classes: Vec<EqClass> = Vec::new();
-        let mut class_of_root: Vec<(usize, usize)> = Vec::new(); // (root, class idx)
-        for (i, &(t, c)) in nodes.iter().enumerate() {
-            let root = find(&mut parent, i);
-            let class_idx = match class_of_root.iter().find(|(r, _)| *r == root) {
-                Some(&(_, idx)) => idx,
-                None => {
-                    classes.push(EqClass {
-                        members: Vec::new(),
-                        distinct: Vec::new(),
-                        instances: 0,
-                        shared: false,
-                    });
-                    class_of_root.push((root, classes.len() - 1));
-                    classes.len() - 1
-                }
-            };
+        // Classes in order of their first node, members in node order; the
+        // distinct counts of one class are a contiguous run of `distinct`.
+        let mut classes = 0;
+        for i in 0..nodes.len() {
+            let root = find(&mut nodes, i);
+            if nodes[root].class == NO_CLASS {
+                nodes[root].class = classes;
+                classes += 1;
+            }
+            nodes[root].members += 1;
+        }
+        let mut classes: Vec<EqClass> = Vec::with_capacity(classes);
+        let mut distinct = vec![0.0f64; nodes.len()];
+        let mut next_distinct = 0;
+        for i in 0..nodes.len() {
+            let root = find(&mut nodes, i);
+            let (class_idx, size) = (nodes[root].class, nodes[root].members);
+            if class_idx == classes.len() {
+                classes.push(EqClass {
+                    members: Vec::with_capacity(size),
+                    first_distinct: next_distinct,
+                    instances: 0,
+                    shared: false,
+                });
+                next_distinct += size;
+            }
+            let (t, c) = nodes[i].key;
             let table = query.tables[t].table;
-            let d = view.column(table, c).n_distinct.max(1) as f64;
             let class = &mut classes[class_idx];
+            distinct[class.first_distinct + class.members.len()] =
+                view.column(table, c).n_distinct.max(1) as f64;
             class.members.push((t, c));
-            class.distinct.push(d);
             class.shared |= class.instances & (1 << t) != 0;
             class.instances |= 1 << t;
         }
@@ -264,6 +292,7 @@ impl CardEstimator {
             table_sel,
             filtered,
             classes,
+            distinct,
             edge_quirks,
         }
     }
@@ -300,7 +329,7 @@ impl CardEstimator {
             if inside & inside.wrapping_sub(1) == 0 && !class.shared {
                 continue;
             }
-            card *= class.reduction(set);
+            card *= class.reduction(set, &self.distinct);
         }
         for &(a, b, factor) in &self.edge_quirks {
             if set & (1 << a) != 0 && set & (1 << b) != 0 {
@@ -516,7 +545,7 @@ mod tests {
                 }
             }
             for class in &est.classes {
-                card *= reduction(class, set);
+                card *= reduction(class, set, &est.distinct);
             }
             for &(a, b, factor) in &est.edge_quirks {
                 if set & (1 << a) != 0 && set & (1 << b) != 0 {
@@ -526,13 +555,13 @@ mod tests {
             card.max(1e-6)
         }
 
-        fn reduction(class: &EqClass, set: u64) -> f64 {
+        fn reduction(class: &EqClass, set: u64, distinct: &[f64]) -> f64 {
             let mut k = 0usize;
             let mut max_d = 1.0f64;
             for (i, &(t, _)) in class.members.iter().enumerate() {
                 if set & (1 << t) != 0 {
                     k += 1;
-                    max_d = max_d.max(class.distinct[i]);
+                    max_d = max_d.max(distinct[class.first_distinct + i]);
                 }
             }
             if k >= 2 {

@@ -598,3 +598,168 @@ fn the_native_differential_reaches_every_verdict() {
         assert!(seen.contains(kind), "{kind} never reached: {seen:?}");
     }
 }
+
+/// TPC-DS and the client workload, built once for the tests that sample
+/// their queries.
+fn workloads() -> &'static [Workload; 2] {
+    static WORKLOADS: std::sync::OnceLock<[Workload; 2]> = std::sync::OnceLock::new();
+    WORKLOADS.get_or_init(|| [tpcds::workload(), galo_workloads::client::workload()])
+}
+
+/// Every plan shape the optimizer emits for `q`: its own plan, four random
+/// plans, and its plan under each random plan's guideline.
+fn plan_shapes(db: &Database, q: &Query, rng: &mut StdRng) -> Vec<Qgm> {
+    let optimizer = Optimizer::new(db);
+    let random = optimizer.random_plans(q);
+    let mut plans: Vec<Qgm> = optimizer.optimize(q).into_iter().collect();
+    for _ in 0..4 {
+        let Some(alt) = random.generate(rng) else {
+            continue;
+        };
+        if let Some(guideline) = guideline_from_plan(&alt, alt.root()) {
+            let doc = GuidelineDoc::new(vec![guideline]);
+            if let Ok(reopt) = optimizer.optimize_with_guidelines(q, &doc) {
+                plans.push(reopt.qgm);
+            }
+        }
+        plans.push(alt);
+    }
+    plans
+}
+
+/// The plan fingerprint as it was built before it wrote into one buffer:
+/// a `String` per operator and its children's joined.
+fn fingerprint_reference(plan: &Qgm, id: PopId) -> String {
+    let pop = plan.pop(id);
+    let children: Vec<String> = pop
+        .inputs
+        .iter()
+        .map(|&c| fingerprint_reference(plan, c))
+        .collect();
+    let label = match &pop.kind {
+        galo_qgm::PopKind::TbScan { table } => format!("TBSCAN[{table}]"),
+        galo_qgm::PopKind::IxScan {
+            table,
+            index,
+            fetch,
+        } => format!(
+            "IXSCAN[{table},{},{}]",
+            index.0,
+            if *fetch { "F" } else { "-" }
+        ),
+        other => other.name().to_string(),
+    };
+    if children.is_empty() {
+        label
+    } else {
+        format!("{label}({})", children.join(","))
+    }
+}
+
+/// `db2batch` as it ran before it batched: a fresh `Simulator::run` per
+/// run, its noise drawn right after it.
+fn db2batch_reference(
+    db: &Database,
+    qgm: &Qgm,
+    runs: usize,
+    noise: &NoiseModel,
+    rng: &mut StdRng,
+) -> Vec<galo_executor::RunMeasurement> {
+    use rand::Rng;
+    let sim = galo_executor::Simulator::new(db);
+    (0..runs)
+        .map(|i| {
+            let base = sim.run(qgm, i > 0);
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            let mut elapsed = base.elapsed_ms * (z * noise.sigma).exp();
+            let anomalous = rng.gen_bool(noise.anomaly_rate.clamp(0.0, 1.0));
+            if anomalous {
+                elapsed *= rng.gen_range(noise.anomaly_factor.0..noise.anomaly_factor.1);
+            }
+            galo_executor::RunMeasurement {
+                elapsed_ms: elapsed,
+                metrics: base.metrics,
+                anomalous,
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On every plan shape of random workload queries and of their
+    /// learning sub-queries, each operator's one-pass table set is the
+    /// fold of `tables_under`, and the one-buffer fingerprint is the
+    /// reference text, for the plan and every subtree.
+    #[test]
+    fn table_sets_and_fingerprints_equal_the_per_operator_references(
+        pick in 0usize..215,
+        sub in 0usize..40,
+        seed in 0u64..1_000,
+    ) {
+        let w = &workloads()[usize::from(pick >= 99)];
+        let query = &w.queries[pick % 99 % w.queries.len()];
+        let subs: Vec<Query> = galo_sql::subqueries(query, 4).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for q in std::iter::once(query).chain(subs.get(sub % subs.len().max(1))) {
+            for plan in plan_shapes(&w.db, q, &mut rng) {
+                let sets = plan.table_sets();
+                prop_assert_eq!(sets.len(), plan.len());
+                for (id, _) in plan.pops() {
+                    let fold = plan
+                        .tables_under(id)
+                        .into_iter()
+                        .fold(0u64, |acc, t| acc | (1 << t));
+                    prop_assert_eq!(sets[id.0 as usize], fold);
+                    prop_assert_eq!(plan.fingerprint(id), fingerprint_reference(&plan, id));
+                }
+            }
+        }
+    }
+
+    /// The batched `db2batch` (cold and warm each simulated once) returns
+    /// the measurements of a fresh run per measurement, bit for bit, and
+    /// leaves the generator where the reference leaves it: over every plan
+    /// shape of random learning sub-queries, 1–4 runs, the default noise
+    /// and a high-anomaly one.
+    #[test]
+    fn batched_db2batch_equals_a_fresh_run_per_measurement(
+        pick in 0usize..215,
+        sub in 0usize..40,
+        seed in 0u64..1_000,
+        runs in 1usize..5,
+        anomalous in prop::bool::ANY,
+    ) {
+        let noise = if anomalous {
+            NoiseModel { sigma: 0.3, anomaly_rate: 0.6, anomaly_factor: (1.5, 9.0) }
+        } else {
+            NoiseModel::default()
+        };
+        let w = &workloads()[usize::from(pick >= 99)];
+        let query = &w.queries[pick % 99 % w.queries.len()];
+        let subs: Vec<Query> = galo_sql::subqueries(query, 4).collect();
+        let q = subs.get(sub % subs.len().max(1)).unwrap_or(query);
+        let mut plans_rng = StdRng::seed_from_u64(seed);
+        for plan in plan_shapes(&w.db, q, &mut plans_rng) {
+            let mut batched_rng = StdRng::seed_from_u64(seed ^ 0xdb2);
+            let mut reference_rng = batched_rng.clone();
+            let batched = db2batch(&w.db, &plan, runs, &noise, &mut batched_rng);
+            let reference = db2batch_reference(&w.db, &plan, runs, &noise, &mut reference_rng);
+            prop_assert_eq!(batched.len(), runs);
+            for (b, r) in batched.iter().zip(&reference) {
+                prop_assert_eq!(b.elapsed_ms.to_bits(), r.elapsed_ms.to_bits());
+                let bits = |m: &galo_executor::Metrics| {
+                    [m.bp_logical_reads, m.bp_physical_reads, m.cpu_ms, m.sort_heap_hwm_pages]
+                        .map(f64::to_bits)
+                };
+                prop_assert_eq!(bits(&b.metrics), bits(&r.metrics));
+                prop_assert_eq!(b.anomalous, r.anomalous);
+            }
+            use rand::RngCore;
+            prop_assert_eq!(batched_rng.next_u64(), reference_rng.next_u64());
+        }
+    }
+}

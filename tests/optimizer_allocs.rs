@@ -16,7 +16,7 @@ use galo_workloads::{client, tpcds};
 /// A default pass makes at most this many allocations (`alloc`,
 /// `alloc_zeroed` and `realloc` calls); a change that makes fewer lowers
 /// it.
-const PINNED: usize = 20_468;
+const PINNED: usize = 11_527;
 
 struct Counting;
 
