@@ -279,10 +279,10 @@ mod tests {
     #[test]
     fn build_galo_carries_the_match_config() {
         let cfg = crate::MatchConfig::builder()
-            .range_margin(2.5)
+            .near_miss_factor(2.5)
             .build()
             .unwrap();
         let galo = KbBuilder::new().match_config(cfg).build_galo().unwrap();
-        assert_eq!(galo.match_cfg.range_margin, 2.5);
+        assert_eq!(galo.match_cfg.near_miss_factor, 2.5);
     }
 }

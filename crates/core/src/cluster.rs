@@ -33,9 +33,11 @@
 //!
 //! Each learned template is tagged into its workload's named graph, which
 //! the knowledge base exposes as a first-class dataset
-//! ([`KnowledgeBase::workload_datasets`]); online matching can then be
-//! scoped to one dataset via
-//! [`MatchConfig::dataset`](crate::matching::MatchConfig::dataset).
+//! ([`KnowledgeBase::workload_datasets`],
+//! [`KnowledgeBase::dataset_template_iris`]). Matching spans every
+//! dataset: a match names its template's workload
+//! ([`MatchedRewrite::source_workload`](crate::matching::MatchedRewrite::source_workload)),
+//! which is how cross-workload reuse is counted.
 
 use galo_workloads::{Partitioner, Workload};
 

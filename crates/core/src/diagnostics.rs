@@ -108,7 +108,7 @@ pub fn diagnose(db: &Database, kb: &KnowledgeBase, qgm: &Qgm, cfg: &MatchConfig)
     // candidates), then subtract exact matches.
     let mut near: BTreeMap<String, NearMiss> = BTreeMap::new();
     for segment in segments(qgm, cfg.join_threshold) {
-        for iri in structural_matches(db, kb, qgm, segment.root, cfg) {
+        for iri in structural_matches(db, kb, qgm, segment.root) {
             if matched.rewrites.iter().any(|r| r.template_iri == iri) {
                 continue;
             }

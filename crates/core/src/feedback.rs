@@ -3,24 +3,26 @@
 //!
 //! The paper's §3.2 keeps *historical estimated vs. actual* statistics
 //! per template and notes that validity ranges "can be updated over the
-//! time to account for cardinalities not observed before". Until this
-//! module, reuse beyond a template's learned range came only from the
-//! global [`MatchConfig::range_margin`](crate::MatchConfig::range_margin)
-//! — widening every test identically, with no evidence. The feedback
-//! loop replaces guessing with observation, optd-style (inject
-//! collectors, persist runtime actuals keyed by plan/template, feed them
-//! back into admission):
+//! time to account for cardinalities not observed before". Matching
+//! always tests a template's stored ranges exactly; the feedback loop is
+//! how those ranges grow, by observation rather than by a global
+//! widening, optd-style (inject collectors, persist runtime actuals keyed
+//! by plan/template, feed them back into admission). It is also how
+//! patterns learned on one workload come to match another's plans (the
+//! paper's Exp-2): one round over the other workload, with near-miss
+//! tracking on, widens exactly the templates those plans nearly matched.
 //!
 //! 1. **Collect** — after a plan executes,
 //!    [`KnowledgeBase::record_feedback`](crate::KnowledgeBase::record_feedback)
 //!    pushes per-operator observations into this module's
-//!    [`FeedbackCollector`], keyed by template IRI + dataset. Matched
-//!    segments contribute ground truth (their estimate values fold
+//!    [`FeedbackCollector`], keyed by template IRI. Matched segments
+//!    contribute ground truth (their estimate values fold
 //!    unconditionally — a value that matched once must keep matching);
 //!    unmatched segments contribute *near misses*: candidates that would
-//!    have been admitted at `range_margin · near_miss_factor` record the
-//!    values they nearly admitted, band-gated so only values close to
-//!    the stored envelope can widen it.
+//!    have been admitted with every range widened by
+//!    [`MatchConfig::near_miss_factor`](crate::MatchConfig::near_miss_factor)
+//!    record the values they nearly admitted, band-gated so only values
+//!    close to the stored envelope can widen it.
 //! 2. **Fold** — [`KnowledgeBase::apply_feedback`](crate::KnowledgeBase::apply_feedback)
 //!    drains the buffers (off the serve path — recording never touches
 //!    the store) and applies each template's batch through
@@ -42,9 +44,8 @@
 //! a matched segment's estimate values are folded into the exact
 //! min/max core, observations only extend that core, and narrowing only
 //! decays the widen factor (never below 1), so the envelope always
-//! contains every recorded true match. Pinned by a proptest in
-//! `tests/feedback_loop.rs` and by the differential in
-//! `benches/feedback.rs`.
+//! contains every recorded true match. Pinned by a proptest and a
+//! never-lose differential in `tests/feedback_loop.rs`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,7 +75,7 @@ pub struct FeedbackOptions {
     /// Decayed inside-core weight a template-operator type must
     /// accumulate before a narrowing directive is issued for it.
     pub narrow_weight: f64,
-    /// Cap on buffered observations per (template, dataset); further
+    /// Cap on buffered observations per template; further
     /// observations are dropped (and counted) until the buffer drains.
     pub max_pending: usize,
 }
@@ -166,7 +167,7 @@ impl FeedbackReport {
     }
 }
 
-/// Concentration state of one (template, dataset, operator type):
+/// Concentration state of one (template, operator type):
 /// the core of estimate values recorded so far and the decayed weight of
 /// observations that landed inside it.
 #[derive(Debug, Default)]
@@ -187,7 +188,7 @@ struct TemplateBuffer {
     types: HashMap<String, TypeState>,
 }
 
-/// Decayed observation buffers keyed by (template IRI, dataset). Owned
+/// Decayed observation buffers keyed by template IRI. Owned
 /// by the [`KnowledgeBase`](crate::KnowledgeBase); recording is a
 /// buffer push under one mutex — no store access, no epoch movement —
 /// so it is safe on the serve path, while
@@ -196,7 +197,7 @@ struct TemplateBuffer {
 #[derive(Debug)]
 pub struct FeedbackCollector {
     options: FeedbackOptions,
-    buffers: Mutex<BTreeMap<(String, String), TemplateBuffer>>,
+    buffers: Mutex<BTreeMap<String, TemplateBuffer>>,
     pending: AtomicUsize,
     dropped: AtomicUsize,
 }
@@ -228,13 +229,11 @@ impl FeedbackCollector {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Buffer one observation. Returns false when the (template,
-    /// dataset) buffer is full and the observation was dropped.
-    pub fn push(&self, template_iri: &str, dataset: &str, obs: PopObservation) -> bool {
+    /// Buffer one observation. Returns false when the template's buffer
+    /// is full and the observation was dropped.
+    pub fn push(&self, template_iri: &str, obs: PopObservation) -> bool {
         let mut buffers = self.buffers.lock().expect("feedback buffers lock");
-        let buf = buffers
-            .entry((template_iri.to_string(), dataset.to_string()))
-            .or_default();
+        let buf = buffers.entry(template_iri.to_string()).or_default();
         if buf.pending.len() >= self.options.max_pending {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
@@ -256,7 +255,7 @@ impl FeedbackCollector {
     }
 
     /// Drain every buffered observation into per-template refinement
-    /// batches (merging datasets), age the concentration weights, and
+    /// batches, age the concentration weights, and
     /// emit narrowing directives for the types whose decayed inside-core
     /// weight reached [`FeedbackOptions::narrow_weight`]. The
     /// concentration state survives the drain — narrowing is a
@@ -264,14 +263,16 @@ impl FeedbackCollector {
     pub fn drain(&self) -> Vec<(String, TemplateRefinement)> {
         let decay = self.options.decay.clamp(0.0, 1.0);
         let mut buffers = self.buffers.lock().expect("feedback buffers lock");
-        let mut out: BTreeMap<String, TemplateRefinement> = BTreeMap::new();
-        for ((iri, _dataset), buf) in buffers.iter_mut() {
+        let mut out = Vec::new();
+        for (iri, buf) in buffers.iter_mut() {
             if buf.pending.is_empty() {
                 continue;
             }
             self.pending.fetch_sub(buf.pending.len(), Ordering::Relaxed);
-            let entry = out.entry(iri.clone()).or_default();
-            entry.observations.append(&mut buf.pending);
+            let mut entry = TemplateRefinement {
+                observations: std::mem::take(&mut buf.pending),
+                narrows: Vec::new(),
+            };
             let mut types: Vec<(&String, &mut TypeState)> = buf.types.iter_mut().collect();
             types.sort_by(|a, b| a.0.cmp(b.0));
             for (ty, ts) in types {
@@ -281,8 +282,9 @@ impl FeedbackCollector {
                     entry.narrows.push((ty.clone(), decay));
                 }
             }
+            out.push((iri.clone(), entry));
         }
-        out.into_iter().collect()
+        out
     }
 }
 
@@ -300,11 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn push_and_drain_merge_datasets_per_template() {
+    fn push_and_drain_batch_per_template() {
         let c = FeedbackCollector::new(FeedbackOptions::default());
-        assert!(c.push("http://t/1", "tpcds", obs("HSJOIN", 100.0)));
-        assert!(c.push("http://t/1", "client", obs("HSJOIN", 120.0)));
-        assert!(c.push("http://t/2", "tpcds", obs("TBSCAN", 5.0)));
+        assert!(c.push("http://t/2", obs("TBSCAN", 5.0)));
+        assert!(c.push("http://t/1", obs("HSJOIN", 100.0)));
+        assert!(c.push("http://t/1", obs("HSJOIN", 120.0)));
         assert_eq!(c.pending(), 3);
         let drained = c.drain();
         assert_eq!(c.pending(), 0);
@@ -322,13 +324,13 @@ mod tests {
             max_pending: 2,
             ..FeedbackOptions::default()
         });
-        assert!(c.push("t", "", obs("HSJOIN", 1.0)));
-        assert!(c.push("t", "", obs("HSJOIN", 2.0)));
-        assert!(!c.push("t", "", obs("HSJOIN", 3.0)));
+        assert!(c.push("t", obs("HSJOIN", 1.0)));
+        assert!(c.push("t", obs("HSJOIN", 2.0)));
+        assert!(!c.push("t", obs("HSJOIN", 3.0)));
         assert_eq!(c.pending(), 2);
         assert_eq!(c.dropped(), 1);
         // Other buffers are unaffected by one buffer's cap.
-        assert!(c.push("u", "", obs("HSJOIN", 1.0)));
+        assert!(c.push("u", obs("HSJOIN", 1.0)));
     }
 
     #[test]
@@ -340,24 +342,24 @@ mod tests {
         });
         // First observation seeds the core; the next ones widen it or
         // land inside it.
-        c.push("t", "", obs("HSJOIN", 100.0));
-        c.push("t", "", obs("HSJOIN", 200.0)); // covers -> core [100, 200]
-        c.push("t", "", obs("HSJOIN", 150.0)); // inside
-        c.push("t", "", obs("HSJOIN", 150.0)); // inside
+        c.push("t", obs("HSJOIN", 100.0));
+        c.push("t", obs("HSJOIN", 200.0)); // covers -> core [100, 200]
+        c.push("t", obs("HSJOIN", 150.0)); // inside
+        c.push("t", obs("HSJOIN", 150.0)); // inside
         let r1 = &c.drain()[0].1;
         // weight = 0*0.5 + 2 = 2 < 3: no narrow yet.
         assert!(r1.narrows.is_empty());
-        c.push("t", "", obs("HSJOIN", 150.0));
-        c.push("t", "", obs("HSJOIN", 160.0));
+        c.push("t", obs("HSJOIN", 150.0));
+        c.push("t", obs("HSJOIN", 160.0));
         let r2 = c.drain();
         // weight = 2*0.5 + 2 = 3 >= 3: narrowing fires with the decay.
         assert_eq!(r2[0].1.narrows, vec![("HSJOIN".to_string(), 0.5)]);
         // A type that scatters (every value extends the core) never
         // accumulates inside-core weight.
-        c.push("u", "", obs("TBSCAN", 1.0));
-        c.push("u", "", obs("TBSCAN", 10.0));
-        c.push("u", "", obs("TBSCAN", 100.0));
-        c.push("u", "", obs("TBSCAN", 1000.0));
+        c.push("u", obs("TBSCAN", 1.0));
+        c.push("u", obs("TBSCAN", 10.0));
+        c.push("u", obs("TBSCAN", 100.0));
+        c.push("u", obs("TBSCAN", 1000.0));
         let r3 = c.drain();
         assert!(r3.iter().all(|(_, r)| r.narrows.is_empty()));
     }

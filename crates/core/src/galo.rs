@@ -1,11 +1,15 @@
-//! The GALO facade: offline learning plus online workload
-//! re-optimization, with the accounting the paper's experiments report.
+//! The GALO facade: offline learning, online workload re-optimization
+//! and rounds of runtime feedback, with the accounting the paper's
+//! experiments report.
 
+use galo_executor::compute_actuals;
+use galo_optimizer::Optimizer;
 use galo_workloads::Workload;
 
+use crate::feedback::FeedbackReport;
 use crate::kb::KnowledgeBase;
 use crate::learning::{learn_workload, LearningConfig, LearningReport};
-use crate::matching::{reoptimize_query, MatchConfig, ReoptOutcome};
+use crate::matching::{match_plan, reoptimize_query, MatchConfig, ReoptOutcome};
 
 /// Per-query result of workload re-optimization.
 #[derive(Debug)]
@@ -130,6 +134,33 @@ impl Galo {
             });
         }
         report
+    }
+
+    /// Feedback workflow: one round of runtime feedback from a workload.
+    /// Each query's plan is matched under the instance's configuration
+    /// with near-miss tracking at `near_miss_factor`, executed for its
+    /// actuals and recorded
+    /// ([`record_feedback`](KnowledgeBase::record_feedback)); the round
+    /// ends in one fold ([`apply_feedback`](KnowledgeBase::apply_feedback)).
+    /// Templates the plans nearly matched widen toward them, so the next
+    /// exact match can use them: this is how patterns learned on one
+    /// workload come to re-optimize another (the paper's Exp-2).
+    pub fn feedback_round(&self, workload: &Workload, near_miss_factor: f64) -> FeedbackReport {
+        let cfg = MatchConfig {
+            near_miss_factor,
+            ..self.match_cfg.clone()
+        };
+        let optimizer = Optimizer::new(&workload.db);
+        for query in &workload.queries {
+            let Ok(plan) = optimizer.optimize(query) else {
+                continue;
+            };
+            let report = match_plan(&workload.db, &self.kb, &plan, &cfg);
+            let actuals = compute_actuals(&workload.db, &plan);
+            self.kb
+                .record_feedback(&workload.db, &plan, &cfg, &report, &actuals);
+        }
+        self.kb.apply_feedback()
     }
 }
 

@@ -371,13 +371,11 @@ impl KnowledgeBase {
     }
 
     /// Like [`candidate_templates`](Self::candidate_templates), but also
-    /// applies the dataset filter and the admission pre-check: a
-    /// candidate survives only if it belongs to the query's dataset
-    /// (when one is given; `None` spans every dataset) and, for every
-    /// [`PopCheck`] the segment will probe with, the template has at
+    /// applies the admission pre-check: a candidate survives only if, for
+    /// every [`PopCheck`] the segment will probe with, the template has at
     /// least one operator of that type whose envelopes admit the
     /// cardinality — and, for scans, the scan-table belief stats — under
-    /// the query's margin and trim. At `trim == 0` the envelopes are the
+    /// the query's trim. At `trim == 0` the envelopes are the
     /// exact stored bounds, so the check is a *necessary* condition for a
     /// match (every probe binds each segment operator to a same-typed
     /// template operator and tests exactly these bounds) and the
@@ -935,7 +933,7 @@ impl KnowledgeBase {
     }
 
     /// The runtime-feedback collector (see [`crate::feedback`]):
-    /// per-template, per-dataset observation buffers waiting to be folded
+    /// per-template observation buffers waiting to be folded
     /// by [`apply_feedback`](Self::apply_feedback).
     pub fn feedback(&self) -> &FeedbackCollector {
         &self.feedback
@@ -956,8 +954,7 @@ impl KnowledgeBase {
     /// (no store access, no epoch movement). Returns the number of
     /// per-operator observations buffered.
     ///
-    /// Two kinds of evidence are recorded, keyed by template IRI and
-    /// the match configuration's dataset scope:
+    /// Two kinds of evidence are recorded, keyed by template IRI:
     ///
     /// - **Matched segments** (`report.rewrites`): each operator's
     ///   estimated cardinality folds *unconditionally* (band ∞) — a
@@ -967,11 +964,14 @@ impl KnowledgeBase {
     ///   envelope toward where the estimate will sit next time.
     /// - **Near misses** (only when
     ///   [`near_miss_factor`](crate::matching::MatchConfig::near_miss_factor)
-    ///   `> 1`): unmatched, unclaimed segments are re-tested at
-    ///   `range_margin · near_miss_factor`; templates admitted at the
-    ///   widened margin record the segment's estimates, actuals and
-    ///   scan values at that band, so values "just outside" the stored
-    ///   envelope widen it — and farther ones never do.
+    ///   `> 1`): unmatched, unclaimed segments are re-tested with every
+    ///   stored range widened by the factor; templates admitted that way
+    ///   record the segment's estimates, actuals and scan values at that
+    ///   band, so values "just outside" the stored envelope widen it —
+    ///   and farther ones never do. This is how patterns learned on one
+    ///   workload come to re-optimize another (the paper's Exp-2): a
+    ///   round of feedback on the other workload's plans widens the
+    ///   templates it nearly matched, and the next match is exact.
     pub fn record_feedback(
         &self,
         db: &Database,
@@ -980,7 +980,6 @@ impl KnowledgeBase {
         report: &crate::matching::MatchReport,
         actuals: &Actuals,
     ) -> usize {
-        let dataset = cfg.dataset.clone().unwrap_or_default();
         let mut recorded = 0usize;
         // Matched segments: the operator ids they claim (the matcher
         // skips segments overlapping an earlier match, so near-miss
@@ -992,7 +991,7 @@ impl KnowledgeBase {
                 claimed.extend(qgm.subtree(root).iter().map(|&p| qgm.pop(p).op_id));
             }
         }
-        let actual_band = cfg.range_margin.max(cfg.near_miss_factor).max(1.0);
+        let band = cfg.near_miss_factor.max(1.0);
         for rw in &report.rewrites {
             let Some(root) = root_of(rw.segment_op_id) else {
                 continue;
@@ -1001,11 +1000,10 @@ impl KnowledgeBase {
             for (check, &pid) in checks.iter().zip(qgm.subtree(root).iter()) {
                 let mut cards = vec![(check.est_card, f64::INFINITY)];
                 if let Some(actual) = actuals.get(pid) {
-                    cards.push((actual, actual_band));
+                    cards.push((actual, band));
                 }
                 recorded += usize::from(self.feedback.push(
                     &rw.template_iri,
-                    &dataset,
                     PopObservation {
                         pop_type: check.pop_type.to_string(),
                         cards,
@@ -1015,8 +1013,7 @@ impl KnowledgeBase {
                 ));
             }
         }
-        if cfg.near_miss_factor > 1.0 {
-            let band = (cfg.range_margin.max(1.0) * cfg.near_miss_factor).max(1.0);
+        if band > 1.0 {
             for segment in segments(qgm, cfg.join_threshold) {
                 if qgm
                     .subtree(segment.root)
@@ -1031,13 +1028,13 @@ impl KnowledgeBase {
                 }
                 let query = AdmissionQuery {
                     checks: &checks,
-                    margin: band,
                     trim: cfg.sketch_trim,
-                    dataset: cfg.dataset.as_deref(),
-                    near_factor: 1.0,
+                    near_factor: band,
                 };
                 let signature = segment_signature(qgm, segment.root).hash;
-                for iri in self.candidate_templates_admitting(signature, &query) {
+                let near = (self.sig_index.read().expect("signature index lock"))
+                    .admitting_widened(signature, &query);
+                for iri in near {
                     for (check, &pid) in checks.iter().zip(qgm.subtree(segment.root).iter()) {
                         let mut cards = vec![(check.est_card, band)];
                         if let Some(actual) = actuals.get(pid) {
@@ -1045,7 +1042,6 @@ impl KnowledgeBase {
                         }
                         recorded += usize::from(self.feedback.push(
                             &iri,
-                            &dataset,
                             PopObservation {
                                 pop_type: check.pop_type.to_string(),
                                 cards,
@@ -1096,8 +1092,8 @@ impl KnowledgeBase {
     /// - A `(value, band)` cardinality fold is admitted iff the value
     ///   lies within `[lo·band⁻¹ … hi·band]` of the operator's
     ///   **pre-fold** envelope — the same arithmetic as single-stat
-    ///   admission at margin `band`, so a value a margin-`band` match
-    ///   would have tested is always absorbed. Band ∞ (recorded true
+    ///   admission widened by `band`, so a value a near-miss test at
+    ///   factor `band` admitted is always absorbed. Band ∞ (recorded true
     ///   matches) folds unconditionally.
     /// - Scan-stat trios are gated jointly: all three values in band, or
     ///   none fold.
@@ -1348,8 +1344,8 @@ fn refinement_of(
     for (pop, pop_type, stored) in template_facts(st, template_iri).operators() {
         // Fold the batch against this operator's *pre-fold* envelopes:
         // the gate is independent of observation order, and exactly as
-        // permissive as a margin-`band` admission against the stored
-        // template.
+        // permissive as an admission widened by `band` against the
+        // stored template.
         let envelope = |stat: &Option<StatSketch>| {
             let stat = stat.as_ref();
             stat.map_or(Range::UNBOUNDED, |sketch| sketch.envelope(0.0))
@@ -1415,8 +1411,8 @@ fn refinement_of(
 }
 
 /// One `(value, band)` gate against a pre-fold envelope: the same
-/// arithmetic as the signature index's range test at margin `band`, so
-/// anything a margin-`band` admission tested is absorbed. Non-finite
+/// arithmetic as the signature index's range test widened by `band`, so
+/// anything a near-miss test at factor `band` admitted is absorbed. Non-finite
 /// values never fold; band ∞ always folds (finite values).
 fn within_band(env: Range, value: f64, band: f64) -> bool {
     if !value.is_finite() {
@@ -1681,7 +1677,7 @@ mod tests {
         assert_eq!(kb.signature_count(), 1);
         assert!(kb.candidate_templates(sig ^ 1).is_empty());
         // The candidate cursor agrees with the materialized list.
-        let q = AdmissionQuery::exact(&[], 1.0);
+        let q = AdmissionQuery::exact(&[]);
         let mut stats = AdmissionStats::default();
         assert_eq!(
             kb.next_candidate_admitting(sig ^ 1, &q, None, &mut stats),
@@ -1763,37 +1759,37 @@ mod tests {
                 PopCheck::card(pop.kind.name(), pop.est_card)
             })
             .collect();
-        // Exact margin admits only the near template.
-        let admitted = kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(&checks, 1.0));
+        // Exact bounds admit only the near template.
+        let admitted = kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(&checks));
         assert_eq!(
             admitted,
             vec![vocab::template_iri(&near.id).str_value().to_string()]
         );
-        // A margin large enough to bridge the displacement admits both.
-        let admitted_wide =
-            kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(&checks, 1e13));
-        assert_eq!(admitted_wide.len(), 2);
         // A full cursor sweep classifies the far template as a
-        // cardinality reject and examines both index entries.
+        // cardinality reject and examines both index entries; a near-miss
+        // factor large enough to bridge the displacement counts it as a
+        // near miss and still admits only the near template.
+        let wide = AdmissionQuery {
+            near_factor: 1e13,
+            ..AdmissionQuery::exact(&checks)
+        };
         let mut stats = AdmissionStats::default();
         let mut after: Option<String> = None;
-        while let Some(iri) = kb.next_candidate_admitting(
-            sig,
-            &AdmissionQuery::exact(&checks, 1.0),
-            after.as_deref(),
-            &mut stats,
-        ) {
+        while let Some(iri) = kb.next_candidate_admitting(sig, &wide, after.as_deref(), &mut stats)
+        {
             after = Some(iri);
         }
+        assert_eq!(after.as_deref(), admitted.last().map(String::as_str));
         assert_eq!(stats.considered, 2);
         assert_eq!(stats.rejects_card, 1);
         assert_eq!(stats.rejects_scan, 0);
+        assert_eq!(stats.near_misses, 1);
         // The pre-check survives an export/import round-trip (reindex
         // reconstructs the ranges from RDF).
         let kb2 = KnowledgeBase::new();
         kb2.import(&kb.export()).unwrap();
         assert_eq!(
-            kb2.candidate_templates_admitting(sig, &AdmissionQuery::exact(&checks, 1.0)),
+            kb2.candidate_templates_admitting(sig, &AdmissionQuery::exact(&checks)),
             admitted
         );
     }
@@ -1854,8 +1850,7 @@ mod tests {
         let outlier_iri = vocab::template_iri(&outlier.id).str_value().to_string();
         // Trim 0: exact bounds — the scan-displaced template is pruned by
         // the scan conjunction, the outlier template still slips through.
-        let mut at_zero =
-            kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(&checks, 1.0));
+        let mut at_zero = kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(&checks));
         at_zero.sort();
         let mut want = vec![near_iri.clone(), outlier_iri];
         want.sort();
@@ -1864,11 +1859,8 @@ mod tests {
         // only the genuinely-near template survives, and the counters
         // attribute each reject to its cause.
         let trimmed = AdmissionQuery {
-            checks: &checks,
-            margin: 1.0,
             trim: 0.05,
-            dataset: None,
-            near_factor: 1.0,
+            ..AdmissionQuery::exact(&checks)
         };
         assert_eq!(
             kb.candidate_templates_admitting(sig, &trimmed),

@@ -106,5 +106,5 @@ pub use serving::{
 };
 pub use transform::{
     qgm_to_rdf, segment_pop_checks, segment_scan_qualifiers, segment_to_probe, segment_to_sparql,
-    segment_to_sparql_opt, ProbeOptions, ScanVar, SegmentProbe,
+    ScanVar, SegmentProbe,
 };

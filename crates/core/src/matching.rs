@@ -59,20 +59,6 @@ pub struct MatchConfig {
     /// Sub-QGM size cap, in joins — "the same predefined threshold that
     /// was used in the learning phase" (§3.3).
     pub join_threshold: usize,
-    /// Match-time multiplicative widening of template ranges: a template
-    /// range `[lo, hi]` admits a concrete value `v` when `lo <= v * margin`
-    /// and `hi >= v / margin`. `1.0` (the default) is the paper's exact
-    /// semantics; raising it trades precision for cross-workload reuse
-    /// (Exp-2), letting patterns learned on one schema's statistics match
-    /// queries over another.
-    pub range_margin: f64,
-    /// Restrict matching to the templates of one workload's first-class
-    /// dataset (by source-workload name). `None` — the default — matches
-    /// against every dataset in the knowledge base; `Some(w)` makes the
-    /// shared KB behave like workload `w`'s private KB (the Exp-2
-    /// per-workload-KB baseline), guaranteed never to return a template
-    /// learned elsewhere.
-    pub dataset: Option<String>,
     /// Quantile trim applied to template sketches during the admission
     /// pre-check: each stored [`crate::kb::StatSketch`] contributes a
     /// `[quantile(trim), quantile(1 - trim)]` envelope instead of its
@@ -85,11 +71,11 @@ pub struct MatchConfig {
     /// operator has chosen to treat as noise.
     pub sketch_trim: f64,
     /// Near-miss widening factor for the feedback loop (≥ 1; `1.0` — the
-    /// default — disables near-miss tracking). When > 1, the admission
-    /// pre-check re-tests each rejected candidate at
-    /// `range_margin · near_miss_factor` and counts the ones that would
-    /// have been admitted under the widened margin
-    /// ([`MatchReport::near_misses`]), and
+    /// default — disables near-miss tracking). Matching always tests the
+    /// stored ranges exactly; when the factor is > 1, the admission
+    /// pre-check re-tests each rejected candidate with every range widened
+    /// by it (`lo ≤ v·f`, `hi ≥ v/f`) and counts the ones that would have
+    /// been admitted ([`MatchReport::near_misses`]), and
     /// [`KnowledgeBase::record_feedback`](crate::KnowledgeBase::record_feedback)
     /// records those candidates' observations so
     /// [`apply_feedback`](crate::KnowledgeBase::apply_feedback) can widen
@@ -101,8 +87,6 @@ impl Default for MatchConfig {
     fn default() -> Self {
         MatchConfig {
             join_threshold: 4,
-            range_margin: 1.0,
-            dataset: None,
             sketch_trim: 0.0,
             near_miss_factor: 1.0,
         }
@@ -123,8 +107,6 @@ impl MatchConfig {
 pub enum MatchConfigError {
     /// `join_threshold` must be at least 1 (a segment needs a join).
     JoinThreshold(usize),
-    /// `range_margin` must be ≥ 1 and finite (it only ever widens).
-    RangeMargin(f64),
     /// `sketch_trim` must lie in `[0, 1)` (a quantile trim level).
     SketchTrim(f64),
     /// `near_miss_factor` must be ≥ 1 and finite.
@@ -136,9 +118,6 @@ impl std::fmt::Display for MatchConfigError {
         match self {
             MatchConfigError::JoinThreshold(v) => {
                 write!(f, "join_threshold must be >= 1, got {v}")
-            }
-            MatchConfigError::RangeMargin(v) => {
-                write!(f, "range_margin must be finite and >= 1.0, got {v}")
             }
             MatchConfigError::SketchTrim(v) => {
                 write!(f, "sketch_trim must lie in [0, 1), got {v}")
@@ -154,7 +133,7 @@ impl std::error::Error for MatchConfigError {}
 
 /// Validated builder for [`MatchConfig`]. Every setter takes the raw
 /// value; [`build`](Self::build) checks all of them at once and names the
-/// offending field, so an out-of-range margin or trim is an explicit
+/// offending field, so an out-of-range factor or trim is an explicit
 /// error instead of a silently clamped (or silently nonsensical) config.
 #[derive(Debug, Clone, Default)]
 pub struct MatchConfigBuilder {
@@ -165,24 +144,6 @@ impl MatchConfigBuilder {
     /// Sub-QGM size cap in joins (must be ≥ 1).
     pub fn join_threshold(mut self, joins: usize) -> Self {
         self.cfg.join_threshold = joins;
-        self
-    }
-
-    /// Match-time range widening (must be ≥ 1; 1.0 = exact semantics).
-    pub fn range_margin(mut self, margin: f64) -> Self {
-        self.cfg.range_margin = margin;
-        self
-    }
-
-    /// Restrict matching to one workload's dataset.
-    pub fn dataset(mut self, workload: impl Into<String>) -> Self {
-        self.cfg.dataset = Some(workload.into());
-        self
-    }
-
-    /// Match against every dataset (the default).
-    pub fn any_dataset(mut self) -> Self {
-        self.cfg.dataset = None;
         self
     }
 
@@ -203,9 +164,6 @@ impl MatchConfigBuilder {
         let c = &self.cfg;
         if c.join_threshold < 1 {
             return Err(MatchConfigError::JoinThreshold(c.join_threshold));
-        }
-        if !c.range_margin.is_finite() || c.range_margin < 1.0 {
-            return Err(MatchConfigError::RangeMargin(c.range_margin));
         }
         if !c.sketch_trim.is_finite() || !(0.0..1.0).contains(&c.sketch_trim) {
             return Err(MatchConfigError::SketchTrim(c.sketch_trim));
@@ -283,9 +241,9 @@ pub struct MatchReport {
     /// envelopes (row size / FPAGES / base cardinality) could not admit
     /// the segment's belief-table values.
     pub admission_rejects_scan: usize,
-    /// Rejected candidates that *would* have been admitted at
-    /// `range_margin · near_miss_factor` — the feedback loop's widening
-    /// signal. Always 0 when [`MatchConfig::near_miss_factor`] is 1.0
+    /// Rejected candidates that *would* have been admitted with every
+    /// range widened by [`MatchConfig::near_miss_factor`] — the feedback
+    /// loop's widening signal. Always 0 when [`MatchConfig::near_miss_factor`] is 1.0
     /// (the default) and on the oracle's text path.
     pub near_misses: usize,
     /// The knowledge base's cumulative
@@ -423,8 +381,8 @@ impl CompiledSegment {
 /// A plan compiled for matching, in one flat pre-order layout: one
 /// admission check and one wire per operator of the plan, and its
 /// bottom-up segments as ranges into them with their signatures — plus
-/// the [`MatchConfig`] it was compiled under (range tests depend on the
-/// margin, segmentation on the join threshold — so the config travels
+/// the [`MatchConfig`] it was compiled under (admission depends on the
+/// trim and near-miss factor, segmentation on the join threshold — so the config travels
 /// with the artifact instead of being re-supplied, possibly mismatched,
 /// at match time). Compile once via [`compile_plan`], match any number of
 /// times via [`match_compiled`]: repeat matches skip the compile pass.
@@ -456,9 +414,7 @@ impl CompiledPlan {
     fn query(&self, seg: &CompiledSegment) -> AdmissionQuery<'_> {
         AdmissionQuery {
             checks: &self.checks[seg.extent()],
-            margin: self.cfg.range_margin,
             trim: self.cfg.sketch_trim,
-            dataset: self.cfg.dataset.as_deref(),
             near_factor: self.cfg.near_miss_factor,
         }
     }
@@ -966,9 +922,10 @@ mod tests {
         learn_workload(&w, &kb, &learn_cfg);
         let optimizer = Optimizer::new(&w.db);
         let plan = optimizer.optimize(&w.queries[0]).unwrap();
-        for margin in [1.0, 2.0] {
+        // Near-miss tracking counts rejects; it never changes a match.
+        for near_miss_factor in [1.0, 4.0] {
             let cfg = MatchConfig {
-                range_margin: margin,
+                near_miss_factor,
                 ..MatchConfig::default()
             };
             let probe = match_plan(&w.db, &kb, &plan, &cfg);
@@ -985,15 +942,16 @@ mod tests {
     }
 
     #[test]
-    fn range_margin_admits_displaced_values() {
+    fn near_miss_feedback_admits_displaced_values() {
         let w = quirky_workload();
         let kb = KnowledgeBase::new();
         let optimizer = Optimizer::new(&w.db);
         let plan = optimizer.optimize(&w.queries[0]).unwrap();
         let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
         let mut tpl = abstract_plan(&w.db, &plan, plan.root(), &g, kb.fresh_id(1));
-        // Displace every range by 3x: exact matching must fail, a 4x
-        // match-time margin must recover it.
+        // Displace every range by 3x: matching must fail, and one
+        // feedback round at near-miss factor 4 must widen the stored
+        // ranges until it matches.
         let displace = |s: &mut crate::kb::StatSketch| {
             let r = s.envelope(0.0);
             *s = crate::kb::StatSketch::from_range(r.lo * 3.0, r.hi * 3.0);
@@ -1010,18 +968,23 @@ mod tests {
         kb.insert(&tpl);
         let exact = match_plan(&w.db, &kb, &plan, &MatchConfig::default());
         assert!(exact.rewrites.is_empty(), "3x displaced must not match");
-        let widened = match_plan(
-            &w.db,
-            &kb,
-            &plan,
-            &MatchConfig {
-                range_margin: 4.0,
-                ..MatchConfig::default()
-            },
-        );
+        let near = MatchConfig {
+            near_miss_factor: 4.0,
+            ..MatchConfig::default()
+        };
+        let seen = match_plan(&w.db, &kb, &plan, &near);
         assert!(
-            !widened.rewrites.is_empty(),
-            "4x margin must admit the 3x-displaced template"
+            seen.rewrites.is_empty(),
+            "tracking near misses admits nothing"
+        );
+        assert_eq!(seen.near_misses, 1, "the displaced template is a near miss");
+        let actuals = galo_executor::compute_actuals(&w.db, &plan);
+        assert!(kb.record_feedback(&w.db, &plan, &near, &seen, &actuals) > 0);
+        assert_eq!(kb.apply_feedback().templates_refined, 1);
+        let refined = match_plan(&w.db, &kb, &plan, &MatchConfig::default());
+        assert!(
+            !refined.rewrites.is_empty(),
+            "the refined ranges must admit the plan that was a near miss"
         );
     }
 

@@ -37,34 +37,16 @@ use galo_rdf::{evaluate_seeded, ResultSet, Term};
 
 use crate::kb::{AdmissionQuery, AdmissionStats, KnowledgeBase};
 use crate::matching::{instantiate_match, MatchConfig, MatchReport, MatchedRewrite};
-use crate::transform::{segment_pop_checks, segment_to_probe, ProbeOptions, ScanVar, SegmentProbe};
-
-/// The probe options a match configuration implies.
-fn probe_options(cfg: &MatchConfig, include_ranges: bool) -> ProbeOptions {
-    ProbeOptions {
-        range_margin: cfg.range_margin,
-        include_ranges,
-    }
-}
+use crate::transform::{segment_pop_checks, segment_to_probe, ScanVar, SegmentProbe};
 
 /// The deterministic winning solution of one segment probe: the smallest
-/// `(template IRI, canonical table labels)` pair over all solution rows
-/// whose template passes `allow` (the text path's dataset filter; the
-/// candidate-by-candidate paths filter in the signature index instead and
-/// pass a constant `true`).
-fn winning_solution(
-    solutions: &ResultSet,
-    scan_vars: &[ScanVar],
-    allow: impl Fn(&str) -> bool,
-) -> Option<(String, Vec<String>)> {
+/// `(template IRI, canonical table labels)` pair over all solution rows.
+fn winning_solution(solutions: &ResultSet, scan_vars: &[ScanVar]) -> Option<(String, Vec<String>)> {
     let mut best: Option<(String, Vec<String>)> = None;
     for row in 0..solutions.len() {
         let Some(tmpl) = solutions.get(row, "tmpl") else {
             continue;
         };
-        if !allow(tmpl.str_value()) {
-            continue;
-        }
         let labels: Vec<String> = scan_vars
             .iter()
             .map(|sv| {
@@ -107,7 +89,7 @@ fn evaluate(kb: &KnowledgeBase, probe: &SegmentProbe, template_iri: &str) -> Opt
             &[("tmpl".to_string(), tmpl)],
         ))
     })?;
-    winning_solution(&solutions, &probe.scan_vars, |_| true).map(|(_, labels)| labels)
+    winning_solution(&solutions, &probe.scan_vars).map(|(_, labels)| labels)
 }
 
 /// The text pipeline: each segment's probe — the SPARQL text, parsed —
@@ -121,7 +103,6 @@ pub fn match_plan_text(
 ) -> MatchReport {
     let t0 = Instant::now();
     let mut report = MatchReport::default();
-    let opts = probe_options(cfg, true);
     let mut claimed: HashSet<u32> = HashSet::new();
 
     for segment in segments(qgm, cfg.join_threshold) {
@@ -133,18 +114,10 @@ pub fn match_plan_text(
         if seg_pops.iter().any(|id| claimed.contains(id)) {
             continue;
         }
-        let probe = segment_to_probe(db, qgm, segment.root, &opts);
+        let probe = segment_to_probe(db, qgm, segment.root, true);
         report.probes_executed += 1;
         let solutions = kb.server().query_parsed(&probe.query);
-        // The dataset filter resolves each row's template source through
-        // the store — the oracle trades speed for directness, unlike the
-        // matcher's index-level filter.
-        let allow = |iri: &str| match cfg.dataset.as_deref() {
-            None => true,
-            Some(d) => kb.guideline_of(iri).is_some_and(|(_, source)| source == d),
-        };
-        let Some((template_iri, labels)) = winning_solution(&solutions, &probe.scan_vars, allow)
-        else {
+        let Some((template_iri, labels)) = winning_solution(&solutions, &probe.scan_vars) else {
             continue;
         };
         let op_id = qgm.pop(segment.root).op_id;
@@ -172,7 +145,6 @@ pub fn match_plan_probe(
 ) -> MatchReport {
     let t0 = Instant::now();
     let mut report = MatchReport::default();
-    let opts = probe_options(cfg, true);
     let mut claimed: HashSet<u32> = HashSet::new();
     let mut admission = AdmissionStats::default();
 
@@ -188,18 +160,15 @@ pub fn match_plan_probe(
         let checks = segment_pop_checks(db, qgm, segment.root);
         let signature = shape_signature(segment.join_count, checks.iter().map(|c| c.pop_type));
         let query = AdmissionQuery {
-            checks: &checks,
-            margin: cfg.range_margin,
             trim: cfg.sketch_trim,
-            dataset: cfg.dataset.as_deref(),
-            near_factor: 1.0,
+            ..AdmissionQuery::exact(&checks)
         };
         let mut cursor = kb.next_candidate_admitting(signature, &query, None, &mut admission);
         if cursor.is_none() {
             report.probes_pruned += 1;
             continue;
         }
-        let probe = segment_to_probe(db, qgm, segment.root, &opts);
+        let probe = segment_to_probe(db, qgm, segment.root, true);
         let mut matched = None;
         while let Some(iri) = cursor {
             report.probes_executed += 1;
@@ -233,10 +202,9 @@ pub fn probe_labels(
     kb: &KnowledgeBase,
     qgm: &Qgm,
     root: PopId,
-    cfg: &MatchConfig,
     template_iri: &str,
 ) -> Option<Vec<String>> {
-    let probe = segment_to_probe(db, qgm, root, &probe_options(cfg, true));
+    let probe = segment_to_probe(db, qgm, root, true);
     evaluate(kb, &probe, template_iri)
 }
 
@@ -248,9 +216,8 @@ pub fn structural_matches(
     kb: &KnowledgeBase,
     qgm: &Qgm,
     root: PopId,
-    cfg: &MatchConfig,
 ) -> Vec<String> {
-    let probe = segment_to_probe(db, qgm, root, &probe_options(cfg, false));
+    let probe = segment_to_probe(db, qgm, root, false);
     kb.candidate_templates(probe.signature)
         .into_iter()
         .filter(|iri| evaluate(kb, &probe, iri).is_some())
@@ -364,16 +331,15 @@ mod tests {
         let (db, plan, tpl) = setup();
         let kb = KnowledgeBase::new();
         kb.insert(&tpl);
-        let cfg = MatchConfig::default();
         let root = segments(&plan, 4)[0].root;
         let known = vocab::template_iri(&tpl.id);
-        assert!(probe_labels(&db, &kb, &plan, root, &cfg, known.str_value()).is_some());
+        assert!(probe_labels(&db, &kb, &plan, root, known.str_value()).is_some());
         let never = "http://galo/kb/template/never-interned";
         assert_eq!(
             kb.server().with_store(|st| st.term_id(&Term::iri(never))),
             None
         );
-        assert_eq!(probe_labels(&db, &kb, &plan, root, &cfg, never), None);
+        assert_eq!(probe_labels(&db, &kb, &plan, root, never), None);
     }
 
     /// An operator stated with two types is indexed under the lesser:

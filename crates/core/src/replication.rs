@@ -1622,7 +1622,6 @@ mod tests {
         let iri = crate::vocab::template_iri("ro");
         kb.feedback().push(
             iri.str_value(),
-            "",
             crate::PopObservation {
                 pop_type: "HSJOIN".into(),
                 cards: vec![(1e6, f64::INFINITY)],

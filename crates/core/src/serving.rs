@@ -13,7 +13,7 @@
 //!   on from the plan side — the full operator tree (kinds with their
 //!   parameters, estimated cardinalities and costs, input wiring, sort
 //!   orders), per-scan query qualifiers and belief statistics, and the
-//!   [`MatchConfig`] (join threshold, range margin, dataset restriction).
+//!   [`MatchConfig`] (join threshold, sketch trim, near-miss factor).
 //!   Two plans with equal fingerprints compile to the same segment checks
 //!   and match the same templates.
 //! * [`ProbeCache`] is a striped CLOCK cache. Each entry holds the
@@ -136,9 +136,9 @@ impl WordHash {
 /// (`WordHash`) over every input the match outcome depends on from the
 /// query side, one `u64` per step.
 ///
-/// Covered: the match configuration (join threshold, range margin,
-/// sketch trim, near-miss factor, dataset restriction — folded into the
-/// key so one cache safely serves mixed configurations), the operator
+/// Covered: the match configuration (join threshold, sketch trim,
+/// near-miss factor — folded into the key so one cache safely serves
+/// mixed configurations), the operator
 /// tree (ids, kinds *with their parameters* — which index, fetch flag,
 /// bloom flag, sort key — estimated cardinality and cost, input edges,
 /// output order), and per scan the query qualifier plus the belief
@@ -157,16 +157,8 @@ impl WordHash {
 pub fn plan_fingerprint(db: &Database, qgm: &Qgm, cfg: &MatchConfig) -> u64 {
     let mut h = WordHash::new();
     h.word(cfg.join_threshold as u64);
-    h.word(cfg.range_margin.to_bits());
     h.word(cfg.sketch_trim.to_bits());
     h.word(cfg.near_miss_factor.to_bits());
-    match &cfg.dataset {
-        None => h.word(0),
-        Some(d) => {
-            h.word(1);
-            h.bytes(d.as_bytes());
-        }
-    }
     h.word(u64::from(qgm.root().0));
     for (id, pop) in qgm.pops() {
         h.word(u64::from(id.0) | u64::from(pop.op_id) << 32);
@@ -707,16 +699,8 @@ mod tests {
         let (db, qgm) = tiny_plan();
         let base = MatchConfig::default();
         assert_eq!(fp(&db, &qgm, &base), fp(&db, &qgm, &base));
-        let margin = MatchConfig {
-            range_margin: 2.0,
-            ..MatchConfig::default()
-        };
         let threshold = MatchConfig {
             join_threshold: 2,
-            ..MatchConfig::default()
-        };
-        let dataset = MatchConfig {
-            dataset: Some("w1".into()),
             ..MatchConfig::default()
         };
         let trim = MatchConfig {
@@ -729,9 +713,7 @@ mod tests {
         };
         let keys = [
             fp(&db, &qgm, &base),
-            fp(&db, &qgm, &margin),
             fp(&db, &qgm, &threshold),
-            fp(&db, &qgm, &dataset),
             fp(&db, &qgm, &trim),
             fp(&db, &qgm, &near_miss),
         ];
@@ -770,16 +752,8 @@ mod tests {
     fn fnv_reference(db: &Database, qgm: &Qgm, cfg: &MatchConfig) -> u64 {
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         h.u64(cfg.join_threshold as u64);
-        h.u64(cfg.range_margin.to_bits());
         h.u64(cfg.sketch_trim.to_bits());
         h.u64(cfg.near_miss_factor.to_bits());
-        match &cfg.dataset {
-            None => h.u64(0),
-            Some(d) => {
-                h.u64(1);
-                h.bytes(d.as_bytes());
-            }
-        }
         h.u64(qgm.root().0 as u64);
         for (id, pop) in qgm.pops() {
             h.u64(id.0 as u64);
@@ -854,13 +828,11 @@ mod tests {
                 ..MatchConfig::default()
             },
             MatchConfig {
-                range_margin: 4.0,
                 sketch_trim: 0.05,
                 ..MatchConfig::default()
             },
             MatchConfig {
-                dataset: Some("tpcds".into()),
-                near_miss_factor: 2.0,
+                near_miss_factor: 4.0,
                 ..MatchConfig::default()
             },
         ]
@@ -1049,23 +1021,16 @@ mod tests {
             );
         }
         type ConfigEdit = fn(&mut MatchConfig);
-        let config_edits: [(&str, ConfigEdit); 5] = [
+        let config_edits: [(&str, ConfigEdit); 3] = [
             ("join_threshold", |c| c.join_threshold = 3),
-            ("range_margin", |c| c.range_margin = 1.5),
             ("sketch_trim", |c| c.sketch_trim = 0.1),
             ("near_miss_factor", |c| c.near_miss_factor = 3.0),
-            ("dataset", |c| c.dataset = Some("a".into())),
         ];
         for (what, edit) in config_edits {
             let mut changed = MatchConfig::default();
             edit(&mut changed);
             assert_ne!(fp(db, &base, &changed), before.0, "{what}");
         }
-        let named = |d: &str| MatchConfig {
-            dataset: Some(d.into()),
-            ..MatchConfig::default()
-        };
-        assert_ne!(fp(db, &base, &named("a")), fp(db, &base, &named("b")));
     }
 
     #[test]

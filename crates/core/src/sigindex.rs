@@ -43,9 +43,9 @@
 //!
 //! 1. the types are equal;
 //! 2. the operator's stored cardinality bounds admit the estimate — both
-//!    bounds stored, `lo ≤ v·m` and `hi ≥ v/m` — and, for a scan, its
-//!    row-size, fpages and base-cardinality bounds admit the table's
-//!    values the same way and it carries a canonical table label;
+//!    bounds stored, `lo ≤ v ≤ hi` — and, for a scan, its row-size,
+//!    fpages and base-cardinality bounds admit the table's values the
+//!    same way and it carries a canonical table label;
 //! 3. every input edge of the segment is a template edge with the same
 //!    role: the child's image states `hasOutputStream` to the parent's
 //!    image, and under a join the parent's image states
@@ -77,8 +77,8 @@
 //!
 //! A check is admitted by a row iff *some* same-typed operator's
 //! cardinality range admits the value (and, for scans, its scan-stat
-//! ranges do too). An operator that admits has `lo ≤ v·m` and `hi ≥ v/m`,
-//! so the hull over the operators of its type does as well: a hull that
+//! ranges do too). An operator that admits has `lo ≤ v ≤ hi`, so the
+//! hull over the operators of its type does as well: a hull that
 //! fails proves every one of them fails. The walk runs checks in order
 //! and stops at the first failure, so a failed hull on check *k* after
 //! checks 0..*k*−1 passed in full *is* "no same-typed operator's
@@ -96,17 +96,16 @@
 //! of those rows is the card reject the row walk would count, so a
 //! failed cell adds its row count to `considered` and `rejects_card`, as
 //! many single steps would. With near-miss tracking on, a cell is passed
-//! only when check 0 at the widened margin fails it too; then no row
-//! under it can be a near miss. Rows keep their IRI order, so the first
-//! admitted row, and with it the cursor, the claimed set and the
-//! journal's re-validation, are the row walk's. A check 0 of a type the
+//! only when check 0 widened by the near-miss factor (`lo ≤ v·f`,
+//! `hi ≥ v/f`) fails it too; then no row under it can be a near miss.
+//! Rows keep their IRI order, so the first admitted row, and with it the
+//! cursor, the claimed set and the journal's re-validation, are the row
+//! walk's. A check 0 of a type the
 //! bucket has never seen fails every row: the rest of the bucket is
 //! passed in one step, with the same counts.
 //!
-//! Two kinds of walk go row by row instead, because a block count cannot
-//! say what the rows would: `trim > 0`, which reads no hull, and a
-//! dataset-scoped query, which passes an out-of-scope row as considered
-//! but not rejected.
+//! One kind of walk goes row by row instead: `trim > 0`, which reads no
+//! hull, so no block count can say what its rows would.
 //!
 //! # Where entries come from
 //!
@@ -186,9 +185,9 @@ impl PopCheck {
 /// how much it read to tell.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AdmissionStats {
-    /// Index entries the walk went past (admitted, dataset-filtered, or
-    /// rejected), whether it tested them one by one or skipped them with
-    /// a block of the hull summary.
+    /// Index entries the walk went past (admitted or rejected), whether
+    /// it tested them one by one or skipped them with a block of the hull
+    /// summary.
     pub considered: usize,
     /// Entries rejected because no same-typed operator's cardinality
     /// envelope admitted a check value.
@@ -196,9 +195,10 @@ pub struct AdmissionStats {
     /// Entries whose cardinality envelopes admitted every check but whose
     /// scan-stat envelopes (row size / fpages / base cardinality) did not.
     pub rejects_scan: usize,
-    /// Rejected entries that would have been admitted under the query's
-    /// widened `margin · near_factor` — the feedback loop's candidates
-    /// for near-miss widening. Always 0 while `near_factor` is 1.
+    /// Rejected entries that would have been admitted with every range
+    /// widened by the query's `near_factor` — the feedback loop's
+    /// candidates for near-miss widening. Always 0 while `near_factor`
+    /// is 1.
     pub near_misses: usize,
     /// The work behind `considered`: rows the walk tested one by one plus
     /// hull-summary cells it tested. The rows of a skipped block are
@@ -208,33 +208,27 @@ pub struct AdmissionStats {
 }
 
 /// One segment's admission query against the signature index: the checks
-/// plus the matcher's margin, trim level and dataset scope.
+/// plus the matcher's trim level and near-miss factor.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionQuery<'a> {
     pub checks: &'a [PopCheck],
-    /// Multiplicative slack (clamped ≥ 1), mirroring the probe's margin.
-    pub margin: f64,
     /// Quantile trim of the admission envelopes; `0.0` = exact bounds.
     pub trim: f64,
-    /// Dataset scope (`None` spans every workload).
-    pub dataset: Option<&'a str>,
-    /// Near-miss detection factor (clamped ≥ 1; `1.0` disables it):
-    /// rejected entries are re-tested at `margin · near_factor` and the
-    /// ones that would pass are counted in
+    /// Near-miss detection factor (`1.0` disables it): rejected entries
+    /// are re-tested with every range widened by it (`lo ≤ v·f`,
+    /// `hi ≥ v/f`) and the ones that would pass are counted in
     /// [`AdmissionStats::near_misses`]. Detection never changes which
     /// candidates are admitted.
     pub near_factor: f64,
 }
 
 impl<'a> AdmissionQuery<'a> {
-    /// The exact-bounds query (trim 0, all datasets, no near-miss
-    /// tracking) — today's default admission semantics.
-    pub fn exact(checks: &'a [PopCheck], margin: f64) -> Self {
+    /// The exact-bounds query (trim 0, no near-miss tracking) — the
+    /// default admission semantics.
+    pub fn exact(checks: &'a [PopCheck]) -> Self {
         AdmissionQuery {
             checks,
-            margin,
             trim: 0.0,
-            dataset: None,
             near_factor: 1.0,
         }
     }
@@ -697,7 +691,7 @@ const EMPTY: Range = Range {
 };
 
 /// The id of a name an intern table does not hold: no cell carries it,
-/// so an unseen operator type or dataset matches no row.
+/// so an unseen operator type matches no row.
 const ABSENT: u32 = u32::MAX;
 
 /// One operator's exact bounds, packed: what the trim-0 walk reads, and
@@ -735,8 +729,10 @@ impl PopBounds {
     }
 }
 
-/// One check value under a margin: the two products every range test of
-/// it needs, computed once per pull instead of once per operator.
+/// One check value under a widening factor `m` (1 for the match itself,
+/// the near-miss factor for near-miss detection): the two products every
+/// range test of it needs, computed once per pull instead of once per
+/// operator.
 #[derive(Debug, Clone, Copy)]
 struct Slack {
     /// `v · m`
@@ -751,7 +747,7 @@ impl Slack {
     }
 }
 
-/// A [`PopCheck`] resolved against one bucket under one margin.
+/// A [`PopCheck`] resolved against one bucket under one widening factor.
 struct Resolved<'a> {
     ty: u32,
     /// The hull column of `ty`; no rows when the bucket has never seen
@@ -789,7 +785,7 @@ struct Bucket {
     /// Row -> template IRI, ascending.
     iris: Vec<String>,
     /// Row -> source workload (the template's dataset; `""` when it was
-    /// stored without one).
+    /// stored without one). Read only by [`SigIndex::signatures_of`].
     workload: Vec<u32>,
     /// Row -> join count.
     joins: Vec<usize>,
@@ -999,9 +995,7 @@ impl Bucket {
         JournalRow {
             signature,
             types: Arc::clone(&self.types),
-            workloads: Arc::clone(&self.workloads),
             labels: Arc::clone(&self.labels),
-            workload: self.workload[row],
             joins: self.joins[row],
             ops: Arc::clone(&self.ops[row]),
             sketches: Arc::clone(&self.sketches[row]),
@@ -1041,7 +1035,7 @@ impl Bucket {
     }
 
     /// Resolve a query's checks against this bucket's type table and
-    /// apply margin `m` (already clamped to ≥ 1) to their values.
+    /// widen their values by `m`.
     fn resolve(&self, checks: &[PopCheck], m: f64) -> Vec<Resolved<'_>> {
         checks
             .iter()
@@ -1110,13 +1104,16 @@ impl Bucket {
         Admission::Admitted
     }
 
+    /// The first row after `after` whose ranges, widened by `m`, admit
+    /// the query's checks: `m = 1` is the cursor's exact test.
     fn next_admitting(
         &self,
         query: &AdmissionQuery<'_>,
+        m: f64,
         after: Option<&str>,
         stats: &mut AdmissionStats,
     ) -> Option<&str> {
-        let checks = self.resolve(query.checks, query.margin.max(1.0));
+        let checks = self.resolve(query.checks, m);
         let row = self.walk(&checks, query, after, stats)?;
         Some(self.iris[row].as_str())
     }
@@ -1130,14 +1127,14 @@ impl Bucket {
         after: Option<&str>,
         stats: &mut AdmissionStats,
     ) -> Option<(&str, Result<Vec<&str>, MatchMiss>)> {
-        let checks = self.resolve(query.checks, query.margin.max(1.0));
+        let checks = self.resolve(query.checks, 1.0);
         let row = self.walk(&checks, query, after, stats)?;
         Some((self.iris[row].as_str(), self.assign(row, &checks, shape)))
     }
 
     /// The row-local assignment (module docs, "What a match is"): the
     /// least label vector, in scan pre-order, of an assignment of the
-    /// segment's operators (`checks`, resolved at the query's margin) to
+    /// segment's operators (`checks`, resolved unwidened) to
     /// the row's that meets every condition — or the first condition the
     /// row fails.
     fn assign(
@@ -1201,10 +1198,10 @@ impl Bucket {
         })
     }
 
-    /// The admission walk: the first row after `after` that is in the
-    /// query's dataset and passes `checks` (the query's, resolved). Where
-    /// the module docs say a block count is exact, it passes over every
-    /// block of rows whose summary hull fails check 0.
+    /// The admission walk: the first row after `after` that passes
+    /// `checks` (the query's, resolved). Where the module docs say a
+    /// block count is exact, it passes over every block of rows whose
+    /// summary hull fails check 0.
     fn walk(
         &self,
         checks: &[Resolved<'_>],
@@ -1213,27 +1210,21 @@ impl Bucket {
         stats: &mut AdmissionStats,
     ) -> Option<usize> {
         debug_assert_eq!(self.stale, usize::MAX, "a walk over unsettled summaries");
-        let m = query.margin.max(1.0);
         let n = self.iris.len();
         let start = after.map_or(0, |a| self.iris.partition_point(|iri| iri.as_str() <= a));
-        let near =
-            (query.near_factor > 1.0).then(|| self.resolve(query.checks, m * query.near_factor));
-        let dataset = query.dataset.map(|d| lookup(&self.workloads, d));
+        let near = (query.near_factor > 1.0).then(|| self.resolve(query.checks, query.near_factor));
         // Counted in a local: the walk is a few instructions a row, and
         // a counter behind `&mut` would be a store per row.
         let mut seen = *stats;
         let test = |row: usize, seen: &mut AdmissionStats| {
             seen.considered += 1;
             seen.examined += 1;
-            if dataset.is_some_and(|d| self.workload[row] != d) {
-                return false; // out of scope: considered, but not an admission reject
-            }
             match self.admits(row, checks, query.trim) {
                 Admission::Admitted => return true,
                 Admission::RejectedCard => seen.rejects_card += 1,
                 Admission::RejectedScan => seen.rejects_scan += 1,
             }
-            // Near-miss detection: would the widened margin have admitted
+            // Near-miss detection: would the widened ranges have admitted
             // this row? Counting only — the candidate stays rejected.
             if near
                 .as_ref()
@@ -1244,9 +1235,9 @@ impl Bucket {
             false
         };
         let admitted = match checks.first() {
-            Some(first) if query.trim <= 0.0 && dataset.is_none() => {
+            Some(first) if query.trim <= 0.0 => {
                 let near = near.as_ref().map(|near| near[0].stats[0]);
-                // A cell fails check 0 when neither margin admits its hull:
+                // A cell fails check 0 when neither factor admits its hull:
                 // then every row under it is a card reject, none a near miss.
                 let fails = |hull: Range| {
                     !first.stats[0].within(hull) && near.is_none_or(|near| !near.within(hull))
@@ -1260,8 +1251,7 @@ impl Bucket {
                     }
                 }
             }
-            // `trim > 0` reads no hull, and a dataset-scoped walk passes
-            // rows that are neither admitted nor rejected: row by row.
+            // `trim > 0` reads no hull: row by row.
             _ => (start..n).find(|&r| test(r, &mut seen)),
         };
         *stats = seen;
@@ -1425,9 +1415,9 @@ impl SigIndex {
     }
 
     /// The cursor: the first row of the signature's bucket strictly after
-    /// `after` (`None` = from the start) that belongs to the query's
-    /// dataset and passes its admission pre-check. Every row it went past
-    /// — the admitted one included — is accumulated into `stats`.
+    /// `after` (`None` = from the start) that passes the query's
+    /// admission pre-check. Every row it went past — the admitted one
+    /// included — is accumulated into `stats`.
     pub(crate) fn next_admitting(
         &self,
         signature: u64,
@@ -1437,7 +1427,35 @@ impl SigIndex {
     ) -> Option<&str> {
         self.buckets
             .get(&signature)?
-            .next_admitting(query, after, stats)
+            .next_admitting(query, 1.0, after, stats)
+    }
+
+    /// Every template of the signature's bucket whose ranges, widened by
+    /// the query's near-miss factor, admit its checks, ascending: the
+    /// exactly admitted ones and the near misses — what near-miss
+    /// feedback refines.
+    pub(crate) fn admitting_widened(
+        &self,
+        signature: u64,
+        query: &AdmissionQuery<'_>,
+    ) -> Vec<String> {
+        let Some(bucket) = self.buckets.get(&signature) else {
+            return Vec::new();
+        };
+        let widened = AdmissionQuery {
+            near_factor: 1.0,
+            ..*query
+        };
+        let (mut iris, mut stats) = (Vec::<String>::new(), AdmissionStats::default());
+        while let Some(iri) = bucket.next_admitting(
+            &widened,
+            query.near_factor.max(1.0),
+            iris.last().map(String::as_str),
+            &mut stats,
+        ) {
+            iris.push(iri.to_string());
+        }
+        iris
     }
 
     /// The same cursor, with the admitted row matched against the
@@ -1471,9 +1489,7 @@ pub(crate) const JOURNAL_TEMPLATES: usize = 8;
 pub(crate) struct JournalRow {
     signature: u64,
     types: Arc<Vec<String>>,
-    workloads: Arc<Vec<String>>,
     labels: Arc<Vec<String>>,
-    workload: u32,
     joins: usize,
     ops: Arc<[PopBounds]>,
     sketches: Arc<[[StatSketch; 4]]>,
@@ -1504,12 +1520,13 @@ impl JournalRow {
         for op in self.ops.iter() {
             widen_hull(&mut hulls[op.ty as usize][0], op.stats[0]);
         }
+        // The walk reads no workload: the row's is left unnamed.
         let mut bucket = Bucket {
             types: Arc::clone(&self.types),
-            workloads: Arc::clone(&self.workloads),
+            workloads: Arc::default(),
             labels: Arc::clone(&self.labels),
             iris: vec![String::new()],
-            workload: vec![self.workload],
+            workload: vec![ABSENT],
             joins: vec![self.joins],
             hulls,
             summaries: Vec::new(),
@@ -1521,7 +1538,10 @@ impl JournalRow {
         bucket.settle();
         queries.any(|query| {
             let mut stats = AdmissionStats::default();
-            bucket.next_admitting(&query, None, &mut stats).is_some() || stats.near_misses > 0
+            bucket
+                .next_admitting(&query, 1.0, None, &mut stats)
+                .is_some()
+                || stats.near_misses > 0
         })
     }
 }
@@ -1653,7 +1673,6 @@ mod tests {
     }
 
     struct RefTemplate {
-        workload: String,
         pops: Vec<RefPop>,
     }
 
@@ -1662,15 +1681,11 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum RefAdmission {
         Admitted,
-        RejectedDataset,
         RejectedCard,
         RejectedScan,
     }
 
     fn ref_admits(tpl: &RefTemplate, q: &AdmissionQuery<'_>, m: f64) -> RefAdmission {
-        if q.dataset.is_some_and(|d| tpl.workload != d) {
-            return RefAdmission::RejectedDataset;
-        }
         for check in q.checks {
             let mut card_ok = false;
             let mut full_ok = false;
@@ -1711,27 +1726,21 @@ mod tests {
         stats: &mut AdmissionStats,
     ) -> Option<String> {
         use std::ops::Bound;
-        let m = query.margin.max(1.0);
         let lower = match after {
             Some(a) => Bound::Excluded(a),
             None => Bound::Unbounded,
         };
         for (iri, tpl) in tpls.range::<str, _>((lower, Bound::Unbounded)) {
             stats.considered += 1;
-            match ref_admits(tpl, query, m) {
+            match ref_admits(tpl, query, 1.0) {
                 RefAdmission::Admitted => return Some(iri.clone()),
-                RefAdmission::RejectedDataset => {}
-                rejected => {
-                    match rejected {
-                        RefAdmission::RejectedCard => stats.rejects_card += 1,
-                        _ => stats.rejects_scan += 1,
-                    }
-                    if query.near_factor > 1.0
-                        && ref_admits(tpl, query, m * query.near_factor) == RefAdmission::Admitted
-                    {
-                        stats.near_misses += 1;
-                    }
-                }
+                RefAdmission::RejectedCard => stats.rejects_card += 1,
+                RefAdmission::RejectedScan => stats.rejects_scan += 1,
+            }
+            if query.near_factor > 1.0
+                && ref_admits(tpl, query, query.near_factor) == RefAdmission::Admitted
+            {
+                stats.near_misses += 1;
             }
         }
         None
@@ -1949,13 +1958,7 @@ mod tests {
                 if n % 7 == 0 {
                     index.upsert(SIG ^ 1, &iri, "w1", entries(&row(&mut rng)));
                 }
-                reference.insert(
-                    iri,
-                    RefTemplate {
-                        workload: workload.to_string(),
-                        pops,
-                    },
-                );
+                reference.insert(iri, RefTemplate { pops });
             }
             // Republish (overwrite in place), re-read and remove a few.
             for &n in order.iter().take(rows / 4) {
@@ -1963,19 +1966,17 @@ mod tests {
                 match rng.gen_range(0..3) {
                     0 => {
                         index.upsert(SIG, &iri, "w2", entries(&pops));
-                        let workload = "w2".to_string();
-                        reference.insert(iri, RefTemplate { workload, pops });
+                        reference.insert(iri, RefTemplate { pops });
                     }
                     1 => {
                         index.buckets.get_mut(&SIG).unwrap().remove(&iri);
                         reference.remove(&iri);
                     }
                     _ => {
-                        // A refined template re-read: same row, same
-                        // workload, other operators.
-                        let stored = reference.get_mut(&iri).unwrap();
-                        index.upsert(SIG, &iri, &stored.workload, entries(&pops));
-                        stored.pops = pops;
+                        // A refined template re-read: same row, other
+                        // operators.
+                        index.upsert(SIG, &iri, "w1", entries(&pops));
+                        reference.get_mut(&iri).unwrap().pops = pops;
                     }
                 }
             }
@@ -1997,16 +1998,12 @@ mod tests {
             for _ in 0..24 {
                 let anchor = reference.values().nth(rng.gen_range(0..reference.len()));
                 let checks = checks(&mut rng, &anchor.unwrap().pops);
-                for margin in [1.0, 1.5, 4.0] {
+                for near_factor in [1.0, 2.0, 4.0] {
                     for trim in [0.0, 0.05, 0.3] {
                         let query = AdmissionQuery {
                             checks: &checks,
-                            margin,
                             trim,
-                            dataset: *[None, None, Some("w1"), Some("w2"), Some("absent")]
-                                .choose(&mut rng)
-                                .unwrap(),
-                            near_factor: *[1.0, 2.0].choose(&mut rng).unwrap(),
+                            near_factor,
                         };
                         let columnar = |after: Option<&str>, stats: &mut AdmissionStats| {
                             index
@@ -2033,18 +2030,23 @@ mod tests {
                                     "after {after:?}: {query:?}"
                                 );
                             }
+                            // The rows near-miss feedback refines: those
+                            // the widened ranges admit.
+                            let widened: Vec<String> = reference
+                                .iter()
+                                .filter(|(_, tpl)| {
+                                    ref_admits(tpl, &query, near_factor) == RefAdmission::Admitted
+                                })
+                                .map(|(iri, _)| iri.clone())
+                                .collect();
+                            assert_eq!(index.admitting_widened(SIG, &query), widened);
                             // Each row as the journal keeps it: admitted,
                             // or a near miss, exactly when the walk says.
                             let bucket = &index.buckets[&SIG];
                             for (at, tpl) in reference.values().enumerate() {
-                                let m = margin.max(1.0);
-                                let verdict = ref_admits(tpl, &query, m);
-                                let near = query.near_factor > 1.0
-                                    && matches!(
-                                        verdict,
-                                        RefAdmission::RejectedCard | RefAdmission::RejectedScan
-                                    )
-                                    && ref_admits(tpl, &query, m * query.near_factor)
+                                let verdict = ref_admits(tpl, &query, 1.0);
+                                let near = near_factor > 1.0
+                                    && ref_admits(tpl, &query, near_factor)
                                         == RefAdmission::Admitted;
                                 let row = bucket.journal_row(SIG, at);
                                 assert_eq!(
@@ -2057,8 +2059,7 @@ mod tests {
                         // Rows whose hull admits the first check though
                         // no single operator does.
                         let bucket = &index.buckets[&SIG];
-                        if let (0.0, Some(first)) = (trim, bucket.resolve(&checks, margin).first())
-                        {
+                        if let (0.0, Some(first)) = (trim, bucket.resolve(&checks, 1.0).first()) {
                             hull_only += reference
                                 .values()
                                 .enumerate()
@@ -2069,7 +2070,7 @@ mod tests {
                                             p.pop_type == checks[0].pop_type
                                                 && p.cardinality.admits(
                                                     checks[0].est_card,
-                                                    margin,
+                                                    1.0,
                                                     trim,
                                                 )
                                         })
@@ -2085,10 +2086,7 @@ mod tests {
         assert!(admitted_total > 1_000, "admitted {admitted_total}");
         assert!(totals.rejects_card > 1_000 && totals.rejects_scan > 1_000);
         assert!(totals.near_misses > 100, "{totals:?}");
-        assert!(
-            totals.considered > rejected + admitted_total,
-            "dataset-filtered rows"
-        );
+        assert_eq!(totals.considered, rejected + admitted_total, "{totals:?}");
         assert!(
             hull_only > 1_000,
             "hull-admitted, operator-rejected: {hull_only}"
@@ -2133,7 +2131,7 @@ mod tests {
     /// to 9 k rows: long runs of displaced rows (whole blocks of every
     /// level, and blocks entered mid-way), overlapping polluted hulls and
     /// a few live rows between them; every query shape (an unseen type or
-    /// NaN first, near misses, the three dataset scopes, trims); cursors
+    /// NaN first, near misses at factors 2 and 4, trims); cursors
     /// started from every kind of position; and rows published,
     /// republished and retracted between pulls, so the repair of the
     /// summaries is under test as well as the walk.
@@ -2156,8 +2154,7 @@ mod tests {
                        rng: &mut StdRng| {
                 let (iri, workload) = (iri_of(n), *["w1", "w2", ""].choose(rng).unwrap());
                 index.upsert(SIG, &iri, workload, entries(&pops));
-                let workload = workload.to_string();
-                reference.insert(iri, RefTemplate { workload, pops });
+                reference.insert(iri, RefTemplate { pops });
             };
             let mut n = 0;
             while n < target {
@@ -2198,20 +2195,8 @@ mod tests {
                 }
                 let query = AdmissionQuery {
                     checks: &checks,
-                    margin: *[1.0, 1.5, 4.0].choose(&mut rng).unwrap(),
                     trim: *[0.0, 0.0, 0.0, 0.0, 0.05].choose(&mut rng).unwrap(),
-                    dataset: *[
-                        None,
-                        None,
-                        None,
-                        None,
-                        Some("w1"),
-                        Some("w2"),
-                        Some("absent"),
-                    ]
-                    .choose(&mut rng)
-                    .unwrap(),
-                    near_factor: *[1.0, 2.0].choose(&mut rng).unwrap(),
+                    near_factor: *[1.0, 2.0, 4.0].choose(&mut rng).unwrap(),
                 };
                 // Start before the first row, past the last, on a row at
                 // or beside a block boundary, beside a row, or anywhere.
@@ -2241,8 +2226,7 @@ mod tests {
                         (&expected, want),
                         "after {after:?}: {query:?}"
                     );
-                    let summarized = query.trim <= 0.0 && query.dataset.is_none();
-                    if summarized && checks.first().is_some_and(|c| c.pop_type == UNSEEN) {
+                    if query.trim <= 0.0 && checks.first().is_some_and(|c| c.pop_type == UNSEEN) {
                         assert_eq!(got.examined, 0, "an unseen first type reads nothing");
                         unseen_first += 1;
                     }
@@ -2325,7 +2309,7 @@ mod tests {
             PopCheck::card("HSJOIN", 500.0),
             PopCheck::card("TBSCAN", 50.0),
         ];
-        let query = AdmissionQuery::exact(&checks, 1.0);
+        let query = AdmissionQuery::exact(&checks);
         let matchable = || vec![plain("HSJOIN", 100.0, 1e3), plain("TBSCAN", 10.0, 100.0)];
         let per_pull = |displaced: usize| {
             let rows = displaced + 32;
@@ -2373,7 +2357,7 @@ mod tests {
             }
             pops
         }));
-        let query = AdmissionQuery::exact(&checks[..1], 1.0);
+        let query = AdmissionQuery::exact(&checks[..1]);
         let (admitted, stats) = drain(None, |after, stats| {
             index
                 .next_admitting(SIG, &query, after, stats)

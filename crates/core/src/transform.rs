@@ -105,40 +105,6 @@ pub fn qgm_to_rdf(db: &Database, qgm: &Qgm) -> Vec<(Term, Term, Term)> {
     triples
 }
 
-/// Options for segment-probe generation ([`segment_to_sparql_opt`], and
-/// through it [`segment_to_probe`]).
-#[derive(Debug, Clone)]
-pub struct ProbeOptions {
-    /// Match-time multiplicative widening of every template range test:
-    /// a template range `[lo, hi]` admits a concrete value `v` when
-    /// `lo <= v * margin && hi >= v / margin`. `1.0` is the paper's exact
-    /// semantics; larger values trade precision for cross-workload reuse
-    /// (Exp-2) by letting templates learned on one schema's statistics
-    /// cover another's.
-    pub range_margin: f64,
-    /// When false, emit only the structural skeleton (types, edges,
-    /// template linkage) without any `hasLower*`/`hasHigher*` constraint —
-    /// the near-miss probe of problem determination (paper Goal 1).
-    pub include_ranges: bool,
-}
-
-impl Default for ProbeOptions {
-    fn default() -> Self {
-        ProbeOptions {
-            range_margin: 1.0,
-            include_ranges: true,
-        }
-    }
-}
-
-/// Values a concrete property is tested against under a match margin:
-/// `(against_lower, against_upper)` — the template matches when its lower
-/// bound is `<= against_lower` and its upper bound is `>= against_upper`.
-fn margin_bounds(value: f64, margin: f64) -> (f64, f64) {
-    let m = margin.max(1.0);
-    (value * m, value / m)
-}
-
 /// One scan operator's bindings in a segment probe: the variable its
 /// canonical table label binds to and the query qualifier it stands for.
 #[derive(Debug, Clone)]
@@ -153,7 +119,7 @@ pub struct ScanVar {
 }
 
 /// A knowledge-base probe for one plan segment: the Figure-6 query of
-/// [`segment_to_sparql_opt`], parsed, plus the structural signature used
+/// [`segment_to_sparql`], parsed, plus the structural signature used
 /// to prune candidate templates and the scan-variable table.
 #[derive(Debug, Clone)]
 pub struct SegmentProbe {
@@ -172,7 +138,7 @@ pub struct SegmentProbe {
 }
 
 /// One plan segment as a knowledge-base probe (paper Figure 6): the text
-/// [`segment_to_sparql_opt`] generates, parsed, so there is one builder of
+/// [`segment_to_sparql`] generates, parsed, so there is one builder of
 /// the probe. The [`oracle`](crate::oracle) and the diagnostics evaluate
 /// it; the scan variables, signature and table names come from one
 /// pre-order pass over the segment.
@@ -180,9 +146,9 @@ pub fn segment_to_probe(
     db: &Database,
     qgm: &Qgm,
     root: PopId,
-    opts: &ProbeOptions,
+    include_ranges: bool,
 ) -> SegmentProbe {
-    let text = segment_to_sparql_opt(db, qgm, root, opts);
+    let text = segment_to_sparql(db, qgm, root, include_ranges);
     let query = parse_select(&text).expect("the generated Figure-6 SPARQL parses");
     let mut scan_vars: Vec<ScanVar> = Vec::new();
     let mut table_names: BTreeSet<String> = BTreeSet::new();
@@ -240,23 +206,23 @@ pub(crate) fn pop_check(db: &Database, qgm: &Qgm, pop: &Pop) -> PopCheck {
 /// builder of the probe: explain/debug output (e.g. the knowledge-base
 /// tour example) prints it, and [`segment_to_probe`] parses it for the
 /// oracle and the diagnostics.
-pub fn segment_to_sparql(db: &Database, qgm: &Qgm, root: PopId) -> String {
-    segment_to_sparql_opt(db, qgm, root, &ProbeOptions::default())
-}
-
-/// [`segment_to_sparql`] with explicit [`ProbeOptions`].
 ///
 /// For every operator of the segment the probe:
 /// * binds a result handler `?pop_<opid>` constrained to the operator's
-///   type and to the template's `[hasLower*, hasHigher*]` ranges around
-///   the concrete value, via internal handlers `?ih<k>`;
+///   type and — when `include_ranges` — to the template's
+///   `[hasLower*, hasHigher*]` ranges around the concrete value, via
+///   internal handlers `?ih<k>`;
 /// * for scans, additionally constrains row size / FPAGES / base
 ///   cardinality and retrieves the canonical table label `?tab_<opid>`;
 /// * links operators with `hasOutputStream` relationship handlers and
 ///   role-tagged join edges;
 /// * forces all bindings into one template via a shared `?tmpl`, and
 ///   pairwise-distinct resources via `FILTER(STR(..) != STR(..))`.
-pub fn segment_to_sparql_opt(db: &Database, qgm: &Qgm, root: PopId, opts: &ProbeOptions) -> String {
+///
+/// Without ranges only the structural skeleton remains (types, edges,
+/// template linkage): the near-miss probe of problem determination
+/// (paper Goal 1).
+pub fn segment_to_sparql(db: &Database, qgm: &Qgm, root: PopId, include_ranges: bool) -> String {
     let pops = qgm.subtree(root);
     let mut select: Vec<String> = vec!["?tmpl".to_string()];
     let mut body = String::new();
@@ -272,14 +238,13 @@ pub fn segment_to_sparql_opt(db: &Database, qgm: &Qgm, root: PopId, opts: &Probe
     ));
 
     let mut range_filter = |body: &mut String, var: &str, lower: &str, higher: &str, value: f64| {
-        let (against_lower, against_upper) = margin_bounds(value, opts.range_margin);
         ih += 1;
         body.push_str(&format!(
-            " {var} predURI:{lower} ?ih{ih} .\n FILTER ( ?ih{ih} <= {against_lower}) .\n"
+            " {var} predURI:{lower} ?ih{ih} .\n FILTER ( ?ih{ih} <= {value}) .\n"
         ));
         ih += 1;
         body.push_str(&format!(
-            " {var} predURI:{higher} ?ih{ih} .\n FILTER ( ?ih{ih} >= {against_upper}) .\n"
+            " {var} predURI:{higher} ?ih{ih} .\n FILTER ( ?ih{ih} >= {value}) .\n"
         ));
     };
 
@@ -293,7 +258,7 @@ pub fn segment_to_sparql_opt(db: &Database, qgm: &Qgm, root: PopId, opts: &Probe
             vocab::HAS_POP_TYPE,
             pop.kind.name()
         ));
-        if opts.include_ranges {
+        if include_ranges {
             range_filter(
                 &mut body,
                 &var,
@@ -305,7 +270,7 @@ pub fn segment_to_sparql_opt(db: &Database, qgm: &Qgm, root: PopId, opts: &Probe
         if let Some(t) = pop.kind.scan_table() {
             let tref = &qgm.query.tables[t];
             let stats = db.belief.table(tref.table);
-            if opts.include_ranges {
+            if include_ranges {
                 range_filter(
                     &mut body,
                     &var,
@@ -497,7 +462,7 @@ mod tests {
             .find(|(_, p)| p.kind.is_join())
             .map(|(id, _)| id)
             .unwrap();
-        let text = segment_to_sparql(&db, &plan, join);
+        let text = segment_to_sparql(&db, &plan, join, true);
         assert!(text.starts_with("PREFIX predURI: <http://galo/qep/property/>"));
         assert!(text.contains("hasLowerCardinality"));
         assert!(text.contains("hasHigherCardinality"));
@@ -522,18 +487,8 @@ mod tests {
             .chain(std::iter::once(plan.root()))
             .collect();
         for root in roots {
-            for opts in [
-                ProbeOptions::default(),
-                ProbeOptions {
-                    range_margin: 2.5,
-                    include_ranges: true,
-                },
-                ProbeOptions {
-                    range_margin: 1.0,
-                    include_ranges: false,
-                },
-            ] {
-                let probe = segment_to_probe(&db, &plan, root, &opts);
+            for include_ranges in [true, false] {
+                let probe = segment_to_probe(&db, &plan, root, include_ranges);
                 let projected: Vec<&str> = probe
                     .query
                     .vars
@@ -542,14 +497,18 @@ mod tests {
                     .filter(|v| v.starts_with("tab_"))
                     .collect();
                 let vars: Vec<&str> = probe.scan_vars.iter().map(|sv| sv.var.as_str()).collect();
-                assert_eq!(vars, projected, "opts {opts:?}");
+                assert_eq!(vars, projected, "ranges {include_ranges}");
                 let scans: Vec<(u32, String)> = probe
                     .scan_vars
                     .iter()
                     .inspect(|sv| assert_eq!(sv.var, format!("tab_{}", sv.op_id)))
                     .map(|sv| (sv.op_id, sv.qualifier.clone()))
                     .collect();
-                assert_eq!(scans, segment_scan_qualifiers(&plan, root), "opts {opts:?}");
+                assert_eq!(
+                    scans,
+                    segment_scan_qualifiers(&plan, root),
+                    "ranges {include_ranges}"
+                );
             }
         }
     }
@@ -557,7 +516,7 @@ mod tests {
     #[test]
     fn probe_carries_scan_vars_and_signature() {
         let (db, plan) = setup();
-        let probe = segment_to_probe(&db, &plan, plan.root(), &ProbeOptions::default());
+        let probe = segment_to_probe(&db, &plan, plan.root(), true);
         let quals = segment_scan_qualifiers(&plan, plan.root());
         assert_eq!(probe.scan_vars.len(), quals.len());
         for (sv, (op_id, qualifier)) in probe.scan_vars.iter().zip(&quals) {
@@ -575,15 +534,7 @@ mod tests {
     #[test]
     fn relaxed_probe_has_no_range_constraints() {
         let (db, plan) = setup();
-        let relaxed = segment_to_probe(
-            &db,
-            &plan,
-            plan.root(),
-            &ProbeOptions {
-                range_margin: 1.0,
-                include_ranges: false,
-            },
-        );
+        let relaxed = segment_to_probe(&db, &plan, plan.root(), false);
         for p in &relaxed.query.patterns {
             let iri = p.path.iri().str_value();
             assert!(
@@ -592,40 +543,13 @@ mod tests {
             );
         }
         // Structural constraints remain: join count, types, edges, tabids.
-        let full = segment_to_probe(&db, &plan, plan.root(), &ProbeOptions::default());
+        let full = segment_to_probe(&db, &plan, plan.root(), true);
         assert!(relaxed.query.patterns.len() < full.query.patterns.len());
         assert!(relaxed.query.patterns.iter().any(|p| p
             .path
             .iri()
             .str_value()
             .ends_with("hasCanonicalTabid")));
-    }
-
-    #[test]
-    fn range_margin_widens_filter_bounds() {
-        let (db, plan) = setup();
-        let exact = segment_to_sparql_opt(&db, &plan, plan.root(), &ProbeOptions::default());
-        let widened = segment_to_sparql_opt(
-            &db,
-            &plan,
-            plan.root(),
-            &ProbeOptions {
-                range_margin: 2.0,
-                include_ranges: true,
-            },
-        );
-        assert_ne!(exact, widened);
-        // A sub-1.0 margin is clamped to exact semantics.
-        let clamped = segment_to_sparql_opt(
-            &db,
-            &plan,
-            plan.root(),
-            &ProbeOptions {
-                range_margin: 0.25,
-                include_ranges: true,
-            },
-        );
-        assert_eq!(exact, clamped);
     }
 
     #[test]

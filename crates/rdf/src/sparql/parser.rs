@@ -284,8 +284,7 @@ impl<'a> P<'a> {
     /// A `WHERE` group, which may scope its whole pattern to one named
     /// graph: `{ GRAPH <g> { … } }`. `GRAPH` is a reserved word at the
     /// head of the group; mixing scoped and default-graph patterns in one
-    /// group is not supported — the dataset is all-or-nothing, matching
-    /// how `MatchConfig::dataset` scopes knowledge-base matching.
+    /// group is not supported — the dataset is all-or-nothing.
     fn parse_where_group(&mut self) -> Result<WhereGroup, SparqlParseError> {
         self.expect('{')?;
         if self.keyword("GRAPH") {

@@ -3,9 +3,18 @@
 //! client workload, because templates are abstracted with canonical symbol
 //! labels and cardinality ranges rather than concrete table names.
 //!
+//! The client workload's statistics (row sizes, page counts, base
+//! cardinalities) never fall inside ranges learned from TPC-DS tables
+//! exactly, so matching alone reuses nothing. One round of runtime
+//! feedback on the client plans, with near-miss tracking at 4x, widens
+//! the TPC-DS templates those plans nearly matched toward them; the next
+//! exact match reuses them (`tests/cross_workload_reuse.rs` pins that it
+//! stays nonzero, Exp-2 of the experiments binary prints the count).
+//!
 //! Run with: `cargo run --release --example cross_workload`
 
-use galo_core::{KbBuilder, MatchConfig};
+use galo_bench::EXP2_NEAR_MISS_FACTOR;
+use galo_core::KbBuilder;
 use galo_workloads::{client, tpcds};
 
 fn main() {
@@ -13,22 +22,7 @@ fn main() {
     let cfg = galo_bench::learning_config(fast);
 
     // Learn ONLY on TPC-DS.
-    // Cross-schema reuse needs widened range tests: the client workload's
-    // statistics (row sizes, page counts, base cardinalities) never fall
-    // inside ranges learned from TPC-DS tables exactly. A 4x match-time
-    // margin bridges the gap while keeping matches structurally tight
-    // (tests/cross_workload_reuse.rs pins this stays nonzero; see
-    // examples/feedback_loop.rs for the learned-per-template-range
-    // replacement of this global crutch).
-    let galo = KbBuilder::new()
-        .match_config(
-            MatchConfig::builder()
-                .range_margin(4.0)
-                .build()
-                .expect("a valid cross-workload config"),
-        )
-        .build_galo()
-        .expect("in-memory build");
+    let galo = KbBuilder::new().build_galo().expect("in-memory build");
     let tp = tpcds::workload();
     let report = galo.learn(&tp, &cfg);
     println!(
@@ -37,12 +31,20 @@ fn main() {
         report.avg_improvement * 100.0
     );
 
-    // Re-optimize the *client* workload against the TPC-DS knowledge base.
+    // The client workload against the TPC-DS knowledge base: first as
+    // learned, then after one feedback round on its plans.
     let cl = client::workload();
+    let before = galo.reoptimize_workload(&cl).improved().len();
+    let round = galo.feedback_round(&cl, EXP2_NEAR_MISS_FACTOR);
+    println!(
+        "\nbefore feedback: {before} client queries improved; one round at near-miss \
+         factor {EXP2_NEAR_MISS_FACTOR} refined {} template(s)",
+        round.templates_refined
+    );
     let rep = galo.reoptimize_workload(&cl);
     let improved = rep.improved();
     println!(
-        "\nclient workload: {} of {} queries improved using TPC-DS-learned patterns",
+        "after feedback: {} of {} client queries improved using TPC-DS-learned patterns",
         improved.len(),
         rep.per_query.len()
     );

@@ -1,28 +1,30 @@
 //! Closing the loop: runtime actuals feed the per-template sketches.
 //!
-//! `examples/cross_workload.rs` bridges the TPC-DS → client schema gap
-//! with a *global* `range_margin = 4.0` — every template's every range
-//! test is widened 4x forever, so margin-4 admission keeps paying for
-//! probes that fail. This example replaces the global crutch with
-//! *learned* per-template ranges:
+//! Matching tests a template's stored ranges exactly, so patterns learned
+//! on TPC-DS match nothing of the client workload: its statistics fall
+//! outside every learned range. Feedback widens those ranges from
+//! evidence, template by template:
 //!
 //! 1. learn problem patterns on TPC-DS ([`KbBuilder`] stands the KB up),
-//! 2. match the client workload once under the legacy margin-4 config
-//!    and record each matched plan's runtime actuals into the
-//!    [`FeedbackCollector`](galo_core::FeedbackCollector),
-//! 3. fold the batch ([`KnowledgeBase::apply_feedback`]) — matched
-//!    estimates and in-band actuals widen the stored sketches exactly
-//!    where this workload lives,
-//! 4. match again at `range_margin = 1.0`: every margin-4 rewrite is
-//!    still found (the never-lose differential) while the false probes
-//!    the global margin admitted are gone.
+//! 2. run one feedback round over the client workload
+//!    ([`Galo::feedback_round`](galo_core::Galo::feedback_round)): each
+//!    plan is matched at exact ranges with near-miss tracking at 4x and
+//!    its runtime actuals recorded into the
+//!    [`FeedbackCollector`](galo_core::FeedbackCollector) — the templates
+//!    a plan nearly matched record its values — and the batch is folded
+//!    ([`KnowledgeBase::apply_feedback`](galo_core::KnowledgeBase::apply_feedback)):
+//!    in-band values widen the stored sketches exactly where this
+//!    workload lives,
+//! 3. match again at exact ranges: the widened templates now match,
+//! 4. run a second round over the same plans: every rewrite the first
+//!    round produced is still found (the never-lose differential).
 //!
-//! Exits nonzero when no refinement lands, a previously matched rewrite
-//! is lost, or the refined ranges match fewer queries than the global
-//! margin. Run with: `cargo run --release --example feedback_loop`
+//! Exits nonzero when no refinement lands, the first round bridges no
+//! plan, or the second round loses a rewrite. Run with:
+//! `cargo run --release --example feedback_loop`
 
+use galo_bench::EXP2_NEAR_MISS_FACTOR;
 use galo_core::{match_plan, KbBuilder, MatchConfig, MatchReport};
-use galo_executor::compute_actuals;
 use galo_optimizer::Optimizer;
 use galo_qgm::Qgm;
 use galo_workloads::{client, tpcds};
@@ -59,9 +61,9 @@ fn main() {
     let fast = !std::env::args().any(|a| a == "--full");
 
     // --- learn ONLY on TPC-DS, through the unified builder ------------
-    let kb = KbBuilder::new().build_kb().expect("in-memory build");
-    let tp = tpcds::workload();
-    let learned = galo_core::learn_workload(&tp, &kb, &galo_bench::learning_config(fast));
+    let galo = KbBuilder::new().build_galo().expect("in-memory build");
+    let kb = &galo.kb;
+    let learned = galo.learn(&tpcds::workload(), &galo_bench::learning_config(fast));
     println!(
         "learned {} template(s) from TPC-DS (KB epoch {})",
         learned.templates_learned,
@@ -72,15 +74,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    // --- baseline: the client workload under the global margin --------
-    let legacy = MatchConfig::builder()
-        .range_margin(4.0)
-        .build()
-        .expect("a valid legacy config");
-    let refined = MatchConfig::builder()
-        .range_margin(1.0)
-        .build()
-        .expect("a valid refined config");
     let cl = client::workload();
     let optimizer = Optimizer::new(&cl.db);
     let plans: Vec<Qgm> = cl
@@ -88,63 +81,66 @@ fn main() {
         .iter()
         .map(|q| optimizer.optimize(q).expect("client queries plan"))
         .collect();
-    let baseline: Vec<MatchReport> = plans
-        .iter()
-        .map(|p| match_plan(&cl.db, &kb, p, &legacy))
-        .collect();
-    let (matched0, false0) = matched_and_false(&baseline);
+    let rematch = |near_miss_factor: f64| -> Vec<MatchReport> {
+        let cfg = MatchConfig {
+            near_miss_factor,
+            ..MatchConfig::default()
+        };
+        plans
+            .iter()
+            .map(|p| match_plan(&cl.db, kb, p, &cfg))
+            .collect()
+    };
+    // One round, then the client plans matched again at exact ranges.
+    let round = |which: &str| -> Vec<MatchReport> {
+        let folded = galo.feedback_round(&cl, EXP2_NEAR_MISS_FACTOR);
+        let after = rematch(1.0);
+        let (matched, false_probes) = matched_and_false(&after);
+        println!(
+            "round {which}: {} template(s) refined ({} values folded, {} dropped out of band, \
+             {} narrowed); exact ranges then match {matched} segment(s), {false_probes} false probe(s)",
+            folded.templates_refined, folded.values_folded, folded.values_dropped, folded.narrowed
+        );
+        after
+    };
+
+    // --- round 1: near misses widen the templates they name -----------
+    let before = rematch(EXP2_NEAR_MISS_FACTOR);
+    let (matched0, _) = matched_and_false(&before);
+    let near0: usize = before.iter().map(|r| r.near_misses).sum();
     println!(
-        "margin-4 baseline: {matched0} matched segment(s), {false0} false probe(s) across {} client plans",
+        "{} client plans before feedback: {matched0} matched segment(s), {near0} near miss(es) \
+         at factor {EXP2_NEAR_MISS_FACTOR}",
         plans.len()
     );
+    let after1 = round("1");
+    let (matched1, _) = matched_and_false(&after1);
 
-    // --- record runtime actuals for every matched plan ----------------
-    let mut recorded = 0usize;
-    for (plan, report) in plans.iter().zip(&baseline) {
-        let actuals = compute_actuals(&cl.db, plan);
-        recorded += kb.record_feedback(&cl.db, plan, &legacy, report, &actuals);
-    }
-    println!(
-        "recorded {recorded} observation(s), {} pending in the collector",
-        kb.feedback().pending()
-    );
-
-    // --- fold the batch into the stored sketches ----------------------
-    let folded = kb.apply_feedback();
-    println!(
-        "refinements applied: {} ({} values folded, {} dropped out of band, {} narrowed)",
-        kb.refinements_applied(),
-        folded.values_folded,
-        folded.values_dropped,
-        folded.narrowed
-    );
-
-    // --- re-match at margin 1: learned ranges, no global crutch -------
-    let after: Vec<MatchReport> = plans
+    // --- round 2: the matches record themselves; none may be lost -----
+    let keys2 = rewrite_keys(&round("2"));
+    let lost = rewrite_keys(&after1)
         .iter()
-        .map(|p| match_plan(&cl.db, &kb, p, &refined))
-        .collect();
-    let (matched1, false1) = matched_and_false(&after);
-    let keys0 = rewrite_keys(&baseline);
-    let keys1 = rewrite_keys(&after);
-    let lost = keys0.iter().filter(|k| !keys1.contains(k)).count();
-    println!("margin-1 refined:  {matched1} matched segment(s), {false1} false probe(s)");
+        .filter(|k| !keys2.contains(k))
+        .count();
+    println!(
+        "refinements applied: {} across both rounds",
+        kb.refinements_applied()
+    );
     println!("lost matches: {lost}");
 
     if kb.refinements_applied() == 0 {
-        eprintln!("FAIL: the feedback batch refined nothing");
+        eprintln!("FAIL: the feedback batches refined nothing");
+        std::process::exit(1);
+    }
+    if matched1 == 0 {
+        eprintln!("FAIL: one feedback round bridged no client plan");
         std::process::exit(1);
     }
     if lost > 0 {
-        eprintln!("FAIL: refinement lost {lost} previously matched rewrite(s)");
-        std::process::exit(1);
-    }
-    if matched1 < matched0 {
-        eprintln!("FAIL: refined ranges matched fewer segments than the global margin");
+        eprintln!("FAIL: the second round lost {lost} rewrite(s) the first produced");
         std::process::exit(1);
     }
     println!(
-        "\nThe learned per-template ranges kept every margin-4 match while\ndropping {} of {false0} false probe(s) — the sketches now encode where\nthis workload actually runs instead of a global widening.",
-        false0.saturating_sub(false1)
+        "\nOne round of evidence moved the TPC-DS sketches to where the client\nworkload runs ({matched0} -> {matched1} matched segments at exact ranges), and the\nnext round kept every match it had made."
     );
 }

@@ -47,18 +47,13 @@ fn main() {
         .first()
         .map(|s| s.root)
         .unwrap_or_else(|| plan.root());
-    let sparql = segment_to_sparql(&workload.db, &plan, segment);
+    let sparql = segment_to_sparql(&workload.db, &plan, segment, true);
     println!("\ngenerated SPARQL for the first segment (paper Figure 6):\n{sparql}");
 
     // The online matcher never evaluates that text: it prunes through the
     // signature index and matches an admitted template on its index row.
     // The oracle and `diagnose` evaluate the text, parsed, as the probe.
-    let probe = galo_core::segment_to_probe(
-        &workload.db,
-        &plan,
-        segment,
-        &galo_core::ProbeOptions::default(),
-    );
+    let probe = galo_core::segment_to_probe(&workload.db, &plan, segment, true);
     println!(
         "\ncompiled probe: {} patterns, {} filters, signature {:016x}, over tables {:?}",
         probe.query.patterns.len(),

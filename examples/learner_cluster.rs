@@ -14,12 +14,12 @@
 //!    own log), and
 //! 4. verify **every** node's published templates survived — the
 //!    recovered template count equals the cluster report's, and the image
-//!    equals a sequential single-machine run's — then match with and
-//!    without a dataset scope.
+//!    equals a sequential single-machine run's — then match over the
+//!    recovered KB and check each rewrite against its workload's dataset.
 //!
 //! Exits nonzero if any published template is missing after the reopen,
-//! if the image differs from a sequential single-machine run, or if
-//! dataset-scoped matching leaks.
+//! if the image differs from a sequential single-machine run, or if a
+//! rewrite's template is not in its workload's dataset.
 //!
 //! Run with: `cargo run --release --example learner_cluster`
 
@@ -128,7 +128,7 @@ fn main() {
     }
     println!("cluster image is set-equal to the sequential single-machine image.");
 
-    // --- dataset-scoped matching over the recovered KB ------------------
+    // --- matching over the recovered KB ---------------------------------
     let optimizer = Optimizer::new(&workload.db);
     let plan = optimizer
         .optimize(&workload.queries[0])
@@ -136,31 +136,20 @@ fn main() {
     // Datasets are keyed by the source database the templates were
     // learned from (`Template::source_workload`).
     let dataset = workload.db.name.clone();
-    let in_dataset = match_plan(
-        &workload.db,
-        &kb,
-        &plan,
-        &MatchConfig {
-            dataset: Some(dataset.clone()),
-            ..MatchConfig::default()
-        },
-    );
-    let foreign = match_plan(
-        &workload.db,
-        &kb,
-        &plan,
-        &MatchConfig {
-            dataset: Some("no-such-workload".into()),
-            ..MatchConfig::default()
-        },
-    );
+    let members = kb.dataset_template_iris(&dataset);
+    let report = match_plan(&workload.db, &kb, &plan, &MatchConfig::default());
     println!(
-        "\nmatching scoped to dataset '{dataset}': {} rewrite(s); scoped to a foreign dataset: {}",
-        in_dataset.rewrites.len(),
-        foreign.rewrites.len()
+        "\ndataset '{dataset}': {} template(s); the first query matched {} rewrite(s)",
+        members.len(),
+        report.rewrites.len()
     );
-    if in_dataset.rewrites.is_empty() || !foreign.rewrites.is_empty() {
-        eprintln!("FAIL: dataset scoping misbehaved on the recovered KB");
+    let strays = report
+        .rewrites
+        .iter()
+        .filter(|r| r.source_workload != dataset || !members.contains(&r.template_iri))
+        .count();
+    if report.rewrites.is_empty() || strays > 0 {
+        eprintln!("FAIL: matching over the recovered KB found {strays} rewrite(s) outside dataset '{dataset}'");
         std::process::exit(1);
     }
     println!("\nevery learner's work survived, machine for machine.");

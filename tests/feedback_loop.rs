@@ -106,7 +106,7 @@ fn fast_learning() -> LearningConfig {
 
 /// One join plan plus a template abstracted from it, with every
 /// cardinality pinned to its exact plan value (widen 1, point ranges) so
-/// margin-1 admission is sharp: the plan's own checks admit, anything
+/// exact admission is sharp: the plan's own checks admit, anything
 /// displaced does not.
 fn plan_and_template(db_name: &str) -> (Workload, Qgm, Template) {
     let w = quirky_workload(db_name);
@@ -151,8 +151,8 @@ fn observations(checks: &[PopCheck], band: f64) -> Vec<PopObservation> {
 
 // ----------------------------------------------------------- refinement --
 
-/// Near-miss widening: a value rejected at margin 1 but within the
-/// widened band folds in and is admitted at margin 1 afterwards; a value
+/// Near-miss widening: a value rejected on the exact ranges but within
+/// the widened band folds in and is admitted exactly afterwards; a value
 /// far outside the band is dropped and stays rejected. Every effective
 /// refinement advances the epoch and the refinement counter; a no-op
 /// batch advances neither.
@@ -166,7 +166,7 @@ fn band_gated_refinement_widens_near_misses_only() {
     let checks = segment_pop_checks(&w.db, &plan, plan.root());
 
     let admits = |cs: &[PopCheck]| {
-        kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(cs, 1.0))
+        kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(cs))
             .contains(&iri)
     };
     assert!(admits(&checks), "the template admits its own plan");
@@ -176,7 +176,10 @@ fn band_gated_refinement_widens_near_misses_only() {
     );
     let near = displaced(&checks, 3.0);
     let far = displaced(&checks, 1000.0);
-    assert!(!admits(&near), "3x-displaced is rejected at margin 1");
+    assert!(
+        !admits(&near),
+        "3x-displaced is rejected on the exact ranges"
+    );
     assert!(!admits(&far));
 
     // Refine with the near values at band 4: in band, folds, widens.
@@ -192,7 +195,7 @@ fn band_gated_refinement_widens_near_misses_only() {
     assert!(outcome.values_folded > 0);
     assert!(kb.epoch() > e0, "effective refinement must move the epoch");
     assert_eq!(kb.refinements_applied(), 1);
-    assert!(admits(&near), "folded values admit at margin 1");
+    assert!(admits(&near), "folded values admit on the exact ranges");
     assert!(admits(&checks), "the original values still admit");
     assert!(!admits(&far), "far values were never folded");
 
@@ -250,7 +253,7 @@ fn refined_sketches_survive_export_import_and_sharded_reopen() {
     let checks = segment_pop_checks(&w.db, &plan, plan.root());
     let near = displaced(&checks, 3.0);
     let admits = |kb: &KnowledgeBase, cs: &[PopCheck]| {
-        kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(cs, 1.0))
+        kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(cs))
             .contains(&iri)
     };
 
@@ -316,7 +319,6 @@ fn serving_tier_feedback_invalidates_without_losing_matches() {
         .unwrap();
     learn_workload(&w, &kb, &fast_learning());
     let cfg = MatchConfig::builder()
-        .range_margin(1.0)
         .near_miss_factor(4.0)
         .build()
         .unwrap();
@@ -414,17 +416,13 @@ fn serving_tier_feedback_invalidates_without_losing_matches() {
 fn match_config_builder_validates_every_field() {
     let cfg = MatchConfig::builder()
         .join_threshold(3)
-        .range_margin(2.0)
         .sketch_trim(0.05)
         .near_miss_factor(4.0)
-        .dataset("tpcds")
         .build()
         .unwrap();
     assert_eq!(cfg.join_threshold, 3);
-    assert_eq!(cfg.range_margin, 2.0);
     assert_eq!(cfg.sketch_trim, 0.05);
     assert_eq!(cfg.near_miss_factor, 4.0);
-    assert_eq!(cfg.dataset.as_deref(), Some("tpcds"));
 
     assert_eq!(
         MatchConfig::builder()
@@ -435,10 +433,10 @@ fn match_config_builder_validates_every_field() {
     );
     assert_eq!(
         MatchConfig::builder()
-            .range_margin(0.5)
+            .near_miss_factor(0.5)
             .build()
             .unwrap_err(),
-        MatchConfigError::RangeMargin(0.5)
+        MatchConfigError::NearMissFactor(0.5)
     );
     assert_eq!(
         MatchConfig::builder().sketch_trim(1.0).build().unwrap_err(),
@@ -448,13 +446,6 @@ fn match_config_builder_validates_every_field() {
         MatchConfig::builder().near_miss_factor(f64::NAN).build(),
         Err(MatchConfigError::NearMissFactor(v)) if v.is_nan()
     ));
-    assert!(MatchConfig::builder()
-        .dataset("w")
-        .any_dataset()
-        .build()
-        .unwrap()
-        .dataset
-        .is_none());
 }
 
 // -------------------------------------------------------------- proptest --
@@ -464,7 +455,7 @@ fn match_config_builder_validates_every_field() {
 enum Event {
     /// Displace the checks by `factor`, fold at `band`.
     Observe { factor: f64, band: f64 },
-    /// Displace mildly; if admitted at margin 1, record as a true match
+    /// Displace mildly; if admitted exactly, record as a true match
     /// (band ∞ — what `record_feedback` does for matched segments).
     Matched { factor: f64 },
     /// Narrow every operator type at `decay`.
@@ -501,8 +492,8 @@ proptest! {
 
     /// Monotone safety: under ANY interleaving of band-gated widening,
     /// decayed narrowing and out-of-band noise, every check set that was
-    /// admitted at margin 1 *and recorded as a match* stays admitted at
-    /// margin 1 forever.
+    /// admitted exactly *and recorded as a match* stays admitted
+    /// forever.
     #[test]
     fn decayed_refinement_never_rejects_a_recorded_match(
         events in prop::collection::vec(event_strategy(), 1..24),
@@ -513,7 +504,7 @@ proptest! {
         kb.insert(template);
         let iri = vocab::template_iri(&template.id).str_value().to_string();
         let admits = |cs: &[PopCheck]| {
-            kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(cs, 1.0))
+            kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(cs))
                 .contains(&iri)
         };
         let narrows_all: Vec<String> = {

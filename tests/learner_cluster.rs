@@ -6,8 +6,8 @@
 //! interleaving. A concurrent matcher must observe monotonically growing
 //! coverage while the cluster publishes, and a durable cluster KB must
 //! survive checkpoint + reopen bit for bit. Per-workload named graphs are
-//! first-class datasets: matching scoped to one dataset never returns
-//! another workload's template.
+//! first-class datasets, and a match names the workload its template came
+//! from.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -282,7 +282,7 @@ fn stress_concurrent_matching_while_cluster_publishes() {
     assert!(matched >= 1);
 }
 
-// ------------------------------------------------ dataset-scoped matching --
+// ------------------------------------------------------ workload datasets --
 
 /// A two-table database plus an optimized plan over it.
 fn setup_plan() -> (galo_catalog::Database, Qgm) {
@@ -326,15 +326,8 @@ fn setup_plan() -> (galo_catalog::Database, Qgm) {
     (db, plan)
 }
 
-fn scoped(dataset: &str) -> MatchConfig {
-    MatchConfig {
-        dataset: Some(dataset.to_string()),
-        ..MatchConfig::default()
-    }
-}
-
 #[test]
-fn dataset_scoped_matching_never_crosses_workloads() {
+fn workload_datasets_are_first_class_and_matching_spans_them() {
     let (db, plan) = setup_plan();
     let kb = KnowledgeBase::new();
     let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
@@ -369,54 +362,29 @@ fn dataset_scoped_matching_never_crosses_workloads() {
         assert_eq!(&kb.dataset_template_iris(wl), iris);
     }
 
-    // Scoped matching returns only the scoped dataset's templates — and
-    // exactly the smallest IRI within it (the deterministic winner).
-    let mut winners = Vec::new();
-    for (wl, iris) in &iris_by_workload {
-        let report = match_plan(&db, &kb, &plan, &scoped(wl));
-        assert!(!report.rewrites.is_empty(), "dataset {wl} must match");
-        for r in &report.rewrites {
-            assert_eq!(&r.source_workload, wl, "leaked across datasets");
-            assert!(iris.contains(&r.template_iri));
-        }
-        assert_eq!(report.rewrites[0].template_iri, iris[0]);
-        winners.push(report.rewrites[0].template_iri.clone());
+    // Matching spans every dataset: the winner is the smallest IRI over
+    // both, and the rewrite names the workload that template came from.
+    let report = match_plan(&db, &kb, &plan, &MatchConfig::default());
+    let mut all: Vec<(String, String)> = iris_by_workload
+        .iter()
+        .flat_map(|(wl, iris)| iris.iter().map(move |iri| (iri.clone(), wl.clone())))
+        .collect();
+    all.sort();
+    assert!(!report.rewrites.is_empty());
+    for r in &report.rewrites {
+        assert_eq!(
+            (&r.template_iri, &r.source_workload),
+            (&all[0].0, &all[0].1)
+        );
     }
 
-    // A dataset that contributed nothing matches nothing — and prunes
-    // before any probe executes.
-    let empty = match_plan(&db, &kb, &plan, &scoped("nonexistent"));
-    assert!(empty.rewrites.is_empty());
-    assert!(empty.probes_pruned >= 1);
-    assert_eq!(empty.probes_executed, 0);
-
-    // Unrestricted matching equals the union: its winner is the smallest
-    // IRI over both datasets' winners.
-    let unrestricted = match_plan(&db, &kb, &plan, &MatchConfig::default());
-    assert!(!unrestricted.rewrites.is_empty());
-    winners.sort();
-    assert_eq!(unrestricted.rewrites[0].template_iri, winners[0]);
-
-    // The text oracle agrees with the matcher under every dataset scope.
-    for cfg in [
-        MatchConfig::default(),
-        scoped("wa"),
-        scoped("wb"),
-        scoped("nonexistent"),
-    ] {
-        let probe = match_plan(&db, &kb, &plan, &cfg);
-        let text = match_plan_text(&db, &kb, &plan, &cfg);
-        assert_eq!(
-            probe.rewrites.len(),
-            text.rewrites.len(),
-            "{:?}",
-            cfg.dataset
-        );
-        for (a, b) in probe.rewrites.iter().zip(&text.rewrites) {
-            assert_eq!(a.template_iri, b.template_iri);
-            assert_eq!(a.source_workload, b.source_workload);
-            assert_eq!(a.guideline, b.guideline);
-        }
+    // The text oracle agrees with the matcher.
+    let text = match_plan_text(&db, &kb, &plan, &MatchConfig::default());
+    assert_eq!(report.rewrites.len(), text.rewrites.len());
+    for (a, b) in report.rewrites.iter().zip(&text.rewrites) {
+        assert_eq!(a.template_iri, b.template_iri);
+        assert_eq!(a.source_workload, b.source_workload);
+        assert_eq!(a.guideline, b.guideline);
     }
 }
 
@@ -430,14 +398,21 @@ fn dataset_scope_survives_export_import_and_sharding() {
         tpl.source_workload = wl.to_string();
         kb.insert(&tpl);
     }
-    // Reindex from triples (import) must reconstruct the per-template
-    // dataset, on a sharded backend too.
+    // Reindex from triples (import) must reconstruct each template's
+    // dataset, on a sharded backend too: the same members per workload,
+    // and a match names the same template and workload.
     let sharded = KbBuilder::new().shards(3).build_kb().unwrap();
     sharded.import(&kb.export()).unwrap();
     for wl in ["wa", "wb"] {
-        let report = match_plan(&db, &sharded, &plan, &scoped(wl));
-        assert!(!report.rewrites.is_empty());
-        assert!(report.rewrites.iter().all(|r| r.source_workload == wl));
+        let members = sharded.dataset_template_iris(wl);
+        assert_eq!(members.len(), 1, "{wl}");
+        assert_eq!(members, kb.dataset_template_iris(wl));
     }
+    let source = |kb: &KnowledgeBase| {
+        let report = match_plan(&db, kb, &plan, &MatchConfig::default());
+        let rewrite = report.rewrites.first().expect("a template matches").clone();
+        (rewrite.template_iri, rewrite.source_workload)
+    };
+    assert_eq!(source(&sharded), source(&kb));
     assert_eq!(sharded.workload_datasets(), kb.workload_datasets());
 }

@@ -232,15 +232,11 @@ fn serve_equals_uncached_match_across_configs() {
     for cfg in [
         MatchConfig::default(),
         MatchConfig {
-            range_margin: 2.0,
+            join_threshold: 2,
             ..MatchConfig::default()
         },
         MatchConfig {
-            dataset: Some("serve_diff".into()),
-            ..MatchConfig::default()
-        },
-        MatchConfig {
-            dataset: Some("elsewhere".into()),
+            near_miss_factor: 4.0,
             ..MatchConfig::default()
         },
         MatchConfig {
@@ -274,7 +270,7 @@ fn serve_equals_uncached_match_across_configs() {
             assert_reports_equal(&warm.report, fresh, &format!("warm plan {i}"));
         }
         let c = tier.cache().counters();
-        assert!(c.hits >= plans.len() as u64, "{:?}", cfg.dataset);
+        assert!(c.hits >= plans.len() as u64, "{cfg:?}");
         assert_eq!(c.misses, seen.len() as u64);
         assert_eq!(c.stale_drops, 0);
 
@@ -469,7 +465,7 @@ fn a_publish_under_another_signature_keeps_the_entry() {
 
 /// A publish under the plan's own signature whose row the segment's
 /// admission query rejects keeps the entry — that query exactly: the same
-/// row within the near-miss margin drops the entry of a tier that tracks
+/// row within the near-miss factor drops the entry of a tier that tracks
 /// near misses.
 #[test]
 fn a_publish_the_segment_rejects_keeps_the_entry() {
@@ -488,8 +484,8 @@ fn a_publish_the_segment_rejects_keeps_the_entry() {
     exact_tier.serve(plan);
     near_tier.serve(plan);
 
-    // Every statistic 3× the plan's: its shape, outside margin 1, inside
-    // margin 4 — and an IRI the cursor reaches before any learned one.
+    // Every statistic 3× the plan's: its shape, outside the exact ranges,
+    // inside a near-miss factor of 4 — and an IRI the cursor reaches before any learned one.
     let displaced = template_of_plan(&w, plan, "000_displaced", 3.0);
     let signature = KnowledgeBase::template_signature(&displaced);
     assert!(segment_signatures(plan, &exact).contains(&signature));

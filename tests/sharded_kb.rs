@@ -10,8 +10,8 @@ use galo_catalog::{col, ColumnStats, ColumnType, Database, DatabaseBuilder, Syst
 use std::sync::Arc;
 
 use galo_core::{
-    abstract_plan, loopback, match_plan, segment_pop_checks, vocab, AdmissionQuery, KbBuilder,
-    KnowledgeBase, MatchConfig, PeerState, PopCheck, PopObservation, Primary, Publisher,
+    abstract_plan, loopback, match_plan, segment_pop_checks, vocab, AdmissionQuery, AdmissionStats,
+    KbBuilder, KnowledgeBase, MatchConfig, PeerState, PopCheck, PopObservation, Primary, Publisher,
     RetryPolicy, ScanCheck, Template, TemplateRefinement,
 };
 use galo_optimizer::Optimizer;
@@ -828,14 +828,19 @@ fn template_affine_routing_keeps_templates_whole() {
 }
 
 /// Everything a matcher can observe of the signature index: the raw
-/// candidate lists plus the admitted candidates over a grid of admission
-/// queries — displaced cardinalities and scan stats, margins, trims
-/// (`trim > 0` reads the sketch side of every entry) and dataset scopes.
+/// candidate lists and the per-workload shape counts, plus the admitted
+/// candidates and near misses over a grid of admission queries —
+/// displaced cardinalities and scan stats, trims (`trim > 0` reads the
+/// sketch side of every entry) and near-miss factors.
 fn index_view(kb: &KnowledgeBase, signature: u64, checks: &[PopCheck]) -> Vec<Vec<String>> {
     let mut view = vec![
         vec![kb.signature_count().to_string()],
         kb.candidate_templates(signature),
         kb.candidate_templates(signature ^ 1),
+        kb.workload_datasets()
+            .iter()
+            .map(|d| format!("{d:?}"))
+            .collect(),
     ];
     for card_factor in [1.0, 0.4, 3.0, 150.0, 1e9] {
         for scan_factor in [1.0, 2.5] {
@@ -851,18 +856,27 @@ fn index_view(kb: &KnowledgeBase, signature: u64, checks: &[PopCheck]) -> Vec<Ve
                     ..*c
                 })
                 .collect();
-            for margin in [1.0, 2.0] {
+            for near_factor in [1.0, 2.0, 4.0] {
                 for trim in [0.0, 0.05, 0.3] {
-                    for dataset in [None, Some("w1"), Some("w2")] {
-                        let query = AdmissionQuery {
-                            checks: &displaced,
-                            margin,
-                            trim,
-                            dataset,
-                            near_factor: 1.0,
-                        };
-                        view.push(kb.candidate_templates_admitting(signature, &query));
+                    let query = AdmissionQuery {
+                        checks: &displaced,
+                        trim,
+                        near_factor,
+                    };
+                    let mut stats = AdmissionStats::default();
+                    let mut admitted: Vec<String> = Vec::new();
+                    while let Some(iri) = kb.next_candidate_admitting(
+                        signature,
+                        &query,
+                        admitted.last().map(String::as_str),
+                        &mut stats,
+                    ) {
+                        admitted.push(iri);
                     }
+                    if stats.near_misses > 0 {
+                        admitted.push(format!("{} near misses", stats.near_misses));
+                    }
+                    view.push(admitted);
                 }
             }
         }
@@ -948,7 +962,7 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
         .map(|c| PopCheck::card(c.pop_type, c.est_card * 1e9))
         .collect();
     assert_eq!(
-        kb.candidate_templates_admitting(signature, &AdmissionQuery::exact(&absurd, 1.0)),
+        kb.candidate_templates_admitting(signature, &AdmissionQuery::exact(&absurd)),
         vec![iri_of(&boundless)],
         "only the operator-bounds-free template admits an absurd cardinality"
     );
@@ -1028,7 +1042,7 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
         .map(|c| PopCheck::card(c.pop_type, c.est_card * 5e4))
         .collect();
     let admitting_displaced = |kb: &KnowledgeBase| {
-        kb.candidate_templates_admitting(signature, &AdmissionQuery::exact(&displaced, 1.0))
+        kb.candidate_templates_admitting(signature, &AdmissionQuery::exact(&displaced))
     };
     assert_eq!(admitting_displaced(&kb), vec![iri_of(&boundless)]);
     let refinement = TemplateRefinement {

@@ -10,7 +10,7 @@ use galo_bench::{inflate_kb_polluted, learning_config};
 use galo_core::oracle::match_plan_text;
 use galo_core::{
     abstract_plan, learn_workload, match_plan, segment_pop_checks, vocab, AdmissionQuery,
-    KbBuilder, KnowledgeBase, MatchConfig, PopCheck, StatSketch, Template,
+    AdmissionStats, KbBuilder, KnowledgeBase, MatchConfig, PopCheck, StatSketch, Template,
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, segments, shape_signature, GuidelineDoc};
@@ -54,14 +54,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// At trim 0 the signature index admits exactly the templates the
-    /// min/max oracle admits, and the probe pipeline (which runs behind
+    /// min/max oracle admits, counts as near misses exactly the ones the
+    /// oracle admits only with its ranges widened by the near-miss
+    /// factor, and the probe pipeline (which runs behind
     /// the pre-check) still agrees with the text pipeline (which does
     /// not): the pre-check is a pure necessary condition.
     #[test]
     fn trim_zero_admission_equals_exact_minmax_oracle(
         qi in 0usize..10,
         seed in 0u64..500,
-        margin_tenths in 10u64..30,
+        near in 0usize..3,
         displace in prop::bool::ANY,
     ) {
         let w = tpcds::workload();
@@ -93,23 +95,46 @@ proptest! {
             stored.push((vocab::template_iri(&tpl.id).str_value().to_string(), tpl));
         }
 
-        let margin = margin_tenths as f64 / 10.0;
-        let cfg = MatchConfig { range_margin: margin, ..MatchConfig::default() };
+        // Near misses are the oracle's rejects that the ranges widened by
+        // the factor admit.
+        let near_miss_factor = [1.0, 2.0, 4.0][near];
+        let cfg = MatchConfig { near_miss_factor, ..MatchConfig::default() };
         for seg in segments(&plan, cfg.join_threshold) {
             let checks = segment_pop_checks(&w.db, &plan, seg.root);
             let sig = shape_signature(seg.join_count, checks.iter().map(|c| c.pop_type));
-            let admitted =
-                kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(&checks, margin));
-            let mut oracle: Vec<String> = stored
-                .iter()
-                .filter(|(_, t)| {
-                    KnowledgeBase::template_signature(t) == sig
-                        && oracle_admits(t, &checks, margin)
-                })
-                .map(|(iri, _)| iri.clone())
-                .collect();
-            oracle.sort();
-            prop_assert_eq!(admitted, oracle);
+            let query = AdmissionQuery {
+                near_factor: near_miss_factor,
+                ..AdmissionQuery::exact(&checks)
+            };
+            let mut stats = AdmissionStats::default();
+            let mut admitted: Vec<String> = Vec::new();
+            while let Some(iri) = kb.next_candidate_admitting(
+                sig,
+                &query,
+                admitted.last().map(String::as_str),
+                &mut stats,
+            ) {
+                admitted.push(iri);
+            }
+            let oracle = |m: f64| -> Vec<String> {
+                let mut iris: Vec<String> = stored
+                    .iter()
+                    .filter(|(_, t)| {
+                        KnowledgeBase::template_signature(t) == sig && oracle_admits(t, &checks, m)
+                    })
+                    .map(|(iri, _)| iri.clone())
+                    .collect();
+                iris.sort();
+                iris
+            };
+            let exact = oracle(1.0);
+            let near_misses = if near_miss_factor > 1.0 {
+                oracle(near_miss_factor).len() - exact.len()
+            } else {
+                0
+            };
+            prop_assert_eq!(admitted, exact);
+            prop_assert_eq!(stats.near_misses, near_misses);
         }
 
         let probe = match_plan(&w.db, &kb, &plan, &cfg);
@@ -196,17 +221,14 @@ fn covering(lo: f64, hi: f64) -> StatSketch {
 /// round-trip, the trimmed envelope would collapse to the exact one and
 /// the rejection would disappear.
 fn assert_sketch_behavior(kb: &KnowledgeBase, sig: u64, iri: &str, checks: &[PopCheck]) {
-    let admitted = kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(checks, 1.0));
+    let admitted = kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(checks));
     assert!(
         admitted.contains(&iri.to_string()),
         "exact bounds must admit the outlier check"
     );
     let trimmed = AdmissionQuery {
-        checks,
-        margin: 1.0,
         trim: 0.05,
-        dataset: None,
-        near_factor: 1.0,
+        ..AdmissionQuery::exact(checks)
     };
     assert!(
         !kb.candidate_templates_admitting(sig, &trimmed)
