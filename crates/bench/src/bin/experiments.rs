@@ -6,7 +6,9 @@
 //!
 //! `--fast` shrinks sampling breadth (fewer probes/random plans/runs) while
 //! preserving every qualitative shape. Every count and simulated figure
-//! `all --fast` prints is pinned by `tests/experiments_golden.rs`.
+//! `all --fast` prints is pinned by `tests/experiments_golden.rs`. The
+//! TPC-DS, client and unified knowledge bases are learned once per run
+//! ([`LearnedKbs`]) and shared by the experiments that read them.
 
 use galo_bench::*;
 
@@ -19,22 +21,23 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("all");
 
+    let kbs = LearnedKbs::new(fast);
     match which {
-        "exp1" => exp1(fast),
-        "exp2" => exp2(fast),
-        "exp3" => exp3(fast),
-        "exp4" => exp4(fast),
+        "exp1" => exp1(fast, &kbs),
+        "exp2" => exp2(&kbs),
+        "exp3" => exp3(&kbs),
+        "exp4" => exp4(&kbs),
         "exp5" | "exp6" => exp56(fast),
         "figs" => figs(fast),
-        "evolution" => evolution(fast),
+        "evolution" => evolution(&kbs),
         "all" => {
-            exp1(fast);
-            exp2(fast);
-            exp3(fast);
-            exp4(fast);
+            exp1(fast, &kbs);
+            exp2(&kbs);
+            exp3(&kbs);
+            exp4(&kbs);
             exp56(fast);
             figs(fast);
-            evolution(fast);
+            evolution(&kbs);
         }
         other => {
             eprintln!("unknown experiment '{other}'");
@@ -52,7 +55,7 @@ fn header(title: &str) {
     println!("{}", "=".repeat(74));
 }
 
-fn exp1(fast: bool) {
+fn exp1(fast: bool, kbs: &LearnedKbs) {
     header("Exp-1 / Figure 9 — Learning scalability & effectiveness (TPC-DS)");
     let thresholds = [1usize, 2, 3, 4, 5];
     let rows = exp1_learning_scalability(&thresholds, fast);
@@ -76,7 +79,7 @@ fn exp1(fast: bool) {
     println!("per-sub-query time roughly linearly; threshold 4 is the sweet spot.");
 
     header("Exp-1 headline — templates learned per workload (threshold 4)");
-    let (tp, cl) = exp1_headline(fast);
+    let (tp, cl) = (kbs.tpcds_report(), kbs.client_report());
     println!(
         "TPC-DS      : {:>4} templates, avg improvement {:>5.1}%   (paper:  98, 37%)",
         tp.templates_learned,
@@ -89,9 +92,9 @@ fn exp1(fast: bool) {
     );
 }
 
-fn exp2(fast: bool) {
+fn exp2(kbs: &LearnedKbs) {
     header("Exp-2 / Figure 10 — Optimizer with GALO versus without");
-    let (tp, cl) = exp2_matching_improvement(fast);
+    let (tp, cl) = exp2_matching_improvement(kbs);
     for r in [&tp, &cl] {
         println!(
             "\n[{}] {} queries, {} matched, {} improved, avg gain {:.1}%, cross-workload reuses {} ({})",
@@ -123,10 +126,9 @@ fn exp2(fast: bool) {
     println!("6 of 23 improved client queries reused TPC-DS patterns (26%).");
 }
 
-fn exp3(fast: bool) {
+fn exp3(kbs: &LearnedKbs) {
     header("Exp-3 / Figure 11 — Matching time in # of table-joins");
-    let (galo, _, _, tp, cl) = learn_both(fast);
-    let rows = exp3_matching_scalability(&galo, &[&tp, &cl]);
+    let rows = exp3_matching_scalability(kbs.both(), &[&kbs.tpcds, &kbs.client]);
     println!(
         "{:>12} | {:>14} | {:>8}",
         "tables <=", "avg match ms", "queries"
@@ -140,12 +142,11 @@ fn exp3(fast: bool) {
     );
 }
 
-fn exp4(fast: bool) {
+fn exp4(kbs: &LearnedKbs) {
     header("Exp-4 / Figure 12 — Matching-engine routinization");
-    let (galo, _, _, tp, _) = learn_both(fast);
     let query_buckets = [10usize, 25, 50, 75, 99];
     let template_counts = [100usize, 250, 500, 1000];
-    let rows = exp4_routinization(&tp, &query_buckets, &template_counts, &galo);
+    let rows = exp4_routinization(&kbs.tpcds, &query_buckets, &template_counts, kbs.both());
     print!("{:>10}", "queries\\KB");
     for t in template_counts {
         print!(" | {t:>9}");
@@ -229,10 +230,9 @@ fn figs(fast: bool) {
     }
 }
 
-fn evolution(fast: bool) {
+fn evolution(kbs: &LearnedKbs) {
     header("Goal 3 — Optimizer evolution report (systemic issues in the KB)");
-    let (galo, _, _, _, _) = learn_both(fast);
-    let classes = galo_core::evolution_report(&galo.kb);
+    let classes = galo_core::evolution_report(&kbs.both().kb);
     println!("{}", galo_core::render_evolution_report(&classes));
     println!("The development team mines these rewrite classes for new optimizer");
     println!("rules — the paper's long-term Goal 3 (\"optimization evolution\").");

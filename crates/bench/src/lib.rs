@@ -6,6 +6,7 @@
 //! them in the paper's format. Criterion benches under `benches/` measure
 //! the same code paths with statistical rigor.
 
+use std::cell::OnceCell;
 use std::time::Instant;
 
 use galo_catalog::Database;
@@ -82,18 +83,69 @@ pub fn exp1_learning_scalability(thresholds: &[usize], fast: bool) -> Vec<Exp1Ro
         .collect()
 }
 
-/// Exp-1 headline numbers: templates learned and average rewrite
-/// improvement for both workloads at threshold 4 (paper: 98 templates /
-/// 37% on TPC-DS; 178 / 35% on the client workload).
-pub fn exp1_headline(fast: bool) -> (LearningReport, LearningReport) {
-    let cfg = learning_config(fast);
-    let tp = tpcds::workload();
-    let kb1 = KnowledgeBase::new();
-    let r1 = galo_core::learn_workload(&tp, &kb1, &cfg);
-    let cl = client::workload();
-    let kb2 = KnowledgeBase::new();
-    let r2 = galo_core::learn_workload(&cl, &kb2, &cfg);
-    (r1, r2)
+/// The knowledge bases the experiments read, each learned once per
+/// process and only when first asked for: the TPC-DS workload alone, the
+/// client workload alone, and both — TPC-DS, then the client workload
+/// learned into the same KB (the paper's unified, collaborative knowledge
+/// base). An experiment that changes a KB works on a copy imported from
+/// its export.
+pub struct LearnedKbs {
+    cfg: LearningConfig,
+    pub tpcds: Workload,
+    pub client: Workload,
+    /// The unified KB, the report of learning TPC-DS into it while it was
+    /// empty, and its export at that point: the TPC-DS-only KB.
+    both: OnceCell<(Galo, LearningReport, String)>,
+    client_alone: OnceCell<LearningReport>,
+}
+
+impl LearnedKbs {
+    /// Nothing learned yet, under [`learning_config`]`(fast)`.
+    pub fn new(fast: bool) -> Self {
+        LearnedKbs {
+            cfg: learning_config(fast),
+            tpcds: tpcds::workload(),
+            client: client::workload(),
+            both: OnceCell::new(),
+            client_alone: OnceCell::new(),
+        }
+    }
+
+    fn learned_both(&self) -> &(Galo, LearningReport, String) {
+        self.both.get_or_init(|| {
+            let galo = Galo::new();
+            let report = galo.learn(&self.tpcds, &self.cfg);
+            let tpcds_only = galo.kb.export();
+            galo.learn(&self.client, &self.cfg);
+            (galo, report, tpcds_only)
+        })
+    }
+
+    /// The KB holding the patterns of both workloads.
+    pub fn both(&self) -> &Galo {
+        &self.learned_both().0
+    }
+
+    /// A copy of the TPC-DS-only KB, free to change.
+    pub fn tpcds_alone(&self) -> Galo {
+        let galo = Galo::new();
+        galo.kb
+            .import(&self.learned_both().2)
+            .expect("a KB's own export imports");
+        galo
+    }
+
+    /// The report of learning TPC-DS into an empty KB.
+    pub fn tpcds_report(&self) -> &LearningReport {
+        &self.learned_both().1
+    }
+
+    /// The report of learning the client workload into an empty KB.
+    pub fn client_report(&self) -> &LearningReport {
+        self.client_alone.get_or_init(|| {
+            galo_core::learn_workload(&self.client, &KnowledgeBase::new(), &self.cfg)
+        })
+    }
 }
 
 // ---------------------------------------------------------------- Exp-2 --
@@ -118,18 +170,6 @@ pub struct Exp2Result {
     pub bars: Vec<(String, f64)>,
 }
 
-/// Build a GALO instance whose KB contains patterns from both workloads
-/// (the paper's unified, collaborative knowledge base).
-pub fn learn_both(fast: bool) -> (Galo, LearningReport, LearningReport, Workload, Workload) {
-    let cfg = learning_config(fast);
-    let galo = Galo::new();
-    let tp = tpcds::workload();
-    let r1 = galo.learn(&tp, &cfg);
-    let cl = client::workload();
-    let r2 = galo.learn(&cl, &cfg);
-    (galo, r1, r2, tp, cl)
-}
-
 /// The near-miss factor of Exp-2's feedback round: TPC-DS-learned ranges
 /// widen toward client plans within 4x of them.
 pub const EXP2_NEAR_MISS_FACTOR: f64 = 4.0;
@@ -140,26 +180,24 @@ pub const EXP2_NEAR_MISS_FACTOR: f64 = 4.0;
 /// TPC-DS-only KB after one feedback round on the client workload
 /// ([`Galo::feedback_round`], exact ranges, near-miss factor
 /// [`EXP2_NEAR_MISS_FACTOR`]), run after the TPC-DS report is taken.
-pub fn exp2_matching_improvement(fast: bool) -> (Exp2Result, Exp2Result) {
-    let cfg = learning_config(fast);
+pub fn exp2_matching_improvement(kbs: &LearnedKbs) -> (Exp2Result, Exp2Result) {
+    let (tp, cl) = (&kbs.tpcds, &kbs.client);
 
-    // TPC-DS against its own KB.
-    let tp = tpcds::workload();
-    let galo_tp = Galo::new();
-    galo_tp.learn(&tp, &cfg);
-    let rep_tp = galo_tp.reoptimize_workload(&tp);
+    // TPC-DS against its own KB (a copy: the feedback round below
+    // changes it).
+    let galo_tp = kbs.tpcds_alone();
+    let rep_tp = galo_tp.reoptimize_workload(tp);
 
     // Client against the unified KB (TPC-DS templates + client templates).
-    let (galo_union, _, _, _, cl) = learn_both(fast);
-    let rep_cl = galo_union.reoptimize_workload(&cl);
+    let rep_cl = kbs.both().reoptimize_workload(cl);
 
     // Cross-workload reuse (the paper's §4.2 re-usability claim): client
     // queries that the TPC-DS-learned patterns *alone* improve once one
     // round of client feedback has widened the templates they nearly
     // matched.
-    galo_tp.feedback_round(&cl, EXP2_NEAR_MISS_FACTOR);
+    galo_tp.feedback_round(cl, EXP2_NEAR_MISS_FACTOR);
     let reuse = galo_tp
-        .reoptimize_workload(&cl)
+        .reoptimize_workload(cl)
         .cross_workload_reuses("client_insurance");
 
     let to_result = |name: &str, rep: &galo_core::WorkloadReoptReport, reuses, setting| {
@@ -268,241 +306,6 @@ pub fn inflate_kb(kb: &KnowledgeBase, db: &Database, queries: &[Query], target: 
     }
 }
 
-/// Tally of an [`inflate_kb_polluted`] run, by pollution flavor.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PollutionReport {
-    /// Templates whose cardinality group was polluted (admission
-    /// pre-check passes at trim 0, probe fails, trimmed pre-check
-    /// classifies them as cardinality rejects).
-    pub card_polluted: usize,
-    /// Templates whose scan base-cardinality group was polluted
-    /// (cardinalities admit; the trimmed pre-check rejects on scan
-    /// statistics).
-    pub scan_polluted: usize,
-    /// Segments with no same-typed operator group of two distinct
-    /// values — inflated with plain far-displaced ranges instead, as
-    /// [`inflate_kb`] does.
-    pub displaced: usize,
-}
-
-/// The covering sketch of the covering/crippled pollution scheme: 50
-/// observations of mass at `lo` plus one outlier at `hi`, so its exact
-/// envelope spans `[lo, hi]` but any trim ≥ 2% drops the outlier
-/// centroid and collapses the envelope back onto `lo`.
-fn covering_sketch(lo: f64, hi: f64) -> galo_core::StatSketch {
-    let mut s = galo_core::StatSketch::new();
-    for _ in 0..50 {
-        s.observe(lo);
-    }
-    s.observe(hi);
-    s
-}
-
-/// A range strictly below `v`: admits nothing the group's checks carry.
-fn crippled_sketch(v: f64) -> galo_core::StatSketch {
-    galo_core::StatSketch::from_range(v * 0.25, v * 0.5)
-}
-
-/// Pollute one same-typed **non-scan** operator group of `tpl`:
-/// `n - 1` covering pops span every group value exactly but collapse
-/// under trimming; one crippled pop admits nothing. The exact pre-check
-/// admits the template (each check finds a covering pop) yet the probe
-/// cannot match it — its pairwise-distinctness filters need `n`
-/// admitting pops and only `n - 1` exist — so every admission is a
-/// wasted probe. A trimmed pre-check rejects it on cardinality.
-fn pollute_cardinality_group(tpl: &mut galo_core::Template) -> bool {
-    let mut groups: std::collections::BTreeMap<String, Vec<usize>> = Default::default();
-    for (i, p) in tpl.pops.iter().enumerate() {
-        if p.scan.is_none() {
-            groups.entry(p.pop_type.clone()).or_default().push(i);
-        }
-    }
-    for idxs in groups.values() {
-        if idxs.len() < 2 {
-            continue;
-        }
-        let vals: Vec<f64> = idxs
-            .iter()
-            .map(|&i| tpl.pops[i].cardinality.envelope(0.0).lo)
-            .collect();
-        let vmin = vals.iter().copied().fold(f64::INFINITY, f64::min);
-        let vmax = vals.iter().copied().fold(0.0, f64::max);
-        if !(vmin > 0.0 && vmax > vmin * 1.001) {
-            continue;
-        }
-        let covering = covering_sketch(vmin, vmax);
-        for (k, &i) in idxs.iter().enumerate() {
-            tpl.pops[i].cardinality = if k == 0 {
-                crippled_sketch(vmin)
-            } else {
-                covering.clone()
-            };
-        }
-        return true;
-    }
-    false
-}
-
-/// Pollute one same-typed **scan** group of `tpl` through its scan
-/// statistics instead: group cardinalities and row-size/FPAGES ranges
-/// are widened to cover every member (so the cardinality half of the
-/// pre-check passes), while base cardinality gets the covering/crippled
-/// treatment — the trimmed pre-check rejects on scan statistics.
-fn pollute_scan_group(tpl: &mut galo_core::Template) -> bool {
-    let mut groups: std::collections::BTreeMap<String, Vec<usize>> = Default::default();
-    for (i, p) in tpl.pops.iter().enumerate() {
-        if p.scan.is_some() {
-            groups.entry(p.pop_type.clone()).or_default().push(i);
-        }
-    }
-    for idxs in groups.values() {
-        if idxs.len() < 2 {
-            continue;
-        }
-        let stat = |i: usize, f: fn(&galo_core::TemplateScan) -> &galo_core::StatSketch| {
-            f(tpl.pops[i].scan.as_ref().expect("scan group")).envelope(0.0)
-        };
-        let span = |f: fn(&galo_core::TemplateScan) -> &galo_core::StatSketch| {
-            let lo = idxs
-                .iter()
-                .map(|&i| stat(i, f).lo)
-                .fold(f64::INFINITY, f64::min);
-            let hi = idxs.iter().map(|&i| stat(i, f).hi).fold(0.0, f64::max);
-            (lo, hi)
-        };
-        let (bmin, bmax) = span(|s| &s.base_cardinality);
-        if !(bmin > 0.0 && bmax > bmin * 1.001) {
-            continue;
-        }
-        let cards: Vec<f64> = idxs
-            .iter()
-            .map(|&i| tpl.pops[i].cardinality.envelope(0.0).lo)
-            .collect();
-        let cmin = cards.iter().copied().fold(f64::INFINITY, f64::min);
-        let cmax = cards.iter().copied().fold(0.0, f64::max);
-        let (rmin, rmax) = span(|s| &s.row_size);
-        let (fmin, fmax) = span(|s| &s.fpages);
-        let covering = covering_sketch(bmin, bmax);
-        for (k, &i) in idxs.iter().enumerate() {
-            let p = &mut tpl.pops[i];
-            p.cardinality = galo_core::StatSketch::from_range(cmin, cmax);
-            let scan = p.scan.as_mut().expect("scan group");
-            scan.row_size = galo_core::StatSketch::from_range(rmin, rmax);
-            scan.fpages = galo_core::StatSketch::from_range(fmin, fmax);
-            scan.base_cardinality = if k == 0 {
-                crippled_sketch(bmin)
-            } else {
-                covering.clone()
-            };
-        }
-        return true;
-    }
-    false
-}
-
-/// Inflate a knowledge base to `target` templates with **polluted**
-/// synthetic patterns for the admission bench: structurally real
-/// templates (abstracted from live plan segments, so they share the
-/// live signatures) whose statistics are arranged so the exact min/max
-/// pre-check admits them, the Figure-6 probe provably rejects them
-/// (a pigeonhole over the pairwise-distinctness filters), and a
-/// trimmed-envelope pre-check rejects them without probing. Segments
-/// with no pollutable operator group fall back to [`inflate_kb`]-style
-/// far-displaced ranges. No polluted or displaced template can ever
-/// match, so trimming loses no true match by construction.
-pub fn inflate_kb_polluted(
-    kb: &KnowledgeBase,
-    db: &Database,
-    queries: &[Query],
-    target: usize,
-) -> PollutionReport {
-    let optimizer = Optimizer::new(db);
-    let mut report = PollutionReport::default();
-    let mut made = kb.template_count();
-    let mut shift = 1.0e9;
-    let mut flavor = 0usize;
-    'outer: while made < target {
-        let before = made;
-        for q in queries {
-            let Ok(plan) = optimizer.optimize(q) else {
-                continue;
-            };
-            for seg in galo_qgm::segments(&plan, 4) {
-                if made >= target {
-                    break 'outer;
-                }
-                let Some(g) = guideline_from_plan(&plan, seg.root) else {
-                    continue;
-                };
-                let doc = galo_qgm::GuidelineDoc::new(vec![g]);
-                let mut tpl = galo_core::abstract_plan(
-                    db,
-                    &plan,
-                    seg.root,
-                    &doc,
-                    kb.fresh_id(0xADC0_0000 + made as u64),
-                );
-                // Alternate pollution flavors so both admission reject
-                // counters see pressure; fall back across flavors, then
-                // to displacement.
-                let prefer_card = flavor.is_multiple_of(2);
-                let polluted = if prefer_card && pollute_cardinality_group(&mut tpl) {
-                    report.card_polluted += 1;
-                    true
-                } else if pollute_scan_group(&mut tpl) {
-                    report.scan_polluted += 1;
-                    true
-                } else if !prefer_card && pollute_cardinality_group(&mut tpl) {
-                    report.card_polluted += 1;
-                    true
-                } else {
-                    false
-                };
-                if polluted {
-                    flavor += 1;
-                } else {
-                    for p in &mut tpl.pops {
-                        p.cardinality = galo_core::StatSketch::from_range(shift, shift + 1.0);
-                    }
-                    shift += 10.0;
-                    report.displaced += 1;
-                }
-                tpl.source_workload = "synthetic".into();
-                kb.insert(&tpl);
-                made += 1;
-            }
-        }
-        if made == before {
-            break; // no plan yields a template; avoid spinning forever
-        }
-    }
-    report
-}
-
-/// Scan a knowledge base's export for stored sketch literals: returns
-/// `(sketch count, total sketch bytes, max centroid count)` — the
-/// catalog-overhead numbers the admission bench reports.
-pub fn catalog_sketch_stats(kb: &KnowledgeBase) -> (usize, usize, usize) {
-    let export = kb.export();
-    let mut count = 0usize;
-    let mut bytes = 0usize;
-    let mut max_centroids = 0usize;
-    for line in export.lines() {
-        let Some(prop_end) = line.find("Sketch> \"") else {
-            continue;
-        };
-        let hex = &line[prop_end + "Sketch> \"".len()..];
-        let Some(end) = hex.find('"') else { continue };
-        let Some(sketch) = galo_core::StatSketch::from_hex(&hex[..end]) else {
-            continue;
-        };
-        count += 1;
-        bytes += hex[..end].len() / 2;
-        max_centroids = max_centroids.max(sketch.centroid_count());
-    }
-    (count, bytes, max_centroids)
-}
-
 /// Exp-4 / Figure 12: routinization — total matching time for workload
 /// buckets of increasing size against KBs of increasing template count.
 /// Returns `(n_queries, n_templates, total seconds)`.
@@ -518,11 +321,12 @@ pub fn exp4_routinization(
         .iter()
         .filter_map(|q| optimizer.optimize(q).ok())
         .collect();
+    let base = base_galo.kb.export();
     let mut out = Vec::new();
     for &tcount in template_counts {
         // Fresh KB per template count: real templates + synthetic filler.
         let kb = KnowledgeBase::new();
-        kb.import(&base_galo.kb.export()).expect("kb reimport");
+        kb.import(&base).expect("kb reimport");
         inflate_kb(
             &kb,
             &workload.db,
@@ -784,6 +588,20 @@ mod tests {
                 .optimize(&w.queries[0])
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
+    }
+
+    /// The unified KB holds what learning TPC-DS into it put there, and
+    /// each TPC-DS-only KB handed out is a copy of that state of its own.
+    #[test]
+    fn each_tpcds_only_kb_is_a_copy_of_its_own() {
+        let kbs = LearnedKbs::new(true);
+        let learned = kbs.tpcds_report().templates_learned;
+        let first = kbs.tpcds_alone();
+        assert_eq!(first.kb.template_count(), learned);
+        assert!(kbs.both().kb.template_count() > learned);
+        let (iri, _) = &first.kb.fingerprints()[0];
+        assert!(first.kb.remove_template(iri));
+        assert_eq!(kbs.tpcds_alone().kb.template_count(), learned);
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub struct TemplatePop {
     pub op_id: u32,
     /// Operator type name (`"NLJOIN"`, `"F-IXSCAN"`, …).
     pub pop_type: String,
-    /// Estimated-cardinality sketch; its `envelope(0.0)` is the stored
+    /// Estimated-cardinality sketch; its `envelope()` is the stored
     /// `[hasLowerCardinality, hasHigherCardinality]` validity range.
     pub cardinality: StatSketch,
     /// Scan-only properties.
@@ -373,15 +373,13 @@ impl KnowledgeBase {
     /// Like [`candidate_templates`](Self::candidate_templates), but also
     /// applies the admission pre-check: a candidate survives only if, for
     /// every [`PopCheck`] the segment will probe with, the template has at
-    /// least one operator of that type whose envelopes admit the
-    /// cardinality — and, for scans, the scan-table belief stats — under
-    /// the query's trim. At `trim == 0` the envelopes are the
-    /// exact stored bounds, so the check is a *necessary* condition for a
-    /// match (every probe binds each segment operator to a same-typed
-    /// template operator and tests exactly these bounds) and the
-    /// pre-check only removes templates the probe would reject anyway —
-    /// without touching the triple store. `trim > 0` trims outlier mass
-    /// from the envelopes, an explicit precision/recall trade.
+    /// least one operator of that type whose stored bounds admit the
+    /// cardinality — and, for scans, the scan-table belief stats. Those
+    /// are the exact bounds the probe tests, so the check is a
+    /// *necessary* condition for a match (every probe binds each segment
+    /// operator to a same-typed template operator and tests exactly these
+    /// bounds) and the pre-check only removes templates the probe would
+    /// reject anyway — without touching the triple store.
     ///
     /// Defined as the
     /// [`next_candidate_admitting`](Self::next_candidate_admitting) cursor
@@ -1028,7 +1026,6 @@ impl KnowledgeBase {
                 }
                 let query = AdmissionQuery {
                     checks: &checks,
-                    trim: cfg.sketch_trim,
                     near_factor: band,
                 };
                 let signature = segment_signature(qgm, segment.root).hash;
@@ -1180,7 +1177,7 @@ impl TemplateWriter {
     }
 
     /// `subject`'s three statements of one statistic family: the exact
-    /// bounds of the sketch's untrimmed envelope, and the sketch itself.
+    /// bounds of the sketch's envelope, and the sketch itself.
     fn stat(&mut self, subject: u32, family: usize, sketch: &StatSketch) {
         for (local, value) in stat_statements(STAT_FAMILIES[family], sketch) {
             let p = self.prop(local);
@@ -1348,7 +1345,7 @@ fn refinement_of(
         // stored template.
         let envelope = |stat: &Option<StatSketch>| {
             let stat = stat.as_ref();
-            stat.map_or(Range::UNBOUNDED, |sketch| sketch.envelope(0.0))
+            stat.map_or(Range::UNBOUNDED, |sketch| sketch.envelope())
         };
         let envs = stored.each_ref().map(envelope);
         let mut folded = stored.clone();
@@ -1425,17 +1422,17 @@ fn within_band(env: Range, value: f64, band: f64) -> bool {
 }
 
 /// One stat as the (property's local name, object) of its three
-/// statements. Exact bounds come from the sketch's untrimmed envelope —
-/// bit-identical to the legacy widened min/max — and the full sketch
-/// rides along as a checksummed hex literal so trimmed envelopes survive
-/// export/import, durable reopen and reindex. Both serializations are
+/// statements. Exact bounds come from the sketch's envelope — the
+/// widened min/max — and the full sketch rides along as a checksummed
+/// hex literal so feedback can refine it after export/import, durable
+/// reopen and reindex. Both serializations are
 /// deterministic, which keeps republishing a template a set-semantics
 /// no-op.
 fn stat_statements(
     (lo, hi, sk): (&'static str, &'static str, &'static str),
     sketch: &StatSketch,
 ) -> [(&'static str, Term); 3] {
-    let range = sketch.envelope(0.0);
+    let range = sketch.envelope();
     [
         (lo, Term::num(range.lo)),
         (hi, Term::num(range.hi)),
@@ -1795,7 +1792,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_stat_prechecks_and_trimmed_envelopes_prune_candidates() {
+    fn scan_stat_prechecks_prune_candidates() {
         let (db, plan) = setup();
         let kb = KnowledgeBase::new();
         let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
@@ -1808,21 +1805,8 @@ mod tests {
                 scan.row_size = StatSketch::from_range(1e9, 2e9);
             }
         }
-        // A template whose exact bounds admit the plan only through one
-        // outlier observation: trim 0 admits it, a small trim does not.
-        let mut outlier = abstract_plan(&db, &plan, plan.root(), &g, kb.fresh_id(3));
-        for p in &mut outlier.pops {
-            let live = p.cardinality.envelope(0.0).hi;
-            let mut sk = StatSketch::new();
-            for _ in 0..50 {
-                sk.observe(live * 1e-9);
-            }
-            sk.observe(live);
-            p.cardinality = sk;
-        }
         kb.insert(&near);
         kb.insert(&scan_far);
-        kb.insert(&outlier);
 
         let sig = KnowledgeBase::template_signature(&near);
         let checks: Vec<PopCheck> = plan
@@ -1847,42 +1831,27 @@ mod tests {
             .collect();
 
         let near_iri = vocab::template_iri(&near.id).str_value().to_string();
-        let outlier_iri = vocab::template_iri(&outlier.id).str_value().to_string();
-        // Trim 0: exact bounds — the scan-displaced template is pruned by
-        // the scan conjunction, the outlier template still slips through.
-        let mut at_zero = kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(&checks));
-        at_zero.sort();
-        let mut want = vec![near_iri.clone(), outlier_iri];
-        want.sort();
-        assert_eq!(at_zero, want);
-        // A small trim collapses the outlier's envelope back to its mass:
-        // only the genuinely-near template survives, and the counters
-        // attribute each reject to its cause.
-        let trimmed = AdmissionQuery {
-            trim: 0.05,
-            ..AdmissionQuery::exact(&checks)
-        };
+        // The scan-displaced template is pruned by the scan conjunction.
+        let exact = AdmissionQuery::exact(&checks);
         assert_eq!(
-            kb.candidate_templates_admitting(sig, &trimmed),
+            kb.candidate_templates_admitting(sig, &exact),
             vec![near_iri.clone()]
         );
-        // A full cursor sweep examines all three entries and attributes
-        // each reject to its cause.
+        // A full cursor sweep examines both entries and attributes the
+        // reject to its cause.
         let mut stats = AdmissionStats::default();
-        let first = kb.next_candidate_admitting(sig, &trimmed, None, &mut stats);
+        let first = kb.next_candidate_admitting(sig, &exact, None, &mut stats);
         assert_eq!(first.as_deref(), Some(near_iri.as_str()));
-        let _ = kb.next_candidate_admitting(sig, &trimmed, Some(&near_iri), &mut stats);
-        assert_eq!(stats.considered, 3);
-        assert_eq!(stats.rejects_card, 1, "outlier rejected on cardinality");
+        let _ = kb.next_candidate_admitting(sig, &exact, Some(&near_iri), &mut stats);
+        assert_eq!(stats.considered, 2);
+        assert_eq!(stats.rejects_card, 0);
         assert_eq!(stats.rejects_scan, 1, "scan_far rejected on scan stats");
 
-        // Trimmed admission survives export/import: the sketch literals
-        // round-trip, so the outlier template stays pruned (the bounds
-        // alone would re-admit it).
+        // The scan bounds survive export/import: reindex reads them back.
         let kb2 = KnowledgeBase::new();
         kb2.import(&kb.export()).unwrap();
         assert_eq!(
-            kb2.candidate_templates_admitting(sig, &trimmed),
+            kb2.candidate_templates_admitting(sig, &exact),
             vec![near_iri]
         );
     }

@@ -59,17 +59,6 @@ pub struct MatchConfig {
     /// Sub-QGM size cap, in joins — "the same predefined threshold that
     /// was used in the learning phase" (§3.3).
     pub join_threshold: usize,
-    /// Quantile trim applied to template sketches during the admission
-    /// pre-check: each stored [`crate::kb::StatSketch`] contributes a
-    /// `[quantile(trim), quantile(1 - trim)]` envelope instead of its
-    /// exact `[min, max]`, so a few outlier observations stop inflating a
-    /// template's validity region. `0.0` (the default) reproduces the
-    /// exact min/max semantics bit for bit. The trim only narrows the
-    /// *pre-check* — the match itself still tests the stored exact
-    /// bounds, so a trimmed-out candidate is one that would have cost a
-    /// match check only to fail it, or an over-widened template the
-    /// operator has chosen to treat as noise.
-    pub sketch_trim: f64,
     /// Near-miss widening factor for the feedback loop (≥ 1; `1.0` — the
     /// default — disables near-miss tracking). Matching always tests the
     /// stored ranges exactly; when the factor is > 1, the admission
@@ -87,7 +76,6 @@ impl Default for MatchConfig {
     fn default() -> Self {
         MatchConfig {
             join_threshold: 4,
-            sketch_trim: 0.0,
             near_miss_factor: 1.0,
         }
     }
@@ -107,8 +95,6 @@ impl MatchConfig {
 pub enum MatchConfigError {
     /// `join_threshold` must be at least 1 (a segment needs a join).
     JoinThreshold(usize),
-    /// `sketch_trim` must lie in `[0, 1)` (a quantile trim level).
-    SketchTrim(f64),
     /// `near_miss_factor` must be ≥ 1 and finite.
     NearMissFactor(f64),
 }
@@ -118,9 +104,6 @@ impl std::fmt::Display for MatchConfigError {
         match self {
             MatchConfigError::JoinThreshold(v) => {
                 write!(f, "join_threshold must be >= 1, got {v}")
-            }
-            MatchConfigError::SketchTrim(v) => {
-                write!(f, "sketch_trim must lie in [0, 1), got {v}")
             }
             MatchConfigError::NearMissFactor(v) => {
                 write!(f, "near_miss_factor must be finite and >= 1.0, got {v}")
@@ -133,7 +116,7 @@ impl std::error::Error for MatchConfigError {}
 
 /// Validated builder for [`MatchConfig`]. Every setter takes the raw
 /// value; [`build`](Self::build) checks all of them at once and names the
-/// offending field, so an out-of-range factor or trim is an explicit
+/// offending field, so an out-of-range threshold or factor is an explicit
 /// error instead of a silently clamped (or silently nonsensical) config.
 #[derive(Debug, Clone, Default)]
 pub struct MatchConfigBuilder {
@@ -144,12 +127,6 @@ impl MatchConfigBuilder {
     /// Sub-QGM size cap in joins (must be ≥ 1).
     pub fn join_threshold(mut self, joins: usize) -> Self {
         self.cfg.join_threshold = joins;
-        self
-    }
-
-    /// Quantile trim of the admission envelopes (must lie in `[0, 1)`).
-    pub fn sketch_trim(mut self, trim: f64) -> Self {
-        self.cfg.sketch_trim = trim;
         self
     }
 
@@ -164,9 +141,6 @@ impl MatchConfigBuilder {
         let c = &self.cfg;
         if c.join_threshold < 1 {
             return Err(MatchConfigError::JoinThreshold(c.join_threshold));
-        }
-        if !c.sketch_trim.is_finite() || !(0.0..1.0).contains(&c.sketch_trim) {
-            return Err(MatchConfigError::SketchTrim(c.sketch_trim));
         }
         if !c.near_miss_factor.is_finite() || c.near_miss_factor < 1.0 {
             return Err(MatchConfigError::NearMissFactor(c.near_miss_factor));
@@ -382,9 +356,9 @@ impl CompiledSegment {
 /// admission check and one wire per operator of the plan, and its
 /// bottom-up segments as ranges into them with their signatures — plus
 /// the [`MatchConfig`] it was compiled under (admission depends on the
-/// trim and near-miss factor, segmentation on the join threshold — so the config travels
-/// with the artifact instead of being re-supplied, possibly mismatched,
-/// at match time). Compile once via [`compile_plan`], match any number of
+/// near-miss factor, segmentation on the join threshold — so the config
+/// travels with the artifact instead of being re-supplied, possibly
+/// mismatched, at match time). Compile once via [`compile_plan`], match any number of
 /// times via [`match_compiled`]: repeat matches skip the compile pass.
 #[derive(Debug)]
 pub struct CompiledPlan {
@@ -414,7 +388,6 @@ impl CompiledPlan {
     fn query(&self, seg: &CompiledSegment) -> AdmissionQuery<'_> {
         AdmissionQuery {
             checks: &self.checks[seg.extent()],
-            trim: self.cfg.sketch_trim,
             near_factor: self.cfg.near_miss_factor,
         }
     }
@@ -953,7 +926,7 @@ mod tests {
         // feedback round at near-miss factor 4 must widen the stored
         // ranges until it matches.
         let displace = |s: &mut crate::kb::StatSketch| {
-            let r = s.envelope(0.0);
+            let r = s.envelope();
             *s = crate::kb::StatSketch::from_range(r.lo * 3.0, r.hi * 3.0);
         };
         for p in &mut tpl.pops {

@@ -159,10 +159,7 @@ pub fn match_plan_probe(
         }
         let checks = segment_pop_checks(db, qgm, segment.root);
         let signature = shape_signature(segment.join_count, checks.iter().map(|c| c.pop_type));
-        let query = AdmissionQuery {
-            trim: cfg.sketch_trim,
-            ..AdmissionQuery::exact(&checks)
-        };
+        let query = AdmissionQuery::exact(&checks);
         let mut cursor = kb.next_candidate_admitting(signature, &query, None, &mut admission);
         if cursor.is_none() {
             report.probes_pruned += 1;

@@ -13,7 +13,7 @@
 //!   on from the plan side — the full operator tree (kinds with their
 //!   parameters, estimated cardinalities and costs, input wiring, sort
 //!   orders), per-scan query qualifiers and belief statistics, and the
-//!   [`MatchConfig`] (join threshold, sketch trim, near-miss factor).
+//!   [`MatchConfig`] (join threshold, near-miss factor).
 //!   Two plans with equal fingerprints compile to the same segment checks
 //!   and match the same templates.
 //! * [`ProbeCache`] is a striped CLOCK cache. Each entry holds the
@@ -136,9 +136,9 @@ impl WordHash {
 /// (`WordHash`) over every input the match outcome depends on from the
 /// query side, one `u64` per step.
 ///
-/// Covered: the match configuration (join threshold, sketch trim,
-/// near-miss factor — folded into the key so one cache safely serves
-/// mixed configurations), the operator
+/// Covered: the match configuration (join threshold and near-miss
+/// factor — folded into the key so one cache safely serves mixed
+/// configurations), the operator
 /// tree (ids, kinds *with their parameters* — which index, fetch flag,
 /// bloom flag, sort key — estimated cardinality and cost, input edges,
 /// output order), and per scan the query qualifier plus the belief
@@ -157,7 +157,6 @@ impl WordHash {
 pub fn plan_fingerprint(db: &Database, qgm: &Qgm, cfg: &MatchConfig) -> u64 {
     let mut h = WordHash::new();
     h.word(cfg.join_threshold as u64);
-    h.word(cfg.sketch_trim.to_bits());
     h.word(cfg.near_miss_factor.to_bits());
     h.word(u64::from(qgm.root().0));
     for (id, pop) in qgm.pops() {
@@ -703,10 +702,6 @@ mod tests {
             join_threshold: 2,
             ..MatchConfig::default()
         };
-        let trim = MatchConfig {
-            sketch_trim: 0.05,
-            ..MatchConfig::default()
-        };
         let near_miss = MatchConfig {
             near_miss_factor: 4.0,
             ..MatchConfig::default()
@@ -714,7 +709,6 @@ mod tests {
         let keys = [
             fp(&db, &qgm, &base),
             fp(&db, &qgm, &threshold),
-            fp(&db, &qgm, &trim),
             fp(&db, &qgm, &near_miss),
         ];
         for i in 0..keys.len() {
@@ -752,7 +746,6 @@ mod tests {
     fn fnv_reference(db: &Database, qgm: &Qgm, cfg: &MatchConfig) -> u64 {
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         h.u64(cfg.join_threshold as u64);
-        h.u64(cfg.sketch_trim.to_bits());
         h.u64(cfg.near_miss_factor.to_bits());
         h.u64(qgm.root().0 as u64);
         for (id, pop) in qgm.pops() {
@@ -818,8 +811,8 @@ mod tests {
         h.0
     }
 
-    /// Configurations the differentials key plans under: the default and
-    /// one change of each kind of field.
+    /// Configurations the differentials key plans under: the default,
+    /// one change of each field, and both changed at once.
     fn configs() -> Vec<MatchConfig> {
         vec![
             MatchConfig::default(),
@@ -828,12 +821,12 @@ mod tests {
                 ..MatchConfig::default()
             },
             MatchConfig {
-                sketch_trim: 0.05,
+                near_miss_factor: 4.0,
                 ..MatchConfig::default()
             },
             MatchConfig {
+                join_threshold: 2,
                 near_miss_factor: 4.0,
-                ..MatchConfig::default()
             },
         ]
     }
@@ -1021,9 +1014,8 @@ mod tests {
             );
         }
         type ConfigEdit = fn(&mut MatchConfig);
-        let config_edits: [(&str, ConfigEdit); 3] = [
+        let config_edits: [(&str, ConfigEdit); 2] = [
             ("join_threshold", |c| c.join_threshold = 3),
-            ("sketch_trim", |c| c.sketch_trim = 0.1),
             ("near_miss_factor", |c| c.near_miss_factor = 3.0),
         ];
         for (what, edit) in config_edits {

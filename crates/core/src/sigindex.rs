@@ -19,8 +19,7 @@
 //! them. A [`Bucket`] is columnar: rows sorted by IRI, operator types,
 //! workloads and canonical table labels interned to small ids that a
 //! query resolves once per pull, each row's operators packed in one slice
-//! (type, exact bounds, which bounds were stored, label), the
-//! [`StatSketch`]es — read only by `trim > 0` — in a side column, and one
+//! (type, exact bounds, which bounds were stored, label), and one
 //! **cardinality hull** per (operator type, row): `[min lo, max hi]` over
 //! the row's operators of that type, the empty range where the row has
 //! none. On `serve_cold` 99.9 % of the rows a pull goes past are
@@ -84,10 +83,7 @@
 //! checks 0..*k*−1 passed in full *is* "no same-typed operator's
 //! cardinality envelope admits the value" — the reject the per-operator
 //! loop would have reported, with the same reason. The hull is built from
-//! the very ranges the loop reads at trim 0. At `trim > 0` the loop reads
-//! `sketch.envelope(trim)` instead, which nothing ties to those ranges
-//! (stored bounds may disagree with their sketch), so the pre-test is
-//! skipped there rather than argued.
+//! the very ranges the loop reads.
 //!
 //! The summary is the same step one level up. A cell is the hull of its
 //! rows' hulls of check 0's type, so a row hull that admits check 0 makes
@@ -104,9 +100,6 @@
 //! bucket has never seen fails every row: the rest of the bucket is
 //! passed in one step, with the same counts.
 //!
-//! One kind of walk goes row by row instead: `trim > 0`, which reads no
-//! hull, so no block count can say what its rows would.
-//!
 //! # Where entries come from
 //!
 //! One place: the [`IndexFacts`] gather, fed one default-graph statement
@@ -114,9 +107,10 @@
 //! template's re-read from the store, or the whole store's for a rebuild
 //! (the knowledge base's module docs say which, when). It is the only
 //! reader of the template vocabulary on the index side and the only
-//! writer of rows, so the fallback rules (corrupt sketch → exact bounds →
-//! unbounded for admission; no stored bounds → no match) and the reading
-//! of irregular facts above are stated once.
+//! writer of rows, so the fallback rules (stored bounds, else the
+//! envelope of a valid sketch, else unbounded for admission; no stored
+//! bounds → no match) and the reading of irregular facts above are stated
+//! once.
 //!
 //! Writing and removing rows shifts the rows after them, and with them
 //! every summary block from there on. So a bucket remembers the lowest
@@ -208,12 +202,11 @@ pub struct AdmissionStats {
 }
 
 /// One segment's admission query against the signature index: the checks
-/// plus the matcher's trim level and near-miss factor.
+/// plus the matcher's near-miss factor. Admission tests the exact stored
+/// bounds.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionQuery<'a> {
     pub checks: &'a [PopCheck],
-    /// Quantile trim of the admission envelopes; `0.0` = exact bounds.
-    pub trim: f64,
     /// Near-miss detection factor (`1.0` disables it): rejected entries
     /// are re-tested with every range widened by it (`lo ≤ v·f`,
     /// `hi ≥ v/f`) and the ones that would pass are counted in
@@ -223,12 +216,10 @@ pub struct AdmissionQuery<'a> {
 }
 
 impl<'a> AdmissionQuery<'a> {
-    /// The exact-bounds query (trim 0, no near-miss tracking) — the
-    /// default admission semantics.
+    /// The query without near-miss tracking.
     pub fn exact(checks: &'a [PopCheck]) -> Self {
         AdmissionQuery {
             checks,
-            trim: 0.0,
             near_factor: 1.0,
         }
     }
@@ -303,50 +294,6 @@ pub(crate) struct SegmentShape<'a> {
     pub(crate) wires: &'a [Wire],
 }
 
-/// One property of one operator on its way into a row: the exact stored
-/// bounds (what the probe tests) plus the quantile sketch trimmed
-/// envelopes come from. The index keeps the two apart.
-#[derive(Debug, Clone)]
-struct IndexedStat {
-    /// `sketch.envelope(0.0)` unless stored bounds say otherwise —
-    /// precomputed so the trim-0 walk never touches a sketch.
-    exact: Range,
-    sketch: StatSketch,
-}
-
-impl Default for IndexedStat {
-    /// The stat nothing is known about: unbounded.
-    fn default() -> Self {
-        IndexedStat {
-            exact: Range::UNBOUNDED,
-            sketch: StatSketch::new(),
-        }
-    }
-}
-
-impl IndexedStat {
-    fn of(sketch: &StatSketch) -> Self {
-        IndexedStat {
-            exact: sketch.envelope(0.0),
-            sketch: sketch.clone(),
-        }
-    }
-
-    /// Exact stored bounds when present, else derived from the sketch,
-    /// else unbounded.
-    fn reconstruct(sketch: Option<StatSketch>, bounds: Option<Range>) -> Self {
-        match (sketch, bounds) {
-            (Some(sk), Some(exact)) => IndexedStat { exact, sketch: sk },
-            (Some(sk), None) => IndexedStat::of(&sk),
-            (None, Some(exact)) => IndexedStat {
-                exact,
-                sketch: StatSketch::from_range(exact.lo, exact.hi),
-            },
-            (None, None) => IndexedStat::default(),
-        }
-    }
-}
-
 /// One template operator on its way into a row.
 struct PopEntry<'a> {
     pop_type: &'a str,
@@ -355,11 +302,11 @@ struct PopEntry<'a> {
     /// Bit `f` set when family `f` ([`STAT_FAMILIES`] order) has both
     /// bounds stored: only then can the probe's range test pass.
     bounded: u8,
-    cardinality: IndexedStat,
+    cardinality: Range,
     /// Row size, fpages, base cardinality ([`STAT_FAMILIES`] order);
     /// `None` for an operator stored without scan stats, which is then
     /// unbounded on them: never reject what the probe might accept.
-    scan: Option<[IndexedStat; 3]>,
+    scan: Option<[Range; 3]>,
 }
 
 /// One template on its way into a row: its join count, its operators in
@@ -403,14 +350,15 @@ impl StatFacts {
         self.lo.is_some() && self.hi.is_some()
     }
 
-    /// A missing bound leaves its side open, a missing (or corrupt)
-    /// sketch falls back to the exact bounds, and a stat with neither is
-    /// unbounded — the pre-check must never reject what the probe would
-    /// accept.
-    fn into_indexed(self) -> IndexedStat {
-        let bounds =
-            (self.lo.is_some() || self.hi.is_some()).then(|| Range::from_bounds(self.lo, self.hi));
-        IndexedStat::reconstruct(self.sketch, bounds)
+    /// The range admission tests: the stored bounds, a missing one
+    /// leaving its side open; with no bound stored, the envelope of a
+    /// valid sketch; with neither, unbounded — the pre-check must never
+    /// reject what the probe would accept.
+    fn range(&self) -> Range {
+        match (self.lo, self.hi, &self.sketch) {
+            (None, None, Some(sketch)) => sketch.envelope(),
+            (lo, hi, _) => Range::from_bounds(lo, hi),
+        }
     }
 
     /// The stat as feedback refines it: the sketch literal when valid,
@@ -638,9 +586,9 @@ impl<'a> IndexFacts<'a> {
                             pop_type: pop_types[pop],
                             label: labels.get(pop).copied(),
                             bounded,
-                            cardinality: card.unwrap_or_default().into_indexed(),
+                            cardinality: card.unwrap_or_default().range(),
                             scan: has_scan
-                                .then(|| scan.map(|stat| stat.unwrap_or_default().into_indexed())),
+                                .then(|| scan.map(|stat| stat.unwrap_or_default().range())),
                         }
                     })
                     .collect();
@@ -694,8 +642,8 @@ const EMPTY: Range = Range {
 /// so an unseen operator type matches no row.
 const ABSENT: u32 = u32::MAX;
 
-/// One operator's exact bounds, packed: what the trim-0 walk reads, and
-/// what the assignment reads of it besides.
+/// One operator's exact bounds, packed: what the walk reads, and what
+/// the assignment reads of it besides.
 #[derive(Debug, Clone, Copy)]
 struct PopBounds {
     /// Index into [`Bucket::types`].
@@ -718,8 +666,7 @@ struct PopBounds {
 
 impl PopBounds {
     /// Whether the operator can stand for a segment operator: conditions
-    /// 1 and 2 of a match (module docs), on the exact stored bounds
-    /// whatever the trim — the probe tests those.
+    /// 1 and 2 of a match (module docs).
     fn fits(&self, check: &Resolved<'_>) -> bool {
         let families = if check.scan { 4 } else { 1 };
         self.ty == check.ty
@@ -804,9 +751,6 @@ struct Bucket {
     /// rows are rejected on a hull and never read theirs, while a flat
     /// vector would make every publish shift half a bucket's operators.
     ops: Vec<Arc<[PopBounds]>>,
-    /// Row -> the sketches behind `ops`, operator by operator. Read only
-    /// by `trim > 0`.
-    sketches: Vec<Arc<[[StatSketch; 4]]>>,
     /// Row -> its stream edges, ordered by (child, parent), one per
     /// linked pair. Read only for an admitted row.
     edges: Vec<Arc<[Edge]>>,
@@ -948,7 +892,6 @@ impl Bucket {
                 self.workload.insert(row, workload);
                 self.joins.insert(row, 0);
                 self.ops.insert(row, Arc::default());
-                self.sketches.insert(row, Arc::default());
                 self.edges.insert(row, Arc::default());
                 for column in &mut self.hulls {
                     column.insert(row, EMPTY);
@@ -962,16 +905,15 @@ impl Bucket {
         }
         let RowEntry { joins, pops, edges } = entry;
         let mut bounds = Vec::with_capacity(pops.len());
-        let mut sketches = Vec::with_capacity(pops.len());
         for pop in pops {
             let ty = intern(&mut self.types, pop.pop_type);
             if ty as usize == self.hulls.len() {
                 self.hulls.push(vec![EMPTY; self.iris.len()]);
             }
             let scan = pop.scan.is_some();
-            let [row_size, fpages, base_cardinality] = pop.scan.unwrap_or_default();
+            let [row_size, fpages, base_cardinality] = pop.scan.unwrap_or([Range::UNBOUNDED; 3]);
             let stats = [pop.cardinality, row_size, fpages, base_cardinality];
-            widen_hull(&mut self.hulls[ty as usize][row], stats[0].exact);
+            widen_hull(&mut self.hulls[ty as usize][row], stats[0]);
             bounds.push(PopBounds {
                 ty,
                 label: pop
@@ -979,13 +921,11 @@ impl Bucket {
                     .map_or(ABSENT, |label| intern(&mut self.labels, label)),
                 scan,
                 bounded: pop.bounded,
-                stats: stats.each_ref().map(|stat| stat.exact),
+                stats,
             });
-            sketches.push(stats.map(|stat| stat.sketch));
         }
         self.joins[row] = joins;
         self.ops[row] = bounds.into();
-        self.sketches[row] = sketches.into();
         self.edges[row] = edges.into();
         self.stale = self.stale.min(row);
     }
@@ -998,7 +938,6 @@ impl Bucket {
             labels: Arc::clone(&self.labels),
             joins: self.joins[row],
             ops: Arc::clone(&self.ops[row]),
-            sketches: Arc::clone(&self.sketches[row]),
             edges: Arc::clone(&self.edges[row]),
         }
     }
@@ -1011,7 +950,6 @@ impl Bucket {
         self.workload.remove(row);
         self.joins.remove(row);
         self.ops.remove(row);
-        self.sketches.remove(row);
         self.edges.remove(row);
         for column in &mut self.hulls {
             column.remove(row);
@@ -1063,32 +1001,24 @@ impl Bucket {
     /// probe binds each segment operator to exactly one same-typed
     /// template operator and tests all of that operator's stored bounds,
     /// so the conjunction is a necessary condition for any probe match.
-    fn admits(&self, row: usize, checks: &[Resolved<'_>], trim: f64) -> Admission {
+    fn admits(&self, row: usize, checks: &[Resolved<'_>]) -> Admission {
         for check in checks {
             // The hull pre-test (exact; see the module docs).
-            if trim <= 0.0
-                && !check
-                    .hulls
-                    .get(row)
-                    .is_some_and(|&hull| check.stats[0].within(hull))
+            if !check
+                .hulls
+                .get(row)
+                .is_some_and(|&hull| check.stats[0].within(hull))
             {
                 return Admission::RejectedCard;
             }
             let mut card_ok = false;
             let mut full_ok = false;
-            for (at, op) in self.ops[row].iter().enumerate() {
-                let stat = |family: usize| {
-                    if trim <= 0.0 {
-                        op.stats[family]
-                    } else {
-                        self.sketches[row][at][family].envelope(trim)
-                    }
-                };
-                if op.ty != check.ty || !check.stats[0].within(stat(0)) {
+            for op in self.ops[row].iter() {
+                if op.ty != check.ty || !check.stats[0].within(op.stats[0]) {
                     continue;
                 }
                 card_ok = true;
-                if !(check.scan && op.scan) || (1..4).all(|f| check.stats[f].within(stat(f))) {
+                if !(check.scan && op.scan) || (1..4).all(|f| check.stats[f].within(op.stats[f])) {
                     full_ok = true;
                     break;
                 }
@@ -1199,9 +1129,8 @@ impl Bucket {
     }
 
     /// The admission walk: the first row after `after` that passes
-    /// `checks` (the query's, resolved). Where the module docs say a
-    /// block count is exact, it passes over every block of rows whose
-    /// summary hull fails check 0.
+    /// `checks` (the query's, resolved). It passes over every block of
+    /// rows whose summary hull fails check 0 (module docs).
     fn walk(
         &self,
         checks: &[Resolved<'_>],
@@ -1219,7 +1148,7 @@ impl Bucket {
         let test = |row: usize, seen: &mut AdmissionStats| {
             seen.considered += 1;
             seen.examined += 1;
-            match self.admits(row, checks, query.trim) {
+            match self.admits(row, checks) {
                 Admission::Admitted => return true,
                 Admission::RejectedCard => seen.rejects_card += 1,
                 Admission::RejectedScan => seen.rejects_scan += 1,
@@ -1228,14 +1157,14 @@ impl Bucket {
             // this row? Counting only — the candidate stays rejected.
             if near
                 .as_ref()
-                .is_some_and(|near| self.admits(row, near, query.trim) == Admission::Admitted)
+                .is_some_and(|near| self.admits(row, near) == Admission::Admitted)
             {
                 seen.near_misses += 1;
             }
             false
         };
         let admitted = match checks.first() {
-            Some(first) if query.trim <= 0.0 => {
+            Some(first) => {
                 let near = near.as_ref().map(|near| near[0].stats[0]);
                 // A cell fails check 0 when neither factor admits its hull:
                 // then every row under it is a card reject, none a near miss.
@@ -1251,8 +1180,8 @@ impl Bucket {
                     }
                 }
             }
-            // `trim > 0` reads no hull: row by row.
-            _ => (start..n).find(|&r| test(r, &mut seen)),
+            // No checks: the first row admits.
+            None => (start..n).find(|&r| test(r, &mut seen)),
         };
         *stats = seen;
         admitted
@@ -1492,7 +1421,6 @@ pub(crate) struct JournalRow {
     labels: Arc<Vec<String>>,
     joins: usize,
     ops: Arc<[PopBounds]>,
-    sketches: Arc<[[StatSketch; 4]]>,
     edges: Arc<[Edge]>,
 }
 
@@ -1532,7 +1460,6 @@ impl JournalRow {
             summaries: Vec::new(),
             stale: 0,
             ops: vec![Arc::clone(&self.ops)],
-            sketches: vec![Arc::clone(&self.sketches)],
             edges: vec![Arc::clone(&self.edges)],
         };
         bucket.settle();
@@ -1654,22 +1581,15 @@ mod tests {
     // they were. Nothing below the dashed line shares code with it.
     // ---------------------------------------------------------------
 
-    impl IndexedStat {
-        fn admits(&self, v: f64, m: f64, trim: f64) -> bool {
-            let b = if trim <= 0.0 {
-                self.exact
-            } else {
-                self.sketch.envelope(trim)
-            };
-            b.lo <= v * m && b.hi >= v / m
-        }
+    fn ref_within(b: Range, v: f64, m: f64) -> bool {
+        b.lo <= v * m && b.hi >= v / m
     }
 
     #[derive(Clone)]
     struct RefPop {
         pop_type: &'static str,
-        cardinality: IndexedStat,
-        scan: Option<[IndexedStat; 3]>,
+        cardinality: Range,
+        scan: Option<[Range; 3]>,
     }
 
     struct RefTemplate {
@@ -1690,16 +1610,15 @@ mod tests {
             let mut card_ok = false;
             let mut full_ok = false;
             for p in &tpl.pops {
-                if p.pop_type != check.pop_type || !p.cardinality.admits(check.est_card, m, q.trim)
-                {
+                if p.pop_type != check.pop_type || !ref_within(p.cardinality, check.est_card, m) {
                     continue;
                 }
                 card_ok = true;
                 let scan_ok = match (&check.scan, &p.scan) {
                     (Some(sc), Some([row_size, fpages, base_cardinality])) => {
-                        row_size.admits(sc.row_size, m, q.trim)
-                            && fpages.admits(sc.fpages, m, q.trim)
-                            && base_cardinality.admits(sc.base_cardinality, m, q.trim)
+                        ref_within(*row_size, sc.row_size, m)
+                            && ref_within(*fpages, sc.fpages, m)
+                            && ref_within(*base_cardinality, sc.base_cardinality, m)
                     }
                     _ => true,
                 };
@@ -1763,8 +1682,8 @@ mod tests {
                 pop_type: p.pop_type,
                 label: None,
                 bounded: 0,
-                cardinality: p.cardinality.clone(),
-                scan: p.scan.clone(),
+                cardinality: p.cardinality,
+                scan: p.scan,
             })
             .collect();
         RowEntry {
@@ -1774,31 +1693,26 @@ mod tests {
         }
     }
 
-    /// A stat anchored at `lo`: plain, sketched with an outlier (so a
-    /// trim moves it), one-sided, unbounded, or with exact bounds that
-    /// disagree with the sketch beside them.
-    fn stat(rng: &mut StdRng, lo: f64) -> IndexedStat {
+    /// A stat anchored at `lo`: plain, stretched by an outlier,
+    /// one-sided, unbounded, or shifted off its anchor.
+    fn stat(rng: &mut StdRng, lo: f64) -> Range {
         let hi = lo * [1.0, 2.0, 8.0].choose(rng).unwrap();
         match rng.gen_range(0..10) {
-            0 => IndexedStat::reconstruct(None, None),
-            1 => IndexedStat::reconstruct(None, Some(Range::from_bounds(Some(lo), None))),
-            2 => IndexedStat::reconstruct(None, Some(Range::from_bounds(None, Some(hi)))),
-            3 => IndexedStat::reconstruct(
-                Some(StatSketch::from_range(lo, hi)),
-                Some(Range {
-                    lo: lo * 3.0,
-                    hi: hi * 5.0,
-                }),
-            ),
+            0 => Range::UNBOUNDED,
+            1 => Range::from_bounds(Some(lo), None),
+            2 => Range::from_bounds(None, Some(hi)),
+            3 => Range {
+                lo: lo * 3.0,
+                hi: hi * 5.0,
+            },
             4 | 5 => {
-                let mut sketch = StatSketch::new();
+                let mut range = Range::point(lo * 1e3);
                 for _ in 0..30 {
-                    sketch.observe((lo * rng.gen_range(1.0..2.0f64)).round());
+                    range.cover((lo * rng.gen_range(1.0..2.0f64)).round());
                 }
-                sketch.observe(lo * 1e3);
-                IndexedStat::of(&sketch)
+                range
             }
-            _ => IndexedStat::of(&StatSketch::from_range(lo, hi)),
+            _ => Range { lo, hi },
         }
     }
 
@@ -1840,8 +1754,8 @@ mod tests {
 
     /// A value inside, on the edge of, between or far outside a stat's
     /// exact range.
-    fn value(rng: &mut StdRng, stat: &IndexedStat) -> f64 {
-        let Range { lo, hi } = stat.exact;
+    fn value(rng: &mut StdRng, stat: &Range) -> f64 {
+        let Range { lo, hi } = *stat;
         match rng.gen_range(0..8) {
             0 | 1 => lo,
             2 | 3 => hi,
@@ -1999,84 +1913,76 @@ mod tests {
                 let anchor = reference.values().nth(rng.gen_range(0..reference.len()));
                 let checks = checks(&mut rng, &anchor.unwrap().pops);
                 for near_factor in [1.0, 2.0, 4.0] {
-                    for trim in [0.0, 0.05, 0.3] {
-                        let query = AdmissionQuery {
-                            checks: &checks,
-                            trim,
-                            near_factor,
-                        };
-                        let columnar = |after: Option<&str>, stats: &mut AdmissionStats| {
-                            index
-                                .next_admitting(SIG, &query, after, stats)
-                                .map(str::to_string)
-                        };
-                        let walked = |after: Option<&str>, stats: &mut AdmissionStats| {
-                            ref_next_admitting(&reference, &query, after, stats)
-                        };
-                        let got = counted(drain(None, columnar));
-                        assert_eq!(got, drain(None, walked), "{query:?}");
-                        totals.considered += got.1.considered;
-                        totals.rejects_card += got.1.rejects_card;
-                        totals.rejects_scan += got.1.rejects_scan;
-                        totals.near_misses += got.1.near_misses;
-                        admitted_total += got.0.len();
-                        // Resuming anywhere — from a row, beside one,
-                        // before the first, past the last — agrees too.
-                        if rng.gen_range(0..20) == 0 {
-                            for after in &afters {
-                                assert_eq!(
-                                    counted(drain(Some(after), columnar)),
-                                    drain(Some(after), walked),
-                                    "after {after:?}: {query:?}"
-                                );
-                            }
-                            // The rows near-miss feedback refines: those
-                            // the widened ranges admit.
-                            let widened: Vec<String> = reference
-                                .iter()
-                                .filter(|(_, tpl)| {
-                                    ref_admits(tpl, &query, near_factor) == RefAdmission::Admitted
-                                })
-                                .map(|(iri, _)| iri.clone())
-                                .collect();
-                            assert_eq!(index.admitting_widened(SIG, &query), widened);
-                            // Each row as the journal keeps it: admitted,
-                            // or a near miss, exactly when the walk says.
-                            let bucket = &index.buckets[&SIG];
-                            for (at, tpl) in reference.values().enumerate() {
-                                let verdict = ref_admits(tpl, &query, 1.0);
-                                let near = near_factor > 1.0
-                                    && ref_admits(tpl, &query, near_factor)
-                                        == RefAdmission::Admitted;
-                                let row = bucket.journal_row(SIG, at);
-                                assert_eq!(
-                                    row.admitted_by_any([query]),
-                                    verdict == RefAdmission::Admitted || near,
-                                    "row {at}: {query:?}"
-                                );
-                            }
+                    let query = AdmissionQuery {
+                        checks: &checks,
+                        near_factor,
+                    };
+                    let columnar = |after: Option<&str>, stats: &mut AdmissionStats| {
+                        index
+                            .next_admitting(SIG, &query, after, stats)
+                            .map(str::to_string)
+                    };
+                    let walked = |after: Option<&str>, stats: &mut AdmissionStats| {
+                        ref_next_admitting(&reference, &query, after, stats)
+                    };
+                    let got = counted(drain(None, columnar));
+                    assert_eq!(got, drain(None, walked), "{query:?}");
+                    totals.considered += got.1.considered;
+                    totals.rejects_card += got.1.rejects_card;
+                    totals.rejects_scan += got.1.rejects_scan;
+                    totals.near_misses += got.1.near_misses;
+                    admitted_total += got.0.len();
+                    // Resuming anywhere — from a row, beside one,
+                    // before the first, past the last — agrees too.
+                    if rng.gen_range(0..20) == 0 {
+                        for after in &afters {
+                            assert_eq!(
+                                counted(drain(Some(after), columnar)),
+                                drain(Some(after), walked),
+                                "after {after:?}: {query:?}"
+                            );
                         }
-                        // Rows whose hull admits the first check though
-                        // no single operator does.
+                        // The rows near-miss feedback refines: those
+                        // the widened ranges admit.
+                        let widened: Vec<String> = reference
+                            .iter()
+                            .filter(|(_, tpl)| {
+                                ref_admits(tpl, &query, near_factor) == RefAdmission::Admitted
+                            })
+                            .map(|(iri, _)| iri.clone())
+                            .collect();
+                        assert_eq!(index.admitting_widened(SIG, &query), widened);
+                        // Each row as the journal keeps it: admitted,
+                        // or a near miss, exactly when the walk says.
                         let bucket = &index.buckets[&SIG];
-                        if let (0.0, Some(first)) = (trim, bucket.resolve(&checks, 1.0).first()) {
-                            hull_only += reference
-                                .values()
-                                .enumerate()
-                                .filter(|(at, tpl)| {
-                                    let hull = first.hulls.get(*at);
-                                    hull.is_some_and(|&hull| first.stats[0].within(hull))
-                                        && !tpl.pops.iter().any(|p| {
-                                            p.pop_type == checks[0].pop_type
-                                                && p.cardinality.admits(
-                                                    checks[0].est_card,
-                                                    1.0,
-                                                    trim,
-                                                )
-                                        })
-                                })
-                                .count();
+                        for (at, tpl) in reference.values().enumerate() {
+                            let verdict = ref_admits(tpl, &query, 1.0);
+                            let near = near_factor > 1.0
+                                && ref_admits(tpl, &query, near_factor) == RefAdmission::Admitted;
+                            let row = bucket.journal_row(SIG, at);
+                            assert_eq!(
+                                row.admitted_by_any([query]),
+                                verdict == RefAdmission::Admitted || near,
+                                "row {at}: {query:?}"
+                            );
                         }
+                    }
+                    // Rows whose hull admits the first check though
+                    // no single operator does.
+                    let bucket = &index.buckets[&SIG];
+                    if let Some(first) = bucket.resolve(&checks, 1.0).first() {
+                        hull_only += reference
+                            .values()
+                            .enumerate()
+                            .filter(|(at, tpl)| {
+                                let hull = first.hulls.get(*at);
+                                hull.is_some_and(|&hull| first.stats[0].within(hull))
+                                    && !tpl.pops.iter().any(|p| {
+                                        p.pop_type == checks[0].pop_type
+                                            && ref_within(p.cardinality, checks[0].est_card, 1.0)
+                                    })
+                            })
+                            .count();
                     }
                 }
             }
@@ -2096,31 +2002,32 @@ mod tests {
     /// A row shaped like `inflate_kb`'s: the signature's operators, every
     /// cardinality displaced to one narrow range far above live values.
     fn displaced(rng: &mut StdRng, shift: f64) -> Vec<RefPop> {
-        let far = IndexedStat::of(&StatSketch::from_range(shift, shift + 1.0));
+        let far = Range {
+            lo: shift,
+            hi: shift + 1.0,
+        };
         let mut pops = row(rng);
         for p in &mut pops {
-            p.cardinality = far.clone();
+            p.cardinality = far;
         }
         pops
     }
 
-    /// A row shaped like `inflate_kb_polluted`'s: per shared type, a
-    /// covering operator whose exact range spans the live values (its
-    /// sketch collapses under a trim) and a crippled one below them, so
-    /// the hulls of neighbouring rows overlap and admit.
+    /// A row whose hulls overlap its neighbours': per shared type, a
+    /// covering operator whose range spans the live values and a crippled
+    /// one below them, so the hulls of neighbouring rows overlap and
+    /// admit.
     fn polluted(rng: &mut StdRng) -> Vec<RefPop> {
         let mut pops = Vec::new();
         for ty in SHARED {
             let lo = 10f64.powi(rng.gen_range(0..4));
-            let mut covering = StatSketch::new();
-            for _ in 0..50 {
-                covering.observe(lo);
-            }
-            covering.observe(lo * 1e3);
             let mut wide = pop(rng, ty, lo);
-            wide.cardinality = IndexedStat::of(&covering);
+            wide.cardinality = Range { lo, hi: lo * 1e3 };
             let mut crippled = pop(rng, ty, lo);
-            crippled.cardinality = IndexedStat::of(&StatSketch::from_range(lo / 4.0, lo / 2.0));
+            crippled.cardinality = Range {
+                lo: lo / 4.0,
+                hi: lo / 2.0,
+            };
             pops.extend([wide, crippled]);
         }
         pops.shuffle(rng);
@@ -2131,7 +2038,7 @@ mod tests {
     /// to 9 k rows: long runs of displaced rows (whole blocks of every
     /// level, and blocks entered mid-way), overlapping polluted hulls and
     /// a few live rows between them; every query shape (an unseen type or
-    /// NaN first, near misses at factors 2 and 4, trims); cursors
+    /// NaN first, near misses at factors 2 and 4); cursors
     /// started from every kind of position; and rows published,
     /// republished and retracted between pulls, so the repair of the
     /// summaries is under test as well as the walk.
@@ -2179,7 +2086,7 @@ mod tests {
             }
             index.settle();
 
-            for _ in 0..64 {
+            for _ in 0..128 {
                 let rows = reference.len();
                 let anchor = reference.values().nth(rng.gen_range(0..rows)).unwrap();
                 let mut checks = checks(&mut rng, &anchor.pops);
@@ -2195,7 +2102,6 @@ mod tests {
                 }
                 let query = AdmissionQuery {
                     checks: &checks,
-                    trim: *[0.0, 0.0, 0.0, 0.0, 0.05].choose(&mut rng).unwrap(),
                     near_factor: *[1.0, 2.0, 4.0].choose(&mut rng).unwrap(),
                 };
                 // Start before the first row, past the last, on a row at
@@ -2226,7 +2132,7 @@ mod tests {
                         (&expected, want),
                         "after {after:?}: {query:?}"
                     );
-                    if query.trim <= 0.0 && checks.first().is_some_and(|c| c.pop_type == UNSEEN) {
+                    if checks.first().is_some_and(|c| c.pop_type == UNSEEN) {
                         assert_eq!(got.examined, 0, "an unseen first type reads nothing");
                         unseen_first += 1;
                     }
@@ -2294,7 +2200,7 @@ mod tests {
     fn plain(pop_type: &'static str, lo: f64, hi: f64) -> RefPop {
         RefPop {
             pop_type,
-            cardinality: IndexedStat::of(&StatSketch::from_range(lo, hi)),
+            cardinality: Range { lo, hi },
             scan: None,
         }
     }
@@ -2366,5 +2272,46 @@ mod tests {
         assert_eq!((admitted.len(), stats.considered), (8, rows));
         let overhead = stats.examined as f64 / stats.considered as f64;
         assert!(overhead <= 1.15, "{stats:?}");
+    }
+
+    /// What admission reads of one stored stat: the stored bounds (a
+    /// missing side left open) whatever the sketch beside them says, the
+    /// sketch's envelope only when no bound is stored, and unbounded with
+    /// neither.
+    #[test]
+    fn a_stat_admits_on_its_stored_bounds_else_its_sketch() {
+        let mut sketch = StatSketch::from_range(10.0, 20.0);
+        sketch.set_widen(2.0);
+        let range = |lo, hi, sketch: Option<&StatSketch>| {
+            let sketch = sketch.cloned();
+            StatFacts { lo, hi, sketch }.range()
+        };
+        let stored = Range { lo: 1.0, hi: 3.0 };
+        assert_eq!(range(Some(1.0), Some(3.0), Some(&sketch)), stored);
+        assert_eq!(
+            range(None, Some(3.0), Some(&sketch)),
+            Range::from_bounds(None, Some(3.0))
+        );
+        assert_eq!(
+            range(None, None, Some(&sketch)),
+            Range { lo: 5.0, hi: 40.0 }
+        );
+        assert_eq!(range(None, None, None), Range::UNBOUNDED);
+    }
+
+    /// A query with no checks admits every row, one pull each, in IRI
+    /// order: the walk's one path that reads no hull summary.
+    #[test]
+    fn a_query_without_checks_admits_every_row_in_order() {
+        let index = bucket_of((0..3).map(|_| vec![plain("HSJOIN", 1.0, 2.0)]));
+        let query = AdmissionQuery::exact(&[]);
+        let (admitted, stats) = drain(None, |after, stats| {
+            index
+                .next_admitting(SIG, &query, after, stats)
+                .map(str::to_string)
+        });
+        assert_eq!(admitted, index.iris(SIG));
+        assert_eq!((stats.considered, stats.examined), (3, 3));
+        assert_eq!(stats.rejects_card + stats.rejects_scan, 0);
     }
 }

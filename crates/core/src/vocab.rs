@@ -80,7 +80,7 @@ pub const HAS_HIGHER_BASE_CARDINALITY: &str = "hasHigherBaseCardinality";
 
 // Quantile-sketch literals stored next to the exact bounds: the full
 // t-digest (hex of `galo_stats::StatSketch::to_bytes`) per learned
-// property, so trimmed admission envelopes survive export/import,
+// property, so feedback refines the same sketch after export/import,
 // durable reopen and reindex.
 pub const HAS_CARDINALITY_SKETCH: &str = "hasCardinalitySketch";
 pub const HAS_ROW_SIZE_SKETCH: &str = "hasRowSizeSketch";

@@ -8,12 +8,9 @@
 //!   home.
 //! * [`StatSketch`] — a compact, mergeable t-digest quantile sketch with
 //!   a bounded centroid count. The KB keeps one sketch per learned
-//!   property; the signature index derives its admission bounds from
-//!   [`StatSketch::envelope`], which at `trim == 0` reproduces the exact
-//!   min/max range bit-for-bit (widening included) so the sound
-//!   necessary-condition property of the pre-check is unchanged, while
-//!   `trim > 0` trims outlier mass for a precision/recall trade the
-//!   caller opts into.
+//!   property, and feedback refines it; [`StatSketch::envelope`] is its
+//!   exact widened min/max range, the bounds the signature index falls
+//!   back to when a template stores a sketch but no bounds.
 //!
 //! Sketches serialize to a checksummed compact binary form (hex-encoded
 //! for N-Triples literals) so they survive export/import, durable
@@ -106,9 +103,8 @@ fn centroid_cmp(a: &Centroid, b: &Centroid) -> std::cmp::Ordering {
 /// Invariants: centroids are sorted by `(mean, weight)`, there are at
 /// most [`CENTROID_BUFFER`] of them, and every centroid's weight is at
 /// most `max(1, 2·n/B)` where `n` is the observation count and `B` is
-/// [`CENTROID_BUDGET`] — which bounds the rank error of any quantile
-/// estimate by one centroid's weight. `min`/`max`/`count` are tracked
-/// exactly, so `envelope(0.0)` equals the exact widened min/max range.
+/// [`CENTROID_BUDGET`]. `min`/`max`/`count` are tracked exactly, so
+/// [`envelope`](StatSketch::envelope) is the exact widened min/max range.
 ///
 /// Merging is canonical: centroid lists are concatenated, re-sorted, and
 /// compressed deterministically, so `a ⊕ b == b ⊕ a` exactly (pinned by
@@ -147,7 +143,7 @@ impl StatSketch {
         s
     }
 
-    /// A sketch whose `envelope(0.0)` is exactly `[lo, hi]` — the
+    /// A sketch whose `envelope()` is exactly `[lo, hi]` — the
     /// conservative reconstruction when only stored bounds survive
     /// (e.g. a template imported from triples without sketch literals).
     pub fn from_range(lo: f64, hi: f64) -> Self {
@@ -264,95 +260,18 @@ impl StatSketch {
         self.centroids = out;
     }
 
-    /// Estimate the value at quantile `q ∈ [0, 1]` by linear
-    /// interpolation between centroid means, anchored at the exact
-    /// min/max. Rank error is bounded by one centroid weight,
-    /// i.e. `max(1, 2n/B)` observations.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count <= 0.0 {
-            return f64::NAN;
-        }
-        if self.centroids.is_empty() || !self.min.is_finite() || !self.max.is_finite() {
-            return if q < 0.5 { self.min } else { self.max };
-        }
-        if q <= 0.0 {
-            return self.min;
-        }
-        if q >= 1.0 {
-            return self.max;
-        }
-        let total: f64 = self.centroids.iter().map(|c| c.weight).sum();
-        let t = q * total;
-        let mut cum = 0.0;
-        let mut prev_value = self.min;
-        let mut prev_rank = 0.0;
-        for c in &self.centroids {
-            let center = cum + c.weight / 2.0;
-            if t <= center {
-                let frac = if center > prev_rank {
-                    (t - prev_rank) / (center - prev_rank)
-                } else {
-                    0.0
-                };
-                return (prev_value + (c.mean - prev_value) * frac).clamp(self.min, self.max);
-            }
-            prev_value = c.mean;
-            prev_rank = center;
-            cum += c.weight;
-        }
-        let frac = if total > prev_rank {
-            (t - prev_rank) / (total - prev_rank)
-        } else {
-            1.0
-        };
-        (prev_value + (self.max - prev_value) * frac).clamp(self.min, self.max)
-    }
-
-    /// The admission envelope at trim level `trim ∈ [0, 0.49]`, widened
-    /// by the stored factor.
-    ///
-    /// `trim == 0` returns the exact `[min/widen, max·widen]` range —
-    /// bit-identical to the stored `[hasLower*, hasHigher*]` bounds, so
-    /// the pre-check stays a sound necessary condition at the default.
-    ///
-    /// `trim > 0` drops whole centroids from each end while their
-    /// cumulative weight stays *strictly below* `trim·count`, then
-    /// anchors the bound at the outermost surviving centroid's mean.
-    /// Whole-centroid trimming is deliberately conservative: a sketch of
-    /// `n` observations is untouched while `trim < 1/n`, so lightly
-    /// observed (learned) templates keep their full validity region and
-    /// only genuinely outlying mass is trimmed away.
-    pub fn envelope(&self, trim: f64) -> Range {
+    /// The exact observed range widened by the stored factor:
+    /// `[min/widen, max·widen]` — bit-identical to the stored
+    /// `[hasLower*, hasHigher*]` bounds the learner writes beside it.
+    /// An empty sketch is unbounded.
+    pub fn envelope(&self) -> Range {
         if self.count <= 0.0 {
             return Range::UNBOUNDED;
         }
         let w = self.widen.max(1.0);
-        let (mut lo, mut hi) = (self.min, self.max);
-        let t = trim.clamp(0.0, 0.49) * self.count;
-        if t > 0.0 && self.centroids.len() > 1 {
-            let n = self.centroids.len();
-            let mut cum = 0.0;
-            let mut i = 0;
-            while i + 1 < n && cum + self.centroids[i].weight < t {
-                cum += self.centroids[i].weight;
-                i += 1;
-            }
-            if i > 0 {
-                lo = self.centroids[i].mean;
-            }
-            let mut cum = 0.0;
-            let mut j = n;
-            while j > i + 1 && cum + self.centroids[j - 1].weight < t {
-                cum += self.centroids[j - 1].weight;
-                j -= 1;
-            }
-            if j < n {
-                hi = self.centroids[j - 1].mean;
-            }
-        }
         Range {
-            lo: lo / w,
-            hi: hi * w,
+            lo: self.min / w,
+            hi: self.max * w,
         }
     }
 

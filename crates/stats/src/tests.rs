@@ -1,7 +1,6 @@
 //! Unit and property tests for the statistics substrate: exactness of
-//! the `trim == 0` envelope, trim behavior, centroid budgets, canonical
-//! merges, quantile error vs an exact oracle, and serialization
-//! robustness.
+//! the envelope, centroid budgets and weights, canonical merges, and
+//! serialization robustness.
 
 use super::*;
 use proptest::prelude::*;
@@ -24,41 +23,23 @@ fn envelope_zero_matches_exact_widened_range_bit_for_bit() {
         exact.cover(v);
     }
     let exact = exact.widen(2.5);
-    assert_eq!(s.envelope(0.0), exact);
+    assert_eq!(s.envelope(), exact);
     // Same arithmetic as the legacy path: lo / m, hi * m.
-    assert_eq!(s.envelope(0.0).lo, 0.125 / 2.5);
-    assert_eq!(s.envelope(0.0).hi, 900.25 * 2.5);
+    assert_eq!(s.envelope().lo, 0.125 / 2.5);
+    assert_eq!(s.envelope().hi, 900.25 * 2.5);
 }
 
 #[test]
 fn point_and_from_range_seed_exact_envelopes() {
-    assert_eq!(StatSketch::point(7.0).envelope(0.0), Range::point(7.0));
+    assert_eq!(StatSketch::point(7.0).envelope(), Range::point(7.0));
     assert_eq!(
-        StatSketch::from_range(3.0, 9.0).envelope(0.0),
+        StatSketch::from_range(3.0, 9.0).envelope(),
         Range { lo: 3.0, hi: 9.0 }
     );
     assert_eq!(
-        StatSketch::from_range(4.0, 4.0).envelope(0.0),
+        StatSketch::from_range(4.0, 4.0).envelope(),
         Range::point(4.0)
     );
-}
-
-#[test]
-fn trim_drops_heavy_outliers_but_never_light_sketches() {
-    // 50 observations of mass at 1.0 plus one outlier: trim weight
-    // 0.05 · 51 ≈ 2.6 exceeds the outlier centroid's weight of 1, so the
-    // trimmed envelope collapses back to the mass.
-    let mut polluted = sketch_of(&vec![1.0; 50]);
-    polluted.observe(1.0e9);
-    assert_eq!(polluted.envelope(0.0).hi, 1.0e9);
-    assert!(polluted.envelope(0.05).hi < 1.0e3);
-    assert!(polluted.envelope(0.05).lo <= 1.0);
-
-    // A lightly-observed sketch (the learned-template case): trim weight
-    // 0.05 · 5 = 0.25 < 1 drops nothing, even though the max is a lone
-    // extreme observation.
-    let light = sketch_of(&[10.0, 11.0, 12.0, 13.0, 5000.0]);
-    assert_eq!(light.envelope(0.05), light.envelope(0.0));
 }
 
 #[test]
@@ -85,21 +66,10 @@ fn centroid_budget_holds_under_streaming_and_merge() {
 }
 
 #[test]
-fn quantile_anchors_at_exact_extremes() {
-    let s = sketch_of(&(1..=100).map(f64::from).collect::<Vec<_>>());
-    assert_eq!(s.quantile(0.0), 1.0);
-    assert_eq!(s.quantile(1.0), 100.0);
-    let mid = s.quantile(0.5);
-    assert!((35.0..=65.0).contains(&mid), "median estimate {mid}");
-}
-
-#[test]
 fn empty_and_nonfinite_sketches_stay_unbounded() {
-    assert_eq!(StatSketch::new().envelope(0.0), Range::UNBOUNDED);
-    assert_eq!(StatSketch::new().envelope(0.2), Range::UNBOUNDED);
+    assert_eq!(StatSketch::new().envelope(), Range::UNBOUNDED);
     let fallback = StatSketch::from_range(f64::NEG_INFINITY, f64::INFINITY);
-    assert_eq!(fallback.envelope(0.0), Range::UNBOUNDED);
-    assert_eq!(fallback.envelope(0.3), Range::UNBOUNDED);
+    assert_eq!(fallback.envelope(), Range::UNBOUNDED);
 }
 
 #[test]
@@ -248,7 +218,7 @@ fn decay_widen_preserves_exact_observations_in_envelope() {
     s.set_widen(4.0);
     for _ in 0..32 {
         s.decay_widen(0.9);
-        let e = s.envelope(0.0);
+        let e = s.envelope();
         assert!(e.lo <= 5.0 && e.hi >= 50.0, "envelope {e:?}");
     }
 }
@@ -265,23 +235,27 @@ fn value_strategy() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Assert `est` lies between the exact order statistics `slack` ranks on
-/// either side of `q·n`.
-fn assert_within_rank_window(est: f64, sorted: &[f64], q: f64, slack: f64, ctx: &str) {
-    let n = sorted.len();
-    let t = q * n as f64;
-    let lo_idx = (t - slack).floor().max(0.0) as usize;
-    let hi_idx = ((t + slack).ceil() as usize).min(n - 1);
-    let lo_idx = lo_idx.min(n - 1);
+/// Assert the centroid invariants of a sketch of the finite values in
+/// `values`: sorted by `(mean, weight)`, at most [`CENTROID_BUFFER`] of
+/// them, their weights summing to the finite observation count, and none
+/// heavier than `max(1, 2·n/B)`.
+fn assert_centroid_invariants(s: &StatSketch, values: &[f64], ctx: &str) {
+    let n = values.iter().filter(|v| v.is_finite()).count() as f64;
+    let cap = (2.0 * n / CENTROID_BUDGET as f64).max(1.0);
+    let weights: Vec<f64> = s.centroids.iter().map(|c| c.weight).collect();
+    assert!(s.centroids.len() <= CENTROID_BUFFER, "{ctx}: {weights:?}");
     assert!(
-        est >= sorted[lo_idx] && est <= sorted[hi_idx],
-        "{ctx}: q={q} est={est} window=[{}, {}] (ranks {lo_idx}..{hi_idx} of {n})",
-        sorted[lo_idx],
-        sorted[hi_idx],
+        s.centroids
+            .windows(2)
+            .all(|w| centroid_cmp(&w[0], &w[1]).is_le()),
+        "{ctx}: unsorted"
+    );
+    assert_eq!(weights.iter().sum::<f64>(), n, "{ctx}");
+    assert!(
+        weights.iter().all(|&w| w <= cap),
+        "{ctx}: cap {cap}, {weights:?}"
     );
 }
-
-const Q_GRID: [f64; 9] = [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -318,34 +292,20 @@ proptest! {
         prop_assert_eq!(left.count(), right.count());
         prop_assert_eq!(left.min(), right.min());
         prop_assert_eq!(left.max(), right.max());
-        prop_assert_eq!(left.envelope(0.0), right.envelope(0.0));
+        prop_assert_eq!(left.envelope(), right.envelope());
         prop_assert!(left.centroid_count() <= CENTROID_BUDGET);
         prop_assert!(right.centroid_count() <= CENTROID_BUDGET);
 
-        let mut all: Vec<f64> = xs.iter().chain(&ys).chain(&zs).copied().collect();
-        all.sort_by(|p, q| p.partial_cmp(q).unwrap());
-        let n = all.len() as f64;
-        let slack = 4.0 * (2.0 * n / CENTROID_BUDGET as f64).max(1.0) + 4.0;
-        for q in Q_GRID {
-            assert_within_rank_window(left.quantile(q), &all, q, slack, "left");
-            assert_within_rank_window(right.quantile(q), &all, q, slack, "right");
-        }
+        let all: Vec<f64> = xs.iter().chain(&ys).chain(&zs).copied().collect();
+        assert_centroid_invariants(&left, &all, "left");
+        assert_centroid_invariants(&right, &all, "right");
     }
 
     #[test]
-    fn quantile_error_is_bounded_vs_exact_oracle(
+    fn streamed_centroids_stay_within_the_weight_bound(
         xs in prop::collection::vec(value_strategy(), 1..400),
     ) {
-        let s = sketch_of(&xs);
-        let mut sorted = xs.clone();
-        sorted.sort_by(|p, q| p.partial_cmp(q).unwrap());
-        let n = sorted.len() as f64;
-        // One centroid weighs at most max(1, 2n/B); interpolation spans
-        // two adjacent centroids, plus one rank of discretization.
-        let slack = 2.0 * (2.0 * n / CENTROID_BUDGET as f64).max(1.0) + 2.0;
-        for q in Q_GRID {
-            assert_within_rank_window(s.quantile(q), &sorted, q, slack, "stream");
-        }
+        assert_centroid_invariants(&sketch_of(&xs), &xs, "stream");
     }
 
     #[test]
@@ -357,11 +317,11 @@ proptest! {
         s.set_widen(widen);
         prop_assert_eq!(StatSketch::from_hex(&s.to_hex()), Some(s.clone()));
         let round = StatSketch::from_bytes(&s.to_bytes()).unwrap();
-        prop_assert_eq!(round.envelope(0.05), s.envelope(0.05));
+        prop_assert_eq!(round.to_bytes(), s.to_bytes());
     }
 
     #[test]
-    fn trim_zero_envelope_always_equals_exact_min_max(
+    fn envelope_always_equals_exact_min_max(
         xs in prop::collection::vec(value_strategy(), 1..200),
         widen in 1.0f64..8.0,
     ) {
@@ -371,9 +331,6 @@ proptest! {
         for &v in &xs[1..] {
             exact.cover(v);
         }
-        prop_assert_eq!(s.envelope(0.0), exact.widen(widen));
-        // Trimmed envelopes only ever shrink inside the exact one.
-        let t = s.envelope(0.1);
-        prop_assert!(t.lo >= s.envelope(0.0).lo && t.hi <= s.envelope(0.0).hi);
+        prop_assert_eq!(s.envelope(), exact.widen(widen));
     }
 }

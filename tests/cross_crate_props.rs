@@ -222,7 +222,7 @@ proptest! {
             for p in &mut tpl.pops {
                 p.cardinality.set_widen(1.5);
                 if displace && i == 0 {
-                    let r = p.cardinality.envelope(0.0);
+                    let r = p.cardinality.envelope();
                     p.cardinality =
                         galo_core::StatSketch::from_range(r.lo * 1.0e6, r.hi * 1.0e6);
                 }
@@ -492,7 +492,7 @@ fn native_against_probe(
             .iter()
             .map(|p| PopObservation {
                 pop_type: p.pop_type.clone(),
-                cards: vec![(p.cardinality.envelope(0.0).hi * 3.0, f64::INFINITY)],
+                cards: vec![(p.cardinality.envelope().hi * 3.0, f64::INFINITY)],
                 scan: None,
                 scan_band: f64::INFINITY,
             })

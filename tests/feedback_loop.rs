@@ -416,12 +416,10 @@ fn serving_tier_feedback_invalidates_without_losing_matches() {
 fn match_config_builder_validates_every_field() {
     let cfg = MatchConfig::builder()
         .join_threshold(3)
-        .sketch_trim(0.05)
         .near_miss_factor(4.0)
         .build()
         .unwrap();
     assert_eq!(cfg.join_threshold, 3);
-    assert_eq!(cfg.sketch_trim, 0.05);
     assert_eq!(cfg.near_miss_factor, 4.0);
 
     assert_eq!(
@@ -437,10 +435,6 @@ fn match_config_builder_validates_every_field() {
             .build()
             .unwrap_err(),
         MatchConfigError::NearMissFactor(0.5)
-    );
-    assert_eq!(
-        MatchConfig::builder().sketch_trim(1.0).build().unwrap_err(),
-        MatchConfigError::SketchTrim(1.0)
     );
     assert!(matches!(
         MatchConfig::builder().near_miss_factor(f64::NAN).build(),

@@ -172,7 +172,7 @@ fn reference_quads(templates: &[Template]) -> Vec<Quad> {
     }
     fn stat(quads: &mut Vec<Quad>, me: &Term, family: usize, sketch: &StatSketch) {
         let (lo, hi, sk) = vocab::STAT_FAMILIES[family];
-        let range = sketch.envelope(0.0);
+        let range = sketch.envelope();
         say(quads, me, lo, Term::num(range.lo));
         say(quads, me, hi, Term::num(range.hi));
         say(quads, me, sk, Term::lit(sketch.to_hex()));

@@ -125,7 +125,7 @@ fn template_of_plan(w: &Workload, plan: &Qgm, id: &str, factor: f64) -> Template
     let mut tpl = abstract_plan(&w.db, plan, plan.root(), &g, id.into());
     tpl.source_workload = w.name.clone();
     let scale = |sketch: &mut StatSketch| {
-        let range = sketch.envelope(0.0);
+        let range = sketch.envelope();
         *sketch = StatSketch::from_range(range.lo * factor, range.hi * factor);
     };
     for pop in &mut tpl.pops {
@@ -237,10 +237,6 @@ fn serve_equals_uncached_match_across_configs() {
         },
         MatchConfig {
             near_miss_factor: 4.0,
-            ..MatchConfig::default()
-        },
-        MatchConfig {
-            sketch_trim: 0.05,
             ..MatchConfig::default()
         },
     ] {
@@ -615,7 +611,7 @@ fn a_refinement_whose_old_row_admitted_drops_the_entry() {
     let cfg = MatchConfig::default();
     let mut tpl = template_of_plan(&w, plan, "widened", 1.0);
     for pop in &mut tpl.pops {
-        let estimate = pop.cardinality.envelope(0.0).hi;
+        let estimate = pop.cardinality.envelope().hi;
         let mut widened = StatSketch::point(estimate * 4.0);
         widened.set_widen(8.0);
         pop.cardinality = widened;

@@ -662,7 +662,7 @@ fn a_block_applies_like_its_quads_inserted_one_at_a_time() {
         tpl.improvement = 0.1 * (1 + i % 5) as f64;
         tpl.source_workload = workload.to_string();
         for pop in &mut tpl.pops {
-            let point = pop.cardinality.envelope(0.0).lo;
+            let point = pop.cardinality.envelope().lo;
             pop.cardinality.observe(point * (1.0 + i as f64));
         }
         tpl
@@ -830,8 +830,7 @@ fn template_affine_routing_keeps_templates_whole() {
 /// Everything a matcher can observe of the signature index: the raw
 /// candidate lists and the per-workload shape counts, plus the admitted
 /// candidates and near misses over a grid of admission queries —
-/// displaced cardinalities and scan stats, trims (`trim > 0` reads the
-/// sketch side of every entry) and near-miss factors.
+/// displaced cardinalities and scan stats, and near-miss factors.
 fn index_view(kb: &KnowledgeBase, signature: u64, checks: &[PopCheck]) -> Vec<Vec<String>> {
     let mut view = vec![
         vec![kb.signature_count().to_string()],
@@ -857,27 +856,24 @@ fn index_view(kb: &KnowledgeBase, signature: u64, checks: &[PopCheck]) -> Vec<Ve
                 })
                 .collect();
             for near_factor in [1.0, 2.0, 4.0] {
-                for trim in [0.0, 0.05, 0.3] {
-                    let query = AdmissionQuery {
-                        checks: &displaced,
-                        trim,
-                        near_factor,
-                    };
-                    let mut stats = AdmissionStats::default();
-                    let mut admitted: Vec<String> = Vec::new();
-                    while let Some(iri) = kb.next_candidate_admitting(
-                        signature,
-                        &query,
-                        admitted.last().map(String::as_str),
-                        &mut stats,
-                    ) {
-                        admitted.push(iri);
-                    }
-                    if stats.near_misses > 0 {
-                        admitted.push(format!("{} near misses", stats.near_misses));
-                    }
-                    view.push(admitted);
+                let query = AdmissionQuery {
+                    checks: &displaced,
+                    near_factor,
+                };
+                let mut stats = AdmissionStats::default();
+                let mut admitted: Vec<String> = Vec::new();
+                while let Some(iri) = kb.next_candidate_admitting(
+                    signature,
+                    &query,
+                    admitted.last().map(String::as_str),
+                    &mut stats,
+                ) {
+                    admitted.push(iri);
                 }
+                if stats.near_misses > 0 {
+                    admitted.push(format!("{} near misses", stats.near_misses));
+                }
+                view.push(admitted);
             }
         }
     }
@@ -907,12 +903,12 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
     };
     let kb = open();
     let checks = segment_pop_checks(&db, &plan, plan.root());
-    // Sketches with spread and an outlier, so trimmed envelopes differ
-    // from the exact bounds and from each other.
+    // Sketches with spread and an outlier, so the templates' bounds
+    // differ from each other.
     let sketched = |salt: u64, workload: &str, spread: &[f64]| {
         let mut tpl = template(&db, &plan, &kb, salt, workload);
         for pop in &mut tpl.pops {
-            let point = pop.cardinality.envelope(0.0).lo;
+            let point = pop.cardinality.envelope().lo;
             for f in spread {
                 pop.cardinality.observe(point * f);
             }
