@@ -1279,6 +1279,11 @@ impl Search<'_> {
 #[derive(Default)]
 pub(crate) struct SigIndex {
     buckets: HashMap<u64, Bucket>,
+    /// Template IRI -> the signatures whose buckets hold a row of it (one,
+    /// unless a republish moved it to another signature without a
+    /// retraction): what finds a template's rows without visiting every
+    /// bucket.
+    signatures: HashMap<String, Vec<u64>>,
 }
 
 impl SigIndex {
@@ -1289,14 +1294,25 @@ impl SigIndex {
             .entry(signature)
             .or_default()
             .upsert(iri, workload, row);
+        if let Some(held) = self.signatures.get_mut(iri) {
+            if !held.contains(&signature) {
+                held.push(signature);
+            }
+        } else {
+            self.signatures.insert(iri.to_string(), vec![signature]);
+        }
     }
 
     /// Unlink a template; a bucket left without rows goes with it.
     pub(crate) fn remove(&mut self, iri: &str) {
-        self.buckets.retain(|_, bucket| {
+        for signature in self.signatures.remove(iri).unwrap_or_default() {
+            let bucket =
+                (self.buckets.get_mut(&signature)).expect("a filed signature has a bucket");
             bucket.remove(iri);
-            !bucket.iris.is_empty()
-        });
+            if bucket.iris.is_empty() {
+                self.buckets.remove(&signature);
+            }
+        }
     }
 
     /// Repair the hull summaries of every bucket changed since the last
@@ -1312,11 +1328,12 @@ impl SigIndex {
         self.buckets.len()
     }
 
-    /// Every row the template holds (one, unless a republish moved it to
-    /// another signature without a retraction), copied out for the
-    /// journal.
+    /// Every row the template holds, copied out for the journal: read
+    /// from the buckets of the signatures it is filed under, not found by
+    /// searching every bucket.
     pub(crate) fn journal_rows(&self, iri: &str, rows: &mut Vec<JournalRow>) {
-        for (&signature, bucket) in &self.buckets {
+        for &signature in self.signatures.get(iri).into_iter().flatten() {
+            let bucket = &self.buckets[&signature];
             if let Ok(row) = bucket.find(iri) {
                 rows.push(bucket.journal_row(signature, row));
             }
@@ -1674,6 +1691,8 @@ mod tests {
     const EXTRA: [&str; 3] = ["SORT", "FILTER", "RETURN"];
     /// …and one no row ever has.
     const UNSEEN: &str = "GRPBY";
+    /// A type only rows planted for a known count carry.
+    const PLANTED: &str = "TEMP";
 
     fn entries(pops: &[RefPop]) -> RowEntry<'static> {
         let pops = pops
@@ -2041,12 +2060,16 @@ mod tests {
     /// NaN first, near misses at factors 2 and 4); cursors
     /// started from every kind of position; and rows published,
     /// republished and retracted between pulls, so the repair of the
-    /// summaries is under test as well as the walk.
+    /// summaries is under test as well as the walk. Every eighth row
+    /// carries one more operator, of a type only those rows have, so one
+    /// query admits a known number of rows: the walk's reach does not
+    /// rest on what the drawn queries happen to admit.
     #[test]
     fn summary_walk_matches_the_reference_at_scale() {
         let mut rng = StdRng::seed_from_u64(0x5EED_B10C);
         SKIPS.with(|skips| skips.set(Skips::default()));
-        let (mut pulls, mut near_misses, mut unseen_first) = (0usize, 0usize, 0usize);
+        let (mut near_misses, mut unseen_first) = (0usize, 0usize);
+        let mut planted_pulls = 0;
         // Row `n`'s IRI; a row published later takes an odd slot.
         let iri_of = |n: usize| format!("http://galo/kb/template/{n:07}");
         for target in [300usize, 1_500, 4_000, 9_000] {
@@ -2071,7 +2094,7 @@ mod tests {
                     _ => (rng.gen_range(1..=3), 2),
                 };
                 for _ in 0..run {
-                    let pops = match kind {
+                    let mut pops = match kind {
                         0 => {
                             shift += 10.0;
                             shifts.push(shift);
@@ -2080,12 +2103,36 @@ mod tests {
                         1 => polluted(&mut rng),
                         _ => row(&mut rng),
                     };
+                    if n % 8 == 3 {
+                        pops.push(plain(PLANTED, 1.0, 2.0));
+                    }
                     put(&mut index, &mut reference, 2 * n, pops, &mut rng);
                     n += 1;
                 }
             }
             index.settle();
 
+            // The query the planted rows, and only they, admit: each pull
+            // checked against the reference like the drawn ones below.
+            let planted = [PopCheck::card(PLANTED, 1.5)];
+            let query = AdmissionQuery::exact(&planted);
+            let (admitted, _) = drain(None, |after, _| {
+                let (mut got, mut want) = (AdmissionStats::default(), AdmissionStats::default());
+                let next = index
+                    .next_admitting(SIG, &query, after, &mut got)
+                    .map(str::to_string);
+                let expected = ref_next_admitting(&reference, &query, after, &mut want);
+                assert_eq!(
+                    (&next, AdmissionStats { examined: 0, ..got }),
+                    (&expected, want),
+                    "planted rows, after {after:?}"
+                );
+                next
+            });
+            assert_eq!(admitted.len(), (n + 4) / 8, "rows 3, 11, 19, … of {n}");
+            planted_pulls += admitted.len() + 1;
+
+            let mut drawn_admitted = 0;
             for _ in 0..128 {
                 let rows = reference.len();
                 let anchor = reference.values().nth(rng.gen_range(0..rows)).unwrap();
@@ -2136,9 +2183,9 @@ mod tests {
                         assert_eq!(got.examined, 0, "an unseen first type reads nothing");
                         unseen_first += 1;
                     }
-                    pulls += 1;
                     near_misses += got.near_misses;
                     let Some(next) = next else { break };
+                    drawn_admitted += 1;
                     after = Some(next);
                     // Between pulls: publish a row into a gap, republish
                     // one in place (its hulls and workload), or retract.
@@ -2173,6 +2220,7 @@ mod tests {
                     }
                 }
             }
+            assert!(drawn_admitted > 0, "no drawn query admits a row of {n}");
         }
         // Every path the walk has was taken.
         let skips = SKIPS.with(|skips| skips.get());
@@ -2182,7 +2230,40 @@ mod tests {
             near_misses > 100 && unseen_first > 10,
             "{near_misses} {unseen_first}"
         );
-        assert!(pulls > 1_000, "{pulls}");
+        assert!(planted_pulls > 1_000, "{planted_pulls}");
+    }
+
+    /// A template's journal rows are its rows in every bucket that holds
+    /// one — the same as searching every bucket — through publishes,
+    /// moves to another signature, republishes and retractions.
+    #[test]
+    fn journal_rows_are_the_rows_of_every_bucket_holding_the_template() {
+        let mut rng = StdRng::seed_from_u64(0x70_0B5E);
+        let mut index = SigIndex::default();
+        let iri_of = |n: usize| format!("http://galo/kb/template/{n:03}");
+        for _ in 0..2_000 {
+            let iri = iri_of(rng.gen_range(0..40));
+            if rng.gen_bool(0.2) {
+                index.remove(&iri);
+            } else {
+                let signature = rng.gen_range(0..6);
+                index.upsert(signature, &iri, "w1", entries(&row(&mut rng)));
+            }
+            for n in 0..40 {
+                let iri = iri_of(n);
+                let mut rows = Vec::new();
+                index.journal_rows(&iri, &mut rows);
+                let mut got: Vec<u64> = rows.iter().map(JournalRow::signature).collect();
+                got.sort_unstable();
+                let mut want: Vec<u64> = (index.buckets.iter())
+                    .filter(|(_, bucket)| bucket.find(&iri).is_ok())
+                    .map(|(&signature, _)| signature)
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(got, want, "{iri}");
+            }
+        }
+        assert!(index.buckets.values().all(|bucket| !bucket.iris.is_empty()));
     }
 
     /// One row per entry of `rows` under [`SIG`], in that order, from a

@@ -1,10 +1,11 @@
-//! FNV-1a 64: the crate's one deterministic hash.
-//!
-//! Used for snapshot, WAL-record and wire-frame checksums
-//! ([`crate::persist`], [`crate::wire`]) and for shard routing
-//! ([`crate::shard`]) — places where the hash is part of what is stored
-//! or sent, so it must be stable across process runs (`std`'s default
-//! hasher is seeded) and never change.
+//! FNV-1a 64, kept where it is part of what is stored: shard routing
+//! ([`crate::shard`]; placement is persisted with every durable store),
+//! and the seal of a snapshot of version 1 or 2, which
+//! [`crate::persist`] checks only to refuse such a snapshot by its
+//! version and leave it alone. It must be stable across process runs
+//! (`std`'s default hasher is seeded) and never change. Frames, log
+//! records and current snapshots are sealed by the word-wise
+//! `checksum64` instead.
 
 /// The FNV-1a 64 offset basis.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

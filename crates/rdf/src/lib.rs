@@ -27,19 +27,24 @@
 //!   tagging triple sets — e.g. one graph per learned workload — without
 //!   polluting the default graph that pattern matching runs against.
 //!
-//! Three backends ship: [`IndexedStore`] (the default; three ordered
-//! permutations of the triples, SPO, POS and OSP, answer every pattern
-//! with one range), [`ScanStore`] (the naive linear-scan reference the
-//! proptests differential-test against), and [`DurableStore`] (the
-//! persistent backend: an append-only write-ahead log of checksummed
-//! [quad blocks](block), one record per commit, plus periodic snapshots
-//! of the whole image as one block, around an inner `IndexedStore`, with
-//! crash recovery in [`DurableStore::open`] — see the [`persist`]
-//! module docs for the on-disk layout). [`ShardedStore`] partitions any
+//! Three backends ship: [`IndexedStore`] (the default; two ordered
+//! permutations of the triples, SPO and POS, answer every pattern that
+//! binds its subject or predicate with one range, and the object-only
+//! pattern, which only tests use, with a filtered pass), [`ScanStore`]
+//! (the naive linear-scan reference the proptests differential-test
+//! against), and [`DurableStore`] (the persistent backend: an
+//! append-only write-ahead log of checksummed [quad blocks](block), one
+//! record per commit, plus periodic snapshots of the whole image as one
+//! block, around an inner `IndexedStore`, with crash recovery in
+//! [`DurableStore::open`] — see the [`persist`] module docs for the
+//! on-disk layout). Log records,
+//! snapshots and [`wire`] frames share one checksum, `checksum64`: four
+//! lanes of multiply-xor over 8-byte words. [`ShardedStore`] partitions any
 //! of them N ways and meets the same contract through its all-shard read
 //! and write sessions (see the [`shard`] module docs).
 
 pub mod block;
+mod checksum;
 mod fnv;
 pub mod ntriples;
 pub mod persist;

@@ -21,11 +21,14 @@
 //!   wal-0000000002.log         previous generation (kept for fallback)
 //! ```
 //!
-//! * **The log** (version 3) is the line `# galo-wal v3` followed by
-//!   records `len u32 LE | block | fnv64 LE`: `block` is `len` bytes of
+//! * **The log** (version 4) is the line `# galo-wal v4` followed by
+//!   records `len u32 LE | block | checksum64 LE`: `block` is `len` bytes of
 //!   one encoded [`QuadBlock`] — a dictionary of
 //!   the commit's distinct terms and its inserts, removes and clears over
-//!   it — and the checksum covers `len` and `block`.
+//!   it — and the checksum covers `len` and `block`. `checksum64` is
+//!   four lanes of multiply-xor over 8-byte words, the tail folded in a
+//!   byte at a time and the length mixed in; version 4 is version 3 with
+//!   it in place of byte-serial FNV-1a.
 //! * **A commit is one record.** A mutation outside a
 //!   [`TripleStore::begin_batch`] / [`TripleStore::end_batch`] bracket is a
 //!   commit of one operation, written before the mutation returns. Inside
@@ -47,15 +50,16 @@
 //!   decision in [`crate::policy`]. Every fold attempt — inline,
 //!   background or an explicit [`compact`] — is counted by the store, in
 //!   its [`StoragePressure`].
-//! * **One log version.** A log that does not begin with the version-3
+//! * **One log version.** A log that does not begin with the version-4
 //!   header is refused with an `InvalidData` error and left as it is —
-//!   the text logs of versions 1 and 2 included. The one exception is a
+//!   the binary logs of version 3 and the text logs of versions 1 and 2
+//!   included. The one exception is a
 //!   strict prefix of the header, an empty file among them: a fresh log
 //!   torn while its header was being written. It holds no commit, so it
 //!   reopens empty and takes appends.
-//! * **Snapshots** are the magic `GALOSNAP`, the version (`u32` 2), one
+//! * **Snapshots** are the magic `GALOSNAP`, the version (`u32` 3), one
 //!   encoded block — a clear, then one insert per statement
-//!   ([`QuadBlock::replacing_with`]) — and an FNV-64 checksum over
+//!   ([`QuadBlock::replacing_with`]) — and a `checksum64` over
 //!   everything before it. Loading one applies its block to a fresh
 //!   store. They are written to a temporary file, fsynced, then
 //!   atomically renamed. A snapshot that fails its checksum or does not
@@ -88,13 +92,14 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::block::{put_u32, put_u64, BlockBuilder, BlockOp, ByteReader, IdHash, QuadBlock};
+use crate::checksum::checksum64;
 use crate::fnv::fnv1a;
 use crate::policy::{CompactionPolicy, Pace};
 use crate::store::{IndexedStore, StoragePressure, Triple, TripleStore};
 use crate::term::{Interner, Term, TermDictionary, TermId};
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"GALOSNAP";
-const SNAPSHOT_VERSION: u32 = 2;
+const SNAPSHOT_VERSION: u32 = 3;
 /// Bytes before a snapshot's block: the magic and the version.
 const SNAPSHOT_HEADER: usize = SNAPSHOT_MAGIC.len() + 4;
 const SNAPSHOT_PREFIX: &str = "snapshot-";
@@ -102,8 +107,8 @@ const SNAPSHOT_SUFFIX: &str = ".galo";
 const WAL_PREFIX: &str = "wal-";
 const WAL_SUFFIX: &str = ".log";
 
-/// First line of a log: version 3, the only one read or written.
-const WAL_V3_HEADER: &[u8] = b"# galo-wal v3\n";
+/// First line of a log: version 4, the only one read or written.
+const WAL_V4_HEADER: &[u8] = b"# galo-wal v4\n";
 
 /// Tuning knobs for a [`DurableStore`].
 #[derive(Debug, Clone, Default)]
@@ -281,8 +286,8 @@ impl<D: TermDictionary> DurableStore<D> {
             .append(true)
             .open(wal_file(&dir, generation))?;
         if newest.bytes == 0 {
-            wal.write_all(WAL_V3_HEADER)?;
-            newest.bytes = WAL_V3_HEADER.len() as u64;
+            wal.write_all(WAL_V4_HEADER)?;
+            newest.bytes = WAL_V4_HEADER.len() as u64;
         }
         Ok(DurableStore {
             inner,
@@ -464,7 +469,7 @@ fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> std::io::Result<Vec
     Ok(out)
 }
 
-/// One commit as a version-3 record: `ops` (over `inner`'s term ids)
+/// One commit as a version-4 record: `ops` (over `inner`'s term ids)
 /// re-stated over a dictionary of the terms they mention, encoded, framed
 /// by its length and checksummed.
 fn encode_record<D: TermDictionary>(inner: &IndexedStore<D>, ops: &[BlockOp]) -> Vec<u8> {
@@ -482,7 +487,7 @@ fn encode_record<D: TermDictionary>(inner: &IndexedStore<D>, ops: &[BlockOp]) ->
     block.encode_into(&mut record);
     let len = u32::try_from(record.len() - 4).expect("one commit is under 4 GiB");
     record[..4].copy_from_slice(&len.to_le_bytes());
-    let sum = fnv1a(&record);
+    let sum = checksum64(&record);
     put_u64(&mut record, sum);
     record
 }
@@ -508,26 +513,27 @@ fn replay_wal<D: TermDictionary>(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Replayed::default()),
         Err(e) => return Err(e),
     };
-    if bytes.starts_with(WAL_V3_HEADER) {
-        return Ok(replay_v3(inner, &bytes));
+    if bytes.starts_with(WAL_V4_HEADER) {
+        return Ok(replay_v4(inner, &bytes));
     }
-    if WAL_V3_HEADER.starts_with(&bytes) {
+    if WAL_V4_HEADER.starts_with(&bytes) {
         // A fresh log torn while its header was being written: it holds
         // no commit, and the open truncates it and writes the header anew.
         return Ok(Replayed::default());
     }
-    // A text log of version 1 or 2, or a log of a later build: replaying
-    // it as version 3 would find no record and truncate it all away.
+    // A log of version 3, a text log of version 1 or 2, or a log of a
+    // later build: replaying it as version 4 would find no record and
+    // truncate it all away.
     Err(invalid_data(format!(
-        "log {} is not a version-3 log, the only version this build reads",
+        "log {} is not a version-4 log, the only version this build reads",
         path.display()
     )))
 }
 
 /// A record is committed when all of its bytes are there, its checksum is
 /// right and its block decodes.
-fn replay_v3<D: TermDictionary>(inner: &mut IndexedStore<D>, bytes: &[u8]) -> Replayed {
-    let mut at = WAL_V3_HEADER.len();
+fn replay_v4<D: TermDictionary>(inner: &mut IndexedStore<D>, bytes: &[u8]) -> Replayed {
+    let mut at = WAL_V4_HEADER.len();
     let mut records = 0;
     loop {
         let mut r = ByteReader { bytes, pos: at };
@@ -538,7 +544,7 @@ fn replay_v3<D: TermDictionary>(inner: &mut IndexedStore<D>, bytes: &[u8]) -> Re
             break;
         };
         let Ok(stored) = r.u64() else { break };
-        if fnv1a(&bytes[at..at + 4 + block.len()]) != stored {
+        if checksum64(&bytes[at..at + 4 + block.len()]) != stored {
             break;
         }
         let Ok(block) = QuadBlock::decode(block) else {
@@ -558,7 +564,7 @@ fn replay_v3<D: TermDictionary>(inner: &mut IndexedStore<D>, bytes: &[u8]) -> Re
 
 /// Serialize any store's current image as a snapshot: the magic, the
 /// version, the encoding of [`QuadBlock::replacing_with`] the store (a
-/// clear, then one insert per statement) and an FNV-64 checksum over
+/// clear, then one insert per statement) and a `checksum64` over
 /// everything before it. [`TripleStore::compact`] writes these bytes for
 /// its own image, and [`decode_snapshot`] reads them back. This is the
 /// replication subsystem's cold-start transfer payload.
@@ -566,19 +572,23 @@ pub fn snapshot_bytes(store: &dyn TripleStore) -> Vec<u8> {
     let mut buf = SNAPSHOT_MAGIC.to_vec();
     put_u32(&mut buf, SNAPSHOT_VERSION);
     QuadBlock::replacing_with(store).encode_into(&mut buf);
-    let sum = fnv1a(&buf);
+    let sum = checksum64(&buf);
     put_u64(&mut buf, sum);
     buf
 }
 
 /// The version a snapshot claims, if its seal holds: the magic, and the
-/// checksum over everything before it.
+/// checksum of its version over everything before it — FNV-1a up to
+/// version 2, so that an earlier build's snapshot is known for what it is
+/// and left alone rather than quarantined as corrupt.
 fn sealed_version(bytes: &[u8]) -> Option<u32> {
     let (body, sum) = bytes.split_at(bytes.len().checked_sub(8)?);
     let version = body.get(SNAPSHOT_MAGIC.len()..SNAPSHOT_HEADER)?;
+    let version = u32::from_le_bytes(version.try_into().expect("four bytes"));
+    let seal = if version < 3 { fnv1a } else { checksum64 };
     let sealed = body.starts_with(SNAPSHOT_MAGIC)
-        && fnv1a(body) == u64::from_le_bytes(sum.try_into().expect("eight bytes"));
-    sealed.then(|| u32::from_le_bytes(version.try_into().expect("four bytes")))
+        && seal(body) == u64::from_le_bytes(sum.try_into().expect("eight bytes"));
+    sealed.then_some(version)
 }
 
 /// Decode and validate snapshot bytes ([`snapshot_bytes`] or a
@@ -656,10 +666,6 @@ impl<D: TermDictionary> TripleStore for DurableStore<D> {
 
     fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
         self.inner.count(s, p, o)
-    }
-
-    fn graph_names(&self) -> Vec<Term> {
-        self.inner.graph_names()
     }
 
     fn insert_ids_in(&mut self, graph: TermId, t: Triple) -> bool {
@@ -766,7 +772,7 @@ impl<D: TermDictionary> DurableStore<D> {
             // Created, not appended to: an attempt that died further down
             // may have left this file behind, header and all.
             let mut new_wal = File::create(&new_wal_path)?;
-            new_wal.write_all(WAL_V3_HEADER)?;
+            new_wal.write_all(WAL_V4_HEADER)?;
             let tmp = self.dir.join(format!(".snapshot-{next:010}.tmp"));
             let mut f = File::create(&tmp)?;
             f.write_all(&bytes)?;
@@ -781,7 +787,7 @@ impl<D: TermDictionary> DurableStore<D> {
             let _ = fs::remove_file(&new_wal_path);
         })?;
         self.wal = new_wal;
-        self.wal_bytes = WAL_V3_HEADER.len() as u64;
+        self.wal_bytes = WAL_V4_HEADER.len() as u64;
         self.wal_records = 0;
         self.generation = next;
         // The fallback floor: the newest snapshot older than `next` that
@@ -870,17 +876,17 @@ mod tests {
         fs::write(path, bytes).unwrap();
     }
 
-    /// The v3 records of a log file, as `(start, end)` byte ranges, each
+    /// The v4 records of a log file, as `(start, end)` byte ranges, each
     /// checked the way replay checks it.
-    fn v3_records(bytes: &[u8]) -> Vec<(usize, usize)> {
-        assert!(bytes.starts_with(WAL_V3_HEADER));
-        let mut at = WAL_V3_HEADER.len();
+    fn v4_records(bytes: &[u8]) -> Vec<(usize, usize)> {
+        assert!(bytes.starts_with(WAL_V4_HEADER));
+        let mut at = WAL_V4_HEADER.len();
         let mut out = Vec::new();
         while at < bytes.len() {
             let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
             let end = at + 4 + len + 8;
             let stored = u64::from_le_bytes(bytes[end - 8..end].try_into().unwrap());
-            assert_eq!(fnv1a(&bytes[at..end - 8]), stored, "record checksum");
+            assert_eq!(checksum64(&bytes[at..end - 8]), stored, "record checksum");
             QuadBlock::decode(&bytes[at + 4..end - 8]).expect("record holds a block");
             out.push((at, end));
             at = end;
@@ -1233,7 +1239,8 @@ mod tests {
     /// A snapshot whose magic and checksum hold but whose version is not
     /// this build's was written by another build: the open refuses it by
     /// name and leaves it where it is, rather than quarantining it and
-    /// falling back to older history.
+    /// falling back to older history. Versions 1 and 2 were sealed with
+    /// FNV-1a; a later one is taken to seal as this build does.
     #[test]
     fn a_snapshot_of_another_version_is_refused_not_quarantined() {
         let dir = ScratchDir::new("persist-snap-version");
@@ -1242,22 +1249,28 @@ mod tests {
             st.insert(iri(1), p("a"), Term::lit("1"));
             st.compact().unwrap();
         }
-        // Reseal generation 1's snapshot as version 1.
         let path = snapshot_file(dir.path(), 1);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 8);
-        bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_HEADER].copy_from_slice(&1u32.to_le_bytes());
-        let sum = fnv1a(&bytes);
-        put_u64(&mut bytes, sum);
-        fs::write(&path, &bytes).unwrap();
-        let err = DurableStore::open(dir.path()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("version 1;"), "{err}");
-        assert_eq!(fs::read(&path).unwrap(), bytes, "the file is left as it is");
-        assert!(
-            !path.with_extension("galo.corrupt").exists(),
-            "not quarantined"
-        );
+        let fnv: fn(&[u8]) -> u64 = fnv1a;
+        for (version, seal) in [(2u32, fnv), (1, fnv), (4, checksum64)] {
+            // Reseal generation 1's snapshot as `version`.
+            let mut bytes = fs::read(&path).unwrap();
+            bytes.truncate(bytes.len() - 8);
+            bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_HEADER].copy_from_slice(&version.to_le_bytes());
+            let sum = seal(&bytes);
+            put_u64(&mut bytes, sum);
+            fs::write(&path, &bytes).unwrap();
+            let err = DurableStore::open(dir.path()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains(&format!("version {version};")),
+                "{err}"
+            );
+            assert_eq!(fs::read(&path).unwrap(), bytes, "the file is left as it is");
+            assert!(
+                !path.with_extension("galo.corrupt").exists(),
+                "not quarantined"
+            );
+        }
     }
 
     #[test]
@@ -1293,12 +1306,12 @@ mod tests {
         assert!(st.contains(&iri(1), &p("a"), &nasty));
     }
 
-    /// A fresh log is of version 3: the header line, then one
+    /// A fresh log is of version 4: the header line, then one
     /// length-framed, checksummed block per commit, whether the commit was
     /// one mutation or a bracket of many.
     #[test]
-    fn fresh_logs_are_v3_with_per_record_checksums() {
-        let dir = ScratchDir::new("persist-v3");
+    fn fresh_logs_are_v4_with_per_record_checksums() {
+        let dir = ScratchDir::new("persist-v4");
         let wal_path;
         {
             let mut st = DurableStore::open(dir.path()).unwrap();
@@ -1317,7 +1330,7 @@ mod tests {
             wal_path = st.wal_path();
         }
         let bytes = fs::read(&wal_path).unwrap();
-        let records = v3_records(&bytes);
+        let records = v4_records(&bytes);
         assert_eq!(records.len(), 3, "one record per commit");
         let (at, end) = records[2];
         let batch = QuadBlock::decode(&bytes[at + 4..end - 8]).unwrap();
@@ -1361,7 +1374,7 @@ mod tests {
             // Gathered in memory: nothing past the header is on disk yet.
             assert_eq!(
                 fs::metadata(&wal_path).unwrap().len(),
-                WAL_V3_HEADER.len() as u64
+                WAL_V4_HEADER.len() as u64
             );
             st.end_batch();
             assert_eq!(fs::metadata(&wal_path).unwrap().len(), st.wal_bytes());
@@ -1547,10 +1560,11 @@ mod tests {
         assert_eq!(image(&DurableStore::open(dir.path()).unwrap()), after);
     }
 
-    /// A log of any version but 3 is refused, not "recovered" by
-    /// truncating it to nothing: one a later build wrote, and the text
-    /// logs of versions 1 (no header, a statement a line) and 2 (a header
-    /// and a checksum a line) that earlier builds wrote.
+    /// A log of any version but 4 is refused, not "recovered" by
+    /// truncating it to nothing: one a later build wrote, the binary log
+    /// of version 3 (this layout, sealed with FNV-1a), and the text logs of
+    /// versions 1 (no header, a statement a line) and 2 (a header and a
+    /// checksum a line) that earlier builds wrote.
     #[test]
     fn a_log_of_an_unknown_version_is_refused_not_truncated() {
         let v1_line = "+ <http://galo/qep/pop/1> <http://galo/qep/property/a> \"1\" .\n";
@@ -1560,6 +1574,10 @@ mod tests {
         );
         for (name, log) in [
             ("v9", &b"# galo-wal v9\nwhatever a later build writes"[..]),
+            (
+                "v3",
+                b"# galo-wal v3\n\x04\0\0\0\0\0\0\0\x11\x22\x33\x44\x55\x66\x77\x88",
+            ),
             ("v2", v2_log.as_bytes()),
             ("v1", v1_line.as_bytes()),
         ] {
@@ -1577,10 +1595,10 @@ mod tests {
     /// reopens empty, takes an insert and reopens with it.
     #[test]
     fn a_log_torn_in_its_header_reopens_empty_and_appendable() {
-        for cut in 0..WAL_V3_HEADER.len() {
+        for cut in 0..WAL_V4_HEADER.len() {
             let dir = ScratchDir::new("persist-torn-header");
             let path = wal_file(dir.path(), 0);
-            fs::write(&path, &WAL_V3_HEADER[..cut]).unwrap();
+            fs::write(&path, &WAL_V4_HEADER[..cut]).unwrap();
             let mut st = DurableStore::open(dir.path()).unwrap();
             assert!(st.is_empty(), "cut at {cut}");
             assert_eq!((st.generation(), st.wal_records()), (0, 0), "cut at {cut}");
@@ -1592,7 +1610,7 @@ mod tests {
                 "cut at {cut}"
             );
             assert_eq!(
-                v3_records(&fs::read(&path).unwrap()).len(),
+                v4_records(&fs::read(&path).unwrap()).len(),
                 1,
                 "cut at {cut}"
             );
@@ -1631,7 +1649,7 @@ mod tests {
         assert_eq!(st.len(), 2, "the torn commit is dropped, the rest kept");
         // A fold that dies without cleaning up — a kill — leaves the next
         // log behind; the fold after it must start that file afresh.
-        fs::write(wal_file(dir.path(), 1), WAL_V3_HEADER).unwrap();
+        fs::write(wal_file(dir.path(), 1), WAL_V4_HEADER).unwrap();
         fs::remove_dir(&blocker).unwrap();
         st.compact().unwrap();
         st.insert(iri(4), p("a"), Term::lit("4"));

@@ -338,22 +338,17 @@ fn fan_scan_in<'g>(
     out
 }
 
-/// Non-empty named graphs across shards: `(name, id)` pairs,
-/// deduplicated (a graph may have tags on several shards) and sorted by
-/// name for a deterministic enumeration order. Dedup happens at the id
-/// level — ids are unique per term — so each unique graph is resolved and
-/// cloned once, not once per shard.
-fn fan_graphs<'g>(
+/// Ids of the non-empty named graphs across shards, deduplicated (a
+/// graph may have tags on several shards) and sorted by name for a
+/// deterministic enumeration order.
+fn fan_graph_ids<'g>(
     shards: impl Iterator<Item = &'g Shard>,
     interner: &SharedInterner,
-) -> Vec<(Term, TermId)> {
+) -> Vec<TermId> {
     let ids: BTreeSet<TermId> = shards.flat_map(|shard| shard.graph_ids()).collect();
-    let mut graphs: Vec<(Term, TermId)> = ids
-        .into_iter()
-        .map(|g| (interner.resolve(g).clone(), g))
-        .collect();
-    graphs.sort();
-    graphs
+    let mut ids: Vec<TermId> = ids.into_iter().collect();
+    ids.sort_by_key(|&g| interner.resolve(g));
+    ids
 }
 
 // -------------------------------------------------------------- the store --
@@ -708,18 +703,8 @@ impl TripleStore for ShardedReadSession<'_> {
         fan_count(self.stores(), s, p, o)
     }
 
-    fn graph_names(&self) -> Vec<Term> {
-        fan_graphs(self.stores(), &self.owner.interner)
-            .into_iter()
-            .map(|(name, _)| name)
-            .collect()
-    }
-
     fn graph_ids(&self) -> Vec<TermId> {
-        fan_graphs(self.stores(), &self.owner.interner)
-            .into_iter()
-            .map(|(_, id)| id)
-            .collect()
+        fan_graph_ids(self.stores(), &self.owner.interner)
     }
 
     fn insert_ids_in(&mut self, _graph: TermId, _t: Triple) -> bool {
@@ -811,18 +796,8 @@ impl TripleStore for ShardedWriteSession<'_> {
         fan_count(self.stores(), s, p, o)
     }
 
-    fn graph_names(&self) -> Vec<Term> {
-        fan_graphs(self.stores(), &self.owner.interner)
-            .into_iter()
-            .map(|(name, _)| name)
-            .collect()
-    }
-
     fn graph_ids(&self) -> Vec<TermId> {
-        fan_graphs(self.stores(), &self.owner.interner)
-            .into_iter()
-            .map(|(_, id)| id)
-            .collect()
+        fan_graph_ids(self.stores(), &self.owner.interner)
     }
 
     fn insert_ids_in(&mut self, graph: TermId, t: Triple) -> bool {

@@ -2,9 +2,9 @@
 //!
 //! The knowledge base is the hot path of online re-optimization — every
 //! incoming plan segment becomes a SPARQL query against it — so storage
-//! is behind a trait: [`IndexedStore`] (the default; three ordered
-//! permutations, SPO, POS and OSP, as in Jena TDB) answers every
-//! triple pattern with one range, while [`ScanStore`] is the naive
+//! is behind a trait: [`IndexedStore`] (the default; two ordered
+//! permutations, SPO and POS) answers every pattern that binds its
+//! subject or its predicate with one range, while [`ScanStore`] is the naive
 //! linear-scan reference used to cross-check results and benchmark the
 //! indexes. A persistent or sharded backend can be dropped in without
 //! touching the evaluator, the server, or the matching engine.
@@ -103,9 +103,6 @@ pub trait TripleStore: fmt::Debug + Sync {
 
     // ---- named graphs ----
 
-    /// Names of all non-empty named graphs, in deterministic order.
-    fn graph_names(&self) -> Vec<Term>;
-
     /// Insert a triple into the named graph `graph`.
     fn insert_ids_in(&mut self, graph: TermId, t: Triple) -> bool;
 
@@ -123,8 +120,8 @@ pub trait TripleStore: fmt::Debug + Sync {
         o: Option<TermId>,
     ) -> Vec<Triple>;
 
-    /// Interned ids of all non-empty named graphs, in the same order as
-    /// [`graph_names`](Self::graph_names).
+    /// Interned ids of all non-empty named graphs, in deterministic
+    /// order.
     fn graph_ids(&self) -> Vec<TermId>;
 
     // ---- maintenance ----
@@ -200,6 +197,13 @@ pub trait TripleStore: fmt::Debug + Sync {
         self.len() == 0
     }
 
+    /// Names of all non-empty named graphs, in the order of
+    /// [`graph_ids`](Self::graph_ids).
+    fn graph_names(&self) -> Vec<Term> {
+        let ids = self.graph_ids().into_iter();
+        ids.map(|g| self.resolve(g).clone()).collect()
+    }
+
     /// All default-graph triples in SPO order, resolved to terms.
     fn iter_terms(&self) -> Box<dyn Iterator<Item = (&Term, &Term, &Term)> + '_> {
         Box::new(
@@ -260,14 +264,6 @@ impl NamedGraphs {
         removed
     }
 
-    fn names(&self, resolve: impl Fn(TermId) -> Term) -> Vec<Term> {
-        self.graphs
-            .iter()
-            .filter(|(_, triples)| !triples.is_empty())
-            .map(|(&g, _)| resolve(g))
-            .collect()
-    }
-
     fn ids(&self) -> Vec<TermId> {
         self.graphs
             .iter()
@@ -302,11 +298,16 @@ impl NamedGraphs {
 
 /// Indexed in-memory backend: the default [`TripleStore`].
 ///
-/// The triples are held three times, as the ordered sets of their SPO,
-/// POS and OSP permutations. Every pattern with a bound term is a prefix
-/// of one of them, so `scan` and `count` read one range of one set and
-/// never pass over the whole store. A pattern's results come out in its
-/// permutation's order: `(?, p, ?)` by `(o, s)`, `(s, ?, o)` by `p`.
+/// The triples are held twice, as the ordered sets of their SPO and POS
+/// permutations, so a publish writes each triple twice. A pattern that
+/// binds its subject or its predicate is a prefix of one of them, and
+/// `scan` and `count` read that one range: `(s, ?, o)` is the subject's
+/// range filtered on `o`. No reader of the knowledge base binds the
+/// object alone (only tests do), so `(?, ?, o)` has no permutation of its
+/// own: it is one pass over SPO filtered on `o`. Results come out in the
+/// order of the permutation that would have the pattern's bound terms as
+/// its prefix: `(?, p, ?)` by `(o, s)`, `(s, ?, o)` by `p`, `(?, ?, o)`
+/// by `(s, p)`.
 ///
 /// The store interns through its dictionary `D`: by default an
 /// [`Interner`] of its own; a shard's store shares the sharded store's.
@@ -317,8 +318,6 @@ pub struct IndexedStore<D = Interner> {
     spo: BTreeSet<Triple>,
     /// `(p, o, s)`: the patterns with P bound and S free.
     pos: BTreeSet<Triple>,
-    /// `(o, s, p)`: the patterns with O bound and P free.
-    osp: BTreeSet<Triple>,
     named: NamedGraphs,
 }
 
@@ -347,26 +346,28 @@ impl<D> IndexedStore<D> {
             interner,
             spo: BTreeSet::new(),
             pos: BTreeSet::new(),
-            osp: BTreeSet::new(),
             named: NamedGraphs::default(),
         }
     }
 
-    /// The one range a pattern reads, and the map from its keys back to
-    /// `(s, p, o)`. A fully bound pattern is a range of one key.
+    /// The one range a pattern reads, mapped back to `(s, p, o)` and
+    /// filtered on an object the range does not bind. A fully bound
+    /// pattern is a range of one key; `(?, ?, o)` is a filtered pass over
+    /// SPO, which is already in its `(s, p)` order.
     fn range(
         &self,
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
-    ) -> (btree_set::Range<'_, Triple>, fn(&Triple) -> Triple) {
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => (self.spo.range((s, p, o)..=(s, p, o)), |&t| t),
-            (Some(s), p, None) => (prefix(&self.spo, s, p), |&t| t),
-            (s, None, Some(o)) => (prefix(&self.osp, o, s), |&(o, s, p)| (s, p, o)),
-            (None, Some(p), o) => (prefix(&self.pos, p, o), |&(p, o, s)| (s, p, o)),
-            (None, None, None) => (self.spo.range(..), |&t| t),
-        }
+    ) -> impl Iterator<Item = Triple> + '_ {
+        let (keys, to_spo, filter_o): (_, fn(&Triple) -> Triple, _) = match (s, p, o) {
+            (Some(s), Some(p), Some(o)) => (self.spo.range((s, p, o)..=(s, p, o)), |&t| t, None),
+            (Some(s), p, o) => (prefix(&self.spo, s, p), |&t| t, o),
+            (None, Some(p), o) => (prefix(&self.pos, p, o), |&(p, o, s)| (s, p, o), None),
+            (None, None, o) => (self.spo.range(..), |&t| t, o),
+        };
+        keys.map(to_spo)
+            .filter(move |t| filter_o.is_none_or(|o| o == t.2))
     }
 }
 
@@ -387,7 +388,6 @@ impl<D: TermDictionary> TripleStore for IndexedStore<D> {
         let added = self.spo.insert((s, p, o));
         if added {
             self.pos.insert((p, o, s));
-            self.osp.insert((o, s, p));
         }
         added
     }
@@ -396,7 +396,6 @@ impl<D: TermDictionary> TripleStore for IndexedStore<D> {
         let removed = self.spo.remove(&(s, p, o));
         if removed {
             self.pos.remove(&(p, o, s));
-            self.osp.remove(&(o, s, p));
         }
         removed
     }
@@ -404,7 +403,6 @@ impl<D: TermDictionary> TripleStore for IndexedStore<D> {
     fn clear(&mut self) {
         self.spo.clear();
         self.pos.clear();
-        self.osp.clear();
         self.named.graphs.clear();
     }
 
@@ -413,21 +411,17 @@ impl<D: TermDictionary> TripleStore for IndexedStore<D> {
     }
 
     fn scan(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        let (keys, to_spo) = self.range(s, p, o);
-        keys.map(to_spo).collect()
+        self.range(s, p, o).collect()
     }
 
-    /// Counts the pattern's range, O(matches); the whole store is its length.
+    /// Counts the pattern's range, O(its length); the whole store is its
+    /// length.
     fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
         match (s, p, o) {
             (Some(s), Some(p), Some(o)) => usize::from(self.spo.contains(&(s, p, o))),
             (None, None, None) => self.spo.len(),
-            _ => self.range(s, p, o).0.count(),
+            _ => self.range(s, p, o).count(),
         }
-    }
-
-    fn graph_names(&self) -> Vec<Term> {
-        self.named.names(|g| self.interner.resolve(g).clone())
     }
 
     fn graph_ids(&self) -> Vec<TermId> {
@@ -509,10 +503,6 @@ impl TripleStore for ScanStore {
 
     fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
         filter(self.triples.iter(), s, p, o).count()
-    }
-
-    fn graph_names(&self) -> Vec<Term> {
-        self.named.names(|g| self.interner.resolve(g).clone())
     }
 
     fn graph_ids(&self) -> Vec<TermId> {

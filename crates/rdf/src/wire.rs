@@ -1,4 +1,4 @@
-//! Replication wire format: length-delimited, FNV-checksummed frames.
+//! Replication wire format: length-delimited, checksummed frames.
 //!
 //! Every byte that would cross a network in the replication subsystem
 //! ([`galo_core::replication`](../../galo_core/replication/index.html))
@@ -7,8 +7,8 @@
 //! is:
 //!
 //! ```text
-//! magic "GWF2" | kind u8 | seq u64 LE | epoch u64 LE |
-//! payload_len u32 LE | payload bytes | fnv64 LE over kind..payload
+//! magic "GWF3" | kind u8 | seq u64 LE | epoch u64 LE |
+//! payload_len u32 LE | payload bytes | checksum64 LE over kind..payload
 //! ```
 //!
 //! Payloads reuse the formats the store already trusts. `Publish` and
@@ -27,14 +27,15 @@
 //! with any byte corrupted in flight — decodes to an error, never to a
 //! different frame (the tests below sweep every cut and every bit).
 //!
-//! The magic is `GWF2` since `Publish` and `Mutation` stopped carrying
-//! text: a `GWF1` peer is answered [`FrameError::BadMagic`], not
-//! misparsed.
+//! The checksum is `checksum64`, four lanes of multiply-xor over 8-byte
+//! words; the magic is `GWF3` since it replaced byte-serial FNV-1a (under
+//! `GWF2`), and a `GWF2` or `GWF1` peer is answered
+//! [`FrameError::BadMagic`], not misparsed.
 
-use crate::fnv::fnv1a;
+use crate::checksum::checksum64;
 
-/// Frame preamble: "galo wire format v2".
-pub const FRAME_MAGIC: [u8; 4] = *b"GWF2";
+/// Frame preamble: "galo wire format v3".
+pub const FRAME_MAGIC: [u8; 4] = *b"GWF3";
 
 /// Fixed header length: magic + kind + seq + epoch + payload length.
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
@@ -103,7 +104,7 @@ pub enum FrameError {
     BadMagic,
     /// Checksum verified but the kind byte is unknown (a newer peer).
     BadKind(u8),
-    /// The trailing FNV-64 does not match the received bytes.
+    /// The trailing checksum does not match the received bytes.
     Checksum { stored: u64, computed: u64 },
     /// Envelope intact but the payload would not parse.
     Payload(String),
@@ -175,7 +176,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     buf.extend_from_slice(&frame.epoch.to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(payload);
-    let sum = fnv1a(&buf[FRAME_MAGIC.len()..]);
+    let sum = checksum64(&buf[FRAME_MAGIC.len()..]);
     buf.extend_from_slice(&sum.to_le_bytes());
     buf
 }
@@ -211,7 +212,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
     }
     let body_end = HEADER_LEN + payload_len as usize;
     let stored = u64::from_le_bytes(bytes[body_end..total].try_into().unwrap());
-    let computed = fnv1a(&bytes[FRAME_MAGIC.len()..body_end]);
+    let computed = checksum64(&bytes[FRAME_MAGIC.len()..body_end]);
     if stored != computed {
         return Err(FrameError::Checksum { stored, computed });
     }
@@ -302,9 +303,11 @@ mod tests {
 
     #[test]
     fn an_old_peer_is_refused_by_its_magic() {
-        let mut bytes = encode_frame(&sample_frames()[0]);
-        bytes[..4].copy_from_slice(b"GWF1");
-        assert_eq!(decode_frame(&bytes), Err(FrameError::BadMagic));
+        for old in [b"GWF1", b"GWF2"] {
+            let mut bytes = encode_frame(&sample_frames()[0]);
+            bytes[..4].copy_from_slice(old);
+            assert_eq!(decode_frame(&bytes), Err(FrameError::BadMagic));
+        }
     }
 
     #[test]
