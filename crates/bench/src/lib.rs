@@ -296,7 +296,7 @@ pub fn inflate_kb(kb: &KnowledgeBase, db: &Database, queries: &[Query], target: 
             let mut tpl =
                 galo_core::abstract_plan(db, &plan, plan.root(), &doc, kb.fresh_id(made as u64));
             for p in &mut tpl.pops {
-                p.cardinality = galo_core::StatSketch::from_range(shift, shift + 1.0);
+                p.cardinality = galo_core::Stat::from_range(shift, shift + 1.0);
             }
             tpl.source_workload = "synthetic".into();
             kb.insert(&tpl);

@@ -1,5 +1,5 @@
 //! The runtime-feedback loop (ROADMAP item 1): actual execution
-//! statistics flow back into the stored per-template validity sketches.
+//! statistics flow back into the stored per-template validity statistics.
 //!
 //! The paper's §3.2 keeps *historical estimated vs. actual* statistics
 //! per template and notes that validity ranges "can be updated over the
@@ -28,10 +28,10 @@
 //!    the store) and applies each template's batch through
 //!    [`KnowledgeBase::refine_template_stats`](crate::KnowledgeBase::refine_template_stats):
 //!    in-band values are observed into the stored
-//!    [`StatSketch`](crate::StatSketch)es (near-miss widening — the
+//!    [`Stat`](crate::Stat)s (near-miss widening — the
 //!    exact min/max grows to cover them), and when a template-operator
 //!    type's observations concentrate inside its already-observed core,
-//!    the sketch's multiplicative widen factor decays toward 1
+//!    the statistic's multiplicative widen factor decays toward 1
 //!    ([`DEFAULT_DECAY`]) — evidence-backed narrowing that never drops
 //!    an exact observation.
 //! 3. **Invalidate** — every effective refinement runs under one
@@ -55,7 +55,7 @@ use galo_stats::Range;
 
 use crate::kb::ScanCheck;
 
-/// Default decay applied when narrowing a sketch's widen factor and when
+/// Default decay applied when narrowing a statistic's widen factor and when
 /// aging the per-type concentration weights between folds — the adaptive
 /// cost model's convention (optd's `DEFAULT_DECAY`).
 pub const DEFAULT_DECAY: f64 = 0.9;
@@ -65,7 +65,7 @@ pub const DEFAULT_DECAY: f64 = 0.9;
 #[derive(Debug, Clone)]
 pub struct FeedbackOptions {
     /// Decay factor in `[0, 1]`: ages the concentration weights between
-    /// folds and drives [`StatSketch::decay_widen`](crate::StatSketch)
+    /// folds and drives [`Stat::decay_widen`](crate::Stat::decay_widen)
     /// when narrowing fires.
     pub decay: f64,
     /// Pending-observation threshold at which the serving tier's
@@ -116,10 +116,10 @@ pub struct PopObservation {
 /// [`KnowledgeBase::refine_template_stats`](crate::KnowledgeBase::refine_template_stats).
 #[derive(Debug, Clone, Default)]
 pub struct TemplateRefinement {
-    /// Observations to fold into the template's sketches.
+    /// Observations to fold into the template's statistics.
     pub observations: Vec<PopObservation>,
     /// `(pop_type, decay)` narrowing directives, applied *after* the
-    /// folds: every same-typed operator's cardinality sketch decays its
+    /// folds: every same-typed operator's cardinality statistic decays its
     /// widen factor toward 1.
     pub narrows: Vec<(String, f64)>,
 }
@@ -128,7 +128,7 @@ pub struct TemplateRefinement {
 /// call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RefineOutcome {
-    /// True when any stored sketch changed (and therefore the mutation
+    /// True when any stored statistic changed (and therefore the mutation
     /// epoch advanced and the refinement counter was bumped).
     pub changed: bool,
     /// Per-operator fold attempts that passed their band gate.

@@ -106,8 +106,8 @@ pub(crate) struct Candidate {
 
 // `Range` moved to the statistics substrate (one home for the struct and
 // its parsing/defaulting logic); re-exported here so `galo_core::Range`
-// keeps working. `StatSketch` is the t-digest backing every stored range.
-pub use galo_stats::{Range, StatSketch};
+// keeps working. `Stat` is what is learned behind every stored range.
+pub use galo_stats::{Range, Stat};
 
 /// Per-operator abstracted properties of a problem pattern.
 #[derive(Debug, Clone)]
@@ -116,9 +116,9 @@ pub struct TemplatePop {
     pub op_id: u32,
     /// Operator type name (`"NLJOIN"`, `"F-IXSCAN"`, …).
     pub pop_type: String,
-    /// Estimated-cardinality sketch; its `envelope()` is the stored
+    /// Estimated-cardinality statistic; its `envelope()` is the stored
     /// `[hasLowerCardinality, hasHigherCardinality]` validity range.
-    pub cardinality: StatSketch,
+    pub cardinality: Stat,
     /// Scan-only properties.
     pub scan: Option<TemplateScan>,
     /// Children op_ids: `[outer, inner]` for joins, `[child]` otherwise.
@@ -130,9 +130,9 @@ pub struct TemplatePop {
 pub struct TemplateScan {
     /// Canonical symbol label (`T1`, `T2`, …) replacing the table name.
     pub canonical_tabid: String,
-    pub row_size: StatSketch,
-    pub fpages: StatSketch,
-    pub base_cardinality: StatSketch,
+    pub row_size: Stat,
+    pub fpages: Stat,
+    pub base_cardinality: Stat,
 }
 
 /// A complete problem-pattern template.
@@ -197,9 +197,9 @@ pub fn abstract_plan(
                 .clone();
             TemplateScan {
                 canonical_tabid: label,
-                row_size: StatSketch::point(stats.row_size as f64),
-                fpages: StatSketch::point(stats.pages as f64),
-                base_cardinality: StatSketch::point(stats.row_count as f64),
+                row_size: Stat::point(stats.row_size as f64),
+                fpages: Stat::point(stats.pages as f64),
+                base_cardinality: Stat::point(stats.row_count as f64),
             }
         });
         let inputs = pop
@@ -211,7 +211,7 @@ pub fn abstract_plan(
         pops.push(TemplatePop {
             op_id: pop.op_id,
             pop_type: pop.kind.name().to_string(),
-            cardinality: StatSketch::point(pop.est_card),
+            cardinality: Stat::point(pop.est_card),
             scan,
             inputs,
         });
@@ -802,10 +802,10 @@ impl KnowledgeBase {
     /// named graphs promoted to first-class datasets. Counts and
     /// improvements come from the stored triples (the dataset's tag graph
     /// joined with each template's `hasImprovement`); the distinct-shape
-    /// count comes from the signature index.
+    /// count is of the signatures the index files those templates under.
     pub fn workload_datasets(&self) -> Vec<DatasetStats> {
         let improvement = prop(vocab::HAS_IMPROVEMENT);
-        let mut stats: Vec<DatasetStats> = self.server.with_store(|st| {
+        let datasets: Vec<(DatasetStats, Vec<String>)> = self.server.with_store(|st| {
             let imp_id = st.term_id(&improvement);
             // Graph names come from the already-held view — re-entering
             // the endpoint here would recursively take the store lock.
@@ -817,10 +817,10 @@ impl KnowledgeBase {
                         .and_then(|iri| iri.strip_prefix(vocab::WORKLOAD_GRAPH_NS))?
                         .to_string();
                     let gid = st.term_id(&g).expect("graph name interned");
-                    let mut templates = 0usize;
+                    let mut iris = Vec::new();
                     let mut improvement_sum = 0.0f64;
                     for (s, _, _) in st.scan_in(gid, None, None, None) {
-                        templates += 1;
+                        iris.push(st.resolve(s).str_value().to_string());
                         let Some(imp) = imp_id else { continue };
                         if let Some((_, _, v)) =
                             st.scan(Some(s), Some(imp), None).into_iter().next()
@@ -831,7 +831,8 @@ impl KnowledgeBase {
                             }
                         }
                     }
-                    Some(DatasetStats {
+                    let templates = iris.len();
+                    let stats = DatasetStats {
                         workload,
                         templates,
                         signatures: 0,
@@ -840,14 +841,19 @@ impl KnowledgeBase {
                         } else {
                             improvement_sum / templates as f64
                         },
-                    })
+                    };
+                    Some((stats, iris))
                 })
                 .collect()
         });
         let index = self.sig_index.read().expect("signature index lock");
-        for ds in &mut stats {
-            ds.signatures = index.signatures_of(&ds.workload);
-        }
+        let mut stats: Vec<DatasetStats> = datasets
+            .into_iter()
+            .map(|(mut ds, iris)| {
+                ds.signatures = index.signatures_of(iris.iter().map(String::as_str));
+                ds
+            })
+            .collect();
         stats.sort_by(|a, b| a.workload.cmp(&b.workload));
         stats
     }
@@ -939,7 +945,7 @@ impl KnowledgeBase {
 
     /// Cumulative count of *effective* template refinements — calls to
     /// [`refine_template_stats`](Self::refine_template_stats) that
-    /// actually changed a stored sketch. Stamped into
+    /// actually changed a stored statistic. Stamped into
     /// [`MatchReport::refinements_applied`](crate::matching::MatchReport::refinements_applied)
     /// so callers can see how much learning a knowledge base has
     /// absorbed.
@@ -1054,7 +1060,7 @@ impl KnowledgeBase {
     }
 
     /// Drain the feedback buffers and fold every template's batch into
-    /// its stored sketches through
+    /// its stored statistics through
     /// [`refine_template_stats`](Self::refine_template_stats) — the
     /// fold half of the loop, run off the serve path (batched by the
     /// serving tier, or called explicitly). Gated like every client
@@ -1095,7 +1101,7 @@ impl KnowledgeBase {
     /// - Scan-stat trios are gated jointly: all three values in band, or
     ///   none fold.
     /// - Narrowing only decays the widen factor toward 1
-    ///   ([`StatSketch::decay_widen`]); the exact observation core —
+    ///   ([`Stat::decay_widen`]); the exact observation core —
     ///   which contains every previously matched value — is never
     ///   shrunk.
     ///
@@ -1177,9 +1183,9 @@ impl TemplateWriter {
     }
 
     /// `subject`'s three statements of one statistic family: the exact
-    /// bounds of the sketch's envelope, and the sketch itself.
-    fn stat(&mut self, subject: u32, family: usize, sketch: &StatSketch) {
-        for (local, value) in stat_statements(STAT_FAMILIES[family], sketch) {
+    /// bounds of the statistic's envelope, and the statistic itself.
+    fn stat(&mut self, subject: u32, family: usize, stat: &Stat) {
+        for (local, value) in stat_statements(STAT_FAMILIES[family], stat) {
             let p = self.prop(local);
             let o = self.block.term(value);
             self.insert(subject, p, o);
@@ -1343,12 +1349,8 @@ fn refinement_of(
         // the gate is independent of observation order, and exactly as
         // permissive as an admission widened by `band` against the
         // stored template.
-        let envelope = |stat: &Option<StatSketch>| {
-            let stat = stat.as_ref();
-            stat.map_or(Range::UNBOUNDED, |sketch| sketch.envelope())
-        };
-        let envs = stored.each_ref().map(envelope);
-        let mut folded = stored.clone();
+        let envs = stored.map(|stat| stat.map_or(Range::UNBOUNDED, |stat| stat.envelope()));
+        let mut folded = stored;
         let [card, scan @ ..] = &mut folded;
         let has_scan = scan.iter().any(Option::is_some);
         let of_this_type = |ty: &String| *ty == pop_type;
@@ -1372,9 +1374,9 @@ fn refinement_of(
                 let values = [sc.row_size, sc.fpages, sc.base_cardinality];
                 let in_band = |(&v, &env)| within_band(env, v, obs.scan_band);
                 if values.iter().zip(&envs[1..]).all(in_band) {
-                    for (sketch, &v) in scan.iter_mut().zip(&values) {
-                        if let Some(sketch) = sketch {
-                            sketch.observe(v);
+                    for (stat, &v) in scan.iter_mut().zip(&values) {
+                        if let Some(stat) = stat {
+                            stat.observe(v);
                             outcome.values_folded += 1;
                         }
                     }
@@ -1422,37 +1424,37 @@ fn within_band(env: Range, value: f64, band: f64) -> bool {
 }
 
 /// One stat as the (property's local name, object) of its three
-/// statements. Exact bounds come from the sketch's envelope — the
-/// widened min/max — and the full sketch rides along as a checksummed
-/// hex literal so feedback can refine it after export/import, durable
-/// reopen and reindex. Both serializations are
+/// statements. Exact bounds come from the statistic's envelope — the
+/// widened min/max — and the statistic rides along as its plain
+/// `"count min max widen"` literal so feedback can refine it after
+/// export/import, durable reopen and reindex. Both serializations are
 /// deterministic, which keeps republishing a template a set-semantics
 /// no-op.
 fn stat_statements(
-    (lo, hi, sk): (&'static str, &'static str, &'static str),
-    sketch: &StatSketch,
+    (lo, hi, literal): (&'static str, &'static str, &'static str),
+    stat: &Stat,
 ) -> [(&'static str, Term); 3] {
-    let range = sketch.envelope();
+    let range = stat.envelope();
     [
         (lo, Term::num(range.lo)),
         (hi, Term::num(range.hi)),
-        (sk, Term::lit(sketch.to_hex())),
+        (literal, Term::lit(stat.to_string())),
     ]
 }
 
-/// Restate one stat of one operator as the refined sketch has it: per
+/// Restate one stat of one operator as the refined statistic has it: per
 /// property, every stored object that is not the new one is removed, and
 /// the new one inserted unless it is what is stored.
 fn restate_stat(
     st: &dyn TripleStore,
     pop: &str,
     family: (&'static str, &'static str, &'static str),
-    sketch: &StatSketch,
+    stat: &Stat,
     restated: &mut Vec<Record>,
 ) {
     let subject = Term::iri(pop);
     let sid = st.term_id(&subject);
-    for (local, value) in stat_statements(family, sketch) {
+    for (local, value) in stat_statements(family, stat) {
         let property = prop(local);
         let stored = match (sid, st.term_id(&property)) {
             (Some(s), Some(p)) => st.scan(Some(s), Some(p), None),
@@ -1741,7 +1743,7 @@ mod tests {
         let near = abstract_plan(&db, &plan, plan.root(), &g, kb.fresh_id(1));
         let mut far = abstract_plan(&db, &plan, plan.root(), &g, kb.fresh_id(2));
         for p in &mut far.pops {
-            p.cardinality = StatSketch::from_range(1e12, 2e12);
+            p.cardinality = Stat::from_range(1e12, 2e12);
         }
         kb.insert(&near);
         kb.insert(&far);
@@ -1802,7 +1804,7 @@ mod tests {
         let mut scan_far = abstract_plan(&db, &plan, plan.root(), &g, kb.fresh_id(2));
         for p in &mut scan_far.pops {
             if let Some(scan) = &mut p.scan {
-                scan.row_size = StatSketch::from_range(1e9, 2e9);
+                scan.row_size = Stat::from_range(1e9, 2e9);
             }
         }
         kb.insert(&near);

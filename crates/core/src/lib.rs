@@ -86,7 +86,7 @@ pub use feedback::{
 pub use galo::{Galo, QueryReoptResult, WorkloadReoptReport};
 pub use kb::{
     abstract_plan, AdmissionQuery, AdmissionStats, DatasetStats, KnowledgeBase, PopCheck, Range,
-    ScanCheck, StatSketch, Template, TemplatePop, TemplateScan,
+    ScanCheck, Stat, Template, TemplatePop, TemplateScan,
 };
 pub use learning::{learn_workload, LearnedTemplate, LearningConfig, LearningReport};
 pub use matching::{

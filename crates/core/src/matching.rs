@@ -925,9 +925,9 @@ mod tests {
         // Displace every range by 3x: matching must fail, and one
         // feedback round at near-miss factor 4 must widen the stored
         // ranges until it matches.
-        let displace = |s: &mut crate::kb::StatSketch| {
+        let displace = |s: &mut crate::kb::Stat| {
             let r = s.envelope();
-            *s = crate::kb::StatSketch::from_range(r.lo * 3.0, r.hi * 3.0);
+            *s = crate::kb::Stat::from_range(r.lo * 3.0, r.hi * 3.0);
         };
         for p in &mut tpl.pops {
             displace(&mut p.cardinality);
@@ -972,7 +972,7 @@ mod tests {
         let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
         let mut tpl = abstract_plan(&w.db, &plan, plan.root(), &g, kb.fresh_id(1));
         for p in &mut tpl.pops {
-            p.cardinality = crate::kb::StatSketch::from_range(0.0, 0.5);
+            p.cardinality = crate::kb::Stat::from_range(0.0, 0.5);
         }
         tpl.source_workload = "x".into();
         kb.insert(&tpl);

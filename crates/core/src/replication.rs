@@ -1111,7 +1111,7 @@ mod tests {
     use super::*;
     use crate::kb::{TemplatePop, TemplateScan};
     use galo_qgm::GuidelineDoc;
-    use galo_stats::StatSketch;
+    use galo_stats::Stat;
 
     fn tpl(id: &str, workload: &str, card: f64) -> Template {
         Template {
@@ -1120,19 +1120,19 @@ mod tests {
                 TemplatePop {
                     op_id: 1,
                     pop_type: "HSJOIN".into(),
-                    cardinality: StatSketch::from_range(card, card * 2.0),
+                    cardinality: Stat::from_range(card, card * 2.0),
                     scan: None,
                     inputs: vec![2],
                 },
                 TemplatePop {
                     op_id: 2,
                     pop_type: "TBSCAN".into(),
-                    cardinality: StatSketch::from_range(10.0, 20.0),
+                    cardinality: Stat::from_range(10.0, 20.0),
                     scan: Some(TemplateScan {
                         canonical_tabid: "T1".into(),
-                        row_size: StatSketch::from_range(8.0, 8.0),
-                        fpages: StatSketch::from_range(100.0, 200.0),
-                        base_cardinality: StatSketch::from_range(1_000.0, 2_000.0),
+                        row_size: Stat::from_range(8.0, 8.0),
+                        fpages: Stat::from_range(100.0, 200.0),
+                        base_cardinality: Stat::from_range(1_000.0, 2_000.0),
                     }),
                     inputs: vec![],
                 },

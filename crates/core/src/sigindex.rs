@@ -16,8 +16,8 @@
 //!
 //! Every pull goes past hundreds of rows to admit a handful (99.98 % are
 //! rejected on `serve_cold`), so what matters is the price of rejecting
-//! them. A [`Bucket`] is columnar: rows sorted by IRI, operator types,
-//! workloads and canonical table labels interned to small ids that a
+//! them. A [`Bucket`] is columnar: rows sorted by IRI, operator types
+//! and canonical table labels interned to small ids that a
 //! query resolves once per pull, each row's operators packed in one slice
 //! (type, exact bounds, which bounds were stored, label), and one
 //! **cardinality hull** per (operator type, row): `[min lo, max hi]` over
@@ -107,10 +107,10 @@
 //! template's re-read from the store, or the whole store's for a rebuild
 //! (the knowledge base's module docs say which, when). It is the only
 //! reader of the template vocabulary on the index side and the only
-//! writer of rows, so the fallback rules (stored bounds, else the
-//! envelope of a valid sketch, else unbounded for admission; no stored
-//! bounds → no match) and the reading of irregular facts above are stated
-//! once.
+//! writer of rows, so the fallback rules (the stored bounds, a missing
+//! side left open, for admission; no stored bounds → no match; a stat
+//! literal that does not parse → the stored bounds, for refinement) and
+//! the reading of irregular facts above are stated once.
 //!
 //! Writing and removing rows shifts the rows after them, and with them
 //! every summary block from there on. So a bucket remembers the lowest
@@ -138,7 +138,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use galo_qgm::shape_signature;
 use galo_rdf::Term;
-use galo_stats::{Range, StatSketch};
+use galo_stats::{Range, Stat};
 
 use crate::vocab::{self, STAT_FAMILIES};
 
@@ -329,10 +329,11 @@ struct Edge {
 
 /// What the triples say about one operator's stat of one family.
 #[derive(Default)]
-struct StatFacts {
+struct StatFacts<'a> {
     lo: Option<f64>,
     hi: Option<f64>,
-    sketch: Option<StatSketch>,
+    /// The `has*Stat` literal, unparsed: only refinement reads it.
+    literal: Option<&'a str>,
 }
 
 /// Keep the least of the values stated for a key: the reading of several
@@ -344,30 +345,26 @@ fn keep_least<'a>(facts: &mut HashMap<&'a str, &'a str>, key: &'a str, value: &'
     }
 }
 
-impl StatFacts {
+impl StatFacts<'_> {
     /// Both bounds stored.
     fn bounded(&self) -> bool {
         self.lo.is_some() && self.hi.is_some()
     }
 
     /// The range admission tests: the stored bounds, a missing one
-    /// leaving its side open; with no bound stored, the envelope of a
-    /// valid sketch; with neither, unbounded — the pre-check must never
-    /// reject what the probe would accept.
+    /// leaving its side open (unbounded with neither) — the pre-check
+    /// must never reject what the probe would accept.
     fn range(&self) -> Range {
-        match (self.lo, self.hi, &self.sketch) {
-            (None, None, Some(sketch)) => sketch.envelope(),
-            (lo, hi, _) => Range::from_bounds(lo, hi),
-        }
+        Range::from_bounds(self.lo, self.hi)
     }
 
-    /// The stat as feedback refines it: the sketch literal when valid,
+    /// The stat as feedback refines it: the stat literal when it parses,
     /// else the exact bounds when both are stored, else `None` — the
     /// operator does not carry this stat, an unbounded envelope that
     /// feedback must never turn into a bounded one.
-    fn refinable(&self) -> Option<StatSketch> {
-        let bounds = || Some(StatSketch::from_range(self.lo?, self.hi?));
-        self.sketch.clone().or_else(bounds)
+    fn refinable(&self) -> Option<Stat> {
+        let bounds = || Some(Stat::from_range(self.lo?, self.hi?));
+        self.literal.and_then(Stat::parse).or_else(bounds)
     }
 }
 
@@ -378,7 +375,6 @@ impl StatFacts {
 #[derive(Default)]
 pub(crate) struct IndexFacts<'a> {
     join_counts: HashMap<&'a str, usize>,
-    sources: HashMap<&'a str, &'a str>,
     pop_template: HashMap<&'a str, &'a str>,
     pop_types: HashMap<&'a str, &'a str>,
     /// Operator IRI -> its canonical table label.
@@ -387,7 +383,7 @@ pub(crate) struct IndexFacts<'a> {
     /// runs child → parent, [`OUTER`] and [`INNER`] parent → child.
     streams: Vec<(&'a str, &'a str, u8)>,
     /// Per [`STAT_FAMILIES`] slot: operator IRI -> its stored stat.
-    stats: [HashMap<&'a str, StatFacts>; STAT_FAMILIES.len()],
+    stats: [HashMap<&'a str, StatFacts<'a>>; STAT_FAMILIES.len()],
 }
 
 /// The stream predicates and the role bit each states.
@@ -403,14 +399,13 @@ const STREAMS: [(&str, u8); 3] = [
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Fact {
     JoinCount,
-    SourceWorkload,
     InTemplate,
     PopType,
     CanonicalTabid,
     /// A stream statement, with the role bit it states.
     Stream(u8),
     /// Of [`STAT_FAMILIES`] slot `family`: the lower bound, the higher
-    /// bound or the sketch (`part` 0, 1, 2).
+    /// bound or the stat literal (`part` 0, 1, 2).
     Stat {
         family: usize,
         part: usize,
@@ -423,7 +418,6 @@ impl Fact {
     pub(crate) fn all() -> impl Iterator<Item = (&'static str, Fact)> {
         let named = [
             (vocab::HAS_JOIN_COUNT, Fact::JoinCount),
-            (vocab::HAS_SOURCE_WORKLOAD, Fact::SourceWorkload),
             (vocab::IN_TEMPLATE, Fact::InTemplate),
             (vocab::HAS_POP_TYPE, Fact::PopType),
             (vocab::HAS_CANONICAL_TABID, Fact::CanonicalTabid),
@@ -450,11 +444,12 @@ impl Fact {
 
 impl<'a> IndexFacts<'a> {
     /// Record one triple, its predicate read as `fact`. Non-numeric
-    /// bounds and join counts, corrupt sketch literals (checksum
-    /// mismatch) and stream statements naming no IRI are dropped as if
-    /// the triple were absent. Of several types, labels, lower or higher
-    /// bounds the least (the greatest higher bound) is kept, so the
-    /// gather reads the same row whatever order the statements come in.
+    /// bounds and join counts and stream statements naming no IRI are
+    /// dropped as if the triple were absent; a stat literal is kept as
+    /// text and parsed only by [`operators`](Self::operators). Of several
+    /// types, labels, stat literals, lower or higher bounds the least
+    /// (the greatest higher bound) is kept, so the gather reads the same
+    /// row whatever order the statements come in.
     pub(crate) fn add(&mut self, subj: &'a str, fact: Fact, obj: &'a Term) {
         let num = || obj.as_literal().and_then(|l| l.as_number());
         match fact {
@@ -462,9 +457,6 @@ impl<'a> IndexFacts<'a> {
                 if let Some(jc) = num() {
                     self.join_counts.insert(subj, jc as usize);
                 }
-            }
-            Fact::SourceWorkload => {
-                self.sources.insert(subj, obj.str_value());
             }
             Fact::InTemplate => {
                 self.pop_template.insert(subj, obj.str_value());
@@ -489,9 +481,9 @@ impl<'a> IndexFacts<'a> {
                 }
             }
             Fact::Stat { family, .. } => {
-                if let Some(sketch) = StatSketch::from_hex(obj.str_value()) {
-                    self.stats[family].entry(subj).or_default().sketch = Some(sketch);
-                }
+                let kept = &mut self.stats[family].entry(subj).or_default().literal;
+                let literal = obj.str_value();
+                *kept = Some(kept.map_or(literal, |k| k.min(literal)));
             }
         }
     }
@@ -499,7 +491,7 @@ impl<'a> IndexFacts<'a> {
     /// The gathered operators that carry a type, ascending by IRI: IRI,
     /// type, and per [`STAT_FAMILIES`] slot the stored stat
     /// [as feedback refines it](StatFacts::refinable).
-    pub(crate) fn operators(&self) -> Vec<(&'a str, &'a str, [Option<StatSketch>; 4])> {
+    pub(crate) fn operators(&self) -> Vec<(&'a str, &'a str, [Option<Stat>; 4])> {
         let stats_of = |pop| {
             let stat = |stats: &HashMap<&str, StatFacts>| stats.get(pop)?.refinable();
             self.stats.each_ref().map(stat)
@@ -516,12 +508,10 @@ impl<'a> IndexFacts<'a> {
     /// The subjects whose gathered facts are an edit of a stored template
     /// rather than a whole one: an operator mentioned anywhere without
     /// its template link, its type or its template's join count among the
-    /// facts, or a template's workload without its join count. Only the
-    /// store sees the whole picture of those. (A subject may be named
-    /// more than once.)
+    /// facts. Only the store sees the whole picture of those. (A subject
+    /// may be named more than once.)
     pub(crate) fn partial(&self) -> impl Iterator<Item = &'a str> + '_ {
-        let pops = self
-            .pop_template
+        self.pop_template
             .keys()
             .chain(self.pop_types.keys())
             .chain(self.labels.keys())
@@ -533,12 +523,8 @@ impl<'a> IndexFacts<'a> {
                         .pop_template
                         .get(pop)
                         .is_some_and(|tpl| self.join_counts.contains_key(tpl)))
-            });
-        let templates = self
-            .sources
-            .keys()
-            .filter(|&tpl| !self.join_counts.contains_key(tpl));
-        pops.chain(templates).copied()
+            })
+            .copied()
     }
 
     /// Insert (or overwrite) one index row per template that has a join
@@ -548,7 +534,6 @@ impl<'a> IndexFacts<'a> {
     pub(crate) fn into_entries(self, index: &mut SigIndex, wanted: impl Fn(&str) -> bool) {
         let IndexFacts {
             join_counts,
-            sources,
             pop_template,
             pop_types,
             labels,
@@ -626,7 +611,7 @@ impl<'a> IndexFacts<'a> {
         // takes every row at its end — sorted once, nothing shifted.
         rows.sort_unstable_by_key(|&(iri, ..)| iri);
         for (iri, sig, row) in rows {
-            index.upsert(sig, iri, sources.get(iri).copied().unwrap_or(""), row);
+            index.upsert(sig, iri, row);
         }
     }
 }
@@ -724,16 +709,11 @@ enum Admission {
 struct Bucket {
     /// Interned operator types; a [`PopBounds::ty`] indexes here.
     types: Arc<Vec<String>>,
-    /// Interned source workloads; a `workload` cell indexes here.
-    workloads: Arc<Vec<String>>,
     /// Interned canonical table labels; a [`PopBounds::label`] indexes
     /// here.
     labels: Arc<Vec<String>>,
     /// Row -> template IRI, ascending.
     iris: Vec<String>,
-    /// Row -> source workload (the template's dataset; `""` when it was
-    /// stored without one). Read only by [`SigIndex::signatures_of`].
-    workload: Vec<u32>,
     /// Row -> join count.
     joins: Vec<usize>,
     /// Type id -> row -> cardinality hull over the row's operators of
@@ -880,16 +860,11 @@ impl Bucket {
 
     /// Insert a row at its sorted position, or overwrite the row already
     /// holding `iri`.
-    fn upsert(&mut self, iri: &str, workload: &str, entry: RowEntry<'_>) {
-        let workload = intern(&mut self.workloads, workload);
+    fn upsert(&mut self, iri: &str, entry: RowEntry<'_>) {
         let row = match self.find(iri) {
-            Ok(row) => {
-                self.workload[row] = workload;
-                row
-            }
+            Ok(row) => row,
             Err(row) => {
                 self.iris.insert(row, iri.to_string());
-                self.workload.insert(row, workload);
                 self.joins.insert(row, 0);
                 self.ops.insert(row, Arc::default());
                 self.edges.insert(row, Arc::default());
@@ -947,7 +922,6 @@ impl Bucket {
             return;
         };
         self.iris.remove(row);
-        self.workload.remove(row);
         self.joins.remove(row);
         self.ops.remove(row);
         self.edges.remove(row);
@@ -1289,11 +1263,8 @@ pub(crate) struct SigIndex {
 impl SigIndex {
     /// Insert the template's row into its signature's bucket, or
     /// overwrite the row it already has there.
-    fn upsert(&mut self, signature: u64, iri: &str, workload: &str, row: RowEntry<'_>) {
-        self.buckets
-            .entry(signature)
-            .or_default()
-            .upsert(iri, workload, row);
+    fn upsert(&mut self, signature: u64, iri: &str, row: RowEntry<'_>) {
+        self.buckets.entry(signature).or_default().upsert(iri, row);
         if let Some(held) = self.signatures.get_mut(iri) {
             if !held.contains(&signature) {
                 held.push(signature);
@@ -1347,17 +1318,15 @@ impl SigIndex {
             .map_or(&[], |bucket| bucket.iris.as_slice())
     }
 
-    /// Number of signatures holding at least one template learned from
-    /// `workload`.
-    pub(crate) fn signatures_of(&self, workload: &str) -> usize {
-        self.buckets
-            .values()
-            .filter(|bucket| {
-                bucket
-                    .workload
-                    .contains(&lookup(&bucket.workloads, workload))
-            })
-            .count()
+    /// Number of distinct signatures the templates are filed under.
+    pub(crate) fn signatures_of<'i>(&self, iris: impl IntoIterator<Item = &'i str>) -> usize {
+        let mut held: Vec<u64> = iris
+            .into_iter()
+            .flat_map(|iri| self.signatures.get(iri).into_iter().flatten().copied())
+            .collect();
+        held.sort_unstable();
+        held.dedup();
+        held.len()
     }
 
     /// The cursor: the first row of the signature's bucket strictly after
@@ -1465,13 +1434,10 @@ impl JournalRow {
         for op in self.ops.iter() {
             widen_hull(&mut hulls[op.ty as usize][0], op.stats[0]);
         }
-        // The walk reads no workload: the row's is left unnamed.
         let mut bucket = Bucket {
             types: Arc::clone(&self.types),
-            workloads: Arc::default(),
             labels: Arc::clone(&self.labels),
             iris: vec![String::new()],
-            workload: vec![ABSENT],
             joins: vec![self.joins],
             hulls,
             summaries: Vec::new(),
@@ -1587,6 +1553,7 @@ pub(crate) enum Journaled {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -1885,32 +1852,24 @@ mod tests {
             order.shuffle(&mut rng);
             for &n in &order {
                 let (iri, pops) = (iri_of(n), row(&mut rng));
-                let workload = ["w1", "w2", ""].choose(&mut rng).unwrap();
-                index.upsert(SIG, &iri, workload, entries(&pops));
+                index.upsert(SIG, &iri, entries(&pops));
                 // A same-IRI row under another signature must never leak.
                 if n % 7 == 0 {
-                    index.upsert(SIG ^ 1, &iri, "w1", entries(&row(&mut rng)));
+                    index.upsert(SIG ^ 1, &iri, entries(&row(&mut rng)));
                 }
                 reference.insert(iri, RefTemplate { pops });
             }
             // Republish (overwrite in place), re-read and remove a few.
             for &n in order.iter().take(rows / 4) {
                 let (iri, pops) = (iri_of(n), row(&mut rng));
-                match rng.gen_range(0..3) {
-                    0 => {
-                        index.upsert(SIG, &iri, "w2", entries(&pops));
-                        reference.insert(iri, RefTemplate { pops });
-                    }
-                    1 => {
-                        index.buckets.get_mut(&SIG).unwrap().remove(&iri);
-                        reference.remove(&iri);
-                    }
-                    _ => {
-                        // A refined template re-read: same row, other
-                        // operators.
-                        index.upsert(SIG, &iri, "w1", entries(&pops));
-                        reference.get_mut(&iri).unwrap().pops = pops;
-                    }
+                if rng.gen_range(0..3) == 1 {
+                    index.buckets.get_mut(&SIG).unwrap().remove(&iri);
+                    reference.remove(&iri);
+                } else {
+                    // A republish, or a refined template re-read: same
+                    // row, other operators.
+                    index.upsert(SIG, &iri, entries(&pops));
+                    reference.insert(iri, RefTemplate { pops });
                 }
             }
             index.settle();
@@ -2077,13 +2036,9 @@ mod tests {
             let mut reference = RefBucket::new();
             let mut shifts: Vec<f64> = Vec::new();
             let mut shift = 1e9;
-            let put = |index: &mut SigIndex,
-                       reference: &mut RefBucket,
-                       n,
-                       pops: Vec<RefPop>,
-                       rng: &mut StdRng| {
-                let (iri, workload) = (iri_of(n), *["w1", "w2", ""].choose(rng).unwrap());
-                index.upsert(SIG, &iri, workload, entries(&pops));
+            let put = |index: &mut SigIndex, reference: &mut RefBucket, n, pops: Vec<RefPop>| {
+                let iri = iri_of(n);
+                index.upsert(SIG, &iri, entries(&pops));
                 reference.insert(iri, RefTemplate { pops });
             };
             let mut n = 0;
@@ -2106,7 +2061,7 @@ mod tests {
                     if n % 8 == 3 {
                         pops.push(plain(PLANTED, 1.0, 2.0));
                     }
-                    put(&mut index, &mut reference, 2 * n, pops, &mut rng);
+                    put(&mut index, &mut reference, 2 * n, pops);
                     n += 1;
                 }
             }
@@ -2188,7 +2143,7 @@ mod tests {
                     drawn_admitted += 1;
                     after = Some(next);
                     // Between pulls: publish a row into a gap, republish
-                    // one in place (its hulls and workload), or retract.
+                    // one in place (its hulls), or retract.
                     if rng.gen_bool(0.3) {
                         let at = rng.gen_range(0..reference.len());
                         let iri = reference.keys().nth(at).unwrap().clone();
@@ -2204,11 +2159,11 @@ mod tests {
                         match rng.gen_range(0..3) {
                             0 => {
                                 let pops = fresh(&mut rng);
-                                put(&mut index, &mut reference, slot | 1, pops, &mut rng);
+                                put(&mut index, &mut reference, slot | 1, pops);
                             }
                             1 => {
                                 let pops = fresh(&mut rng);
-                                put(&mut index, &mut reference, slot, pops, &mut rng);
+                                put(&mut index, &mut reference, slot, pops);
                             }
                             _ if reference.len() > 1 => {
                                 index.remove(&iri);
@@ -2247,7 +2202,7 @@ mod tests {
                 index.remove(&iri);
             } else {
                 let signature = rng.gen_range(0..6);
-                index.upsert(signature, &iri, "w1", entries(&row(&mut rng)));
+                index.upsert(signature, &iri, entries(&row(&mut rng)));
             }
             for n in 0..40 {
                 let iri = iri_of(n);
@@ -2272,7 +2227,7 @@ mod tests {
         let mut index = SigIndex::default();
         for (n, pops) in rows.into_iter().enumerate() {
             let iri = format!("http://galo/kb/template/{n:07}");
-            index.upsert(SIG, &iri, "", entries(&pops));
+            index.upsert(SIG, &iri, entries(&pops));
         }
         index.settle();
         index
@@ -2355,29 +2310,109 @@ mod tests {
         assert!(overhead <= 1.15, "{stats:?}");
     }
 
-    /// What admission reads of one stored stat: the stored bounds (a
-    /// missing side left open) whatever the sketch beside them says, the
-    /// sketch's envelope only when no bound is stored, and unbounded with
-    /// neither.
+    /// What admission reads of one stored stat: the stored bounds, a
+    /// missing side left open, whatever the stat literal beside them
+    /// says; unbounded with no bound stored.
     #[test]
-    fn a_stat_admits_on_its_stored_bounds_else_its_sketch() {
-        let mut sketch = StatSketch::from_range(10.0, 20.0);
-        sketch.set_widen(2.0);
-        let range = |lo, hi, sketch: Option<&StatSketch>| {
-            let sketch = sketch.cloned();
-            StatFacts { lo, hi, sketch }.range()
-        };
+    fn a_stat_admits_on_its_stored_bounds_only() {
+        let mut stat = Stat::from_range(10.0, 20.0);
+        stat.set_widen(2.0);
+        let literal = stat.to_string();
+        let range = |lo, hi, literal| StatFacts { lo, hi, literal }.range();
         let stored = Range { lo: 1.0, hi: 3.0 };
-        assert_eq!(range(Some(1.0), Some(3.0), Some(&sketch)), stored);
+        assert_eq!(range(Some(1.0), Some(3.0), Some(&literal)), stored);
         assert_eq!(
-            range(None, Some(3.0), Some(&sketch)),
+            range(None, Some(3.0), Some(&literal)),
             Range::from_bounds(None, Some(3.0))
         );
-        assert_eq!(
-            range(None, None, Some(&sketch)),
-            Range { lo: 5.0, hi: 40.0 }
-        );
+        assert_eq!(range(None, None, Some(&literal)), Range::UNBOUNDED);
         assert_eq!(range(None, None, None), Range::UNBOUNDED);
+    }
+
+    /// Refinement's reading of `literal` as the `has*Stat` object of an
+    /// operator whose stored cardinality bounds are `[2, 5]`.
+    fn refined_cardinality(literal: &str) -> Stat {
+        let (lower, higher, stat) = STAT_FAMILIES[0];
+        let objects = [
+            (vocab::HAS_POP_TYPE, Term::lit("NLJOIN")),
+            (lower, Term::num(2.0)),
+            (higher, Term::num(5.0)),
+            (stat, Term::lit(literal)),
+        ];
+        let mut facts = IndexFacts::default();
+        for (local, object) in &objects {
+            facts.add("op", Fact::of(local).expect("an index fact"), object);
+        }
+        let operators = facts.operators();
+        assert_eq!(operators.len(), 1);
+        operators[0].2[0].expect("bounds are stored")
+    }
+
+    /// The four numbers of a statistic, as bits: equal even where NaN.
+    fn stat_bits(stat: Stat) -> [u64; 4] {
+        [stat.count(), stat.min(), stat.max(), stat.widen_factor()].map(f64::to_bits)
+    }
+
+    /// Any text read as a stat literal is the statistic it spells when it
+    /// is exactly four numbers one space apart, else the stored bounds.
+    fn assert_spelled_or_bounds(literal: &str) {
+        let spelled: Option<Vec<f64>> = literal.split(' ').map(|t| t.parse().ok()).collect();
+        let want = match spelled {
+            Some(numbers) if numbers.len() == 4 => numbers.iter().map(|v| v.to_bits()).collect(),
+            _ => stat_bits(Stat::from_range(2.0, 5.0)).to_vec(),
+        };
+        assert_eq!(
+            stat_bits(refined_cardinality(literal)).to_vec(),
+            want,
+            "{literal:?}"
+        );
+    }
+
+    /// Text to read as a stat literal: printable ASCII, number-like
+    /// runs, and arbitrary bytes made UTF-8.
+    fn any_text() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "[ -~]{0,40}",
+            "[-+0-9 .eEinfaINFtyN]{0,24}",
+            prop::collection::vec(any::<u8>(), 0..40)
+                .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary input never panics the stat-literal reading: any
+        /// text, and every truncation and a one-character edit of a
+        /// written literal, reads as the statistic it spells or as the
+        /// stored bounds; the written literal reads as the statistic
+        /// written.
+        #[test]
+        fn stat_literals_parse_to_the_written_stat_or_fall_back_to_the_bounds(
+            text in any_text(),
+            values in prop::collection::vec(any::<f64>(), 0..5),
+            widen in any::<f64>(),
+            at in any::<usize>(),
+            edit in "[ -~]",
+        ) {
+            assert_spelled_or_bounds(&text);
+            let mut written = Stat::default();
+            for v in values {
+                written.observe(v);
+            }
+            written.set_widen(widen);
+            let literal = written.to_string();
+            prop_assert_eq!(stat_bits(refined_cardinality(&literal)), stat_bits(written));
+            for cut in 0..literal.len() {
+                assert_spelled_or_bounds(&literal[..cut]);
+            }
+            // The literal is ASCII: every byte is a character.
+            let at = at % literal.len();
+            let (head, tail) = (&literal[..at], &literal[at + 1..]);
+            assert_spelled_or_bounds(&format!("{head}{edit}{tail}"));
+            assert_spelled_or_bounds(&format!("{head}{tail}"));
+            assert_spelled_or_bounds(&format!("{head}{edit}{}", &literal[at..]));
+        }
     }
 
     /// A query with no checks admits every row, one pull each, in IRI

@@ -78,17 +78,17 @@ pub const HAS_HIGHER_FPAGES: &str = "hasHigherFPages";
 pub const HAS_LOWER_BASE_CARDINALITY: &str = "hasLowerBaseCardinality";
 pub const HAS_HIGHER_BASE_CARDINALITY: &str = "hasHigherBaseCardinality";
 
-// Quantile-sketch literals stored next to the exact bounds: the full
-// t-digest (hex of `galo_stats::StatSketch::to_bytes`) per learned
-// property, so feedback refines the same sketch after export/import,
-// durable reopen and reindex.
-pub const HAS_CARDINALITY_SKETCH: &str = "hasCardinalitySketch";
-pub const HAS_ROW_SIZE_SKETCH: &str = "hasRowSizeSketch";
-pub const HAS_FPAGES_SKETCH: &str = "hasFPagesSketch";
-pub const HAS_BASE_CARDINALITY_SKETCH: &str = "hasBaseCardinalitySketch";
+// The learned statistic stored next to the exact bounds: one plain
+// literal `"count min max widen"` (`galo_stats::Stat`'s `Display`) per
+// learned property, so feedback refines the same statistic after
+// export/import, durable reopen and reindex.
+pub const HAS_CARDINALITY_STAT: &str = "hasCardinalityStat";
+pub const HAS_ROW_SIZE_STAT: &str = "hasRowSizeStat";
+pub const HAS_FPAGES_STAT: &str = "hasFPagesStat";
+pub const HAS_BASE_CARDINALITY_STAT: &str = "hasBaseCardinalityStat";
 
 /// The numeric property families of a template operator, as
-/// `(hasLower*, hasHigher*, *Sketch)` names: cardinality first, then the
+/// `(hasLower*, hasHigher*, has*Stat)` names: cardinality first, then the
 /// three scan statistics (row size, fpages, base cardinality).
 /// Serialization, the signature-index reader and feedback refinement all
 /// walk this one table, and the signature index stores an operator's
@@ -97,14 +97,14 @@ pub const STAT_FAMILIES: [(&str, &str, &str); 4] = [
     (
         HAS_LOWER_CARDINALITY,
         HAS_HIGHER_CARDINALITY,
-        HAS_CARDINALITY_SKETCH,
+        HAS_CARDINALITY_STAT,
     ),
-    (HAS_LOWER_ROW_SIZE, HAS_HIGHER_ROW_SIZE, HAS_ROW_SIZE_SKETCH),
-    (HAS_LOWER_FPAGES, HAS_HIGHER_FPAGES, HAS_FPAGES_SKETCH),
+    (HAS_LOWER_ROW_SIZE, HAS_HIGHER_ROW_SIZE, HAS_ROW_SIZE_STAT),
+    (HAS_LOWER_FPAGES, HAS_HIGHER_FPAGES, HAS_FPAGES_STAT),
     (
         HAS_LOWER_BASE_CARDINALITY,
         HAS_HIGHER_BASE_CARDINALITY,
-        HAS_BASE_CARDINALITY_SKETCH,
+        HAS_BASE_CARDINALITY_STAT,
     ),
 ];
 

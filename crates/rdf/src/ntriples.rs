@@ -265,9 +265,8 @@ mod tests {
         assert_eq!(st2.len(), 1);
     }
 
-    /// Sketch payloads serialize as long unbroken hex literals (hundreds
-    /// of characters, no escapes); the parser must round-trip them
-    /// byte-for-byte rather than truncating or splitting long literals.
+    /// A long unbroken literal (a thousand hex digits, no escapes) must
+    /// round-trip byte for byte, not be truncated or split.
     #[test]
     fn long_hex_literal_roundtrips() {
         let hex: String = (0..1024u32)
@@ -276,14 +275,14 @@ mod tests {
         let mut st = IndexedStore::new();
         st.insert(
             Term::iri("http://galo/qep/pop/5"),
-            Term::iri("http://galo/qep/property/hasCardinalitySketch"),
+            Term::iri("http://galo/qep/property/hasCardinalityStat"),
             Term::lit(hex.clone()),
         );
         let text = to_ntriples(&st);
         let st2 = from_ntriples(&text).unwrap();
         assert!(st2.contains(
             &Term::iri("http://galo/qep/pop/5"),
-            &Term::iri("http://galo/qep/property/hasCardinalitySketch"),
+            &Term::iri("http://galo/qep/property/hasCardinalityStat"),
             &Term::lit(hex),
         ));
         // Stability: a second serialization is byte-identical.

@@ -821,7 +821,7 @@ mod tests {
                     i / 16,
                     i % 16
                 )),
-                Term::iri("http://galo/qep/property/hasCardinalitySketch"),
+                Term::iri("http://galo/qep/property/hasCardinalityStat"),
                 Term::lit(format!("{:0100x}", u64::from(i) * 0x9E37_79B9)),
             )
         }));

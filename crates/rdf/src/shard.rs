@@ -1134,8 +1134,8 @@ mod tests {
     }
 
     /// Term `k` of a pool: every kind, the same text under different
-    /// kinds, and long literals (a sketch's hex runs to hundreds of
-    /// bytes) that differ only near their end.
+    /// kinds, and long literals (hundreds of bytes) that differ only
+    /// near their end.
     fn pool_term(k: u64) -> Term {
         let text = format!("urn:t/{}", k / 4);
         match k % 4 {

@@ -1,22 +1,26 @@
 //! Unit and property tests for the statistics substrate: exactness of
-//! the envelope, centroid budgets and weights, canonical merges, and
-//! serialization robustness.
+//! the envelope, the widen factor's decay, and the literal's round trip.
 
 use super::*;
 use proptest::prelude::*;
 
-fn sketch_of(values: &[f64]) -> StatSketch {
-    let mut s = StatSketch::new();
+fn stat_of(values: &[f64]) -> Stat {
+    let mut s = Stat::default();
     for &v in values {
         s.observe(v);
     }
     s
 }
 
+/// The four numbers of a statistic, as bits: equal even where they are NaN.
+fn bits(s: &Stat) -> [u64; 4] {
+    [s.count(), s.min(), s.max(), s.widen_factor()].map(f64::to_bits)
+}
+
 #[test]
 fn envelope_zero_matches_exact_widened_range_bit_for_bit() {
     let values = [7.0, 3.5, 900.25, 11.0, 0.125, 3.5];
-    let mut s = sketch_of(&values);
+    let mut s = stat_of(&values);
     s.set_widen(2.5);
     let mut exact = Range::point(values[0]);
     for &v in &values[1..] {
@@ -31,44 +35,20 @@ fn envelope_zero_matches_exact_widened_range_bit_for_bit() {
 
 #[test]
 fn point_and_from_range_seed_exact_envelopes() {
-    assert_eq!(StatSketch::point(7.0).envelope(), Range::point(7.0));
+    assert_eq!(Stat::point(7.0).envelope(), Range::point(7.0));
     assert_eq!(
-        StatSketch::from_range(3.0, 9.0).envelope(),
+        Stat::from_range(3.0, 9.0).envelope(),
         Range { lo: 3.0, hi: 9.0 }
     );
-    assert_eq!(
-        StatSketch::from_range(4.0, 4.0).envelope(),
-        Range::point(4.0)
-    );
-}
-
-#[test]
-fn centroid_budget_holds_under_streaming_and_merge() {
-    let mut a = StatSketch::new();
-    for k in 0..10_000 {
-        a.observe((k % 977) as f64);
-    }
-    assert!(a.centroid_count() <= CENTROID_BUFFER);
-    assert_eq!(a.count(), 10_000.0);
-    assert_eq!(a.min(), 0.0);
-    assert_eq!(a.max(), 976.0);
-
-    let b = sketch_of(
-        &(0..5_000)
-            .map(|k| (k % 31) as f64 * 1e6)
-            .collect::<Vec<_>>(),
-    );
-    let mut m = a.clone();
-    m.merge(&b);
-    assert!(m.centroid_count() <= CENTROID_BUDGET);
-    assert_eq!(m.count(), 15_000.0);
-    assert_eq!(m.max(), 30.0 * 1e6);
+    assert_eq!(Stat::from_range(4.0, 4.0).envelope(), Range::point(4.0));
+    assert_eq!(Stat::from_range(4.0, 4.0).count(), 1.0);
+    assert_eq!(Stat::from_range(3.0, 9.0).count(), 2.0);
 }
 
 #[test]
 fn empty_and_nonfinite_sketches_stay_unbounded() {
-    assert_eq!(StatSketch::new().envelope(), Range::UNBOUNDED);
-    let fallback = StatSketch::from_range(f64::NEG_INFINITY, f64::INFINITY);
+    assert_eq!(Stat::default().envelope(), Range::UNBOUNDED);
+    let fallback = Stat::from_range(f64::NEG_INFINITY, f64::INFINITY);
     assert_eq!(fallback.envelope(), Range::UNBOUNDED);
 }
 
@@ -88,53 +68,64 @@ fn range_from_bounds_defaults_each_missing_side() {
     );
 }
 
+/// Flipping any byte of a written literal as `b ^ 0x40` turns a digit, a
+/// space, `.` or `-` into a letter or mark that no number spells, so every
+/// flip is refused; a truncation is refused or reads another statistic,
+/// never the written one.
 #[test]
 fn serialization_roundtrips_and_rejects_every_single_byte_flip() {
-    let mut s = sketch_of(&[1.0, 2.0, 2.0, 3.0, 1e6]);
+    let mut s = stat_of(&[1.0, 2.0, 2.0, 3.0, 1e6, 0.125, -7.5]);
     s.set_widen(2.5);
-    let bytes = s.to_bytes();
-    assert_eq!(StatSketch::from_bytes(&bytes), Some(s.clone()));
-    assert_eq!(StatSketch::from_hex(&s.to_hex()), Some(s.clone()));
+    let text = s.to_string();
+    assert_eq!(text, "7 -7.5 1000000 2.5");
+    assert_eq!(Stat::parse(&text), Some(s));
 
-    for i in 0..bytes.len() {
-        let mut bad = bytes.clone();
+    for i in 0..text.len() {
+        let mut bad = text.clone().into_bytes();
         bad[i] ^= 0x40;
-        assert_eq!(StatSketch::from_bytes(&bad), None, "flip at byte {i}");
+        let bad = String::from_utf8(bad).expect("ASCII stays ASCII");
+        assert_eq!(Stat::parse(&bad), None, "flip at byte {i}: {bad:?}");
     }
-    for cut in 0..bytes.len() {
-        assert_eq!(StatSketch::from_bytes(&bytes[..cut]), None, "cut at {cut}");
+    for cut in 0..text.len() {
+        assert_ne!(Stat::parse(&text[..cut]), Some(s), "cut at {cut}");
     }
-    assert_eq!(StatSketch::from_hex("abc"), None);
-    assert_eq!(StatSketch::from_hex("zz"), None);
 }
 
-/// The hex codec before it was table-driven: `char::from_digit` per
-/// nibble out, `char::to_digit` per character in.
-fn char_to_hex(s: &StatSketch) -> String {
-    let mut out = String::new();
-    for b in s.to_bytes() {
-        out.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-        out.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
-    }
-    out
+/// The literal written out by hand: the four accessors `{}`-formatted and
+/// joined by single spaces.
+fn char_to_literal(s: &Stat) -> String {
+    [s.count(), s.min(), s.max(), s.widen_factor()]
+        .map(|v| v.to_string())
+        .join(" ")
 }
 
-fn char_from_hex(hex: &str) -> Option<StatSketch> {
-    if !hex.len().is_multiple_of(2) {
+/// The literal read by hand: split on `' '`, exactly four tokens, each an
+/// `f64`.
+fn char_from_literal(text: &str) -> Option<Stat> {
+    let tokens: Vec<&str> = text.split(' ').collect();
+    if tokens.len() != 4 {
         return None;
     }
-    let mut bytes = Vec::new();
-    for pair in hex.as_bytes().chunks(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        bytes.push(((hi << 4) | lo) as u8);
+    let mut numbers = [0.0; 4];
+    for (slot, token) in numbers.iter_mut().zip(&tokens) {
+        *slot = token.parse().ok()?;
     }
-    StatSketch::from_bytes(&bytes)
+    let [count, min, max, widen] = numbers;
+    Some(Stat {
+        count,
+        min,
+        max,
+        widen,
+    })
 }
 
+/// The literal codec equals the formulas above on a seeded stream of
+/// statistics and of edits to their literals. The name is kept from the
+/// hex codec the plain literal replaced: hex spellings of a literal (one
+/// token, no spaces) read as no statistic.
 #[test]
 fn hex_codec_equals_the_char_formulas() {
-    // xorshift64: a seeded stream of sketches and of edits to their hex.
+    // xorshift64: a seeded stream of statistics and of edits to their text.
     let mut state = 0x4E58_C0DE_u64;
     let mut next = move || {
         state ^= state << 13;
@@ -143,59 +134,96 @@ fn hex_codec_equals_the_char_formulas() {
         state
     };
     let agree = |text: &str| {
-        assert_eq!(StatSketch::from_hex(text), char_from_hex(text), "{text:?}");
+        assert_eq!(
+            Stat::parse(text).map(|s| bits(&s)),
+            char_from_literal(text).map(|s| bits(&s)),
+            "{text:?}"
+        );
     };
     for round in 0..400 {
         let n = (next() % 60) as usize;
-        let mut s = sketch_of(
+        let mut s = stat_of(
             &(0..n)
-                .map(|_| (next() % 1_000_000) as f64 / 8.0)
+                .map(|_| (next() % 1_000_000) as f64 / 8.0 - 1_000.0)
                 .collect::<Vec<_>>(),
         );
         s.set_widen(1.0 + (round % 7) as f64 / 2.0);
-        let hex = s.to_hex();
-        assert_eq!(hex, char_to_hex(&s), "round {round}");
+        let text = s.to_string();
+        assert_eq!(text, char_to_literal(&s), "round {round}");
+        assert_eq!(Stat::parse(&text).map(|r| bits(&r)), Some(bits(&s)));
+        agree(&text);
+        // Upper-case letters (`INF`) are read as the lower-case ones.
+        agree(&text.to_ascii_uppercase());
+        // A cut, a character that is no digit (ASCII or not), a stray
+        // digit, a doubled or dropped space.
+        agree(&text[..text.len() - 1]);
+        let at = (next() as usize) % text.len();
+        for stray in ["g", "G", " ", "\u{e9}", "\u{2713}", "x", "-", ".", "e"] {
+            agree(&format!("{}{stray}{}", &text[..at], &text[at + 1..]));
+            agree(&format!("{}{stray}{}", &text[..at], &text[at..]));
+        }
+        let digit = char::from_digit((next() % 10) as u32, 10).unwrap();
+        agree(&format!("{}{digit}{}", &text[..at], &text[at + 1..]));
+        agree(&text.replacen(' ', "  ", 1));
+        agree(&text.replacen(' ', "", 1));
+        // The literal's bytes in hex, as the replaced codec wrote them.
+        let hex: String = text.bytes().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(Stat::parse(&hex), None, "{hex:?}");
         agree(&hex);
-        // Upper-case digits are read as the lower-case ones.
-        let mut mixed: Vec<u8> = hex.clone().into_bytes();
-        for _ in 0..1 + next() % 8 {
-            let at = (next() as usize) % mixed.len();
-            mixed[at] = mixed[at].to_ascii_uppercase();
-        }
-        let mixed = String::from_utf8(mixed).unwrap();
-        assert_eq!(StatSketch::from_hex(&mixed), Some(s.clone()));
-        agree(&mixed);
-        // Odd lengths, a character that is no digit (ASCII or not), a
-        // flipped digit.
-        agree(&hex[..hex.len() - 1]);
-        let at = (next() as usize) % hex.len();
-        for stray in ["g", "G", " ", "\u{e9}", "\u{2713}", "x"] {
-            agree(&format!("{}{stray}{}", &hex[..at], &hex[at + 1..]));
-        }
-        let digit = HEX_DIGITS[(next() % 16) as usize] as char;
-        agree(&format!("{}{digit}{}", &hex[..at], &hex[at + 1..]));
+        agree(&hex.to_ascii_uppercase());
     }
-    for text in ["", "0", "00", "zz", "abc", "ABCD", "\u{e9}\u{e9}", "0x"] {
+    for text in [
+        "",
+        "0",
+        "00",
+        "zz",
+        "abc",
+        "ABCD",
+        "\u{e9}\u{e9}",
+        "0x",
+        "1 2 3 4",
+        "NaN 1 2 3",
+        "inf inf inf inf",
+        "1e3 2E-3 +4 .5",
+    ] {
         agree(text);
     }
 }
 
+/// The literal is the four numbers in shortest round-trip form, and
+/// nothing but exactly four numbers one space apart reads back.
 #[test]
 fn republished_sketch_serialization_is_byte_stable() {
     let build = || {
-        let mut s = StatSketch::new();
+        let mut s = Stat::default();
         for k in 0..200 {
             s.observe(((k * 37) % 113) as f64);
         }
         s.set_widen(2.5);
-        s.to_hex()
+        s.to_string()
     };
     assert_eq!(build(), build());
+    assert_eq!(build(), "200 0 112 2.5");
+    assert_eq!(Stat::default().to_string(), "0 inf -inf 1");
+    assert_eq!(Stat::parse("0 inf -inf 1"), Some(Stat::default()));
+    for text in [
+        "",
+        "1 2 3",
+        "1 2 3 4 5",
+        "1 2 3 4 ",
+        " 1 2 3 4",
+        "1  2 3 4",
+        "1\t2 3 4",
+        "1 2 3 x",
+        "0x1 2 3 4",
+    ] {
+        assert_eq!(Stat::parse(text), None, "{text:?}");
+    }
 }
 
 #[test]
 fn decay_widen_shrinks_toward_one_and_never_below() {
-    let mut s = sketch_of(&[10.0, 20.0]);
+    let mut s = stat_of(&[10.0, 20.0]);
     s.set_widen(4.0);
     s.decay_widen(0.5);
     assert_eq!(s.widen_factor(), 2.5); // 1 + 3·0.5
@@ -204,7 +232,7 @@ fn decay_widen_shrinks_toward_one_and_never_below() {
     s.decay_widen(0.9);
     assert_eq!(s.widen_factor(), 1.0); // stays at the floor
                                        // Out-of-range decay is clamped: never widens.
-    let mut t = sketch_of(&[1.0]);
+    let mut t = stat_of(&[1.0]);
     t.set_widen(3.0);
     t.decay_widen(7.0);
     assert_eq!(t.widen_factor(), 3.0);
@@ -214,7 +242,7 @@ fn decay_widen_shrinks_toward_one_and_never_below() {
 
 #[test]
 fn decay_widen_preserves_exact_observations_in_envelope() {
-    let mut s = sketch_of(&[5.0, 50.0]);
+    let mut s = stat_of(&[5.0, 50.0]);
     s.set_widen(4.0);
     for _ in 0..32 {
         s.decay_widen(0.9);
@@ -224,7 +252,7 @@ fn decay_widen_preserves_exact_observations_in_envelope() {
 }
 
 /// Values drawn from mixed regimes: clustered mass, wide uniform spread,
-/// and large outliers — the shapes admission sketches actually see.
+/// and large outliers — the shapes learned statistics actually see.
 fn value_strategy() -> impl Strategy<Value = f64> {
     prop_oneof![
         0.0f64..100.0,
@@ -235,89 +263,32 @@ fn value_strategy() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Assert the centroid invariants of a sketch of the finite values in
-/// `values`: sorted by `(mean, weight)`, at most [`CENTROID_BUFFER`] of
-/// them, their weights summing to the finite observation count, and none
-/// heavier than `max(1, 2·n/B)`.
-fn assert_centroid_invariants(s: &StatSketch, values: &[f64], ctx: &str) {
-    let n = values.iter().filter(|v| v.is_finite()).count() as f64;
-    let cap = (2.0 * n / CENTROID_BUDGET as f64).max(1.0);
-    let weights: Vec<f64> = s.centroids.iter().map(|c| c.weight).collect();
-    assert!(s.centroids.len() <= CENTROID_BUFFER, "{ctx}: {weights:?}");
-    assert!(
-        s.centroids
-            .windows(2)
-            .all(|w| centroid_cmp(&w[0], &w[1]).is_le()),
-        "{ctx}: unsorted"
-    );
-    assert_eq!(weights.iter().sum::<f64>(), n, "{ctx}");
-    assert!(
-        weights.iter().all(|&w| w <= cap),
-        "{ctx}: cap {cap}, {weights:?}"
-    );
+/// Any `f64`, the ones no observation should carry included.
+fn any_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<f64>(),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(-0.0),
+        Just(f64::MIN_POSITIVE / 3.0),
+        Just(f64::MAX),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn merge_is_exactly_commutative(
-        xs in prop::collection::vec(value_strategy(), 1..200),
-        ys in prop::collection::vec(value_strategy(), 1..200),
-    ) {
-        let a = sketch_of(&xs);
-        let b = sketch_of(&ys);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn merge_is_associative_within_error_bound(
-        xs in prop::collection::vec(value_strategy(), 1..120),
-        ys in prop::collection::vec(value_strategy(), 1..120),
-        zs in prop::collection::vec(value_strategy(), 1..120),
-    ) {
-        let (a, b, c) = (sketch_of(&xs), sketch_of(&ys), sketch_of(&zs));
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-
-        prop_assert_eq!(left.count(), right.count());
-        prop_assert_eq!(left.min(), right.min());
-        prop_assert_eq!(left.max(), right.max());
-        prop_assert_eq!(left.envelope(), right.envelope());
-        prop_assert!(left.centroid_count() <= CENTROID_BUDGET);
-        prop_assert!(right.centroid_count() <= CENTROID_BUDGET);
-
-        let all: Vec<f64> = xs.iter().chain(&ys).chain(&zs).copied().collect();
-        assert_centroid_invariants(&left, &all, "left");
-        assert_centroid_invariants(&right, &all, "right");
-    }
-
-    #[test]
-    fn streamed_centroids_stay_within_the_weight_bound(
-        xs in prop::collection::vec(value_strategy(), 1..400),
-    ) {
-        assert_centroid_invariants(&sketch_of(&xs), &xs, "stream");
-    }
-
-    #[test]
     fn serialization_roundtrip_is_exact_for_arbitrary_sketches(
-        xs in prop::collection::vec(value_strategy(), 0..300),
-        widen in 1.0f64..8.0,
+        xs in prop::collection::vec(any_value(), 0..40),
+        widen in any_value(),
     ) {
-        let mut s = sketch_of(&xs);
+        let mut s = stat_of(&xs);
         s.set_widen(widen);
-        prop_assert_eq!(StatSketch::from_hex(&s.to_hex()), Some(s.clone()));
-        let round = StatSketch::from_bytes(&s.to_bytes()).unwrap();
-        prop_assert_eq!(round.to_bytes(), s.to_bytes());
+        let text = s.to_string();
+        let round = Stat::parse(&text).expect("a written statistic parses");
+        prop_assert_eq!(bits(&round), bits(&s), "{}", text);
+        prop_assert_eq!(round.to_string(), text);
     }
 
     #[test]
@@ -325,7 +296,7 @@ proptest! {
         xs in prop::collection::vec(value_strategy(), 1..200),
         widen in 1.0f64..8.0,
     ) {
-        let mut s = sketch_of(&xs);
+        let mut s = stat_of(&xs);
         s.set_widen(widen);
         let mut exact = Range::point(xs[0]);
         for &v in &xs[1..] {

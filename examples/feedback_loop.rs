@@ -1,4 +1,4 @@
-//! Closing the loop: runtime actuals feed the per-template sketches.
+//! Closing the loop: runtime actuals feed the per-template statistics.
 //!
 //! Matching tests a template's stored ranges exactly, so patterns learned
 //! on TPC-DS match nothing of the client workload: its statistics fall
@@ -13,7 +13,7 @@
 //!    [`FeedbackCollector`](galo_core::FeedbackCollector) — the templates
 //!    a plan nearly matched record its values — and the batch is folded
 //!    ([`KnowledgeBase::apply_feedback`](galo_core::KnowledgeBase::apply_feedback)):
-//!    in-band values widen the stored sketches exactly where this
+//!    in-band values widen the stored statistics exactly where this
 //!    workload lives,
 //! 3. match again at exact ranges: the widened templates now match,
 //! 4. run a second round over the same plans: every rewrite the first
@@ -141,6 +141,6 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "\nOne round of evidence moved the TPC-DS sketches to where the client\nworkload runs ({matched0} -> {matched1} matched segments at exact ranges), and the\nnext round kept every match it had made."
+        "\nOne round of evidence moved the TPC-DS statistics to where the client\nworkload runs ({matched0} -> {matched1} matched segments at exact ranges), and the\nnext round kept every match it had made."
     );
 }

@@ -175,7 +175,7 @@ fn main() {
                 pops: vec![galo_core::TemplatePop {
                     op_id: 1,
                     pop_type: "IXSCAN".into(),
-                    cardinality: galo_core::StatSketch::from_range(
+                    cardinality: galo_core::Stat::from_range(
                         (batch + 1) as f64 * 30.0,
                         (batch + 1) as f64 * 60.0,
                     ),
@@ -308,7 +308,7 @@ fn main() {
         pops: vec![galo_core::TemplatePop {
             op_id: 1,
             pop_type: "TBSCAN".into(),
-            cardinality: galo_core::StatSketch::from_range(40.0, 80.0),
+            cardinality: galo_core::Stat::from_range(40.0, 80.0),
             scan: None,
             inputs: vec![],
         }],

@@ -224,7 +224,7 @@ proptest! {
                 if displace && i == 0 {
                     let r = p.cardinality.envelope();
                     p.cardinality =
-                        galo_core::StatSketch::from_range(r.lo * 1.0e6, r.hi * 1.0e6);
+                        galo_core::Stat::from_range(r.lo * 1.0e6, r.hi * 1.0e6);
                 }
             }
             tpl.source_workload = "prop".into();

@@ -1,5 +1,5 @@
 //! The runtime-feedback loop end to end (ROADMAP item 1): actuals
-//! recorded after execution widen per-template sketches (near-miss
+//! recorded after execution widen per-template statistics (near-miss
 //! widening), concentration narrows them (decayed widen factors), and
 //! every effective refinement moves the mutation epoch so the serving
 //! tier drops exactly the outcomes it would otherwise serve stale.
@@ -241,7 +241,7 @@ fn band_gated_refinement_widens_near_misses_only() {
     assert_eq!(kb.epoch(), e1);
 }
 
-/// Refined sketches are durable: they survive `export` → `import` into a
+/// Refined statistics are durable: they survive `export` → `import` into a
 /// fresh knowledge base AND a sharded-durable close/reopen through the
 /// same [`KbBuilder`] path that created the store.
 #[test]
@@ -291,7 +291,7 @@ fn refined_sketches_survive_export_import_and_sharded_reopen() {
     );
     assert!(admits(&reopened, &checks));
 
-    // Export/import: the refined sketch rode the image into a fresh KB.
+    // Export/import: the refined statistic rode the image into a fresh KB.
     let fresh = KnowledgeBase::new();
     fresh.import(&image).unwrap();
     assert!(
@@ -348,7 +348,7 @@ fn serving_tier_feedback_invalidates_without_losing_matches() {
     assert!(warm.report.cache_hit, "recording is off the serve path");
 
     // Fold the batch. At least the matched template is refined (its
-    // estimate values fold into the sketch), so the epoch moves.
+    // estimate values fold into its statistic), so the epoch moves.
     let e1 = kb.epoch();
     let applied = tier
         .maybe_apply_feedback()

@@ -116,7 +116,7 @@ fn displaced_ranges_do_not_match() {
     let kb = KnowledgeBase::new();
     let mut tpl = abstract_plan(&db, &plan, plan.root(), &fix, kb.fresh_id(9));
     for p in &mut tpl.pops {
-        p.cardinality = galo_core::StatSketch::from_range(1.0e12, 2.0e12);
+        p.cardinality = galo_core::Stat::from_range(1.0e12, 2.0e12);
     }
     tpl.source_workload = "unit".into();
     kb.insert(&tpl);

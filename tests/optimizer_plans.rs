@@ -15,15 +15,18 @@ use std::path::PathBuf;
 use galo_optimizer::{Optimizer, PlannerConfig};
 use galo_qgm::{GuidelineDoc, GuidelineNode};
 use galo_sql::Query;
-use galo_stats::fnv64;
 use galo_workloads::{client, tpcds, Workload};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/optimizer_plans.txt")
 }
 
+/// FNV-1a 64 of the value's debug text.
 fn hash<T: std::fmt::Debug>(value: &T) -> u64 {
-    fnv64(format!("{value:?}").as_bytes())
+    let text = format!("{value:?}");
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// `HSJOIN(TBSCAN, TBSCAN)` over the endpoints of the query's first join

@@ -25,7 +25,7 @@ use galo_core::{
     abstract_plan, learn_workload, learn_workload_cluster, learn_workload_replicated, loopback,
     match_plan, vocab, ClusterConfig, FaultPlan, FaultyLink, KnowledgeBase, LearnerNode,
     LearningConfig, Link, LoopEnd, MatchConfig, PeerState, Primary, Publisher, Replica,
-    ReplicationConfig, RetryPolicy, ServingTier, StatSketch, Template, TemplatePop, TemplateScan,
+    ReplicationConfig, RetryPolicy, ServingTier, Stat, Template, TemplatePop, TemplateScan,
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
@@ -134,19 +134,19 @@ fn tpl(id: &str, workload: &str, card: f64) -> Template {
             TemplatePop {
                 op_id: 1,
                 pop_type: "HSJOIN".into(),
-                cardinality: StatSketch::from_range(card, card * 2.0),
+                cardinality: Stat::from_range(card, card * 2.0),
                 scan: None,
                 inputs: vec![2],
             },
             TemplatePop {
                 op_id: 2,
                 pop_type: "TBSCAN".into(),
-                cardinality: StatSketch::from_range(10.0, 20.0),
+                cardinality: Stat::from_range(10.0, 20.0),
                 scan: Some(TemplateScan {
                     canonical_tabid: "T1".into(),
-                    row_size: StatSketch::from_range(8.0, 8.0),
-                    fpages: StatSketch::from_range(100.0, 200.0),
-                    base_cardinality: StatSketch::from_range(1_000.0, 2_000.0),
+                    row_size: Stat::from_range(8.0, 8.0),
+                    fpages: Stat::from_range(100.0, 200.0),
+                    base_cardinality: Stat::from_range(1_000.0, 2_000.0),
                 }),
                 inputs: vec![],
             },
@@ -170,12 +170,12 @@ fn reference_quads(templates: &[Template]) -> Vec<Quad> {
     fn say(quads: &mut Vec<Quad>, s: &Term, property: &str, o: Term) {
         quads.push((s.clone(), vocab::prop(property), o, None));
     }
-    fn stat(quads: &mut Vec<Quad>, me: &Term, family: usize, sketch: &StatSketch) {
-        let (lo, hi, sk) = vocab::STAT_FAMILIES[family];
-        let range = sketch.envelope();
+    fn stat(quads: &mut Vec<Quad>, me: &Term, family: usize, stat: &Stat) {
+        let (lo, hi, literal) = vocab::STAT_FAMILIES[family];
+        let range = stat.envelope();
         say(quads, me, lo, Term::num(range.lo));
         say(quads, me, hi, Term::num(range.hi));
-        say(quads, me, sk, Term::lit(sketch.to_hex()));
+        say(quads, me, literal, Term::lit(stat.to_string()));
     }
     let mut quads = Vec::new();
     for tpl in templates {

@@ -21,7 +21,7 @@ use galo_catalog::{
 use galo_core::{
     abstract_plan, learn_workload, learn_workload_cluster, loopback, match_plan, vocab,
     ClusterConfig, KnowledgeBase, LearningConfig, MatchConfig, MatchReport, PeerState, Primary,
-    ProbeCache, Replica, RetryPolicy, ServeOutcome, ServingTier, StatSketch, Template, TemplatePop,
+    ProbeCache, Replica, RetryPolicy, ServeOutcome, ServingTier, Stat, Template, TemplatePop,
     TemplateRefinement,
 };
 use galo_executor::compute_actuals;
@@ -124,9 +124,9 @@ fn template_of_plan(w: &Workload, plan: &Qgm, id: &str, factor: f64) -> Template
     let g = GuidelineDoc::new(vec![guideline_from_plan(plan, plan.root()).unwrap()]);
     let mut tpl = abstract_plan(&w.db, plan, plan.root(), &g, id.into());
     tpl.source_workload = w.name.clone();
-    let scale = |sketch: &mut StatSketch| {
-        let range = sketch.envelope();
-        *sketch = StatSketch::from_range(range.lo * factor, range.hi * factor);
+    let scale = |stat: &mut Stat| {
+        let range = stat.envelope();
+        *stat = Stat::from_range(range.lo * factor, range.hi * factor);
     };
     for pop in &mut tpl.pops {
         scale(&mut pop.cardinality);
@@ -147,7 +147,7 @@ fn scan_template(id: &str) -> Template {
         pops: vec![TemplatePop {
             op_id: 1,
             pop_type: "TBSCAN".into(),
-            cardinality: StatSketch::from_range(40.0, 80.0),
+            cardinality: Stat::from_range(40.0, 80.0),
             scan: None,
             inputs: vec![],
         }],
@@ -612,7 +612,7 @@ fn a_refinement_whose_old_row_admitted_drops_the_entry() {
     let mut tpl = template_of_plan(&w, plan, "widened", 1.0);
     for pop in &mut tpl.pops {
         let estimate = pop.cardinality.envelope().hi;
-        let mut widened = StatSketch::point(estimate * 4.0);
+        let mut widened = Stat::point(estimate * 4.0);
         widened.set_widen(8.0);
         pop.cardinality = widened;
     }

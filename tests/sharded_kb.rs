@@ -888,8 +888,9 @@ fn index_view(kb: &KnowledgeBase, signature: u64, checks: &[PopCheck]) -> Vec<Ve
 /// edit, refinement, removal of a first, middle, last and only row of a
 /// signature several templates share, clear — the index kept in step
 /// must answer exactly like the rebuilt one, including the two fallback
-/// rules: a corrupt sketch literal falls back to the exact bounds, and an
-/// operator stored without bounds is unbounded.
+/// rules: a corrupt stat literal falls back to the exact bounds, and an
+/// operator stored without bounds is unbounded, its stat literal
+/// notwithstanding.
 #[test]
 fn incremental_index_equals_the_index_rebuilt_from_the_store() {
     let (db, plan) = setup();
@@ -903,9 +904,9 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
     };
     let kb = open();
     let checks = segment_pop_checks(&db, &plan, plan.root());
-    // Sketches with spread and an outlier, so the templates' bounds
+    // Statistics with spread and an outlier, so the templates' bounds
     // differ from each other.
-    let sketched = |salt: u64, workload: &str, spread: &[f64]| {
+    let observed = |salt: u64, workload: &str, spread: &[f64]| {
         let mut tpl = template(&db, &plan, &kb, salt, workload);
         for pop in &mut tpl.pops {
             let point = pop.cardinality.envelope().lo;
@@ -915,14 +916,12 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
         }
         tpl
     };
-    let signature = KnowledgeBase::template_signature(&sketched(0, "w1", &[]));
+    let signature = KnowledgeBase::template_signature(&observed(0, "w1", &[]));
     let iri_of = |tpl: &Template| vocab::template_iri(&tpl.id).str_value().to_string();
     let quads_of = |tpl: &Template| KnowledgeBase::templates_to_quads(std::slice::from_ref(tpl));
-    let is_stat = |q: &Quad| {
+    let is_bound = |q: &Quad| {
         let local = q.1.as_iri().and_then(|p| p.strip_prefix(vocab::PROP_NS));
-        local.is_some_and(|l| {
-            l.starts_with("hasLower") || l.starts_with("hasHigher") || l.ends_with("Sketch")
-        })
+        local.is_some_and(|l| l.starts_with("hasLower") || l.starts_with("hasHigher"))
     };
     let check = |kb: &KnowledgeBase, step: &str| {
         let live = index_view(kb, signature, &checks);
@@ -932,24 +931,25 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
     };
 
     // insert_batch: a block of whole templates, handed to the store.
-    let a = sketched(1, "w1", &[0.5, 2.0, 200.0]);
-    let b = sketched(2, "w2", &[0.9, 1.1, 1.2, 1.3, 40.0]);
+    let a = observed(1, "w1", &[0.5, 2.0, 200.0]);
+    let b = observed(2, "w2", &[0.9, 1.1, 1.2, 1.3, 40.0]);
     kb.insert_batch(&[a.clone(), b.clone()]);
     let first = check(&kb, "insert_batch");
 
     // Whole-template apply_quads: a plain template, one whose cardinality
-    // sketch literals are corrupt, and one stored with no bounds at all.
-    let c = sketched(3, "w2", &[0.7, 1.6]);
-    let corrupt = sketched(4, "w1", &[0.5, 2.0, 200.0]);
-    let boundless = sketched(5, "w1", &[]);
+    // stat literals are corrupt, and one stored with its stat literals but
+    // no bounds at all.
+    let c = observed(3, "w2", &[0.7, 1.6]);
+    let corrupt = observed(4, "w1", &[0.5, 2.0, 200.0]);
+    let boundless = observed(5, "w1", &[]);
     let mut quads = quads_of(&c);
     quads.extend(quads_of(&corrupt).into_iter().map(|mut q| {
-        if q.1 == vocab::prop(vocab::HAS_CARDINALITY_SKETCH) {
-            q.2 = Term::lit("00not-a-sketch");
+        if q.1 == vocab::prop(vocab::HAS_CARDINALITY_STAT) {
+            q.2 = Term::lit("00not-a-stat");
         }
         q
     }));
-    quads.extend(quads_of(&boundless).into_iter().filter(|q| !is_stat(q)));
+    quads.extend(quads_of(&boundless).into_iter().filter(|q| !is_bound(q)));
     assert!(kb.apply_quads(&quads) > 0);
     let second = check(&kb, "apply_quads");
     assert_ne!(first, second, "the view must see the new templates");
@@ -960,12 +960,13 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
     assert_eq!(
         kb.candidate_templates_admitting(signature, &AdmissionQuery::exact(&absurd)),
         vec![iri_of(&boundless)],
-        "only the operator-bounds-free template admits an absurd cardinality"
+        "only the operator-bounds-free template admits an absurd cardinality: \
+         a stat literal is no admission source"
     );
 
     // One block mixing a publish with a retraction: a whole-template
     // insert plus the removal of everything `a` was stored as.
-    let d = sketched(6, "w1", &[1.5]);
+    let d = observed(6, "w1", &[1.5]);
     let mut records: Vec<Record> = quads_of(&d).into_iter().map(Record::from).collect();
     records.extend(
         quads_of(&a)
@@ -977,7 +978,7 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
     assert!(!view[1].contains(&iri_of(&a)) && view[1].contains(&iri_of(&d)));
 
     // Partial edits through apply_block: one operator of `c` trades its
-    // lower cardinality bound for a wider one (its sketch literal stays)
+    // lower cardinality bound for a wider one (its stat literal stays)
     // and another loses its type, which is a change of shape: the block
     // states no template whole, so `c`'s row is re-read from the store —
     // and leaves the bucket. Giving the type back, an insert alone,
@@ -1011,7 +1012,7 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
     assert_eq!((&view[0], &view[1]), (&before[0], &before[1]));
 
     // refine_template_stats: the refined template's row re-read from
-    // the store, on a healthy template and on the corrupt-sketch one.
+    // the store, on a healthy template and on the corrupt-stat one.
     for tpl in [&b, &corrupt] {
         let observations = checks
             .iter()
@@ -1075,10 +1076,10 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
     );
 
     // remove_template: a bucket's only row takes the bucket with it…
-    let mut lone = sketched(7, "w2", &[1.4]);
+    let mut lone = observed(7, "w2", &[1.4]);
     lone.join_count += 1; // a signature of its own
     let more: Vec<Template> = (8..12)
-        .map(|salt| sketched(salt, "w1", &[0.8, 1.9]))
+        .map(|salt| observed(salt, "w1", &[0.8, 1.9]))
         .collect();
     kb.insert_batch(std::slice::from_ref(&lone));
     kb.insert_batch(&more);
@@ -1086,7 +1087,7 @@ fn incremental_index_equals_the_index_rebuilt_from_the_store() {
     assert!(kb.remove_template(&iri_of(&lone)));
     assert_eq!(check(&kb, "removing a bucket's only row")[0], vec!["1"]);
     // …and a first, a middle and a last row leave their neighbours —
-    // operators, hulls, sketches — where the cursor expects them.
+    // operators, hulls, stats — where the cursor expects them.
     for position in ["first", "middle", "last"] {
         let rows = kb.candidate_templates(signature);
         let victim = match position {

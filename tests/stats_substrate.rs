@@ -1,14 +1,14 @@
-//! Integration pins on the quantile-sketch statistics substrate: the
-//! admission pre-check must agree exactly with an independent min/max
-//! oracle (and never prune a template the text pipeline matches), and
-//! the sketches themselves — not just their min/max envelopes — must
+//! Integration pins on the statistics substrate: the admission pre-check
+//! must agree exactly with an independent min/max oracle (and never prune
+//! a template the text pipeline matches), and the statistics themselves —
+//! count and widen factor too, not just their min/max envelopes — must
 //! survive `export`/`import`, a sharded durable reopen, and an explicit
-//! `reindex` byte for byte.
+//! `reindex` bit for bit.
 
 use galo_core::oracle::match_plan_text;
 use galo_core::{
     abstract_plan, match_plan, segment_pop_checks, vocab, AdmissionQuery, AdmissionStats,
-    KbBuilder, KnowledgeBase, MatchConfig, PopCheck, StatSketch, Template,
+    KbBuilder, KnowledgeBase, MatchConfig, PopCheck, Stat, Template,
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, segments, shape_signature, GuidelineDoc};
@@ -19,9 +19,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Exact-bounds admission of one value, recomputed straight from the
-/// sketch's stored min/max and widen factor — deliberately *not* via
+/// statistic's stored min/max and widen factor — deliberately *not* via
 /// `envelope()`, so it is an independent oracle for the index path.
-fn exact_admits(s: &StatSketch, v: f64, m: f64) -> bool {
+fn exact_admits(s: &Stat, v: f64, m: f64) -> bool {
     let w = s.widen_factor();
     s.min() / w <= v * m && s.max() * w >= v / m
 }
@@ -85,7 +85,7 @@ proptest! {
                 p.cardinality.set_widen(1.5);
                 if displace && i == 0 {
                     let r = p.cardinality.envelope();
-                    p.cardinality = StatSketch::from_range(r.lo * 1.0e6, r.hi * 1.0e6);
+                    p.cardinality = Stat::from_range(r.lo * 1.0e6, r.hi * 1.0e6);
                 }
             }
             tpl.source_workload = "prop".into();
@@ -145,36 +145,41 @@ proptest! {
     }
 }
 
-/// Every sketch literal the knowledge base stores, decoded, as
-/// `(operator IRI, property, StatSketch::to_bytes())`, sorted.
-fn stored_sketches(kb: &KnowledgeBase) -> Vec<(String, &'static str, Vec<u8>)> {
+/// Every stat literal the knowledge base stores, decoded, as
+/// `(operator IRI, property, [count, min, max, widen] as bits)`, sorted.
+fn stored_stats(kb: &KnowledgeBase) -> Vec<(String, &'static str, [u64; 4])> {
     let properties = [
-        vocab::HAS_CARDINALITY_SKETCH,
-        vocab::HAS_ROW_SIZE_SKETCH,
-        vocab::HAS_FPAGES_SKETCH,
-        vocab::HAS_BASE_CARDINALITY_SKETCH,
+        vocab::HAS_CARDINALITY_STAT,
+        vocab::HAS_ROW_SIZE_STAT,
+        vocab::HAS_FPAGES_STAT,
+        vocab::HAS_BASE_CARDINALITY_STAT,
     ];
-    let mut sketches = Vec::new();
+    let mut stats = Vec::new();
     for property in properties {
         let iri = vocab::prop(property);
-        let query = format!("SELECT ?op ?sk WHERE {{ ?op <{}> ?sk }}", iri.str_value());
+        let query = format!("SELECT ?op ?st WHERE {{ ?op <{}> ?st }}", iri.str_value());
         let rows = kb.server().query(&query).expect("the scan parses");
         for row in 0..rows.len() {
             let op = rows.get(row, "op").expect("bound").str_value().to_string();
-            let literal = rows.get(row, "sk").expect("bound").str_value();
-            let sketch = StatSketch::from_hex(literal).expect("a stored sketch decodes");
-            sketches.push((op, property, sketch.to_bytes()));
+            let literal = rows.get(row, "st").expect("bound").str_value();
+            let stat = Stat::parse(literal).expect("a stored stat parses");
+            stats.push((op, property, bits(&stat)));
         }
     }
-    sketches.sort();
-    sketches
+    stats.sort();
+    stats
 }
 
-/// Sketch triples survive `export` → `import`, a sharded durable
-/// reopen, and an explicit `reindex`: every stored sketch's bytes are
-/// the ones the template was written with, so a single moved centroid
-/// fails. (Feedback refines these sketches, so losing them would lose
-/// the observations a refinement folds into.)
+/// A statistic's four numbers as bits.
+fn bits(stat: &Stat) -> [u64; 4] {
+    [stat.count(), stat.min(), stat.max(), stat.widen_factor()].map(f64::to_bits)
+}
+
+/// Stat triples survive `export` → `import`, a sharded durable reopen,
+/// and an explicit `reindex`: every stored statistic is the one the
+/// template was written with, bit for bit, its count included.
+/// (Feedback refines these statistics, so losing them would lose the
+/// observations a refinement folds into.)
 #[test]
 fn sketches_survive_import_sharded_reopen_and_reindex() {
     let w = tpcds::workload();
@@ -185,35 +190,34 @@ fn sketches_survive_import_sharded_reopen_and_reindex() {
     let kb_mem = KnowledgeBase::new();
     let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
     let mut tpl = abstract_plan(&w.db, &plan, plan.root(), &g, kb_mem.fresh_id(3));
-    // A sketch of many centroids, widened, on the root operator.
+    // A statistic of many observations, widened, on the root operator.
     let spread = &mut tpl.pops[0].cardinality;
     for k in 0..200 {
-        spread.observe(10.0 + ((k * 37) % 113) as f64);
+        spread.observe(10.0 + ((k * 37) % 113) as f64 / 3.0);
     }
     spread.observe(9.0e9);
     spread.set_widen(1.5);
-    assert!(spread.centroid_count() > 4, "{spread:?}");
     tpl.source_workload = "tpcds".into();
     kb_mem.insert(&tpl);
 
-    let written = stored_sketches(&kb_mem);
+    let written = stored_stats(&kb_mem);
     assert!(
         written
             .iter()
-            .any(|(_, p, bytes)| *p == vocab::HAS_CARDINALITY_SKETCH
-                && *bytes == tpl.pops[0].cardinality.to_bytes()),
-        "the root operator's sketch is stored as written"
+            .any(|(_, p, stat)| *p == vocab::HAS_CARDINALITY_STAT
+                && *stat == bits(&tpl.pops[0].cardinality)),
+        "the root operator's statistic is stored as written"
     );
     assert_eq!(
         written.len(),
         tpl.pops.len() + 3 * tpl.pops.iter().filter(|p| p.scan.is_some()).count(),
-        "one sketch per stored stat"
+        "one statistic per stored stat"
     );
 
     let dump = kb_mem.export();
     let imported = KnowledgeBase::new();
     imported.import(&dump).unwrap();
-    assert_eq!(stored_sketches(&imported), written, "export/import");
+    assert_eq!(stored_stats(&imported), written, "export/import");
 
     let dir = ScratchDir::new("stats-sharded");
     {
@@ -223,7 +227,7 @@ fn sketches_survive_import_sharded_reopen_and_reindex() {
             .build_kb()
             .unwrap();
         kb.import(&dump).unwrap();
-        assert_eq!(stored_sketches(&kb), written, "sharded import");
+        assert_eq!(stored_stats(&kb), written, "sharded import");
     }
     // A fresh process: sharded recovery rebuilds the index from disk.
     let kb = KbBuilder::new()
@@ -232,8 +236,8 @@ fn sketches_survive_import_sharded_reopen_and_reindex() {
         .build_kb()
         .unwrap();
     assert_eq!(kb.template_count(), 1);
-    assert_eq!(stored_sketches(&kb), written, "sharded reopen");
+    assert_eq!(stored_stats(&kb), written, "sharded reopen");
     kb.reindex();
-    assert_eq!(stored_sketches(&kb), written, "reindex");
+    assert_eq!(stored_stats(&kb), written, "reindex");
     assert_eq!(kb.export(), dump);
 }
