@@ -1,11 +1,11 @@
 //! One construction path for the whole stack.
 //!
-//! [`KbBuilder`] is the one validated way to stand up a knowledge base
-//! over anything but the default in-memory store: pick a backend *or*
-//! a shard count *or* a durable directory (in any legal combination),
-//! tune durability ([`fsync`](KbBuilder::fsync), auto-compaction),
-//! feedback and matching options, then materialize whichever layer you
-//! need:
+//! [`KbBuilder`] is the one way to stand up a knowledge base over
+//! anything but the default in-memory store. Every store it builds is a
+//! sharded one: pick a shard count (one by default) and, for a store on
+//! disk, a durable directory; tune durability
+//! ([`fsync`](KbBuilder::fsync), auto-compaction), feedback and matching
+//! options; then materialize whichever layer you need:
 //!
 //! - [`build_server`](KbBuilder::build_server) — the raw SPARQL endpoint,
 //! - [`build_kb`](KbBuilder::build_kb) — a [`KnowledgeBase`] (signature
@@ -17,14 +17,13 @@
 //! use galo_core::KbBuilder;
 //!
 //! let galo = KbBuilder::new().shards(4).build_galo().unwrap();
-//! assert!(galo.kb.shard_stats().is_some());
+//! assert_eq!(galo.kb.shard_stats().unwrap().len(), 4);
 //! ```
 
 use std::path::PathBuf;
 
 use galo_rdf::{
     CompactionPolicy, DurableOptions, FusekiLite, ServerError, ShardedStore, TemplateRouter,
-    TripleStore,
 };
 
 use crate::feedback::FeedbackOptions;
@@ -32,11 +31,10 @@ use crate::galo::Galo;
 use crate::kb::KnowledgeBase;
 use crate::matching::MatchConfig;
 
-/// Builder for every backend shape of the GALO stack. See the
-/// [module docs](self) for the legal combinations.
+/// Builder for every store shape of the GALO stack (see the
+/// [module docs](self)).
 #[derive(Default)]
 pub struct KbBuilder {
-    backend: Option<Box<dyn TripleStore + Send>>,
     shards: Option<usize>,
     durable_dir: Option<PathBuf>,
     durable: DurableOptions,
@@ -46,33 +44,27 @@ pub struct KbBuilder {
 }
 
 impl KbBuilder {
-    /// Start from the defaults: an in-memory indexed single store,
-    /// default feedback and match options.
+    /// Start from the defaults: an in-memory store of one shard, default
+    /// feedback and match options.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Use a caller-supplied single-store backend. Mutually exclusive
-    /// with [`shards`](Self::shards) and
-    /// [`durable_dir`](Self::durable_dir) — those describe stores the
-    /// builder constructs itself.
-    pub fn backend(mut self, backend: Box<dyn TripleStore + Send>) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
     /// Shard the store `shards` ways (template-affine placement, one
-    /// lock per shard). Combines with [`durable_dir`](Self::durable_dir)
-    /// for the production shape: one WAL+snapshot directory per shard,
-    /// recovered and folded independently.
+    /// lock per shard; one shard unless set). Combines with
+    /// [`durable_dir`](Self::durable_dir) for the production shape: one
+    /// WAL+snapshot directory per shard, recovered and folded
+    /// independently. A durable directory is reopened with the shard
+    /// count it was created with, or refused.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
     }
 
-    /// Persist the store under `dir` (WAL + snapshots, recovered on
-    /// open). The signature index is rebuilt from the recovered triples
-    /// by [`build_kb`](Self::build_kb).
+    /// Persist the store under `dir`: `sharded.meta` plus one
+    /// `shard-NNNN/` WAL+snapshot directory per shard, recovered on open.
+    /// The signature index is rebuilt from the recovered triples by
+    /// [`build_kb`](Self::build_kb).
     pub fn durable_dir(mut self, dir: impl AsRef<std::path::Path>) -> Self {
         self.durable_dir = Some(dir.as_ref().to_path_buf());
         self
@@ -98,8 +90,8 @@ impl KbBuilder {
     /// built store: WAL folding moves off the write path onto the
     /// threaded driver of the one compaction decision (see
     /// [`CompactionPolicy`]). Most useful together with
-    /// [`durable_dir`](Self::durable_dir); harmless over in-memory
-    /// backends, which report zero pressure. The synchronous driver
+    /// [`durable_dir`](Self::durable_dir); harmless over an in-memory
+    /// store, which reports zero pressure. The synchronous driver
     /// (`auto_compact_records` in
     /// [`durable_options`](Self::durable_options)) stays off unless set.
     pub fn compaction_policy(mut self, policy: CompactionPolicy) -> Self {
@@ -121,46 +113,20 @@ impl KbBuilder {
         self
     }
 
-    fn invalid(what: &str) -> ServerError {
-        ServerError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("invalid KbBuilder configuration: {what}"),
-        ))
-    }
-
     /// Materialize the raw SPARQL endpoint this configuration describes.
     pub fn build_server(self) -> Result<FusekiLite, ServerError> {
-        let KbBuilder {
-            backend,
-            shards,
-            durable_dir,
-            durable,
-            compaction,
-            ..
-        } = self;
-        let server = (|| {
-            if let Some(backend) = backend {
-                if shards.is_some() || durable_dir.is_some() {
-                    return Err(Self::invalid(
-                        "an explicit backend cannot be combined with shards or a \
-                         durable directory",
-                    ));
-                }
-                return Ok(FusekiLite::with_backend(backend));
-            }
-            match (shards, durable_dir) {
-                (Some(n), Some(dir)) => FusekiLite::open_sharded_durable_with(
-                    dir,
-                    n,
-                    durable,
-                    Box::<TemplateRouter>::default(),
-                ),
-                (Some(n), None) => Ok(FusekiLite::from_sharded(ShardedStore::new(n))),
-                (None, Some(dir)) => FusekiLite::open_durable_with(dir, durable),
-                (None, None) => Ok(FusekiLite::new()),
-            }
-        })()?;
-        if let Some(policy) = compaction {
+        let shards = self.shards.unwrap_or(1);
+        let store = match self.durable_dir {
+            Some(dir) => ShardedStore::open_durable_with(
+                dir,
+                shards,
+                self.durable,
+                Box::<TemplateRouter>::default(),
+            )?,
+            None => ShardedStore::new(shards),
+        };
+        let server = FusekiLite::from_sharded(store);
+        if let Some(policy) = self.compaction {
             server.compaction_policy(policy);
         }
         Ok(server)
@@ -169,9 +135,9 @@ impl KbBuilder {
     /// Materialize a [`KnowledgeBase`]: the endpoint from
     /// [`build_server`](Self::build_server) plus a feedback collector,
     /// with the signature index rebuilt whenever the store can already
-    /// hold triples (durable recovery or a caller-supplied backend).
+    /// hold triples (durable recovery).
     pub fn build_kb(self) -> Result<KnowledgeBase, ServerError> {
-        let preloaded = self.durable_dir.is_some() || self.backend.is_some();
+        let preloaded = self.durable_dir.is_some();
         let feedback = self.feedback.clone();
         let server = self.build_server()?;
         let kb = KnowledgeBase::from_server(server, feedback);
@@ -198,7 +164,9 @@ mod tests {
     #[test]
     fn default_build_is_in_memory_single_store() {
         let kb = KbBuilder::new().build_kb().unwrap();
-        assert!(kb.shard_stats().is_none());
+        let stats = kb.shard_stats().expect("always sharded");
+        assert_eq!(stats.len(), 1, "one shard by default");
+        assert_eq!(kb.storage_pressures(), vec![Default::default()]);
         assert_eq!(kb.template_count(), 0);
     }
 
@@ -207,16 +175,6 @@ mod tests {
         let kb = KbBuilder::new().shards(3).build_kb().unwrap();
         let stats = kb.shard_stats().unwrap();
         assert_eq!(stats.len(), 3);
-    }
-
-    #[test]
-    fn explicit_backend_conflicts_are_loud() {
-        let err = KbBuilder::new()
-            .backend(Box::<galo_rdf::IndexedStore>::default())
-            .shards(2)
-            .build_server()
-            .unwrap_err();
-        assert!(err.to_string().contains("invalid KbBuilder configuration"));
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl Default for Galo {
 
 impl Galo {
     /// An in-memory GALO instance with default configuration; every
-    /// other backend shape comes from [`KbBuilder`](crate::KbBuilder).
+    /// other store shape comes from [`KbBuilder`](crate::KbBuilder).
     pub fn new() -> Self {
         crate::builder::KbBuilder::new()
             .build_galo()

@@ -297,7 +297,7 @@ impl Default for KnowledgeBase {
 
 impl KnowledgeBase {
     /// The construction path [`KbBuilder`](crate::KbBuilder) funnels
-    /// every backend shape through: wrap the endpoint, start an empty
+    /// every store shape through: wrap the endpoint, start an empty
     /// signature index and a feedback collector with the given options.
     pub(crate) fn from_server(server: FusekiLite, feedback: FeedbackOptions) -> Self {
         KnowledgeBase {
@@ -317,14 +317,15 @@ impl KnowledgeBase {
             .expect("in-memory knowledge base construction is infallible")
     }
 
-    /// Per-shard triple/graph counts (`None` over a non-sharded
-    /// backend): how the templates spread over the shards.
+    /// Per-shard triple/graph counts: how the templates spread over the
+    /// shards. Always `Some` — every knowledge base is sharded, one shard
+    /// by default.
     pub fn shard_stats(&self) -> Option<Vec<galo_rdf::ShardStats>> {
         self.server.shard_stats()
     }
 
-    /// Checkpoint the backend: fold the durable store's write-ahead log
-    /// into a fresh snapshot (a no-op over in-memory backends). Call
+    /// Checkpoint the store: fold each durable shard's write-ahead log
+    /// into a fresh snapshot (a no-op over an in-memory store). Call
     /// after an off-peak learning run so reopening replays a snapshot
     /// instead of the whole log.
     pub fn compact(&self) -> std::io::Result<()> {
@@ -349,7 +350,7 @@ impl KnowledgeBase {
     }
 
     /// Per-shard WAL pressure and fold counts (cheap counter poll;
-    /// all-zero defaults over in-memory backends).
+    /// all-zero defaults over an in-memory store).
     pub fn storage_pressures(&self) -> Vec<galo_rdf::StoragePressure> {
         self.server.storage_pressures()
     }
@@ -1603,25 +1604,6 @@ mod tests {
         let kb2 = KnowledgeBase::new();
         kb2.import(&text).unwrap();
         assert_eq!(kb2.template_count(), 1);
-    }
-
-    #[test]
-    fn alternate_backend_is_a_drop_in() {
-        // The scan backend must behave identically through the KB facade.
-        let (db, plan) = setup();
-        let kb = crate::KbBuilder::new()
-            .backend(Box::<galo_rdf::ScanStore>::default())
-            .build_kb()
-            .unwrap();
-        let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
-        let mut tpl = abstract_plan(&db, &plan, plan.root(), &g, kb.fresh_id(5));
-        tpl.source_workload = "tpcds".into();
-        kb.insert(&tpl);
-        assert_eq!(kb.template_count(), 1);
-        let iri = vocab::template_iri(&tpl.id);
-        let (doc, source) = kb.guideline_of(iri.str_value()).expect("stored guideline");
-        assert_eq!(doc, tpl.guideline);
-        assert_eq!(source, "tpcds");
     }
 
     #[test]

@@ -358,13 +358,21 @@ impl StatFacts<'_> {
         Range::from_bounds(self.lo, self.hi)
     }
 
-    /// The stat as feedback refines it: the stat literal when it parses,
-    /// else the exact bounds when both are stored, else `None` — the
-    /// operator does not carry this stat, an unbounded envelope that
-    /// feedback must never turn into a bounded one.
+    /// The stat as feedback refines it, when both bounds are stored: the
+    /// stat literal when it parses to a stat whose envelope is exactly
+    /// those bounds, else the bounds themselves. A literal that disagrees
+    /// with its bounds (outside input) must not narrow them. Without both
+    /// bounds, `None`: the operator does not carry this stat, an
+    /// unbounded envelope that feedback must never turn into a bounded
+    /// one, whatever literal is stored beside it.
     fn refinable(&self) -> Option<Stat> {
-        let bounds = || Some(Stat::from_range(self.lo?, self.hi?));
-        self.literal.and_then(Stat::parse).or_else(bounds)
+        let (lo, hi) = (self.lo?, self.hi?);
+        let agrees = |stat: &Stat| {
+            let env = stat.envelope();
+            (env.lo, env.hi) == (lo, hi)
+        };
+        let literal = self.literal.and_then(Stat::parse).filter(agrees);
+        Some(literal.unwrap_or_else(|| Stat::from_range(lo, hi)))
     }
 }
 
@@ -2330,13 +2338,13 @@ mod tests {
     }
 
     /// Refinement's reading of `literal` as the `has*Stat` object of an
-    /// operator whose stored cardinality bounds are `[2, 5]`.
-    fn refined_cardinality(literal: &str) -> Stat {
+    /// operator whose stored cardinality bounds are `[lo, hi]`.
+    fn refined_cardinality(literal: &str, (lo, hi): (f64, f64)) -> Stat {
         let (lower, higher, stat) = STAT_FAMILIES[0];
         let objects = [
             (vocab::HAS_POP_TYPE, Term::lit("NLJOIN")),
-            (lower, Term::num(2.0)),
-            (higher, Term::num(5.0)),
+            (lower, Term::num(lo)),
+            (higher, Term::num(hi)),
             (stat, Term::lit(literal)),
         ];
         let mut facts = IndexFacts::default();
@@ -2353,16 +2361,24 @@ mod tests {
         [stat.count(), stat.min(), stat.max(), stat.widen_factor()].map(f64::to_bits)
     }
 
-    /// Any text read as a stat literal is the statistic it spells when it
-    /// is exactly four numbers one space apart, else the stored bounds.
+    /// Any text read as a stat literal beside the stored bounds `[2, 5]`
+    /// is the statistic it spells when it is exactly four numbers one
+    /// space apart and that statistic's envelope is `[2, 5]`, else the
+    /// stored bounds.
     fn assert_spelled_or_bounds(literal: &str) {
         let spelled: Option<Vec<f64>> = literal.split(' ').map(|t| t.parse().ok()).collect();
+        let agrees = |stat: Stat| {
+            let env = stat.envelope();
+            (env.lo, env.hi) == (2.0, 5.0)
+        };
         let want = match spelled {
-            Some(numbers) if numbers.len() == 4 => numbers.iter().map(|v| v.to_bits()).collect(),
+            Some(numbers) if numbers.len() == 4 && Stat::parse(literal).is_some_and(agrees) => {
+                numbers.iter().map(|v| v.to_bits()).collect()
+            }
             _ => stat_bits(Stat::from_range(2.0, 5.0)).to_vec(),
         };
         assert_eq!(
-            stat_bits(refined_cardinality(literal)).to_vec(),
+            stat_bits(refined_cardinality(literal, (2.0, 5.0))).to_vec(),
             want,
             "{literal:?}"
         );
@@ -2385,8 +2401,8 @@ mod tests {
         /// Arbitrary input never panics the stat-literal reading: any
         /// text, and every truncation and a one-character edit of a
         /// written literal, reads as the statistic it spells or as the
-        /// stored bounds; the written literal reads as the statistic
-        /// written.
+        /// stored bounds; the written literal, beside the bounds written
+        /// with it, reads as the statistic written.
         #[test]
         fn stat_literals_parse_to_the_written_stat_or_fall_back_to_the_bounds(
             text in any_text(),
@@ -2402,7 +2418,14 @@ mod tests {
             }
             written.set_widen(widen);
             let literal = written.to_string();
-            prop_assert_eq!(stat_bits(refined_cardinality(&literal)), stat_bits(written));
+            let env = written.envelope();
+            let read = refined_cardinality(&literal, (env.lo, env.hi));
+            if env.lo.is_nan() || env.hi.is_nan() {
+                // No stored bound equals NaN, so the literal never agrees.
+                prop_assert_eq!(stat_bits(read), stat_bits(Stat::from_range(env.lo, env.hi)));
+            } else {
+                prop_assert_eq!(stat_bits(read), stat_bits(written));
+            }
             for cut in 0..literal.len() {
                 assert_spelled_or_bounds(&literal[..cut]);
             }

@@ -11,9 +11,9 @@
 //!
 //! ## The `TripleStore` contract
 //!
-//! [`TripleStore`] is the swappable storage abstraction every higher
-//! layer compiles against — the SPARQL evaluator is generic over it and
-//! [`FusekiLite`] holds a `Box<dyn TripleStore + Send>`. A backend provides:
+//! [`TripleStore`] is the storage abstraction every higher layer
+//! compiles against — the SPARQL evaluator is generic over it. A store
+//! provides:
 //!
 //! * **term interning** (`intern` / `term_id` / `resolve`) with ids that
 //!   stay stable for the store's lifetime;
@@ -27,21 +27,22 @@
 //!   tagging triple sets — e.g. one graph per learned workload — without
 //!   polluting the default graph that pattern matching runs against.
 //!
-//! Three backends ship: [`IndexedStore`] (the default; two ordered
-//! permutations of the triples, SPO and POS, answer every pattern that
-//! binds its subject or predicate with one range, and the object-only
-//! pattern, which only tests use, with a filtered pass), [`ScanStore`]
-//! (the naive linear-scan reference the proptests differential-test
-//! against), and [`DurableStore`] (the persistent backend: an
-//! append-only write-ahead log of checksummed [quad blocks](block), one
-//! record per commit, plus periodic snapshots of the whole image as one
-//! block, around an inner `IndexedStore`, with crash recovery in
+//! The endpoint, [`FusekiLite`], holds one kind of store: a
+//! [`ShardedStore`], one shard by default, read and written through its
+//! all-shard sessions (see the [`shard`] module docs). A shard is an
+//! [`IndexedStore`] in memory (two ordered permutations of the triples,
+//! SPO and POS, answer every pattern that binds its subject or predicate
+//! with one range, and the object-only pattern, which only tests use,
+//! with a filtered pass) or a [`DurableStore`] on disk (an append-only
+//! write-ahead log of checksummed [quad blocks](block), one record per
+//! commit, plus periodic snapshots of the whole image as one block,
+//! around an inner `IndexedStore`, with crash recovery in
 //! [`DurableStore::open`] — see the [`persist`] module docs for the
-//! on-disk layout). Log records,
-//! snapshots and [`wire`] frames share one checksum, `checksum64`: four
-//! lanes of multiply-xor over 8-byte words. [`ShardedStore`] partitions any
-//! of them N ways and meets the same contract through its all-shard read
-//! and write sessions (see the [`shard`] module docs).
+//! on-disk layout). Every shard interns through the sharded store's one
+//! [`Interner`]. [`ScanStore`] is the naive linear-scan reference the
+//! proptests differential-test against. Log records, snapshots and
+//! [`wire`] frames share one checksum, `checksum64`: four lanes of
+//! multiply-xor over 8-byte words.
 
 pub mod block;
 mod checksum;
@@ -68,7 +69,7 @@ pub use sparql::{
     Update,
 };
 pub use store::{IndexedStore, ReadOnlyReplica, ScanStore, StoragePressure, Triple, TripleStore};
-pub use term::{Interner, Literal, Term, TermDictionary, TermId};
+pub use term::{Interner, Literal, Term, TermId};
 pub use wire::{decode_frame, encode_frame, Frame, FrameError, FramePayload, FRAME_MAGIC};
 
 #[cfg(test)]

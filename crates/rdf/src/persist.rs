@@ -90,21 +90,22 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::block::{put_u32, put_u64, BlockBuilder, BlockOp, ByteReader, IdHash, QuadBlock};
 use crate::checksum::checksum64;
 use crate::fnv::fnv1a;
 use crate::policy::{CompactionPolicy, Pace};
 use crate::store::{IndexedStore, StoragePressure, Triple, TripleStore};
-use crate::term::{Interner, Term, TermDictionary, TermId};
+use crate::term::{Interner, Term, TermId};
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"GALOSNAP";
 const SNAPSHOT_VERSION: u32 = 3;
 /// Bytes before a snapshot's block: the magic and the version.
 const SNAPSHOT_HEADER: usize = SNAPSHOT_MAGIC.len() + 4;
-const SNAPSHOT_PREFIX: &str = "snapshot-";
+pub(crate) const SNAPSHOT_PREFIX: &str = "snapshot-";
 const SNAPSHOT_SUFFIX: &str = ".galo";
-const WAL_PREFIX: &str = "wal-";
+pub(crate) const WAL_PREFIX: &str = "wal-";
 const WAL_SUFFIX: &str = ".log";
 
 /// First line of a log: version 4, the only one read or written.
@@ -134,19 +135,20 @@ pub struct DurableOptions {
 }
 
 /// A persistent [`TripleStore`]: WAL + snapshot around an in-memory
-/// [`IndexedStore`].
+/// [`IndexedStore`] — what a durable shard is.
 ///
 /// Reads delegate to the inner indexed store, so lookup performance is
-/// identical to the default backend; every commit pays one journaled
+/// identical to an in-memory shard's; every commit pays one journaled
 /// record. I/O failure while journaling is fail-stop (a panic): a store
 /// that cannot journal must not acknowledge writes it would lose.
 ///
-/// The inner store interns through the dictionary `D`, its own
-/// [`Interner`] by default: the log and the snapshots hold terms, so
-/// nothing on disk depends on which dictionary issued the ids.
+/// The inner store interns through an [`Interner`] of its own, or — a
+/// shard's store — through the sharded store's one: the log and the
+/// snapshots hold terms, so nothing on disk depends on which interner
+/// issued the ids.
 #[derive(Debug)]
-pub struct DurableStore<D = Interner> {
-    inner: IndexedStore<D>,
+pub struct DurableStore {
+    inner: IndexedStore,
     dir: PathBuf,
     /// The current log, opened for append. Unbuffered: a commit is one
     /// `write_all` of one whole record.
@@ -184,23 +186,21 @@ impl DurableStore {
 
     /// [`open`](Self::open) with explicit [`DurableOptions`].
     pub fn open_with(dir: impl AsRef<Path>, options: DurableOptions) -> std::io::Result<Self> {
-        Self::open_in(dir, options, Interner::new())
+        Self::open_in(dir, options, Arc::default())
     }
-}
 
-impl<D: TermDictionary> DurableStore<D> {
     /// [`open_with`](DurableStore::open_with), recovering into a store
-    /// that interns through `dictionary`.
+    /// that interns through `interner`.
     pub(crate) fn open_in(
         dir: impl AsRef<Path>,
         options: DurableOptions,
-        dictionary: D,
+        interner: Arc<Interner>,
     ) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let mut snapshots = numbered_files(&dir, SNAPSHOT_PREFIX, SNAPSHOT_SUFFIX)?;
         snapshots.sort_by_key(|&(gen, _)| std::cmp::Reverse(gen));
-        let mut inner = IndexedStore::with_dictionary(dictionary);
+        let mut inner = IndexedStore::with_interner(interner);
         let mut base = None;
         for (gen, path) in &snapshots {
             let bytes = fs::read(path)?;
@@ -352,7 +352,7 @@ impl<D: TermDictionary> DurableStore<D> {
     /// before the store fails stop: no statement the log lost is ever
     /// visible. (Inside a bracket the operations are the open commit's,
     /// and a failed `end_batch` fails stop.)
-    fn journal(&mut self, op: BlockOp, undo: impl FnOnce(&mut IndexedStore<D>)) {
+    fn journal(&mut self, op: BlockOp, undo: impl FnOnce(&mut IndexedStore)) {
         self.pending.push(op);
         if self.in_batch {
             return;
@@ -472,7 +472,7 @@ fn numbered_files(dir: &Path, prefix: &str, suffix: &str) -> std::io::Result<Vec
 /// One commit as a version-4 record: `ops` (over `inner`'s term ids)
 /// re-stated over a dictionary of the terms they mention, encoded, framed
 /// by its length and checksummed.
-fn encode_record<D: TermDictionary>(inner: &IndexedStore<D>, ops: &[BlockOp]) -> Vec<u8> {
+fn encode_record(inner: &IndexedStore, ops: &[BlockOp]) -> Vec<u8> {
     let mut b = BlockBuilder::<_, IdHash>::with_capacity(ops.len());
     for op in ops {
         let op = match *op {
@@ -504,10 +504,7 @@ struct Replayed {
 
 /// Replay a log into `inner`, up to its first record that is torn,
 /// unparsable or fails its checksum.
-fn replay_wal<D: TermDictionary>(
-    inner: &mut IndexedStore<D>,
-    path: &Path,
-) -> std::io::Result<Replayed> {
+fn replay_wal(inner: &mut IndexedStore, path: &Path) -> std::io::Result<Replayed> {
     let bytes = match fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Replayed::default()),
@@ -532,7 +529,7 @@ fn replay_wal<D: TermDictionary>(
 
 /// A record is committed when all of its bytes are there, its checksum is
 /// right and its block decodes.
-fn replay_v4<D: TermDictionary>(inner: &mut IndexedStore<D>, bytes: &[u8]) -> Replayed {
+fn replay_v4(inner: &mut IndexedStore, bytes: &[u8]) -> Replayed {
     let mut at = WAL_V4_HEADER.len();
     let mut records = 0;
     loop {
@@ -609,7 +606,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> std::io::Result<QuadBlock> {
     }
 }
 
-impl<D: TermDictionary> TripleStore for DurableStore<D> {
+impl TripleStore for DurableStore {
     fn intern(&mut self, term: Term) -> TermId {
         // Interning alone is not journaled: ids are stable only for the
         // lifetime of one open store (see the module docs).
@@ -758,7 +755,7 @@ impl<D: TermDictionary> TripleStore for DurableStore<D> {
     }
 }
 
-impl<D: TermDictionary> DurableStore<D> {
+impl DurableStore {
     fn compact_inner(&mut self) -> std::io::Result<()> {
         // Called inside an open bracket, the snapshot would hold what the
         // bracket has done so far while the old log does not: commit that

@@ -54,9 +54,10 @@ use crate::store::StoragePressure;
 
 /// What the [`Compactor`] watches and acts on: anything that can report
 /// per-shard WAL pressure and compact one shard at a time. Implemented by
-/// `FusekiLite`'s backing (single durable store = one "shard"; sharded
-/// store = one entry per shard); tests implement it with fakes to pin the
-/// policy without touching a disk.
+/// [`ShardedStore`](crate::ShardedStore), the store behind every
+/// `FusekiLite` (one entry per shard, one for the default one-shard
+/// store); tests implement it with fakes to pin the policy without
+/// touching a disk.
 pub trait CompactionTarget: Send + Sync {
     /// Current pressure, one entry per shard, indexed by shard number.
     /// In-memory shards report [`StoragePressure::default`] (all zeros —
@@ -589,8 +590,8 @@ mod tests {
 
     #[test]
     fn grows_clocks_when_shards_appear() {
-        // A target whose shard count grows between sweeps (single store
-        // targets report one entry; resize must not panic).
+        // A target whose shard count grows between sweeps (a one-shard
+        // store reports one entry; resize must not panic).
         let target = FakeTarget::with_shards(4);
         let compactor = Compactor::spawn(Arc::clone(&target) as _, fast_policy());
         target.commit(3, 50);

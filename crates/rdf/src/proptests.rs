@@ -7,6 +7,7 @@ use proptest::prelude::*;
 
 use crate::ntriples::{from_ntriples, to_ntriples};
 use crate::persist::{DurableStore, ScratchDir};
+use crate::policy::CompactionTarget;
 use crate::shard::ShardedStore;
 use crate::sparql::{evaluate, parse_select};
 use crate::store::{IndexedStore, ScanStore, Triple, TripleStore};

@@ -7,20 +7,25 @@
 //! replaces the HTTP surface with an in-process API with the same
 //! operations: concurrent reads, exclusive writes, text-level SPARQL
 //! endpoints, and N-Triples persistence.
+//!
+//! The store behind the endpoint is always a [`ShardedStore`]: one shard
+//! by default ([`FusekiLite::new`]), N at a caller's request
+//! ([`FusekiLite::from_sharded`]), each shard in memory or in a durable
+//! directory of its own.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::block::{Applied, QuadBlock, Record};
 use crate::ntriples::{parse_ntriples, to_ntriples, NtParseError, Quad};
 use crate::policy::{CompactionPolicy, CompactionTarget, Compactor, CompactorStats};
-use crate::shard::{ShardRouter, ShardStats, ShardedStore};
+use crate::shard::{ShardStats, ShardedStore};
 use crate::sparql::{
     apply_update, evaluate, parse_select, parse_update, ResultSet, SelectQuery, SparqlParseError,
 };
-use crate::store::{IndexedStore, ReadOnlyReplica, StoragePressure, TripleStore};
+use crate::store::{ReadOnlyReplica, StoragePressure, TripleStore};
 use crate::term::Term;
 
 /// Errors surfaced by the endpoint.
@@ -28,7 +33,7 @@ use crate::term::Term;
 pub enum ServerError {
     Parse(SparqlParseError),
     Persistence(NtParseError),
-    /// Durable-backend I/O failure (open, recovery or compaction).
+    /// Durable-store I/O failure (open, recovery or compaction).
     Io(std::io::Error),
     /// The endpoint is a read replica ([`FusekiLite::set_read_only`]):
     /// the write was rejected, not applied and not dropped silently.
@@ -74,26 +79,20 @@ impl From<std::io::Error> for ServerError {
 
 /// In-process SPARQL endpoint with reader/writer concurrency.
 ///
-/// The endpoint is backend-agnostic: it holds a boxed [`TripleStore`], so
-/// a persistent store drops in through [`FusekiLite::with_backend`]
-/// without touching any caller.
-///
-/// A [`ShardedStore`] backend ([`from_sharded`](Self::from_sharded)) is
-/// the same endpoint over a different lock: where a single backend sits
-/// behind one `RwLock`, [`with_store`](Self::with_store) opens an
-/// all-shard read session and [`with_store_mut`](Self::with_store_mut)
-/// an all-shard write session, and every read and write endpoint runs
-/// through one of the two. What sharding adds is below the locks —
-/// per-shard WAL directories, per-shard background folds, shard-by-shard
-/// recovery — plus the per-shard maintenance calls
-/// ([`shard_stats`](Self::shard_stats),
+/// The endpoint holds a [`ShardedStore`], one shard unless built
+/// otherwise: [`with_store`](Self::with_store) opens an all-shard read
+/// session and [`with_store_mut`](Self::with_store_mut) an all-shard
+/// write session, and every read and write endpoint runs through one of
+/// the two. Below the locks are per-shard WAL directories, per-shard
+/// background folds and shard-by-shard recovery, plus the per-shard
+/// maintenance calls ([`shard_stats`](Self::shard_stats),
 /// [`storage_pressures`](Self::storage_pressures)).
 #[derive(Debug)]
 pub struct FusekiLite {
     /// Shared with the background [`Compactor`]'s watcher thread (when a
     /// [`compaction_policy`](Self::compaction_policy) is installed), which
-    /// is why the backing sits behind an `Arc`.
-    store: Arc<Backing>,
+    /// is why the store sits behind an `Arc`.
+    store: Arc<ShardedStore>,
     /// Seqlock-style mutation epoch (see
     /// [`mutation_epoch`](Self::mutation_epoch)): **odd** while a write is
     /// in flight, **even** and advanced by one generation (+2) once a
@@ -167,102 +166,31 @@ impl Drop for MutationScope<'_> {
     }
 }
 
-/// The two backings behind the endpoint: one `RwLock` over an arbitrary
-/// backend, or a sharded store whose sessions take every shard's lock.
-#[derive(Debug)]
-enum Backing {
-    Single(RwLock<Box<dyn TripleStore + Send>>),
-    Sharded(ShardedStore),
-}
-
-/// What the background [`Compactor`] watches: a single backend is one
-/// "shard" (index 0); a sharded backend reports and compacts per shard,
-/// holding only the one shard's write lock per fold.
-impl CompactionTarget for Backing {
-    fn storage_pressures(&self) -> Vec<StoragePressure> {
-        match self {
-            Backing::Single(lock) => vec![lock.read().storage_pressure().unwrap_or_default()],
-            Backing::Sharded(s) => s.storage_pressures(),
-        }
-    }
-
-    fn compact_shard(&self, shard: usize) -> std::io::Result<()> {
-        match self {
-            Backing::Single(lock) => {
-                if shard != 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        format!("shard {shard} out of range (single backend)"),
-                    ));
-                }
-                lock.write().compact()
-            }
-            Backing::Sharded(s) => s.compact_shard(shard),
-        }
-    }
-}
-
 impl Default for FusekiLite {
     fn default() -> Self {
-        Self::with_backend(Box::<IndexedStore>::default())
+        Self::from_sharded(ShardedStore::new(1))
     }
 }
 
 impl FusekiLite {
-    /// An endpoint over the default in-memory backend, [`IndexedStore`].
+    /// An endpoint over an in-memory store of one shard.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An endpoint over a caller-supplied backend.
-    pub fn with_backend(backend: Box<dyn TripleStore + Send>) -> Self {
-        Self::over(Backing::Single(RwLock::new(backend)))
-    }
-
-    fn over(backing: Backing) -> Self {
+    /// An endpoint over an existing sharded store: in memory
+    /// ([`ShardedStore::new`]) or on disk
+    /// ([`ShardedStore::open_durable_with`], which recovers each shard's
+    /// newest valid snapshot plus its committed write-ahead-log tail, so
+    /// the endpoint resumes where the last process stopped).
+    pub fn from_sharded(store: ShardedStore) -> Self {
         FusekiLite {
-            store: Arc::new(backing),
+            store: Arc::new(store),
             epoch: std::sync::atomic::AtomicU64::new(0),
             write_serial: Mutex::new(()),
             read_only: std::sync::atomic::AtomicBool::new(false),
             compactor: Mutex::new(None),
         }
-    }
-
-    /// An endpoint over a [`DurableStore`](crate::persist::DurableStore)
-    /// rooted at `dir`: the dataset-on-disk constructor. Opening recovers
-    /// the newest valid snapshot plus the committed write-ahead-log tail
-    /// (a torn trailing record is dropped), so the endpoint resumes where
-    /// the last process stopped.
-    pub fn open_durable_with(
-        dir: impl AsRef<std::path::Path>,
-        options: crate::persist::DurableOptions,
-    ) -> Result<Self, ServerError> {
-        let store = crate::persist::DurableStore::open_with(dir, options)?;
-        Ok(Self::with_backend(Box::new(store)))
-    }
-
-    /// An endpoint over a durable sharded store: one WAL+snapshot
-    /// directory per shard under `dir`, recovered in shard order on open,
-    /// with explicit per-shard
-    /// [`DurableOptions`](crate::persist::DurableOptions) and routing
-    /// policy.
-    pub fn open_sharded_durable_with(
-        dir: impl AsRef<std::path::Path>,
-        shards: usize,
-        options: crate::persist::DurableOptions,
-        router: Box<dyn ShardRouter>,
-    ) -> Result<Self, ServerError> {
-        Ok(Self::from_sharded(ShardedStore::open_durable_with(
-            dir, shards, options, router,
-        )?))
-    }
-
-    /// An endpoint over an existing sharded store (the per-shard
-    /// maintenance calls — [`shard_stats`](Self::shard_stats), the
-    /// background compactor's one-shard folds — need it unboxed).
-    pub fn from_sharded(store: ShardedStore) -> Self {
-        Self::over(Backing::Sharded(store))
     }
 
     /// Put the endpoint in (or out of) read-replica mode. While set,
@@ -352,28 +280,22 @@ impl FusekiLite {
         }
     }
 
-    /// The sharded backend, when this endpoint has one.
-    pub fn sharded(&self) -> Option<&ShardedStore> {
-        match &*self.store {
-            Backing::Single(_) => None,
-            Backing::Sharded(s) => Some(s),
-        }
+    /// The store behind the endpoint.
+    pub fn sharded(&self) -> &ShardedStore {
+        &self.store
     }
 
-    /// Per-shard triple/graph counts (`None` over a non-sharded backend).
+    /// Per-shard triple/graph counts. Always `Some`: every endpoint is
+    /// sharded, one shard by default.
     pub fn shard_stats(&self) -> Option<Vec<ShardStats>> {
-        self.sharded().map(ShardedStore::shard_stats)
+        Some(self.store.shard_stats())
     }
 
-    /// Checkpoint the backend ([`TripleStore::compact`]): a no-op for the
-    /// in-memory stores, a snapshot-write-plus-log-rotation for a durable
-    /// one — fanned out across shard directories on a sharded backend.
-    /// Serializes with updates.
+    /// Checkpoint every shard ([`TripleStore::compact`]): a no-op for an
+    /// in-memory shard, a snapshot-write-plus-log-rotation for a durable
+    /// one, fanned out across shard directories. Serializes with updates.
     pub fn compact(&self) -> std::io::Result<()> {
-        match self.sharded() {
-            Some(s) => s.compact_all(),
-            None => self.with_store_mut(|st| st.compact()),
-        }
+        self.store.compact_all()
     }
 
     /// Install a background compaction policy: spawn a [`Compactor`]
@@ -405,9 +327,9 @@ impl FusekiLite {
         *self.compactor.lock() = None;
     }
 
-    /// Per-shard WAL pressure of the backing (one entry for a single
-    /// backend) — what the background compactor watches; exposed so
-    /// callers and tests can observe it through the endpoint too.
+    /// Per-shard WAL pressure — what the background compactor watches;
+    /// exposed so callers and tests can observe it through the endpoint
+    /// too.
     pub fn storage_pressures(&self) -> Vec<StoragePressure> {
         self.store.storage_pressures()
     }
@@ -434,10 +356,10 @@ impl FusekiLite {
     }
 
     /// Apply a [`QuadBlock`] in **one** write transaction under one
-    /// `begin_batch` / `end_batch` bracket (a durable backend journals the
-    /// operations that changed anything as one log record; on a sharded
-    /// one each operation routes to its shard inside one all-shard write
-    /// session, and each shard written journals one record). Every batch
+    /// `begin_batch` / `end_batch` bracket: each operation routes to its
+    /// shard inside one all-shard write session, and each durable shard
+    /// written journals the operations that changed anything as one log
+    /// record. Every batch
     /// write of the endpoint is a block applied under that bracket: the
     /// replication feed by reference, here; the methods below, `import`
     /// and the knowledge base's own mutators by value
@@ -516,8 +438,7 @@ impl FusekiLite {
     /// Append a mixed batch of default-graph triples (`graph: None`) and
     /// named-graph tags (`graph: Some(g)`) in **one** write transaction —
     /// the batch-publish endpoint distributed learner machines push their
-    /// mined templates through. On a sharded backend each quad routes by
-    /// subject, so a template's triples and its workload-dataset tag land
+    /// mined templates through. Each quad routes by subject, so a template's triples and its workload-dataset tag land
     /// on one shard (and in one record of that shard's log). Returns how
     /// many quads were new.
     pub fn insert_quads(&self, quads: impl IntoIterator<Item = Quad>) -> usize {
@@ -541,18 +462,14 @@ impl FusekiLite {
         self.with_store(|st| st.graph_names())
     }
 
-    /// Run a closure with read access to the store (bulk extraction). On
-    /// a sharded backend this is an all-shard read session: a stable
-    /// view for the closure's lifetime.
+    /// Run a closure with read access to the store (bulk extraction): an
+    /// all-shard read session, a stable view for the closure's lifetime.
     pub fn with_store<T>(&self, f: impl FnOnce(&dyn TripleStore) -> T) -> T {
-        match &*self.store {
-            Backing::Single(lock) => f(lock.read().as_ref()),
-            Backing::Sharded(s) => f(&s.read_session()),
-        }
+        f(&self.store.read_session())
     }
 
-    /// Run a closure with exclusive write access (a write transaction;
-    /// an all-shard write session on a sharded backend). Raw access does
+    /// Run a closure with exclusive write access (a write transaction:
+    /// an all-shard write session). Raw access does
     /// **not** advance the [`mutation_epoch`](Self::mutation_epoch) —
     /// callers that mutate through it must hold a
     /// [`mutation_scope`](Self::mutation_scope) spanning their whole
@@ -561,10 +478,7 @@ impl FusekiLite {
     /// [`update`](Self::update), one bracket); what comes through here
     /// from outside is maintenance and tests building an oracle.
     pub fn with_store_mut<T>(&self, f: impl FnOnce(&mut dyn TripleStore) -> T) -> T {
-        match &*self.store {
-            Backing::Single(lock) => f(lock.write().as_mut()),
-            Backing::Sharded(s) => f(&mut s.write_session()),
-        }
+        f(&mut self.store.write_session())
     }
 
     /// Number of triples currently stored.
@@ -584,7 +498,7 @@ impl FusekiLite {
     /// Replace the dataset from N-Triples / N-Quads text (quad lines
     /// restore named graphs). The text is fully parsed before the current
     /// contents are dropped, so a malformed import leaves the dataset
-    /// untouched — and the backend is preserved. Returns the number of
+    /// untouched — and the store is preserved. Returns the number of
     /// default-graph triples imported.
     pub fn import(&self, text: &str) -> Result<usize, ServerError> {
         self.check_writable("import")?;
@@ -608,11 +522,13 @@ impl FusekiLite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardRouter;
     use crate::sparql::evaluate_seeded;
     use std::sync::Arc;
 
-    fn seeded() -> FusekiLite {
-        let f = FusekiLite::new();
+    /// Fifty cardinality triples on a store of `shards` shards.
+    fn seeded(shards: usize) -> FusekiLite {
+        let f = FusekiLite::from_sharded(ShardedStore::new(shards));
         f.insert_triples((0..50u32).map(|i| {
             (
                 Term::iri(format!("http://galo/qep/pop/{i}")),
@@ -625,7 +541,7 @@ mod tests {
 
     #[test]
     fn query_text_endpoint() {
-        let f = seeded();
+        let f = seeded(1);
         let rs = f
             .query(
                 "SELECT ?s WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> ?c . \
@@ -637,7 +553,7 @@ mod tests {
 
     #[test]
     fn update_text_endpoint() {
-        let f = seeded();
+        let f = seeded(1);
         let n = f
             .update("INSERT DATA { <http://x> <http://p> \"1\" . <http://y> <http://p> \"2\" . }")
             .unwrap();
@@ -650,7 +566,7 @@ mod tests {
 
     #[test]
     fn export_import_roundtrip() {
-        let f = seeded();
+        let f = seeded(1);
         let text = f.export();
         let g = FusekiLite::new();
         assert_eq!(g.import(&text).unwrap(), 50);
@@ -659,7 +575,7 @@ mod tests {
 
     #[test]
     fn export_import_preserves_named_graphs() {
-        let f = seeded();
+        let f = seeded(1);
         let g1 = Term::iri("http://galo/kb/graph/workload/tpcds");
         f.insert_triples_in(
             g1.clone(),
@@ -690,7 +606,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_with_writer() {
-        let f = Arc::new(seeded());
+        let f = Arc::new(seeded(1));
         let mut handles = Vec::new();
         for t in 0..4 {
             let f = Arc::clone(&f);
@@ -722,7 +638,7 @@ mod tests {
 
     #[test]
     fn seeded_evaluation_restricts_solutions() {
-        for f in [seeded(), seeded_sharded(4)] {
+        for f in [seeded(1), seeded(4)] {
             let q = parse_select(
                 "SELECT ?s ?c WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> ?c . }",
             )
@@ -744,7 +660,7 @@ mod tests {
 
     #[test]
     fn probe_with_unresolved_constant_is_empty_without_eval() {
-        for f in [seeded(), seeded_sharded(4)] {
+        for f in [seeded(1), seeded(4)] {
             // Ground object never interned -> empty, projection preserved.
             let q = parse_select(
                 "SELECT ?s WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> \"nope\" . }",
@@ -805,8 +721,8 @@ mod tests {
         let open = |fuse: usize| {
             let fuse = std::sync::atomic::AtomicUsize::new(fuse);
             let router = Box::new(DiesMidWrite { fuse });
-            FusekiLite::open_sharded_durable_with(dir.path(), 2, Default::default(), router)
-                .unwrap()
+            let store = ShardedStore::open_durable_with(dir.path(), 2, Default::default(), router);
+            FusekiLite::from_sharded(store.unwrap())
         };
         let previous = (
             Term::iri("http://old/s"),
@@ -915,30 +831,19 @@ mod tests {
 
     #[test]
     fn parse_errors_are_reported() {
-        let f = seeded();
+        let f = seeded(1);
         assert!(f.query("SELEKT ?x WHERE { }").is_err());
         assert!(f.update("UPSERT DATA {}").is_err());
     }
 
-    fn seeded_sharded(shards: usize) -> FusekiLite {
-        let f = FusekiLite::from_sharded(ShardedStore::new(shards));
-        f.insert_triples((0..50u32).map(|i| {
-            (
-                Term::iri(format!("http://galo/qep/pop/{i}")),
-                Term::iri("http://galo/qep/property/hasEstimateCardinality"),
-                Term::lit(format!("{}", i * 100)),
-            )
-        }));
-        f
-    }
-
     #[test]
     fn sharded_endpoint_serves_the_same_queries() {
-        let single = seeded();
-        let sharded = seeded_sharded(4);
+        let single = seeded(1);
+        let sharded = seeded(4);
         assert_eq!(sharded.len(), 50);
-        assert!(sharded.sharded().is_some() && single.sharded().is_none());
-        let stats = sharded.shard_stats().expect("sharded backend");
+        let stats = sharded.shard_stats().expect("always sharded");
+        assert_eq!(single.shard_stats().expect("always sharded").len(), 1);
+        assert_eq!(stats.len(), 4);
         assert_eq!(stats.iter().map(|s| s.triples).sum::<usize>(), 50);
         for q in [
             "SELECT ?s WHERE { ?s <http://galo/qep/property/hasEstimateCardinality> ?c . \
@@ -1086,48 +991,10 @@ mod tests {
     }
 
     #[test]
-    fn background_compaction_policy_folds_a_sharded_backing() {
-        let dir = crate::persist::ScratchDir::new("server-policy-sharded");
-        {
-            let f = FusekiLite::from_sharded(ShardedStore::open_durable(dir.path(), 2).unwrap());
-            // One batch: one commit per shard, of some 5 KiB each — the
-            // byte threshold trips, the commit threshold never could.
-            f.compaction_policy(test_policy(32, 2048));
-            f.insert_triples((0..200u32).map(|i| {
-                (
-                    Term::iri(format!("http://galo/kb/template/{i:08x}")),
-                    Term::iri("http://p"),
-                    Term::lit(format!("{i}")),
-                )
-            }));
-            assert!(
-                eventually(|| folds(&f) >= 2),
-                "the background thread must fold the hot shards: {:?}",
-                f.storage_pressures()
-            );
-            assert!(eventually(|| {
-                f.storage_pressures()
-                    .iter()
-                    .all(|p| p.wal_records == 0 && p.wal_bytes < 2048)
-            }));
-            assert!(f
-                .storage_pressures()
-                .iter()
-                .all(|p| p.compactions_failed == 0));
-            assert!(f.compactor_stats().is_some());
-            f.stop_compactor();
-            assert!(f.compactor_stats().is_none());
-            assert_eq!(f.len(), 200, "compaction never loses content");
-        }
-        // Folded image survives reopen.
-        let g = FusekiLite::from_sharded(ShardedStore::open_durable(dir.path(), 2).unwrap());
-        assert_eq!(g.len(), 200);
-    }
-
-    #[test]
     fn background_compaction_policy_treats_single_backing_as_one_shard() {
         let dir = crate::persist::ScratchDir::new("server-policy-single");
-        let f = FusekiLite::open_durable_with(dir.path(), Default::default()).unwrap();
+        let open = || FusekiLite::from_sharded(ShardedStore::open_durable(dir.path(), 1).unwrap());
+        let f = open();
         // 100 writes of one triple are 100 commits: here it is the commit
         // threshold that trips.
         f.compaction_policy(test_policy(32, u64::MAX));
@@ -1146,13 +1013,51 @@ mod tests {
         // Dropping the endpoint joins the watcher thread (no panic, no
         // hang); content is intact on reopen.
         drop(f);
-        let g = FusekiLite::open_durable_with(dir.path(), Default::default()).unwrap();
-        assert_eq!(g.len(), 100);
+        assert_eq!(open().len(), 100);
+    }
+
+    #[test]
+    fn background_compaction_policy_folds_a_sharded_backing() {
+        let dir = crate::persist::ScratchDir::new("server-policy-sharded");
+        let open = || FusekiLite::from_sharded(ShardedStore::open_durable(dir.path(), 2).unwrap());
+        let f = open();
+        // One batch: one commit per shard, of some 5 KiB each — the byte
+        // threshold trips, the commit threshold never could.
+        f.compaction_policy(test_policy(32, 2048));
+        f.insert_triples((0..200u32).map(|i| {
+            (
+                Term::iri(format!("http://galo/kb/template/{i:08x}")),
+                Term::iri("http://p"),
+                Term::lit(format!("{i}")),
+            )
+        }));
+        assert!(
+            eventually(|| folds(&f) >= 2),
+            "the background thread must fold the hot shards: {:?}",
+            f.storage_pressures()
+        );
+        assert_eq!(f.storage_pressures().len(), 2);
+        assert!(eventually(|| {
+            f.storage_pressures()
+                .iter()
+                .all(|p| p.wal_records == 0 && p.wal_bytes < 2048)
+        }));
+        assert!(f
+            .storage_pressures()
+            .iter()
+            .all(|p| p.compactions_failed == 0));
+        assert!(f.compactor_stats().is_some());
+        f.stop_compactor();
+        assert!(f.compactor_stats().is_none());
+        assert_eq!(f.len(), 200, "compaction never loses content");
+        // Folded image survives reopen.
+        drop(f);
+        assert_eq!(open().len(), 200);
     }
 
     #[test]
     fn in_memory_backing_reports_zero_pressure_and_never_folds() {
-        let f = seeded();
+        let f = seeded(1);
         let stats = f.compaction_policy(test_policy(32, 2048));
         assert!(eventually(|| stats.sweeps() >= 5));
         assert_eq!(f.storage_pressures(), vec![StoragePressure::default()]);

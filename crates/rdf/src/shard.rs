@@ -1,5 +1,6 @@
 //! Sharded triple storage: [`ShardedStore`], N inner stores with
-//! per-shard locks, read and written through all-shard sessions.
+//! per-shard locks, read and written through all-shard sessions — the
+//! one store behind the endpoint, of one shard unless asked for more.
 //!
 //! The knowledge base is a shared service: every optimized query probes
 //! it online while off-peak learning runs append to it.
@@ -23,25 +24,29 @@
 //!   deterministic for a given content. A keyed probe costs each shard
 //!   one range lookup in its own indexes, which a shard that holds none
 //!   of the pattern's terms answers empty.
-//! * **Terms are interned once.** The sharded store owns a stripe-locked,
-//!   lock-free-read shared interner issuing the [`TermId`]s every caller
-//!   sees, and every shard's store interns through it: shards index by
-//!   those ids, and nothing translates between id spaces. A durable
-//!   shard still journals and snapshots *terms*, resolved through the
-//!   shared interner. On durable reopen the shards recover one after
-//!   another, in shard order, interning what they replay into a fresh
-//!   shared interner — so a reopened store's ids, and with them its scan
-//!   order and snapshot bytes, do not depend on thread timing.
+//! * **Terms are interned once.** The sharded store owns the one
+//!   [`Interner`] issuing the [`TermId`]s every caller sees, and every
+//!   shard's store interns through it: shards index by those ids, and
+//!   nothing translates between id spaces. A durable shard still
+//!   journals and snapshots *terms*, resolved through the interner. On
+//!   durable reopen the shards recover one after another, in shard order,
+//!   interning what they replay into a fresh interner — so a reopened
+//!   store's ids, and with them its scan order and snapshot bytes, do not
+//!   depend on thread timing.
+//! * **One shard costs what one store costs.** With one shard the router
+//!   is not asked (the answer is always 0), a session holds its one lock
+//!   guard inline, and a read returns the shard's own result `Vec`.
 //! * **Sessions are the only way in.** [`ShardedStore::read_session`] /
 //!   [`write_session`](ShardedStore::write_session) take every per-shard
-//!   lock in index order and *are* the [`TripleStore`]: the SPARQL
+//!   lock in index order, then the interner's (shared or exclusively),
+//!   and *are* the [`TripleStore`]: the SPARQL
 //!   evaluator and the matching engine run against a stable view, and a
 //!   write routes each mutation to its shard under the locks the session
 //!   already holds. A write holds all of them, not just the shards it
 //!   routes to: the endpoint serializes writers anyway (its mutation
 //!   epoch), so narrower locking would buy no concurrency. Only
-//!   maintenance ([`ShardedStore::compact_shard`], the stats readers)
-//!   takes a single shard's lock.
+//!   maintenance (the [`CompactionTarget`] calls, the stats readers)
+//!   takes a single shard's lock, and it never looks a term up.
 //!
 //! # On-disk layout (durable sharding)
 //!
@@ -55,24 +60,20 @@
 //!   …
 //! ```
 
-use std::collections::hash_map::RandomState;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
-use std::hash::BuildHasher;
 use std::io;
+use std::ops::Deref;
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::fnv::{fnv1a, fnv1a_with};
-use crate::persist::{DurableOptions, DurableStore};
+use crate::persist::{DurableOptions, DurableStore, SNAPSHOT_PREFIX, WAL_PREFIX};
+use crate::policy::CompactionTarget;
 use crate::store::{IndexedStore, StoragePressure, Triple, TripleStore};
-use crate::term::{Term, TermId, TermIndex};
-
-// ------------------------------------------------------ shared interner --
+use crate::term::{Held, Interner, Term, TermId};
 
 /// FNV-1a 64 over a term's tag and text: the router's placement of a
 /// subject outside the template namespace. Placement is persisted with
@@ -84,155 +85,6 @@ fn term_hash(term: &Term) -> u64 {
         Term::Blank(b) => (2, b),
     };
     fnv1a_with(fnv1a(&[tag]), text.as_bytes())
-}
-
-/// Interner stripes: independent locks, so concurrent writers interning
-/// different terms rarely contend.
-const STRIPES: usize = 8;
-/// First term-table chunk size; chunk `c` holds `CHUNK0 << c` terms.
-const CHUNK0: usize = 256;
-/// 256 · (2²⁴ − 1) slots ≈ 4.3 B — covers the full `u32` id space.
-const MAX_CHUNKS: usize = 24;
-
-/// Append-only term table with address-stable slots: resolving never
-/// takes a lock. Slots live in geometrically-growing boxed chunks, so a
-/// written `Term` never moves; `OnceLock` publication makes the read
-/// race-free against the writer, and each slot is written once.
-struct TermChunks {
-    chunks: [OnceLock<Box<[OnceLock<Term>]>>; MAX_CHUNKS],
-}
-
-impl TermChunks {
-    fn new() -> Self {
-        TermChunks {
-            chunks: std::array::from_fn(|_| OnceLock::new()),
-        }
-    }
-
-    /// `(chunk, offset)` of a dense index: chunk `c` starts at
-    /// `CHUNK0·(2^c − 1)` and holds `CHUNK0·2^c` slots.
-    fn locate(index: usize) -> (usize, usize) {
-        let m = index / CHUNK0 + 1;
-        let chunk = (usize::BITS - 1 - m.leading_zeros()) as usize;
-        (chunk, index - CHUNK0 * ((1usize << chunk) - 1))
-    }
-
-    fn get(&self, index: usize) -> Option<&Term> {
-        let (chunk, offset) = Self::locate(index);
-        self.chunks.get(chunk)?.get()?.get(offset)?.get()
-    }
-
-    fn set(&self, index: usize, term: Term) {
-        let (chunk, offset) = Self::locate(index);
-        assert!(chunk < MAX_CHUNKS, "sharded interner capacity exceeded");
-        let slots = self.chunks[chunk]
-            .get_or_init(|| (0..(CHUNK0 << chunk)).map(|_| OnceLock::new()).collect());
-        slots[offset]
-            .set(term)
-            .expect("interner slot is written exactly once");
-    }
-}
-
-impl fmt::Debug for TermChunks {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let chunks = self.chunks.iter().filter(|c| c.get().is_some()).count();
-        write!(f, "TermChunks({chunks} chunks)")
-    }
-}
-
-/// The sharded store's interner: striped locks on the term → id
-/// indexes, lock-free resolution. Each term is stored once, in the id →
-/// term table, and hashed once per lookup or intern (with a random key,
-/// as terms arrive from outside the program): the hash picks the stripe
-/// and files the id in it. Ids are dense and issued in interning
-/// order, so a store interned one term at a time — one shard, or shards
-/// recovered one after another — gets the ids a plain [`Interner`] would
-/// give it.
-///
-/// [`Interner`]: crate::term::Interner
-pub(crate) struct SharedInterner {
-    stripes: Vec<RwLock<TermIndex>>,
-    hasher: RandomState,
-    /// Id → term.
-    terms: TermChunks,
-    /// The next id to issue. `Relaxed` is enough: the counter only makes
-    /// ids unique, and publishes nothing — a slot's term is published by
-    /// its `OnceLock`, a term's id by its stripe's lock.
-    next: AtomicU32,
-}
-
-impl SharedInterner {
-    pub(crate) fn new() -> Self {
-        SharedInterner {
-            stripes: (0..STRIPES).map(|_| RwLock::default()).collect(),
-            hasher: RandomState::new(),
-            terms: TermChunks::new(),
-            next: AtomicU32::new(0),
-        }
-    }
-
-    /// The stripe a hash files under: its high bits, which the index
-    /// does not place by.
-    fn stripe(&self, hash: u64) -> &RwLock<TermIndex> {
-        &self.stripes[(hash >> 32) as usize % STRIPES]
-    }
-
-    fn find(&self, index: &TermIndex, hash: u64, term: &Term) -> Option<TermId> {
-        index.find(hash, |id| self.resolve(id) == term)
-    }
-
-    pub(crate) fn get(&self, term: &Term) -> Option<TermId> {
-        let hash = self.hasher.hash_one(term);
-        self.find(&self.stripe(hash).read(), hash, term)
-    }
-
-    pub(crate) fn intern(&self, term: Term) -> TermId {
-        let hash = self.hasher.hash_one(&term);
-        let stripe = self.stripe(hash);
-        if let Some(id) = self.find(&stripe.read(), hash, &term) {
-            return id;
-        }
-        let mut index = stripe.write();
-        if let Some(id) = self.find(&index, hash, &term) {
-            return id;
-        }
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        assert!(id < u32::MAX, "interner id space exhausted");
-        self.terms.set(id as usize, term);
-        index.insert(hash, TermId(id));
-        TermId(id)
-    }
-
-    pub(crate) fn resolve(&self, id: TermId) -> &Term {
-        self.terms
-            .get(id.0 as usize)
-            .expect("resolve of an id this interner never issued")
-    }
-
-    fn len(&self) -> usize {
-        self.next.load(Ordering::Relaxed) as usize
-    }
-}
-
-impl fmt::Debug for SharedInterner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SharedInterner({} terms)", self.len())
-    }
-}
-
-/// Every shard's store holds a handle on the one shared interner.
-impl crate::term::TermDictionary for Arc<SharedInterner> {
-    fn intern(&mut self, term: Term) -> TermId {
-        SharedInterner::intern(self, term)
-    }
-
-    fn get(&self, term: &Term) -> Option<TermId> {
-        SharedInterner::get(self, term)
-    }
-
-    fn resolve(&self, id: TermId) -> &Term {
-        SharedInterner::resolve(self, id)
-    }
 }
 
 // --------------------------------------------------------------- router --
@@ -294,62 +146,9 @@ impl ShardRouter for TemplateRouter {
     }
 }
 
-// --------------------------------------------------------- fan-out reads --
-
-/// One shard: its inner store, interning through the shared interner.
+/// One shard: its inner store, interning through the sharded store's
+/// interner.
 type Shard = Box<dyn TripleStore + Send>;
-
-fn fan_scan<'g>(
-    shards: impl Iterator<Item = &'g Shard>,
-    s: Option<TermId>,
-    p: Option<TermId>,
-    o: Option<TermId>,
-) -> Vec<Triple> {
-    // Shards are visited in index order and each shard's results are
-    // deterministic, so the merged order is deterministic for a given
-    // store content — no re-sort needed on the probe hot path.
-    let mut out = Vec::new();
-    for shard in shards {
-        out.extend(shard.scan(s, p, o));
-    }
-    out
-}
-
-fn fan_count<'g>(
-    shards: impl Iterator<Item = &'g Shard>,
-    s: Option<TermId>,
-    p: Option<TermId>,
-    o: Option<TermId>,
-) -> usize {
-    shards.map(|shard| shard.count(s, p, o)).sum()
-}
-
-fn fan_scan_in<'g>(
-    shards: impl Iterator<Item = &'g Shard>,
-    graph: TermId,
-    s: Option<TermId>,
-    p: Option<TermId>,
-    o: Option<TermId>,
-) -> Vec<Triple> {
-    let mut out = Vec::new();
-    for shard in shards {
-        out.extend(shard.scan_in(graph, s, p, o));
-    }
-    out
-}
-
-/// Ids of the non-empty named graphs across shards, deduplicated (a
-/// graph may have tags on several shards) and sorted by name for a
-/// deterministic enumeration order.
-fn fan_graph_ids<'g>(
-    shards: impl Iterator<Item = &'g Shard>,
-    interner: &SharedInterner,
-) -> Vec<TermId> {
-    let ids: BTreeSet<TermId> = shards.flat_map(|shard| shard.graph_ids()).collect();
-    let mut ids: Vec<TermId> = ids.into_iter().collect();
-    ids.sort_by_key(|&g| interner.resolve(g));
-    ids
-}
 
 // -------------------------------------------------------------- the store --
 
@@ -367,7 +166,7 @@ pub struct ShardStats {
     /// (e.g. learned templates) the shard holds.
     pub graph_triples: usize,
     /// Commits (records) in the shard's current write-ahead log (0 when
-    /// the shard backend is not durable).
+    /// the shard is not durable).
     pub wal_records: u64,
     /// Bytes in the shard's current write-ahead log (0 when not durable).
     pub wal_bytes: u64,
@@ -378,22 +177,21 @@ pub struct ShardStats {
 const META_FILE: &str = "sharded.meta";
 const META_MAGIC: &str = "galo-sharded v1";
 
-/// A sharded triple store: N inner stores behind per-shard locks.
+/// A sharded triple store: N inner stores behind per-shard locks — and,
+/// with one shard, the knowledge base's unsharded store.
 ///
 /// Not itself a [`TripleStore`]: every read goes through a
 /// [`read_session`] and every write through a [`write_session`], each
-/// holding all shard locks for its lifetime (`FusekiLite::from_sharded`
-/// opens one per `with_store` / `with_store_mut`). What the store offers
-/// directly is maintenance that needs one shard at a time —
-/// [`compact_shard`], [`storage_pressures`], [`shard_stats`].
+/// holding all shard locks for its lifetime (`FusekiLite` opens one per
+/// `with_store` / `with_store_mut`). What the store offers directly is
+/// maintenance that needs one shard at a time — the
+/// [`CompactionTarget`] calls and [`shard_stats`].
 ///
 /// [`read_session`]: Self::read_session
 /// [`write_session`]: Self::write_session
-/// [`compact_shard`]: Self::compact_shard
-/// [`storage_pressures`]: Self::storage_pressures
 /// [`shard_stats`]: Self::shard_stats
 pub struct ShardedStore {
-    interner: Arc<SharedInterner>,
+    interner: Arc<Interner>,
     router: Box<dyn ShardRouter>,
     shards: Vec<RwLock<Shard>>,
 }
@@ -413,10 +211,10 @@ impl ShardedStore {
     /// the default [`TemplateRouter`].
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "a sharded store needs at least one shard");
-        let interner = Arc::new(SharedInterner::new());
+        let interner = Arc::new(Interner::new());
         let shards = (0..shards)
             .map(|_| {
-                let store = IndexedStore::with_dictionary(Arc::clone(&interner));
+                let store = IndexedStore::with_interner(Arc::clone(&interner));
                 RwLock::new(Box::new(store) as Shard)
             })
             .collect();
@@ -444,7 +242,10 @@ impl ShardedStore {
     /// persisted in `sharded.meta` on first open and validated on every
     /// later one: reopening under a different partitioning would strand
     /// triples on shards their router no longer routes to, so a mismatch
-    /// is a loud error, never silent misplacement.
+    /// is a loud error, never silent misplacement. A directory without
+    /// `sharded.meta` but with a log or a snapshot at its root holds one
+    /// [`DurableStore`] of its own, the layout of earlier builds: it is
+    /// refused with an `InvalidData` error, and nothing is written.
     pub fn open_durable_with(
         dir: impl AsRef<Path>,
         shards: usize,
@@ -458,6 +259,7 @@ impl ShardedStore {
         match fs::read_to_string(&meta_path) {
             Ok(meta) => validate_meta(&meta, shards, router.as_ref(), dir)?,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                refuse_unsharded_layout(dir)?;
                 // Same write discipline as snapshots (temp + fsync +
                 // atomic rename): a crash mid-write must not leave a
                 // truncated meta file that bricks an otherwise fully
@@ -477,9 +279,9 @@ impl ShardedStore {
             Err(e) => return Err(e),
         }
         // Recover the shards one after another, in shard order: each
-        // interns what it replays into the shared interner, so the order
-        // of recovery is the order ids are issued in.
-        let interner = Arc::new(SharedInterner::new());
+        // interns what it replays into the one interner, so the order of
+        // recovery is the order ids are issued in.
+        let interner = Arc::new(Interner::new());
         let shards = (0..shards)
             .map(|k| {
                 let shard_dir = dir.join(format!("shard-{k:04}"));
@@ -520,34 +322,12 @@ impl ShardedStore {
             .collect()
     }
 
-    /// Per-shard write-ahead-log pressure, cheap enough for a policy
-    /// thread to poll: one read lock and a couple of counter loads per
-    /// shard, no scans (unlike [`shard_stats`](Self::shard_stats)).
-    /// In-memory shards report [`StoragePressure::default`] (all zeros).
-    pub fn storage_pressures(&self) -> Vec<StoragePressure> {
-        self.shards
-            .iter()
-            .map(|lock| lock.read().storage_pressure().unwrap_or_default())
-            .collect()
-    }
-
-    /// Compact a single shard, holding only that shard's write lock — the
-    /// background [`Compactor`](crate::policy::Compactor) folds shards one
-    /// at a time, so a session (which needs every shard) waits out one
-    /// shard's rotation at most, never a whole-store one (unlike
-    /// [`compact_all`](Self::compact_all)'s fan-out).
-    pub fn compact_shard(&self, shard: usize) -> io::Result<()> {
-        let lock = self.shards.get(shard).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("shard {shard} out of range ({} shards)", self.shards.len()),
-            )
-        })?;
-        lock.write().compact()
-    }
-
-    /// Route an interned triple through the placement policy.
+    /// The shard a triple is written to: the placement policy's answer,
+    /// which with one shard is always 0 and not asked for.
     fn route(&self, t: Triple) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
+        }
         self.router.route(
             self.shards.len(),
             self.interner.resolve(t.0),
@@ -559,10 +339,12 @@ impl ShardedStore {
     /// Take read locks on every shard, in index order: one consistent
     /// [`TripleStore`] view of the whole store. Concurrent read sessions
     /// coexist; writers wait.
-    pub fn read_session(&self) -> ShardedReadSession<'_> {
-        ShardedReadSession {
+    pub fn read_session(&self) -> Session<'_> {
+        let shards = self.lock(|shard| ShardGuard::Read(shard.read()));
+        Session {
             owner: self,
-            shards: self.shards.iter().map(|s| s.read()).collect(),
+            shards,
+            terms: self.interner.shared(),
         }
     }
 
@@ -571,10 +353,20 @@ impl ShardedStore {
     /// [`ShardRouter`]; `begin_batch` / `end_batch` bracket every shard:
     /// a durable shard journals what the batch wrote to it as one record,
     /// and one the batch never wrote journals nothing.
-    pub fn write_session(&self) -> ShardedWriteSession<'_> {
-        ShardedWriteSession {
+    pub fn write_session(&self) -> Session<'_> {
+        let shards = self.lock(|shard| ShardGuard::Write(shard.write()));
+        Session {
             owner: self,
-            shards: self.shards.iter().map(|s| s.write()).collect(),
+            shards,
+            terms: self.interner.exclusive(),
+        }
+    }
+
+    /// Lock every shard with `lock`, in index order.
+    fn lock<'a>(&'a self, lock: impl Fn(&'a RwLock<Shard>) -> ShardGuard<'a>) -> Guards<'a> {
+        match &self.shards[..] {
+            [only] => Guards::One(lock(only)),
+            shards => Guards::Many(shards.iter().map(lock).collect()),
         }
     }
 
@@ -595,6 +387,58 @@ impl ShardedStore {
         })?;
         Ok(())
     }
+}
+
+/// What the background [`Compactor`](crate::policy::Compactor) watches
+/// and folds, one shard at a time.
+impl CompactionTarget for ShardedStore {
+    /// Per-shard write-ahead-log pressure, cheap enough for a policy
+    /// thread to poll: one read lock and a couple of counter loads per
+    /// shard, no scans (unlike [`shard_stats`](Self::shard_stats)).
+    /// In-memory shards report [`StoragePressure::default`] (all zeros).
+    fn storage_pressures(&self) -> Vec<StoragePressure> {
+        self.shards
+            .iter()
+            .map(|lock| lock.read().storage_pressure().unwrap_or_default())
+            .collect()
+    }
+
+    /// Compact a single shard, holding only that shard's write lock — a
+    /// session (which needs every shard) waits out one shard's rotation
+    /// at most, never a whole-store one (unlike
+    /// [`compact_all`](Self::compact_all)'s fan-out).
+    fn compact_shard(&self, shard: usize) -> io::Result<()> {
+        let lock = self.shards.get(shard).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("shard {shard} out of range ({} shards)", self.shards.len()),
+            )
+        })?;
+        lock.write().compact()
+    }
+}
+
+/// Refuse a directory that holds no `sharded.meta` but a log or a
+/// snapshot at its root: one [`DurableStore`] of its own, the layout of
+/// earlier builds. Opening it as a sharded store would start empty
+/// beside the triples it holds.
+fn refuse_unsharded_layout(dir: &Path) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with(WAL_PREFIX) || name.starts_with(SNAPSHOT_PREFIX) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "durable store at {}: a single-store layout ({name} at its root, \
+                     no {META_FILE}); only the sharded layout ({META_FILE} plus \
+                     shard-NNNN/ directories) opens",
+                    dir.display()
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Validate a `sharded.meta` file against the requested configuration.
@@ -642,128 +486,112 @@ fn validate_meta(
 
 // -------------------------------------------------------------- sessions --
 
-/// All-shard read transaction: holds every shard's read lock (taken in
-/// index order) and is a stable, consistent [`TripleStore`] over the
-/// whole store for as long as it lives — the matching engine evaluates a
-/// whole plan's probes under one. Mutating methods panic; callers only
-/// ever see a read session behind `&dyn TripleStore`, so they are
-/// unreachable from the public API. Interning is *not* a store mutation
-/// (ids must merely stay stable) and works.
-pub struct ShardedReadSession<'a> {
+/// One shard's lock, held for a session's lifetime: shared in a read
+/// session, exclusive in a write session.
+enum ShardGuard<'a> {
+    Read(RwLockReadGuard<'a, Shard>),
+    Write(RwLockWriteGuard<'a, Shard>),
+}
+
+impl Deref for ShardGuard<'_> {
+    type Target = Shard;
+
+    fn deref(&self) -> &Shard {
+        match self {
+            ShardGuard::Read(guard) => guard,
+            ShardGuard::Write(guard) => guard,
+        }
+    }
+}
+
+impl ShardGuard<'_> {
+    /// The shard, to mutate. A read session's mutations panic: callers
+    /// only ever see a read session behind `&dyn TripleStore`, so they
+    /// are unreachable from the public API.
+    fn writable(&mut self) -> &mut Shard {
+        match self {
+            ShardGuard::Write(guard) => guard,
+            ShardGuard::Read(_) => panic!("a read session is read-only"),
+        }
+    }
+}
+
+/// The guards a session holds, one per shard in index order: the
+/// one-shard store's inline, so opening its session allocates nothing.
+enum Guards<'a> {
+    One(ShardGuard<'a>),
+    Many(Vec<ShardGuard<'a>>),
+}
+
+impl<'a> Guards<'a> {
+    fn all(&self) -> &[ShardGuard<'a>] {
+        match self {
+            Guards::One(guard) => std::slice::from_ref(guard),
+            Guards::Many(guards) => guards,
+        }
+    }
+
+    fn all_mut(&mut self) -> &mut [ShardGuard<'a>] {
+        match self {
+            Guards::One(guard) => std::slice::from_mut(guard),
+            Guards::Many(guards) => guards,
+        }
+    }
+}
+
+/// An all-shard transaction: every shard's lock, taken in index order
+/// ([`ShardedStore::read_session`], [`ShardedStore::write_session`]), and
+/// a stable, consistent [`TripleStore`] over the whole store for as long
+/// as it lives — the matching engine evaluates a whole plan's probes
+/// under one read session. A write session is exclusive, so a batch (or
+/// an `import`/`update`-style rewrite) appears atomic to readers; its
+/// mutations route through the owner's [`ShardRouter`] to the shard
+/// whose lock it already holds. A read session's mutations panic, and
+/// so does interning in it. Beside the shards' locks a session holds the
+/// interner's, shared or exclusively, so its lookups and interns take no
+/// lock of their own.
+///
+/// Reads fan out over the shards in index order. Each shard's results
+/// are deterministic, so the merged order is deterministic for a given
+/// store content — no re-sort on the probe hot path — and one shard's
+/// result `Vec` is the answer as it stands.
+pub struct Session<'a> {
     owner: &'a ShardedStore,
-    shards: Vec<RwLockReadGuard<'a, Shard>>,
+    shards: Guards<'a>,
+    terms: Held<'a>,
 }
 
-impl fmt::Debug for ShardedReadSession<'_> {
+impl fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShardedReadSession({} shards)", self.shards.len())
+        write!(f, "Session({} shards)", self.shards.all().len())
     }
 }
 
-impl ShardedReadSession<'_> {
-    fn stores(&self) -> impl Iterator<Item = &Shard> {
-        self.shards.iter().map(|g| &**g)
-    }
-}
-
-impl TripleStore for ShardedReadSession<'_> {
-    fn intern(&mut self, term: Term) -> TermId {
-        self.owner.interner.intern(term)
-    }
-
-    fn term_id(&self, term: &Term) -> Option<TermId> {
-        self.owner.interner.get(term)
+impl Session<'_> {
+    /// Every shard's answer, in shard order, appended to the first's.
+    fn concat<T>(&self, ask: impl Fn(&Shard) -> Vec<T>) -> Vec<T> {
+        let mut parts = self.shards.all().iter().map(|shard| ask(shard));
+        let mut out = parts.next().unwrap_or_default();
+        for part in parts {
+            out.extend(part);
+        }
+        out
     }
 
-    fn resolve(&self, id: TermId) -> &Term {
-        self.owner.interner.resolve(id)
-    }
-
-    fn insert_ids(&mut self, _t: Triple) -> bool {
-        panic!("ShardedReadSession is read-only");
-    }
-
-    fn remove_ids(&mut self, _t: Triple) -> bool {
-        panic!("ShardedReadSession is read-only");
-    }
-
-    fn clear(&mut self) {
-        panic!("ShardedReadSession is read-only");
-    }
-
-    fn len(&self) -> usize {
-        self.stores().map(|store| store.len()).sum()
-    }
-
-    fn scan(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        fan_scan(self.stores(), s, p, o)
-    }
-
-    fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        fan_count(self.stores(), s, p, o)
-    }
-
-    fn graph_ids(&self) -> Vec<TermId> {
-        fan_graph_ids(self.stores(), &self.owner.interner)
-    }
-
-    fn insert_ids_in(&mut self, _graph: TermId, _t: Triple) -> bool {
-        panic!("ShardedReadSession is read-only");
-    }
-
-    fn remove_ids_in(&mut self, _graph: TermId, _t: Triple) -> bool {
-        panic!("ShardedReadSession is read-only");
-    }
-
-    fn scan_in(
-        &self,
-        graph: TermId,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> Vec<Triple> {
-        fan_scan_in(self.stores(), graph, s, p, o)
-    }
-
-    fn compact(&mut self) -> io::Result<()> {
-        panic!("ShardedReadSession is read-only");
-    }
-}
-
-/// All-shard write transaction: exclusive access to the whole store, so
-/// a batch (or an `import`/`update`-style rewrite) appears atomic to
-/// readers. Mutations route through the owner's [`ShardRouter`] to the
-/// shard whose lock the session already holds.
-pub struct ShardedWriteSession<'a> {
-    owner: &'a ShardedStore,
-    shards: Vec<RwLockWriteGuard<'a, Shard>>,
-}
-
-impl fmt::Debug for ShardedWriteSession<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShardedWriteSession({} shards)", self.shards.len())
-    }
-}
-
-impl ShardedWriteSession<'_> {
-    fn stores(&self) -> impl Iterator<Item = &Shard> {
-        self.shards.iter().map(|g| &**g)
-    }
-
-    /// The shard a triple routes to.
+    /// The shard a triple routes to, to mutate.
     fn routed(&mut self, t: Triple) -> &mut Shard {
         let k = self.owner.route(t);
-        &mut self.shards[k]
+        self.shards.all_mut()[k].writable()
     }
 }
 
-impl TripleStore for ShardedWriteSession<'_> {
+impl TripleStore for Session<'_> {
     fn intern(&mut self, term: Term) -> TermId {
-        self.owner.interner.intern(term)
+        self.terms.intern(term)
     }
 
     fn term_id(&self, term: &Term) -> Option<TermId> {
-        self.owner.interner.get(term)
+        self.terms.get(term)
     }
 
     fn resolve(&self, id: TermId) -> &Term {
@@ -779,25 +607,31 @@ impl TripleStore for ShardedWriteSession<'_> {
     }
 
     fn clear(&mut self) {
-        for store in &mut self.shards {
-            store.clear();
+        for shard in self.shards.all_mut() {
+            shard.writable().clear();
         }
     }
 
     fn len(&self) -> usize {
-        self.stores().map(|store| store.len()).sum()
+        self.shards.all().iter().map(|shard| shard.len()).sum()
     }
 
     fn scan(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Vec<Triple> {
-        fan_scan(self.stores(), s, p, o)
+        self.concat(|shard| shard.scan(s, p, o))
     }
 
     fn count(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        fan_count(self.stores(), s, p, o)
+        let shards = self.shards.all().iter();
+        shards.map(|shard| shard.count(s, p, o)).sum()
     }
 
+    /// By name: a graph with tags on several shards once, and the order
+    /// independent of interning history.
     fn graph_ids(&self) -> Vec<TermId> {
-        fan_graph_ids(self.stores(), &self.owner.interner)
+        let mut ids = self.concat(|shard| shard.graph_ids());
+        ids.sort_unstable_by_key(|&g| self.owner.interner.resolve(g));
+        ids.dedup();
+        ids
     }
 
     fn insert_ids_in(&mut self, graph: TermId, t: Triple) -> bool {
@@ -815,25 +649,23 @@ impl TripleStore for ShardedWriteSession<'_> {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Vec<Triple> {
-        fan_scan_in(self.stores(), graph, s, p, o)
+        self.concat(|shard| shard.scan_in(graph, s, p, o))
     }
 
     fn compact(&mut self) -> io::Result<()> {
-        for store in &mut self.shards {
-            store.compact()?;
-        }
-        Ok(())
+        let mut shards = self.shards.all_mut().iter_mut();
+        shards.try_for_each(|shard| shard.writable().compact())
     }
 
     fn begin_batch(&mut self) {
-        for store in &mut self.shards {
-            store.begin_batch();
+        for shard in self.shards.all_mut() {
+            shard.writable().begin_batch();
         }
     }
 
     fn end_batch(&mut self) {
-        for store in &mut self.shards {
-            store.end_batch();
+        for shard in self.shards.all_mut() {
+            shard.writable().end_batch();
         }
     }
 }
@@ -1147,15 +979,14 @@ mod tests {
     }
 
     /// Random interleavings of `intern`, `get` and `resolve`, with terms
-    /// repeated, against a reference map: both dictionaries issue its
-    /// ids — dense, in first-intern order — and resolve them back.
+    /// repeated, against a reference map: the dictionary issues its ids —
+    /// dense, in first-intern order — and resolves them back.
     #[test]
-    fn both_dictionaries_issue_the_reference_ids() {
+    fn the_dictionary_issues_the_reference_ids() {
         let mut state = 0x1D5_u64;
         for round in 0..24u64 {
             let pool = 8 + round * round * 12;
-            let mut plain = crate::term::Interner::new();
-            let shared = SharedInterner::new();
+            let shared = Interner::new();
             let mut reference: std::collections::HashMap<Term, TermId> = Default::default();
             let mut issued: Vec<Term> = Vec::new();
             for _ in 0..3_000 {
@@ -1167,23 +998,20 @@ mod tests {
                         if want == fresh {
                             issued.push(term.clone());
                         }
-                        assert_eq!(plain.intern(term.clone()), want);
                         assert_eq!(shared.intern(term), want);
                     }
                     1 => {
                         let want = reference.get(&term).copied();
-                        assert_eq!(plain.get(&term), want);
                         assert_eq!(shared.get(&term), want);
                     }
                     _ if !issued.is_empty() => {
                         let id = TermId((next(&mut state) % issued.len() as u64) as u32);
-                        assert_eq!(plain.resolve(id), &issued[id.0 as usize]);
                         assert_eq!(shared.resolve(id), &issued[id.0 as usize]);
                     }
                     _ => {}
                 }
             }
-            assert_eq!((plain.len(), shared.len()), (issued.len(), issued.len()));
+            assert_eq!(shared.len(), issued.len());
         }
     }
 
@@ -1193,7 +1021,7 @@ mod tests {
     #[test]
     fn four_threads_interning_into_one_dictionary_get_unique_dense_ids() {
         let terms: Vec<Term> = (0..4_000).map(pool_term).collect();
-        let shared = SharedInterner::new();
+        let shared = Interner::new();
         let start = std::sync::Barrier::new(4);
         let seen: Vec<Vec<TermId>> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..4u64)

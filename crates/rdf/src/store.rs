@@ -1,18 +1,21 @@
-//! Triple storage: the [`TripleStore`] trait and its in-memory backends.
+//! Triple storage: the [`TripleStore`] trait and its in-memory stores.
 //!
 //! The knowledge base is the hot path of online re-optimization — every
 //! incoming plan segment becomes a SPARQL query against it — so storage
-//! is behind a trait: [`IndexedStore`] (the default; two ordered
+//! is behind a trait, which the evaluator and the matching engine
+//! compile against: [`IndexedStore`] (an in-memory shard; two ordered
 //! permutations, SPO and POS) answers every pattern that binds its
-//! subject or its predicate with one range, while [`ScanStore`] is the naive
-//! linear-scan reference used to cross-check results and benchmark the
-//! indexes. A persistent or sharded backend can be dropped in without
-//! touching the evaluator, the server, or the matching engine.
+//! subject or its predicate with one range, while [`ScanStore`] is the
+//! naive linear-scan reference used to cross-check results and
+//! benchmark the indexes. The endpoint reads and writes a
+//! [`ShardedStore`](crate::ShardedStore) through its sessions, which are
+//! stores too.
 
 use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
-use crate::term::{Interner, Term, TermDictionary, TermId};
+use crate::term::{Interner, Term, TermId};
 
 /// A ground triple of interned terms.
 pub type Triple = (TermId, TermId, TermId);
@@ -40,7 +43,7 @@ pub struct StoragePressure {
 
 /// Storage contract for RDF triples.
 ///
-/// A store interns its terms through a [`TermDictionary`] and holds a
+/// A store interns its terms through an [`Interner`] and holds a
 /// default graph of triples, plus optional named graphs. The required
 /// methods work on interned [`TermId`]s — the evaluator's hot path; the
 /// provided methods lift them to [`Term`]s for callers that deal in
@@ -64,10 +67,10 @@ pub struct StoragePressure {
 ///   shared between the default and named graphs.
 ///
 /// The trait asks for `Sync` but not `Send`: a store may be read from
-/// several threads at once, but the sharded backend's sessions *are* their
-/// lock guards, which must be released on the thread that took them. An
-/// owned backend that moves between threads is a
-/// `Box<dyn TripleStore + Send>`, and that is what the endpoint holds.
+/// several threads at once, but the sharded store's sessions *are* their
+/// lock guards, which must be released on the thread that took them. A
+/// shard, which moves between threads with its sharded store, is a
+/// `Box<dyn TripleStore + Send>`.
 pub trait TripleStore: fmt::Debug + Sync {
     // ---- interning ----
 
@@ -296,7 +299,7 @@ impl NamedGraphs {
     }
 }
 
-/// Indexed in-memory backend: the default [`TripleStore`].
+/// Indexed in-memory store: what an in-memory shard is.
 ///
 /// The triples are held twice, as the ordered sets of their SPO and POS
 /// permutations, so a publish writes each triple twice. A pattern that
@@ -309,11 +312,11 @@ impl NamedGraphs {
 /// its prefix: `(?, p, ?)` by `(o, s)`, `(s, ?, o)` by `p`, `(?, ?, o)`
 /// by `(s, p)`.
 ///
-/// The store interns through its dictionary `D`: by default an
-/// [`Interner`] of its own; a shard's store shares the sharded store's.
-#[derive(Debug, Clone)]
-pub struct IndexedStore<D = Interner> {
-    interner: D,
+/// The store interns through an [`Interner`] of its own, or — a shard's
+/// store — through the sharded store's one.
+#[derive(Debug)]
+pub struct IndexedStore {
+    interner: Arc<Interner>,
     /// `(s, p, o)`: the master copy; full scans and the S-prefix patterns.
     spo: BTreeSet<Triple>,
     /// `(p, o, s)`: the patterns with P bound and S free.
@@ -331,17 +334,9 @@ impl IndexedStore {
     pub fn interner_len(&self) -> usize {
         self.interner.len()
     }
-}
 
-impl Default for IndexedStore {
-    fn default() -> Self {
-        Self::with_dictionary(Interner::new())
-    }
-}
-
-impl<D> IndexedStore<D> {
     /// An empty store interning through `interner`.
-    pub(crate) fn with_dictionary(interner: D) -> Self {
+    pub(crate) fn with_interner(interner: Arc<Interner>) -> Self {
         IndexedStore {
             interner,
             spo: BTreeSet::new(),
@@ -371,7 +366,13 @@ impl<D> IndexedStore<D> {
     }
 }
 
-impl<D: TermDictionary> TripleStore for IndexedStore<D> {
+impl Default for IndexedStore {
+    fn default() -> Self {
+        Self::with_interner(Arc::default())
+    }
+}
+
+impl TripleStore for IndexedStore {
     fn intern(&mut self, term: Term) -> TermId {
         self.interner.intern(term)
     }
@@ -447,14 +448,14 @@ impl<D: TermDictionary> TripleStore for IndexedStore<D> {
     }
 }
 
-/// Naive linear-scan backend: the reference implementation.
+/// Naive linear-scan store: the reference implementation.
 ///
 /// Every pattern lookup, in the default graph and in a named one, walks
 /// the full triple set. Kept for differential testing against
 /// [`IndexedStore`] (see the proptests) and as the baseline side of the
 /// indexed-vs-scan micro-benchmark; also a model of the minimal work a
 /// new backend has to do.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct ScanStore {
     interner: Interner,
     triples: BTreeSet<Triple>,

@@ -4,9 +4,15 @@
 //! (Exp-4: 1,000 problem patterns), so terms are interned once into
 //! [`TermId`]s and triples are stored as integer tuples.
 
+use std::cell::UnsafeCell;
 use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::hash::BuildHasher;
+use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
+
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// An RDF term: IRI, literal, or blank node.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -137,23 +143,6 @@ impl fmt::Display for Term {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
-/// The two-way map between [`Term`]s and the [`TermId`]s a store indexes
-/// by. A store holds one: [`Interner`], its own, or — for each shard of a
-/// [`ShardedStore`](crate::ShardedStore) — a handle on the sharded
-/// store's one shared dictionary, so that every shard indexes by the same
-/// ids the sharded store hands out.
-pub trait TermDictionary: fmt::Debug + Send + Sync {
-    /// Intern a term, returning its id (stable for the dictionary's
-    /// lifetime).
-    fn intern(&mut self, term: Term) -> TermId;
-
-    /// Look up a term's id without interning.
-    fn get(&self, term: &Term) -> Option<TermId>;
-
-    /// Resolve an id this dictionary issued back to its term.
-    fn resolve(&self, id: TermId) -> &Term;
-}
-
 /// One slot of a [`TermIndex`]: 32 bits of the term's hash and its id
 /// (`u32::MAX` when the slot is free; no dictionary issues that id).
 #[derive(Debug, Clone, Copy)]
@@ -231,73 +220,230 @@ impl TermIndex {
     }
 }
 
-/// Term interner: bidirectional map between [`Term`]s and [`TermId`]s.
-/// Each term is stored once, in id order; the index beside it finds a
-/// term's id with one hash of the term.
-#[derive(Debug, Default, Clone)]
+/// First term-table chunk size; chunk `c` holds `CHUNK0 << c` terms.
+const CHUNK0: usize = 256;
+/// 256 · (2²⁵ − 1) slots: the full `u32` id space.
+const MAX_CHUNKS: usize = 25;
+
+/// A cell of the term table: written once, by the append that issues
+/// its id.
+type Cell = UnsafeCell<MaybeUninit<Term>>;
+
+/// The id → term half of the interner: an append-only table whose terms
+/// never move, so resolving takes no lock. Terms live in chunks that
+/// double in size. A chunk is allocated uninitialized and each slot is
+/// written when its term is appended, so the table touches memory only
+/// as terms arrive, as a `Vec<Term>` would. `len` publishes the terms:
+/// every slot below it is written.
+struct TermTable {
+    chunks: [OnceLock<Box<[Cell]>>; MAX_CHUNKS],
+    len: AtomicU32,
+}
+
+// SAFETY: a slot is written only by `push`, whose callers never append
+// concurrently, and only before `len` is raised past it (`Release`); it is
+// read only once `len` is seen past it (`Acquire`), and never written
+// again. `Term` is `Send` and `Sync`.
+unsafe impl Sync for TermTable {}
+
+impl TermTable {
+    fn new() -> Self {
+        TermTable {
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicU32::new(0),
+        }
+    }
+
+    /// `(chunk, offset)` of a dense index: chunk `c` starts at
+    /// `CHUNK0·(2^c − 1)` and holds `CHUNK0·2^c` slots.
+    fn locate(index: u32) -> (usize, usize) {
+        let index = index as usize;
+        let m = index / CHUNK0 + 1;
+        let chunk = (usize::BITS - 1 - m.leading_zeros()) as usize;
+        (chunk, index - CHUNK0 * ((1usize << chunk) - 1))
+    }
+
+    /// Terms appended so far: ids `0..len` resolve.
+    fn len(&self) -> u32 {
+        self.len.load(Ordering::Acquire)
+    }
+
+    fn get(&self, index: u32) -> Option<&Term> {
+        if index >= self.len() {
+            return None;
+        }
+        let (chunk, offset) = Self::locate(index);
+        let slot = &self.chunks[chunk].get()?[offset];
+        // SAFETY: `index < len`, so the slot was written before `len` was
+        // raised past it, and it is never written again.
+        Some(unsafe { (*slot.get()).assume_init_ref() })
+    }
+
+    /// Append `term`, returning its index.
+    ///
+    /// # Safety
+    ///
+    /// Appends must not run concurrently: the caller holds a lock that
+    /// every append to this table takes.
+    unsafe fn push(&self, term: Term) -> u32 {
+        let index = self.len.load(Ordering::Relaxed);
+        assert!(index < FREE, "interner id space exhausted");
+        let (chunk, offset) = Self::locate(index);
+        let slots = self.chunks[chunk].get_or_init(|| {
+            // SAFETY: an `UnsafeCell<MaybeUninit<_>>` needs no
+            // initializing.
+            unsafe { Box::new_uninit_slice(CHUNK0 << chunk).assume_init() }
+        });
+        // SAFETY: no other append runs (the caller's contract), and no
+        // reader looks at a slot at or past `len`.
+        unsafe { (*slots[offset].get()).write(term) };
+        self.len.store(index + 1, Ordering::Release);
+        index
+    }
+}
+
+impl Drop for TermTable {
+    fn drop(&mut self) {
+        for index in 0..*self.len.get_mut() {
+            let (chunk, offset) = Self::locate(index);
+            if let Some(slots) = self.chunks[chunk].get_mut() {
+                // SAFETY: every slot below `len` holds a term, dropped
+                // once, here.
+                unsafe { slots[offset].get_mut().assume_init_drop() };
+            }
+        }
+    }
+}
+
+/// The term dictionary: the two-way map between [`Term`]s and the
+/// [`TermId`]s a store indexes by. A store holds it as an `Arc`: a
+/// [`ShardedStore`](crate::ShardedStore) hands every shard's store a
+/// handle on its one dictionary, so every shard indexes by the ids the
+/// sharded store hands out.
+///
+/// A lock guards the term → id index, and resolution takes none. Each
+/// term is stored once, in the id → term table, and hashed once per
+/// lookup or intern (with a random key, as terms arrive from outside the
+/// program). A store session holds that lock for its lifetime — a read
+/// session shared, a write session exclusively — so its lookups and
+/// interns take no lock of their own; outside a session, an intern takes
+/// it exclusively and a lookup shared. Ids
+/// are dense and issued in interning order, so a store interned one term
+/// at a time — one shard, or shards recovered one after another — gets
+/// the same ids every time.
 pub struct Interner {
-    terms: Vec<Term>,
-    index: TermIndex,
+    /// Term → id. Its write lock is the one every append to `terms`
+    /// takes.
+    index: RwLock<TermIndex>,
     hasher: RandomState,
+    /// Id → term; ids are issued in append order.
+    terms: TermTable,
+}
+
+impl Default for Interner {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Interner {
     pub fn new() -> Self {
-        Self::default()
+        Interner {
+            index: RwLock::default(),
+            hasher: RandomState::new(),
+            terms: TermTable::new(),
+        }
     }
 
-    /// Intern a term, returning its id (stable for the lifetime of the
-    /// interner).
-    pub fn intern(&mut self, term: Term) -> TermId {
-        let hash = self.hasher.hash_one(&term);
-        if let Some(id) = self.find(hash, &term) {
-            return id;
+    /// The interner with its index held shared: lookups only.
+    pub(crate) fn shared(&self) -> Held<'_> {
+        Held {
+            interner: self,
+            index: Lock::Shared(self.index.read()),
         }
-        assert!(
-            self.terms.len() < FREE as usize,
-            "interner id space exhausted"
-        );
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push(term);
-        self.index.insert(hash, id);
-        id
+    }
+
+    /// The interner with its index held exclusively: lookups and
+    /// interns.
+    pub(crate) fn exclusive(&self) -> Held<'_> {
+        Held {
+            interner: self,
+            index: Lock::Exclusive(self.index.write()),
+        }
     }
 
     /// Look up a term's id without interning.
     pub fn get(&self, term: &Term) -> Option<TermId> {
-        self.find(self.hasher.hash_one(term), term)
+        self.shared().get(term)
     }
 
-    fn find(&self, hash: u64, term: &Term) -> Option<TermId> {
-        self.index
-            .find(hash, |id| self.terms[id.0 as usize] == *term)
+    /// Intern a term, returning its id (stable for the lifetime of the
+    /// interner).
+    pub fn intern(&self, term: Term) -> TermId {
+        self.exclusive().intern(term)
     }
 
-    /// Resolve an id back to its term.
+    /// Resolve an id this interner issued back to its term.
     pub fn resolve(&self, id: TermId) -> &Term {
-        &self.terms[id.0 as usize]
+        self.terms
+            .get(id.0)
+            .expect("resolve of an id this interner never issued")
     }
 
+    /// Number of terms ever interned: ids are dense in `0..len`.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.terms.len() as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.len() == 0
     }
 }
 
-impl TermDictionary for Interner {
-    fn intern(&mut self, term: Term) -> TermId {
-        Interner::intern(self, term)
+/// The interner with its term → id index locked, for a run of lookups
+/// and — held exclusively — interns: what a store session holds beside
+/// its shards' locks, so that its own calls take no lock.
+pub(crate) struct Held<'a> {
+    interner: &'a Interner,
+    index: Lock<'a>,
+}
+
+enum Lock<'a> {
+    Shared(RwLockReadGuard<'a, TermIndex>),
+    Exclusive(RwLockWriteGuard<'a, TermIndex>),
+}
+
+impl Held<'_> {
+    pub(crate) fn get(&self, term: &Term) -> Option<TermId> {
+        let index = match &self.index {
+            Lock::Shared(index) => &**index,
+            Lock::Exclusive(index) => &**index,
+        };
+        let hash = self.interner.hasher.hash_one(term);
+        index.find(hash, |id| self.interner.resolve(id) == term)
     }
 
-    fn get(&self, term: &Term) -> Option<TermId> {
-        Interner::get(self, term)
+    /// Intern `term`. Panics when the interner is held shared: a read
+    /// session is read-only.
+    pub(crate) fn intern(&mut self, term: Term) -> TermId {
+        let hash = self.interner.hasher.hash_one(&term);
+        let Lock::Exclusive(index) = &mut self.index else {
+            panic!("interning needs the interner held exclusively: a read session is read-only");
+        };
+        if let Some(id) = index.find(hash, |id| self.interner.resolve(id) == &term) {
+            return id;
+        }
+        // SAFETY: `index` is the write guard of this interner's index,
+        // which every append holds.
+        let id = TermId(unsafe { self.interner.terms.push(term) });
+        index.insert(hash, id);
+        id
     }
+}
 
-    fn resolve(&self, id: TermId) -> &Term {
-        Interner::resolve(self, id)
+impl fmt::Debug for Interner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Interner({} terms)", self.len())
     }
 }
 
@@ -307,7 +453,7 @@ mod tests {
 
     #[test]
     fn interning_is_idempotent() {
-        let mut i = Interner::new();
+        let i = Interner::new();
         let a = i.intern(Term::iri("http://galo/qep/pop/2"));
         let b = i.intern(Term::iri("http://galo/qep/pop/2"));
         assert_eq!(a, b);

@@ -3,7 +3,7 @@
 //! The paper's premise is that learned guidelines *accumulate*: the KB is
 //! "a robust, transactional, and persistent storage layer" (§3.2) that
 //! off-peak learning runs keep feeding. This tour exercises exactly that
-//! with the `DurableStore` backend:
+//! with a durable store of one shard (`sharded.meta` plus `shard-0000/`):
 //!
 //! 1. learn one workload into an on-disk KB and checkpoint it,
 //! 2. keep learning a second workload into the rotated write-ahead log,
@@ -17,9 +17,10 @@ use galo_core::{match_plan, KbBuilder, MatchConfig};
 use galo_optimizer::Optimizer;
 use galo_rdf::ScratchDir;
 
-/// Newest write-ahead log in the store directory.
+/// Newest write-ahead log of the knowledge base's one shard, in its
+/// `shard-0000/` directory.
 fn newest_wal(dir: &std::path::Path) -> std::path::PathBuf {
-    let mut wals: Vec<_> = std::fs::read_dir(dir)
+    let mut wals: Vec<_> = std::fs::read_dir(dir.join("shard-0000"))
         .expect("store dir readable")
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| {
@@ -86,7 +87,7 @@ fn main() {
         );
     }
     println!("\non disk before the crash:");
-    list_store_files(dir);
+    list_store_files(&dir.join("shard-0000"));
 
     // The "crash": the process died while appending a record, leaving a
     // torn tail. Truncating mid-record simulates the kill exactly — the

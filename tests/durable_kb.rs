@@ -4,7 +4,9 @@
 //! torn write-ahead-log tail loses at most the uncommitted record — and a
 //! retraction or a refinement is one record, so a crash leaves all of it
 //! or none — and `FusekiLite::import`/`export` round-trips — named-graph
-//! N-Quads lines included — through a `DurableStore`-backed dataset.
+//! N-Quads lines included — through a durable dataset. A knowledge base
+//! on disk is a sharded store, of one shard unless built with more: a
+//! directory of another layout is refused and left as it is.
 
 use galo_catalog::{col, ColumnStats, ColumnType, Database, DatabaseBuilder, SystemConfig, Table};
 use galo_core::{
@@ -13,7 +15,7 @@ use galo_core::{
 };
 use galo_optimizer::Optimizer;
 use galo_qgm::{guideline_from_plan, GuidelineDoc, Qgm};
-use galo_rdf::{ScratchDir, Term};
+use galo_rdf::{DurableStore, ScratchDir, ServerError, Term, TripleStore};
 use galo_sql::parse;
 
 /// A two-table database plus an optimized plan over it — the smallest
@@ -67,10 +69,11 @@ fn template(db: &Database, plan: &Qgm, kb: &KnowledgeBase, salt: u64, workload: 
     tpl
 }
 
-/// Newest write-ahead log in a durable store directory (the kill-and-
-/// reopen tests truncate it to simulate a crash mid-write).
+/// Newest write-ahead log of a one-shard durable knowledge base, in its
+/// `shard-0000/` directory (the kill-and-reopen tests truncate it to
+/// simulate a crash mid-write).
 fn newest_wal(dir: &std::path::Path) -> std::path::PathBuf {
-    let mut wals: Vec<_> = std::fs::read_dir(dir)
+    let mut wals: Vec<_> = std::fs::read_dir(dir.join("shard-0000"))
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| {
@@ -334,4 +337,56 @@ fn a_refinement_cut_at_every_byte_reopens_to_the_image_before_it() {
     cut_at_every_byte_of("refinement", |kb, iri| {
         assert!(kb.refine_template_stats(iri, &refinement).changed);
     });
+}
+
+/// What `dir` holds: each entry with its bytes, `None` for a directory.
+fn entries(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Option<Vec<u8>>)> {
+    let paths = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    let mut entries: Vec<_> = paths.map(|p| (p.clone(), std::fs::read(p).ok())).collect();
+    entries.sort();
+    entries
+}
+
+/// A directory of the single-store layout — a log and a snapshot at its
+/// root, no `sharded.meta` — is refused rather than opened empty beside
+/// its triples, and is left byte for byte as it was; a directory of two
+/// shards opened without `.shards(2)` is refused by its shard count.
+#[test]
+fn a_directory_of_another_layout_is_refused_untouched() {
+    let dir = ScratchDir::new("kb-single-store-layout");
+    {
+        let mut store = DurableStore::open(dir.path()).unwrap();
+        let p = Term::iri("http://x/p");
+        store.insert(Term::iri("http://x/s1"), p.clone(), Term::lit("v"));
+        store.compact().unwrap();
+        store.insert(Term::iri("http://x/s2"), p, Term::lit("v"));
+    }
+    let before = entries(dir.path());
+    assert!(before.len() >= 2, "a log and a snapshot: {before:?}");
+    let err = KbBuilder::new()
+        .durable_dir(dir.path())
+        .build_kb()
+        .err()
+        .expect("a single-store layout is refused");
+    assert!(
+        matches!(&err, ServerError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
+        "{err}"
+    );
+    assert!(err.to_string().contains("single-store layout"), "{err}");
+    assert_eq!(entries(dir.path()), before, "nothing is written");
+
+    let two = ScratchDir::new("kb-two-shard-layout");
+    drop(
+        KbBuilder::new()
+            .durable_dir(two.path())
+            .shards(2)
+            .build_kb()
+            .unwrap(),
+    );
+    let err = KbBuilder::new()
+        .durable_dir(two.path())
+        .build_kb()
+        .err()
+        .expect("a two-shard layout opened as one shard is refused");
+    assert!(err.to_string().contains("created with 2 shard(s)"), "{err}");
 }

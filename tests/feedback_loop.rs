@@ -300,6 +300,108 @@ fn refined_sketches_survive_export_import_and_sharded_reopen() {
     );
 }
 
+/// A TPC-DS plan and its template, every cardinality widened 4×, in a
+/// knowledge base loaded from the template's export with each statement
+/// of a predicate in `families` either dropped or its object replaced by
+/// `edit`.
+fn tpcds_template_edited(
+    families: &[&str],
+    edit: Option<&str>,
+) -> (KnowledgeBase, String, u64, Vec<PopCheck>) {
+    let w = galo_workloads::tpcds::workload();
+    let plan = Optimizer::new(&w.db).optimize(&w.queries[0]).unwrap();
+    let g = GuidelineDoc::new(vec![guideline_from_plan(&plan, plan.root()).unwrap()]);
+    let mut template = abstract_plan(&w.db, &plan, plan.root(), &g, "tpcds_edited".into());
+    for pop in &mut template.pops {
+        pop.cardinality.set_widen(4.0);
+    }
+    let source = KnowledgeBase::new();
+    source.insert(&template);
+    let predicates: Vec<String> = families
+        .iter()
+        .map(|family| format!("<{}{family}>", vocab::PROP_NS))
+        .collect();
+    let edited: String = source
+        .export()
+        .lines()
+        .filter_map(|line| {
+            let Some(predicate) = predicates.iter().find(|p| line.contains(p.as_str())) else {
+                return Some(format!("{line}\n"));
+            };
+            let at = line.find(predicate.as_str()).unwrap() + predicate.len();
+            edit.map(|object| format!("{} \"{object}\" .\n", &line[..at]))
+        })
+        .collect();
+    let kb = KnowledgeBase::new();
+    kb.import(&edited).unwrap();
+    let iri = vocab::template_iri(&template.id).str_value().to_string();
+    let sig = segment_signature(&plan, plan.root()).hash;
+    let checks = segment_pop_checks(&w.db, &plan, plan.root());
+    (kb, iri, sig, checks)
+}
+
+/// A stat literal that disagrees with the bounds stored beside it (here
+/// the empty stat, `"0 inf -inf 1"`, beside a 4×-widened range) is not
+/// what refinement folds into: the bounds are, so a recorded match
+/// never narrows them and a plan the template admitted stays admitted.
+#[test]
+fn a_literal_that_disagrees_with_its_bounds_never_narrows_them() {
+    let (kb, iri, sig, checks) =
+        tpcds_template_edited(&["hasCardinalityStat"], Some("0 inf -inf 1"));
+    let admits = |cs: &[PopCheck]| {
+        kb.candidate_templates_admitting(sig, &AdmissionQuery::exact(cs))
+            .contains(&iri)
+    };
+    let twice = displaced(&checks, 2.0);
+    assert!(
+        admits(&checks) && admits(&twice),
+        "the widened ranges admit 2×"
+    );
+    let outcome = kb.refine_template_stats(
+        &iri,
+        &TemplateRefinement {
+            observations: observations(&checks, f64::INFINITY),
+            narrows: vec![],
+        },
+    );
+    assert!(outcome.values_folded > 0);
+    assert!(admits(&checks), "the recorded match stays admitted");
+    assert!(
+        admits(&twice),
+        "the bounds were not narrowed to the estimate"
+    );
+}
+
+/// An operator whose cardinality bounds are not both stored is unbounded
+/// on the missing side, whatever stat literal is stored beside them, and
+/// refinement keeps it so: it restates no bounds.
+#[test]
+fn a_literal_without_bounds_stays_unbounded_after_a_refinement() {
+    let (lower, higher) = ("hasLowerCardinality", "hasHigherCardinality");
+    for dropped in [&[lower][..], &[higher], &[lower, higher]] {
+        let (kb, iri, _, checks) = tpcds_template_edited(dropped, None);
+        kb.refine_template_stats(
+            &iri,
+            &TemplateRefinement {
+                observations: observations(&checks, f64::INFINITY),
+                narrows: vec![],
+            },
+        );
+        let export = kb.export();
+        for bound in [lower, higher] {
+            let stated = export
+                .lines()
+                .filter(|line| line.contains(&format!("{}{bound}>", vocab::PROP_NS)))
+                .count();
+            if dropped.contains(&bound) {
+                assert_eq!(stated, 0, "{bound} restated after dropping {dropped:?}");
+            } else {
+                assert!(stated > 0, "{bound} kept after dropping {dropped:?}");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------- serving tier --
 
 /// The full loop through the serving tier: serve, execute, record

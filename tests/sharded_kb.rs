@@ -1,5 +1,5 @@
-//! The sharded knowledge base end to end: a `ShardedStore` backend is a
-//! drop-in for the single-store KB (identical matching), concurrent
+//! The sharded knowledge base end to end: a store of N shards is a
+//! drop-in for the default one-shard KB (identical matching), concurrent
 //! learners appending templates lose nothing, every publish path places
 //! and journals a template identically, a
 //! durable sharded KB recovers every shard on reopen — including a torn
